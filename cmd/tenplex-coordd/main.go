@@ -4,7 +4,11 @@
 // over the single-threaded decision plane, with per-tenant quotas
 // keyed by bearer tokens. Job state lives in real tenplex-store
 // servers when -stores is given (one server per device), or in-process
-// memory stores otherwise.
+// memory stores otherwise. A reconfiguration between store servers
+// moves state store to store: the coordinator tells each destination
+// what to assemble and the destination pulls it from its peers, so the
+// URLs given to -stores must be reachable from the other stores, not
+// only from the coordinator.
 //
 //	tenplex-store -addr 127.0.0.1:7071 &
 //	tenplex-store -addr 127.0.0.1:7072 &
@@ -39,7 +43,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "API listen address")
 	devices := flag.Int("devices", 4, "cluster size (multiple of 4: workers of 4 devices)")
-	stores := flag.String("stores", "", "comma-separated tenplex-store base URLs, one per device (empty: in-process memory stores)")
+	stores := flag.String("stores", "", "comma-separated tenplex-store base URLs, one per device, each reachable from the other stores (empty: in-process memory stores)")
 	policy := flag.String("policy", "fifo", "scheduling policy: fifo | drf | priority")
 	placement := flag.Bool("placement", true, "allocation-aware placement scoring")
 	wallScale := flag.Duration("wall-scale", time.Second, "real time per simulated minute")

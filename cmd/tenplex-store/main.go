@@ -4,6 +4,10 @@
 // ranges from it with queries like
 //
 //	GET /query?path=/job/j0/model/dev2/block.3/attn/qkv/weight&range=[:,2:4]
+//
+// and during a reconfiguration the daemon assembles its own new
+// partitions from its peer daemons (POST /assemble), so it must be able
+// to reach them at the addresses the coordinator knows them by.
 package main
 
 import (
@@ -31,5 +35,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	_ = closeFn()
-	fmt.Printf("tenplex-store: served %d B, received %d B\n", srv.BytesServed(), srv.BytesReceived())
+	fmt.Printf("tenplex-store: served %d B, received %d B, pulled %d B from peers\n",
+		srv.BytesServed(), srv.BytesReceived(), srv.BytesPulled())
 }

@@ -206,13 +206,93 @@ func (in *Injector) stream(job string) *faultStream {
 // concurrent operations happen to run in.
 func (in *Injector) WrapAccess(job, tag string, inner store.Access) store.Access {
 	fa := &faultyAccess{inner: inner, in: in, stream: in.stream(job), job: job, tag: tag}
-	// Forward the batch capability only when the wrapped store has it: a
-	// separate wrapper type keeps a wrapped Local from falsely asserting
-	// as a store.BatchQuerier.
+	// Forward a capability only when the wrapped store has it: separate
+	// wrapper types keep a wrapped Local from falsely asserting as a
+	// store.BatchQuerier or a store.Assembler.
+	if r, ok := inner.(store.Remote); ok {
+		return &faultyRemote{faultyBatchAccess: faultyBatchAccess{fa}, remote: r}
+	}
 	if _, ok := inner.(store.BatchQuerier); ok {
 		return &faultyBatchAccess{faultyAccess: fa}
 	}
 	return fa
+}
+
+// faultyRemote forwards the rest of a wire store's capability set. The
+// context-aware variants draw the same fate as the plain calls (same
+// op name, same paths) and hand the caller's context through, so an
+// armed store still aborts a transfer when its apply is canceled. A
+// whole /assemble request fails or stalls as one operation whose fate
+// hashes the store's tag and the paths it would stage — a function of
+// the plan, not of scheduling.
+type faultyRemote struct {
+	faultyBatchAccess
+	remote store.Remote
+}
+
+var _ store.Remote = (*faultyRemote)(nil)
+
+func (f *faultyRemote) Address() string { return f.remote.Address() }
+
+func (f *faultyRemote) Assemble(ctx context.Context, items []store.AssembleItem) (store.AssembleStats, error) {
+	paths := make([]string, len(items))
+	for i, it := range items {
+		paths[i] = it.Path
+	}
+	if err := f.op("assemble", paths...); err != nil {
+		return store.AssembleStats{}, err
+	}
+	return f.remote.Assemble(ctx, items)
+}
+
+func (f *faultyRemote) QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error) {
+	if err := f.op("query", path); err != nil {
+		return nil, err
+	}
+	return f.remote.QueryContext(ctx, path, reg)
+}
+
+func (f *faultyRemote) QueryIntoContext(ctx context.Context, path string, reg tensor.Region,
+	dst *tensor.Tensor, at tensor.Region) (int64, error) {
+	if err := f.op("queryinto", path, fmt.Sprint(reg)); err != nil {
+		return 0, err
+	}
+	return f.remote.QueryIntoContext(ctx, path, reg, dst, at)
+}
+
+func (f *faultyRemote) UploadContext(ctx context.Context, path string, t *tensor.Tensor) error {
+	if err := f.op("upload", path); err != nil {
+		return err
+	}
+	return f.remote.UploadContext(ctx, path, t)
+}
+
+func (f *faultyRemote) UploadFromContext(ctx context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error {
+	if err := f.op("uploadfrom", path); err != nil {
+		return err
+	}
+	return f.remote.UploadFromContext(ctx, path, dt, shape, r)
+}
+
+func (f *faultyRemote) DeleteContext(ctx context.Context, path string) error {
+	if err := f.op("delete", path); err != nil {
+		return err
+	}
+	return f.remote.DeleteContext(ctx, path)
+}
+
+func (f *faultyRemote) ListContext(ctx context.Context, path string) ([]string, error) {
+	if err := f.op("list", path); err != nil {
+		return nil, err
+	}
+	return f.remote.ListContext(ctx, path)
+}
+
+func (f *faultyRemote) RenameContext(ctx context.Context, src, dst string) error {
+	if err := f.op("rename", src, dst); err != nil {
+		return err
+	}
+	return f.remote.RenameContext(ctx, src, dst)
 }
 
 // faultyBatchAccess augments faultyAccess with store.BatchQuerier

@@ -1,13 +1,17 @@
 package chaos
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
+	"tenplex/internal/obs"
 	"tenplex/internal/store"
 	"tenplex/internal/tensor"
 )
@@ -203,5 +207,124 @@ func TestChaosTransportAndMiddleware(t *testing.T) {
 	if transportErrs == 0 || serverErrs == 0 || oks == 0 {
 		t.Fatalf("want a mix of outcomes, got transport=%d server=%d ok=%d",
 			transportErrs, serverErrs, oks)
+	}
+}
+
+// A wire store keeps its whole capability set through both wrappers, in
+// the order the coordinator stacks them (chaos inside, tracing
+// outside), and a wrapped Local gains none of it. What this guards:
+// the transformer type-asserts its stores for the context-aware calls,
+// and a wrapper that hid them silently cost a traced or chaos-armed
+// coordinator its mid-transfer cancellation.
+func TestWrappedClientKeepsCancellation(t *testing.T) {
+	release := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // never answers
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hs.Close()
+	defer close(release)
+
+	in := NewInjector(Plan{Seed: 1})
+	var scope obs.ScopeVar
+	wrapped := store.Observe(in.WrapAccess("job", "dev0", &store.Client{Base: hs.URL, HTTP: hs.Client()}), "dev0", &scope)
+	remote, ok := wrapped.(store.Remote)
+	if !ok {
+		t.Fatalf("observed + chaos-wrapped *store.Client is a %T: the wrappers hide the client's context-aware calls", wrapped)
+	}
+	if remote.Address() != hs.URL {
+		t.Fatalf("wrapped address %q, want %q", remote.Address(), hs.URL)
+	}
+	if _, ok := store.Observe(in.WrapAccess("job", "dev1", memAccess(t)), "dev1", &scope).(store.Remote); ok {
+		t.Fatal("a wrapped Local claims to be a wire store")
+	}
+
+	payload := tensor.New(tensor.Float32, 1<<18) // 1 MiB: more than the socket buffers swallow
+	for name, call := range map[string]func(ctx context.Context) error{
+		"QueryIntoContext": func(ctx context.Context) error {
+			_, err := remote.QueryIntoContext(ctx, "/x", nil, tensor.New(tensor.Float32, 4), nil)
+			return err
+		},
+		"UploadContext": func(ctx context.Context) error { return remote.UploadContext(ctx, "/x", payload) },
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		start := time.Now()
+		err := call(ctx)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s returned %v, want context.Canceled", name, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s took %v to notice the cancel", name, d)
+		}
+	}
+}
+
+// The context-aware variants of a wrapped wire store draw their fate
+// from the same (tag, op, paths) key as the plain calls: at any seed an
+// operation is failed in both forms or in neither, so a fixed-seed
+// trace does not depend on which form the transformer happened to call.
+func TestContextVariantsDrawTheSameFate(t *testing.T) {
+	hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
+	defer hs.Close()
+	client := &store.Client{Base: hs.URL, HTTP: hs.Client()}
+	src := tensor.New(tensor.Float32, 4, 4)
+	if err := client.Upload("/t", src); err != nil {
+		t.Fatal(err)
+	}
+	reg := tensor.Region{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 4}}
+	ctx := context.Background()
+	injected, clean := 0, 0
+	for seed := int64(1); seed <= 24; seed++ {
+		in := NewInjector(Plan{Seed: seed, StoreFaultRate: 0.5})
+		f := in.WrapAccess("job", "dev0", client).(store.Remote)
+		in.BeginAttempt("job", uint64(seed))
+		pairs := map[string][2]func() error{
+			"query": {
+				func() error { _, err := f.Query("/t", reg); return err },
+				func() error { _, err := f.QueryContext(ctx, "/t", reg); return err }},
+			"queryinto": {
+				func() error { _, err := f.QueryInto("/t", reg, tensor.New(tensor.Float32, 2, 4), nil); return err },
+				func() error {
+					_, err := f.QueryIntoContext(ctx, "/t", reg, tensor.New(tensor.Float32, 2, 4), nil)
+					return err
+				}},
+			"upload": {
+				func() error { return f.Upload("/u", src) },
+				func() error { return f.UploadContext(ctx, "/u", src) }},
+			"uploadfrom": {
+				func() error { return f.UploadFrom("/v", src.DType(), src.Shape(), bytes.NewReader(src.Data())) },
+				func() error {
+					return f.UploadFromContext(ctx, "/v", src.DType(), src.Shape(), bytes.NewReader(src.Data()))
+				}},
+			"list": {
+				func() error { _, err := f.List("/"); return err },
+				func() error { _, err := f.ListContext(ctx, "/"); return err }},
+			"rename": {
+				func() error { return f.Rename("/absent", "/gone") },
+				func() error { return f.RenameContext(ctx, "/absent", "/gone") }},
+			"delete": {
+				func() error { return f.Delete("/absent") },
+				func() error { return f.DeleteContext(ctx, "/absent") }},
+		}
+		for op, pair := range pairs {
+			plain, withCtx := errors.Is(pair[0](), Err), errors.Is(pair[1](), Err)
+			if plain != withCtx {
+				t.Fatalf("seed %d: %s injected=%v but its context variant injected=%v", seed, op, plain, withCtx)
+			}
+			if plain {
+				injected++
+			} else {
+				clean++
+			}
+		}
+		in.EndAttempt("job")
+	}
+	if injected == 0 || clean == 0 {
+		t.Fatalf("%d injected and %d clean operations; want both", injected, clean)
 	}
 }

@@ -6,6 +6,7 @@
 package checkpoint
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -38,35 +39,70 @@ func ckptRoot(job string, step int) string { return fmt.Sprintf("/ckpt/%s/step%0
 func metaPath(job string, step int) string { return ckptRoot(job, step) + "/meta.json" }
 func latestPath(job string) string         { return fmt.Sprintf("/ckpt/%s/latest", job) }
 
+// saveDevicesInFlight bounds how many batch-capable device stores Save
+// reads at once, and with it how much state Save holds: that many
+// devices' sub-tensors, not the whole job's.
+const saveDevicesInFlight = 2
+
 // Save writes the state described by ptc — read from the per-device
 // stores — into storage as a partitioned checkpoint for the given step.
-// Replicated sub-tensors (DP copies) are written once.
+// Replicated sub-tensors (DP copies) are written once. A batch-capable
+// device store is read in one round trip, a few such devices at a time,
+// and its pieces are written out and dropped as soon as its batch has
+// landed; any other store hands its tensors over one Query at a time
+// (by reference, for an in-process store).
 func Save(storage store.Access, job string, step int, ptc *core.PTC,
 	stores map[cluster.DeviceID]store.Access) error {
 	meta := Meta{Job: job, Step: step, Config: ptc.Name, Pieces: map[string][]Piece{}}
+	write := func(s core.SubTensor, t *tensor.Tensor) error {
+		path := fmt.Sprintf("%s/%s@%s", ckptRoot(job, step), s.Tensor, s.Region)
+		if err := storage.Upload(path, t); err != nil {
+			return fmt.Errorf("checkpoint: write %q: %w", path, err)
+		}
+		meta.Pieces[string(s.Tensor)] = append(meta.Pieces[string(s.Tensor)], Piece{
+			Path: path, Range: s.Region.String(),
+		})
+		return nil
+	}
+	// What the batch-capable devices owe the checkpoint; read after the
+	// walk below, which writes everything else as it is read.
+	var batches []deviceBatch
 	written := map[string]bool{}
 	for _, d := range ptc.Devices {
 		acc, ok := stores[d]
 		if !ok {
 			return fmt.Errorf("checkpoint: no store for device %d", d)
 		}
+		bq, batch := acc.(store.BatchQuerier)
+		var subs []core.SubTensor
 		for _, s := range ptc.Place[d] {
 			key := string(s.Tensor) + s.Region.String()
 			if written[key] {
 				continue
 			}
 			written[key] = true
+			if batch {
+				if _, ok := ptc.Tensors[s.Tensor]; !ok {
+					return fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
+				}
+				subs = append(subs, s)
+				continue
+			}
 			t, err := acc.Query(transform.ModelPath(job, d, s.Tensor), nil)
 			if err != nil {
 				return fmt.Errorf("checkpoint: read %q from dev %d: %w", s.Tensor, d, err)
 			}
-			path := fmt.Sprintf("%s/%s@%s", ckptRoot(job, step), s.Tensor, s.Region)
-			if err := storage.Upload(path, t); err != nil {
-				return fmt.Errorf("checkpoint: write %q: %w", path, err)
+			if err := write(s, t); err != nil {
+				return err
 			}
-			meta.Pieces[string(s.Tensor)] = append(meta.Pieces[string(s.Tensor)], Piece{
-				Path: path, Range: s.Region.String(),
-			})
+		}
+		if len(subs) > 0 {
+			batches = append(batches, deviceBatch{dev: d, store: bq, subs: subs})
+		}
+	}
+	if len(batches) > 0 {
+		if err := saveBatches(job, ptc, batches, write); err != nil {
+			return err
 		}
 	}
 	for _, ps := range meta.Pieces {
@@ -86,6 +122,58 @@ func Save(storage store.Access, job string, step int, ptc *core.PTC,
 		return ms.PutBlob(latestPath(job), latest)
 	}
 	return fmt.Errorf("checkpoint: storage does not support blobs")
+}
+
+// deviceBatch is what one batch-capable device store owes a checkpoint.
+type deviceBatch struct {
+	dev   cluster.DeviceID
+	store store.BatchQuerier
+	subs  []core.SubTensor
+}
+
+// saveBatches reads each device's sub-tensors in one batch,
+// saveDevicesInFlight devices at a time, and hands them to write (one
+// call at a time) as soon as the device's batch has landed. It returns
+// the error of the first device, in the given order, that failed.
+func saveBatches(job string, ptc *core.PTC, batches []deviceBatch,
+	write func(core.SubTensor, *tensor.Tensor) error) error {
+	errs := make([]error, len(batches))
+	slots := make(chan struct{}, saveDevicesInFlight)
+	var mu sync.Mutex // write appends to the manifest: one call at a time
+	var wg sync.WaitGroup
+	for i, b := range batches {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func(i int, b deviceBatch) {
+			defer wg.Done()
+			defer func() { <-slots }()
+			entries := make([]store.BatchEntry, len(b.subs))
+			for j, s := range b.subs {
+				entries[j] = store.BatchEntry{
+					Path: transform.ModelPath(job, b.dev, s.Tensor),
+					Dst:  tensor.NewFromRegion(ptc.Tensors[s.Tensor].DType, s.Region),
+				}
+			}
+			if _, err := b.store.BatchQueryInto(context.TODO(), entries); err != nil {
+				errs[i] = fmt.Errorf("checkpoint: read from dev %d: %w", b.dev, err)
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for j, s := range b.subs {
+				if errs[i] = write(s, entries[j].Dst); errs[i] != nil {
+					return
+				}
+			}
+		}(i, b)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Latest returns the step of the most recent checkpoint for job.

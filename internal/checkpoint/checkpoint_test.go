@@ -1,8 +1,13 @@
 package checkpoint
 
 import (
+	"bytes"
+	"context"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
@@ -240,5 +245,96 @@ func TestManifestIsReadableJSON(t *testing.T) {
 	}
 	if !strings.Contains(string(blob), "\"pieces\"") || !strings.Contains(string(blob), "block.0") {
 		t.Fatalf("manifest unexpected: %s", blob)
+	}
+}
+
+// countingBatch is a wire store seen through a wrapper that records how
+// many batch reads are in flight at once.
+type countingBatch struct {
+	store.Access
+	bq                    store.BatchQuerier
+	mu                    *sync.Mutex
+	inFlight, peak, calls *int
+}
+
+func (c countingBatch) BatchQueryInto(ctx context.Context, entries []store.BatchEntry) (store.BatchStats, error) {
+	c.mu.Lock()
+	*c.calls++
+	if *c.inFlight++; *c.inFlight > *c.peak {
+		*c.peak = *c.inFlight
+	}
+	c.mu.Unlock()
+	time.Sleep(5 * time.Millisecond) // long enough for the next device to start, if it may
+	st, err := c.bq.BatchQueryInto(ctx, entries)
+	c.mu.Lock()
+	*c.inFlight--
+	c.mu.Unlock()
+	return st, err
+}
+
+// Against wire stores Save reads each device in one batch, holds no
+// more than saveDevicesInFlight devices' state at a time, and writes the
+// same checkpoint as it does from in-process stores; a device store
+// that is gone fails the save before a manifest is written.
+func TestSaveFromWireStores(t *testing.T) {
+	cfg := parallel.Config{TP: 4, PP: 1, DP: 1}
+	ptc, local, golden := setup(t, cfg, 4)
+	want := store.NewMemFS()
+	if err := Save(store.Local{FS: want}, "job0", 7, ptc, local); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var inFlight, peak, calls int
+	wire := map[cluster.DeviceID]store.Access{}
+	var servers []*httptest.Server
+	for _, d := range ptc.Devices {
+		hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
+		defer hs.Close()
+		servers = append(servers, hs)
+		c := &store.Client{Base: hs.URL, HTTP: hs.Client()}
+		wire[d] = countingBatch{Access: c, bq: c, mu: &mu, inFlight: &inFlight, peak: &peak, calls: &calls}
+	}
+	wire[3] = store.Local{FS: store.NewMemFS()} // a mixed set: one in-process store
+	if err := transform.LoadPTC("job0", ptc, wire, golden); err != nil {
+		t.Fatal(err)
+	}
+	got := store.NewMemFS()
+	if err := Save(store.Local{FS: got}, "job0", 7, ptc, wire); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 3 || peak != saveDevicesInFlight {
+		t.Fatalf("%d batch reads, at most %d at once; want 3 and %d", calls, peak, saveDevicesInFlight)
+	}
+	files := 0
+	err := want.Walk("/", func(p string, st store.Stat) error {
+		files++
+		if st.IsBlob {
+			a, _ := want.GetBlob(p)
+			b, err := got.GetBlob(p)
+			if err != nil || !bytes.Equal(a, b) {
+				t.Errorf("blob %s differs from the in-process save (err %v)", p, err)
+			}
+			return nil
+		}
+		a, _ := want.GetTensor(p)
+		b, err := got.GetTensor(p)
+		if err != nil || !a.Equal(b) {
+			t.Errorf("piece %s differs from the in-process save (err %v)", p, err)
+		}
+		return nil
+	})
+	if err != nil || files == 0 {
+		t.Fatalf("walked %d files, err %v", files, err)
+	}
+
+	servers[1].Close()
+	failed := store.NewMemFS()
+	err = Save(store.Local{FS: failed}, "job0", 8, ptc, wire)
+	if err == nil || !strings.Contains(err.Error(), "dev 1") {
+		t.Fatalf("Save with device 1 gone returned %v", err)
+	}
+	if _, err := Latest(store.Local{FS: failed}, "job0"); err == nil {
+		t.Fatal("a failed save left a latest marker")
 	}
 }

@@ -480,8 +480,9 @@ type simJob struct {
 	idx  int // submission order
 	rt   *jobRuntime
 	// init holds the job's deterministic initial tensors. It is
-	// written by the deploy task and read by the verify task — both on
-	// the job's chain, never by the event loop.
+	// written by the deploy task, read by the verify task and dropped
+	// once the job is terminal (releaseState) — all on the job's chain,
+	// never by the event loop.
 	init map[core.TensorID]*tensor.Tensor
 
 	// Decision-plane mirrors of the runtime's placement. The event
@@ -513,6 +514,23 @@ type simJob struct {
 	// Written on the job's chain, read by service status snapshots —
 	// hence atomic.
 	verified atomic.Bool
+}
+
+// releaseState drops what only a live job needs — its golden tensors
+// and its in-process checkpoints, several times the job's state size —
+// so a long-running service does not grow with every job it has ever
+// finished. It runs on the job's chain, behind whatever work is still
+// queued there.
+func (j *simJob) releaseState() {
+	j.init = nil
+	j.rt.storage = store.Local{FS: store.NewMemFS()}
+}
+
+// releaseTerminal schedules releaseState for a job that just became
+// lost or canceled; a completed job releases at the end of its verify
+// task instead.
+func (s *sim) releaseTerminal(j *simJob) {
+	_ = s.submit(j.spec.Name, func() error { j.releaseState(); return nil }) // the task cannot fail
 }
 
 // pendingChange is one decided allocation change whose plan+transform
@@ -1068,6 +1086,7 @@ func (s *sim) requeueJob(j *simJob) {
 		j.doneMin = s.now
 		s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvLost,
 			Note: fmt.Sprintf("requeue budget exhausted after %d aborted reconfigurations", j.requeues)})
+		s.releaseTerminal(j)
 		return
 	}
 	j.state = jobQueued
@@ -1457,7 +1476,7 @@ func (s *sim) onArrival(name string) error {
 
 func (s *sim) onComplete(name string) error {
 	j := s.jobs[name]
-	rt, init := j.rt, &j.init
+	rt := j.rt
 	// The end-to-end correctness oracle: reassemble the job's state and
 	// compare it bit for bit against the initial tensors. It runs on
 	// the job's chain, after every committed change. With a pool, a
@@ -1471,10 +1490,11 @@ func (s *sim) onComplete(name string) error {
 			rt.obsScope.Set(obs.TaskCtx{T: tr, Parent: vID, Job: rt.name, TMin: vTMin})
 		}
 		vStart := time.Now()
-		err := rt.verifyState(*init)
+		err := rt.verifyState(j.init)
 		if err == nil {
 			j.verified.Store(true)
 		}
+		j.releaseState()
 		if tr.Enabled() {
 			attrs := map[string]any{"resizes": resizes}
 			if err != nil {
@@ -1541,6 +1561,7 @@ func (s *sim) deviceDown(dev cluster.DeviceID, note string) error {
 		j.ver++
 		s.record(TimelineEvent{TimeMin: s.now, Job: owner, Kind: EvLost,
 			Note: "no healthy devices to recover onto"})
+		s.releaseTerminal(j)
 		return nil
 	}
 	alloc := full[:n]

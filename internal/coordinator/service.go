@@ -367,6 +367,7 @@ func (svc *Service) Cancel(name string) error {
 		j.doneMin = s.now
 		s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvCancel,
 			Note: "canceled by request"})
+		s.releaseTerminal(j)
 		if err := s.admitQueued(); err != nil {
 			return err
 		}

@@ -218,3 +218,65 @@ func TestServiceStoresFactory(t *testing.T) {
 		t.Fatalf("store factory called %d times, want 4 (one per device)", got)
 	}
 }
+
+// TestServiceReleasesTerminalJobState: a long-running service must not
+// keep every finished job's golden tensors and checkpoints. After N
+// sequential jobs — completed, canceled while running, canceled while
+// queued — no terminal job holds either, while its status, verification
+// verdict and timeline stay answerable.
+func TestServiceReleasesTerminalJobState(t *testing.T) {
+	svc, err := StartService(cluster.Cloud(4), Options{WallScale: time.Millisecond})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	m := model.GPTCustom(4, 16, 2, 32, 8)
+	var names []string
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("seq%d", i)
+		names = append(names, name)
+		if err := svc.Submit(JobSpec{Name: name, Model: m, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, DurationMin: 20}); err != nil {
+			t.Fatalf("submit %s: %v", name, err)
+		}
+		waitJobState(t, svc, name, "completed", 15*time.Second)
+	}
+	// One job canceled while it runs, one while it waits behind it.
+	for _, name := range []string{"run", "wait"} {
+		names = append(names, name)
+		if err := svc.Submit(JobSpec{Name: name, Model: m, GPUs: 4, DurationMin: 1e6}); err != nil {
+			t.Fatalf("submit %s: %v", name, err)
+		}
+	}
+	waitJobState(t, svc, "run", "running", 15*time.Second)
+	waitJobState(t, svc, "wait", "queued", 15*time.Second)
+	for _, name := range []string{"wait", "run"} {
+		if err := svc.Cancel(name); err != nil {
+			t.Fatalf("cancel %s: %v", name, err)
+		}
+	}
+
+	err = svc.exec(false, func(s *sim) error {
+		for _, name := range names {
+			if err := s.drainJob(name); err != nil {
+				return err
+			}
+			j := s.jobs[name]
+			if j.init != nil {
+				return fmt.Errorf("terminal job %s (%s) still holds its %d golden tensors", name, j.state, len(j.init))
+			}
+			if n := j.rt.storage.FS.TotalBytes(); n != 0 {
+				return fmt.Errorf("terminal job %s (%s) still holds %d checkpoint bytes", name, j.state, n)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names[:4] {
+		st, err := svc.Job(name)
+		if err != nil || st.State != "completed" || !st.Verified {
+			t.Fatalf("job %s after release: %+v (err %v)", name, st, err)
+		}
+	}
+}

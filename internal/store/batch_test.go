@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -493,4 +495,100 @@ func TestQueryIntoMidStreamDeathIsTypedAndRetried(t *testing.T) {
 	if st := c2.Stats.Snapshot(); st.Retries != 1 {
 		t.Fatalf("stats = %+v, want exactly 1 retry", st)
 	}
+}
+
+// malformedBatch lists /batch request bodies the server must refuse
+// before the first frame, with the status it answers; the fuzz target
+// starts from them.
+var malformedBatch = []struct {
+	name, body string
+	code       int
+}{
+	{"not json", `{"entries":`, 400},
+	{"wrong type", `{"entries":"/a"}`, 400},
+	{"empty", `{"entries":[]}`, 400},
+	{"missing tensor", `{"entries":[{"path":"/absent"}]}`, 404},
+	{"empty path", `{"entries":[{"path":""}]}`, 404},
+	{"dot path", `{"entries":[{"path":"/a/../b"}]}`, 404},
+	{"unbracketed range", `{"entries":[{"path":"/a","range":"0:2"}]}`, 400},
+	{"range rank", `{"entries":[{"path":"/a","range":"[0:2]"}]}`, 400},
+	{"range out of bounds", `{"entries":[{"path":"/a","range":"[0:5,0:4]"}]}`, 400},
+	{"inverted range", `{"entries":[{"path":"/a","range":"[3:1,0:4]"}]}`, 400},
+	{"negative range", `{"entries":[{"path":"/a","range":"[-1:2,0:4]"}]}`, 400},
+	{"non-numeric range", `{"entries":[{"path":"/a","range":"[a:b,0:4]"}]}`, 400},
+}
+
+func postBatch(srv http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+	return rec
+}
+
+func TestBatchRejectsMalformedRequests(t *testing.T) {
+	srv := NewServer(batchFS(t))
+	for _, c := range malformedBatch {
+		if rec := postBatch(srv, []byte(c.body)); rec.Code != c.code {
+			t.Errorf("%s: status %d (%s), want %d", c.name, rec.Code, strings.TrimSpace(rec.Body.String()), c.code)
+		}
+	}
+	one := `{"path":"/a"},`
+	body := `{"entries":[` + strings.TrimSuffix(strings.Repeat(one, maxBatchEntries+1), ",") + `]}`
+	if rec := postBatch(srv, []byte(body)); rec.Code != 400 {
+		t.Errorf("too many entries: status %d, want 400", rec.Code)
+	}
+	if n := srv.BytesServed(); n != 0 {
+		t.Fatalf("refused batches served %d bytes", n)
+	}
+}
+
+// FuzzBatchRequest throws arbitrary bodies at POST /batch. Whatever the
+// server accepts it must answer with a well-formed frame stream of
+// exactly the length it announced; everything else is a 4xx.
+func FuzzBatchRequest(f *testing.F) {
+	for _, c := range malformedBatch {
+		f.Add([]byte(c.body))
+	}
+	f.Add([]byte(`{"crc":true,"entries":[{"path":"/a","range":"[0:1,0:4]"},{"path":"/a","range":"[1:2,0:4]"},{"path":"/b"}]}`))
+	fs := NewMemFS()
+	for _, p := range []string{"/a", "/b"} {
+		if err := fs.PutTensor(p, seqTensor(4, 4)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	srv := NewServer(fs)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := postBatch(srv, body)
+		if rec.Code/100 == 4 {
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d", rec.Code)
+		}
+		if want := rec.Header().Get("Content-Length"); want != fmt.Sprint(rec.Body.Len()) {
+			t.Fatalf("announced %s bytes, wrote %d", want, rec.Body.Len())
+		}
+		flags, err := tensor.DecodeFrameStreamHeader(rec.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			h, err := tensor.DecodeFrameHeaderFrom(rec.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.End() {
+				break
+			}
+			skip := int(h.Length)
+			if flags&tensor.FrameFlagCRC != 0 {
+				skip += tensor.FrameCRCSize
+			}
+			if len(rec.Body.Next(skip)) != skip {
+				t.Fatalf("frame of %d bytes truncated", h.Length)
+			}
+		}
+		if rec.Body.Len() != 0 {
+			t.Fatalf("%d bytes after the end frame", rec.Body.Len())
+		}
+	})
 }

@@ -20,13 +20,96 @@ import (
 // else.
 func Observe(inner Access, tag string, scope *obs.ScopeVar) Access {
 	o := &observedAccess{inner: inner, tag: tag, scope: scope}
-	// Forward the batch capability only when the wrapped store actually
-	// has it: a separate wrapper type keeps a plain observed Local from
-	// falsely asserting as a BatchQuerier.
+	// Forward a capability only when the wrapped store actually has it:
+	// separate wrapper types keep a plain observed Local from falsely
+	// asserting as a BatchQuerier or an Assembler.
+	if r, ok := inner.(Remote); ok {
+		return &observedRemote{observedBatchAccess: observedBatchAccess{o}, remote: r}
+	}
 	if _, ok := inner.(BatchQuerier); ok {
 		return &observedBatchAccess{observedAccess: o}
 	}
 	return o
+}
+
+// observedRemote forwards the rest of a wire store's capability set:
+// the context-aware variants record the same spans as the plain calls
+// and hand the caller's context through, so tracing a store does not
+// cost it mid-transfer cancellation; Assemble records one
+// store.assemble span per request.
+type observedRemote struct {
+	observedBatchAccess
+	remote Remote
+}
+
+var _ Remote = (*observedRemote)(nil)
+
+func (o *observedRemote) Address() string { return o.remote.Address() }
+
+func (o *observedRemote) Assemble(ctx context.Context, items []AssembleItem) (AssembleStats, error) {
+	c := o.scope.Get()
+	if !c.Deep() {
+		return o.remote.Assemble(ctx, items)
+	}
+	start := time.Now()
+	st, err := o.remote.Assemble(ctx, items)
+	attrs := map[string]any{"op": "assemble", "store": o.tag, "items": int64(len(items))}
+	if st.BytesCopied > 0 {
+		attrs["bytes"] = st.BytesCopied
+	}
+	if st.LinkedBytes > 0 {
+		attrs["linked"] = st.LinkedBytes
+	}
+	if err != nil {
+		attrs["err"] = err.Error()
+	}
+	c.Record(obs.StorePrefix+"assemble", obs.CatDatapath, time.Since(start).Nanoseconds(), attrs)
+	return st, err
+}
+
+func (o *observedRemote) QueryContext(ctx context.Context, path string, reg tensor.Region) (t *tensor.Tensor, err error) {
+	err = o.span("query", path, func() (int64, error) {
+		t, err = o.remote.QueryContext(ctx, path, reg)
+		return tensorBytes(t), err
+	})
+	return t, err
+}
+
+func (o *observedRemote) QueryIntoContext(ctx context.Context, path string, reg tensor.Region,
+	dst *tensor.Tensor, at tensor.Region) (n int64, err error) {
+	err = o.span("query", path, func() (int64, error) {
+		n, err = o.remote.QueryIntoContext(ctx, path, reg, dst, at)
+		return n, err
+	})
+	return n, err
+}
+
+func (o *observedRemote) UploadContext(ctx context.Context, path string, t *tensor.Tensor) error {
+	return o.span("upload", path, func() (int64, error) {
+		return int64(t.NumBytes()), o.remote.UploadContext(ctx, path, t)
+	})
+}
+
+func (o *observedRemote) UploadFromContext(ctx context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error {
+	return o.span("upload", path, func() (int64, error) {
+		return tensor.ShapeNumBytes(dt, shape), o.remote.UploadFromContext(ctx, path, dt, shape, r)
+	})
+}
+
+func (o *observedRemote) DeleteContext(ctx context.Context, path string) error {
+	return o.span("delete", path, func() (int64, error) { return 0, o.remote.DeleteContext(ctx, path) })
+}
+
+func (o *observedRemote) ListContext(ctx context.Context, path string) (names []string, err error) {
+	err = o.span("list", path, func() (int64, error) {
+		names, err = o.remote.ListContext(ctx, path)
+		return 0, err
+	})
+	return names, err
+}
+
+func (o *observedRemote) RenameContext(ctx context.Context, src, dst string) error {
+	return o.span("rename", src, func() (int64, error) { return 0, o.remote.RenameContext(ctx, src, dst) })
 }
 
 // observedBatchAccess augments observedAccess with BatchQuerier
@@ -81,85 +164,70 @@ func (o *observedAccess) record(c *obs.TaskCtx, op, path string, bytes int64, st
 	c.Record(obs.StorePrefix+op, obs.CatDatapath, time.Since(start).Nanoseconds(), attrs)
 }
 
-func (o *observedAccess) Query(path string, reg tensor.Region) (*tensor.Tensor, error) {
+// span runs one operation and, when the scope is deep, records it; fn
+// returns the payload bytes the operation moved. Every operation of the
+// wrapper, plain or context-aware, goes through here.
+func (o *observedAccess) span(op, path string, fn func() (int64, error)) error {
 	c := o.scope.Get()
 	if !c.Deep() {
-		return o.inner.Query(path, reg)
+		_, err := fn()
+		return err
 	}
 	start := time.Now()
-	t, err := o.inner.Query(path, reg)
-	var n int64
-	if t != nil {
-		n = int64(t.NumBytes())
+	n, err := fn()
+	o.record(c, op, path, n, start, err)
+	return err
+}
+
+func tensorBytes(t *tensor.Tensor) int64 {
+	if t == nil {
+		return 0
 	}
-	o.record(c, "query", path, n, start, err)
+	return int64(t.NumBytes())
+}
+
+func (o *observedAccess) Query(path string, reg tensor.Region) (t *tensor.Tensor, err error) {
+	err = o.span("query", path, func() (int64, error) {
+		t, err = o.inner.Query(path, reg)
+		return tensorBytes(t), err
+	})
 	return t, err
 }
 
-func (o *observedAccess) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	c := o.scope.Get()
-	if !c.Deep() {
-		return o.inner.QueryInto(path, reg, dst, at)
-	}
-	start := time.Now()
-	n, err := o.inner.QueryInto(path, reg, dst, at)
-	o.record(c, "query", path, n, start, err)
+func (o *observedAccess) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (n int64, err error) {
+	err = o.span("query", path, func() (int64, error) {
+		n, err = o.inner.QueryInto(path, reg, dst, at)
+		return n, err
+	})
 	return n, err
 }
 
 func (o *observedAccess) Upload(path string, t *tensor.Tensor) error {
-	c := o.scope.Get()
-	if !c.Deep() {
-		return o.inner.Upload(path, t)
-	}
-	start := time.Now()
-	err := o.inner.Upload(path, t)
-	o.record(c, "upload", path, int64(t.NumBytes()), start, err)
-	return err
+	return o.span("upload", path, func() (int64, error) {
+		return int64(t.NumBytes()), o.inner.Upload(path, t)
+	})
 }
 
 func (o *observedAccess) UploadFrom(path string, dt tensor.DType, shape []int, r io.Reader) error {
-	c := o.scope.Get()
-	if !c.Deep() {
-		return o.inner.UploadFrom(path, dt, shape, r)
-	}
-	start := time.Now()
-	err := o.inner.UploadFrom(path, dt, shape, r)
-	o.record(c, "upload", path, tensor.ShapeNumBytes(dt, shape), start, err)
-	return err
+	return o.span("upload", path, func() (int64, error) {
+		return tensor.ShapeNumBytes(dt, shape), o.inner.UploadFrom(path, dt, shape, r)
+	})
 }
 
 func (o *observedAccess) Delete(path string) error {
-	c := o.scope.Get()
-	if !c.Deep() {
-		return o.inner.Delete(path)
-	}
-	start := time.Now()
-	err := o.inner.Delete(path)
-	o.record(c, "delete", path, 0, start, err)
-	return err
+	return o.span("delete", path, func() (int64, error) { return 0, o.inner.Delete(path) })
 }
 
-func (o *observedAccess) List(path string) ([]string, error) {
-	c := o.scope.Get()
-	if !c.Deep() {
-		return o.inner.List(path)
-	}
-	start := time.Now()
-	names, err := o.inner.List(path)
-	o.record(c, "list", path, 0, start, err)
+func (o *observedAccess) List(path string) (names []string, err error) {
+	err = o.span("list", path, func() (int64, error) {
+		names, err = o.inner.List(path)
+		return 0, err
+	})
 	return names, err
 }
 
 func (o *observedAccess) Rename(src, dst string) error {
-	c := o.scope.Get()
-	if !c.Deep() {
-		return o.inner.Rename(src, dst)
-	}
-	start := time.Now()
-	err := o.inner.Rename(src, dst)
-	o.record(c, "rename", src, 0, start, err)
-	return err
+	return o.span("rename", src, func() (int64, error) { return 0, o.inner.Rename(src, dst) })
 }
 
 // UploadsByReference preserves the wrapped store's copy-accounting

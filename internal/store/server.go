@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"tenplex/internal/tensor"
@@ -17,6 +18,11 @@ import (
 //	GET    /query?path=P[&range=R]   tensor (wire format); R slices it
 //	POST   /batch                    multi-range query: JSON entry list
 //	                                 in, coalesced frame stream out
+//	POST   /assemble                 destination-pull: JSON list of
+//	                                 tensors to build, each from ranges of
+//	                                 peer stores (pulled over their /batch),
+//	                                 of this store, or a link to a stored
+//	                                 tensor; JSON byte counts out
 //	GET    /capabilities             JSON {batch, crc} feature probe
 //	POST   /upload?path=P            store the tensor in the body
 //	GET    /blob?path=P              raw blob bytes
@@ -32,8 +38,13 @@ type Server struct {
 	FS  *MemFS
 	mux *http.ServeMux
 
-	bytesOut atomic.Int64
-	bytesIn  atomic.Int64
+	bytesOut    atomic.Int64
+	bytesIn     atomic.Int64
+	bytesPulled atomic.Int64
+
+	// peers are the clients /assemble pulls from other stores with.
+	peerMu sync.Mutex
+	peers  map[string]*Client
 }
 
 // NewServer wraps fs in a REST handler.
@@ -41,6 +52,7 @@ func NewServer(fs *MemFS) *Server {
 	s := &Server{FS: fs, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/batch", s.handleBatch)
+	s.mux.HandleFunc("/assemble", s.handleAssemble)
 	s.mux.HandleFunc("/capabilities", s.handleCapabilities)
 	s.mux.HandleFunc("/upload", s.handleUpload)
 	s.mux.HandleFunc("/blob", s.handleBlob)
@@ -60,6 +72,12 @@ func (s *Server) BytesServed() int64 { return s.bytesOut.Load() }
 
 // BytesReceived returns the total payload bytes uploaded by clients.
 func (s *Server) BytesReceived() int64 { return s.bytesIn.Load() }
+
+// BytesPulled returns the total payload bytes this store fetched from
+// its peers while assembling tensors (POST /assemble). They are not
+// part of BytesReceived: the peer that served them counts them once, in
+// its BytesServed.
+func (s *Server) BytesPulled() int64 { return s.bytesPulled.Load() }
 
 // Listen serves the API on addr (e.g. "127.0.0.1:0") until the listener
 // is closed; it returns the bound address.
@@ -143,10 +161,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The header is untrusted: before allocating, require the declared
-	// payload to match the announced body size (clients always set
-	// Content-Length; chunked uploads are bounded by the read below).
-	payload := tensor.ShapeNumBytes(dt, shape)
+	// The header is untrusted: before allocating, cap the declared
+	// payload and require it to match the announced body size (clients
+	// always set Content-Length; a chunked upload announces none, so the
+	// cap is all that bounds its allocation).
+	payload, re := checkedTensorBytes(dt, shape)
+	if re != nil {
+		httpError(w, re.code, "upload: %s", re.msg)
+		return
+	}
 	if want := int64(tensor.HeaderSize(len(shape))) + payload; r.ContentLength >= 0 && r.ContentLength != want {
 		httpError(w, http.StatusBadRequest, "upload body %d bytes, header declares %d", r.ContentLength, want)
 		return

@@ -15,23 +15,34 @@ import (
 	"tenplex/internal/tensor"
 )
 
-// The batched staging path. Instead of one store round trip per plan
-// range, every assignment's device fetches are grouped by SOURCE store
-// and issued as one store.BatchQueryInto per source: the server
-// coalesces adjacent ranges and streams one frame sequence, which
-// scatter-writes straight into the (already allocated) destination
-// buffers. Staging then proceeds in three passes:
+// Staging routes. A plan's assignments reach the staging tree of their
+// destination store by one of three routes; which one is decided per
+// assignment from what the code can observe about its stores, never by
+// a setting (NoBatch aside, which forces the third for everything).
 //
-//  1. per-assignment prep (parallel): noop pointer staging, destination
-//     allocation, immediate fetches for anything unbatchable (Local
-//     stores, storage fallback, overlapping targets), and deferral of
-//     the rest;
-//  2. per-source batches (parallel across sources);
-//  3. staging uploads (parallel across assignments).
+//  1. Destination-pull (stageAssembled). The destination store
+//     implements store.Assembler and every source of the assignment is
+//     a device store with a network address (store.Addressable): the
+//     transformer sends the destination ONE /assemble request listing
+//     all such assignments, and the store pulls the ranges from its
+//     peers itself, copies what it already holds, and links no-op
+//     assignments by pointer. No state byte enters this process. This is
+//     the route between real tenplex-store daemons.
+//  2. Client-side batched (the rest of stageBatched). For assignments
+//     route 1 cannot take — a storage-fallback fetch, overlapping
+//     targets, a destination or source that is a store.Local or hides
+//     the capability behind a wrapper — device fetches are grouped by
+//     SOURCE store and issued as one store.BatchQueryInto per source
+//     into buffers allocated here, in three passes: per-assignment prep
+//     (noop pointer staging, allocation, immediate fetches for anything
+//     unbatchable), per-source batches, staging uploads.
+//  3. Per-range pooled (stagePooled in transformer.go). No store of the
+//     plan is batch-capable, or NoBatch is set: one QueryInto per plan
+//     range through a worker pool, then one upload per tensor.
 //
-// Local stores never implement BatchQuerier, so in-process setups —
-// including the coordinator's deterministic sims and their golden obs
-// traces — take the classic per-assignment path unchanged.
+// Local stores implement neither BatchQuerier nor Assembler, so
+// in-process setups — including the coordinator's deterministic sims
+// and their golden obs traces — take route 3 unchanged.
 
 // useBatch reports whether the batched staging path applies: streamed
 // pipeline, batching not disabled, and at least one batch-capable
@@ -52,11 +63,24 @@ func (tr *Transformer) useBatch() bool {
 // batchPrep is one assignment moving through the batched staging path.
 type batchPrep struct {
 	a      core.Assignment
-	out    *tensor.Tensor // nil when the noop fast path staged by pointer
+	out    *tensor.Tensor // nil when staged by pointer or by the destination store
 	st     Stats
 	start  time.Time
 	err    error
 	staged bool
+	// pulled marks an assignment handed to its destination store
+	// (route 1); the client-side passes skip it.
+	pulled bool
+}
+
+// assembleGroup is the destination-pull work of one destination device:
+// one store.Assemble request.
+type assembleGroup struct {
+	dev   cluster.DeviceID
+	preps []*batchPrep
+	items []store.AssembleItem
+	// st holds what the store reported having copied and allocated.
+	st Stats
 }
 
 // batchFetch is one plan range deferred to a per-source batch: entry
@@ -92,9 +116,18 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 		cancel()
 	}
 
+	pulls := tr.assembleGroups(plan, preps)
+	runBounded(ctx, par, len(pulls), func(gi int) {
+		if err := tr.stageAssembled(ctx, pulls[gi]); err != nil {
+			fail(err)
+		}
+	})
+
 	runBounded(ctx, par, len(plan.Assignments), func(i int) {
 		p := &preps[i]
-		p.a = plan.Assignments[i]
+		if p.pulled {
+			return
+		}
 		p.start = time.Now()
 		local, err := tr.prepAssignment(ctx, plan, p)
 		if err != nil {
@@ -171,6 +204,9 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 	})
 
 	var st Stats
+	for _, g := range pulls {
+		st.merge(g.st)
+	}
 	for i := range preps {
 		p := &preps[i]
 		tr.recordBatchSpan(ctx, p)
@@ -184,6 +220,116 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 		st.merge(p.st)
 	}
 	return st, errs
+}
+
+// assembleGroups routes the plan's assignments: it fills in every
+// prep's assignment and returns, per destination device in plan order,
+// the ones the destination store can assemble by itself.
+func (tr *Transformer) assembleGroups(plan *core.Plan, preps []batchPrep) []*assembleGroup {
+	var groups []*assembleGroup
+	byDev := map[cluster.DeviceID]*assembleGroup{}
+	for i, a := range plan.Assignments {
+		p := &preps[i]
+		p.a = a
+		item, ok := tr.assembleItem(plan, a)
+		if !ok {
+			continue
+		}
+		p.pulled = true
+		g := byDev[a.Device]
+		if g == nil {
+			g = &assembleGroup{dev: a.Device}
+			byDev[a.Device] = g
+			groups = append(groups, g)
+		}
+		g.preps = append(g.preps, p)
+		g.items = append(g.items, item)
+	}
+	return groups
+}
+
+// assembleItem describes assignment a as a tensor for its destination
+// store to build, or reports that the store cannot: it lacks the
+// capability, a range comes from checkpoint storage or from a store
+// without a network address, or targets overlap (ranges from different
+// sources land concurrently on the store as they do here).
+func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment) (store.AssembleItem, bool) {
+	self, ok := tr.Stores[a.Device].(interface {
+		store.Assembler
+		store.Addressable
+	})
+	if !ok {
+		return store.AssembleItem{}, false
+	}
+	item := store.AssembleItem{
+		Path:  stagingPath(tr.Job, a.Device, a.Tensor),
+		DType: plan.To.Tensors[a.Tensor].DType,
+		Shape: a.Region.Shape(),
+	}
+	if a.IsNoop() {
+		item.Link = ModelPath(tr.Job, a.Device, a.Tensor)
+		return item, true
+	}
+	if !disjointTargets(a.Fetch) {
+		return item, false
+	}
+	item.Fetch = make([]store.AssembleFetch, len(a.Fetch))
+	for i, f := range a.Fetch {
+		if f.Src.Kind != core.FromDevice {
+			return item, false
+		}
+		src, ok := tr.Stores[f.Src.Device].(store.Addressable)
+		if !ok {
+			return item, false
+		}
+		target, local := fetchRegions(a, f)
+		af := store.AssembleFetch{Path: ModelPath(tr.Job, f.Src.Device, a.Tensor), Reg: local, At: target}
+		if addr := src.Address(); addr != self.Address() {
+			af.Source = addr
+		}
+		item.Fetch[i] = af
+	}
+	return item, true
+}
+
+// stageAssembled sends one destination store its assemble request and
+// books the outcome. Plan bytes are attributed per assignment from the
+// plan, as on the client-side routes; bytes copied and allocated are the
+// store's own count, and the request fails unless the store accounts
+// for exactly the bytes the plan asked of it.
+func (tr *Transformer) stageAssembled(ctx context.Context, g *assembleGroup) error {
+	start := time.Now()
+	for _, p := range g.preps {
+		p.start = start
+	}
+	as, err := tr.Stores[g.dev].(store.Assembler).Assemble(ctx, g.items)
+	if err != nil {
+		err = fmt.Errorf("transform: assemble on dev %d: %w", g.dev, err)
+		for _, p := range g.preps {
+			p.err = err
+		}
+		return err
+	}
+	var want int64
+	for i, p := range g.preps {
+		for _, f := range p.a.Fetch {
+			n := f.Want.NumBytes(g.items[i].DType)
+			if f.Src.Device == p.a.Device {
+				p.st.LocalBytes += n
+			} else {
+				p.st.PeerBytes += n
+			}
+			want += n
+		}
+	}
+	if got := as.BytesCopied + as.LinkedBytes; got != want {
+		return fmt.Errorf("transform: assemble on dev %d: store accounts for %d bytes, plan asked for %d", g.dev, got, want)
+	}
+	for _, p := range g.preps {
+		p.staged = true
+	}
+	g.st = Stats{BytesCopied: as.BytesCopied, AllocBytes: as.AllocBytes}
+	return nil
 }
 
 // prepAssignment stages a noop by pointer or allocates the destination

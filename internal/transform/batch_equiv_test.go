@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
+	"time"
 
 	"tenplex/internal/chaos"
 	"tenplex/internal/cluster"
@@ -19,100 +22,421 @@ import (
 	"tenplex/internal/tensor"
 )
 
-// restStores spins up one loopback Tensor Store server per device and
-// returns REST clients for them, a counter of /batch requests seen
-// across all servers, and a shutdown func.
-func restStores(devs cluster.Allocation) (map[cluster.DeviceID]store.Access, *atomic.Int64, func()) {
-	stores := map[cluster.DeviceID]store.Access{}
-	var batches atomic.Int64
-	var servers []*httptest.Server
-	for _, d := range devs {
-		inner := store.NewServer(store.NewMemFS())
-		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/batch" {
-				batches.Add(1)
-			}
-			inner.ServeHTTP(w, r)
-		}))
-		servers = append(servers, hs)
-		stores[d] = &store.Client{Base: hs.URL, HTTP: hs.Client()}
-	}
-	return stores, &batches, func() {
-		for _, hs := range servers {
-			hs.Close()
-		}
-	}
+// restCluster is one loopback Tensor Store server per device, with a
+// count of the requests each endpoint saw across all of them.
+type restCluster struct {
+	stores  map[cluster.DeviceID]store.Access
+	servers []*store.Server
+	mu      sync.Mutex
+	reqs    map[string]int
 }
 
-// TestApplyBatchedEquivalenceOverREST: against real wire stores, the
-// batched protocol, the per-range protocol (NoBatch) and the retained
-// materialized pipeline must all land byte-identical final state — and
-// the batch path must actually be the one moving the bytes when it is
-// enabled.
-func TestApplyBatchedEquivalenceOverREST(t *testing.T) {
+// newRestCluster boots the servers; wrap, when non-nil, sits between a
+// device's listener and its store.Server.
+func newRestCluster(t *testing.T, devs cluster.Allocation, wrap func(cluster.DeviceID, http.Handler) http.Handler) *restCluster {
+	t.Helper()
+	rc := &restCluster{stores: map[cluster.DeviceID]store.Access{}, reqs: map[string]int{}}
+	for _, d := range devs {
+		srv := store.NewServer(store.NewMemFS())
+		var h http.Handler = srv
+		if wrap != nil {
+			h = wrap(d, h)
+		}
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rc.mu.Lock()
+			rc.reqs[r.URL.Path]++
+			rc.mu.Unlock()
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(hs.Close)
+		rc.servers = append(rc.servers, srv)
+		rc.stores[d] = &store.Client{Base: hs.URL, HTTP: hs.Client()}
+	}
+	return rc
+}
+
+func (rc *restCluster) requests(path string) int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.reqs[path]
+}
+
+func (rc *restCluster) received() (n int64) {
+	for _, s := range rc.servers {
+		n += s.BytesReceived()
+	}
+	return n
+}
+
+// batchOnly is a wire store seen through a wrapper that forwards batch
+// reads and nothing else of what *store.Client offers — what the
+// benchmark's tracing wrappers look like to the transformer, and so the
+// way to the client-side batched route.
+type batchOnly struct {
+	store.Access
+	bq store.BatchQuerier
+}
+
+func (b batchOnly) BatchQueryInto(ctx context.Context, entries []store.BatchEntry) (store.BatchStats, error) {
+	return b.bq.BatchQueryInto(ctx, entries)
+}
+
+// hideAssemble wraps every store so that only its batch reads show.
+func hideAssemble(stores map[cluster.DeviceID]store.Access) map[cluster.DeviceID]store.Access {
+	out := map[cluster.DeviceID]store.Access{}
+	for d, acc := range stores {
+		out[d] = batchOnly{Access: acc, bq: acc.(store.BatchQuerier)}
+	}
+	return out
+}
+
+// fetchKinds reports whether any range of the plan comes from the
+// checkpoint (such assignments stay on the client-side routes) and
+// whether any comes from a device store.
+func fetchKinds(plan *core.Plan) (storage, device bool) {
+	for _, a := range plan.Assignments {
+		for _, f := range a.Fetch {
+			if f.Src.Kind == core.FromStorage {
+				storage = true
+			} else {
+				device = true
+			}
+		}
+	}
+	return storage, device
+}
+
+// TestApplyRoutesEquivalentOverREST: over randomized grow / shrink /
+// redeploy / fail-stop transitions, the three staging routes against
+// real wire stores — destination-pull, client-side batched, per-range —
+// the retained materialized pipeline over wire stores, a mixed set with
+// in-process stores among the wire ones, and plain Local stores must
+// all land byte-identical state and report the same plan bytes. A plan
+// without storage reads over fully capable stores must go through
+// /assemble alone: no /upload request, not one uploaded byte, every
+// plan byte copied at most once. Behind a wrapper that hides the
+// capability the /batch protocol must be the one moving device ranges,
+// and the per-range and materialized runs must issue no /batch at all.
+func TestApplyRoutesEquivalentOverREST(t *testing.T) {
 	m := model.GPTCustom(2, 16, 2, 64, 8)
-	cases := []struct {
-		from, to parallel.Config
-		nf, nt   int
-	}{
-		{parallel.Config{TP: 2, PP: 1, DP: 1}, parallel.Config{TP: 4, PP: 1, DP: 1}, 2, 4},
-		{parallel.Config{TP: 4, PP: 1, DP: 1}, parallel.Config{TP: 1, PP: 1, DP: 4}, 4, 4},
-		{parallel.Config{TP: 2, PP: 1, DP: 2}, parallel.Config{TP: 2, PP: 2, DP: 1}, 4, 4},
+	var cfgs []parallel.Config
+	for _, n := range []int{1, 2, 4} {
+		cfgs = append(cfgs, parallel.Enumerate(n, 4, 4)...)
 	}
 	const job = "beqv"
-	for ci, c := range cases {
-		from := buildPTC(t, m, c.from, alloc(c.nf))
-		to := buildPTC(t, m, c.to, alloc(c.nt))
-		golden := goldenState(from)
-		plan, err := core.GeneratePlan(from, to, core.PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := c.nf
-		if c.nt > n {
-			n = c.nt
-		}
-		var closers []func()
-		run := func(p Pipeline, noBatch bool) (map[cluster.DeviceID]store.Access, int64) {
-			stores, batches, done := restStores(alloc(n))
-			closers = append(closers, done)
-			if err := LoadPTC(job, from, stores, golden); err != nil {
-				t.Fatal(err)
+	type scenario struct {
+		label  string
+		plan   *core.Plan
+		failed []cluster.DeviceID
+	}
+	scenarios, pulled, clientBatched := 0, 0, 0
+	for seed := int64(0); seed < 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 6; trial++ {
+			cf, ct := cfgs[rng.Intn(len(cfgs))], cfgs[rng.Intn(len(cfgs))]
+			offF, offT := rng.Intn(3), rng.Intn(3)
+			from := buildPTC(t, m, cf, allocFrom(offF, cf.WorldSize()))
+			to := buildPTC(t, m, ct, allocFrom(offT, ct.WorldSize()))
+			golden := goldenState(from)
+			devs := alloc(max(offF+cf.WorldSize(), offT+ct.WorldSize()))
+			label := fmt.Sprintf("seed %d trial %d %v@%d -> %v@%d", seed, trial, cf, offF, ct, offT)
+			plan, err := core.GeneratePlan(from, to, core.PlanOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			tr := &Transformer{Job: job, Stores: stores, Pipeline: p, NoBatch: noBatch, Parallelism: 4}
-			if _, err := tr.Apply(plan); err != nil {
-				t.Fatalf("case %d pipeline %d noBatch %v: %v", ci, p, noBatch, err)
+			todo := []scenario{{label, plan, nil}}
+			if len(from.Devices) > 1 {
+				failed := []cluster.DeviceID{from.Devices[rng.Intn(len(from.Devices))]}
+				fplan, err := core.GeneratePlan(from.WithoutDevices(failed...), to, core.PlanOptions{StorageFallback: true})
+				if err != nil {
+					t.Fatalf("%s failstop: %v", label, err)
+				}
+				todo = append(todo, scenario{label + " failstop", fplan, failed})
 			}
-			return stores, batches.Load()
-		}
-		bStores, bBatches := run(Streamed, false)
-		pStores, pBatches := run(Streamed, true)
-		mStores, mBatches := run(Materialized, false)
-		if bBatches == 0 {
-			t.Fatalf("case %d: batched run issued no /batch requests", ci)
-		}
-		if pBatches != 0 || mBatches != 0 {
-			t.Fatalf("case %d: disabled paths issued /batch requests (per-range %d, materialized %d)",
-				ci, pBatches, mBatches)
-		}
-		for _, d := range to.Devices {
-			for _, s := range to.Place[d] {
-				want := golden[s.Tensor].Slice(s.Region)
-				for which, stores := range map[string]map[cluster.DeviceID]store.Access{
-					"batched": bStores, "per-range": pStores, "materialized": mStores} {
-					got, err := stores[d].Query(ModelPath(job, d, s.Tensor), nil)
-					if err != nil {
-						t.Fatalf("case %d: %s dev %d missing %s: %v", ci, which, d, s.Tensor, err)
+
+			for _, sc := range todo {
+				scenarios++
+				pull := newRestCluster(t, devs, nil)
+				batched := newRestCluster(t, devs, nil)
+				perRange := newRestCluster(t, devs, nil)
+				materialized := newRestCluster(t, devs, nil)
+				var even cluster.Allocation
+				for _, d := range devs {
+					if d%2 == 0 {
+						even = append(even, d)
 					}
-					if !got.Equal(want) {
-						t.Fatalf("case %d: %s dev %d wrong bytes for %s%v", ci, which, d, s.Tensor, s.Region)
+				}
+				mixedRC := newRestCluster(t, even, nil)
+				mixed := localStores(devs)
+				for d, acc := range mixedRC.stores {
+					mixed[d] = acc
+				}
+				ways := []struct {
+					name     string
+					stores   map[cluster.DeviceID]store.Access
+					pipeline Pipeline
+					noBatch  bool
+					rc       *restCluster
+				}{
+					{"pull", pull.stores, Streamed, false, pull},
+					{"client-batched", hideAssemble(batched.stores), Streamed, false, batched},
+					{"per-range", perRange.stores, Streamed, true, perRange},
+					{"materialized", materialized.stores, Materialized, false, materialized},
+					{"mixed", mixed, Streamed, false, mixedRC},
+					{"local", localStores(devs), Streamed, false, nil},
+				}
+				fromStorage, fromDevice := fetchKinds(sc.plan)
+				var ref Stats
+				for wi, w := range ways {
+					if err := LoadPTC(job, from, w.stores, golden); err != nil {
+						t.Fatalf("%s %s: load: %v", sc.label, w.name, err)
+					}
+					for _, d := range sc.failed {
+						if err := w.stores[d].Delete(modelRoot(job)); err != nil {
+							t.Fatalf("%s %s: fail dev %d: %v", sc.label, w.name, d, err)
+						}
+					}
+					var uploads, assembles, batches int
+					var received int64
+					if w.rc != nil {
+						uploads, assembles, batches = w.rc.requests("/upload"), w.rc.requests("/assemble"), w.rc.requests("/batch")
+						received = w.rc.received()
+					}
+					tr := &Transformer{Job: job, Stores: w.stores, Storage: memStorage(golden), Pipeline: w.pipeline, NoBatch: w.noBatch, Parallelism: 4}
+					st, err := tr.Apply(sc.plan)
+					if err != nil {
+						t.Fatalf("%s %s: %v", sc.label, w.name, err)
+					}
+					if w.rc != nil {
+						uploads, assembles, batches = w.rc.requests("/upload")-uploads, w.rc.requests("/assemble")-assembles, w.rc.requests("/batch")-batches
+						received = w.rc.received() - received
+					}
+					verifyAgainstGolden(t, job, to, w.stores, golden)
+					for _, d := range to.Devices {
+						for _, s := range to.Place[d] {
+							got, err := w.stores[d].Query(ModelPath(job, d, s.Tensor), nil)
+							if err != nil || !got.Equal(golden[s.Tensor].Slice(s.Region)) {
+								t.Fatalf("%s %s: dev %d holds wrong bytes for %s%v (err %v)", sc.label, w.name, d, s.Tensor, s.Region, err)
+							}
+						}
+					}
+					copied := st.BytesCopied
+					st.Duration, st.BytesCopied, st.AllocBytes = 0, 0, 0
+					if wi == 0 {
+						ref = st
+					} else if st != ref {
+						t.Fatalf("%s: %s reports %+v, pull reports %+v", sc.label, w.name, st, ref)
+					}
+					switch w.name {
+					case "pull":
+						if fromStorage {
+							break
+						}
+						pulled++
+						if assembles == 0 || uploads != 0 || received != 0 {
+							t.Fatalf("%s: fully capable apply made %d /assemble and %d /upload requests and uploaded %d bytes; want >0, 0, 0",
+								sc.label, assembles, uploads, received)
+						}
+						if copied > st.PlanBytes() {
+							t.Fatalf("%s: destination-pull copied %d bytes for %d plan bytes", sc.label, copied, st.PlanBytes())
+						}
+					case "client-batched":
+						if assembles != 0 {
+							t.Fatalf("%s: a wrapper hiding the capability still led to %d /assemble requests", sc.label, assembles)
+						}
+						if fromDevice {
+							clientBatched++
+							if batches == 0 {
+								t.Fatalf("%s: client-batched run issued no /batch requests", sc.label)
+							}
+						}
+					case "per-range", "materialized":
+						if assembles != 0 || batches != 0 {
+							t.Fatalf("%s: %s made %d /assemble and %d /batch requests", sc.label, w.name, assembles, batches)
+						}
 					}
 				}
 			}
 		}
-		for _, done := range closers {
-			done()
+	}
+	if scenarios < 16 || pulled < 8 || clientBatched < 16 {
+		t.Fatalf("only %d scenarios, %d of them fully destination-pulled, %d with /batch counted", scenarios, pulled, clientBatched)
+	}
+}
+
+// migrateFixture is a plan that moves a whole job from devices 0-1 to
+// devices 2-3, so every byte is a peer pull.
+func migrateFixture(t *testing.T) (from, to *core.PTC, plan *core.Plan, golden map[core.TensorID]*tensor.Tensor) {
+	t.Helper()
+	m := model.GPTCustom(2, 16, 2, 64, 8)
+	from = buildPTC(t, m, parallel.Config{TP: 2, PP: 1, DP: 1}, allocFrom(0, 2))
+	to = buildPTC(t, m, parallel.Config{TP: 1, PP: 1, DP: 2}, allocFrom(2, 2))
+	plan, err := core.GeneratePlan(from, to, core.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return from, to, plan, goldenState(from)
+}
+
+// requireNothingStaged checks what a failed apply must leave: the old
+// state intact, no staging tree anywhere, nothing on the destinations.
+func requireNothingStaged(t *testing.T, job string, from, to *core.PTC, rc *restCluster, golden map[core.TensorID]*tensor.Tensor) {
+	t.Helper()
+	verifyAgainstGolden(t, job, from, rc.stores, golden)
+	for d, acc := range rc.stores {
+		if names, err := acc.List(stagingRoot(job)); err == nil {
+			t.Fatalf("dev %d still has a staging tree: %v", d, names)
 		}
+	}
+	for _, d := range to.Devices {
+		if names, err := rc.stores[d].List(modelRoot(job)); err == nil {
+			t.Fatalf("destination dev %d has a model tree after a failed apply: %v", d, names)
+		}
+	}
+}
+
+// Canceling the apply while the destination stores are pulling stops
+// the pulls — the peers see their requests die — and leaves nothing
+// committed and no staging behind.
+func TestApplyCancelMidAssemble(t *testing.T) {
+	const job = "bcancel"
+	from, to, plan, golden := migrateFixture(t)
+	entered := make(chan struct{}, 16)
+	released := make(chan struct{}, 16)
+	open := make(chan struct{})
+	t.Cleanup(func() { close(open) })
+	rc := newRestCluster(t, alloc(4), func(d cluster.DeviceID, next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/batch" {
+				next.ServeHTTP(w, r)
+				return
+			}
+			_, _ = io.Copy(io.Discard, r.Body) // read the request, so the server watches the connection
+			entered <- struct{}{}
+			select {
+			case <-r.Context().Done():
+				released <- struct{}{}
+			case <-open:
+			}
+		})
+	})
+	if err := LoadPTC(job, from, rc.stores, golden); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := (&Transformer{Job: job, Stores: rc.stores}).ApplyContext(ctx, plan)
+		done <- err
+	}()
+	wait := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	wait(entered, "a destination store to start pulling")
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("ApplyContext returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ApplyContext did not return after cancellation")
+	}
+	wait(released, "the cancel to reach a peer's /batch request")
+	if rc.requests("/assemble") == 0 {
+		t.Fatal("fixture did not take the destination-pull route")
+	}
+	requireNothingStaged(t, job, from, to, rc, golden)
+}
+
+// A source store that is gone fails the destination's pull; the caller
+// sees the retryable failure and, with a retry budget, its exhaustion.
+func TestApplyAssembleDeadPeer(t *testing.T) {
+	const job = "bdead"
+	from, to, plan, golden := migrateFixture(t)
+	rc := newRestCluster(t, alloc(4), nil)
+	if err := LoadPTC(job, from, rc.stores, golden); err != nil {
+		t.Fatal(err)
+	}
+	// A cluster with the same destinations but device 1 pointing at a
+	// store that has gone away.
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	stores := map[cluster.DeviceID]store.Access{}
+	for d, acc := range rc.stores {
+		base := acc.(*store.Client).Base
+		if d == 1 {
+			base = dead.URL
+		}
+		stores[d] = &store.Client{Base: base, Retry: &store.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}}}
+	}
+	_, err := (&Transformer{Job: job, Stores: stores}).Apply(plan)
+	var re *store.RetryExhaustedError
+	if !errors.As(err, &re) || re.Op != "assemble" || re.Attempts != 2 {
+		t.Fatalf("Apply returned %v, want an assemble RetryExhaustedError after 2 attempts", err)
+	}
+	if n := rc.requests("/assemble"); n < 2 {
+		t.Fatalf("%d /assemble requests, want the retried destination-pull", n)
+	}
+	requireNothingStaged(t, job, from, to, rc, golden)
+}
+
+// With chaos armed over real wire stores the outcome of an apply is a
+// function of the seed alone — the /assemble fate hashes the store's
+// tag and the paths it stages, not the order requests happen to run in
+// — so any worker count replays it, and the injector does reach the
+// assemble operation.
+func TestChaosAssembleOutcomeIndependentOfWorkers(t *testing.T) {
+	const job = "bchaosw"
+	from, to, plan, golden := migrateFixture(t)
+	failedOnAssemble, passed := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		var outcomes []bool
+		for _, workers := range []int{1, 0, 16} {
+			rc := newRestCluster(t, alloc(4), nil)
+			if err := LoadPTC(job, from, rc.stores, golden); err != nil {
+				t.Fatal(err)
+			}
+			in := chaos.NewInjector(chaos.Plan{Seed: seed, StoreFaultRate: 0.15})
+			stores := map[cluster.DeviceID]store.Access{}
+			for d, acc := range rc.stores {
+				stores[d] = in.WrapAccess(job, fmt.Sprintf("dev%d", d), acc)
+			}
+			in.BeginAttempt(job, uint64(seed))
+			_, err := (&Transformer{Job: job, Stores: stores, Parallelism: workers}).Apply(plan)
+			in.EndAttempt(job)
+			outcomes = append(outcomes, err == nil)
+			if err != nil {
+				if !errors.Is(err, chaos.Err) {
+					t.Fatalf("seed %d workers %d: %v is not an injected fault", seed, workers, err)
+				}
+				if workers == 1 && strings.Contains(err.Error(), "assemble on job") {
+					failedOnAssemble++
+				}
+				// The armed attempt must not have touched the live tree
+				// (its staging cleanup is itself subject to faults).
+				verifyAgainstGolden(t, job, from, rc.stores, golden)
+				continue
+			}
+			if rc.requests("/assemble") == 0 {
+				t.Fatalf("seed %d: a chaos-wrapped wire store lost the destination-pull route", seed)
+			}
+			verifyAgainstGolden(t, job, to, rc.stores, golden)
+		}
+		if outcomes[0] != outcomes[1] || outcomes[0] != outcomes[2] {
+			t.Fatalf("seed %d: outcome depends on the worker count: %v", seed, outcomes)
+		}
+		if outcomes[0] {
+			passed++
+		}
+	}
+	if failedOnAssemble == 0 || passed == 0 {
+		t.Fatalf("%d seeds failed on the assemble op and %d passed; want both", failedOnAssemble, passed)
 	}
 }
 

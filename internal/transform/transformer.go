@@ -7,9 +7,16 @@
 //
 // The production data path is streamed and zero-copy: each destination
 // sub-tensor is allocated exactly once and every plan range is fetched
-// *into* its final strided offset (local ranges are a pure copy,
-// peer/storage ranges scatter straight off the wire), so a byte moves
-// from source holder to destination buffer exactly once. The previous
+// *into* its final strided offset, so a byte moves from source holder
+// to destination buffer exactly once. Where that buffer lives depends
+// on the stores (batch.go lists the three staging routes and what
+// selects each): between tenplex-store daemons the destination store
+// allocates it and pulls the ranges from its peers itself, as the
+// paper's per-worker transformers do, and this process moves no state
+// at all; for in-process stores, or when a range has to come from a
+// checkpoint, the buffer is allocated here, filled by range reads
+// (local ranges are a pure copy, peer ranges scatter straight off the
+// wire) and handed to the destination store. The previous
 // materialize-then-assemble pipeline is retained as a reference
 // implementation (Pipeline == Materialized) and property-tested
 // byte-identical to the streamed path.
@@ -107,10 +114,11 @@ type Transformer struct {
 	// production pipeline.
 	Pipeline Pipeline
 	// NoBatch disables the multi-range batch protocol even against
-	// batch-capable stores, forcing per-range QueryInto fetches. The
-	// zero value (batching on) is the production configuration; the
-	// escape hatch exists for benchmarks measuring the protocol's gain
-	// and for bisecting datapath issues.
+	// batch-capable stores, forcing per-range QueryInto fetches from
+	// this process (destination-pull rides on the batch protocol, so it
+	// is off too). The zero value (batching on) is the production
+	// configuration; the escape hatch exists for benchmarks measuring
+	// the protocol's gain and for bisecting datapath issues.
 	NoBatch bool
 	// Obs, when non-nil and datapath-deep, records one span per
 	// assignment (tensor, device, bytes by source, allocation) under
@@ -129,15 +137,17 @@ type Stats struct {
 	LocalBytes   int64 // fetched from the destination device itself
 	PeerBytes    int64 // fetched from other devices' stores
 	StorageBytes int64 // fetched from checkpoint storage
-	// BytesCopied counts every byte the transformer physically copied
+	// BytesCopied counts every byte the data path physically copied
 	// between buffers (store reads into destinations, assembly copies,
-	// upload copies into non-reference stores). The ratio
-	// BytesCopied/PlanBytes is the data path's copy amplification: 1.0
-	// means every byte moved exactly once.
+	// upload copies into non-reference stores; for assignments a
+	// destination store assembled itself, the bytes that store reports
+	// having scatter-written). The ratio BytesCopied/PlanBytes is the
+	// data path's copy amplification: 1.0 means every byte moved exactly
+	// once.
 	BytesCopied int64
 	// AllocBytes counts tensor buffer bytes allocated on the data path
-	// (destination sub-tensors plus, in the materialized reference,
-	// every intermediate fetch tensor).
+	// (destination sub-tensors, wherever they were allocated, plus, in
+	// the materialized reference, every intermediate fetch tensor).
 	AllocBytes int64
 	Duration   time.Duration
 }
@@ -772,34 +782,83 @@ func LoadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[c
 // ReadPTC gathers the full tensors of a PTC back out of the stores —
 // the inverse of LoadPTC, used to hand a resumed job its merged state
 // and by tests to verify reconfigurations end to end. Each full tensor
-// is allocated once and every holder's sub-tensor is range-read
-// directly into its offset.
+// is allocated once and every holder's sub-tensor is read directly into
+// its offset (replicas once). A batch-capable store serves all of its
+// device's sub-tensors in one round trip, and those devices are read
+// concurrently; any other store is read range by range, in order.
 func ReadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) (map[core.TensorID]*tensor.Tensor, error) {
-	out := map[core.TensorID]*tensor.Tensor{}
+	// Who holds which region of each tensor, replicas once.
+	type holder struct {
+		dev cluster.DeviceID
+		reg tensor.Region
+	}
+	holders := make(map[core.TensorID][]holder, len(ptc.Tensors))
+	seen := map[string]bool{}
+	for _, d := range ptc.Devices {
+		for _, s := range ptc.Place[d] {
+			if key := string(s.Tensor) + s.Region.String(); !seen[key] {
+				seen[key] = true
+				holders[s.Tensor] = append(holders[s.Tensor], holder{d, s.Region})
+			}
+		}
+	}
+	out := make(map[core.TensorID]*tensor.Tensor, len(ptc.Tensors))
+	batches := map[cluster.DeviceID]*deviceRead{}
 	for id, meta := range ptc.Tensors {
 		full := tensor.New(meta.DType, meta.Shape...)
 		covered := 0
-		seen := map[string]bool{}
-		for _, d := range ptc.Devices {
-			for _, s := range ptc.Place[d] {
-				if s.Tensor != id || seen[s.Region.String()] {
-					continue
-				}
-				acc, ok := stores[d]
-				if !ok {
-					return nil, fmt.Errorf("transform: no store for device %d", d)
-				}
-				if _, err := acc.QueryInto(ModelPath(job, d, id), nil, full, s.Region); err != nil {
-					return nil, fmt.Errorf("transform: read %q from dev %d: %w", id, d, err)
-				}
-				covered += s.Region.NumElems()
-				seen[s.Region.String()] = true
+		for _, h := range holders[id] {
+			acc, ok := stores[h.dev]
+			if !ok {
+				return nil, fmt.Errorf("transform: no store for device %d", h.dev)
 			}
+			if bq, ok := acc.(store.BatchQuerier); ok {
+				b := batches[h.dev]
+				if b == nil {
+					b = &deviceRead{dev: h.dev, store: bq}
+					batches[h.dev] = b
+				}
+				b.entries = append(b.entries, store.BatchEntry{Path: ModelPath(job, h.dev, id), Dst: full, At: h.reg})
+			} else if _, err := acc.QueryInto(ModelPath(job, h.dev, id), nil, full, h.reg); err != nil {
+				return nil, fmt.Errorf("transform: read %q from dev %d: %w", id, h.dev, err)
+			}
+			covered += h.reg.NumElems()
 		}
 		if covered < full.NumElems() {
 			return nil, fmt.Errorf("transform: assemble %q: holders cover %d of %d elements", id, covered, full.NumElems())
 		}
 		out[id] = full
 	}
+	// One round trip per batch-capable store instead of one per tensor,
+	// all of them concurrently; the first failed device (in PTC order)
+	// is the error.
+	errs := make(map[cluster.DeviceID]error, len(batches))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, b := range batches {
+		wg.Add(1)
+		go func(b *deviceRead) {
+			defer wg.Done()
+			if _, err := b.store.BatchQueryInto(context.TODO(), b.entries); err != nil {
+				mu.Lock()
+				errs[b.dev] = fmt.Errorf("transform: read from dev %d: %w", b.dev, err)
+				mu.Unlock()
+			}
+		}(b)
+	}
+	wg.Wait()
+	for _, d := range ptc.Devices {
+		if err := errs[d]; err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
+}
+
+// deviceRead is everything ReadPTC wants from one batch-capable device
+// store: the ranges and the buffers they land in.
+type deviceRead struct {
+	dev     cluster.DeviceID
+	store   store.BatchQuerier
+	entries []store.BatchEntry
 }
