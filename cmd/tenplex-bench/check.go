@@ -82,10 +82,8 @@ func runCheck(dir string, tol float64, budget time.Duration) (int, []checkFailur
 		switch head.Schema {
 		case "tenplex-bench/planner/v1":
 			fs, err = checkPlanner(data, tol, budget)
-		case "tenplex-bench/datapath/v1":
-			fs, err = checkDatapath(data, tol, budget, false)
 		case "tenplex-bench/datapath/v2":
-			fs, err = checkDatapath(data, tol, budget, true)
+			fs, err = checkDatapath(data, tol, budget)
 		case "tenplex-bench/coordinator/v2":
 			fs, err = checkCoordinator(data, tol)
 		case "tenplex-bench/placement/v1":
@@ -175,12 +173,10 @@ func checkPlanner(data []byte, tol float64, budget time.Duration) ([]string, err
 	return fails, nil
 }
 
-// checkDatapath re-measures the transformer pipelines and compares
-// copy amplification exactly and throughput within tolerance. Schema v2
-// baselines additionally cover the wire comparison (per-range QueryInto
-// vs the multi-range batch protocol over loopback servers) and gate its
-// headline: batched throughput must stay strictly above per-range.
-func checkDatapath(data []byte, tol float64, budget time.Duration, wire bool) ([]string, error) {
+// checkDatapath re-measures the transformer pipelines in process and
+// the wire path over loopback servers, and compares copy amplification
+// exactly and throughput within tolerance.
+func checkDatapath(data []byte, tol float64, budget time.Duration) ([]string, error) {
 	var base datapathRecord
 	if err := json.Unmarshal(data, &base); err != nil {
 		return nil, err
@@ -194,27 +190,12 @@ func checkDatapath(data []byte, tol float64, budget time.Duration, wire bool) ([
 	if err != nil {
 		return nil, err
 	}
-	var fails []string
-	if wire {
-		restRows, err := experiments.DatapathREST(budget)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, restRows...)
-		wireRow := map[string]experiments.DatapathRow{}
-		for _, r := range restRows {
-			wireRow[r.Pipeline] = r
-		}
-		batched, perRange := wireRow["batched"], wireRow["per-range"]
-		switch {
-		case batched.Workload == "" || perRange.Workload == "":
-			fails = append(fails, "datapath: wire comparison rows missing from the re-measurement")
-		case batched.MBPerSecond <= perRange.MBPerSecond:
-			fails = append(fails, fmt.Sprintf(
-				"datapath %s: batched protocol %.0f MB/s not strictly above per-range %.0f MB/s",
-				batched.Workload, batched.MBPerSecond, perRange.MBPerSecond))
-		}
+	restRows, err := experiments.DatapathREST(budget)
+	if err != nil {
+		return nil, err
 	}
+	rows = append(rows, restRows...)
+	var fails []string
 	seen := 0
 	for _, got := range rows {
 		b, ok := want[key{got.Workload, got.Pipeline}]

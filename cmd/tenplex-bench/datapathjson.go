@@ -13,7 +13,8 @@ import (
 // The -datapathjson mode emits a machine-readable BENCH_*.json record
 // of the State Transformer data path: both pipelines (streamed
 // zero-copy vs the retained materialized reference) measured on the
-// shared datapath workloads, moving real bytes through Tensor Stores.
+// shared datapath workloads, moving real bytes through Tensor Stores,
+// plus the wire path between loopback store servers.
 
 // datapathRecord is the top-level BENCH_datapath_*.json document.
 type datapathRecord struct {
@@ -65,8 +66,8 @@ func seedBaseline() datapathBaseline {
 }
 
 // writeDatapathJSON measures both pipelines on local stores plus the
-// wire comparison (per-range vs batched protocol against loopback
-// servers) and writes the record to path ("-" for stdout).
+// wire path against loopback servers and writes the record to path
+// ("-" for stdout).
 func writeDatapathJSON(path string, budget time.Duration) error {
 	rows, _, err := experiments.DatapathComparison(budget)
 	if err != nil {

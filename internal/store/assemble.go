@@ -188,9 +188,6 @@ const (
 	// peerPullAttempts is the attempt budget of one peer batch, as
 	// tenplex-coordd configures its own store clients.
 	peerPullAttempts = 3
-	// maxPeerClients bounds the per-peer client cache; addresses beyond
-	// it get a client that lives for one request.
-	maxPeerClients = 1024
 )
 
 // requestError is a request the server refuses with a 4xx before doing
@@ -351,25 +348,6 @@ func decodeAssembleRequest(body []byte) ([]AssembleItem, error) {
 	return items, nil
 }
 
-// peer returns the client this server pulls from the store at base
-// with. Clients are kept per address so that the capability probe and
-// the connections are paid once, not per request.
-func (s *Server) peer(base string) *Client {
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	if c, ok := s.peers[base]; ok {
-		return c
-	}
-	c := &Client{Base: base, Retry: &RetryPolicy{MaxAttempts: peerPullAttempts}}
-	if len(s.peers) < maxPeerClients {
-		if s.peers == nil {
-			s.peers = map[string]*Client{}
-		}
-		s.peers[base] = c
-	}
-	return c
-}
-
 func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "assemble is POST")
@@ -457,7 +435,10 @@ func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 		wg.Add(1)
 		go func(src string, entries []BatchEntry) {
 			defer wg.Done()
-			bs, err := s.peer(src).BatchQueryInto(ctx, entries)
+			// Connections are pooled by the shared default transport, so a
+			// client per pull costs nothing a cached one would save.
+			peer := &Client{Base: src, Retry: &RetryPolicy{MaxAttempts: peerPullAttempts}}
+			bs, err := peer.BatchQueryInto(ctx, entries)
 			s.bytesPulled.Add(bs.Bytes)
 			mu.Lock()
 			defer mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -46,17 +45,14 @@ type BatchStats struct {
 	Coalesced int
 	// Bytes is the total payload received across all attempts.
 	Bytes int64
-	// Attempts counts batch request attempts (0 when falling back).
+	// Attempts counts batch request attempts.
 	Attempts int
-	// FellBack is set when the server lacks batch support and the
-	// entries were served by per-range QueryInto calls instead.
-	FellBack bool
 }
 
 // BatchQuerier is implemented by Access implementations that can serve
-// many ranges in one round trip. The transformer probes for it and
-// falls back to per-range QueryInto when absent (Local stores, old
-// servers).
+// many ranges in one round trip. The transformer defers fetches from
+// such a store into one batch per source and reads everything else
+// (Local stores, wrappers that hide the capability) range by range.
 type BatchQuerier interface {
 	BatchQueryInto(ctx context.Context, entries []BatchEntry) (BatchStats, error)
 }
@@ -88,59 +84,16 @@ type batchWireEntry struct {
 
 type batchWireRequest struct {
 	Entries []batchWireEntry `json:"entries"`
-	CRC     bool             `json:"crc,omitempty"`
-}
-
-// capabilitiesJSON is the body of GET /capabilities. Old servers answer
-// 404, which the client caches as "no batch support".
-type capabilitiesJSON struct {
-	Batch bool `json:"batch"`
-	CRC   bool `json:"crc"`
 }
 
 var _ BatchQuerier = (*Client)(nil)
 
-// batchSupported resolves (and caches) whether the server speaks the
-// batch protocol. Only a definite answer — a capabilities document or a
-// 404/405 from an old server — is cached; transport failures are not,
-// so a flaky probe does not permanently disable batching.
-func (c *Client) batchSupported(ctx context.Context) (bool, error) {
-	switch c.batchCap.Load() {
-	case 1:
-		return true, nil
-	case -1:
-		return false, nil
-	}
-	var data []byte
-	err := c.withRetry(ctx, "capabilities", func() error {
-		var e error
-		data, e = c.do(ctx, http.MethodGet, "/capabilities", url.Values{}, nil)
-		return e
-	})
-	if err != nil {
-		var se *statusError
-		if errors.As(err, &se) && (se.code == http.StatusNotFound || se.code == http.StatusMethodNotAllowed) {
-			c.batchCap.Store(-1)
-			return false, nil
-		}
-		return false, err
-	}
-	var caps capabilitiesJSON
-	if err := json.Unmarshal(data, &caps); err != nil || !caps.Batch {
-		c.batchCap.Store(-1)
-		return false, nil
-	}
-	c.batchCap.Store(1)
-	return true, nil
-}
-
 // BatchQueryInto implements BatchQuerier: all entries in one POST, the
 // response scatter-written frame-by-frame into the destination buffers.
-// Batches run under the retry policy but are never hedged (a second
-// in-flight copy of a bulk transfer doubles the bytes, not the odds); a
-// failed attempt re-requests ONLY the entries whose frames had not yet
-// been received and verified, so a connection that dies near the end of
-// a large batch does not repeat the transfer from scratch.
+// Batches run under the retry policy; a failed attempt re-requests ONLY
+// the entries whose frames had not yet been received and verified, so a
+// connection that dies near the end of a large batch does not repeat the
+// transfer from scratch.
 func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (BatchStats, error) {
 	st := BatchStats{Entries: len(entries)}
 	if len(entries) == 0 {
@@ -163,22 +116,6 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 		ats[i] = at
 		sizes[i] = at.NumBytes(e.Dst.DType())
 	}
-	ok, err := c.batchSupported(ctx)
-	if err != nil {
-		return st, err
-	}
-	if !ok {
-		st.FellBack = true
-		for i, e := range entries {
-			n, err := c.QueryIntoContext(ctx, e.Path, e.Reg, e.Dst, ats[i])
-			if err != nil {
-				return st, err
-			}
-			st.Bytes += n
-		}
-		return st, nil
-	}
-
 	done := make([]bool, len(entries))
 	remaining := len(entries)
 	max := c.Retry.attempts()
@@ -225,7 +162,7 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []tensor.Region,
 	sizes []int64, done []bool, remaining *int, st *BatchStats) error {
 	sub := make([]int, 0, *remaining)
-	wire := batchWireRequest{CRC: true, Entries: make([]batchWireEntry, 0, *remaining)}
+	wire := batchWireRequest{Entries: make([]batchWireEntry, 0, *remaining)}
 	for i, e := range entries {
 		if done[i] {
 			continue
@@ -252,7 +189,9 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 	if err != nil {
 		return fmt.Errorf("store client: batch: %w", err)
 	}
-	crcOn := flags&tensor.FrameFlagCRC != 0
+	if flags&tensor.FrameFlagCRC == 0 {
+		return fmt.Errorf("store client: batch: frame stream without checksums (flags %#x)", flags)
+	}
 	for {
 		h, err := tensor.DecodeFrameHeaderFrom(resp.Body)
 		if err != nil {
@@ -273,28 +212,23 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 			return fmt.Errorf("store client: batch: frame for %s declares %d bytes, entries total %d",
 				entries[sub[lo]].Path, h.Length, want)
 		}
-		var body io.Reader = resp.Body
 		sum := crc32.New(castagnoli)
-		if crcOn {
-			body = io.TeeReader(resp.Body, sum)
-		}
+		body := io.TeeReader(resp.Body, sum)
 		for j := lo; j < hi; j++ {
 			i := sub[j]
 			if _, err := entries[i].Dst.WriteRegion(ats[i], io.LimitReader(body, sizes[i])); err != nil {
 				return fmt.Errorf("store client: batch %s: %w", entries[i].Path, err)
 			}
 		}
-		if crcOn {
-			var tr [tensor.FrameCRCSize]byte
-			if _, err := io.ReadFull(resp.Body, tr[:]); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return fmt.Errorf("store client: batch: crc trailer: %w", err)
+		var tr [tensor.FrameCRCSize]byte
+		if _, err := io.ReadFull(resp.Body, tr[:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			if declared := binary.LittleEndian.Uint32(tr[:]); declared != sum.Sum32() {
-				return &ChecksumError{Path: entries[sub[lo]].Path, Declared: declared, Computed: sum.Sum32()}
-			}
+			return fmt.Errorf("store client: batch: crc trailer: %w", err)
+		}
+		if declared := binary.LittleEndian.Uint32(tr[:]); declared != sum.Sum32() {
+			return &ChecksumError{Path: entries[sub[lo]].Path, Declared: declared, Computed: sum.Sum32()}
 		}
 		for j := lo; j < hi; j++ {
 			done[sub[j]] = true
@@ -317,15 +251,6 @@ const (
 	maxBatchEntries      = 1 << 16
 	maxBatchRequestBytes = 16 << 20
 )
-
-func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "capabilities is GET")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(capabilitiesJSON{Batch: true, CRC: true})
-}
 
 // batchFrame is one coalesced run of response entries: count entries
 // starting at start, whose union region of t streams as one payload.
@@ -405,21 +330,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		frames = append(frames, batchFrame{start: i, count: 1, t: re.t, union: re.reg, bytes: n})
 	}
-	crcSize := int64(0)
-	if req.CRC {
-		crcSize = tensor.FrameCRCSize
-	}
 	total := int64(tensor.FrameStreamHeaderSize) + int64(tensor.FrameHeaderSize) // stream header + end frame
 	for _, f := range frames {
-		total += int64(tensor.FrameHeaderSize) + f.bytes + crcSize
-	}
-	var flags uint16
-	if req.CRC {
-		flags = tensor.FrameFlagCRC
+		total += int64(tensor.FrameHeaderSize) + f.bytes + tensor.FrameCRCSize
 	}
 	w.Header().Set("Content-Type", "application/x-tenplex-frames")
 	w.Header().Set("Content-Length", fmt.Sprint(total))
-	if _, err := w.Write(tensor.EncodeFrameStreamHeader(flags)); err != nil {
+	if _, err := w.Write(tensor.EncodeFrameStreamHeader(tensor.FrameFlagCRC)); err != nil {
 		return
 	}
 	for _, f := range frames {
@@ -427,25 +344,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(tensor.EncodeFrameHeader(h)); err != nil {
 			return
 		}
-		v := f.t.View(f.union)
-		if req.CRC {
-			sum := crc32.New(castagnoli)
-			n, err := v.WriteTo(io.MultiWriter(w, sum))
-			s.bytesOut.Add(n)
-			if err != nil {
-				return
-			}
-			var tr [tensor.FrameCRCSize]byte
-			binary.LittleEndian.PutUint32(tr[:], sum.Sum32())
-			if _, err := w.Write(tr[:]); err != nil {
-				return
-			}
-		} else {
-			n, err := v.WriteTo(w)
-			s.bytesOut.Add(n)
-			if err != nil {
-				return
-			}
+		sum := crc32.New(castagnoli)
+		n, err := f.t.View(f.union).WriteTo(io.MultiWriter(w, sum))
+		s.bytesOut.Add(n)
+		if err != nil {
+			return
+		}
+		var tr [tensor.FrameCRCSize]byte
+		binary.LittleEndian.PutUint32(tr[:], sum.Sum32())
+		if _, err := w.Write(tr[:]); err != nil {
+			return
 		}
 	}
 	_, _ = w.Write(tensor.EncodeEndFrame())

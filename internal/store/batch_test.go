@@ -80,9 +80,6 @@ func TestBatchQueryIntoMatchesPerRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FellBack {
-		t.Fatal("batch-capable server fell back to per-range queries")
-	}
 	var want int64
 	for _, r := range rngs {
 		n, err := c.QueryInto(r.path, r.reg, dstFor(r.path, false), r.at)
@@ -130,47 +127,72 @@ func TestBatchCoalescesAdjacentRanges(t *testing.T) {
 	}
 }
 
-func TestBatchFallsBackOnOldServer(t *testing.T) {
-	fs := batchFS(t)
-	inner := NewServer(fs)
-	// An old server: no /batch, no /capabilities.
+// A server without /batch is an error like a missing endpoint anywhere
+// else in the protocol: one POST, a non-retryable status error that
+// names it, and never a silent per-range slow path or a probe.
+func TestBatchAgainstServerWithoutBatchFails(t *testing.T) {
+	inner := NewServer(batchFS(t))
+	var mu sync.Mutex
+	reqs := map[string]int{}
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/batch" || r.URL.Path == "/capabilities" {
+		mu.Lock()
+		reqs[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		if r.URL.Path == "/batch" {
 			http.NotFound(w, r)
 			return
 		}
 		inner.ServeHTTP(w, r)
 	}))
 	defer hs.Close()
-	c := &Client{Base: hs.URL, HTTP: hs.Client()}
-	dsts := []*tensor.Tensor{
-		tensor.New(tensor.Float32, 4, 4),
-		tensor.New(tensor.Float32, 4, 4),
+	c := &Client{Base: hs.URL, HTTP: hs.Client(),
+		Retry: &RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}}
+	st, err := c.BatchQueryInto(context.Background(), []BatchEntry{
+		{Path: "/a", Dst: tensor.New(tensor.Float32, 4, 4)},
+		{Path: "/b", Dst: tensor.New(tensor.Float32, 4, 4)},
+	})
+	if err == nil || !strings.Contains(err.Error(), "POST /batch") || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("batch against a server without /batch returned %v, want a 404 naming POST /batch", err)
 	}
-	entries := []BatchEntry{
-		{Path: "/a", Dst: dsts[0]},
-		{Path: "/b", Dst: dsts[1]},
+	var re *RetryExhaustedError
+	if retryable(err) || errors.As(err, &re) {
+		t.Fatalf("missing endpoint classified as retryable: %v", err)
 	}
-	st, err := c.BatchQueryInto(context.Background(), entries)
-	if err != nil {
-		t.Fatal(err)
+	if st.Attempts != 1 || st.Bytes != 0 {
+		t.Fatalf("stats = %+v, want one attempt and no bytes", st)
 	}
-	if !st.FellBack || st.Attempts != 0 {
-		t.Fatalf("stats = %+v, want a fallback with zero batch attempts", st)
+	if len(reqs) != 1 || reqs["POST /batch"] != 1 {
+		t.Fatalf("server saw %v, want exactly one POST /batch", reqs)
 	}
-	for i, p := range []string{"/a", "/b"} {
-		want, err := fs.GetTensor(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dsts[i].Equal(want) {
-			t.Fatalf("fallback entry %d (%s) landed wrong bytes", i, p)
-		}
+}
+
+// The client only accepts checksummed frame streams: a response whose
+// stream header lacks the CRC flag is refused outright — it is a
+// protocol violation, not damage in flight, so it is not re-requested.
+func TestBatchRejectsStreamWithoutChecksums(t *testing.T) {
+	payload := make([]byte, 64)
+	batches := 0
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		batches++
+		_, _ = w.Write(tensor.EncodeFrameStreamHeader(0))
+		_, _ = w.Write(tensor.EncodeFrameHeader(tensor.FrameHeader{Index: 0, Count: 1, Length: uint64(len(payload))}))
+		_, _ = w.Write(payload)
+		_, _ = w.Write(tensor.EncodeEndFrame())
+	}))
+	defer hs.Close()
+	c := &Client{Base: hs.URL, HTTP: hs.Client(), Retry: testRetryPolicy()}
+	dst := tensor.New(tensor.Float32, 4, 4)
+	dst.FillSeq(1, 1)
+	want := dst.Clone()
+	_, err := c.BatchQueryInto(context.Background(), []BatchEntry{{Path: "/a", Dst: dst}})
+	if err == nil || !strings.Contains(err.Error(), "without checksums") {
+		t.Fatalf("unchecksummed stream returned %v, want a refusal", err)
 	}
-	// The "no batch" verdict is cached: a second batch goes straight to
-	// per-range queries without re-probing.
-	if c.batchCap.Load() != -1 {
-		t.Fatalf("capability cache = %d, want -1", c.batchCap.Load())
+	if batches != 1 {
+		t.Fatalf("server saw %d /batch requests, want 1 (a protocol violation is not retried)", batches)
+	}
+	if !dst.Equal(want) {
+		t.Fatal("refused stream still wrote into the destination")
 	}
 }
 
@@ -418,11 +440,6 @@ func TestBatchChecksumMismatchRejectedAndRetried(t *testing.T) {
 func TestBatchContextCancel(t *testing.T) {
 	stall := make(chan struct{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/capabilities" {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"batch":true,"crc":true}`))
-			return
-		}
 		<-stall
 	}))
 	defer hs.Close()
@@ -542,13 +559,18 @@ func TestBatchRejectsMalformedRequests(t *testing.T) {
 }
 
 // FuzzBatchRequest throws arbitrary bodies at POST /batch. Whatever the
-// server accepts it must answer with a well-formed frame stream of
-// exactly the length it announced; everything else is a 4xx.
+// server accepts it must answer with a well-formed, checksummed frame
+// stream of exactly the length it announced; everything else is a 4xx.
+// The request once carried an optional "crc" flag: the decoder ignores
+// the key like any other unknown one, so neither value may switch the
+// trailers off.
 func FuzzBatchRequest(f *testing.F) {
 	for _, c := range malformedBatch {
 		f.Add([]byte(c.body))
 	}
-	f.Add([]byte(`{"crc":true,"entries":[{"path":"/a","range":"[0:1,0:4]"},{"path":"/a","range":"[1:2,0:4]"},{"path":"/b"}]}`))
+	f.Add([]byte(`{"entries":[{"path":"/a","range":"[0:1,0:4]"},{"path":"/a","range":"[1:2,0:4]"},{"path":"/b"}]}`))
+	f.Add([]byte(`{"crc":false,"entries":[{"path":"/a"}]}`))
+	f.Add([]byte(`{"crc":true,"entries":[{"path":"/b","range":"[1:3,0:4]"}]}`))
 	fs := NewMemFS()
 	for _, p := range []string{"/a", "/b"} {
 		if err := fs.PutTensor(p, seqTensor(4, 4)); err != nil {
@@ -571,6 +593,9 @@ func FuzzBatchRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if flags&tensor.FrameFlagCRC == 0 {
+			t.Fatalf("stream flags %#x: frames carry no checksums", flags)
+		}
 		for {
 			h, err := tensor.DecodeFrameHeaderFrom(rec.Body)
 			if err != nil {
@@ -579,10 +604,7 @@ func FuzzBatchRequest(f *testing.F) {
 			if h.End() {
 				break
 			}
-			skip := int(h.Length)
-			if flags&tensor.FrameFlagCRC != 0 {
-				skip += tensor.FrameCRCSize
-			}
+			skip := int(h.Length) + tensor.FrameCRCSize
 			if len(rec.Body.Next(skip)) != skip {
 				t.Fatalf("frame of %d bytes truncated", h.Length)
 			}

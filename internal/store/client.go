@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tenplex/internal/obs"
@@ -136,25 +135,17 @@ type Client struct {
 	// exponential backoff and jitter; an exhausted budget surfaces as
 	// *RetryExhaustedError. Nil keeps every operation single-attempt.
 	Retry *RetryPolicy
-	// HedgeAfter, when positive, races a second identical request into
-	// any read still in flight after this delay (straggler
-	// mitigation); the first response wins, the loser is canceled.
-	HedgeAfter time.Duration
-	// Stats counts attempts, retries, hedges, and exhaustions.
+	// Stats counts attempts, retries, and exhaustions.
 	Stats ClientStats
 	// Metrics, when non-nil, mirrors every Stats increment into the
 	// shared observability registry (store.client.attempts, .retries,
-	// .hedges, .exhausted), so client behavior shows up next to
+	// .exhausted), so client behavior shows up next to
 	// coordinator and transformer metrics instead of in a bespoke
 	// struct. Nil costs nothing.
 	Metrics *obs.Registry
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	// batchCap caches the server's batch capability probe: 0 unknown,
-	// 1 batch-capable, -1 not (old server). See BatchQueryInto.
-	batchCap atomic.Int32
 }
 
 // drainLimit caps how many unread trailing bytes drainAndClose swallows
@@ -270,7 +261,7 @@ func (c *Client) Query(path string, reg tensor.Region) (*tensor.Tensor, error) {
 // QueryContext is Query under a caller-supplied context; the payload
 // decodes incrementally off the response stream into one allocation.
 // Range queries are idempotent, so the request runs under the client's
-// retry policy and (when HedgeAfter is set) hedged against stragglers.
+// retry policy.
 func (c *Client) QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error) {
 	params := url.Values{"path": {path}}
 	if reg != nil {
@@ -278,7 +269,7 @@ func (c *Client) QueryContext(ctx context.Context, path string, reg tensor.Regio
 	}
 	var t *tensor.Tensor
 	err := c.withRetry(ctx, "query "+path, func() error {
-		resp, cancel, err := c.hedgeStream(ctx, http.MethodGet, "/query", params)
+		resp, cancel, err := c.doStream(ctx, http.MethodGet, "/query", params, nil, -1)
 		if err != nil {
 			return err
 		}
@@ -306,8 +297,7 @@ func (c *Client) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, a
 // QueryIntoContext is QueryInto under a caller-supplied context. The
 // scatter into dst is idempotent (same region, same bytes), so a
 // failed attempt — even one that died mid-write — is safely re-run
-// under the retry policy; the decoder only ever reads the hedge
-// winner's body, so dst sees exactly one writer.
+// under the retry policy.
 func (c *Client) QueryIntoContext(ctx context.Context, path string, reg tensor.Region,
 	dst *tensor.Tensor, at tensor.Region) (int64, error) {
 	if at == nil {
@@ -319,7 +309,7 @@ func (c *Client) QueryIntoContext(ctx context.Context, path string, reg tensor.R
 	}
 	var n int64
 	err := c.withRetry(ctx, "query "+path, func() error {
-		resp, cancel, err := c.hedgeStream(ctx, http.MethodGet, "/query", params)
+		resp, cancel, err := c.doStream(ctx, http.MethodGet, "/query", params, nil, -1)
 		if err != nil {
 			return err
 		}

@@ -131,9 +131,6 @@ func (o *observedBatchAccess) BatchQueryInto(ctx context.Context, entries []Batc
 	if st.Bytes > 0 {
 		attrs["bytes"] = st.Bytes
 	}
-	if st.FellBack {
-		attrs["fellback"] = true
-	}
 	if err != nil {
 		attrs["err"] = err.Error()
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 // TestClientStatsAndMetricsRaceFree is the -race regression for the
-// hedged datapath: many goroutines share one Client whose every read
-// may spawn a hedge goroutine, all bumping Stats and the mirrored obs
-// registry concurrently. The snapshot taken afterwards must be
-// internally consistent and agree with the registry — any torn read or
-// missed increment trips the race detector or the equality checks.
+// client's counters: many goroutines share one Client whose reads are
+// retried through transient server faults, all bumping Stats and the
+// mirrored obs registry concurrently. The snapshot taken afterwards must
+// be internally consistent and agree with the registry — any torn read
+// or missed increment trips the race detector or the equality checks.
 func TestClientStatsAndMetricsRaceFree(t *testing.T) {
 	fs := NewMemFS()
 	if err := fs.PutTensor("/w", seqTensor(4, 4)); err != nil {
@@ -27,18 +27,19 @@ func TestClientStatsAndMetricsRaceFree(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		seen++
-		slow := seen%3 == 0
+		fault := seen%3 == 0
 		mu.Unlock()
-		if slow { // every third request straggles so hedges actually fire
-			time.Sleep(5 * time.Millisecond)
+		if fault { // every third request fails so retries actually fire
+			http.Error(w, "transient", http.StatusServiceUnavailable)
+			return
 		}
 		inner.ServeHTTP(w, r)
 	}))
 	defer hs.Close()
 
 	reg := obs.NewRegistry()
-	c := &Client{Base: hs.URL, HTTP: hs.Client(), HedgeAfter: time.Millisecond,
-		Metrics: reg}
+	c := &Client{Base: hs.URL, HTTP: hs.Client(), Metrics: reg,
+		Retry: &RetryPolicy{MaxAttempts: 32, Sleep: func(time.Duration) {}}}
 	const goroutines, reads = 8, 20
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -47,7 +48,7 @@ func TestClientStatsAndMetricsRaceFree(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
 				if _, err := c.Query("/w", nil); err != nil {
-					t.Errorf("hedged query: %v", err)
+					t.Errorf("retried query: %v", err)
 					return
 				}
 			}
@@ -56,11 +57,11 @@ func TestClientStatsAndMetricsRaceFree(t *testing.T) {
 	wg.Wait()
 
 	st := c.Stats.Snapshot()
-	if st.Attempts != goroutines*reads {
-		t.Fatalf("attempts = %d, want %d", st.Attempts, goroutines*reads)
+	if st.Attempts != goroutines*reads+st.Retries {
+		t.Fatalf("attempts = %d, want %d reads + %d retries", st.Attempts, goroutines*reads, st.Retries)
 	}
-	if st.Hedges == 0 {
-		t.Fatal("no hedges fired; the contended path went untested")
+	if st.Retries == 0 {
+		t.Fatal("no retries fired; the contended path went untested")
 	}
 	rows := reg.Snapshot()
 	check := func(name string, want int64) {
@@ -77,7 +78,6 @@ func TestClientStatsAndMetricsRaceFree(t *testing.T) {
 		}
 	}
 	check("store.client.attempts", st.Attempts)
-	check("store.client.hedges", st.Hedges)
 	check("store.client.retries", st.Retries)
 	check("store.client.exhausted", st.Exhausted)
 }

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	"net/url"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -74,15 +71,13 @@ type ClientStats struct {
 	Attempts atomic.Int64
 	// Retries counts attempts beyond an operation's first.
 	Retries atomic.Int64
-	// Hedges counts hedge requests launched for straggling reads.
-	Hedges atomic.Int64
 	// Exhausted counts operations that gave up with RetryExhaustedError.
 	Exhausted atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of ClientStats.
 type StatsSnapshot struct {
-	Attempts, Retries, Hedges, Exhausted int64
+	Attempts, Retries, Exhausted int64
 }
 
 // Snapshot reads the counters atomically (each counter individually;
@@ -91,7 +86,6 @@ func (s *ClientStats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
 		Attempts:  s.Attempts.Load(),
 		Retries:   s.Retries.Load(),
-		Hedges:    s.Hedges.Load(),
 		Exhausted: s.Exhausted.Load(),
 	}
 }
@@ -223,85 +217,4 @@ func (c *Client) withRetry(ctx context.Context, op string, fn func() error) erro
 		return &RetryExhaustedError{Op: op, Attempts: attempt, Err: err}
 	}
 	return err
-}
-
-// hedgeStream issues a read request like doStream, racing a second
-// identical request HedgeAfter into the first one's flight (straggler
-// mitigation). The first 2xx response wins and is returned with its
-// body open; the straggler is canceled and drained in the background.
-// Only the winner's body is ever handed to a decoder, so destination
-// buffers see exactly one writer.
-func (c *Client) hedgeStream(ctx context.Context, method, endpoint string, params url.Values) (*http.Response, context.CancelFunc, error) {
-	if c.HedgeAfter <= 0 {
-		return c.doStream(ctx, method, endpoint, params, nil, -1)
-	}
-	type hres struct {
-		i      int
-		resp   *http.Response
-		cancel context.CancelFunc
-		err    error
-	}
-	var (
-		mu      sync.Mutex
-		cancels [2]context.CancelFunc
-	)
-	ch := make(chan hres, 2)
-	launch := func(i int) {
-		lctx, lcancel := context.WithCancel(ctx)
-		mu.Lock()
-		cancels[i] = lcancel
-		mu.Unlock()
-		resp, cancel, err := c.doStream(lctx, method, endpoint, params, nil, -1)
-		if err != nil {
-			lcancel()
-			ch <- hres{i: i, err: err}
-			return
-		}
-		ch <- hres{i: i, resp: resp, cancel: func() { cancel(); lcancel() }}
-	}
-	go launch(0)
-	launched := 1
-	timer := time.NewTimer(c.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for received := 0; received < launched; {
-		select {
-		case <-timer.C:
-			if launched == 1 {
-				c.Stats.Hedges.Add(1)
-				c.Metrics.Add("store.client.hedges", 1)
-				launched++
-				go launch(1)
-			}
-		case r := <-ch:
-			received++
-			if r.err != nil {
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				continue
-			}
-			// Winner: cancel the straggler and drain its eventual
-			// result in the background so nothing leaks.
-			mu.Lock()
-			for j, cancel := range cancels {
-				if j != r.i && cancel != nil {
-					cancel()
-				}
-			}
-			mu.Unlock()
-			if n := launched - received; n > 0 {
-				go func(n int) {
-					for k := 0; k < n; k++ {
-						if o := <-ch; o.err == nil {
-							o.resp.Body.Close()
-							o.cancel()
-						}
-					}
-				}(n)
-			}
-			return r.resp, r.cancel, nil
-		}
-	}
-	return nil, nil, firstErr
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"tenplex/internal/tensor"
@@ -23,7 +22,6 @@ import (
 //	                                 peer stores (pulled over their /batch),
 //	                                 of this store, or a link to a stored
 //	                                 tensor; JSON byte counts out
-//	GET    /capabilities             JSON {batch, crc} feature probe
 //	POST   /upload?path=P            store the tensor in the body
 //	GET    /blob?path=P              raw blob bytes
 //	POST   /blob?path=P              store the body as a blob
@@ -41,10 +39,6 @@ type Server struct {
 	bytesOut    atomic.Int64
 	bytesIn     atomic.Int64
 	bytesPulled atomic.Int64
-
-	// peers are the clients /assemble pulls from other stores with.
-	peerMu sync.Mutex
-	peers  map[string]*Client
 }
 
 // NewServer wraps fs in a REST handler.
@@ -53,7 +47,6 @@ func NewServer(fs *MemFS) *Server {
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/batch", s.handleBatch)
 	s.mux.HandleFunc("/assemble", s.handleAssemble)
-	s.mux.HandleFunc("/capabilities", s.handleCapabilities)
 	s.mux.HandleFunc("/upload", s.handleUpload)
 	s.mux.HandleFunc("/blob", s.handleBlob)
 	s.mux.HandleFunc("/stat", s.handleStat)

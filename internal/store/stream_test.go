@@ -371,45 +371,6 @@ func TestClientUploadRetries(t *testing.T) {
 	}
 }
 
-func TestClientHedgedRead(t *testing.T) {
-	fs := NewMemFS()
-	src := seqTensor(4, 4)
-	if err := fs.PutTensor("/w", src); err != nil {
-		t.Fatal(err)
-	}
-	inner := NewServer(fs)
-	var mu sync.Mutex
-	seen := 0
-	release := make(chan struct{})
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		seen++
-		first := seen == 1
-		mu.Unlock()
-		if first {
-			<-release // first request straggles until the test ends
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer hs.Close()
-	defer close(release)
-	c := &Client{Base: hs.URL, HTTP: hs.Client(), HedgeAfter: 20 * time.Millisecond}
-	start := time.Now()
-	got, err := c.Query("/w", nil)
-	if err != nil {
-		t.Fatalf("hedged query failed: %v", err)
-	}
-	if !got.Equal(src) {
-		t.Fatal("hedged query returned wrong tensor")
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("hedged read took %v despite straggler mitigation", d)
-	}
-	if st := c.Stats.Snapshot(); st.Hedges != 1 {
-		t.Fatalf("stats = %+v, want 1 hedge", st)
-	}
-}
-
 func TestClientBackoffIsCappedExponential(t *testing.T) {
 	var delays []time.Duration
 	c := &Client{Base: "http://127.0.0.1:0", // nothing listens: every attempt is a transport error

@@ -15,61 +15,48 @@ import (
 	"tenplex/internal/tensor"
 )
 
-// Staging routes. A plan's assignments reach the staging tree of their
-// destination store by one of three routes; which one is decided per
-// assignment from what the code can observe about its stores, never by
-// a setting (NoBatch aside, which forces the third for everything).
+// Staging. One loop (stage) takes every assignment of a plan to the
+// staging tree of its destination store, whatever the stores are; both
+// ApplyContext and the per-worker applyNoCommitCtx run it. What differs
+// between store sets is how a fetch is served, decided per assignment
+// and per fetch from what the code can observe about the stores
+// involved, never by a setting:
 //
-//  1. Destination-pull (stageAssembled). The destination store
-//     implements store.Assembler and every source of the assignment is
-//     a device store with a network address (store.Addressable): the
-//     transformer sends the destination ONE /assemble request listing
-//     all such assignments, and the store pulls the ranges from its
-//     peers itself, copies what it already holds, and links no-op
-//     assignments by pointer. No state byte enters this process. This is
-//     the route between real tenplex-store daemons.
-//  2. Client-side batched (the rest of stageBatched). For assignments
-//     route 1 cannot take — a storage-fallback fetch, overlapping
-//     targets, a destination or source that is a store.Local or hides
-//     the capability behind a wrapper — device fetches are grouped by
-//     SOURCE store and issued as one store.BatchQueryInto per source
-//     into buffers allocated here, in three passes: per-assignment prep
-//     (noop pointer staging, allocation, immediate fetches for anything
-//     unbatchable), per-source batches, staging uploads.
-//  3. Per-range pooled (stagePooled in transformer.go). No store of the
-//     plan is batch-capable, or NoBatch is set: one QueryInto per plan
-//     range through a worker pool, then one upload per tensor.
+//  1. Destination-pull. The destination store implements
+//     store.Assembler and every source of the assignment is a device
+//     store with a network address (store.Addressable): the transformer
+//     sends the destination ONE /assemble request listing all such
+//     assignments, and the store pulls the ranges from its peers itself,
+//     copies what it already holds, and links no-op assignments by
+//     pointer. No state byte enters this process. This is what happens
+//     between real tenplex-store daemons.
+//  2. Per-source batch. The source store implements store.BatchQuerier
+//     and the assignment's targets are pairwise disjoint: the fetch is
+//     deferred, grouped with every other such fetch from the same SOURCE
+//     store, and issued as one store.BatchQueryInto into buffers
+//     allocated here; the assignment uploads once its batches landed.
+//  3. Immediate range read. Anything else — a store.Local source, a
+//     checkpoint range, overlapping targets, a wrapper that hides the
+//     batch capability — is one QueryInto (or storage read) from the
+//     assignment's own worker.
 //
-// Local stores implement neither BatchQuerier nor Assembler, so
-// in-process setups — including the coordinator's deterministic sims
-// and their golden obs traces — take route 3 unchanged.
+// An assignment with nothing deferred uploads from its worker as soon as
+// its last range is in, so with no batch-capable or assembling store in
+// the plan — in-process setups, including the coordinator's
+// deterministic sims and their golden obs traces — the pull and batch
+// phases are empty and the loop is a plain worker pool over assignments.
 
-// useBatch reports whether the batched staging path applies: streamed
-// pipeline, batching not disabled, and at least one batch-capable
-// store. Per-fetch capability is still checked during prep, so mixed
-// store sets batch what they can and fall back for the rest.
-func (tr *Transformer) useBatch() bool {
-	if tr.Pipeline != Streamed || tr.NoBatch {
-		return false
-	}
-	for _, acc := range tr.Stores {
-		if _, ok := acc.(store.BatchQuerier); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// batchPrep is one assignment moving through the batched staging path.
-type batchPrep struct {
-	a      core.Assignment
-	out    *tensor.Tensor // nil when staged by pointer or by the destination store
+// prep is one assignment moving through stage.
+type prep struct {
+	a core.Assignment
+	// out is the destination buffer built here, until it is uploaded.
+	out    *tensor.Tensor
 	st     Stats
 	start  time.Time
 	err    error
 	staged bool
-	// pulled marks an assignment handed to its destination store
-	// (route 1); the client-side passes skip it.
+	// pulled marks an assignment handed to its destination store; the
+	// client-side passes skip it.
 	pulled bool
 }
 
@@ -77,7 +64,7 @@ type batchPrep struct {
 // one store.Assemble request.
 type assembleGroup struct {
 	dev   cluster.DeviceID
-	preps []*batchPrep
+	preps []*prep
 	items []store.AssembleItem
 	// st holds what the store reported having copied and allocated.
 	st Stats
@@ -88,23 +75,28 @@ type assembleGroup struct {
 // to p's stats when the batch lands.
 type batchFetch struct {
 	src   cluster.DeviceID
-	p     *batchPrep
+	p     *prep
 	entry store.BatchEntry
 	bytes int64
 }
 
-// stageBatched stages every assignment of the plan through the batched
-// path; the first fatal error cancels the rest. Counter totals match
-// the per-assignment path: only fully staged assignments contribute.
-func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFunc, plan *core.Plan) (Stats, []error) {
+// stage builds every destination sub-tensor of the plan in the staging
+// tree of its device's store, on up to Parallelism workers. The first
+// fatal error cancels the rest: queued assignments are abandoned and
+// in-flight fetches through context-aware stores are interrupted. Only
+// fully staged assignments contribute to the returned Stats; the error
+// joins every assignment failure, sorted by message.
+func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	par := tr.Parallelism
 	if par <= 0 {
 		par = 8
 	}
-	preps := make([]batchPrep, len(plan.Assignments))
 	var (
 		mu       sync.Mutex
 		deferred []batchFetch
+		waiting  []*prep // assignments with deferred fetches
 		errs     []error
 	)
 	fail := func(err error) {
@@ -116,30 +108,62 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 		cancel()
 	}
 
-	pulls := tr.assembleGroups(plan, preps)
+	// Route: what a destination store can assemble by itself goes to it,
+	// one request per destination device, in plan order.
+	preps := make([]prep, len(plan.Assignments))
+	var pulls []*assembleGroup
+	byDev := map[cluster.DeviceID]*assembleGroup{}
+	for i, a := range plan.Assignments {
+		p := &preps[i]
+		p.a = a
+		item, ok := tr.assembleItem(plan, a)
+		if !ok {
+			continue
+		}
+		p.pulled = true
+		g := byDev[a.Device]
+		if g == nil {
+			g = &assembleGroup{dev: a.Device}
+			byDev[a.Device] = g
+			pulls = append(pulls, g)
+		}
+		g.preps = append(g.preps, p)
+		g.items = append(g.items, item)
+	}
 	runBounded(ctx, par, len(pulls), func(gi int) {
-		if err := tr.stageAssembled(ctx, pulls[gi]); err != nil {
+		g := pulls[gi]
+		err := tr.stageAssembled(ctx, g)
+		if err != nil {
 			fail(err)
+		}
+		for _, p := range g.preps {
+			p.err = err
+			tr.recordSpan(ctx, p)
 		}
 	})
 
-	runBounded(ctx, par, len(plan.Assignments), func(i int) {
+	// Everything else is built here: each worker allocates an
+	// assignment's destination, serves its immediate fetches and, when
+	// nothing was deferred, uploads it.
+	runBounded(ctx, par, len(preps), func(i int) {
 		p := &preps[i]
 		if p.pulled {
 			return
 		}
 		p.start = time.Now()
-		local, err := tr.prepAssignment(ctx, plan, p)
+		later, err := tr.stageAssignment(ctx, plan, p)
 		if err != nil {
 			p.err = err
 			fail(err)
+		}
+		if len(later) > 0 {
+			mu.Lock()
+			deferred = append(deferred, later...)
+			waiting = append(waiting, p)
+			mu.Unlock()
 			return
 		}
-		if len(local) > 0 {
-			mu.Lock()
-			deferred = append(deferred, local...)
-			mu.Unlock()
-		}
+		tr.recordSpan(ctx, p)
 	})
 
 	groups := map[cluster.DeviceID][]batchFetch{}
@@ -186,21 +210,12 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 		mu.Unlock()
 	})
 
-	runBounded(ctx, par, len(preps), func(i int) {
-		p := &preps[i]
-		if p.err != nil || p.out == nil {
-			return
-		}
-		dst := tr.Stores[p.a.Device]
-		if err := upload(ctx, dst, stagingPath(tr.Job, p.a.Device, p.a.Tensor), p.out); err != nil {
-			p.err = fmt.Errorf("transform: stage %s on dev %d: %w", p.a.Tensor, p.a.Device, err)
+	runBounded(ctx, par, len(waiting), func(i int) {
+		p := waiting[i]
+		if p.err = tr.uploadStaged(ctx, p); p.err != nil {
 			fail(p.err)
-			return
 		}
-		if uploadCopies(dst) {
-			p.st.BytesCopied += int64(p.out.NumBytes())
-		}
-		p.staged = true
+		tr.recordSpan(ctx, p)
 	})
 
 	var st Stats
@@ -209,7 +224,6 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 	}
 	for i := range preps {
 		p := &preps[i]
-		tr.recordBatchSpan(ctx, p)
 		if !p.staged {
 			continue
 		}
@@ -219,46 +233,28 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 		}
 		st.merge(p.st)
 	}
-	return st, errs
-}
-
-// assembleGroups routes the plan's assignments: it fills in every
-// prep's assignment and returns, per destination device in plan order,
-// the ones the destination store can assemble by itself.
-func (tr *Transformer) assembleGroups(plan *core.Plan, preps []batchPrep) []*assembleGroup {
-	var groups []*assembleGroup
-	byDev := map[cluster.DeviceID]*assembleGroup{}
-	for i, a := range plan.Assignments {
-		p := &preps[i]
-		p.a = a
-		item, ok := tr.assembleItem(plan, a)
-		if !ok {
-			continue
-		}
-		p.pulled = true
-		g := byDev[a.Device]
-		if g == nil {
-			g = &assembleGroup{dev: a.Device}
-			byDev[a.Device] = g
-			groups = append(groups, g)
-		}
-		g.preps = append(g.preps, p)
-		g.items = append(g.items, item)
+	if len(errs) == 0 && ctx.Err() != nil {
+		errs = append(errs, ctx.Err())
 	}
-	return groups
+	if len(errs) > 0 {
+		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
+		return st, fmt.Errorf("transform: %d assignments failed: %w", len(errs), errors.Join(errs...))
+	}
+	return st, nil
 }
 
 // assembleItem describes assignment a as a tensor for its destination
 // store to build, or reports that the store cannot: it lacks the
 // capability, a range comes from checkpoint storage or from a store
 // without a network address, or targets overlap (ranges from different
-// sources land concurrently on the store as they do here).
+// sources land concurrently on the store as they do here). The
+// materialized reference builds every tensor in this process.
 func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment) (store.AssembleItem, bool) {
 	self, ok := tr.Stores[a.Device].(interface {
 		store.Assembler
 		store.Addressable
 	})
-	if !ok {
+	if !ok || tr.Pipeline == Materialized {
 		return store.AssembleItem{}, false
 	}
 	item := store.AssembleItem{
@@ -293,7 +289,8 @@ func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment) (store.A
 }
 
 // stageAssembled sends one destination store its assemble request and
-// books the outcome. Plan bytes are attributed per assignment from the
+// books the outcome; an error is the outcome of every assignment of the
+// group. Plan bytes are attributed per assignment from the
 // plan, as on the client-side routes; bytes copied and allocated are the
 // store's own count, and the request fails unless the store accounts
 // for exactly the bytes the plan asked of it.
@@ -304,11 +301,7 @@ func (tr *Transformer) stageAssembled(ctx context.Context, g *assembleGroup) err
 	}
 	as, err := tr.Stores[g.dev].(store.Assembler).Assemble(ctx, g.items)
 	if err != nil {
-		err = fmt.Errorf("transform: assemble on dev %d: %w", g.dev, err)
-		for _, p := range g.preps {
-			p.err = err
-		}
-		return err
+		return fmt.Errorf("transform: assemble on dev %d: %w", g.dev, err)
 	}
 	var want int64
 	for i, p := range g.preps {
@@ -332,12 +325,22 @@ func (tr *Transformer) stageAssembled(ctx context.Context, g *assembleGroup) err
 	return nil
 }
 
-// prepAssignment stages a noop by pointer or allocates the destination
-// and routes every plan range: ranges read from batch-capable device
-// stores with pairwise-disjoint targets are returned for the batch
-// phase, everything else fetches immediately.
-func (tr *Transformer) prepAssignment(ctx context.Context, plan *core.Plan, p *batchPrep) ([]batchFetch, error) {
+// stageAssignment builds one destination sub-tensor: a noop against a
+// reference-retaining store moves the existing tensor by pointer — no
+// bytes copied or allocated at all; otherwise the destination is
+// allocated once and every plan range fetched into its final strided
+// offset. Ranges read from batch-capable device stores with
+// pairwise-disjoint targets are returned for the batch phase, the upload
+// following them there; everything else fetches immediately and, with
+// nothing deferred, the tensor is uploaded before returning.
+func (tr *Transformer) stageAssignment(ctx context.Context, plan *core.Plan, p *prep) ([]batchFetch, error) {
 	a := p.a
+	if tr.Pipeline == Materialized {
+		var err error
+		p.st, err = tr.applyAssignmentMaterialized(ctx, plan, a)
+		p.staged = err == nil
+		return nil, err
+	}
 	meta := plan.To.Tensors[a.Tensor]
 	dst := tr.Stores[a.Device]
 
@@ -371,42 +374,58 @@ func (tr *Transformer) prepAssignment(ctx context.Context, plan *core.Plan, p *b
 	// from different sources scatter concurrently, and two writers for
 	// one destination byte would race.
 	batchable := disjointTargets(a.Fetch)
-	var deferred []batchFetch
+	var later []batchFetch
 	for _, f := range a.Fetch {
 		if batchable && f.Src.Kind == core.FromDevice {
-			if src, ok := tr.Stores[f.Src.Device]; ok {
-				if _, ok := src.(store.BatchQuerier); ok {
-					target, local := fetchRegions(a, f)
-					deferred = append(deferred, batchFetch{
-						src: f.Src.Device,
-						p:   p,
-						entry: store.BatchEntry{
-							Path: ModelPath(tr.Job, f.Src.Device, a.Tensor),
-							Reg:  local,
-							Dst:  out,
-							At:   target,
-						},
-						bytes: f.Want.NumBytes(meta.DType),
-					})
-					continue
-				}
+			if _, ok := tr.Stores[f.Src.Device].(store.BatchQuerier); ok {
+				target, local := fetchRegions(a, f)
+				later = append(later, batchFetch{
+					src: f.Src.Device,
+					p:   p,
+					entry: store.BatchEntry{
+						Path: ModelPath(tr.Job, f.Src.Device, a.Tensor),
+						Reg:  local,
+						Dst:  out,
+						At:   target,
+					},
+					bytes: f.Want.NumBytes(meta.DType),
+				})
+				continue
 			}
 		}
 		fs, err := tr.fetchInto(ctx, a, f, meta.DType, out)
-		p.st.merge(fs)
 		if err != nil {
 			return nil, err
 		}
+		p.st.merge(fs)
 	}
-	return deferred, nil
+	if len(later) > 0 {
+		return later, nil
+	}
+	return nil, tr.uploadStaged(ctx, p)
 }
 
-// recordBatchSpan mirrors applyAssignment's per-assignment datapath
-// span for the batched path. The recorded duration runs from prep start
-// to staging end and so includes the shared batch wait; spans for
-// assignments abandoned by cancellation are suppressed along with their
-// errors, exactly as on the per-assignment path.
-func (tr *Transformer) recordBatchSpan(ctx context.Context, p *batchPrep) {
+// uploadStaged hands p's finished destination buffer to its store.
+func (tr *Transformer) uploadStaged(ctx context.Context, p *prep) error {
+	dst := tr.Stores[p.a.Device]
+	if err := upload(ctx, dst, stagingPath(tr.Job, p.a.Device, p.a.Tensor), p.out); err != nil {
+		return fmt.Errorf("transform: stage %s on dev %d: %w", p.a.Tensor, p.a.Device, err)
+	}
+	if uploadCopies(dst) {
+		p.st.BytesCopied += int64(p.out.NumBytes())
+	}
+	p.out = nil
+	p.staged = true
+	return nil
+}
+
+// recordSpan records one datapath span for an assignment that reached
+// its outcome — staged, or failed with its own error — when the tracer
+// is deep, running from the assignment's start to now (for a deferred
+// assignment that includes the shared batch wait). Assignments abandoned
+// by cancellation get no span, as their errors are dropped: which
+// operations a doomed attempt reached is scheduling, not outcome.
+func (tr *Transformer) recordSpan(ctx context.Context, p *prep) {
 	if !tr.Obs.Deep() {
 		return
 	}
@@ -414,7 +433,7 @@ func (tr *Transformer) recordBatchSpan(ctx context.Context, p *batchPrep) {
 		return
 	}
 	if p.err == nil && !p.staged {
-		return // abandoned before staging: scheduling, not outcome
+		return
 	}
 	attrs := map[string]any{
 		"tensor": string(p.a.Tensor),
@@ -436,15 +455,20 @@ func (tr *Transformer) recordBatchSpan(ctx context.Context, p *batchPrep) {
 }
 
 // fetchRegions computes a fetch's destination region inside the
-// assignment's buffer and its source-local region inside the stored
-// sub-tensor (Want translated by the respective origins), mirroring
-// fetchInto's arithmetic.
+// assignment's buffer and, for a device source, its source-local region
+// inside the stored sub-tensor (Want translated by the respective
+// origins). The two share one backing allocation.
 func fetchRegions(a core.Assignment, f core.Fetch) (target, local tensor.Region) {
 	rank := len(f.Want)
 	regs := make(tensor.Region, 2*rank)
 	target, local = regs[:rank:rank], regs[rank:]
 	for i := range f.Want {
 		target[i] = tensor.Range{Lo: f.Want[i].Lo - a.Region[i].Lo, Hi: f.Want[i].Hi - a.Region[i].Lo}
+	}
+	if f.Src.Kind != core.FromDevice {
+		return target, nil
+	}
+	for i := range f.Want {
 		local[i] = tensor.Range{Lo: f.Want[i].Lo - f.Src.Region[i].Lo, Hi: f.Want[i].Hi - f.Src.Region[i].Lo}
 	}
 	return target, local

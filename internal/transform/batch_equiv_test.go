@@ -17,6 +17,7 @@ import (
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/model"
+	"tenplex/internal/obs"
 	"tenplex/internal/parallel"
 	"tenplex/internal/store"
 	"tenplex/internal/tensor"
@@ -90,6 +91,20 @@ func hideAssemble(stores map[cluster.DeviceID]store.Access) map[cluster.DeviceID
 	return out
 }
 
+// accessOnly hides everything a wire store offers beyond store.Access —
+// batch reads and the context-aware calls included — which leaves the
+// transformer one plain QueryInto per plan range.
+type accessOnly struct{ store.Access }
+
+// hideBatch wraps every store so that only its plain Access shows.
+func hideBatch(stores map[cluster.DeviceID]store.Access) map[cluster.DeviceID]store.Access {
+	out := map[cluster.DeviceID]store.Access{}
+	for d, acc := range stores {
+		out[d] = accessOnly{acc}
+	}
+	return out
+}
+
 // fetchKinds reports whether any range of the plan comes from the
 // checkpoint (such assignments stay on the client-side routes) and
 // whether any comes from a device store.
@@ -107,9 +122,10 @@ func fetchKinds(plan *core.Plan) (storage, device bool) {
 }
 
 // TestApplyRoutesEquivalentOverREST: over randomized grow / shrink /
-// redeploy / fail-stop transitions, the three staging routes against
-// real wire stores — destination-pull, client-side batched, per-range —
-// the retained materialized pipeline over wire stores, a mixed set with
+// redeploy / fail-stop transitions, the three ways a fetch is served
+// against real wire stores — destination-pull, per-source batch, and
+// per-range reads behind a wrapper that hides every capability — the
+// retained materialized pipeline over wire stores, a mixed set with
 // in-process stores among the wire ones, and plain Local stores must
 // all land byte-identical state and report the same plan bytes. A plan
 // without storage reads over fully capable stores must go through
@@ -175,15 +191,14 @@ func TestApplyRoutesEquivalentOverREST(t *testing.T) {
 					name     string
 					stores   map[cluster.DeviceID]store.Access
 					pipeline Pipeline
-					noBatch  bool
 					rc       *restCluster
 				}{
-					{"pull", pull.stores, Streamed, false, pull},
-					{"client-batched", hideAssemble(batched.stores), Streamed, false, batched},
-					{"per-range", perRange.stores, Streamed, true, perRange},
-					{"materialized", materialized.stores, Materialized, false, materialized},
-					{"mixed", mixed, Streamed, false, mixedRC},
-					{"local", localStores(devs), Streamed, false, nil},
+					{"pull", pull.stores, Streamed, pull},
+					{"client-batched", hideAssemble(batched.stores), Streamed, batched},
+					{"per-range", hideBatch(perRange.stores), Streamed, perRange},
+					{"materialized", materialized.stores, Materialized, materialized},
+					{"mixed", mixed, Streamed, mixedRC},
+					{"local", localStores(devs), Streamed, nil},
 				}
 				fromStorage, fromDevice := fetchKinds(sc.plan)
 				var ref Stats
@@ -202,7 +217,7 @@ func TestApplyRoutesEquivalentOverREST(t *testing.T) {
 						uploads, assembles, batches = w.rc.requests("/upload"), w.rc.requests("/assemble"), w.rc.requests("/batch")
 						received = w.rc.received()
 					}
-					tr := &Transformer{Job: job, Stores: w.stores, Storage: memStorage(golden), Pipeline: w.pipeline, NoBatch: w.noBatch, Parallelism: 4}
+					tr := &Transformer{Job: job, Stores: w.stores, Storage: memStorage(golden), Pipeline: w.pipeline, Parallelism: 4}
 					st, err := tr.Apply(sc.plan)
 					if err != nil {
 						t.Fatalf("%s %s: %v", sc.label, w.name, err)
@@ -384,6 +399,57 @@ func TestApplyAssembleDeadPeer(t *testing.T) {
 		t.Fatalf("%d /assemble requests, want the retried destination-pull", n)
 	}
 	requireNothingStaged(t, job, from, to, rc, golden)
+}
+
+// shortAssembler is a store that takes the destination-pull route and
+// then accounts for none of the bytes it was asked to assemble.
+type shortAssembler struct {
+	batchableLocal
+	addr string
+}
+
+func (s shortAssembler) Address() string { return s.addr }
+
+func (s shortAssembler) Assemble(context.Context, []store.AssembleItem) (store.AssembleStats, error) {
+	return store.AssembleStats{}, nil
+}
+
+// A destination store whose byte count disagrees with the plan fails its
+// assignments — an outcome, so a datapath-deep trace carries their spans
+// with the error, not silence as for assignments a cancel abandoned.
+func TestApplyAssembleByteMismatchIsTraced(t *testing.T) {
+	const job = "bshort"
+	from, to, plan, golden := migrateFixture(t)
+	stores := localStores(alloc(4))
+	if err := LoadPTC(job, from, stores, golden); err != nil {
+		t.Fatal(err)
+	}
+	for d, acc := range stores {
+		stores[d] = shortAssembler{batchableLocal: batchableLocal{acc}, addr: fmt.Sprintf("fake://dev%d", d)}
+	}
+	tracer := obs.New(obs.Options{Det: true, Level: obs.LevelDatapath})
+	tr := &Transformer{Job: job, Stores: stores, Obs: &obs.TaskCtx{T: tracer, Job: job}}
+	_, err := tr.Apply(plan)
+	if err == nil || !strings.Contains(err.Error(), "store accounts for 0 bytes") {
+		t.Fatalf("Apply returned %v, want the byte-count mismatch", err)
+	}
+	failed := 0
+	for _, sp := range tracer.Export().Spans {
+		if sp.Name != obs.SpanAssignment {
+			continue
+		}
+		msg, _ := sp.Attrs["err"].(string)
+		if !strings.Contains(msg, "store accounts for 0 bytes") {
+			t.Fatalf("assignment span %v does not carry the mismatch", sp.Attrs)
+		}
+		failed++
+	}
+	// Whichever destination's request was answered first fails all of its
+	// assignments; the other may have been abandoned by the cancel.
+	perDev := len(plan.Assignments) / len(to.Devices)
+	if failed != perDev && failed != 2*perDev {
+		t.Fatalf("%d failed assignment spans, want those of one or both destinations (%d each)", failed, perDev)
+	}
 }
 
 // With chaos armed over real wire stores the outcome of an apply is a

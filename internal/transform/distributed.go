@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"tenplex/internal/cluster"
@@ -47,22 +46,6 @@ func ApplyDistributed(job string, plan *core.Plan, topo *cluster.Topology,
 // materialized reference under the distributed execution shape.
 func ApplyDistributedPipeline(job string, plan *core.Plan, topo *cluster.Topology,
 	stores map[cluster.DeviceID]store.Access, storage StorageReader, pipeline Pipeline) (Stats, error) {
-	return ApplyDistributedOpts(job, plan, topo, stores, storage, DistOptions{Pipeline: pipeline})
-}
-
-// DistOptions configures ApplyDistributedOpts.
-type DistOptions struct {
-	// Pipeline selects the data path (zero value: streamed).
-	Pipeline Pipeline
-	// NoBatch disables the multi-range batch protocol even against
-	// batch-capable stores, forcing per-range QueryInto fetches; the
-	// datapath benchmarks use it to measure the protocol's gain.
-	NoBatch bool
-}
-
-// ApplyDistributedOpts is the fully-configurable distributed apply.
-func ApplyDistributedOpts(job string, plan *core.Plan, topo *cluster.Topology,
-	stores map[cluster.DeviceID]store.Access, storage StorageReader, opts DistOptions) (Stats, error) {
 	if err := plan.Validate(); err != nil {
 		return Stats{}, fmt.Errorf("transform: invalid plan: %w", err)
 	}
@@ -87,10 +70,8 @@ func ApplyDistributedOpts(job string, plan *core.Plan, topo *cluster.Topology,
 		wg.Add(1)
 		go func(w int, devs map[cluster.DeviceID]bool) {
 			defer wg.Done()
-			tr := &Transformer{Job: job, Stores: stores, Storage: storage,
-				Pipeline: opts.Pipeline, NoBatch: opts.NoBatch}
-			sub := planFor(plan, devs)
-			st, err := tr.applyNoCommit(sub)
+			tr := &Transformer{Job: job, Stores: stores, Storage: storage, Pipeline: pipeline}
+			st, err := tr.applyNoCommitCtx(context.Background(), planFor(plan, devs))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -118,49 +99,16 @@ func ApplyDistributedOpts(job string, plan *core.Plan, topo *cluster.Topology,
 	return total, nil
 }
 
-// applyNoCommit stages every assignment of the plan without swapping it
-// live; used by the per-worker execution path.
-func (tr *Transformer) applyNoCommit(plan *core.Plan) (Stats, error) {
-	return tr.applyNoCommitCtx(context.Background(), plan)
-}
-
-// applyNoCommitCtx stages the plan without committing. Against
-// batch-capable stores it rides the same batched staging path as
-// ApplyContext; otherwise assignments run sequentially (the per-worker
-// sub-plans already execute in parallel across workers).
+// applyNoCommitCtx stages every assignment of the plan without swapping
+// it live; used by the per-worker execution path.
 func (tr *Transformer) applyNoCommitCtx(ctx context.Context, plan *core.Plan) (Stats, error) {
-	var st Stats
 	if err := tr.checkOneRegionPerTensor(plan); err != nil {
-		return st, err
+		return Stats{}, err
 	}
 	for _, a := range plan.Assignments {
 		if _, ok := tr.Stores[a.Device]; !ok {
-			return st, fmt.Errorf("transform: no store for destination device %d", a.Device)
+			return Stats{}, fmt.Errorf("transform: no store for destination device %d", a.Device)
 		}
 	}
-	if tr.useBatch() {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		st, errs := tr.stageBatched(ctx, cancel, plan)
-		if len(errs) == 0 && ctx.Err() != nil {
-			errs = append(errs, ctx.Err())
-		}
-		if len(errs) > 0 {
-			sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-			return st, errs[0]
-		}
-		return st, nil
-	}
-	for _, a := range plan.Assignments {
-		s, err := tr.applyAssignment(ctx, plan, a)
-		if err != nil {
-			return st, err
-		}
-		st.Assignments++
-		if a.IsNoop() {
-			st.Noops++
-		}
-		st.merge(s)
-	}
-	return st, nil
+	return tr.stage(ctx, plan)
 }

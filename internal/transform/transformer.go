@@ -8,13 +8,14 @@
 // The production data path is streamed and zero-copy: each destination
 // sub-tensor is allocated exactly once and every plan range is fetched
 // *into* its final strided offset, so a byte moves from source holder
-// to destination buffer exactly once. Where that buffer lives depends
-// on the stores (batch.go lists the three staging routes and what
-// selects each): between tenplex-store daemons the destination store
-// allocates it and pulls the ranges from its peers itself, as the
-// paper's per-worker transformers do, and this process moves no state
-// at all; for in-process stores, or when a range has to come from a
-// checkpoint, the buffer is allocated here, filled by range reads
+// to destination buffer exactly once. One staging loop (stage, in
+// batch.go) serves every store set; where the destination buffer lives
+// and how a range reaches it depends on what the stores can do (batch.go
+// lists the three ways): between tenplex-store daemons the destination
+// store allocates the buffer and pulls the ranges from its peers itself,
+// as the paper's per-worker transformers do, and this process moves no
+// state at all; for in-process stores, or when a range has to come from
+// a checkpoint, the buffer is allocated here, filled by range reads
 // (local ranges are a pure copy, peer ranges scatter straight off the
 // wire) and handed to the destination store. The previous
 // materialize-then-assemble pipeline is retained as a reference
@@ -24,10 +25,8 @@ package transform
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -113,13 +112,6 @@ type Transformer struct {
 	// Pipeline selects the data path; the zero value is the streamed
 	// production pipeline.
 	Pipeline Pipeline
-	// NoBatch disables the multi-range batch protocol even against
-	// batch-capable stores, forcing per-range QueryInto fetches from
-	// this process (destination-pull rides on the batch protocol, so it
-	// is off too). The zero value (batching on) is the production
-	// configuration; the escape hatch exists for benchmarks measuring
-	// the protocol's gain and for bisecting datapath issues.
-	NoBatch bool
 	// Obs, when non-nil and datapath-deep, records one span per
 	// assignment (tensor, device, bytes by source, allocation) under
 	// the owning change's parent span. Nil costs nothing.
@@ -192,35 +184,22 @@ func (tr *Transformer) Apply(plan *core.Plan) (Stats, error) {
 // staging is cleaned up).
 func (tr *Transformer) ApplyContext(ctx context.Context, plan *core.Plan) (Stats, error) {
 	start := time.Now()
-	var st Stats
 	if err := plan.Validate(); err != nil {
-		return st, fmt.Errorf("transform: invalid plan: %w", err)
+		return Stats{}, fmt.Errorf("transform: invalid plan: %w", err)
 	}
 	if err := tr.checkOneRegionPerTensor(plan); err != nil {
-		return st, err
+		return Stats{}, err
 	}
 	for _, d := range plan.To.Devices {
 		if _, ok := tr.Stores[d]; !ok {
-			return st, fmt.Errorf("transform: no store for destination device %d", d)
+			return Stats{}, fmt.Errorf("transform: no store for destination device %d", d)
 		}
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var errs []error
-	if tr.useBatch() {
-		st, errs = tr.stageBatched(ctx, cancel, plan)
-	} else {
-		st, errs = tr.stagePooled(ctx, cancel, plan)
-	}
-	if len(errs) == 0 && ctx.Err() != nil {
-		errs = append(errs, ctx.Err())
-	}
-	if len(errs) > 0 {
+	st, err := tr.stage(ctx, plan)
+	if err != nil {
 		tr.cleanupStaging(ctx, plan)
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		return st, fmt.Errorf("transform: %d assignments failed: %w", len(errs), errors.Join(errs...))
+		return st, err
 	}
 
 	if err := tr.commit(ctx, plan); err != nil {
@@ -229,64 +208,6 @@ func (tr *Transformer) ApplyContext(ctx context.Context, plan *core.Plan) (Stats
 	st.Duration = time.Since(start)
 	tr.recordStats(st)
 	return st, nil
-}
-
-// stagePooled stages every assignment through a fixed worker pool that
-// drains the assignment queue, bounding goroutine count by Parallelism
-// instead of plan size. The first fatal error cancels the rest.
-func (tr *Transformer) stagePooled(ctx context.Context, cancel context.CancelFunc, plan *core.Plan) (Stats, []error) {
-	var st Stats
-	par := tr.Parallelism
-	if par <= 0 {
-		par = 8
-	}
-	if par > len(plan.Assignments) {
-		par = len(plan.Assignments)
-	}
-	var (
-		mu   sync.Mutex
-		errs []error
-		wg   sync.WaitGroup
-		work = make(chan core.Assignment)
-	)
-	for i := 0; i < par; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for a := range work {
-				if ctx.Err() != nil {
-					continue // abandoned: drain the queue without working
-				}
-				s, err := tr.applyAssignment(ctx, plan, a)
-				mu.Lock()
-				if err != nil {
-					if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
-						errs = append(errs, err)
-					}
-					mu.Unlock()
-					cancel()
-					continue
-				}
-				st.Assignments++
-				if a.IsNoop() {
-					st.Noops++
-				}
-				st.merge(s)
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for _, a := range plan.Assignments {
-		select {
-		case work <- a:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	return st, errs
 }
 
 // recordStats absorbs one successful apply's Stats into the shared
@@ -307,47 +228,6 @@ func (tr *Transformer) recordStats(st Stats) {
 	reg.Add("transform.bytes_copied", st.BytesCopied)
 	reg.Add("transform.alloc_bytes", st.AllocBytes)
 	reg.Histogram("transform.apply_ns").Observe(st.Duration.Nanoseconds())
-}
-
-// applyAssignment builds one destination sub-tensor in staging through
-// the selected pipeline, recording a datapath span per assignment when
-// the tracer is deep. Spans for assignments abandoned by cancellation
-// are suppressed along with their errors — which operations a doomed
-// attempt reached is scheduling, not outcome.
-func (tr *Transformer) applyAssignment(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	if !tr.Obs.Deep() {
-		return tr.applyAssignmentPipeline(ctx, plan, a)
-	}
-	start := time.Now()
-	st, err := tr.applyAssignmentPipeline(ctx, plan, a)
-	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-		return st, err
-	}
-	attrs := map[string]any{
-		"tensor": string(a.Tensor),
-		"device": int(a.Device),
-	}
-	if a.IsNoop() {
-		attrs["noop"] = true
-	}
-	if b := st.PlanBytes(); b > 0 {
-		attrs["bytes"] = b
-	}
-	if st.AllocBytes > 0 {
-		attrs["alloc_bytes"] = st.AllocBytes
-	}
-	if err != nil {
-		attrs["err"] = err.Error()
-	}
-	tr.Obs.Record(obs.SpanAssignment, obs.CatDatapath, time.Since(start).Nanoseconds(), attrs)
-	return st, err
-}
-
-func (tr *Transformer) applyAssignmentPipeline(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	if tr.Pipeline == Materialized {
-		return tr.applyAssignmentMaterialized(ctx, plan, a)
-	}
-	return tr.applyAssignmentStreamed(ctx, plan, a)
 }
 
 // ctxQuerier is the optional context-aware read interface; store.Client
@@ -447,107 +327,17 @@ func renameCtx(ctx context.Context, acc store.Access, src, dst string) error {
 	return acc.Rename(src, dst)
 }
 
-// applyAssignmentStreamed is the zero-copy pipeline: the destination
-// sub-tensor is allocated once and every plan range is fetched directly
-// into its final strided offset. Independent ranges of one assignment
-// fetch concurrently (they are disjoint by plan construction; overlap
-// forces a sequential pass). Noop assignments against reference-
-// retaining stores move the existing tensor by pointer — no bytes are
-// copied or allocated at all.
-func (tr *Transformer) applyAssignmentStreamed(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	var st Stats
-	meta := plan.To.Tensors[a.Tensor]
-	dst := tr.Stores[a.Device]
-
-	if a.IsNoop() && !uploadCopies(dst) {
-		if t, err := dst.Query(ModelPath(tr.Job, a.Device, a.Tensor), nil); err == nil {
-			if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), t); err != nil {
-				return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
-			}
-			st.LocalBytes += a.Region.NumBytes(meta.DType)
-			return st, nil
-		}
-		// The sub-tensor is unexpectedly absent; fall through so the
-		// general path reports the fetch error.
-	}
-
-	out := tensor.NewFromRegion(meta.DType, a.Region)
-	st.AllocBytes += int64(out.NumBytes())
-
-	covered := 0
-	for i := range a.Fetch {
-		covered += a.Fetch[i].Want.NumElems()
-	}
-	if covered < a.Region.NumElems() {
-		return st, fmt.Errorf("transform: assemble %s%v: fetches cover %d of %d elements",
-			a.Tensor, a.Region, covered, a.Region.NumElems())
-	}
-
-	if len(a.Fetch) > 1 && disjointTargets(a.Fetch) {
-		var (
-			mu   sync.Mutex
-			errs []error
-			wg   sync.WaitGroup
-		)
-		for _, f := range a.Fetch {
-			wg.Add(1)
-			go func(f core.Fetch) {
-				defer wg.Done()
-				fs, err := tr.fetchInto(ctx, a, f, meta.DType, out)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					errs = append(errs, err)
-					return
-				}
-				st.merge(fs)
-			}(f)
-		}
-		wg.Wait()
-		if len(errs) > 0 {
-			sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-			return st, errs[0]
-		}
-	} else {
-		for _, f := range a.Fetch {
-			fs, err := tr.fetchInto(ctx, a, f, meta.DType, out)
-			if err != nil {
-				return st, err
-			}
-			st.merge(fs)
-		}
-	}
-
-	if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), out); err != nil {
-		return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
-	}
-	if uploadCopies(dst) {
-		st.BytesCopied += int64(out.NumBytes())
-	}
-	return st, nil
-}
-
-// fetchInto streams one plan range into its final offset inside out.
-// The target and (for device sources) source-local regions share one
-// backing allocation; everything else on this path is allocation-free
-// up to the store call.
+// fetchInto streams one plan range into its final offset inside out,
+// from the source store's range read or from checkpoint storage.
 func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.Fetch, dt tensor.DType, out *tensor.Tensor) (Stats, error) {
 	var fs Stats
 	bytes := f.Want.NumBytes(dt)
-	rank := len(f.Want)
-	regs := make(tensor.Region, 2*rank)
-	target, local := regs[:rank:rank], regs[rank:]
-	for i := range f.Want {
-		target[i] = tensor.Range{Lo: f.Want[i].Lo - a.Region[i].Lo, Hi: f.Want[i].Hi - a.Region[i].Lo}
-	}
+	target, local := fetchRegions(a, f)
 	switch f.Src.Kind {
 	case core.FromDevice:
 		src, ok := tr.Stores[f.Src.Device]
 		if !ok {
 			return fs, fmt.Errorf("transform: no store for source device %d", f.Src.Device)
-		}
-		for i := range f.Want {
-			local[i] = tensor.Range{Lo: f.Want[i].Lo - f.Src.Region[i].Lo, Hi: f.Want[i].Hi - f.Src.Region[i].Lo}
 		}
 		n, err := queryInto(ctx, src, ModelPath(tr.Job, f.Src.Device, a.Tensor), local, out, target)
 		if err != nil {
