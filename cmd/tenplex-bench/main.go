@@ -1,16 +1,14 @@
 // Command tenplex-bench regenerates every table and figure of the
 // paper's evaluation (§6) and prints them as text tables. Use -fig to
-// select a single experiment, or -json to emit a machine-readable
-// record of the reconfiguration-planner benchmarks:
+// select a single experiment, -record to emit a machine-readable BENCH
+// record of one kind, and -check to gate the tree against the committed
+// records (the format and the comparison rule are in record.go, the
+// kinds in kinds.go, both described in EXPERIMENTS.md):
 //
 //	tenplex-bench                      # everything
 //	tenplex-bench -fig fig10           # one experiment
 //	tenplex-bench -list                # available experiment IDs
-//	tenplex-bench -json BENCH_plan.json  # planner perf record ("-" = stdout)
-//	tenplex-bench -coordjson BENCH_coordinator.json  # multi-job coordinator record
-//	tenplex-bench -datapathjson BENCH_datapath.json  # state-transformer datapath record
-//	tenplex-bench -hostilejson BENCH_hostile.json  # hostile-cluster survival record
-//	tenplex-bench -dcscalejson BENCH_dcscale.json  # datacenter-scale latency record
+//	tenplex-bench -record planner -out BENCH_planner_<date>.json  # one record ("-" = stdout, the default)
 //	tenplex-bench -check               # bench-regression gate vs committed BENCH_*.json
 package main
 
@@ -18,150 +16,95 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"tenplex/internal/experiments"
 )
 
-var all = map[string]func() experiments.Table{
-	"tab1":  func() experiments.Table { _, t := experiments.Tab1SystemComparison(); return t },
-	"fig2a": func() experiments.Table { _, t := experiments.Fig2aDatasetConsistency(); return t },
-	"fig2b": func() experiments.Table { _, t := experiments.Fig2bBatchConsistency(); return t },
-	"fig3":  func() experiments.Table { _, t := experiments.Fig3ParallelizationSweep(); return t },
-	"fig9":  func() experiments.Table { _, t := experiments.Fig9ElasticConvergence(1); return t },
-	"fig10": func() experiments.Table { _, t := experiments.Fig10Redeployment(); return t },
-	"fig11": func() experiments.Table { _, t := experiments.Fig11FailureRecovery(); return t },
-	"fig12": func() experiments.Table { _, t := experiments.Fig12ReconfigOverhead(); return t },
-	"fig13": func() experiments.Table { _, t := experiments.Fig13HorovodThroughput(); return t },
-	"fig14": func() experiments.Table { _, t := experiments.Fig14ParallelizationType(); return t },
-	"fig15": func() experiments.Table { _, t := experiments.Fig15ClusterSize(); return t },
-	"fig16": func() experiments.Table { _, t := experiments.Fig16Convergence(); return t },
-	"multijob": func() experiments.Table {
-		_, t := experiments.MultiJobCluster()
-		return t
-	},
-	"datapath": renderDatapath,
-	"policies": func() experiments.Table {
-		_, t, err := experiments.PolicyComparison()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: policies: %v\n", err)
-			os.Exit(1)
-		}
-		return t
-	},
-	"placement": func() experiments.Table {
-		_, t, err := experiments.PlacementComparison()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: placement: %v\n", err)
-			os.Exit(1)
-		}
-		return t
-	},
-	"dcscale": func() experiments.Table {
-		_, t := experiments.CompareDCScale()
-		return t
-	},
-	"hostile": func() experiments.Table {
-		_, t, err := experiments.HostileComparison()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: hostile: %v\n", err)
-			os.Exit(1)
-		}
-		return t
-	},
-	"ablations": func() experiments.Table {
-		_, t, err := experiments.Ablations()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: ablations: %v\n", err)
-			os.Exit(1)
-		}
-		return t
-	},
+// fatal reports a failed mode or experiment and exits.
+func fatal(what string, err error) {
+	fmt.Fprintf(os.Stderr, "tenplex-bench: %s: %v\n", what, err)
+	os.Exit(1)
 }
 
-func ids() []string {
-	out := make([]string, 0, len(all))
-	for id := range all {
-		out = append(out, id)
+// tableOrExit adapts an experiment that can fail to the registry: it
+// keeps the rendered table and exits on the error.
+func tableOrExit[R any](id string, run func() (R, experiments.Table, error)) func() experiments.Table {
+	return func() experiments.Table {
+		_, t, err := run()
+		if err != nil {
+			fatal(id, err)
+		}
+		return t
 	}
-	sort.Strings(out)
-	return out
 }
+
+var all = map[string]func() experiments.Table{
+	"tab1":     func() experiments.Table { _, t := experiments.Tab1SystemComparison(); return t },
+	"fig2a":    func() experiments.Table { _, t := experiments.Fig2aDatasetConsistency(); return t },
+	"fig2b":    func() experiments.Table { _, t := experiments.Fig2bBatchConsistency(); return t },
+	"fig3":     func() experiments.Table { _, t := experiments.Fig3ParallelizationSweep(); return t },
+	"fig9":     func() experiments.Table { _, t := experiments.Fig9ElasticConvergence(1); return t },
+	"fig10":    func() experiments.Table { _, t := experiments.Fig10Redeployment(); return t },
+	"fig11":    func() experiments.Table { _, t := experiments.Fig11FailureRecovery(); return t },
+	"fig12":    func() experiments.Table { _, t := experiments.Fig12ReconfigOverhead(); return t },
+	"fig13":    func() experiments.Table { _, t := experiments.Fig13HorovodThroughput(); return t },
+	"fig14":    func() experiments.Table { _, t := experiments.Fig14ParallelizationType(); return t },
+	"fig15":    func() experiments.Table { _, t := experiments.Fig15ClusterSize(); return t },
+	"fig16":    func() experiments.Table { _, t := experiments.Fig16Convergence(); return t },
+	"multijob": func() experiments.Table { _, t := experiments.MultiJobCluster(); return t },
+	"dcscale":  func() experiments.Table { _, t := experiments.CompareDCScale(); return t },
+	"datapath": tableOrExit("datapath", func() ([]experiments.DatapathRow, experiments.Table, error) {
+		return experiments.DatapathComparison(100 * time.Millisecond)
+	}),
+	"policies":  tableOrExit("policies", experiments.PolicyComparison),
+	"placement": tableOrExit("placement", experiments.PlacementComparison),
+	"hostile":   tableOrExit("hostile", experiments.HostileComparison),
+	"ablations": tableOrExit("ablations", experiments.Ablations),
+}
+
+func ids() []string { return names(all, nil) }
 
 func main() {
 	fig := flag.String("fig", "", "experiment ID to run (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	jsonOut := flag.String("json", "", "write a BENCH_*.json planner perf record to this path (\"-\" for stdout) and exit")
-	jsonBudget := flag.Duration("json-budget", 200*time.Millisecond, "per-scenario measurement budget for -json")
-	coordOut := flag.String("coordjson", "", "write a BENCH_*.json multi-job coordinator record to this path (\"-\" for stdout) and exit")
-	placementOut := flag.String("placementjson", "", "write a BENCH_*.json placement-comparison record to this path (\"-\" for stdout) and exit")
-	hostileOut := flag.String("hostilejson", "", "write a BENCH_*.json hostile-cluster record to this path (\"-\" for stdout) and exit")
-	dcscaleOut := flag.String("dcscalejson", "", "write a BENCH_*.json datacenter-scale latency record to this path (\"-\" for stdout) and exit")
-	datapathOut := flag.String("datapathjson", "", "write a BENCH_*.json state-transformer datapath record to this path (\"-\" for stdout) and exit")
-	check := flag.Bool("check", false, "re-run the benchmarks and fail on regression vs the committed BENCH_*.json baselines")
+	recordKind := flag.String("record", "", "measure one BENCH record kind (planner, datapath, coordinator, placement, hostile, dcscale), write it to -out and exit")
+	out := flag.String("out", "-", "path -record writes to (\"-\" for stdout)")
+	jsonBudget := flag.Duration("json-budget", 200*time.Millisecond, "per-scenario measurement budget for -record and -check")
+	doCheck := flag.Bool("check", false, "re-run the benchmarks and fail on regression vs the committed BENCH_*.json baselines")
 	checkDir := flag.String("check-dir", ".", "directory holding the BENCH_*.json baselines for -check")
-	checkTol := flag.Float64("check-tolerance", checkTolerance, "relative slack for timing metrics in -check (structural metrics are always exact)")
+	checkTol := flag.Float64("check-tolerance", checkTolerance, "relative slack for timing metrics in -check (exact and sim metrics never get any)")
 	flag.Parse()
 
-	if *check {
+	if *doCheck {
 		n, fails, err := runCheck(*checkDir, *checkTol, *jsonBudget)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: check: %v\n", err)
-			os.Exit(1)
+			fatal("check", err)
+		}
+		for _, f := range fails {
+			fmt.Fprintf(os.Stderr, "check FAIL %s\n", f)
 		}
 		if len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "check FAIL %s: %s\n", f.file, f.msg)
-			}
-			fmt.Fprintf(os.Stderr, "tenplex-bench: check: %d regression(s) against %d baseline(s)\n", len(fails), n)
-			os.Exit(1)
+			fatal("check", fmt.Errorf("%d regression(s) against %d baseline(s)", len(fails), n))
 		}
 		fmt.Printf("tenplex-bench: check: %d baseline(s) clean\n", n)
 		return
 	}
-
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, *jsonBudget); err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: json: %v\n", err)
-			os.Exit(1)
+	if *recordKind != "" {
+		for _, k := range kinds {
+			if k.name != *recordKind {
+				continue
+			}
+			rec, err := measureRecord(k, *jsonBudget)
+			if err == nil {
+				err = write(rec, *out)
+			}
+			if err != nil {
+				fatal("record", err)
+			}
+			return
 		}
-		return
-	}
-	if *datapathOut != "" {
-		if err := writeDatapathJSON(*datapathOut, *jsonBudget); err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: datapathjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *coordOut != "" {
-		if err := writeCoordJSON(*coordOut); err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: coordjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *placementOut != "" {
-		if err := writePlacementJSON(*placementOut); err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: placementjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hostileOut != "" {
-		if err := writeHostileJSON(*hostileOut); err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: hostilejson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dcscaleOut != "" {
-		if err := writeDCScaleJSON(*dcscaleOut); err != nil {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: dcscalejson: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		fatal("record", fmt.Errorf("unknown kind %q", *recordKind))
 	}
 	if *list {
 		for _, id := range ids() {
@@ -172,8 +115,7 @@ func main() {
 	if *fig != "" {
 		run, ok := all[*fig]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "tenplex-bench: unknown experiment %q (try -list)\n", *fig)
-			os.Exit(1)
+			fatal("fig", fmt.Errorf("unknown experiment %q (try -list)", *fig))
 		}
 		fmt.Print(run().Render())
 		return

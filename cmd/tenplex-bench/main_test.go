@@ -1,14 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-	"time"
-
-	"tenplex/internal/experiments"
-)
+import "testing"
 
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{
@@ -44,284 +36,5 @@ func TestQuickExperimentsRender(t *testing.T) {
 		if len(out) == 0 {
 			t.Errorf("%s rendered empty", id)
 		}
-	}
-}
-
-// TestWriteBenchJSON verifies the -json record: parseable, versioned,
-// and covering every planner scenario with sane measurements.
-func TestWriteBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_planner.json")
-	if err := writeBenchJSON(path, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record not valid JSON: %v", err)
-	}
-	if rec.Schema != "tenplex-bench/planner/v1" {
-		t.Fatalf("schema = %q", rec.Schema)
-	}
-	if len(rec.Scenarios) < 6 {
-		t.Fatalf("only %d scenarios recorded", len(rec.Scenarios))
-	}
-	names := map[string]bool{}
-	for _, sc := range rec.Scenarios {
-		if names[sc.Name] {
-			t.Fatalf("duplicate scenario %q", sc.Name)
-		}
-		names[sc.Name] = true
-		if sc.Iters < 2 || sc.NsPerOp <= 0 || sc.Assignments == 0 || sc.Devices < 64 {
-			t.Fatalf("implausible stats for %q: %+v", sc.Name, sc)
-		}
-	}
-	for _, want := range []string{"scale-out-128", "scale-in-128", "failstop-storage-64", "moe-expert-64"} {
-		if !names[want] {
-			t.Fatalf("scenario %q missing from record", want)
-		}
-	}
-}
-
-// TestWriteCoordJSON verifies the -coordjson record: parseable,
-// versioned, and carrying plausible multi-job metrics.
-func TestWriteCoordJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_coordinator.json")
-	if err := writeCoordJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec coordRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record not valid JSON: %v", err)
-	}
-	if rec.Schema != "tenplex-bench/coordinator/v2" {
-		t.Fatalf("schema = %q", rec.Schema)
-	}
-	if rec.Devices != 32 || rec.Jobs < 8 || rec.Completed < 8 {
-		t.Fatalf("scenario shape: devices=%d jobs=%d completed=%d", rec.Devices, rec.Jobs, rec.Completed)
-	}
-	if rec.Policy != "fifo" {
-		t.Fatalf("policy = %q", rec.Policy)
-	}
-	if rec.MakespanMin <= 0 || rec.MeanUtilization <= 0 || rec.MeanUtilization > 1 {
-		t.Fatalf("implausible metrics: %+v", rec)
-	}
-	if rec.ReconfigSec < 0 || rec.WallNs <= 0 || rec.TimelineEvents == 0 || rec.PlansValidated == 0 {
-		t.Fatalf("implausible metrics: %+v", rec)
-	}
-	if len(rec.PerJob) != rec.Jobs {
-		t.Fatalf("%d per-job rows for %d jobs", len(rec.PerJob), rec.Jobs)
-	}
-	wc := rec.WallClock
-	if wc.SerialWallNs <= 0 || wc.ParallelWallNs <= 0 || wc.Workers < 2 || wc.ScaleUsPerSimMin <= 0 {
-		t.Fatalf("implausible wall-clock block: %+v", wc)
-	}
-	if !wc.TraceMatchesSim {
-		t.Fatal("paced runs did not reproduce the sim-mode trace")
-	}
-	if rec.Baseline.WallNs <= 0 || rec.Baseline.Provenance == "" {
-		t.Fatalf("seed baseline missing provenance: %+v", rec.Baseline)
-	}
-}
-
-// TestCheckGate: a freshly generated baseline set passes -check, and a
-// tampered deterministic metric fails it.
-func TestCheckGate(t *testing.T) {
-	dir := t.TempDir()
-	if err := writeBenchJSON(filepath.Join(dir, "BENCH_planner_x.json"), time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// The millisecond budget makes timings pure noise; a huge tolerance
-	// pins this test to the structural checks, which are exact.
-	const noTimingTol = 1e9
-	n, fails, err := runCheck(dir, noTimingTol, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || len(fails) != 0 {
-		t.Fatalf("fresh baseline: %d checked, failures %v", n, fails)
-	}
-
-	// Tamper a structural metric: the gate must flag deterministic
-	// drift regardless of timing tolerance.
-	path := filepath.Join(dir, "BENCH_planner_x.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	rec.Scenarios[0].MovedBytes += 4096
-	tampered, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, fails, err = runCheck(dir, noTimingTol, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fails) == 0 {
-		t.Fatal("tampered moved_bytes not flagged as deterministic drift")
-	}
-
-	if _, _, err := runCheck(t.TempDir(), noTimingTol, time.Millisecond); err == nil {
-		t.Fatal("empty baseline dir accepted")
-	}
-}
-
-// TestWritePlacementJSON verifies the -placementjson record: parseable,
-// versioned, four deterministic cells, and the headline comparison —
-// placement-aware keeps utilization and strictly cuts moved bytes on
-// the contended steady workload.
-func TestWritePlacementJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_placement.json")
-	if err := writePlacementJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec placementRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record not valid JSON: %v", err)
-	}
-	if rec.Schema != "tenplex-bench/placement/v1" {
-		t.Fatalf("schema = %q", rec.Schema)
-	}
-	if len(rec.Rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(rec.Rows))
-	}
-	var count, placed *experiments.PlacementRow
-	for i := range rec.Rows {
-		r := &rec.Rows[i]
-		if r.MakespanMin <= 0 || r.MeanUtilization <= 0 || r.MeanUtilization > 1 || r.Completed < 8 {
-			t.Fatalf("implausible row: %+v", r)
-		}
-		if r.Workload == "steady" && r.Mode == "count" {
-			count = r
-		}
-		if r.Workload == "steady" && r.Mode == "placement" {
-			placed = r
-		}
-	}
-	if count == nil || placed == nil {
-		t.Fatal("steady cells missing")
-	}
-	if placed.MovedBytes >= count.MovedBytes {
-		t.Fatalf("placement moved %d bytes, count-based %d", placed.MovedBytes, count.MovedBytes)
-	}
-	if placed.MeanUtilization < count.MeanUtilization-1e-6 {
-		t.Fatalf("placement utilization %.6f below count-based %.6f",
-			placed.MeanUtilization, count.MeanUtilization)
-	}
-
-	// The check gate accepts the fresh record and flags a tampered one.
-	dir := filepath.Dir(path)
-	n, fails, err := runCheck(dir, 1e9, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || len(fails) != 0 {
-		t.Fatalf("fresh placement baseline: %d checked, failures %v", n, fails)
-	}
-	rec.Rows[0].MovedBytes += 4096
-	tampered, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, fails, err = runCheck(dir, 1e9, time.Millisecond); err != nil {
-		t.Fatal(err)
-	} else if len(fails) == 0 {
-		t.Fatal("tampered placement moved_bytes not flagged")
-	}
-}
-
-// TestWriteHostileJSON verifies the -hostilejson record: parseable,
-// versioned, six deterministic cells, and the headline comparison —
-// at the highest fault rate the retry budget completes strictly more
-// jobs than fail-fast.
-func TestWriteHostileJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_hostile.json")
-	if err := writeHostileJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec hostileRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record not valid JSON: %v", err)
-	}
-	if rec.Schema != "tenplex-bench/hostile/v1" {
-		t.Fatalf("schema = %q", rec.Schema)
-	}
-	if len(rec.Rows) != 2*len(experiments.HostileFaultRates) {
-		t.Fatalf("%d rows, want %d", len(rec.Rows), 2*len(experiments.HostileFaultRates))
-	}
-	worst := experiments.HostileFaultRates[len(experiments.HostileFaultRates)-1]
-	var off, on *experiments.HostileRow
-	for i := range rec.Rows {
-		r := &rec.Rows[i]
-		if r.MakespanMin <= 0 || r.Completed < 1 || r.Completed > rec.Jobs {
-			t.Fatalf("implausible row: %+v", r)
-		}
-		if r.FaultRate == 0 && (r.Retries != 0 || r.Requeues != 0 || r.RecoverySec != 0) {
-			t.Fatalf("fault-free row charged recovery: %+v", r)
-		}
-		if r.FaultRate == worst && r.Policy == "retry-off" {
-			off = r
-		}
-		if r.FaultRate == worst && r.Policy == "retry-on" {
-			on = r
-		}
-	}
-	if off == nil || on == nil {
-		t.Fatal("highest-rate cells missing")
-	}
-	if on.Completed <= off.Completed {
-		t.Fatalf("retry-on completed %d jobs, retry-off %d — retry budget bought nothing",
-			on.Completed, off.Completed)
-	}
-	if on.Retries == 0 || on.RetryBytes == 0 {
-		t.Fatalf("retry-on at rate %v recorded no retry work: %+v", worst, on)
-	}
-
-	// The check gate accepts the fresh record and flags a tampered one.
-	dir := filepath.Dir(path)
-	n, fails, err := runCheck(dir, 1e9, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || len(fails) != 0 {
-		t.Fatalf("fresh hostile baseline: %d checked, failures %v", n, fails)
-	}
-	rec.Rows[len(rec.Rows)-1].Retries++
-	tampered, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, fails, err = runCheck(dir, 1e9, time.Millisecond); err != nil {
-		t.Fatal(err)
-	} else if len(fails) == 0 {
-		t.Fatal("tampered hostile retries not flagged")
 	}
 }

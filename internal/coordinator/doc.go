@@ -41,6 +41,6 @@ package coordinator
 //     compacted without materializing candidate allocations.
 //
 // The dcscale experiments (internal/experiments, tenplex-bench
-// -dcscalejson) measure the result: per-decision latency percentiles at
+// -record dcscale) measure the result: per-decision latency percentiles at
 // 512/1024/2048 devices with 50–200 jobs, gated in CI to stay flat
 // (p50 at 2048 devices within 3x of 512) rather than linear.

@@ -22,6 +22,11 @@ func waitJobState(t *testing.T, svc *Service, name, want string, timeout time.Du
 		if st.State == want {
 			return st
 		}
+		switch st.State {
+		case "completed", "rejected", "lost", "canceled":
+			// Terminal: no amount of waiting leads anywhere else.
+			t.Fatalf("job %s already %q, want %q", name, st.State, want)
+		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s stuck in %q, want %q", name, st.State, want)
 		}
@@ -43,8 +48,12 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 	defer svc.Stop()
 
+	// a must still be running when its device is failed below, after b
+	// has been deployed, scaled and canceled: 1500 simulated minutes are
+	// 3 s of wall time at this WallScale, against well under a second of
+	// steps even in a loaded -race run (40 minutes, 80 ms, were not).
 	if err := svc.Submit(JobSpec{Name: "a", Model: model.GPTCustom(6, 32, 2, 64, 8),
-		GPUs: 4, MinGPUs: 2, MaxGPUs: 8, DurationMin: 40}); err != nil {
+		GPUs: 4, MinGPUs: 2, MaxGPUs: 8, DurationMin: 1500}); err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
 	if err := svc.Submit(JobSpec{Name: "b", Model: model.GPTCustom(4, 16, 2, 32, 8),

@@ -42,7 +42,7 @@ func BenchmarkGeneratePlanFullScale(b *testing.B) {
 // shared 64- and 128-device reconfiguration scenarios (scale-out,
 // scale-in, redeployment, fail-stop recovery with StorageFallback, and
 // an MoE expert-parallel reshape). The same scenarios back
-// tenplex-bench's -json perf record; see EXPERIMENTS.md.
+// tenplex-bench's planner record (-record planner); see EXPERIMENTS.md.
 func BenchmarkGeneratePlanScenarios(b *testing.B) {
 	for _, sc := range experiments.PlannerScenarios() {
 		b.Run(sc.Name, func(b *testing.B) {

@@ -1,7 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§6). Each experiment is a pure function returning
-// machine-readable rows; cmd/tenplex-bench renders them and
-// bench_test.go wraps them as Go benchmarks.
+// machine-readable rows; cmd/tenplex-bench renders them and files them
+// into BENCH records, and bench_test.go wraps them as Go benchmarks. An
+// experiment's acceptance bar is one exported *Headline predicate,
+// asserted both by this package's tests and by tenplex-bench -check.
 //
 // Two execution planes are used (see DESIGN.md): reconfiguration-time
 // experiments run the real plan generator on full-scale model shapes

@@ -77,12 +77,9 @@ func datapathWorkloads() []datapathWorkload {
 	}
 }
 
-// measureDatapath executes one workload through one pipeline until the
-// budget elapses (at least minIters), tracking wall time and the
-// allocation counters of the timed Apply only (store seeding is
-// excluded, mirroring the Go benchmark's StopTimer discipline).
-func measureDatapath(w datapathWorkload, p transform.Pipeline, name string,
-	budget time.Duration, minIters int) (DatapathRow, error) {
+// golden materializes the workload's source state: every tensor of the
+// from-PTC, filled with a distinct deterministic sequence.
+func (w datapathWorkload) golden() map[core.TensorID]*tensor.Tensor {
 	golden := map[core.TensorID]*tensor.Tensor{}
 	seed := 1.0
 	for id, meta := range w.from.Tensors {
@@ -91,6 +88,38 @@ func measureDatapath(w datapathWorkload, p transform.Pipeline, name string,
 		seed++
 		golden[id] = full
 	}
+	return golden
+}
+
+// row reduces one measurement to its table row: nsPerOp is the
+// per-apply time the caller settled on (mean or median), last the final
+// apply's stats, allocs and allocBytes the totals over all iters.
+func (w datapathWorkload) row(pipeline string, iters int, nsPerOp int64, last transform.Stats, allocs, allocBytes uint64) DatapathRow {
+	mbps := 0.0
+	if nsPerOp > 0 {
+		mbps = float64(w.m.ParamBytes()) / (float64(nsPerOp) / 1e9) / 1e6
+	}
+	return DatapathRow{
+		Workload:    w.name,
+		Pipeline:    pipeline,
+		Iters:       iters,
+		NsPerOp:     nsPerOp,
+		MBPerSecond: mbps,
+		PlanBytes:   last.PlanBytes(),
+		BytesCopied: last.BytesCopied,
+		CopyAmp:     last.CopyAmplification(),
+		AllocBytes:  int64(allocBytes) / int64(iters),
+		AllocsPerOp: int64(allocs) / int64(iters),
+	}
+}
+
+// measureDatapath executes one workload through one pipeline until the
+// budget elapses (at least minIters), tracking wall time and the
+// allocation counters of the timed Apply only (store seeding is
+// excluded, mirroring the Go benchmark's StopTimer discipline).
+func measureDatapath(w datapathWorkload, p transform.Pipeline, name string,
+	budget time.Duration, minIters int) (DatapathRow, error) {
+	golden := w.golden()
 	var (
 		iters      int
 		elapsed    time.Duration
@@ -127,23 +156,7 @@ func measureDatapath(w datapathWorkload, p transform.Pipeline, name string,
 		last = st
 		iters++
 	}
-	nsPerOp := elapsed.Nanoseconds() / int64(iters)
-	mbps := 0.0
-	if nsPerOp > 0 {
-		mbps = float64(w.m.ParamBytes()) / (float64(nsPerOp) / 1e9) / 1e6
-	}
-	return DatapathRow{
-		Workload:    w.name,
-		Pipeline:    name,
-		Iters:       iters,
-		NsPerOp:     nsPerOp,
-		MBPerSecond: mbps,
-		PlanBytes:   last.PlanBytes(),
-		BytesCopied: last.BytesCopied,
-		CopyAmp:     last.CopyAmplification(),
-		AllocBytes:  int64(allocBytes) / int64(iters),
-		AllocsPerOp: int64(allocs) / int64(iters),
-	}, nil
+	return w.row(name, iters, elapsed.Nanoseconds()/int64(iters), last, allocs, allocBytes), nil
 }
 
 // DatapathREST measures the wire datapath against real tenplex-store
@@ -210,14 +223,7 @@ func DatapathREST(budget time.Duration) ([]DatapathRow, error) {
 // gate needs a statistic that survives one outlier.
 func measureDatapathREST(w datapathWorkload, stores map[cluster.DeviceID]store.Access,
 	wipe func(), budget time.Duration, minIters int) (DatapathRow, error) {
-	golden := map[core.TensorID]*tensor.Tensor{}
-	seed := 1.0
-	for id, meta := range w.from.Tensors {
-		full := tensor.New(meta.DType, meta.Shape...)
-		full.FillSeq(seed*1e4, 1)
-		seed++
-		golden[id] = full
-	}
+	golden := w.golden()
 	var (
 		iters      int
 		elapsed    time.Duration
@@ -248,23 +254,22 @@ func measureDatapathREST(w datapathWorkload, stores map[cluster.DeviceID]store.A
 		iters++
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	nsPerOp := samples[len(samples)/2].Nanoseconds()
-	mbps := 0.0
-	if nsPerOp > 0 {
-		mbps = float64(w.m.ParamBytes()) / (float64(nsPerOp) / 1e9) / 1e6
+	return w.row("batched", iters, samples[len(samples)/2].Nanoseconds(), last, allocs, allocBytes), nil
+}
+
+// CopyAmpHeadline is the datapath acceptance bar, asserted on every row
+// by TestDatapathComparison and by tenplex-bench -check: a pipeline that
+// places each plan range directly copies every plan byte at most once
+// (local stores retain uploads by reference), and the materialized
+// reference pays at least twice.
+func CopyAmpHeadline(materialized bool, copyAmp float64) error {
+	if materialized && copyAmp < 1.99 {
+		return fmt.Errorf("copy_amplification: %.3f below the reference's 2", copyAmp)
 	}
-	return DatapathRow{
-		Workload:    w.name,
-		Pipeline:    "batched",
-		Iters:       iters,
-		NsPerOp:     nsPerOp,
-		MBPerSecond: mbps,
-		PlanBytes:   last.PlanBytes(),
-		BytesCopied: last.BytesCopied,
-		CopyAmp:     last.CopyAmplification(),
-		AllocBytes:  int64(allocBytes) / int64(iters),
-		AllocsPerOp: int64(allocs) / int64(iters),
-	}, nil
+	if !materialized && copyAmp > 1.01 {
+		return fmt.Errorf("copy_amplification: %.3f above the ceiling of 1", copyAmp)
+	}
+	return nil
 }
 
 // DatapathComparison runs both pipelines over every datapath workload.

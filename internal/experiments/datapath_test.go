@@ -32,11 +32,10 @@ func TestDatapathComparison(t *testing.T) {
 		if !okS || !okM {
 			t.Fatalf("missing pipeline rows for %s", w)
 		}
-		if s.CopyAmp > 1.01 {
-			t.Errorf("%s: streamed copy amplification %.3f > 1", w, s.CopyAmp)
-		}
-		if m.CopyAmp < 1.99 {
-			t.Errorf("%s: materialized copy amplification %.3f < 2", w, m.CopyAmp)
+		for _, r := range []DatapathRow{s, m} {
+			if err := CopyAmpHeadline(r.Pipeline == "materialized", r.CopyAmp); err != nil {
+				t.Errorf("%s/%s %v", w, r.Pipeline, err)
+			}
 		}
 		if s.AllocsPerOp*2 >= m.AllocsPerOp {
 			t.Errorf("%s: streamed allocs/op %d not < half of materialized %d",

@@ -135,6 +135,31 @@ func RunDCScale(devices, jobs int) DCScaleRow {
 	}
 }
 
+// dcscaleFlatnessFactor bounds the dcscale headline: the p50
+// per-decision latency at 2048 devices must stay within this factor of
+// the 512-device p50 at the same 200-job population. A control plane
+// that rescans the cluster per decision shows ~4x here (linear in
+// devices); the incremental ledger summaries and epoch-stamped score
+// cache keep it flat. dcscaleFlatnessSlackUs is an absolute allowance
+// on top of the ratio, so scheduler noise on near-zero p50s cannot
+// flake the gate.
+const (
+	dcscaleFlatnessFactor  = 3.0
+	dcscaleFlatnessSlackUs = 250.0
+)
+
+// DCScaleHeadline is the flatness bar asserted by TestDCScaleFull and
+// by tenplex-bench -check, on freshly measured p50s of the 512x200 and
+// 2048x200 cells (committed percentiles are machine-dependent and never
+// compared absolutely).
+func DCScaleHeadline(p50SmallUs, p50BigUs float64) error {
+	if p50BigUs > dcscaleFlatnessFactor*p50SmallUs+dcscaleFlatnessSlackUs {
+		return fmt.Errorf("2048x200 p50_us: %.0f exceeds %.1fx the 512x200 p50 %.0f + %.0fus, latency is growing with cluster size",
+			p50BigUs, dcscaleFlatnessFactor, p50SmallUs, dcscaleFlatnessSlackUs)
+	}
+	return nil
+}
+
 // PercentileNs returns the nearest-rank q-quantile (q in [0, 1]) of the
 // samples, in nanoseconds. Zero when there are no samples.
 func PercentileNs(samples []int64, q float64) float64 {

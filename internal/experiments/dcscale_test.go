@@ -25,8 +25,8 @@ func TestDCScaleSmoke(t *testing.T) {
 }
 
 // TestDCScaleFull sweeps every cell including 2048 devices x 200 jobs
-// and asserts the headline: p50 decision latency at 2048 devices stays
-// within 3x of the 512-device p50 (same 200-job trace). Skipped under
+// and asserts DCScaleHeadline: p50 decision latency at 2048 devices
+// stays flat against the 512-device p50 (same 200-job trace). Skipped under
 // -short; CI runs the smoke above instead.
 func TestDCScaleFull(t *testing.T) {
 	if testing.Short() {
@@ -41,11 +41,8 @@ func TestDCScaleFull(t *testing.T) {
 			t.Fatalf("%dx%d: completed %d of %d jobs", r.Devices, r.Jobs, r.Completed, r.Jobs)
 		}
 	}
-	small, big := rows[1], rows[3] // 512x200 vs 2048x200
-	const factor, slackUs = 3.0, 250.0
-	if big.P50us > factor*small.P50us+slackUs {
-		t.Fatalf("per-decision p50 not flat: %.0fus at 2048 devices vs %.0fus at 512 (limit %.0fx + %.0fus)",
-			big.P50us, small.P50us, factor, slackUs)
+	if err := DCScaleHeadline(rows[1].P50us, rows[3].P50us); err != nil { // 512x200 vs 2048x200
+		t.Fatal(err)
 	}
 }
 

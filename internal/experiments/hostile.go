@@ -152,6 +152,20 @@ func CompareHostile(devices, jobs int, seed int64) ([]HostileRow, error) {
 	return rows, nil
 }
 
+// HostileHeadline is the experiment's acceptance bar, asserted by
+// tenplex-bench -check on the retry-on cell at the highest fault rate
+// against its retry-off twin: the capped retry budget was exercised and
+// completes strictly more jobs than fail-fast.
+func HostileHeadline(offCompleted, onCompleted, onRetries float64) error {
+	if onCompleted <= offCompleted {
+		return fmt.Errorf("jobs_completed: %.0f not strictly above retry-off's %.0f", onCompleted, offCompleted)
+	}
+	if onRetries == 0 {
+		return fmt.Errorf("retries: 0, the retry budget was never exercised")
+	}
+	return nil
+}
+
 // HostileComparison tabulates CompareHostile on the shared
 // 32-device/12-job scenario.
 func HostileComparison() ([]HostileRow, Table, error) {

@@ -75,6 +75,25 @@ func ComparePlacement(devices, jobs int, seed int64) ([]PlacementRow, error) {
 	return rows, nil
 }
 
+// PlacementHeadline is the experiment's acceptance bar on the contended
+// steady workload, asserted by TestPlacementComparisonAcceptance and by
+// tenplex-bench -check: placement-aware scheduling keeps at least
+// count-based utilization and strictly reduces the reconfiguration
+// bytes moved. Reconfiguration downtime shifts completion times by
+// microseconds of simulated time, so utilizations agree to ~1e-8; the
+// 1e-6 band sits above that noise.
+func PlacementHeadline(countUtil, placedUtil, countMoved, placedMoved float64) error {
+	if placedUtil < countUtil-1e-6 {
+		return fmt.Errorf("steady/placement mean_cluster_utilization: %.6f fell below steady/count %.6f",
+			placedUtil, countUtil)
+	}
+	if placedMoved >= countMoved {
+		return fmt.Errorf("steady/placement moved_bytes: %.0f not strictly below steady/count %.0f",
+			placedMoved, countMoved)
+	}
+	return nil
+}
+
 // PlacementComparison tabulates ComparePlacement on the shared
 // 32-device/12-job scenario.
 func PlacementComparison() ([]PlacementRow, Table, error) {

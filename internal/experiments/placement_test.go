@@ -6,12 +6,10 @@ import (
 )
 
 // TestPlacementComparisonAcceptance is the experiment's acceptance
-// gate (mirrored by tenplex-bench -check against the committed
-// BENCH_placement baseline): on the contended steady 32-device/12-job
-// scenario, placement-aware scheduling keeps at least count-based
-// utilization (to simulation float noise) and strictly reduces the
-// aggregate reconfiguration bytes moved, with every job still
-// completing.
+// gate: on the contended steady 32-device/12-job scenario,
+// PlacementHeadline holds (the same predicate tenplex-bench -check
+// asserts against the committed BENCH_placement baseline),
+// reconfiguration time does not grow, and every job still completes.
 func TestPlacementComparisonAcceptance(t *testing.T) {
 	rows, tab, err := PlacementComparison()
 	if err != nil {
@@ -28,13 +26,9 @@ func TestPlacementComparisonAcceptance(t *testing.T) {
 	if count.Workload == "" || placed.Workload == "" {
 		t.Fatalf("missing steady cells in %v", rows)
 	}
-	if placed.MeanUtilization < count.MeanUtilization-1e-6 {
-		t.Fatalf("placement utilization %.6f below count-based %.6f",
-			placed.MeanUtilization, count.MeanUtilization)
-	}
-	if placed.MovedBytes >= count.MovedBytes {
-		t.Fatalf("placement moved %d bytes, not strictly below count-based %d",
-			placed.MovedBytes, count.MovedBytes)
+	if err := PlacementHeadline(count.MeanUtilization, placed.MeanUtilization,
+		float64(count.MovedBytes), float64(placed.MovedBytes)); err != nil {
+		t.Fatal(err)
 	}
 	if placed.ReconfigSec > count.ReconfigSec+1e-9 {
 		t.Fatalf("placement reconfiguration time %.6f above count-based %.6f",

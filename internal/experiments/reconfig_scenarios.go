@@ -11,7 +11,7 @@ import (
 
 // PlannerScenario is one production-scale reconfiguration whose plan
 // generation is benchmarked by the core bench suite, the root bench
-// suite, and tenplex-bench's -json mode. Scenarios cover the elastic
+// suite, and tenplex-bench's planner record. Scenarios cover the elastic
 // events the paper evaluates (§6) — scale-out, scale-in, redeployment,
 // fail-stop recovery — at 64 and 128 devices, plus an MoE
 // expert-parallel reshape.

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func BenchmarkSliceContiguous(b *testing.B) {
 	x := New(Float32, 1024, 1024) // 4 MB
@@ -39,7 +42,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := x.Encode()
-		if _, err := Decode(buf); err != nil {
+		if _, err := ReadFrom(bytes.NewReader(buf)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,25 +22,12 @@ const (
 
 // EncodedSize returns the number of bytes Encode will produce for t.
 func (t *Tensor) EncodedSize() int {
-	return 4 + 2 + 2 + 4 + 8*len(t.shape) + len(t.data)
+	return HeaderSize(len(t.shape)) + len(t.data)
 }
 
 // Encode serializes t in the wire format.
 func (t *Tensor) Encode() []byte {
-	buf := make([]byte, 0, t.EncodedSize())
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], wireMagic)
-	buf = append(buf, scratch[:4]...)
-	binary.LittleEndian.PutUint16(scratch[:2], wireVersion)
-	buf = append(buf, scratch[:2]...)
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(t.dtype))
-	buf = append(buf, scratch[:2]...)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(t.shape)))
-	buf = append(buf, scratch[:4]...)
-	for _, d := range t.shape {
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(d))
-		buf = append(buf, scratch[:8]...)
-	}
+	buf := appendHeader(make([]byte, 0, t.EncodedSize()), t.dtype, t.shape)
 	return append(buf, t.data...)
 }
 
@@ -49,19 +36,16 @@ func (t *Tensor) Encode() []byte {
 // the payload bytes straight out of a backing buffer, avoiding the full
 // intermediate copy Encode makes.
 func EncodeHeader(dt DType, shape []int) []byte {
-	buf := make([]byte, 0, HeaderSize(len(shape)))
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], wireMagic)
-	buf = append(buf, scratch[:4]...)
-	binary.LittleEndian.PutUint16(scratch[:2], wireVersion)
-	buf = append(buf, scratch[:2]...)
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(dt))
-	buf = append(buf, scratch[:2]...)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(shape)))
-	buf = append(buf, scratch[:4]...)
+	return appendHeader(make([]byte, 0, HeaderSize(len(shape))), dt, shape)
+}
+
+func appendHeader(buf []byte, dt DType, shape []int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, wireMagic)
+	buf = binary.LittleEndian.AppendUint16(buf, wireVersion)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(dt))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(shape)))
 	for _, d := range shape {
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(d))
-		buf = append(buf, scratch[:8]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
 	}
 	return buf
 }
@@ -113,9 +97,12 @@ func DecodeHeaderFrom(r io.Reader) (DType, []int, error) {
 	if v := binary.LittleEndian.Uint16(fixed[4:]); v != wireVersion {
 		return Invalid, nil, fmt.Errorf("tensor: decode: unsupported version %d", v)
 	}
-	dt := DType(binary.LittleEndian.Uint16(fixed[6:]))
-	if !dt.Valid() {
-		return Invalid, nil, fmt.Errorf("tensor: decode: invalid dtype %d", dt)
+	// The field is 16 bits wide and DType 8: compare after converting
+	// back, or 0x3006 would pass for Uint8.
+	raw := binary.LittleEndian.Uint16(fixed[6:])
+	dt := DType(raw)
+	if uint16(dt) != raw || !dt.Valid() {
+		return Invalid, nil, fmt.Errorf("tensor: decode: invalid dtype %d", raw)
 	}
 	rank := int(binary.LittleEndian.Uint32(fixed[8:]))
 	if rank < 0 || rank > 16 {
@@ -143,68 +130,42 @@ func DecodeHeaderFrom(r io.Reader) (DType, []int, error) {
 	return dt, shape, nil
 }
 
-// DecodeFrom reads one encoded tensor from r incrementally: the header
-// sizes the allocation, then the payload is read directly into the
-// tensor's backing buffer — one allocation, one copy, regardless of how
-// the stream is chunked.
+// decodeChunk is the most payload DecodeFrom allocates before any of it
+// has arrived.
+const decodeChunk = 1 << 20
+
+// DecodeFrom reads one encoded tensor from r incrementally, the payload
+// directly into the tensor's backing buffer. The header is untrusted
+// (it arrives from a peer), so the buffer is not sized from it up
+// front: it starts at no more than decodeChunk bytes and doubles as the
+// bytes actually arrive, so a header declaring 2^62 bytes costs nothing
+// until the bytes fail to come. A tensor of up to decodeChunk bytes is
+// still one allocation and one copy, however the stream is chunked.
 func DecodeFrom(r io.Reader) (*Tensor, error) {
 	dt, shape, err := DecodeHeaderFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tensor{dtype: dt, shape: shape, data: make([]byte, ShapeNumElems(shape)*dt.Size())}
-	if _, err := io.ReadFull(r, t.data); err != nil {
-		return nil, fmt.Errorf("tensor: decode: payload: %w", err)
-	}
-	return t, nil
-}
-
-// Decode reconstructs a tensor from the wire format.
-func Decode(buf []byte) (*Tensor, error) {
-	const headerMin = 4 + 2 + 2 + 4
-	if len(buf) < headerMin {
-		return nil, fmt.Errorf("tensor: decode: short buffer (%d bytes)", len(buf))
-	}
-	if m := binary.LittleEndian.Uint32(buf[0:]); m != wireMagic {
-		return nil, fmt.Errorf("tensor: decode: bad magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint16(buf[4:]); v != wireVersion {
-		return nil, fmt.Errorf("tensor: decode: unsupported version %d", v)
-	}
-	dt := DType(binary.LittleEndian.Uint16(buf[6:]))
-	if !dt.Valid() {
-		return nil, fmt.Errorf("tensor: decode: invalid dtype %d", dt)
-	}
-	rank := int(binary.LittleEndian.Uint32(buf[8:]))
-	if rank < 0 || rank > 16 {
-		return nil, fmt.Errorf("tensor: decode: implausible rank %d", rank)
-	}
-	off := headerMin
-	if len(buf) < off+8*rank {
-		return nil, fmt.Errorf("tensor: decode: truncated shape")
-	}
-	shape := make([]int, rank)
-	elems := 1
-	for i := 0; i < rank; i++ {
-		d := int(int64(binary.LittleEndian.Uint64(buf[off:])))
-		if d <= 0 {
-			return nil, fmt.Errorf("tensor: decode: non-positive dim %d", d)
+	want := ShapeNumElems(shape) * dt.Size()
+	data := make([]byte, min(want, decodeChunk))
+	got := 0
+	for {
+		n, err := io.ReadFull(r, data[got:])
+		if err != nil {
+			return nil, fmt.Errorf("tensor: decode: payload: %w", err)
 		}
-		shape[i] = d
-		elems *= d
-		off += 8
+		if got += n; got == want {
+			return &Tensor{dtype: dt, shape: shape, data: data}, nil
+		}
+		grown := make([]byte, min(want, 2*got))
+		copy(grown, data)
+		data = grown
 	}
-	want := elems * dt.Size()
-	if len(buf)-off != want {
-		return nil, fmt.Errorf("tensor: decode: payload %d bytes, want %d", len(buf)-off, want)
-	}
-	t := &Tensor{dtype: dt, shape: shape, data: make([]byte, want)}
-	copy(t.data, buf[off:])
-	return t, nil
 }
 
 // ReadFrom decodes one tensor from r, which must contain exactly one
-// encoded tensor (trailing bytes are an error).
+// encoded tensor (trailing bytes are an error). Wrap a []byte in a
+// bytes.Reader to decode a buffer.
 func ReadFrom(r io.Reader) (*Tensor, error) {
 	t, err := DecodeFrom(r)
 	if err != nil {

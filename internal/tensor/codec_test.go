@@ -2,10 +2,17 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// decode reads exactly one encoded tensor from buf.
+func decode(buf []byte) (*Tensor, error) { return ReadFrom(bytes.NewReader(buf)) }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, dt := range []DType{Float32, Float64, Float16, Int64, Int32, Uint8} {
@@ -15,7 +22,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(buf) != x.EncodedSize() {
 			t.Fatalf("%s: encoded %d bytes, EncodedSize says %d", dt, len(buf), x.EncodedSize())
 		}
-		y, err := Decode(buf)
+		y, err := decode(buf)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", dt, err)
 		}
@@ -28,7 +35,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeDecodeScalar(t *testing.T) {
 	x := New(Float64)
 	x.SetFloat64(42)
-	y, err := Decode(x.Encode())
+	y, err := decode(x.Encode())
 	if err != nil || y.Float64At() != 42 {
 		t.Fatalf("scalar roundtrip: %v, %v", y, err)
 	}
@@ -47,31 +54,123 @@ func TestWriteToReadFrom(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruption(t *testing.T) {
-	x := seqTensor(Float32, 4, 4)
-	good := x.Encode()
+// goodEncoding is a well-formed 4x4 float32 tensor on the wire.
+var goodEncoding = seqTensor(Float32, 4, 4).Encode()
 
-	cases := map[string]func() []byte{
-		"short":       func() []byte { return good[:6] },
-		"bad magic":   func() []byte { b := append([]byte(nil), good...); b[0] ^= 0xff; return b },
-		"bad version": func() []byte { b := append([]byte(nil), good...); b[4] = 0x7f; return b },
-		"bad dtype":   func() []byte { b := append([]byte(nil), good...); b[6] = 0xee; return b },
-		"huge rank":   func() []byte { b := append([]byte(nil), good...); b[8] = 200; return b },
-		"truncated":   func() []byte { return good[:len(good)-1] },
-		"extra bytes": func() []byte { return append(append([]byte(nil), good...), 0) },
-		"zero dim": func() []byte {
-			b := append([]byte(nil), good...)
-			for i := 12; i < 20; i++ {
-				b[i] = 0
-			}
-			return b
-		},
+// header encodes a wire header declaring the given dims, with no
+// payload behind it.
+func header(dt DType, dims ...uint64) []byte {
+	buf := EncodeHeader(dt, make([]int, len(dims)))
+	for i, d := range dims {
+		binary.LittleEndian.PutUint64(buf[HeaderSize(0)+8*i:], d)
 	}
-	for name, mk := range cases {
-		if _, err := Decode(mk()); err == nil {
-			t.Errorf("%s: Decode accepted corrupt input", name)
+	return buf
+}
+
+// malformedEncodings is every way an encoded tensor can be wrong; each
+// must be refused, and each seeds FuzzDecodeFrom.
+var malformedEncodings = []struct {
+	name string
+	buf  []byte
+}{
+	{"empty", nil},
+	{"short", goodEncoding[:6]},
+	{"bad magic", corrupt(goodEncoding, 0, goodEncoding[0]^0xff)},
+	{"bad version", corrupt(goodEncoding, 4, 0x7f)},
+	{"bad dtype", corrupt(goodEncoding, 6, 0xee)},
+	{"dtype high byte", corrupt(goodEncoding, 7, 0x30)}, // found by FuzzDecodeFrom: read as the low byte's dtype
+	{"huge rank", corrupt(goodEncoding, 8, 200)},
+	{"truncated shape", goodEncoding[:HeaderSize(2)-1]},
+	{"truncated payload", goodEncoding[:len(goodEncoding)-1]},
+	{"extra bytes", append(append([]byte(nil), goodEncoding...), 0)},
+	{"zero dim", header(Float32, 0, 4)},
+	{"negative dim", header(Float32, 1<<63, 4)},
+	// 2^32 x 2^32 elements: the product wraps to 0 in 64 bits, so a
+	// decoder that multiplied unchecked took the empty payload for a
+	// complete tensor.
+	{"element count overflows", header(Float32, 1<<32, 1<<32)},
+	{"byte count overflows", header(Float64, 1<<60)},
+	{"declares 2^61 bytes, sends none", hugeEncoding},
+}
+
+// hugeEncoding is a header whose shape is representable (it passes the
+// overflow check) but whose 2^61 payload bytes never arrive.
+var hugeEncoding = header(Uint8, 1<<61)
+
+func corrupt(buf []byte, at int, b byte) []byte {
+	out := append([]byte(nil), buf...)
+	out[at] = b
+	return out
+}
+
+func TestDecodeRejectsCorruption(t *testing.T) {
+	for _, c := range malformedEncodings {
+		if _, err := decode(c.buf); err == nil {
+			t.Errorf("%s: accepted corrupt input", c.name)
 		}
 	}
+}
+
+// A declared shape is never trusted with memory: the payload buffer
+// grows with the bytes that arrive, so a header claiming 2^61 bytes
+// costs one chunk until the bytes fail to come.
+func TestDecodeFromDoesNotAllocateFromDeclaredLength(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeFrom(bytes.NewReader(hugeEncoding))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("missing payload error = %v, want EOF", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 2*decodeChunk {
+		t.Fatalf("decoding a header that declares 2^61 bytes allocated %d bytes", n)
+	}
+}
+
+// A payload larger than the first chunk arrives intact through the
+// growing buffer, however the reader fragments it.
+func TestDecodeFromGrowsPastFirstChunk(t *testing.T) {
+	x := New(Uint8, 3*decodeChunk+17)
+	rand.New(rand.NewSource(9)).Read(x.data) //nolint:errcheck // math/rand Read never fails
+	for _, chunk := range []int{1 << 30, 64<<10 + 1} {
+		y, err := DecodeFrom(iotest(x.Encode(), chunk))
+		if err != nil || !y.Equal(x) {
+			t.Fatalf("chunk %d: err=%v, equal=%v", chunk, err, err == nil && y.Equal(x))
+		}
+		if len(y.data) != cap(y.data) {
+			t.Fatalf("chunk %d: backing buffer %d bytes for a %d-byte tensor", chunk, cap(y.data), len(y.data))
+		}
+	}
+}
+
+// FuzzDecodeFrom throws arbitrary bytes at the tensor decoder a store
+// client runs on peer responses: it never panics, whatever it accepts
+// re-encodes to exactly the bytes it consumed, and that encoding cut
+// anywhere short fails.
+func FuzzDecodeFrom(f *testing.F) {
+	for _, c := range malformedEncodings {
+		f.Add(c.buf)
+	}
+	for n := 0; n <= len(goodEncoding); n++ {
+		f.Add(goodEncoding[:n])
+	}
+	f.Add(New(Float64).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		x, err := DecodeFrom(r)
+		if err != nil {
+			return
+		}
+		used := data[:len(data)-r.Len()]
+		if !bytes.Equal(x.Encode(), used) {
+			t.Fatalf("accepted %d bytes that are not the encoding of the %v %v tensor decoded from them", len(used), x.DType(), x.Shape())
+		}
+		for n := 0; n < len(used); n++ {
+			if _, err := DecodeFrom(bytes.NewReader(used[:n])); err == nil {
+				t.Fatalf("encoding of %d bytes cut at %d accepted", len(used), n)
+			}
+		}
+	})
 }
 
 func TestCodecQuick(t *testing.T) {
@@ -87,7 +186,7 @@ func TestCodecQuick(t *testing.T) {
 		}
 		x := New(dt, shape...)
 		r.Read(x.data) //nolint:errcheck // math/rand Read never fails
-		y, err := Decode(x.Encode())
+		y, err := decode(x.Encode())
 		return err == nil && y.Equal(x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rng}); err != nil {

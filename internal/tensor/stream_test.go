@@ -218,7 +218,7 @@ func TestViewEncodeRoundTrip(t *testing.T) {
 			t.Fatalf("reg %v: streamed encoding differs from Encode", reg)
 		}
 		// And decodes back, both ways.
-		got, err := Decode(buf.Bytes())
+		got, err := ReadFrom(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
