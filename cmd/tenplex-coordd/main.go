@@ -50,7 +50,16 @@ func main() {
 	workers := flag.Int("workers", 0, "execution-plane workers (0: GOMAXPROCS)")
 	auth := flag.String("auth", "default:devtoken", "tenants as name:token[:maxdevices[:maxqueued]],...")
 	eventLog := flag.String("event-log", "", "append the timeline as NDJSON to this file")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty: off)")
 	flag.Parse()
+
+	if *pprofAddr != "" {
+		bound, _, err := obs.ServePprof(*pprofAddr)
+		if err != nil {
+			log.Fatalf("tenplex-coordd: %v", err)
+		}
+		fmt.Printf("tenplex-coordd: pprof on http://%s/debug/pprof/\n", bound)
+	}
 
 	if *devices < 4 || *devices%4 != 0 {
 		log.Fatalf("tenplex-coordd: -devices must be a positive multiple of 4")

@@ -17,12 +17,22 @@ import (
 	"os"
 	"os/signal"
 
+	"tenplex/internal/obs"
 	"tenplex/internal/store"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty: off)")
 	flag.Parse()
+
+	if *pprofAddr != "" {
+		bound, _, err := obs.ServePprof(*pprofAddr)
+		if err != nil {
+			log.Fatalf("tenplex-store: %v", err)
+		}
+		fmt.Printf("tenplex-store: pprof on http://%s/debug/pprof/\n", bound)
+	}
 
 	srv := store.NewServer(store.NewMemFS())
 	bound, closeFn, err := srv.Listen(*addr)

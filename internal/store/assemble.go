@@ -3,12 +3,15 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sync"
 
 	"tenplex/internal/tensor"
@@ -23,6 +26,33 @@ import (
 // wire once, source store to destination store, instead of travelling
 // through the coordinator's process and back out as uploads (§5.1: one
 // State Transformer per worker, fetching from peer Tensor Stores).
+//
+// The request body, in the pieces tensor/frame.go defines (the reply is
+// an AssembleStats document in JSON):
+//
+//	request header, kind RequestAssemble
+//	sources  uint16  distinct peer stores, at most maxAssembleSources
+//	source, sources times
+//	  address string  base URL, http or https
+//	items    uint32  1..maxAssembleItems
+//	item, items times
+//	  path    string  where the tensor goes
+//	  dtype   uint8
+//	  rank    uint8
+//	  shape   rank × uint64
+//	  link    string  a stored tensor to keep by reference; empty: none
+//	  fetches uint32  0 with a link, else 1..maxAssembleFetches
+//	  fetch, fetches times
+//	    source uint16  0: this store; k: the k-th source of the table
+//	    path   string  the tensor on that store
+//	    range  region  of it; rank 0: all
+//	    at     region  of the new tensor; rank 0: all
+//
+// Fetches name their source by index, so an address is parsed and
+// checked once per request, not once per range. A request has one
+// encoding: the table lists each source once, in the order the fetches
+// first use them, and none that no fetch uses — which is what lets a
+// test demand that whatever decodes re-encodes to the same bytes.
 
 // AssembleFetch is one range of a tensor being assembled: read Reg (nil
 // for the whole stored tensor) of the tensor at Path on the store at
@@ -99,55 +129,12 @@ var _ Remote = (*Client)(nil)
 // Address implements Addressable.
 func (c *Client) Address() string { return c.Base }
 
-// assembleWire* form the JSON body of POST /assemble; the reply is an
-// AssembleStats document.
-type assembleWireFetch struct {
-	Src   string `json:"src"` // base URL, or "self"
-	Path  string `json:"path"`
-	Range string `json:"range,omitempty"`
-	At    string `json:"at,omitempty"`
-}
-
-type assembleWireItem struct {
-	Path  string              `json:"path"`
-	DType string              `json:"dtype"`
-	Shape []int               `json:"shape"`
-	Link  string              `json:"link,omitempty"`
-	Fetch []assembleWireFetch `json:"fetch,omitempty"`
-}
-
-type assembleWireRequest struct {
-	Items []assembleWireItem `json:"items"`
-}
-
-const assembleSelf = "self"
-
-func regionString(g tensor.Region) string {
-	if g == nil {
-		return ""
-	}
-	return g.String()
-}
-
 // Assemble implements Assembler. Building a tensor overwrites whatever
 // was staged under its path, so the request is idempotent and runs
 // under the retry policy; a peer the store could not reach comes back
 // as a 502, which is retryable like any other server-side failure.
 func (c *Client) Assemble(ctx context.Context, items []AssembleItem) (AssembleStats, error) {
-	wire := assembleWireRequest{Items: make([]assembleWireItem, len(items))}
-	for i, it := range items {
-		wi := assembleWireItem{Path: it.Path, DType: it.DType.String(), Shape: it.Shape, Link: it.Link,
-			Fetch: make([]assembleWireFetch, len(it.Fetch))}
-		for j, f := range it.Fetch {
-			src := f.Source
-			if src == "" {
-				src = assembleSelf
-			}
-			wi.Fetch[j] = assembleWireFetch{Src: src, Path: f.Path, Range: regionString(f.Reg), At: regionString(f.At)}
-		}
-		wire.Items[i] = wi
-	}
-	payload, err := json.Marshal(wire)
+	payload, err := encodeAssembleRequest(items)
 	if err != nil {
 		return AssembleStats{}, fmt.Errorf("store client: assemble: %w", err)
 	}
@@ -167,6 +154,53 @@ func (c *Client) Assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 		return nil
 	})
 	return st, err
+}
+
+// encodeAssembleRequest builds the body of POST /assemble straight from
+// the items: one pass numbers the distinct sources in order of first
+// use, one appends.
+func encodeAssembleRequest(items []AssembleItem) ([]byte, error) {
+	index := map[string]uint16{} // source address -> its place in the table, from 1
+	var sources []string
+	fetches := 0
+	for _, it := range items {
+		fetches += len(it.Fetch)
+		for _, f := range it.Fetch {
+			if _, ok := index[f.Source]; ok || f.Source == "" {
+				continue
+			}
+			if len(sources) == math.MaxUint16 {
+				return nil, fmt.Errorf("more than %d sources", math.MaxUint16)
+			}
+			sources = append(sources, f.Source)
+			index[f.Source] = uint16(len(sources))
+		}
+	}
+	buf := make([]byte, 0, 16+requestBytesPerEntry*(len(sources)+len(items)+fetches))
+	buf = tensor.AppendRequestHeader(buf, tensor.RequestAssemble)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sources)))
+	for _, src := range sources {
+		buf = tensor.AppendString(buf, src)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(items)))
+	for _, it := range items {
+		if len(it.Shape) > maxTensorRank {
+			return nil, fmt.Errorf("%s: rank %d exceeds limit %d", it.Path, len(it.Shape), maxTensorRank)
+		}
+		buf = tensor.AppendString(buf, it.Path)
+		buf = append(buf, uint8(it.DType), uint8(len(it.Shape)))
+		for _, d := range it.Shape {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
+		}
+		buf = tensor.AppendString(buf, it.Link)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it.Fetch)))
+		for _, f := range it.Fetch {
+			buf = binary.LittleEndian.AppendUint16(buf, index[f.Source]) // "" is absent: 0, this store
+			buf = tensor.AppendString(buf, f.Path)
+			buf = tensor.AppendRegion(tensor.AppendRegion(buf, f.Reg), f.At)
+		}
+	}
+	return buf, nil
 }
 
 // Limits of one /assemble request. The body and item caps match /batch;
@@ -228,124 +262,163 @@ func checkedTensorBytes(dt tensor.DType, shape []int) (int64, *requestError) {
 	return n, nil
 }
 
-// parseClosedRegion parses a wire region that must stand on its own:
-// every bound given and well-formed. The empty string is nil, meaning
-// the whole tensor.
-func parseClosedRegion(s string) (tensor.Region, error) {
-	if s == "" {
-		return nil, nil
+// decodeAssembleRequest reads and validates the body of POST /assemble.
+// Everything that can be checked without touching the store is checked
+// here, as the fields arrive, so the handler answers a typed 4xx before
+// it allocates a tensor or dials anything; and what the decoder itself
+// allocates (items, and one arena each for fetches, ranges and shapes)
+// grows with the bytes that have arrived, never with a count declared.
+func decodeAssembleRequest(d *tensor.RequestReader) ([]AssembleItem, *requestError) {
+	d.Header(tensor.RequestAssemble)
+	ns := int(d.Uint16())
+	if err := d.Err(); err != nil {
+		return nil, decodeFailure("assemble", err)
 	}
-	reg, err := tensor.ParseRegion(s, nil)
-	if err != nil {
-		return nil, err
+	if ns > maxAssembleSources {
+		return nil, tooLarge("assemble from more than %d sources", maxAssembleSources)
 	}
-	if len(reg) == 0 {
-		return nil, nil
-	}
-	if len(reg) > maxTensorRank {
-		return nil, fmt.Errorf("region of rank %d exceeds limit %d", len(reg), maxTensorRank)
-	}
-	for _, r := range reg {
-		if !r.Valid() {
-			return nil, fmt.Errorf("bad range %v in %q", r, s)
+	sources := make([]string, 0, ns)
+	for k := 0; k < ns; k++ {
+		src := d.String(maxPathBytes)
+		if err := d.Err(); err != nil {
+			return nil, decodeFailure("assemble", fmt.Errorf("source %d: %w", k, err))
 		}
+		u, err := url.Parse(src)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, badRequest("source %d: %q is not an http(s) URL", k, src)
+		}
+		if slices.Contains(sources, src) {
+			return nil, badRequest("source %d: %q listed twice", k, src)
+		}
+		sources = append(sources, src)
 	}
-	return reg, nil
-}
-
-// decodeAssembleRequest parses and validates the body of POST
-// /assemble. Everything that can be checked without touching the store
-// is checked here, so the handler answers a typed 4xx before it
-// allocates or dials anything.
-func decodeAssembleRequest(body []byte) ([]AssembleItem, error) {
-	var req assembleWireRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, badRequest("bad assemble request: %v", err)
+	n := int(d.Uint32())
+	if err := d.Err(); err != nil {
+		return nil, decodeFailure("assemble", err)
 	}
-	if len(req.Items) == 0 {
+	if n == 0 {
 		return nil, badRequest("empty assemble request")
 	}
-	if len(req.Items) > maxAssembleItems {
-		return nil, tooLarge("assemble of %d items exceeds limit %d", len(req.Items), maxAssembleItems)
+	if n > maxAssembleItems {
+		return nil, tooLarge("assemble of %d items exceeds limit %d", n, maxAssembleItems)
 	}
-	sources := map[string]bool{}
-	items := make([]AssembleItem, len(req.Items))
-	var allocBytes int64
-	for i, wi := range req.Items {
-		if wi.Path == "" {
+	var (
+		items      = make([]AssembleItem, 0, min(n, decodeChunk))
+		fetches    []AssembleFetch
+		ranges     []tensor.Range
+		dims       []int
+		used       int // sources the fetches so far have named: the table is in that order
+		allocBytes int64
+	)
+	for i := 0; i < n; i++ {
+		it := AssembleItem{Path: d.String(maxPathBytes), DType: tensor.DType(d.Uint8())}
+		rank := int(d.Uint8())
+		if rank > maxTensorRank && d.Err() == nil {
+			return nil, badRequest("item %d (%s): rank %d exceeds limit %d", i, it.Path, rank, maxTensorRank)
+		}
+		first := len(dims)
+		for j := 0; j < rank; j++ {
+			dims = append(dims, int(d.Uint64())) // past MaxInt64 reads as negative, and is refused as that
+		}
+		it.Shape = dims[first:len(dims):len(dims)]
+		it.Link = d.String(maxPathBytes)
+		nf := int(d.Uint32())
+		if err := d.Err(); err != nil {
+			return nil, decodeFailure("assemble", fmt.Errorf("item %d: %w", i, err))
+		}
+		if it.Path == "" {
 			return nil, badRequest("item %d: missing path", i)
 		}
-		dt, err := tensor.ParseDType(wi.DType)
-		if err != nil {
-			return nil, badRequest("item %d (%s): %v", i, wi.Path, err)
+		if !it.DType.Valid() {
+			return nil, badRequest("item %d (%s): invalid dtype %d", i, it.Path, it.DType)
 		}
-		total, re := checkedTensorBytes(dt, wi.Shape)
+		total, re := checkedTensorBytes(it.DType, it.Shape)
 		if re != nil {
-			re.msg = fmt.Sprintf("item %d (%s): %s", i, wi.Path, re.msg)
+			re.msg = fmt.Sprintf("item %d (%s): %s", i, it.Path, re.msg)
 			return nil, re
 		}
-		it := AssembleItem{Path: wi.Path, DType: dt, Shape: wi.Shape, Link: wi.Link}
-		if wi.Link != "" {
-			if len(wi.Fetch) > 0 {
-				return nil, badRequest("item %d (%s): both link and fetches", i, wi.Path)
+		if it.Link != "" {
+			if nf > 0 {
+				return nil, badRequest("item %d (%s): both link and fetches", i, it.Path)
 			}
-			items[i] = it
+			items = append(items, it)
 			continue
 		}
-		if len(wi.Fetch) == 0 {
-			return nil, badRequest("item %d (%s): neither link nor fetches", i, wi.Path)
+		if nf == 0 {
+			return nil, badRequest("item %d (%s): neither link nor fetches", i, it.Path)
 		}
-		if len(wi.Fetch) > maxAssembleFetches {
-			return nil, tooLarge("item %d (%s): %d fetches exceed limit %d", i, wi.Path, len(wi.Fetch), maxAssembleFetches)
+		if nf > maxAssembleFetches {
+			return nil, tooLarge("item %d (%s): %d fetches exceed limit %d", i, it.Path, nf, maxAssembleFetches)
 		}
 		if allocBytes += total; allocBytes > maxAssembleBytes {
 			return nil, tooLarge("assemble of more than %d bytes in all (reached at item %d)", int64(maxAssembleBytes), i)
 		}
-		it.Fetch = make([]AssembleFetch, len(wi.Fetch))
+		first = len(fetches)
 		var covered int64
-		for j, wf := range wi.Fetch {
-			if wf.Path == "" {
-				return nil, badRequest("item %d (%s) fetch %d: missing path", i, wi.Path, j)
+		for j := 0; j < nf; j++ {
+			k := int(d.Uint16())
+			f := AssembleFetch{Path: d.String(maxPathBytes), Reg: d.Region(&ranges), At: d.Region(&ranges)}
+			if err := d.Err(); err != nil {
+				return nil, decodeFailure("assemble", fmt.Errorf("item %d fetch %d: %w", i, j, err))
 			}
-			f := AssembleFetch{Path: wf.Path}
-			if wf.Src != assembleSelf {
-				u, err := url.Parse(wf.Src)
-				if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-					return nil, badRequest("item %d (%s) fetch %d: source %q is not an http(s) URL", i, wi.Path, j, wf.Src)
-				}
-				f.Source = wf.Src
-				if !sources[wf.Src] {
-					if len(sources) == maxAssembleSources {
-						return nil, tooLarge("assemble from more than %d sources", maxAssembleSources)
-					}
-					sources[wf.Src] = true
-				}
+			switch {
+			case k == 0: // this store
+			case k <= used:
+				f.Source = sources[k-1]
+			case k == used+1 && k <= len(sources):
+				f.Source = sources[k-1]
+				used++
+			default:
+				return nil, badRequest("item %d (%s) fetch %d: source %d of %d, after %d in use: sources are numbered in order of first use",
+					i, it.Path, j, k, len(sources), used)
 			}
-			if f.Reg, err = parseClosedRegion(wf.Range); err != nil {
-				return nil, badRequest("item %d (%s) fetch %d: range: %v", i, wi.Path, j, err)
-			}
-			if f.At, err = parseClosedRegion(wf.At); err != nil {
-				return nil, badRequest("item %d (%s) fetch %d: at: %v", i, wi.Path, j, err)
+			if f.Path == "" {
+				return nil, badRequest("item %d (%s) fetch %d: missing path", i, it.Path, j)
 			}
 			n := total
 			if f.At != nil {
-				if !f.At.Valid(wi.Shape) {
-					return nil, badRequest("item %d (%s) fetch %d: at %v out of bounds for shape %v", i, wi.Path, j, f.At, wi.Shape)
+				if !f.At.Valid(it.Shape) {
+					return nil, badRequest("item %d (%s) fetch %d: at %v out of bounds for shape %v", i, it.Path, j, f.At, it.Shape)
 				}
-				n = f.At.NumBytes(dt)
+				n = f.At.NumBytes(it.DType)
 			}
-			if f.Reg != nil && f.Reg.NumBytes(dt) != n {
-				return nil, badRequest("item %d (%s) fetch %d: range %v does not fill target %v", i, wi.Path, j, f.Reg, f.At)
+			if f.Reg != nil && !fills(f.Reg, f.At, it.Shape) {
+				return nil, badRequest("item %d (%s) fetch %d: range %v does not fill target %v", i, it.Path, j, f.Reg, f.At)
 			}
 			covered += n
-			it.Fetch[j] = f
+			fetches = append(fetches, f)
 		}
 		if covered < total {
-			return nil, badRequest("item %d (%s): fetches cover %d of %d bytes", i, wi.Path, covered, total)
+			return nil, badRequest("item %d (%s): fetches cover %d of %d bytes", i, it.Path, covered, total)
 		}
-		items[i] = it
+		it.Fetch = fetches[first:len(fetches):len(fetches)]
+		items = append(items, it)
+	}
+	if d.End(); d.Err() != nil {
+		return nil, decodeFailure("assemble", d.Err())
+	}
+	if used < len(sources) {
+		return nil, badRequest("%d of %d sources are used by no fetch", len(sources)-used, len(sources))
 	}
 	return items, nil
+}
+
+// fills reports whether a source range has the shape of its target: the
+// region at of a tensor of the given shape, all of it when at is nil.
+// Comparing dimension by dimension multiplies nothing untrusted.
+func fills(reg, at tensor.Region, shape []int) bool {
+	if at != nil {
+		return reg.SameShape(at)
+	}
+	if len(reg) != len(shape) {
+		return false
+	}
+	for i, r := range reg {
+		if r.Len() != shape[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
@@ -353,27 +426,18 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "assemble is POST")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAssembleRequestBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge, "assemble request exceeds %d bytes", mbe.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, release := boundedBody(w, r, maxAssembleRequestBytes)
+	items, re := decodeAssembleRequest(body)
+	release()
+	if re != nil {
+		httpError(w, re.code, "%s", re.msg)
 		return
 	}
-	items, err := decodeAssembleRequest(body)
-	if err == nil {
-		var st AssembleStats
-		if st, err = s.assemble(r.Context(), items); err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(st)
-			return
-		}
-	}
-	var re *requestError
+	st, err := s.assemble(r.Context(), items)
 	switch {
+	case err == nil:
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(st)
 	case errors.As(err, &re):
 		httpError(w, re.code, "%s", re.msg)
 	case retryable(err):
@@ -399,7 +463,7 @@ func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 			if err != nil {
 				return st, &requestError{code: http.StatusNotFound, msg: fmt.Sprintf("item %d (%s): link: %v", i, it.Path, err)}
 			}
-			if t.DType() != it.DType || !tensor.ShapeEqual(t.Shape(), it.Shape) {
+			if t.DType() != it.DType || !t.HasShape(it.Shape) {
 				return st, &requestError{code: http.StatusConflict, msg: fmt.Sprintf("item %d (%s): link %s holds %v, want %s %v",
 					i, it.Path, it.Link, t, it.DType, it.Shape)}
 			}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -91,39 +92,127 @@ func TestAssembleFromPeersSelfAndLink(t *testing.T) {
 	}
 }
 
+// rawFetch and rawItem are an /assemble request as the wire has it, with
+// nothing checked: the tests' own encoder (rawAssemble) writes the layout
+// out a second time, independent of the client's, and can say what the
+// client's never would.
+type rawFetch struct {
+	src     uint16
+	path    string
+	reg, at []byte // encoded regions; nil: rank 0
+}
+
+type rawItem struct {
+	path    string
+	dtype   tensor.DType
+	shape   []uint64
+	link    string
+	fetch   []rawFetch
+	fetches uint32 // declared count when fetch is empty
+}
+
+func rawAssemble(sources []string, items ...rawItem) []byte {
+	buf := tensor.AppendRequestHeader(nil, tensor.RequestAssemble)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sources)))
+	for _, src := range sources {
+		buf = tensor.AppendString(buf, src)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(items)))
+	for _, it := range items {
+		buf = tensor.AppendString(buf, it.path)
+		buf = append(buf, uint8(it.dtype), uint8(len(it.shape)))
+		for _, d := range it.shape {
+			buf = binary.LittleEndian.AppendUint64(buf, d)
+		}
+		buf = tensor.AppendString(buf, it.link)
+		if len(it.fetch) > 0 {
+			it.fetches = uint32(len(it.fetch))
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, it.fetches)
+		for _, f := range it.fetch {
+			buf = binary.LittleEndian.AppendUint16(buf, f.src)
+			buf = tensor.AppendString(buf, f.path)
+			for _, reg := range [][]byte{f.reg, f.at} {
+				if reg == nil {
+					reg = rawRegion()
+				}
+				buf = append(buf, reg...)
+			}
+		}
+	}
+	return buf
+}
+
+// linked is a well-formed item that links; one builds one that fetches
+// a float32 vector of n elements.
+func linked(shape ...uint64) rawItem {
+	return rawItem{path: "/x", dtype: tensor.Float32, shape: shape, link: "/a"}
+}
+
+func fetching(n uint64, fetch ...rawFetch) rawItem {
+	return rawItem{path: "/x", dtype: tensor.Float32, shape: []uint64{n}, fetch: fetch}
+}
+
+var peers = []string{"http://10.0.0.1:7070", "http://10.0.0.2:7070"}
+
 // malformedAssemble lists request bodies the decoder must refuse, with
 // the status it answers; the fuzz target starts from them.
 var malformedAssemble = []struct {
-	name, body string
-	code       int
+	name string
+	body []byte
+	code int
 }{
-	{"not json", `{"items":`, 400},
-	{"empty", `{"items":[]}`, 400},
-	{"no path", `{"items":[{"dtype":"float32","shape":[2],"link":"/a"}]}`, 400},
-	{"bad dtype", `{"items":[{"path":"/x","dtype":"complex","shape":[2],"link":"/a"}]}`, 400},
-	{"zero dim", `{"items":[{"path":"/x","dtype":"float32","shape":[2,0],"link":"/a"}]}`, 400},
-	{"negative dim", `{"items":[{"path":"/x","dtype":"float32","shape":[-4],"link":"/a"}]}`, 400},
-	{"rank", `{"items":[{"path":"/x","dtype":"float32","shape":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"link":"/a"}]}`, 400},
-	{"huge tensor", `{"items":[{"path":"/x","dtype":"float32","shape":[65536,65536],"link":"/a"}]}`, 413},
-	{"overflowing shape", `{"items":[{"path":"/x","dtype":"float64","shape":[4294967296,4294967296,4294967296],"link":"/a"}]}`, 413},
-	{"link and fetch", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"link":"/a","fetch":[{"src":"self","path":"/a"}]}]}`, 400},
-	{"neither", `{"items":[{"path":"/x","dtype":"float32","shape":[2]}]}`, 400},
-	{"file scheme", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"file:///etc/passwd","path":"/a"}]}]}`, 400},
-	{"no scheme", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"127.0.0.1:7070","path":"/a"}]}]}`, 400},
-	{"no host", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"http://","path":"/a"}]}]}`, 400},
-	{"fetch without path", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"self"}]}]}`, 400},
-	{"open range", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"self","path":"/a","range":"[:]"}]}]}`, 400},
-	{"inverted range", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"self","path":"/a","range":"[2:0]"}]}]}`, 400},
-	{"at out of bounds", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"self","path":"/a","at":"[0:3]"}]}]}`, 400},
-	{"at rank", `{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[{"src":"self","path":"/a","at":"[0:1,0:1]"}]}]}`, 400},
-	{"range does not fill at", `{"items":[{"path":"/x","dtype":"float32","shape":[4],"fetch":[{"src":"self","path":"/a","range":"[0:3]","at":"[0:4]"}]}]}`, 400},
-	{"hole", `{"items":[{"path":"/x","dtype":"float32","shape":[4],"fetch":[{"src":"self","path":"/a","at":"[0:2]"}]}]}`, 400},
+	{"no body", nil, 400},
+	{"json", []byte(`{"items":[]}`), 400},
+	{"batch header", cat(tensor.AppendRequestHeader(nil, tensor.RequestBatch), rawAssemble(nil, linked(2))[8:]), 400},
+	{"header only", tensor.AppendRequestHeader(nil, tensor.RequestAssemble), 400},
+	{"empty", rawAssemble(nil), 400},
+	{"fewer items than declared", rawAssemble(nil, linked(2))[:20], 400},
+	{"one trailing byte", append(rawAssemble(nil, linked(2)), 0), 400},
+	{"no path", rawAssemble(nil, rawItem{dtype: tensor.Float32, shape: []uint64{2}, link: "/a"}), 400},
+	{"dtype 0", rawAssemble(nil, rawItem{path: "/x", shape: []uint64{2}, link: "/a"}), 400},
+	{"unknown dtype", rawAssemble(nil, rawItem{path: "/x", dtype: 99, shape: []uint64{2}, link: "/a"}), 400},
+	{"zero dim", rawAssemble(nil, linked(2, 0)), 400},
+	{"negative dim", rawAssemble(nil, linked(1<<64-4)), 400},
+	{"rank", rawAssemble(nil, linked(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)), 400},
+	{"huge tensor", rawAssemble(nil, linked(65536, 65536)), 413},
+	{"overflowing shape", rawAssemble(nil, rawItem{path: "/x", dtype: tensor.Float64, shape: []uint64{1 << 32, 1 << 32, 1 << 32}, link: "/a"}), 413},
+	{"link and fetch", rawAssemble(nil, rawItem{path: "/x", dtype: tensor.Float32, shape: []uint64{2}, link: "/a", fetch: []rawFetch{{path: "/a"}}}), 400},
+	{"neither", rawAssemble(nil, fetching(2)), 400},
+	{"file scheme", rawAssemble([]string{"file:///etc/passwd"}, fetching(2, rawFetch{src: 1, path: "/a"})), 400},
+	{"no scheme", rawAssemble([]string{"127.0.0.1:7070"}, fetching(2, rawFetch{src: 1, path: "/a"})), 400},
+	{"no host", rawAssemble([]string{"http://"}, fetching(2, rawFetch{src: 1, path: "/a"})), 400},
+	{"source listed twice", rawAssemble([]string{peers[0], peers[0]}, fetching(2, rawFetch{src: 1, path: "/a", at: rawRegion(0, 1)}, rawFetch{src: 2, path: "/a", at: rawRegion(1, 2)})), 400},
+	{"source past the table", rawAssemble(peers[:1], fetching(2, rawFetch{src: 2, path: "/a"})), 400},
+	{"sources out of order", rawAssemble(peers, fetching(2, rawFetch{src: 2, path: "/a", at: rawRegion(0, 1)}, rawFetch{src: 1, path: "/a", at: rawRegion(1, 2)})), 400},
+	{"unused source", rawAssemble(peers, fetching(2, rawFetch{src: 1, path: "/a"})), 400},
+	{"fetch without path", rawAssemble(nil, fetching(2, rawFetch{})), 400},
+	{"empty range", rawAssemble(nil, fetching(2, rawFetch{path: "/a", reg: rawRegion(1, 1)})), 400},
+	{"inverted range", rawAssemble(nil, fetching(2, rawFetch{path: "/a", reg: rawRegion(2, 0)})), 400},
+	{"range past MaxInt64", rawAssemble(nil, fetching(2, rawFetch{path: "/a", reg: rawRegion(0, 1<<63)})), 400},
+	{"at out of bounds", rawAssemble(nil, fetching(2, rawFetch{path: "/a", at: rawRegion(0, 3)})), 400},
+	{"at rank", rawAssemble(nil, fetching(2, rawFetch{path: "/a", at: rawRegion(0, 1, 0, 1)})), 400},
+	{"range does not fill at", rawAssemble(nil, fetching(4, rawFetch{path: "/a", reg: rawRegion(0, 3), at: rawRegion(0, 4)})), 400},
+	{"range does not fill the tensor", rawAssemble(nil, fetching(4, rawFetch{path: "/a", reg: rawRegion(0, 2, 0, 2)})), 400},
+	{"hole", rawAssemble(nil, fetching(4, rawFetch{path: "/a", at: rawRegion(0, 2)})), 400},
+	// The caps on what one request may list, refused at the declaration.
+	{"too many sources", binary.LittleEndian.AppendUint16(tensor.AppendRequestHeader(nil, tensor.RequestAssemble), maxAssembleSources+1), 413},
+	{"too many items", binary.LittleEndian.AppendUint32(rawAssemble(nil)[:10], maxAssembleItems+1), 413},
+	{"too many fetches", rawAssemble(nil, rawItem{path: "/x", dtype: tensor.Float32, shape: []uint64{2}, fetches: maxAssembleFetches + 1}), 413},
+}
+
+// decodeAssembleBytes runs the /assemble request decoder over a body
+// held in memory.
+func decodeAssembleBytes(body []byte) ([]AssembleItem, *requestError) {
+	d := tensor.NewRequestReader()
+	d.Reset(bytes.NewReader(body))
+	return decodeAssembleRequest(d)
 }
 
 func TestAssembleRejectsMalformedRequests(t *testing.T) {
 	d := newAssembleNode(t, nil)
-	post := func(body string) (int, string) {
-		resp, err := d.hs.Client().Post(d.hs.URL+"/assemble", "application/json", strings.NewReader(body))
+	post := func(body []byte) (int, string) {
+		resp, err := d.hs.Client().Post(d.hs.URL+"/assemble", "application/x-tenplex-request", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,31 +226,29 @@ func TestAssembleRejectsMalformedRequests(t *testing.T) {
 			t.Errorf("%s: status %d (%s), want %d", c.name, code, strings.TrimSpace(msg), c.code)
 		}
 	}
-	// The caps on what one request may list.
-	many := func(n int, one string) string { return strings.TrimSuffix(strings.Repeat(one+",", n), ",") }
-	link := `{"path":"/x","dtype":"float32","shape":[2],"link":"/a"}`
-	if code, _ := post(`{"items":[` + many(maxAssembleItems+1, link) + `]}`); code != 413 {
-		t.Errorf("too many items: status %d, want 413", code)
-	}
-	fetch := `{"src":"self","path":"/a","at":"[0:1]"}`
-	if code, _ := post(`{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[` + many(maxAssembleFetches+1, fetch) + `]}]}`); code != 413 {
-		t.Errorf("too many fetches: status %d, want 413", code)
-	}
-	var srcs []string
-	for i := 0; i <= maxAssembleSources; i++ {
-		srcs = append(srcs, fmt.Sprintf(`{"src":"http://10.0.%d.%d:7070","path":"/a","at":"[0:1]"}`, i/256, i%256))
-	}
-	if code, _ := post(`{"items":[{"path":"/x","dtype":"float32","shape":[2],"fetch":[` + strings.Join(srcs, ",") + `]}]}`); code != 413 {
-		t.Errorf("too many sources: status %d, want 413", code)
-	}
 	// Each tensor under the per-tensor cap, their sum over the request's:
 	// refused before the first of them is allocated.
-	big := `{"path":"/x","dtype":"float32","shape":[32768,32768],"fetch":[{"src":"http://10.0.0.1:7070","path":"/a"}]}`
-	if code, msg := post(`{"items":[` + many(maxAssembleBytes/maxTensorBytes+1, big) + `]}`); code != 413 || !strings.Contains(msg, "in all") {
+	big := rawItem{path: "/x", dtype: tensor.Float32, shape: []uint64{32768, 32768}, fetch: []rawFetch{{src: 1, path: "/a"}}}
+	bigs := make([]rawItem, maxAssembleBytes/maxTensorBytes+1)
+	for i := range bigs {
+		bigs[i] = big
+	}
+	if code, msg := post(rawAssemble(peers[:1], bigs...)); code != 413 || !strings.Contains(msg, "in all") {
 		t.Errorf("items summing past the total cap: status %d (%s), want 413", code, strings.TrimSpace(msg))
 	}
-	if code, _ := post(`{"items":[],"pad":"` + strings.Repeat("x", maxAssembleRequestBytes) + `"}`); code != 413 {
-		t.Errorf("oversized body: status %d, want 413", code)
+	// A body over the limit is refused as that, by name: every item of
+	// it is well-formed, so only the limit stops the decoder.
+	long := rawItem{path: "/" + strings.Repeat("x", 400), dtype: tensor.Float32, shape: []uint64{2}, link: "/a"}
+	longs := make([]rawItem, maxAssembleItems)
+	for i := range longs {
+		longs[i] = long
+	}
+	body := rawAssemble(nil, longs...)
+	if len(body) <= maxAssembleRequestBytes {
+		t.Fatalf("oversized body is only %d bytes", len(body))
+	}
+	if code, msg := post(body); code != 413 || !strings.Contains(msg, fmt.Sprint(maxAssembleRequestBytes)) {
+		t.Errorf("oversized body: status %d (%s), want 413 naming the limit", code, strings.TrimSpace(msg))
 	}
 	resp, err := d.hs.Client().Get(d.hs.URL + "/assemble")
 	if err != nil {
@@ -173,6 +260,26 @@ func TestAssembleRejectsMalformedRequests(t *testing.T) {
 	}
 	if names, _ := d.srv.FS.List("/"); len(names) != 0 {
 		t.Fatalf("refused requests left %v in the store", names)
+	}
+}
+
+// As for /batch: a declared count sizes nothing.
+func TestAssembleDecoderDoesNotAllocateFromDeclaredSizes(t *testing.T) {
+	head := rawAssemble(nil)[:10:10] // header, no sources; capped, so every append below copies
+	for name, body := range map[string][]byte{
+		"2^32-1 items":           binary.LittleEndian.AppendUint32(head, 1<<32-1),
+		"the most items":         binary.LittleEndian.AppendUint32(head, maxAssembleItems),
+		"the most fetches":       rawAssemble(nil, rawItem{path: "/x", dtype: tensor.Float32, shape: []uint64{2}, fetches: maxAssembleFetches}),
+		"a path of 2^32-1 bytes": cat(binary.LittleEndian.AppendUint32(head, 1), binary.LittleEndian.AppendUint32(nil, 1<<32-1), []byte("/x")),
+		"the most sources":       binary.LittleEndian.AppendUint16(head[:8:8], maxAssembleSources),
+	} {
+		var re *requestError
+		if n := allocatedBy(func() { _, re = decodeAssembleBytes(body) }); n > 1<<20 {
+			t.Errorf("%s: decoder allocated %d bytes before failing", name, n)
+		}
+		if re == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -297,22 +404,37 @@ func TestUploadCapsDeclaredSizeOfChunkedBody(t *testing.T) {
 
 func FuzzAssembleRequest(f *testing.F) {
 	for _, c := range malformedAssemble {
-		f.Add([]byte(c.body))
+		f.Add(c.body)
 	}
-	f.Add([]byte(`{"items":[{"path":"/n","dtype":"float32","shape":[4,4],"fetch":[{"src":"self","path":"/t","range":"[0:2,0:4]","at":"[0:2,0:4]"},{"src":"http://127.0.0.1:1","path":"/t","at":"[2:4,0:4]"}]},{"path":"/k","dtype":"float32","shape":[4,4],"link":"/t"}]}`))
+	whole, err := encodeAssembleRequest([]AssembleItem{
+		{Path: "/n", DType: tensor.Float32, Shape: []int{4, 4}, Fetch: []AssembleFetch{
+			{Path: "/t", Reg: rows(0, 2, 4), At: rows(0, 2, 4)},
+			{Source: "http://127.0.0.1:1", Path: "/t", At: rows(2, 4, 4)}}},
+		{Path: "/k", DType: tensor.Float32, Shape: []int{4, 4}, Link: "/t"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
 	srv := NewServer(NewMemFS())
 	if err := srv.FS.PutTensor("/t", seqTensor(4, 4)); err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		items, err := decodeAssembleRequest(body)
-		if err != nil {
-			var re *requestError
-			if !errors.As(err, &re) || re.code/100 != 4 {
-				t.Fatalf("decoder failed with %v, want a 4xx requestError", err)
+		items, re := decodeAssembleBytes(body)
+		if re != nil {
+			if re.code/100 != 4 {
+				t.Fatalf("decoder failed with %d (%s), want a 4xx", re.code, re.msg)
 			}
 			return
 		}
+		again, err := encodeAssembleRequest(items)
+		if err != nil {
+			t.Fatalf("accepted request does not encode: %v", err)
+		}
+		checkDecodedBody(t, body, again, func(b []byte) bool {
+			_, re := decodeAssembleBytes(b)
+			return re == nil
+		})
 		if len(items) == 0 || len(items) > maxAssembleItems {
 			t.Fatalf("decoder let %d items through", len(items))
 		}

@@ -1,27 +1,45 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
+	"sync"
 	"time"
 
 	"tenplex/internal/tensor"
 )
 
-// Multi-range batch protocol. One POST /batch carries a JSON list of
+// Multi-range batch protocol. One POST /batch carries a binary list of
 // (path, range) entries; the server coalesces adjacent ranges per
 // stored tensor and streams back a single length-prefixed binary frame
 // sequence (tensor/frame.go), which the client scatter-writes
 // frame-by-frame straight into the destination buffers. Compared with
 // one GET /query per plan range, a reconfiguration's whole fetch set
 // from a source device costs one round trip and one response body.
+//
+// The request body, in the pieces tensor/frame.go defines:
+//
+//	request header, kind RequestBatch
+//	count   uint32  entries, 1..maxBatchEntries
+//	entry, count times
+//	  path  string  the stored tensor
+//	  range region  rank 0: all of it
+//
+// Neither end pays per entry or per frame beyond the bytes themselves:
+// the client appends the request straight from its []BatchEntry, the
+// server decodes it off the socket into two slices (entries, and one
+// arena for every range), frame headers and checksums are written into
+// and parsed out of buffers that outlive the frame, and the CRC runs
+// over each slice as it is written or filled.
 
 // BatchEntry is one range of the batch: read Reg (nil for the whole
 // stored tensor) of the tensor at Path into the sub-region At of Dst
@@ -76,17 +94,18 @@ func (e *ChecksumError) Error() string {
 // Castagnoli polynomial is hardware-accelerated on amd64 and arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// batchWireEntry / batchWireRequest form the JSON body of POST /batch.
-type batchWireEntry struct {
-	Path  string `json:"path"`
-	Range string `json:"range,omitempty"`
-}
-
-type batchWireRequest struct {
-	Entries []batchWireEntry `json:"entries"`
-}
-
 var _ BatchQuerier = (*Client)(nil)
+
+// fullRegion appends the region covering all of t to *arena and returns
+// it as a slice of the arena: what tensor.FullRegion(t.Shape()) says,
+// without its two allocations per call.
+func fullRegion(arena *[]tensor.Range, t *tensor.Tensor) tensor.Region {
+	start := len(*arena)
+	for d := 0; d < t.Rank(); d++ {
+		*arena = append(*arena, tensor.Range{Lo: 0, Hi: t.Dim(d)})
+	}
+	return tensor.Region((*arena)[start:len(*arena):len(*arena)])
+}
 
 // BatchQueryInto implements BatchQuerier: all entries in one POST, the
 // response scatter-written frame-by-frame into the destination buffers.
@@ -101,15 +120,16 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 	}
 	ats := make([]tensor.Region, len(entries))
 	sizes := make([]int64, len(entries))
+	var full []tensor.Range // the regions of entries that name none
 	for i, e := range entries {
 		if e.Dst == nil {
 			return st, fmt.Errorf("store client: batch entry %d (%s): nil destination", i, e.Path)
 		}
 		at := e.At
 		if at == nil {
-			at = tensor.FullRegion(e.Dst.Shape())
+			at = fullRegion(&full, e.Dst)
 		}
-		if e.Reg != nil && !tensor.ShapeEqual(e.Reg.Shape(), at.Shape()) {
+		if e.Reg != nil && !e.Reg.SameShape(at) {
 			return st, fmt.Errorf("store client: batch entry %d (%s): source region %v != destination region %v",
 				i, e.Path, e.Reg, at)
 		}
@@ -155,6 +175,63 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 	return st, lastErr
 }
 
+// requestBytesPerEntry sizes a request buffer before it is filled: a
+// store path, its length and one rank-2 region come to about this much.
+// A guess that is short costs an append's regrowth, nothing else.
+const requestBytesPerEntry = 96
+
+// frameReader reads one batch response. It is the one allocation of an
+// attempt's frame loop: headers and trailers are read into hdr, and Read
+// — through which tensor.WriteRegion fills the destination slices —
+// folds every payload byte into sum as it lands.
+type frameReader struct {
+	r   io.Reader
+	sum uint32
+	hdr [tensor.FrameHeaderSize]byte
+}
+
+func (f *frameReader) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	f.sum = crc32.Update(f.sum, castagnoli, p[:n])
+	return n, err
+}
+
+// fixed reads the n bytes of a frame header or trailer, bypassing the
+// checksum. A stream cut here died mid-response: ErrUnexpectedEOF.
+func (f *frameReader) fixed(n int, what string) ([]byte, error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:n]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("store client: batch: %s: %w", what, err)
+	}
+	return f.hdr[:n], nil
+}
+
+// next reads the next frame's header and starts its checksum.
+func (f *frameReader) next() (tensor.FrameHeader, error) {
+	b, err := f.fixed(tensor.FrameHeaderSize, "frame header")
+	if err != nil {
+		return tensor.FrameHeader{}, err
+	}
+	h, err := tensor.ParseFrameHeader(b)
+	if err != nil {
+		return h, fmt.Errorf("store client: batch: %w", err)
+	}
+	f.sum = 0
+	return h, nil
+}
+
+// trailer reads the checksum the sender computed over the frame's
+// payload; the receiver's own is sum.
+func (f *frameReader) trailer() (uint32, error) {
+	b, err := f.fixed(tensor.FrameCRCSize, "crc trailer")
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
 // batchAttempt issues one POST /batch for the not-yet-received entries
 // and scatters the response. Entries are marked received only after
 // their frame's checksum verifies, so a corrupt frame is re-requested
@@ -162,21 +239,14 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []tensor.Region,
 	sizes []int64, done []bool, remaining *int, st *BatchStats) error {
 	sub := make([]int, 0, *remaining)
-	wire := batchWireRequest{Entries: make([]batchWireEntry, 0, *remaining)}
+	payload := tensor.AppendRequestHeader(make([]byte, 0, 16+requestBytesPerEntry**remaining), tensor.RequestBatch)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(*remaining))
 	for i, e := range entries {
 		if done[i] {
 			continue
 		}
 		sub = append(sub, i)
-		we := batchWireEntry{Path: e.Path}
-		if e.Reg != nil {
-			we.Range = e.Reg.String()
-		}
-		wire.Entries = append(wire.Entries, we)
-	}
-	payload, err := json.Marshal(wire)
-	if err != nil {
-		return fmt.Errorf("store client: batch: %w", err)
+		payload = tensor.AppendRegion(tensor.AppendString(payload, e.Path), e.Reg)
 	}
 	resp, cancel, err := c.doStream(ctx, http.MethodPost, "/batch", url.Values{},
 		bytes.NewReader(payload), int64(len(payload)))
@@ -192,10 +262,11 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 	if flags&tensor.FrameFlagCRC == 0 {
 		return fmt.Errorf("store client: batch: frame stream without checksums (flags %#x)", flags)
 	}
+	fr := &frameReader{r: resp.Body}
 	for {
-		h, err := tensor.DecodeFrameHeaderFrom(resp.Body)
+		h, err := fr.next()
 		if err != nil {
-			return fmt.Errorf("store client: batch: %w", err)
+			return err
 		}
 		if h.End() {
 			break
@@ -212,23 +283,20 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 			return fmt.Errorf("store client: batch: frame for %s declares %d bytes, entries total %d",
 				entries[sub[lo]].Path, h.Length, want)
 		}
-		sum := crc32.New(castagnoli)
-		body := io.TeeReader(resp.Body, sum)
+		// WriteRegion reads exactly the region's bytes, a contiguous one
+		// in a single read into the destination slice itself.
 		for j := lo; j < hi; j++ {
 			i := sub[j]
-			if _, err := entries[i].Dst.WriteRegion(ats[i], io.LimitReader(body, sizes[i])); err != nil {
+			if _, err := entries[i].Dst.WriteRegion(ats[i], fr); err != nil {
 				return fmt.Errorf("store client: batch %s: %w", entries[i].Path, err)
 			}
 		}
-		var tr [tensor.FrameCRCSize]byte
-		if _, err := io.ReadFull(resp.Body, tr[:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("store client: batch: crc trailer: %w", err)
+		declared, err := fr.trailer()
+		if err != nil {
+			return err
 		}
-		if declared := binary.LittleEndian.Uint32(tr[:]); declared != sum.Sum32() {
-			return &ChecksumError{Path: entries[sub[lo]].Path, Declared: declared, Computed: sum.Sum32()}
+		if declared != fr.sum {
+			return &ChecksumError{Path: entries[sub[lo]].Path, Declared: declared, Computed: fr.sum}
 		}
 		for j := lo; j < hi; j++ {
 			done[sub[j]] = true
@@ -244,13 +312,92 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 	return nil
 }
 
-// maxBatchEntries bounds one batch request; maxBatchRequestBytes bounds
-// its JSON body. Both are far above what a reconfiguration plan emits
-// per (device, source) pair.
+// Limits of one /batch request, all far above what a reconfiguration
+// plan emits per (device, source) pair. maxPathBytes bounds every store
+// path a binary request names (/assemble's too): the decoder allocates a
+// path from its declared length, so that length has a cap of its own.
 const (
 	maxBatchEntries      = 1 << 16
 	maxBatchRequestBytes = 16 << 20
+	maxPathBytes         = 4 << 10
+
+	// decodeChunk is the most records a request decoder makes room for
+	// before any of them has arrived; a request that really carries more
+	// grows its slices as the bytes come in.
+	decodeChunk = 1 << 10
+
+	// responseBufferSize is the pooled buffer between handleBatch and
+	// net/http, whose own is 4 KiB (one write per 4 KiB of small frames).
+	// EXPERIMENTS.md ("Binary requests, ...") has the sizes tried.
+	responseBufferSize = 256 << 10
 )
+
+// requestReaders and responseWriters pool the two buffers of a binary
+// request's handler; both are back in their pool before it returns.
+var (
+	requestReaders  = sync.Pool{New: func() any { return tensor.NewRequestReader() }}
+	responseWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, responseBufferSize) }}
+)
+
+// boundedBody returns a pooled reader over the request's body that
+// fails with *http.MaxBytesError once limit bytes have been read;
+// release hands it back. One helper bounds /batch and /assemble alike.
+func boundedBody(w http.ResponseWriter, r *http.Request, limit int64) (d *tensor.RequestReader, release func()) {
+	d = requestReaders.Get().(*tensor.RequestReader)
+	d.Reset(http.MaxBytesReader(w, r.Body, limit))
+	return d, func() {
+		d.Reset(nil)
+		requestReaders.Put(d)
+	}
+}
+
+// decodeFailure types what a RequestReader reported about a body: over
+// the limit is a 413 that names it, anything else a 400.
+func decodeFailure(what string, err error) *requestError {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return tooLarge("%s request exceeds %d bytes", what, mbe.Limit)
+	}
+	return badRequest("bad %s request: %v", what, err)
+}
+
+// batchRequestEntry is one decoded entry of a /batch request; the
+// handler resolves t.
+type batchRequestEntry struct {
+	path string
+	reg  tensor.Region
+	t    *tensor.Tensor
+}
+
+// decodeBatchRequest reads the body of POST /batch. The declared count
+// sizes nothing until it has passed its cap, and then only decodeChunk
+// entries' worth.
+func decodeBatchRequest(d *tensor.RequestReader) ([]batchRequestEntry, *requestError) {
+	d.Header(tensor.RequestBatch)
+	n := int(d.Uint32())
+	if err := d.Err(); err != nil {
+		return nil, decodeFailure("batch", err)
+	}
+	if n == 0 {
+		return nil, badRequest("empty batch")
+	}
+	if n > maxBatchEntries {
+		return nil, badRequest("batch of %d entries exceeds limit %d", n, maxBatchEntries)
+	}
+	entries := make([]batchRequestEntry, 0, min(n, decodeChunk))
+	var ranges []tensor.Range
+	for i := 0; i < n; i++ {
+		e := batchRequestEntry{path: d.String(maxPathBytes), reg: d.Region(&ranges)}
+		if err := d.Err(); err != nil {
+			return nil, decodeFailure("batch", fmt.Errorf("entry %d: %w", i, err))
+		}
+		entries = append(entries, e)
+	}
+	if d.End(); d.Err() != nil {
+		return nil, decodeFailure("batch", d.Err())
+	}
+	return entries, nil
+}
 
 // batchFrame is one coalesced run of response entries: count entries
 // starting at start, whose union region of t streams as one payload.
@@ -261,112 +408,134 @@ type batchFrame struct {
 	bytes        int64
 }
 
+// frameWriter writes the frames of one batch response, and is the one
+// allocation of the server's frame loop: headers and trailers are
+// appended into the response buffer's own free space, and Write —
+// through which a tensor.View streams its payload, run by run, out of
+// the stored buffer — folds every byte into sum on its way out. Small
+// runs collect in the buffer; a run of directWriteSize or more goes to
+// the connection as it lies in the stored tensor, after what was
+// buffered before it, so large state is not copied a second time to
+// save a system call it would not have noticed. A write error sticks to
+// w and surfaces at the next payload or at Flush.
+type frameWriter struct {
+	w   *bufio.Writer
+	out io.Writer // what w writes to
+	sum uint32
+}
+
+// directWriteSize: see frameWriter.
+const directWriteSize = 32 << 10
+
+// Write sends first and sums after: while this end checksums a large
+// run the other end is already receiving it.
+func (f *frameWriter) Write(p []byte) (n int, err error) {
+	if len(p) < directWriteSize {
+		n, err = f.w.Write(p)
+	} else if err = f.w.Flush(); err == nil {
+		n, err = f.out.Write(p)
+	}
+	f.sum = crc32.Update(f.sum, castagnoli, p[:n])
+	return n, err
+}
+
+// frame writes one frame: header, the view's payload, CRC32C trailer.
+// It returns the payload bytes written.
+func (f *frameWriter) frame(h tensor.FrameHeader, v tensor.View) (int64, error) {
+	_, _ = f.w.Write(tensor.AppendFrameHeader(f.w.AvailableBuffer(), h))
+	f.sum = 0
+	n, err := v.WriteTo(f)
+	if err != nil {
+		return n, err
+	}
+	_, err = f.w.Write(binary.LittleEndian.AppendUint32(f.w.AvailableBuffer(), f.sum))
+	return n, err
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "batch is POST")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchRequestBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	var req batchWireRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad batch request: %v", err)
-		return
-	}
-	if len(req.Entries) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Entries) > maxBatchEntries {
-		httpError(w, http.StatusBadRequest, "batch of %d entries exceeds limit %d", len(req.Entries), maxBatchEntries)
+	body, release := boundedBody(w, r, maxBatchRequestBytes)
+	entries, re := decodeBatchRequest(body)
+	release()
+	if re != nil {
+		httpError(w, re.code, "%s", re.msg)
 		return
 	}
 	// Resolve and validate every entry before the first response byte:
 	// the frame stream has no error frames, so failures must surface as
 	// plain HTTP statuses, which is only possible up front.
-	type resolvedEntry struct {
-		t   *tensor.Tensor
-		reg tensor.Region
-	}
-	res := make([]resolvedEntry, len(req.Entries))
-	for i, e := range req.Entries {
-		t, err := s.FS.GetTensor(e.Path)
+	var full []tensor.Range // the regions of entries that name none
+	for i := range entries {
+		e := &entries[i]
+		t, err := s.FS.GetTensor(e.path)
 		if err != nil {
 			httpError(w, http.StatusNotFound, "batch entry %d: %v", i, err)
 			return
 		}
-		reg := tensor.FullRegion(t.Shape())
-		if e.Range != "" {
-			pr, err := tensor.ParseRegion(e.Range, t.Shape())
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "batch entry %d: %v", i, err)
-				return
-			}
-			if len(pr) > 0 {
-				reg = pr
-			}
+		if e.reg == nil {
+			e.reg = fullRegion(&full, t)
+		} else if !t.InBounds(e.reg) {
+			httpError(w, http.StatusBadRequest, "batch entry %d: region %v out of bounds for %v", i, e.reg, t)
+			return
 		}
-		res[i] = resolvedEntry{t: t, reg: reg}
+		e.t = t
 	}
 	// Coalesce runs of adjacent ranges over the same stored tensor into
 	// single frames, so a plan that slices a tensor into consecutive
-	// rows costs one header + one contiguous payload.
-	frames := make([]batchFrame, 0, len(res))
-	for i, re := range res {
-		n := re.reg.NumBytes(re.t.DType())
-		if len(frames) > 0 {
+	// rows costs one header + one contiguous payload. A frame's union
+	// starts as its first entry's region and is widened in place: the
+	// entry's own copy is not read again.
+	frames := make([]batchFrame, 0, len(entries))
+	total := int64(tensor.FrameStreamHeaderSize) + int64(tensor.FrameHeaderSize) // stream header + end frame
+	for i, e := range entries {
+		n := e.reg.NumBytes(e.t.DType())
+		total += n
+		if len(frames) > 0 && frames[len(frames)-1].t == e.t {
 			f := &frames[len(frames)-1]
-			if f.t == re.t {
-				if u, ok := coalesceRegions(f.union, re.reg); ok {
-					f.union = u
-					f.count++
-					f.bytes += n
-					continue
-				}
+			if d, ok := coalesceDim(f.union, e.reg); ok {
+				f.union[d].Hi = e.reg[d].Hi
+				f.count++
+				f.bytes += n
+				continue
 			}
 		}
-		frames = append(frames, batchFrame{start: i, count: 1, t: re.t, union: re.reg, bytes: n})
-	}
-	total := int64(tensor.FrameStreamHeaderSize) + int64(tensor.FrameHeaderSize) // stream header + end frame
-	for _, f := range frames {
-		total += int64(tensor.FrameHeaderSize) + f.bytes + tensor.FrameCRCSize
+		frames = append(frames, batchFrame{start: i, count: 1, t: e.t, union: e.reg, bytes: n})
+		total += int64(tensor.FrameHeaderSize) + tensor.FrameCRCSize
 	}
 	w.Header().Set("Content-Type", "application/x-tenplex-frames")
-	w.Header().Set("Content-Length", fmt.Sprint(total))
-	if _, err := w.Write(tensor.EncodeFrameStreamHeader(tensor.FrameFlagCRC)); err != nil {
-		return
-	}
+	w.Header().Set("Content-Length", strconv.FormatInt(total, 10))
+	bw := responseWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil)
+		responseWriters.Put(bw)
+	}()
+	_, _ = bw.Write(tensor.AppendFrameStreamHeader(bw.AvailableBuffer(), tensor.FrameFlagCRC))
+	fw := &frameWriter{w: bw, out: w}
 	for _, f := range frames {
 		h := tensor.FrameHeader{Index: uint32(f.start), Count: uint32(f.count), Length: uint64(f.bytes)}
-		if _, err := w.Write(tensor.EncodeFrameHeader(h)); err != nil {
-			return
-		}
-		sum := crc32.New(castagnoli)
-		n, err := f.t.View(f.union).WriteTo(io.MultiWriter(w, sum))
+		n, err := fw.frame(h, f.t.View(f.union))
 		s.bytesOut.Add(n)
 		if err != nil {
-			return
-		}
-		var tr [tensor.FrameCRCSize]byte
-		binary.LittleEndian.PutUint32(tr[:], sum.Sum32())
-		if _, err := w.Write(tr[:]); err != nil {
-			return
+			return // the client is gone; there is nobody to tell
 		}
 	}
-	_, _ = w.Write(tensor.EncodeEndFrame())
+	_, _ = bw.Write(tensor.AppendEndFrame(bw.AvailableBuffer()))
+	_ = bw.Flush()
 }
 
-// coalesceRegions merges b onto the end of a when the union's row-major
-// payload equals a's payload followed by b's: the regions must differ
-// in exactly one dimension d, be adjacent there (a ends where b
-// begins), and every dimension before d must have length 1 — otherwise
-// the union would interleave the two payloads. Returns a fresh Region.
-func coalesceRegions(a, b tensor.Region) (tensor.Region, bool) {
+// coalesceDim reports whether b continues a — the union's row-major
+// payload equals a's payload followed by b's — and along which
+// dimension: the regions must differ in exactly one dimension d, be
+// adjacent there (a ends where b begins), and every dimension before d
+// must have length 1, otherwise the union would interleave the two
+// payloads. The union is then a with a[d].Hi = b[d].Hi.
+func coalesceDim(a, b tensor.Region) (int, bool) {
 	if len(a) != len(b) {
-		return nil, false
+		return 0, false
 	}
 	d := -1
 	for i := range a {
@@ -374,19 +543,17 @@ func coalesceRegions(a, b tensor.Region) (tensor.Region, bool) {
 			continue
 		}
 		if d >= 0 {
-			return nil, false
+			return 0, false
 		}
 		d = i
 	}
 	if d < 0 || a[d].Hi != b[d].Lo {
-		return nil, false
+		return 0, false
 	}
 	for i := 0; i < d; i++ {
 		if a[i].Len() != 1 {
-			return nil, false
+			return 0, false
 		}
 	}
-	u := a.Clone()
-	u[d] = tensor.Range{Lo: a[d].Lo, Hi: b[d].Hi}
-	return u, true
+	return d, true
 }

@@ -3,12 +3,13 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -174,10 +175,10 @@ func TestBatchRejectsStreamWithoutChecksums(t *testing.T) {
 	batches := 0
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		batches++
-		_, _ = w.Write(tensor.EncodeFrameStreamHeader(0))
-		_, _ = w.Write(tensor.EncodeFrameHeader(tensor.FrameHeader{Index: 0, Count: 1, Length: uint64(len(payload))}))
+		_, _ = w.Write(tensor.AppendFrameStreamHeader(nil, 0))
+		_, _ = w.Write(tensor.AppendFrameHeader(nil, tensor.FrameHeader{Index: 0, Count: 1, Length: uint64(len(payload))}))
 		_, _ = w.Write(payload)
-		_, _ = w.Write(tensor.EncodeEndFrame())
+		_, _ = w.Write(tensor.AppendEndFrame(nil))
 	}))
 	defer hs.Close()
 	c := &Client{Base: hs.URL, HTTP: hs.Client(), Retry: testRetryPolicy()}
@@ -217,11 +218,10 @@ func (h *tamperHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		var req batchWireRequest
-		if err := json.Unmarshal(body, &req); err == nil {
-			paths := make([]string, len(req.Entries))
-			for i, e := range req.Entries {
-				paths[i] = e.Path
+		if entries, re := decodeBatchBytes(body); re == nil {
+			paths := make([]string, len(entries))
+			for i, e := range entries {
+				paths[i] = e.path
 			}
 			h.mu.Lock()
 			h.batches = append(h.batches, paths)
@@ -514,25 +514,77 @@ func TestQueryIntoMidStreamDeathIsTypedAndRetried(t *testing.T) {
 	}
 }
 
+// decodeBatchBytes runs the /batch request decoder over a body held in
+// memory.
+func decodeBatchBytes(body []byte) ([]batchRequestEntry, *requestError) {
+	d := tensor.NewRequestReader()
+	d.Reset(bytes.NewReader(body))
+	return decodeBatchRequest(d)
+}
+
+// batchBody is the tests' own encoder of a /batch request: the layout
+// written out a second time, independent of the client's.
+func batchBody(entries ...batchRequestEntry) []byte {
+	buf := tensor.AppendRequestHeader(nil, tensor.RequestBatch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	for _, e := range entries {
+		buf = tensor.AppendRegion(tensor.AppendString(buf, e.path), e.reg)
+	}
+	return buf
+}
+
+// rawRegion encodes lo,hi pairs as a region without the checks
+// tensor.Region's own encoder would need them to pass.
+func rawRegion(bounds ...uint64) []byte {
+	buf := []byte{uint8(len(bounds) / 2)}
+	for _, b := range bounds {
+		buf = binary.LittleEndian.AppendUint64(buf, b)
+	}
+	return buf
+}
+
+// batchHead is a /batch request up to and including its entry count and
+// the path of the first entry; the entry's region is the caller's.
+func batchHead(count uint32, path string) []byte {
+	buf := tensor.AppendRequestHeader(nil, tensor.RequestBatch)
+	buf = binary.LittleEndian.AppendUint32(buf, count)
+	return tensor.AppendString(buf, path)
+}
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
 // malformedBatch lists /batch request bodies the server must refuse
 // before the first frame, with the status it answers; the fuzz target
 // starts from them.
 var malformedBatch = []struct {
-	name, body string
-	code       int
+	name string
+	body []byte
+	code int
 }{
-	{"not json", `{"entries":`, 400},
-	{"wrong type", `{"entries":"/a"}`, 400},
-	{"empty", `{"entries":[]}`, 400},
-	{"missing tensor", `{"entries":[{"path":"/absent"}]}`, 404},
-	{"empty path", `{"entries":[{"path":""}]}`, 404},
-	{"dot path", `{"entries":[{"path":"/a/../b"}]}`, 404},
-	{"unbracketed range", `{"entries":[{"path":"/a","range":"0:2"}]}`, 400},
-	{"range rank", `{"entries":[{"path":"/a","range":"[0:2]"}]}`, 400},
-	{"range out of bounds", `{"entries":[{"path":"/a","range":"[0:5,0:4]"}]}`, 400},
-	{"inverted range", `{"entries":[{"path":"/a","range":"[3:1,0:4]"}]}`, 400},
-	{"negative range", `{"entries":[{"path":"/a","range":"[-1:2,0:4]"}]}`, 400},
-	{"non-numeric range", `{"entries":[{"path":"/a","range":"[a:b,0:4]"}]}`, 400},
+	{"no body", nil, 400},
+	{"json", []byte(`{"entries":[{"path":"/a"}]}`), 400},
+	{"bad magic", append([]byte("XXXX"), batchBody(batchRequestEntry{path: "/a"})[4:]...), 400},
+	{"unknown version", cat([]byte("QLPT"), []byte{9, 0, 1, 0, 1, 0, 0, 0}, batchBody(batchRequestEntry{path: "/a"})[12:]), 400},
+	{"assemble header", cat(tensor.AppendRequestHeader(nil, tensor.RequestAssemble), batchBody(batchRequestEntry{path: "/a"})[8:]), 400},
+	{"header only", tensor.AppendRequestHeader(nil, tensor.RequestBatch), 400},
+	{"empty", batchBody(), 400},
+	{"fewer entries than declared", cat(batchHead(2, "/a"), rawRegion()), 400},
+	{"more entries than declared", cat(batchHead(1, "/a"), rawRegion(), tensor.AppendString(nil, "/b"), rawRegion()), 400},
+	{"one trailing byte", append(batchBody(batchRequestEntry{path: "/a"}), 0), 400},
+	{"cut inside a path", batchHead(1, "/a")[:15], 400},
+	{"cut inside a region", cat(batchHead(1, "/a"), rawRegion(0, 2, 0, 4)[:20]), 400},
+	{"path longer than its cap", cat(batchHead(1, "")[:12], binary.LittleEndian.AppendUint32(nil, maxPathBytes+1), make([]byte, maxPathBytes+1), rawRegion()), 400},
+	{"missing tensor", batchBody(batchRequestEntry{path: "/absent"}), 404},
+	{"empty path", batchBody(batchRequestEntry{path: ""}), 404},
+	{"dot path", batchBody(batchRequestEntry{path: "/a/../b"}), 404},
+	{"range rank", cat(batchHead(1, "/a"), rawRegion(0, 2)), 400},
+	{"range rank past the cap", cat(batchHead(1, "/a"), rawRegion(make([]uint64, 34)...)), 400},
+	{"range out of bounds", cat(batchHead(1, "/a"), rawRegion(0, 5, 0, 4)), 400},
+	{"inverted range", cat(batchHead(1, "/a"), rawRegion(3, 1, 0, 4)), 400},
+	{"empty range", cat(batchHead(1, "/a"), rawRegion(2, 2, 0, 4)), 400},
+	{"negative range", cat(batchHead(1, "/a"), rawRegion(1<<64-1, 2, 0, 4)), 400},
+	{"range past MaxInt64", cat(batchHead(1, "/a"), rawRegion(0, 1<<63, 0, 4)), 400},
+	{"too many entries", batchHead(maxBatchEntries+1, "/a"), 400},
 }
 
 func postBatch(srv http.Handler, body []byte) *httptest.ResponseRecorder {
@@ -544,33 +596,89 @@ func postBatch(srv http.Handler, body []byte) *httptest.ResponseRecorder {
 func TestBatchRejectsMalformedRequests(t *testing.T) {
 	srv := NewServer(batchFS(t))
 	for _, c := range malformedBatch {
-		if rec := postBatch(srv, []byte(c.body)); rec.Code != c.code {
+		if rec := postBatch(srv, c.body); rec.Code != c.code {
 			t.Errorf("%s: status %d (%s), want %d", c.name, rec.Code, strings.TrimSpace(rec.Body.String()), c.code)
 		}
 	}
-	one := `{"path":"/a"},`
-	body := `{"entries":[` + strings.TrimSuffix(strings.Repeat(one, maxBatchEntries+1), ",") + `]}`
-	if rec := postBatch(srv, []byte(body)); rec.Code != 400 {
-		t.Errorf("too many entries: status %d, want 400", rec.Code)
+	// A body over the limit is refused as that, by name — not cut at the
+	// limit and then reported as malformed. Every entry is well-formed, so
+	// only the limit stops the decoder.
+	long := batchRequestEntry{path: "/" + strings.Repeat("a", 300)}
+	big := make([]batchRequestEntry, maxBatchEntries)
+	for i := range big {
+		big[i] = long
+	}
+	body := batchBody(big...)
+	if len(body) <= maxBatchRequestBytes {
+		t.Fatalf("oversized body is only %d bytes", len(body))
+	}
+	rec := postBatch(srv, body)
+	if want := fmt.Sprint(maxBatchRequestBytes); rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("oversized body: status %d (%s), want 413 naming %s", rec.Code, strings.TrimSpace(rec.Body.String()), want)
 	}
 	if n := srv.BytesServed(); n != 0 {
 		t.Fatalf("refused batches served %d bytes", n)
 	}
 }
 
+// checkDecodedBody holds an accepted request body to what both request
+// decoders promise: it re-encodes to exactly the bytes it was decoded
+// from (a request has one encoding, and the decoder consumed all of it),
+// and no strict prefix of it is a request.
+func checkDecodedBody(t *testing.T, body, reencoded []byte, decodes func([]byte) bool) {
+	t.Helper()
+	if !bytes.Equal(reencoded, body) {
+		t.Fatalf("accepted body of %d bytes re-encodes to %d different bytes\n in: %x\nout: %x", len(body), len(reencoded), body, reencoded)
+	}
+	for n := 0; n < len(body); n++ {
+		if decodes(body[:n]) {
+			t.Fatalf("prefix of %d bytes of an accepted body of %d was accepted too", n, len(body))
+		}
+	}
+}
+
+// allocatedBy returns the bytes fn allocated.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A count or a length a body declares is not trusted with memory: it is
+// checked against its cap first, and past that the decoder's slices grow
+// with the entries that actually arrive.
+func TestBatchDecoderDoesNotAllocateFromDeclaredSizes(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"2^32-1 entries":         batchHead(1<<32-1, "/a"),
+		"the most entries":       batchHead(maxBatchEntries, "/a"),
+		"a path of 2^32-1 bytes": cat(batchHead(1, "")[:12], binary.LittleEndian.AppendUint32(nil, 1<<32-1), []byte("/a")),
+	} {
+		var re *requestError
+		if n := allocatedBy(func() { _, re = decodeBatchBytes(body) }); n > 1<<20 {
+			t.Errorf("%s: decoder allocated %d bytes before failing", name, n)
+		}
+		if re == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // FuzzBatchRequest throws arbitrary bodies at POST /batch. Whatever the
-// server accepts it must answer with a well-formed, checksummed frame
-// stream of exactly the length it announced; everything else is a 4xx.
-// The request once carried an optional "crc" flag: the decoder ignores
-// the key like any other unknown one, so neither value may switch the
-// trailers off.
+// decoder accepts is the one encoding of what it decoded, and nothing
+// shorter is; whatever the server then accepts it must answer with a
+// well-formed, checksummed frame stream of exactly the length it
+// announced; everything else is a 4xx.
 func FuzzBatchRequest(f *testing.F) {
 	for _, c := range malformedBatch {
-		f.Add([]byte(c.body))
+		f.Add(c.body)
 	}
-	f.Add([]byte(`{"entries":[{"path":"/a","range":"[0:1,0:4]"},{"path":"/a","range":"[1:2,0:4]"},{"path":"/b"}]}`))
-	f.Add([]byte(`{"crc":false,"entries":[{"path":"/a"}]}`))
-	f.Add([]byte(`{"crc":true,"entries":[{"path":"/b","range":"[1:3,0:4]"}]}`))
+	f.Add(batchBody(
+		batchRequestEntry{path: "/a", reg: tensor.Region{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 4}}},
+		batchRequestEntry{path: "/a", reg: tensor.Region{{Lo: 1, Hi: 2}, {Lo: 0, Hi: 4}}},
+		batchRequestEntry{path: "/b"}))
+	f.Add(batchBody(batchRequestEntry{path: "/b", reg: tensor.Region{{Lo: 1, Hi: 3}, {Lo: 0, Hi: 4}}}))
 	fs := NewMemFS()
 	for _, p := range []string{"/a", "/b"} {
 		if err := fs.PutTensor(p, seqTensor(4, 4)); err != nil {
@@ -579,6 +687,14 @@ func FuzzBatchRequest(f *testing.F) {
 	}
 	srv := NewServer(fs)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if entries, re := decodeBatchBytes(body); re == nil {
+			checkDecodedBody(t, body, batchBody(entries...), func(b []byte) bool {
+				_, re := decodeBatchBytes(b)
+				return re == nil
+			})
+		} else if re.code/100 != 4 {
+			t.Fatalf("decoder failed with %d (%s), want a 4xx", re.code, re.msg)
+		}
 		rec := postBatch(srv, body)
 		if rec.Code/100 == 4 {
 			return

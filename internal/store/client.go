@@ -176,6 +176,13 @@ var _ Access = Local{}
 // concurrency.
 var defaultHTTPClient = &http.Client{Transport: defaultTransport()}
 
+// transportReadBufferSize is each connection's read buffer. Through
+// net/http's 4 KiB a frame stream of small tensors comes back from the
+// kernel 4 KiB at a time. (The write buffer stays at 4 KiB: request
+// bodies are a few KiB, and an upload's chunks, larger than it, go
+// straight to the socket where a big buffer would copy them first.)
+const transportReadBufferSize = 256 << 10
+
 func defaultTransport() http.RoundTripper {
 	t, ok := http.DefaultTransport.(*http.Transport)
 	if !ok {
@@ -184,6 +191,7 @@ func defaultTransport() http.RoundTripper {
 	t = t.Clone()
 	t.MaxIdleConns = 0 // no global cap; the per-host limit governs
 	t.MaxIdleConnsPerHost = 64
+	t.ReadBufferSize = transportReadBufferSize
 	return t
 }
 

@@ -15,10 +15,12 @@ import (
 // Server exposes a MemFS over the Tensor Store REST API:
 //
 //	GET    /query?path=P[&range=R]   tensor (wire format); R slices it
-//	POST   /batch                    multi-range query: JSON entry list
-//	                                 in, coalesced frame stream out
-//	POST   /assemble                 destination-pull: JSON list of
-//	                                 tensors to build, each from ranges of
+//	POST   /batch                    multi-range query: binary entry list
+//	                                 in (layout in batch.go), coalesced
+//	                                 CRC-framed stream out (tensor/frame.go)
+//	POST   /assemble                 destination-pull: binary list of
+//	                                 tensors to build (layout in
+//	                                 assemble.go), each from ranges of
 //	                                 peer stores (pulled over their /batch),
 //	                                 of this store, or a link to a stored
 //	                                 tensor; JSON byte counts out
@@ -28,10 +30,14 @@ import (
 //	GET    /stat?path=P              JSON {dtype, shape, bytes, blob}
 //	GET    /list?path=P              JSON [names...]
 //	DELETE /delete?path=P            remove a file or directory
+//	POST   /rename?src=S&dst=D       move a file or tree over the target
 //
-// The range attribute uses the NumPy-like syntax of
+// The range attribute of /query uses the NumPy-like syntax of
 // tensor.ParseRegion, e.g. range=[:,2:4] returns the sub-tensor
-// covering rows 2..4 of the second dimension.
+// covering rows 2..4 of the second dimension; the two binary requests
+// carry ranges as integer bounds. Both bound their body (16 MiB) and
+// answer an oversized one 413, a malformed one 400, before anything is
+// allocated from what it declares.
 type Server struct {
 	FS  *MemFS
 	mux *http.ServeMux

@@ -5,13 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 func TestFrameStreamHeaderRoundTrip(t *testing.T) {
 	for _, flags := range []uint16{0, FrameFlagCRC} {
-		got, err := DecodeFrameStreamHeader(bytes.NewReader(EncodeFrameStreamHeader(flags)))
+		got, err := DecodeFrameStreamHeader(bytes.NewReader(AppendFrameStreamHeader(nil, flags)))
 		if err != nil {
 			t.Fatalf("flags %#x: %v", flags, err)
 		}
@@ -23,7 +25,7 @@ func TestFrameStreamHeaderRoundTrip(t *testing.T) {
 
 // streamHeaderWith is a valid stream header with one field overwritten.
 func streamHeaderWith(off int, put func([]byte)) []byte {
-	buf := EncodeFrameStreamHeader(0)
+	buf := AppendFrameStreamHeader(nil, 0)
 	put(buf[off:])
 	return buf
 }
@@ -45,10 +47,10 @@ var malformedFrameHeaders = []struct {
 }{
 	// An end index with a count or a length is rejected rather than read
 	// as "0 payload bytes follow".
-	{"end frame with nonzero count", EncodeFrameHeader(FrameHeader{Index: FrameEndIndex, Count: 1})},
-	{"end frame with nonzero length", EncodeFrameHeader(FrameHeader{Index: FrameEndIndex, Length: 8})},
-	{"zero entry count", EncodeFrameHeader(FrameHeader{Index: 0, Count: 0, Length: 4})},
-	{"implausible length", EncodeFrameHeader(FrameHeader{Index: 0, Count: 1, Length: 1 << 63})},
+	{"end frame with nonzero count", AppendFrameHeader(nil, FrameHeader{Index: FrameEndIndex, Count: 1})},
+	{"end frame with nonzero length", AppendFrameHeader(nil, FrameHeader{Index: FrameEndIndex, Length: 8})},
+	{"zero entry count", AppendFrameHeader(nil, FrameHeader{Index: 0, Count: 0, Length: 4})},
+	{"implausible length", AppendFrameHeader(nil, FrameHeader{Index: 0, Count: 1, Length: 1 << 63})},
 }
 
 func TestFrameStreamHeaderRejectsMalformed(t *testing.T) {
@@ -59,7 +61,7 @@ func TestFrameStreamHeaderRejectsMalformed(t *testing.T) {
 	}
 	// Truncated header: a cut connection must read as ErrUnexpectedEOF so
 	// the store client treats it as retryable.
-	whole := EncodeFrameStreamHeader(0)
+	whole := AppendFrameStreamHeader(nil, 0)
 	for n := 0; n < len(whole); n++ {
 		if _, err := DecodeFrameStreamHeader(bytes.NewReader(whole[:n])); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("truncated header (%d bytes) error = %v, want ErrUnexpectedEOF", n, err)
@@ -69,7 +71,7 @@ func TestFrameStreamHeaderRejectsMalformed(t *testing.T) {
 
 func TestFrameHeaderRoundTrip(t *testing.T) {
 	want := FrameHeader{Index: 7, Count: 3, Length: 1 << 20}
-	got, err := DecodeFrameHeaderFrom(bytes.NewReader(EncodeFrameHeader(want)))
+	got, err := DecodeFrameHeaderFrom(bytes.NewReader(AppendFrameHeader(nil, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 }
 
 func TestFrameHeaderEndFrame(t *testing.T) {
-	got, err := DecodeFrameHeaderFrom(bytes.NewReader(EncodeEndFrame()))
+	got, err := DecodeFrameHeaderFrom(bytes.NewReader(AppendEndFrame(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestFrameHeaderRejectsMalformed(t *testing.T) {
 }
 
 func TestFrameHeaderTruncationIsUnexpectedEOF(t *testing.T) {
-	whole := EncodeFrameHeader(FrameHeader{Index: 2, Count: 1, Length: 64})
+	whole := AppendFrameHeader(nil, FrameHeader{Index: 2, Count: 1, Length: 64})
 	for n := 0; n < len(whole); n++ {
 		_, err := DecodeFrameHeaderFrom(bytes.NewReader(whole[:n]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -139,20 +141,20 @@ func walkFrameStream(r io.Reader) (frames int, err error) {
 
 // frameStream encodes a well-formed stream of the given payloads.
 func frameStream(flags uint16, payloads ...[]byte) []byte {
-	buf := EncodeFrameStreamHeader(flags)
+	buf := AppendFrameStreamHeader(nil, flags)
 	for i, p := range payloads {
-		buf = append(buf, EncodeFrameHeader(FrameHeader{Index: uint32(i), Count: 1, Length: uint64(len(p))})...)
+		buf = append(buf, AppendFrameHeader(nil, FrameHeader{Index: uint32(i), Count: 1, Length: uint64(len(p))})...)
 		buf = append(buf, p...)
 		if flags&FrameFlagCRC != 0 {
 			buf = append(buf, 0, 0, 0, 0) // the walker skips trailers; store verifies them
 		}
 	}
-	return append(buf, EncodeEndFrame()...)
+	return append(buf, AppendEndFrame(nil)...)
 }
 
 // hugeFrame is a stream whose only frame claims 2^62 payload bytes and
 // delivers none.
-var hugeFrame = append(EncodeFrameStreamHeader(0), EncodeFrameHeader(FrameHeader{Count: 1, Length: 1 << 62})...)
+var hugeFrame = append(AppendFrameStreamHeader(nil, 0), AppendFrameHeader(nil, FrameHeader{Count: 1, Length: 1 << 62})...)
 
 // A declared length is never trusted with memory: the decoders read
 // fixed-size headers only, so a frame claiming 2^62 bytes costs nothing
@@ -180,7 +182,7 @@ func FuzzFrameStream(f *testing.F) {
 		f.Add(c.buf)
 	}
 	for _, c := range malformedFrameHeaders {
-		f.Add(append(EncodeFrameStreamHeader(FrameFlagCRC), c.buf...))
+		f.Add(append(AppendFrameStreamHeader(nil, FrameFlagCRC), c.buf...))
 	}
 	whole := frameStream(FrameFlagCRC, []byte("0123456789abcdef"), nil, []byte{1})
 	for n := 0; n <= len(whole); n++ {
@@ -204,4 +206,122 @@ func FuzzFrameStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// requestOf is a RequestReader over bytes held in memory.
+func requestOf(body []byte) *RequestReader {
+	d := NewRequestReader()
+	d.Reset(bytes.NewReader(body))
+	return d
+}
+
+func TestRequestFieldsRoundTrip(t *testing.T) {
+	reg := Region{{Lo: 0, Hi: 3}, {Lo: 1 << 40, Hi: 1<<40 + 1}}
+	buf := AppendRequestHeader(nil, RequestAssemble)
+	buf = append(buf, 7)
+	buf = binary.LittleEndian.AppendUint16(buf, 515)
+	buf = binary.LittleEndian.AppendUint32(buf, 1<<31)
+	buf = binary.LittleEndian.AppendUint64(buf, 1<<63)
+	buf = AppendString(buf, "/job/j0/model/dev2/w")
+	buf = AppendString(buf, "")
+	buf = AppendRegion(AppendRegion(AppendRegion(buf, reg), nil), Region{})
+
+	d := requestOf(buf)
+	var arena []Range
+	d.Header(RequestAssemble)
+	if a, b, c, e := d.Uint8(), d.Uint16(), d.Uint32(), d.Uint64(); a != 7 || b != 515 || c != 1<<31 || e != 1<<63 {
+		t.Fatalf("integers read back as %d %d %d %d", a, b, c, e)
+	}
+	if s, e := d.String(64), d.String(0); s != "/job/j0/model/dev2/w" || e != "" {
+		t.Fatalf("strings read back as %q and %q", s, e)
+	}
+	if got := d.Region(&arena); !got.Equal(reg) {
+		t.Fatalf("region read back as %v, want %v", got, reg)
+	}
+	if a, b := d.Region(&arena), d.Region(&arena); a != nil || b != nil {
+		t.Fatalf("rank-0 regions read back as %v and %v, want nil", a, b)
+	}
+	if d.End(); d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	if len(arena) != len(reg) {
+		t.Fatalf("arena holds %d ranges, want %d", len(arena), len(reg))
+	}
+	// Cut anywhere, the stream reads as a dead connection, and the error
+	// sticks.
+	for n := 0; n < len(buf); n++ {
+		d := requestOf(buf[:n])
+		var arena []Range
+		d.Header(RequestAssemble)
+		d.Uint8()
+		d.Uint16()
+		d.Uint32()
+		d.Uint64()
+		d.String(64)
+		d.String(0)
+		d.Region(&arena)
+		d.Region(&arena)
+		d.Region(&arena)
+		if !errors.Is(d.Err(), io.ErrUnexpectedEOF) {
+			t.Fatalf("request of %d bytes cut at %d: error = %v, want ErrUnexpectedEOF", len(buf), n, d.Err())
+		}
+	}
+}
+
+func TestRequestReaderRejectsMalformedFields(t *testing.T) {
+	header := AppendRequestHeader(nil, RequestBatch)
+	withMagic := append([]byte{0xef, 0xbe, 0xad, 0xde}, header[4:]...)
+	withVersion := bytes.Clone(header)
+	withVersion[4] = 9
+	rank17 := append([]byte{17}, make([]byte, 17*16)...)
+	for name, c := range map[string]struct {
+		body []byte
+		read func(d *RequestReader)
+	}{
+		"bad magic":           {withMagic, func(d *RequestReader) { d.Header(RequestBatch) }},
+		"unsupported version": {withVersion, func(d *RequestReader) { d.Header(RequestBatch) }},
+		"other kind":          {header, func(d *RequestReader) { d.Header(RequestAssemble) }},
+		"string over its cap": {AppendString(nil, "0123456789"), func(d *RequestReader) { d.String(9) }},
+		"string over the buffer": {binary.LittleEndian.AppendUint32(nil, requestBufferSize+1),
+			func(d *RequestReader) { d.String(math.MaxInt) }},
+		"rank over the cap":   {rank17, func(d *RequestReader) { d.Region(new([]Range)) }},
+		"inverted range":      {AppendRegion(nil, Region{{Lo: 3, Hi: 1}}), func(d *RequestReader) { d.Region(new([]Range)) }},
+		"empty range":         {AppendRegion(nil, Region{{Lo: 2, Hi: 2}}), func(d *RequestReader) { d.Region(new([]Range)) }},
+		"negative range":      {AppendRegion(nil, Region{{Lo: -1, Hi: 2}}), func(d *RequestReader) { d.Region(new([]Range)) }},
+		"bytes after the end": {[]byte{1, 2}, func(d *RequestReader) { d.Uint8(); d.End() }},
+	} {
+		d := requestOf(c.body)
+		if c.read(d); d.Err() == nil {
+			t.Errorf("%s: accepted", name)
+		} else if errors.Is(d.Err(), io.ErrUnexpectedEOF) {
+			t.Errorf("%s: reported as a cut stream: %v", name, d.Err())
+		}
+	}
+}
+
+// Strings are cut from shared chunks; a later string, or a new chunk,
+// must leave the earlier ones as they were read.
+func TestRequestStringsSurviveLaterOnes(t *testing.T) {
+	var buf []byte
+	var want []string
+	for i := 0; i < 300; i++ {
+		s := strings.Repeat(string(rune('a'+i%26)), 1+i%97)
+		want = append(want, s)
+		buf = AppendString(buf, s)
+	}
+	d := requestOf(buf)
+	got := make([]string, len(want))
+	for i := range got {
+		got[i] = d.String(128)
+	}
+	if d.End(); d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	d.Reset(bytes.NewReader(AppendString(nil, strings.Repeat("z", 128))))
+	d.String(128)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("string %d reads %q after later reads, want %q", i, got[i], want[i])
+		}
+	}
 }

@@ -158,6 +158,20 @@ func (g Region) Equal(o Region) bool {
 	return true
 }
 
+// SameShape reports whether the two regions have the same length in
+// every dimension; unlike comparing their Shape()s it allocates nothing.
+func (g Region) SameShape(o Region) bool {
+	if len(g) != len(o) {
+		return false
+	}
+	for i := range g {
+		if g[i].Len() != o[i].Len() {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a copy of the region.
 func (g Region) Clone() Region { return append(Region(nil), g...) }
 

@@ -103,10 +103,12 @@ func (rs runs) contiguous() (int, bool) {
 			return 0, false
 		}
 	}
-	strides := rs.t.strides()
-	off := 0
-	for d := 0; d < rank; d++ {
-		off += rs.reg[d].Lo * strides[d]
+	// The start offset, accumulated innermost dimension first so the
+	// strides need no slice of their own.
+	off, stride := 0, 1
+	for d := rank - 1; d >= 0; d-- {
+		off += rs.reg[d].Lo * stride
+		stride *= rs.t.shape[d]
 	}
 	return off * rs.t.dtype.Size(), true
 }

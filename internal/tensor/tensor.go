@@ -89,6 +89,14 @@ func (t *Tensor) DType() DType { return t.dtype }
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 
+// HasShape reports whether t's shape is shape, without the copy Shape
+// makes.
+func (t *Tensor) HasShape(shape []int) bool { return ShapeEqual(t.shape, shape) }
+
+// InBounds reports whether reg is a well-formed region of t: one valid
+// range per dimension, none past the dimension's end.
+func (t *Tensor) InBounds(reg Region) bool { return reg.Valid(t.shape) }
+
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.shape) }
 

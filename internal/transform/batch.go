@@ -89,10 +89,7 @@ type batchFetch struct {
 func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	par := tr.Parallelism
-	if par <= 0 {
-		par = 8
-	}
+	par := tr.parallelism()
 	var (
 		mu       sync.Mutex
 		deferred []batchFetch

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/model"
 	"tenplex/internal/parallel"
@@ -161,4 +162,48 @@ func TestApplyMidFailureCleansStaging(t *testing.T) {
 		t.Fatalf("retry failed: %v", err)
 	}
 	verifyAgainstGolden(t, job, to, flaky, golden)
+}
+
+// renameFails is a store whose staged tree cannot be swapped in.
+type renameFails struct{ store.Access }
+
+func (r renameFails) Rename(src, dst string) error {
+	return fmt.Errorf("injected fault during rename of %s", src)
+}
+
+// A device that fails to commit does not hide the others: every
+// destination is tried, the error names each one that failed, in one
+// order whatever the schedule, and the departing devices keep the old
+// state (a migrating job's only other copy) because not every
+// destination committed.
+func TestCommitTriesEveryDeviceAndReportsEachFailure(t *testing.T) {
+	const job = "bcommit"
+	m := model.GPTCustom(2, 16, 2, 64, 8)
+	from := buildPTC(t, m, parallel.Config{TP: 2, PP: 1, DP: 1}, allocFrom(0, 2))
+	to := buildPTC(t, m, parallel.Config{TP: 1, PP: 1, DP: 4}, allocFrom(2, 4))
+	plan, err := core.GeneratePlan(from, to, core.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := goldenState(from)
+	for _, workers := range []int{1, 0, 16} {
+		stores := localStores(alloc(6))
+		if err := LoadPTC(job, from, stores, golden); err != nil {
+			t.Fatal(err)
+		}
+		stores[3] = renameFails{stores[3]}
+		stores[5] = renameFails{stores[5]}
+		_, err := (&Transformer{Job: job, Stores: stores, Parallelism: workers}).Apply(plan)
+		want := "transform: commit on dev 3: injected fault during rename of /job/bcommit/model.next\n" +
+			"transform: commit on dev 5: injected fault during rename of /job/bcommit/model.next"
+		if err == nil || err.Error() != want {
+			t.Fatalf("workers %d: Apply returned\n%v\nwant\n%s", workers, err, want)
+		}
+		for _, d := range []cluster.DeviceID{2, 4} {
+			if _, err := stores[d].List(modelRoot(job)); err != nil {
+				t.Fatalf("workers %d: dev %d did not commit although nothing failed on it: %v", workers, d, err)
+			}
+		}
+		verifyAgainstGolden(t, job, from, stores, golden)
+	}
 }

@@ -25,6 +25,7 @@ package transform
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -484,36 +485,58 @@ func (tr *Transformer) cleanupStaging(ctx context.Context, plan *core.Plan) {
 // and clears stale model state on devices that leave the job. Once
 // staging has fully succeeded the swap is the point of no return, so it
 // runs detached from the apply's cancellation: a ctx canceled in the
-// commit window must not strand a half-renamed model tree.
+// commit window must not strand a half-renamed model tree. Devices do
+// not wait for each other: each runs its own list, delete, rename, in
+// that order, on the apply's workers. Every device is tried whatever
+// happened to another, so the error names each one that did not commit
+// (joined, in the plan's device order) instead of hiding the rest
+// behind the first. The departing devices give up their old state only
+// after every destination has committed, together: a failed commit
+// leaves a migrating job's previous copy where it was.
 func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 	ctx = context.WithoutCancel(ctx)
-	for _, d := range plan.To.Devices {
-		acc := tr.Stores[d]
+	to := plan.To.Devices
+	errs := make([]error, len(to))
+	runBounded(ctx, tr.parallelism(), len(to), func(i int) {
+		acc := tr.Stores[to[i]]
 		// A device with no assignments (possible when it holds nothing
-		// under the new PTC) still needs its old state cleared below.
+		// under the new PTC) has nothing staged to swap in.
 		if _, err := listCtx(ctx, acc, stagingRoot(tr.Job)); err != nil {
-			continue
+			return
 		}
 		_ = deleteCtx(ctx, acc, modelRoot(tr.Job)) // old state may not exist
 		if err := renameCtx(ctx, acc, stagingRoot(tr.Job), modelRoot(tr.Job)); err != nil {
-			return fmt.Errorf("transform: commit on dev %d: %w", d, err)
+			errs[i] = fmt.Errorf("transform: commit on dev %d: %w", to[i], err)
 		}
+	})
+	if err := errors.Join(errs...); err != nil { // the devices that failed, in the plan's order
+		return err
 	}
 	// Devices that held state before but are not in the new allocation
 	// release it so the scheduler can hand their memory to other jobs.
-	newSet := map[cluster.DeviceID]bool{}
-	for _, d := range plan.To.Devices {
+	newSet := make(map[cluster.DeviceID]bool, len(to))
+	for _, d := range to {
 		newSet[d] = true
 	}
+	var leaving []store.Access
 	for _, d := range plan.From.Devices {
-		if newSet[d] {
-			continue
-		}
-		if acc, ok := tr.Stores[d]; ok {
-			_ = deleteCtx(ctx, acc, modelRoot(tr.Job))
+		if acc, ok := tr.Stores[d]; ok && !newSet[d] {
+			leaving = append(leaving, acc)
 		}
 	}
+	runBounded(ctx, tr.parallelism(), len(leaving), func(i int) {
+		_ = deleteCtx(ctx, leaving[i], modelRoot(tr.Job))
+	})
 	return nil
+}
+
+// parallelism is how many workers an apply runs its stores' operations
+// on.
+func (tr *Transformer) parallelism() int {
+	if tr.Parallelism <= 0 {
+		return 8
+	}
+	return tr.Parallelism
 }
 
 // checkOneRegionPerTensor enforces the store layout invariant: a device
