@@ -64,25 +64,42 @@ var kinds = []kind{
 	}},
 }
 
-// measurePlanner times core.GeneratePlan on every planner scenario: it
-// runs iterations until the budget elapses (at least two) and files the
-// mean under timing, the plan's shape under exact and its netsim-priced
-// reconfiguration time under sim.
+// timeIters runs fn until the budget elapses, at least twice, and
+// returns the mean duration of a run and how many there were.
+func timeIters(budget time.Duration, fn func() error) (float64, int, error) {
+	var elapsed time.Duration
+	iters := 0
+	for iters < 2 || elapsed < budget {
+		t0 := time.Now()
+		err := fn()
+		elapsed += time.Since(t0)
+		if err != nil {
+			return 0, iters, err
+		}
+		iters++
+	}
+	return float64(elapsed.Nanoseconds() / int64(iters)), iters, nil
+}
+
+// measurePlanner times, on every planner scenario, core.GeneratePlan
+// alone (ns_per_op) and the whole sequence the coordinator runs per
+// priced change, BuildPTC through netsim.Simulate
+// (plan_change_ns_per_op), each under its own budget. The plan's shape
+// goes under exact and its netsim-priced reconfiguration time under sim.
 func measurePlanner(budget time.Duration) (map[string]any, []row, error) {
 	var rows []row
 	for _, sc := range experiments.PlannerScenarios() {
 		var plan *core.Plan
-		var elapsed time.Duration
-		iters := 0
-		for iters < 2 || elapsed < budget {
-			t0 := time.Now()
-			p, err := core.GeneratePlan(sc.From, sc.To, sc.Opts)
-			elapsed += time.Since(t0)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", sc.Name, err)
-			}
-			plan = p
-			iters++
+		planNs, iters, err := timeIters(budget, func() (err error) {
+			plan, err = core.GeneratePlan(sc.From, sc.To, sc.Opts)
+			return err
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", sc.Name, err)
+		}
+		changeNs, changeIters, err := timeIters(budget, sc.PlanChange)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: plan change: %w", sc.Name, err)
 		}
 		if err := plan.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("%s: invalid plan: %w", sc.Name, err)
@@ -96,8 +113,10 @@ func measurePlanner(budget time.Duration) (map[string]any, []row, error) {
 				"moved_bytes": st.MovedBytes, "storage_bytes": st.StorageBytes,
 			},
 			Sim:    map[string]float64{"simulated_reconfig_seconds": netsim.Simulate(sc.Topo, plan.Flows(sc.Topo)).Seconds},
-			Timing: map[string]float64{"ns_per_op": float64(elapsed.Nanoseconds() / int64(iters))},
-			Info:   map[string]float64{"devices": float64(sc.Devices), "iters": float64(iters)},
+			Timing: map[string]float64{"ns_per_op": planNs, "plan_change_ns_per_op": changeNs},
+			Info: map[string]float64{
+				"devices": float64(sc.Devices), "iters": float64(iters), "plan_change_iters": float64(changeIters),
+			},
 		})
 	}
 	return nil, rows, nil

@@ -46,48 +46,58 @@ const saveDevicesInFlight = 2
 
 // Save writes the state described by ptc — read from the per-device
 // stores — into storage as a partitioned checkpoint for the given step.
-// Replicated sub-tensors (DP copies) are written once. A batch-capable
-// device store is read in one round trip, a few such devices at a time,
-// and its pieces are written out and dropped as soon as its batch has
-// landed; any other store hands its tensors over one Query at a time
-// (by reference, for an in-process store).
+// Replicated sub-tensors (DP copies) are written once, by the first
+// device in rank order that holds them. A batch-capable device store is
+// read in one round trip, a few such devices at a time, and its pieces
+// are written out and dropped as soon as its batch has landed; any other
+// store hands its tensors over one Query at a time (by reference, for an
+// in-process store).
+//
+// A job keeps one checkpoint: only the latest is ever opened, so once
+// this step's pieces, its manifest and the latest marker are in storage
+// — in that order, and not before — Save removes the step the marker
+// named until then. A save that fails leaves that step and the marker
+// as they were.
 func Save(storage store.Access, job string, step int, ptc *core.PTC,
 	stores map[cluster.DeviceID]store.Access) error {
-	meta := Meta{Job: job, Step: step, Config: ptc.Name, Pieces: map[string][]Piece{}}
+	blobs, ok := storage.(interface {
+		PutBlob(string, []byte) error
+	})
+	if !ok {
+		return fmt.Errorf("checkpoint: storage does not support blobs")
+	}
+	prev, prevErr := Latest(storage, job)
+	meta := Meta{Job: job, Step: step, Config: ptc.Name, Pieces: make(map[string][]Piece, len(ptc.Tensors))}
+	root := ckptRoot(job, step)
+	var buf []byte // one piece path at a time; write is never run concurrently
 	write := func(s core.SubTensor, t *tensor.Tensor) error {
-		path := fmt.Sprintf("%s/%s@%s", ckptRoot(job, step), s.Tensor, s.Region)
+		buf = append(append(buf[:0], root...), '/')
+		buf = append(append(buf, s.Tensor...), '@')
+		at := len(buf)
+		buf = s.Region.Append(buf)
+		path := string(buf)
 		if err := storage.Upload(path, t); err != nil {
 			return fmt.Errorf("checkpoint: write %q: %w", path, err)
 		}
-		meta.Pieces[string(s.Tensor)] = append(meta.Pieces[string(s.Tensor)], Piece{
-			Path: path, Range: s.Region.String(),
-		})
+		meta.Pieces[string(s.Tensor)] = append(meta.Pieces[string(s.Tensor)], Piece{Path: path, Range: path[at:]})
 		return nil
 	}
 	// What the batch-capable devices owe the checkpoint; read after the
 	// walk below, which writes everything else as it is read.
 	var batches []deviceBatch
-	written := map[string]bool{}
-	for _, d := range ptc.Devices {
+	unique := ptc.Unique()
+	for g, d := range ptc.Devices {
 		acc, ok := stores[d]
 		if !ok {
 			return fmt.Errorf("checkpoint: no store for device %d", d)
 		}
-		bq, batch := acc.(store.BatchQuerier)
-		var subs []core.SubTensor
-		for _, s := range ptc.Place[d] {
-			key := string(s.Tensor) + s.Region.String()
-			if written[key] {
-				continue
+		if bq, batch := acc.(store.BatchQuerier); batch {
+			if len(unique[g]) > 0 {
+				batches = append(batches, deviceBatch{dev: d, store: bq, subs: unique[g]})
 			}
-			written[key] = true
-			if batch {
-				if _, ok := ptc.Tensors[s.Tensor]; !ok {
-					return fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
-				}
-				subs = append(subs, s)
-				continue
-			}
+			continue
+		}
+		for _, s := range unique[g] {
 			t, err := acc.Query(transform.ModelPath(job, d, s.Tensor), nil)
 			if err != nil {
 				return fmt.Errorf("checkpoint: read %q from dev %d: %w", s.Tensor, d, err)
@@ -95,9 +105,6 @@ func Save(storage store.Access, job string, step int, ptc *core.PTC,
 			if err := write(s, t); err != nil {
 				return err
 			}
-		}
-		if len(subs) > 0 {
-			batches = append(batches, deviceBatch{dev: d, store: bq, subs: subs})
 		}
 	}
 	if len(batches) > 0 {
@@ -112,16 +119,19 @@ func Save(storage store.Access, job string, step int, ptc *core.PTC,
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode meta: %w", err)
 	}
-	if ms, ok := storage.(interface {
-		PutBlob(string, []byte) error
-	}); ok {
-		if err := ms.PutBlob(metaPath(job, step), blob); err != nil {
-			return err
-		}
-		latest, _ := json.Marshal(step)
-		return ms.PutBlob(latestPath(job), latest)
+	if err := blobs.PutBlob(metaPath(job, step), blob); err != nil {
+		return err
 	}
-	return fmt.Errorf("checkpoint: storage does not support blobs")
+	latest, _ := json.Marshal(step)
+	if err := blobs.PutBlob(latestPath(job), latest); err != nil {
+		return err
+	}
+	if prevErr == nil && prev != step {
+		// The new checkpoint stands whether or not the old tree goes; what
+		// a failed delete leaves is garbage, not an inconsistency.
+		_ = storage.Delete(ckptRoot(job, prev))
+	}
+	return nil
 }
 
 // deviceBatch is what one batch-capable device store owes a checkpoint.
@@ -149,9 +159,14 @@ func saveBatches(job string, ptc *core.PTC, batches []deviceBatch,
 			defer func() { <-slots }()
 			entries := make([]store.BatchEntry, len(b.subs))
 			for j, s := range b.subs {
+				meta, ok := ptc.Tensors[s.Tensor]
+				if !ok {
+					errs[i] = fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
+					return
+				}
 				entries[j] = store.BatchEntry{
 					Path: transform.ModelPath(job, b.dev, s.Tensor),
-					Dst:  tensor.NewFromRegion(ptc.Tensors[s.Tensor].DType, s.Region),
+					Dst:  tensor.NewFromRegion(meta.DType, s.Region),
 				}
 			}
 			if _, err := b.store.BatchQueryInto(context.TODO(), entries); err != nil {

@@ -3,7 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -336,5 +339,92 @@ func TestSaveFromWireStores(t *testing.T) {
 	}
 	if _, err := Latest(store.Local{FS: failed}, "job0"); err == nil {
 		t.Fatal("a failed save left a latest marker")
+	}
+}
+
+// A job keeps one checkpoint: every save removes the step the latest
+// marker named before it, and nothing else under the job's root.
+func TestSaveKeepsOnlyLatestStep(t *testing.T) {
+	ptc, stores, golden := setup(t, parallel.Config{TP: 2, PP: 1, DP: 2}, 4)
+	fs := store.NewMemFS()
+	storage := store.Local{FS: fs}
+	for step := 3; step <= 7; step++ {
+		if err := Save(storage, "job0", step, ptc, stores); err != nil {
+			t.Fatal(err)
+		}
+		dirs, err := fs.List("/ckpt/job0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(dirs)
+		if want := []string{"latest", fmt.Sprintf("step%08d/", step)}; !reflect.DeepEqual(dirs, want) {
+			t.Fatalf("after saving step %d storage holds %v, want %v", step, dirs, want)
+		}
+	}
+	// Saving the step the marker already names must not remove it.
+	if err := Save(storage, "job0", 7, ptc, stores); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(storage, "job0", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range golden {
+		got, err := r.ReadRange(id, tensor.FullRegion(want.Shape()))
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("tensor %s does not read back from the kept step (err %v)", id, err)
+		}
+	}
+}
+
+// failingAccess is a device store whose reads fail once armed.
+type failingAccess struct {
+	store.Access
+	armed *bool
+}
+
+func (f failingAccess) Query(path string, reg tensor.Region) (*tensor.Tensor, error) {
+	if *f.armed {
+		return nil, fmt.Errorf("device store gone")
+	}
+	return f.Access.Query(path, reg)
+}
+
+// The previous step goes only after the new one is complete: a device
+// store that fails mid-save leaves the old step, and the marker naming
+// it, restorable.
+func TestFailedSaveLeavesPreviousStep(t *testing.T) {
+	ptc, stores, golden := setup(t, parallel.Config{TP: 4, PP: 1, DP: 1}, 4)
+	armed := false
+	stores[2] = failingAccess{Access: stores[2], armed: &armed}
+	fs := store.NewMemFS()
+	storage := store.Local{FS: fs}
+	if err := Save(storage, "job0", 1, ptc, stores); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	if err := Save(storage, "job0", 2, ptc, stores); err == nil || !strings.Contains(err.Error(), "dev 2") {
+		t.Fatalf("Save with device 2 failing returned %v", err)
+	}
+	step, err := Latest(storage, "job0")
+	if err != nil || step != 1 {
+		t.Fatalf("latest marker names step %d (err %v) after a failed save, want 1", step, err)
+	}
+	r, err := Open(storage, "job0", step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := localStores(4)
+	if err := Restore(r, "job0", ptc, restored); err != nil {
+		t.Fatalf("previous checkpoint no longer restores: %v", err)
+	}
+	state, err := transform.ReadPTC("job0", ptc, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range golden {
+		if !state[id].Equal(want) {
+			t.Fatalf("tensor %s restored from the previous step differs", id)
+		}
 	}
 }

@@ -32,18 +32,15 @@ type jobRuntime struct {
 	stores  map[cluster.DeviceID]store.Access
 	storage store.Local
 
+	// ptc is the job's current placement. The coordinator prices several
+	// candidate changes against it before committing one; they all read
+	// the same compiled index, which the PTC builds on first use and
+	// keeps (core/index.go). A commit installs a new PTC value, and the
+	// old one's index goes with it.
 	ptc   *core.PTC
 	cfg   parallel.Config
 	alloc cluster.Allocation
 	step  int
-
-	// lastPlan is the most recent plan generated against the CURRENT ptc
-	// (same *PTC value). The coordinator prices several candidate changes
-	// against one source state before committing any of them, and
-	// core.DiffPlan replays the untouched sub-tensors from this plan
-	// instead of replanning them. A commit replaces r.ptc, so the cached
-	// plan's pointer-identity guard expires it automatically.
-	lastPlan *core.Plan
 
 	// Observability: the run's metrics registry (nil when off) and the
 	// chain's current task scope — each task the decision plane fans
@@ -169,17 +166,12 @@ func (r *jobRuntime) planChange(cfg parallel.Config, alloc cluster.Allocation, f
 		return nil, fmt.Errorf("coordinator: plan %s: %w", r.name, err)
 	}
 	to = core.AlignDevices(from, to)
-	plan, err := core.DiffPlan(r.lastPlan, from, to, core.PlanOptions{Topo: r.topo, StorageFallback: storageOK})
+	plan, err := core.GeneratePlan(from, to, core.PlanOptions{Topo: r.topo, StorageFallback: storageOK})
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: plan %s: %w", r.name, err)
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("coordinator: plan %s invalid: %w", r.name, err)
-	}
-	if from == r.ptc {
-		// Degraded sources (failure recovery) are one-shot PTCs and not
-		// worth caching; repeat pricing always plans against r.ptc.
-		r.lastPlan = plan
 	}
 	return &change{
 		cfg:       cfg,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"maps"
 	"sort"
 
 	"tenplex/internal/cluster"
+	"tenplex/internal/tensor"
 )
 
 // AlignDevices permutes the device assignment of the target PTC so that
@@ -33,36 +35,43 @@ func AlignDevices(from, to *PTC) *PTC {
 		olap  int64
 	}
 
-	// One interval-indexed pass per group: look up the source holders
-	// overlapping each wanted sub-tensor and accumulate overlap bytes
-	// per source device, instead of re-scanning every device's holdings
-	// for every (group, device) pair.
-	idx := newSourceIndex(from)
+	// One interval-indexed pass per group over the source's compiled
+	// index: look up the holders overlapping each wanted sub-tensor and
+	// add the overlap's bytes — computed, never materialized — to a
+	// dense per-source-rank accumulator, instead of re-scanning every
+	// device's holdings for every (group, device) pair.
+	idx := from.index()
+	wants := idx.resolve(to)
+	srcRank := make([]int32, len(to.Devices)) // of to.Devices[g] in the source; -1: not a source device
+	for g, d := range to.Devices {
+		srcRank[g] = idx.rank(d)
+	}
+	olap := make([]int64, len(idx.devs))
 	var cands []cand
-	olapByDev := map[cluster.DeviceID]int64{}
 	var hits []int32
-	for g := range to.Devices {
-		clear(olapByDev)
-		for _, want := range to.Place[to.Devices[g]] {
-			meta, ok := to.Tensors[want.Tensor]
-			if !ok {
+	for g, d := range to.Devices {
+		clear(olap)
+		place := to.Place[d]
+		for i, pos := range wants[g] {
+			if pos < 0 || !idx.all[pos].known {
 				continue
 			}
-			ti := idx.tensor(want.Tensor)
-			if ti == nil {
-				continue
-			}
-			hits = ti.lookupRegion(want.Region, hits[:0])
+			ti, want := &idx.all[pos], place[i].Region
+			size := int64(ti.meta.DType.Size())
+			hits = ti.lookupRegion(want, hits[:0])
+			var last tensor.Region
+			var bytes int64
 			for _, p := range hits {
 				h := &ti.holders[p]
-				if inter, ok := intersectRegions(want.Region, h.reg); ok {
-					olapByDev[h.dev] += inter.NumBytes(meta.DType)
+				if !sameStorage(h.reg, last) { // replicas placed from one region overlap alike
+					last, bytes = h.reg, overlapElems(want, h.reg)*size
 				}
+				olap[h.rank] += bytes
 			}
 		}
-		for _, d := range to.Devices {
-			if o := olapByDev[d]; o > 0 {
-				cands = append(cands, cand{group: g, dev: d, olap: o})
+		for g2, d2 := range to.Devices {
+			if r := srcRank[g2]; r >= 0 && olap[r] > 0 {
+				cands = append(cands, cand{group: g, dev: d2, olap: olap[r]})
 			}
 		}
 	}
@@ -101,12 +110,9 @@ func AlignDevices(from, to *PTC) *PTC {
 	}
 
 	out := NewPTC(to.Name, to.Devices)
-	for id, meta := range to.Tensors {
-		out.Tensors[id] = meta
-	}
+	out.Tensors = maps.Clone(to.Tensors)
 	for g, oldDev := range to.Devices {
-		newDev := assign[g]
-		out.Place[newDev] = append([]SubTensor(nil), to.Place[oldDev]...)
+		out.Place[assign[g]] = shareList(to.Place[oldDev])
 	}
 	return out
 }

@@ -60,6 +60,29 @@ func BenchmarkGeneratePlanScenarios(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanChange128 measures what the coordinator pays to price one
+// candidate change at 128 devices: not GeneratePlan alone but the whole
+// sequence of jobRuntime.planChange — BuildPTC, AlignDevices,
+// GeneratePlan, Validate, Stats, netsim.Simulate — against a deployed
+// source whose index is already compiled, as it is from the second
+// candidate on. tenplex-bench's planner record files the same sequence
+// as plan_change_ns_per_op.
+func BenchmarkPlanChange128(b *testing.B) {
+	for _, sc := range experiments.PlannerScenarios() {
+		if sc.Devices != 128 {
+			continue
+		}
+		b.Run(sc.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sc.PlanChange(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkBuildPTCFullScale(b *testing.B) {
 	m := model.GPT3_6B7().WithAdam()
 	topo := cluster.OnPrem16()

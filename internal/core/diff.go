@@ -1,68 +1,15 @@
 package core
 
-import (
-	"tenplex/internal/cluster"
-)
-
-// The coordinator replans repeatedly against the same source state: a
-// scale-out proposal is priced against several candidate topologies, a
-// rejected reconfiguration is replanned after the next event, and the
-// rollback path plans PTC→PTC′ right after planning PTC→PTC″. All of
-// those calls share `from`, and in a datacenter-scale PTC most
-// destination sub-tensors are untouched by the change — their plan is
-// the same single local fetch every time. DiffPlan exploits both:
-// it reuses the previous plan's source index (a pure function of the
-// source PTC) and replays its pure-local assignments verbatim, leaving
-// only the genuinely moved sub-tensors for the planner.
-
-// planKey identifies one destination sub-tensor for assignment reuse.
-type planKey struct {
-	dev cluster.DeviceID
-	t   TensorID
-	reg string
-}
-
-// DiffPlan computes the same plan as GeneratePlan(from, to, opts) —
-// byte-identical, by construction — but reuses work from prev, a plan
-// previously generated against the SAME source PTC. Reuse applies only
-// when prev.From and from are the same *PTC value (pointer identity:
-// equality by content would cost as much as the work saved); otherwise
-// DiffPlan is exactly GeneratePlan.
+// DiffPlan is GeneratePlan(from, to, opts); prev is ignored.
 //
-// Two artifacts carry over. The source-holder index is a pure function
-// of the source PTC and is shared outright. Assignments of prev that
-// are PURE-LOCAL — every fetch reads the destination device's own store
-// — are memoized and pasted when the target PTC wants the same
-// (device, tensor, region) sub-tensor again. Pure-local assignments are
-// resolved entirely by the planner's tier-0 pass, which depends only on
-// the source index and the wanted region (not on PlanOptions, which
-// steer tier 1/2 only), and they produce no send-load deltas (deltas
-// are recorded only for cross-device fetches) — so replaying them can
-// never perturb the load-balanced replica choice for the sub-tensors
-// that did change.
+// It used to thread the previous plan's source index and its pure-local
+// assignments into the next plan against the same source. The index now
+// belongs to the source PTC itself (index.go: compiled once, shared by
+// every plan, alignment and validation that reads the PTC), which gives
+// repeat pricing the sharing without a previous plan to carry around,
+// and with it gone the replay table cost more than the tier-0 work it
+// skipped. The name stays for the benchmark module, which still calls
+// it.
 func DiffPlan(prev *Plan, from, to *PTC, opts PlanOptions) (*Plan, error) {
-	if prev == nil || prev.From != from || prev.idx == nil {
-		return GeneratePlan(from, to, opts)
-	}
-	var reuse map[planKey]Assignment
-	for _, a := range prev.Assignments {
-		if len(a.Fetch) == 0 {
-			continue
-		}
-		local := true
-		for _, f := range a.Fetch {
-			if f.Src.Kind != FromDevice || f.Src.Device != a.Device {
-				local = false
-				break
-			}
-		}
-		if !local {
-			continue
-		}
-		if reuse == nil {
-			reuse = make(map[planKey]Assignment)
-		}
-		reuse[planKey{a.Device, a.Tensor, a.Region.String()}] = a
-	}
-	return generatePlan(from, to, opts, prev.idx, reuse)
+	return GeneratePlan(from, to, opts)
 }

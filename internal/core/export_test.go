@@ -4,3 +4,6 @@ package core
 // external test package, which property-tests that the indexed parallel
 // planner emits byte-identical plans.
 var GeneratePlanReference = generatePlanReference
+
+// IndexBuilds reports how many PTCs have been compiled so far.
+func IndexBuilds() int64 { return indexBuilds.Load() }

@@ -2,24 +2,33 @@ package core
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/tensor"
 )
 
-// This file implements the planner's source index: every holder of every
-// tensor in the source PTC, organized for the three lookups the plan
-// generator needs per destination sub-tensor — holders on one device
-// (tier 0), holders on one worker (tier 1), and holders overlapping an
-// interval along the tensor's dominant split axis (tier 2). The index
-// is built once per GeneratePlan / AlignDevices call and replaces the
-// per-assignment copy-and-sort of the full holder list.
+// This file implements the compiled form of a PTC: every holder of
+// every tensor, grouped by tensor in shared arenas and organized for
+// the lookups the metadata layers need — all holders of one tensor
+// (PTC.Validate, Slices, checkpointing), holders on one device (the
+// planner's tier 0, the one-region-per-tensor check), holders on one
+// worker (tier 1), and holders overlapping an interval along the
+// tensor's dominant split axis (tier 2, AlignDevices, Holders).
+//
+// A PTC is compiled at most once, on first use (PTC.index), and the
+// result is immutable and shared by everything that reads the PTC
+// afterwards: AlignDevices and every GeneratePlan against one source
+// PTC — all candidates the coordinator prices before committing one —
+// use the same index. AddTensor, Assign and AssignAll, the only
+// mutators, drop it. Holder regions alias the PTC's own (placed regions
+// are never mutated), so compiling copies no region.
 
-// srcHolder is one source sub-tensor in the index. lo/hi cache the
+// srcHolder is one placed sub-tensor in the index. lo/hi cache the
 // holder's extent along the owning tensorIndex's split axis; rank is
-// the device's dense position among the source devices, so send-load
-// bookkeeping can use flat arrays regardless of how sparse the
-// DeviceID space is.
+// the device's dense position among the PTC's distinct devices, so
+// per-device bookkeeping can use flat arrays regardless of how sparse
+// the DeviceID space is.
 type srcHolder struct {
 	dev    cluster.DeviceID
 	rank   int32
@@ -31,29 +40,53 @@ type srcHolder struct {
 // canonical order — device ascending, placement order within a device —
 // which is exactly the tie-break order of the reference planner's
 // stable sort. byLo additionally orders holder positions by their lower
-// bound along the dominant split axis for interval lookup.
+// bound along the dominant split axis for interval lookup. A tensor the
+// PTC registers but no device holds (every replica died) has no holders.
 type tensorIndex struct {
+	id      TensorID
+	meta    TensorMeta // zero when the PTC places a tensor it never registered
+	known   bool       // id is registered in PTC.Tensors
 	holders []srcHolder
 	devs    []cluster.DeviceID // ascending; devices holding the tensor
 	starts  []int32            // len(devs)+1; holders[starts[i]:starts[i+1]] sit on devs[i]
 	axis    int                // dominant split axis; -1 when every holder has the same region
 	byLo    []int32
-	meta    TensorMeta // source-side metadata (planning checks it equals the target's)
-	n       int32      // holder count, used as a fill cursor during the build
+	n       int32 // holder count, used as a fill cursor during the build
 }
 
-// sourceIndex indexes a whole source PTC by tensor. All per-tensor
-// slices are windows into shared backing arrays sized in a counting
-// pass, so building it costs a handful of allocations regardless of
-// tensor count.
-type sourceIndex struct {
-	pos      map[TensorID]int32
-	all      []tensorIndex
-	numRanks int // distinct source devices (dense rank space)
+// ptcIndex is the compiled PTC. All per-tensor slices are windows into
+// shared backing arrays sized in a counting pass, so building it costs
+// a handful of allocations regardless of tensor count.
+type ptcIndex struct {
+	pos   map[TensorID]int32
+	all   []tensorIndex      // placed tensors in first-placement order, then the unplaced
+	devs  []cluster.DeviceID // distinct devices, ascending: the dense rank space
+	place [][]int32          // by rank: the position in all of each sub-tensor on the device's list
 }
 
-// tensor returns the index of one tensor, or nil if no device holds it.
-func (idx *sourceIndex) tensor(id TensorID) *tensorIndex {
+// indexBuilds counts compilations, for the test that pins one build per
+// PTC value.
+var indexBuilds atomic.Int64
+
+// index returns p's compiled form, building it on first use. Concurrent
+// readers of one PTC share a single build.
+func (p *PTC) index() *ptcIndex {
+	if idx := p.compiled.Load(); idx != nil {
+		return idx
+	}
+	p.compileMu.Lock()
+	defer p.compileMu.Unlock()
+	if idx := p.compiled.Load(); idx != nil {
+		return idx
+	}
+	idx := compile(p)
+	p.compiled.Store(idx)
+	return idx
+}
+
+// tensor returns the index of one tensor, or nil if the PTC neither
+// registers nor places it.
+func (idx *ptcIndex) tensor(id TensorID) *tensorIndex {
 	p, ok := idx.pos[id]
 	if !ok {
 		return nil
@@ -61,66 +94,120 @@ func (idx *sourceIndex) tensor(id TensorID) *tensorIndex {
 	return &idx.all[p]
 }
 
-// newSourceIndex builds the index. Holder regions are copied once into
-// a shared arena, so plan fetches can reference them without aliasing
-// the PTC.
-func newSourceIndex(from *PTC) *sourceIndex {
-	devs := append([]cluster.DeviceID(nil), from.Devices...)
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
+// rank returns the dense rank of device d, or -1 if the PTC has no such
+// device.
+func (idx *ptcIndex) rank(d cluster.DeviceID) int32 {
+	i := sort.Search(len(idx.devs), func(i int) bool { return idx.devs[i] >= d })
+	if i == len(idx.devs) || idx.devs[i] != d {
+		return -1
+	}
+	return int32(i)
+}
 
-	idx := &sourceIndex{pos: make(map[TensorID]int32, len(from.Tensors))}
-	idx.all = make([]tensorIndex, 0, len(from.Tensors))
-	totalHolders, totalRanks := 0, 0
-	var seq []int32 // tensor position of each holder, in placement order
-	for _, d := range devs {
-		for _, s := range from.Place[d] {
-			p, ok := idx.pos[s.Tensor]
-			if !ok {
-				p = int32(len(idx.all))
-				idx.all = append(idx.all, tensorIndex{axis: -1, meta: from.Tensors[s.Tensor]})
-				idx.pos[s.Tensor] = p
+// eachList calls position for every sub-tensor of every listed device's
+// placement list and returns the results list by list. Lists that share
+// storage — BuildPTC places one list on all replicas of a rank,
+// AlignDevices and WithoutDevices hand lists on as they are — are
+// resolved once: a placed list is immutable, so the same first element
+// and length mean the same sub-tensors. This is what keeps string
+// hashing (position is a map probe by TensorID) off the per-placement
+// path.
+func eachList(q *PTC, devs []cluster.DeviceID, position func(TensorID) int32) [][]int32 {
+	out := make([][]int32, len(devs))
+	memo := make(map[*SubTensor][]int32, len(devs))
+	for g, d := range devs {
+		list := q.Place[d]
+		if len(list) == 0 {
+			continue
+		}
+		seq, ok := memo[&list[0]]
+		if !ok || len(seq) != len(list) {
+			seq = make([]int32, len(list))
+			for i := range list {
+				seq[i] = position(list[i].Tensor)
 			}
-			idx.all[p].n++
-			seq = append(seq, p)
-			totalHolders++
-			totalRanks += len(s.Region)
+			memo[&list[0]] = seq
+		}
+		out[g] = seq
+	}
+	return out
+}
+
+// resolve maps every placement of q, device by device in q.Devices
+// order, to the position of its tensor in idx (-1: idx has no such
+// tensor), so consumers walking q against idx index arrays instead of
+// hashing tensor IDs.
+func (idx *ptcIndex) resolve(q *PTC) [][]int32 {
+	return eachList(q, q.Devices, func(id TensorID) int32 {
+		if p, ok := idx.pos[id]; ok {
+			return p
+		}
+		return -1
+	})
+}
+
+// compile builds the index of p.
+func compile(p *PTC) *ptcIndex {
+	indexBuilds.Add(1)
+	devs := append([]cluster.DeviceID(nil), p.Devices...)
+	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
+	k := 0
+	for i, d := range devs {
+		if i == 0 || d != devs[k-1] { // a device listed twice still holds its state once
+			devs[k] = d
+			k++
+		}
+	}
+	devs = devs[:k]
+
+	idx := &ptcIndex{pos: make(map[TensorID]int32, len(p.Tensors)), devs: devs}
+	idx.all = make([]tensorIndex, 0, len(p.Tensors))
+	idx.place = eachList(p, devs, func(id TensorID) int32 {
+		pos, ok := idx.pos[id]
+		if !ok {
+			pos = int32(len(idx.all))
+			meta, known := p.Tensors[id]
+			idx.all = append(idx.all, tensorIndex{id: id, meta: meta, known: known, axis: -1})
+			idx.pos[id] = pos
+		}
+		return pos
+	})
+	for id, meta := range p.Tensors {
+		if _, ok := idx.pos[id]; !ok { // registered, but no device holds it (any more)
+			idx.pos[id] = int32(len(idx.all))
+			idx.all = append(idx.all, tensorIndex{id: id, meta: meta, known: true, axis: -1})
 		}
 	}
 
-	holderArena := make([]srcHolder, totalHolders)
-	rangeArena := make([]tensor.Range, 0, totalRanks)
+	total := 0
+	for _, seq := range idx.place {
+		total += len(seq)
+		for _, pos := range seq {
+			idx.all[pos].n++
+		}
+	}
+	holderArena := make([]srcHolder, total)
 	off := int32(0)
 	for i := range idx.all {
 		end := off + idx.all[i].n
 		idx.all[i].holders = holderArena[off:off:end]
 		off = end
 	}
-	// Replay the recorded tensor positions instead of re-hashing IDs.
-	// Equal device IDs (degenerate, but the reference planner merges
-	// them in its load map) share one rank.
-	si, rank := 0, int32(-1)
-	var prev cluster.DeviceID
-	for _, d := range devs {
-		if rank < 0 || d != prev {
-			rank++
-			prev = d
-		}
-		for _, s := range from.Place[d] {
-			ti := &idx.all[seq[si]]
-			si++
-			start := len(rangeArena)
-			rangeArena = append(rangeArena, s.Region...)
-			reg := tensor.Region(rangeArena[start:len(rangeArena):len(rangeArena)])
-			ti.holders = append(ti.holders, srcHolder{dev: d, rank: rank, reg: reg})
+	for r, d := range devs {
+		list := p.Place[d]
+		for i, pos := range idx.place[r] {
+			ti := &idx.all[pos]
+			ti.holders = append(ti.holders, srcHolder{dev: d, rank: int32(r), reg: list[i].Region})
 		}
 	}
-	idx.numRanks = int(rank + 1)
 
-	devArena := make([]cluster.DeviceID, 0, totalHolders)
-	startArena := make([]int32, 0, totalHolders+len(idx.all))
-	byLoArena := make([]int32, 0, totalHolders)
+	devArena := make([]cluster.DeviceID, 0, total)
+	startArena := make([]int32, 0, total+len(idx.all))
+	byLoArena := make([]int32, 0, total)
 	for i := range idx.all {
-		idx.all[i].finish(&devArena, &startArena, &byLoArena)
+		if len(idx.all[i].holders) > 0 {
+			idx.all[i].finish(&devArena, &startArena, &byLoArena)
+		}
 	}
 	return idx
 }
@@ -151,6 +238,9 @@ func (ti *tensorIndex) finish(devArena *[]cluster.DeviceID, startArena *[]int32,
 		if len(h.reg) != len(first) {
 			ti.axis = -1
 			return // mixed ranks: no usable axis, lookup returns all
+		}
+		if sameStorage(h.reg, first) {
+			continue // a replica placed from the first holder's region
 		}
 		for d := range first {
 			if h.reg[d] != first[d] {
@@ -256,23 +346,33 @@ func cloneRegion(al regionAllocator, r tensor.Region) tensor.Region {
 	return out
 }
 
-// regionsOverlap reports whether two regions intersect, without
-// allocating the intersection.
-func regionsOverlap(a, b tensor.Region) bool {
+// sameStorage reports whether a and b are the same region in memory —
+// equal without comparing, the common case between replicas, which
+// parallelizers place from one region (PTC.AssignAll).
+func sameStorage(a, b tensor.Region) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// overlapElems returns how many elements two regions share: the volume
+// of their intersection, computed without materializing it.
+func overlapElems(a, b tensor.Region) int64 {
 	if len(a) != len(b) {
-		return false
+		return 0
 	}
+	n := int64(1)
 	for i := range a {
-		if a[i].Lo >= b[i].Hi || b[i].Lo >= a[i].Hi {
-			return false
+		lo, hi := max(a[i].Lo, b[i].Lo), min(a[i].Hi, b[i].Hi)
+		if lo >= hi {
+			return 0
 		}
+		n *= int64(hi - lo)
 	}
-	return true
+	return n
 }
 
 // intersectInto is Region.Intersect with an allocation-free miss path.
 func intersectInto(a, b tensor.Region, al regionAllocator) (tensor.Region, bool) {
-	if !regionsOverlap(a, b) {
+	if !a.Overlaps(b) {
 		return nil, false
 	}
 	out := al.allocRegion(len(a))
@@ -280,9 +380,4 @@ func intersectInto(a, b tensor.Region, al regionAllocator) (tensor.Region, bool)
 		out[i], _ = a[i].Intersect(b[i])
 	}
 	return out, true
-}
-
-// intersectRegions is intersectInto on the heap.
-func intersectRegions(a, b tensor.Region) (tensor.Region, bool) {
-	return intersectInto(a, b, heapRegions{})
 }

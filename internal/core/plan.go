@@ -67,10 +67,6 @@ type Plan struct {
 	// executing) skip the full invariant sweep. Atomic so concurrent
 	// executors sharing one plan stay race-free.
 	validated atomic.Bool
-	// idx retains the source-holder index built during generation so
-	// DiffPlan can reuse it for later plans against the same source PTC.
-	// Pure metadata derived from From; nil on hand-built plans.
-	idx *sourceIndex
 }
 
 // PlanOptions tunes plan generation.
@@ -127,10 +123,14 @@ type pendingAssignment struct {
 // windows per assignment; regions produced by intersection and
 // subtraction live in the ranges arena for the plan's lifetime.
 type planWorker struct {
-	to           *PTC
-	topo         *cluster.Topology
-	idx          *sourceIndex
-	reuse        map[planKey]Assignment
+	to    *PTC
+	topo  *cluster.Topology
+	idx   *ptcIndex
+	wants [][]int32 // idx.resolve(to)
+	// sendLoad, when set, takes the bytes a consumed remote holder is
+	// asked to send directly (the sequential pass owns the counters);
+	// the parallel phase leaves it nil and records deltas instead.
+	sendLoad     []int64
 	rem, next    []tensor.Region
 	fetchScratch []Fetch
 	deltaScratch []sendDelta
@@ -147,40 +147,39 @@ func (w *planWorker) allocRegion(n int) tensor.Region {
 	return tensor.Region(w.ranges.alloc(n))
 }
 
-// intersect is intersectInto on the worker arena.
-func (w *planWorker) intersect(a, b tensor.Region) (tensor.Region, bool) {
-	return intersectInto(a, b, w)
-}
-
-// clone copies a region into the worker arena.
-func (w *planWorker) clone(r tensor.Region) tensor.Region {
-	return cloneRegion(w, r)
-}
-
-// subtract is subtractInto on the worker arena.
-func (w *planWorker) subtract(dst []tensor.Region, rem, inter tensor.Region) []tensor.Region {
-	return subtractInto(dst, rem, inter, w)
-}
-
 // consume intersects one holder with every remaining range, emitting
 // fetches into the scratch list and shrinking w.rem, exactly as the
-// reference planner's inner loop does for that holder.
-func (w *planWorker) consume(h *srcHolder, dt tensor.DType, dst cluster.DeviceID) {
+// reference planner's inner loop does for that holder. A remaining
+// range the holder contains whole — every no-op and every plain move —
+// is its own intersection and leaves nothing behind: no region is
+// allocated for it.
+func (w *planWorker) consume(h *srcHolder, size int64, dst cluster.DeviceID) {
 	w.next = w.next[:0]
 	for _, rem := range w.rem {
-		inter, ok := w.intersect(rem, h.reg)
-		if !ok {
-			w.next = append(w.next, rem)
-			continue
+		inter := rem
+		whole := h.reg.Contains(rem)
+		if !whole {
+			var ok bool
+			if inter, ok = intersectInto(rem, h.reg, w); !ok {
+				w.next = append(w.next, rem)
+				continue
+			}
 		}
 		w.fetchScratch = append(w.fetchScratch, Fetch{
 			Want: inter,
 			Src:  Source{Kind: FromDevice, Device: h.dev, Region: h.reg},
 		})
 		if h.dev != dst {
-			w.deltaScratch = append(w.deltaScratch, sendDelta{h.rank, inter.NumBytes(dt)})
+			bytes := int64(inter.NumElems()) * size
+			if w.sendLoad != nil {
+				w.sendLoad[h.rank] += bytes
+			} else {
+				w.deltaScratch = append(w.deltaScratch, sendDelta{h.rank, bytes})
+			}
 		}
-		w.next = w.subtract(w.next, rem, inter)
+		if !whole {
+			w.next = subtractInto(w.next, rem, inter, w)
+		}
 	}
 	w.rem, w.next = w.next, w.rem
 }
@@ -196,45 +195,31 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 	d := w.to.Devices[di]
 	place := w.to.Place[d]
 	var out []pendingAssignment
-	for i, want := range place {
-		if w.reuse != nil {
-			if a, ok := w.reuse[planKey{d, want.Tensor, want.Region.String()}]; ok {
-				// A memoized pure-local assignment: resolved entirely by
-				// tier 0, so replaying it produces no remaining ranges and
-				// no send-load deltas — nothing for the sequential pass.
-				assigns[base+int32(i)] = a
-				continue
-			}
-		}
-		ti := w.idx.tensor(want.Tensor)
-		var dt tensor.DType
-		if ti != nil {
-			dt = ti.meta.DType
-		} else {
-			dt = w.to.Tensors[want.Tensor].DType
-		}
-		a := Assignment{Device: d, Tensor: want.Tensor, Region: w.clone(want.Region)}
+	for i := range place {
+		want := &place[i]
+		// The source registers every target tensor (checkPlanMeta), so
+		// there is an index entry even when no device holds the tensor.
+		ti := &w.idx.all[w.wants[di][i]]
+		size := int64(ti.meta.DType.Size())
+		a := Assignment{Device: d, Tensor: want.Tensor, Region: want.Region}
 		w.fetchScratch = w.fetchScratch[:0]
 		w.deltaScratch = w.deltaScratch[:0]
 		w.rem = append(w.rem[:0], want.Region)
-		if ti != nil {
-			if start, end, ok := ti.span(d); ok {
-				for p := start; p < end && len(w.rem) > 0; p++ {
-					w.consume(&ti.holders[p], dt, d)
-				}
+		if start, end, ok := ti.span(d); ok {
+			for p := start; p < end && len(w.rem) > 0; p++ {
+				w.consume(&ti.holders[p], size, d)
 			}
-			if w.topo != nil && len(w.rem) > 0 {
-				for _, sd := range ti.devs {
-					if len(w.rem) == 0 {
-						break
-					}
-					if sd == d || !w.topo.SameWorker(sd, d) {
-						continue
-					}
-					start, end, _ := ti.span(sd)
-					for p := start; p < end && len(w.rem) > 0; p++ {
-						w.consume(&ti.holders[p], dt, d)
-					}
+		}
+		if w.topo != nil && len(w.rem) > 0 {
+			for k, sd := range ti.devs {
+				if len(w.rem) == 0 {
+					break
+				}
+				if sd == d || !w.topo.SameWorker(sd, d) {
+					continue
+				}
+				for p := ti.starts[k]; p < ti.starts[k+1] && len(w.rem) > 0; p++ {
+					w.consume(&ti.holders[p], size, d)
 				}
 			}
 		}
@@ -243,6 +228,9 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 		slot := base + int32(i)
 		assigns[slot] = a
 		if len(w.rem) > 0 || len(w.deltaScratch) > 0 {
+			if out == nil { // a device that moves state usually moves most of it
+				out = make([]pendingAssignment, 0, len(place)-i)
+			}
 			out = append(out, pendingAssignment{
 				slot:      slot,
 				ti:        ti,
@@ -263,29 +251,20 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 //
 // Plan generation is pure metadata work and must stay cheap at
 // production scale, so the hot path is indexed and parallel: source
-// holders are indexed once per call (see sourceIndex), local and
+// holders come from the source PTC's compiled index (index.go; built
+// once per PTC, so every plan against one source shares it), local and
 // same-worker source selection runs concurrently across destination
 // devices on a bounded worker pool, and only the send-load-balanced
 // remote replica choice runs as a cheap sequential pass — which keeps
 // the output byte-identical to the reference planner
-// (generatePlanReference).
+// (generatePlanReference). Assignment and fetch regions alias the PTCs'
+// placed regions wherever they coincide with them.
 func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
-	return generatePlan(from, to, opts, nil, nil)
-}
-
-// generatePlan is the shared implementation behind GeneratePlan and
-// DiffPlan. idx, when non-nil, must be the source index of from (it is
-// a pure function of from, so sharing it across plans is safe); reuse,
-// when non-nil, maps destination sub-tensors to memoized pure-local
-// assignments pasted without replanning (see DiffPlan for why that
-// preserves byte-identical output).
-func generatePlan(from, to *PTC, opts PlanOptions, idx *sourceIndex, reuse map[planKey]Assignment) (*Plan, error) {
 	if err := checkPlanMeta(from, to); err != nil {
 		return nil, err
 	}
-	if idx == nil {
-		idx = newSourceIndex(from)
-	}
+	idx := from.index()
+	wants := idx.resolve(to)
 
 	bases := make([]int32, len(to.Devices)+1)
 	for i, d := range to.Devices {
@@ -302,7 +281,7 @@ func generatePlan(from, to *PTC, opts PlanOptions, idx *sourceIndex, reuse map[p
 		workers = len(to.Devices)
 	}
 	if workers <= 1 {
-		w := &planWorker{to: to, topo: opts.Topo, idx: idx, reuse: reuse}
+		w := &planWorker{to: to, topo: opts.Topo, idx: idx, wants: wants}
 		for di := range to.Devices {
 			pending[di] = w.planDevice(di, assigns, bases[di])
 		}
@@ -313,7 +292,7 @@ func generatePlan(from, to *PTC, opts PlanOptions, idx *sourceIndex, reuse map[p
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w := &planWorker{to: to, topo: opts.Topo, idx: idx, reuse: reuse}
+				w := &planWorker{to: to, topo: opts.Topo, idx: idx, wants: wants}
 				for {
 					di := int(cursor.Add(1)) - 1
 					if di >= len(to.Devices) {
@@ -331,8 +310,8 @@ func generatePlan(from, to *PTC, opts PlanOptions, idx *sourceIndex, reuse map[p
 	// send, for balancing among equally-near replicas; it is indexed by
 	// the dense source-device rank, so sparse DeviceID spaces cost
 	// nothing.
-	sendLoad := make([]int64, idx.numRanks)
-	w := &planWorker{to: to, topo: opts.Topo, idx: idx}
+	sendLoad := make([]int64, len(idx.devs))
+	w := &planWorker{to: to, topo: opts.Topo, idx: idx, sendLoad: sendLoad}
 	var cands []int32
 
 	for di, d := range to.Devices {
@@ -346,55 +325,36 @@ func generatePlan(from, to *PTC, opts PlanOptions, idx *sourceIndex, reuse map[p
 				continue
 			}
 			ti := pa.ti
-			cands = cands[:0]
-			var dt tensor.DType
-			if ti != nil {
-				dt = ti.meta.DType
-				// Remote candidates: holders overlapping the remaining
-				// ranges' extent along the split axis, excluding
-				// tier-0/1 devices already consumed.
-				qlo, qhi := boundsAlong(ti.axis, pa.remaining)
-				cands = ti.lookup(qlo, qhi, cands)
-				k := 0
-				for _, p := range cands {
-					sd := ti.holders[p].dev
-					if sd == d || (opts.Topo != nil && opts.Topo.SameWorker(sd, d)) {
-						continue
-					}
-					cands[k] = p
-					k++
+			// Remote candidates: holders overlapping the remaining
+			// ranges' extent along the split axis, excluding tier-0/1
+			// devices already consumed.
+			qlo, qhi := boundsAlong(ti.axis, pa.remaining)
+			cands = ti.lookup(qlo, qhi, cands[:0])
+			k := 0
+			for _, p := range cands {
+				sd := ti.holders[p].dev
+				if sd == d || (opts.Topo != nil && opts.Topo.SameWorker(sd, d)) {
+					continue
 				}
-				cands = cands[:k]
-				// The reference planner orders remote holders by (send
-				// load at assignment start, device, placement order);
-				// candidate positions already encode the last two keys.
-				sortCandidates(cands, ti, sendLoad)
+				cands[k] = p
+				k++
 			}
+			cands = cands[:k]
+			// The reference planner orders remote holders by (send load
+			// at assignment start, device, placement order); candidate
+			// positions already encode the last two keys.
+			sortCandidates(cands, ti, sendLoad)
 			for _, pd := range pa.delta {
 				sendLoad[pd.rank] += pd.bytes
 			}
+			size := int64(ti.meta.DType.Size())
 			w.fetchScratch = append(w.fetchScratch[:0], a.Fetch...)
 			w.rem = append(w.rem[:0], pa.remaining...)
 			for _, p := range cands {
 				if len(w.rem) == 0 {
 					break
 				}
-				h := &ti.holders[p]
-				w.next = w.next[:0]
-				for _, rem := range w.rem {
-					inter, ok := w.intersect(rem, h.reg)
-					if !ok {
-						w.next = append(w.next, rem)
-						continue
-					}
-					w.fetchScratch = append(w.fetchScratch, Fetch{
-						Want: inter,
-						Src:  Source{Kind: FromDevice, Device: h.dev, Region: h.reg},
-					})
-					sendLoad[h.rank] += inter.NumBytes(dt)
-					w.next = w.subtract(w.next, rem, inter)
-				}
-				w.rem, w.next = w.next, w.rem
+				w.consume(&ti.holders[p], size, d)
 			}
 			if len(w.rem) > 0 {
 				if !opts.StorageFallback {
@@ -402,7 +362,7 @@ func generatePlan(from, to *PTC, opts PlanOptions, idx *sourceIndex, reuse map[p
 						"core: plan: range %v of %q unavailable on any device (enable StorageFallback to recover from checkpoints)",
 						w.rem[0], a.Tensor)
 				}
-				shape := to.Tensors[a.Tensor].Shape
+				shape := ti.meta.Shape
 				full := tensor.Region(w.ranges.alloc(len(shape)))
 				for i, n := range shape {
 					full[i] = tensor.Range{Lo: 0, Hi: n}
@@ -419,7 +379,7 @@ func generatePlan(from, to *PTC, opts PlanOptions, idx *sourceIndex, reuse map[p
 			sortFetches(a.Fetch)
 		}
 	}
-	return &Plan{From: from, To: to, Assignments: assigns, idx: idx}, nil
+	return &Plan{From: from, To: to, Assignments: assigns}, nil
 }
 
 // boundsAlong returns the extent of regs along axis; regs is non-empty.
@@ -554,7 +514,13 @@ func (p *Plan) Stats(topo *cluster.Topology) Stats {
 // merge work (assembling a destination from multiple pieces) are
 // accounted as host-memory copy bytes.
 func (p *Plan) Flows(topo *cluster.Topology) []netsim.Flow {
-	var flows []netsim.Flow
+	n := 0
+	for _, a := range p.Assignments {
+		if !a.IsNoop() {
+			n += len(a.Fetch)
+		}
+	}
+	flows := make([]netsim.Flow, 0, n)
 	for _, a := range p.Assignments {
 		if a.IsNoop() {
 			continue
@@ -615,42 +581,66 @@ func (p *Plan) Ops() []string {
 
 // Validate checks plan invariants: every assignment's fetches exactly
 // tile its region with no gaps, every device fetch stays inside its
-// declared source region, and destination regions match the target PTC.
+// declared source region, and the assignments are exactly the target
+// PTC's sub-tensors, each once.
+//
+// Assignments are matched against the target's placement lists with one
+// cursor per destination device: a plan in the order GeneratePlan emits
+// (device by device, placement order) matches every assignment at its
+// device's cursor; any other order is accepted too, by scanning that
+// device's outstanding sub-tensors.
 func (p *Plan) Validate() error {
 	if p.validated.Load() {
 		return nil
 	}
-	// Outstanding target sub-tensors, keyed by (device, tensor): the
-	// few regions per key are matched by value, avoiding a string key
-	// per sub-tensor.
-	type placeKey struct {
-		dev cluster.DeviceID
-		t   TensorID
-	}
-	want := map[placeKey][]tensor.Region{}
-	for _, d := range p.To.Devices {
-		for _, s := range p.To.Place[d] {
-			k := placeKey{d, s.Tensor}
-			want[k] = append(want[k], s.Region)
+	// need[base[g]+i] is how many assignments sub-tensor i of device
+	// To.Devices[g] is still owed: one, or one per time the device is
+	// listed. cursor[g] is the first sub-tensor still owed any.
+	devs := p.To.Devices
+	slot := make(map[cluster.DeviceID]int, len(devs))
+	base := make([]int, len(devs)+1)
+	for g, d := range devs {
+		base[g+1] = base[g]
+		if _, dup := slot[d]; !dup {
+			slot[d] = g
+			base[g+1] += len(p.To.Place[d])
 		}
 	}
+	need := make([]int32, base[len(devs)])
+	for _, d := range devs {
+		g := slot[d]
+		for i := base[g]; i < base[g+1]; i++ {
+			need[i]++
+		}
+	}
+	cursor := make([]int, len(devs))
+	last, lastDev := -1, cluster.DeviceID(0)
+
 	regs := make([]tensor.Region, 0, 16)
 	for _, a := range p.Assignments {
-		k := placeKey{a.Device, a.Tensor}
-		outstanding := want[k]
+		g := last
+		if g < 0 || a.Device != lastDev {
+			var ok bool
+			if g, ok = slot[a.Device]; !ok {
+				return notInTarget(a)
+			}
+			last, lastDev = g, a.Device
+		}
+		place, owed := p.To.Place[a.Device], need[base[g]:base[g+1]]
 		found := -1
-		for i, r := range outstanding {
-			if r.Equal(a.Region) {
+		for i := cursor[g]; i < len(place); i++ {
+			if owed[i] > 0 && place[i].Tensor == a.Tensor && place[i].Region.Equal(a.Region) {
 				found = i
 				break
 			}
 		}
 		if found < 0 {
-			return fmt.Errorf("core: plan: assignment %q on dev %d not in target PTC",
-				string(a.Tensor)+a.Region.String(), a.Device)
+			return notInTarget(a)
 		}
-		outstanding[found] = outstanding[len(outstanding)-1]
-		want[k] = outstanding[:len(outstanding)-1]
+		owed[found]--
+		for cursor[g] < len(place) && owed[cursor[g]] == 0 {
+			cursor[g]++
+		}
 
 		regs = regs[:0]
 		for _, f := range a.Fetch {
@@ -666,12 +656,18 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("core: plan: fetches do not cover %v of %q on dev %d", a.Region, a.Tensor, a.Device)
 		}
 	}
-	for k, rest := range want {
-		for _, r := range rest {
+	for g, d := range devs {
+		if c := cursor[g]; slot[d] == g && c < base[g+1]-base[g] {
+			s := p.To.Place[d][c]
 			return fmt.Errorf("core: plan: target sub-tensor %q on dev %d has no assignment",
-				string(k.t)+r.String(), k.dev)
+				string(s.Tensor)+s.Region.String(), d)
 		}
 	}
 	p.validated.Store(true)
 	return nil
+}
+
+func notInTarget(a Assignment) error {
+	return fmt.Errorf("core: plan: assignment %q on dev %d not in target PTC",
+		string(a.Tensor)+a.Region.String(), a.Device)
 }

@@ -22,7 +22,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/tensor"
@@ -57,6 +61,13 @@ func (s SubTensor) NumBytes(meta TensorMeta) int64 {
 // PTC is the parallelizable tensor collection: the externalized state of
 // a DL job under some multi-dimensional parallelization, placed onto a
 // set of devices.
+//
+// A PTC is built with AddTensor and Assign/AssignAll and read-only from
+// then on; Tensors and Place are exported for reading. Everything that
+// asks a question across devices (Validate, Slices, Holders,
+// AlignDevices, GeneratePlan) reads the PTC's compiled form (index.go),
+// which is built on first use and dropped by the mutators. A PTC holds
+// that cache's lock, so it is passed by pointer, never copied.
 type PTC struct {
 	// Name describes the parallelization, e.g. "gpt3-xl T2 P4 D2".
 	Name string
@@ -65,8 +76,13 @@ type PTC struct {
 	// Devices is the job's allocation in rank order (α's codomain).
 	Devices []cluster.DeviceID
 	// Place maps each device to the sub-tensors it holds — the
-	// composition α∘φ∘σ in tabular form.
+	// composition α∘φ∘σ in tabular form. A placed list and its regions
+	// are never modified afterwards; devices (and PTCs derived from this
+	// one) may share them.
 	Place map[cluster.DeviceID][]SubTensor
+
+	compileMu sync.Mutex
+	compiled  atomic.Pointer[ptcIndex]
 }
 
 // NewPTC returns an empty PTC over the given allocation.
@@ -75,7 +91,7 @@ func NewPTC(name string, devices []cluster.DeviceID) *PTC {
 		Name:    name,
 		Tensors: map[TensorID]TensorMeta{},
 		Devices: append([]cluster.DeviceID(nil), devices...),
-		Place:   map[cluster.DeviceID][]SubTensor{},
+		Place:   make(map[cluster.DeviceID][]SubTensor, len(devices)),
 	}
 	for _, d := range devices {
 		p.Place[d] = nil
@@ -92,10 +108,12 @@ func (p *PTC) AddTensor(meta TensorMeta) {
 		panic(fmt.Sprintf("core: tensor %q has invalid dtype", meta.ID))
 	}
 	p.Tensors[meta.ID] = meta
+	p.compiled.Store(nil)
 }
 
-// Assign places a sub-tensor region of id onto device d.
-func (p *PTC) Assign(d cluster.DeviceID, id TensorID, reg tensor.Region) {
+// checkPlaceable panics unless reg is a valid region of registered
+// tensor id.
+func (p *PTC) checkPlaceable(id TensorID, reg tensor.Region) {
 	meta, ok := p.Tensors[id]
 	if !ok {
 		panic(fmt.Sprintf("core: Assign of unknown tensor %q", id))
@@ -103,22 +121,53 @@ func (p *PTC) Assign(d cluster.DeviceID, id TensorID, reg tensor.Region) {
 	if !reg.Valid(meta.Shape) {
 		panic(fmt.Sprintf("core: Assign %q region %v invalid for shape %v", id, reg, meta.Shape))
 	}
+}
+
+// Assign places a sub-tensor region of id onto device d.
+func (p *PTC) Assign(d cluster.DeviceID, id TensorID, reg tensor.Region) {
+	p.checkPlaceable(id, reg)
 	if _, ok := p.Place[d]; !ok {
 		panic(fmt.Sprintf("core: Assign to device %d outside allocation %v", d, p.Devices))
 	}
 	p.Place[d] = append(p.Place[d], SubTensor{Tensor: id, Region: reg.Clone()})
+	p.compiled.Store(nil)
+}
+
+// AssignAll places the same sub-tensors, in order, on every device in
+// devs — one sub-collection and its replicas, which is how a
+// parallelizer produces placements. Each sub-tensor is checked once,
+// whatever the number of devices, and devices that held nothing before
+// share subs itself: the PTC takes ownership of subs and its regions,
+// and the caller must not modify them afterwards (regions may be shared
+// between sub-tensors, lists and PTCs for the same reason).
+func (p *PTC) AssignAll(devs []cluster.DeviceID, subs []SubTensor) {
+	for i := range subs {
+		p.checkPlaceable(subs[i].Tensor, subs[i].Region)
+	}
+	for _, d := range devs {
+		have, ok := p.Place[d]
+		if !ok {
+			panic(fmt.Sprintf("core: Assign to device %d outside allocation %v", d, p.Devices))
+		}
+		if len(have) == 0 {
+			p.Place[d] = shareList(subs)
+		} else {
+			p.Place[d] = append(shareList(have), subs...)
+		}
+	}
+	p.compiled.Store(nil)
 }
 
 // Slices returns σ(t): the distinct regions into which tensor id is
 // sliced across all devices, in deterministic order.
 func (p *PTC) Slices(id TensorID) []tensor.Region {
-	var out []tensor.Region
-	for _, d := range p.Devices {
-		for _, s := range p.Place[d] {
-			if s.Tensor == id {
-				out = append(out, s.Region)
-			}
-		}
+	ti := p.index().tensor(id)
+	if ti == nil || len(ti.holders) == 0 {
+		return nil
+	}
+	out := make([]tensor.Region, len(ti.holders))
+	for i := range ti.holders {
+		out[i] = ti.holders[i].reg
 	}
 	sort.Slice(out, func(i, j int) bool { return regionLess(out[i], out[j]) })
 	k := 0
@@ -131,16 +180,19 @@ func (p *PTC) Slices(id TensorID) []tensor.Region {
 	return out[:k]
 }
 
-// Holders returns the devices that hold a sub-tensor of id whose region
-// intersects reg, i.e. the potential sources for that range.
+// Holders returns the devices, in rank order, that hold a sub-tensor of
+// id whose region intersects reg, i.e. the potential sources for that
+// range.
 func (p *PTC) Holders(id TensorID, reg tensor.Region) []cluster.DeviceID {
+	ti := p.index().tensor(id)
+	if ti == nil {
+		return nil
+	}
 	var out []cluster.DeviceID
 	for _, d := range p.Devices {
-		for _, s := range p.Place[d] {
-			if s.Tensor != id {
-				continue
-			}
-			if regionsOverlap(s.Region, reg) {
+		start, end, _ := ti.span(d)
+		for k := start; k < end; k++ {
+			if ti.holders[k].reg.Overlaps(reg) {
 				out = append(out, d)
 				break
 			}
@@ -172,30 +224,93 @@ func (p *PTC) TotalPlacedBytes() int64 {
 // bounds, and every registered tensor is fully covered by the union of
 // its placed regions (otherwise state would be unrecoverable).
 func (p *PTC) Validate() error {
-	placed := make(map[TensorID][]tensor.Region, len(p.Tensors))
-	for _, d := range p.Devices {
-		for _, s := range p.Place[d] {
-			meta, ok := p.Tensors[s.Tensor]
-			if !ok {
-				return fmt.Errorf("core: device %d holds unknown tensor %q", d, s.Tensor)
+	idx := p.index()
+	var regs []tensor.Region
+	full := make(tensor.Region, 0, 8)
+	for i := range idx.all {
+		ti := &idx.all[i]
+		if !ti.known {
+			return fmt.Errorf("core: device %d holds unknown tensor %q", ti.holders[0].dev, ti.id)
+		}
+		if len(ti.holders) == 0 {
+			return fmt.Errorf("core: tensor %q has no placement", ti.id)
+		}
+		regs = regs[:0]
+		for k := range ti.holders {
+			h := &ti.holders[k]
+			if k > 0 && sameStorage(h.reg, regs[len(regs)-1]) {
+				continue // a replica placed from the region just checked
 			}
-			if !s.Region.Valid(meta.Shape) {
+			if !h.reg.Valid(ti.meta.Shape) {
 				return fmt.Errorf("core: device %d holds %q with invalid region %v (shape %v)",
-					d, s.Tensor, s.Region, meta.Shape)
+					h.dev, ti.id, h.reg, ti.meta.Shape)
 			}
-			placed[s.Tensor] = append(placed[s.Tensor], s.Region)
+			regs = append(regs, h.reg)
 		}
-	}
-	for id, meta := range p.Tensors {
-		regs := placed[id]
-		if len(regs) == 0 {
-			return fmt.Errorf("core: tensor %q has no placement", id)
+		full = full[:0]
+		for _, n := range ti.meta.Shape {
+			full = append(full, tensor.Range{Lo: 0, Hi: n})
 		}
-		if !covers(tensor.FullRegion(meta.Shape), regs) {
-			return fmt.Errorf("core: tensor %q not fully covered by placements", id)
+		if !covers(full, regs) {
+			return fmt.Errorf("core: tensor %q not fully covered by placements", ti.id)
 		}
 	}
 	return nil
+}
+
+// OneRegionPerTensor reports whether every device holds at most one
+// sub-tensor of each tensor and, if not, one device and tensor that
+// break the rule (the Tensor Store keeps one file per tensor path, so
+// executors reject such layouts).
+func (p *PTC) OneRegionPerTensor() (cluster.DeviceID, TensorID, bool) {
+	idx := p.index()
+	for i := range idx.all {
+		ti := &idx.all[i]
+		if len(ti.holders) == len(ti.devs) {
+			continue
+		}
+		for k := range ti.devs {
+			if ti.starts[k+1]-ti.starts[k] > 1 {
+				return ti.devs[k], ti.id, false
+			}
+		}
+	}
+	return 0, "", true
+}
+
+// Unique returns every distinct sub-tensor of the PTC exactly once, at
+// the first device in rank order that holds it: out[g] lists, in
+// placement order, the sub-tensors of Devices[g] that no earlier device
+// (and no earlier entry of its own list) holds. It is what a checkpoint
+// writes — replicas once.
+func (p *PTC) Unique() [][]SubTensor {
+	idx := p.index()
+	// seen[off[t]:][:n[t]] are the regions of tensor t listed so far; a
+	// tensor has at most as many distinct regions as holders.
+	off := make([]int32, len(idx.all)+1)
+	for t := range idx.all {
+		off[t+1] = off[t] + int32(len(idx.all[t].holders))
+	}
+	seen := make([]tensor.Region, off[len(idx.all)])
+	n := make([]int32, len(idx.all))
+	out := make([][]SubTensor, len(p.Devices))
+	var uniq []SubTensor
+	for g, d := range p.Devices {
+		list, start := p.Place[d], len(uniq)
+	next:
+		for i, t := range idx.place[idx.rank(d)] {
+			for _, reg := range seen[off[t] : off[t]+n[t]] {
+				if reg.Equal(list[i].Region) {
+					continue next
+				}
+			}
+			seen[off[t]+n[t]] = list[i].Region
+			n[t]++
+			uniq = append(uniq, list[i])
+		}
+		out[g] = uniq[start:len(uniq):len(uniq)]
+	}
+	return out
 }
 
 // WithoutDevices returns a copy of p restricted to the devices that
@@ -215,14 +330,18 @@ func (p *PTC) WithoutDevices(failed ...cluster.DeviceID) *PTC {
 		}
 	}
 	out := NewPTC(p.Name+" (degraded)", alive)
-	for id, meta := range p.Tensors {
-		out.Tensors[id] = meta
-	}
+	out.Tensors = maps.Clone(p.Tensors)
 	for _, d := range alive {
-		out.Place[d] = append([]SubTensor(nil), p.Place[d]...)
+		out.Place[d] = shareList(p.Place[d])
 	}
 	return out
 }
+
+// shareList returns list for placing in another PTC or on another
+// device: placed lists are immutable, and with no spare capacity an
+// Assign on either side reallocates instead of writing into the other's
+// view.
+func shareList(list []SubTensor) []SubTensor { return list[:len(list):len(list)] }
 
 // Equal reports whether two PTCs describe the same placement.
 func (p *PTC) Equal(q *PTC) bool {
@@ -276,7 +395,7 @@ func subtractRegion(a, b tensor.Region) []tensor.Region {
 	if !ok {
 		return []tensor.Region{a.Clone()}
 	}
-	return appendSubtract(nil, a, inter)
+	return subtractInto(nil, a, inter, heapRegions{})
 }
 
 // subtractInto appends the disjoint boxes of a \ b to dst, given the
@@ -327,11 +446,6 @@ func subtractInto(dst []tensor.Region, a, inter tensor.Region, al regionAllocato
 		cur[d] = inter[d]
 	}
 	return dst
-}
-
-// appendSubtract is subtractInto on the heap.
-func appendSubtract(dst []tensor.Region, a, inter tensor.Region) []tensor.Region {
-	return subtractInto(dst, a, inter, heapRegions{})
 }
 
 // covers reports whether the union of regs covers all of full.
@@ -390,7 +504,7 @@ func coversAxis(full tensor.Range, regs []tensor.Region, axis int) bool {
 			iv = append(iv, rng)
 		}
 	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i].Lo < iv[j].Lo })
+	slices.SortFunc(iv, func(a, b tensor.Range) int { return a.Lo - b.Lo })
 	reach := full.Lo
 	for _, r := range iv {
 		if r.Lo > reach {

@@ -6,6 +6,7 @@ import (
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/model"
+	"tenplex/internal/netsim"
 	"tenplex/internal/parallel"
 )
 
@@ -22,6 +23,30 @@ type PlannerScenario struct {
 	Topo     *cluster.Topology
 	From, To *core.PTC
 	Opts     core.PlanOptions
+	// Source and Target produce From and To anew, the way the coordinator
+	// gets them for every change it prices: Source is the deployed PTC,
+	// degraded afresh when the scenario has failed devices, and Target
+	// runs the parallelizer. PlanChange times the sequence from there.
+	Source, Target func() *core.PTC
+}
+
+// PlanChange plans the scenario as the coordinator's jobRuntime.planChange
+// plans one change — source, BuildPTC, AlignDevices, GeneratePlan,
+// Validate, Stats, netsim.Simulate — which is what a scheduling decision
+// pays per candidate; GeneratePlan alone is a fraction of it. It exists
+// to be timed: the stats and the price are computed and dropped.
+func (sc PlannerScenario) PlanChange() error {
+	from := sc.Source()
+	plan, err := core.GeneratePlan(from, core.AlignDevices(from, sc.Target()), sc.Opts)
+	if err != nil {
+		return err
+	}
+	if err := plan.Validate(); err != nil {
+		return err
+	}
+	_ = plan.Stats(sc.Topo)
+	_ = netsim.Simulate(sc.Topo, plan.Flows(sc.Topo))
+	return nil
 }
 
 // buildMoEPTC is the panic-on-error MoE sibling of buildPTC.
@@ -46,72 +71,55 @@ func PlannerScenarios() []PlannerScenario {
 	c128 := cluster.Cloud(128)
 
 	var out []PlannerScenario
+	// add files a scenario whose target is the GPT model under cfg on
+	// alloc and whose source is deployed, less the failed devices.
+	add := func(name string, topo *cluster.Topology, deployed *core.PTC, failed []cluster.DeviceID,
+		cfg parallel.Config, alloc cluster.Allocation) {
+		sc := PlannerScenario{
+			Name: name, Devices: len(topo.Devices), Topo: topo,
+			Opts:   core.PlanOptions{Topo: topo, StorageFallback: len(failed) > 0},
+			Source: func() *core.PTC { return deployed },
+			Target: func() *core.PTC { return buildPTC(gpt, cfg, alloc) },
+		}
+		if len(failed) > 0 {
+			sc.Source = func() *core.PTC { return deployed.WithoutDevices(failed...) }
+		}
+		sc.From, sc.To = sc.Source(), sc.Target()
+		out = append(out, sc)
+	}
+	span := func(lo, n int) cluster.Allocation {
+		a := make(cluster.Allocation, n)
+		for i := range a {
+			a[i] = cluster.DeviceID(lo + i)
+		}
+		return a
+	}
+	t8p4 := func(dp int) parallel.Config { return parallel.Config{TP: 8, PP: 4, DP: dp} }
 
 	// Scale-out 32 -> 64: double data parallelism onto fresh devices.
-	out = append(out, PlannerScenario{
-		Name: "scale-out-64", Devices: 64, Topo: c64,
-		From: buildPTC(gpt, parallel.Config{TP: 4, PP: 4, DP: 2}, c64.FirstN(32)),
-		To:   buildPTC(gpt, parallel.Config{TP: 4, PP: 4, DP: 4}, c64.FirstN(64)),
-		Opts: core.PlanOptions{Topo: c64},
-	})
+	add("scale-out-64", c64, buildPTC(gpt, parallel.Config{TP: 4, PP: 4, DP: 2}, c64.FirstN(32)), nil,
+		parallel.Config{TP: 4, PP: 4, DP: 4}, c64.FirstN(64))
 
 	// Scale-out 64 -> 128 and scale-in 128 -> 64 at full cluster size.
-	from64 := buildPTC(gpt, parallel.Config{TP: 8, PP: 4, DP: 2}, c128.FirstN(64))
-	full128 := buildPTC(gpt, parallel.Config{TP: 8, PP: 4, DP: 4}, c128.FirstN(128))
-	out = append(out, PlannerScenario{
-		Name: "scale-out-128", Devices: 128, Topo: c128,
-		From: from64, To: full128, Opts: core.PlanOptions{Topo: c128},
-	})
-	out = append(out, PlannerScenario{
-		Name: "scale-in-128", Devices: 128, Topo: c128,
-		From: full128, To: from64, Opts: core.PlanOptions{Topo: c128},
-	})
+	from64 := buildPTC(gpt, t8p4(2), c128.FirstN(64))
+	add("scale-out-128", c128, from64, nil, t8p4(4), c128.FirstN(128))
+	add("scale-in-128", c128, buildPTC(gpt, t8p4(4), c128.FirstN(128)), nil, t8p4(2), c128.FirstN(64))
 
 	// Redeployment: same parallelization, disjoint device halves of the
 	// 128-device cluster (Fig. 10's scenario at scale).
-	cfgRedeploy := parallel.Config{TP: 8, PP: 4, DP: 2}
-	redeployTo := make(cluster.Allocation, 64)
-	for i := range redeployTo {
-		redeployTo[i] = cluster.DeviceID(64 + i)
-	}
-	out = append(out, PlannerScenario{
-		Name: "redeploy-128", Devices: 128, Topo: c128,
-		From: buildPTC(gpt, cfgRedeploy, c128.FirstN(64)),
-		To:   buildPTC(gpt, cfgRedeploy, redeployTo),
-		Opts: core.PlanOptions{Topo: c128},
-	})
+	add("redeploy-128", c128, from64, nil, t8p4(2), span(64, 64))
 
 	// Fail-stop recovery from the surviving replica: DP=2 on 64
 	// devices, one half-worker of the first replica dies; the job
 	// shrinks to DP=1 on the surviving replica's devices.
-	from64dp2 := buildPTC(gpt, parallel.Config{TP: 8, PP: 4, DP: 2}, c64.FirstN(64))
-	survivors := make(cluster.Allocation, 32)
-	for i := range survivors {
-		survivors[i] = cluster.DeviceID(32 + i)
-	}
-	out = append(out, PlannerScenario{
-		Name: "failstop-replica-64", Devices: 64, Topo: c64,
-		From: from64dp2.WithoutDevices(0, 1, 2, 3),
-		To:   buildPTC(gpt, parallel.Config{TP: 8, PP: 4, DP: 1}, survivors),
-		Opts: core.PlanOptions{Topo: c64, StorageFallback: true},
-	})
+	from64dp2 := buildPTC(gpt, t8p4(2), c64.FirstN(64))
+	add("failstop-replica-64", c64, from64dp2, span(0, 4), t8p4(1), span(32, 32))
 
 	// Fail-stop recovery from storage: both replicas of the first
 	// pipeline stage's leading TP ranks die, forcing checkpoint reads
 	// for exactly the lost ranges.
-	bothReplicas := make(cluster.Allocation, 0, 32)
-	for i := 4; i < 32; i++ {
-		bothReplicas = append(bothReplicas, cluster.DeviceID(i))
-	}
-	for i := 36; i < 40; i++ {
-		bothReplicas = append(bothReplicas, cluster.DeviceID(i))
-	}
-	out = append(out, PlannerScenario{
-		Name: "failstop-storage-64", Devices: 64, Topo: c64,
-		From: from64dp2.WithoutDevices(0, 1, 2, 3, 32, 33, 34, 35),
-		To:   buildPTC(gpt, parallel.Config{TP: 8, PP: 4, DP: 1}, bothReplicas),
-		Opts: core.PlanOptions{Topo: c64, StorageFallback: true},
-	})
+	add("failstop-storage-64", c64, from64dp2, append(span(0, 4), span(32, 4)...),
+		t8p4(1), append(span(4, 28), span(36, 4)...))
 
 	// MoE expert-parallel reshape: 64 experts from EP=32 (two experts
 	// per group, DP=2) to EP=64 (one expert per device, DP=1). The
@@ -121,11 +129,12 @@ func PlannerScenarios() []PlannerScenario {
 	for i := range rotated {
 		rotated[i] = cluster.DeviceID((i + 16) % 64)
 	}
+	moeFrom := buildMoEPTC(moe, parallel.MoEConfig{EP: 32, DP: 2}, c64.FirstN(64))
+	moeTo := func() *core.PTC { return buildMoEPTC(moe, parallel.MoEConfig{EP: 64, DP: 1}, rotated) }
 	out = append(out, PlannerScenario{
 		Name: "moe-expert-64", Devices: 64, Topo: c64,
-		From: buildMoEPTC(moe, parallel.MoEConfig{EP: 32, DP: 2}, c64.FirstN(64)),
-		To:   buildMoEPTC(moe, parallel.MoEConfig{EP: 64, DP: 1}, rotated),
-		Opts: core.PlanOptions{Topo: c64},
+		From: moeFrom, To: moeTo(), Opts: core.PlanOptions{Topo: c64},
+		Source: func() *core.PTC { return moeFrom }, Target: moeTo,
 	})
 
 	return out

@@ -32,30 +32,27 @@ func BuildPTC(m *model.Model, cfg Config, alloc cluster.Allocation) (*core.PTC, 
 
 	ptc := core.NewPTC(fmt.Sprintf("%s %s", m.Name, cfg), alloc)
 	params := m.StateParams()
-	for _, lp := range params {
-		ptc.AddTensor(core.TensorMeta{
-			ID:    core.TensorID(lp.Path()),
-			DType: lp.Param.DType,
-			Shape: lp.Param.Shape,
-		})
-	}
+	ids := addTensors(ptc, params)
+	regs := tpRegions(params, cfg.TP)
 
-	// layerStage[i] = pipeline stage owning layer i.
-	layerStage := make([]int, len(m.Layers))
-	for s, rng := range stages {
-		for i := rng[0]; i < rng[1]; i++ {
-			layerStage[i] = s
+	// A rank's placement depends on its (pp, tp) only: build each
+	// sub-collection once — tensor IDs and regions computed per
+	// parameter, not per rank — and place it on all its DP replicas.
+	next := 0
+	for pp, stage := range stages {
+		// Params are in layer order and stages are consecutive layer
+		// ranges, so a stage owns one run of params.
+		first := next
+		for next < len(params) && params[next].LayerIndex < stage[1] {
+			next++
 		}
-	}
-
-	for _, r := range cfg.Ranks() {
-		dev := cfg.DeviceFor(alloc, r)
-		for _, lp := range params {
-			if layerStage[lp.LayerIndex] != r.PP {
-				continue
+		for tp := 0; tp < cfg.TP; tp++ {
+			subs := make([]core.SubTensor, next-first)
+			for i := range subs {
+				k := first + i
+				subs[i] = core.SubTensor{Tensor: ids[k], Region: regs[k*cfg.TP+tp]}
 			}
-			reg := tpRegion(lp.Param, cfg.TP, r.TP)
-			ptc.Assign(dev, core.TensorID(lp.Path()), reg)
+			ptc.AssignAll(cfg.DPGroup(alloc, pp, tp), subs)
 		}
 	}
 	if err := ptc.Validate(); err != nil {
@@ -64,16 +61,52 @@ func BuildPTC(m *model.Model, cfg Config, alloc cluster.Allocation) (*core.PTC, 
 	return ptc, nil
 }
 
-// tpRegion returns the region of p held by tensor-parallel rank tp out
-// of tpDegree. Parameters without a TP dimension — or too small to cut —
-// are replicated in full on every TP rank.
-func tpRegion(p model.Param, tpDegree, tp int) tensor.Region {
-	full := tensor.FullRegion(p.Shape)
-	if p.TPDim == model.NoTP || tpDegree == 1 || p.Shape[p.TPDim] < tpDegree {
-		return full
+// addTensors registers every state tensor of the model and returns
+// their IDs, in params order.
+func addTensors(ptc *core.PTC, params []model.LayerParam) []core.TensorID {
+	ids := make([]core.TensorID, len(params))
+	for k, lp := range params {
+		ids[k] = core.TensorID(lp.Path())
+		ptc.AddTensor(core.TensorMeta{ID: ids[k], DType: lp.Param.DType, Shape: lp.Param.Shape})
 	}
-	full[p.TPDim] = tensor.SplitRanges(p.Shape[p.TPDim], tpDegree)[tp]
-	return full
+	return ids
+}
+
+// tpRegions returns the region of every parameter on every
+// tensor-parallel rank, params[k] on rank tp at [k*tpDegree+tp], all cut
+// from one arena. Parameters without a TP dimension — or too small to
+// cut — are replicated in full: their ranks share one region (the PTC
+// never modifies a placed region).
+func tpRegions(params []model.LayerParam, tpDegree int) []tensor.Region {
+	total := 0
+	for _, lp := range params {
+		total += len(lp.Param.Shape) * tpDegree
+	}
+	arena := make([]tensor.Range, 0, total)
+	out := make([]tensor.Region, 0, len(params)*tpDegree)
+	region := func(shape []int) tensor.Region {
+		start := len(arena)
+		for _, n := range shape {
+			arena = append(arena, tensor.Range{Lo: 0, Hi: n})
+		}
+		return tensor.Region(arena[start:len(arena):len(arena)])
+	}
+	for _, lp := range params {
+		p := lp.Param
+		if p.TPDim == model.NoTP || tpDegree == 1 || p.Shape[p.TPDim] < tpDegree {
+			full := region(p.Shape)
+			for tp := 0; tp < tpDegree; tp++ {
+				out = append(out, full)
+			}
+			continue
+		}
+		for _, cut := range tensor.SplitRanges(p.Shape[p.TPDim], tpDegree) {
+			reg := region(p.Shape)
+			reg[p.TPDim] = cut
+			out = append(out, reg)
+		}
+	}
+	return out
 }
 
 // RankSpec is the JSON interchange structure the State Transformer

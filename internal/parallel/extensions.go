@@ -49,24 +49,27 @@ func BuildMoEPTC(m *model.Model, cfg MoEConfig, alloc cluster.Allocation) (*core
 
 	ptc := core.NewPTC(fmt.Sprintf("%s %s", m.Name, cfg), alloc)
 	params := m.StateParams()
-	for _, lp := range params {
-		ptc.AddTensor(core.TensorMeta{
-			ID:    core.TensorID(lp.Path()),
-			DType: lp.Param.DType,
-			Shape: lp.Param.Shape,
-		})
-	}
-	for dp := 0; dp < cfg.DP; dp++ {
-		for ep := 0; ep < cfg.EP; ep++ {
-			dev := alloc[dp*cfg.EP+ep]
-			for _, lp := range params {
-				p := lp.Param
-				if p.IsExpert && p.Expert%cfg.EP != ep {
-					continue // owned by another expert group
-				}
-				ptc.Assign(dev, core.TensorID(lp.Path()), tensor.FullRegion(p.Shape))
-			}
+	ids := addTensors(ptc, params)
+	regs := tpRegions(params, 1) // σ is the identity: one full region per tensor
+	// One pass over the parameters: an expert's tensors go to its group,
+	// everything else to every group.
+	groups := make([][]core.SubTensor, cfg.EP)
+	for k := range params {
+		sub := core.SubTensor{Tensor: ids[k], Region: regs[k]}
+		if p := &params[k].Param; p.IsExpert {
+			groups[p.Expert%cfg.EP] = append(groups[p.Expert%cfg.EP], sub)
+			continue
 		}
+		for ep := range groups {
+			groups[ep] = append(groups[ep], sub)
+		}
+	}
+	for ep, subs := range groups {
+		replicas := make([]cluster.DeviceID, cfg.DP)
+		for dp := range replicas {
+			replicas[dp] = alloc[dp*cfg.EP+ep]
+		}
+		ptc.AssignAll(replicas, subs)
 	}
 	if err := ptc.Validate(); err != nil {
 		return nil, fmt.Errorf("parallel: built MoE PTC invalid: %w", err)

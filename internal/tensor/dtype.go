@@ -37,7 +37,10 @@ var dtypeNames = map[DType]string{
 	Uint8:   "uint8",
 }
 
-var dtypeSizes = map[DType]int{
+// dtypeSizes is indexed by DType; Invalid (and anything past Uint8) has
+// no size. An array, not a map: Size sits under every Region.NumBytes
+// on the planner and datapath hot paths.
+var dtypeSizes = [...]uint8{
 	Float32: 4,
 	Float64: 8,
 	Float16: 2,
@@ -48,17 +51,15 @@ var dtypeSizes = map[DType]int{
 
 // Size returns the width of one element in bytes.
 func (d DType) Size() int {
-	n, ok := dtypeSizes[d]
-	if !ok {
+	if !d.Valid() {
 		panic(fmt.Sprintf("tensor: size of invalid dtype %d", d))
 	}
-	return n
+	return int(dtypeSizes[d])
 }
 
 // Valid reports whether d is one of the supported element types.
 func (d DType) Valid() bool {
-	_, ok := dtypeSizes[d]
-	return ok
+	return int(d) < len(dtypeSizes) && dtypeSizes[d] != 0
 }
 
 func (d DType) String() string {

@@ -112,6 +112,20 @@ func (g Region) Intersect(o Region) (Region, bool) {
 	return out, true
 }
 
+// Overlaps reports whether two equal-rank regions share an element: what
+// Intersect's second result says, without allocating the intersection.
+func (g Region) Overlaps(o Region) bool {
+	if len(g) != len(o) {
+		return false
+	}
+	for i := range g {
+		if g[i].Lo >= o[i].Hi || o[i].Lo >= g[i].Hi {
+			return false
+		}
+	}
+	return true
+}
+
 // Contains reports whether o lies fully within g.
 func (g Region) Contains(o Region) bool {
 	if len(g) != len(o) {
@@ -176,12 +190,20 @@ func (g Region) SameShape(o Region) bool {
 func (g Region) Clone() Region { return append(Region(nil), g...) }
 
 // String renders the region in the REST query syntax, e.g. "[0:2,4:8]".
-func (g Region) String() string {
-	parts := make([]string, len(g))
+func (g Region) String() string { return string(g.Append(nil)) }
+
+// Append appends the region's String to b.
+func (g Region) Append(b []byte) []byte {
+	b = append(b, '[')
 	for i, r := range g {
-		parts[i] = r.String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(r.Lo), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(r.Hi), 10)
 	}
-	return "[" + strings.Join(parts, ",") + "]"
+	return append(b, ']')
 }
 
 // ParseRegion parses the REST query syntax for sub-tensor ranges. The

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -110,10 +112,11 @@ func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error
 	preps := make([]prep, len(plan.Assignments))
 	var pulls []*assembleGroup
 	byDev := map[cluster.DeviceID]*assembleGroup{}
+	route := newPullRoute(tr.Job)
 	for i, a := range plan.Assignments {
 		p := &preps[i]
 		p.a = a
-		item, ok := tr.assembleItem(plan, a)
+		item, ok := tr.assembleItem(plan, a, route)
 		if !ok {
 			continue
 		}
@@ -240,13 +243,46 @@ func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error
 	return st, nil
 }
 
+// pullRoute is what the assemble items of one apply share, so that
+// describing an assignment to its destination store costs no allocation
+// per fetch beyond the path string the request keeps: each device's
+// path prefixes, built once, and one growing arena every fetch's regions
+// are cut from.
+type pullRoute struct {
+	model, staging devPrefix
+	ranges         []tensor.Range
+}
+
+func newPullRoute(job string) *pullRoute {
+	return &pullRoute{
+		model:   devPrefix{root: modelRoot(job), byDev: map[cluster.DeviceID]string{}},
+		staging: devPrefix{root: stagingRoot(job), byDev: map[cluster.DeviceID]string{}},
+	}
+}
+
+// devPrefix builds the paths ModelPath and stagingPath build, with the
+// "<root>/dev<N>/" part made once per device.
+type devPrefix struct {
+	root  string
+	byDev map[cluster.DeviceID]string
+}
+
+func (c devPrefix) path(d cluster.DeviceID, id core.TensorID) string {
+	p, ok := c.byDev[d]
+	if !ok {
+		p = c.root + "/dev" + strconv.Itoa(int(d)) + "/"
+		c.byDev[d] = p
+	}
+	return p + string(id)
+}
+
 // assembleItem describes assignment a as a tensor for its destination
 // store to build, or reports that the store cannot: it lacks the
 // capability, a range comes from checkpoint storage or from a store
 // without a network address, or targets overlap (ranges from different
 // sources land concurrently on the store as they do here). The
 // materialized reference builds every tensor in this process.
-func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment) (store.AssembleItem, bool) {
+func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment, route *pullRoute) (store.AssembleItem, bool) {
 	self, ok := tr.Stores[a.Device].(interface {
 		store.Assembler
 		store.Addressable
@@ -255,12 +291,12 @@ func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment) (store.A
 		return store.AssembleItem{}, false
 	}
 	item := store.AssembleItem{
-		Path:  stagingPath(tr.Job, a.Device, a.Tensor),
+		Path:  route.staging.path(a.Device, a.Tensor),
 		DType: plan.To.Tensors[a.Tensor].DType,
 		Shape: a.Region.Shape(),
 	}
 	if a.IsNoop() {
-		item.Link = ModelPath(tr.Job, a.Device, a.Tensor)
+		item.Link = route.model.path(a.Device, a.Tensor)
 		return item, true
 	}
 	if !disjointTargets(a.Fetch) {
@@ -275,8 +311,8 @@ func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment) (store.A
 		if !ok {
 			return item, false
 		}
-		target, local := fetchRegions(a, f)
-		af := store.AssembleFetch{Path: ModelPath(tr.Job, f.Src.Device, a.Tensor), Reg: local, At: target}
+		target, local := fetchRegions(&route.ranges, a, f)
+		af := store.AssembleFetch{Path: route.model.path(f.Src.Device, a.Tensor), Reg: local, At: target}
 		if addr := src.Address(); addr != self.Address() {
 			af.Source = addr
 		}
@@ -372,10 +408,11 @@ func (tr *Transformer) stageAssignment(ctx context.Context, plan *core.Plan, p *
 	// one destination byte would race.
 	batchable := disjointTargets(a.Fetch)
 	var later []batchFetch
+	var ranges []tensor.Range // the deferred fetches' regions
 	for _, f := range a.Fetch {
 		if batchable && f.Src.Kind == core.FromDevice {
 			if _, ok := tr.Stores[f.Src.Device].(store.BatchQuerier); ok {
-				target, local := fetchRegions(a, f)
+				target, local := fetchRegions(&ranges, a, f)
 				later = append(later, batchFetch{
 					src: f.Src.Device,
 					p:   p,
@@ -454,21 +491,22 @@ func (tr *Transformer) recordSpan(ctx context.Context, p *prep) {
 // fetchRegions computes a fetch's destination region inside the
 // assignment's buffer and, for a device source, its source-local region
 // inside the stored sub-tensor (Want translated by the respective
-// origins). The two share one backing allocation.
-func fetchRegions(a core.Assignment, f core.Fetch) (target, local tensor.Region) {
-	rank := len(f.Want)
-	regs := make(tensor.Region, 2*rank)
-	target, local = regs[:rank:rank], regs[rank:]
-	for i := range f.Want {
-		target[i] = tensor.Range{Lo: f.Want[i].Lo - a.Region[i].Lo, Hi: f.Want[i].Hi - a.Region[i].Lo}
+// origins). Both are appended to *arena and cut from it: a caller with
+// many fetches hands every call the same arena and pays one growing
+// allocation between them (regions cut earlier stay good when it grows).
+func fetchRegions(arena *[]tensor.Range, a core.Assignment, f core.Fetch) (target, local tensor.Region) {
+	rank, start := len(f.Want), len(*arena)
+	*arena = slices.Grow(*arena, 2*rank)
+	for i, w := range f.Want {
+		*arena = append(*arena, tensor.Range{Lo: w.Lo - a.Region[i].Lo, Hi: w.Hi - a.Region[i].Lo})
 	}
-	if f.Src.Kind != core.FromDevice {
-		return target, nil
+	if f.Src.Kind == core.FromDevice {
+		for i, w := range f.Want {
+			*arena = append(*arena, tensor.Range{Lo: w.Lo - f.Src.Region[i].Lo, Hi: w.Hi - f.Src.Region[i].Lo})
+		}
+		local = (*arena)[start+rank : start+2*rank : start+2*rank]
 	}
-	for i := range f.Want {
-		local[i] = tensor.Range{Lo: f.Want[i].Lo - f.Src.Region[i].Lo, Hi: f.Want[i].Hi - f.Src.Region[i].Lo}
-	}
-	return target, local
+	return (*arena)[start : start+rank : start+rank], local
 }
 
 // regionLess orders regions by their bounds, dimension-major.

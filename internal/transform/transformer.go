@@ -333,7 +333,8 @@ func renameCtx(ctx context.Context, acc store.Access, src, dst string) error {
 func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.Fetch, dt tensor.DType, out *tensor.Tensor) (Stats, error) {
 	var fs Stats
 	bytes := f.Want.NumBytes(dt)
-	target, local := fetchRegions(a, f)
+	var ranges []tensor.Range
+	target, local := fetchRegions(&ranges, a, f)
 	switch f.Src.Kind {
 	case core.FromDevice:
 		src, ok := tr.Stores[f.Src.Device]
@@ -450,7 +451,7 @@ func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *co
 func disjointTargets(fetches []core.Fetch) bool {
 	for i := 0; i < len(fetches); i++ {
 		for j := i + 1; j < len(fetches); j++ {
-			if _, overlap := fetches[i].Want.Intersect(fetches[j].Want); overlap {
+			if fetches[i].Want.Overlaps(fetches[j].Want) {
 				return false
 			}
 		}
@@ -544,16 +545,9 @@ func (tr *Transformer) parallelism() int {
 // path). Every parallelization the parallel package produces satisfies
 // it.
 func (tr *Transformer) checkOneRegionPerTensor(plan *core.Plan) error {
-	seen := map[core.TensorID]bool{}
 	for _, ptc := range []*core.PTC{plan.From, plan.To} {
-		for _, d := range ptc.Devices {
-			clear(seen)
-			for _, s := range ptc.Place[d] {
-				if seen[s.Tensor] {
-					return fmt.Errorf("transform: device %d holds multiple regions of %q; unsupported store layout", d, s.Tensor)
-				}
-				seen[s.Tensor] = true
-			}
+		if d, id, ok := ptc.OneRegionPerTensor(); !ok {
+			return fmt.Errorf("transform: device %d holds multiple regions of %q; unsupported store layout", d, id)
 		}
 	}
 	return nil
