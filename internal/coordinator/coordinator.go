@@ -32,6 +32,7 @@ package coordinator
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -476,9 +477,12 @@ func (st jobState) String() string {
 }
 
 type simJob struct {
-	spec JobSpec
-	idx  int // submission order
-	rt   *jobRuntime
+	// spec.Model is dropped once the job is terminal; modelName is what
+	// status snapshots and the run's Result report.
+	spec      JobSpec
+	modelName string
+	idx       int // submission order
+	rt        *jobRuntime
 	// init holds the job's deterministic initial tensors. It is
 	// written by the deploy task, read by the verify task and dropped
 	// once the job is terminal (releaseState) — all on the job's chain,
@@ -516,21 +520,39 @@ type simJob struct {
 	verified atomic.Bool
 }
 
-// releaseState drops what only a live job needs — its golden tensors
-// and its in-process checkpoints, several times the job's state size —
+// releaseState drops what only a live job needs — its golden tensors,
+// its in-process checkpoints and stores (several times the job's state
+// size), its PTC with the compiled index hanging off it, and its model —
 // so a long-running service does not grow with every job it has ever
-// finished. It runs on the job's chain, behind whatever work is still
-// queued there.
+// finished. What a status snapshot or the run's Result reports of a
+// terminal job lives in simJob's plain fields. It runs on the job's
+// chain, behind whatever work is still queued there.
 func (j *simJob) releaseState() {
 	j.init = nil
+	j.rt.model, j.rt.ptc, j.rt.stores = nil, nil, nil
 	j.rt.storage = store.Local{FS: store.NewMemFS()}
 }
 
-// releaseTerminal schedules releaseState for a job that just became
-// lost or canceled; a completed job releases at the end of its verify
-// task instead.
+// releaseTerminal lets go of a job that just became lost, canceled or
+// rejected: the decision plane's hold on the model here, the rest by
+// releaseState on the job's chain. A completed job does the same around
+// its verify task instead.
 func (s *sim) releaseTerminal(j *simJob) {
+	s.releaseModel(j)
 	_ = s.submit(j.spec.Name, func() error { j.releaseState(); return nil }) // the task cannot fail
+}
+
+// releaseModel drops a terminal job's model from the decision plane,
+// and with the last job holding that model the perfmodel cache's
+// entries for it: they are keyed by the pointer, so they would keep
+// the model of every job a service ever ran.
+func (s *sim) releaseModel(j *simJob) {
+	m := j.spec.Model
+	j.spec.Model = nil
+	if s.modelJobs[m]--; s.modelJobs[m] == 0 {
+		delete(s.modelJobs, m)
+		s.cache.DropModel(m)
+	}
 }
 
 // pendingChange is one decided allocation change whose plan+transform
@@ -568,6 +590,9 @@ type sim struct {
 	jobs  map[string]*simJob
 	order []string // submission order
 	queue []string // admission queue, arrival order
+	// modelJobs counts the non-terminal jobs holding each model, so the
+	// last one to finish takes the model's perfmodel entries with it.
+	modelJobs map[*model.Model]int
 
 	evq eventHeap
 	seq int
@@ -786,6 +811,7 @@ func newSim(topo *cluster.Topology, opts Options) (*sim, error) {
 		ledger:      NewLedger(topo),
 		cache:       perfmodel.NewCache(),
 		jobs:        map[string]*simJob{},
+		modelJobs:   map[*model.Model]int{},
 		quarantined: map[cluster.DeviceID]bool{},
 		tr:          opts.Obs,
 		reg:         opts.Obs.Metrics(),
@@ -813,11 +839,13 @@ func (s *sim) addJob(spec JobSpec) (*simJob, error) {
 		return nil, fmt.Errorf("coordinator: duplicate job name %q", spec.Name)
 	}
 	j := &simJob{
-		spec: spec,
-		idx:  len(s.order),
-		rt:   newJobRuntime(spec.Name, spec.Model, s.topo, s.opts.Stores),
+		spec:      spec,
+		modelName: spec.Model.Name,
+		idx:       len(s.order),
+		rt:        newJobRuntime(spec.Name, spec.Model, s.topo, s.opts.Stores),
 	}
 	j.rt.metrics = s.reg
+	s.modelJobs[spec.Model]++
 	s.jobs[spec.Name] = j
 	s.order = append(s.order, spec.Name)
 	return j, nil
@@ -1484,15 +1512,21 @@ func (s *sim) onComplete(name string) error {
 	// still errors out, but the timeline returned alongside that error
 	// may already hold this completion event (on-error timelines are
 	// provisional; only an error-free Run vouches for them).
-	tr, vID, vTMin, resizes := s.tr, s.tr.NewID(), s.now, j.resizes
+	tr, vID, vTMin, resizes, decided := s.tr, s.tr.NewID(), s.now, j.resizes, j.alloc
 	if err := s.submit(name, func() error {
 		if tr.Enabled() {
 			rt.obsScope.Set(obs.TaskCtx{T: tr, Parent: vID, Job: rt.name, TMin: vTMin})
 		}
 		vStart := time.Now()
-		err := rt.verifyState(j.init)
+		// Nothing calls a verify off yet: Cancel refuses a completed job
+		// and Stop waits for the chains. The context is here for the day
+		// jobs carry one.
+		err := rt.verifyState(context.TODO(), j.init)
 		if err == nil {
 			j.verified.Store(true)
+			// The terminal audit of a completed job, here because the
+			// release below takes away what auditAll would look at.
+			err = rt.audit(decided)
 		}
 		j.releaseState()
 		if tr.Enabled() {
@@ -1514,6 +1548,7 @@ func (s *sim) onComplete(name string) error {
 	s.cache.DropJob(name)
 	j.state = jobDone
 	j.doneMin = s.now
+	s.releaseModel(j)
 	if err := s.admitQueued(); err != nil {
 		return err
 	}
@@ -1701,6 +1736,7 @@ func (s *sim) admitQueued() error {
 			s.dequeue(name)
 			s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvReject,
 				Note: fmt.Sprintf("min %d GPUs exceeds %d healthy devices", low, s.ledger.Healthy())})
+			s.releaseTerminal(j)
 			continue
 		}
 		if free := s.ledger.FreeCount(); free < high {
@@ -2227,7 +2263,7 @@ func (s *sim) checkInvariants() error {
 			}
 		}
 		if s.opts.Mode == ModeSim && j.rt.ptc != nil && s.auditDue() {
-			if err := auditRuntime(j); err != nil {
+			if err := j.rt.audit(j.alloc); err != nil {
 				return err
 			}
 		}
@@ -2241,46 +2277,45 @@ func (s *sim) auditDue() bool {
 	return s.opts.AuditStride <= 1 || s.eventIdx%s.opts.AuditStride == 0
 }
 
-// auditRuntime asserts that a job's execution plane caught up with the
-// decision plane exactly — same devices, not just the same count — and
-// that its PTC is valid. It may only run while the job's chain is
-// idle: after a ModeSim flush, or after the terminal drain.
-func auditRuntime(j *simJob) error {
-	if len(j.rt.alloc) != len(j.alloc) {
+// audit asserts that a job's execution plane caught up with the
+// decision plane exactly — the devices it decided, not just as many —
+// and that its PTC is valid. It may only run while nothing else is
+// running on the job's chain: after a ModeSim flush, after the
+// terminal drain, or as part of a task of that chain.
+func (r *jobRuntime) audit(decided cluster.Allocation) error {
+	if len(r.alloc) != len(decided) {
 		return fmt.Errorf("coordinator: %s runtime alloc has %d devices, decided %d",
-			j.spec.Name, len(j.rt.alloc), len(j.alloc))
+			r.name, len(r.alloc), len(decided))
 	}
-	decided := map[cluster.DeviceID]bool{}
-	for _, d := range j.alloc {
-		decided[d] = true
-	}
-	for _, d := range j.rt.alloc {
-		if !decided[d] {
+	for _, d := range r.alloc {
+		if !decided.Contains(d) {
 			return fmt.Errorf("coordinator: %s runtime holds device %d outside its decided allocation",
-				j.spec.Name, d)
+				r.name, d)
 		}
 	}
-	if err := j.rt.ptc.Validate(); err != nil {
-		return fmt.Errorf("coordinator: %s: %w", j.spec.Name, err)
+	if err := r.ptc.Validate(); err != nil {
+		return fmt.Errorf("coordinator: %s: %w", r.name, err)
 	}
 	return nil
 }
 
-// auditAll is the terminal sweep after the final drain: every job that
-// ever deployed must have its runtime consistent with its last decided
+// auditAll is the terminal sweep after the final drain: every job still
+// running must have its runtime consistent with its last decided
 // placement — ModeWall skips per-event runtime audits (chains are in
-// flight), so this is where a placement divergence would surface.
+// flight), so this is where a placement divergence would surface. A
+// completed job was audited by its verify task, before it released its
+// runtime.
 func (s *sim) auditAll() error {
 	for _, name := range s.order {
 		j := s.jobs[name]
-		if j.rt.ptc == nil || (j.state != jobRunning && j.state != jobDone) {
-			// Never deployed, runtime intentionally abandoned (lost), or
+		if j.rt.ptc == nil || j.state != jobRunning {
+			// Never deployed, released (completed, lost, canceled), or
 			// parked by a requeue — a requeued job's runtime sits at its
 			// checkpointed pre-abort placement with no decided allocation
 			// to audit against.
 			continue
 		}
-		if err := auditRuntime(j); err != nil {
+		if err := j.rt.audit(j.alloc); err != nil {
 			return err
 		}
 	}
@@ -2317,7 +2352,7 @@ func (s *sim) result(start time.Time) Result {
 		res.MovedBytesTotal += j.movedBytes
 		res.Jobs = append(res.Jobs, JobSummary{
 			Name:        name,
-			Model:       j.spec.Model.Name,
+			Model:       j.modelName,
 			GPUs:        j.spec.GPUs,
 			ArrivalMin:  j.spec.ArrivalMin,
 			AdmitMin:    j.admitMin,

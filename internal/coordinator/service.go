@@ -421,7 +421,7 @@ func (svc *Service) snapshotJob(s *sim, j *simJob) JobStatus {
 	st := JobStatus{
 		Name:        j.spec.Name,
 		State:       j.state.String(),
-		Model:       j.spec.Model.Name,
+		Model:       j.modelName,
 		GPUs:        j.spec.GPUs,
 		MinGPUs:     j.spec.MinGPUs,
 		MaxGPUs:     j.spec.MaxGPUs,

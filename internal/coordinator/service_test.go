@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -276,6 +277,13 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 			if n := j.rt.storage.FS.TotalBytes(); n != 0 {
 				return fmt.Errorf("terminal job %s (%s) still holds %d checkpoint bytes", name, j.state, n)
 			}
+			if j.rt.ptc != nil || j.rt.stores != nil || j.rt.model != nil || j.spec.Model != nil {
+				return fmt.Errorf("terminal job %s (%s) still holds its PTC, stores or model", name, j.state)
+			}
+		}
+		if len(s.modelJobs) != 0 || s.cache.Len() != 0 {
+			return fmt.Errorf("with every job terminal, %d models are still counted and %d perfmodel entries cached",
+				len(s.modelJobs), s.cache.Len())
 		}
 		return nil
 	})
@@ -287,5 +295,51 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 		if err != nil || st.State != "completed" || !st.Verified {
 			t.Fatalf("job %s after release: %+v (err %v)", name, st, err)
 		}
+	}
+}
+
+// TestServiceHeapFlatAcrossFinishedJobs: a finished job leaves behind
+// its status and its timeline entries, not its PTC, compiled index or
+// model. Every job brings a model of its own, as every POST /v1/jobs
+// does; the heap in use after job 200 must sit within a fixed margin of
+// what it was after job 50.
+func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
+	svc, err := StartService(cluster.Cloud(4), Options{WallScale: 100 * time.Microsecond})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	heapAfter := func(n int) uint64 {
+		err := svc.exec(false, func(s *sim) error { return s.drainJob(fmt.Sprintf("j%d", n-1)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC() // twice: a sync.Pool's contents survive one cycle
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var at50 uint64
+	for i := 0; i < 200; i++ {
+		name := fmt.Sprintf("j%d", i)
+		if err := svc.Submit(JobSpec{Name: name, Model: model.GPTCustom(4, 16, 2, 32, 8),
+			GPUs: 4, MinGPUs: 2, MaxGPUs: 4, DurationMin: 5}); err != nil {
+			t.Fatalf("submit %s: %v", name, err)
+		}
+		waitJobState(t, svc, name, "completed", 15*time.Second)
+		if i == 49 {
+			at50 = heapAfter(50)
+		}
+	}
+	at200 := heapAfter(200)
+	t.Logf("HeapInuse after 50 jobs %d KiB, after 200 jobs %d KiB", at50>>10, at200>>10)
+	// 150 jobs' timeline entries, statuses and chain tails come to about
+	// 1 KiB a job (160 KiB here); a model alone to 5, a PTC with its index
+	// to 20-40, the in-memory stores of the default runtime to 200.
+	const margin = 512 << 10
+	if at200 > at50+margin {
+		t.Fatalf("heap grew %d KiB over 150 finished jobs (margin %d KiB): terminal jobs are holding state",
+			(at200-at50)>>10, margin>>10)
 	}
 }

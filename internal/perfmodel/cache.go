@@ -277,6 +277,35 @@ func (c *Cache) DropJob(job string) int {
 	return n
 }
 
+// DropModel evicts every entry of either kind computed for m, and the
+// insertion-order records that would otherwise keep m reachable until
+// cap pressure found them. Keys hold the model by pointer, so a model
+// no job will present again — a service decodes one per submission —
+// can never hit; the coordinator calls this when the last job sharing
+// m is terminal.
+func (c *Cache) DropModel(m *model.Model) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.m {
+		if k.model == m {
+			delete(c.m, k)
+		}
+	}
+	for k := range c.pm {
+		if k.model == m {
+			delete(c.pm, k)
+		}
+	}
+	live := c.ord[:0]
+	for _, o := range c.ord[c.ordHead:] {
+		if o.ck.model != m && o.pk.model != m {
+			live = append(live, o)
+		}
+	}
+	clear(c.ord[len(live):])
+	c.ord, c.ordHead = live, 0
+}
+
 // evictLocked enforces the cap: stale-stamped entries go first (their
 // touched region mutated, so they can never hit again), then the
 // oldest entries by insertion order until the cache is 10% under cap.

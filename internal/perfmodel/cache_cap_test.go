@@ -21,8 +21,8 @@ func TestCacheSurvivesUnrelatedFailure(t *testing.T) {
 	p.DeviceMemGB = 0
 	c := NewCache()
 	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
-	w0 := topo.FirstN(4)                                       // worker 0
-	w1 := cluster.Allocation{4, 5, 6, 7}                       // worker 1
+	w0 := topo.FirstN(4)                                        // worker 0
+	w1 := cluster.Allocation{4, 5, 6, 7}                        // worker 1
 	if topo.WorkerOf(w1[0]) != 1 || topo.WorkerOf(w1[3]) != 1 { // layout guard
 		t.Fatalf("expected devices 4-7 on worker 1")
 	}
@@ -78,6 +78,50 @@ func TestCacheDropJob(t *testing.T) {
 	}
 	if n := c.DropJob(""); n != 0 {
 		t.Fatalf("DropJob(\"\") dropped %d entries, want 0", n)
+	}
+}
+
+// TestCacheDropModel: every entry computed for a model goes, of both
+// kinds and from the insertion-order list (which would otherwise keep
+// the model reachable); another model's entries stay hot, and the cap
+// still evicts in order afterwards.
+func TestCacheDropModel(t *testing.T) {
+	gone, kept := model.GPTCustom(4, 16, 2, 32, 8), model.GPTCustom(4, 16, 2, 32, 8)
+	topo := cluster.OnPrem16()
+	p := DefaultParams()
+	p.DeviceMemGB = 0
+	c := NewCache()
+	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
+	alloc := topo.FirstN(4)
+	for _, m := range []*model.Model{gone, kept} {
+		for n := 1; n <= 4; n++ {
+			c.Best(m, topo, n, p) //nolint:errcheck // infeasible counts are cached like feasible ones
+		}
+		c.ScorePlacementFor("job", m, cfg, topo, alloc, Placement{}, p)
+	}
+	c.DropModel(gone)
+	if got := c.Len(); got != 5 {
+		t.Fatalf("Len() = %d after DropModel, want the other model's 5 entries", got)
+	}
+	for _, o := range c.ord {
+		if o.ck.model == gone || o.pk.model == gone {
+			t.Fatal("insertion-order list still holds the dropped model")
+		}
+	}
+	if len(c.ord) != 5 || c.ordHead != 0 {
+		t.Fatalf("insertion-order list has %d records from %d, want 5 from 0", len(c.ord), c.ordHead)
+	}
+	hitsBefore, missesBefore := c.Stats()
+	c.Best(kept, topo, 4, p) //nolint:errcheck
+	c.ScorePlacementFor("job", kept, cfg, topo, alloc, Placement{}, p)
+	c.Best(gone, topo, 4, p) //nolint:errcheck
+	if hits, misses := c.Stats(); hits != hitsBefore+2 || misses != missesBefore+1 {
+		t.Fatalf("after DropModel: %d hits and %d misses, want 2 and 1", hits-hitsBefore, misses-missesBefore)
+	}
+	c.SetCap(4)
+	c.Best(kept, topo, 8, p) //nolint:errcheck
+	if got := c.Len(); got > 4 {
+		t.Fatalf("Len() = %d after an insert over the cap of 4", got)
 	}
 }
 

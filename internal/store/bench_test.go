@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -116,5 +117,44 @@ func BenchmarkRESTUpload(b *testing.B) {
 		if err := c.Upload("/w", x); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBatchScatter is one POST /batch of 8 MiB landing in a
+// contiguous destination and in a strided one whose runs are 256 bytes —
+// the wire half of internal/tensor's kernel floor table. A strided
+// destination costs one Read per run through the whole response stack
+// (frameReader and its CRC, the HTTP body's layers, the transport's
+// buffer), which is what the gap between the two rows prices.
+func BenchmarkBatchScatter(b *testing.B) {
+	const payload = 8 << 20
+	srv := NewServer(NewMemFS())
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	c := &Client{Base: hs.URL, HTTP: hs.Client()}
+	x := tensor.New(tensor.Float32, payload/256, 64)
+	x.FillRandDense(1, 1)
+	if err := c.Upload("/w", x); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		dst  *tensor.Tensor
+		at   tensor.Region
+	}{
+		{"contiguous", tensor.New(tensor.Float32, payload/256, 64), nil},
+		{"strided", tensor.New(tensor.Float32, payload/256, 128), tensor.Region{{Lo: 0, Hi: payload / 256}, {Lo: 32, Hi: 96}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			entries := []BatchEntry{{Path: "/w", Dst: bc.dst, At: bc.at}}
+			b.SetBytes(payload)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.BatchQueryInto(context.Background(), entries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

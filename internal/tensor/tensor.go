@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -254,32 +255,40 @@ func (t *Tensor) FillRand(seed int64, scale float64) {
 // the RNG setup cost. The two generators produce different streams.
 func (t *Tensor) FillRandDense(seed int64, scale float64) {
 	x := uint64(seed)
-	next := func() float64 {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z ^= z >> 30
-		z *= 0xbf58476d1ce4e5b9
-		z ^= z >> 27
-		z *= 0x94d049bb133111eb
-		z ^= z >> 31
-		// 53 random bits to [0, 1), then to [-scale, scale).
-		return (float64(z>>11)/(1<<53)*2 - 1) * scale
-	}
-	n := t.NumElems()
 	switch t.dtype {
 	case Float32:
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(t.data[i*4:], math.Float32bits(float32(next())))
+		// Walking the slice instead of indexing it lets the compiler drop
+		// the bounds check per element.
+		for d := t.data; len(d) >= 4; d = d[4:] {
+			x += splitmixGamma
+			binary.LittleEndian.PutUint32(d, math.Float32bits(float32(splitmixUnit(x)*scale)))
 		}
 	case Float64:
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(t.data[i*8:], math.Float64bits(next()))
+		for d := t.data; len(d) >= 8; d = d[8:] {
+			x += splitmixGamma
+			binary.LittleEndian.PutUint64(d, math.Float64bits(splitmixUnit(x)*scale))
 		}
 	default:
-		for i := 0; i < n; i++ {
-			t.setFloat64Flat(i, next())
+		for i, n := 0, t.NumElems(); i < n; i++ {
+			x += splitmixGamma
+			t.setFloat64Flat(i, splitmixUnit(x)*scale)
 		}
 	}
+}
+
+// splitmixGamma is the increment of the splitmix64 state.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// splitmixUnit mixes the splitmix64 state x into a value in [-1, 1): 53
+// random bits to [0, 1), doubled and shifted. A leaf small enough to
+// inline into the fill loops.
+func splitmixUnit(x uint64) float64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11)/(1<<53)*2 - 1
 }
 
 // Float64s returns all elements converted to float64 in row-major order.
@@ -291,25 +300,11 @@ func (t *Tensor) Float64s() []float64 {
 	return out
 }
 
-// Equal reports whether u has the same dtype, shape and bytes as t.
+// Equal reports whether u has the same dtype, shape and bytes as t. The
+// comparison is of bits, not values: NaNs with the same payload are
+// equal, +0 and -0 are not.
 func (t *Tensor) Equal(u *Tensor) bool {
-	if t.dtype != u.dtype || len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	if len(t.data) != len(u.data) {
-		return false
-	}
-	for i := range t.data {
-		if t.data[i] != u.data[i] {
-			return false
-		}
-	}
-	return true
+	return t.dtype == u.dtype && ShapeEqual(t.shape, u.shape) && bytes.Equal(t.data, u.data)
 }
 
 // AllClose reports whether every element of t and u differs by at most

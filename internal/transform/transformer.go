@@ -588,25 +588,31 @@ func LoadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[c
 
 // ReadPTC gathers the full tensors of a PTC back out of the stores —
 // the inverse of LoadPTC, used to hand a resumed job its merged state
-// and by tests to verify reconfigurations end to end. Each full tensor
-// is allocated once and every holder's sub-tensor is read directly into
-// its offset (replicas once). A batch-capable store serves all of its
-// device's sub-tensors in one round trip, and those devices are read
-// concurrently; any other store is read range by range, in order.
+// and to verify reconfigurations end to end. Each full tensor is
+// allocated once and every distinct sub-tensor is read directly into
+// its offset, from the first device in rank order that holds it
+// (replicas once). A batch-capable store serves all of its device's
+// sub-tensors in one round trip, and those devices are read
+// concurrently; any other store is read range by range, tensor by
+// tensor, so a tensor's zeroed pages are still in cache when its
+// ranges land.
 func ReadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) (map[core.TensorID]*tensor.Tensor, error) {
+	return ReadPTCContext(context.Background(), job, ptc, stores)
+}
+
+// ReadPTCContext is ReadPTC under a caller-supplied context: a canceled
+// read stops between ranges and, against context-aware stores, inside
+// the batch in flight; its error wraps ctx.Err().
+func ReadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) (map[core.TensorID]*tensor.Tensor, error) {
 	// Who holds which region of each tensor, replicas once.
 	type holder struct {
 		dev cluster.DeviceID
 		reg tensor.Region
 	}
 	holders := make(map[core.TensorID][]holder, len(ptc.Tensors))
-	seen := map[string]bool{}
-	for _, d := range ptc.Devices {
-		for _, s := range ptc.Place[d] {
-			if key := string(s.Tensor) + s.Region.String(); !seen[key] {
-				seen[key] = true
-				holders[s.Tensor] = append(holders[s.Tensor], holder{d, s.Region})
-			}
+	for g, subs := range ptc.Unique() {
+		for _, s := range subs {
+			holders[s.Tensor] = append(holders[s.Tensor], holder{ptc.Devices[g], s.Region})
 		}
 	}
 	out := make(map[core.TensorID]*tensor.Tensor, len(ptc.Tensors))
@@ -622,11 +628,11 @@ func ReadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access
 			if bq, ok := acc.(store.BatchQuerier); ok {
 				b := batches[h.dev]
 				if b == nil {
-					b = &deviceRead{dev: h.dev, store: bq}
+					b = &deviceRead{store: bq}
 					batches[h.dev] = b
 				}
 				b.entries = append(b.entries, store.BatchEntry{Path: ModelPath(job, h.dev, id), Dst: full, At: h.reg})
-			} else if _, err := acc.QueryInto(ModelPath(job, h.dev, id), nil, full, h.reg); err != nil {
+			} else if _, err := queryInto(ctx, acc, ModelPath(job, h.dev, id), nil, full, h.reg); err != nil {
 				return nil, fmt.Errorf("transform: read %q from dev %d: %w", id, h.dev, err)
 			}
 			covered += h.reg.NumElems()
@@ -639,24 +645,18 @@ func ReadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access
 	// One round trip per batch-capable store instead of one per tensor,
 	// all of them concurrently; the first failed device (in PTC order)
 	// is the error.
-	errs := make(map[cluster.DeviceID]error, len(batches))
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, b := range batches {
 		wg.Add(1)
 		go func(b *deviceRead) {
 			defer wg.Done()
-			if _, err := b.store.BatchQueryInto(context.TODO(), b.entries); err != nil {
-				mu.Lock()
-				errs[b.dev] = fmt.Errorf("transform: read from dev %d: %w", b.dev, err)
-				mu.Unlock()
-			}
+			_, b.err = b.store.BatchQueryInto(ctx, b.entries)
 		}(b)
 	}
 	wg.Wait()
 	for _, d := range ptc.Devices {
-		if err := errs[d]; err != nil {
-			return nil, err
+		if b := batches[d]; b != nil && b.err != nil {
+			return nil, fmt.Errorf("transform: read from dev %d: %w", d, b.err)
 		}
 	}
 	return out, nil
@@ -665,7 +665,7 @@ func ReadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access
 // deviceRead is everything ReadPTC wants from one batch-capable device
 // store: the ranges and the buffers they land in.
 type deviceRead struct {
-	dev     cluster.DeviceID
 	store   store.BatchQuerier
 	entries []store.BatchEntry
+	err     error
 }

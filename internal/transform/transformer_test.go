@@ -1,9 +1,14 @@
 package transform
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tenplex/internal/cluster"
@@ -274,22 +279,110 @@ func TestApplyIdentityKeepsBytesLocal(t *testing.T) {
 
 func TestReadPTCRoundTrip(t *testing.T) {
 	m := model.GPTCustom(3, 16, 2, 64, 8)
-	stores := localStores(alloc(4))
 	const job = "job0"
-	ptc := buildPTC(t, m, parallel.Config{TP: 2, PP: 2, DP: 1}, alloc(4))
+	// DP 2: every sub-tensor has a replica the read must skip.
+	ptc := buildPTC(t, m, parallel.Config{TP: 2, PP: 1, DP: 2}, alloc(4))
 	golden := goldenState(ptc)
-	if err := LoadPTC(job, ptc, stores, golden); err != nil {
-		t.Fatal(err)
+	var stateBytes int64
+	for _, full := range golden {
+		stateBytes += int64(full.NumBytes())
 	}
-	back, err := ReadPTC(job, ptc, stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, want := range golden {
-		if !back[id].Equal(want) {
-			t.Fatalf("ReadPTC mismatch for %s", id)
+	check := func(t *testing.T, back map[core.TensorID]*tensor.Tensor, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(golden) {
+			t.Fatalf("ReadPTC returned %d tensors, want %d", len(back), len(golden))
+		}
+		for id, want := range golden {
+			if !back[id].Equal(want) {
+				t.Fatalf("ReadPTC mismatch for %s", id)
+			}
 		}
 	}
+
+	t.Run("local", func(t *testing.T) {
+		stores := localStores(alloc(4))
+		if err := LoadPTC(job, ptc, stores, golden); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadPTC(job, ptc, stores)
+		check(t, back, err)
+
+		// Canceled after the third range: the read stops there.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var reads atomic.Int64
+		for d, acc := range stores {
+			stores[d] = cancelingStore{Access: acc, reads: &reads, after: 3, cancel: cancel}
+		}
+		if _, err := ReadPTCContext(ctx, job, ptc, stores); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled read returned %v, want context.Canceled", err)
+		}
+		if n := reads.Load(); n != 3 {
+			t.Fatalf("canceled read issued %d range reads, want 3", n)
+		}
+	})
+
+	t.Run("wire", func(t *testing.T) {
+		// Once armed, a /batch request cancels the read it belongs to and
+		// holds its response until the client has gone (which the server
+		// only notices once the request body has been consumed).
+		var armed atomic.Pointer[context.CancelFunc]
+		rc := newRestCluster(t, alloc(4), func(_ cluster.DeviceID, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if cancel := armed.Load(); cancel != nil && r.URL.Path == "/batch" {
+					_, _ = io.Copy(io.Discard, r.Body)
+					(*cancel)()
+					<-r.Context().Done()
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+		if err := LoadPTC(job, ptc, rc.stores, golden); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadPTC(job, ptc, rc.stores)
+		check(t, back, err)
+		served := func() (n int64) {
+			for _, s := range rc.servers {
+				n += s.BytesServed()
+			}
+			return n
+		}
+		if got := served(); got != stateBytes {
+			t.Fatalf("servers sent %d bytes for %d bytes of state: replicas must be read once", got, stateBytes)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		armed.Store(&cancel)
+		if _, err := ReadPTCContext(ctx, job, ptc, rc.stores); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled read returned %v, want context.Canceled", err)
+		}
+		if got := served(); got != stateBytes {
+			t.Fatalf("canceled read still moved %d bytes", got-stateBytes)
+		}
+	})
+}
+
+// cancelingStore calls cancel when its after-th range read (counted
+// across every store sharing reads) has been served.
+type cancelingStore struct {
+	store.Access
+	reads  *atomic.Int64
+	after  int64
+	cancel context.CancelFunc
+}
+
+func (c cancelingStore) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
+	n, err := c.Access.QueryInto(path, reg, dst, at)
+	if c.reads.Add(1) == c.after {
+		c.cancel()
+	}
+	return n, err
 }
 
 func TestApplyErrorsAreDescriptive(t *testing.T) {
