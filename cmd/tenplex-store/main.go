@@ -5,9 +5,11 @@
 //
 //	GET /query?path=/job/j0/model/dev2/block.3/attn/qkv/weight&range=[:,2:4]
 //
-// and during a reconfiguration the daemon assembles its own new
-// partitions from its peer daemons (POST /assemble), so it must be able
-// to reach them at the addresses the coordinator knows them by.
+// a deploy or a restore from a checkpoint hands it all of its device's
+// sub-tensors in one checksummed request (POST /upload-batch), and
+// during a reconfiguration the daemon assembles its own new partitions
+// from its peer daemons (POST /assemble), so it must be able to reach
+// them at the addresses the coordinator knows them by.
 package main
 
 import (

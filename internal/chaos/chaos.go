@@ -222,9 +222,9 @@ func (in *Injector) WrapAccess(job, tag string, inner store.Access) store.Access
 // context-aware variants draw the same fate as the plain calls (same
 // op name, same paths) and hand the caller's context through, so an
 // armed store still aborts a transfer when its apply is canceled. A
-// whole /assemble request fails or stalls as one operation whose fate
-// hashes the store's tag and the paths it would stage — a function of
-// the plan, not of scheduling.
+// whole /assemble or /upload-batch request fails or stalls as one
+// operation whose fate hashes the store's tag and the paths it would
+// write — a function of the plan, not of scheduling.
 type faultyRemote struct {
 	faultyBatchAccess
 	remote store.Remote
@@ -243,6 +243,17 @@ func (f *faultyRemote) Assemble(ctx context.Context, items []store.AssembleItem)
 		return store.AssembleStats{}, err
 	}
 	return f.remote.Assemble(ctx, items)
+}
+
+func (f *faultyRemote) UploadBatch(ctx context.Context, items []store.UploadItem) error {
+	paths := make([]string, len(items))
+	for i, it := range items {
+		paths[i] = it.Path
+	}
+	if err := f.op("uploadbatch", paths...); err != nil {
+		return err
+	}
+	return f.remote.UploadBatch(ctx, items)
 }
 
 func (f *faultyRemote) QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error) {

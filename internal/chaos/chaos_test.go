@@ -240,6 +240,9 @@ func TestWrappedClientKeepsCancellation(t *testing.T) {
 	if _, ok := store.Observe(in.WrapAccess("job", "dev1", memAccess(t)), "dev1", &scope).(store.Remote); ok {
 		t.Fatal("a wrapped Local claims to be a wire store")
 	}
+	if _, ok := store.Observe(in.WrapAccess("job", "dev1", memAccess(t)), "dev1", &scope).(store.BatchUploader); ok {
+		t.Fatal("a wrapped Local claims to take batched uploads")
+	}
 
 	payload := tensor.New(tensor.Float32, 1<<18) // 1 MiB: more than the socket buffers swallow
 	for name, call := range map[string]func(ctx context.Context) error{
@@ -248,6 +251,9 @@ func TestWrappedClientKeepsCancellation(t *testing.T) {
 			return err
 		},
 		"UploadContext": func(ctx context.Context) error { return remote.UploadContext(ctx, "/x", payload) },
+		"UploadBatch": func(ctx context.Context) error {
+			return remote.UploadBatch(ctx, []store.UploadItem{{Path: "/x", View: payload.FullView()}})
+		},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(20*time.Millisecond, cancel)
@@ -268,6 +274,8 @@ func TestWrappedClientKeepsCancellation(t *testing.T) {
 // from the same (tag, op, paths) key as the plain calls: at any seed an
 // operation is failed in both forms or in neither, so a fixed-seed
 // trace does not depend on which form the transformer happened to call.
+// A batched upload has the one form, and one fate for the whole batch,
+// drawn from the paths it writes: the same batch draws it again.
 func TestContextVariantsDrawTheSameFate(t *testing.T) {
 	hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
 	defer hs.Close()
@@ -277,6 +285,7 @@ func TestContextVariantsDrawTheSameFate(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := tensor.Region{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 4}}
+	batch := []store.UploadItem{{Path: "/b/0", View: src.FullView()}, {Path: "/b/1", View: src.View(reg)}}
 	ctx := context.Background()
 	injected, clean := 0, 0
 	for seed := int64(1); seed <= 24; seed++ {
@@ -301,6 +310,9 @@ func TestContextVariantsDrawTheSameFate(t *testing.T) {
 				func() error {
 					return f.UploadFromContext(ctx, "/v", src.DType(), src.Shape(), bytes.NewReader(src.Data()))
 				}},
+			"uploadbatch": {
+				func() error { return f.UploadBatch(ctx, batch) },
+				func() error { return f.UploadBatch(ctx, batch) }},
 			"list": {
 				func() error { _, err := f.List("/"); return err },
 				func() error { _, err := f.ListContext(ctx, "/"); return err }},

@@ -40,8 +40,8 @@ func metaPath(job string, step int) string { return ckptRoot(job, step) + "/meta
 func latestPath(job string) string         { return fmt.Sprintf("/ckpt/%s/latest", job) }
 
 // saveDevicesInFlight bounds how many batch-capable device stores Save
-// reads at once, and with it how much state Save holds: that many
-// devices' sub-tensors, not the whole job's.
+// reads, and Restore writes, at once, and with it how much state either
+// holds: that many devices' sub-tensors, not the whole job's.
 const saveDevicesInFlight = 2
 
 // Save writes the state described by ptc — read from the per-device
@@ -147,40 +147,49 @@ type deviceBatch struct {
 // the error of the first device, in the given order, that failed.
 func saveBatches(job string, ptc *core.PTC, batches []deviceBatch,
 	write func(core.SubTensor, *tensor.Tensor) error) error {
-	errs := make([]error, len(batches))
-	slots := make(chan struct{}, saveDevicesInFlight)
 	var mu sync.Mutex // write appends to the manifest: one call at a time
+	return devicesInFlight(len(batches), func(i int) error {
+		b := batches[i]
+		entries := make([]store.BatchEntry, len(b.subs))
+		for j, s := range b.subs {
+			meta, ok := ptc.Tensors[s.Tensor]
+			if !ok {
+				return fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
+			}
+			entries[j] = store.BatchEntry{
+				Path: transform.ModelPath(job, b.dev, s.Tensor),
+				Dst:  tensor.NewFromRegion(meta.DType, s.Region),
+			}
+		}
+		if _, err := b.store.BatchQueryInto(context.TODO(), entries); err != nil {
+			return fmt.Errorf("checkpoint: read from dev %d: %w", b.dev, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for j, s := range b.subs {
+			if err := write(s, entries[j].Dst); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// devicesInFlight runs fn(0..n-1), one call per batch-capable device
+// store, saveDevicesInFlight of them at a time, and returns the error of
+// the first index that failed.
+func devicesInFlight(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	slots := make(chan struct{}, saveDevicesInFlight)
 	var wg sync.WaitGroup
-	for i, b := range batches {
+	for i := 0; i < n; i++ {
 		slots <- struct{}{}
 		wg.Add(1)
-		go func(i int, b deviceBatch) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			entries := make([]store.BatchEntry, len(b.subs))
-			for j, s := range b.subs {
-				meta, ok := ptc.Tensors[s.Tensor]
-				if !ok {
-					errs[i] = fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
-					return
-				}
-				entries[j] = store.BatchEntry{
-					Path: transform.ModelPath(job, b.dev, s.Tensor),
-					Dst:  tensor.NewFromRegion(meta.DType, s.Region),
-				}
-			}
-			if _, err := b.store.BatchQueryInto(context.TODO(), entries); err != nil {
-				errs[i] = fmt.Errorf("checkpoint: read from dev %d: %w", b.dev, err)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for j, s := range b.subs {
-				if errs[i] = write(s, entries[j].Dst); errs[i] != nil {
-					return
-				}
-			}
-		}(i, b)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -344,20 +353,34 @@ func (r *Reader) dtypeOf(id core.TensorID) (tensor.DType, error) {
 // different) PTC: every destination sub-tensor is allocated once, its
 // range streamed in from the checkpoint pieces, and uploaded — the
 // "load partitioned checkpoints under a new parallelization" path on
-// the zero-copy pipeline.
+// the zero-copy pipeline. A batch-capable device store is sent all of
+// its sub-tensors in one round trip, a few such devices at a time (so
+// Restore holds that many devices' sub-tensors, not the job's), after
+// the walk that uploads to every other store tensor by tensor, in
+// placement order.
 func Restore(r *Reader, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) error {
+	read := func(s core.SubTensor) (*tensor.Tensor, error) {
+		meta, ok := ptc.Tensors[s.Tensor]
+		if !ok {
+			return nil, fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
+		}
+		t := tensor.NewFromRegion(meta.DType, s.Region)
+		_, err := r.ReadRangeInto(s.Tensor, s.Region, t, nil)
+		return t, err
+	}
+	var batched []cluster.DeviceID
 	for _, d := range ptc.Devices {
 		acc, ok := stores[d]
 		if !ok {
 			return fmt.Errorf("checkpoint: no store for device %d", d)
 		}
+		if _, batch := acc.(store.BatchUploader); batch {
+			batched = append(batched, d)
+			continue
+		}
 		for _, s := range ptc.Place[d] {
-			meta, ok := ptc.Tensors[s.Tensor]
-			if !ok {
-				return fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
-			}
-			t := tensor.New(meta.DType, s.Region.Shape()...)
-			if _, err := r.ReadRangeInto(s.Tensor, s.Region, t, nil); err != nil {
+			t, err := read(s)
+			if err != nil {
 				return err
 			}
 			if err := acc.Upload(transform.ModelPath(job, d, s.Tensor), t); err != nil {
@@ -365,5 +388,20 @@ func Restore(r *Reader, job string, ptc *core.PTC, stores map[cluster.DeviceID]s
 			}
 		}
 	}
-	return nil
+	// The first failed device, in the PTC's order, is the error.
+	return devicesInFlight(len(batched), func(i int) error {
+		d := batched[i]
+		items := make([]store.UploadItem, len(ptc.Place[d]))
+		for j, s := range ptc.Place[d] {
+			t, err := read(s)
+			if err != nil {
+				return err
+			}
+			items[j] = store.UploadItem{Path: transform.ModelPath(job, d, s.Tensor), View: t.FullView()}
+		}
+		if err := stores[d].(store.BatchUploader).UploadBatch(context.TODO(), items); err != nil {
+			return fmt.Errorf("checkpoint: restore dev %d: %w", d, err)
+		}
+		return nil
+	})
 }

@@ -105,14 +105,15 @@ type Assembler interface {
 type Addressable interface{ Address() string }
 
 // Remote is everything a wire store offers beyond Access: batch reads,
-// destination-pull assembly, an address for its peers, and a variant of
-// every operation that takes the caller's context. Observe and
+// batch uploads, destination-pull assembly, an address for its peers,
+// and a variant of every operation that takes the caller's context. Observe and
 // chaos.WrapAccess forward it as one unit over a store that has it
 // (*Client), so wrapping a store changes neither the staging route the
 // transformer picks nor whether a cancel reaches an in-flight transfer.
 type Remote interface {
 	Access
 	BatchQuerier
+	BatchUploader
 	Assembler
 	Addressable
 	QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error)

@@ -230,6 +230,11 @@ func (c *Client) doStream(ctx context.Context, method, endpoint string, params u
 	if contentLength >= 0 {
 		req.ContentLength = contentLength
 	}
+	if ub, ok := body.(*uploadBody); ok && ub.replays {
+		// net/http rewinds such a body itself when a pooled connection
+		// turns out to have been closed under it.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(ub.fresh()), nil }
+	}
 	resp, err := c.http().Do(req)
 	if err != nil {
 		cancel()
@@ -354,15 +359,9 @@ func (c *Client) Upload(path string, t *tensor.Tensor) error {
 // tensor's backing buffer, so the request runs under the retry policy.
 func (c *Client) UploadContext(ctx context.Context, path string, t *tensor.Tensor) error {
 	header := tensor.EncodeHeader(t.DType(), t.Shape())
+	body := singleUpload(header, func() io.Reader { return bytes.NewReader(t.Data()) }, true)
 	return c.withRetry(ctx, "upload "+path, func() error {
-		body := io.MultiReader(bytes.NewReader(header), bytes.NewReader(t.Data()))
-		resp, cancel, err := c.doStream(ctx, http.MethodPost, "/upload", url.Values{"path": {path}},
-			body, int64(len(header)+t.NumBytes()))
-		if err != nil {
-			return err
-		}
-		cancel()
-		return drainAndClose(resp.Body)
+		return c.sendUpload(ctx, "/upload", url.Values{"path": {path}}, body.fresh(), int64(len(header)+t.NumBytes()))
 	})
 }
 
@@ -379,14 +378,8 @@ func (c *Client) UploadFrom(path string, dt tensor.DType, shape []int, r io.Read
 func (c *Client) UploadFromContext(ctx context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error {
 	header := tensor.EncodeHeader(dt, shape)
 	payload := tensor.ShapeNumBytes(dt, shape)
-	body := io.MultiReader(bytes.NewReader(header), io.LimitReader(r, payload))
-	resp, cancel, err := c.doStream(ctx, http.MethodPost, "/upload",
-		url.Values{"path": {path}}, body, int64(len(header))+payload)
-	if err != nil {
-		return err
-	}
-	cancel()
-	return drainAndClose(resp.Body)
+	body := singleUpload(header, func() io.Reader { return io.LimitReader(r, payload) }, false)
+	return c.sendUpload(ctx, "/upload", url.Values{"path": {path}}, body, int64(len(header))+payload)
 }
 
 // Delete implements Access. A retried delete whose first attempt

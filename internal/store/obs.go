@@ -36,7 +36,9 @@ func Observe(inner Access, tag string, scope *obs.ScopeVar) Access {
 // the context-aware variants record the same spans as the plain calls
 // and hand the caller's context through, so tracing a store does not
 // cost it mid-transfer cancellation; Assemble records one
-// store.assemble span per request.
+// store.assemble span per request, UploadBatch one store.upload_batch
+// span and, deep or not, its count, bytes and latency in the tracer's
+// registry.
 type observedRemote struct {
 	observedBatchAccess
 	remote Remote
@@ -65,6 +67,32 @@ func (o *observedRemote) Assemble(ctx context.Context, items []AssembleItem) (As
 	}
 	c.Record(obs.StorePrefix+"assemble", obs.CatDatapath, time.Since(start).Nanoseconds(), attrs)
 	return st, err
+}
+
+func (o *observedRemote) UploadBatch(ctx context.Context, items []UploadItem) error {
+	c := o.scope.Get()
+	if c == nil || !c.T.Enabled() {
+		return o.remote.UploadBatch(ctx, items)
+	}
+	start := time.Now()
+	err := o.remote.UploadBatch(ctx, items)
+	wall := time.Since(start).Nanoseconds()
+	var bytes int64
+	for _, it := range items {
+		bytes += int64(it.View.NumBytes())
+	}
+	reg := c.T.Metrics()
+	reg.Add("store.client.upload_batch.count", 1)
+	reg.Add("store.client.upload_batch.bytes", bytes)
+	reg.Histogram("store.client.upload_batch_ns").Observe(wall)
+	if c.Deep() {
+		attrs := map[string]any{"op": "upload_batch", "store": o.tag, "items": int64(len(items)), "bytes": bytes}
+		if err != nil {
+			attrs["err"] = err.Error()
+		}
+		c.Record(obs.StorePrefix+"upload_batch", obs.CatDatapath, wall, attrs)
+	}
+	return err
 }
 
 func (o *observedRemote) QueryContext(ctx context.Context, path string, reg tensor.Region) (t *tensor.Tensor, err error) {

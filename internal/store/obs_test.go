@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -171,5 +172,68 @@ func TestObserveRecordsPerOpSpans(t *testing.T) {
 	}
 	if n := shallow.SpanCount(); n != 0 {
 		t.Fatalf("phases-level scope recorded %d datapath spans", n)
+	}
+}
+
+// An observed wire store still takes batches (an observed Local store
+// still does not), and every batch is counted in the tracer's registry —
+// requests, payload bytes, latency — whatever the tracer's level, with a
+// store.upload_batch span on top when it is deep.
+func TestObserveForwardsAndCountsUploadBatch(t *testing.T) {
+	n := newUploadNode(t, nil)
+	var scope obs.ScopeVar
+	if _, ok := Observe(Local{FS: NewMemFS()}, "dev0", &scope).(BatchUploader); ok {
+		t.Fatal("an observed Local store claims to take batches")
+	}
+	acc, ok := Observe(n.client(nil), "dev3", &scope).(BatchUploader)
+	if !ok {
+		t.Fatal("Observe hid the wire store's BatchUploader")
+	}
+	items := uploadSet(seqTensor(8, 6))
+	var payload int64
+	for _, it := range items {
+		payload += int64(it.View.NumBytes())
+	}
+	ctx := context.Background()
+	if err := acc.UploadBatch(ctx, items); err != nil { // no scope yet: passes through
+		t.Fatal(err)
+	}
+	shallow := obs.New(obs.Options{Level: obs.LevelPhases})
+	scope.Set(obs.TaskCtx{T: shallow, Parent: 1, Job: "job-7"})
+	if err := acc.UploadBatch(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	deep := obs.New(obs.Options{Level: obs.LevelDatapath})
+	scope.Set(obs.TaskCtx{T: deep, Parent: 42, Job: "job-7", TMin: 9})
+	for i := 0; i < 2; i++ {
+		if err := acc.UploadBatch(ctx, items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.requests("/upload-batch"); got != 4 {
+		t.Fatalf("%d /upload-batch requests, want 4", got)
+	}
+	checkUploadSet(t, n.srv.FS, items)
+	for tr, batches := range map[*obs.Tracer]int64{shallow: 1, deep: 2} {
+		rows := tr.Export().Metrics
+		count, _ := obs.Get(rows, "store.client.upload_batch.count")
+		bytes, _ := obs.Get(rows, "store.client.upload_batch.bytes")
+		lat, _ := obs.Get(rows, "store.client.upload_batch_ns")
+		if count.Int != batches || bytes.Int != batches*payload || lat.Count != batches || lat.Sum <= 0 {
+			t.Fatalf("registry after %d batches of %d bytes: count %+v, bytes %+v, latency %+v", batches, payload, count, bytes, lat)
+		}
+	}
+	if n := shallow.SpanCount(); n != 0 {
+		t.Fatalf("phases-level scope recorded %d datapath spans", n)
+	}
+	spans := deep.Export().Spans
+	if len(spans) != 2 {
+		t.Fatalf("deep scope recorded %d spans, want 2", len(spans))
+	}
+	for _, s := range spans {
+		if s.Name != "store.upload_batch" || s.Cat != obs.CatDatapath || s.Parent != 42 || s.Job != "job-7" ||
+			s.Attrs["store"] != "dev3" || s.Attrs["items"] != int64(len(items)) || s.Attrs["bytes"] != payload || s.WallNs <= 0 {
+			t.Fatalf("span misattributed: %+v", s)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // RetryPolicy configures capped exponential backoff with jitter for the
 // Client's idempotent operations (range queries, full-overwrite
-// uploads, listings, stats, blob I/O). Non-idempotent operations —
+// uploads, single or batched, listings, stats, blob I/O). Non-idempotent operations —
 // Rename, Delete, UploadFrom (whose reader cannot be replayed) — always
 // run single-attempt regardless of policy.
 type RetryPolicy struct {
@@ -123,7 +123,8 @@ func (e *transportError) Error() string {
 func (e *transportError) Unwrap() error { return e.err }
 
 // statusError is a non-2xx HTTP response; 5xx is retryable, 4xx is the
-// caller's fault and is not.
+// caller's fault and is not — but for statusCorruptFrame, an upload
+// damaged on its way.
 type statusError struct {
 	method, endpoint string
 	code             int
@@ -140,7 +141,7 @@ func (e *statusError) Error() string {
 func retryable(err error) bool {
 	var se *statusError
 	if errors.As(err, &se) {
-		return se.code >= 500
+		return se.code >= 500 || se.code == statusCorruptFrame
 	}
 	var te *transportError
 	if errors.As(err, &te) {

@@ -25,6 +25,11 @@ import (
 //	                                 of this store, or a link to a stored
 //	                                 tensor; JSON byte counts out
 //	POST   /upload?path=P            store the tensor in the body
+//	POST   /upload-batch             store many tensors, all or none: per
+//	                                 tensor a path, dtype and shape, then
+//	                                 its payload as one CRC-trailed frame
+//	                                 (layout in upload.go); needs a
+//	                                 Content-Length
 //	GET    /blob?path=P              raw blob bytes
 //	POST   /blob?path=P              store the body as a blob
 //	GET    /stat?path=P              JSON {dtype, shape, bytes, blob}
@@ -34,10 +39,11 @@ import (
 //
 // The range attribute of /query uses the NumPy-like syntax of
 // tensor.ParseRegion, e.g. range=[:,2:4] returns the sub-tensor
-// covering rows 2..4 of the second dimension; the two binary requests
-// carry ranges as integer bounds. Both bound their body (16 MiB) and
-// answer an oversized one 413, a malformed one 400, before anything is
-// allocated from what it declares.
+// covering rows 2..4 of the second dimension; /batch and /assemble
+// carry ranges as integer bounds. All three binary requests bound their
+// body (16 MiB; /upload-batch, which carries the tensors themselves, 64
+// GiB) and answer an oversized one 413, a malformed one 400, before
+// anything is allocated from what it declares.
 type Server struct {
 	FS  *MemFS
 	mux *http.ServeMux
@@ -54,6 +60,7 @@ func NewServer(fs *MemFS) *Server {
 	s.mux.HandleFunc("/batch", s.handleBatch)
 	s.mux.HandleFunc("/assemble", s.handleAssemble)
 	s.mux.HandleFunc("/upload", s.handleUpload)
+	s.mux.HandleFunc("/upload-batch", s.handleUploadBatch)
 	s.mux.HandleFunc("/blob", s.handleBlob)
 	s.mux.HandleFunc("/stat", s.handleStat)
 	s.mux.HandleFunc("/list", s.handleList)
@@ -69,7 +76,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // it to assert that range queries move only the requested data.
 func (s *Server) BytesServed() int64 { return s.bytesOut.Load() }
 
-// BytesReceived returns the total payload bytes uploaded by clients.
+// BytesReceived returns the total bytes uploaded by clients: for a
+// tensor its encoding (wire header and payload), whether it came alone
+// through /upload or with others through /upload-batch.
 func (s *Server) BytesReceived() int64 { return s.bytesIn.Load() }
 
 // BytesPulled returns the total payload bytes this store fetched from

@@ -147,14 +147,15 @@ func asTruncation(err error) error {
 	return err
 }
 
-// Requests: the bodies of POST /batch and POST /assemble are binary too,
-// built from three pieces the two layouts (store/batch.go,
-// store/assemble.go) share. Little-endian, like the response:
+// Requests: the bodies of POST /batch, POST /assemble and POST
+// /upload-batch are binary too, built from three pieces the three
+// layouts (store/batch.go, store/assemble.go, store/upload.go) share.
+// Little-endian, like the response:
 //
 //	request header
 //	  magic   uint32  0x54504c51 ("TPLQ")
 //	  version uint16  1
-//	  kind    uint16  RequestBatch or RequestAssemble
+//	  kind    uint16  RequestBatch, RequestAssemble or RequestUpload
 //	string
 //	  length  uint32
 //	  bytes   length × byte
@@ -170,11 +171,14 @@ const (
 	requestMagic   uint32 = 0x54504c51
 	requestVersion uint16 = 1
 
-	// RequestBatch and RequestAssemble are the request kinds.
+	// RequestBatch, RequestAssemble and RequestUpload are the request
+	// kinds.
 	RequestBatch    uint16 = 1
 	RequestAssemble uint16 = 2
+	RequestUpload   uint16 = 3
 
-	requestHeaderSize = 4 + 2 + 2
+	// RequestHeaderSize is the encoded size of the request header.
+	RequestHeaderSize = 4 + 2 + 2
 
 	// requestBufferSize is the RequestReader's read buffer: one read
 	// from the socket takes in a typical request whole, and it bounds the
@@ -262,7 +266,7 @@ func (d *RequestReader) skip(n int) { _, _ = d.r.Discard(n) } // n bytes are buf
 
 // Header reads the request header and checks it is of the given kind.
 func (d *RequestReader) Header(kind uint16) {
-	b := d.peek(requestHeaderSize)
+	b := d.peek(RequestHeaderSize)
 	if b == nil {
 		return
 	}
@@ -274,7 +278,7 @@ func (d *RequestReader) Header(kind uint16) {
 	case binary.LittleEndian.Uint16(b[6:]) != kind:
 		d.err = fmt.Errorf("tensor: request: kind %d, want %d", binary.LittleEndian.Uint16(b[6:]), kind)
 	}
-	d.skip(requestHeaderSize)
+	d.skip(RequestHeaderSize)
 }
 
 // uint reads an n-byte little-endian integer, 0 after a failure.
@@ -349,6 +353,23 @@ func (d *RequestReader) Region(arena *[]Range) Region {
 	}
 	d.skip(16 * rank)
 	return Region((*arena)[start:len(*arena):len(*arena)])
+}
+
+// Read reads the raw bytes that follow the fields decoded so far: a
+// payload a request carries in line (an upload's frames), which goes to
+// the caller's buffer without being decoded. One that is at least the
+// read buffer's size is read from the input directly. The input's end is
+// io.EOF, as for any reader; any other failure sticks like a field's.
+func (d *RequestReader) Read(p []byte) (int, error) {
+	if d.err != nil {
+		return 0, d.err
+	}
+	n, err := d.r.Read(p)
+	if err != nil && err != io.EOF {
+		d.err = fmt.Errorf("tensor: request: %w", err)
+		err = d.err
+	}
+	return n, err
 }
 
 // End checks that the input ends here: a request is one message, and

@@ -145,6 +145,9 @@ func (v View) Region() Region { return v.reg.Clone() }
 // Shape returns the per-dimension lengths of the view.
 func (v View) Shape() []int { return v.reg.Shape() }
 
+// Rank returns the number of dimensions of the view.
+func (v View) Rank() int { return len(v.reg) }
+
 // NumBytes returns the payload size of the view.
 func (v View) NumBytes() int { return v.reg.NumElems() * v.t.dtype.Size() }
 

@@ -1,11 +1,13 @@
 package transform
 
 import (
+	"context"
 	"fmt"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/store"
+	"tenplex/internal/tensor"
 )
 
 // Replication (§5.3): to survive frequent failures, Tenplex can
@@ -23,39 +25,90 @@ func replicaPath(job string, d cluster.DeviceID, id core.TensorID) string {
 // Replicate copies every device's partition of the PTC to the Tensor
 // Stores of its next n workers (round-robin by worker index). It
 // returns the bytes written. Stores are addressed by the first device
-// of the target worker.
+// of the target worker. Over wire stores a home device is read once (one
+// batch) and a replica store written once (one batch upload, after every
+// home device has been read); an in-process store hands its tensors
+// over, and takes them, one at a time and by reference.
 func Replicate(job string, ptc *core.PTC, topo *cluster.Topology,
 	stores map[cluster.DeviceID]store.Access, n int) (int64, error) {
 	if n < 1 || n >= topo.NumWorkers() {
 		return 0, fmt.Errorf("transform: replication factor %d of %d workers", n, topo.NumWorkers())
 	}
-	var written int64
+	var (
+		written, queued int64          // bytes uploaded; bytes waiting in batches
+		batches         []deviceUpload // one per batch-capable replica store, in order of first use
+		batchOf         = map[cluster.DeviceID]int{}
+	)
+	// replicate writes t, device d's copy of id, to d's n replica stores,
+	// or queues it for the store's batch.
+	replicate := func(d cluster.DeviceID, id core.TensorID, t *tensor.Tensor) error {
+		home := topo.WorkerOf(d)
+		for k := 1; k <= n; k++ {
+			w := topo.Workers[(home+k)%topo.NumWorkers()]
+			dstDev := w.Devices[0]
+			dst, ok := stores[dstDev]
+			if !ok {
+				return fmt.Errorf("transform: no store for replica worker %d", w.ID)
+			}
+			bu, batch := dst.(store.BatchUploader)
+			if !batch {
+				if err := dst.Upload(replicaPath(job, d, id), t); err != nil {
+					return fmt.Errorf("transform: replicate write: %w", err)
+				}
+				written += int64(t.NumBytes())
+				continue
+			}
+			queued += int64(t.NumBytes())
+			b, ok := batchOf[dstDev]
+			if !ok {
+				b = len(batches)
+				batchOf[dstDev] = b
+				batches = append(batches, deviceUpload{dev: dstDev, store: bu})
+			}
+			batches[b].items = append(batches[b].items, store.UploadItem{Path: replicaPath(job, d, id), View: t.FullView()})
+		}
+		return nil
+	}
 	for _, d := range ptc.Devices {
 		src, ok := stores[d]
 		if !ok {
 			return written, fmt.Errorf("transform: no store for device %d", d)
 		}
-		home := topo.WorkerOf(d)
-		for _, s := range ptc.Place[d] {
+		place := ptc.Place[d]
+		bq, batch := src.(store.BatchQuerier)
+		if batch && len(place) > 0 {
+			entries := make([]store.BatchEntry, len(place))
+			for i, s := range place {
+				meta, ok := ptc.Tensors[s.Tensor]
+				if !ok {
+					return written, fmt.Errorf("transform: no metadata for %q", s.Tensor)
+				}
+				entries[i] = store.BatchEntry{Path: ModelPath(job, d, s.Tensor), Dst: tensor.NewFromRegion(meta.DType, s.Region)}
+			}
+			if _, err := bq.BatchQueryInto(context.TODO(), entries); err != nil {
+				return written, fmt.Errorf("transform: replicate read dev %d: %w", d, err)
+			}
+			for i, s := range place {
+				if err := replicate(d, s.Tensor, entries[i].Dst); err != nil {
+					return written, err
+				}
+			}
+			continue
+		}
+		for _, s := range place {
 			t, err := src.Query(ModelPath(job, d, s.Tensor), nil)
 			if err != nil {
 				return written, fmt.Errorf("transform: replicate read %q: %w", s.Tensor, err)
 			}
-			for k := 1; k <= n; k++ {
-				w := topo.Workers[(home+k)%topo.NumWorkers()]
-				dstDev := w.Devices[0]
-				dst, ok := stores[dstDev]
-				if !ok {
-					return written, fmt.Errorf("transform: no store for replica worker %d", w.ID)
-				}
-				if err := dst.Upload(replicaPath(job, d, s.Tensor), t); err != nil {
-					return written, fmt.Errorf("transform: replicate write: %w", err)
-				}
-				written += int64(t.NumBytes())
+			if err := replicate(d, s.Tensor, t); err != nil {
+				return written, err
 			}
 		}
 	}
-	return written, nil
+	if err := uploadDevices(context.TODO(), batches); err != nil {
+		return written, err
+	}
+	return written + queued, nil
 }
 
 // RestoreFromReplicas rebuilds the model partition of a lost device

@@ -535,10 +535,14 @@ func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 // on.
 func (tr *Transformer) parallelism() int {
 	if tr.Parallelism <= 0 {
-		return 8
+		return defaultParallelism
 	}
 	return tr.Parallelism
 }
+
+// defaultParallelism is how many store operations run at once where no
+// caller said otherwise.
+const defaultParallelism = 8
 
 // checkOneRegionPerTensor enforces the store layout invariant: a device
 // holds at most one sub-tensor per base tensor (one file per tensor
@@ -555,8 +559,12 @@ func (tr *Transformer) checkOneRegionPerTensor(plan *core.Plan) error {
 
 // LoadPTC materializes PTC state into the stores: every device's
 // sub-tensors stream out of the provided full tensors straight into
-// each store (a region view feeds UploadFrom, so no intermediate
-// sub-tensor is sliced out).
+// each store (region views of the full tensors are what is sent, so no
+// intermediate sub-tensor is sliced out). A batch-capable store takes
+// all of its device's sub-tensors in one round trip, and those devices
+// are loaded concurrently; any other store (in-process, or behind a
+// wrapper that hides the capability) is uploaded to tensor by tensor, in
+// placement order, as the walk reaches it.
 func LoadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	full map[core.TensorID]*tensor.Tensor) error {
 	return LoadPTCContext(context.Background(), job, ptc, stores, full)
@@ -567,23 +575,57 @@ func LoadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access
 // upload promptly instead of letting it run to completion.
 func LoadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	full map[core.TensorID]*tensor.Tensor) error {
+	var batches []deviceUpload
 	for _, d := range ptc.Devices {
 		acc, ok := stores[d]
 		if !ok {
 			return fmt.Errorf("transform: no store for device %d", d)
 		}
+		bu, batch := acc.(store.BatchUploader)
+		var items []store.UploadItem
 		for _, s := range ptc.Place[d] {
 			src, ok := full[s.Tensor]
 			if !ok {
 				return fmt.Errorf("transform: no source tensor for %q", s.Tensor)
 			}
 			v := src.View(s.Region)
-			if err := uploadFrom(ctx, acc, ModelPath(job, d, s.Tensor), src.DType(), v.Shape(), v.Reader()); err != nil {
+			if batch {
+				items = append(items, store.UploadItem{Path: ModelPath(job, d, s.Tensor), View: v})
+			} else if err := uploadFrom(ctx, acc, ModelPath(job, d, s.Tensor), src.DType(), v.Shape(), v.Reader()); err != nil {
 				return err
 			}
 		}
+		if len(items) > 0 {
+			batches = append(batches, deviceUpload{dev: d, store: bu, items: items})
+		}
 	}
-	return nil
+	return uploadDevices(ctx, batches)
+}
+
+// deviceUpload is everything one batch-capable device store is to
+// receive: one request.
+type deviceUpload struct {
+	dev   cluster.DeviceID
+	store store.BatchUploader
+	items []store.UploadItem
+}
+
+// uploadDevices sends every device its batch, a few devices at a time,
+// and returns the error of the first device, in the given order, that
+// failed.
+func uploadDevices(ctx context.Context, batches []deviceUpload) error {
+	errs := make([]error, len(batches))
+	runBounded(ctx, defaultParallelism, len(batches), func(i int) {
+		if err := batches[i].store.UploadBatch(ctx, batches[i].items); err != nil {
+			errs[i] = fmt.Errorf("transform: upload to dev %d: %w", batches[i].dev, err)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return ctx.Err() // a canceled load may have left devices unsent
 }
 
 // ReadPTC gathers the full tensors of a PTC back out of the stores —
