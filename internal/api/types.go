@@ -24,7 +24,24 @@ type ModelSpec struct {
 	Experts int    `json:"experts,omitempty"`
 }
 
-// Build resolves the spec into a model catalog.
+// Limits on a custom catalog. The dimensions arrive from the network and
+// become tensor shapes; the coordinator materializes every admitted
+// job's whole state in its own memory (the initial tensors, and the
+// stores' copy when they are in-process), so the state a request may ask
+// for is capped like its body is. The per-dimension bounds keep the
+// catalog itself small and the size arithmetic far from overflow.
+const (
+	maxLayers     = 128
+	maxHidden     = 8192
+	maxVocab      = 1 << 18
+	maxSeqLen     = 1 << 16
+	maxExperts    = 64
+	maxStateBytes = 64 << 20
+)
+
+// Build resolves the spec into a model catalog. Anything but a preset is
+// range-checked first: the model constructors panic on dimensions that
+// make no catalog, and a request must never be able to reach that.
 func (m ModelSpec) Build() (*model.Model, error) {
 	switch m.Preset {
 	case "gpt-small":
@@ -39,17 +56,56 @@ func (m ModelSpec) Build() (*model.Model, error) {
 	default:
 		return nil, fmt.Errorf("unknown model preset %q", m.Preset)
 	}
+	var built *model.Model
 	switch m.Kind {
-	case "gpt":
-		return model.GPTCustom(m.Layers, m.Hidden, m.Heads, m.Vocab, m.SeqLen), nil
+	case "gpt", "bert":
+		err := inRange(dim{"layers", m.Layers, maxLayers}, dim{"hidden", m.Hidden, maxHidden},
+			dim{"heads", m.Heads, maxHidden}, dim{"vocab", m.Vocab, maxVocab}, dim{"seq_len", m.SeqLen, maxSeqLen})
+		if err == nil && m.Hidden%m.Heads != 0 {
+			err = fmt.Errorf("model hidden %d is not a multiple of heads %d", m.Hidden, m.Heads)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if m.Kind == "gpt" {
+			built = model.GPTCustom(m.Layers, m.Hidden, m.Heads, m.Vocab, m.SeqLen)
+		} else {
+			built = model.BERTCustom(m.Layers, m.Hidden, m.Heads, m.Vocab, m.SeqLen)
+		}
 	case "moe":
-		return model.MoECustom(m.Layers, m.Hidden, m.Experts), nil
-	case "bert":
-		return model.BERTCustom(m.Layers, m.Hidden, m.Heads, m.Vocab, m.SeqLen), nil
+		err := inRange(dim{"layers", m.Layers, maxLayers}, dim{"hidden", m.Hidden, maxHidden},
+			dim{"experts", m.Experts, maxExperts})
+		if err == nil && m.Hidden%2 != 0 {
+			err = fmt.Errorf("model hidden %d is odd (an MoE catalog has two heads)", m.Hidden)
+		}
+		if err != nil {
+			return nil, err
+		}
+		built = model.MoECustom(m.Layers, m.Hidden, m.Experts)
 	case "":
 		return nil, fmt.Errorf("model needs a preset or a kind")
+	default:
+		return nil, fmt.Errorf("unknown model kind %q", m.Kind)
 	}
-	return nil, fmt.Errorf("unknown model kind %q", m.Kind)
+	if n := built.StateBytes(); n > maxStateBytes {
+		return nil, fmt.Errorf("model state of %d bytes exceeds the %d the service takes", n, maxStateBytes)
+	}
+	return built, nil
+}
+
+type dim struct {
+	name   string
+	v, max int
+}
+
+// inRange returns the first dimension outside [1, max].
+func inRange(dims ...dim) error {
+	for _, d := range dims {
+		if d.v < 1 || d.v > d.max {
+			return fmt.Errorf("model %s %d outside [1, %d]", d.name, d.v, d.max)
+		}
+	}
+	return nil
 }
 
 // SubmitRequest is the body of POST /v1/jobs.

@@ -60,6 +60,70 @@ const saveDevicesInFlight = 2
 // as they were.
 func Save(storage store.Access, job string, step int, ptc *core.PTC,
 	stores map[cluster.DeviceID]store.Access) error {
+	return save(storage, job, step, ptc.Name, len(ptc.Tensors), func(write writePiece) error {
+		// What the batch-capable devices owe the checkpoint; read after the
+		// walk below, which writes everything else as it is read.
+		var batches []deviceBatch
+		unique := ptc.Unique()
+		for g, d := range ptc.Devices {
+			acc, ok := stores[d]
+			if !ok {
+				return fmt.Errorf("checkpoint: no store for device %d", d)
+			}
+			if bq, batch := acc.(store.BatchQuerier); batch {
+				if len(unique[g]) > 0 {
+					batches = append(batches, deviceBatch{dev: d, store: bq, subs: unique[g]})
+				}
+				continue
+			}
+			for _, s := range unique[g] {
+				t, err := acc.Query(transform.ModelPath(job, d, s.Tensor), nil)
+				if err != nil {
+					return fmt.Errorf("checkpoint: read %q from dev %d: %w", s.Tensor, d, err)
+				}
+				if err := write(s, t); err != nil {
+					return err
+				}
+			}
+		}
+		if len(batches) > 0 {
+			return saveBatches(job, ptc, batches, write)
+		}
+		return nil
+	})
+}
+
+// SaveTensors writes state — whole logical tensors the caller already
+// holds, such as the initial state a deploy has just sent to the device
+// stores — as the checkpoint for the given step: one piece per tensor,
+// covering all of it, handed to storage as it is (an in-process store
+// keeps the pointer, so nothing is copied and nothing is read back from
+// any device). name is the manifest's human-readable config. Readers do
+// not care how a checkpoint is cut: Restore and ReadRangeInto serve any
+// parallelization from it. Publication and the fate of the previous step
+// are Save's, to the letter.
+func SaveTensors(storage store.Access, job string, step int, name string,
+	state map[core.TensorID]*tensor.Tensor) error {
+	return save(storage, job, step, name, len(state), func(write writePiece) error {
+		for id, t := range state {
+			if err := write(core.SubTensor{Tensor: id, Region: tensor.FullRegion(t.Shape())}, t); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writePiece stores one sub-tensor of the checkpoint being saved and
+// enters it in the manifest; it is never run concurrently.
+type writePiece func(core.SubTensor, *tensor.Tensor) error
+
+// save is the frame both ways of writing a checkpoint share: pieces
+// writes the step's sub-tensors through the function it is handed, then
+// the manifest, then the latest marker go to storage, and only then is
+// the step the marker named before removed.
+func save(storage store.Access, job string, step int, name string, tensors int,
+	pieces func(writePiece) error) error {
 	blobs, ok := storage.(interface {
 		PutBlob(string, []byte) error
 	})
@@ -67,10 +131,10 @@ func Save(storage store.Access, job string, step int, ptc *core.PTC,
 		return fmt.Errorf("checkpoint: storage does not support blobs")
 	}
 	prev, prevErr := Latest(storage, job)
-	meta := Meta{Job: job, Step: step, Config: ptc.Name, Pieces: make(map[string][]Piece, len(ptc.Tensors))}
+	meta := Meta{Job: job, Step: step, Config: name, Pieces: make(map[string][]Piece, tensors)}
 	root := ckptRoot(job, step)
-	var buf []byte // one piece path at a time; write is never run concurrently
-	write := func(s core.SubTensor, t *tensor.Tensor) error {
+	var buf []byte // one piece path at a time
+	err := pieces(func(s core.SubTensor, t *tensor.Tensor) error {
 		buf = append(append(buf[:0], root...), '/')
 		buf = append(append(buf, s.Tensor...), '@')
 		at := len(buf)
@@ -81,36 +145,9 @@ func Save(storage store.Access, job string, step int, ptc *core.PTC,
 		}
 		meta.Pieces[string(s.Tensor)] = append(meta.Pieces[string(s.Tensor)], Piece{Path: path, Range: path[at:]})
 		return nil
-	}
-	// What the batch-capable devices owe the checkpoint; read after the
-	// walk below, which writes everything else as it is read.
-	var batches []deviceBatch
-	unique := ptc.Unique()
-	for g, d := range ptc.Devices {
-		acc, ok := stores[d]
-		if !ok {
-			return fmt.Errorf("checkpoint: no store for device %d", d)
-		}
-		if bq, batch := acc.(store.BatchQuerier); batch {
-			if len(unique[g]) > 0 {
-				batches = append(batches, deviceBatch{dev: d, store: bq, subs: unique[g]})
-			}
-			continue
-		}
-		for _, s := range unique[g] {
-			t, err := acc.Query(transform.ModelPath(job, d, s.Tensor), nil)
-			if err != nil {
-				return fmt.Errorf("checkpoint: read %q from dev %d: %w", s.Tensor, d, err)
-			}
-			if err := write(s, t); err != nil {
-				return err
-			}
-		}
-	}
-	if len(batches) > 0 {
-		if err := saveBatches(job, ptc, batches, write); err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 	for _, ps := range meta.Pieces {
 		sort.Slice(ps, func(i, j int) bool { return ps[i].Range < ps[j].Range })
@@ -145,8 +182,7 @@ type deviceBatch struct {
 // saveDevicesInFlight devices at a time, and hands them to write (one
 // call at a time) as soon as the device's batch has landed. It returns
 // the error of the first device, in the given order, that failed.
-func saveBatches(job string, ptc *core.PTC, batches []deviceBatch,
-	write func(core.SubTensor, *tensor.Tensor) error) error {
+func saveBatches(job string, ptc *core.PTC, batches []deviceBatch, write writePiece) error {
 	var mu sync.Mutex // write appends to the manifest: one call at a time
 	return devicesInFlight(len(batches), func(i int) error {
 		b := batches[i]

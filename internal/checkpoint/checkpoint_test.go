@@ -428,3 +428,115 @@ func TestFailedSaveLeavesPreviousStep(t *testing.T) {
 		}
 	}
 }
+
+// refusingStorage is checkpoint storage that takes n more tensors and
+// then refuses.
+type refusingStorage struct {
+	store.Local
+	n *int
+}
+
+func (s refusingStorage) Upload(path string, t *tensor.Tensor) error {
+	if *s.n--; *s.n < 0 {
+		return fmt.Errorf("storage full")
+	}
+	return s.Local.Upload(path, t)
+}
+
+// A baseline written from whole tensors the caller holds — what a deploy
+// saves, in place of reading back the state it has just sent out — is a
+// checkpoint like any other: one piece per tensor, kept by reference;
+// it restores bit for bit under a parallelization it was never cut for,
+// serves the ranges a fail-stop recovery has lost, is replaced by the
+// next Save, and when it fails half-way leaves the step before it alone.
+func TestSaveTensorsBaseline(t *testing.T) {
+	m := model.GPTCustom(2, 16, 2, 64, 8)
+	ptc, stores, golden := setup(t, parallel.Config{TP: 2, PP: 1, DP: 1}, 2)
+	fs := store.NewMemFS()
+	storage := store.Local{FS: fs}
+	if err := SaveTensors(storage, "job0", 0, ptc.Name, golden); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(storage, "job0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Meta.Config != ptc.Name || len(r.Meta.Pieces) != len(golden) {
+		t.Fatalf("manifest names %q with %d tensors, want %q with %d", r.Meta.Config, len(r.Meta.Pieces), ptc.Name, len(golden))
+	}
+	for id, want := range golden {
+		ps := r.Meta.Pieces[string(id)]
+		if len(ps) != 1 {
+			t.Fatalf("tensor %s is cut into %d pieces, want one", id, len(ps))
+		}
+		if got, err := storage.Query(ps[0].Path, nil); err != nil || got != want {
+			t.Fatalf("tensor %s: storage does not hold the caller's tensor itself (err %v)", id, err)
+		}
+	}
+
+	// Restored under TP=4 on four devices.
+	toPTC, err := parallel.BuildPTC(m, parallel.Config{TP: 4, PP: 1, DP: 1}, alloc(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := localStores(4)
+	if err := Restore(r, "job0", toPTC, fresh); err != nil {
+		t.Fatal(err)
+	}
+	sameState := func(what string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) {
+		t.Helper()
+		state, err := transform.ReadPTC("job0", ptc, stores)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for id, want := range golden {
+			if !state[id].Equal(want) {
+				t.Fatalf("%s: tensor %s differs", what, id)
+			}
+		}
+	}
+	sameState("restored under TP=4", toPTC, fresh)
+
+	// Device 1 is lost with no replica: its half of every TP-split tensor
+	// comes out of the whole-tensor pieces.
+	onePTC, err := parallel.BuildPTC(m, parallel.Config{TP: 1, PP: 1, DP: 1}, alloc(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.GeneratePlan(ptc.WithoutDevices(1), onePTC, core.PlanOptions{StorageFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := (&transform.Transformer{Job: "job0", Stores: stores, Storage: r}).Apply(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.StorageBytes == 0 {
+		t.Fatal("recovery read nothing from storage")
+	}
+	sameState("recovered onto device 0", onePTC, stores)
+
+	// The next Save replaces it; a SaveTensors that fails half-way leaves
+	// that one, and the marker naming it, in place.
+	if err := Save(storage, "job0", 1, onePTC, stores); err != nil {
+		t.Fatal(err)
+	}
+	left := len(golden) / 2
+	if err := SaveTensors(refusingStorage{Local: storage, n: &left}, "job0", 2, "x", golden); err == nil {
+		t.Fatal("SaveTensors into storage that refuses half the tensors succeeded")
+	}
+	if step, err := Latest(storage, "job0"); err != nil || step != 1 {
+		t.Fatalf("latest marker names step %d (err %v), want 1", step, err)
+	}
+	if _, err := Open(storage, "job0", 0); err == nil {
+		t.Fatal("the baseline outlived the save after it")
+	}
+	if r, err = Open(storage, "job0", 1); err != nil {
+		t.Fatal(err)
+	}
+	fresh = localStores(4)
+	if err := Restore(r, "job0", toPTC, fresh); err != nil {
+		t.Fatal(err)
+	}
+	sameState("restored from the step before the failed save", toPTC, fresh)
+}

@@ -494,6 +494,18 @@ type simJob struct {
 	// catch up when the job's chain executes.
 	alloc cluster.Allocation
 	cfg   parallel.Config
+	// decided is the PTC the job will hold once the work already queued
+	// on its chain has committed — ModeWall's copy of the one fact the
+	// event loop used to drain the chain for, so that planning a change
+	// never waits for the bytes of the one before it. Built at first
+	// admission (the deploy task places the job under this very value),
+	// advanced to the target of every decided change, set to the restore
+	// target at re-admission, and dropped when the job turns terminal.
+	// It can be ahead of the truth in one case only: an earlier change
+	// aborted after a later one was planned; that commit re-plans on the
+	// chain (jobRuntime.rebase) and its outcome brings decided back
+	// (converge). nil in ModeSim, which plans on the chain from rt.ptc.
+	decided *core.PTC
 
 	state       jobState
 	admitMin    float64
@@ -504,19 +516,23 @@ type simJob struct {
 	reconfigSec float64
 	movedBytes  int64
 
-	// Graceful-degradation bookkeeping. deployed marks that the runtime
-	// holds state (so a re-admission must restore from checkpoint, not
-	// deploy fresh); servedMin accumulates service time across requeues
-	// so a resumed job only runs its remaining duration.
-	deployed     bool
+	// Graceful-degradation bookkeeping. admitted marks that the job has
+	// been placed once, so its runtime holds state (a re-admission must
+	// restore from checkpoint, not deploy fresh); servedMin accumulates
+	// service time across requeues so a resumed job only runs its
+	// remaining duration.
+	admitted     bool
 	requeues     int
 	servedMin    float64
 	lastStartMin float64
 
-	// verified is set by the completion-time verify task when the
-	// job's reassembled state matched its initial tensors bit for bit.
-	// Written on the job's chain, read by service status snapshots —
-	// hence atomic.
+	// deployed is set by the deploy task — or, after a re-admission, the
+	// restore task — once the job's state is on the stores of its lease,
+	// and cleared by a requeue. verified is set by the completion-time
+	// verify task when the job's reassembled state matched its initial
+	// tensors bit for bit. Both are written on the job's chain and read
+	// by service status snapshots — hence atomic.
+	deployed atomic.Bool
 	verified atomic.Bool
 }
 
@@ -542,13 +558,13 @@ func (s *sim) releaseTerminal(j *simJob) {
 	_ = s.submit(j.spec.Name, func() error { j.releaseState(); return nil }) // the task cannot fail
 }
 
-// releaseModel drops a terminal job's model from the decision plane,
-// and with the last job holding that model the perfmodel cache's
-// entries for it: they are keyed by the pointer, so they would keep
-// the model of every job a service ever ran.
+// releaseModel drops a terminal job's model and decided PTC from the
+// decision plane, and with the last job holding that model the
+// perfmodel cache's entries for it: they are keyed by the pointer, so
+// they would keep the model of every job a service ever ran.
 func (s *sim) releaseModel(j *simJob) {
 	m := j.spec.Model
-	j.spec.Model = nil
+	j.spec.Model, j.decided = nil, nil
 	if s.modelJobs[m]--; s.modelJobs[m] == 0 {
 		delete(s.modelJobs, m)
 		s.cache.DropModel(m)
@@ -560,14 +576,13 @@ func (s *sim) releaseModel(j *simJob) {
 // the timeline entry's price and schedules the delayed completion —
 // once the plan is available.
 type pendingChange struct {
-	j      *simJob
-	cfg    parallel.Config
-	alloc  cluster.Allocation
-	failed []cluster.DeviceID
-	seq    int // reserved event sequence number for the completion push
-	ver    int
-	tlIdx  int // timeline placeholder index
-	ch     *change
+	j     *simJob
+	cfg   parallel.Config
+	alloc cluster.Allocation
+	seq   int // reserved event sequence number for the completion push
+	ver   int
+	tlIdx int // timeline placeholder index
+	ch    *change
 	// spanID/tMin are the change's trace root, allocated at decision
 	// time so the span sequence is pure decision-plane state.
 	spanID uint64
@@ -933,7 +948,9 @@ func (s *sim) submit(job string, fn func() error) error {
 }
 
 // drainJob waits for job's chain to go idle, so the event loop may
-// read or plan against the job's runtime state.
+// read or plan against the job's runtime state. Only ModeSim's defrag
+// does: ModeWall plans against simJob.decided and never waits on a
+// chain.
 func (s *sim) drainJob(job string) error {
 	if s.pool == nil {
 		return nil
@@ -944,8 +961,9 @@ func (s *sim) drainJob(job string) error {
 
 // flush finalizes the event's decided changes: it waits for their
 // plans (in ModeSim the whole batch executes here, fanned out across
-// jobs; in ModeWall plans were priced at decision time and only
-// transforms remain in flight), then — in decision order — charges
+// jobs; in ModeWall plans were priced at decision time against the
+// decided PTC, only transforms remain in flight and nothing is waited
+// for), then — in decision order — charges
 // each job's downtime, schedules the delayed completion under the seq
 // reserved at decision time, and fills the timeline placeholders.
 //
@@ -958,8 +976,15 @@ func (s *sim) drainJob(job string) error {
 // identical to the legacy flush.
 func (s *sim) flush() error {
 	for {
-		if s.pool != nil && s.opts.Mode == ModeSim {
-			if err := s.pool.drainAll(); err != nil {
+		if s.pool != nil {
+			// ModeSim joins every chain here. ModeWall waits for none; it
+			// only asks whether one has failed, which is where a chain's
+			// error reaches a loop that no longer drains before it plans.
+			err := s.pool.firstErr()
+			if s.opts.Mode == ModeSim {
+				err = s.pool.drainAll()
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -995,6 +1020,7 @@ func (s *sim) flush() error {
 				s.charge(p, ch, nil)
 				continue
 			}
+			s.converge(p, out)
 			if out.aborted {
 				degraded = true
 				s.degrade(p, ch, out)
@@ -1104,6 +1130,7 @@ func (s *sim) requeueJob(j *simJob) {
 	s.ledger.ReleaseAll(name)
 	j.servedMin += s.now - j.lastStartMin
 	j.alloc = nil
+	j.deployed.Store(false)
 	j.ver++
 	j.requeues++
 	s.requeues++
@@ -1139,6 +1166,7 @@ func (s *sim) resolveInflight() error {
 			keep = append(keep, p)
 			continue
 		}
+		s.converge(p, out)
 		if out.attempts > 1 {
 			s.retries += out.attempts - 1
 			s.retryBytes += int64(out.attempts-1) * p.ch.stats.MovedBytes
@@ -1166,6 +1194,18 @@ func (s *sim) resolveInflight() error {
 		return s.expandJobs()
 	}
 	return nil
+}
+
+// converge takes the PTC a commit left the runtime on for the job's
+// decided PTC. A commit that ran as planned reports the value decided
+// already has; one that re-planned on the chain, or aborted and rolled
+// back, reports where the runtime really is. When something newer has
+// been decided since, that change's own commit settles it and reports in
+// turn; a job that is no longer running has no decided PTC to keep.
+func (s *sim) converge(p *pendingChange, out *commitOutcome) {
+	if j := p.j; s.opts.Mode == ModeWall && j.state == jobRunning && j.ver == p.ver {
+		j.decided = out.ptc
+	}
 }
 
 func appendNote(note, extra string) string {
@@ -1779,7 +1819,7 @@ func (s *sim) admitQueued() error {
 		j.state = jobRunning
 		j.lastStartMin = s.now
 		j.ver++
-		if j.deployed {
+		if j.admitted {
 			// Re-admission of a requeued job: redeploy its checkpointed
 			// state onto the new placement and resume the remaining
 			// duration. The restore is priced like any other change, so
@@ -1799,17 +1839,37 @@ func (s *sim) admitQueued() error {
 				GPUs: n, Config: cfg.String(),
 				Note: fmt.Sprintf("re-admitted from checkpoint, %.1f min remaining", rem)})
 			s.pending = append(s.pending, p)
-			rt, tr := j.rt, s.tr
+			rt, tr, m, wall := j.rt, s.tr, j.spec.Model, s.opts.Mode == ModeWall
+			price := func() (err error) {
+				if p.ch, err = planRestore(m, s.topo, p.cfg, p.alloc); err != nil {
+					err = fmt.Errorf("coordinator: restore plan %s: %w", name, err)
+				}
+				return err
+			}
+			if wall {
+				// flush reads p.ch on this goroutine, and nothing orders that
+				// read after a task on the job's chain: the price is a pure
+				// function of decision-plane state, so it is computed here
+				// and only the restore itself goes to the chain.
+				if err := price(); err != nil {
+					return err
+				}
+				j.decided = p.ch.to
+			}
 			if err := s.submit(name, func() error {
 				if tr.Enabled() {
 					rt.obsScope.Set(obs.TaskCtx{T: tr, Parent: p.spanID, Job: rt.name, TMin: p.tMin})
 				}
-				ch, err := rt.planRestore(p.cfg, p.alloc)
-				if err != nil {
-					return err
+				if !wall {
+					// ModeSim: priced on the chain, fanned out with the rest of
+					// the batch; flush joins the chains before it reads p.ch.
+					if err := price(); err != nil {
+						return err
+					}
 				}
-				p.ch = ch
-				out := commitOutcome{attempts: 1, err: rt.commitRestore(ch)}
+				out := commitOutcome{attempts: 1, err: rt.commitRestore(p.ch)}
+				out.ptc = rt.ptc
+				j.deployed.Store(out.err == nil)
 				p.out.Store(&out)
 				return out.err
 			}); err != nil {
@@ -1817,7 +1877,7 @@ func (s *sim) admitQueued() error {
 			}
 			continue
 		}
-		j.deployed = true
+		j.admitted = true
 		j.admitMin = s.now
 		j.complAt = s.now + j.spec.DurationMin
 		s.push(event{time: j.complAt, kind: evComplete, job: name, ver: j.ver})
@@ -1826,9 +1886,21 @@ func (s *sim) admitQueued() error {
 			GPUs: n, Config: cfg.String()})
 		// First placement: materialize the initial tensors, load them
 		// into the Tensor Stores and persist the baseline checkpoint —
-		// all on the job's chain.
+		// all on the job's chain. In ModeWall the PTC they are placed
+		// under is built here, metadata only, because it is also the
+		// job's first decided PTC: the scale-out that usually follows in
+		// this same event is planned against it while the deploy is
+		// still moving bytes. In ModeSim deploy builds it on the chain.
 		rt, spec := j.rt, j.spec
 		alloc := j.alloc
+		if s.opts.Mode == ModeWall {
+			ptc, err := parallel.BuildPTC(spec.Model, cfg, alloc)
+			if err != nil {
+				return fmt.Errorf("coordinator: deploy %s: %w", name, err)
+			}
+			j.decided = ptc
+		}
+		ptc := j.decided
 		tr, depID, depTMin := s.tr, s.tr.NewID(), s.now
 		if err := s.submit(name, func() error {
 			if tr.Enabled() {
@@ -1838,7 +1910,8 @@ func (s *sim) admitQueued() error {
 				j.init = initState(spec.Model, spec.Seed)
 			}
 			depStart := time.Now()
-			err := rt.deploy(cfg, alloc, j.init)
+			err := rt.deploy(ptc, cfg, alloc, j.init)
+			j.deployed.Store(err == nil)
 			if tr.Enabled() {
 				attrs := map[string]any{"gpus": len(alloc), "config": cfg.String()}
 				if err != nil {
@@ -2056,18 +2129,24 @@ func (s *sim) defragJobs() error {
 			}
 		}
 		// Same device count, so the job keeps its current (T, P, D);
-		// price the move before committing it.
-		if err := s.drainJob(j.spec.Name); err != nil {
-			return err
+		// price the move before committing it. ModeWall plans from the
+		// decided PTC and waits for nothing; ModeSim plans from the
+		// runtime's and has to see the chain idle first.
+		from := j.decided
+		if s.opts.Mode == ModeSim {
+			if err := s.drainJob(j.spec.Name); err != nil {
+				return err
+			}
+			from = j.rt.ptc
 		}
-		// The drained chain may have just aborted a commit for this job:
-		// the runtime is rolled back to its checkpoint and the next
-		// flush requeues the job, so compacting it now would plan
-		// against state the decision plane no longer describes.
+		// The chain may have just aborted a commit for this job: the
+		// runtime is rolled back to its checkpoint and the next flush
+		// requeues the job, so compacting it now would plan against
+		// state the decision plane no longer describes.
 		if s.abortPending(j) {
 			continue
 		}
-		ch, err := j.rt.planChange(j.cfg, candidate, nil)
+		ch, err := s.planOnLoop(j, from, j.cfg, candidate, nil)
 		if err != nil {
 			return err
 		}
@@ -2087,9 +2166,12 @@ func (s *sim) defragJobs() error {
 
 // abortPending reports whether j has a decided change whose commit
 // already aborted: the job will be requeued at the next flush, so no
-// further change should be decided on top of it. Only meaningful after
-// the job's chain has drained (otherwise the outcome may not have
-// landed yet, and reading it would vary with the worker count).
+// further change should be decided on top of it. Exact only after the
+// job's chain has drained, which ModeSim's defrag sees to (otherwise
+// the outcome may not have landed yet, and reading it would vary with
+// the worker count); in ModeWall it catches the aborts that have
+// landed, and a change decided over one that has not re-plans on the
+// chain.
 func (s *sim) abortPending(j *simJob) bool {
 	for _, p := range s.pending {
 		if p.j == j {
@@ -2118,39 +2200,47 @@ func (s *sim) pickCompact(job string, n int) ([]cluster.DeviceID, bool) {
 
 // applyChange decides one allocation change of a running job: ledger
 // mutations and bookkeeping happen immediately on the event loop; the
-// plan and the State Transformer execute on the job's task chain. In
-// ModeWall the plan is priced synchronously (its netsim cost schedules
-// the job's completion) and only the transform fans out.
+// State Transformer executes on the job's task chain. In ModeWall the
+// plan is priced here, against the job's decided PTC (its netsim cost
+// schedules the job's completion), and only the transform fans out; in
+// ModeSim the plan runs on the chain too, against the runtime's PTC.
 func (s *sim) applyChange(j *simJob, cfg parallel.Config, alloc cluster.Allocation,
 	failed []cluster.DeviceID, kind, note string) error {
 	s.plans++
 	s.reg.Add("coord.plans", 1)
+	if s.opts.Mode == ModeWall {
+		ch, err := s.planOnLoop(j, j.decided, cfg, alloc, failed)
+		if err != nil {
+			return err
+		}
+		return s.applyPlanned(j, ch, kind, note)
+	}
 	p, err := s.decideChange(j, cfg, alloc, kind, note)
 	if err != nil {
 		return err
 	}
-	p.failed = failed
 	rt := j.rt
-	if s.opts.Mode == ModeWall && s.pool != nil {
-		if err := s.drainJob(j.spec.Name); err != nil {
-			return err
-		}
-		ch, err := rt.planChange(p.cfg, p.alloc, p.failed)
-		if err != nil {
-			return err
-		}
-		p.ch = ch
-		s.pool.submit(j.spec.Name, func() error { return s.runCommit(rt, p, ch) })
-		return nil
-	}
 	return s.submit(j.spec.Name, func() error {
-		ch, err := rt.planChange(p.cfg, p.alloc, p.failed)
+		ch, err := rt.plan(p.cfg, p.alloc, failed)
 		if err != nil {
 			return err
 		}
 		p.ch = ch
 		return s.runCommit(rt, p, ch)
 	})
+}
+
+// planOnLoop prices a change of j on the event loop. From the job's
+// decided PTC — every change ModeWall decides — nothing it reads belongs
+// to the job's chain, so no decision waits for one; ModeSim's defrag
+// hands it the runtime's PTC, behind a drained chain.
+func (s *sim) planOnLoop(j *simJob, from *core.PTC, cfg parallel.Config, alloc cluster.Allocation,
+	failed []cluster.DeviceID) (*change, error) {
+	ch, err := planChange(j.spec.Model, s.topo, from, cfg, alloc, failed)
+	if err != nil {
+		return nil, fmt.Errorf("coordinator: plan %s: %w", j.spec.Name, err)
+	}
+	return ch, nil
 }
 
 // runCommit executes one decided change's transactional commit on the
@@ -2163,6 +2253,7 @@ func (s *sim) runCommit(rt *jobRuntime, p *pendingChange, ch *change) error {
 		rt.obsScope.Set(obs.TaskCtx{T: s.tr, Parent: p.spanID, Job: rt.name, TMin: p.tMin})
 	}
 	out := rt.commitRetry(ch, s.inj, s.opts.Recovery, uint64(p.seq)<<8)
+	out.ptc = rt.ptc
 	p.out.Store(&out)
 	if out.err != nil && !out.aborted {
 		return out.err
@@ -2170,13 +2261,17 @@ func (s *sim) runCommit(rt *jobRuntime, p *pendingChange, ch *change) error {
 	return nil
 }
 
-// applyPlanned commits an already-priced change (the defrag path).
+// applyPlanned commits an already-priced change: defrag's, and every
+// change ModeWall decides.
 func (s *sim) applyPlanned(j *simJob, ch *change, kind, note string) error {
 	p, err := s.decideChange(j, ch.cfg, ch.alloc, kind, note)
 	if err != nil {
 		return err
 	}
 	p.ch = ch
+	if s.opts.Mode == ModeWall {
+		j.decided = ch.to
+	}
 	rt := j.rt
 	return s.submit(j.spec.Name, func() error { return s.runCommit(rt, p, ch) })
 }

@@ -1,5 +1,56 @@
 package coordinator
 
+// The decision plane never waits for the data plane — design note.
+//
+// In the paper the scheduler only decides an allocation change; the
+// per-worker State Transformers carry it out (§5). Here the decision
+// plane is the event loop (Run's, or the Service's one goroutine) and the
+// data plane is the per-job task chains of exec.go. The rule between
+// them, in ModeWall — the mode the tenplex-coordd service runs in:
+//
+//   - The loop never waits on a chain. Nothing it decides — an admission,
+//     a scale-out or scale-in, a preemption, a defrag redeploy, a
+//     fail-stop recovery, a cancel, a status read — blocks while a job's
+//     deploy or reconfiguration moves bytes. A 201 from POST /v1/jobs
+//     means admitted and leased; JobStatus.Deployed says when the state
+//     has landed. (drainJob has one caller left: ModeSim's defrag. With
+//     Workers: 1 there is no pool and so no chain to wait on: every task
+//     runs inline at its decision point, the serialized runtime.)
+//
+//   - What it used to wait for was one fact, the PTC the job's runtime
+//     would hold once the chain had caught up. The loop now keeps that
+//     fact itself: simJob.decided, the decided PTC — built (metadata
+//     only) at first admission, where the deploy task places the job
+//     under that very value; advanced to the target of every change the
+//     loop decides; set to the restore target at a re-admission; dropped
+//     when the job turns terminal. planChange and planRestore are pure
+//     functions of decision-plane state (model, topology, source PTC,
+//     target config and allocation, failed devices), so a change is
+//     planned, validated and priced on the loop against the decided PTC
+//     and only the transform goes to the chain.
+//
+//   - The decided PTC can be wrong in exactly one case: an earlier change
+//     of the same job aborted and rolled its runtime back (chaos, or a
+//     retry budget: Run in ModeWall; the Service is fail-fast) after a
+//     later change had been planned on top of it. That is settled where
+//     the truth is. A change records the PTC it was planned from; its
+//     commit, at the head of its turn on the chain, compares that with
+//     what the runtime holds and, if they differ, plans the same
+//     (cfg, alloc) target again from there (jobRuntime.rebase — what
+//     planning behind a drained chain got by construction). The price
+//     charged at decision time stands. Every commit reports the PTC the
+//     runtime ended on, and flush / resolveInflight take it for the
+//     decided PTC unless something newer has been decided (converge).
+//
+//   - A chain's error reaches the loop at the next flush, which asks the
+//     pool whether any task has failed; it does not wait to find out.
+//
+// ModeSim is untouched: plans run on the chains against the runtime's own
+// PTC and flush joins them, which is what keeps sim traces a function of
+// the scenario alone and lets planning fan out. Planning as a pure
+// function of decision-plane state is also the first separable piece of
+// the pure decision core ROADMAP asks for.
+
 // Incremental decision plane — design note.
 //
 // The original control plane recomputed everything per event: Free()

@@ -3,7 +3,9 @@ package coordinator_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"tenplex/internal/coordinator"
 	"tenplex/internal/experiments"
@@ -81,6 +83,32 @@ func TestGoldenTracePlacementDiffers(t *testing.T) {
 	for _, js := range res.Jobs {
 		if !js.Completed {
 			t.Fatalf("job %s did not complete under placement-aware scheduling", js.Name)
+		}
+	}
+}
+
+// TestWallTimelineMatchesSim holds what BENCH_coordinator files as
+// trace_matches_sim, on the same scenario, where `go test` sees it:
+// paced on the real clock — serialized, and with the pool, where every
+// change is planned on the event loop against the decided PTC while the
+// one before it may still be moving bytes — the run decides, prices and
+// completes exactly what sim mode does, event for event and job for job.
+func TestWallTimelineMatchesSim(t *testing.T) {
+	topo, specs, failures := experiments.MultiJobScenario(32, 12, experiments.MultiJobSeed)
+	sim, err := coordinator.Run(topo, specs, failures, coordinator.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		wall, err := coordinator.Run(topo, specs, failures, coordinator.Options{
+			Mode: coordinator.ModeWall, Workers: workers, WallScale: time.Microsecond})
+		if err != nil {
+			t.Fatalf("wall, workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(sim.Timeline, wall.Timeline) || !reflect.DeepEqual(sim.Jobs, wall.Jobs) ||
+			sim.PlansValidated != wall.PlansValidated {
+			t.Fatalf("wall, workers=%d: diverged from sim mode\n--- sim ---\n%s--- wall ---\n%s",
+				workers, sim.Render(), wall.Render())
 		}
 	}
 }

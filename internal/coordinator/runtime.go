@@ -135,19 +135,26 @@ func initStateOn(workers int, m *model.Model, seed int64) map[core.TensorID]*ten
 	return init
 }
 
-// deploy places the job on its first lease and persists a baseline
-// checkpoint so a later fail-stop recovery always has a storage
-// fallback for ranges whose replicas are all lost.
-func (r *jobRuntime) deploy(cfg parallel.Config, alloc cluster.Allocation, init map[core.TensorID]*tensor.Tensor) error {
-	ptc, err := parallel.BuildPTC(r.model, cfg, alloc)
-	if err != nil {
-		return fmt.Errorf("coordinator: deploy %s: %w", r.name, err)
+// deploy places the job on its first lease under ptc — the job's first
+// decided PTC, built from (cfg, alloc) on the event loop in ModeWall;
+// nil in ModeSim, where it is built here on the chain — and persists a
+// baseline checkpoint so a later fail-stop recovery always has a storage
+// fallback for ranges whose replicas are all lost. The baseline is init
+// itself, held by reference: the bytes have just gone out to the stores
+// CRC-framed, and reading them back to write them down again would move
+// the job's whole state a second time for nothing.
+func (r *jobRuntime) deploy(ptc *core.PTC, cfg parallel.Config, alloc cluster.Allocation, init map[core.TensorID]*tensor.Tensor) error {
+	if ptc == nil {
+		var err error
+		if ptc, err = parallel.BuildPTC(r.model, cfg, alloc); err != nil {
+			return fmt.Errorf("coordinator: deploy %s: %w", r.name, err)
+		}
 	}
 	if err := transform.LoadPTC(r.name, ptc, r.stores, init); err != nil {
 		return fmt.Errorf("coordinator: deploy %s: %w", r.name, err)
 	}
 	r.ptc, r.cfg, r.alloc = ptc, cfg, append(cluster.Allocation(nil), alloc...)
-	if err := checkpoint.Save(r.storage, r.name, r.step, r.ptc, r.stores); err != nil {
+	if err := checkpoint.SaveTensors(r.storage, r.name, r.step, ptc.Name, init); err != nil {
 		return fmt.Errorf("coordinator: checkpoint %s: %w", r.name, err)
 	}
 	return nil
@@ -156,9 +163,16 @@ func (r *jobRuntime) deploy(cfg parallel.Config, alloc cluster.Allocation, init 
 // change is a costed, validated, not-yet-applied allocation change: the
 // coordinator prices it with netsim, decides, and only then commits.
 type change struct {
-	cfg    parallel.Config
-	alloc  cluster.Allocation
+	cfg   parallel.Config
+	alloc cluster.Allocation
+	// from is the PTC the change was planned from, before failed devices
+	// were taken out of it: the runtime's own in ModeSim, the decision
+	// plane's decided PTC in ModeWall. The commit holds it against what
+	// the runtime has when its turn on the chain comes (rebase). from, to,
+	// plan and storageOK belong to the chain from the moment the commit is
+	// submitted; the event loop keeps reading the price (stats, simSec).
 	from   *core.PTC
+	failed []cluster.DeviceID
 	to     *core.PTC
 	plan   *core.Plan
 	stats  core.Stats
@@ -175,45 +189,95 @@ type change struct {
 	applyNs int64
 }
 
-// planChange computes and prices the reconfiguration onto (cfg, alloc)
-// without touching any store. When failed is non-empty the source PTC
-// is degraded to the surviving replicas and the plan may fall back to
-// checkpoint reads (fail-stop recovery). The returned plan has been
-// validated.
-func (r *jobRuntime) planChange(cfg parallel.Config, alloc cluster.Allocation, failed []cluster.DeviceID) (*change, error) {
-	if r.ptc == nil {
-		return nil, fmt.Errorf("coordinator: job %s not deployed", r.name)
-	}
+// planChange computes and prices the reconfiguration of a job of model m
+// from the placement from onto (cfg, alloc) without touching any store.
+// It is a pure function of its arguments, so it runs wherever the source
+// PTC is known: on the event loop against the decided PTC in ModeWall, on
+// the job's chain against the runtime's PTC in ModeSim. When failed is
+// non-empty the source is degraded to the surviving replicas and the
+// plan may fall back to checkpoint reads (fail-stop recovery). The
+// returned plan has been validated.
+func planChange(m *model.Model, topo *cluster.Topology, from *core.PTC, cfg parallel.Config,
+	alloc cluster.Allocation, failed []cluster.DeviceID) (*change, error) {
 	planStart := time.Now()
-	from := r.ptc
+	ch, err := planMoves(m, topo, from, cfg, alloc, failed)
+	if err != nil {
+		return nil, err
+	}
+	ch.stats = ch.plan.Stats(topo)
+	ch.simSec = netsim.Simulate(topo, ch.plan.Flows(topo)).Seconds
+	ch.planNs = time.Since(planStart).Nanoseconds()
+	return ch, nil
+}
+
+// planMoves is planChange without the price: the target PTC and the
+// validated plan that reaches it. Of the topology it reads only which
+// device sits on which worker, which never changes, so a chain may call
+// it while the event loop marks failures and reprices links.
+func planMoves(m *model.Model, topo *cluster.Topology, from *core.PTC, cfg parallel.Config,
+	alloc cluster.Allocation, failed []cluster.DeviceID) (*change, error) {
+	src := from
 	storageOK := false
 	if len(failed) > 0 {
-		from = r.ptc.WithoutDevices(failed...)
+		src = from.WithoutDevices(failed...)
 		storageOK = true
 	}
-	to, err := parallel.BuildPTC(r.model, cfg, alloc)
+	to, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
-		return nil, fmt.Errorf("coordinator: plan %s: %w", r.name, err)
+		return nil, err
 	}
-	to = core.AlignDevices(from, to)
-	plan, err := core.GeneratePlan(from, to, core.PlanOptions{Topo: r.topo, StorageFallback: storageOK})
+	to = core.AlignDevices(src, to)
+	plan, err := core.GeneratePlan(src, to, core.PlanOptions{Topo: topo, StorageFallback: storageOK})
 	if err != nil {
-		return nil, fmt.Errorf("coordinator: plan %s: %w", r.name, err)
+		return nil, err
 	}
 	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("coordinator: plan %s invalid: %w", r.name, err)
+		return nil, fmt.Errorf("invalid plan: %w", err)
 	}
 	return &change{
 		cfg:       cfg,
 		alloc:     append(cluster.Allocation(nil), alloc...),
 		from:      from,
+		failed:    failed,
 		to:        to,
 		plan:      plan,
-		stats:     plan.Stats(r.topo),
-		simSec:    netsim.Simulate(r.topo, plan.Flows(r.topo)).Seconds,
 		storageOK: storageOK,
-		planNs:    time.Since(planStart).Nanoseconds(),
 	}, nil
+}
+
+// plan is planChange from what the runtime holds right now; it may only
+// run on the job's chain, or while the chain is known to be idle.
+func (r *jobRuntime) plan(cfg parallel.Config, alloc cluster.Allocation, failed []cluster.DeviceID) (*change, error) {
+	if r.ptc == nil {
+		return nil, fmt.Errorf("coordinator: job %s not deployed", r.name)
+	}
+	ch, err := planChange(r.model, r.topo, r.ptc, cfg, alloc, failed)
+	if err != nil {
+		return nil, fmt.Errorf("coordinator: plan %s: %w", r.name, err)
+	}
+	return ch, nil
+}
+
+// rebase settles, at the head of a commit, the one case in which the
+// decision plane's decided PTC can be wrong: an earlier change of this
+// job aborted and rolled the runtime back after this one had been
+// planned on top of it. The truth is here, so here is where it is
+// settled: the same (cfg, alloc) target is planned again from what the
+// runtime actually holds — what planning behind a drained chain used to
+// get by construction. The price charged at decision time stands. A
+// change planned on the chain (ModeSim) is always planned from r.ptc and
+// never takes the branch.
+func (r *jobRuntime) rebase(ch *change) error {
+	if ch.from == r.ptc {
+		return nil
+	}
+	re, err := planMoves(r.model, r.topo, r.ptc, ch.cfg, ch.alloc, ch.failed)
+	if err != nil {
+		return fmt.Errorf("coordinator: re-plan %s: %w", r.name, err)
+	}
+	ch.from, ch.to, ch.plan, ch.storageOK = re.from, re.to, re.plan, re.storageOK
+	r.metrics.Add("coord.replans", 1)
+	return nil
 }
 
 // commit executes a previously costed change through the State
@@ -265,6 +329,10 @@ type commitOutcome struct {
 	attempts int
 	aborted  bool
 	err      error
+	// ptc is the PTC the runtime ended on: the change's target, or after
+	// an abort the placement it rolled back to. The event loop takes it
+	// for the job's decided PTC when nothing newer has been decided.
+	ptc *core.PTC
 }
 
 // commitRetry is the transactional commit: up to MaxAttempts transform
@@ -275,6 +343,9 @@ type commitOutcome struct {
 // yields an aborted outcome — graceful degradation the event loop
 // turns into a requeue — rather than a chain error.
 func (r *jobRuntime) commitRetry(ch *change, inj *chaos.Injector, pol RecoveryPolicy, keyBase uint64) commitOutcome {
+	if err := r.rebase(ch); err != nil {
+		return commitOutcome{err: err}
+	}
 	if inj == nil && pol.MaxAttempts <= 1 {
 		// Legacy fail-fast: no chaos, no retry budget.
 		return commitOutcome{attempts: 1, err: r.commit(ch)}
@@ -317,14 +388,16 @@ func (r *jobRuntime) rollback() error {
 	return checkpoint.Restore(rd, r.name, r.ptc, r.stores)
 }
 
-// planRestore prices re-deploying a requeued job from its latest
-// checkpoint onto a fresh placement: every sub-tensor of the new PTC
-// streams from remote checkpoint storage to its device, replicas
-// included — exactly what commitRestore moves.
-func (r *jobRuntime) planRestore(cfg parallel.Config, alloc cluster.Allocation) (*change, error) {
-	to, err := parallel.BuildPTC(r.model, cfg, alloc)
+// planRestore prices re-deploying a requeued job of model m from its
+// latest checkpoint onto a fresh placement: every sub-tensor of the new
+// PTC streams from remote checkpoint storage to its device, replicas
+// included — exactly what commitRestore moves. Like planChange it is a
+// pure function: it runs on the event loop in ModeWall and on the job's
+// chain in ModeSim.
+func planRestore(m *model.Model, topo *cluster.Topology, cfg parallel.Config, alloc cluster.Allocation) (*change, error) {
+	to, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
-		return nil, fmt.Errorf("coordinator: restore plan %s: %w", r.name, err)
+		return nil, err
 	}
 	var flows []netsim.Flow
 	var bytes int64
@@ -332,7 +405,7 @@ func (r *jobRuntime) planRestore(cfg parallel.Config, alloc cluster.Allocation) 
 		for _, s := range to.Place[d] {
 			meta, ok := to.Tensors[s.Tensor]
 			if !ok {
-				return nil, fmt.Errorf("coordinator: restore plan %s: no metadata for %q", r.name, s.Tensor)
+				return nil, fmt.Errorf("no metadata for %q", s.Tensor)
 			}
 			n := tensor.ShapeNumBytes(meta.DType, s.Region.Shape())
 			flows = append(flows, netsim.Flow{From: netsim.StorageEP(), To: netsim.DevEP(d), Bytes: n})
@@ -344,7 +417,7 @@ func (r *jobRuntime) planRestore(cfg parallel.Config, alloc cluster.Allocation) 
 		alloc:     append(cluster.Allocation(nil), alloc...),
 		to:        to,
 		stats:     core.Stats{StorageBytes: bytes, MovedBytes: bytes},
-		simSec:    netsim.Simulate(r.topo, flows).Seconds,
+		simSec:    netsim.Simulate(topo, flows).Seconds,
 		storageOK: true,
 	}, nil
 }

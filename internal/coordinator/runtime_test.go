@@ -1,14 +1,20 @@
 package coordinator
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/model"
+	"tenplex/internal/obs"
 	"tenplex/internal/sched"
+	"tenplex/internal/store"
+	"tenplex/internal/tensor"
+	"tenplex/internal/transform"
 )
 
 // contendedSpecs is a 16-device workload with admission contention,
@@ -227,5 +233,139 @@ func TestInitStateParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// abortFirstChange makes one job's first reconfiguration abort, and not
+// before the decision plane has counted after plans (2: a second change
+// has been decided on top of it): every upload into the job's staging
+// tree waits for that, then fails, until the runtime has rolled back as
+// many times as the change has attempts. After that the stores behave.
+type abortFirstChange struct {
+	job       string
+	attempts  int64
+	after     int64
+	plans     *obs.Counter
+	refused   atomic.Bool // an upload of the current attempt was refused
+	rollbacks atomic.Int64
+}
+
+type abortingStore struct {
+	store.Access
+	dev cluster.DeviceID
+	*abortFirstChange
+}
+
+func (a abortingStore) Upload(path string, t *tensor.Tensor) error {
+	if strings.HasPrefix(path, transform.StagingRoot(a.job)) && a.rollbacks.Load() < a.attempts {
+		for deadline := time.Now().Add(10 * time.Second); a.plans.Value() < a.after && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+		a.refused.Store(true)
+		return fmt.Errorf("injected: %s refuses %s", a.job, path)
+	}
+	return a.Access.Upload(path, t)
+}
+
+// Delete counts rollbacks: a wipe of the job's model tree on device 0
+// that follows a refused upload (a commit wipes it too, but only after
+// an attempt in which nothing was refused).
+func (a abortingStore) Delete(path string) error {
+	if a.dev == 0 && path == transform.ModelRoot(a.job) && a.refused.Swap(false) {
+		a.rollbacks.Add(1)
+	}
+	return a.Access.Delete(path)
+}
+
+// runLateAbort runs specs in ModeWall on 8 devices with job v's first
+// change aborting once after plans have been counted, and returns the
+// result, v's timeline kinds and how often a commit re-planned. It has
+// checked that the run ended clean (terminal audit included), that every
+// job completed bit-verified and that only the one change was refused.
+func runLateAbort(t *testing.T, specs []JobSpec, after int64) (Result, []string, int64) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	pol := RecoveryPolicy{MaxAttempts: 2}
+	fault := &abortFirstChange{job: "v", attempts: int64(pol.MaxAttempts), after: after, plans: reg.Counter("coord.plans")}
+	res, err := Run(cluster.Cloud(8), specs, nil, Options{
+		Mode: ModeWall, Workers: 4, WallScale: time.Microsecond,
+		DefragMaxSec: -1, Recovery: pol, Metrics: reg,
+		Stores: func(job string, dev cluster.DeviceID) store.Access {
+			acc := store.Access(store.Local{FS: store.NewMemFS()})
+			if job == fault.job {
+				acc = abortingStore{Access: acc, dev: dev, abortFirstChange: fault}
+			}
+			return acc
+		},
+	})
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, res.Render())
+	}
+	if got := fault.rollbacks.Load(); got != fault.attempts {
+		t.Fatalf("%d rollbacks, want the first change's %d attempts to fail and nothing else", got, fault.attempts)
+	}
+	if res.Retries != pol.MaxAttempts-1 {
+		t.Fatalf("%d retries, want %d\n%s", res.Retries, pol.MaxAttempts-1, res.Render())
+	}
+	for _, js := range res.Jobs {
+		if !js.Completed {
+			t.Fatalf("job %s did not complete\n%s", js.Name, res.Render())
+		}
+	}
+	var kinds []string
+	for _, e := range res.Timeline {
+		if e.Job == "v" {
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	return res, kinds, reg.Counter("coord.replans").Value()
+}
+
+// TestWallModeReplansAfterLateAbort is the one case in which ModeWall's
+// decided PTC is wrong. v is admitted on 2 of 8 devices and scaled out to
+// all 8; r arrives and v is shrunk to 4 for it — decided, planned and
+// priced from the 8-device PTC — while the scale-out is still in flight.
+// The scale-out then aborts and the runtime rolls back to the 2-device
+// placement it was deployed under, so the shrink's plan reads from
+// devices that hold nothing. Its commit must notice, plan the same
+// target again from what the runtime holds, and land; the late abort is
+// superseded (a newer change has been decided), nobody is requeued, v
+// grows again when r is done, and both jobs end bit-verified with the
+// terminal audit clean — what planning behind a drained chain gave, and
+// the timeline the same scenario has there. Without the re-plan the run
+// fails ("v runtime alloc has 2 devices, decided 8").
+func TestWallModeReplansAfterLateAbort(t *testing.T) {
+	res, kinds, replans := runLateAbort(t, []JobSpec{
+		{Name: "v", Model: tinyGPT(), ArrivalMin: 0, DurationMin: 200, GPUs: 2, MinGPUs: 2, MaxGPUs: 8, Seed: 1},
+		{Name: "r", Model: tinyGPT(), ArrivalMin: 1, DurationMin: 50, GPUs: 4, Seed: 2},
+	}, 2)
+	if replans < 1 {
+		t.Fatalf("the shrink planned over the aborted scale-out committed without re-planning\n%s", res.Render())
+	}
+	if want := []string{EvSubmit, EvAdmit, EvScaleOut, EvScaleIn, EvScaleOut, EvComplete}; !reflect.DeepEqual(kinds, want) || res.Requeues != 0 {
+		t.Fatalf("v's timeline: %v with %d requeues, want %v and none\n%s", kinds, res.Requeues, want, res.Render())
+	}
+}
+
+// TestWallModeReadmitsWithoutWaiting: with nothing decided after it, an
+// aborted change requeues its job, and the re-admission that follows at
+// once restores it from its checkpoint. The restore is priced on the
+// event loop (flush reads the price there, and nothing else orders that
+// read after the chain — a later change of the same job used to, by
+// draining it), the scale-out decided in the same breath is planned from
+// the restore's target, and no commit has anything to re-plan. Run only
+// looks at outcomes when an event fires, so r's arrival — on devices v
+// never wanted, 100 ms after an abort that takes about one — is the
+// event at which v's is seen.
+func TestWallModeReadmitsWithoutWaiting(t *testing.T) {
+	res, kinds, replans := runLateAbort(t, []JobSpec{
+		{Name: "v", Model: tinyGPT(), ArrivalMin: 0, DurationMin: 300e3, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, Seed: 1},
+		{Name: "r", Model: tinyGPT(), ArrivalMin: 100e3, DurationMin: 1e3, GPUs: 4, Seed: 2},
+	}, 1)
+	if want := []string{EvSubmit, EvAdmit, EvScaleOut, EvRequeue, EvAdmit, EvScaleOut, EvComplete}; !reflect.DeepEqual(kinds, want) || res.Requeues != 1 {
+		t.Fatalf("v's timeline: %v with %d requeues, want %v and one\n%s", kinds, res.Requeues, want, res.Render())
+	}
+	if replans != 0 {
+		t.Fatalf("%d commits re-planned; the decided PTC should have followed the requeue and the restore\n%s", replans, res.Render())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +23,21 @@ import (
 // It is the same single-threaded decision plane Run drives; external
 // requests are turned into commands, enqueued, and executed between
 // heap events, so no caller ever touches the ledger, the heap or a
-// scheduling choice concurrently. Execution-plane work (plan,
-// transform, verify) still fans out over the bounded pool, as in Run.
-// Because Run and the Service share newSim/addJob/dispatch, the
-// service layer adds no scheduling behavior of its own and the
-// bit-deterministic sim path is untouched.
+// scheduling choice concurrently. Execution-plane work (deploy,
+// transform, checkpoint, verify) fans out over the bounded pool, as in
+// Run, and the loop never waits for it (doc.go): a change is planned
+// and priced on the loop against the job's decided PTC — the PTC it
+// will hold once the work already queued on its chain has committed —
+// so Submit, Scale, Cancel and every status read answer while a job's
+// deploy or reconfiguration is still moving bytes. Submit returning
+// means admitted (or queued) and leased; JobStatus.Deployed follows
+// when the state is on the stores. The Service is fail-fast, so the
+// one case in which a commit re-plans on its chain (an earlier change
+// aborted under a later one) does not arise here; a chain's error
+// wedges the service at the next settle step. Because Run and the
+// Service share newSim/addJob/dispatch, the service layer adds no
+// scheduling behavior of its own and the bit-deterministic sim path
+// is untouched.
 type Service struct {
 	cmds   chan serviceCmd
 	stopCh chan struct{}
@@ -128,10 +139,12 @@ func (svc *Service) loop(s *sim) {
 		case svc.wedged != nil:
 			// Wedged: stop consuming the heap; answer reads only.
 		case s.evq.Len() > 0:
-			due := svc.start.Add(time.Duration(s.evq[0].time * float64(svc.wallScale)))
-			if wait = time.Until(due); wait < 0 {
-				wait = 0
-			}
+			// In floating point until it is known to fit: a job submitted
+			// with duration_min 1e10 completes further off than a Duration
+			// can say, and the overflow came back as a wait of zero — a
+			// loop spinning at full speed until then.
+			due := s.evq[0].time*float64(svc.wallScale) - float64(time.Since(svc.start))
+			wait = time.Duration(math.Max(0, math.Min(due, float64(time.Hour))))
 		case len(s.inflight) > 0 || len(s.pending) > 0:
 			wait = 2 * time.Millisecond
 		}
@@ -412,6 +425,12 @@ type JobStatus struct {
 	Requeues    int     `json:"requeues,omitempty"`
 	ReconfigSec float64 `json:"reconfig_sec"`
 	MovedBytes  int64   `json:"moved_bytes"`
+	// Deployed is true once the job's state is on the device stores of
+	// its lease: set when the deploy (after a re-admission, the restore)
+	// has landed, cleared while a requeued job waits. Admission does not
+	// wait for it — a job is "running" from the moment it is admitted and
+	// leased — so whoever looks at the stores themselves waits for this.
+	Deployed bool `json:"deployed"`
 	// Verified is true once the completion-time oracle matched the
 	// job's reassembled state bit for bit against its initial tensors.
 	Verified bool `json:"verified"`
@@ -434,6 +453,7 @@ func (svc *Service) snapshotJob(s *sim, j *simJob) JobStatus {
 		Requeues:    j.requeues,
 		ReconfigSec: j.reconfigSec,
 		MovedBytes:  j.movedBytes,
+		Deployed:    j.deployed.Load(),
 		Verified:    j.verified.Load(),
 	}
 	if j.state == jobRunning {

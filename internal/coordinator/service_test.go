@@ -2,7 +2,10 @@ package coordinator
 
 import (
 	"fmt"
+	"io"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"tenplex/internal/model"
 	"tenplex/internal/obs"
 	"tenplex/internal/store"
+	"tenplex/internal/tensor"
 )
 
 func waitJobState(t *testing.T, svc *Service, name, want string, timeout time.Duration) JobStatus {
@@ -32,6 +36,25 @@ func waitJobState(t *testing.T, svc *Service, name, want string, timeout time.Du
 			t.Fatalf("job %s stuck in %q, want %q", name, st.State, want)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// waitVerified waits for a completed job's bit-verification: it runs on
+// the job's execution chain and lands shortly after the completion event
+// in wall mode.
+func waitVerified(t *testing.T, svc *Service, name string) JobStatus {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		st, err := svc.Job(name)
+		if err != nil {
+			t.Fatalf("Job(%s): %v", name, err)
+		}
+		if st.Verified {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s completed without bit-verification: %+v", name, st)
+		}
 	}
 }
 
@@ -85,18 +108,8 @@ func TestServiceLifecycle(t *testing.T) {
 	if err := svc.InjectFailure(cluster.DeviceID(stA.Alloc[0])); err != nil {
 		t.Fatalf("inject failure: %v", err)
 	}
-	st = waitJobState(t, svc, "a", "completed", 30*time.Second)
-	// Bit-verification runs on a's execution chain and lands shortly
-	// after the completion event in wall mode; poll for it.
-	for deadline := time.Now().Add(15 * time.Second); !st.Verified; {
-		if time.Now().After(deadline) {
-			t.Fatalf("job a completed without bit-verification: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-		if st, err = svc.Job("a"); err != nil {
-			t.Fatalf("job a status: %v", err)
-		}
-	}
+	waitJobState(t, svc, "a", "completed", 30*time.Second)
+	waitVerified(t, svc, "a")
 
 	cs, err := svc.Cluster()
 	if err != nil {
@@ -341,5 +354,135 @@ func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
 	if at200 > at50+margin {
 		t.Fatalf("heap grew %d KiB over 150 finished jobs (margin %d KiB): terminal jobs are holding state",
 			(at200-at50)>>10, margin>>10)
+	}
+}
+
+// gatedStore is an in-process device store whose uploads wait for a
+// gate: with the gate shut no job's state can land anywhere, which is
+// how a test holds the data plane still while it drives the decision
+// plane.
+type gatedStore struct {
+	store.Access
+	gate <-chan struct{}
+}
+
+func (g gatedStore) Upload(path string, t *tensor.Tensor) error {
+	<-g.gate
+	return g.Access.Upload(path, t)
+}
+
+func (g gatedStore) UploadFrom(path string, dt tensor.DType, shape []int, r io.Reader) error {
+	<-g.gate
+	return g.Access.UploadFrom(path, dt, shape, r)
+}
+
+// TestSubmitDoesNotWaitForDeploy: the decision plane never waits for the
+// data plane. With every device store refusing to take a byte, job a is
+// submitted, admitted and scaled out, job b is submitted, a is preempted
+// for it and b admitted, and status reads answer — all planned against
+// the decided PTC while a's deploy has not moved. Once the stores open,
+// the queued work runs and both jobs end bit-verified with the resizes
+// the same scenario gives when nothing is held back (a: out at
+// admission, in for b, out again when b is done).
+func TestSubmitDoesNotWaitForDeploy(t *testing.T) {
+	gate := make(chan struct{})
+	var open sync.Once
+	openGate := func() { open.Do(func() { close(gate) }) }
+	svc, err := StartService(cluster.Cloud(4), Options{
+		WallScale: time.Millisecond,
+		Workers:   4, // a pool whatever GOMAXPROCS is: with one worker tasks run inline
+		Stores: func(string, cluster.DeviceID) store.Access {
+			return gatedStore{Access: store.Local{FS: store.NewMemFS()}, gate: gate}
+		},
+	})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	defer openGate() // Stop joins the chains, which wait for the gate
+
+	// within runs one call against the service and fails the test if it
+	// has not answered in far longer than any decision takes.
+	within := func(what string, call func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited for the data plane: no answer in 5 s with every store upload blocked", what)
+		}
+	}
+	m := model.GPTCustom(4, 16, 2, 32, 8)
+	within("Submit(a)", func() error {
+		return svc.Submit(JobSpec{Name: "a", Model: m, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, DurationMin: 600})
+	})
+	within("Submit(b)", func() error {
+		return svc.Submit(JobSpec{Name: "b", Model: m, GPUs: 2, DurationMin: 100})
+	})
+	var stA JobStatus
+	within("Job(a)", func() (err error) { stA, err = svc.Job("a"); return err })
+	var cs ClusterStatus
+	within("Cluster()", func() (err error) { cs, err = svc.Cluster(); return err })
+	if stA.State != "running" || stA.Deployed || stA.Resizes != 2 || cs.Running != 2 || cs.Free != 0 {
+		t.Fatalf("with the stores shut: a = %+v, cluster = %+v; want a running, not deployed, resized twice, and both jobs leased", stA, cs)
+	}
+	var past []TimelineEvent
+	within("Subscribe()", func() (err error) {
+		var cancel func()
+		if past, _, cancel, err = svc.Subscribe(16); err == nil {
+			cancel()
+		}
+		return err
+	})
+	var kinds []string
+	for _, e := range past {
+		if e.Job == "a" {
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	if want := []string{EvSubmit, EvAdmit, EvScaleOut, EvScaleIn}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("a's timeline with the stores shut: %v, want %v", kinds, want)
+	}
+
+	openGate()
+	for name, resizes := range map[string]int{"a": 3, "b": 0} {
+		waitJobState(t, svc, name, "completed", 30*time.Second)
+		if st := waitVerified(t, svc, name); !st.Deployed || st.Resizes != resizes {
+			t.Fatalf("job %s: deployed %v, %d resizes, want deployed and %d resizes", name, st.Deployed, st.Resizes, resizes)
+		}
+	}
+	if _, err := svc.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+}
+
+// TestServiceFarCompletionDoesNotSpin: the API takes any positive
+// duration_min, and a completion further off than a time.Duration can
+// express used to overflow into a wake-up due at once, again and again —
+// the loop settling and checking invariants at full speed for as long as
+// the job ran. An idle service with such a job sleeps.
+func TestServiceFarCompletionDoesNotSpin(t *testing.T) {
+	svc, err := StartService(cluster.Cloud(4), Options{WallScale: time.Second})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	if err := svc.Submit(JobSpec{Name: "far", Model: model.GPTCustom(4, 16, 2, 32, 8),
+		GPUs: 4, DurationMin: 1e300}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	res, err := svc.Stop()
+	if err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	// One sweep for the submit, then one per 2 ms poll while the deploy
+	// is in flight; a spinning loop makes tens of thousands.
+	if res.InvariantChecks > 200 {
+		t.Fatalf("%d invariant sweeps in 100 ms on an idle service: the loop is spinning", res.InvariantChecks)
 	}
 }

@@ -61,7 +61,7 @@ func TestE2EInProcess(t *testing.T) {
 	t.Cleanup(func() { _ = closeFn() })
 
 	c := &client{base: "http://" + bound, token: "e2e-token", t: t}
-	ids, canceled := driveWorkload(t, c)
+	ids, canceled := driveWorkload(t, c, clients)
 	checkEvents(t, c, ids, canceled)
 	lat := checkMetrics(t, c, 4, true)
 	t.Logf("in-process e2e: %s", fmtLatency(lat))

@@ -71,6 +71,7 @@ type jobStatus struct {
 	State    string `json:"state"`
 	Alloc    []int  `json:"alloc"`
 	Resizes  int    `json:"resizes"`
+	Deployed bool   `json:"deployed"`
 	Verified bool   `json:"verified"`
 }
 
@@ -103,6 +104,24 @@ func (c *client) waitRunning(id string, timeout time.Duration) jobStatus {
 	return c.waitState(id, "running", timeout)
 }
 
+// waitDeployed waits for a running job's state to be on the store
+// servers. "running" does not say so: a job runs from the moment it is
+// admitted and leased, and its deploy follows on the execution plane.
+func (c *client) waitDeployed(id string, timeout time.Duration) jobStatus {
+	c.t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		st := c.job(id)
+		if st.Deployed {
+			return st
+		}
+		if st.State != "running" || time.Now().After(deadline) {
+			c.t.Fatalf("job %s is %q and not deployed", id, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // driveWorkload is the shared multi-job scenario, sized for a 4-device
 // cluster: submit a job and fail one of its devices while it owns
 // spare capacity (recovery must keep it alive to a bit-verified
@@ -110,7 +129,7 @@ func (c *client) waitRunning(id string, timeout time.Duration) jobStatus {
 // families so the survivors contend for the 3 healthy devices, scale
 // one up and one down, cancel a long-runner, and assert terminal
 // states. Returns all job IDs and the canceled job's ID.
-func driveWorkload(t *testing.T, c *client) (ids []string, canceled string) {
+func driveWorkload(t *testing.T, c *client, stores []*store.Client) (ids []string, canceled string) {
 	a := c.submit(api.SubmitRequest{Name: "a", Model: api.ModelSpec{Preset: "gpt-small"},
 		GPUs: 2, MinGPUs: 1, MaxGPUs: 4, DurationMin: 1000})
 	stA := c.waitRunning(a, 20*time.Second)
@@ -118,6 +137,20 @@ func driveWorkload(t *testing.T, c *client) (ids []string, canceled string) {
 		// Alone on the cluster, a holds at least its requested two
 		// devices (elastic expansion may have grown it further).
 		t.Fatalf("job %s running on %v, want >= 2 devices", a, stA.Alloc)
+	}
+	// The 201 said admitted and leased; the bytes follow. Once the job
+	// reports deployed its device trees are on the store servers (looked
+	// for until seen whole: the scale-out that follows the deploy swaps
+	// each device's tree in with a delete and a rename).
+	c.waitDeployed(a, 20*time.Second)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		shards, err := committedShards(stores, a)
+		if err == nil && shards > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s reports deployed with %d device trees on the store servers (err %v)", a, shards, err)
+		}
 	}
 
 	// Fail one of a's devices while survivors exist: the coordinator
@@ -225,6 +258,33 @@ func checkEvents(t *testing.T, c *client, done []string, canceled string) {
 	}
 }
 
+// committedShards counts the per-device trees of job id's committed
+// model state across the store servers; a tree that is listed and then
+// turns out empty or gone is an error (while a reconfiguration commits,
+// a passing one).
+func committedShards(stores []*store.Client, id string) (int, error) {
+	root := "/job/" + id + "/model"
+	shards := 0
+	for _, sc := range stores {
+		names, err := sc.List(root)
+		if err != nil {
+			continue // this device holds no shard of the job's placement
+		}
+		// List returns child names: per-device trees like "dev3/".
+		for _, name := range names {
+			if !strings.HasPrefix(name, "dev") {
+				return shards, fmt.Errorf("store listing for %s has unexpected entry %q", id, name)
+			}
+			files, err := sc.List(root + "/" + strings.TrimSuffix(name, "/"))
+			if err != nil || len(files) == 0 {
+				return shards, fmt.Errorf("job %s: committed device tree %s/%s is empty (err=%v)", id, root, name, err)
+			}
+			shards++
+		}
+	}
+	return shards, nil
+}
+
 // checkStoreState asserts completed jobs left their committed model
 // trees on the store servers — the bytes the bit-verification oracle
 // read over the wire.
@@ -234,26 +294,9 @@ func checkStoreState(t *testing.T, stores []*store.Client, completed []string, c
 		if id == canceled {
 			continue
 		}
-		root := "/job/" + id + "/model"
-		shards := 0
-		for _, sc := range stores {
-			names, err := sc.List(root)
-			if err != nil {
-				continue // this device held no shard of the job's final placement
-			}
-			// List returns child names: per-device trees like "dev3/".
-			for _, name := range names {
-				if !strings.HasPrefix(name, "dev") {
-					t.Fatalf("store listing for %s has unexpected entry %q", id, name)
-				}
-				files, err := sc.List(root + "/" + strings.TrimSuffix(name, "/"))
-				if err != nil || len(files) == 0 {
-					t.Fatalf("job %s: committed device tree %s%s is empty (err=%v)", id, root, name, err)
-				}
-				shards++
-			}
-		}
-		if shards == 0 {
+		if shards, err := committedShards(stores, id); err != nil {
+			t.Fatal(err)
+		} else if shards == 0 {
 			t.Fatalf("job %s left no committed state on any store server", id)
 		}
 	}

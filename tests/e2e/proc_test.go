@@ -65,7 +65,7 @@ func TestE2ESubprocess(t *testing.T) {
 	waitHealthy(t, base, 15*time.Second)
 
 	c := &client{base: base, token: "e2e-token", t: t}
-	ids, canceled := driveWorkload(t, c)
+	ids, canceled := driveWorkload(t, c, clients)
 	checkEvents(t, c, ids, canceled)
 	lat := checkMetrics(t, c, 4, true)
 	t.Logf("subprocess e2e: %s", fmtLatency(lat))
