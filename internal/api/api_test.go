@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -314,5 +315,57 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	if code, _ = doReq(t, "POST", hs.URL+"/v1/jobs", "tok-a",
 		SubmitRequest{Name: "bad/name", Model: ModelSpec{Preset: "gpt-tiny"}, GPUs: 1, DurationMin: 1}); code != http.StatusBadRequest {
 		t.Fatalf("bad name: %d", code)
+	}
+}
+
+// TestRefusedScaleChangesNothing: a scale the decision plane refuses
+// answers 409, and leaves the job as a GET shows it and the tenant's
+// device reservation exactly where they were — shrinking to a size the
+// job cannot run at (it used to come back with gpus 3, min 3 and four
+// devices leased), and growing past the cluster, whose reservation the
+// handler takes before it asks and has to hand back.
+func TestRefusedScaleChangesNothing(t *testing.T) {
+	svc, err := coordinator.StartService(cluster.Cloud(8), coordinator.Options{WallScale: time.Second})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	srv, err := NewServer(Config{Service: svc, Tenants: []Tenant{{Name: "a", Token: "tok-a", MaxDevices: 16}}})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	hs := httptest.NewServer(srv)
+	defer func() {
+		hs.Close()
+		srv.Close()
+		svc.Stop()
+	}()
+	code, body := doReq(t, "POST", hs.URL+"/v1/jobs", "tok-a", SubmitRequest{
+		Name: "rigid", Model: ModelSpec{Preset: "gpt-tiny"}, GPUs: 4, DurationMin: 1e6})
+	if code != http.StatusCreated {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	state := func() (coordinator.JobStatus, int) {
+		t.Helper()
+		code, body := doReq(t, "GET", hs.URL+"/v1/jobs/a-rigid", "tok-a", nil)
+		var st coordinator.JobStatus
+		if err := json.Unmarshal(body, &st); err != nil || code != http.StatusOK {
+			t.Fatalf("get job: %d %s (err %v)", code, body, err)
+		}
+		st.ServedMin, st.Deployed = 0, false // the clock runs and the deploy lands meanwhile
+		srv.quotas.mu.Lock()
+		defer srv.quotas.mu.Unlock()
+		return st, srv.quotas.byName["a"].devices
+	}
+	before, reserved := state()
+	if before.GPUs != 4 || before.MinGPUs != 4 || len(before.Alloc) != 4 || reserved != 4 {
+		t.Fatalf("before: %+v with %d devices reserved", before, reserved)
+	}
+	for _, gpus := range []int{3, 9} {
+		if code, body = doReq(t, "POST", hs.URL+"/v1/jobs/a-rigid/scale", "tok-a", ScaleRequest{GPUs: gpus}); code != http.StatusConflict {
+			t.Fatalf("scale to %d: %d %s, want 409", gpus, code, body)
+		}
+		if after, now := state(); !reflect.DeepEqual(before, after) || now != reserved {
+			t.Fatalf("the refused scale to %d changed something:\nbefore %+v, %d reserved\nafter  %+v, %d reserved", gpus, before, reserved, after, now)
+		}
 	}
 }

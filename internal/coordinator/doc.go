@@ -1,55 +1,54 @@
 package coordinator
 
-// The decision plane never waits for the data plane — design note.
+// One planning path, one step, one boundary — design note.
 //
 // In the paper the scheduler only decides an allocation change; the
 // per-worker State Transformers carry it out (§5). Here the decision
-// plane is the event loop (Run's, or the Service's one goroutine) and the
-// data plane is the per-job task chains of exec.go. The rule between
-// them, in ModeWall — the mode the tenplex-coordd service runs in:
+// plane is the event loop (loop.go, handlers.go, engine.go, account.go)
+// and the data plane is everything behind the executor (executor.go:
+// per-job task chains over jobRuntime). Three rules hold between them,
+// in both modes.
 //
-//   - The loop never waits on a chain. Nothing it decides — an admission,
-//     a scale-out or scale-in, a preemption, a defrag redeploy, a
-//     fail-stop recovery, a cancel, a status read — blocks while a job's
-//     deploy or reconfiguration moves bytes. A 201 from POST /v1/jobs
-//     means admitted and leased; JobStatus.Deployed says when the state
-//     has landed. (drainJob has one caller left: ModeSim's defrag. With
-//     Workers: 1 there is no pool and so no chain to wait on: every task
-//     runs inline at its decision point, the serialized runtime.)
+//   - Where a plan runs, and from what. Every first deploy, change and
+//     restore is planned, validated and priced on the loop, by pure
+//     functions of decision-plane state (planChange, planRestore), from
+//     simJob.decided: the PTC the job will hold once the work queued on
+//     its chain has committed — built at first admission, advanced to the
+//     target of every decided change, set to the restore target at a
+//     re-admission, dropped when the job turns terminal. No plan waits
+//     for bytes. decided can be wrong in one case: an earlier change of
+//     the job aborted and rolled its runtime back after a later one was
+//     planned on top of it. That commit notices at the head of its turn
+//     on the chain and plans the same (cfg, alloc) again from what the
+//     runtime holds (jobRuntime.rebase); the price charged at decision
+//     time stands, and its outcome brings decided back (converge).
 //
-//   - What it used to wait for was one fact, the PTC the job's runtime
-//     would hold once the chain had caught up. The loop now keeps that
-//     fact itself: simJob.decided, the decided PTC — built (metadata
-//     only) at first admission, where the deploy task places the job
-//     under that very value; advanced to the target of every change the
-//     loop decides; set to the restore target at a re-admission; dropped
-//     when the job turns terminal. planChange and planRestore are pure
-//     functions of decision-plane state (model, topology, source PTC,
-//     target config and allocation, failed devices), so a change is
-//     planned, validated and priced on the loop against the decided PTC
-//     and only the transform goes to the chain.
+//   - What an event is. Every input to the decision plane is an event
+//     and goes through sim.step: the scenario's script off the heap, a
+//     request to the Service (a submit is an arrival, an injected failure
+//     a failure, scale and cancel kinds of their own), and every outcome
+//     of a command, which its chain posts to the loop's mailbox without
+//     blocking. ModeWall selects on the mailbox beside its pacing timer
+//     (Run) or its timer and commands (Service), so an abort requeues its
+//     job when it lands, heap event or none; a Run in which a commit can
+//     abort also holds a job's completion until that job's outcomes are
+//     in (awaits). ModeSim takes outcomes behind its join at flush, in
+//     decision order, which keeps sim traces a function of the scenario.
 //
-//   - The decided PTC can be wrong in exactly one case: an earlier change
-//     of the same job aborted and rolled its runtime back (chaos, or a
-//     retry budget: Run in ModeWall; the Service is fail-fast) after a
-//     later change had been planned on top of it. That is settled where
-//     the truth is. A change records the PTC it was planned from; its
-//     commit, at the head of its turn on the chain, compares that with
-//     what the runtime holds and, if they differ, plans the same
-//     (cfg, alloc) target again from there (jobRuntime.rebase — what
-//     planning behind a drained chain got by construction). The price
-//     charged at decision time stands. Every commit reports the PTC the
-//     runtime ended on, and flush / resolveInflight take it for the
-//     decided PTC unless something newer has been decided (converge).
+//   - What crosses the boundary. Five commands go in — deploy, restore,
+//     commit, verify, release — one outcome type comes back, and audit
+//     may be asked of an idle chain. The decision plane holds no runtime,
+//     store or checkpoint. The loop waits for the data plane in three
+//     places only: settle, at the end of a run; ModeSim's flush; and
+//     ModeSim's defrag, which joins the one job's chain before it reads
+//     abortPending. The last is the join planning on the loop did not
+//     make redundant: without it defrag compacts jobs an abort is about
+//     to requeue, and BENCH_hostile's 0.02/retry-on row moves (requeues
+//     22 -> 23, retries 73 -> 75, moved_bytes 4,033,792 -> 4,195,712).
 //
-//   - A chain's error reaches the loop at the next flush, which asks the
-//     pool whether any task has failed; it does not wait to find out.
-//
-// ModeSim is untouched: plans run on the chains against the runtime's own
-// PTC and flush joins them, which is what keeps sim traces a function of
-// the scenario alone and lets planning fan out. Planning as a pure
-// function of decision-plane state is also the first separable piece of
-// the pure decision core ROADMAP asks for.
+// Open, for the explorer ROADMAP item 3(c) asks for (fake_test.go's
+// executor, which orders completions itself, is its starting point): the
+// protocol's soundness rests on hand-written cases, not on a search.
 
 // Incremental decision plane — design note.
 //

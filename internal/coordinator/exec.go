@@ -1,12 +1,15 @@
 package coordinator
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // pool executes per-job task chains on a bounded set of workers. The
 // event loop owns all decisions and ledger mutations and stays
-// single-threaded; what fans out here is each job's state-management
-// work — plan generation, the State Transformer, checkpointing and
-// final verification. Tasks for the same job run strictly in
+// single-threaded, and plans there; what fans out here is each job's
+// state-management work — deploy, the State Transformer, checkpointing
+// and final verification. Tasks for the same job run strictly in
 // submission order (a job's reconfigurations are causally dependent);
 // tasks for different jobs run concurrently, since every job owns its
 // own Tensor Stores, checkpoint storage and PTC.
@@ -15,9 +18,7 @@ type pool struct {
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	tail map[string]chan struct{} // per-job: done channel of the last submitted task
-
-	errMu sync.Mutex
-	err   error // first task error; later tasks are skipped
+	err  atomic.Pointer[error]    // first task error; later tasks are skipped
 }
 
 // newPool builds a pool running at most workers tasks at once. workers
@@ -53,7 +54,7 @@ func (p *pool) submit(job string, fn func() error) {
 		err := fn()
 		<-p.sem
 		if err != nil {
-			p.fail(err)
+			p.err.CompareAndSwap(nil, &err)
 		}
 	}()
 }
@@ -75,16 +76,9 @@ func (p *pool) drainAll() error {
 	return p.firstErr()
 }
 
-func (p *pool) fail(err error) {
-	p.errMu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.errMu.Unlock()
-}
-
 func (p *pool) firstErr() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.err
+	if err := p.err.Load(); err != nil {
+		return *err
+	}
+	return nil
 }

@@ -3,7 +3,6 @@ package coordinator
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +44,10 @@ type jobRuntime struct {
 	cfg   parallel.Config
 	alloc cluster.Allocation
 	step  int
+	// init holds the job's deterministic initial tensors: written by the
+	// deploy task, read by the verify task, dropped by release — all on
+	// the job's chain.
+	init map[core.TensorID]*tensor.Tensor
 
 	// Observability: the run's metrics registry (nil when off) and the
 	// chain's current task scope — each task the decision plane fans
@@ -54,59 +57,40 @@ type jobRuntime struct {
 	obsScope obs.ScopeVar
 }
 
-// newJobRuntime builds a job's state-management runtime. mk, when
-// non-nil, supplies the per-device Tensor Store (the service points it
-// at remote tenplex-store servers); nil keeps the in-memory default.
-// The checkpoint blob store stays in-process either way — it is the
-// durability anchor rollback and restore depend on.
-func newJobRuntime(name string, m *model.Model, topo *cluster.Topology, mk func(job string, dev cluster.DeviceID) store.Access) *jobRuntime {
-	r := &jobRuntime{
-		name:    name,
-		model:   m,
-		topo:    topo,
-		stores:  map[cluster.DeviceID]store.Access{},
-		storage: store.Local{FS: store.NewMemFS()},
-	}
-	for _, d := range topo.Devices {
+// openStores gives the runtime its per-device Tensor Stores, one for
+// every device of the topology: O(devices) work, so it runs at the head
+// of the deploy task, not on the event loop. mk, when non-nil, supplies
+// each store (the service points it at remote tenplex-store servers);
+// nil keeps the in-memory default. inj, when non-nil, installs chaos
+// fault injection on every device store; deep installs per-operation
+// datapath spans OUTSIDE it, so injected faults appear in the trace as
+// the failed store operations they manifest as. The checkpoint blob
+// store stays in-process and unwrapped either way — it is the durability
+// anchor rollback and restore depend on.
+func (r *jobRuntime) openStores(mk func(job string, dev cluster.DeviceID) store.Access, inj *chaos.Injector, deep bool) {
+	r.storage = store.Local{FS: store.NewMemFS()}
+	r.stores = make(map[cluster.DeviceID]store.Access, len(r.topo.Devices))
+	for _, d := range r.topo.Devices {
+		acc := store.Access(store.Local{FS: store.NewMemFS()})
 		if mk != nil {
-			r.stores[d.ID] = mk(name, d.ID)
-		} else {
-			r.stores[d.ID] = store.Local{FS: store.NewMemFS()}
+			acc = mk(r.name, d.ID)
 		}
-	}
-	return r
-}
-
-// wrapStores installs chaos fault injection on every device store. The
-// checkpoint blob store (r.storage) stays unwrapped: remote checkpoint
-// storage is the durability anchor rollback and restore depend on.
-func (r *jobRuntime) wrapStores(inj *chaos.Injector) {
-	for d, acc := range r.stores {
-		r.stores[d] = inj.WrapAccess(r.name, fmt.Sprintf("dev%d", d), acc)
+		if inj != nil {
+			acc = inj.WrapAccess(r.name, fmt.Sprintf("dev%d", d.ID), acc)
+		}
+		if deep {
+			acc = store.Observe(acc, fmt.Sprintf("dev%d", d.ID), &r.obsScope)
+		}
+		r.stores[d.ID] = acc
 	}
 }
 
-// observeStores installs per-operation datapath spans on every device
-// store. It wraps OUTSIDE any chaos wrapper, so injected faults appear
-// in the trace as the failed store operations they manifest as.
-func (r *jobRuntime) observeStores() {
-	for d, acc := range r.stores {
-		r.stores[d] = store.Observe(acc, fmt.Sprintf("dev%d", d), &r.obsScope)
-	}
-}
-
-// initState builds the job's deterministic initial tensors from seed.
-// FillRandDense keeps the per-tensor RNG setup off the admission path:
-// a job materializes its whole state here, and with many jobs deploying
-// the generator cost is a measurable slice of the control plane.
-func initState(m *model.Model, seed int64) map[core.TensorID]*tensor.Tensor {
-	return initStateOn(runtime.GOMAXPROCS(0), m, seed)
-}
-
-// initStateOn is initState on at most workers goroutines. Tensor i is
-// filled from its own seed, seed+i, so the state is the same bit for
-// bit however the tensors are shared out; the fill is compute-bound
-// (about 1.4 GB/s a core) and sits on the submit chain of every job.
+// initStateOn builds the job's deterministic initial tensors from seed
+// on at most workers goroutines. Tensor i is filled from its own seed,
+// seed+i, so the state is the same bit for bit however the tensors are
+// shared out; the fill is compute-bound (about 1.4 GB/s a core,
+// FillRandDense keeps the per-tensor RNG setup off it) and sits on the
+// deploy of every job.
 func initStateOn(workers int, m *model.Model, seed int64) map[core.TensorID]*tensor.Tensor {
 	params := m.StateParams()
 	tensors := make([]*tensor.Tensor, len(params))
@@ -135,26 +119,19 @@ func initStateOn(workers int, m *model.Model, seed int64) map[core.TensorID]*ten
 	return init
 }
 
-// deploy places the job on its first lease under ptc — the job's first
-// decided PTC, built from (cfg, alloc) on the event loop in ModeWall;
-// nil in ModeSim, where it is built here on the chain — and persists a
-// baseline checkpoint so a later fail-stop recovery always has a storage
-// fallback for ranges whose replicas are all lost. The baseline is init
-// itself, held by reference: the bytes have just gone out to the stores
-// CRC-framed, and reading them back to write them down again would move
-// the job's whole state a second time for nothing.
-func (r *jobRuntime) deploy(ptc *core.PTC, cfg parallel.Config, alloc cluster.Allocation, init map[core.TensorID]*tensor.Tensor) error {
-	if ptc == nil {
-		var err error
-		if ptc, err = parallel.BuildPTC(r.model, cfg, alloc); err != nil {
-			return fmt.Errorf("coordinator: deploy %s: %w", r.name, err)
-		}
-	}
-	if err := transform.LoadPTC(r.name, ptc, r.stores, init); err != nil {
+// deploy places the job's initial tensors on its first lease under ptc —
+// the job's first decided PTC, built from (cfg, alloc) on the event loop
+// — and persists a baseline checkpoint so a later fail-stop recovery
+// always has a storage fallback for ranges whose replicas are all lost.
+// The baseline is init itself, held by reference: the bytes have just
+// gone out to the stores CRC-framed, and reading them back to write them
+// down again would move the job's whole state a second time for nothing.
+func (r *jobRuntime) deploy(ptc *core.PTC, cfg parallel.Config, alloc cluster.Allocation) error {
+	if err := transform.LoadPTC(r.name, ptc, r.stores, r.init); err != nil {
 		return fmt.Errorf("coordinator: deploy %s: %w", r.name, err)
 	}
 	r.ptc, r.cfg, r.alloc = ptc, cfg, append(cluster.Allocation(nil), alloc...)
-	if err := checkpoint.SaveTensors(r.storage, r.name, r.step, ptc.Name, init); err != nil {
+	if err := checkpoint.SaveTensors(r.storage, r.name, r.step, ptc.Name, r.init); err != nil {
 		return fmt.Errorf("coordinator: checkpoint %s: %w", r.name, err)
 	}
 	return nil
@@ -166,11 +143,11 @@ type change struct {
 	cfg   parallel.Config
 	alloc cluster.Allocation
 	// from is the PTC the change was planned from, before failed devices
-	// were taken out of it: the runtime's own in ModeSim, the decision
-	// plane's decided PTC in ModeWall. The commit holds it against what
-	// the runtime has when its turn on the chain comes (rebase). from, to,
-	// plan and storageOK belong to the chain from the moment the commit is
-	// submitted; the event loop keeps reading the price (stats, simSec).
+	// were taken out of it: the decision plane's decided PTC. The commit
+	// holds it against what the runtime has when its turn on the chain
+	// comes (rebase). from, to, plan and storageOK belong to the chain from
+	// the moment the commit is submitted; the event loop keeps reading the
+	// price (stats, simSec).
 	from   *core.PTC
 	failed []cluster.DeviceID
 	to     *core.PTC
@@ -191,12 +168,11 @@ type change struct {
 
 // planChange computes and prices the reconfiguration of a job of model m
 // from the placement from onto (cfg, alloc) without touching any store.
-// It is a pure function of its arguments, so it runs wherever the source
-// PTC is known: on the event loop against the decided PTC in ModeWall, on
-// the job's chain against the runtime's PTC in ModeSim. When failed is
-// non-empty the source is degraded to the surviving replicas and the
-// plan may fall back to checkpoint reads (fail-stop recovery). The
-// returned plan has been validated.
+// It is a pure function of its arguments and runs on the event loop,
+// against the job's decided PTC. When failed is non-empty the source is
+// degraded to the surviving replicas and the plan may fall back to
+// checkpoint reads (fail-stop recovery). The returned plan has been
+// validated.
 func planChange(m *model.Model, topo *cluster.Topology, from *core.PTC, cfg parallel.Config,
 	alloc cluster.Allocation, failed []cluster.DeviceID) (*change, error) {
 	planStart := time.Now()
@@ -245,28 +221,13 @@ func planMoves(m *model.Model, topo *cluster.Topology, from *core.PTC, cfg paral
 	}, nil
 }
 
-// plan is planChange from what the runtime holds right now; it may only
-// run on the job's chain, or while the chain is known to be idle.
-func (r *jobRuntime) plan(cfg parallel.Config, alloc cluster.Allocation, failed []cluster.DeviceID) (*change, error) {
-	if r.ptc == nil {
-		return nil, fmt.Errorf("coordinator: job %s not deployed", r.name)
-	}
-	ch, err := planChange(r.model, r.topo, r.ptc, cfg, alloc, failed)
-	if err != nil {
-		return nil, fmt.Errorf("coordinator: plan %s: %w", r.name, err)
-	}
-	return ch, nil
-}
-
 // rebase settles, at the head of a commit, the one case in which the
 // decision plane's decided PTC can be wrong: an earlier change of this
 // job aborted and rolled the runtime back after this one had been
 // planned on top of it. The truth is here, so here is where it is
 // settled: the same (cfg, alloc) target is planned again from what the
 // runtime actually holds — what planning behind a drained chain used to
-// get by construction. The price charged at decision time stands. A
-// change planned on the chain (ModeSim) is always planned from r.ptc and
-// never takes the branch.
+// get by construction. The price charged at decision time stands.
 func (r *jobRuntime) rebase(ch *change) error {
 	if ch.from == r.ptc {
 		return nil
@@ -392,8 +353,7 @@ func (r *jobRuntime) rollback() error {
 // latest checkpoint onto a fresh placement: every sub-tensor of the new
 // PTC streams from remote checkpoint storage to its device, replicas
 // included — exactly what commitRestore moves. Like planChange it is a
-// pure function: it runs on the event loop in ModeWall and on the job's
-// chain in ModeSim.
+// pure function and runs on the event loop.
 func planRestore(m *model.Model, topo *cluster.Topology, cfg parallel.Config, alloc cluster.Allocation) (*change, error) {
 	to, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
@@ -455,12 +415,12 @@ func (r *jobRuntime) commitRestore(ch *change) error {
 // verifyState reassembles the job's full logical tensors and checks
 // them against the initial state — the end-to-end correctness oracle
 // run at job completion. Canceling ctx stops the read.
-func (r *jobRuntime) verifyState(ctx context.Context, init map[core.TensorID]*tensor.Tensor) error {
+func (r *jobRuntime) verifyState(ctx context.Context) error {
 	got, err := transform.ReadPTCContext(ctx, r.name, r.ptc, r.stores)
 	if err != nil {
 		return fmt.Errorf("coordinator: read state of %s: %w", r.name, err)
 	}
-	for id, want := range init {
+	for id, want := range r.init {
 		t, ok := got[id]
 		if !ok {
 			return fmt.Errorf("coordinator: %s lost tensor %s", r.name, id)
@@ -470,4 +430,36 @@ func (r *jobRuntime) verifyState(ctx context.Context, init map[core.TensorID]*te
 		}
 	}
 	return nil
+}
+
+// audit asserts that the runtime caught up with the decision plane
+// exactly — the devices it decided, not just as many — and that its PTC
+// is valid. It may only run while nothing else is running on the job's
+// chain: after a join, or as part of a task of that chain.
+func (r *jobRuntime) audit(decided cluster.Allocation) error {
+	if len(r.alloc) != len(decided) {
+		return fmt.Errorf("coordinator: %s runtime alloc has %d devices, decided %d",
+			r.name, len(r.alloc), len(decided))
+	}
+	for _, d := range r.alloc {
+		if !decided.Contains(d) {
+			return fmt.Errorf("coordinator: %s runtime holds device %d outside its decided allocation",
+				r.name, d)
+		}
+	}
+	if err := r.ptc.Validate(); err != nil {
+		return fmt.Errorf("coordinator: %s: %w", r.name, err)
+	}
+	return nil
+}
+
+// release drops what only a live job needs — its golden tensors, its
+// in-process checkpoints and stores (several times the job's state
+// size), its PTC with the compiled index hanging off it, and its model —
+// so a long-running service does not grow with every job it has ever
+// finished. It runs on the job's chain, behind whatever work is still
+// queued there.
+func (r *jobRuntime) release() {
+	r.init, r.model, r.ptc, r.stores = nil, nil, nil, nil
+	r.storage = store.Local{FS: store.NewMemFS()}
 }

@@ -312,13 +312,7 @@ func runLateAbort(t *testing.T, specs []JobSpec, after int64) (Result, []string,
 			t.Fatalf("job %s did not complete\n%s", js.Name, res.Render())
 		}
 	}
-	var kinds []string
-	for _, e := range res.Timeline {
-		if e.Job == "v" {
-			kinds = append(kinds, e.Kind)
-		}
-	}
-	return res, kinds, reg.Counter("coord.replans").Value()
+	return res, kindsOf(res.Timeline, "v"), reg.Counter("coord.replans").Value()
 }
 
 // TestWallModeReplansAfterLateAbort is the one case in which ModeWall's
@@ -353,10 +347,9 @@ func TestWallModeReplansAfterLateAbort(t *testing.T) {
 // event loop (flush reads the price there, and nothing else orders that
 // read after the chain — a later change of the same job used to, by
 // draining it), the scale-out decided in the same breath is planned from
-// the restore's target, and no commit has anything to re-plan. Run only
-// looks at outcomes when an event fires, so r's arrival — on devices v
-// never wanted, 100 ms after an abort that takes about one — is the
-// event at which v's is seen.
+// the restore's target, and no commit has anything to re-plan. r arrives
+// — on devices v never wanted — while v runs restored: a re-admission
+// under contention.
 func TestWallModeReadmitsWithoutWaiting(t *testing.T) {
 	res, kinds, replans := runLateAbort(t, []JobSpec{
 		{Name: "v", Model: tinyGPT(), ArrivalMin: 0, DurationMin: 300e3, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, Seed: 1},
@@ -369,3 +362,36 @@ func TestWallModeReadmitsWithoutWaiting(t *testing.T) {
 		t.Fatalf("%d commits re-planned; the decided PTC should have followed the requeue and the restore\n%s", replans, res.Render())
 	}
 }
+
+// lateAbortAlone is runLateAbort with job v and nothing else: no other
+// job, no failure, no event at all between v's admission and its
+// completion durationMin later. The abort must requeue v all the same.
+func lateAbortAlone(t *testing.T, durationMin float64) {
+	t.Helper()
+	res, kinds, replans := runLateAbort(t, []JobSpec{
+		{Name: "v", Model: tinyGPT(), ArrivalMin: 0, DurationMin: durationMin, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, Seed: 1},
+	}, 1)
+	if want := []string{EvSubmit, EvAdmit, EvScaleOut, EvRequeue, EvAdmit, EvScaleOut, EvComplete}; !reflect.DeepEqual(kinds, want) || res.Requeues != 1 {
+		t.Fatalf("v's timeline: %v with %d requeues, want %v and one\n%s", kinds, res.Requeues, want, res.Render())
+	}
+	if replans != 0 {
+		t.Fatalf("%d commits re-planned, want none\n%s", replans, res.Render())
+	}
+}
+
+// TestWallModeLateAbortWithNoEvent: a commit outcome is an event. v's
+// scale-out aborts about a millisecond into a 300 ms run in which
+// nothing else happens; the loop, waiting for v's completion to come
+// due, takes the outcome when the chain posts it and requeues v then and
+// there. When outcomes were only looked at as heap events fired, the
+// next one was v's completion, and its verify found a runtime that never
+// got to where the loop thought it was ("v runtime alloc has 2 devices,
+// decided 4").
+func TestWallModeLateAbortWithNoEvent(t *testing.T) { lateAbortAlone(t, 300e3) }
+
+// TestWallModeCompletionDueBeforeLateAbort is the mirror case on real
+// stores: v is due to complete a microsecond after it was admitted, long
+// before its scale-out has finished aborting. A run in which a commit
+// can abort holds the completion until that job's outcomes are in
+// (sim.awaits); the abort then requeues v and the completion is stale.
+func TestWallModeCompletionDueBeforeLateAbort(t *testing.T) { lateAbortAlone(t, 1) }

@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -20,24 +19,23 @@ import (
 // of real time, exactly like Run's ModeWall).
 //
 // Concurrency model: ONE goroutine — the service loop — owns the sim.
-// It is the same single-threaded decision plane Run drives; external
-// requests are turned into commands, enqueued, and executed between
-// heap events, so no caller ever touches the ledger, the heap or a
-// scheduling choice concurrently. Execution-plane work (deploy,
-// transform, checkpoint, verify) fans out over the bounded pool, as in
-// Run, and the loop never waits for it (doc.go): a change is planned
-// and priced on the loop against the job's decided PTC — the PTC it
-// will hold once the work already queued on its chain has committed —
-// so Submit, Scale, Cancel and every status read answer while a job's
-// deploy or reconfiguration is still moving bytes. Submit returning
-// means admitted (or queued) and leased; JobStatus.Deployed follows
-// when the state is on the stores. The Service is fail-fast, so the
-// one case in which a commit re-plans on its chain (an earlier change
-// aborted under a later one) does not arise here; a chain's error
-// wedges the service at the next settle step. Because Run and the
-// Service share newSim/addJob/dispatch, the service layer adds no
-// scheduling behavior of its own and the bit-deterministic sim path
-// is untouched.
+// It is the same single-threaded decision plane Run drives, through the
+// same step: a request is turned into a command, enqueued, and stepped
+// as an event between heap events (a submit is an arrival, an injected
+// failure a failure, scale and cancel kinds of their own), so no caller
+// ever touches the ledger, the heap or a scheduling choice concurrently
+// and a traced service records a decision span for each. The loop never
+// waits for the data plane (doc.go): a change is planned and priced on
+// the loop against the job's decided PTC, its work goes through the
+// executor to the bounded pool, and every outcome comes back through
+// the mailbox the loop selects on beside its timer and its commands —
+// there is no poll. So Submit, Scale, Cancel and every status read
+// answer while a job's deploy or reconfiguration is still moving bytes.
+// Submit returning means admitted (or queued) and leased;
+// JobStatus.Deployed follows when the deploy's outcome has arrived. The
+// Service is fail-fast: no commit aborts, and a command's error wedges
+// the service when its outcome is stepped. The service layer adds no
+// scheduling behavior of its own.
 type Service struct {
 	cmds   chan serviceCmd
 	stopCh chan struct{}
@@ -131,22 +129,17 @@ func (svc *Service) loop(s *sim) {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		// Arm the wake-up: the next due heap event, a short poll while
-		// execution-plane work is in flight (wall-mode commit outcomes
-		// surface at flushes), or idle until a command arrives.
+		// Arm the wake-up for the next due heap event; outcomes and
+		// commands wake the loop themselves. Wedged, it stops consuming
+		// the heap and the mailbox and answers reads only.
 		wait := time.Hour
-		switch {
-		case svc.wedged != nil:
-			// Wedged: stop consuming the heap; answer reads only.
-		case s.evq.Len() > 0:
+		if svc.wedged == nil && s.evq.Len() > 0 {
 			// In floating point until it is known to fit: a job submitted
 			// with duration_min 1e10 completes further off than a Duration
 			// can say, and the overflow came back as a wait of zero — a
 			// loop spinning at full speed until then.
 			due := s.evq[0].time*float64(svc.wallScale) - float64(time.Since(svc.start))
 			wait = time.Duration(math.Max(0, math.Min(due, float64(time.Hour))))
-		case len(s.inflight) > 0 || len(s.pending) > 0:
-			wait = 2 * time.Millisecond
 		}
 		if !timer.Stop() {
 			select {
@@ -164,97 +157,51 @@ func (svc *Service) loop(s *sim) {
 			svc.commands.Add(1)
 			s.advance(svc.nowMin())
 			var err error
-			switch {
-			case cmd.mutate && svc.wedged != nil:
+			if cmd.mutate && svc.wedged != nil {
 				err = fmt.Errorf("coordinator: service wedged: %w", svc.wedged)
-			default:
-				err = cmd.fn(s)
-				if cmd.mutate && err == nil {
-					err = svc.settleStep(s)
-				}
-				if cmd.mutate && err != nil && !IsClientError(err) {
-					svc.wedged = err
-				}
-			}
-			cmd.resp <- err
-		case <-timer.C:
-			if svc.wedged != nil {
-				continue
-			}
-			s.advance(svc.nowMin())
-			if err := svc.pump(s); err != nil {
+			} else if err = cmd.fn(s); cmd.mutate && err != nil && !IsClientError(err) {
 				svc.wedged = err
 			}
-		}
-	}
-}
-
-// pump processes every due heap event through the shared dispatch
-// path, then settles decided work — Run's inner loop, paced by the
-// service timer instead of sleeps.
-func (svc *Service) pump(s *sim) error {
-	fired := false
-	for s.evq.Len() > 0 && s.evq[0].time <= svc.nowMin() {
-		e := heap.Pop(&s.evq).(event)
-		if e.kind == evComplete {
-			j := s.jobs[e.job]
-			if j == nil || j.state != jobRunning || j.ver != e.ver {
-				continue // superseded by a resize, failure or cancel
+			cmd.resp <- err
+		case <-s.mail.ready:
+			if svc.wedged == nil {
+				s.advance(svc.nowMin())
+				svc.wedged = s.receive()
+			}
+		case <-timer.C:
+			if svc.wedged == nil {
+				s.advance(svc.nowMin())
+				svc.wedged = svc.pump(s)
 			}
 		}
-		s.advance(e.time)
-		if s.tr.Enabled() {
-			s.traceDecision(e)
-			s.reg.Add("coord.events", 1)
-		}
-		s.eventIdx++
-		if err := s.dispatch(e); err != nil {
-			return err
-		}
-		if err := svc.settleStep(s); err != nil {
-			return err
-		}
-		fired = true
 	}
-	if !fired {
-		// Poll tick: no heap event was due, but in-flight wall-mode
-		// commits may have late outcomes to resolve (retries charged,
-		// aborts degraded into requeues).
-		return svc.settleStep(s)
-	}
-	return nil
 }
 
-// settleStep finalizes decided changes and re-checks invariants — the
-// per-event epilogue Run runs after every handler.
-func (svc *Service) settleStep(s *sim) error {
-	if err := s.flush(); err != nil {
-		return err
+// pump steps every heap event that is due — Run's loop, paced by the
+// service timer instead of waits.
+func (svc *Service) pump(s *sim) error {
+	for {
+		e, ok := s.pop()
+		if !ok {
+			return nil
+		}
+		if e.time > svc.nowMin() {
+			s.pushAt(e)
+			return nil
+		}
+		if err := s.step(e); err != nil {
+			return err
+		}
 	}
-	return s.checkInvariants()
 }
 
-// finish quiesces the execution plane, settles every in-flight change
-// and audits final state, then snapshots the run result and wakes
-// Stop.
+// finish settles the run — joins the chains, steps what they reported,
+// audits final state — then snapshots the result and wakes Stop.
 func (svc *Service) finish(s *sim) {
 	s.advance(svc.nowMin())
 	err := svc.wedged
-	for err == nil {
-		if s.pool != nil {
-			if err = s.pool.drainAll(); err != nil {
-				break
-			}
-		}
-		if err = s.flush(); err != nil {
-			break
-		}
-		if len(s.inflight) == 0 && len(s.pending) == 0 {
-			break
-		}
-	}
 	if err == nil {
-		err = s.auditAll()
+		err = s.settle()
 	}
 	svc.result = s.result(svc.start)
 	svc.stopErr = err
@@ -298,6 +245,15 @@ func (svc *Service) exec(mutate bool, fn func(s *sim) error) error {
 // quota breach) never touched the loop.
 func (svc *Service) CommandCount() int64 { return svc.commands.Load() }
 
+// request steps one event on the service loop, stamped with the
+// service clock, and waits for the answer.
+func (svc *Service) request(e event) error {
+	return svc.exec(true, func(s *sim) error {
+		e.time = s.now
+		return s.step(e)
+	})
+}
+
 // Submit registers a new job; it arrives on the decision plane
 // immediately (ArrivalMin is stamped with the service clock, any value
 // in the spec is ignored) and competes for devices under the
@@ -308,84 +264,18 @@ func (svc *Service) Submit(spec JobSpec) error {
 		if _, err := s.addJob(spec); err != nil {
 			return clientErr{err}
 		}
-		s.eventIdx++
-		return s.onArrival(spec.Name)
+		return s.step(event{time: s.now, kind: evArrival, job: spec.Name})
 	})
 }
 
-// Scale retargets a job's requested size. Growth happens through the
-// normal elastic expansion path as capacity allows; shrinking below
-// the current lease releases devices through a priced scale-in
-// reconfiguration immediately.
+// Scale retargets a job's requested size (see onScale).
 func (svc *Service) Scale(name string, gpus int) error {
-	return svc.exec(true, func(s *sim) error {
-		j := s.jobs[name]
-		if j == nil {
-			return clientErrf("unknown job %q", name)
-		}
-		if j.state != jobQueued && j.state != jobRunning {
-			return clientErrf("job %q is %s; cannot scale", name, j.state)
-		}
-		if gpus < 1 || gpus > s.topo.NumDevices() {
-			return clientErrf("job %q: scale target %d outside [1, %d]", name, gpus, s.topo.NumDevices())
-		}
-		j.spec.GPUs = gpus
-		if j.spec.MinGPUs > gpus {
-			j.spec.MinGPUs = gpus
-		}
-		if j.spec.MaxGPUs < gpus {
-			j.spec.MaxGPUs = gpus
-		}
-		if j.state == jobRunning && len(j.alloc) > gpus {
-			cur := len(j.alloc)
-			n, est, ok := s.bestAtMost(j.spec.Model, gpus, j.spec.MinGPUs)
-			if !ok || n >= cur {
-				return clientErrf("job %q: no feasible configuration at %d GPUs", name, gpus)
-			}
-			alloc := append(cluster.Allocation(nil), j.alloc[:n]...)
-			if err := s.applyChange(j, s.shrinkConfig(j, est, alloc), alloc, nil,
-				EvScaleIn, "scale request"); err != nil {
-				return err
-			}
-		}
-		if err := s.admitQueued(); err != nil {
-			return err
-		}
-		return s.expandJobs()
-	})
+	return svc.request(event{kind: evScale, job: name, gpus: gpus})
 }
 
-// Cancel removes a queued or running job. A running job's devices are
-// released immediately; its in-flight execution-plane work is staled
-// by the version bump and drains harmlessly (store paths are per-job).
+// Cancel removes a queued or running job (see onCancel).
 func (svc *Service) Cancel(name string) error {
-	return svc.exec(true, func(s *sim) error {
-		j := s.jobs[name]
-		if j == nil {
-			return clientErrf("unknown job %q", name)
-		}
-		switch j.state {
-		case jobQueued:
-			s.dequeue(name)
-		case jobRunning:
-			j.servedMin += s.now - j.lastStartMin
-			s.ledger.ReleaseAll(name)
-		default:
-			return clientErrf("job %q is already %s", name, j.state)
-		}
-		s.cache.DropJob(name)
-		j.alloc = nil
-		j.state = jobCanceled
-		j.ver++
-		j.doneMin = s.now
-		s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvCancel,
-			Note: "canceled by request"})
-		s.releaseTerminal(j)
-		if err := s.admitQueued(); err != nil {
-			return err
-		}
-		return s.expandJobs()
-	})
+	return svc.request(event{kind: evCancel, job: name})
 }
 
 // InjectFailure fail-stops a device through the same path a scenario
@@ -396,8 +286,7 @@ func (svc *Service) InjectFailure(dev cluster.DeviceID) error {
 		if int(dev) < 0 || int(dev) >= s.topo.NumDevices() {
 			return clientErrf("unknown device %d", dev)
 		}
-		s.eventIdx++
-		return s.onFailure(dev)
+		return s.step(event{time: s.now, kind: evFailure, dev: dev})
 	})
 }
 
@@ -426,8 +315,8 @@ type JobStatus struct {
 	ReconfigSec float64 `json:"reconfig_sec"`
 	MovedBytes  int64   `json:"moved_bytes"`
 	// Deployed is true once the job's state is on the device stores of
-	// its lease: set when the deploy (after a re-admission, the restore)
-	// has landed, cleared while a requeued job waits. Admission does not
+	// its lease: set when the outcome of the deploy (after a re-admission,
+	// the restore) has arrived, cleared while a requeued job waits. Admission does not
 	// wait for it — a job is "running" from the moment it is admitted and
 	// leased — so whoever looks at the stores themselves waits for this.
 	Deployed bool `json:"deployed"`
@@ -453,8 +342,8 @@ func (svc *Service) snapshotJob(s *sim, j *simJob) JobStatus {
 		Requeues:    j.requeues,
 		ReconfigSec: j.reconfigSec,
 		MovedBytes:  j.movedBytes,
-		Deployed:    j.deployed.Load(),
-		Verified:    j.verified.Load(),
+		Deployed:    j.deployed,
+		Verified:    j.verified,
 	}
 	if j.state == jobRunning {
 		st.ServedMin = j.servedMin + (s.now - j.lastStartMin)
@@ -539,22 +428,12 @@ func (svc *Service) Cluster() (ClusterStatus, error) {
 			PlansValidated: s.plans,
 			Requeues:       s.requeues,
 		}
+		var n [jobCanceled + 1]int
 		for _, j := range s.jobs {
-			switch j.state {
-			case jobQueued:
-				cs.Queued++
-			case jobRunning:
-				cs.Running++
-			case jobDone:
-				cs.Completed++
-			case jobRejected:
-				cs.Rejected++
-			case jobLost:
-				cs.Lost++
-			case jobCanceled:
-				cs.Canceled++
-			}
+			n[j.state]++
 		}
+		cs.Queued, cs.Running, cs.Completed = n[jobQueued], n[jobRunning], n[jobDone]
+		cs.Rejected, cs.Lost, cs.Canceled = n[jobRejected], n[jobLost], n[jobCanceled]
 		if s.now > 0 {
 			cs.Utilization = s.utilIntegral / (float64(s.topo.NumDevices()) * s.now)
 		}

@@ -272,6 +272,15 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 	}
 	waitJobState(t, svc, "run", "running", 15*time.Second)
 	waitJobState(t, svc, "wait", "queued", 15*time.Second)
+	// The one runtime that can be caught alive: after the cancel nothing
+	// but this pointer leads to it.
+	var running *jobRuntime
+	if err := svc.exec(false, func(s *sim) error {
+		running = s.exec.(*dataPlane).jobs["run"]
+		return nil
+	}); err != nil || running == nil {
+		t.Fatalf("no runtime for the running job (err %v)", err)
+	}
 	for _, name := range []string{"wait", "run"} {
 		if err := svc.Cancel(name); err != nil {
 			t.Fatalf("cancel %s: %v", name, err)
@@ -280,19 +289,25 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 
 	err = svc.exec(false, func(s *sim) error {
 		for _, name := range names {
-			if err := s.drainJob(name); err != nil {
+			if err := s.exec.joinJob(name); err != nil {
 				return err
 			}
 			j := s.jobs[name]
-			if j.init != nil {
-				return fmt.Errorf("terminal job %s (%s) still holds its %d golden tensors", name, j.state, len(j.init))
+			if rt := s.exec.(*dataPlane).jobs[name]; rt != nil {
+				return fmt.Errorf("terminal job %s (%s) still has a runtime behind the executor", name, j.state)
 			}
-			if n := j.rt.storage.FS.TotalBytes(); n != 0 {
-				return fmt.Errorf("terminal job %s (%s) still holds %d checkpoint bytes", name, j.state, n)
+			if j.spec.Model != nil || j.decided != nil {
+				return fmt.Errorf("terminal job %s (%s) still holds its model or decided PTC", name, j.state)
 			}
-			if j.rt.ptc != nil || j.rt.stores != nil || j.rt.model != nil || j.spec.Model != nil {
-				return fmt.Errorf("terminal job %s (%s) still holds its PTC, stores or model", name, j.state)
-			}
+		}
+		if running.init != nil {
+			return fmt.Errorf("the canceled job's runtime still holds its %d golden tensors", len(running.init))
+		}
+		if n := running.storage.FS.TotalBytes(); n != 0 {
+			return fmt.Errorf("the canceled job's runtime still holds %d checkpoint bytes", n)
+		}
+		if running.ptc != nil || running.stores != nil || running.model != nil {
+			return fmt.Errorf("the canceled job's runtime still holds its PTC, stores or model")
 		}
 		if len(s.modelJobs) != 0 || s.cache.Len() != 0 {
 			return fmt.Errorf("with every job terminal, %d models are still counted and %d perfmodel entries cached",
@@ -323,7 +338,7 @@ func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
 	}
 	defer svc.Stop()
 	heapAfter := func(n int) uint64 {
-		err := svc.exec(false, func(s *sim) error { return s.drainJob(fmt.Sprintf("j%d", n-1)) })
+		err := svc.exec(false, func(s *sim) error { return s.exec.joinJob(fmt.Sprintf("j%d", n-1)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,9 +495,87 @@ func TestServiceFarCompletionDoesNotSpin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	// One sweep for the submit, then one per 2 ms poll while the deploy
-	// is in flight; a spinning loop makes tens of thousands.
+	// One sweep for the submit and one for the deploy's outcome; a
+	// spinning loop makes tens of thousands.
 	if res.InvariantChecks > 200 {
 		t.Fatalf("%d invariant sweeps in 100 ms on an idle service: the loop is spinning", res.InvariantChecks)
+	}
+}
+
+// TestServiceRefusedScaleLeavesJobUntouched: a refused request leaves the
+// decision plane as it found it — internal/api hands its quota
+// reservation back on that promise. Job a holds exactly 4 of 8 devices
+// and cannot run on 3; the refusal used to come after the spec had been
+// rewritten to gpus 3, min 3.
+func TestServiceRefusedScaleLeavesJobUntouched(t *testing.T) {
+	svc, err := StartService(cluster.Cloud(8), Options{WallScale: time.Second})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	if err := svc.Submit(JobSpec{Name: "a", Model: tinyGPT(), GPUs: 4, DurationMin: 1e6}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	status := func() JobStatus {
+		t.Helper()
+		st, err := svc.Job("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.ServedMin, st.Deployed = 0, false // the clock runs and the deploy lands meanwhile
+		return st
+	}
+	before := status()
+	if err := svc.Scale("a", 3); !IsClientError(err) {
+		t.Fatalf("Scale(a, 3) on a job bounded [4, 4]: %v, want a client error", err)
+	}
+	if after := status(); !reflect.DeepEqual(before, after) || after.GPUs != 4 || after.MinGPUs != 4 || len(after.Alloc) != 4 {
+		t.Fatalf("the refused scale changed the job:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if cs, err := svc.Cluster(); err != nil || cs.Err != "" || cs.Leased != 4 {
+		t.Fatalf("cluster after the refusal: %+v (err %v)", cs, err)
+	}
+}
+
+// TestServiceRequestsAreTracedDecisions: a submit, a scale, an injected
+// failure and a cancel each reach the decision plane as one event
+// through the shared step, so a traced service records one decision
+// span for each, and coord.events counts every decision span there is.
+func TestServiceRequestsAreTracedDecisions(t *testing.T) {
+	tr := obs.New(obs.Options{Level: obs.LevelPhases})
+	svc, err := StartService(cluster.Cloud(8), Options{WallScale: time.Second, Obs: tr})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	if err := svc.Submit(JobSpec{Name: "a", Model: tinyGPT(), GPUs: 4, MinGPUs: 2, MaxGPUs: 4, DurationMin: 1e6}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := svc.Scale("a", 2); err != nil {
+		t.Fatalf("scale: %v", err)
+	}
+	if err := svc.InjectFailure(7); err != nil {
+		t.Fatalf("inject failure: %v", err)
+	}
+	if err := svc.Cancel("a"); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if _, err := svc.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	byName, total := map[string]int64{}, int64(0)
+	for _, sp := range tr.Export().Spans {
+		if sp.Cat == obs.CatDecision {
+			byName[sp.Name]++
+			total++
+		}
+	}
+	for _, name := range []string{"decision/arrival", "decision/scale", "decision/failure", "decision/cancel"} {
+		if byName[name] != 1 {
+			t.Fatalf("%d %s spans, want 1 (all: %v)", byName[name], name, byName)
+		}
+	}
+	if events := svc.Metrics().Counter("coord.events").Value(); events != total {
+		t.Fatalf("coord.events = %d with %d decision spans recorded", events, total)
 	}
 }
