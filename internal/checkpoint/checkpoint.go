@@ -287,6 +287,15 @@ func Open(storage store.Access, job string, step int) (*Reader, error) {
 	return &Reader{Storage: storage, Meta: meta}, nil
 }
 
+// OpenLatest opens the job's most recent checkpoint.
+func OpenLatest(storage store.Access, job string) (*Reader, error) {
+	step, err := Latest(storage, job)
+	if err != nil {
+		return nil, err
+	}
+	return Open(storage, job, step)
+}
+
 var _ transform.StorageReader = (*Reader)(nil)
 var _ transform.StorageRangeWriter = (*Reader)(nil)
 

@@ -12,7 +12,7 @@ import (
 
 // charge books one committed change against its job: the netsim-priced
 // transform once per attempt plus the policy's backoff waits. With a
-// single attempt the arithmetic is exactly ch.simSec and the timeline
+// single attempt the arithmetic is exactly ch.SimSec and the timeline
 // note is untouched — the legacy path, byte for byte. out is nil when
 // the commit is still in flight (one attempt assumed; its outcome event
 // settles the rest later).
@@ -22,22 +22,22 @@ func (s *sim) charge(p *pendingChange, out *outcome) {
 	if out != nil {
 		attempts = out.attempts
 	}
-	down := ch.simSec
+	down := ch.SimSec
 	if attempts > 1 {
-		down = float64(attempts)*ch.simSec + s.opts.Recovery.totalBackoffSec(attempts)
-		s.recoverySec += down - ch.simSec
+		down = float64(attempts)*ch.SimSec + s.opts.Recovery.totalBackoffSec(attempts)
+		s.recoverySec += down - ch.SimSec
 		s.timeline[p.tlIdx].Note = appendNote(s.timeline[p.tlIdx].Note,
 			fmt.Sprintf("%d attempts", attempts))
 	}
 	s.countRetries(p, attempts)
 	j.reconfigSec += down
-	j.movedBytes += ch.stats.MovedBytes
+	j.movedBytes += ch.Stats.MovedBytes
 	s.reconfigSec += down
 	// Downtime delays the job's completion.
 	j.complAt += down / 60
 	s.pushAt(event{time: j.complAt, seq: p.seq, kind: evComplete, job: j.spec.Name, ver: p.ver})
 	s.timeline[p.tlIdx].SimSec = down
-	s.timeline[p.tlIdx].MovedBytes = ch.stats.MovedBytes
+	s.timeline[p.tlIdx].MovedBytes = ch.Stats.MovedBytes
 	if s.reg != nil {
 		// Mirrors of the accumulations above, written only here on the
 		// event loop in decision order — the float gauge therefore sums
@@ -45,11 +45,11 @@ func (s *sim) charge(p *pendingChange, out *outcome) {
 		// report.Reconcile demand bit-exact equality.
 		name := j.spec.Name
 		s.reg.AddFloat("job."+name+".reconfig_sec", down)
-		s.reg.Add("job."+name+".moved_bytes", ch.stats.MovedBytes)
+		s.reg.Add("job."+name+".moved_bytes", ch.Stats.MovedBytes)
 		s.reg.AddFloat("coord.reconfig_sec", down)
-		s.reg.Add("coord.moved_bytes", ch.stats.MovedBytes)
+		s.reg.Add("coord.moved_bytes", ch.Stats.MovedBytes)
 		if attempts > 1 {
-			s.reg.AddFloat("coord.recovery_sec", down-ch.simSec)
+			s.reg.AddFloat("coord.recovery_sec", down-ch.SimSec)
 		}
 	}
 	s.traceChange(p, attempts, down, out)
@@ -64,11 +64,11 @@ func (s *sim) countRetries(p *pendingChange, attempts int) {
 	}
 	extra := int64(attempts - 1)
 	s.retries += attempts - 1
-	s.retryBytes += extra * p.ch.stats.MovedBytes
+	s.retryBytes += extra * p.ch.Stats.MovedBytes
 	if s.reg != nil {
 		s.reg.Add("job."+p.j.spec.Name+".retries", extra)
 		s.reg.Add("coord.retries", extra)
-		s.reg.Add("coord.retry_bytes", extra*p.ch.stats.MovedBytes)
+		s.reg.Add("coord.retry_bytes", extra*p.ch.Stats.MovedBytes)
 	}
 }
 
@@ -79,7 +79,7 @@ func (s *sim) countRetries(p *pendingChange, attempts int) {
 // requeue budget is spent, declared lost.
 func (s *sim) degrade(p *pendingChange) {
 	j, ch, out := p.j, p.ch, p.out
-	wasted := float64(out.attempts)*ch.simSec + s.opts.Recovery.totalBackoffSec(out.attempts)
+	wasted := float64(out.attempts)*ch.SimSec + s.opts.Recovery.totalBackoffSec(out.attempts)
 	s.countRetries(p, out.attempts)
 	s.recoverySec += wasted
 	s.reconfigSec += wasted
@@ -209,28 +209,26 @@ func (s *sim) traceChange(p *pendingChange, attempts int, down float64, out *out
 	j, ch := p.j, p.ch
 	aborted := out != nil && out.aborted
 	attrs := map[string]any{
-		"gpus":     len(ch.alloc),
-		"config":   ch.cfg.String(),
+		"gpus":     len(ch.Alloc),
+		"config":   ch.Config.String(),
 		"attempts": attempts,
-		"sim_sec":  ch.simSec,
+		"sim_sec":  ch.SimSec,
 	}
 	if aborted {
 		attrs["aborted"] = true
-		attrs["moved_bytes_attempted"] = ch.stats.MovedBytes
+		attrs["moved_bytes_attempted"] = ch.Stats.MovedBytes
 	} else {
-		attrs["moved_bytes"] = ch.stats.MovedBytes
+		attrs["moved_bytes"] = ch.Stats.MovedBytes
 	}
-	wallNs := ch.planNs
+	wallNs := p.planNs
 	if out != nil {
-		// The outcome's way through the mailbox is the barrier that makes
-		// the chain's applyNs writes visible.
-		wallNs += ch.applyNs
+		wallNs += out.applyNs
 	}
 	s.tr.Record(obs.Span{ID: p.spanID, Name: obs.ReconfigPrefix + s.timeline[p.tlIdx].Kind,
 		Cat: obs.CatExec, Job: j.spec.Name, TMin: p.tMin, DurSec: down, WallNs: wallNs, Attrs: attrs})
 	s.tr.Record(obs.Span{ID: s.tr.NewID(), Parent: p.spanID, Name: obs.SpanPlan,
-		Cat: obs.CatExec, Job: j.spec.Name, TMin: p.tMin, WallNs: ch.planNs,
-		Attrs: map[string]any{"assignments": ch.stats.Assignments}})
+		Cat: obs.CatExec, Job: j.spec.Name, TMin: p.tMin, WallNs: p.planNs,
+		Attrs: map[string]any{"assignments": ch.Stats.Assignments}})
 	s.traceAttempts(p, 1, attempts, aborted)
 }
 
@@ -256,9 +254,9 @@ func (s *sim) traceAttempts(p *pendingChange, first, attempts int, aborted bool)
 			if failed {
 				a["failed"] = true
 			}
-			child(obs.SpanTransform, cursor, p.ch.simSec, a)
+			child(obs.SpanTransform, cursor, p.ch.SimSec, a)
 		}
-		cursor += p.ch.simSec / 60
+		cursor += p.ch.SimSec / 60
 		if failed && i >= first-1 {
 			child(obs.SpanRollback, cursor, 0, nil)
 		}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,26 +14,64 @@ import (
 // handlers, the scheduling engine, the accounting.
 var decisionFiles = map[string]bool{"loop.go": true, "handlers.go": true, "engine.go": true, "account.go": true}
 
-// TestDecisionFilesImportNoDataPlane holds the boundary where the code
-// is: the decision plane reaches stores, transforms and checkpoints
-// through the executor and starts no goroutine of its own, and nothing
-// outside the executor and the runtime itself names a jobRuntime.
-func TestDecisionFilesImportNoDataPlane(t *testing.T) {
-	all, err := filepath.Glob("*.go")
+// nonTestImports parses the non-test Go files of dir and returns, per
+// file name, the file and the set of import paths it names.
+func nonTestImports(t *testing.T, dir string) (*token.FileSet, map[string]*ast.File, map[string]map[string]bool) {
+	t.Helper()
+	all, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset, seen := token.NewFileSet(), 0
-	for _, name := range all {
-		if strings.HasSuffix(name, "_test.go") || name == "executor.go" || name == "runtime.go" {
+	fset, files, imports := token.NewFileSet(), map[string]*ast.File{}, map[string]map[string]bool{}
+	for _, path := range all {
+		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
+		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := filepath.Base(path)
+		files[name], imports[name] = f, map[string]bool{}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			imports[name][p] = true
+		}
+	}
+	return fset, files, imports
+}
+
+// TestDecisionFilesImportNoDataPlane holds the boundary where the
+// compiler holds it. The package reaches transforms and checkpoints
+// through internal/job alone; only the executor and the runtime name a
+// job.Runtime or its wrapper (the decision files may plan with the
+// package's pure half), and the decision files reach no store and start
+// no goroutine. And internal/job knows nothing of the control plane, so
+// a benchmark can drive it bare, without an event loop in the
+// measurement.
+func TestDecisionFilesImportNoDataPlane(t *testing.T) {
+	fset, files, imports := nonTestImports(t, ".")
+	seen := 0
+	for name, f := range files {
+		for _, pkg := range []string{"transform", "checkpoint"} {
+			if imports[name]["tenplex/internal/"+pkg] {
+				t.Errorf("%s imports internal/%s", name, pkg)
+			}
+		}
+		if decisionFiles[name] {
+			seen++
+			if imports[name]["tenplex/internal/store"] {
+				t.Errorf("%s imports internal/store", name)
+			}
+		}
+		holdsRuntime := name == "executor.go" || name == "runtime.go"
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == "jobRuntime" {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Runtime" && !holdsRuntime {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "job" {
+					t.Errorf("%s names job.Runtime at %s", name, fset.Position(sel.Pos()))
+				}
+			}
+			if id, ok := n.(*ast.Ident); ok && id.Name == "jobRuntime" && !holdsRuntime {
 				t.Errorf("%s names jobRuntime at %s", name, fset.Position(id.Pos()))
 			}
 			if g, ok := n.(*ast.GoStmt); ok && decisionFiles[name] {
@@ -40,19 +79,20 @@ func TestDecisionFilesImportNoDataPlane(t *testing.T) {
 			}
 			return true
 		})
-		if !decisionFiles[name] {
-			continue
-		}
-		seen++
-		for _, imp := range f.Imports {
-			for _, pkg := range []string{"store", "transform", "checkpoint"} {
-				if imp.Path.Value == `"tenplex/internal/`+pkg+`"` {
-					t.Errorf("%s imports internal/%s", name, pkg)
-				}
-			}
-		}
 	}
 	if seen != len(decisionFiles) {
 		t.Fatalf("found %d of the %d decision files", seen, len(decisionFiles))
+	}
+
+	_, files, imports = nonTestImports(t, "../job")
+	if len(files) == 0 {
+		t.Fatal("no Go files in internal/job")
+	}
+	for name := range files {
+		for _, pkg := range []string{"coordinator", "chaos", "api", "sched", "experiments"} {
+			if imports[name]["tenplex/internal/"+pkg] {
+				t.Errorf("internal/job/%s imports internal/%s", name, pkg)
+			}
+		}
 	}
 }

@@ -6,12 +6,15 @@ package coordinator
 // per-worker State Transformers carry it out (§5). Here the decision
 // plane is the event loop (loop.go, handlers.go, engine.go, account.go)
 // and the data plane is everything behind the executor (executor.go:
-// per-job task chains over jobRuntime). Three rules hold between them,
-// in both modes.
+// per-job task chains). The seam runs decision plane -> executor ->
+// job.Runtime: what a reconfiguration is lives in internal/job, which
+// tenplex.Job and the experiments drive too; runtime.go adds only the
+// coordinator's own (store wrapping, the chaos-armed transactional
+// commit, rebase, audit). Three rules hold between them, in both modes.
 //
 //   - Where a plan runs, and from what. Every first deploy, change and
 //     restore is planned, validated and priced on the loop, by pure
-//     functions of decision-plane state (planChange, planRestore), from
+//     functions of decision-plane state (job.Plan, job.PlanRestore), from
 //     simJob.decided: the PTC the job will hold once the work queued on
 //     its chain has committed — built at first admission, advanced to the
 //     target of every decided change, set to the restore target at a

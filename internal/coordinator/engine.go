@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"tenplex/internal/cluster"
+	"tenplex/internal/job"
 	"tenplex/internal/model"
 	"tenplex/internal/parallel"
 	"tenplex/internal/perfmodel"
@@ -231,10 +233,10 @@ func (s *sim) admitQueued() error {
 				GPUs: n, Config: cfg.String(),
 				Note: fmt.Sprintf("re-admitted from checkpoint, %.1f min remaining", rem)})
 			var err error
-			if p.ch, err = planRestore(j.spec.Model, s.topo, cfg, j.alloc); err != nil {
+			if p.ch, err = job.PlanRestore(j.spec.Model, s.topo, cfg, j.alloc); err != nil {
 				return fmt.Errorf("coordinator: restore plan %s: %w", name, err)
 			}
-			j.decided = p.ch.to
+			j.decided = p.ch.To
 			if err := s.exec.do(command{kind: cmdRestore, job: name, p: p}); err != nil {
 				return err
 			}
@@ -480,17 +482,17 @@ func (s *sim) defragJobs() error {
 		if s.abortPending(j) {
 			continue
 		}
-		ch, err := s.planOnLoop(j, j.cfg, candidate, nil)
+		ch, planNs, err := s.planOnLoop(j, j.cfg, candidate, nil)
 		if err != nil {
 			return err
 		}
 		s.countPlan()
-		if ch.simSec > s.opts.DefragMaxSec {
+		if ch.SimSec > s.opts.DefragMaxSec {
 			continue
 		}
 		note := fmt.Sprintf("defragmented %d -> %d workers", curWorkers,
 			len(cluster.Allocation(candidate).Workers(s.topo)))
-		if err := s.applyPlanned(j, ch, EvRedeploy, note); err != nil {
+		if err := s.applyPlanned(j, ch, planNs, EvRedeploy, note); err != nil {
 			return err
 		}
 	}
@@ -526,11 +528,11 @@ func (s *sim) pickCompact(job string, n int) ([]cluster.DeviceID, bool) {
 func (s *sim) applyChange(j *simJob, cfg parallel.Config, alloc cluster.Allocation,
 	failed []cluster.DeviceID, kind, note string) error {
 	s.countPlan()
-	ch, err := s.planOnLoop(j, cfg, alloc, failed)
+	ch, planNs, err := s.planOnLoop(j, cfg, alloc, failed)
 	if err != nil {
 		return err
 	}
-	return s.applyPlanned(j, ch, kind, note)
+	return s.applyPlanned(j, ch, planNs, kind, note)
 }
 
 func (s *sim) countPlan() {
@@ -538,27 +540,28 @@ func (s *sim) countPlan() {
 	s.reg.Add("coord.plans", 1)
 }
 
-// planOnLoop plans and prices a change of j from its decided PTC.
-// Nothing it reads belongs to the job's chain, so no decision waits for
-// one.
+// planOnLoop plans and prices a change of j from its decided PTC, and
+// says what wall-clock time that took, for trace attribution. Nothing it
+// reads belongs to the job's chain, so no decision waits for one.
 func (s *sim) planOnLoop(j *simJob, cfg parallel.Config, alloc cluster.Allocation,
-	failed []cluster.DeviceID) (*change, error) {
-	ch, err := planChange(j.spec.Model, s.topo, j.decided, cfg, alloc, failed)
+	failed []cluster.DeviceID) (*job.Change, int64, error) {
+	start := time.Now()
+	ch, err := job.Plan(j.spec.Model, s.topo, j.decided, cfg, alloc, failed)
 	if err != nil {
-		return nil, fmt.Errorf("coordinator: plan %s: %w", j.spec.Name, err)
+		return nil, 0, fmt.Errorf("coordinator: plan %s: %w", j.spec.Name, err)
 	}
-	return ch, nil
+	return ch, time.Since(start).Nanoseconds(), nil
 }
 
 // applyPlanned commits a priced change: it books the decision, advances
 // the decided PTC to the change's target and queues the commit.
-func (s *sim) applyPlanned(j *simJob, ch *change, kind, note string) error {
-	p, err := s.decideChange(j, ch.cfg, ch.alloc, kind, note)
+func (s *sim) applyPlanned(j *simJob, ch *job.Change, planNs int64, kind, note string) error {
+	p, err := s.decideChange(j, ch.Config, ch.Alloc, kind, note)
 	if err != nil {
 		return err
 	}
-	p.ch = ch
-	j.decided = ch.to
+	p.ch, p.planNs = ch, planNs
+	j.decided = ch.To
 	return s.exec.do(command{kind: cmdCommit, job: j.spec.Name, p: p})
 }
 

@@ -2,12 +2,14 @@ package coordinator
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"time"
 
 	"tenplex/internal/chaos"
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
+	"tenplex/internal/job"
 	"tenplex/internal/model"
 	"tenplex/internal/obs"
 	"tenplex/internal/parallel"
@@ -110,7 +112,7 @@ func (x *dataPlane) do(c command) error {
 	case cmdDeploy:
 		// A runtime exists from the first placement on: queued and rejected
 		// jobs cost no stores.
-		rt = &jobRuntime{name: c.job, model: c.model, topo: x.topo, metrics: x.reg}
+		rt = &jobRuntime{Runtime: job.Runtime{Name: c.job, Model: c.model, Topo: x.topo, Metrics: x.reg}}
 		x.jobs[c.job] = rt
 	case cmdVerify, cmdRelease:
 		delete(x.jobs, c.job) // the task below is the last to hold it
@@ -123,33 +125,38 @@ func (x *dataPlane) do(c command) error {
 	}
 	task := func() error {
 		if x.tr.Enabled() {
-			rt.obsScope.Set(obs.TaskCtx{T: x.tr, Parent: c.span, Job: c.job, TMin: c.tMin})
+			rt.Obs.Set(obs.TaskCtx{T: x.tr, Parent: c.span, Job: c.job, TMin: c.tMin})
 		}
 		out := &outcome{kind: c.kind, job: c.job, p: c.p}
 		start := time.Now()
 		switch c.kind {
 		case cmdDeploy:
 			rt.openStores(x.opts.Stores, x.inj, x.tr.Deep())
-			rt.init = initStateOn(runtime.GOMAXPROCS(0), c.model, c.seed)
+			rt.init = job.InitState(runtime.GOMAXPROCS(0), c.model, c.seed)
 			start = time.Now()
-			out.err = rt.deploy(c.ptc, c.cfg, c.alloc)
+			if out.err = rt.Deploy(c.ptc, c.cfg, c.alloc, rt.init); out.err == nil {
+				out.err = rt.Baseline(rt.init)
+			}
 			x.traceTask(c, obs.SpanDeploy, start, out.err)
 		case cmdRestore:
-			out.commitOutcome = commitOutcome{attempts: 1, err: rt.commitRestore(c.p.ch)}
-			out.ptc = rt.ptc
+			// Disarmed, so re-admitting a degraded job always lands; the new
+			// layout is checkpointed so the next failure recovers against it.
+			if out.err = rt.Restore(c.p.ch); out.err == nil {
+				out.err = rt.Checkpoint()
+			}
+			out.attempts = 1
 		case cmdCommit:
 			// The chaos attempt key derives from the change's reserved
 			// sequence number, decision-plane state that is identical at any
 			// worker count. An aborted outcome is not a chain error: graceful
 			// degradation happens on the event loop.
 			out.commitOutcome = rt.commitRetry(c.p.ch, x.inj, x.opts.Recovery, uint64(c.p.seq)<<8)
-			out.ptc = rt.ptc
 		case cmdVerify:
 			// The end-to-end correctness oracle, then the terminal audit of
 			// a completed job — here because the release takes away what
 			// settle's audit would look at. Nothing calls a verify off yet:
 			// the context is here for the day jobs carry one.
-			if out.err = rt.verifyState(context.TODO()); out.err == nil {
+			if out.err = rt.Verify(context.TODO(), rt.init); out.err == nil {
 				out.err = rt.audit(c.alloc)
 			}
 			rt.release()
@@ -157,6 +164,12 @@ func (x *dataPlane) do(c command) error {
 		case cmdRelease:
 			rt.release()
 			return nil
+		}
+		if c.p != nil {
+			out.ptc, out.applyNs = rt.PTC, time.Since(start).Nanoseconds()
+		}
+		if out.err != nil {
+			out.err = fmt.Errorf("coordinator: job %s: %w", c.job, out.err)
 		}
 		x.post(out)
 		if out.aborted {
@@ -204,8 +217,11 @@ func (x *dataPlane) joinJob(job string) error {
 
 func (x *dataPlane) audit(job string, decided cluster.Allocation) error {
 	rt := x.jobs[job]
-	if rt == nil || rt.ptc == nil {
+	if rt == nil || rt.PTC == nil {
 		return nil // never deployed, or released
 	}
-	return rt.audit(decided)
+	if err := rt.audit(decided); err != nil {
+		return fmt.Errorf("coordinator: job %s: %w", job, err)
+	}
+	return nil
 }

@@ -63,10 +63,10 @@ func (f *fakeExec) finish(job string, abort bool) {
 	case cmdDeploy:
 		f.held[job] = &fakeRuntime{alloc: c.alloc, ptc: c.ptc}
 	case cmdRestore:
-		f.held[job] = &fakeRuntime{alloc: c.p.ch.alloc, ptc: c.p.ch.to}
-		out.commitOutcome = commitOutcome{attempts: 1, ptc: c.p.ch.to}
+		f.held[job] = &fakeRuntime{alloc: c.p.ch.Alloc, ptc: c.p.ch.To}
+		out.commitOutcome = commitOutcome{attempts: 1, ptc: c.p.ch.To}
 	case cmdCommit:
-		if c.p.ch.from != rt.ptc {
+		if c.p.ch.From != rt.ptc {
 			f.replans++ // jobRuntime.rebase
 		}
 		if abort {
@@ -74,7 +74,7 @@ func (f *fakeExec) finish(job string, abort bool) {
 				err: errors.New("injected"), ptc: rt.ptc}
 			break
 		}
-		rt.alloc, rt.ptc = c.p.ch.alloc, c.p.ch.to
+		rt.alloc, rt.ptc = c.p.ch.Alloc, c.p.ch.To
 		out.commitOutcome = commitOutcome{attempts: 1, ptc: rt.ptc}
 	case cmdVerify:
 		out.err = f.audit(job, c.alloc)

@@ -9,6 +9,7 @@ import (
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
+	"tenplex/internal/job"
 	"tenplex/internal/model"
 	"tenplex/internal/obs"
 	"tenplex/internal/parallel"
@@ -195,7 +196,9 @@ type pendingChange struct {
 	seq   int // reserved event sequence number for the completion push
 	ver   int
 	tlIdx int // timeline placeholder index
-	ch    *change
+	ch    *job.Change
+	// planNs is the wall-clock cost of planning ch, for trace attribution.
+	planNs int64
 	// spanID/tMin are the change's trace root, allocated at decision
 	// time so the span sequence is pure decision-plane state.
 	spanID uint64

@@ -210,32 +210,6 @@ func TestWallClockOverlapBeatsSerial(t *testing.T) {
 	}
 }
 
-// TestInitStateParallelMatchesSerial: a job's golden tensors are the
-// same bit for bit on one goroutine and on many (every tensor is filled
-// from its own seed), including more workers than tensors; with
-// optimizer states, so float32 and the companions' dtype both appear.
-func TestInitStateParallelMatchesSerial(t *testing.T) {
-	for _, m := range []*model.Model{tinyGPT(), tinyMoE(), model.GPTCustom(2, 16, 2, 32, 8)} {
-		for _, seed := range []int64{0, 7, -1} {
-			serial := initStateOn(1, m, seed)
-			if len(serial) != len(m.StateParams()) {
-				t.Fatalf("%s: %d tensors for %d state parameters", m.Name, len(serial), len(m.StateParams()))
-			}
-			for _, workers := range []int{2, 8, 1000} {
-				par := initStateOn(workers, m, seed)
-				if len(par) != len(serial) {
-					t.Fatalf("%s seed %d: %d tensors on %d workers, %d on one", m.Name, seed, len(par), workers, len(serial))
-				}
-				for id, want := range serial {
-					if got := par[id]; got == nil || !got.Equal(want) {
-						t.Fatalf("%s seed %d, %d workers: tensor %s differs from the serial fill", m.Name, seed, workers, id)
-					}
-				}
-			}
-		}
-	}
-}
-
 // abortFirstChange makes one job's first reconfiguration abort, and not
 // before the decision plane has counted after plans (2: a second change
 // has been decided on top of it): every upload into the job's staging

@@ -61,12 +61,12 @@ func BenchmarkGeneratePlanScenarios(b *testing.B) {
 }
 
 // BenchmarkPlanChange128 measures what the coordinator pays to price one
-// candidate change at 128 devices: not GeneratePlan alone but the whole
-// sequence of jobRuntime.planChange — BuildPTC, AlignDevices,
-// GeneratePlan, Validate, Stats, netsim.Simulate — against a deployed
+// candidate change at 128 devices: not GeneratePlan alone but the
+// functions it runs, BuildPTC then job.PlanTo and Price (AlignDevices,
+// GeneratePlan, Validate, Stats, netsim.Simulate), against a deployed
 // source whose index is already compiled, as it is from the second
-// candidate on. tenplex-bench's planner record files the same sequence
-// as plan_change_ns_per_op.
+// candidate on. tenplex-bench's planner record files the same call as
+// plan_change_ns_per_op.
 func BenchmarkPlanChange128(b *testing.B) {
 	for _, sc := range experiments.PlannerScenarios() {
 		if sc.Devices != 128 {

@@ -5,6 +5,7 @@ import (
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
+	"tenplex/internal/job"
 	"tenplex/internal/parallel"
 )
 
@@ -82,14 +83,13 @@ func AblationRangeQueries() (AblationRow, error) {
 	m := gptWithOpt("1.3B")
 	from := buildPTC(m, parallel.Config{TP: 4, PP: 2, DP: 1}, topo.FirstN(8))
 	to := buildPTC(m, parallel.Config{TP: 8, PP: 2, DP: 1}, topo.FirstN(16))
-	to = core.AlignDevices(from, to)
-	plan, err := core.GeneratePlan(from, to, core.PlanOptions{Topo: topo})
+	ch, err := job.PlanTo(topo, from, to, nil)
 	if err != nil {
 		return AblationRow{}, err
 	}
 	var ranged, whole int64
-	for _, a := range plan.Assignments {
-		meta := plan.To.Tensors[a.Tensor]
+	for _, a := range ch.Plan.Assignments {
+		meta := ch.To.Tensors[a.Tensor]
 		for _, f := range a.Fetch {
 			if f.Src.Kind != core.FromDevice || f.Src.Device == a.Device {
 				continue

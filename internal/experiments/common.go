@@ -18,6 +18,7 @@ import (
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
+	"tenplex/internal/job"
 	"tenplex/internal/model"
 	"tenplex/internal/netsim"
 	"tenplex/internal/parallel"
@@ -75,18 +76,17 @@ func buildPTC(m *model.Model, cfg parallel.Config, alloc cluster.Allocation) *co
 	return ptc
 }
 
-// reconfigSeconds runs the real planner between two PTCs and simulates
-// the resulting transfers on the topology — Tenplex's distributed,
-// locality-aware reconfiguration path (with the allocation aligned to
-// the old placement so devices keep resident state).
-func reconfigSeconds(topo *cluster.Topology, from, to *core.PTC, storageOK bool) (float64, core.Stats) {
-	to = core.AlignDevices(from, to)
-	plan, err := core.GeneratePlan(from, to, core.PlanOptions{Topo: topo, StorageFallback: storageOK})
+// reconfigSeconds runs the real planner between two PTCs, from less the
+// failed devices, and simulates the resulting transfers on the topology
+// — Tenplex's distributed, locality-aware reconfiguration path, as the
+// coordinator plans and prices it.
+func reconfigSeconds(topo *cluster.Topology, from, to *core.PTC, failed []cluster.DeviceID) (float64, core.Stats) {
+	ch, err := job.PlanTo(topo, from, to, failed)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: plan: %v", err))
 	}
-	res := netsim.Simulate(topo, plan.Flows(topo))
-	return res.Seconds, plan.Stats(topo)
+	ch.Price(topo)
+	return ch.SimSec, ch.Stats
 }
 
 // centralReconfigSeconds models the Tenplex-Central baseline (the

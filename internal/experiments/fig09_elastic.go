@@ -117,7 +117,7 @@ func Fig9ElasticConvergence(seed int64) ([]Fig9Row, Table) {
 	}
 
 	planReconfig := func(from, to *core.PTC) float64 {
-		sec, _ := reconfigSeconds(topo, from, to, false)
+		sec, _ := reconfigSeconds(topo, from, to, nil)
 		return sec
 	}
 	storageReconfig := func(from, to *core.PTC) float64 {

@@ -41,7 +41,7 @@ func Fig10Redeployment() ([]Fig10Row, Table) {
 		m := gptWithOpt(size)
 		from := buildPTC(m, cfg, fromAlloc)
 		to := buildPTC(m, cfg, toAlloc)
-		tenplex, _ := reconfigSeconds(topo, from, to, false)
+		tenplex, _ := reconfigSeconds(topo, from, to, nil)
 		central := centralReconfigSeconds(topo, from, to, fromAlloc[0])
 		r := Fig10Row{
 			ModelSize:   size,

@@ -73,7 +73,7 @@ func Fig11FailureRecovery() ([]Fig11Row, Table) {
 
 		var tenplex float64
 		if replica {
-			sec, st := reconfigSeconds(topo, degraded, to, true)
+			sec, st := reconfigSeconds(topo, from, to, dead)
 			if st.StorageBytes != 0 {
 				panic("experiments: replica recovery read storage")
 			}

@@ -61,14 +61,14 @@ func Fig12ReconfigOverhead() ([]Fig12Row, Table) {
 
 	var rows []Fig12Row
 	// Scale out: 8 -> 16.
-	tenplexOut, _ := reconfigSeconds(topo, ptc8, ptc16, false)
+	tenplexOut, _ := reconfigSeconds(topo, ptc8, ptc16, nil)
 	tenplexOut += tenplexRestartSec
 	dsOut := deepSpeedDetectSecOut + fullStateViaStorageSeconds(topo, ptc8, ptc16)
 	sgOut := singularityCheckpointSec + fullGPUStateSeconds(topo, ptc8, ptc16, singularityGPUStateFactor)
 	rows = append(rows, Fig12Row{Direction: "8 to 16", TenplexSec: tenplexOut, DeepSpeed: dsOut, Singularity: sgOut})
 
 	// Scale in: 16 -> 8.
-	tenplexIn, _ := reconfigSeconds(topo, ptc16, ptc8, false)
+	tenplexIn, _ := reconfigSeconds(topo, ptc16, ptc8, nil)
 	tenplexIn += tenplexRestartSec
 	dsIn := deepSpeedDetectSecIn + fullStateViaStorageSeconds(topo, ptc16, ptc8)
 	sgIn := singularityCheckpointSec + fullGPUStateSeconds(topo, ptc16, ptc8, singularityGPUStateFactor)

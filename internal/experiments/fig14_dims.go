@@ -54,7 +54,7 @@ func Fig14ParallelizationType() ([]Fig14Row, Table) {
 			m := gptWithOpt(size)
 			from := buildPTC(m, base, topo.FirstN(base.WorldSize()))
 			to := buildPTC(m, tgt.cfg, topo.FirstN(tgt.cfg.WorldSize()))
-			tenplex, _ := reconfigSeconds(topo, from, to, false)
+			tenplex, _ := reconfigSeconds(topo, from, to, nil)
 			central := centralReconfigSeconds(topo, from, to, 0)
 			rows = append(rows, Fig14Row{
 				Dim: tgt.dim, ModelSize: size,

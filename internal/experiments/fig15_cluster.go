@@ -61,7 +61,7 @@ func Fig15ClusterSize() ([]Fig15Row, Table) {
 		for _, n := range []int{4, 8, 16} {
 			from := buildPTC(m, cfgFor(dim, n), topo.FirstN(n))
 			to := buildPTC(m, cfgFor(dim, 2*n), topo.FirstN(2*n))
-			sec, st := reconfigSeconds(topo, from, to, false)
+			sec, st := reconfigSeconds(topo, from, to, nil)
 			tr := fmt.Sprintf("%d to %d", n, 2*n)
 			moved := float64(st.MovedBytes) / 1e9
 			rows = append(rows, Fig15Row{Dim: dim, Transition: tr, TenplexSec: sec, MovedGB: moved})

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
+	"tenplex/internal/job"
 	"tenplex/internal/parallel"
 	"tenplex/internal/store"
 	"tenplex/internal/tensor"
@@ -120,35 +122,32 @@ func fig16Pipeline() Fig16Series {
 }
 
 // roundTripState pushes the trainer's full state into per-device Tensor
-// Stores under fromCfg, runs the real plan + State Transformer to
-// toCfg, and reads the state back — the exact path a reconfigured job
-// takes between training phases.
+// Stores under fromCfg, reconfigures to toCfg through a job.Runtime —
+// plan, State Transformer and all — and reads the state back: the exact
+// path a reconfigured job takes between training phases.
 func roundTripState(tr *train.Trainer, fromCfg, toCfg parallel.Config) {
 	cat := train.MLPCatalog(tr.Task.In, fig16Hidden, tr.Task.Classes)
 	topo := cluster.OnPrem16()
-	stores := map[cluster.DeviceID]store.Access{}
+	rt := &job.Runtime{Name: "fig16", Model: cat, Topo: topo, Stores: map[cluster.DeviceID]store.Access{}}
 	for _, d := range topo.Devices {
-		stores[d.ID] = store.Local{FS: store.NewMemFS()}
+		rt.Stores[d.ID] = store.Local{FS: store.NewMemFS()}
 	}
 	full := map[core.TensorID]*tensor.Tensor{}
 	for name, t := range tr.State {
 		full[core.TensorID(name)] = t
 	}
-	from := buildPTC(cat, fromCfg, topo.FirstN(fromCfg.WorldSize()))
-	to := buildPTC(cat, toCfg, topo.FirstN(toCfg.WorldSize()))
-	const job = "fig16"
-	if err := transform.LoadPTC(job, from, stores, full); err != nil {
+	alloc := topo.FirstN(fromCfg.WorldSize())
+	if err := rt.Deploy(buildPTC(cat, fromCfg, alloc), fromCfg, alloc, full); err != nil {
 		panic(err)
 	}
-	plan, err := core.GeneratePlan(from, to, core.PlanOptions{Topo: topo})
+	ch, err := job.Plan(cat, topo, rt.PTC, toCfg, topo.FirstN(toCfg.WorldSize()), nil)
 	if err != nil {
 		panic(err)
 	}
-	trx := &transform.Transformer{Job: job, Stores: stores}
-	if _, err := trx.Apply(plan); err != nil {
+	if _, err := rt.Apply(context.TODO(), ch); err != nil {
 		panic(err)
 	}
-	back, err := transform.ReadPTC(job, to, stores)
+	back, err := rt.State(context.TODO())
 	if err != nil {
 		panic(err)
 	}

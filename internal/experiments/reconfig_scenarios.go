@@ -5,8 +5,8 @@ import (
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
+	"tenplex/internal/job"
 	"tenplex/internal/model"
-	"tenplex/internal/netsim"
 	"tenplex/internal/parallel"
 )
 
@@ -23,29 +23,26 @@ type PlannerScenario struct {
 	Topo     *cluster.Topology
 	From, To *core.PTC
 	Opts     core.PlanOptions
-	// Source and Target produce From and To anew, the way the coordinator
-	// gets them for every change it prices: Source is the deployed PTC,
-	// degraded afresh when the scenario has failed devices, and Target
-	// runs the parallelizer. PlanChange times the sequence from there.
-	Source, Target func() *core.PTC
+	// Deployed, Failed and Target are what the coordinator has in hand for
+	// every change it prices: the deployed PTC, the devices that failed
+	// under it (From is Deployed without them), and the parallelizer run
+	// that produces To anew. PlanChange times the sequence from there.
+	Deployed *core.PTC
+	Failed   []cluster.DeviceID
+	Target   func() *core.PTC
 }
 
-// PlanChange plans the scenario as the coordinator's jobRuntime.planChange
-// plans one change — source, BuildPTC, AlignDevices, GeneratePlan,
-// Validate, Stats, netsim.Simulate — which is what a scheduling decision
-// pays per candidate; GeneratePlan alone is a fraction of it. It exists
-// to be timed: the stats and the price are computed and dropped.
+// PlanChange plans and prices the scenario through the functions
+// tenplex-coordd runs per candidate change — the parallelizer, then
+// job.PlanTo (degrade, AlignDevices, GeneratePlan, Validate) and Price
+// (Stats, netsim.Simulate) — which is what a scheduling decision pays;
+// GeneratePlan alone is a fraction of it. The priced change is dropped.
 func (sc PlannerScenario) PlanChange() error {
-	from := sc.Source()
-	plan, err := core.GeneratePlan(from, core.AlignDevices(from, sc.Target()), sc.Opts)
+	ch, err := job.PlanTo(sc.Topo, sc.Deployed, sc.Target(), sc.Failed)
 	if err != nil {
 		return err
 	}
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	_ = plan.Stats(sc.Topo)
-	_ = netsim.Simulate(sc.Topo, plan.Flows(sc.Topo))
+	ch.Price(sc.Topo)
 	return nil
 }
 
@@ -77,14 +74,14 @@ func PlannerScenarios() []PlannerScenario {
 		cfg parallel.Config, alloc cluster.Allocation) {
 		sc := PlannerScenario{
 			Name: name, Devices: len(topo.Devices), Topo: topo,
-			Opts:   core.PlanOptions{Topo: topo, StorageFallback: len(failed) > 0},
-			Source: func() *core.PTC { return deployed },
+			Opts:     core.PlanOptions{Topo: topo, StorageFallback: len(failed) > 0},
+			Deployed: deployed, Failed: failed,
 			Target: func() *core.PTC { return buildPTC(gpt, cfg, alloc) },
 		}
+		sc.From, sc.To = deployed, sc.Target()
 		if len(failed) > 0 {
-			sc.Source = func() *core.PTC { return deployed.WithoutDevices(failed...) }
+			sc.From = deployed.WithoutDevices(failed...)
 		}
-		sc.From, sc.To = sc.Source(), sc.Target()
 		out = append(out, sc)
 	}
 	span := func(lo, n int) cluster.Allocation {
@@ -134,7 +131,7 @@ func PlannerScenarios() []PlannerScenario {
 	out = append(out, PlannerScenario{
 		Name: "moe-expert-64", Devices: 64, Topo: c64,
 		From: moeFrom, To: moeTo(), Opts: core.PlanOptions{Topo: c64},
-		Source: func() *core.PTC { return moeFrom }, Target: moeTo,
+		Deployed: moeFrom, Target: moeTo,
 	})
 
 	return out

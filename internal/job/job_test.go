@@ -1,0 +1,222 @@
+package job
+
+import (
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"tenplex/internal/cluster"
+	"tenplex/internal/model"
+	"tenplex/internal/parallel"
+	"tenplex/internal/store"
+	"tenplex/internal/tensor"
+	"tenplex/internal/transform"
+)
+
+func tinyGPT() *model.Model { return model.GPTCustom(4, 16, 2, 32, 8) }
+
+// tree is everything one store holds under dir: path -> tensor, found by
+// List and read by Query, so two store kinds are compared through the
+// interface a job sees.
+func tree(t *testing.T, acc store.Access, dir string, out map[string]*tensor.Tensor) {
+	t.Helper()
+	names, err := acc.List(dir)
+	if err != nil {
+		return // no such directory: this store holds nothing of the job
+	}
+	for _, name := range names {
+		path := dir + "/" + strings.TrimSuffix(name, "/")
+		if strings.HasSuffix(name, "/") {
+			tree(t, acc, path, out)
+			continue
+		}
+		ten, err := acc.Query(path, nil)
+		if err != nil {
+			t.Fatalf("query %s: %v", path, err)
+		}
+		out[path] = ten
+	}
+}
+
+// lifecycle drives one Runtime through every phase over the given
+// stores and returns, per phase, every device's tree.
+func lifecycle(t *testing.T, topo *cluster.Topology, stores map[cluster.DeviceID]store.Access) []map[string]*tensor.Tensor {
+	t.Helper()
+	ctx := context.Background()
+	m := tinyGPT()
+	rt := &Runtime{Name: "life", Model: m, Topo: topo, Stores: stores, Storage: store.Local{FS: store.NewMemFS()}}
+	golden := InitState(2, m, 7)
+
+	var snaps []map[string]*tensor.Tensor
+	check := func(phase string, cfg parallel.Config, alloc cluster.Allocation) {
+		t.Helper()
+		if err := rt.Verify(ctx, golden); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		if rt.Config != cfg || fmt.Sprint(rt.Alloc) != fmt.Sprint(alloc) {
+			t.Fatalf("%s: runtime on %v %v, want %v %v", phase, rt.Config, rt.Alloc, cfg, alloc)
+		}
+		snap := map[string]*tensor.Tensor{}
+		for d, acc := range stores {
+			sub := map[string]*tensor.Tensor{}
+			tree(t, acc, "/job", sub)
+			for p, ten := range sub {
+				snap[fmt.Sprintf("dev%d%s", d, p)] = ten
+			}
+		}
+		snaps = append(snaps, snap)
+	}
+	change := func(phase string, cfg parallel.Config, alloc cluster.Allocation, failed []cluster.DeviceID) *Change {
+		t.Helper()
+		ch, err := Plan(m, topo, rt.PTC, cfg, alloc, failed)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", phase, err)
+		}
+		if _, err := rt.Apply(ctx, ch); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		if err := rt.Checkpoint(); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		check(phase, cfg, alloc)
+		return ch
+	}
+
+	// Deploy and baseline. The caller's slice stays the caller's.
+	cfg, alloc := parallel.Config{TP: 2, PP: 1, DP: 1}, cluster.Allocation{0, 1}
+	ptc, err := parallel.BuildPTC(m, cfg, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := append(cluster.Allocation(nil), alloc...)
+	if err := rt.Deploy(ptc, cfg, mine, golden); err != nil {
+		t.Fatal(err)
+	}
+	mine[0] = 15
+	if err := rt.Baseline(golden); err != nil {
+		t.Fatal(err)
+	}
+	check("deploy", cfg, alloc)
+
+	// Two ordinary changes: pipeline split onto four devices, then a
+	// second replica.
+	change("scale-out", parallel.Config{TP: 2, PP: 2, DP: 1}, cluster.Allocation{0, 1, 2, 3}, nil)
+	dp2 := parallel.Config{TP: 2, PP: 1, DP: 2}
+	change("replicate", dp2, cluster.Allocation{0, 1, 2, 3}, nil)
+
+	// Fail-stop: both holders of TP rank 0 die and take their stores'
+	// content with them. Rank 1 survives on a device, rank 0 only in the
+	// checkpoint.
+	failed := []cluster.DeviceID{0, 2}
+	for _, d := range failed {
+		if err := stores[d].Delete(transform.ModelRoot(rt.Name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := change("failstop", dp2, cluster.Allocation{1, 3, 4, 5}, failed)
+	if rec.Stats.StorageBytes == 0 || rec.Stats.StorageBytes >= rec.Stats.MovedBytes {
+		t.Fatalf("failstop: %d of %d moved bytes from the checkpoint, want some and not all",
+			rec.Stats.StorageBytes, rec.Stats.MovedBytes)
+	}
+
+	// A change whose source has vanished fails, leaves the placement where
+	// it was, and is undone by Rollback.
+	before := rt.PTC
+	ch, err := Plan(m, topo, rt.PTC, dp2, cluster.Allocation{8, 9, 10, 11}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stores[1].Delete(transform.ModelRoot(rt.Name)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Apply(ctx, ch); err == nil {
+		t.Fatal("apply from a wiped source succeeded")
+	}
+	if rt.PTC != before {
+		t.Fatal("a failed apply advanced the placement")
+	}
+	if err := rt.Verify(ctx, golden); err == nil {
+		t.Fatal("state verified with a device's tensors gone")
+	}
+	if err := rt.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	check("rollback", dp2, cluster.Allocation{1, 3, 4, 5})
+
+	// Restore from the checkpoint onto devices that held nothing.
+	cfg, alloc = parallel.Config{TP: 1, PP: 2, DP: 2}, cluster.Allocation{12, 13, 14, 15}
+	re, err := PlanRestore(m, topo, cfg, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Restore(re); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("restore", cfg, alloc)
+	if rt.Step != 4 {
+		t.Fatalf("checkpoint step %d after four checkpoints", rt.Step)
+	}
+
+	rt.Release()
+	if rt.Model != nil || rt.PTC != nil || rt.Stores != nil || rt.Storage != nil {
+		t.Fatal("release left state behind")
+	}
+	return snaps
+}
+
+// TestLifecycleLocalAndWire: every phase of a job's life, over
+// in-process stores and over tenplex-store servers on loopback, ends
+// bit-identical to the initial state, and the two store kinds hold the
+// same trees after every phase.
+func TestLifecycleLocalAndWire(t *testing.T) {
+	topo := cluster.OnPrem16()
+	local, wire := map[cluster.DeviceID]store.Access{}, map[cluster.DeviceID]store.Access{}
+	for _, d := range topo.Devices {
+		local[d.ID] = store.Local{FS: store.NewMemFS()}
+		hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
+		t.Cleanup(hs.Close)
+		wire[d.ID] = &store.Client{Base: hs.URL, HTTP: hs.Client()}
+	}
+	a, b := lifecycle(t, topo, local), lifecycle(t, topo, wire)
+	for i := range a {
+		if len(a[i]) == 0 || len(a[i]) != len(b[i]) {
+			t.Fatalf("phase %d: %d tensors on local stores, %d on wire stores", i, len(a[i]), len(b[i]))
+		}
+		for path, want := range a[i] {
+			if got := b[i][path]; got == nil || !got.Equal(want) {
+				t.Fatalf("phase %d: %s differs between local and wire stores", i, path)
+			}
+		}
+	}
+}
+
+// TestInitStateParallelMatchesSerial: a job's golden tensors are the
+// same bit for bit on one goroutine and on many (every tensor is filled
+// from its own seed), including more workers than tensors; with
+// optimizer states, so float32 and the companions' dtype both appear.
+func TestInitStateParallelMatchesSerial(t *testing.T) {
+	for _, m := range []*model.Model{tinyGPT(), model.MoECustom(3, 16, 4), model.GPTCustom(2, 16, 2, 32, 8)} {
+		for _, seed := range []int64{0, 7, -1} {
+			serial := InitState(1, m, seed)
+			if len(serial) != len(m.StateParams()) {
+				t.Fatalf("%s: %d tensors for %d state parameters", m.Name, len(serial), len(m.StateParams()))
+			}
+			for _, workers := range []int{2, 8, 1000} {
+				par := InitState(workers, m, seed)
+				if len(par) != len(serial) {
+					t.Fatalf("%s seed %d: %d tensors on %d workers, %d on one", m.Name, seed, len(par), workers, len(serial))
+				}
+				for id, want := range serial {
+					if got := par[id]; got == nil || !got.Equal(want) {
+						t.Fatalf("%s seed %d, %d workers: tensor %s differs from the serial fill", m.Name, seed, workers, id)
+					}
+				}
+			}
+		}
+	}
+}

@@ -230,9 +230,15 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		s.bytesOut.Add(int64(len(data)))
 		_, _ = w.Write(data)
 	case http.MethodPost:
-		data, err := io.ReadAll(r.Body)
+		// Announced over the cap is refused unread; chunked is cut off at it.
+		if r.ContentLength > maxTensorBytes {
+			httpError(w, http.StatusRequestEntityTooLarge, "blob request exceeds %d bytes", int64(maxTensorBytes))
+			return
+		}
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTensorBytes))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
+			re := decodeFailure("blob", err)
+			httpError(w, re.code, "%s", re.msg)
 			return
 		}
 		if err := s.FS.PutBlob(path, data); err != nil {

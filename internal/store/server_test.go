@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -80,6 +82,41 @@ func TestClientBlobAndStat(t *testing.T) {
 	ts, err := c.Stat("/t")
 	if err != nil || ts.Blob || ts.DType != "float64" || len(ts.Shape) != 2 {
 		t.Fatalf("stat tensor = %+v, %v", ts, err)
+	}
+}
+
+// A blob's announced length is not trusted with memory: over the cap it
+// is refused before a byte is read, and nothing is stored.
+func TestBlobRefusesBodyOverTheCap(t *testing.T) {
+	srv := NewServer(NewMemFS())
+	req := httptest.NewRequest(http.MethodPost, "/blob?path=/meta", strings.NewReader(`{"a":1}`))
+	req.ContentLength = maxTensorBytes + 1
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if want := fmt.Sprint(int64(maxTensorBytes)); rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("announced over the cap: status %d (%s), want 413 naming %s", rec.Code, strings.TrimSpace(rec.Body.String()), want)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/blob?path=/meta", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET of the refused blob: status %d, want 404", rec.Code)
+	}
+	storedNothing(t, srv.FS, "refused blob")
+	if n := srv.BytesReceived(); n != 0 {
+		t.Errorf("refused blob counted %d bytes received", n)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/blob?path=/meta", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE: status %d, want 405", rec.Code)
+	}
+	// A body of unknown length goes through the same cap, and under it is
+	// stored as before.
+	req = httptest.NewRequest(http.MethodPost, "/blob?path=/meta", struct{ io.Reader }{strings.NewReader(`{"a":1}`)})
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if data, err := srv.FS.GetBlob("/meta"); rec.Code != http.StatusNoContent || err != nil || string(data) != `{"a":1}` {
+		t.Errorf("chunked blob under the cap: status %d, stored %q (err %v)", rec.Code, data, err)
 	}
 }
 

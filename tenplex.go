@@ -16,24 +16,26 @@
 // Beyond the single-job API, Cluster exposes the multi-job control
 // plane (internal/coordinator): a device ledger, admission queue and
 // arbitration policy that reallocate one shared topology among many
-// competing elastic jobs, reconfiguring each through the same planner
-// and transformer path.
+// competing elastic jobs, reconfiguring each through the same
+// job.Runtime.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every reproduced table and figure.
+// See internal/job's package comment for the per-job stack both drive,
+// internal/coordinator/doc.go for the control plane's design, and
+// EXPERIMENTS.md for the paper-vs-measured record of every reproduced
+// table and figure.
 package tenplex
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"tenplex/internal/checkpoint"
 	"tenplex/internal/cluster"
 	"tenplex/internal/coordinator"
 	"tenplex/internal/core"
 	"tenplex/internal/dataset"
+	"tenplex/internal/job"
 	"tenplex/internal/model"
-	"tenplex/internal/netsim"
 	"tenplex/internal/parallel"
 	"tenplex/internal/perfmodel"
 	"tenplex/internal/sched"
@@ -71,17 +73,12 @@ type ReconfigReport struct {
 	Splits, Merges, Fetches int
 }
 
-// Job is a managed training job. It is not safe for concurrent use; the
-// scheduler serializes resource changes.
+// Job is a managed training job, the parallelizer's policy over one
+// job.Runtime. It is not safe for concurrent use; the scheduler
+// serializes resource changes.
 type Job struct {
 	cfg    JobConfig
-	stores map[cluster.DeviceID]store.Access
-	// storage is the remote blob store holding checkpoints.
-	storage store.Local
-
-	alloc  cluster.Allocation
-	par    parallel.Config
-	ptc    *core.PTC
+	rt     *job.Runtime
 	cursor dataset.Cursor
 	step   int
 }
@@ -96,29 +93,30 @@ func NewJob(cfg JobConfig) (*Job, error) {
 		cfg.Perf = perfmodel.DefaultParams()
 	}
 	j := &Job{
-		cfg:     cfg,
-		stores:  map[cluster.DeviceID]store.Access{},
-		storage: store.Local{FS: store.NewMemFS()},
-		cursor:  dataset.Cursor{Seed: cfg.Seed},
+		cfg: cfg,
+		rt: &job.Runtime{Name: cfg.Name, Model: cfg.Model, Topo: cfg.Topology,
+			Stores:  map[cluster.DeviceID]store.Access{},
+			Storage: store.Local{FS: store.NewMemFS()}},
+		cursor: dataset.Cursor{Seed: cfg.Seed},
 	}
 	for _, d := range cfg.Topology.Devices {
-		j.stores[d.ID] = store.Local{FS: store.NewMemFS()}
+		j.rt.Stores[d.ID] = store.Local{FS: store.NewMemFS()}
 	}
 	return j, nil
 }
 
 // Stores exposes the per-device Tensor Stores (read-mostly; examples
 // and tests inspect them).
-func (j *Job) Stores() map[cluster.DeviceID]store.Access { return j.stores }
+func (j *Job) Stores() map[cluster.DeviceID]store.Access { return j.rt.Stores }
 
 // Config returns the current parallelization configuration.
-func (j *Job) Config() parallel.Config { return j.par }
+func (j *Job) Config() parallel.Config { return j.rt.Config }
 
 // Allocation returns the current device allocation.
-func (j *Job) Allocation() cluster.Allocation { return append(cluster.Allocation(nil), j.alloc...) }
+func (j *Job) Allocation() cluster.Allocation { return append(cluster.Allocation(nil), j.rt.Alloc...) }
 
 // PTC returns the current parallelizable tensor collection.
-func (j *Job) PTC() *core.PTC { return j.ptc }
+func (j *Job) PTC() *core.PTC { return j.rt.PTC }
 
 // Cursor returns a pointer to the dataset cursor (the dataset state of
 // the PTC); the training loop advances it.
@@ -147,10 +145,9 @@ func (j *Job) DeployWith(cfg parallel.Config, alloc cluster.Allocation, init map
 	if err != nil {
 		return fmt.Errorf("tenplex: deploy: %w", err)
 	}
-	if err := transform.LoadPTC(j.cfg.Name, ptc, j.stores, init); err != nil {
-		return fmt.Errorf("tenplex: deploy: %w", err)
+	if err := j.rt.Deploy(ptc, cfg, alloc, init); err != nil {
+		return fmt.Errorf("tenplex: %w", err)
 	}
-	j.ptc, j.par, j.alloc = ptc, cfg, alloc
 	return nil
 }
 
@@ -168,80 +165,51 @@ func (j *Job) Reconfigure(nGPUs int) (ReconfigReport, error) {
 // ReconfigureWith moves the job to an explicit configuration and
 // allocation.
 func (j *Job) ReconfigureWith(cfg parallel.Config, alloc cluster.Allocation) (ReconfigReport, error) {
-	if j.ptc == nil {
-		return ReconfigReport{}, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
-	}
-	to, err := parallel.BuildPTC(j.cfg.Model, cfg, alloc)
-	if err != nil {
-		return ReconfigReport{}, fmt.Errorf("tenplex: reconfigure: %w", err)
-	}
-	return j.applyPlan(j.ptc, to, cfg, alloc, false)
+	return j.change("reconfigure", cfg, alloc, nil)
 }
 
 // Recover handles a fail-stop loss of devices: the degraded PTC keeps
 // only surviving replicas, and ranges no replica holds are read back
 // from the latest persisted checkpoint.
 func (j *Job) Recover(failed []cluster.DeviceID, newGPUs int) (ReconfigReport, error) {
-	if j.ptc == nil {
-		return ReconfigReport{}, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
-	}
 	best, err := perfmodel.Best(j.cfg.Model, j.cfg.Topology, newGPUs, j.cfg.Perf)
 	if err != nil {
 		return ReconfigReport{}, fmt.Errorf("tenplex: recover: %w", err)
 	}
-	dead := map[cluster.DeviceID]bool{}
-	for _, d := range failed {
-		dead[d] = true
-	}
 	var alloc cluster.Allocation
 	for _, d := range j.cfg.Topology.Devices {
-		if !dead[d.ID] && len(alloc) < newGPUs {
+		if !cluster.Allocation(failed).Contains(d.ID) && len(alloc) < newGPUs {
 			alloc = append(alloc, d.ID)
 		}
 	}
 	if len(alloc) < newGPUs {
 		return ReconfigReport{}, fmt.Errorf("tenplex: only %d healthy devices for %d GPUs", len(alloc), newGPUs)
 	}
-	to, err := parallel.BuildPTC(j.cfg.Model, best.Config, alloc)
-	if err != nil {
-		return ReconfigReport{}, fmt.Errorf("tenplex: recover: %w", err)
-	}
-	degraded := j.ptc.WithoutDevices(failed...)
-	return j.applyPlan(degraded, to, best.Config, alloc, true)
+	return j.change("recover", best.Config, alloc, failed)
 }
 
-func (j *Job) applyPlan(from, to *core.PTC, cfg parallel.Config, alloc cluster.Allocation, storageOK bool) (ReconfigReport, error) {
-	to = core.AlignDevices(from, to)
-	plan, err := core.GeneratePlan(from, to, core.PlanOptions{
-		Topo:            j.cfg.Topology,
-		StorageFallback: storageOK,
-	})
+// change plans the move onto (cfg, alloc) from the current placement
+// less the failed devices, applies it and reports what it cost; when to
+// checkpoint the new layout is the caller's call.
+func (j *Job) change(what string, cfg parallel.Config, alloc cluster.Allocation, failed []cluster.DeviceID) (ReconfigReport, error) {
+	if j.rt.PTC == nil {
+		return ReconfigReport{}, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
+	}
+	ch, err := job.Plan(j.cfg.Model, j.cfg.Topology, j.rt.PTC, cfg, alloc, failed)
 	if err != nil {
-		return ReconfigReport{}, fmt.Errorf("tenplex: plan: %w", err)
+		return ReconfigReport{}, fmt.Errorf("tenplex: %s: %w", what, err)
 	}
-	tr := &transform.Transformer{Job: j.cfg.Name, Stores: j.stores}
-	if storageOK {
-		step, err := checkpoint.Latest(j.storage, j.cfg.Name)
-		if err == nil {
-			if r, err := checkpoint.Open(j.storage, j.cfg.Name, step); err == nil {
-				tr.Storage = r
-			}
-		}
-	}
-	if _, err := tr.Apply(plan); err != nil {
-		return ReconfigReport{}, fmt.Errorf("tenplex: transform: %w", err)
-	}
-	st := plan.Stats(j.cfg.Topology)
-	sim := netsim.Simulate(j.cfg.Topology, plan.Flows(j.cfg.Topology))
 	rep := ReconfigReport{
-		From: j.par, To: cfg,
-		FromGPUs: len(j.alloc), ToGPUs: len(alloc),
-		MovedBytes:   st.MovedBytes,
-		StorageBytes: st.StorageBytes,
-		SimulatedSec: sim.Seconds,
-		Splits:       st.Splits, Merges: st.Merges, Fetches: st.Fetches,
+		From: j.rt.Config, To: cfg,
+		FromGPUs: len(j.rt.Alloc), ToGPUs: len(alloc),
+		MovedBytes:   ch.Stats.MovedBytes,
+		StorageBytes: ch.Stats.StorageBytes,
+		SimulatedSec: ch.SimSec,
+		Splits:       ch.Stats.Splits, Merges: ch.Stats.Merges, Fetches: ch.Stats.Fetches,
 	}
-	j.ptc, j.par, j.alloc = to, cfg, alloc
+	if _, err := j.rt.Apply(context.TODO(), ch); err != nil {
+		return ReconfigReport{}, fmt.Errorf("tenplex: %w", err)
+	}
 	return rep, nil
 }
 
@@ -250,52 +218,46 @@ func (j *Job) applyPlan(from, to *core.PTC, cfg parallel.Config, alloc cluster.A
 // that worker loss can be repaired without stale checkpoints. It
 // returns the bytes written.
 func (j *Job) Replicate(n int) (int64, error) {
-	if j.ptc == nil {
+	if j.rt.PTC == nil {
 		return 0, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
 	}
-	return transform.Replicate(j.cfg.Name, j.ptc, j.cfg.Topology, j.stores, n)
+	return transform.Replicate(j.cfg.Name, j.rt.PTC, j.cfg.Topology, j.rt.Stores, n)
 }
 
 // Checkpoint persists the current partitioned state to remote storage.
 func (j *Job) Checkpoint() error {
-	if j.ptc == nil {
+	if j.rt.PTC == nil {
 		return fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
 	}
-	return checkpoint.Save(j.storage, j.cfg.Name, j.step, j.ptc, j.stores)
+	return j.rt.Checkpoint()
 }
 
 // State assembles and returns the job's full logical tensors from the
 // distributed sub-tensors — what the DL system loads to resume.
 func (j *Job) State() (map[core.TensorID]*tensor.Tensor, error) {
-	if j.ptc == nil {
+	if j.rt.PTC == nil {
 		return nil, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
 	}
-	return transform.ReadPTC(j.cfg.Name, j.ptc, j.stores)
+	return j.rt.State(context.TODO())
 }
 
 // WriteState pushes updated full tensors back into the stores under the
 // current PTC (the DL system calls it after training steps, the
 // equivalent of tenplex.save in §5.2).
 func (j *Job) WriteState(full map[core.TensorID]*tensor.Tensor) error {
-	if j.ptc == nil {
+	if j.rt.PTC == nil {
 		return fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
 	}
-	return transform.LoadPTC(j.cfg.Name, j.ptc, j.stores, full)
+	return j.rt.Deploy(j.rt.PTC, j.rt.Config, j.rt.Alloc, full)
 }
 
 // HandleEvent adapts the job to a scheduler event, returning the
 // simulated reconfiguration time; it lets a Job drive sched.Run.
 func (j *Job) HandleEvent(e sched.Event) (ReconfigReport, error) {
-	switch e.Kind {
-	case sched.Failure:
-		var failed []cluster.DeviceID
-		for _, d := range j.alloc[e.GPUs:] {
-			failed = append(failed, d)
-		}
-		return j.Recover(failed, e.GPUs)
-	default:
-		return j.Reconfigure(e.GPUs)
+	if e.Kind == sched.Failure {
+		return j.Recover(j.rt.Alloc[e.GPUs:], e.GPUs)
 	}
+	return j.Reconfigure(e.GPUs)
 }
 
 // ClusterJob, ClusterFailure and ClusterResult are the public names of
@@ -336,8 +298,9 @@ type ClusterConfig struct {
 	// reconfigurations overlap on the worker pool. Decisions — and the
 	// returned timeline — are identical to the deterministic mode.
 	WallClock bool
-	// Workers bounds the pool executing per-job plan/transform/verify
-	// work (0 = GOMAXPROCS, 1 = fully serialized event loop).
+	// Workers bounds the pool executing per-job deploy/transform/verify
+	// work (0 = GOMAXPROCS, 1 = fully serialized event loop); planning
+	// runs on the event loop either way.
 	Workers int
 	// WallScale is the real duration of one simulated minute in
 	// wall-clock mode (0 = the coordinator default).

@@ -171,6 +171,40 @@ func TestJobHandleSchedulerEvents(t *testing.T) {
 	verifyState(t, j, init)
 }
 
+// TestJobAllocationNotAliased: the job keeps its own copy of the
+// allocation it is deployed or moved onto; a caller that reuses its
+// slice changes neither Allocation() nor which devices a failure event
+// takes out.
+func TestJobAllocationNotAliased(t *testing.T) {
+	j, init := newTestJob(t)
+	topo := cluster.OnPrem16()
+	alloc := topo.FirstN(4)
+	if err := j.DeployWith(parallel.Config{TP: 2, PP: 1, DP: 2}, alloc, init); err != nil {
+		t.Fatal(err)
+	}
+	alloc[0] = 15
+	if got := j.Allocation(); got[0] != 0 {
+		t.Fatalf("after DeployWith the caller's slice is the job's: %v", got)
+	}
+	alloc = topo.FirstN(8)
+	if _, err := j.ReconfigureWith(parallel.Config{TP: 2, PP: 2, DP: 2}, alloc); err != nil {
+		t.Fatal(err)
+	}
+	for i := range alloc {
+		alloc[i] = 15
+	}
+	if got := j.Allocation(); len(got) != 8 || got[0] != 0 || got[7] != 7 {
+		t.Fatalf("after ReconfigureWith the caller's slice is the job's: %v", got)
+	}
+	if err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.HandleEvent(sched.Event{Kind: sched.Failure, GPUs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	verifyState(t, j, init)
+}
+
 func TestJobWriteStateRoundTrip(t *testing.T) {
 	j, init := newTestJob(t)
 	if err := j.Deploy(4, init); err != nil {
