@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"time"
 
 	"tenplex/internal/coordinator"
@@ -27,15 +26,6 @@ type kind struct {
 // (-check), in the order -check walks them.
 var kinds = []kind{
 	{name: "planner", measure: measurePlanner},
-	{name: "datapath", measure: measureDatapath, headline: func(m *cells) error {
-		for _, r := range m.rec.Rows {
-			reference := strings.HasSuffix(r.Key, "/materialized")
-			if err := experiments.CopyAmpHeadline(reference, m.num(r.Key, "copy_amplification")); err != nil {
-				return fmt.Errorf("%s %w", r.Key, err)
-			}
-		}
-		return nil
-	}},
 	{name: "coordinator", measure: measureCoord, headline: func(m *cells) error {
 		if m.num("cluster", "trace_matches_sim") != 1 {
 			return fmt.Errorf("cluster trace_matches_sim: paced wall-clock runs no longer reproduce the sim-mode trace, nondeterminism leaked into the runtime")
@@ -116,37 +106,6 @@ func measurePlanner(budget time.Duration) (map[string]any, []row, error) {
 			Timing: map[string]float64{"ns_per_op": planNs, "plan_change_ns_per_op": changeNs},
 			Info: map[string]float64{
 				"devices": float64(sc.Devices), "iters": float64(iters), "plan_change_iters": float64(changeIters),
-			},
-		})
-	}
-	return nil, rows, nil
-}
-
-// measureDatapath runs both transformer pipelines (streamed zero-copy
-// vs the retained materialized reference) on local stores, plus the
-// wire path between loopback store servers. Copy amplification is a
-// deterministic property of the plan and the pipeline, so it is a sim
-// cell; throughput is gated through ns_per_op, of which mb_per_s is the
-// reciprocal.
-func measureDatapath(budget time.Duration) (map[string]any, []row, error) {
-	local, _, err := experiments.DatapathComparison(budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	wire, err := experiments.DatapathREST(budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []row
-	for _, r := range append(local, wire...) {
-		rows = append(rows, row{
-			Key:    r.Workload + "/" + r.Pipeline,
-			Exact:  map[string]any{"plan_bytes": r.PlanBytes},
-			Sim:    map[string]float64{"copy_amplification": r.CopyAmp},
-			Timing: map[string]float64{"ns_per_op": float64(r.NsPerOp)},
-			Info: map[string]float64{
-				"iters": float64(r.Iters), "mb_per_s": r.MBPerSecond, "bytes_copied": float64(r.BytesCopied),
-				"alloc_bytes_per_op": float64(r.AllocBytes), "allocs_per_op": float64(r.AllocsPerOp),
 			},
 		})
 	}

@@ -54,9 +54,7 @@ var all = map[string]func() experiments.Table{
 	"fig16":    func() experiments.Table { _, t := experiments.Fig16Convergence(); return t },
 	"multijob": func() experiments.Table { _, t := experiments.MultiJobCluster(); return t },
 	"dcscale":  func() experiments.Table { _, t := experiments.CompareDCScale(); return t },
-	"datapath": tableOrExit("datapath", func() ([]experiments.DatapathRow, experiments.Table, error) {
-		return experiments.DatapathComparison(100 * time.Millisecond)
-	}),
+
 	"policies":  tableOrExit("policies", experiments.PolicyComparison),
 	"placement": tableOrExit("placement", experiments.PlacementComparison),
 	"hostile":   tableOrExit("hostile", experiments.HostileComparison),
@@ -68,7 +66,7 @@ func ids() []string { return names(all, nil) }
 func main() {
 	fig := flag.String("fig", "", "experiment ID to run (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	recordKind := flag.String("record", "", "measure one BENCH record kind (planner, datapath, coordinator, placement, hostile, dcscale), write it to -out and exit")
+	recordKind := flag.String("record", "", "measure one BENCH record kind (planner, coordinator, placement, hostile, dcscale), write it to -out and exit")
 	out := flag.String("out", "-", "path -record writes to (\"-\" for stdout)")
 	jsonBudget := flag.Duration("json-budget", 200*time.Millisecond, "per-scenario measurement budget for -record and -check")
 	doCheck := flag.Bool("check", false, "re-run the benchmarks and fail on regression vs the committed BENCH_*.json baselines")

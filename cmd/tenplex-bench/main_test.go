@@ -6,8 +6,8 @@ func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"tab1", "fig2a", "fig2b", "fig3", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"ablations", "multijob", "datapath", "policies", "placement",
-		"hostile", "dcscale",
+		"ablations", "multijob", "policies", "placement", "hostile",
+		"dcscale",
 	}
 	for _, id := range want {
 		if _, ok := all[id]; !ok {

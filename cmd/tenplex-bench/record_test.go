@@ -94,29 +94,6 @@ var kindCases = map[string]kindCase{
 		sim:    cell{"scale-out-64", "sim", "simulated_reconfig_seconds"},
 		timing: cell{"scale-out-64", "timing", "ns_per_op"},
 	},
-	"datapath": {
-		sane: func(t *testing.T, rec record, get func(key, metric string) float64) {
-			if len(rec.Rows) != 5 {
-				t.Fatalf("%d rows, want 2 workloads x 2 pipelines + the wire path", len(rec.Rows))
-			}
-			for _, r := range rec.Rows {
-				if get(r.Key, "plan_bytes") <= 0 || get(r.Key, "mb_per_s") <= 0 || get(r.Key, "iters") < 2 {
-					t.Fatalf("implausible row: %+v", r)
-				}
-			}
-		},
-		exact:  cell{"tp-reshard/streamed", "exact", "plan_bytes"},
-		sim:    cell{"rest-tp-migrate/batched", "sim", "copy_amplification"},
-		timing: cell{"rest-tp-migrate/batched", "timing", "ns_per_op"},
-		headlines: []headlineCase{
-			{func(rec *record) { set(rec, cell{"tp-reshard/streamed", "sim", "copy_amplification"}, 1.5) },
-				"datapath tp-reshard/streamed copy_amplification"},
-			{func(rec *record) { set(rec, cell{"rest-tp-migrate/batched", "sim", "copy_amplification"}, 2.0) },
-				"datapath rest-tp-migrate/batched copy_amplification"},
-			{func(rec *record) { set(rec, cell{"tp-reshard/materialized", "sim", "copy_amplification"}, 1.5) },
-				"datapath tp-reshard/materialized copy_amplification"},
-		},
-	},
 	"coordinator": {
 		sane: func(t *testing.T, rec record, get func(key, metric string) float64) {
 			if fmt.Sprint(rec.Params["devices"]) != "32" || fmt.Sprint(rec.Params["seed"]) != fmt.Sprint(experiments.MultiJobSeed) {
@@ -390,12 +367,11 @@ func TestKinds(t *testing.T) {
 			}
 			if k.headline != nil {
 				// A headline whose cells are gone says so; it does not pass
-				// on whatever the predicate makes of a NaN. (The datapath
-				// headline walks the rows there are.)
+				// on whatever the predicate makes of a NaN.
 				empty := clone(t, rec)
 				empty.Rows = nil
 				fails := check(k, empty, empty, noTimingTol)
-				if len(fails) == 0 && k.name != "datapath" {
+				if len(fails) == 0 {
 					t.Fatal("headline passed over a record without its cells")
 				}
 				for _, f := range fails {

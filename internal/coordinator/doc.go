@@ -75,9 +75,9 @@ package coordinator
 //     rebuildWorker). Candidate enumeration then walks count buckets —
 //     a few machine words — instead of sorting all workers, so its cost
 //     scales with the candidate size, not the cluster. The from-scratch
-//     enumeration is retained (candidateSetsScratch) and a seeded
-//     property suite holds the two byte-identical over interleaved
-//     lease/reclaim/fail-stop/quarantine sequences.
+//     enumeration it replaced is test code (ledger_scratch_test.go): the
+//     reference a seeded property suite holds it byte-identical to over
+//     interleaved lease/reclaim/fail-stop/quarantine sequences.
 //
 //   - perfmodel.Cache: entries are stamped with the sum of the
 //     per-worker health epochs (cluster.Topology.WorkerEpoch) of the

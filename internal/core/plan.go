@@ -257,7 +257,7 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 // devices on a bounded worker pool, and only the send-load-balanced
 // remote replica choice runs as a cheap sequential pass — which keeps
 // the output byte-identical to the reference planner
-// (generatePlanReference). Assignment and fetch regions alias the PTCs'
+// (plan_reference_test.go). Assignment and fetch regions alias the PTCs'
 // placed regions wherever they coincide with them.
 func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 	if err := checkPlanMeta(from, to); err != nil {

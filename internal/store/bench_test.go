@@ -158,3 +158,66 @@ func BenchmarkBatchScatter(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSingleVsOneEntryBatch is the measurement ROADMAP item 6(b)
+// asked for before /query and /upload could become one-entry batches:
+// the single-tensor call against a batch of one, both directions, at
+// three transfer sizes (the strided case uploads through UploadFrom, a
+// whole tensor through Upload). The batch pays its frame CRC and framing
+// on every byte, so it loses once a transfer is large; only the strided
+// read comes out ahead (numbers in EXPERIMENTS.md "The datapath
+// suite"), so /query and /upload stay.
+func BenchmarkSingleVsOneEntryBatch(b *testing.B) {
+	srv := NewServer(NewMemFS())
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	c := &Client{Base: hs.URL, HTTP: hs.Client()}
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name string
+		src  *tensor.Tensor
+		reg  tensor.Region // nil: the whole tensor
+	}{
+		{"9KiB", tensor.New(tensor.Float32, 36, 64), nil},
+		{"128KiB-of-1MiB", tensor.New(tensor.Float32, 1024, 256), tensor.Region{{Lo: 0, Hi: 1024}, {Lo: 64, Hi: 96}}},
+		{"8MiB", tensor.New(tensor.Float32, 2048, 1024), nil},
+	} {
+		bc.src.FillRandDense(1, 1)
+		if err := c.Upload("/w", bc.src); err != nil {
+			b.Fatal(err)
+		}
+		view := bc.src.FullView()
+		if bc.reg != nil {
+			view = bc.src.View(bc.reg)
+		}
+		dst := tensor.New(tensor.Float32, view.Shape()...)
+		run := func(op string, fn func() error) {
+			b.Run(bc.name+"/"+op, func(b *testing.B) {
+				b.SetBytes(int64(view.NumBytes()))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := fn(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		run("query", func() error {
+			_, err := c.QueryIntoContext(ctx, "/w", bc.reg, dst, nil)
+			return err
+		})
+		run("batch-of-1", func() error {
+			_, err := c.BatchQueryInto(ctx, []BatchEntry{{Path: "/w", Reg: bc.reg, Dst: dst}})
+			return err
+		})
+		run("upload", func() error {
+			if bc.reg == nil {
+				return c.UploadContext(ctx, "/up", bc.src)
+			}
+			return c.UploadFromContext(ctx, "/up", tensor.Float32, view.Shape(), view.Reader())
+		})
+		run("upload-batch-of-1", func() error {
+			return c.UploadBatch(ctx, []UploadItem{{Path: "/up", View: view}})
+		})
+	}
+}

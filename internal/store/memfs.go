@@ -171,24 +171,6 @@ func (fs *MemFS) GetSlice(path string, reg tensor.Region) (*tensor.Tensor, error
 	return t.Slice(reg), nil
 }
 
-// GetView returns a zero-copy read-only view over the range reg (nil
-// for the whole tensor) of the tensor at path. The view aliases the
-// stored buffer; because stored tensors are replaced, never mutated,
-// handing it out without holding the lock is safe.
-func (fs *MemFS) GetView(path string, reg tensor.Region) (tensor.View, error) {
-	t, err := fs.GetTensor(path)
-	if err != nil {
-		return tensor.View{}, err
-	}
-	if reg == nil {
-		return t.FullView(), nil
-	}
-	if !reg.Valid(t.Shape()) {
-		return tensor.View{}, fmt.Errorf("store: range %v invalid for %q (shape %v)", reg, path, t.Shape())
-	}
-	return t.View(reg), nil
-}
-
 // ReadRegionInto copies the range reg (nil for the whole tensor) of the
 // tensor at path directly into the sub-region at of dst (nil for all of
 // dst) — the single-copy read path: bytes move from the stored buffer

@@ -9,7 +9,7 @@ import (
 )
 
 // Tensor is a dense, row-major n-dimensional array. The zero value is not
-// usable; construct tensors with New, Zeros, FromFloat32 or FromFloat64.
+// usable; construct tensors with New, FromFloat32 or FromFloat64.
 //
 // A Tensor owns its backing storage. Slicing and splitting copy data; the
 // package never aliases two tensors to the same bytes, which keeps the
@@ -41,10 +41,6 @@ func New(dt DType, shape ...int) *Tensor {
 		data:  make([]byte, n*dt.Size()),
 	}
 }
-
-// Zeros is an alias of New that reads better at call sites that care
-// about the initial value.
-func Zeros(dt DType, shape ...int) *Tensor { return New(dt, shape...) }
 
 // FromFloat32 builds a Float32 tensor from vals; len(vals) must equal the
 // product of shape.

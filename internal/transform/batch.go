@@ -18,11 +18,10 @@ import (
 )
 
 // Staging. One loop (stage) takes every assignment of a plan to the
-// staging tree of its destination store, whatever the stores are; both
-// ApplyContext and the per-worker applyNoCommitCtx run it. What differs
-// between store sets is how a fetch is served, decided per assignment
-// and per fetch from what the code can observe about the stores
-// involved, never by a setting:
+// staging tree of its destination store, whatever the stores are. What
+// differs between store sets is how a fetch is served, decided per
+// assignment and per fetch from what the code can observe about the
+// stores involved, never by a setting:
 //
 //  1. Destination-pull. The destination store implements
 //     store.Assembler and every source of the assignment is a device
@@ -280,14 +279,13 @@ func (c devPrefix) path(d cluster.DeviceID, id core.TensorID) string {
 // store to build, or reports that the store cannot: it lacks the
 // capability, a range comes from checkpoint storage or from a store
 // without a network address, or targets overlap (ranges from different
-// sources land concurrently on the store as they do here). The
-// materialized reference builds every tensor in this process.
+// sources land concurrently on the store as they do here).
 func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment, route *pullRoute) (store.AssembleItem, bool) {
 	self, ok := tr.Stores[a.Device].(interface {
 		store.Assembler
 		store.Addressable
 	})
-	if !ok || tr.Pipeline == Materialized {
+	if !ok {
 		return store.AssembleItem{}, false
 	}
 	item := store.AssembleItem{
@@ -368,12 +366,6 @@ func (tr *Transformer) stageAssembled(ctx context.Context, g *assembleGroup) err
 // nothing deferred, the tensor is uploaded before returning.
 func (tr *Transformer) stageAssignment(ctx context.Context, plan *core.Plan, p *prep) ([]batchFetch, error) {
 	a := p.a
-	if tr.Pipeline == Materialized {
-		var err error
-		p.st, err = tr.applyAssignmentMaterialized(ctx, plan, a)
-		p.staged = err == nil
-		return nil, err
-	}
 	meta := plan.To.Tensors[a.Tensor]
 	dst := tr.Stores[a.Device]
 

@@ -125,7 +125,7 @@ func fetchKinds(plan *core.Plan) (storage, device bool) {
 // redeploy / fail-stop transitions, the three ways a fetch is served
 // against real wire stores — destination-pull, per-source batch, and
 // per-range reads behind a wrapper that hides every capability — the
-// retained materialized pipeline over wire stores, a mixed set with
+// materialized reference pipeline over wire stores, a mixed set with
 // in-process stores among the wire ones, and plain Local stores must
 // all land byte-identical state and report the same plan bytes. A plan
 // without storage reads over fully capable stores must go through
@@ -188,17 +188,17 @@ func TestApplyRoutesEquivalentOverREST(t *testing.T) {
 					mixed[d] = acc
 				}
 				ways := []struct {
-					name     string
-					stores   map[cluster.DeviceID]store.Access
-					pipeline Pipeline
-					rc       *restCluster
+					name   string
+					stores map[cluster.DeviceID]store.Access
+					apply  applyFunc
+					rc     *restCluster
 				}{
-					{"pull", pull.stores, Streamed, pull},
-					{"client-batched", hideAssemble(batched.stores), Streamed, batched},
-					{"per-range", hideBatch(perRange.stores), Streamed, perRange},
-					{"materialized", materialized.stores, Materialized, materialized},
-					{"mixed", mixed, Streamed, mixedRC},
-					{"local", localStores(devs), Streamed, nil},
+					{"pull", pull.stores, (*Transformer).Apply, pull},
+					{"client-batched", hideAssemble(batched.stores), (*Transformer).Apply, batched},
+					{"per-range", hideBatch(perRange.stores), (*Transformer).Apply, perRange},
+					{"materialized", materialized.stores, (*Transformer).applyMaterialized, materialized},
+					{"mixed", mixed, (*Transformer).Apply, mixedRC},
+					{"local", localStores(devs), (*Transformer).Apply, nil},
 				}
 				fromStorage, fromDevice := fetchKinds(sc.plan)
 				var ref Stats
@@ -217,8 +217,8 @@ func TestApplyRoutesEquivalentOverREST(t *testing.T) {
 						uploads, assembles, batches = w.rc.requests("/upload"), w.rc.requests("/assemble"), w.rc.requests("/batch")
 						received = w.rc.received()
 					}
-					tr := &Transformer{Job: job, Stores: w.stores, Storage: memStorage(golden), Pipeline: w.pipeline, Parallelism: 4}
-					st, err := tr.Apply(sc.plan)
+					tr := &Transformer{Job: job, Stores: w.stores, Storage: memStorage(golden), Parallelism: 4}
+					st, err := w.apply(tr, sc.plan)
 					if err != nil {
 						t.Fatalf("%s %s: %v", sc.label, w.name, err)
 					}
@@ -530,7 +530,7 @@ func TestApplyBatchedChaosPreservesOldState(t *testing.T) {
 		for d, acc := range plain {
 			stores[d] = in.WrapAccess(job, fmt.Sprint(d), batchableLocal{acc})
 		}
-		tr := &Transformer{Job: job, Stores: stores, Pipeline: Streamed, Parallelism: 4}
+		tr := &Transformer{Job: job, Stores: stores, Parallelism: 4}
 		in.BeginAttempt(job, uint64(seed))
 		_, err := tr.Apply(plan)
 		if err == nil {

@@ -11,12 +11,13 @@ import (
 	"tenplex/internal/model"
 	"tenplex/internal/parallel"
 	"tenplex/internal/store"
+	"tenplex/internal/tensor"
 )
 
-// The streamed zero-copy pipeline is an optimization of the retained
-// materialized reference pipeline, not a redesign: after Apply, every
-// destination store must hold byte-identical state whichever pipeline
-// executed the plan. These property tests pin that down over randomized
+// The streamed zero-copy pipeline is an optimization of the
+// materialized reference pipeline (reference_test.go), not a redesign:
+// after Apply, every destination store must hold byte-identical state
+// whichever of the two executed the plan. These property tests pin that down over randomized
 // grow / shrink / redeploy / fail-stop transitions, mirroring the
 // planner equivalence methodology of internal/core.
 
@@ -106,17 +107,17 @@ func runEquivalenceTrial(t *testing.T, label string, m *model.Model,
 	golden := goldenState(from)
 	storage := memStorage(golden)
 
-	run := func(p Pipeline) (map[cluster.DeviceID]store.Access, Stats, error) {
+	run := func(apply applyFunc) (map[cluster.DeviceID]store.Access, Stats, error) {
 		stores := localStores(devs)
 		if err := LoadPTC(job, from, stores, golden); err != nil {
 			t.Fatalf("%s: load: %v", label, err)
 		}
-		tr := &Transformer{Job: job, Stores: stores, Storage: storage, Pipeline: p, Parallelism: 4}
-		st, err := tr.Apply(plan)
+		tr := &Transformer{Job: job, Stores: stores, Storage: storage, Parallelism: 4}
+		st, err := apply(tr, plan)
 		return stores, st, err
 	}
-	sStores, sStats, sErr := run(Streamed)
-	mStores, _, mErr := run(Materialized)
+	sStores, sStats, sErr := run((*Transformer).Apply)
+	mStores, _, mErr := run((*Transformer).applyMaterialized)
 	if (sErr == nil) != (mErr == nil) {
 		t.Fatalf("%s: outcome mismatch: streamed=%v materialized=%v", label, sErr, mErr)
 	}
@@ -193,7 +194,7 @@ func TestApplyEquivalenceOverREST(t *testing.T) {
 			n = c.nt
 		}
 		var servers []*httptest.Server
-		run := func(p Pipeline) map[cluster.DeviceID]store.Access {
+		run := func(which string, apply applyFunc) map[cluster.DeviceID]store.Access {
 			stores := map[cluster.DeviceID]store.Access{}
 			for d := 0; d < n; d++ {
 				fs := store.NewMemFS()
@@ -208,14 +209,14 @@ func TestApplyEquivalenceOverREST(t *testing.T) {
 			if err := LoadPTC(job, from, stores, golden); err != nil {
 				t.Fatal(err)
 			}
-			tr := &Transformer{Job: job, Stores: stores, Pipeline: p}
-			if _, err := tr.Apply(plan); err != nil {
-				t.Fatalf("case %d pipeline %d: %v", ci, p, err)
+			tr := &Transformer{Job: job, Stores: stores}
+			if _, err := apply(tr, plan); err != nil {
+				t.Fatalf("case %d %s: %v", ci, which, err)
 			}
 			return stores
 		}
-		sStores := run(Streamed)
-		mStores := run(Materialized)
+		sStores := run("streamed", (*Transformer).Apply)
+		mStores := run("materialized", (*Transformer).applyMaterialized)
 		for _, d := range to.Devices {
 			for _, s := range to.Place[d] {
 				want := golden[s.Tensor].Slice(s.Region)
@@ -234,6 +235,78 @@ func TestApplyEquivalenceOverREST(t *testing.T) {
 		}
 		for _, hs := range servers {
 			hs.Close()
+		}
+	}
+}
+
+// datapathWorkload is a reconfiguration of ~1.1 MB of real state over
+// in-process stores.
+type datapathWorkload struct {
+	name   string
+	from   *core.PTC
+	plan   *core.Plan
+	golden map[core.TensorID]*tensor.Tensor
+	devs   int
+	bytes  int64 // the model's state
+}
+
+// datapathWorkloads are the two plans the copy accounting is pinned on:
+// a TP 2->4 re-shard and a DP scale-out planned against a topology.
+func datapathWorkloads(tb testing.TB) []datapathWorkload {
+	tb.Helper()
+	m := model.GPTCustom(4, 128, 4, 512, 32)
+	var out []datapathWorkload
+	for _, c := range []struct {
+		name     string
+		from, to parallel.Config
+		opts     core.PlanOptions
+	}{
+		{"tp-reshard", parallel.Config{TP: 2, PP: 1, DP: 1}, parallel.Config{TP: 4, PP: 1, DP: 1}, core.PlanOptions{}},
+		{"dp-scaleout", parallel.Config{TP: 2, PP: 2, DP: 1}, parallel.Config{TP: 2, PP: 2, DP: 2}, core.PlanOptions{Topo: cluster.OnPrem16()}},
+	} {
+		from, err := parallel.BuildPTC(m, c.from, alloc(c.from.WorldSize()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		to, err := parallel.BuildPTC(m, c.to, alloc(c.to.WorldSize()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plan, err := core.GeneratePlan(from, to, c.opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, datapathWorkload{c.name, from, plan, goldenState(from), c.to.WorldSize(), m.ParamBytes()})
+	}
+	return out
+}
+
+// TestApplyCopiesEachPlanByteOnce: over stores that retain uploads by
+// reference Apply copies every plan byte at most once (copy
+// amplification <= 1), where the fetch-then-assemble reference pays at
+// least twice for the same plan bytes.
+func TestApplyCopiesEachPlanByteOnce(t *testing.T) {
+	for _, w := range datapathWorkloads(t) {
+		run := func(apply applyFunc) Stats {
+			stores := localStores(alloc(w.devs))
+			if err := LoadPTC("amp", w.from, stores, w.golden); err != nil {
+				t.Fatal(err)
+			}
+			st, err := apply(&Transformer{Job: "amp", Stores: stores}, w.plan)
+			if err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+			return st
+		}
+		st, ref := run((*Transformer).Apply), run((*Transformer).applyMaterialized)
+		if st.PlanBytes() == 0 || st.PlanBytes() != ref.PlanBytes() {
+			t.Fatalf("%s: plan bytes %d, reference %d", w.name, st.PlanBytes(), ref.PlanBytes())
+		}
+		if st.BytesCopied > st.PlanBytes() {
+			t.Errorf("%s: copied %d bytes for %d plan bytes", w.name, st.BytesCopied, st.PlanBytes())
+		}
+		if ref.BytesCopied < 2*ref.PlanBytes() {
+			t.Errorf("%s: the reference copied %d bytes for %d plan bytes, under its 2x", w.name, ref.BytesCopied, ref.PlanBytes())
 		}
 	}
 }

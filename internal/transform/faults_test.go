@@ -1,10 +1,15 @@
 package transform
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
@@ -205,5 +210,147 @@ func TestCommitTriesEveryDeviceAndReportsEachFailure(t *testing.T) {
 			}
 		}
 		verifyAgainstGolden(t, job, from, stores, golden)
+	}
+}
+
+// listFails is a store that cannot list its staging tree.
+type listFails struct{ store.Access }
+
+func (l listFails) List(path string) ([]string, error) {
+	if strings.HasSuffix(path, "/model.next") {
+		return nil, fmt.Errorf("injected fault during list of %s", path)
+	}
+	return l.Access.List(path)
+}
+
+// A destination whose staging tree cannot be listed has not committed:
+// the plan says it staged one, so the failed list is that device's commit
+// error, not "nothing staged" (Apply used to return nil with the staged
+// tree stranded). A device the plan assigns nothing to has no staging
+// tree to list, and still commits as a no-op.
+func TestCommitReportsListFailure(t *testing.T) {
+	const job = "blist"
+	from, to, plan, golden := migrateFixture(t)
+	stores := localStores(alloc(4))
+	if err := LoadPTC(job, from, stores, golden); err != nil {
+		t.Fatal(err)
+	}
+	plain := stores[2]
+	stores[2] = listFails{plain}
+	_, err := (&Transformer{Job: job, Stores: stores}).Apply(plan)
+	want := "transform: commit on dev 2: injected fault during list of /job/blist/model.next"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Apply returned %v, want %s", err, want)
+	}
+	if _, err := stores[3].List(modelRoot(job)); err != nil {
+		t.Fatalf("dev 3 did not commit although nothing failed on it: %v", err)
+	}
+	verifyAgainstGolden(t, job, from, stores, golden) // the departing devices kept the only other copy
+
+	// The same move with device 4 in the allocation and nothing placed on
+	// it: its staging root does not exist, whether the list says so or
+	// fails.
+	wide := core.NewPTC(to.Name, append(slices.Clone(to.Devices), 4))
+	for _, meta := range to.Tensors {
+		wide.AddTensor(meta)
+	}
+	for _, d := range to.Devices {
+		wide.AssignAll([]cluster.DeviceID{d}, to.Place[d])
+	}
+	widePlan, err := core.GeneratePlan(from, wide, core.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wrap := range []func(store.Access) store.Access{
+		func(acc store.Access) store.Access { return acc },
+		func(acc store.Access) store.Access { return listFails{acc} },
+	} {
+		stores := localStores(alloc(5))
+		if err := LoadPTC(job, from, stores, golden); err != nil {
+			t.Fatal(err)
+		}
+		stores[4] = wrap(stores[4])
+		if _, err := (&Transformer{Job: job, Stores: stores}).Apply(widePlan); err != nil {
+			t.Fatalf("a destination with no assignment failed the commit: %v", err)
+		}
+		verifyAgainstGolden(t, job, to, stores, golden)
+		if names, err := stores[4].List(modelRoot(job)); err == nil {
+			t.Fatalf("dev 4 holds nothing under the plan but has a model tree: %v", names)
+		}
+	}
+}
+
+// pairFault fails the first read of each of two paths, and only once
+// both are in flight, so an apply meets exactly two assignment failures
+// before its cancellation can abandon either.
+type pairFault struct {
+	mu      sync.Mutex
+	pending map[string]bool
+	both    chan struct{}
+}
+
+func newPairFault(a, b string) *pairFault {
+	return &pairFault{pending: map[string]bool{a: true, b: true}, both: make(chan struct{})}
+}
+
+type pairFaultStore struct {
+	store.Access
+	pf *pairFault
+}
+
+func (s pairFaultStore) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
+	s.pf.mu.Lock()
+	hit := s.pf.pending[path]
+	if hit {
+		delete(s.pf.pending, path)
+		if len(s.pf.pending) == 0 {
+			close(s.pf.both)
+		}
+	}
+	s.pf.mu.Unlock()
+	if !hit {
+		return s.Access.QueryInto(path, reg, dst, at)
+	}
+	select {
+	case <-s.pf.both:
+	case <-time.After(10 * time.Second): // a serial loop never gets the second read going
+	}
+	return 0, errors.New("injected read fault")
+}
+
+// A failed plan reports every assignment error, sorted, joined, not the
+// first one only.
+func TestApplyReportsEveryAssignmentFailure(t *testing.T) {
+	const job = "twofail"
+	from, _, plan, golden := migrateFixture(t)
+	// Two tensors a destination reads from device 0.
+	var paths []string
+	for _, a := range plan.Assignments {
+		for _, f := range a.Fetch {
+			if p := ModelPath(job, 0, a.Tensor); len(paths) < 2 && a.Device == 2 &&
+				f.Src.Kind == core.FromDevice && f.Src.Device == 0 && (len(paths) == 0 || paths[0] != p) {
+				paths = append(paths, p)
+			}
+		}
+	}
+	if len(paths) != 2 {
+		t.Fatalf("fixture reads %d tensors from device 0, want 2", len(paths))
+	}
+	stores := localStores(alloc(4))
+	if err := LoadPTC(job, from, stores, golden); err != nil {
+		t.Fatal(err)
+	}
+	stores[0] = pairFaultStore{Access: stores[0], pf: newPairFault(paths[0], paths[1])}
+	_, err := (&Transformer{Job: job, Stores: stores}).Apply(plan)
+	if err == nil {
+		t.Fatal("apply survived two injected read faults")
+	}
+	got := err.Error()
+	if !strings.HasPrefix(got, "transform: 2 assignments failed: ") || strings.Count(got, "injected read fault") != 2 {
+		t.Fatalf("Apply reported %q, want both failures", got)
+	}
+	lines := strings.Split(strings.TrimPrefix(got, "transform: 2 assignments failed: "), "\n")
+	if len(lines) != 2 || lines[0] >= lines[1] {
+		t.Fatalf("Apply's failures are not two distinct sorted lines: %q", lines)
 	}
 }

@@ -17,10 +17,11 @@
 // state at all; for in-process stores, or when a range has to come from
 // a checkpoint, the buffer is allocated here, filled by range reads
 // (local ranges are a pure copy, peer ranges scatter straight off the
-// wire) and handed to the destination store. The previous
-// materialize-then-assemble pipeline is retained as a reference
-// implementation (Pipeline == Materialized) and property-tested
-// byte-identical to the streamed path.
+// wire) and handed to the destination store. The per-worker shape of
+// §5.1 is therefore destination-pull, not a second driver in this
+// package: there is one Apply. The fetch-then-assemble pipeline it
+// replaced lives on in reference_test.go, as the reference the
+// equivalence suites hold Apply byte-identical to.
 package transform
 
 import (
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -80,21 +82,6 @@ func ModelRoot(job string) string { return modelRoot(job) }
 // it alongside ModelRoot.
 func StagingRoot(job string) string { return stagingRoot(job) }
 
-// Pipeline selects the transformer's data-path implementation.
-type Pipeline int
-
-const (
-	// Streamed is the production zero-copy pipeline: one destination
-	// allocation per assignment, every range fetched into its final
-	// offset.
-	Streamed Pipeline = iota
-	// Materialized is the retained reference pipeline: every fetched
-	// range becomes a fresh sub-tensor which is then assembled into the
-	// destination. It exists for equivalence tests and for measuring
-	// copy amplification; production callers leave Pipeline zero.
-	Materialized
-)
-
 // Transformer executes plans. One logical Transformer drives all
 // devices here; in a real deployment each worker runs one instance and
 // executes the subset of assignments destined for its devices — the
@@ -110,9 +97,6 @@ type Transformer struct {
 	Storage StorageReader
 	// Parallelism bounds concurrent assignment execution; <= 0 means 8.
 	Parallelism int
-	// Pipeline selects the data path; the zero value is the streamed
-	// production pipeline.
-	Pipeline Pipeline
 	// Obs, when non-nil and datapath-deep, records one span per
 	// assignment (tensor, device, bytes by source, allocation) under
 	// the owning change's parent span. Nil costs nothing.
@@ -139,8 +123,9 @@ type Stats struct {
 	// once.
 	BytesCopied int64
 	// AllocBytes counts tensor buffer bytes allocated on the data path
-	// (destination sub-tensors, wherever they were allocated, plus, in
-	// the materialized reference, every intermediate fetch tensor).
+	// (destination sub-tensors, wherever they were allocated, plus the
+	// intermediate tensor of a checkpoint range read through a
+	// StorageReader that cannot scatter).
 	AllocBytes int64
 	Duration   time.Duration
 }
@@ -378,73 +363,6 @@ func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.
 	return fs, nil
 }
 
-// applyAssignmentMaterialized is the retained reference pipeline: every
-// fetched range materializes as a fresh sub-tensor, the destination is
-// assembled from the pieces, and the result is uploaded — each byte is
-// copied at least twice before staging.
-func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	var st Stats
-	meta := plan.To.Tensors[a.Tensor]
-	dst := tr.Stores[a.Device]
-
-	var pieces []tensor.Piece
-	for _, f := range a.Fetch {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		bytes := f.Want.NumBytes(meta.DType)
-		var data *tensor.Tensor
-		var err error
-		switch f.Src.Kind {
-		case core.FromDevice:
-			src, ok := tr.Stores[f.Src.Device]
-			if !ok {
-				return st, fmt.Errorf("transform: no store for source device %d", f.Src.Device)
-			}
-			local := f.Want.Translate(f.Src.Region.Offset())
-			data, err = src.Query(ModelPath(tr.Job, f.Src.Device, a.Tensor), local)
-			if err != nil {
-				return st, fmt.Errorf("transform: fetch %s%v from dev %d: %w", a.Tensor, f.Want, f.Src.Device, err)
-			}
-			if f.Src.Device == a.Device {
-				st.LocalBytes += bytes
-			} else {
-				st.PeerBytes += bytes
-			}
-		case core.FromStorage:
-			if tr.Storage == nil {
-				return st, fmt.Errorf("transform: plan needs storage for %s%v but no StorageReader configured", a.Tensor, f.Want)
-			}
-			data, err = tr.Storage.ReadRange(a.Tensor, f.Want)
-			if err != nil {
-				return st, fmt.Errorf("transform: storage read %s%v: %w", a.Tensor, f.Want, err)
-			}
-			st.StorageBytes += bytes
-		}
-		st.BytesCopied += bytes // materializing the sub-tensor
-		st.AllocBytes += bytes
-		pieces = append(pieces, tensor.Piece{
-			Region: f.Want.Translate(a.Region.Offset()),
-			Data:   data,
-		})
-	}
-	merged, err := tensor.Assemble(meta.DType, a.Region.Shape(), pieces)
-	if err != nil {
-		return st, fmt.Errorf("transform: assemble %s%v: %w", a.Tensor, a.Region, err)
-	}
-	st.AllocBytes += int64(merged.NumBytes())
-	for _, p := range pieces {
-		st.BytesCopied += int64(p.Data.NumBytes()) // assembly copy
-	}
-	if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), merged); err != nil {
-		return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
-	}
-	if uploadCopies(dst) {
-		st.BytesCopied += int64(merged.NumBytes())
-	}
-	return st, nil
-}
-
 // disjointTargets reports whether the fetched ranges are pairwise
 // non-overlapping, which makes concurrent scatter-writes into the
 // shared destination buffer safe.
@@ -500,9 +418,16 @@ func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 	errs := make([]error, len(to))
 	runBounded(ctx, tr.parallelism(), len(to), func(i int) {
 		acc := tr.Stores[to[i]]
-		// A device with no assignments (possible when it holds nothing
-		// under the new PTC) has nothing staged to swap in.
 		if _, err := listCtx(ctx, acc, stagingRoot(tr.Job)); err != nil {
+			// A device with no assignments (possible when it holds nothing
+			// under the new PTC) has nothing staged to swap in. For any
+			// other, the plan says a tree was staged: a list that fails is
+			// a store that failed, and its state would never be renamed
+			// into place.
+			staged := slices.ContainsFunc(plan.Assignments, func(a core.Assignment) bool { return a.Device == to[i] })
+			if staged {
+				errs[i] = fmt.Errorf("transform: commit on dev %d: %w", to[i], err)
+			}
 			return
 		}
 		_ = deleteCtx(ctx, acc, modelRoot(tr.Job)) // old state may not exist
