@@ -6,10 +6,12 @@
 package checkpoint
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"tenplex/internal/cluster"
@@ -131,28 +133,47 @@ func save(storage store.Access, job string, step int, name string, tensors int,
 		return fmt.Errorf("checkpoint: storage does not support blobs")
 	}
 	prev, prevErr := Latest(storage, job)
-	meta := Meta{Job: job, Step: step, Config: name, Pieces: make(map[string][]Piece, tensors)}
 	root := ckptRoot(job, step)
-	var buf []byte // one piece path at a time
+	// Piece paths are cut from one string arena, and the manifest's piece
+	// lists from one slice once every piece is in.
+	type written struct {
+		tensor string
+		piece  Piece
+	}
+	var (
+		paths tensor.StringArena
+		buf   []byte // the path being built
+		all   = make([]written, 0, tensors)
+	)
 	err := pieces(func(s core.SubTensor, t *tensor.Tensor) error {
 		buf = append(append(buf[:0], root...), '/')
 		buf = append(append(buf, s.Tensor...), '@')
 		at := len(buf)
 		buf = s.Region.Append(buf)
-		path := string(buf)
+		path := paths.Cut(buf)
 		if err := storage.Upload(path, t); err != nil {
 			return fmt.Errorf("checkpoint: write %q: %w", path, err)
 		}
-		meta.Pieces[string(s.Tensor)] = append(meta.Pieces[string(s.Tensor)], Piece{Path: path, Range: path[at:]})
+		all = append(all, written{string(s.Tensor), Piece{Path: path, Range: path[at:]}})
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for _, ps := range meta.Pieces {
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Range < ps[j].Range })
+	slices.SortFunc(all, func(a, b written) int {
+		return cmp.Or(strings.Compare(a.tensor, b.tensor), strings.Compare(a.piece.Range, b.piece.Range))
+	})
+	meta := Meta{Job: job, Step: step, Config: name, Pieces: make(map[string][]Piece, tensors)}
+	list := make([]Piece, len(all))
+	for i := 0; i < len(all); {
+		j := i
+		for ; j < len(all) && all[j].tensor == all[i].tensor; j++ {
+			list[j] = all[j].piece
+		}
+		meta.Pieces[all[i].tensor] = list[i:j:j]
+		i = j
 	}
-	blob, err := json.MarshalIndent(meta, "", "  ")
+	blob, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode meta: %w", err)
 	}
@@ -187,13 +208,18 @@ func saveBatches(job string, ptc *core.PTC, batches []deviceBatch, write writePi
 	return devicesInFlight(len(batches), func(i int) error {
 		b := batches[i]
 		entries := make([]store.BatchEntry, len(b.subs))
+		// The device's model paths, cut from one string arena.
+		prefix := transform.ModelPath(job, b.dev, "")
+		var paths tensor.StringArena
+		var buf []byte
 		for j, s := range b.subs {
 			meta, ok := ptc.Tensors[s.Tensor]
 			if !ok {
 				return fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
 			}
+			buf = append(append(buf[:0], prefix...), s.Tensor...)
 			entries[j] = store.BatchEntry{
-				Path: transform.ModelPath(job, b.dev, s.Tensor),
+				Path: paths.Cut(buf),
 				Dst:  tensor.NewFromRegion(meta.DType, s.Region),
 			}
 		}

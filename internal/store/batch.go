@@ -114,49 +114,32 @@ func fullRegion(arena *[]tensor.Range, t *tensor.Tensor) tensor.Region {
 // connection that dies near the end of a large batch does not repeat the
 // transfer from scratch.
 func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (BatchStats, error) {
-	st := BatchStats{Entries: len(entries)}
 	if len(entries) == 0 {
-		return st, nil
+		return BatchStats{}, nil
 	}
-	ats := make([]tensor.Region, len(entries))
-	sizes := make([]int64, len(entries))
-	var full []tensor.Range // the regions of entries that name none
-	for i, e := range entries {
-		if e.Dst == nil {
-			return st, fmt.Errorf("store client: batch entry %d (%s): nil destination", i, e.Path)
-		}
-		at := e.At
-		if at == nil {
-			at = fullRegion(&full, e.Dst)
-		}
-		if e.Reg != nil && !e.Reg.SameShape(at) {
-			return st, fmt.Errorf("store client: batch entry %d (%s): source region %v != destination region %v",
-				i, e.Path, e.Reg, at)
-		}
-		ats[i] = at
-		sizes[i] = at.NumBytes(e.Dst.DType())
+	q, err := newBatchQuery(entries)
+	if err != nil {
+		return q.st, err
 	}
-	done := make([]bool, len(entries))
-	remaining := len(entries)
 	max := c.Retry.attempts()
 	var lastErr error
 	attempt := 0
 	for attempt < max {
 		attempt++
-		st.Attempts++
+		q.st.Attempts++
 		c.Stats.Attempts.Add(1)
 		c.Metrics.Add("store.client.attempts", 1)
 		if attempt > 1 {
 			c.Stats.Retries.Add(1)
 			c.Metrics.Add("store.client.retries", 1)
 		}
-		err := c.batchAttempt(ctx, entries, ats, sizes, done, &remaining, &st)
+		err := c.batchAttempt(ctx, q)
 		if err == nil {
-			return st, nil
+			return q.st, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil || !retryable(err) {
-			return st, err
+			return q.st, err
 		}
 		if attempt < max {
 			d := c.jitterStep(attempt)
@@ -170,9 +153,54 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 	if max > 1 {
 		c.Stats.Exhausted.Add(1)
 		c.Metrics.Add("store.client.exhausted", 1)
-		return st, &RetryExhaustedError{Op: "batch", Attempts: attempt, Err: lastErr}
+		return q.st, &RetryExhaustedError{Op: "batch", Attempts: attempt, Err: lastErr}
 	}
-	return st, lastErr
+	return q.st, lastErr
+}
+
+// batchQuery is one BatchQueryInto in progress: the entries, the region
+// each lands in and its size, which of them have arrived verified, and
+// which the attempt in flight asked for.
+type batchQuery struct {
+	entries   []BatchEntry
+	ats       []tensor.Region
+	sizes     []int64
+	done      []bool
+	remaining int
+	// sub lists the entries of the attempt in flight in request order: a
+	// frame's index counts in it.
+	sub []int
+	st  BatchStats
+}
+
+// newBatchQuery checks the entries and sizes what each one receives.
+func newBatchQuery(entries []BatchEntry) (*batchQuery, error) {
+	q := &batchQuery{
+		entries:   entries,
+		ats:       make([]tensor.Region, len(entries)),
+		sizes:     make([]int64, len(entries)),
+		done:      make([]bool, len(entries)),
+		remaining: len(entries),
+		sub:       make([]int, 0, len(entries)),
+		st:        BatchStats{Entries: len(entries)},
+	}
+	var full []tensor.Range // the regions of entries that name none
+	for i, e := range entries {
+		if e.Dst == nil {
+			return q, fmt.Errorf("store client: batch entry %d (%s): nil destination", i, e.Path)
+		}
+		at := e.At
+		if at == nil {
+			at = fullRegion(&full, e.Dst)
+		}
+		if e.Reg != nil && !e.Reg.SameShape(at) {
+			return q, fmt.Errorf("store client: batch entry %d (%s): source region %v != destination region %v",
+				i, e.Path, e.Reg, at)
+		}
+		q.ats[i] = at
+		q.sizes[i] = at.NumBytes(e.Dst.DType())
+	}
+	return q, nil
 }
 
 // requestBytesPerEntry sizes a request buffer before it is filled: a
@@ -180,32 +208,98 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 // A guess that is short costs an append's regrowth, nothing else.
 const requestBytesPerEntry = 96
 
-// frameReader reads one batch response. It is the one allocation of an
-// attempt's frame loop: headers and trailers are read into hdr, and Read
-// — through which tensor.WriteRegion fills the destination slices —
-// folds every payload byte into sum as it lands.
+// frameReader reads one batch response through a window: one Read of the
+// body fills it, and headers, trailers and the runs of a strided
+// destination are served from it, so a response of many small runs costs
+// a body Read per window, not one per run. A read of directWriteSize or
+// more that finds the window empty goes to the body straight into the
+// destination. Read — through which tensor.WriteRegion fills the
+// destination slices — folds every payload byte into sum as it lands.
+// Readers are pooled with their windows, so the frame loop allocates
+// nothing.
 type frameReader struct {
-	r   io.Reader
-	sum uint32
-	hdr [tensor.FrameHeaderSize]byte
+	body io.Reader
+	err  error  // what the body's last Read returned, once the window has run dry
+	win  []byte // win[r:w] has been read from the body and not yet consumed
+	r, w int
+	sum  uint32
+}
+
+var frameReaders = sync.Pool{New: func() any { return &frameReader{win: make([]byte, responseWindowSize)} }}
+
+// reset makes f read body from its start.
+func (f *frameReader) reset(body io.Reader) {
+	f.body, f.err, f.r, f.w = body, nil, 0, 0
+}
+
+// fill takes one Read of the body into the window's free space, after
+// moving what is left in the window to its front.
+func (f *frameReader) fill() {
+	if f.r > 0 {
+		f.w = copy(f.win, f.win[f.r:f.w])
+		f.r = 0
+	}
+	var n int
+	n, f.err = f.body.Read(f.win[f.w:])
+	f.w += n
+}
+
+// failure is why the body gave out. Inside the stream every end is
+// premature: the end frame is where a response stops, so EOF before it
+// is a cut stream, io.ErrUnexpectedEOF, which the retry policy re-runs.
+func (f *frameReader) failure() error {
+	if f.err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return f.err
 }
 
 func (f *frameReader) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
+	if f.r == f.w {
+		if f.err != nil {
+			return 0, f.failure()
+		}
+		if len(p) >= directWriteSize {
+			var n int
+			n, f.err = f.body.Read(p)
+			f.sum = crc32.Update(f.sum, castagnoli, p[:n])
+			return n, nil
+		}
+		f.fill()
+	}
+	n := copy(p, f.win[f.r:f.w])
+	f.r += n
 	f.sum = crc32.Update(f.sum, castagnoli, p[:n])
-	return n, err
+	return n, nil
 }
 
-// fixed reads the n bytes of a frame header or trailer, bypassing the
-// checksum. A stream cut here died mid-response: ErrUnexpectedEOF.
+// fixed consumes the n bytes of a frame header or trailer from the
+// window, bypassing the checksum.
 func (f *frameReader) fixed(n int, what string) ([]byte, error) {
-	if _, err := io.ReadFull(f.r, f.hdr[:n]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for f.w-f.r < n {
+		if f.err != nil {
+			return nil, fmt.Errorf("store client: batch: %s: %w", what, f.failure())
 		}
-		return nil, fmt.Errorf("store client: batch: %s: %w", what, err)
+		f.fill()
 	}
-	return f.hdr[:n], nil
+	f.r += n
+	return f.win[f.r-n : f.r], nil
+}
+
+// start reads the stream header and checks the stream is checksummed.
+func (f *frameReader) start() error {
+	b, err := f.fixed(tensor.FrameStreamHeaderSize, "stream header")
+	if err != nil {
+		return err
+	}
+	flags, err := tensor.ParseFrameStreamHeader(b)
+	if err != nil {
+		return fmt.Errorf("store client: batch: %w", err)
+	}
+	if flags&tensor.FrameFlagCRC == 0 {
+		return fmt.Errorf("store client: batch: frame stream without checksums (flags %#x)", flags)
+	}
+	return nil
 }
 
 // next reads the next frame's header and starts its checksum.
@@ -232,22 +326,25 @@ func (f *frameReader) trailer() (uint32, error) {
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-// batchAttempt issues one POST /batch for the not-yet-received entries
-// and scatters the response. Entries are marked received only after
-// their frame's checksum verifies, so a corrupt frame is re-requested
-// on the next attempt and its (idempotent) scatter overwritten.
-func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []tensor.Region,
-	sizes []int64, done []bool, remaining *int, st *BatchStats) error {
-	sub := make([]int, 0, *remaining)
-	payload := tensor.AppendRequestHeader(make([]byte, 0, 16+requestBytesPerEntry**remaining), tensor.RequestBatch)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(*remaining))
-	for i, e := range entries {
-		if done[i] {
-			continue
-		}
-		sub = append(sub, i)
-		payload = tensor.AppendRegion(tensor.AppendString(payload, e.Path), e.Reg)
+// end checks that the body ends with the end frame: a response is one
+// message, and bytes after it are refused like bytes missing from it.
+func (f *frameReader) end() error {
+	for f.r == f.w && f.err == nil {
+		f.fill()
 	}
+	if f.r < f.w {
+		return fmt.Errorf("store client: batch: bytes after the end frame")
+	}
+	if f.err != io.EOF {
+		return fmt.Errorf("store client: batch: after the end frame: %w", f.err)
+	}
+	return nil
+}
+
+// batchAttempt issues one POST /batch for the not-yet-received entries
+// and scatters the response.
+func (c *Client) batchAttempt(ctx context.Context, q *batchQuery) error {
+	payload := q.request()
 	resp, cancel, err := c.doStream(ctx, http.MethodPost, "/batch", url.Values{},
 		bytes.NewReader(payload), int64(len(payload)))
 	if err != nil {
@@ -255,14 +352,41 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 	}
 	defer cancel()
 	defer drainAndClose(resp.Body)
-	flags, err := tensor.DecodeFrameStreamHeader(resp.Body)
-	if err != nil {
-		return fmt.Errorf("store client: batch: %w", err)
+	return q.receive(resp.Body)
+}
+
+// request encodes a /batch request for the entries not yet received and
+// makes them the attempt's sub.
+func (q *batchQuery) request() []byte {
+	q.sub = q.sub[:0]
+	payload := tensor.AppendRequestHeader(make([]byte, 0, 16+requestBytesPerEntry*q.remaining), tensor.RequestBatch)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(q.remaining))
+	for i, e := range q.entries {
+		if q.done[i] {
+			continue
+		}
+		q.sub = append(q.sub, i)
+		payload = tensor.AppendRegion(tensor.AppendString(payload, e.Path), e.Reg)
 	}
-	if flags&tensor.FrameFlagCRC == 0 {
-		return fmt.Errorf("store client: batch: frame stream without checksums (flags %#x)", flags)
+	return payload
+}
+
+// receive reads the response to the attempt's request from body and
+// scatters it, frame by frame, into the destinations. Entries are marked
+// received only after their frame's checksum verifies, so a corrupt
+// frame is re-requested on the next attempt and its (idempotent) scatter
+// overwritten.
+func (q *batchQuery) receive(body io.Reader) error {
+	fr := frameReaders.Get().(*frameReader)
+	fr.reset(body)
+	defer func() {
+		fr.reset(nil)
+		frameReaders.Put(fr)
+	}()
+	if err := fr.start(); err != nil {
+		return err
 	}
-	fr := &frameReader{r: resp.Body}
+	asked := len(q.sub)
 	for {
 		h, err := fr.next()
 		if err != nil {
@@ -272,23 +396,26 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 			break
 		}
 		lo, hi := int(h.Index), int(h.Index)+int(h.Count)
-		if lo >= len(sub) || hi > len(sub) {
-			return fmt.Errorf("store client: batch: frame covers entries [%d,%d) of %d", lo, hi, len(sub))
+		if lo >= asked || hi > asked {
+			return fmt.Errorf("store client: batch: frame covers entries [%d,%d) of %d", lo, hi, asked)
 		}
 		var want int64
 		for j := lo; j < hi; j++ {
-			want += sizes[sub[j]]
+			if q.done[q.sub[j]] {
+				return fmt.Errorf("store client: batch: entry %d arrived twice", j)
+			}
+			want += q.sizes[q.sub[j]]
 		}
 		if h.Length != uint64(want) {
 			return fmt.Errorf("store client: batch: frame for %s declares %d bytes, entries total %d",
-				entries[sub[lo]].Path, h.Length, want)
+				q.entries[q.sub[lo]].Path, h.Length, want)
 		}
 		// WriteRegion reads exactly the region's bytes, a contiguous one
-		// in a single read into the destination slice itself.
+		// in as few reads as the window allows.
 		for j := lo; j < hi; j++ {
-			i := sub[j]
-			if _, err := entries[i].Dst.WriteRegion(ats[i], fr); err != nil {
-				return fmt.Errorf("store client: batch %s: %w", entries[i].Path, err)
+			i := q.sub[j]
+			if _, err := q.entries[i].Dst.WriteRegion(q.ats[i], fr); err != nil {
+				return fmt.Errorf("store client: batch %s: %w", q.entries[i].Path, err)
 			}
 		}
 		declared, err := fr.trailer()
@@ -296,18 +423,21 @@ func (c *Client) batchAttempt(ctx context.Context, entries []BatchEntry, ats []t
 			return err
 		}
 		if declared != fr.sum {
-			return &ChecksumError{Path: entries[sub[lo]].Path, Declared: declared, Computed: fr.sum}
+			return &ChecksumError{Path: q.entries[q.sub[lo]].Path, Declared: declared, Computed: fr.sum}
 		}
 		for j := lo; j < hi; j++ {
-			done[sub[j]] = true
+			q.done[q.sub[j]] = true
 		}
-		*remaining -= int(h.Count)
-		st.Frames++
-		st.Coalesced += int(h.Count) - 1
-		st.Bytes += want
+		q.remaining -= int(h.Count)
+		q.st.Frames++
+		q.st.Coalesced += int(h.Count) - 1
+		q.st.Bytes += want
 	}
-	if *remaining > 0 {
-		return fmt.Errorf("store client: batch: server answered %d of %d entries", len(sub)-*remaining, len(sub))
+	if err := fr.end(); err != nil {
+		return err
+	}
+	if q.remaining > 0 {
+		return fmt.Errorf("store client: batch: server answered %d of %d entries", asked-q.remaining, asked)
 	}
 	return nil
 }
@@ -330,6 +460,12 @@ const (
 	// net/http, whose own is 4 KiB (one write per 4 KiB of small frames).
 	// EXPERIMENTS.md ("Binary requests, ...") has the sizes tried.
 	responseBufferSize = 256 << 10
+
+	// responseWindowSize is the pooled window a client reads a batch
+	// response through (see frameReader). It reads as fast as one of
+	// responseBufferSize and costs a quarter of the memory per batch in
+	// flight: EXPERIMENTS.md, "A batch response read a window at a time".
+	responseWindowSize = 64 << 10
 )
 
 // requestReaders and responseWriters pool the two buffers of a binary
@@ -424,7 +560,13 @@ type frameWriter struct {
 	sum uint32
 }
 
-// directWriteSize: see frameWriter.
+// directWriteSize is the run both ends of a batch move without their
+// buffers: the server writes one this large straight to the connection
+// (see frameWriter), the client reads one straight into its destination
+// when its window is empty (see frameReader). On the client side,
+// BenchmarkBatchScatter's 4 and 16 KiB strided rows read the same, within
+// the host's noise, at every threshold from 4 to 256 KiB
+// (EXPERIMENTS.md, "A batch response read a window at a time").
 const directWriteSize = 32 << 10
 
 // Write sends first and sums after: while this end checksums a large

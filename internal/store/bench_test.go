@@ -121,32 +121,41 @@ func BenchmarkRESTUpload(b *testing.B) {
 }
 
 // BenchmarkBatchScatter is one POST /batch of 8 MiB landing in a
-// contiguous destination and in a strided one whose runs are 256 bytes —
-// the wire half of internal/tensor's kernel floor table. A strided
-// destination costs one Read per run through the whole response stack
-// (frameReader and its CRC, the HTTP body's layers, the transport's
-// buffer), which is what the gap between the two rows prices.
+// contiguous destination and in strided ones whose runs are 256 bytes,
+// 4 KiB and 16 KiB — the wire half of internal/tensor's kernel floor
+// table. A strided destination's runs are served from the client's
+// response window, one body Read per window; a run of directWriteSize
+// or more skips the window and is read off the body straight into place.
+// The rows price both, and are what that threshold was chosen on.
 func BenchmarkBatchScatter(b *testing.B) {
 	const payload = 8 << 20
 	srv := NewServer(NewMemFS())
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	c := &Client{Base: hs.URL, HTTP: hs.Client()}
-	x := tensor.New(tensor.Float32, payload/256, 64)
-	x.FillRandDense(1, 1)
-	if err := c.Upload("/w", x); err != nil {
-		b.Fatal(err)
-	}
 	for _, bc := range []struct {
-		name string
-		dst  *tensor.Tensor
-		at   tensor.Region
+		name    string
+		run     int  // bytes per source row
+		strided bool // rows land in every other half of a row twice as wide
 	}{
-		{"contiguous", tensor.New(tensor.Float32, payload/256, 64), nil},
-		{"strided", tensor.New(tensor.Float32, payload/256, 128), tensor.Region{{Lo: 0, Hi: payload / 256}, {Lo: 32, Hi: 96}}},
+		{"contiguous", 256, false},
+		{"strided", 256, true},
+		{"strided-4KiB", 4 << 10, true},
+		{"strided-16KiB", 16 << 10, true},
 	} {
+		rows, cols := payload/bc.run, bc.run/4
+		x := tensor.New(tensor.Float32, rows, cols)
+		x.FillRandDense(1, 1)
+		if err := c.Upload("/w", x); err != nil {
+			b.Fatal(err)
+		}
+		dst, at := tensor.New(tensor.Float32, rows, cols), tensor.Region(nil)
+		if bc.strided {
+			dst = tensor.New(tensor.Float32, rows, 2*cols)
+			at = tensor.Region{{Lo: 0, Hi: rows}, {Lo: cols / 2, Hi: cols/2 + cols}}
+		}
 		b.Run(bc.name, func(b *testing.B) {
-			entries := []BatchEntry{{Path: "/w", Dst: bc.dst, At: bc.at}}
+			entries := []BatchEntry{{Path: "/w", Dst: dst, At: at}}
 			b.SetBytes(payload)
 			b.ReportAllocs()
 			b.ResetTimer()

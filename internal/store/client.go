@@ -48,8 +48,12 @@ type Access interface {
 	Delete(path string) error
 	// List returns directory children.
 	List(path string) ([]string, error)
-	// Rename atomically moves a file or tree, overwriting the target;
-	// used to commit staged state.
+	// Rename atomically moves a file or tree, replacing the target: a
+	// tree is not merged into the one it overwrites, so nothing only the
+	// old target held survives. The transformer's commit relies on
+	// exactly that: one Rename of the staged tree over the live one is
+	// the whole swap, and the device is never without a model tree. A
+	// tree cannot move to itself or below itself.
 	Rename(src, dst string) error
 }
 

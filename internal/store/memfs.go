@@ -8,8 +8,10 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -303,8 +305,11 @@ func (fs *MemFS) Delete(path string) error {
 }
 
 // Rename atomically moves the file or directory at src to dst,
-// overwriting dst. The State Transformer uses it to commit a staged
-// model partition ("model.next" -> "model") once all fetches complete.
+// replacing whatever dst held: a directory is not merged into an
+// existing one. The State Transformer commits a staged model partition
+// ("model.next" -> "model") with it once all fetches complete. A
+// directory cannot move to itself or below itself
+// (errRenameIntoItself); the tree is left as it was.
 func (fs *MemFS) Rename(src, dst string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -322,6 +327,9 @@ func (fs *MemFS) Rename(src, dst string) error {
 	} else {
 		return fmt.Errorf("store: %q not found", src)
 	}
+	if !isFile && within(dst, src) {
+		return fmt.Errorf("store: rename %q to %q: %w", src, dst, errRenameIntoItself)
+	}
 	dDir, dName, err := fs.lookupPath(dst, true)
 	if err != nil {
 		return err
@@ -336,6 +344,18 @@ func (fs *MemFS) Rename(src, dst string) error {
 		dDir.putFile(dName, moveFile)
 	}
 	return nil
+}
+
+// errRenameIntoItself is a directory renamed to itself or below itself,
+// which would detach it from the tree.
+var errRenameIntoItself = errors.New("a directory cannot move into itself")
+
+// within reports whether path names dir or something below it,
+// component by component.
+func within(path, dir string) bool {
+	isSlash := func(r rune) bool { return r == '/' }
+	p, d := strings.FieldsFunc(path, isSlash), strings.FieldsFunc(dir, isSlash)
+	return len(p) >= len(d) && slices.Equal(p[:len(d)], d)
 }
 
 // Walk calls fn for every file under prefix (the whole tree for "/"),

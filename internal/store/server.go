@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -35,7 +36,8 @@ import (
 //	GET    /stat?path=P              JSON {dtype, shape, bytes, blob}
 //	GET    /list?path=P              JSON [names...]
 //	DELETE /delete?path=P            remove a file or directory
-//	POST   /rename?src=S&dst=D       move a file or tree over the target
+//	POST   /rename?src=S&dst=D       move a file or tree over the target,
+//	                                 replacing it; a tree into itself is 400
 //
 // The range attribute of /query uses the NumPy-like syntax of
 // tensor.ParseRegion, e.g. range=[:,2:4] returns the sub-tensor
@@ -329,7 +331,11 @@ func (s *Server) handleRename(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.FS.Rename(src, dst); err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		code := http.StatusNotFound
+		if errors.Is(err, errRenameIntoItself) {
+			code = http.StatusBadRequest
+		}
+		httpError(w, code, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

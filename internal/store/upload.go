@@ -246,7 +246,7 @@ func decodeUploadBatch(d *tensor.RequestReader, announced int64) ([]uploadedTens
 		items = make([]uploadedTensor, 0, min(n, decodeChunk))
 		seen  = make(map[string]struct{}, min(n, decodeChunk))
 		dims  [maxTensorRank]int
-		fr    = frameReader{r: d}
+		fr    = crcReader{r: d}
 		need  = int64(uploadBatchHeadSize) // body bytes the items so far account for
 	)
 	for i := 0; i < n; i++ {
@@ -307,6 +307,19 @@ func decodeUploadBatch(d *tensor.RequestReader, announced int64) ([]uploadedTens
 		return nil, decodeFailure("upload-batch", d.Err())
 	}
 	return items, nil
+}
+
+// crcReader folds every byte read through it into sum: the payload of an
+// upload frame, on its way from the request buffer into its tensor.
+type crcReader struct {
+	r   io.Reader
+	sum uint32
+}
+
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.sum = crc32.Update(c.sum, castagnoli, p[:n])
+	return n, err
 }
 
 func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -15,10 +18,11 @@ import (
 	"tenplex/internal/tensor"
 )
 
-// The frame loop is free: once a response's writer and an attempt's
-// reader exist, a frame — header, payload out of or into a tensor at its
-// strides, CRC32C — is written and read without allocating, whether the
-// region is one contiguous span or many runs.
+// The frame loop is free: once a response's writer and a pooled reader
+// exist, a frame — header, payload out of or into a tensor at its
+// strides through the reader's window, CRC32C — is written and read
+// without allocating, whether the region is one contiguous span or many
+// runs.
 func TestFrameLoopDoesNotAllocate(t *testing.T) {
 	src := seqTensor(8, 6)
 	for name, reg := range map[string]tensor.Region{
@@ -46,10 +50,12 @@ func TestFrameLoopDoesNotAllocate(t *testing.T) {
 
 		frame := bytes.Clone(wire.Bytes())
 		body := bytes.NewReader(frame)
-		fr := &frameReader{r: body}
+		fr := frameReaders.Get().(*frameReader)
+		defer frameReaders.Put(fr)
 		dst := tensor.New(src.DType(), 8, 6)
 		read := func() {
 			body.Reset(frame)
+			fr.reset(body)
 			got, err := fr.next()
 			if err != nil || got != h {
 				t.Fatalf("header %+v (err %v), want %+v", got, err, h)
@@ -66,6 +72,195 @@ func TestFrameLoopDoesNotAllocate(t *testing.T) {
 		}
 		if !dst.Slice(reg).Equal(src.Slice(reg)) {
 			t.Errorf("%s: frame landed wrong bytes", name)
+		}
+	}
+}
+
+// countingBody counts the Reads asked of a response body.
+type countingBody struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// A strided destination is filled out of the window, not off the body
+// run by run: an 8 MiB frame landing as 32,768 runs of 256 bytes costs
+// about one body Read per window, as a contiguous one would.
+func TestStridedBatchReadsTheBodyAWindowAtATime(t *testing.T) {
+	const payload = 8 << 20
+	src := tensor.New(tensor.Float32, payload/256, 64)
+	src.FillRandDense(1, 1)
+	fs := NewMemFS()
+	if err := fs.PutTensor("/w", src); err != nil {
+		t.Fatal(err)
+	}
+	rec := postBatch(NewServer(fs), batchBody(batchRequestEntry{path: "/w"}))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	dst := tensor.New(tensor.Float32, payload/256, 128)
+	at := tensor.Region{{Lo: 0, Hi: payload / 256}, {Lo: 32, Hi: 96}}
+	q, err := newBatchQuery([]BatchEntry{{Path: "/w", Dst: dst, At: at}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.request()
+	body := &countingBody{r: bytes.NewReader(rec.Body.Bytes())}
+	if err := q.receive(body); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Slice(at).Equal(src) {
+		t.Fatal("strided batch landed wrong bytes")
+	}
+	windows := (payload + responseWindowSize - 1) / responseWindowSize
+	t.Logf("%d body reads for %d runs in %d windows", body.reads, payload/256, windows)
+	if body.reads > windows+4 {
+		t.Fatalf("%d body reads for %d runs, want at most %d", body.reads, payload/256, windows+4)
+	}
+}
+
+// fuzzBatch is the fixed entry list FuzzBatchResponse answers: two
+// adjacent row ranges of /a, which the server coalesces into one frame,
+// and a strided range of /b landing in a strided region. Each call
+// returns fresh destinations.
+func fuzzBatch() []BatchEntry {
+	a, b := tensor.New(tensor.Float32, 4, 4), tensor.New(tensor.Float32, 4, 4)
+	return []BatchEntry{
+		{Path: "/a", Reg: rows(0, 2, 4), Dst: a, At: rows(0, 2, 4)},
+		{Path: "/a", Reg: rows(2, 4, 4), Dst: a, At: rows(2, 4, 4)},
+		{Path: "/b", Reg: tensor.Region{{Lo: 0, Hi: 4}, {Lo: 1, Hi: 3}}, Dst: b, At: tensor.Region{{Lo: 0, Hi: 4}, {Lo: 2, Hi: 4}}},
+	}
+}
+
+// receiveBatch runs the client's frame loop over stream as the response
+// to a first attempt at entries.
+func receiveBatch(entries []BatchEntry, stream []byte) (*batchQuery, error) {
+	q, err := newBatchQuery(entries)
+	if err != nil {
+		return q, err
+	}
+	q.request()
+	return q, q.receive(bytes.NewReader(stream))
+}
+
+// FuzzBatchResponse throws arbitrary response bodies at the store
+// client's frame loop, through its window, for a fixed entry list. It
+// never panics or allocates from a length the stream declares; it
+// accepts a stream only when every frame's checksum verified, every
+// entry landed once with the bytes the stream carried for it, and the
+// body ends with the end frame; and it fails every strict prefix of a
+// stream it accepts with a retryable io.ErrUnexpectedEOF.
+func FuzzBatchResponse(f *testing.F) {
+	fs := NewMemFS()
+	for i, p := range []string{"/a", "/b"} {
+		src := tensor.New(tensor.Float32, 4, 4)
+		src.FillSeq(float64(100*i), 1)
+		if err := fs.PutTensor(p, src); err != nil {
+			f.Fatal(err)
+		}
+	}
+	q, err := newBatchQuery(fuzzBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := postBatch(NewServer(fs), q.request())
+	if rec.Code != http.StatusOK {
+		f.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	valid := rec.Body.Bytes()
+	f.Add(valid)
+	for n := 0; n < len(valid); n++ {
+		f.Add(valid[:n])
+	}
+	// The first frame carries entries 0 and 1: its header, then its
+	// payload, then its CRC trailer.
+	first := tensor.FrameStreamHeaderSize
+	trailer := first + tensor.FrameHeaderSize + int(q.sizes[0]+q.sizes[1])
+	patched := func(off int, patch []byte) []byte {
+		b := bytes.Clone(valid)
+		copy(b[off:], patch)
+		return b
+	}
+	f.Add(patched(trailer, []byte{^valid[trailer]}))                      // a flipped CRC
+	f.Add(patched(first+8, binary.LittleEndian.AppendUint64(nil, 1<<40))) // an oversize frame length
+	f.Add(patched(first, binary.LittleEndian.AppendUint32(nil, 5)))       // an index out of range
+	f.Add(append(bytes.Clone(valid), 0))                                  // a byte after the end frame
+	// The first frame twice and the second never: as many entries
+	// answered as asked, one of them not at all.
+	frame1 := valid[first : trailer+tensor.FrameCRCSize]
+	f.Add(cat(valid[:first], frame1, frame1, tensor.AppendEndFrame(nil)))
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		entries := fuzzBatch()
+		var err error
+		if n := allocatedBy(func() { _, err = receiveBatch(entries, stream) }); n > 1<<20 {
+			t.Fatalf("frame loop allocated %d bytes", n)
+		}
+		if err != nil {
+			return
+		}
+		checkAcceptedResponse(t, entries, stream)
+		for n := 0; n < len(stream); n++ {
+			_, err := receiveBatch(fuzzBatch(), stream[:n])
+			if !errors.Is(err, io.ErrUnexpectedEOF) || !retryable(err) {
+				t.Fatalf("prefix of %d bytes of an accepted stream of %d: %v, want a retryable io.ErrUnexpectedEOF", n, len(stream), err)
+			}
+		}
+	})
+}
+
+// checkAcceptedResponse decodes a response the client accepted with the
+// frame format's own decoders and holds the client to it: every frame's
+// CRC32C matches, every entry is covered by exactly one frame and holds
+// that frame's bytes, and nothing follows the end frame.
+func checkAcceptedResponse(t *testing.T, entries []BatchEntry, stream []byte) {
+	t.Helper()
+	r := bytes.NewReader(stream)
+	if _, err := tensor.DecodeFrameStreamHeader(r); err != nil {
+		t.Fatalf("accepted a stream with a bad header: %v", err)
+	}
+	landed := make([]bool, len(entries))
+	for {
+		h, err := tensor.DecodeFrameHeaderFrom(r)
+		if err != nil {
+			t.Fatalf("accepted a stream with a bad frame header: %v", err)
+		}
+		if h.End() {
+			break
+		}
+		payload := make([]byte, h.Length)
+		var trailer [tensor.FrameCRCSize]byte
+		if _, err := io.ReadFull(r, payload); err != nil {
+			t.Fatalf("accepted a stream with a cut payload: %v", err)
+		}
+		if _, err := io.ReadFull(r, trailer[:]); err != nil {
+			t.Fatalf("accepted a stream with a cut trailer: %v", err)
+		}
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(trailer[:]) {
+			t.Fatalf("accepted frame %+v whose checksum does not match", h)
+		}
+		for i := int(h.Index); i < int(h.Index)+int(h.Count); i++ {
+			if landed[i] {
+				t.Fatalf("accepted entry %d twice", i)
+			}
+			landed[i] = true
+			got := entries[i].Dst.Slice(entries[i].At).Data()
+			if !bytes.Equal(got, payload[:len(got)]) {
+				t.Fatalf("entry %d holds other bytes than its frame carried", i)
+			}
+			payload = payload[len(got):]
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("accepted %d bytes after the end frame", r.Len())
+	}
+	for i, ok := range landed {
+		if !ok {
+			t.Fatalf("accepted a stream without entry %d", i)
 		}
 	}
 }

@@ -77,6 +77,12 @@ func DecodeFrameStreamHeader(r io.Reader) (uint16, error) {
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return 0, fmt.Errorf("tensor: frame stream header: %w", asTruncation(err))
 	}
+	return ParseFrameStreamHeader(buf[:])
+}
+
+// ParseFrameStreamHeader validates the stream header held in the first
+// FrameStreamHeaderSize bytes of buf and returns the stream flags.
+func ParseFrameStreamHeader(buf []byte) (uint16, error) {
 	if m := binary.LittleEndian.Uint32(buf[0:]); m != frameMagic {
 		return 0, fmt.Errorf("tensor: frame stream: bad magic %#x", m)
 	}
@@ -185,10 +191,32 @@ const (
 	// strings the reader can decode.
 	requestBufferSize = 64 << 10
 
-	// stringChunk is how much room the reader makes for strings at a
-	// time: some eighty store paths.
-	stringChunk = 4 << 10
+	// stringChunk is a StringArena's first chunk, some eighty store paths;
+	// each next one is twice the last, up to maxStringChunk.
+	stringChunk    = 4 << 10
+	maxStringChunk = 16 << 10
 )
+
+// StringArena hands out strings cut from a few large chunks instead of
+// allocating each one. A Builder's bytes are written once and never
+// moved, so a string cut from it stays good when later ones are appended
+// behind it; a full chunk is left to the strings that point into it and
+// a new one begun. Every string keeps its whole chunk alive, so an arena
+// suits many short strings of one lifetime: a request's paths, an
+// apply's. The zero value is an empty arena.
+type StringArena struct{ b strings.Builder }
+
+// Cut returns p as a string cut from the arena.
+func (a *StringArena) Cut(p []byte) string {
+	if a.b.Cap()-a.b.Len() < len(p) {
+		next := min(max(2*a.b.Cap(), stringChunk), maxStringChunk)
+		a.b = strings.Builder{}
+		a.b.Grow(max(len(p), next))
+	}
+	start := a.b.Len()
+	a.b.Write(p)
+	return a.b.String()[start:]
+}
 
 // AppendRequestHeader appends the header of a request of the given kind.
 func AppendRequestHeader(buf []byte, kind uint16) []byte {
@@ -223,13 +251,9 @@ func AppendRegion(buf []byte, g Region) []byte {
 // read buffer: only String allocates, after the declared length has
 // passed its cap, and then one chunk for many strings.
 type RequestReader struct {
-	r   *bufio.Reader
-	err error
-	// strs is the chunk the next strings are cut from. A Builder's bytes
-	// are written once and never moved, so a string cut from it stays
-	// good when later ones are appended behind it; a full chunk is left
-	// to the strings that point into it and a new one begun.
-	strs strings.Builder
+	r    *bufio.Reader
+	err  error
+	strs StringArena // the request's strings
 }
 
 // NewRequestReader returns a reader with no input; Reset gives it one.
@@ -242,7 +266,7 @@ func NewRequestReader() *RequestReader {
 func (d *RequestReader) Reset(r io.Reader) {
 	d.r.Reset(r)
 	d.err = nil
-	d.strs = strings.Builder{}
+	d.strs = StringArena{}
 }
 
 // Err returns the first failure, nil if there was none.
@@ -312,14 +336,9 @@ func (d *RequestReader) String(limit int) string {
 	if b == nil {
 		return ""
 	}
-	if d.strs.Cap()-d.strs.Len() < len(b) {
-		d.strs = strings.Builder{}
-		d.strs.Grow(max(len(b), stringChunk))
-	}
-	start := d.strs.Len()
-	d.strs.Write(b)
+	s := d.strs.Cut(b)
 	d.skip(int(n))
-	return d.strs.String()[start:]
+	return s
 }
 
 // Region reads a region. Its ranges are appended to *arena and the

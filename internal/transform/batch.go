@@ -111,7 +111,7 @@ func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error
 	preps := make([]prep, len(plan.Assignments))
 	var pulls []*assembleGroup
 	byDev := map[cluster.DeviceID]*assembleGroup{}
-	route := newPullRoute(tr.Job)
+	route := newPullRoute(tr.Job, plan)
 	for i, a := range plan.Assignments {
 		p := &preps[i]
 		p.a = a
@@ -243,36 +243,58 @@ func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error
 }
 
 // pullRoute is what the assemble items of one apply share, so that
-// describing an assignment to its destination store costs no allocation
-// per fetch beyond the path string the request keeps: each device's
-// path prefixes, built once, and one growing arena every fetch's regions
-// are cut from.
+// describing an assignment to its destination store allocates nothing
+// per item or fetch: the paths are cut from one string arena, and the
+// shapes, fetch lists and regions from one slice each, sized for the
+// whole plan.
 type pullRoute struct {
-	model, staging devPrefix
+	plan           *core.Plan
+	model, staging string // the roots ModelPath and stagingPath build under
+	paths          tensor.StringArena
+	scratch        []byte // the path being built
+	dims           []int
+	fetches        []store.AssembleFetch
 	ranges         []tensor.Range
 }
 
-func newPullRoute(job string) *pullRoute {
-	return &pullRoute{
-		model:   devPrefix{root: modelRoot(job), byDev: map[cluster.DeviceID]string{}},
-		staging: devPrefix{root: stagingRoot(job), byDev: map[cluster.DeviceID]string{}},
-	}
+func newPullRoute(job string, plan *core.Plan) *pullRoute {
+	return &pullRoute{plan: plan, model: modelRoot(job), staging: stagingRoot(job)}
 }
 
-// devPrefix builds the paths ModelPath and stagingPath build, with the
-// "<root>/dev<N>/" part made once per device.
-type devPrefix struct {
-	root  string
-	byDev map[cluster.DeviceID]string
+// reserve sizes the slices for every item and fetch of the plan, once,
+// when the first item is described: one allocation each where growing
+// by appends would allocate about as much again, and none for a plan no
+// store assembles.
+func (r *pullRoute) reserve() {
+	if r.fetches != nil {
+		return
+	}
+	var fetches, dims, ranges int
+	for _, a := range r.plan.Assignments {
+		fetches += len(a.Fetch)
+		dims += len(a.Region)
+		ranges += 2 * len(a.Fetch) * len(a.Region)
+	}
+	r.fetches = make([]store.AssembleFetch, 0, fetches)
+	r.dims = make([]int, 0, dims)
+	r.ranges = make([]tensor.Range, 0, ranges)
 }
 
-func (c devPrefix) path(d cluster.DeviceID, id core.TensorID) string {
-	p, ok := c.byDev[d]
-	if !ok {
-		p = c.root + "/dev" + strconv.Itoa(int(d)) + "/"
-		c.byDev[d] = p
+// path is root/dev<d>/<id>, what ModelPath and stagingPath build.
+func (r *pullRoute) path(root string, d cluster.DeviceID, id core.TensorID) string {
+	b := append(append(r.scratch[:0], root...), "/dev"...)
+	b = append(append(strconv.AppendInt(b, int64(d), 10), '/'), id...)
+	r.scratch = b
+	return r.paths.Cut(b)
+}
+
+// shape is reg's shape.
+func (r *pullRoute) shape(reg tensor.Region) []int {
+	start := len(r.dims)
+	for _, rg := range reg {
+		r.dims = append(r.dims, rg.Len())
 	}
-	return p + string(id)
+	return r.dims[start:len(r.dims):len(r.dims)]
 }
 
 // assembleItem describes assignment a as a tensor for its destination
@@ -285,38 +307,45 @@ func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment, route *p
 		store.Assembler
 		store.Addressable
 	})
-	if !ok {
+	if !ok || !a.IsNoop() && !tr.pullable(a) {
 		return store.AssembleItem{}, false
 	}
+	route.reserve()
 	item := store.AssembleItem{
-		Path:  route.staging.path(a.Device, a.Tensor),
+		Path:  route.path(route.staging, a.Device, a.Tensor),
 		DType: plan.To.Tensors[a.Tensor].DType,
-		Shape: a.Region.Shape(),
+		Shape: route.shape(a.Region),
 	}
 	if a.IsNoop() {
-		item.Link = route.model.path(a.Device, a.Tensor)
+		item.Link = route.path(route.model, a.Device, a.Tensor)
 		return item, true
 	}
-	if !disjointTargets(a.Fetch) {
-		return item, false
-	}
-	item.Fetch = make([]store.AssembleFetch, len(a.Fetch))
-	for i, f := range a.Fetch {
-		if f.Src.Kind != core.FromDevice {
-			return item, false
-		}
-		src, ok := tr.Stores[f.Src.Device].(store.Addressable)
-		if !ok {
-			return item, false
-		}
+	start := len(route.fetches)
+	for _, f := range a.Fetch {
 		target, local := fetchRegions(&route.ranges, a, f)
-		af := store.AssembleFetch{Path: route.model.path(f.Src.Device, a.Tensor), Reg: local, At: target}
-		if addr := src.Address(); addr != self.Address() {
+		af := store.AssembleFetch{Path: route.path(route.model, f.Src.Device, a.Tensor), Reg: local, At: target}
+		if addr := tr.Stores[f.Src.Device].(store.Addressable).Address(); addr != self.Address() {
 			af.Source = addr
 		}
-		item.Fetch[i] = af
+		route.fetches = append(route.fetches, af)
 	}
+	item.Fetch = route.fetches[start:len(route.fetches):len(route.fetches)]
 	return item, true
+}
+
+// pullable reports whether a store can pull all of a's ranges itself:
+// every one comes from a device store with a network address, and the
+// targets are disjoint.
+func (tr *Transformer) pullable(a core.Assignment) bool {
+	for _, f := range a.Fetch {
+		if f.Src.Kind != core.FromDevice {
+			return false
+		}
+		if _, ok := tr.Stores[f.Src.Device].(store.Addressable); !ok {
+			return false
+		}
+	}
+	return disjointTargets(a.Fetch)
 }
 
 // stageAssembled sends one destination store its assemble request and

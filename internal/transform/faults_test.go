@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -213,43 +214,55 @@ func TestCommitTriesEveryDeviceAndReportsEachFailure(t *testing.T) {
 	}
 }
 
-// listFails is a store that cannot list its staging tree.
-type listFails struct{ store.Access }
-
-func (l listFails) List(path string) ([]string, error) {
-	if strings.HasSuffix(path, "/model.next") {
-		return nil, fmt.Errorf("injected fault during list of %s", path)
-	}
-	return l.Access.List(path)
+// treeOps records, in the order they reach the stores, the calls an
+// apply makes on whole trees: Rename, Delete and List.
+type treeOps struct {
+	mu  sync.Mutex
+	ops []treeOp
 }
 
-// A destination whose staging tree cannot be listed has not committed:
-// the plan says it staged one, so the failed list is that device's commit
-// error, not "nothing staged" (Apply used to return nil with the staged
-// tree stranded). A device the plan assigns nothing to has no staging
-// tree to list, and still commits as a no-op.
-func TestCommitReportsListFailure(t *testing.T) {
-	const job = "blist"
-	from, to, plan, golden := migrateFixture(t)
-	stores := localStores(alloc(4))
-	if err := LoadPTC(job, from, stores, golden); err != nil {
-		t.Fatal(err)
-	}
-	plain := stores[2]
-	stores[2] = listFails{plain}
-	_, err := (&Transformer{Job: job, Stores: stores}).Apply(plan)
-	want := "transform: commit on dev 2: injected fault during list of /job/blist/model.next"
-	if err == nil || err.Error() != want {
-		t.Fatalf("Apply returned %v, want %s", err, want)
-	}
-	if _, err := stores[3].List(modelRoot(job)); err != nil {
-		t.Fatalf("dev 3 did not commit although nothing failed on it: %v", err)
-	}
-	verifyAgainstGolden(t, job, from, stores, golden) // the departing devices kept the only other copy
+type treeOp struct {
+	dev cluster.DeviceID
+	op  string
+}
 
+func (l *treeOps) add(dev cluster.DeviceID, op string) {
+	l.mu.Lock()
+	l.ops = append(l.ops, treeOp{dev, op})
+	l.mu.Unlock()
+}
+
+// countingAccess is device dev's store, with its tree calls recorded.
+type countingAccess struct {
+	store.Access
+	dev cluster.DeviceID
+	log *treeOps
+}
+
+func (c countingAccess) Rename(src, dst string) error {
+	c.log.add(c.dev, "rename")
+	return c.Access.Rename(src, dst)
+}
+
+func (c countingAccess) Delete(path string) error {
+	c.log.add(c.dev, "delete")
+	return c.Access.Delete(path)
+}
+
+func (c countingAccess) List(path string) ([]string, error) {
+	c.log.add(c.dev, "list")
+	return c.Access.List(path)
+}
+
+// A commit is one Rename per destination that staged anything, and no
+// List or Delete there: the rename replaces the live tree. The leaving
+// devices each see one Delete, after every rename; a destination the
+// plan assigns nothing sees no call at all.
+func TestCommitIsOneRenamePerStagedDevice(t *testing.T) {
+	const job = "bcount"
+	from, to, plan, golden := migrateFixture(t)
 	// The same move with device 4 in the allocation and nothing placed on
-	// it: its staging root does not exist, whether the list says so or
-	// fails.
+	// it.
 	wide := core.NewPTC(to.Name, append(slices.Clone(to.Devices), 4))
 	for _, meta := range to.Tensors {
 		wide.AddTensor(meta)
@@ -261,21 +274,43 @@ func TestCommitReportsListFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wrap := range []func(store.Access) store.Access{
-		func(acc store.Access) store.Access { return acc },
-		func(acc store.Access) store.Access { return listFails{acc} },
+	for _, sc := range []struct {
+		name    string
+		plan    *core.Plan
+		devices int
+	}{
+		{"migrate", plan, 4},
+		{"migrate with an unassigned destination", widePlan, 5},
 	} {
-		stores := localStores(alloc(5))
+		stores := localStores(alloc(sc.devices))
 		if err := LoadPTC(job, from, stores, golden); err != nil {
 			t.Fatal(err)
 		}
-		stores[4] = wrap(stores[4])
-		if _, err := (&Transformer{Job: job, Stores: stores}).Apply(widePlan); err != nil {
-			t.Fatalf("a destination with no assignment failed the commit: %v", err)
+		log := &treeOps{}
+		for d, acc := range stores {
+			stores[d] = countingAccess{Access: acc, dev: d, log: log}
+		}
+		if _, err := (&Transformer{Job: job, Stores: stores}).Apply(sc.plan); err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
 		}
 		verifyAgainstGolden(t, job, to, stores, golden)
-		if names, err := stores[4].List(modelRoot(job)); err == nil {
-			t.Fatalf("dev 4 holds nothing under the plan but has a model tree: %v", names)
+		got := map[treeOp]int{}
+		lastRename, firstDelete := -1, len(log.ops)
+		for i, op := range log.ops {
+			got[op]++
+			switch op.op {
+			case "rename":
+				lastRename = i
+			case "delete":
+				firstDelete = min(firstDelete, i)
+			}
+		}
+		want := map[treeOp]int{{2, "rename"}: 1, {3, "rename"}: 1, {0, "delete"}: 1, {1, "delete"}: 1}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: the commit made the calls %v, want %v", sc.name, log.ops, want)
+		}
+		if firstDelete < lastRename {
+			t.Fatalf("%s: a leaving device deleted its state before every destination committed: %v", sc.name, log.ops)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // Stores of the cluster. Fetches run in parallel, read exactly the
 // sub-tensor ranges the plan requires (splits are range-reads, merges
 // are local assembly), stage the new partitions next to the old ones,
-// and atomically commit when every assignment has landed.
+// and atomically commit when every assignment has landed: one rename of
+// the staged tree over the live one per device store that staged
+// anything, and no other request.
 //
 // The production data path is streamed and zero-copy: each destination
 // sub-tensor is allocated exactly once and every plan range is fetched
@@ -29,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -255,10 +256,6 @@ type ctxDeleter interface {
 	DeleteContext(ctx context.Context, path string) error
 }
 
-type ctxLister interface {
-	ListContext(ctx context.Context, path string) ([]string, error)
-}
-
 type ctxRenamer interface {
 	RenameContext(ctx context.Context, src, dst string) error
 }
@@ -291,16 +288,6 @@ func deleteCtx(ctx context.Context, acc store.Access, path string) error {
 		return err
 	}
 	return acc.Delete(path)
-}
-
-func listCtx(ctx context.Context, acc store.Access, path string) ([]string, error) {
-	if cl, ok := acc.(ctxLister); ok {
-		return cl.ListContext(ctx, path)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return acc.List(path)
 }
 
 func renameCtx(ctx context.Context, acc store.Access, src, dst string) error {
@@ -401,38 +388,41 @@ func (tr *Transformer) cleanupStaging(ctx context.Context, plan *core.Plan) {
 }
 
 // commit swaps the staged tree into place on every destination device
-// and clears stale model state on devices that leave the job. Once
-// staging has fully succeeded the swap is the point of no return, so it
-// runs detached from the apply's cancellation: a ctx canceled in the
-// commit window must not strand a half-renamed model tree. Devices do
-// not wait for each other: each runs its own list, delete, rename, in
-// that order, on the apply's workers. Every device is tried whatever
-// happened to another, so the error names each one that did not commit
-// (joined, in the plan's device order) instead of hiding the rest
-// behind the first. The departing devices give up their old state only
-// after every destination has committed, together: a failed commit
-// leaves a migrating job's previous copy where it was.
+// and clears stale model state on devices that leave the job. A device
+// the plan assigned anything to has a staged tree, and its commit is one
+// Rename of it over the live tree, which store.Access.Rename replaces
+// whole and at once, so the device is never without a model tree; a
+// destination the plan assigned nothing has nothing staged and is sent
+// nothing. Once staging has fully succeeded the swap is the point of no
+// return, so it runs detached from the apply's cancellation: a ctx
+// canceled in the commit window must not strand a half-committed job.
+// Devices do not wait for each other: the renames run on the apply's
+// workers, every device is tried whatever happened to another, and the
+// error names each one that did not commit (joined, in the plan's device
+// order) instead of hiding the rest behind the first. The departing
+// devices give up their old state only after every destination has
+// committed, together: a failed commit leaves a migrating job's previous
+// copy where it was.
 func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 	ctx = context.WithoutCancel(ctx)
-	to := plan.To.Devices
-	errs := make([]error, len(to))
-	runBounded(ctx, tr.parallelism(), len(to), func(i int) {
-		acc := tr.Stores[to[i]]
-		if _, err := listCtx(ctx, acc, stagingRoot(tr.Job)); err != nil {
-			// A device with no assignments (possible when it holds nothing
-			// under the new PTC) has nothing staged to swap in. For any
-			// other, the plan says a tree was staged: a list that fails is
-			// a store that failed, and its state would never be renamed
-			// into place.
-			staged := slices.ContainsFunc(plan.Assignments, func(a core.Assignment) bool { return a.Device == to[i] })
-			if staged {
-				errs[i] = fmt.Errorf("transform: commit on dev %d: %w", to[i], err)
-			}
-			return
+	// In the new allocation: true where something was staged.
+	staged := make(map[cluster.DeviceID]bool, len(plan.To.Devices))
+	for _, d := range plan.To.Devices {
+		staged[d] = false
+	}
+	for _, a := range plan.Assignments {
+		staged[a.Device] = true
+	}
+	var swap []cluster.DeviceID
+	for _, d := range plan.To.Devices {
+		if staged[d] {
+			swap = append(swap, d)
 		}
-		_ = deleteCtx(ctx, acc, modelRoot(tr.Job)) // old state may not exist
-		if err := renameCtx(ctx, acc, stagingRoot(tr.Job), modelRoot(tr.Job)); err != nil {
-			errs[i] = fmt.Errorf("transform: commit on dev %d: %w", to[i], err)
+	}
+	errs := make([]error, len(swap))
+	runBounded(ctx, tr.parallelism(), len(swap), func(i int) {
+		if err := renameCtx(ctx, tr.Stores[swap[i]], stagingRoot(tr.Job), modelRoot(tr.Job)); err != nil {
+			errs[i] = fmt.Errorf("transform: commit on dev %d: %w", swap[i], err)
 		}
 	})
 	if err := errors.Join(errs...); err != nil { // the devices that failed, in the plan's order
@@ -440,14 +430,12 @@ func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 	}
 	// Devices that held state before but are not in the new allocation
 	// release it so the scheduler can hand their memory to other jobs.
-	newSet := make(map[cluster.DeviceID]bool, len(to))
-	for _, d := range to {
-		newSet[d] = true
-	}
 	var leaving []store.Access
 	for _, d := range plan.From.Devices {
-		if acc, ok := tr.Stores[d]; ok && !newSet[d] {
-			leaving = append(leaving, acc)
+		if _, in := staged[d]; !in {
+			if acc, ok := tr.Stores[d]; ok {
+				leaving = append(leaving, acc)
+			}
 		}
 	}
 	runBounded(ctx, tr.parallelism(), len(leaving), func(i int) {
