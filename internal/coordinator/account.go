@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"fmt"
-	"time"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/obs"
@@ -72,7 +71,7 @@ func (s *sim) countRetries(p *pendingChange, attempts int) {
 	}
 }
 
-// degrade handles a change that flush finds aborted: the chain rolled
+// degrade handles a change that book finds aborted: the chain rolled
 // the runtime back to its last checkpoint, so the decision plane walks
 // back too — the wasted attempts are charged to the recovery metrics
 // (there is no completion to delay) and the job is requeued or, once its
@@ -220,14 +219,16 @@ func (s *sim) traceChange(p *pendingChange, attempts int, down float64, out *out
 	} else {
 		attrs["moved_bytes"] = ch.Stats.MovedBytes
 	}
-	wallNs := p.planNs
+	var wallNs int64
 	if out != nil {
-		wallNs += out.applyNs
+		wallNs = out.applyNs
 	}
 	s.tr.Record(obs.Span{ID: p.spanID, Name: obs.ReconfigPrefix + s.timeline[p.tlIdx].Kind,
 		Cat: obs.CatExec, Job: j.spec.Name, TMin: p.tMin, DurSec: down, WallNs: wallNs, Attrs: attrs})
+	// Planning ran inside the decision the driver timed: the span has no
+	// wall time of its own.
 	s.tr.Record(obs.Span{ID: s.tr.NewID(), Parent: p.spanID, Name: obs.SpanPlan,
-		Cat: obs.CatExec, Job: j.spec.Name, TMin: p.tMin, WallNs: p.planNs,
+		Cat: obs.CatExec, Job: j.spec.Name, TMin: p.tMin,
 		Attrs: map[string]any{"assignments": ch.Stats.Assignments}})
 	s.traceAttempts(p, 1, attempts, aborted)
 }
@@ -283,17 +284,15 @@ func (s *sim) traceSuperseded(p *pendingChange) {
 
 // --- invariants and the result ---
 
-// checkInvariants asserts, after every event, that the ledger is
-// consistent and that each running job's decided allocation matches
-// its lease exactly. In ModeSim — where flush has just joined every
-// chain — it additionally asks the executor whether each runtime caught
-// up with the decision plane under a valid PTC.
+// checkInvariants asserts, after every input, that the ledger is
+// consistent and that each running job's decided allocation matches its
+// lease exactly. Whether the runtimes caught up is the driver's to ask:
+// only it knows when the chains are idle.
 func (s *sim) checkInvariants() error {
 	s.checks++
 	if err := s.ledger.Validate(); err != nil {
 		return err
 	}
-	audit := s.opts.Mode == ModeSim && (s.opts.AuditStride <= 1 || s.eventIdx%s.opts.AuditStride == 0)
 	for _, j := range s.running() {
 		lease := s.ledger.Allocation(j.spec.Name)
 		if len(lease) != len(j.alloc) {
@@ -310,31 +309,11 @@ func (s *sim) checkInvariants() error {
 					j.spec.Name, d)
 			}
 		}
-		if audit {
-			if err := s.exec.audit(j.spec.Name, j.alloc); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
 
-// auditAll is the terminal sweep after the final join: every job still
-// running must have its runtime on its last decided placement — ModeWall
-// has no per-event runtime audit (chains are in flight), so this is
-// where a divergence would surface. A completed job was audited by its
-// verify command; a job parked by a requeue sits at its checkpointed
-// placement with no decided allocation to audit against.
-func (s *sim) auditAll() error {
-	for _, j := range s.running() {
-		if err := s.exec.audit(j.spec.Name, j.alloc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *sim) result(start time.Time) Result {
+func (s *sim) result() Result {
 	res := Result{
 		Timeline:         s.timeline,
 		Policy:           s.policy.Name(),
@@ -343,14 +322,12 @@ func (s *sim) result(start time.Time) Result {
 		Preemptions:      s.preemptions,
 		PlansValidated:   s.plans,
 		InvariantChecks:  s.checks,
-		WallNs:           time.Since(start).Nanoseconds(),
 
 		Retries:            s.retries,
 		Requeues:           s.requeues,
 		QuarantinedDevices: len(s.quarantined),
 		RetryBytes:         s.retryBytes,
 		RecoverySec:        s.recoverySec,
-		DecisionNs:         s.decisionNs,
 	}
 	if s.now > 0 {
 		res.MeanUtilization = s.utilIntegral / (float64(s.topo.NumDevices()) * s.now)

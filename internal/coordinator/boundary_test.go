@@ -41,13 +41,19 @@ func nonTestImports(t *testing.T, dir string) (*token.FileSet, map[string]*ast.F
 	return fset, files, imports
 }
 
+// namesMode is where the package may say which driver runs: the drivers,
+// the Service that picks one, and the Options that select it.
+var namesMode = map[string]bool{"driver.go": true, "service.go": true, "coordinator.go": true}
+
 // TestDecisionFilesImportNoDataPlane holds the boundary where the
 // compiler holds it. The package reaches transforms and checkpoints
 // through internal/job alone; only the executor and the runtime name a
 // job.Runtime or its wrapper (the decision files may plan with the
-// package's pure half), and the decision files reach no store and start
-// no goroutine. And internal/job knows nothing of the control plane, so
-// a benchmark can drive it bare, without an event loop in the
+// package's pure half). The decision files are one core under two
+// drivers: they reach no store and no clock, start no goroutine, wait on
+// no join, and test no mode — only the drivers, the Service and the
+// Options name one. And internal/job knows nothing of the control plane,
+// so a benchmark can drive it bare, without an event loop in the
 // measurement.
 func TestDecisionFilesImportNoDataPlane(t *testing.T) {
 	fset, files, imports := nonTestImports(t, ".")
@@ -60,8 +66,10 @@ func TestDecisionFilesImportNoDataPlane(t *testing.T) {
 		}
 		if decisionFiles[name] {
 			seen++
-			if imports[name]["tenplex/internal/store"] {
-				t.Errorf("%s imports internal/store", name)
+			for _, pkg := range []string{"tenplex/internal/store", "time"} {
+				if imports[name][pkg] {
+					t.Errorf("%s imports %s", name, pkg)
+				}
 			}
 		}
 		holdsRuntime := name == "executor.go" || name == "runtime.go"
@@ -76,6 +84,19 @@ func TestDecisionFilesImportNoDataPlane(t *testing.T) {
 			}
 			if g, ok := n.(*ast.GoStmt); ok && decisionFiles[name] {
 				t.Errorf("%s starts a goroutine at %s", name, fset.Position(g.Pos()))
+			}
+			if id, ok := n.(*ast.Ident); ok && !namesMode[name] {
+				if id.Name == "ExecMode" || id.Name == "ModeSim" || id.Name == "ModeWall" {
+					t.Errorf("%s names %s at %s", name, id.Name, fset.Position(id.Pos()))
+				}
+			}
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Mode" && !namesMode[name] {
+				t.Errorf("%s reads Options.Mode at %s", name, fset.Position(sel.Pos()))
+			}
+			if call, ok := n.(*ast.CallExpr); ok && decisionFiles[name] {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "join" || sel.Sel.Name == "joinJob") {
+					t.Errorf("%s calls %s at %s", name, sel.Sel.Name, fset.Position(call.Pos()))
+				}
 			}
 			return true
 		})

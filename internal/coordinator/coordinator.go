@@ -17,18 +17,18 @@
 // generation and the distributed State Transformer over per-device
 // Tensor Stores.
 //
-// The runtime is split into a single-threaded decision plane and a
-// parallel execution plane (doc.go has the rules between them): the
-// event loop owns the ledger, the event heap and every scheduling choice
-// and plans and prices every change itself; what it decides goes through
-// the executor (executor.go) to per-job task chains on a bounded worker
-// pool — deploy, transform.Apply, checkpointing, state verification —
-// and every outcome comes back to the loop as an event. Two execution
-// modes share the same API: deterministic simulated time (ModeSim, the
-// default — traces are reproducible bit for bit and, under the FIFO
-// policy, byte-identical to the original serial loop), and wall-clock
-// mode (ModeWall), which paces the event heap on the real clock so
-// reconfigurations of different jobs genuinely overlap in time.
+// The runtime is one decision core and two drivers (doc.go has the
+// rules between them). The core owns the ledger, the event heap and every
+// scheduling choice, plans and prices every change itself, and reads no
+// clock and waits for nothing; what it decides goes through the executor
+// (executor.go) to per-job task chains on a bounded worker pool — deploy,
+// transform.Apply, checkpointing, state verification — and every outcome
+// comes back to it as an input. A driver (driver.go) feeds it and does
+// the waiting: the sim driver (ModeSim, the default) joins the chains
+// after every decision, so traces are reproducible bit for bit and, under
+// the FIFO policy, byte-identical to the original serial loop; the wall
+// driver (ModeWall, and every Service) paces the event heap on the real
+// clock, so reconfigurations of different jobs genuinely overlap in time.
 package coordinator
 
 import (
@@ -93,20 +93,20 @@ type FailureSpec struct {
 	Device  cluster.DeviceID
 }
 
-// ExecMode selects how the runtime advances time.
+// ExecMode selects the driver that feeds a run's decision core.
 type ExecMode int
 
 const (
-	// ModeSim is deterministic simulated time: the event heap drives
-	// the clock, every event ends by joining the chains and taking their
+	// ModeSim is the sim driver: the event heap drives the clock, every
+	// decision is followed by joining the chains and taking their
 	// outcomes, and the run is reproducible bit for bit.
 	ModeSim ExecMode = iota
-	// ModeWall paces the event heap on the real clock (Options.WallScale
-	// real time per simulated minute) and joins nothing: an outcome is an
-	// event of its own when its chain posts it, so independent jobs'
-	// reconfigurations genuinely overlap. Decisions — and therefore the
-	// timeline — are identical to ModeSim as long as no commit aborts;
-	// only real execution differs.
+	// ModeWall is the wall driver: it paces the event heap on the real
+	// clock (Options.WallScale real time per simulated minute) and joins
+	// nothing: an outcome is an input of its own when its chain posts it,
+	// so independent jobs' reconfigurations genuinely overlap. Decisions —
+	// and therefore the timeline — are identical to ModeSim as long as no
+	// commit aborts; only real execution differs.
 	ModeWall
 )
 
@@ -139,9 +139,10 @@ type Options struct {
 	// PlacementCandidates bounds the candidate sets scored per
 	// decision; 0 means the default (4).
 	PlacementCandidates int
-	// Mode selects deterministic simulated time (default) or wall-clock
-	// pacing. It decides how the loop is paced and where outcomes are
-	// taken, never where a change is planned: that is the loop, in both.
+	// Mode selects the driver: deterministic simulated time (default) or
+	// wall-clock pacing. It decides when inputs reach the decision core
+	// and where outcomes are waited for, never what the core decides or
+	// where a change is planned: that is the core, under both.
 	Mode ExecMode
 	// Workers bounds the worker pool executing the data plane's commands
 	// (deploy, transform, checkpoint, verify); planning is not among
@@ -161,22 +162,15 @@ type Options struct {
 	// Recovery tunes transactional reconfiguration and graceful
 	// degradation; the zero value is the legacy fail-fast coordinator.
 	Recovery RecoveryPolicy
-	// RecordDecisions collects the wall-clock latency of every
-	// decision-plane event handler into Result.DecisionNs — the metric
-	// the dcscale experiments gate on. The handler plans and prices the
-	// changes it decides, in both modes, so that is timed: it is what
-	// tenplex-coordd pays per decision. Transform execution (the flush
-	// join) and invariant audits are not: they are verification machinery
-	// of the simulator, not work a production control plane would do.
-	RecordDecisions bool
-	// AuditStride runs the expensive per-event runtime audit (PTC
-	// validation for every running job) on every AuditStride-th event
-	// only; 0 or 1 audits every event (the default, unchanged
-	// behavior). The terminal auditAll sweep always runs, so a
-	// divergence still fails the run — a larger stride only delays
-	// where it surfaces. Datacenter-scale simulations (200 jobs ×
-	// thousands of events) set this to keep O(jobs·state) validation
-	// from dominating the run.
+	// AuditStride has the sim driver run the expensive runtime audit
+	// (PTC validation for every running job, behind its join) after every
+	// AuditStride-th step only; 0 or 1 audits every step (the default).
+	// The audit at the end of every run always runs, so a divergence
+	// still fails the run — a larger stride only delays where it
+	// surfaces. Datacenter-scale simulations (200 jobs × thousands of
+	// events) set this to keep O(jobs·state) validation from dominating
+	// the run. The wall driver audits at the end only: its chains are
+	// never idle before.
 	AuditStride int
 	// Stores, when non-nil, supplies each job runtime's per-device
 	// Tensor Store instead of a fresh in-memory one (asked once per
@@ -379,9 +373,13 @@ type Result struct {
 	// WallNs is the real time the run took — the cost of executing the
 	// control plane plus (in ModeWall) the paced schedule.
 	WallNs int64
-	// DecisionNs holds the wall-clock nanoseconds each decision-plane
-	// event handler took, in processing order; populated only when
-	// Options.RecordDecisions is set.
+	// DecisionNs holds the wall-clock nanoseconds each decision took, one
+	// per input the core consumed, in order — the metric the dcscale
+	// experiments gate on. The decision plans and prices the changes it
+	// decides, under both drivers, so that is timed: it is what
+	// tenplex-coordd pays per decision. Executing the decided work and
+	// the invariant audits are not. Run fills it; a Service, which never
+	// ends, does not.
 	DecisionNs []int64
 }
 

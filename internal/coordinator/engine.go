@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/job"
@@ -221,7 +220,7 @@ func (s *sim) admitQueued() error {
 			// Re-admission of a requeued job: redeploy its checkpointed
 			// state onto the new placement and resume the remaining
 			// duration. The restore is priced like any other change, so
-			// the completion push waits for flush.
+			// the completion push waits for its booking.
 			rem := j.spec.DurationMin - j.servedMin
 			if rem < 0 {
 				rem = 0
@@ -425,12 +424,16 @@ func (s *sim) expandJobs() error {
 	}
 }
 
-// defragJobs redeploys fragmented jobs onto fewer workers when a
-// compact placement exists and its netsim-priced cost stays under the
-// configured ceiling — the paper's redeployment scenario (§6.3) driven
-// by the cluster, not the user. Unlike every other change, this one is
-// only decided if its price is right.
-func (s *sim) defragJobs() error {
+// defrag is a completion's second phase: it redeploys fragmented jobs
+// onto fewer workers when a compact placement exists and its
+// netsim-priced cost stays under the configured ceiling — the paper's
+// redeployment scenario (§6.3) driven by the cluster, not the user.
+// Unlike every other change, this one is only decided if its price is
+// right. It runs after the first phase has been booked, so a job whose
+// change the sim driver found aborted has already been requeued and is
+// not compacted (doc.go).
+func (s *sim) defrag() error {
+	s.defragDue = false
 	if s.opts.DefragMaxSec < 0 {
 		return nil
 	}
@@ -465,24 +468,10 @@ func (s *sim) defragJobs() error {
 				continue
 			}
 		}
-		// Same device count, so the job keeps its current (T, P, D);
-		// price the move before committing it. ModeSim first joins the
-		// job's chain and takes what it reported, so that abortPending is
-		// exact — the one join planning on the loop did not make redundant
-		// (doc.go has the BENCH_hostile cells that move without it).
-		// ModeWall waits for nothing: an abort that has arrived has already
-		// requeued its job, and a change decided over one that has not
-		// re-plans on the chain.
-		if s.opts.Mode == ModeSim {
-			if err := s.exec.joinJob(j.spec.Name); err != nil {
-				return err
-			}
-			s.attachArrived()
-		}
-		if s.abortPending(j) {
-			continue
-		}
-		ch, planNs, err := s.planOnLoop(j, j.cfg, candidate, nil)
+		// Same device count, so the job keeps its current (T, P, D); price
+		// the move before committing it. A change decided over an abort
+		// that has not been stepped yet re-plans on the chain.
+		ch, err := s.planOnLoop(j, j.cfg, candidate, nil)
 		if err != nil {
 			return err
 		}
@@ -492,24 +481,11 @@ func (s *sim) defragJobs() error {
 		}
 		note := fmt.Sprintf("defragmented %d -> %d workers", curWorkers,
 			len(cluster.Allocation(candidate).Workers(s.topo)))
-		if err := s.applyPlanned(j, ch, planNs, EvRedeploy, note); err != nil {
+		if err := s.applyPlanned(j, ch, EvRedeploy, note); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// abortPending reports whether j has a decided change, not yet booked by
-// flush, whose commit has aborted: the chain rolled the runtime back to
-// its checkpoint and flush will requeue the job, so compacting it now
-// would plan against state the decision plane no longer describes.
-func (s *sim) abortPending(j *simJob) bool {
-	for _, p := range s.pending {
-		if p.j == j && p.out != nil && p.out.aborted {
-			return true
-		}
-	}
-	return false
 }
 
 // pickCompact selects n devices for job as if its own lease were free,
@@ -528,11 +504,11 @@ func (s *sim) pickCompact(job string, n int) ([]cluster.DeviceID, bool) {
 func (s *sim) applyChange(j *simJob, cfg parallel.Config, alloc cluster.Allocation,
 	failed []cluster.DeviceID, kind, note string) error {
 	s.countPlan()
-	ch, planNs, err := s.planOnLoop(j, cfg, alloc, failed)
+	ch, err := s.planOnLoop(j, cfg, alloc, failed)
 	if err != nil {
 		return err
 	}
-	return s.applyPlanned(j, ch, planNs, kind, note)
+	return s.applyPlanned(j, ch, kind, note)
 }
 
 func (s *sim) countPlan() {
@@ -540,27 +516,25 @@ func (s *sim) countPlan() {
 	s.reg.Add("coord.plans", 1)
 }
 
-// planOnLoop plans and prices a change of j from its decided PTC, and
-// says what wall-clock time that took, for trace attribution. Nothing it
-// reads belongs to the job's chain, so no decision waits for one.
+// planOnLoop plans and prices a change of j from its decided PTC. Nothing
+// it reads belongs to the job's chain, so no decision waits for one.
 func (s *sim) planOnLoop(j *simJob, cfg parallel.Config, alloc cluster.Allocation,
-	failed []cluster.DeviceID) (*job.Change, int64, error) {
-	start := time.Now()
+	failed []cluster.DeviceID) (*job.Change, error) {
 	ch, err := job.Plan(j.spec.Model, s.topo, j.decided, cfg, alloc, failed)
 	if err != nil {
-		return nil, 0, fmt.Errorf("coordinator: plan %s: %w", j.spec.Name, err)
+		return nil, fmt.Errorf("coordinator: plan %s: %w", j.spec.Name, err)
 	}
-	return ch, time.Since(start).Nanoseconds(), nil
+	return ch, nil
 }
 
 // applyPlanned commits a priced change: it books the decision, advances
 // the decided PTC to the change's target and queues the commit.
-func (s *sim) applyPlanned(j *simJob, ch *job.Change, planNs int64, kind, note string) error {
+func (s *sim) applyPlanned(j *simJob, ch *job.Change, kind, note string) error {
 	p, err := s.decideChange(j, ch.Config, ch.Alloc, kind, note)
 	if err != nil {
 		return err
 	}
-	p.ch, p.planNs = ch, planNs
+	p.ch = ch
 	j.decided = ch.To
 	return s.exec.do(command{kind: cmdCommit, job: j.spec.Name, p: p})
 }
@@ -568,7 +542,7 @@ func (s *sim) applyPlanned(j *simJob, ch *job.Change, planNs int64, kind, note s
 // decideChange books one allocation change at decision time: it moves
 // the lease (new devices in, vacated ones out), updates the
 // decision-plane mirrors, reserves the completion event's sequence
-// number and appends the timeline placeholder flush will finalize.
+// number and appends the timeline placeholder book will finalize.
 func (s *sim) decideChange(j *simJob, cfg parallel.Config, alloc cluster.Allocation, kind, note string) (*pendingChange, error) {
 	name := j.spec.Name
 	held := map[cluster.DeviceID]bool{}
@@ -613,7 +587,7 @@ func (s *sim) decideChange(j *simJob, cfg parallel.Config, alloc cluster.Allocat
 // newPending opens the books on a change of j to the placement the
 // loop has just decided (j.cfg, j.alloc): the completion event's reserved
 // sequence number, the trace root, the timeline index the caller's next
-// record fills, and a place in the batch flush will book.
+// record fills, and a place in the batch book will book.
 func (s *sim) newPending(j *simJob) *pendingChange {
 	p := &pendingChange{j: j, seq: s.reserveSeq(), ver: j.ver,
 		tlIdx: len(s.timeline), spanID: s.tr.NewID(), tMin: s.now}

@@ -16,8 +16,7 @@ import (
 type pool struct {
 	sem  chan struct{}
 	wg   sync.WaitGroup
-	mu   sync.Mutex
-	tail map[string]chan struct{} // per-job: done channel of the last submitted task
+	tail map[string]chan struct{} // per-job: done channel of the last submitted task; the loop's alone
 	err  atomic.Pointer[error]    // first task error; later tasks are skipped
 }
 
@@ -35,11 +34,9 @@ func newPool(workers int) *pool {
 // starts once its predecessor in the chain has finished and a worker
 // slot is free. Only the event-loop goroutine may call submit.
 func (p *pool) submit(job string, fn func() error) {
-	p.mu.Lock()
 	prev := p.tail[job]
 	done := make(chan struct{})
 	p.tail[job] = done
-	p.mu.Unlock()
 	p.wg.Add(1)
 	go func() {
 		defer close(done)
@@ -57,16 +54,6 @@ func (p *pool) submit(job string, fn func() error) {
 			p.err.CompareAndSwap(nil, &err)
 		}
 	}()
-}
-
-// drain blocks until job's chain is idle (all submitted tasks done).
-func (p *pool) drain(job string) {
-	p.mu.Lock()
-	done := p.tail[job]
-	p.mu.Unlock()
-	if done != nil {
-		<-done
-	}
 }
 
 // drainAll blocks until every chain is idle and returns the first task

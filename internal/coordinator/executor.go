@@ -16,7 +16,7 @@ import (
 )
 
 // executor is the data plane as the decision plane sees it: five
-// commands in, one outcome type back, two joins and one query. The
+// commands in, one outcome type back, a join and one query. The
 // decision plane holds no runtime, store or checkpoint; what it knows of
 // a job's state on the stores is what outcomes have told it.
 type executor interface {
@@ -25,11 +25,9 @@ type executor interface {
 	// run (release has none). With one worker there is no queue: c runs
 	// inline and its error is returned as well as posted.
 	do(c command) error
-	// join waits until every job's chain is idle, joinJob until job's is;
-	// both return the first error any command has failed with. doc.go
-	// lists the three places that wait.
+	// join waits until every job's chain is idle and returns the first
+	// error any command has failed with. Only drivers join (doc.go).
 	join() error
-	joinJob(job string) error
 	// audit checks that job's runtime sits exactly on the decided
 	// allocation under a valid PTC; a job that holds no state passes. It
 	// may only be asked while the job's chain is idle.
@@ -205,14 +203,6 @@ func (x *dataPlane) join() error {
 		return nil
 	}
 	return x.pool.drainAll()
-}
-
-func (x *dataPlane) joinJob(job string) error {
-	if x.pool == nil {
-		return nil
-	}
-	x.pool.drain(job)
-	return x.pool.firstErr()
 }
 
 func (x *dataPlane) audit(job string, decided cluster.Allocation) error {

@@ -112,3 +112,24 @@ func TestWallTimelineMatchesSim(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayReproducesRuns: the decision core is a function of its
+// inputs. Every input a run's core consumed is recorded — the golden
+// scenario at workers 1 and GOMAXPROCS, the hostile plan, and the BENCH
+// coordinator scenario paced on the real clock with the pool — and fed
+// to a fresh core over a scripted executor, which must decide the same
+// run (coordinator.CheckReplay).
+func TestReplayReproducesRuns(t *testing.T) {
+	topo, specs, failures := experiments.MultiJobScenario(32, 12, experiments.MultiJobSeed)
+	for name, opts := range map[string]coordinator.Options{
+		"golden/workers=1": {Workers: 1},
+		"golden/workers=0": {},
+		"hostile-0.004":    {Chaos: hostilePlan(7), Recovery: hostileRecovery()},
+		"wall/workers=8":   {Mode: coordinator.ModeWall, Workers: 8, WallScale: 100 * time.Microsecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			n := coordinator.CheckReplay(t, topo, specs, failures, opts)
+			t.Logf("%d inputs replayed", n)
+		})
+	}
+}

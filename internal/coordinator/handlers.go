@@ -69,16 +69,15 @@ func (s *sim) onComplete(name string) error {
 	j.state = jobDone
 	j.doneMin = s.now
 	s.releaseModel(j)
-	if err := s.reschedule(); err != nil {
-		return err
-	}
-	return s.defragJobs()
+	s.defragDue = true
+	return s.reschedule()
 }
 
-// onOutcome takes one outcome as it arrives (ModeWall; ModeSim's flush
-// takes them behind its join). A deploy or a verify has said what it has
-// to say once it is attached. A commit or a restore belongs to a change
-// flush has booked for a single attempt: the retries are counted now,
+// onOutcome takes one outcome as it arrives (the wall driver; the sim
+// driver attaches outcomes behind its join before book). A deploy or a
+// verify has said what it has to say once it is attached. A commit or a
+// restore belongs to a change book has charged a single attempt: the
+// retries are counted now,
 // and an abort, unless something newer has been decided since or the
 // job no longer runs, requeues the job — its already-scheduled
 // completion is staled by the requeue's version bump.

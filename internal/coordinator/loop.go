@@ -3,9 +3,6 @@ package coordinator
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
@@ -34,7 +31,7 @@ const (
 	evScale
 	evCancel
 	// evOutcome is the data plane reporting on one command: never pushed
-	// on the heap, but taken from the mailbox (see step).
+	// on the heap; the wall driver steps it as it arrives (driver.go).
 	evOutcome
 )
 
@@ -70,34 +67,6 @@ func (h *eventHeap) Pop() any {
 	e := old[n-1]
 	*h = old[:n-1]
 	return e
-}
-
-// mailbox is how outcomes reach the loop: a chain posts without ever
-// blocking or dropping, and the loop takes everything that has arrived,
-// in arrival order. A token on ready says there may be something to
-// take; ModeWall's loops select on it beside their timers.
-type mailbox struct {
-	mu    sync.Mutex
-	q     []*outcome
-	ready chan struct{} // capacity 1
-}
-
-func (m *mailbox) post(o *outcome) {
-	m.mu.Lock()
-	m.q = append(m.q, o)
-	m.mu.Unlock()
-	select {
-	case m.ready <- struct{}{}:
-	default:
-	}
-}
-
-func (m *mailbox) take() []*outcome {
-	m.mu.Lock()
-	q := m.q
-	m.q = nil
-	m.mu.Unlock()
-	return q
 }
 
 // --- simulation state ---
@@ -188,17 +157,15 @@ func (s *sim) releaseModel(j *simJob) {
 }
 
 // pendingChange is one decided allocation change whose commit is queued
-// on the job's chain. flush books it — fills the timeline entry's price
-// and schedules the delayed completion — with its outcome when that is
-// known (ModeSim, always) and for a single attempt when it is not.
+// on the job's chain. book books it — fills the timeline entry's price
+// and schedules the delayed completion — with its outcome when that has
+// been attached and for a single attempt when it has not.
 type pendingChange struct {
 	j     *simJob
 	seq   int // reserved event sequence number for the completion push
 	ver   int
 	tlIdx int // timeline placeholder index
 	ch    *job.Change
-	// planNs is the wall-clock cost of planning ch, for trace attribution.
-	planNs int64
 	// spanID/tMin are the change's trace root, allocated at decision
 	// time so the span sequence is pure decision-plane state.
 	spanID uint64
@@ -215,7 +182,6 @@ type sim struct {
 	ledger *Ledger
 	cache  *perfmodel.Cache
 	exec   executor
-	mail   mailbox
 
 	jobs  map[string]*simJob
 	order []string // submission order
@@ -228,10 +194,13 @@ type sim struct {
 	seq int
 	now float64
 
-	// pending holds the changes decided since the last flush, inflight
+	// pending holds the changes decided since the last booking, inflight
 	// counts those — booked or not — whose outcome has yet to arrive.
 	pending  []*pendingChange
 	inflight int
+	// defragDue says a completion has freed devices: the step's second
+	// phase, defrag, runs once its first phase has been booked.
+	defragDue bool
 
 	timeline     []TimelineEvent
 	plans        int
@@ -246,9 +215,6 @@ type sim struct {
 	retryBytes  int64
 	recoverySec float64
 
-	decisionNs []int64 // per-event handler latency (RecordDecisions)
-	eventIdx   int     // processed-event counter (AuditStride)
-
 	// tr/reg are Options.Obs and its registry (both nil when off).
 	tr  *obs.Tracer
 	reg *obs.Registry
@@ -258,44 +224,6 @@ type sim struct {
 	// in-flight changes are published before their price fields are
 	// finalized; the stored timeline is patched in place afterwards.
 	onEvent func(TimelineEvent)
-}
-
-// Run executes a coordinator run: the jobs arrive, compete for the
-// topology's devices under the configured Policy, resize elastically,
-// survive the injected failures, and complete. In ModeSim (default)
-// the run is deterministic; in ModeWall the event heap is paced on the
-// real clock and independent jobs' reconfigurations overlap. It
-// returns the per-job timeline and aggregate metrics, or the first
-// invariant or state-management error.
-func Run(topo *cluster.Topology, specs []JobSpec, failures []FailureSpec, opts Options) (Result, error) {
-	s, err := newSim(topo, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.schedule(specs, failures); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	if err := s.run(start); err != nil {
-		_ = s.exec.join() // quiesce chains before reporting; err is the error to report
-		return s.result(start), err
-	}
-	if err := s.settle(); err != nil {
-		return s.result(start), err
-	}
-	// Anything still queued could never be placed on this cluster. Jobs
-	// parked by graceful degradation end explicitly requeued — never
-	// silently lost.
-	for _, name := range s.queue {
-		j := s.jobs[name]
-		j.state = jobRejected
-		note := "never admitted: insufficient capacity"
-		if j.requeues > 0 {
-			note = fmt.Sprintf("requeued %d times after aborted reconfigurations; never re-admitted", j.requeues)
-		}
-		s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvReject, Note: note})
-	}
-	return s.result(start), nil
 }
 
 // schedule registers a scenario's jobs and puts its script — arrivals,
@@ -339,60 +267,14 @@ func (s *sim) schedule(specs []JobSpec, failures []FailureSpec) error {
 	return nil
 }
 
-// run steps the heap empty. ModeWall paces it on the real clock — the
-// chains keep executing while the loop waits: that overlap is the mode's
-// point — and steps every outcome as an event the moment it arrives,
-// heap event or none. (In ModeSim flush has taken every outcome before a
-// step returns, and receive finds nothing.)
-func (s *sim) run(start time.Time) error {
-	for {
-		if err := s.receive(); err != nil {
-			return err
-		}
-		e, ok := s.pop()
-		if !ok {
-			return nil
-		}
-		if s.opts.Mode == ModeWall && !s.pace(start, e) {
-			s.pushAt(e) // an outcome came first, and may change what is next
-			continue
-		}
-		if err := s.step(e); err != nil {
-			return err
-		}
-	}
-}
-
-// pace holds e until its time on the real clock (one simulated minute
-// is WallScale of real time) and reports whether it is still next: false
-// means an outcome was posted first. A completion that awaits an outcome
-// is held for the outcome alone.
-func (s *sim) pace(start time.Time, e event) bool {
-	var due <-chan time.Time
-	if !s.awaits(e) {
-		d := time.Until(start.Add(time.Duration(e.time * float64(s.opts.WallScale))))
-		if d <= 0 {
-			return true
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		due = t.C
-	}
-	select {
-	case <-due:
-		return true
-	case <-s.mail.ready:
-		return false
-	}
-}
-
 // awaits reports whether e is a completion that must not be decided
 // yet: a change of its job is still in flight and, this run having a
 // retry budget or a chaos plan, may yet abort — after which the job is
 // requeued and e is stale; deciding e first would verify a runtime that
-// never got where the loop thinks it is. Holding e reorders nothing: it
-// stays at the head of the heap and no other scripted event is decided
-// meanwhile. The Service is fail-fast and never asks.
+// never got where the loop thinks it is. Every driver that does not
+// deliver outcomes before it steps the heap must ask. Holding e reorders
+// nothing: it stays at the head of the heap and no other scripted event is
+// decided meanwhile (a Service's requests still are).
 func (s *sim) awaits(e event) bool {
 	return e.kind == evComplete && s.jobs[e.job].inflight > 0 &&
 		(s.opts.Chaos != nil || s.opts.Recovery.MaxAttempts > 1)
@@ -418,172 +300,72 @@ func (s *sim) pop() (event, bool) {
 // event pop returned before its time had come.
 func (s *sim) pushAt(e event) { heap.Push(&s.evq, e) }
 
-// receive steps every outcome that has arrived, in arrival order.
-func (s *sim) receive() error {
-	for _, o := range s.mail.take() {
-		if err := s.step(event{time: s.now, kind: evOutcome, job: o.job, out: o}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// step is the decision plane's one transition, shared by Run and the
-// Service: every input — a scripted event off the heap, a request to the
+// step is the decision: the core's one transition, shared by every
+// driver. Every input — a scripted event off the heap, a request to the
 // Service, an outcome from the data plane — is an event and goes through
-// here.
+// here. What it decides is booked by book, and a completion's defrag is a
+// second phase after that booking; the driver says when.
 func (s *sim) step(e event) error {
 	s.advance(e.time)
 	if s.tr.Enabled() {
 		s.traceDecision(e)
 		s.reg.Add("coord.events", 1)
 	}
-	s.eventIdx++
-	var decideStart time.Time
-	if s.opts.RecordDecisions {
-		decideStart = time.Now()
-	}
-	err := s.dispatch(e)
-	if s.opts.RecordDecisions {
-		s.decisionNs = append(s.decisionNs, time.Since(decideStart).Nanoseconds())
-	}
-	if err == nil {
-		err = s.flush()
-	}
-	if err == nil {
-		err = s.checkInvariants()
-	}
-	return err
+	return s.dispatch(e)
 }
 
-// settle ends a run: join the chains, step what they reported — a late
-// abort requeues its job, and the re-admission that follows queues a
-// fresh restore — until nothing is in flight, so that no job ends
-// silently inconsistent; then audit every runtime still running.
-func (s *sim) settle() error {
-	for {
-		if err := s.exec.join(); err != nil {
-			return err
-		}
-		if err := s.receive(); err != nil {
-			return err
-		}
-		if s.inflight == 0 {
-			return s.auditAll()
-		}
-	}
-}
-
-// flush books the changes the event decided, in decision order: it
-// charges each job's downtime, schedules the delayed completion under
-// the seq reserved at decision time, and fills the timeline
-// placeholders. ModeSim first joins the chains and takes their outcomes
-// — the whole batch executes here, fanned out across jobs — so every
-// change is booked with its outcome; ModeWall waits for nothing, books a
-// single attempt, and lets the outcome event settle the rest.
+// book books the changes decided since the last booking, in decision
+// order: it charges each job's downtime, schedules the delayed completion
+// under the seq reserved at decision time, and fills the timeline
+// placeholders. A change whose outcome has been attached is booked with
+// it; one whose outcome is still to come is charged a single attempt, and
+// its outcome, stepped when it arrives, settles the rest.
 //
-// A change may come back aborted: its chain rolled the runtime back to
-// the last bit-verified checkpoint, the job is requeued (or lost), and
+// An attached outcome may be an abort: its chain rolled the runtime back
+// to the last bit-verified checkpoint, the job is requeued (or lost), and
 // admission reruns, which may re-admit it from the checkpoint as a fresh
-// pending restore. The loop runs until no decided work remains; with
-// chaos off it makes exactly one charging pass.
-func (s *sim) flush() error {
-	for {
-		if s.opts.Mode == ModeSim {
-			if err := s.exec.join(); err != nil {
-				return err
-			}
-			s.attachArrived()
-		}
-		if len(s.pending) == 0 {
-			return nil
-		}
-		batch := s.pending
-		s.pending = nil
-		degraded := false
-		for _, p := range batch {
-			switch {
-			case p.j.state != jobRunning:
-				s.traceSuperseded(p) // a requeue earlier in the batch
-			case p.out == nil:
-				// The commit is still in flight: charge the planned cost
-				// now. A late abort is staled by the requeue's version bump.
-				s.charge(p, nil)
-			case p.out.aborted:
-				degraded = true
-				s.degrade(p)
-			default:
-				s.converge(p)
-				s.charge(p, p.out)
-			}
-		}
-		if degraded {
-			// Freed capacity (and the requeued jobs themselves) go back
-			// through admission immediately.
-			if err := s.reschedule(); err != nil {
-				return err
-			}
+// pending restore for the next booking.
+func (s *sim) book() error {
+	batch := s.pending
+	s.pending = nil
+	degraded := false
+	for _, p := range batch {
+		switch {
+		case p.j.state != jobRunning:
+			s.traceSuperseded(p) // a requeue earlier in the batch
+		case p.out == nil:
+			// The commit is still in flight: charge the planned cost now. A
+			// late abort is staled by the requeue's version bump.
+			s.charge(p, nil)
+		case p.out.aborted:
+			degraded = true
+			s.degrade(p)
+		default:
+			s.converge(p)
+			s.charge(p, p.out)
 		}
 	}
+	if !degraded {
+		return nil
+	}
+	// Freed capacity (and the requeued jobs themselves) go back through
+	// admission immediately.
+	return s.reschedule()
 }
 
-// attachArrived notes what the chains have posted where flush and
-// abortPending look. Only behind a join (ModeSim): what has arrived is
-// then a function of the decisions alone.
-func (s *sim) attachArrived() {
-	for _, o := range s.mail.take() {
-		s.attach(o)
+// rejectQueued ends a script: anything still queued could never be placed
+// on this cluster. Jobs parked by graceful degradation end explicitly
+// requeued — never silently lost.
+func (s *sim) rejectQueued() {
+	for _, name := range s.queue {
+		j := s.jobs[name]
+		j.state = jobRejected
+		note := "never admitted: insufficient capacity"
+		if j.requeues > 0 {
+			note = fmt.Sprintf("requeued %d times after aborted reconfigurations; never re-admitted", j.requeues)
+		}
+		s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvReject, Note: note})
 	}
-}
-
-// newSim validates the topology, applies option defaults and builds
-// the decision-plane state shared by Run and the long-running Service.
-// The topology is health-isolated behind a clone so repeated runs over
-// one caller-owned topology stay independent and deterministic.
-func newSim(topo *cluster.Topology, opts Options) (*sim, error) {
-	if topo == nil || topo.NumDevices() == 0 {
-		return nil, fmt.Errorf("coordinator: run needs a topology")
-	}
-	// Fail-stop handling marks devices in the topology (so placement
-	// scoring and memoization generations see the post-failure
-	// cluster).
-	topo = topo.Clone()
-	if opts.Perf.GlobalBatch == 0 {
-		opts.Perf = DefaultPerf()
-	}
-	if opts.DefragMaxSec == 0 {
-		opts.DefragMaxSec = 30
-	}
-	if opts.Policy == nil {
-		opts.Policy = FIFO{}
-	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.PlacementCandidates == 0 {
-		opts.PlacementCandidates = 4
-	}
-	if opts.WallScale == 0 {
-		opts.WallScale = 250 * time.Microsecond
-	}
-	s := &sim{
-		topo:        topo,
-		opts:        opts,
-		policy:      opts.Policy,
-		ledger:      NewLedger(topo),
-		cache:       perfmodel.NewCache(),
-		mail:        mailbox{ready: make(chan struct{}, 1)},
-		jobs:        map[string]*simJob{},
-		modelJobs:   map[*model.Model]int{},
-		quarantined: map[cluster.DeviceID]bool{},
-		tr:          opts.Obs,
-		reg:         opts.Obs.Metrics(),
-	}
-	if s.reg == nil {
-		s.reg = opts.Metrics
-	}
-	s.exec = newDataPlane(topo, opts, s.reg, s.mail.post)
-	return s, nil
 }
 
 // addJob registers one job with the sim: validates and normalizes the
@@ -631,7 +413,7 @@ func (s *sim) push(e event) {
 }
 
 // reserveSeq hands out the next event sequence number. Changes whose
-// completion push is deferred until flush books them reserve their seq
+// completion push is deferred until book books them reserve their seq
 // at decision time, so the heap order is independent of when the push
 // actually happens.
 func (s *sim) reserveSeq() int {

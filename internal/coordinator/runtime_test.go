@@ -318,7 +318,7 @@ func TestWallModeReplansAfterLateAbort(t *testing.T) {
 // TestWallModeReadmitsWithoutWaiting: with nothing decided after it, an
 // aborted change requeues its job, and the re-admission that follows at
 // once restores it from its checkpoint. The restore is priced on the
-// event loop (flush reads the price there, and nothing else orders that
+// event loop (book reads the price there, and nothing else orders that
 // read after the chain — a later change of the same job used to, by
 // draining it), the scale-out decided in the same breath is planned from
 // the restore's target, and no commit has anything to re-plan. r arrives

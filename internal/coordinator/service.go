@@ -3,7 +3,6 @@ package coordinator
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,30 +15,30 @@ import (
 // wall-clock control plane instead of a finite scenario: jobs are
 // submitted, scaled and canceled while the service runs, and the event
 // heap is paced on the real clock (one simulated minute per WallScale
-// of real time, exactly like Run's ModeWall).
+// of real time) by the wall driver Run's ModeWall uses (driver.go).
 //
-// Concurrency model: ONE goroutine — the service loop — owns the sim.
-// It is the same single-threaded decision plane Run drives, through the
-// same step: a request is turned into a command, enqueued, and stepped
-// as an event between heap events (a submit is an arrival, an injected
-// failure a failure, scale and cancel kinds of their own), so no caller
-// ever touches the ledger, the heap or a scheduling choice concurrently
-// and a traced service records a decision span for each. The loop never
-// waits for the data plane (doc.go): a change is planned and priced on
-// the loop against the job's decided PTC, its work goes through the
-// executor to the bounded pool, and every outcome comes back through
-// the mailbox the loop selects on beside its timer and its commands —
-// there is no poll. So Submit, Scale, Cancel and every status read
-// answer while a job's deploy or reconfiguration is still moving bytes.
-// Submit returning means admitted (or queued) and leased;
-// JobStatus.Deployed follows when the deploy's outcome has arrived. The
-// Service is fail-fast: no commit aborts, and a command's error wedges
-// the service when its outcome is stepped. The service layer adds no
-// scheduling behavior of its own.
+// Concurrency model: ONE goroutine — the driver's loop — owns the core.
+// A request is turned into a command, enqueued, and stepped as an event
+// between heap events (a submit is an arrival, an injected failure a
+// failure, scale and cancel kinds of their own), so no caller ever
+// touches the ledger, the heap or a scheduling choice concurrently and a
+// traced service records a decision span for each. The loop never waits
+// for the data plane (doc.go): a change is planned and priced on the loop
+// against the job's decided PTC, its work goes through the executor to
+// the bounded pool, and every outcome comes back through the mailbox the
+// loop selects on beside its timer and its commands. So Submit, Scale,
+// Cancel and every status read answer while a job's deploy or
+// reconfiguration is still moving bytes. Submit returning means admitted
+// (or queued) and leased; JobStatus.Deployed follows when the deploy's
+// outcome has arrived. With a retry budget a commit may abort: the job is
+// requeued as in Run, and its completion is held until its outcomes are
+// in (awaits). Any other command error wedges the service when its
+// outcome is stepped. The service layer adds no scheduling behavior of
+// its own.
 type Service struct {
-	cmds   chan serviceCmd
-	stopCh chan struct{}
-	done   chan struct{}
+	cmds chan serviceCmd
+	stop chan struct{}
+	done chan struct{}
 
 	stopOnce sync.Once
 	commands atomic.Int64
@@ -50,21 +49,21 @@ type Service struct {
 	subs   map[int]chan TimelineEvent
 	subSeq int
 
-	start     time.Time
-	wallScale time.Duration
-	reg       *obs.Registry
-
-	// Loop-owned (only the loop goroutine and post-loop readers touch
-	// these; done orders finish before Stop's reads).
-	wedged  error
+	// d is the wall driver and its core: only the loop goroutine touches
+	// them, but for the registry, which is set before the loop starts.
+	d *driver
+	// Written when the loop ends; done orders that before Stop's reads.
 	result  Result
 	stopErr error
 }
 
+// serviceCmd is one call into the loop. A read runs fn. A request for a
+// change carries the event to step, and fn, when set, checks or registers
+// what the event needs first.
 type serviceCmd struct {
-	fn     func(s *sim) error
-	mutate bool
-	resp   chan error
+	fn   func(s *sim) error
+	e    *event
+	resp chan error
 }
 
 // ErrStopped is returned by every Service method after Stop.
@@ -102,109 +101,32 @@ func StartService(topo *cluster.Topology, opts Options) (*Service, error) {
 		return nil, fmt.Errorf("coordinator: service does not support chaos plans")
 	}
 	opts.Mode = ModeWall
-	s, err := newSim(topo, opts)
+	d, err := newDriver(topo, opts)
 	if err != nil {
 		return nil, err
 	}
 	svc := &Service{
-		cmds:      make(chan serviceCmd),
-		stopCh:    make(chan struct{}),
-		done:      make(chan struct{}),
-		subs:      map[int]chan TimelineEvent{},
-		start:     time.Now(),
-		wallScale: s.opts.WallScale,
-		reg:       s.reg,
+		cmds: make(chan serviceCmd),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		subs: map[int]chan TimelineEvent{},
+		d:    d,
 	}
-	s.onEvent = svc.publish
-	go svc.loop(s)
+	d.s.onEvent = svc.publish
+	d.start = time.Now()
+	go svc.run()
 	return svc, nil
 }
 
-// nowMin converts elapsed wall time to simulated minutes.
-func (svc *Service) nowMin() float64 {
-	return float64(time.Since(svc.start)) / float64(svc.wallScale)
-}
-
-func (svc *Service) loop(s *sim) {
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		// Arm the wake-up for the next due heap event; outcomes and
-		// commands wake the loop themselves. Wedged, it stops consuming
-		// the heap and the mailbox and answers reads only.
-		wait := time.Hour
-		if svc.wedged == nil && s.evq.Len() > 0 {
-			// In floating point until it is known to fit: a job submitted
-			// with duration_min 1e10 completes further off than a Duration
-			// can say, and the overflow came back as a wait of zero — a
-			// loop spinning at full speed until then.
-			due := s.evq[0].time*float64(svc.wallScale) - float64(time.Since(svc.start))
-			wait = time.Duration(math.Max(0, math.Min(due, float64(time.Hour))))
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-
-		select {
-		case <-svc.stopCh:
-			svc.finish(s)
-			return
-		case cmd := <-svc.cmds:
-			svc.commands.Add(1)
-			s.advance(svc.nowMin())
-			var err error
-			if cmd.mutate && svc.wedged != nil {
-				err = fmt.Errorf("coordinator: service wedged: %w", svc.wedged)
-			} else if err = cmd.fn(s); cmd.mutate && err != nil && !IsClientError(err) {
-				svc.wedged = err
-			}
-			cmd.resp <- err
-		case <-s.mail.ready:
-			if svc.wedged == nil {
-				s.advance(svc.nowMin())
-				svc.wedged = s.receive()
-			}
-		case <-timer.C:
-			if svc.wedged == nil {
-				s.advance(svc.nowMin())
-				svc.wedged = svc.pump(s)
-			}
-		}
-	}
-}
-
-// pump steps every heap event that is due — Run's loop, paced by the
-// service timer instead of waits.
-func (svc *Service) pump(s *sim) error {
-	for {
-		e, ok := s.pop()
-		if !ok {
-			return nil
-		}
-		if e.time > svc.nowMin() {
-			s.pushAt(e)
-			return nil
-		}
-		if err := s.step(e); err != nil {
-			return err
-		}
-	}
-}
-
-// finish settles the run — joins the chains, steps what they reported,
-// audits final state — then snapshots the result and wakes Stop.
-func (svc *Service) finish(s *sim) {
-	s.advance(svc.nowMin())
-	err := svc.wedged
+// run is the service loop: the wall driver until Stop, then the settle of
+// everything in flight — unless the loop wedged — and the result.
+func (svc *Service) run() {
+	d := svc.d
+	err := d.wall(svc)
 	if err == nil {
-		err = s.settle()
+		err = d.settle()
 	}
-	svc.result = s.result(svc.start)
-	svc.stopErr = err
+	svc.result, svc.stopErr = d.result(), err
 	svc.mu.Lock()
 	for id, ch := range svc.subs {
 		delete(svc.subs, id)
@@ -214,80 +136,100 @@ func (svc *Service) finish(s *sim) {
 	close(svc.done)
 }
 
+// command answers one call on the loop. A read runs as it is. A request
+// for a change is checked, then stepped as an event at the service clock,
+// unless the core has wedged; an error that is not the client's wedges it.
+func (d *driver) command(c serviceCmd) error {
+	if c.e == nil {
+		return c.fn(d.s)
+	}
+	if d.wedged != nil {
+		return fmt.Errorf("coordinator: service wedged: %w", d.wedged)
+	}
+	if c.fn != nil {
+		if err := c.fn(d.s); err != nil {
+			return err
+		}
+	}
+	e := *c.e
+	e.time = d.s.now
+	err := d.step(e)
+	if err != nil && !IsClientError(err) {
+		d.wedged = err
+	}
+	return err
+}
+
 // Stop shuts the service down: the loop quiesces execution-plane
 // chains, settles every decided change, audits final state and
 // returns the run's Result — the same shape a finished Run returns.
 // Stop is idempotent; every other method returns ErrStopped afterward.
 func (svc *Service) Stop() (Result, error) {
-	svc.stopOnce.Do(func() { close(svc.stopCh) })
+	svc.stopOnce.Do(func() { close(svc.stop) })
 	<-svc.done
 	return svc.result, svc.stopErr
 }
 
-// exec runs fn on the service loop and waits for its answer.
-func (svc *Service) exec(mutate bool, fn func(s *sim) error) error {
-	cmd := serviceCmd{fn: fn, mutate: mutate, resp: make(chan error, 1)}
+// call runs fn on the service loop, then steps e there if it is set, and
+// waits for the answer.
+func (svc *Service) call(fn func(s *sim) error, e *event) error {
+	c := serviceCmd{fn: fn, e: e, resp: make(chan error, 1)}
 	select {
-	case svc.cmds <- cmd:
+	case svc.cmds <- c:
+		svc.commands.Add(1)
 	case <-svc.done:
 		return ErrStopped
 	}
 	select {
-	case err := <-cmd.resp:
+	case err := <-c.resp:
 		return err
 	case <-svc.done:
 		return ErrStopped
 	}
 }
 
+// exec runs a read on the service loop and waits for its answer.
+func (svc *Service) exec(fn func(s *sim) error) error { return svc.call(fn, nil) }
+
 // CommandCount reports how many commands reached the decision plane —
 // the API layer's tests use it to prove rejected requests (bad token,
 // quota breach) never touched the loop.
 func (svc *Service) CommandCount() int64 { return svc.commands.Load() }
-
-// request steps one event on the service loop, stamped with the
-// service clock, and waits for the answer.
-func (svc *Service) request(e event) error {
-	return svc.exec(true, func(s *sim) error {
-		e.time = s.now
-		return s.step(e)
-	})
-}
 
 // Submit registers a new job; it arrives on the decision plane
 // immediately (ArrivalMin is stamped with the service clock, any value
 // in the spec is ignored) and competes for devices under the
 // configured policy like any scenario job.
 func (svc *Service) Submit(spec JobSpec) error {
-	return svc.exec(true, func(s *sim) error {
+	return svc.call(func(s *sim) error {
 		spec.ArrivalMin = s.now
 		if _, err := s.addJob(spec); err != nil {
 			return clientErr{err}
 		}
-		return s.step(event{time: s.now, kind: evArrival, job: spec.Name})
-	})
+		return nil
+	}, &event{kind: evArrival, job: spec.Name})
 }
 
 // Scale retargets a job's requested size (see onScale).
 func (svc *Service) Scale(name string, gpus int) error {
-	return svc.request(event{kind: evScale, job: name, gpus: gpus})
+	return svc.call(nil, &event{kind: evScale, job: name, gpus: gpus})
 }
 
 // Cancel removes a queued or running job (see onCancel).
 func (svc *Service) Cancel(name string) error {
-	return svc.request(event{kind: evCancel, job: name})
+	return svc.call(nil, &event{kind: evCancel, job: name})
 }
 
 // InjectFailure fail-stops a device through the same path a scenario
 // failure takes: the owner recovers onto surviving devices or is
 // declared lost.
 func (svc *Service) InjectFailure(dev cluster.DeviceID) error {
-	return svc.exec(true, func(s *sim) error {
+	return svc.call(func(s *sim) error {
 		if int(dev) < 0 || int(dev) >= s.topo.NumDevices() {
 			return clientErrf("unknown device %d", dev)
 		}
-		return s.step(event{time: s.now, kind: evFailure, dev: dev})
-	})
+		return nil
+	}, &event{kind: evFailure, dev: dev})
 }
 
 // JobStatus is a point-in-time snapshot of one job, JSON-stable for
@@ -358,7 +300,7 @@ func (svc *Service) snapshotJob(s *sim, j *simJob) JobStatus {
 // Job returns one job's snapshot.
 func (svc *Service) Job(name string) (JobStatus, error) {
 	var st JobStatus
-	err := svc.exec(false, func(s *sim) error {
+	err := svc.exec(func(s *sim) error {
 		j := s.jobs[name]
 		if j == nil {
 			return clientErrf("unknown job %q", name)
@@ -372,7 +314,7 @@ func (svc *Service) Job(name string) (JobStatus, error) {
 // Jobs returns every job's snapshot in submission order.
 func (svc *Service) Jobs() ([]JobStatus, error) {
 	var out []JobStatus
-	err := svc.exec(false, func(s *sim) error {
+	err := svc.exec(func(s *sim) error {
 		for _, name := range s.order {
 			out = append(out, svc.snapshotJob(s, s.jobs[name]))
 		}
@@ -413,7 +355,7 @@ type ClusterStatus struct {
 // Cluster returns the current cluster summary.
 func (svc *Service) Cluster() (ClusterStatus, error) {
 	var cs ClusterStatus
-	err := svc.exec(false, func(s *sim) error {
+	err := svc.exec(func(s *sim) error {
 		cs = ClusterStatus{
 			Devices:        s.topo.NumDevices(),
 			Workers:        s.topo.NumWorkers(),
@@ -437,8 +379,8 @@ func (svc *Service) Cluster() (ClusterStatus, error) {
 		if s.now > 0 {
 			cs.Utilization = s.utilIntegral / (float64(s.topo.NumDevices()) * s.now)
 		}
-		if svc.wedged != nil {
-			cs.Err = svc.wedged.Error()
+		if svc.d.wedged != nil {
+			cs.Err = svc.d.wedged.Error()
 		}
 		return nil
 	})
@@ -458,7 +400,7 @@ func (svc *Service) Subscribe(buf int) (past []TimelineEvent, ch <-chan Timeline
 	}
 	c := make(chan TimelineEvent, buf)
 	var id int
-	err = svc.exec(false, func(s *sim) error {
+	err = svc.exec(func(s *sim) error {
 		past = append([]TimelineEvent(nil), s.timeline...)
 		svc.mu.Lock()
 		id = svc.subSeq
@@ -499,4 +441,4 @@ func (svc *Service) publish(e TimelineEvent) {
 // Metrics returns the registry the service accounts into (nil when
 // neither Options.Obs nor Options.Metrics was set). The registry is
 // concurrency-safe; reading it does not touch the decision plane.
-func (svc *Service) Metrics() *obs.Registry { return svc.reg }
+func (svc *Service) Metrics() *obs.Registry { return svc.d.s.reg }

@@ -275,7 +275,7 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 	// The one runtime that can be caught alive: after the cancel nothing
 	// but this pointer leads to it.
 	var running *jobRuntime
-	if err := svc.exec(false, func(s *sim) error {
+	if err := svc.exec(func(s *sim) error {
 		running = s.exec.(*dataPlane).jobs["run"]
 		return nil
 	}); err != nil || running == nil {
@@ -287,11 +287,11 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 		}
 	}
 
-	err = svc.exec(false, func(s *sim) error {
+	err = svc.exec(func(s *sim) error {
+		if err := s.exec.join(); err != nil {
+			return err
+		}
 		for _, name := range names {
-			if err := s.exec.joinJob(name); err != nil {
-				return err
-			}
 			j := s.jobs[name]
 			if rt := s.exec.(*dataPlane).jobs[name]; rt != nil {
 				return fmt.Errorf("terminal job %s (%s) still has a runtime behind the executor", name, j.state)
@@ -337,8 +337,8 @@ func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
 		t.Fatalf("StartService: %v", err)
 	}
 	defer svc.Stop()
-	heapAfter := func(n int) uint64 {
-		err := svc.exec(false, func(s *sim) error { return s.exec.joinJob(fmt.Sprintf("j%d", n-1)) })
+	heapInUse := func() uint64 {
+		err := svc.exec(func(s *sim) error { return s.exec.join() })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,10 +357,10 @@ func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
 		}
 		waitJobState(t, svc, name, "completed", 15*time.Second)
 		if i == 49 {
-			at50 = heapAfter(50)
+			at50 = heapInUse()
 		}
 	}
-	at200 := heapAfter(200)
+	at200 := heapInUse()
 	t.Logf("HeapInuse after 50 jobs %d KiB, after 200 jobs %d KiB", at50>>10, at200>>10)
 	// 150 jobs' timeline entries, statuses and chain tails come to about
 	// 1 KiB a job (160 KiB here); a model alone to 5, a PTC with its index
@@ -577,5 +577,57 @@ func TestServiceRequestsAreTracedDecisions(t *testing.T) {
 	}
 	if events := svc.Metrics().Counter("coord.events").Value(); events != total {
 		t.Fatalf("coord.events = %d with %d decision spans recorded", events, total)
+	}
+}
+
+// TestServiceCompletionDueBeforeLateAbort is
+// TestWallModeCompletionDueBeforeLateAbort behind StartService. A Service
+// with a retry budget can see a commit abort, so the wall driver holds v's
+// completion — due a microsecond after its admission — until v's
+// scale-out has finished aborting: the abort requeues v, the re-admission
+// restores it, and v ends bit-verified. A loop that steps the completion
+// when it is due verifies a runtime that has rolled back ("runtime alloc
+// has 2 devices, decided 4") and wedges.
+func TestServiceCompletionDueBeforeLateAbort(t *testing.T) {
+	reg := obs.NewRegistry()
+	pol := RecoveryPolicy{MaxAttempts: 2}
+	fault := &abortFirstChange{job: "v", attempts: int64(pol.MaxAttempts), after: 1, plans: reg.Counter("coord.plans")}
+	svc, err := StartService(cluster.Cloud(8), Options{
+		Workers: 4, WallScale: time.Microsecond, DefragMaxSec: -1, Recovery: pol, Metrics: reg,
+		Stores: func(job string, dev cluster.DeviceID) store.Access {
+			acc := store.Access(store.Local{FS: store.NewMemFS()})
+			if job == fault.job {
+				acc = abortingStore{Access: acc, dev: dev, abortFirstChange: fault}
+			}
+			return acc
+		},
+	})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	if err := svc.Submit(JobSpec{Name: "v", Model: tinyGPT(), DurationMin: 1, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, Seed: 1}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if cs, err := svc.Cluster(); err != nil || cs.Err != "" {
+			t.Fatalf("service wedged: %s (err %v)", cs.Err, err)
+		}
+		if st, err := svc.Job("v"); err != nil || st.Verified {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("v did not end bit-verified")
+		}
+	}
+	res, err := svc.Stop()
+	if err != nil {
+		t.Fatalf("Stop: %v\n%s", err, res.Render())
+	}
+	if want := []string{EvSubmit, EvAdmit, EvScaleOut, EvRequeue, EvAdmit, EvScaleOut, EvComplete}; !reflect.DeepEqual(kindsOf(res.Timeline, "v"), want) || res.Requeues != 1 {
+		t.Fatalf("v's timeline: %v with %d requeues, want %v and one\n%s", kindsOf(res.Timeline, "v"), res.Requeues, want, res.Render())
+	}
+	if got := fault.rollbacks.Load(); got != fault.attempts {
+		t.Fatalf("%d rollbacks, want the first change's %d attempts to fail and nothing else", got, fault.attempts)
 	}
 }

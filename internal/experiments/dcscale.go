@@ -16,9 +16,11 @@ import (
 // linearly because every decision rescans the whole cluster? The
 // scenarios run the full ModeSim coordinator — placement-aware, on the
 // hierarchical Datacenter topology (NVLink island → node → rack → pod)
-// — with 50–200 competing elastic jobs and spread fail-stop failures,
-// recording the wall-clock latency of every decision-plane event
-// handler (Options.RecordDecisions). Scheduling outcomes (events,
+// — with 50–200 competing elastic jobs and spread fail-stop failures.
+// The sim driver times every decision it hands the core, planning and
+// pricing included, into Result.DecisionNs (one entry per event, so its
+// length is the events cell); the execution behind its join and the
+// runtime audits are not timed. Scheduling outcomes (events,
 // completions, plans, makespan) are deterministic per cell; latency
 // percentiles are machine-dependent and gated only relatively (the
 // flatness ratio), never absolutely.
@@ -107,9 +109,8 @@ type DCScaleRow struct {
 func RunDCScale(devices, jobs int) DCScaleRow {
 	topo, specs, failures := DCScaleScenario(devices, jobs, DCScaleSeed)
 	res, err := coordinator.Run(topo, specs, failures, coordinator.Options{
-		Placement:       true,
-		RecordDecisions: true,
-		AuditStride:     DCScaleAuditStride,
+		Placement:   true,
+		AuditStride: DCScaleAuditStride,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: dcscale %dx%d: %v", devices, jobs, err))
