@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tenplex/internal/cluster"
@@ -546,37 +547,24 @@ func regionLess(a, b tensor.Region) bool {
 	return len(a) < len(b)
 }
 
-// runBounded runs fn(0..n-1) on up to par goroutines, abandoning the
-// remaining indices once ctx is canceled.
+// runBounded runs fn(0..n-1) on up to par goroutines, the caller's among
+// them. Each takes the next index off one atomic cursor, so an index
+// costs no hand-off, and no index starts once ctx is canceled.
 func runBounded(ctx context.Context, par, n int, fn func(int)) {
-	if n == 0 {
-		return
-	}
-	if par > n {
-		par = n
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
 	}
 	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < par; w++ {
+	for w := 1; w < min(par, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					continue
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
+	work()
 	wg.Wait()
 }

@@ -30,3 +30,35 @@ func BenchmarkApplyTPReshard(b *testing.B) {
 	b.ReportMetric(last.CopyAmplification(), "copy-amp")
 	b.ReportMetric(float64(last.AllocBytes), "alloc-B/op")
 }
+
+// BenchmarkLoadPTCLocal deploys the TP2·PP2 placement of the datapath
+// workload's model into in-process stores: one worker per device, up to
+// GOMAXPROCS devices at once.
+func BenchmarkLoadPTCLocal(b *testing.B) {
+	w := datapathWorkloads(b)[1]
+	stores := localStores(w.from.Devices)
+	b.SetBytes(w.from.TotalPlacedBytes())
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := LoadPTC("bench", w.from, stores, w.golden); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadPTCLocal reads the same placement back into full tensors:
+// one worker per tensor, up to GOMAXPROCS tensors at once.
+func BenchmarkReadPTCLocal(b *testing.B) {
+	w := datapathWorkloads(b)[1]
+	stores := localStores(w.from.Devices)
+	if err := LoadPTC("bench", w.from, stores, w.golden); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(w.bytes)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ReadPTC("bench", w.from, stores); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,13 +1,21 @@
 package transform
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"tenplex/internal/chaos"
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/model"
@@ -154,52 +162,323 @@ func TestLoadPTCMixedStores(t *testing.T) {
 	verifyAgainstGolden(t, job, ptc, rc.stores, golden)
 }
 
-// Every device is tried; the error is the first failed device's, in the
-// PTC's order, whichever answered first.
+// Every device is tried, by batch or tensor by tensor; the error is the
+// first failed device's, in the PTC's order, whichever answered first.
 func TestLoadPTCReportsFirstFailedDevice(t *testing.T) {
 	ptc := loadLayouts[0].build(t)
-	rc := newRestCluster(t, ptc.Devices, func(d cluster.DeviceID, next http.Handler) http.Handler {
-		if d != 1 && d != 2 {
-			return next
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "out of service", http.StatusServiceUnavailable)
+	for _, batched := range []bool{true, false} {
+		var mu sync.Mutex
+		asked := map[cluster.DeviceID]int{}
+		rc := newRestCluster(t, ptc.Devices, func(d cluster.DeviceID, next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				asked[d]++
+				mu.Unlock()
+				if d == 1 || d == 2 {
+					http.Error(w, "out of service", http.StatusServiceUnavailable)
+					return
+				}
+				next.ServeHTTP(w, r)
+			})
 		})
-	})
-	err := LoadPTC("job0", ptc, rc.stores, goldenState(ptc))
-	if err == nil || !strings.Contains(err.Error(), "dev 1") || strings.Contains(err.Error(), "dev 2") {
-		t.Fatalf("error %v, want device 1's alone", err)
-	}
-	if got := rc.requests("/upload-batch"); got != len(ptc.Devices) {
-		t.Fatalf("%d /upload-batch requests, want one to each of %d devices", got, len(ptc.Devices))
+		stores := rc.stores
+		if !batched {
+			stores = hideBatch(stores)
+		}
+		err := LoadPTC("job0", ptc, stores, goldenState(ptc))
+		if err == nil || !strings.Contains(err.Error(), "transform: upload to dev 1:") || strings.Contains(err.Error(), "dev 2") {
+			t.Fatalf("batched %v: error %v, want device 1's alone", batched, err)
+		}
+		mu.Lock()
+		never := slices.DeleteFunc(slices.Clone(ptc.Devices), func(d cluster.DeviceID) bool { return asked[d] > 0 })
+		mu.Unlock()
+		if len(never) > 0 {
+			t.Fatalf("batched %v: devices %v were never sent anything", batched, never)
+		}
+		if got := rc.requests("/upload-batch"); batched && got != len(ptc.Devices) {
+			t.Fatalf("%d /upload-batch requests, want one to each of %d devices", got, len(ptc.Devices))
+		}
 	}
 }
 
-// A load canceled while its batches are on their way returns the
-// context's error, and no device stores anything: each server is left
-// with a body that stops short.
-func TestLoadPTCCancelMidBatch(t *testing.T) {
+// A sub-tensor whose source is missing is found before anything is
+// uploaded, even when only the last device holds it: no store is left
+// with part of a deploy.
+func TestLoadPTCChecksEverySourceFirst(t *testing.T) {
+	ptc := buildPTC(t, model.GPTCustom(2, 16, 2, 64, 8), parallel.Config{TP: 1, PP: 2, DP: 1}, alloc(2))
+	last := ptc.Devices[len(ptc.Devices)-1]
+	first := map[core.TensorID]bool{}
+	for _, s := range ptc.Place[ptc.Devices[0]] {
+		first[s.Tensor] = true
+	}
+	var missing core.TensorID
+	for _, s := range ptc.Place[last] {
+		if !first[s.Tensor] {
+			missing = s.Tensor
+		}
+	}
+	if missing == "" {
+		t.Fatal("the last device holds nothing the first does not")
+	}
+	golden := goldenState(ptc)
+	delete(golden, missing)
+	for name, stores := range map[string]map[cluster.DeviceID]store.Access{
+		"in-process": localStores(ptc.Devices),
+		"wire":       newRestCluster(t, ptc.Devices, nil).stores,
+	} {
+		err := LoadPTC("job0", ptc, stores, golden)
+		if err == nil || !strings.Contains(err.Error(), string(missing)) {
+			t.Fatalf("%s: error %v, want the missing %q", name, err, missing)
+		}
+		for d, tree := range storeTrees(t, "/", ptc.Devices, stores) {
+			if len(tree) != 0 {
+				t.Fatalf("%s: device %d holds %d files of a refused deploy", name, d, len(tree))
+			}
+		}
+	}
+}
+
+// LoadPTC and ReadPTC leave the same stores and return the same errors
+// at one worker and at eight, over in-process stores and over chaos-
+// wrapped ones: faults drawn on uploads, and faults drawn on the reads of
+// a complete deploy.
+func TestLoadReadPTCSameAtAnyWidth(t *testing.T) {
+	const job = "job0"
+	ptc := loadLayouts[1].build(t)
+	golden := goldenState(ptc)
+	type outcome struct {
+		load, read string
+		trees      map[cluster.DeviceID]map[string]*tensor.Tensor
+		back       map[core.TensorID]*tensor.Tensor
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	run := func(procs int, faults string) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		local := localStores(ptc.Devices)
+		stores := local
+		in := chaos.NewInjector(chaos.Plan{Seed: 11, StoreFaultRate: 0.03})
+		if faults != "" {
+			stores = map[cluster.DeviceID]store.Access{}
+			for d, acc := range local {
+				stores[d] = in.WrapAccess(job, fmt.Sprint(d), acc)
+			}
+		}
+		if faults == "load" {
+			in.BeginAttempt(job, 1)
+		}
+		var o outcome
+		o.load = errText(LoadPTC(job, ptc, stores, golden))
+		if faults == "read" {
+			in.BeginAttempt(job, 2)
+		}
+		back, err := ReadPTC(job, ptc, stores)
+		o.read, o.back = errText(err), back
+		o.trees = storeTrees(t, "/", ptc.Devices, local)
+		return o
+	}
+	for _, faults := range []string{"", "disarmed", "load", "read"} {
+		one, eight := run(1, faults), run(8, faults)
+		if one.load != eight.load || one.read != eight.read {
+			t.Fatalf("faults %q: errors (%q, %q) at one worker, (%q, %q) at eight", faults, one.load, one.read, eight.load, eight.read)
+		}
+		switch faults {
+		case "", "disarmed":
+			if one.load != "" || one.read != "" {
+				t.Fatalf("faults %q: errors %q, %q", faults, one.load, one.read)
+			}
+		case "load":
+			if !strings.HasPrefix(one.load, "transform: upload to dev ") || one.read == "" {
+				t.Fatalf("armed load: errors %q, %q; want an upload fault and a failed read", one.load, one.read)
+			}
+		case "read":
+			if one.load != "" || !strings.HasPrefix(one.read, "transform: read ") {
+				t.Fatalf("armed read: errors %q, %q; want a read fault alone", one.load, one.read)
+			}
+		}
+		for _, d := range ptc.Devices {
+			a, b := one.trees[d], eight.trees[d]
+			if len(a) != len(b) {
+				t.Fatalf("faults %q: device %d holds %d files at one worker, %d at eight", faults, d, len(a), len(b))
+			}
+			for p, x := range a {
+				if y, ok := b[p]; !ok || !x.Equal(y) {
+					t.Fatalf("faults %q: device %d: %s differs between one worker and eight (present %v)", faults, d, p, ok)
+				}
+			}
+		}
+		if one.read == "" {
+			for id, want := range golden {
+				if !one.back[id].Equal(want) || !eight.back[id].Equal(want) {
+					t.Fatalf("faults %q: ReadPTC returned wrong bytes for %s", faults, id)
+				}
+			}
+		}
+	}
+}
+
+// ReadPTC walks tensors in ID order, not in map order: with two
+// unreadable tensors every call names the same one, and every call
+// sends each wire store the same /batch body.
+func TestReadPTCIsOrderIndependent(t *testing.T) {
+	const job, calls = "job0", 20
 	ptc := loadLayouts[0].build(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	returned := make(chan struct{})
-	rc := newRestCluster(t, ptc.Devices, func(_ cluster.DeviceID, next http.Handler) http.Handler {
+	golden := goldenState(ptc)
+
+	stores := localStores(ptc.Devices)
+	if err := LoadPTC(job, ptc, stores, golden); err != nil {
+		t.Fatal(err)
+	}
+	ids := slices.Sorted(maps.Keys(ptc.Tensors))
+	for _, id := range []core.TensorID{ids[len(ids)/2], ids[len(ids)-1]} {
+		for _, d := range ptc.Devices {
+			_ = stores[d].Delete(ModelPath(job, d, id))
+		}
+	}
+	texts := map[string]bool{}
+	for range calls {
+		_, err := ReadPTC(job, ptc, stores)
+		if err == nil {
+			t.Fatal("read of deleted tensors succeeded")
+		}
+		texts[err.Error()] = true
+	}
+	if len(texts) != 1 {
+		t.Fatalf("%d calls gave %d different errors: %v", calls, len(texts), texts)
+	}
+	for text := range texts {
+		if !strings.Contains(text, fmt.Sprintf("%q", ids[len(ids)/2])) {
+			t.Fatalf("error %q does not name %q, the first unreadable tensor in ID order", text, ids[len(ids)/2])
+		}
+	}
+
+	var mu sync.Mutex
+	bodies := map[cluster.DeviceID][][]byte{}
+	rc := newRestCluster(t, ptc.Devices, func(d cluster.DeviceID, next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			r.Body = &cutBody{ReadCloser: r.Body, after: 256, cancel: cancel, returned: returned}
+			if r.URL.Path == "/batch" {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				mu.Lock()
+				bodies[d] = append(bodies[d], body)
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
 			next.ServeHTTP(w, r)
 		})
 	})
-	err := LoadPTCContext(ctx, "job0", ptc, rc.stores, goldenState(ptc))
-	close(returned)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled load: error %v, want context.Canceled", err)
+	if err := LoadPTC(job, ptc, rc.stores, golden); err != nil {
+		t.Fatal(err)
 	}
-	// A handler still running has a body that can only fail from here on.
-	for i, srv := range rc.servers {
-		if names, _ := srv.FS.List("/"); len(names) != 0 {
-			t.Fatalf("server %d stored %v of a canceled load", i, names)
+	for range calls {
+		if _, err := ReadPTC(job, ptc, rc.stores); err != nil {
+			t.Fatal(err)
 		}
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, d := range ptc.Devices {
+		if len(bodies[d]) != calls {
+			t.Fatalf("device %d got %d /batch requests in %d reads", d, len(bodies[d]), calls)
+		}
+		for i, b := range bodies[d][1:] {
+			if !bytes.Equal(b, bodies[d][0]) {
+				t.Fatalf("device %d: /batch body of read %d differs from the first read's", d, i+2)
+			}
+		}
+	}
+}
+
+// A canceled load returns the context's error. A load canceled while its
+// batches are on their way leaves no device storing anything: each
+// server is left with a body that stops short. An in-process load starts
+// no upload once a worker has seen the cancel.
+func TestLoadPTCCancelMidBatch(t *testing.T) {
+	t.Run("wire", func(t *testing.T) {
+		ptc := loadLayouts[0].build(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		returned := make(chan struct{})
+		rc := newRestCluster(t, ptc.Devices, func(_ cluster.DeviceID, next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				r.Body = &cutBody{ReadCloser: r.Body, after: 256, cancel: cancel, returned: returned}
+				next.ServeHTTP(w, r)
+			})
+		})
+		err := LoadPTCContext(ctx, "job0", ptc, rc.stores, goldenState(ptc))
+		close(returned)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled load: error %v, want context.Canceled", err)
+		}
+		// A handler still running has a body that can only fail from here on.
+		for i, srv := range rc.servers {
+			if names, _ := srv.FS.List("/"); len(names) != 0 {
+				t.Fatalf("server %d stored %v of a canceled load", i, names)
+			}
+		}
+	})
+
+	t.Run("local", func(t *testing.T) {
+		// Canceled after the third upload: the worker that canceled uploads
+		// nothing more to its device, and each other worker finishes at most
+		// the upload it had started; with one worker the load stops at
+		// exactly 3.
+		ptc := loadLayouts[1].build(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		uc := &uploadCanceler{after: 3, cancel: cancel}
+		stores := map[cluster.DeviceID]store.Access{}
+		for d, acc := range localStores(ptc.Devices) {
+			stores[d] = cancelingUploader{acc, d, uc}
+		}
+		if err := LoadPTCContext(ctx, "job0", ptc, stores, goldenState(ptc)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled load: error %v, want context.Canceled", err)
+		}
+		workers := min(runtime.GOMAXPROCS(0), len(ptc.Devices))
+		if n := uc.uploads.Load(); n < 3 || n > int64(3+workers-1) {
+			t.Fatalf("canceled load made %d uploads on %d workers, want 3 to %d", n, workers, 3+workers-1)
+		}
+		if n := uc.late.Load(); n != 0 {
+			t.Fatalf("%d uploads to the canceling device started after the cancel", n)
+		}
+	})
+}
+
+// uploadCanceler calls cancel when the after-th upload across every store
+// sharing it has landed, and counts the uploads to that upload's device
+// that start afterwards.
+type uploadCanceler struct {
+	uploads, late atomic.Int64
+	after         int64
+	cancel        context.CancelFunc
+	canceled      atomic.Int64 // 1 + the device whose upload canceled; 0 before
+}
+
+// cancelingUploader is one device's store under a shared uploadCanceler.
+type cancelingUploader struct {
+	store.Access
+	dev cluster.DeviceID
+	c   *uploadCanceler
+}
+
+func (a cancelingUploader) UploadFrom(path string, dt tensor.DType, shape []int, r io.Reader) error {
+	c, me := a.c, int64(a.dev)+1
+	if c.canceled.Load() == me {
+		c.late.Add(1)
+	}
+	err := a.Access.UploadFrom(path, dt, shape, r)
+	if c.uploads.Add(1) == c.after {
+		c.canceled.Store(me)
+		c.cancel()
+	}
+	return err
 }
 
 // cutBody lets the first bytes of a request body through, cancels the
@@ -224,13 +503,13 @@ func (c *cutBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// replicaTrees is what Replicate wrote, per store.
-func replicaTrees(t *testing.T, job string, devs []cluster.DeviceID, stores map[cluster.DeviceID]store.Access) map[cluster.DeviceID]map[string]*tensor.Tensor {
+// storeTrees is what each store holds under dir.
+func storeTrees(t *testing.T, dir string, devs []cluster.DeviceID, stores map[cluster.DeviceID]store.Access) map[cluster.DeviceID]map[string]*tensor.Tensor {
 	t.Helper()
 	out := map[cluster.DeviceID]map[string]*tensor.Tensor{}
 	for _, d := range devs {
 		out[d] = map[string]*tensor.Tensor{}
-		storedTree(t, stores[d], "/job/"+job+"/replica", out[d])
+		storedTree(t, stores[d], dir, out[d])
 	}
 	return out
 }
@@ -282,9 +561,9 @@ func TestReplicateOverWireStores(t *testing.T) {
 		if q, u := hidden.requests("/query"), hidden.requests("/upload")-uploads; q != placed || u != n*placed {
 			t.Fatalf("n=%d: tensor-by-tensor replicate made %d /query and %d /upload requests, want %d and %d", n, q, u, placed, n*placed)
 		}
-		ref := replicaTrees(t, job, devs, local)
+		ref := storeTrees(t, "/job/"+job+"/replica", devs, local)
 		for name, stores := range map[string]map[cluster.DeviceID]store.Access{"batched": wire.stores, "tensor by tensor": hidden.stores} {
-			trees := replicaTrees(t, job, devs, stores)
+			trees := storeTrees(t, "/job/"+job+"/replica", devs, stores)
 			for _, d := range devs {
 				if len(trees[d]) != len(ref[d]) || len(ref[d]) == 0 {
 					t.Fatalf("n=%d, %s: store %d holds %d replicas, want %d (> 0)", n, name, d, len(trees[d]), len(ref[d]))

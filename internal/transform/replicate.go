@@ -50,8 +50,7 @@ func Replicate(job string, ptc *core.PTC, topo *cluster.Topology,
 			if !ok {
 				return fmt.Errorf("transform: no store for replica worker %d", w.ID)
 			}
-			bu, batch := dst.(store.BatchUploader)
-			if !batch {
+			if _, batch := dst.(store.BatchUploader); !batch {
 				if err := dst.Upload(replicaPath(job, d, id), t); err != nil {
 					return fmt.Errorf("transform: replicate write: %w", err)
 				}
@@ -63,7 +62,7 @@ func Replicate(job string, ptc *core.PTC, topo *cluster.Topology,
 			if !ok {
 				b = len(batches)
 				batchOf[dstDev] = b
-				batches = append(batches, deviceUpload{dev: dstDev, store: bu})
+				batches = append(batches, deviceUpload{dev: dstDev, store: dst})
 			}
 			batches[b].items = append(batches[b].items, store.UploadItem{Path: replicaPath(job, d, id), View: t.FullView()})
 		}
@@ -105,7 +104,7 @@ func Replicate(job string, ptc *core.PTC, topo *cluster.Topology,
 			}
 		}
 	}
-	if err := uploadDevices(context.TODO(), batches); err != nil {
+	if err := uploadDevices(context.TODO(), defaultParallelism, batches); err != nil {
 		return written, err
 	}
 	return written + queued, nil

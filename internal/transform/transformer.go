@@ -31,6 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -473,72 +476,97 @@ func (tr *Transformer) checkOneRegionPerTensor(plan *core.Plan) error {
 // LoadPTC materializes PTC state into the stores: every device's
 // sub-tensors stream out of the provided full tensors straight into
 // each store (region views of the full tensors are what is sent, so no
-// intermediate sub-tensor is sliced out). A batch-capable store takes
-// all of its device's sub-tensors in one round trip, and those devices
-// are loaded concurrently; any other store (in-process, or behind a
-// wrapper that hides the capability) is uploaded to tensor by tensor, in
-// placement order, as the walk reaches it.
+// intermediate sub-tensor is sliced out). Every source is looked up
+// before the first upload, so a missing one leaves the stores as they
+// were. Each device is owned by one worker. A batch-capable store takes
+// all of its device's sub-tensors in one round trip; any other store
+// (in-process, or behind a wrapper that hides the capability) takes them
+// one at a time. Up to GOMAXPROCS devices are loaded at once, or eight
+// when any store batches. Every device is attempted, and the error is
+// the first failed device's, in PTC order.
 func LoadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	full map[core.TensorID]*tensor.Tensor) error {
 	return LoadPTCContext(context.Background(), job, ptc, stores, full)
 }
 
-// LoadPTCContext is LoadPTC under a caller-supplied context: against
-// context-aware stores, cancellation aborts an in-flight streaming
-// upload promptly instead of letting it run to completion.
+// LoadPTCContext is LoadPTC under a caller-supplied context: no upload
+// starts once ctx is canceled, and against context-aware stores
+// cancellation aborts the ones in flight; its error is or wraps
+// ctx.Err().
 func LoadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	full map[core.TensorID]*tensor.Tensor) error {
-	var batches []deviceUpload
+	// An in-process upload is CPU-bound, a batch a round trip: the pool
+	// is as wide as the cores, or as the wire route's fan-out.
+	par := runtime.GOMAXPROCS(0)
+	uploads := make([]deviceUpload, 0, len(ptc.Devices))
 	for _, d := range ptc.Devices {
 		acc, ok := stores[d]
 		if !ok {
 			return fmt.Errorf("transform: no store for device %d", d)
 		}
-		bu, batch := acc.(store.BatchUploader)
-		var items []store.UploadItem
-		for _, s := range ptc.Place[d] {
+		if _, batch := acc.(store.BatchUploader); batch {
+			par = defaultParallelism
+		}
+		place := ptc.Place[d]
+		if len(place) == 0 {
+			continue
+		}
+		items := make([]store.UploadItem, len(place))
+		for i, s := range place {
 			src, ok := full[s.Tensor]
 			if !ok {
 				return fmt.Errorf("transform: no source tensor for %q", s.Tensor)
 			}
-			v := src.View(s.Region)
-			if batch {
-				items = append(items, store.UploadItem{Path: ModelPath(job, d, s.Tensor), View: v})
-			} else if err := uploadFrom(ctx, acc, ModelPath(job, d, s.Tensor), src.DType(), v.Shape(), v.Reader()); err != nil {
-				return err
-			}
+			items[i] = store.UploadItem{Path: ModelPath(job, d, s.Tensor), View: src.View(s.Region)}
 		}
-		if len(items) > 0 {
-			batches = append(batches, deviceUpload{dev: d, store: bu, items: items})
-		}
+		uploads = append(uploads, deviceUpload{dev: d, store: acc, items: items})
 	}
-	return uploadDevices(ctx, batches)
+	return uploadDevices(ctx, par, uploads)
 }
 
-// deviceUpload is everything one batch-capable device store is to
-// receive: one request.
+// deviceUpload is everything one device store is to receive.
 type deviceUpload struct {
 	dev   cluster.DeviceID
-	store store.BatchUploader
+	store store.Access
 	items []store.UploadItem
 }
 
-// uploadDevices sends every device its batch, a few devices at a time,
-// and returns the error of the first device, in the given order, that
-// failed.
-func uploadDevices(ctx context.Context, batches []deviceUpload) error {
-	errs := make([]error, len(batches))
-	runBounded(ctx, defaultParallelism, len(batches), func(i int) {
-		if err := batches[i].store.UploadBatch(ctx, batches[i].items); err != nil {
-			errs[i] = fmt.Errorf("transform: upload to dev %d: %w", batches[i].dev, err)
+// send uploads the items: to a batch-capable store in one request, to
+// any other one item at a time.
+func (u deviceUpload) send(ctx context.Context) error {
+	if bu, ok := u.store.(store.BatchUploader); ok {
+		return bu.UploadBatch(ctx, u.items)
+	}
+	for _, it := range u.items {
+		if err := uploadFrom(ctx, u.store, it.Path, it.View.DType(), it.View.Shape(), it.View.Reader()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// uploadDevices sends every device its items on up to par workers, one
+// device per worker. Every device is attempted, and the error is the
+// first failed device's, in the given order.
+func uploadDevices(ctx context.Context, par int, uploads []deviceUpload) error {
+	errs := make([]error, len(uploads))
+	runBounded(ctx, par, len(uploads), func(i int) {
+		if err := uploads[i].send(ctx); err != nil {
+			errs[i] = fmt.Errorf("transform: upload to dev %d: %w", uploads[i].dev, err)
 		}
 	})
+	return firstError(ctx, errs)
+}
+
+// firstError returns the first non-nil error of errs or, if there is
+// none, ctx.Err(): a canceled walk may have left items unstarted.
+func firstError(ctx context.Context, errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	return ctx.Err() // a canceled load may have left devices unsent
+	return ctx.Err()
 }
 
 // ReadPTC gathers the full tensors of a PTC back out of the stores —
@@ -546,56 +574,94 @@ func uploadDevices(ctx context.Context, batches []deviceUpload) error {
 // and to verify reconfigurations end to end. Each full tensor is
 // allocated once and every distinct sub-tensor is read directly into
 // its offset, from the first device in rank order that holds it
-// (replicas once). A batch-capable store serves all of its device's
-// sub-tensors in one round trip, and those devices are read
-// concurrently; any other store is read range by range, tensor by
-// tensor, so a tensor's zeroed pages are still in cache when its
-// ranges land.
+// (replicas once). Tensors are taken in ID order, which fixes the
+// entries of every batch and the error. What a store that cannot batch
+// holds is read range by range by a worker that owns the tensor and
+// allocates it, up to GOMAXPROCS tensors at once; every such tensor is
+// attempted, and the first failed one in ID order is the error. Then a
+// batch-capable store serves all of its device's sub-tensors in one
+// round trip, those devices concurrently, and the first failed device
+// in PTC order is the error.
 func ReadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) (map[core.TensorID]*tensor.Tensor, error) {
 	return ReadPTCContext(context.Background(), job, ptc, stores)
 }
 
-// ReadPTCContext is ReadPTC under a caller-supplied context: a canceled
-// read stops between ranges and, against context-aware stores, inside
-// the batch in flight; its error wraps ctx.Err().
+// ReadPTCContext is ReadPTC under a caller-supplied context: no range
+// read starts once ctx is canceled and, against context-aware stores,
+// the batch in flight stops; its error is or wraps ctx.Err().
 func ReadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) (map[core.TensorID]*tensor.Tensor, error) {
 	// Who holds which region of each tensor, replicas once.
 	type holder struct {
-		dev cluster.DeviceID
-		reg tensor.Region
+		dev   cluster.DeviceID
+		acc   store.Access
+		batch bool
+		reg   tensor.Region
 	}
 	holders := make(map[core.TensorID][]holder, len(ptc.Tensors))
 	for g, subs := range ptc.Unique() {
+		if len(subs) == 0 {
+			continue
+		}
+		d := ptc.Devices[g]
+		acc, ok := stores[d]
+		if !ok {
+			return nil, fmt.Errorf("transform: no store for device %d", d)
+		}
+		_, batch := acc.(store.BatchQuerier)
 		for _, s := range subs {
-			holders[s.Tensor] = append(holders[s.Tensor], holder{ptc.Devices[g], s.Region})
+			holders[s.Tensor] = append(holders[s.Tensor], holder{d, acc, batch, s.Region})
 		}
 	}
-	out := make(map[core.TensorID]*tensor.Tensor, len(ptc.Tensors))
+	ids := slices.Sorted(maps.Keys(ptc.Tensors))
+	fulls := make([]*tensor.Tensor, len(ids))
+	var singles []int // positions in ids of the tensors a non-batch store holds part of
 	batches := map[cluster.DeviceID]*deviceRead{}
-	for id, meta := range ptc.Tensors {
-		full := tensor.New(meta.DType, meta.Shape...)
-		covered := 0
+	for i, id := range ids {
+		meta := ptc.Tensors[id]
+		covered, single := 0, false
 		for _, h := range holders[id] {
-			acc, ok := stores[h.dev]
-			if !ok {
-				return nil, fmt.Errorf("transform: no store for device %d", h.dev)
-			}
-			if bq, ok := acc.(store.BatchQuerier); ok {
-				b := batches[h.dev]
-				if b == nil {
-					b = &deviceRead{store: bq}
-					batches[h.dev] = b
-				}
-				b.entries = append(b.entries, store.BatchEntry{Path: ModelPath(job, h.dev, id), Dst: full, At: h.reg})
-			} else if _, err := queryInto(ctx, acc, ModelPath(job, h.dev, id), nil, full, h.reg); err != nil {
-				return nil, fmt.Errorf("transform: read %q from dev %d: %w", id, h.dev, err)
-			}
 			covered += h.reg.NumElems()
+			if !h.batch {
+				single = true
+				continue
+			}
+			if fulls[i] == nil {
+				fulls[i] = tensor.New(meta.DType, meta.Shape...)
+			}
+			b := batches[h.dev]
+			if b == nil {
+				b = &deviceRead{store: h.acc.(store.BatchQuerier)}
+				batches[h.dev] = b
+			}
+			b.entries = append(b.entries, store.BatchEntry{Path: ModelPath(job, h.dev, id), Dst: fulls[i], At: h.reg})
 		}
-		if covered < full.NumElems() {
-			return nil, fmt.Errorf("transform: assemble %q: holders cover %d of %d elements", id, covered, full.NumElems())
+		if elems := tensor.ShapeNumElems(meta.Shape); covered < elems {
+			return nil, fmt.Errorf("transform: assemble %q: holders cover %d of %d elements", id, covered, elems)
 		}
-		out[id] = full
+		if single {
+			singles = append(singles, i)
+		}
+	}
+	errs := make([]error, len(singles))
+	runBounded(ctx, runtime.GOMAXPROCS(0), len(singles), func(k int) {
+		i := singles[k]
+		id := ids[i]
+		if fulls[i] == nil {
+			meta := ptc.Tensors[id]
+			fulls[i] = tensor.New(meta.DType, meta.Shape...)
+		}
+		for _, h := range holders[id] {
+			if h.batch {
+				continue
+			}
+			if _, err := queryInto(ctx, h.acc, ModelPath(job, h.dev, id), nil, fulls[i], h.reg); err != nil {
+				errs[k] = fmt.Errorf("transform: read %q from dev %d: %w", id, h.dev, err)
+				return
+			}
+		}
+	})
+	if err := firstError(ctx, errs); err != nil {
+		return nil, err
 	}
 	// One round trip per batch-capable store instead of one per tensor,
 	// all of them concurrently; the first failed device (in PTC order)
@@ -613,6 +679,10 @@ func ReadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[c
 		if b := batches[d]; b != nil && b.err != nil {
 			return nil, fmt.Errorf("transform: read from dev %d: %w", d, b.err)
 		}
+	}
+	out := make(map[core.TensorID]*tensor.Tensor, len(ids))
+	for i, id := range ids {
+		out[id] = fulls[i]
 	}
 	return out, nil
 }

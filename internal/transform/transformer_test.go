@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -310,18 +311,25 @@ func TestReadPTCRoundTrip(t *testing.T) {
 		back, err := ReadPTC(job, ptc, stores)
 		check(t, back, err)
 
-		// Canceled after the third range: the read stops there.
+		// Canceled after the third range: no read starts once a worker has
+		// seen the cancel. The worker that canceled reads no further range
+		// of its tensor, and each other worker finishes at most the read it
+		// had started; with one worker the read stops at exactly 3.
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		var reads atomic.Int64
+		cs := &cancelingStore{after: 3, cancel: cancel}
 		for d, acc := range stores {
-			stores[d] = cancelingStore{Access: acc, reads: &reads, after: 3, cancel: cancel}
+			stores[d] = cancelingAccess{acc, cs}
 		}
 		if _, err := ReadPTCContext(ctx, job, ptc, stores); !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled read returned %v, want context.Canceled", err)
 		}
-		if n := reads.Load(); n != 3 {
-			t.Fatalf("canceled read issued %d range reads, want 3", n)
+		workers := min(runtime.GOMAXPROCS(0), len(ptc.Tensors))
+		if n := cs.reads.Load(); n < 3 || n > int64(3+workers-1) {
+			t.Fatalf("canceled read issued %d range reads on %d workers, want 3 to %d", n, workers, 3+workers-1)
+		}
+		if n := cs.late.Load(); n != 0 {
+			t.Fatalf("%d range reads of the canceled tensor started after the cancel", n)
 		}
 	})
 
@@ -368,18 +376,30 @@ func TestReadPTCRoundTrip(t *testing.T) {
 	})
 }
 
-// cancelingStore calls cancel when its after-th range read (counted
-// across every store sharing reads) has been served.
+// cancelingStore calls cancel when the after-th range read across every
+// store sharing it has been served, and counts the reads into that
+// read's destination tensor that start afterwards.
 type cancelingStore struct {
-	store.Access
-	reads  *atomic.Int64
-	after  int64
-	cancel context.CancelFunc
+	reads, late atomic.Int64
+	after       int64
+	cancel      context.CancelFunc
+	canceled    atomic.Pointer[tensor.Tensor]
 }
 
-func (c cancelingStore) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	n, err := c.Access.QueryInto(path, reg, dst, at)
+// cancelingAccess is one device's store under a shared cancelingStore.
+type cancelingAccess struct {
+	store.Access
+	c *cancelingStore
+}
+
+func (a cancelingAccess) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
+	c := a.c
+	if c.canceled.Load() == dst {
+		c.late.Add(1)
+	}
+	n, err := a.Access.QueryInto(path, reg, dst, at)
 	if c.reads.Add(1) == c.after {
+		c.canceled.Store(dst)
 		c.cancel()
 	}
 	return n, err
