@@ -20,14 +20,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/store"
-	"tenplex/internal/tensor"
 )
 
 // Err is the sentinel every injected fault wraps; errors.Is(err, Err)
@@ -198,130 +196,61 @@ func (in *Injector) stream(job string) *faultStream {
 	return st
 }
 
-// WrapAccess wraps one Tensor Store of job with fault injection. tag
-// names the wrapped store (e.g. its device), so replicas of the same
-// path fail independently. While the job's stream is disarmed the
-// wrapper is a pass-through; while armed, each operation's outcome is a
-// pure function of (attempt seed, tag, op, path) — never of the order
-// concurrent operations happen to run in.
+// WrapAccess wraps one Tensor Store of job with fault injection, a hook
+// of store.Wrap. tag names the wrapped store (e.g. its device), so
+// replicas of the same path fail independently. While the job's stream
+// is disarmed the wrapper is a pass-through; while armed, each
+// operation's outcome is a pure function of (attempt seed, tag, op,
+// paths) — never of the order concurrent operations happen to run in.
+// A plain call and its context twin are one operation, and a batch, an
+// /assemble or an /upload-batch fails or stalls whole, the way a dying
+// connection takes the whole response stream with it. A stall gives up
+// when the caller's context does.
 func (in *Injector) WrapAccess(job, tag string, inner store.Access) store.Access {
-	fa := &faultyAccess{inner: inner, in: in, stream: in.stream(job), job: job, tag: tag}
-	// Forward a capability only when the wrapped store has it: separate
-	// wrapper types keep a wrapped Local from falsely asserting as a
-	// store.BatchQuerier or a store.Assembler.
-	if r, ok := inner.(store.Remote); ok {
-		return &faultyRemote{faultyBatchAccess: faultyBatchAccess{fa}, remote: r}
-	}
-	if _, ok := inner.(store.BatchQuerier); ok {
-		return &faultyBatchAccess{faultyAccess: fa}
-	}
-	return fa
+	st := in.stream(job)
+	return store.Wrap(inner, func(ctx context.Context, op store.Op) (store.Op, error) {
+		fail, delay := st.decideOp(in.plan, opHash(identity(tag, &op)...))
+		if delay > 0 {
+			select {
+			case <-time.After(delay):
+			case <-ctx.Done():
+				return op, ctx.Err()
+			}
+		}
+		if fail {
+			return op, fmt.Errorf("%w: %s on job %s", Err, op.Name, job)
+		}
+		err := op.Call(ctx)
+		return op, err
+	})
 }
 
-// faultyRemote forwards the rest of a wire store's capability set. The
-// context-aware variants draw the same fate as the plain calls (same
-// op name, same paths) and hand the caller's context through, so an
-// armed store still aborts a transfer when its apply is canceled. A
-// whole /assemble or /upload-batch request fails or stalls as one
-// operation whose fate hashes the store's tag and the paths it would
-// write — a function of the plan, not of scheduling.
-type faultyRemote struct {
-	faultyBatchAccess
-	remote store.Remote
-}
-
-var _ store.Remote = (*faultyRemote)(nil)
-
-func (f *faultyRemote) Address() string { return f.remote.Address() }
-
-func (f *faultyRemote) Assemble(ctx context.Context, items []store.AssembleItem) (store.AssembleStats, error) {
-	paths := make([]string, len(items))
-	for i, it := range items {
-		paths[i] = it.Path
+// identity is what an operation's fate hashes: the store's tag, the op,
+// and the paths it names — with the range for a queryinto, and every
+// entry's range for a batch.
+func identity(tag string, op *store.Op) []string {
+	id := []string{tag, op.Name}
+	switch op.Name {
+	case "queryinto":
+		return append(id, op.Path, fmt.Sprint(op.Reg))
+	case "rename":
+		return append(id, op.Path, op.Dst)
+	case "batch":
+		for _, e := range op.Entries {
+			id = append(id, e.Path, fmt.Sprint(e.Reg))
+		}
+	case "assemble":
+		for _, it := range op.Items {
+			id = append(id, it.Path)
+		}
+	case "uploadbatch":
+		for _, it := range op.Uploads {
+			id = append(id, it.Path)
+		}
+	default:
+		id = append(id, op.Path)
 	}
-	if err := f.op("assemble", paths...); err != nil {
-		return store.AssembleStats{}, err
-	}
-	return f.remote.Assemble(ctx, items)
-}
-
-func (f *faultyRemote) UploadBatch(ctx context.Context, items []store.UploadItem) error {
-	paths := make([]string, len(items))
-	for i, it := range items {
-		paths[i] = it.Path
-	}
-	if err := f.op("uploadbatch", paths...); err != nil {
-		return err
-	}
-	return f.remote.UploadBatch(ctx, items)
-}
-
-func (f *faultyRemote) QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error) {
-	if err := f.op("query", path); err != nil {
-		return nil, err
-	}
-	return f.remote.QueryContext(ctx, path, reg)
-}
-
-func (f *faultyRemote) QueryIntoContext(ctx context.Context, path string, reg tensor.Region,
-	dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	if err := f.op("queryinto", path, fmt.Sprint(reg)); err != nil {
-		return 0, err
-	}
-	return f.remote.QueryIntoContext(ctx, path, reg, dst, at)
-}
-
-func (f *faultyRemote) UploadContext(ctx context.Context, path string, t *tensor.Tensor) error {
-	if err := f.op("upload", path); err != nil {
-		return err
-	}
-	return f.remote.UploadContext(ctx, path, t)
-}
-
-func (f *faultyRemote) UploadFromContext(ctx context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error {
-	if err := f.op("uploadfrom", path); err != nil {
-		return err
-	}
-	return f.remote.UploadFromContext(ctx, path, dt, shape, r)
-}
-
-func (f *faultyRemote) DeleteContext(ctx context.Context, path string) error {
-	if err := f.op("delete", path); err != nil {
-		return err
-	}
-	return f.remote.DeleteContext(ctx, path)
-}
-
-func (f *faultyRemote) ListContext(ctx context.Context, path string) ([]string, error) {
-	if err := f.op("list", path); err != nil {
-		return nil, err
-	}
-	return f.remote.ListContext(ctx, path)
-}
-
-func (f *faultyRemote) RenameContext(ctx context.Context, src, dst string) error {
-	if err := f.op("rename", src, dst); err != nil {
-		return err
-	}
-	return f.remote.RenameContext(ctx, src, dst)
-}
-
-// faultyBatchAccess augments faultyAccess with store.BatchQuerier
-// forwarding; the whole batch fails or stalls as one operation, the way
-// a dying connection takes the whole response stream with it.
-type faultyBatchAccess struct{ *faultyAccess }
-
-var _ store.BatchQuerier = (*faultyBatchAccess)(nil)
-
-func (f *faultyBatchAccess) BatchQueryInto(ctx context.Context, entries []store.BatchEntry) (store.BatchStats, error) {
-	paths := make([]string, 0, 2*len(entries))
-	for _, e := range entries {
-		paths = append(paths, e.Path, fmt.Sprint(e.Reg))
-	}
-	if err := f.op("batch", paths...); err != nil {
-		return store.BatchStats{}, err
-	}
-	return f.inner.(store.BatchQuerier).BatchQueryInto(ctx, entries)
+	return id
 }
 
 // Transport wraps an http.RoundTripper with injected request failures
@@ -369,23 +298,15 @@ type faultStream struct {
 	state uint64
 }
 
-// decide draws one sequential fault decision: whether the operation
-// fails, and how long it stalls first. Used by the always-armed HTTP
-// stream.
+// decide draws one sequential fault decision. Used by the always-armed
+// HTTP stream.
 func (st *faultStream) decide(p Plan) (fail bool, delay time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.armed {
 		return false, 0
 	}
-	delay = p.StoreLatency
-	if p.StragglerRate > 0 && st.unit() < p.StragglerRate {
-		delay = p.StragglerLatency
-	}
-	if p.StoreFaultRate > 0 && st.unit() < p.StoreFaultRate {
-		fail = true
-	}
-	return fail, delay
+	return st.fate(p)
 }
 
 // decideOp decides one store operation's fate from the attempt seed and
@@ -398,14 +319,17 @@ func (st *faultStream) decideOp(p Plan, opHash uint64) (fail bool, delay time.Du
 		return false, 0
 	}
 	local := faultStream{state: base ^ opHash}
+	return local.fate(p)
+}
+
+// fate draws an operation's fate from st: whether it fails, and how
+// long it stalls first.
+func (st *faultStream) fate(p Plan) (fail bool, delay time.Duration) {
 	delay = p.StoreLatency
-	if p.StragglerRate > 0 && local.unit() < p.StragglerRate {
+	if p.StragglerRate > 0 && st.unit() < p.StragglerRate {
 		delay = p.StragglerLatency
 	}
-	if p.StoreFaultRate > 0 && local.unit() < p.StoreFaultRate {
-		fail = true
-	}
-	return fail, delay
+	return p.StoreFaultRate > 0 && st.unit() < p.StoreFaultRate, delay
 }
 
 // unit returns the next uniform draw in [0, 1).
@@ -445,86 +369,6 @@ func opHash(parts ...string) uint64 {
 	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 	return h ^ (h >> 31)
-}
-
-// --- store.Access wrapper ---
-
-type faultyAccess struct {
-	inner  store.Access
-	in     *Injector
-	stream *faultStream
-	job    string
-	tag    string
-}
-
-var _ store.Access = (*faultyAccess)(nil)
-
-func (f *faultyAccess) op(name string, paths ...string) error {
-	id := append([]string{f.tag, name}, paths...)
-	fail, delay := f.stream.decideOp(f.in.plan, opHash(id...))
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	if fail {
-		return fmt.Errorf("%w: %s on job %s", Err, name, f.job)
-	}
-	return nil
-}
-
-func (f *faultyAccess) Query(path string, reg tensor.Region) (*tensor.Tensor, error) {
-	if err := f.op("query", path); err != nil {
-		return nil, err
-	}
-	return f.inner.Query(path, reg)
-}
-
-func (f *faultyAccess) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	if err := f.op("queryinto", path, fmt.Sprint(reg)); err != nil {
-		return 0, err
-	}
-	return f.inner.QueryInto(path, reg, dst, at)
-}
-
-func (f *faultyAccess) Upload(path string, t *tensor.Tensor) error {
-	if err := f.op("upload", path); err != nil {
-		return err
-	}
-	return f.inner.Upload(path, t)
-}
-
-func (f *faultyAccess) UploadFrom(path string, dt tensor.DType, shape []int, r io.Reader) error {
-	if err := f.op("uploadfrom", path); err != nil {
-		return err
-	}
-	return f.inner.UploadFrom(path, dt, shape, r)
-}
-
-func (f *faultyAccess) Delete(path string) error {
-	if err := f.op("delete", path); err != nil {
-		return err
-	}
-	return f.inner.Delete(path)
-}
-
-func (f *faultyAccess) List(path string) ([]string, error) {
-	if err := f.op("list", path); err != nil {
-		return nil, err
-	}
-	return f.inner.List(path)
-}
-
-func (f *faultyAccess) Rename(src, dst string) error {
-	if err := f.op("rename", src, dst); err != nil {
-		return err
-	}
-	return f.inner.Rename(src, dst)
-}
-
-// UploadsByReference preserves the wrapped store's copy-accounting
-// contract (transform.uploadCopies type-asserts store.RefUploader).
-func (f *faultyAccess) UploadsByReference() bool {
-	ru, ok := f.inner.(store.RefUploader)
-	return ok && ru.UploadsByReference()
 }
 
 // --- HTTP transport wrapper ---

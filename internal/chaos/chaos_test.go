@@ -54,7 +54,8 @@ func TestChaosDeterministicStreams(t *testing.T) {
 	plan := Plan{Seed: 7, StoreFaultRate: 0.2}
 	a := NewInjector(plan)
 	b := NewInjector(plan)
-	accA := a.WrapAccess("job", "dev0", memAccess(t))
+	mem := memAccess(t)
+	accA := a.WrapAccess("job", "dev0", mem)
 	accB := b.WrapAccess("job", "dev0", memAccess(t))
 
 	seqA := sequence(a, "job", 3, accA, 200)
@@ -85,7 +86,7 @@ func TestChaosDeterministicStreams(t *testing.T) {
 	// Replicas of the same path on differently-tagged stores fail
 	// independently — a faulted read must be able to fall back to
 	// another replica.
-	accA2 := a.WrapAccess("job", "dev1", accA.(*faultyAccess).inner)
+	accA2 := a.WrapAccess("job", "dev1", mem)
 	seqE := sequence(a, "job", 3, accA2, 200)
 	if fmt.Sprint(seqA) == fmt.Sprint(seqE) {
 		t.Fatal("different store tags produced identical fault decisions")
@@ -210,12 +211,76 @@ func TestChaosTransportAndMiddleware(t *testing.T) {
 	}
 }
 
-// A wire store keeps its whole capability set through both wrappers, in
-// the order the coordinator stacks them (chaos inside, tracing
-// outside), and a wrapped Local gains none of it. What this guards:
-// the transformer type-asserts its stores for the context-aware calls,
-// and a wrapper that hid them silently cost a traced or chaos-armed
-// coordinator its mid-transfer cancellation.
+// batchOnly is a store that takes batch reads and offers nothing else of
+// what a wire store does.
+type batchOnly struct{ store.Local }
+
+func (b batchOnly) BatchQueryInto(ctx context.Context, entries []store.BatchEntry) (store.BatchStats, error) {
+	return store.BatchStats{Entries: len(entries)}, nil
+}
+
+// store.Wrap exposes exactly the capabilities of the store it wraps,
+// under either hook and under both, stacked as the coordinator stacks
+// them (chaos inside, tracing outside). What this guards: the
+// transformer picks its staging route, its cancellation and its copy
+// accounting by type-asserting its stores, so a wrapper that hid a
+// capability or claimed one would change what a traced or chaos-armed
+// run does.
+func TestWrapKeepsCapabilityTiers(t *testing.T) {
+	in := NewInjector(Plan{Seed: 1})
+	var scope obs.ScopeVar
+	hooks := map[string]func(store.Access) store.Access{
+		"chaos":   func(a store.Access) store.Access { return in.WrapAccess("job", "dev0", a) },
+		"observe": func(a store.Access) store.Access { return store.Observe(a, "dev0", &scope) },
+		"both": func(a store.Access) store.Access {
+			return store.Observe(in.WrapAccess("job", "dev0", a), "dev0", &scope)
+		},
+	}
+	inners := map[string]store.Access{
+		"Local":      store.Local{FS: store.NewMemFS()},
+		"batch-only": batchOnly{store.Local{FS: store.NewMemFS()}},
+		"*Client":    &store.Client{Base: "http://127.0.0.1:1"},
+	}
+	is := func(a any, capability string) bool {
+		var ok bool
+		switch capability {
+		case "BatchQuerier":
+			_, ok = a.(store.BatchQuerier)
+		case "BatchUploader":
+			_, ok = a.(store.BatchUploader)
+		case "Assembler":
+			_, ok = a.(store.Assembler)
+		case "Addressable":
+			_, ok = a.(store.Addressable)
+		case "Remote":
+			_, ok = a.(store.Remote)
+		case "RefUploader":
+			_, ok = a.(store.RefUploader)
+		}
+		return ok
+	}
+	for hook, wrap := range hooks {
+		for name, inner := range inners {
+			w := wrap(inner)
+			for _, c := range []string{"BatchQuerier", "BatchUploader", "Assembler", "Addressable", "Remote", "RefUploader"} {
+				if is(w, c) != is(inner, c) {
+					t.Errorf("%s over %s: %s is %v, the inner store's is %v", hook, name, c, is(w, c), is(inner, c))
+				}
+			}
+			if ru, ok := inner.(store.RefUploader); ok && ru.UploadsByReference() != w.(store.RefUploader).UploadsByReference() {
+				t.Errorf("%s over %s: UploadsByReference disagrees with the inner store's", hook, name)
+			}
+			if a, ok := inner.(store.Addressable); ok && w.(store.Addressable).Address() != a.Address() {
+				t.Errorf("%s over %s: address %q, want %q", hook, name, w.(store.Addressable).Address(), a.Address())
+			}
+		}
+	}
+}
+
+// A wire store wrapped by both hooks keeps its mid-transfer
+// cancellation: the transformer type-asserts its stores for the
+// context-aware calls, and a wrapper that hid them or dropped the
+// context silently cost a traced or chaos-armed coordinator its cancel.
 func TestWrappedClientKeepsCancellation(t *testing.T) {
 	release := make(chan struct{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -234,16 +299,6 @@ func TestWrappedClientKeepsCancellation(t *testing.T) {
 	if !ok {
 		t.Fatalf("observed + chaos-wrapped *store.Client is a %T: the wrappers hide the client's context-aware calls", wrapped)
 	}
-	if remote.Address() != hs.URL {
-		t.Fatalf("wrapped address %q, want %q", remote.Address(), hs.URL)
-	}
-	if _, ok := store.Observe(in.WrapAccess("job", "dev1", memAccess(t)), "dev1", &scope).(store.Remote); ok {
-		t.Fatal("a wrapped Local claims to be a wire store")
-	}
-	if _, ok := store.Observe(in.WrapAccess("job", "dev1", memAccess(t)), "dev1", &scope).(store.BatchUploader); ok {
-		t.Fatal("a wrapped Local claims to take batched uploads")
-	}
-
 	payload := tensor.New(tensor.Float32, 1<<18) // 1 MiB: more than the socket buffers swallow
 	for name, call := range map[string]func(ctx context.Context) error{
 		"QueryIntoContext": func(ctx context.Context) error {
@@ -267,6 +322,28 @@ func TestWrappedClientKeepsCancellation(t *testing.T) {
 		if d := time.Since(start); d > 5*time.Second {
 			t.Errorf("%s took %v to notice the cancel", name, d)
 		}
+	}
+}
+
+// A stall answers the caller's context: an apply canceled while an
+// armed store stalls one of its operations gets the cancel back at once,
+// not after the stall, as the REST transport's stall already does.
+func TestChaosStallHonorsCancel(t *testing.T) {
+	hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
+	defer hs.Close()
+	in := NewInjector(Plan{Seed: 1, StragglerRate: 1, StragglerLatency: 3 * time.Second})
+	remote := in.WrapAccess("job", "dev0", &store.Client{Base: hs.URL, HTTP: hs.Client()}).(store.Remote)
+	in.BeginAttempt("job", 1)
+	defer in.EndAttempt("job")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := remote.QueryIntoContext(ctx, "/x", nil, tensor.New(tensor.Float32, 4), nil)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("a canceled operation waited out its %v stall: returned after %v", 3*time.Second, d)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled operation returned %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -2,4 +2,4 @@
 
 package coordinator
 
-const raceEnabled = false
+const RaceEnabled = false

@@ -2,6 +2,8 @@
 
 package coordinator
 
-// raceEnabled disables wall-clock timing assertions under the race
-// detector, whose instrumentation overhead swamps the paced schedule.
-const raceEnabled = true
+// RaceEnabled disables wall-clock timing assertions under the race
+// detector, whose instrumentation overhead swamps the paced schedule,
+// and schedule-pinned trace digests, whose order the detector's
+// randomized scheduler shuffles.
+const RaceEnabled = true

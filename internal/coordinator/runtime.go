@@ -33,7 +33,9 @@ type jobRuntime struct {
 // nil keeps the in-memory default. inj, when non-nil, installs chaos
 // fault injection on every device store; deep installs per-operation
 // datapath spans OUTSIDE it, so injected faults appear in the trace as
-// the failed store operations they manifest as. The checkpoint blob
+// the failed store operations they manifest as. Both are hooks of one
+// store.Wrap each, which keeps whatever the store offers beyond Access
+// (store.Remote on a wire store) through the stack. The checkpoint blob
 // store stays in-process and unwrapped either way — it is the durability
 // anchor rollback and restore depend on.
 func (r *jobRuntime) openStores(mk func(job string, dev cluster.DeviceID) store.Access, inj *chaos.Injector, deep bool) {

@@ -181,7 +181,7 @@ func TestWallClockOverlapBeatsSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("race-detector overhead swamps the paced schedule")
 	}
 	topo := cluster.OnPrem16()

@@ -106,16 +106,22 @@ type Addressable interface{ Address() string }
 
 // Remote is everything a wire store offers beyond Access: batch reads,
 // batch uploads, destination-pull assembly, an address for its peers,
-// and a variant of every operation that takes the caller's context. Observe and
-// chaos.WrapAccess forward it as one unit over a store that has it
-// (*Client), so wrapping a store changes neither the staging route the
-// transformer picks nor whether a cancel reaches an in-flight transfer.
+// and a variant of every operation that takes the caller's context.
+// Wrap forwards it as one unit over a store that has it (*Client), so
+// wrapping a store — tracing it with Observe, arming it with
+// chaos.WrapAccess — changes neither the staging route the transformer
+// picks nor whether a cancel reaches an in-flight transfer.
 type Remote interface {
 	Access
 	BatchQuerier
 	BatchUploader
 	Assembler
 	Addressable
+	contextAccess
+}
+
+// contextAccess is Access with the caller's context on every operation.
+type contextAccess interface {
 	QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error)
 	QueryIntoContext(ctx context.Context, path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error)
 	UploadContext(ctx context.Context, path string, t *tensor.Tensor) error

@@ -175,6 +175,30 @@ func TestObserveRecordsPerOpSpans(t *testing.T) {
 	}
 }
 
+// Below a deep scope an observed store's operation costs what the store's
+// own does, allocation for allocation: a span that is not recorded is
+// free, so Observe may stay installed while the tracer's level drops.
+func TestObserveShallowScopeAllocatesNothing(t *testing.T) {
+	fs := NewMemFS()
+	if err := fs.PutTensor("/w", seqTensor(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	local := Local{FS: fs}
+	var scope obs.ScopeVar
+	scope.Set(obs.TaskCtx{T: obs.New(obs.Options{Level: obs.LevelPhases}), Parent: 1, Job: "job-7"})
+	dst := seqTensor(4, 4)
+	allocs := func(acc Access) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := acc.QueryInto("/w", nil, dst, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if base, got := allocs(local), allocs(Observe(local, "dev0", &scope)); got != base {
+		t.Fatalf("an unrecorded span costs %v allocations, the bare store %v", got, base)
+	}
+}
+
 // An observed wire store still takes batches (an observed Local store
 // still does not), and every batch is counted in the tracer's registry —
 // requests, payload bytes, latency — whatever the tracer's level, with a

@@ -10,7 +10,9 @@ func (t *Tensor) Slice(reg Region) *Tensor {
 		panic(fmt.Sprintf("tensor: Slice region %v invalid for shape %v", reg, t.shape))
 	}
 	out := New(t.dtype, reg.Shape()...)
-	copyRegion(out, FullRegion(out.shape), t, reg)
+	if _, err := CopyRegion(out, FullRegion(out.shape), t, reg); err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -27,48 +29,8 @@ func (t *Tensor) SetSlice(reg Region, src *Tensor) {
 	if !ShapeEqual(reg.Shape(), src.shape) {
 		panic(fmt.Sprintf("tensor: SetSlice region shape %v != src shape %v", reg.Shape(), src.shape))
 	}
-	copyRegion(t, reg, src, FullRegion(src.shape))
-}
-
-// copyRegion copies the elements of srcReg (in src) into dstReg (in dst).
-// Both regions must have identical shapes. Data moves in contiguous runs
-// along the innermost dimension.
-func copyRegion(dst *Tensor, dstReg Region, src *Tensor, srcReg Region) {
-	shape := srcReg.Shape()
-	rank := len(shape)
-	es := src.dtype.Size()
-	if rank == 0 { // scalars
-		copy(dst.data, src.data)
-		return
-	}
-	rowLen := shape[rank-1] * es
-
-	srcStrides := src.strides()
-	dstStrides := dst.strides()
-
-	// Odometer over all dimensions except the innermost.
-	idx := make([]int, rank-1)
-	for {
-		srcOff := srcReg[rank-1].Lo * srcStrides[rank-1]
-		dstOff := dstReg[rank-1].Lo * dstStrides[rank-1]
-		for d := 0; d < rank-1; d++ {
-			srcOff += (srcReg[d].Lo + idx[d]) * srcStrides[d]
-			dstOff += (dstReg[d].Lo + idx[d]) * dstStrides[d]
-		}
-		copy(dst.data[dstOff*es:dstOff*es+rowLen], src.data[srcOff*es:srcOff*es+rowLen])
-
-		// advance odometer
-		d := rank - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < shape[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			return
-		}
+	if _, err := CopyRegion(t, reg, src, FullRegion(src.shape)); err != nil {
+		panic(err)
 	}
 }
 

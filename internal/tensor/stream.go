@@ -290,9 +290,9 @@ func (t *Tensor) WriteRegion(reg Region, r io.Reader) (int64, error) {
 // CopyRegion copies srcReg of src directly into dstReg of dst — the
 // pure-copy fast path for local range fetches. Region shapes and dtypes
 // must match. It returns the number of bytes copied (every byte moves
-// exactly once). Unlike the Slice/SetSlice pipeline it allocates
-// nothing: validation reads the shapes in place and the copy odometer
-// lives on the stack.
+// exactly once). It allocates nothing: validation reads the shapes in
+// place and the copy odometer lives on the stack. Slice and SetSlice
+// copy through it.
 func CopyRegion(dst *Tensor, dstReg Region, src *Tensor, srcReg Region) (int64, error) {
 	if !dstReg.Valid(dst.shape) {
 		return 0, fmt.Errorf("tensor: CopyRegion dst region %v invalid for shape %v", dstReg, dst.shape)

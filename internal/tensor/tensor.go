@@ -142,17 +142,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return c
 }
 
-// strides returns the element stride of every dimension (row-major).
-func (t *Tensor) strides() []int {
-	s := make([]int, len(t.shape))
-	acc := 1
-	for i := len(t.shape) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= t.shape[i]
-	}
-	return s
-}
-
 // flatIndex converts a multi-index into a flat element index, panicking
 // on out-of-range coordinates.
 func (t *Tensor) flatIndex(idx []int) int {
