@@ -2,7 +2,9 @@
 // Stores to remote blob storage and reads it back — including arbitrary
 // sub-tensor ranges that may span partition boundaries, which is what
 // failure recovery needs when it rebuilds lost state for a *different*
-// parallelization than the checkpoint was written under.
+// parallelization than the checkpoint was written under. It keeps the
+// pieces, manifest and latest marker; transform's device walk reaches the
+// device stores.
 package checkpoint
 
 import (
@@ -41,19 +43,17 @@ func ckptRoot(job string, step int) string { return fmt.Sprintf("/ckpt/%s/step%0
 func metaPath(job string, step int) string { return ckptRoot(job, step) + "/meta.json" }
 func latestPath(job string) string         { return fmt.Sprintf("/ckpt/%s/latest", job) }
 
-// saveDevicesInFlight bounds how many batch-capable device stores Save
-// reads, and Restore writes, at once, and with it how much state either
-// holds: that many devices' sub-tensors, not the whole job's.
+// saveDevicesInFlight bounds how many device stores Save reads, and
+// Restore writes, at once, and with it how much state either holds: that
+// many devices' sub-tensors, not the whole job's.
 const saveDevicesInFlight = 2
 
 // Save writes the state described by ptc — read from the per-device
 // stores — into storage as a partitioned checkpoint for the given step.
 // Replicated sub-tensors (DP copies) are written once, by the first
-// device in rank order that holds them. A batch-capable device store is
-// read in one round trip, a few such devices at a time, and its pieces
-// are written out and dropped as soon as its batch has landed; any other
-// store hands its tensors over one Query at a time (by reference, for an
-// in-process store).
+// device in rank order that holds them. transform.ReadDevices reads
+// saveDevicesInFlight devices at a time, and a device's pieces are
+// written out and dropped as soon as its read has landed.
 //
 // A job keeps one checkpoint: only the latest is ever opened, so once
 // this step's pieces, its manifest and the latest marker are in storage
@@ -63,35 +63,16 @@ const saveDevicesInFlight = 2
 func Save(storage store.Access, job string, step int, ptc *core.PTC,
 	stores map[cluster.DeviceID]store.Access) error {
 	return save(storage, job, step, ptc.Name, len(ptc.Tensors), func(write writePiece) error {
-		// What the batch-capable devices owe the checkpoint; read after the
-		// walk below, which writes everything else as it is read.
-		var batches []deviceBatch
 		unique := ptc.Unique()
-		for g, d := range ptc.Devices {
-			acc, ok := stores[d]
-			if !ok {
-				return fmt.Errorf("checkpoint: no store for device %d", d)
-			}
-			if bq, batch := acc.(store.BatchQuerier); batch {
-				if len(unique[g]) > 0 {
-					batches = append(batches, deviceBatch{dev: d, store: bq, subs: unique[g]})
+		return transform.ReadDevices(context.Background(), saveDevicesInFlight, job, ptc, stores, unique,
+			func(g int, ts []*tensor.Tensor) error {
+				for i, s := range unique[g] {
+					if err := write(s, ts[i]); err != nil {
+						return err
+					}
 				}
-				continue
-			}
-			for _, s := range unique[g] {
-				t, err := acc.Query(transform.ModelPath(job, d, s.Tensor), nil)
-				if err != nil {
-					return fmt.Errorf("checkpoint: read %q from dev %d: %w", s.Tensor, d, err)
-				}
-				if err := write(s, t); err != nil {
-					return err
-				}
-			}
-		}
-		if len(batches) > 0 {
-			return saveBatches(job, ptc, batches, write)
-		}
-		return nil
+				return nil
+			})
 	})
 }
 
@@ -192,85 +173,9 @@ func save(storage store.Access, job string, step int, name string, tensors int,
 	return nil
 }
 
-// deviceBatch is what one batch-capable device store owes a checkpoint.
-type deviceBatch struct {
-	dev   cluster.DeviceID
-	store store.BatchQuerier
-	subs  []core.SubTensor
-}
-
-// saveBatches reads each device's sub-tensors in one batch,
-// saveDevicesInFlight devices at a time, and hands them to write (one
-// call at a time) as soon as the device's batch has landed. It returns
-// the error of the first device, in the given order, that failed.
-func saveBatches(job string, ptc *core.PTC, batches []deviceBatch, write writePiece) error {
-	var mu sync.Mutex // write appends to the manifest: one call at a time
-	return devicesInFlight(len(batches), func(i int) error {
-		b := batches[i]
-		entries := make([]store.BatchEntry, len(b.subs))
-		// The device's model paths, cut from one string arena.
-		prefix := transform.ModelPath(job, b.dev, "")
-		var paths tensor.StringArena
-		var buf []byte
-		for j, s := range b.subs {
-			meta, ok := ptc.Tensors[s.Tensor]
-			if !ok {
-				return fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
-			}
-			buf = append(append(buf[:0], prefix...), s.Tensor...)
-			entries[j] = store.BatchEntry{
-				Path: paths.Cut(buf),
-				Dst:  tensor.NewFromRegion(meta.DType, s.Region),
-			}
-		}
-		if _, err := b.store.BatchQueryInto(context.TODO(), entries); err != nil {
-			return fmt.Errorf("checkpoint: read from dev %d: %w", b.dev, err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for j, s := range b.subs {
-			if err := write(s, entries[j].Dst); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// devicesInFlight runs fn(0..n-1), one call per batch-capable device
-// store, saveDevicesInFlight of them at a time, and returns the error of
-// the first index that failed.
-func devicesInFlight(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	slots := make(chan struct{}, saveDevicesInFlight)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-slots }()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Latest returns the step of the most recent checkpoint for job.
 func Latest(storage store.Access, job string) (int, error) {
-	gs, ok := storage.(interface {
-		GetBlob(string) ([]byte, error)
-	})
-	if !ok {
-		return 0, fmt.Errorf("checkpoint: storage does not support blobs")
-	}
-	blob, err := gs.GetBlob(latestPath(job))
+	blob, err := getBlob(storage, latestPath(job))
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: no checkpoint for job %q: %w", job, err)
 	}
@@ -279,6 +184,17 @@ func Latest(storage store.Access, job string) (int, error) {
 		return 0, fmt.Errorf("checkpoint: corrupt latest marker: %w", err)
 	}
 	return step, nil
+}
+
+// getBlob reads the blob at path from storage.
+func getBlob(storage store.Access, path string) ([]byte, error) {
+	gs, ok := storage.(interface {
+		GetBlob(string) ([]byte, error)
+	})
+	if !ok {
+		return nil, fmt.Errorf("checkpoint: storage does not support blobs")
+	}
+	return gs.GetBlob(path)
 }
 
 // Reader serves sub-tensor ranges out of one checkpoint. It implements
@@ -296,13 +212,7 @@ type Reader struct {
 
 // Open loads the manifest of the checkpoint at step.
 func Open(storage store.Access, job string, step int) (*Reader, error) {
-	gs, ok := storage.(interface {
-		GetBlob(string) ([]byte, error)
-	})
-	if !ok {
-		return nil, fmt.Errorf("checkpoint: storage does not support blobs")
-	}
-	blob, err := gs.GetBlob(metaPath(job, step))
+	blob, err := getBlob(storage, metaPath(job, step))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open %s step %d: %w", job, step, err)
 	}
@@ -421,58 +331,26 @@ func (r *Reader) dtypeOf(id core.TensorID) (tensor.DType, error) {
 }
 
 // Restore loads a full checkpoint into the stores of a (possibly
-// different) PTC: every destination sub-tensor is allocated once, its
-// range streamed in from the checkpoint pieces, and uploaded — the
-// "load partitioned checkpoints under a new parallelization" path on
-// the zero-copy pipeline. A batch-capable device store is sent all of
-// its sub-tensors in one round trip, a few such devices at a time (so
-// Restore holds that many devices' sub-tensors, not the job's), after
-// the walk that uploads to every other store tensor by tensor, in
-// placement order.
-func Restore(r *Reader, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) error {
-	read := func(s core.SubTensor) (*tensor.Tensor, error) {
-		meta, ok := ptc.Tensors[s.Tensor]
-		if !ok {
-			return nil, fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
-		}
-		t := tensor.NewFromRegion(meta.DType, s.Region)
-		_, err := r.ReadRangeInto(s.Tensor, s.Region, t, nil)
-		return t, err
-	}
-	var batched []cluster.DeviceID
-	for _, d := range ptc.Devices {
-		acc, ok := stores[d]
-		if !ok {
-			return fmt.Errorf("checkpoint: no store for device %d", d)
-		}
-		if _, batch := acc.(store.BatchUploader); batch {
-			batched = append(batched, d)
-			continue
-		}
-		for _, s := range ptc.Place[d] {
-			t, err := read(s)
-			if err != nil {
-				return err
-			}
-			if err := acc.Upload(transform.ModelPath(job, d, s.Tensor), t); err != nil {
-				return err
-			}
-		}
-	}
-	// The first failed device, in the PTC's order, is the error.
-	return devicesInFlight(len(batched), func(i int) error {
-		d := batched[i]
+// different) PTC — the "load partitioned checkpoints under a new
+// parallelization" path: every destination sub-tensor is allocated once,
+// streamed in from the checkpoint pieces and handed over to its store by
+// transform.WriteDevices, which reads saveDevicesInFlight devices at a
+// time, so Restore holds that many devices' sub-tensors, not the job's.
+func Restore(ctx context.Context, r *Reader, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) error {
+	return transform.WriteDevices(ctx, saveDevicesInFlight, ptc.Devices, stores, false, func(g int) ([]store.UploadItem, error) {
+		d := ptc.Devices[g]
 		items := make([]store.UploadItem, len(ptc.Place[d]))
-		for j, s := range ptc.Place[d] {
-			t, err := read(s)
-			if err != nil {
-				return err
+		for i, s := range ptc.Place[d] {
+			meta, ok := ptc.Tensors[s.Tensor]
+			if !ok {
+				return nil, fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
 			}
-			items[j] = store.UploadItem{Path: transform.ModelPath(job, d, s.Tensor), View: t.FullView()}
+			t := tensor.NewFromRegion(meta.DType, s.Region)
+			if _, err := r.ReadRangeInto(s.Tensor, s.Region, t, nil); err != nil {
+				return nil, err
+			}
+			items[i] = store.UploadItem{Path: transform.ModelPath(job, d, s.Tensor), View: t.FullView()}
 		}
-		if err := stores[d].(store.BatchUploader).UploadBatch(context.TODO(), items); err != nil {
-			return fmt.Errorf("checkpoint: restore dev %d: %w", d, err)
-		}
-		return nil
+		return items, nil
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"reflect"
 	"sort"
@@ -82,7 +83,7 @@ func TestSaveOpenRestoreSameConfig(t *testing.T) {
 	}
 	// Restore into fresh stores.
 	fresh := localStores(2)
-	if err := Restore(r, "job0", ptc, fresh); err != nil {
+	if err := Restore(context.Background(), r, "job0", ptc, fresh); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range ptc.Devices {
@@ -117,7 +118,7 @@ func TestRestoreIntoDifferentParallelization(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := localStores(4)
-	if err := Restore(r, "job0", toPTC, fresh); err != nil {
+	if err := Restore(context.Background(), r, "job0", toPTC, fresh); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range toPTC.Devices {
@@ -415,7 +416,7 @@ func TestFailedSaveLeavesPreviousStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := localStores(4)
-	if err := Restore(r, "job0", ptc, restored); err != nil {
+	if err := Restore(context.Background(), r, "job0", ptc, restored); err != nil {
 		t.Fatalf("previous checkpoint no longer restores: %v", err)
 	}
 	state, err := transform.ReadPTC("job0", ptc, restored)
@@ -480,7 +481,7 @@ func TestSaveTensorsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := localStores(4)
-	if err := Restore(r, "job0", toPTC, fresh); err != nil {
+	if err := Restore(context.Background(), r, "job0", toPTC, fresh); err != nil {
 		t.Fatal(err)
 	}
 	sameState := func(what string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) {
@@ -535,8 +536,84 @@ func TestSaveTensorsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh = localStores(4)
-	if err := Restore(r, "job0", toPTC, fresh); err != nil {
+	if err := Restore(context.Background(), r, "job0", toPTC, fresh); err != nil {
 		t.Fatal(err)
 	}
 	sameState("restored from the step before the failed save", toPTC, fresh)
+}
+
+// handedOver is an in-process device store that records every tensor it
+// is handed and refuses to be sent a copy.
+type handedOver struct {
+	store.Local
+	got map[string]*tensor.Tensor
+}
+
+func (h handedOver) Upload(path string, t *tensor.Tensor) error {
+	h.got[path] = t
+	return h.Local.Upload(path, t)
+}
+
+func (h handedOver) UploadFrom(path string, _ tensor.DType, _ []int, _ io.Reader) error {
+	return fmt.Errorf("%s: sent a copy", path)
+}
+
+// Between in-process stores a checkpoint moves no payload byte it does
+// not have to: Save stores each piece as the tensor the device store
+// holds, and Restore hands every tensor it has read out of the
+// checkpoint to its device store as it is.
+func TestInProcessSaveRestoreCopyNothing(t *testing.T) {
+	ptc, stores, golden := setup(t, parallel.Config{TP: 2, PP: 1, DP: 2}, 4)
+	fs := store.NewMemFS()
+	storage := store.Local{FS: fs}
+	if err := Save(storage, "job0", 1, ptc, stores); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(storage, "job0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[*tensor.Tensor]bool{}
+	for _, d := range ptc.Devices {
+		for _, s := range ptc.Place[d] {
+			x, _ := stores[d].Query(transform.ModelPath("job0", d, s.Tensor), nil)
+			held[x] = true
+		}
+	}
+	for id, pieces := range r.Meta.Pieces {
+		for _, p := range pieces {
+			if x, err := fs.GetTensor(p.Path); err != nil || !held[x] {
+				t.Fatalf("piece %s of %s is not a tensor a device store holds (err %v)", p.Path, id, err)
+			}
+		}
+	}
+
+	restored := map[cluster.DeviceID]store.Access{}
+	got := map[cluster.DeviceID]map[string]*tensor.Tensor{}
+	for _, d := range ptc.Devices {
+		got[d] = map[string]*tensor.Tensor{}
+		restored[d] = handedOver{Local: store.Local{FS: store.NewMemFS()}, got: got[d]}
+	}
+	if err := Restore(context.Background(), r, "job0", ptc, restored); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ptc.Devices {
+		if len(got[d]) != len(ptc.Place[d]) {
+			t.Fatalf("dev %d was handed %d tensors, PTC places %d", d, len(got[d]), len(ptc.Place[d]))
+		}
+		for path, x := range got[d] {
+			if y, err := restored[d].Query(path, nil); err != nil || y != x {
+				t.Fatalf("dev %d does not hold the tensor it was handed at %s (err %v)", d, path, err)
+			}
+		}
+	}
+	state, err := transform.ReadPTC("job0", ptc, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range golden {
+		if !state[id].Equal(want) {
+			t.Fatalf("tensor %s restored wrong", id)
+		}
+	}
 }

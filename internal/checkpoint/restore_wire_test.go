@@ -157,7 +157,7 @@ func TestRestoreToWireStores(t *testing.T) {
 			hidden[d] = perTensor{single.stores[d]}
 		}
 		for name, stores := range map[string]map[cluster.DeviceID]store.Access{"batched": counted, "tensor by tensor": hidden, "in process": local} {
-			if err := Restore(r, job, l.to, stores); err != nil {
+			if err := Restore(context.Background(), r, job, l.to, stores); err != nil {
 				t.Fatalf("%s: %s restore: %v", l.name, name, err)
 			}
 		}

@@ -252,7 +252,7 @@ func (r *Runtime) reload(ptc *core.PTC) error {
 	if err != nil {
 		return err
 	}
-	return checkpoint.Restore(rd, r.Name, ptc, r.Stores)
+	return checkpoint.Restore(context.Background(), rd, r.Name, ptc, r.Stores)
 }
 
 // Rollback puts the stores back to the latest checkpoint under the

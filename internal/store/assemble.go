@@ -92,9 +92,10 @@ type AssembleStats struct {
 }
 
 // Assembler is implemented by Access implementations whose store can
-// assemble tensors from its peers on its own. The transformer probes
-// for it and keeps fetching and uploading from its own process when
-// absent (Local stores, wrappers that do not forward it).
+// assemble tensors from its peers on its own. The transformer's apply
+// sends such a destination one request per apply and keeps fetching and
+// uploading from its own process for any other (Local stores, wrappers
+// that do not forward it).
 type Assembler interface {
 	Assemble(ctx context.Context, items []AssembleItem) (AssembleStats, error)
 }
@@ -117,11 +118,12 @@ type Remote interface {
 	BatchUploader
 	Assembler
 	Addressable
-	contextAccess
+	ContextAccess
 }
 
-// contextAccess is Access with the caller's context on every operation.
-type contextAccess interface {
+// ContextAccess is Access with the caller's context on every operation;
+// WithContext gives any Access this method set.
+type ContextAccess interface {
 	QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error)
 	QueryIntoContext(ctx context.Context, path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error)
 	UploadContext(ctx context.Context, path string, t *tensor.Tensor) error

@@ -13,7 +13,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"time"
 
 	"tenplex/internal/tensor"
 )
@@ -68,9 +67,10 @@ type BatchStats struct {
 }
 
 // BatchQuerier is implemented by Access implementations that can serve
-// many ranges in one round trip. The transformer defers fetches from
-// such a store into one batch per source and reads everything else
-// (Local stores, wrappers that hide the capability) range by range.
+// many ranges in one round trip. An apply defers fetches from such a
+// store into one batch per source; transform.ReadDevices and ReadPTC read
+// a device in one batch. Everything else (Local stores, wrappers that
+// hide the capability) is read range by range.
 type BatchQuerier interface {
 	BatchQueryInto(ctx context.Context, entries []BatchEntry) (BatchStats, error)
 }
@@ -121,41 +121,11 @@ func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (Batc
 	if err != nil {
 		return q.st, err
 	}
-	max := c.Retry.attempts()
-	var lastErr error
-	attempt := 0
-	for attempt < max {
-		attempt++
+	err = c.withRetry(ctx, "batch", func() error {
 		q.st.Attempts++
-		c.Stats.Attempts.Add(1)
-		c.Metrics.Add("store.client.attempts", 1)
-		if attempt > 1 {
-			c.Stats.Retries.Add(1)
-			c.Metrics.Add("store.client.retries", 1)
-		}
-		err := c.batchAttempt(ctx, q)
-		if err == nil {
-			return q.st, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || !retryable(err) {
-			return q.st, err
-		}
-		if attempt < max {
-			d := c.jitterStep(attempt)
-			if c.Retry.Sleep != nil {
-				c.Retry.Sleep(d)
-			} else {
-				time.Sleep(d)
-			}
-		}
-	}
-	if max > 1 {
-		c.Stats.Exhausted.Add(1)
-		c.Metrics.Add("store.client.exhausted", 1)
-		return q.st, &RetryExhaustedError{Op: "batch", Attempts: attempt, Err: lastErr}
-	}
-	return q.st, lastErr
+		return c.batchAttempt(ctx, q)
+	})
+	return q.st, err
 }
 
 // batchQuery is one BatchQueryInto in progress: the entries, the region

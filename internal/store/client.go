@@ -69,11 +69,7 @@ type Local struct{ FS *MemFS }
 // Query implements Access.
 func (l Local) Query(path string, reg tensor.Region) (*tensor.Tensor, error) {
 	if reg == nil {
-		t, err := l.FS.GetTensor(path)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
+		return l.FS.GetTensor(path)
 	}
 	return l.FS.GetSlice(path, reg)
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -247,5 +249,21 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if fs.TotalBytes() != n*8*8*8 {
 		t.Fatalf("TotalBytes = %d", fs.TotalBytes())
+	}
+}
+
+// WithContext hands back an in-process store's context-taking method set
+// without allocating: the transformer asks for it once per range it
+// moves.
+func TestWithContextOverLocalAllocatesNothing(t *testing.T) {
+	var acc Access = Local{FS: NewMemFS()}
+	var ca ContextAccess
+	if n := testing.AllocsPerRun(100, func() { ca = WithContext(acc) }); n != 0 {
+		t.Fatalf("WithContext over a Local made %v allocations, want 0", n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ca.DeleteContext(ctx, "/x"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a canceled context reached the plain call: error %v", err)
 	}
 }

@@ -28,7 +28,8 @@ type RetryPolicy struct {
 	// zero seeds from the policy address identity (still deterministic
 	// per client, arbitrary across runs).
 	JitterSeed int64
-	// Sleep replaces time.Sleep between attempts; test hook.
+	// Sleep replaces the wait between attempts; test hook. The default
+	// wait ends early when the caller's context is done.
 	Sleep func(time.Duration)
 }
 
@@ -181,9 +182,9 @@ func (c *Client) jitterStep(attempt int) time.Duration {
 }
 
 // withRetry runs fn under the client's retry policy. ctx is the
-// CALLER's context: its cancellation always stops the loop (a deadline
-// that fired inside an attempt came from the per-request timeout and is
-// retried; one observable on ctx itself is not).
+// CALLER's context: its cancellation always stops the loop, in a backoff
+// too (a deadline that fired inside an attempt came from the per-request
+// timeout and is retried; one observable on ctx itself is not).
 func (c *Client) withRetry(ctx context.Context, op string, fn func() error) error {
 	max := c.Retry.attempts()
 	var err error
@@ -207,8 +208,12 @@ func (c *Client) withRetry(ctx context.Context, op string, fn func() error) erro
 			d := c.jitterStep(attempt)
 			if c.Retry.Sleep != nil {
 				c.Retry.Sleep(d)
-			} else {
-				time.Sleep(d)
+				continue
+			}
+			select {
+			case <-time.After(d):
+			case <-ctx.Done():
+				return fmt.Errorf("store client: %s: %w in backoff after: %v", op, ctx.Err(), err)
 			}
 		}
 	}

@@ -337,6 +337,29 @@ func TestClientNoRetryOnClientError(t *testing.T) {
 	}
 }
 
+// A caller that cancels while its request waits out a backoff gets its
+// cancellation back at once, not when the backoff would have ended.
+func TestClientCancelInBackoff(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "out of service", http.StatusServiceUnavailable)
+	}))
+	defer hs.Close()
+	c := &Client{Base: hs.URL, HTTP: hs.Client(), Retry: &RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Second}}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := c.QueryContext(ctx, "/w", nil)
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Fatalf("canceled query returned after %v, want under 200ms", took)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled query: error %v, want context.Canceled", err)
+	}
+	if st := c.Stats.Snapshot(); st.Attempts != 1 {
+		t.Fatalf("stats = %+v, want the one attempt before the backoff", st)
+	}
+}
+
 func TestClientNonIdempotentOpsSingleAttempt(t *testing.T) {
 	c, fh, done := retryClient(t, 1000)
 	defer done()

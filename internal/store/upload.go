@@ -51,10 +51,11 @@ type UploadItem struct {
 }
 
 // BatchUploader is implemented by Access implementations that can take
-// many tensors in one round trip. Callers that deploy or restore state
-// probe for it and send such a store one batch; every other store
-// (Local, a wrapper that hides the capability) is uploaded to tensor by
-// tensor. A batch that does not arrive whole and intact stores nothing.
+// many tensors in one round trip. transform.WriteDevices, the one writer
+// of a job's state to its device stores (deploy, checkpoint restore,
+// replication), sends such a store one batch; every other store (Local,
+// a wrapper that hides the capability) is uploaded to tensor by tensor.
+// A batch that does not arrive whole and intact stores nothing.
 type BatchUploader interface {
 	UploadBatch(ctx context.Context, items []UploadItem) error
 }

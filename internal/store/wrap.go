@@ -28,7 +28,7 @@ type Op struct {
 	Batch     BatchStats
 	Assembled AssembleStats
 
-	on    Access         // the store Call runs the operation on
+	on    any            // the store Call runs the operation on
 	t     *tensor.Tensor // a query's result, an upload's source, a queryinto's destination
 	at    tensor.Region
 	dt    tensor.DType
@@ -46,12 +46,12 @@ type Hook func(ctx context.Context, op Op) (Op, error)
 // Wrap returns inner with every operation run through h. The wrapper has
 // exactly inner's capabilities — RefUploader, BatchQuerier, the whole of
 // Remote — so wrapping a store changes neither the route the transformer
-// picks nor its copy accounting. A plain method calls inner's plain
-// method and hands h context.Background(), since inner may have no
-// other; a *Context method calls inner's, so a cancel still reaches an
+// picks nor its copy accounting. Access's operations run on
+// WithContext(inner): a plain method hands h context.Background(), a
+// *Context method (a Remote's) the caller's, so a cancel still reaches an
 // in-flight transfer.
 func Wrap(inner Access, h Hook) Access {
-	w := &wrapped{inner: inner, plain: dropContext{inner}, h: h}
+	w := &wrapped{inner: inner, on: WithContext(inner), h: h}
 	ru, ref := inner.(RefUploader)
 	switch inner.(type) {
 	case Remote:
@@ -84,24 +84,24 @@ func Wrap(inner Access, h Hook) Access {
 func (op *Op) Call(ctx context.Context) (err error) {
 	switch op.Name {
 	case "query":
-		op.t, err = op.on.(contextAccess).QueryContext(ctx, op.Path, op.Reg)
+		op.t, err = op.on.(ContextAccess).QueryContext(ctx, op.Path, op.Reg)
 		if op.t != nil {
 			op.Bytes = int64(op.t.NumBytes())
 		}
 	case "queryinto":
-		op.Bytes, err = op.on.(contextAccess).QueryIntoContext(ctx, op.Path, op.Reg, op.t, op.at)
+		op.Bytes, err = op.on.(ContextAccess).QueryIntoContext(ctx, op.Path, op.Reg, op.t, op.at)
 	case "upload":
 		op.Bytes = int64(op.t.NumBytes())
-		err = op.on.(contextAccess).UploadContext(ctx, op.Path, op.t)
+		err = op.on.(ContextAccess).UploadContext(ctx, op.Path, op.t)
 	case "uploadfrom":
 		op.Bytes = tensor.ShapeNumBytes(op.dt, op.shape)
-		err = op.on.(contextAccess).UploadFromContext(ctx, op.Path, op.dt, op.shape, op.r)
+		err = op.on.(ContextAccess).UploadFromContext(ctx, op.Path, op.dt, op.shape, op.r)
 	case "delete":
-		err = op.on.(contextAccess).DeleteContext(ctx, op.Path)
+		err = op.on.(ContextAccess).DeleteContext(ctx, op.Path)
 	case "list":
-		op.names, err = op.on.(contextAccess).ListContext(ctx, op.Path)
+		op.names, err = op.on.(ContextAccess).ListContext(ctx, op.Path)
 	case "rename":
-		err = op.on.(contextAccess).RenameContext(ctx, op.Path, op.Dst)
+		err = op.on.(ContextAccess).RenameContext(ctx, op.Path, op.Dst)
 	case "batch":
 		op.Batch, err = op.on.(BatchQuerier).BatchQueryInto(ctx, op.Entries)
 		op.Bytes = op.Batch.Bytes
@@ -118,46 +118,46 @@ func (op *Op) Call(ctx context.Context) (err error) {
 	return err
 }
 
-// wrapped is Wrap over any Access. Its plain methods run on plain: inner,
-// its contexts dropped.
+// wrapped is Wrap over any Access. Its operations run on on, inner's
+// context-taking method set, its plain ones under context.Background().
 type wrapped struct {
 	inner Access
-	plain Access
+	on    ContextAccess
 	h     Hook
 }
 
 func (w *wrapped) Query(path string, reg tensor.Region) (*tensor.Tensor, error) {
-	op, err := w.h(context.Background(), Op{Name: "query", Path: path, Reg: reg, on: w.plain})
+	op, err := w.h(context.Background(), Op{Name: "query", Path: path, Reg: reg, on: w.on})
 	return op.t, err
 }
 
 func (w *wrapped) QueryInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	op, err := w.h(context.Background(), Op{Name: "queryinto", Path: path, Reg: reg, t: dst, at: at, on: w.plain})
+	op, err := w.h(context.Background(), Op{Name: "queryinto", Path: path, Reg: reg, t: dst, at: at, on: w.on})
 	return op.Bytes, err
 }
 
 func (w *wrapped) Upload(path string, t *tensor.Tensor) error {
-	_, err := w.h(context.Background(), Op{Name: "upload", Path: path, t: t, on: w.plain})
+	_, err := w.h(context.Background(), Op{Name: "upload", Path: path, t: t, on: w.on})
 	return err
 }
 
 func (w *wrapped) UploadFrom(path string, dt tensor.DType, shape []int, r io.Reader) error {
-	_, err := w.h(context.Background(), Op{Name: "uploadfrom", Path: path, dt: dt, shape: shape, r: r, on: w.plain})
+	_, err := w.h(context.Background(), Op{Name: "uploadfrom", Path: path, dt: dt, shape: shape, r: r, on: w.on})
 	return err
 }
 
 func (w *wrapped) Delete(path string) error {
-	_, err := w.h(context.Background(), Op{Name: "delete", Path: path, on: w.plain})
+	_, err := w.h(context.Background(), Op{Name: "delete", Path: path, on: w.on})
 	return err
 }
 
 func (w *wrapped) List(path string) ([]string, error) {
-	op, err := w.h(context.Background(), Op{Name: "list", Path: path, on: w.plain})
+	op, err := w.h(context.Background(), Op{Name: "list", Path: path, on: w.on})
 	return op.names, err
 }
 
 func (w *wrapped) Rename(src, dst string) error {
-	_, err := w.h(context.Background(), Op{Name: "rename", Path: src, Dst: dst, on: w.plain})
+	_, err := w.h(context.Background(), Op{Name: "rename", Path: src, Dst: dst, on: w.on})
 	return err
 }
 
@@ -185,69 +185,104 @@ func (w wrappedRemote) UploadBatch(ctx context.Context, items []UploadItem) erro
 }
 
 func (w wrappedRemote) QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error) {
-	op, err := w.h(ctx, Op{Name: "query", Path: path, Reg: reg, on: w.inner})
+	op, err := w.h(ctx, Op{Name: "query", Path: path, Reg: reg, on: w.on})
 	return op.t, err
 }
 
 func (w wrappedRemote) QueryIntoContext(ctx context.Context, path string, reg tensor.Region,
 	dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	op, err := w.h(ctx, Op{Name: "queryinto", Path: path, Reg: reg, t: dst, at: at, on: w.inner})
+	op, err := w.h(ctx, Op{Name: "queryinto", Path: path, Reg: reg, t: dst, at: at, on: w.on})
 	return op.Bytes, err
 }
 
 func (w wrappedRemote) UploadContext(ctx context.Context, path string, t *tensor.Tensor) error {
-	_, err := w.h(ctx, Op{Name: "upload", Path: path, t: t, on: w.inner})
+	_, err := w.h(ctx, Op{Name: "upload", Path: path, t: t, on: w.on})
 	return err
 }
 
 func (w wrappedRemote) UploadFromContext(ctx context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error {
-	_, err := w.h(ctx, Op{Name: "uploadfrom", Path: path, dt: dt, shape: shape, r: r, on: w.inner})
+	_, err := w.h(ctx, Op{Name: "uploadfrom", Path: path, dt: dt, shape: shape, r: r, on: w.on})
 	return err
 }
 
 func (w wrappedRemote) DeleteContext(ctx context.Context, path string) error {
-	_, err := w.h(ctx, Op{Name: "delete", Path: path, on: w.inner})
+	_, err := w.h(ctx, Op{Name: "delete", Path: path, on: w.on})
 	return err
 }
 
 func (w wrappedRemote) ListContext(ctx context.Context, path string) ([]string, error) {
-	op, err := w.h(ctx, Op{Name: "list", Path: path, on: w.inner})
+	op, err := w.h(ctx, Op{Name: "list", Path: path, on: w.on})
 	return op.names, err
 }
 
 func (w wrappedRemote) RenameContext(ctx context.Context, src, dst string) error {
-	_, err := w.h(ctx, Op{Name: "rename", Path: src, Dst: dst, on: w.inner})
+	_, err := w.h(ctx, Op{Name: "rename", Path: src, Dst: dst, on: w.on})
 	return err
 }
 
-// dropContext gives a plain Access the context-taking method set, so
-// one Call serves both twins, and a plain method reaches inner's plain
-// method whatever inner is.
-type dropContext struct{ Access }
-
-func (d dropContext) QueryContext(_ context.Context, path string, reg tensor.Region) (*tensor.Tensor, error) {
-	return d.Query(path, reg)
+// WithContext returns acc's context-taking method set: acc's own when it
+// has one (*Client, Wrap over a Remote), else acc's plain methods, each
+// run only if its context is not yet done.
+func WithContext(acc Access) ContextAccess {
+	switch a := acc.(type) {
+	case ContextAccess:
+		return a
+	case Local: // one pointer wide, so this allocates nothing per call
+		return dropContext[Local]{a}
+	}
+	return dropContext[Access]{acc}
 }
 
-func (d dropContext) QueryIntoContext(_ context.Context, path string, reg tensor.Region,
+// dropContext gives a plain Access the context-taking method set: the
+// context is checked before the plain call and not passed on.
+type dropContext[A Access] struct{ a A }
+
+func (d dropContext[A]) QueryContext(ctx context.Context, path string, reg tensor.Region) (*tensor.Tensor, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return d.a.Query(path, reg)
+}
+
+func (d dropContext[A]) QueryIntoContext(ctx context.Context, path string, reg tensor.Region,
 	dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	return d.QueryInto(path, reg, dst, at)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return d.a.QueryInto(path, reg, dst, at)
 }
 
-func (d dropContext) UploadContext(_ context.Context, path string, t *tensor.Tensor) error {
-	return d.Upload(path, t)
+func (d dropContext[A]) UploadContext(ctx context.Context, path string, t *tensor.Tensor) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return d.a.Upload(path, t)
 }
 
-func (d dropContext) UploadFromContext(_ context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error {
-	return d.UploadFrom(path, dt, shape, r)
+func (d dropContext[A]) UploadFromContext(ctx context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return d.a.UploadFrom(path, dt, shape, r)
 }
 
-func (d dropContext) DeleteContext(_ context.Context, path string) error { return d.Delete(path) }
-
-func (d dropContext) ListContext(_ context.Context, path string) ([]string, error) {
-	return d.List(path)
+func (d dropContext[A]) DeleteContext(ctx context.Context, path string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return d.a.Delete(path)
 }
 
-func (d dropContext) RenameContext(_ context.Context, src, dst string) error {
-	return d.Rename(src, dst)
+func (d dropContext[A]) ListContext(ctx context.Context, path string) ([]string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return d.a.List(path)
+}
+
+func (d dropContext[A]) RenameContext(ctx context.Context, src, dst string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return d.a.Rename(src, dst)
 }

@@ -136,6 +136,9 @@ func (t *Tensor) View(reg Region) View {
 // FullView returns a view covering all of t.
 func (t *Tensor) FullView() View { return View{t: t, reg: FullRegion(t.shape)} }
 
+// Whole returns the viewed tensor itself, and whether v covers all of it.
+func (v View) Whole() (*Tensor, bool) { return v.t, v.NumBytes() == v.t.NumBytes() }
+
 // DType returns the element type of the viewed tensor.
 func (v View) DType() DType { return v.t.dtype }
 

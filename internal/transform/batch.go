@@ -259,7 +259,7 @@ type pullRoute struct {
 }
 
 func newPullRoute(job string, plan *core.Plan) *pullRoute {
-	return &pullRoute{plan: plan, model: modelRoot(job), staging: stagingRoot(job)}
+	return &pullRoute{plan: plan, model: ModelRoot(job), staging: StagingRoot(job)}
 }
 
 // reserve sizes the slices for every item and fetch of the plan, once,
@@ -401,7 +401,7 @@ func (tr *Transformer) stageAssignment(ctx context.Context, plan *core.Plan, p *
 
 	if a.IsNoop() && !uploadCopies(dst) {
 		if t, err := dst.Query(ModelPath(tr.Job, a.Device, a.Tensor), nil); err == nil {
-			if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), t); err != nil {
+			if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, a.Device, a.Tensor), t); err != nil {
 				return nil, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
 			}
 			p.st.LocalBytes += a.Region.NumBytes(meta.DType)
@@ -464,7 +464,7 @@ func (tr *Transformer) stageAssignment(ctx context.Context, plan *core.Plan, p *
 // uploadStaged hands p's finished destination buffer to its store.
 func (tr *Transformer) uploadStaged(ctx context.Context, p *prep) error {
 	dst := tr.Stores[p.a.Device]
-	if err := upload(ctx, dst, stagingPath(tr.Job, p.a.Device, p.a.Tensor), p.out); err != nil {
+	if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, p.a.Device, p.a.Tensor), p.out); err != nil {
 		return fmt.Errorf("transform: stage %s on dev %d: %w", p.a.Tensor, p.a.Device, err)
 	}
 	if uploadCopies(dst) {

@@ -207,7 +207,7 @@ func TestApplyRoutesEquivalentOverREST(t *testing.T) {
 						t.Fatalf("%s %s: load: %v", sc.label, w.name, err)
 					}
 					for _, d := range sc.failed {
-						if err := w.stores[d].Delete(modelRoot(job)); err != nil {
+						if err := w.stores[d].Delete(ModelRoot(job)); err != nil {
 							t.Fatalf("%s %s: fail dev %d: %v", sc.label, w.name, d, err)
 						}
 					}
@@ -299,12 +299,12 @@ func requireNothingStaged(t *testing.T, job string, from, to *core.PTC, rc *rest
 	t.Helper()
 	verifyAgainstGolden(t, job, from, rc.stores, golden)
 	for d, acc := range rc.stores {
-		if names, err := acc.List(stagingRoot(job)); err == nil {
+		if names, err := acc.List(StagingRoot(job)); err == nil {
 			t.Fatalf("dev %d still has a staging tree: %v", d, names)
 		}
 	}
 	for _, d := range to.Devices {
-		if names, err := rc.stores[d].List(modelRoot(job)); err == nil {
+		if names, err := rc.stores[d].List(ModelRoot(job)); err == nil {
 			t.Fatalf("destination dev %d has a model tree after a failed apply: %v", d, names)
 		}
 	}

@@ -106,11 +106,12 @@ func TestApplyContextPreCanceled(t *testing.T) {
 	}
 }
 
-// blockingAccess implements the optional context-aware read interface
+// blockingAccess has the context-taking method set (store.ContextAccess)
 // and parks in-flight fetches until their context dies, proving the
 // transformer routes cancellation into the store layer.
 type blockingAccess struct {
 	store.Access
+	store.ContextAccess
 	blocked atomic.Int64
 }
 
@@ -125,7 +126,7 @@ func TestApplyContextInterruptsInFlightFetch(t *testing.T) {
 	plan, _, stores := contextPlanFixture(t)
 	blocking := map[int]*blockingAccess{}
 	for d, acc := range stores {
-		ba := &blockingAccess{Access: acc}
+		ba := &blockingAccess{Access: acc, ContextAccess: store.WithContext(acc)}
 		blocking[int(d)] = ba
 		stores[d] = ba
 	}

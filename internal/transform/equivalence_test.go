@@ -158,8 +158,8 @@ func runEquivalenceTrial(t *testing.T, label string, m *model.Model,
 		if inTo {
 			continue
 		}
-		_, errS := sStores[d].List(modelRoot(job))
-		_, errM := mStores[d].List(modelRoot(job))
+		_, errS := sStores[d].List(ModelRoot(job))
+		_, errM := mStores[d].List(ModelRoot(job))
 		if (errS == nil) != (errM == nil) {
 			t.Fatalf("%s: departed device %d cleanup differs (streamed err=%v, materialized err=%v)", label, d, errS, errM)
 		}

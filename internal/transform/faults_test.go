@@ -154,7 +154,7 @@ func TestApplyMidFailureCleansStaging(t *testing.T) {
 	}
 	for _, d := range to.Devices {
 		// No staging root may remain anywhere.
-		if _, err := flaky[d].List(stagingRoot(job)); err == nil {
+		if _, err := flaky[d].List(StagingRoot(job)); err == nil {
 			t.Fatalf("device %d still holds a staging tree after failed apply", d)
 		}
 	}
@@ -206,7 +206,7 @@ func TestCommitTriesEveryDeviceAndReportsEachFailure(t *testing.T) {
 			t.Fatalf("workers %d: Apply returned\n%v\nwant\n%s", workers, err, want)
 		}
 		for _, d := range []cluster.DeviceID{2, 4} {
-			if _, err := stores[d].List(modelRoot(job)); err != nil {
+			if _, err := stores[d].List(ModelRoot(job)); err != nil {
 				t.Fatalf("workers %d: dev %d did not commit although nothing failed on it: %v", workers, d, err)
 			}
 		}

@@ -536,16 +536,16 @@ func TestReplicateOverWireStores(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := Replicate(job, ptc, topo, local, n)
+		want, err := Replicate(context.Background(), job, ptc, topo, local, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		uploads := hidden.requests("/upload")
-		got, err := Replicate(job, ptc, topo, wire.stores, n)
+		got, err := Replicate(context.Background(), job, ptc, topo, wire.stores, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := Replicate(job, ptc, topo, hideBatch(hidden.stores), n)
+		slow, err := Replicate(context.Background(), job, ptc, topo, hideBatch(hidden.stores), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -576,4 +576,36 @@ func TestReplicateOverWireStores(t *testing.T) {
 			}
 		}
 	}
+}
+
+// LoadPTC never hands an in-process store a tensor the caller keeps:
+// state the caller changes after a deploy, whole tensors included, is
+// not what the stores hold.
+func TestLoadPTCDoesNotAliasCallerTensors(t *testing.T) {
+	const job = "job0"
+	ptc := loadLayouts[1].build(t) // DP replicas and unsplit tensors: views that cover whole tensors
+	golden := goldenState(ptc)
+	whole := 0
+	for _, d := range ptc.Devices {
+		for _, s := range ptc.Place[d] {
+			if _, ok := golden[s.Tensor].View(s.Region).Whole(); ok {
+				whole++
+			}
+		}
+	}
+	if whole == 0 {
+		t.Fatal("no placement covers a whole tensor; the layout does not test aliasing")
+	}
+	kept := map[core.TensorID]*tensor.Tensor{}
+	for id, x := range golden {
+		kept[id] = x.Clone()
+	}
+	stores := localStores(ptc.Devices)
+	if err := LoadPTC(job, ptc, stores, golden); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range golden {
+		x.Fill(-1)
+	}
+	verifyAgainstGolden(t, job, ptc, stores, kept)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tenplex/internal/core"
+	"tenplex/internal/store"
 	"tenplex/internal/tensor"
 )
 
@@ -103,7 +104,7 @@ func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *co
 	for _, p := range pieces {
 		st.BytesCopied += int64(p.Data.NumBytes()) // assembly copy
 	}
-	if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), merged); err != nil {
+	if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, a.Device, a.Tensor), merged); err != nil {
 		return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
 	}
 	if uploadCopies(dst) {

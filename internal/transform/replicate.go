@@ -25,89 +25,49 @@ func replicaPath(job string, d cluster.DeviceID, id core.TensorID) string {
 // Replicate copies every device's partition of the PTC to the Tensor
 // Stores of its next n workers (round-robin by worker index). It
 // returns the bytes written. Stores are addressed by the first device
-// of the target worker. Over wire stores a home device is read once (one
-// batch) and a replica store written once (one batch upload, after every
-// home device has been read); an in-process store hands its tensors
+// of the target worker. The home devices are read one at a time by
+// ReadDevices, and once all are in, WriteDevices writes each replica
+// store: over wire stores that is one batch read a home device and one
+// batch upload a replica store; an in-process store hands its tensors
 // over, and takes them, one at a time and by reference.
-func Replicate(job string, ptc *core.PTC, topo *cluster.Topology,
+func Replicate(ctx context.Context, job string, ptc *core.PTC, topo *cluster.Topology,
 	stores map[cluster.DeviceID]store.Access, n int) (int64, error) {
 	if n < 1 || n >= topo.NumWorkers() {
 		return 0, fmt.Errorf("transform: replication factor %d of %d workers", n, topo.NumWorkers())
 	}
 	var (
-		written, queued int64          // bytes uploaded; bytes waiting in batches
-		batches         []deviceUpload // one per batch-capable replica store, in order of first use
-		batchOf         = map[cluster.DeviceID]int{}
+		written int64
+		dsts    []cluster.DeviceID // the replica stores, in order of first use
+		items   = map[cluster.DeviceID][]store.UploadItem{}
+		subs    = make([][]core.SubTensor, len(ptc.Devices))
 	)
-	// replicate writes t, device d's copy of id, to d's n replica stores,
-	// or queues it for the store's batch.
-	replicate := func(d cluster.DeviceID, id core.TensorID, t *tensor.Tensor) error {
+	for g, d := range ptc.Devices {
+		subs[g] = ptc.Place[d]
+	}
+	err := ReadDevices(ctx, 1, job, ptc, stores, subs, func(g int, ts []*tensor.Tensor) error {
+		d := ptc.Devices[g]
 		home := topo.WorkerOf(d)
 		for k := 1; k <= n; k++ {
-			w := topo.Workers[(home+k)%topo.NumWorkers()]
-			dstDev := w.Devices[0]
-			dst, ok := stores[dstDev]
-			if !ok {
-				return fmt.Errorf("transform: no store for replica worker %d", w.ID)
+			dst := topo.Workers[(home+k)%topo.NumWorkers()].Devices[0]
+			if _, ok := items[dst]; !ok {
+				dsts = append(dsts, dst)
 			}
-			if _, batch := dst.(store.BatchUploader); !batch {
-				if err := dst.Upload(replicaPath(job, d, id), t); err != nil {
-					return fmt.Errorf("transform: replicate write: %w", err)
-				}
-				written += int64(t.NumBytes())
-				continue
+			for i, s := range subs[g] {
+				items[dst] = append(items[dst], store.UploadItem{Path: replicaPath(job, d, s.Tensor), View: ts[i].FullView()})
+				written += int64(ts[i].NumBytes())
 			}
-			queued += int64(t.NumBytes())
-			b, ok := batchOf[dstDev]
-			if !ok {
-				b = len(batches)
-				batchOf[dstDev] = b
-				batches = append(batches, deviceUpload{dev: dstDev, store: dst})
-			}
-			batches[b].items = append(batches[b].items, store.UploadItem{Path: replicaPath(job, d, id), View: t.FullView()})
 		}
 		return nil
+	})
+	if err == nil {
+		err = WriteDevices(ctx, defaultParallelism, dsts, stores, false, func(k int) ([]store.UploadItem, error) {
+			return items[dsts[k]], nil
+		})
 	}
-	for _, d := range ptc.Devices {
-		src, ok := stores[d]
-		if !ok {
-			return written, fmt.Errorf("transform: no store for device %d", d)
-		}
-		place := ptc.Place[d]
-		bq, batch := src.(store.BatchQuerier)
-		if batch && len(place) > 0 {
-			entries := make([]store.BatchEntry, len(place))
-			for i, s := range place {
-				meta, ok := ptc.Tensors[s.Tensor]
-				if !ok {
-					return written, fmt.Errorf("transform: no metadata for %q", s.Tensor)
-				}
-				entries[i] = store.BatchEntry{Path: ModelPath(job, d, s.Tensor), Dst: tensor.NewFromRegion(meta.DType, s.Region)}
-			}
-			if _, err := bq.BatchQueryInto(context.TODO(), entries); err != nil {
-				return written, fmt.Errorf("transform: replicate read dev %d: %w", d, err)
-			}
-			for i, s := range place {
-				if err := replicate(d, s.Tensor, entries[i].Dst); err != nil {
-					return written, err
-				}
-			}
-			continue
-		}
-		for _, s := range place {
-			t, err := src.Query(ModelPath(job, d, s.Tensor), nil)
-			if err != nil {
-				return written, fmt.Errorf("transform: replicate read %q: %w", s.Tensor, err)
-			}
-			if err := replicate(d, s.Tensor, t); err != nil {
-				return written, err
-			}
-		}
+	if err != nil {
+		return 0, err
 	}
-	if err := uploadDevices(context.TODO(), defaultParallelism, batches); err != nil {
-		return written, err
-	}
-	return written + queued, nil
+	return written, nil
 }
 
 // RestoreFromReplicas rebuilds the model partition of a lost device
@@ -124,9 +84,7 @@ func RestoreFromReplicas(job string, ptc *core.PTC, topo *cluster.Topology,
 	for _, s := range ptc.Place[lost] {
 		var restored bool
 		for k := 1; k <= n && !restored; k++ {
-			w := topo.Workers[(home+k)%topo.NumWorkers()]
-			replDev := w.Devices[0]
-			repl, ok := stores[replDev]
+			repl, ok := stores[topo.Workers[(home+k)%topo.NumWorkers()].Devices[0]]
 			if !ok {
 				continue
 			}

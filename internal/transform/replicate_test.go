@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestReplicateAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	written, err := Replicate(job, ptc, topo, stores, 1)
+	written, err := Replicate(context.Background(), job, ptc, topo, stores, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestReplicateMultipleCopies(t *testing.T) {
 	if err := LoadPTC(job, ptc, stores, golden); err != nil {
 		t.Fatal(err)
 	}
-	written, err := Replicate(job, ptc, topo, stores, 2)
+	written, err := Replicate(context.Background(), job, ptc, topo, stores, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +88,44 @@ func TestReplicateValidation(t *testing.T) {
 	m := model.GPTCustom(2, 16, 2, 64, 8)
 	ptc := buildPTC(t, m, parallel.Config{TP: 1, PP: 1, DP: 1}, cluster.Allocation{0})
 	stores := localStores(topo.FirstN(16))
-	if _, err := Replicate("j", ptc, topo, stores, 0); err == nil {
+	if _, err := Replicate(context.Background(), "j", ptc, topo, stores, 0); err == nil {
 		t.Fatal("replication factor 0 accepted")
 	}
-	if _, err := Replicate("j", ptc, topo, stores, 4); err == nil {
+	if _, err := Replicate(context.Background(), "j", ptc, topo, stores, 4); err == nil {
 		t.Fatal("replication factor == workers accepted")
 	}
 	// State not loaded -> read error.
-	if _, err := Replicate("j", ptc, topo, stores, 1); err == nil {
+	if _, err := Replicate(context.Background(), "j", ptc, topo, stores, 1); err == nil {
 		t.Fatal("replicating missing state succeeded")
+	}
+}
+
+// Over in-process stores a replica is the home device's tensor itself:
+// Replicate reads by reference and hands over what it read, copying no
+// payload byte.
+func TestReplicateInProcessCopiesNothing(t *testing.T) {
+	const job = "job0"
+	topo := cluster.OnPrem16()
+	devs := cluster.Allocation{0, 4, 8, 12}
+	ptc := buildPTC(t, model.GPTCustom(2, 16, 2, 64, 8), parallel.Config{TP: 2, PP: 2, DP: 1}, devs)
+	stores := localStores(devs)
+	if err := LoadPTC(job, ptc, stores, goldenState(ptc)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replicate(context.Background(), job, ptc, topo, stores, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range devs {
+		home := topo.WorkerOf(d)
+		for k := 1; k <= 2; k++ {
+			r := topo.Workers[(home+k)%topo.NumWorkers()].Devices[0]
+			for _, s := range ptc.Place[d] {
+				held, _ := stores[d].Query(ModelPath(job, d, s.Tensor), nil)
+				replica, err := stores[r].Query(replicaPath(job, d, s.Tensor), nil)
+				if err != nil || replica != held {
+					t.Fatalf("replica of %s from dev %d on dev %d is not the tensor the home store holds (err %v)", s.Tensor, d, r, err)
+				}
+			}
+		}
 	}
 }

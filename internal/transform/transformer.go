@@ -30,12 +30,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"tenplex/internal/cluster"
@@ -74,17 +72,14 @@ func stagingPath(job string, dev cluster.DeviceID, id core.TensorID) string {
 	return "/job/" + job + "/model.next/dev" + strconv.Itoa(int(dev)) + "/" + string(id)
 }
 
-func modelRoot(job string) string   { return "/job/" + job + "/model" }
-func stagingRoot(job string) string { return "/job/" + job + "/model.next" }
-
 // ModelRoot is the live model tree of job on a device store. Exported
 // for the coordinator's transactional rollback, which wipes it before
 // restoring the last checkpoint.
-func ModelRoot(job string) string { return modelRoot(job) }
+func ModelRoot(job string) string { return "/job/" + job + "/model" }
 
 // StagingRoot is the staged-state tree awaiting commit; rollback wipes
 // it alongside ModelRoot.
-func StagingRoot(job string) string { return stagingRoot(job) }
+func StagingRoot(job string) string { return "/job/" + job + "/model.next" }
 
 // Transformer executes plans. One logical Transformer drives all
 // devices here; in a real deployment each worker runs one instance and
@@ -220,89 +215,6 @@ func (tr *Transformer) recordStats(st Stats) {
 	reg.Histogram("transform.apply_ns").Observe(st.Duration.Nanoseconds())
 }
 
-// ctxQuerier is the optional context-aware read interface; store.Client
-// implements it, so remote in-flight fetches are interrupted when the
-// apply is canceled. Stores without it are checked for cancellation
-// between operations instead.
-type ctxQuerier interface {
-	QueryIntoContext(ctx context.Context, path string, reg tensor.Region,
-		dst *tensor.Tensor, at tensor.Region) (int64, error)
-}
-
-// queryInto routes a range read through the store's context-aware path
-// when it has one.
-func queryInto(ctx context.Context, acc store.Access, path string, reg tensor.Region,
-	dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	if cq, ok := acc.(ctxQuerier); ok {
-		return cq.QueryIntoContext(ctx, path, reg, dst, at)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return acc.QueryInto(path, reg, dst, at)
-}
-
-// The write-side counterparts of ctxQuerier: store.Client implements
-// them all, so canceling an apply interrupts in-flight uploads and an
-// abort/rollback is never wedged behind a slow store operation. Stores
-// without a context-aware variant get a cancellation check up front and
-// run the plain call.
-type ctxUploader interface {
-	UploadContext(ctx context.Context, path string, t *tensor.Tensor) error
-}
-
-type ctxUploadFromer interface {
-	UploadFromContext(ctx context.Context, path string, dt tensor.DType, shape []int, r io.Reader) error
-}
-
-type ctxDeleter interface {
-	DeleteContext(ctx context.Context, path string) error
-}
-
-type ctxRenamer interface {
-	RenameContext(ctx context.Context, src, dst string) error
-}
-
-func upload(ctx context.Context, acc store.Access, path string, t *tensor.Tensor) error {
-	if cu, ok := acc.(ctxUploader); ok {
-		return cu.UploadContext(ctx, path, t)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return acc.Upload(path, t)
-}
-
-func uploadFrom(ctx context.Context, acc store.Access, path string, dt tensor.DType, shape []int, r io.Reader) error {
-	if cu, ok := acc.(ctxUploadFromer); ok {
-		return cu.UploadFromContext(ctx, path, dt, shape, r)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return acc.UploadFrom(path, dt, shape, r)
-}
-
-func deleteCtx(ctx context.Context, acc store.Access, path string) error {
-	if cd, ok := acc.(ctxDeleter); ok {
-		return cd.DeleteContext(ctx, path)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return acc.Delete(path)
-}
-
-func renameCtx(ctx context.Context, acc store.Access, src, dst string) error {
-	if cr, ok := acc.(ctxRenamer); ok {
-		return cr.RenameContext(ctx, src, dst)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return acc.Rename(src, dst)
-}
-
 // fetchInto streams one plan range into its final offset inside out,
 // from the source store's range read or from checkpoint storage.
 func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.Fetch, dt tensor.DType, out *tensor.Tensor) (Stats, error) {
@@ -316,7 +228,7 @@ func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.
 		if !ok {
 			return fs, fmt.Errorf("transform: no store for source device %d", f.Src.Device)
 		}
-		n, err := queryInto(ctx, src, ModelPath(tr.Job, f.Src.Device, a.Tensor), local, out, target)
+		n, err := store.WithContext(src).QueryIntoContext(ctx, ModelPath(tr.Job, f.Src.Device, a.Tensor), local, out, target)
 		if err != nil {
 			return fs, fmt.Errorf("transform: fetch %s%v from dev %d: %w", a.Tensor, f.Want, f.Src.Device, err)
 		}
@@ -385,7 +297,7 @@ func (tr *Transformer) cleanupStaging(ctx context.Context, plan *core.Plan) {
 	ctx = context.WithoutCancel(ctx)
 	for _, d := range plan.To.Devices {
 		if acc, ok := tr.Stores[d]; ok {
-			_ = deleteCtx(ctx, acc, stagingRoot(tr.Job)) // may not exist
+			_ = store.WithContext(acc).DeleteContext(ctx, StagingRoot(tr.Job)) // may not exist
 		}
 	}
 }
@@ -424,7 +336,7 @@ func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 	}
 	errs := make([]error, len(swap))
 	runBounded(ctx, tr.parallelism(), len(swap), func(i int) {
-		if err := renameCtx(ctx, tr.Stores[swap[i]], stagingRoot(tr.Job), modelRoot(tr.Job)); err != nil {
+		if err := store.WithContext(tr.Stores[swap[i]]).RenameContext(ctx, StagingRoot(tr.Job), ModelRoot(tr.Job)); err != nil {
 			errs[i] = fmt.Errorf("transform: commit on dev %d: %w", swap[i], err)
 		}
 	})
@@ -442,7 +354,7 @@ func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 		}
 	}
 	runBounded(ctx, tr.parallelism(), len(leaving), func(i int) {
-		_ = deleteCtx(ctx, leaving[i], modelRoot(tr.Job))
+		_ = store.WithContext(leaving[i]).DeleteContext(ctx, ModelRoot(tr.Job))
 	})
 	return nil
 }
@@ -476,14 +388,11 @@ func (tr *Transformer) checkOneRegionPerTensor(plan *core.Plan) error {
 // LoadPTC materializes PTC state into the stores: every device's
 // sub-tensors stream out of the provided full tensors straight into
 // each store (region views of the full tensors are what is sent, so no
-// intermediate sub-tensor is sliced out). Every source is looked up
-// before the first upload, so a missing one leaves the stores as they
-// were. Each device is owned by one worker. A batch-capable store takes
-// all of its device's sub-tensors in one round trip; any other store
-// (in-process, or behind a wrapper that hides the capability) takes them
-// one at a time. Up to GOMAXPROCS devices are loaded at once, or eight
-// when any store batches. Every device is attempted, and the error is
-// the first failed device's, in PTC order.
+// intermediate sub-tensor is sliced out, and no store is handed a tensor
+// the caller keeps). Every source is looked up before the first upload,
+// so a missing one leaves the stores as they were. WriteDevices then
+// loads up to eight devices at once; the error is the first failed
+// device's, in PTC order.
 func LoadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	full map[core.TensorID]*tensor.Tensor) error {
 	return LoadPTCContext(context.Background(), job, ptc, stores, full)
@@ -495,78 +404,20 @@ func LoadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access
 // ctx.Err().
 func LoadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	full map[core.TensorID]*tensor.Tensor) error {
-	// An in-process upload is CPU-bound, a batch a round trip: the pool
-	// is as wide as the cores, or as the wire route's fan-out.
-	par := runtime.GOMAXPROCS(0)
-	uploads := make([]deviceUpload, 0, len(ptc.Devices))
-	for _, d := range ptc.Devices {
-		acc, ok := stores[d]
-		if !ok {
-			return fmt.Errorf("transform: no store for device %d", d)
-		}
-		if _, batch := acc.(store.BatchUploader); batch {
-			par = defaultParallelism
-		}
-		place := ptc.Place[d]
-		if len(place) == 0 {
-			continue
-		}
-		items := make([]store.UploadItem, len(place))
-		for i, s := range place {
+	items := make([][]store.UploadItem, len(ptc.Devices))
+	for g, d := range ptc.Devices {
+		items[g] = make([]store.UploadItem, len(ptc.Place[d]))
+		for i, s := range ptc.Place[d] {
 			src, ok := full[s.Tensor]
 			if !ok {
 				return fmt.Errorf("transform: no source tensor for %q", s.Tensor)
 			}
-			items[i] = store.UploadItem{Path: ModelPath(job, d, s.Tensor), View: src.View(s.Region)}
-		}
-		uploads = append(uploads, deviceUpload{dev: d, store: acc, items: items})
-	}
-	return uploadDevices(ctx, par, uploads)
-}
-
-// deviceUpload is everything one device store is to receive.
-type deviceUpload struct {
-	dev   cluster.DeviceID
-	store store.Access
-	items []store.UploadItem
-}
-
-// send uploads the items: to a batch-capable store in one request, to
-// any other one item at a time.
-func (u deviceUpload) send(ctx context.Context) error {
-	if bu, ok := u.store.(store.BatchUploader); ok {
-		return bu.UploadBatch(ctx, u.items)
-	}
-	for _, it := range u.items {
-		if err := uploadFrom(ctx, u.store, it.Path, it.View.DType(), it.View.Shape(), it.View.Reader()); err != nil {
-			return err
+			items[g][i] = store.UploadItem{Path: ModelPath(job, d, s.Tensor), View: src.View(s.Region)}
 		}
 	}
-	return nil
-}
-
-// uploadDevices sends every device its items on up to par workers, one
-// device per worker. Every device is attempted, and the error is the
-// first failed device's, in the given order.
-func uploadDevices(ctx context.Context, par int, uploads []deviceUpload) error {
-	errs := make([]error, len(uploads))
-	runBounded(ctx, par, len(uploads), func(i int) {
-		if err := uploads[i].send(ctx); err != nil {
-			errs[i] = fmt.Errorf("transform: upload to dev %d: %w", uploads[i].dev, err)
-		}
+	return WriteDevices(ctx, defaultParallelism, ptc.Devices, stores, true, func(g int) ([]store.UploadItem, error) {
+		return items[g], nil
 	})
-	return firstError(ctx, errs)
-}
-
-// firstError returns the first non-nil error of errs or, if there is
-// none, ctx.Err(): a canceled walk may have left items unstarted.
-func firstError(ctx context.Context, errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
 }
 
 // ReadPTC gathers the full tensors of a PTC back out of the stores —
@@ -614,8 +465,8 @@ func ReadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[c
 	}
 	ids := slices.Sorted(maps.Keys(ptc.Tensors))
 	fulls := make([]*tensor.Tensor, len(ids))
-	var singles []int // positions in ids of the tensors a non-batch store holds part of
-	batches := map[cluster.DeviceID]*deviceRead{}
+	var singles []int                                  // positions in ids of the tensors a non-batch store holds part of
+	reads := map[cluster.DeviceID][]store.BatchEntry{} // what each batch-capable store serves
 	for i, id := range ids {
 		meta := ptc.Tensors[id]
 		covered, single := 0, false
@@ -628,12 +479,7 @@ func ReadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[c
 			if fulls[i] == nil {
 				fulls[i] = tensor.New(meta.DType, meta.Shape...)
 			}
-			b := batches[h.dev]
-			if b == nil {
-				b = &deviceRead{store: h.acc.(store.BatchQuerier)}
-				batches[h.dev] = b
-			}
-			b.entries = append(b.entries, store.BatchEntry{Path: ModelPath(job, h.dev, id), Dst: fulls[i], At: h.reg})
+			reads[h.dev] = append(reads[h.dev], store.BatchEntry{Path: ModelPath(job, h.dev, id), Dst: fulls[i], At: h.reg})
 		}
 		if elems := tensor.ShapeNumElems(meta.Shape); covered < elems {
 			return nil, fmt.Errorf("transform: assemble %q: holders cover %d of %d elements", id, covered, elems)
@@ -654,7 +500,7 @@ func ReadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[c
 			if h.batch {
 				continue
 			}
-			if _, err := queryInto(ctx, h.acc, ModelPath(job, h.dev, id), nil, fulls[i], h.reg); err != nil {
+			if _, err := store.WithContext(h.acc).QueryIntoContext(ctx, ModelPath(job, h.dev, id), nil, fulls[i], h.reg); err != nil {
 				errs[k] = fmt.Errorf("transform: read %q from dev %d: %w", id, h.dev, err)
 				return
 			}
@@ -664,33 +510,22 @@ func ReadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[c
 		return nil, err
 	}
 	// One round trip per batch-capable store instead of one per tensor,
-	// all of them concurrently; the first failed device (in PTC order)
-	// is the error.
-	var wg sync.WaitGroup
-	for _, b := range batches {
-		wg.Add(1)
-		go func(b *deviceRead) {
-			defer wg.Done()
-			_, b.err = b.store.BatchQueryInto(ctx, b.entries)
-		}(b)
-	}
-	wg.Wait()
-	for _, d := range ptc.Devices {
-		if b := batches[d]; b != nil && b.err != nil {
-			return nil, fmt.Errorf("transform: read from dev %d: %w", d, b.err)
+	// all of them at once; the first failed device (in PTC order) is the
+	// error.
+	batched := slices.DeleteFunc(slices.Clone(ptc.Devices), func(d cluster.DeviceID) bool { return len(reads[d]) == 0 })
+	errs = make([]error, len(batched))
+	runBounded(ctx, len(batched), len(batched), func(k int) {
+		d := batched[k]
+		if _, err := stores[d].(store.BatchQuerier).BatchQueryInto(ctx, reads[d]); err != nil {
+			errs[k] = fmt.Errorf("transform: read from dev %d: %w", d, err)
 		}
+	})
+	if err := firstError(ctx, errs); err != nil {
+		return nil, err
 	}
 	out := make(map[core.TensorID]*tensor.Tensor, len(ids))
 	for i, id := range ids {
 		out[id] = fulls[i]
 	}
 	return out, nil
-}
-
-// deviceRead is everything ReadPTC wants from one batch-capable device
-// store: the ranges and the buffers they land in.
-type deviceRead struct {
-	store   store.BatchQuerier
-	entries []store.BatchEntry
-	err     error
 }

@@ -221,7 +221,7 @@ func (j *Job) Replicate(n int) (int64, error) {
 	if j.rt.PTC == nil {
 		return 0, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
 	}
-	return transform.Replicate(j.cfg.Name, j.rt.PTC, j.cfg.Topology, j.rt.Stores, n)
+	return transform.Replicate(context.Background(), j.cfg.Name, j.rt.PTC, j.cfg.Topology, j.rt.Stores, n)
 }
 
 // Checkpoint persists the current partitioned state to remote storage.
