@@ -127,8 +127,8 @@ type Options struct {
 	Policy Policy
 	// Placement enables allocation-aware placement scoring: instead of
 	// the single count-based compact pick, the coordinator enumerates
-	// up to PlacementCandidates lease-feasible device sets per
-	// admission and expansion (Ledger.CandidateSets), scores each
+	// up to four lease-feasible device sets per admission and
+	// expansion (Ledger.CandidateSets), scores each
 	// concrete set with perfmodel.ScorePlacement (TP-group locality,
 	// worst-link bandwidth, netsim-priced migration of the job's state
 	// from its current allocation), and lets the Policy rank them;
@@ -136,9 +136,6 @@ type Options struct {
 	// them, not just largest surplus. Disabled (the default), sim
 	// traces are byte-identical to the count-based coordinator.
 	Placement bool
-	// PlacementCandidates bounds the candidate sets scored per
-	// decision; 0 means the default (4).
-	PlacementCandidates int
 	// Mode selects the driver: deterministic simulated time (default) or
 	// wall-clock pacing. It decides when inputs reach the decision core
 	// and where outcomes are waited for, never what the core decides or

@@ -62,20 +62,24 @@ package coordinator
 //   - Ledger: per-worker free lists, per-free-count worker bitmaps and
 //     per-rack totals. A mutation (lease, release, fail, recover, drain)
 //     marks only the touched workers dirty, and the next query rebuilds
-//     those (sync / rebuildWorker); candidate enumeration walks count
-//     buckets instead of sorting all workers. The from-scratch
-//     enumeration is test code (ledger_scratch_test.go), held
-//     byte-identical by a seeded property suite.
+//     those (sync / rebuildWorker).
+//
+//   - One walk answers every placement question: walkPack visits workers
+//     bucket by bucket, most or fewest free first, preferred workers
+//     leading. Pick and the compact and best-fit candidates take devices
+//     along it; the rack-local and spread candidates filter or round-robin
+//     its workers; defragmentation's Repack walks it with the job's own
+//     devices counted as free, and gets the pack and its worker count in
+//     one call per running job. The from-scratch enumeration and the
+//     packCompact reference are test code (ledger_scratch_test.go), held
+//     byte-identical by seeded property suites.
 //
 //   - perfmodel.Cache: entries are stamped with the sum of the per-worker
 //     health epochs of the workers their inputs touch, so an event
 //     invalidates only the entries whose allocations intersect its
-//     worker; a size cap with stale-first eviction and per-job tags
-//     (DropJob) bounds a long run's footprint.
-//
-//   - Defragmentation: MinLeaseSpread answers "could this job sit on
-//     fewer workers?" from the count buckets, so the sweep prunes the jobs
-//     that cannot be compacted without materializing candidates.
+//     worker. Finished jobs' scores and dead models' entries are shed as
+//     they go (DropJob, DropModel); the size cap is a backstop no run
+//     reaches, and an insert past it clears the cache.
 //
 // The dcscale experiments (tenplex-bench -record dcscale) measure the
 // result: per-decision latency at 512/1024/2048 devices with 50–200 jobs,

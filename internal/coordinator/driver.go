@@ -86,9 +86,6 @@ func newDriver(topo *cluster.Topology, opts Options) (*driver, error) {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.PlacementCandidates == 0 {
-		opts.PlacementCandidates = 4
-	}
 	if opts.WallScale == 0 {
 		opts.WallScale = 250 * time.Microsecond
 	}

@@ -45,7 +45,11 @@ func (s *sim) view() *ClusterView {
 	return v
 }
 
-// choosePlacement scores up to Options.PlacementCandidates concrete
+// placementCandidates bounds the candidate device sets scored per
+// placement decision.
+const placementCandidates = 4
+
+// choosePlacement scores up to placementCandidates concrete
 // device sets growing (or placing) job j to n devices total under the
 // configuration the parallelizer picked for that size, and asks the
 // Policy to rank them — placement chooses WHICH devices, not the
@@ -60,7 +64,7 @@ func (s *sim) choosePlacement(j *simJob, cfg parallel.Config, n int, cur cluster
 		return nil
 	}
 	curPl := perfmodel.Placement{Alloc: cur, Config: j.cfg}
-	sets := s.ledger.CandidateSets(extra, s.opts.PlacementCandidates, cur)
+	sets := s.ledger.CandidateSets(extra, placementCandidates, cur)
 	var cands []*PlacementCandidate
 	for _, set := range sets {
 		full := append(append(cluster.Allocation(nil), cur...), set...)
@@ -440,19 +444,10 @@ func (s *sim) defrag() error {
 	for _, j := range s.running() {
 		cur := j.alloc
 		curWorkers := len(cur.Workers(s.topo))
-		// Cheap exact prune: the minimal achievable worker spread comes
-		// straight from the ledger's per-worker summaries, so jobs no
-		// compaction can improve skip the O(free-pool) candidate
-		// materialization entirely — at datacenter scale that is nearly
-		// every job on every event.
-		if s.ledger.MinLeaseSpread(j.spec.Name, len(cur)) >= curWorkers {
-			continue
-		}
-		candidate, ok := s.pickCompact(j.spec.Name, len(cur))
-		if !ok {
-			continue
-		}
-		if len(cluster.Allocation(candidate).Workers(s.topo)) >= curWorkers {
+		// The most compact placement the cluster allows the job, its own
+		// devices counted as free: one walk of the ledger's count buckets.
+		candidate, workers, ok := s.ledger.Repack(j.spec.Name, len(cur))
+		if !ok || workers >= curWorkers {
 			continue
 		}
 		// In placement mode the worker count alone does not justify a
@@ -479,21 +474,12 @@ func (s *sim) defrag() error {
 		if ch.SimSec > s.opts.DefragMaxSec {
 			continue
 		}
-		note := fmt.Sprintf("defragmented %d -> %d workers", curWorkers,
-			len(cluster.Allocation(candidate).Workers(s.topo)))
+		note := fmt.Sprintf("defragmented %d -> %d workers", curWorkers, workers)
 		if err := s.applyPlanned(j, ch, EvRedeploy, note); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// pickCompact selects n devices for job as if its own lease were free,
-// yielding the most compact placement the cluster currently allows.
-func (s *sim) pickCompact(job string, n int) ([]cluster.DeviceID, bool) {
-	own := s.ledger.Allocation(job)
-	avail := append(append(cluster.Allocation(nil), own...), s.ledger.Free()...)
-	return packCompact(s.topo, avail, n, nil)
 }
 
 // applyChange decides one allocation change of a running job: the plan

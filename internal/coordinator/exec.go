@@ -16,7 +16,7 @@ import (
 type pool struct {
 	sem  chan struct{}
 	wg   sync.WaitGroup
-	tail map[string]chan struct{} // per-job: done channel of the last submitted task; the loop's alone
+	tail map[string]chan struct{} // per live job: done channel of the last submitted task; the loop's alone
 	err  atomic.Pointer[error]    // first task error; later tasks are skipped
 }
 
@@ -32,11 +32,17 @@ func newPool(workers int) *pool {
 
 // submit appends fn to job's task chain. It never blocks: the task
 // starts once its predecessor in the chain has finished and a worker
-// slot is free. Only the event-loop goroutine may call submit.
-func (p *pool) submit(job string, fn func() error) {
+// slot is free. last says fn ends the chain: the job's entry goes with
+// it, so a long-running service holds chains of live jobs only. Only
+// the event-loop goroutine may call submit.
+func (p *pool) submit(job string, last bool, fn func() error) {
 	prev := p.tail[job]
 	done := make(chan struct{})
-	p.tail[job] = done
+	if last {
+		delete(p.tail, job)
+	} else {
+		p.tail[job] = done
+	}
 	p.wg.Add(1)
 	go func() {
 		defer close(done)

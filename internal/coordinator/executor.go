@@ -106,13 +106,14 @@ func newDataPlane(topo *cluster.Topology, opts Options, reg *obs.Registry, post 
 
 func (x *dataPlane) do(c command) error {
 	rt := x.jobs[c.job]
-	switch c.kind {
-	case cmdDeploy:
+	last := c.kind == cmdVerify || c.kind == cmdRelease
+	switch {
+	case c.kind == cmdDeploy:
 		// A runtime exists from the first placement on: queued and rejected
 		// jobs cost no stores.
 		rt = &jobRuntime{Runtime: job.Runtime{Name: c.job, Model: c.model, Topo: x.topo, Metrics: x.reg}}
 		x.jobs[c.job] = rt
-	case cmdVerify, cmdRelease:
+	case last:
 		delete(x.jobs, c.job) // the task below is the last to hold it
 	}
 	if rt == nil {
@@ -178,7 +179,7 @@ func (x *dataPlane) do(c command) error {
 	if x.pool == nil {
 		return task()
 	}
-	x.pool.submit(c.job, task)
+	x.pool.submit(c.job, last, task)
 	return nil
 }
 

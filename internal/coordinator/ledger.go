@@ -3,6 +3,7 @@ package coordinator
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"tenplex/internal/cluster"
@@ -75,14 +76,6 @@ func newWorkerBits(n int) workerBits { return make(workerBits, (n+63)/64) }
 
 func (b workerBits) set(w int)   { b[w>>6] |= 1 << uint(w&63) }
 func (b workerBits) clear(w int) { b[w>>6] &^= 1 << uint(w&63) }
-
-func (b workerBits) count() int {
-	n := 0
-	for _, word := range b {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
 
 // ascend calls f for every set worker in ascending ID order, stopping
 // when f returns false.
@@ -188,27 +181,6 @@ func (l *Ledger) rebuildWorker(w int) {
 	l.countOf[w] = n
 	l.freeCount += n
 	l.rackFree[l.topo.RackOf(w)] += n
-}
-
-// Free returns the healthy, unleased, non-draining devices in ID order.
-func (l *Ledger) Free() []cluster.DeviceID {
-	l.sync()
-	out := make([]cluster.DeviceID, 0, l.freeCount)
-	sorted := true
-	for w := range l.freeByWorker {
-		for _, d := range l.freeByWorker[w] {
-			if len(out) > 0 && d < out[len(out)-1] {
-				sorted = false
-			}
-			out = append(out, d)
-		}
-	}
-	if !sorted {
-		// Device IDs are worker-major in every constructor, so this is
-		// only reachable for hand-built exotic topologies.
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out
 }
 
 // FreeCount returns the number of healthy, unleased devices, O(1)
@@ -551,26 +523,71 @@ func (l *Ledger) walkPack(preferred map[int]bool, asc bool, f func(w int) bool) 
 	}
 }
 
+// take appends devs to out until it holds n devices and reports whether
+// there is room for more: every packing walk's per-worker step.
+func take(out *[]cluster.DeviceID, devs []cluster.DeviceID, n int) bool {
+	for _, d := range devs {
+		*out = append(*out, d)
+		if len(*out) == n {
+			return false
+		}
+	}
+	return true
+}
+
 // packFast packs n free devices in compact (asc false: most-free
 // workers first) or best-fit (asc true: fewest-free first) order,
-// preferred workers leading either way. It reproduces packCompact (and
-// its best-fit mirror) over the full free list exactly, via the
-// incremental summaries.
+// preferred workers leading either way.
 func (l *Ledger) packFast(n int, preferred map[int]bool, asc bool) ([]cluster.DeviceID, bool) {
 	if l.freeCount < n {
 		return nil, false
 	}
 	out := make([]cluster.DeviceID, 0, n)
-	l.walkPack(preferred, asc, func(w int) bool {
-		for _, d := range l.freeByWorker[w] {
-			out = append(out, d)
-			if len(out) == n {
-				return false
-			}
-		}
-		return true
-	})
+	l.walkPack(preferred, asc, func(w int) bool { return take(&out, l.freeByWorker[w], n) })
 	return out, len(out) == n
+}
+
+// Repack packs n devices compactly as if job's own lease were free — the
+// placement defragmentation would move the job to — and returns them
+// with the number of workers they span. A worker holding some of the
+// job's devices offers those (draining ones included: they are still
+// the job's) together with its free ones, in ID order, and for this one
+// walk sits in the count bucket of their sum.
+func (l *Ledger) Repack(job string, n int) ([]cluster.DeviceID, int, bool) {
+	l.sync()
+	own := l.leases[job]
+	if n < 1 || l.freeCount+len(own) < n {
+		return nil, 0, false
+	}
+	byWorker := map[int][]cluster.DeviceID{}
+	for _, d := range own {
+		w := l.topo.WorkerOf(d)
+		byWorker[w] = append(byWorker[w], d)
+	}
+	rebucket := func(back bool) {
+		for w, ds := range byWorker {
+			from, to := l.countOf[w], l.countOf[w]+len(ds)
+			if back {
+				from, to = to, from
+			}
+			l.buckets[from].clear(w)
+			l.buckets[to].set(w)
+		}
+	}
+	rebucket(false)
+	defer rebucket(true)
+	out := make([]cluster.DeviceID, 0, n)
+	workers := 0
+	l.walkPack(nil, false, func(w int) bool {
+		workers++
+		devs := l.freeByWorker[w]
+		if ds := byWorker[w]; ds != nil {
+			devs = slices.Concat(ds, devs)
+			slices.Sort(devs)
+		}
+		return take(&out, devs, n)
+	})
+	return out, workers, len(out) == n
 }
 
 // packSpreadFast spreads via the summaries: round-robin over the
@@ -583,12 +600,10 @@ func (l *Ledger) packSpreadFast(n int) ([]cluster.DeviceID, bool) {
 		return nil, false
 	}
 	ws := make([]int, 0, n)
-	for c := len(l.buckets) - 1; c >= 1 && len(ws) < n; c-- {
-		l.buckets[c].ascend(func(w int) bool {
-			ws = append(ws, w)
-			return len(ws) < n
-		})
-	}
+	l.walkPack(nil, false, func(w int) bool {
+		ws = append(ws, w)
+		return len(ws) < n
+	})
 	out := make([]cluster.DeviceID, 0, n)
 	for round := 0; len(out) < n; round++ {
 		took := false
@@ -641,118 +656,8 @@ func (l *Ledger) packRackFast(n int) ([]cluster.DeviceID, bool) {
 		return nil, false
 	}
 	out := make([]cluster.DeviceID, 0, n)
-	done := false
-	for c := len(l.buckets) - 1; c >= 1 && !done; c-- {
-		l.buckets[c].ascend(func(w int) bool {
-			if l.topo.RackOf(w) != best {
-				return true
-			}
-			for _, d := range l.freeByWorker[w] {
-				out = append(out, d)
-				if len(out) == n {
-					done = true
-					return false
-				}
-			}
-			return true
-		})
-	}
-	return out, len(out) == n
-}
-
-// MinLeaseSpread returns the smallest number of workers that could host
-// an n-device lease drawn from the job's own devices plus the free
-// pool — the worker count pickCompact's greedy most-free-first packing
-// achieves (greedy is exact for this covering objective). The
-// defragmenter uses it to skip jobs that no compaction can improve
-// without materializing the candidate allocation.
-func (l *Ledger) MinLeaseSpread(job string, n int) int {
-	l.sync()
-	own := map[int]int{}
-	for _, d := range l.leases[job] {
-		own[l.topo.WorkerOf(d)]++
-	}
-	// Effective per-worker availability: free + the job's own devices.
-	counts := make([]int, 0, len(own))
-	hist := make([]int, len(l.buckets))
-	for c := 1; c < len(l.buckets); c++ {
-		hist[c] = l.buckets[c].count()
-	}
-	for w, c := range own {
-		counts = append(counts, l.countOf[w]+c)
-		if l.countOf[w] > 0 {
-			hist[l.countOf[w]]--
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	workers, i := 0, 0
-	c := len(hist) - 1
-	for n > 0 {
-		for c >= 1 && hist[c] == 0 {
-			c--
-		}
-		switch {
-		case i < len(counts) && (c < 1 || counts[i] >= c):
-			n -= counts[i]
-			i++
-		case c >= 1:
-			n -= c
-			hist[c]--
-		default:
-			return workers // not enough devices; callers pass feasible n
-		}
-		workers++
-	}
-	return workers
-}
-
-// groupByWorker buckets the available devices per worker (in input
-// order) and returns the workers that have any, in first-seen order.
-func groupByWorker(topo *cluster.Topology, avail []cluster.DeviceID) (map[int][]cluster.DeviceID, []int) {
-	byWorker := map[int][]cluster.DeviceID{}
-	var workers []int
-	for _, d := range avail {
-		w := topo.WorkerOf(d)
-		if len(byWorker[w]) == 0 {
-			workers = append(workers, w)
-		}
-		byWorker[w] = append(byWorker[w], d)
-	}
-	return byWorker, workers
-}
-
-// packCompact greedily packs n of the available devices onto as few
-// workers as possible: preferred workers first, then workers offering
-// the most devices, ties broken by worker ID; devices in ID order
-// within a worker. It is the one placement heuristic shared by lease
-// picking and defragmentation, so both always agree on what "compact"
-// means.
-func packCompact(topo *cluster.Topology, avail []cluster.DeviceID, n int, preferred map[int]bool) ([]cluster.DeviceID, bool) {
-	if len(avail) < n {
-		return nil, false
-	}
-	byWorker, workers := groupByWorker(topo, avail)
-	for _, devs := range byWorker {
-		sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	}
-	sort.Slice(workers, func(i, j int) bool {
-		wi, wj := workers[i], workers[j]
-		if preferred[wi] != preferred[wj] {
-			return preferred[wi]
-		}
-		if len(byWorker[wi]) != len(byWorker[wj]) {
-			return len(byWorker[wi]) > len(byWorker[wj])
-		}
-		return wi < wj
+	l.walkPack(nil, false, func(w int) bool {
+		return l.topo.RackOf(w) != best || take(&out, l.freeByWorker[w], n)
 	})
-	out := make([]cluster.DeviceID, 0, n)
-	for _, w := range workers {
-		for _, d := range byWorker[w] {
-			if len(out) == n {
-				return out, true
-			}
-			out = append(out, d)
-		}
-	}
 	return out, len(out) == n
 }

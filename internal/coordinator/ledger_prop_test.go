@@ -3,6 +3,7 @@ package coordinator
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tenplex/internal/cluster"
@@ -37,18 +38,29 @@ func equalSigs(a, b []string) bool {
 	return true
 }
 
+// freeIncremental flattens the ledger's per-worker free lists, which
+// are in device ID order on every topology constructor.
+func freeIncremental(l *Ledger) []cluster.DeviceID {
+	l.sync()
+	var out []cluster.DeviceID
+	for _, devs := range l.freeByWorker {
+		out = append(out, devs...)
+	}
+	return out
+}
+
 // checkAgainstScratch asserts the incremental ledger state matches the
 // from-scratch derivations for a spread of query shapes.
 func checkAgainstScratch(t *testing.T, l *Ledger, rng *rand.Rand, step int) {
 	t.Helper()
 	scratchFree := l.freeScratch()
-	free := l.Free()
+	free := freeIncremental(l)
 	if len(free) != len(scratchFree) {
-		t.Fatalf("step %d: Free() has %d devices, scratch %d", step, len(free), len(scratchFree))
+		t.Fatalf("step %d: free lists hold %d devices, scratch %d", step, len(free), len(scratchFree))
 	}
 	for i := range free {
 		if free[i] != scratchFree[i] {
-			t.Fatalf("step %d: Free()[%d] = %d, scratch %d", step, i, free[i], scratchFree[i])
+			t.Fatalf("step %d: free lists [%d] = %d, scratch %d", step, i, free[i], scratchFree[i])
 		}
 	}
 	if got := l.FreeCount(); got != len(scratchFree) {
@@ -73,9 +85,10 @@ func checkAgainstScratch(t *testing.T, l *Ledger, rng *rand.Rand, step int) {
 	}
 }
 
-// driveLedger applies a seeded random mutation sequence, checking the
-// incremental summaries against the scratch path after every step.
-func driveLedger(t *testing.T, topo *cluster.Topology, seed int64, steps int) {
+// driveLedger applies a seeded random mutation sequence and calls check
+// with the jobs holding a lease after every step.
+func driveLedger(t *testing.T, topo *cluster.Topology, seed int64, steps int,
+	check func(l *Ledger, rng *rand.Rand, active []string, step int)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	l := NewLedger(topo)
@@ -118,7 +131,7 @@ func driveLedger(t *testing.T, topo *cluster.Topology, seed int64, steps int) {
 		if err := l.Validate(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		checkAgainstScratch(t, l, rng, step)
+		check(l, rng, active, step)
 	}
 }
 
@@ -143,46 +156,55 @@ func TestCandidateSetsIncrementalMatchesScratch(t *testing.T) {
 		default:
 			topo = cluster.Datacenter(128)
 		}
-		driveLedger(t, topo, int64(seed)*7919+1, steps)
+		driveLedger(t, topo, int64(seed)*7919+1, steps, func(l *Ledger, rng *rand.Rand, _ []string, step int) {
+			checkAgainstScratch(t, l, rng, step)
+		})
 	}
 }
 
-// TestMinLeaseSpreadMatchesPackCompact pins the defrag prune to the
-// packer it predicts: MinLeaseSpread must equal the worker count of
-// packCompact over own+free for every queried size.
-func TestMinLeaseSpreadMatchesPackCompact(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed*104729 + 3))
+// TestRepackMatchesPackCompact pins defragmentation's pack to its
+// reference: after every step of a mutation sequence, for every job and
+// every n, Repack returns exactly packCompact over the job's own devices
+// plus the free pool, and the number of workers that pack spans. A job
+// keeps its draining devices, which is what a release-and-Pick would
+// get wrong, so the suite counts the checks that had one. Repack must
+// also leave the count buckets as it found them.
+func TestRepackMatchesPackCompact(t *testing.T) {
+	seqs, steps := 40, 30
+	if testing.Short() {
+		seqs, steps = 10, 20
+	}
+	ownDraining := 0
+	for seed := 0; seed < seqs; seed++ {
 		topo := cluster.Cloud(32)
 		if seed%2 == 1 {
 			topo = cluster.Datacenter(64)
 		}
-		l := NewLedger(topo)
-		jobs := []string{"a", "b", "c"}
-		for _, job := range jobs {
-			if devs, ok := l.Pick(1+rng.Intn(6), nil); ok {
-				if err := l.Lease(job, devs...); err != nil {
-					t.Fatalf("lease: %v", err)
+		driveLedger(t, topo, int64(seed)*104729+3, steps, func(l *Ledger, rng *rand.Rand, active []string, step int) {
+			free := l.freeScratch()
+			for _, job := range active {
+				own := l.Allocation(job)
+				if slices.ContainsFunc(own, l.Draining) {
+					ownDraining++
+				}
+				avail := append(append(cluster.Allocation(nil), own...), free...)
+				for n := 1; n <= len(avail); n++ {
+					want, _ := packCompact(topo, avail, n, nil)
+					got, workers, ok := l.Repack(job, n)
+					if !ok || !slices.Equal(got, want) || workers != len(cluster.Allocation(want).Workers(topo)) {
+						t.Fatalf("seed %d step %d job %s n=%d: Repack = %v on %d workers (ok %v), packCompact %v",
+							seed, step, job, n, got, workers, ok, want)
+					}
+				}
+				if _, _, ok := l.Repack(job, len(avail)+1); ok {
+					t.Fatalf("seed %d step %d job %s: Repack packed %d of %d devices", seed, step, job, len(avail)+1, len(avail))
 				}
 			}
-		}
-		for i := 0; i < 5; i++ {
-			l.MarkFailed(cluster.DeviceID(rng.Intn(topo.NumDevices())))
-		}
-		for _, job := range jobs {
-			own := l.Allocation(job)
-			for n := 1; n <= len(own)+4; n++ {
-				avail := append(append(cluster.Allocation(nil), own...), l.Free()...)
-				packed, ok := packCompact(topo, avail, n, nil)
-				if !ok {
-					continue
-				}
-				want := len(cluster.Allocation(packed).Workers(topo))
-				if got := l.MinLeaseSpread(job, n); got != want {
-					t.Fatalf("seed %d job %s n=%d: MinLeaseSpread = %d, packCompact uses %d workers",
-						seed, job, n, got, want)
-				}
-			}
-		}
+			checkAgainstScratch(t, l, rng, step)
+		})
+	}
+	t.Logf("%d job checks had a draining device of their own", ownDraining)
+	if ownDraining == 0 {
+		t.Fatal("no check had a job holding a draining device")
 	}
 }

@@ -73,6 +73,57 @@ func (l *Ledger) candidateSetsScratch(n, k int, prefer cluster.Allocation) []clu
 	return out
 }
 
+// groupByWorker buckets the available devices per worker (in input
+// order) and returns the workers that have any, in first-seen order.
+func groupByWorker(topo *cluster.Topology, avail []cluster.DeviceID) (map[int][]cluster.DeviceID, []int) {
+	byWorker := map[int][]cluster.DeviceID{}
+	var workers []int
+	for _, d := range avail {
+		w := topo.WorkerOf(d)
+		if len(byWorker[w]) == 0 {
+			workers = append(workers, w)
+		}
+		byWorker[w] = append(byWorker[w], d)
+	}
+	return byWorker, workers
+}
+
+// packCompact greedily packs n of the available devices onto as few
+// workers as possible: preferred workers first, then workers offering
+// the most devices, ties broken by worker ID; devices in ID order
+// within a worker. It is the reference for Pick and the compact
+// candidates (packFast) and, over own ∪ free, for defragmentation's
+// Repack.
+func packCompact(topo *cluster.Topology, avail []cluster.DeviceID, n int, preferred map[int]bool) ([]cluster.DeviceID, bool) {
+	if len(avail) < n {
+		return nil, false
+	}
+	byWorker, workers := groupByWorker(topo, avail)
+	for _, devs := range byWorker {
+		sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
+	}
+	sort.Slice(workers, func(i, j int) bool {
+		wi, wj := workers[i], workers[j]
+		if preferred[wi] != preferred[wj] {
+			return preferred[wi]
+		}
+		if len(byWorker[wi]) != len(byWorker[wj]) {
+			return len(byWorker[wi]) > len(byWorker[wj])
+		}
+		return wi < wj
+	})
+	out := make([]cluster.DeviceID, 0, n)
+	for _, w := range workers {
+		for _, d := range byWorker[w] {
+			if len(out) == n {
+				return out, true
+			}
+			out = append(out, d)
+		}
+	}
+	return out, len(out) == n
+}
+
 // packBestFit packs n devices consuming the workers with the fewest
 // free devices first (preferred workers still lead): fragments get used
 // up and whole machines stay whole for jobs that need them.

@@ -194,7 +194,7 @@ func TestCandidateSets(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	free := map[cluster.DeviceID]bool{}
-	for _, d := range l.Free() {
+	for _, d := range freeIncremental(l) {
 		free[d] = true
 	}
 	for _, set := range sets {
@@ -316,9 +316,9 @@ func TestLedgerDraining(t *testing.T) {
 	if l.FreeCount() != free0-1 {
 		t.Fatalf("free count with one draining device = %d, want %d", l.FreeCount(), free0-1)
 	}
-	for _, d := range l.Free() {
+	for _, d := range freeIncremental(l) {
 		if d == 5 {
-			t.Fatal("draining device offered in Free()")
+			t.Fatal("draining device offered in the free pool")
 		}
 	}
 	// Draining devices can still be part of leases (they were leased

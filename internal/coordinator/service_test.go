@@ -329,15 +329,18 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 // TestServiceHeapFlatAcrossFinishedJobs: a finished job leaves behind
 // its status and its timeline entries, not its PTC, compiled index or
 // model. Every job brings a model of its own, as every POST /v1/jobs
-// does; the heap in use after job 200 must sit within a fixed margin of
-// what it was after job 50.
+// does; the live heap after job 200 must sit within a fixed margin of
+// what it was after job 50. It reads HeapAlloc, the bytes of live
+// objects after the two collections: HeapInuse counts whole spans, so
+// it moves with fragmentation (by over 512 KiB under -race) as well as
+// with what the service retains.
 func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
 	svc, err := StartService(cluster.Cloud(4), Options{WallScale: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatalf("StartService: %v", err)
 	}
 	defer svc.Stop()
-	heapInUse := func() uint64 {
+	liveHeap := func() uint64 {
 		err := svc.exec(func(s *sim) error { return s.exec.join() })
 		if err != nil {
 			t.Fatal(err)
@@ -346,7 +349,7 @@ func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
 		runtime.GC() // twice: a sync.Pool's contents survive one cycle
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapInuse
+		return ms.HeapAlloc
 	}
 	var at50 uint64
 	for i := 0; i < 200; i++ {
@@ -357,18 +360,67 @@ func TestServiceHeapFlatAcrossFinishedJobs(t *testing.T) {
 		}
 		waitJobState(t, svc, name, "completed", 15*time.Second)
 		if i == 49 {
-			at50 = heapInUse()
+			at50 = liveHeap()
 		}
 	}
-	at200 := heapInUse()
-	t.Logf("HeapInuse after 50 jobs %d KiB, after 200 jobs %d KiB", at50>>10, at200>>10)
-	// 150 jobs' timeline entries, statuses and chain tails come to about
+	at200 := liveHeap()
+	t.Logf("HeapAlloc after 50 jobs %d KiB, after 200 jobs %d KiB", at50>>10, at200>>10)
+	// 150 jobs' timeline entries and statuses come to about
 	// 1 KiB a job (160 KiB here); a model alone to 5, a PTC with its index
 	// to 20-40, the in-memory stores of the default runtime to 200.
 	const margin = 512 << 10
 	if at200 > at50+margin {
 		t.Fatalf("heap grew %d KiB over 150 finished jobs (margin %d KiB): terminal jobs are holding state",
 			(at200-at50)>>10, margin>>10)
+	}
+}
+
+// TestServicePoolHoldsLiveChainsOnly: a job's task chain is forgotten
+// with its terminal command (verify or release), so after many finished
+// and canceled jobs the pool holds one chain per job still running.
+func TestServicePoolHoldsLiveChainsOnly(t *testing.T) {
+	svc, err := StartService(cluster.Cloud(8), Options{
+		WallScale: 100 * time.Microsecond,
+		Workers:   4, // a pool whatever GOMAXPROCS is: with one worker tasks run inline
+	})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	spec := func(name string, min float64) JobSpec {
+		return JobSpec{Name: name, Model: model.GPTCustom(4, 16, 2, 32, 8),
+			GPUs: 2, MinGPUs: 2, MaxGPUs: 2, DurationMin: min}
+	}
+	if err := svc.Submit(spec("live", 1e6)); err != nil {
+		t.Fatalf("submit live: %v", err)
+	}
+	waitJobState(t, svc, "live", "running", 5*time.Second)
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("j%d", i)
+		if err := svc.Submit(spec(name, 5)); err != nil {
+			t.Fatalf("submit %s: %v", name, err)
+		}
+		waitJobState(t, svc, name, "completed", 15*time.Second)
+	}
+	if err := svc.Submit(spec("gone", 1e6)); err != nil {
+		t.Fatalf("submit gone: %v", err)
+	}
+	waitJobState(t, svc, "gone", "running", 5*time.Second)
+	if err := svc.Cancel("gone"); err != nil {
+		t.Fatalf("cancel gone: %v", err)
+	}
+	waitJobState(t, svc, "gone", "canceled", 5*time.Second)
+	err = svc.exec(func(s *sim) error {
+		if err := s.exec.join(); err != nil {
+			return err
+		}
+		if got := len(s.exec.(*dataPlane).pool.tail); got != 1 {
+			return fmt.Errorf("pool holds %d chains after 41 finished jobs, want the live job's 1", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

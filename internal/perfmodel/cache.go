@@ -30,32 +30,31 @@ import (
 // scores for the ~200 jobs it cannot have affected. A stale lookup
 // counts as a miss and is recomputed in place.
 //
-// Growth is bounded: the cache holds at most Cap entries (default
-// DefaultCap; SetCap overrides). When an insert exceeds the cap,
-// stale-stamped entries are evicted first — they can never hit again —
-// then the oldest entries by insertion order until the cache is back
-// under cap. Placement entries are tagged with the querying job (the
-// *For variants) so DropJob can shed a completed job's scores eagerly.
-// Eviction never changes results: the sweeps are pure, so an evicted
-// entry is simply recomputed on the next query.
+// Growth is bounded by DefaultCap entries across both kinds: an insert
+// of a new key into a full cache clears both maps first. The cap is a
+// backstop, not a working set — a 2048-device, 200-job simulation peaks
+// at a few hundred entries — so no eviction order is kept. What keeps
+// a long-running service flat is shedding: placement entries are tagged
+// with the querying job so DropJob sheds a finished job's scores, and
+// DropModel sheds a model no job will present again. Neither changes a
+// result: the sweeps are pure, so a dropped entry is recomputed on the
+// next query.
 //
 // Cache is safe for concurrent use. Concurrent misses for the same key
 // may both compute the sweep; the result is identical (the sweeps are
 // pure), so last-write-wins is harmless.
 type Cache struct {
-	mu      sync.Mutex
-	m       map[cacheKey]cacheEntry
-	pm      map[placementKey]placementEntry
-	ord     []ordKey
-	ordHead int
-	cap     int
-	hits    int64
-	misses  int64
+	mu     sync.Mutex
+	m      map[cacheKey]cacheEntry
+	pm     map[placementKey]placementEntry
+	cap    int // DefaultCap; tests shrink it
+	hits   int64
+	misses int64
 }
 
-// DefaultCap is the default entry cap across both query kinds — ample
-// for a 2048-device, 200-job simulation while bounding a long run's
-// footprint to tens of MB.
+// DefaultCap is the entry cap across both query kinds — ample for a
+// 2048-device, 200-job simulation while bounding a long run's footprint
+// to tens of MB.
 const DefaultCap = 1 << 16
 
 type cacheKey struct {
@@ -88,13 +87,6 @@ type placementEntry struct {
 	job   string  // owning job for DropJob; "" = untagged
 }
 
-// ordKey records insertion order across both maps for FIFO eviction.
-type ordKey struct {
-	pm bool
-	ck cacheKey
-	pk placementKey
-}
-
 // NewCache returns an empty memoizing wrapper around Best and
 // BestPlacement, capped at DefaultCap entries.
 func NewCache() *Cache {
@@ -103,14 +95,6 @@ func NewCache() *Cache {
 		pm:  map[placementKey]placementEntry{},
 		cap: DefaultCap,
 	}
-}
-
-// SetCap changes the entry cap; n <= 0 removes the bound. Shrinking
-// below the current size takes effect at the next insert.
-func (c *Cache) SetCap(n int) {
-	c.mu.Lock()
-	c.cap = n
-	c.mu.Unlock()
 }
 
 // stampOf sums the current health epochs of the given workers. Epochs
@@ -155,27 +139,20 @@ func (c *Cache) Best(m *model.Model, topo *cluster.Topology, n int, p Params) (E
 	ws := workersOf(topo, topo.FirstN(n), nil)
 	c.mu.Lock()
 	c.misses++
-	if _, existed := c.m[k]; !existed {
-		c.ord = append(c.ord, ordKey{ck: k})
+	if _, ok := c.m[k]; !ok {
+		c.makeRoomLocked()
 	}
 	c.m[k] = cacheEntry{est: est, err: err, stamp: stampOf(topo, ws), ws: ws}
-	c.evictLocked()
 	c.mu.Unlock()
 	return est, err
 }
 
-// ScorePlacement returns ScorePlacement(m, cfg, topo, alloc, cur, p),
+// ScorePlacementFor returns ScorePlacement(m, cfg, topo, alloc, cur, p),
 // memoized per allocation signature — the placement-aware coordinator
 // scores the same candidate sets repeatedly as the cluster's free pool
-// cycles through a handful of shapes. Infeasible scores are cached
-// like feasible ones.
-func (c *Cache) ScorePlacement(m *model.Model, cfg parallel.Config, topo *cluster.Topology,
-	alloc cluster.Allocation, cur Placement, p Params) PlacementScore {
-	return c.ScorePlacementFor("", m, cfg, topo, alloc, cur, p)
-}
-
-// ScorePlacementFor is ScorePlacement with the entry tagged as owned by
-// job, so DropJob(job) sheds it when the job leaves the cluster.
+// cycles through a handful of shapes. Infeasible scores are cached like
+// feasible ones. The entry is tagged as owned by job, so DropJob(job)
+// sheds it when the job leaves the cluster; "" leaves it untagged.
 func (c *Cache) ScorePlacementFor(job string, m *model.Model, cfg parallel.Config, topo *cluster.Topology,
 	alloc cluster.Allocation, cur Placement, p Params) PlacementScore {
 	k := placementKey{
@@ -197,11 +174,10 @@ func (c *Cache) ScorePlacementFor(job string, m *model.Model, cfg parallel.Confi
 	ws := workersOf(topo, cur.Alloc, workersOf(topo, alloc, nil))
 	c.mu.Lock()
 	c.misses++
-	if _, existed := c.pm[k]; !existed {
-		c.ord = append(c.ord, ordKey{pm: true, pk: k})
+	if _, ok := c.pm[k]; !ok {
+		c.makeRoomLocked()
 	}
 	c.pm[k] = placementEntry{ps: ps, stamp: stampOf(topo, ws), ws: ws, job: job}
-	c.evictLocked()
 	c.mu.Unlock()
 	return ps
 }
@@ -210,16 +186,10 @@ func (c *Cache) ScorePlacementFor(job string, m *model.Model, cfg parallel.Confi
 // CheapestPlacement sweeps; it cannot collide with a Config.String().
 const cheapestKeyCfg = "<cheapest>"
 
-// CheapestPlacement returns CheapestPlacement(m, topo, alloc, cur, p),
-// memoized per allocation signature. A failed sweep (no feasible
-// configuration) is cached as an infeasible score.
-func (c *Cache) CheapestPlacement(m *model.Model, topo *cluster.Topology,
-	alloc cluster.Allocation, cur Placement, p Params) (PlacementScore, error) {
-	return c.CheapestPlacementFor("", m, topo, alloc, cur, p)
-}
-
-// CheapestPlacementFor is CheapestPlacement with the entry tagged as
-// owned by job, so DropJob(job) sheds it when the job leaves.
+// CheapestPlacementFor returns CheapestPlacement(m, topo, alloc, cur, p),
+// memoized per allocation signature and tagged as owned by job like
+// ScorePlacementFor. A failed sweep (no feasible configuration) is
+// cached as an infeasible score.
 func (c *Cache) CheapestPlacementFor(job string, m *model.Model, topo *cluster.Topology,
 	alloc cluster.Allocation, cur Placement, p Params) (PlacementScore, error) {
 	k := placementKey{
@@ -244,11 +214,10 @@ func (c *Cache) CheapestPlacementFor(job string, m *model.Model, topo *cluster.T
 		e = placementEntry{ps: ps, stamp: stampOf(topo, ws), ws: ws, job: job}
 		c.mu.Lock()
 		c.misses++
-		if _, existed := c.pm[k]; !existed {
-			c.ord = append(c.ord, ordKey{pm: true, pk: k})
+		if _, ok := c.pm[k]; !ok {
+			c.makeRoomLocked()
 		}
 		c.pm[k] = e
-		c.evictLocked()
 		c.mu.Unlock()
 	}
 	if !e.ps.Feasible {
@@ -260,7 +229,7 @@ func (c *Cache) CheapestPlacementFor(job string, m *model.Model, topo *cluster.T
 // DropJob evicts every placement entry tagged with job (via the *For
 // variants) and returns the number dropped. The coordinator calls it
 // when a job completes or is lost, so a long multi-job run does not
-// retain scores for dead jobs until cap pressure finds them.
+// retain scores for dead jobs.
 func (c *Cache) DropJob(job string) int {
 	if job == "" {
 		return 0
@@ -277,12 +246,10 @@ func (c *Cache) DropJob(job string) int {
 	return n
 }
 
-// DropModel evicts every entry of either kind computed for m, and the
-// insertion-order records that would otherwise keep m reachable until
-// cap pressure found them. Keys hold the model by pointer, so a model
-// no job will present again — a service decodes one per submission —
-// can never hit; the coordinator calls this when the last job sharing
-// m is terminal.
+// DropModel evicts every entry of either kind computed for m. Keys hold
+// the model by pointer, so a model no job will present again — a
+// service decodes one per submission — can never hit; the coordinator
+// calls this when the last job sharing m is terminal.
 func (c *Cache) DropModel(m *model.Model) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -296,46 +263,14 @@ func (c *Cache) DropModel(m *model.Model) {
 			delete(c.pm, k)
 		}
 	}
-	live := c.ord[:0]
-	for _, o := range c.ord[c.ordHead:] {
-		if o.ck.model != m && o.pk.model != m {
-			live = append(live, o)
-		}
-	}
-	clear(c.ord[len(live):])
-	c.ord, c.ordHead = live, 0
 }
 
-// evictLocked enforces the cap: stale-stamped entries go first (their
-// touched region mutated, so they can never hit again), then the
-// oldest entries by insertion order until the cache is 10% under cap.
-func (c *Cache) evictLocked() {
-	if c.cap <= 0 || len(c.m)+len(c.pm) <= c.cap {
-		return
-	}
-	for k, e := range c.m {
-		if stampOf(k.topo, e.ws) != e.stamp {
-			delete(c.m, k)
-		}
-	}
-	for k, e := range c.pm {
-		if stampOf(k.topo, e.ws) != e.stamp {
-			delete(c.pm, k)
-		}
-	}
-	target := c.cap - c.cap/10
-	for len(c.m)+len(c.pm) > target && c.ordHead < len(c.ord) {
-		o := c.ord[c.ordHead]
-		c.ordHead++
-		if o.pm {
-			delete(c.pm, o.pk)
-		} else {
-			delete(c.m, o.ck)
-		}
-	}
-	if c.ordHead > len(c.ord)/2 {
-		c.ord = append(c.ord[:0:0], c.ord[c.ordHead:]...)
-		c.ordHead = 0
+// makeRoomLocked clears both maps when one more entry would pass the
+// cap.
+func (c *Cache) makeRoomLocked() {
+	if len(c.m)+len(c.pm) >= c.cap {
+		clear(c.m)
+		clear(c.pm)
 	}
 }
 

@@ -26,17 +26,17 @@ func TestCacheSurvivesUnrelatedFailure(t *testing.T) {
 	if topo.WorkerOf(w1[0]) != 1 || topo.WorkerOf(w1[3]) != 1 { // layout guard
 		t.Fatalf("expected devices 4-7 on worker 1")
 	}
-	c.ScorePlacement(m, cfg, topo, w0, Placement{}, p)
-	c.ScorePlacement(m, cfg, topo, w1, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w0, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w1, Placement{}, p)
 
 	topo.MarkFailed(w0[0]) // bumps only worker 0's epoch
 
 	hitsBefore, missesBefore := c.Stats()
-	c.ScorePlacement(m, cfg, topo, w1, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w1, Placement{}, p)
 	if hits, _ := c.Stats(); hits != hitsBefore+1 {
 		t.Fatal("failure on worker 0 evicted worker 1's placement score")
 	}
-	c.ScorePlacement(m, cfg, topo, w0, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w0, Placement{}, p)
 	if _, misses := c.Stats(); misses != missesBefore+1 {
 		t.Fatal("failure on worker 0 did not invalidate worker 0's placement score")
 	}
@@ -82,9 +82,7 @@ func TestCacheDropJob(t *testing.T) {
 }
 
 // TestCacheDropModel: every entry computed for a model goes, of both
-// kinds and from the insertion-order list (which would otherwise keep
-// the model reachable); another model's entries stay hot, and the cap
-// still evicts in order afterwards.
+// kinds; another model's entries stay hot.
 func TestCacheDropModel(t *testing.T) {
 	gone, kept := model.GPTCustom(4, 16, 2, 32, 8), model.GPTCustom(4, 16, 2, 32, 8)
 	topo := cluster.OnPrem16()
@@ -103,14 +101,6 @@ func TestCacheDropModel(t *testing.T) {
 	if got := c.Len(); got != 5 {
 		t.Fatalf("Len() = %d after DropModel, want the other model's 5 entries", got)
 	}
-	for _, o := range c.ord {
-		if o.ck.model == gone || o.pk.model == gone {
-			t.Fatal("insertion-order list still holds the dropped model")
-		}
-	}
-	if len(c.ord) != 5 || c.ordHead != 0 {
-		t.Fatalf("insertion-order list has %d records from %d, want 5 from 0", len(c.ord), c.ordHead)
-	}
 	hitsBefore, missesBefore := c.Stats()
 	c.Best(kept, topo, 4, p) //nolint:errcheck
 	c.ScorePlacementFor("job", kept, cfg, topo, alloc, Placement{}, p)
@@ -118,23 +108,17 @@ func TestCacheDropModel(t *testing.T) {
 	if hits, misses := c.Stats(); hits != hitsBefore+2 || misses != missesBefore+1 {
 		t.Fatalf("after DropModel: %d hits and %d misses, want 2 and 1", hits-hitsBefore, misses-missesBefore)
 	}
-	c.SetCap(4)
-	c.Best(kept, topo, 8, p) //nolint:errcheck
-	if got := c.Len(); got > 4 {
-		t.Fatalf("Len() = %d after an insert over the cap of 4", got)
-	}
 }
 
 // TestCacheCapBoundsGrowth: the cap holds under sustained distinct
-// queries, stale entries go first, and surviving fresh entries still
-// hit.
+// queries, the newest entry always survives, and a stale entry misses.
 func TestCacheCapBoundsGrowth(t *testing.T) {
 	m := model.GPTCustom(4, 16, 2, 32, 8)
 	topo := cluster.OnPrem16()
 	p := DefaultParams()
 	p.DeviceMemGB = 0
 	c := NewCache()
-	c.SetCap(8)
+	c.cap = 8
 	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
 	// Distinct keys via distinct current placements of the same alloc.
 	alloc := cluster.Allocation{4, 5, 6, 7}
@@ -146,12 +130,11 @@ func TestCacheCapBoundsGrowth(t *testing.T) {
 		}
 	}
 
-	// Stale-first eviction: stamp one entry against worker 0, fail a
-	// worker-0 device, then overflow the cap — the stale entry is
-	// evicted (and would miss anyway), while the newest insert, at the
-	// FIFO tail, always survives.
+	// Stamp one entry against worker 0, fail a worker-0 device, then
+	// overflow the cap: the newest insert survives, the stale entry
+	// misses.
 	c2 := NewCache()
-	c2.SetCap(4)
+	c2.cap = 4
 	topo2 := cluster.OnPrem16()
 	w0 := topo2.FirstN(4)
 	c2.ScorePlacementFor("stale", m, cfg, topo2, w0, Placement{}, p)
@@ -175,4 +158,49 @@ func TestCacheCapBoundsGrowth(t *testing.T) {
 	if _, misses := c2.Stats(); misses != missesBefore+1 {
 		t.Fatal("stale entry served after its worker's epoch moved")
 	}
+}
+
+// TestCacheClearsPastCap: an insert of a new key into a full cache
+// clears both maps and then inserts, so the newest entry hits and every
+// earlier one misses; replacing a stale entry in place clears nothing,
+// and a stale entry misses before a clear and after one.
+func TestCacheClearsPastCap(t *testing.T) {
+	m := model.GPTCustom(4, 16, 2, 32, 8)
+	topo := cluster.OnPrem16()
+	p := DefaultParams()
+	p.DeviceMemGB = 0
+	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
+	w0, w1 := topo.FirstN(4), cluster.Allocation{4, 5, 6, 7}
+	c := NewCache()
+	c.cap = 4
+	hit := func(what string, query func(), want bool) {
+		t.Helper()
+		hits, _ := c.Stats()
+		query()
+		if got, _ := c.Stats(); (got == hits+1) != want {
+			t.Fatalf("%s: hit %v, want %v", what, got == hits+1, want)
+		}
+	}
+	stale := func() { c.ScorePlacementFor("", m, cfg, topo, w0, Placement{}, p) }
+	stale()
+	for n := 1; n <= 2; n++ {
+		c.Best(m, topo, n, p) //nolint:errcheck // infeasible counts are cached like feasible ones
+	}
+	c.ScorePlacementFor("", m, cfg, topo, w1, Placement{}, p)
+	if got := c.Len(); got != 4 {
+		t.Fatalf("Len() = %d, want a full cache of 4", got)
+	}
+	topo.MarkFailed(w0[0]) // the first entry goes stale; nothing else does
+	hit("stale entry in a full cache", stale, false)
+	if got := c.Len(); got != 4 {
+		t.Fatalf("Len() = %d after a stale entry was replaced in place, want 4", got)
+	}
+	c.Best(m, topo, 3, p) //nolint:errcheck
+	if got := c.Len(); got != 1 {
+		t.Fatalf("Len() = %d after an insert past the cap, want only the new entry", got)
+	}
+	hit("newest entry", func() { c.Best(m, topo, 3, p) }, true)               //nolint:errcheck
+	hit("cleared entry", func() { c.Best(m, topo, 1, p) }, false)             //nolint:errcheck
+	topo.MarkFailed(w0[1])                                                    // worker 0 again, which the newest entry was priced on
+	hit("stale entry after a clear", func() { c.Best(m, topo, 3, p) }, false) //nolint:errcheck
 }

@@ -140,7 +140,7 @@ func TestCacheInvalidatedByTopologyGeneration(t *testing.T) {
 	c := NewCache()
 	alloc := topo.FirstN(4)
 	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
-	before := c.ScorePlacement(m, cfg, topo, alloc, Placement{}, p)
+	before := c.ScorePlacementFor("", m, cfg, topo, alloc, Placement{}, p)
 	if !before.Feasible {
 		t.Fatalf("healthy placement infeasible: %s", before.Reason)
 	}
@@ -152,7 +152,7 @@ func TestCacheInvalidatedByTopologyGeneration(t *testing.T) {
 
 	topo.MarkFailed(alloc[0])
 
-	after := c.ScorePlacement(m, cfg, topo, alloc, Placement{}, p)
+	after := c.ScorePlacementFor("", m, cfg, topo, alloc, Placement{}, p)
 	if after.Feasible {
 		t.Fatal("cache served the pre-failure placement score after the device was marked failed")
 	}
@@ -164,7 +164,7 @@ func TestCacheInvalidatedByTopologyGeneration(t *testing.T) {
 	}
 	// The post-failure entries are cached under the new generation.
 	hitsBefore, _ := c.Stats()
-	c.ScorePlacement(m, cfg, topo, alloc, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, alloc, Placement{}, p)
 	if hits, _ := c.Stats(); hits != hitsBefore+1 {
 		t.Fatal("post-failure score not served from cache")
 	}
@@ -179,11 +179,11 @@ func TestCacheCheapestPlacement(t *testing.T) {
 	p.DeviceMemGB = 0
 	c := NewCache()
 	cur := Placement{Alloc: topo.FirstN(8), Config: parallel.Config{TP: 1, PP: 4, DP: 2}}
-	a, err := c.CheapestPlacement(m, topo, topo.FirstN(4), cur, p)
+	a, err := c.CheapestPlacementFor("", m, topo, topo.FirstN(4), cur, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.CheapestPlacement(m, topo, topo.FirstN(4), cur, p)
+	b, err := c.CheapestPlacementFor("", m, topo, topo.FirstN(4), cur, p)
 	if err != nil {
 		t.Fatal(err)
 	}
