@@ -18,40 +18,30 @@ import (
 // internal/experiments acceptance tests assert.
 type kind struct {
 	name     string
-	measure  func(budget time.Duration) (params map[string]any, rows []row, err error)
-	headline func(m *cells) error
+	measure  func(budget time.Duration) (params map[string]any, rows experiments.Runs, err error)
+	headline func(num func(key, metric string) float64) error
 }
 
 // kinds is every record tenplex-bench can emit (-record) and gate
 // (-check), in the order -check walks them.
 var kinds = []kind{
 	{name: "planner", measure: measurePlanner},
-	{name: "coordinator", measure: measureCoord, headline: func(m *cells) error {
-		if m.num("cluster", "trace_matches_sim") != 1 {
+	{name: "coordinator", measure: measureCoord, headline: func(num func(key, metric string) float64) error {
+		if num("cluster", "trace_matches_sim") != 1 {
 			return fmt.Errorf("cluster trace_matches_sim: paced wall-clock runs no longer reproduce the sim-mode trace, nondeterminism leaked into the runtime")
 		}
-		if s := m.num("cluster", "speedup"); s < speedupFloor {
+		if s := num("cluster", "speedup"); s < speedupFloor {
 			return fmt.Errorf("cluster speedup: %.2f below the floor %.2f, the parallel runtime (%.1f ms) fell behind the serialized loop (%.1f ms)",
-				s, speedupFloor, m.num("cluster", "parallel_wall_ns")/1e6, m.num("cluster", "serial_wall_ns")/1e6)
+				s, speedupFloor, num("cluster", "parallel_wall_ns")/1e6, num("cluster", "serial_wall_ns")/1e6)
 		}
 		return nil
 	}},
-	{name: "placement", measure: measurePlacement, headline: func(m *cells) error {
-		return experiments.PlacementHeadline(
-			m.num("steady/count", "mean_cluster_utilization"), m.num("steady/placement", "mean_cluster_utilization"),
-			m.num("steady/count", "moved_bytes"), m.num("steady/placement", "moved_bytes"))
-	}},
-	{name: "hostile", measure: measureHostile, headline: func(m *cells) error {
-		worst := experiments.HostileFaultRates[len(experiments.HostileFaultRates)-1]
-		off, on := hostileKey(worst, "retry-off"), hostileKey(worst, "retry-on")
-		if err := experiments.HostileHeadline(m.num(off, "jobs_completed"), m.num(on, "jobs_completed"), m.num(on, "retries")); err != nil {
-			return fmt.Errorf("%s %w", on, err)
-		}
-		return nil
-	}},
-	{name: "dcscale", measure: measureDCScale, headline: func(m *cells) error {
-		return experiments.DCScaleHeadline(m.num("512x200", "p50_us"), m.num("2048x200", "p50_us"))
-	}},
+	{name: "placement", headline: experiments.PlacementHeadline, measure: measureExperiment(experiments.Placement(),
+		map[string]any{"seed": experiments.MultiJobSeed, "devices": 32, "jobs": 12})},
+	{name: "hostile", headline: experiments.HostileHeadline, measure: measureExperiment(experiments.Hostile(),
+		map[string]any{"seed": experiments.MultiJobSeed, "chaos_seed": experiments.HostileSeed, "devices": 32, "jobs": 12})},
+	{name: "dcscale", headline: experiments.DCScaleHeadline, measure: measureExperiment(experiments.DCScale(),
+		map[string]any{"seed": experiments.DCScaleSeed})},
 }
 
 // timeIters runs fn until the budget elapses, at least twice, and
@@ -76,8 +66,8 @@ func timeIters(budget time.Duration, fn func() error) (float64, int, error) {
 // priced change, BuildPTC through netsim.Simulate
 // (plan_change_ns_per_op), each under its own budget. The plan's shape
 // goes under exact and its netsim-priced reconfiguration time under sim.
-func measurePlanner(budget time.Duration) (map[string]any, []row, error) {
-	var rows []row
+func measurePlanner(budget time.Duration) (map[string]any, experiments.Runs, error) {
+	var rows experiments.Runs
 	for _, sc := range experiments.PlannerScenarios() {
 		var plan *core.Plan
 		planNs, iters, err := timeIters(budget, func() (err error) {
@@ -95,7 +85,7 @@ func measurePlanner(budget time.Duration) (map[string]any, []row, error) {
 			return nil, nil, fmt.Errorf("%s: invalid plan: %w", sc.Name, err)
 		}
 		st := plan.Stats(sc.Topo)
-		rows = append(rows, row{
+		rows = append(rows, experiments.Cells{
 			Key: sc.Name,
 			Exact: map[string]any{
 				"assignments": st.Assignments, "noops": st.Noops, "fetches": st.Fetches,
@@ -140,7 +130,7 @@ const speedupFloor = 0.85
 // serialized single-threaded loop (Workers=1) and with the parallel
 // runtime. Both paced runs must reproduce the sim-mode timeline event
 // for event (trace_matches_sim).
-func measureCoord(time.Duration) (map[string]any, []row, error) {
+func measureCoord(time.Duration) (map[string]any, experiments.Runs, error) {
 	topo, specs, failures := experiments.MultiJobScenario(32, 12, experiments.MultiJobSeed)
 	// Every mode keeps the run with the smallest WallNs over 3 attempts —
 	// the one measurement policy every figure in the record shares.
@@ -165,116 +155,29 @@ func measureCoord(time.Duration) (map[string]any, []row, error) {
 		"seed": experiments.MultiJobSeed, "devices": topo.NumDevices(), "jobs": len(specs),
 		"workers": coordWallWorkers, "time_scale_us_per_sim_min": float64(coordWallScale) / float64(time.Microsecond),
 	}
-	completed := 0
-	var jobs []row
-	for _, js := range res.Jobs {
-		if js.Completed {
-			completed++
+	cluster := experiments.ResultCells(res, specs).Pick("policy", "jobs_completed", "preemptions", "timeline_events",
+		"plans_validated", "makespan_min", "aggregate_reconfig_seconds", "mean_cluster_utilization")
+	cluster.Key = "cluster"
+	cluster.Exact["trace_matches_sim"] = reflect.DeepEqual(res.Timeline, serial.Timeline) && reflect.DeepEqual(res.Timeline, parallel.Timeline)
+	cluster.Timing = map[string]float64{"wall_ns_per_run": float64(res.WallNs)}
+	cluster.Info = map[string]float64{
+		"serial_wall_ns": float64(serial.WallNs), "parallel_wall_ns": float64(parallel.WallNs),
+		"speedup": float64(serial.WallNs) / float64(parallel.WallNs),
+	}
+	return params, append(experiments.Runs{cluster}, experiments.JobCells(res)...), nil
+}
+
+// measureExperiment replays a cluster experiment and files, one row per
+// variant, the cells its record keeps, each under the class the
+// experiment's cell set gives it: scheduling outcomes are exact or sim
+// and deterministic per seed, the dcscale latency percentiles are info
+// and gated only through the headline.
+func measureExperiment(e experiments.Experiment, params map[string]any) func(time.Duration) (map[string]any, experiments.Runs, error) {
+	return func(time.Duration) (map[string]any, experiments.Runs, error) {
+		runs, _, err := e.Run()
+		if err != nil {
+			return nil, nil, err
 		}
-		jobs = append(jobs, row{
-			Key: js.Name,
-			Exact: map[string]any{
-				"model": js.Model, "requested_gpus": js.GPUs, "resizes": js.Resizes,
-				"moved_bytes": js.MovedBytes, "completed": js.Completed,
-			},
-			Sim: map[string]float64{
-				"arrival_min": js.ArrivalMin, "admit_min": js.AdmitMin, "done_min": js.DoneMin,
-				"reconfig_seconds": js.ReconfigSec,
-			},
-		})
+		return params, e.Record(runs), nil
 	}
-	cluster := row{
-		Key: "cluster",
-		Exact: map[string]any{
-			"policy": res.Policy, "jobs_completed": completed, "preemptions": res.Preemptions,
-			"timeline_events": len(res.Timeline), "plans_validated": res.PlansValidated,
-			"trace_matches_sim": reflect.DeepEqual(res.Timeline, serial.Timeline) &&
-				reflect.DeepEqual(res.Timeline, parallel.Timeline),
-		},
-		Sim: map[string]float64{
-			"makespan_min": res.MakespanMin, "aggregate_reconfig_seconds": res.ReconfigSecTotal,
-			"mean_cluster_utilization": res.MeanUtilization,
-		},
-		Timing: map[string]float64{"wall_ns_per_run": float64(res.WallNs)},
-		Info: map[string]float64{
-			"serial_wall_ns": float64(serial.WallNs), "parallel_wall_ns": float64(parallel.WallNs),
-			"speedup": float64(serial.WallNs) / float64(parallel.WallNs),
-		},
-	}
-	return params, append([]row{cluster}, jobs...), nil
-}
-
-// measurePlacement replays the shared 32-device/12-job scenario
-// count-based and placement-aware, under steady and bursty arrivals.
-// Every metric is deterministic per seed.
-func measurePlacement(time.Duration) (map[string]any, []row, error) {
-	cmp, err := experiments.ComparePlacement(32, 12, experiments.MultiJobSeed)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []row
-	for _, r := range cmp {
-		rows = append(rows, row{
-			Key:   r.Workload + "/" + r.Mode,
-			Exact: map[string]any{"preemptions": r.Preemptions, "moved_bytes": r.MovedBytes, "jobs_completed": r.Completed},
-			Sim: map[string]float64{
-				"makespan_min": r.MakespanMin, "mean_cluster_utilization": r.MeanUtilization,
-				"aggregate_reconfig_seconds": r.ReconfigSec,
-			},
-		})
-	}
-	return map[string]any{"seed": experiments.MultiJobSeed, "devices": 32, "jobs": 12}, rows, nil
-}
-
-// hostileKey names one (fault rate, recovery policy) cell.
-func hostileKey(rate float64, policy string) string { return fmt.Sprintf("%g/%s", rate, policy) }
-
-// measureHostile replays the same scenario under the canonical chaos
-// schedule at each store fault rate, once fail-fast and once with the
-// capped retry budget. Every metric is simulated and deterministic per
-// (scenario seed, chaos seed).
-func measureHostile(time.Duration) (map[string]any, []row, error) {
-	cmp, err := experiments.CompareHostile(32, 12, experiments.MultiJobSeed)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []row
-	for _, r := range cmp {
-		rows = append(rows, row{
-			Key: hostileKey(r.FaultRate, r.Policy),
-			Exact: map[string]any{
-				"jobs_completed": r.Completed, "retries": r.Retries, "requeues": r.Requeues,
-				"quarantined_devices": r.Quarantined, "moved_bytes": r.MovedBytes, "retry_bytes": r.RetryBytes,
-			},
-			Sim: map[string]float64{
-				"goodput": r.Goodput, "makespan_min": r.MakespanMin,
-				"recovery_seconds": r.RecoverySec, "mean_recovery_latency_seconds": r.MeanRecoverySec,
-			},
-		})
-	}
-	params := map[string]any{
-		"seed": experiments.MultiJobSeed, "chaos_seed": experiments.HostileSeed, "devices": 32, "jobs": 12,
-	}
-	return params, rows, nil
-}
-
-// measureDCScale sweeps the 512/1024/2048-device, 50–200-job ModeSim
-// scenarios on the hierarchical Datacenter topology. The scheduling
-// outcomes are deterministic per seed; the per-decision latency
-// percentiles are machine-dependent, so they are info cells and only
-// their flatness (the headline) is gated.
-func measureDCScale(time.Duration) (map[string]any, []row, error) {
-	cmp, _ := experiments.CompareDCScale()
-	var rows []row
-	for _, r := range cmp {
-		rows = append(rows, row{
-			Key: fmt.Sprintf("%dx%d", r.Devices, r.Jobs),
-			Exact: map[string]any{
-				"events": r.Events, "jobs_completed": r.Completed, "preemptions": r.Preemptions, "plans": r.Plans,
-			},
-			Sim:  map[string]float64{"makespan_min": r.MakespanMin, "moved_gb": r.MovedGB},
-			Info: map[string]float64{"p50_us": r.P50us, "p90_us": r.P90us, "p99_us": r.P99us},
-		})
-	}
-	return map[string]any{"seed": experiments.DCScaleSeed}, rows, nil
 }

@@ -53,11 +53,11 @@ var all = map[string]func() experiments.Table{
 	"fig15":    func() experiments.Table { _, t := experiments.Fig15ClusterSize(); return t },
 	"fig16":    func() experiments.Table { _, t := experiments.Fig16Convergence(); return t },
 	"multijob": func() experiments.Table { _, t := experiments.MultiJobCluster(); return t },
-	"dcscale":  func() experiments.Table { _, t := experiments.CompareDCScale(); return t },
 
-	"policies":  tableOrExit("policies", experiments.PolicyComparison),
-	"placement": tableOrExit("placement", experiments.PlacementComparison),
-	"hostile":   tableOrExit("hostile", experiments.HostileComparison),
+	"policies":  tableOrExit("policies", experiments.Policies().Run),
+	"placement": tableOrExit("placement", experiments.Placement().Run),
+	"hostile":   tableOrExit("hostile", experiments.Hostile().Run),
+	"dcscale":   tableOrExit("dcscale", experiments.DCScale().Run),
 	"ablations": tableOrExit("ablations", experiments.Ablations),
 }
 

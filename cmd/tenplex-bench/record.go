@@ -10,12 +10,15 @@ import (
 	"runtime"
 	"sort"
 	"time"
+
+	"tenplex/internal/experiments"
 )
 
 // This file owns one decision: the BENCH record format and the rule
 // that compares a measured record with its committed baseline. Every
-// kind of record (kinds.go) is the same envelope, and what -check holds
-// for a metric is decided by the class the kind files it under:
+// kind of record (kinds.go) is the same envelope of experiments.Cells
+// rows, and what -check holds for a metric is decided by the class the
+// kind files it under:
 //
 //   - exact:  deterministic cells (plan shapes, byte counts, event
 //     counts, names). Any difference is a behavioural change, not noise.
@@ -63,17 +66,8 @@ type record struct {
 	} `json:"env"`
 	// Params is what the measurement was configured with (seeds,
 	// cluster shape, pacing); it documents the rows and is not compared.
-	Params map[string]any `json:"params,omitempty"`
-	Rows   []row          `json:"rows"`
-}
-
-// row is one measured cell group; its metrics are filed by class.
-type row struct {
-	Key    string             `json:"key"`
-	Exact  map[string]any     `json:"exact,omitempty"`
-	Sim    map[string]float64 `json:"sim,omitempty"`
-	Timing map[string]float64 `json:"timing,omitempty"`
-	Info   map[string]float64 `json:"info,omitempty"`
+	Params map[string]any   `json:"params,omitempty"`
+	Rows   experiments.Runs `json:"rows"`
 }
 
 // measureRecord runs one kind and wraps its rows in the envelope. The
@@ -146,49 +140,6 @@ func write(rec record, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// cells reads a measured record for a headline predicate. A cell that
-// is not there reads as NaN and is remembered, and check reports it
-// instead of whatever the predicate made of the NaN.
-type cells struct {
-	rec     record
-	missing []string
-}
-
-// row returns the row under key, nil when there is none.
-func (rec *record) row(key string) *row {
-	for i := range rec.Rows {
-		if rec.Rows[i].Key == key {
-			return &rec.Rows[i]
-		}
-	}
-	return nil
-}
-
-// num returns the named cell of the row under key, from whichever class
-// holds it (a bool exact cell reads as 0 or 1).
-func (c *cells) num(key, metric string) float64 {
-	if r := c.rec.row(key); r != nil {
-		for _, class := range []map[string]float64{r.Sim, r.Timing, r.Info} {
-			if v, ok := class[metric]; ok {
-				return v
-			}
-		}
-		switch v := r.Exact[metric].(type) {
-		case json.Number:
-			if f, err := v.Float64(); err == nil {
-				return f
-			}
-		case bool:
-			if v {
-				return 1
-			}
-			return 0
-		}
-	}
-	c.missing = append(c.missing, fmt.Sprintf("%s %s %s: not in the measured record (headline)", c.rec.Kind, key, metric))
-	return math.NaN()
-}
-
 // names returns the sorted union of two maps' keys: of two cell maps, so
 // a metric filed on one side only is still visited (and fails its
 // comparison), or of one map and nil for a stable walk.
@@ -222,7 +173,7 @@ func check(k kind, measured, base record, tol float64) []string {
 	fail := func(key, metric string, m, b any, class string) {
 		fails = append(fails, fmt.Sprintf("%s %s %s: %v vs %v (%s)", k.name, key, metric, m, b, class))
 	}
-	want := map[string]row{}
+	want := map[string]experiments.Cells{}
 	for _, b := range base.Rows {
 		want[b.Key] = b
 	}
@@ -255,9 +206,18 @@ func check(k kind, measured, base record, tol float64) []string {
 		fails = append(fails, fmt.Sprintf("%s %s: row in the baseline but not measured", k.name, key))
 	}
 	if k.headline != nil {
-		c := &cells{rec: measured}
-		if err := k.headline(c); len(c.missing) > 0 {
-			fails = append(fails, c.missing...)
+		// A cell that is not there reads as NaN and is reported instead of
+		// whatever the predicate made of the NaN.
+		var missing []string
+		err := k.headline(func(key, metric string) float64 {
+			v := measured.Rows.Num(key, metric)
+			if math.IsNaN(v) {
+				missing = append(missing, fmt.Sprintf("%s %s %s: not in the measured record (headline)", k.name, key, metric))
+			}
+			return v
+		})
+		if len(missing) > 0 {
+			fails = append(fails, missing...)
 		} else if err != nil {
 			fails = append(fails, fmt.Sprintf("%s %v (headline)", k.name, err))
 		}

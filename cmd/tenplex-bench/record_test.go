@@ -40,9 +40,19 @@ type headlineCase struct {
 	names string
 }
 
+// rowOf returns the row under key, nil when there is none.
+func rowOf(rec *record, key string) *experiments.Cells {
+	for i := range rec.Rows {
+		if rec.Rows[i].Key == key {
+			return &rec.Rows[i]
+		}
+	}
+	return nil
+}
+
 // set overwrites one cell in place.
 func set(rec *record, c cell, v any) {
-	r := rec.row(c.key)
+	r := rowOf(rec, c.key)
 	switch c.class {
 	case "exact":
 		r.Exact[c.metric] = v
@@ -147,12 +157,10 @@ var kindCases = map[string]kindCase{
 		sim:   cell{"bursty/placement", "sim", "mean_cluster_utilization"},
 		headlines: []headlineCase{
 			{func(rec *record) {
-				c := &cells{rec: *rec}
-				set(rec, cell{"steady/placement", "exact", "moved_bytes"}, number(c.num("steady/count", "moved_bytes")))
+				set(rec, cell{"steady/placement", "exact", "moved_bytes"}, number(rec.Rows.Num("steady/count", "moved_bytes")))
 			}, "placement steady/placement moved_bytes"},
 			{func(rec *record) {
-				c := &cells{rec: *rec}
-				set(rec, cell{"steady/placement", "sim", "mean_cluster_utilization"}, c.num("steady/count", "mean_cluster_utilization")-2e-6)
+				set(rec, cell{"steady/placement", "sim", "mean_cluster_utilization"}, rec.Rows.Num("steady/count", "mean_cluster_utilization")-2e-6)
 			}, "placement steady/placement mean_cluster_utilization"},
 		},
 	},
@@ -171,7 +179,7 @@ var kindCases = map[string]kindCase{
 				}
 			}
 			worst := experiments.HostileFaultRates[len(experiments.HostileFaultRates)-1]
-			if on := hostileKey(worst, "retry-on"); get(on, "retries") == 0 || get(on, "retry_bytes") == 0 {
+			if on := fmt.Sprintf("%g/retry-on", worst); get(on, "retries") == 0 || get(on, "retry_bytes") == 0 {
 				t.Fatalf("retry-on at the highest rate recorded no retry work")
 			}
 		},
@@ -179,8 +187,7 @@ var kindCases = map[string]kindCase{
 		sim:   cell{"0.005/retry-off", "sim", "goodput"},
 		headlines: []headlineCase{
 			{func(rec *record) {
-				c := &cells{rec: *rec}
-				set(rec, cell{"0.02/retry-on", "exact", "jobs_completed"}, number(c.num("0.02/retry-off", "jobs_completed")))
+				set(rec, cell{"0.02/retry-on", "exact", "jobs_completed"}, number(rec.Rows.Num("0.02/retry-off", "jobs_completed")))
 			}, "hostile 0.02/retry-on jobs_completed"},
 			{func(rec *record) { set(rec, cell{"0.02/retry-on", "exact", "retries"}, json.Number("0")) },
 				"hostile 0.02/retry-on retries"},
@@ -211,8 +218,7 @@ var kindCases = map[string]kindCase{
 		sim:   cell{"2048x200", "sim", "moved_gb"},
 		headlines: []headlineCase{
 			{func(rec *record) {
-				c := &cells{rec: *rec}
-				set(rec, cell{"2048x200", "info", "p50_us"}, 3*c.num("512x200", "p50_us")+251)
+				set(rec, cell{"2048x200", "info", "p50_us"}, 3*rec.Rows.Num("512x200", "p50_us")+251)
 			}, "dcscale 2048x200 p50_us"},
 		},
 	},
@@ -293,11 +299,14 @@ func TestKinds(t *testing.T) {
 				t.Fatalf("envelope: %+v", rec)
 			}
 			assertSnakeCase(t, rec)
-			reader := &cells{rec: rec}
-			tc.sane(t, rec, reader.num)
-			if len(reader.missing) > 0 {
-				t.Fatalf("cells missing from the record: %v", reader.missing)
+			get := func(key, metric string) float64 {
+				v := rec.Rows.Num(key, metric)
+				if math.IsNaN(v) {
+					t.Fatalf("cell %s %s missing from the record", key, metric)
+				}
+				return v
 			}
+			tc.sane(t, rec, get)
 			prefix := func(c cell) string { return k.name + " " + c.key + " " + c.metric + ":" }
 
 			if fails := check(k, rec, rec, checkTolerance); len(fails) != 0 {
@@ -305,13 +314,13 @@ func TestKinds(t *testing.T) {
 			}
 
 			base := clone(t, rec)
-			set(&base, tc.exact, number(reader.num(tc.exact.key, tc.exact.metric)+4096))
+			set(&base, tc.exact, number(get(tc.exact.key, tc.exact.metric)+4096))
 			wantOneFailure(t, "exact cell", check(k, rec, base, noTimingTol), prefix(tc.exact), "exact")
 
 			base = clone(t, rec)
-			set(&base, tc.sim, reader.num(tc.sim.key, tc.sim.metric)+10*simEpsilon)
+			set(&base, tc.sim, get(tc.sim.key, tc.sim.metric)+10*simEpsilon)
 			wantOneFailure(t, "sim cell beyond epsilon", check(k, rec, base, noTimingTol), prefix(tc.sim), "sim")
-			set(&base, tc.sim, reader.num(tc.sim.key, tc.sim.metric)+simEpsilon/10)
+			set(&base, tc.sim, get(tc.sim.key, tc.sim.metric)+simEpsilon/10)
 			if fails := check(k, rec, base, noTimingTol); len(fails) != 0 {
 				t.Fatalf("sim cell within epsilon: %v", fails)
 			}
@@ -324,12 +333,12 @@ func TestKinds(t *testing.T) {
 				k.name+" "+rec.Rows[0].Key+": row in the baseline but not measured", "")
 
 			base = clone(t, rec)
-			delete(base.row(tc.sim.key).Sim, tc.sim.metric)
+			delete(rowOf(&base, tc.sim.key).Sim, tc.sim.metric)
 			wantOneFailure(t, "metric the baseline lacks", check(k, rec, base, noTimingTol), prefix(tc.sim), "sim")
 			wantOneFailure(t, "metric the tree stopped measuring", check(k, base, rec, noTimingTol), prefix(tc.sim), "sim")
 
 			if tc.timing != (cell{}) {
-				ns := reader.num(tc.timing.key, tc.timing.metric)
+				ns := get(tc.timing.key, tc.timing.metric)
 				for _, c := range []struct {
 					what           string
 					measured, base float64

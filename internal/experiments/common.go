@@ -1,9 +1,18 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§6). Each experiment is a pure function returning
-// machine-readable rows; cmd/tenplex-bench renders them and files them
-// into BENCH records, and bench_test.go wraps them as Go benchmarks. An
-// experiment's acceptance bar is one exported *Headline predicate,
-// asserted both by this package's tests and by tenplex-bench -check.
+// evaluation (§6). Each figure experiment is a pure function returning
+// machine-readable rows and a rendered Table; cmd/tenplex-bench prints
+// them, and the repository root's bench_test.go wraps them as Go
+// benchmarks.
+//
+// The cluster experiments (multijob, policies, placement, hostile,
+// dcscale) are data (cluster.go): an Experiment is a list of Variants,
+// each a Scenario replayed under one coordinator.Options, and
+// ResultCells reduces every run to Cells, named and classed (exact, sim,
+// info) as a BENCH record files them. The rendered table (a Column list
+// over those cells), this package's acceptance tests and
+// cmd/tenplex-bench's records all read the same cells. An experiment's
+// acceptance bar is one exported *Headline predicate over cells read by
+// key, asserted both by this package's tests and by tenplex-bench -check.
 //
 // Two execution planes are used (see DESIGN.md): reconfiguration-time
 // experiments run the real plan generator on full-scale model shapes

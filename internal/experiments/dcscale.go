@@ -6,14 +6,12 @@ import (
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/coordinator"
-	"tenplex/internal/model"
 	"tenplex/internal/sched"
 )
 
-// The dcscale experiment measures what the ROADMAP's datacenter-scale
-// item asks for: does the control plane's per-decision latency stay
-// flat as the cluster grows from 512 to 2048 devices, or does it grow
-// linearly because every decision rescans the whole cluster? The
+// The dcscale experiment asks whether the control plane's per-decision
+// latency stays flat as the cluster grows from 512 to 2048 devices, or
+// grows linearly because every decision rescans the whole cluster. The
 // scenarios run the full ModeSim coordinator — placement-aware, on the
 // hierarchical Datacenter topology (NVLink island → node → rack → pod)
 // — with 50–200 competing elastic jobs and spread fail-stop failures.
@@ -27,24 +25,6 @@ import (
 
 // DCScaleSeed fixes the dcscale arrival traces.
 const DCScaleSeed = 77
-
-// DCScaleCell names one scenario size.
-type DCScaleCell struct {
-	Devices int
-	Jobs    int
-}
-
-// DCScaleCells are the scenario sizes the dcscale table sweeps. The
-// (512, 200) and (2048, 200) cells hold the job population fixed while
-// the cluster grows 4x — the pair the flatness gate compares.
-func DCScaleCells() []DCScaleCell {
-	return []DCScaleCell{
-		{Devices: 512, Jobs: 50},
-		{Devices: 512, Jobs: 200},
-		{Devices: 1024, Jobs: 100},
-		{Devices: 2048, Jobs: 200},
-	}
-}
 
 // DCScaleAuditStride is the Options.AuditStride dcscale runs use: full
 // per-job PTC audits every 32nd event (plus the unconditional terminal
@@ -70,70 +50,52 @@ func DCScaleScenario(devices, jobs int, seed int64) (*cluster.Topology, []coordi
 	p.MeanDurationMin = 90
 	p.Sizes = []int{4, 8, 16, 32}
 	p.SizeWeights = []float64{0.3, 0.35, 0.25, 0.1}
-	arrivals, err := sched.Arrivals(p, seed)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	models := multiJobModels()
-	specs := coordinator.SpecsFromArrivals(arrivals, func(i int) *model.Model {
-		return models[i%len(models)]
-	})
-	failures := []coordinator.FailureSpec{
+	return cluster.Datacenter(devices), arrivalSpecs(p, seed), []coordinator.FailureSpec{
 		{TimeMin: 60, Device: cluster.DeviceID(7)},
 		{TimeMin: 90, Device: cluster.DeviceID(devices/2 + 1)},
 		{TimeMin: 120, Device: cluster.DeviceID(devices - 3)},
 	}
-	return cluster.Datacenter(devices), specs, failures
 }
 
-// DCScaleRow is one measured cell of the dcscale table.
-type DCScaleRow struct {
-	Devices int
-	Jobs    int
-	// Deterministic scheduling outcome (ModeSim): the -check gate
-	// compares these exactly.
-	Events      int
-	Completed   int
-	Preemptions int
-	Plans       int
-	MakespanMin float64
-	MovedGB     float64
-	// Per-decision latency percentiles in microseconds
-	// (machine-dependent; gated only via the flatness ratio).
-	P50us float64
-	P90us float64
-	P99us float64
-}
-
-// RunDCScale runs one dcscale cell and reduces it to a row.
-func RunDCScale(devices, jobs int) DCScaleRow {
-	topo, specs, failures := DCScaleScenario(devices, jobs, DCScaleSeed)
-	res, err := coordinator.Run(topo, specs, failures, coordinator.Options{
-		Placement:   true,
-		AuditStride: DCScaleAuditStride,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: dcscale %dx%d: %v", devices, jobs, err))
+// DCScale is the dcscale table, one variant per scenario size. The
+// 512x200 and 2048x200 variants hold the job population fixed while the
+// cluster grows 4x: the pair the flatness headline compares.
+func DCScale() Experiment {
+	e := Experiment{
+		ID:     "dcscale",
+		Title:  "Datacenter-scale control plane: per-decision latency vs cluster size",
+		Labels: []string{"devices", "jobs"},
+		Columns: []Column{
+			{"events", "events", "%d", 0}, {"completed", "jobs_completed", "%d", 0},
+			{"preempt", "preemptions", "%d", 0}, {"plans", "plans", "%d", 0},
+			{"makespan-min", "makespan_min", "%.1f", 0}, {"moved-GB", "moved_gb", "%.2f", 0},
+			{"p50-us", "p50_us", "%.0f", 0}, {"p90-us", "p90_us", "%.0f", 0}, {"p99-us", "p99_us", "%.0f", 0},
+		},
+		Notes: func(runs Runs) []string {
+			var flat string
+			if small, big := runs.Num("512x200", "p50_us"), runs.Num("2048x200", "p50_us"); small > 0 {
+				flat = fmt.Sprintf("flatness: p50 %.0fus at 512 devices vs %.0fus at 2048 devices (%.2fx for a 4x cluster)",
+					small, big, big/small)
+			}
+			return []string{
+				"hierarchical Datacenter topology: 4-GPU NVLink islands, 8-GPU nodes, 4-node racks, 8-rack pods, oversubscribed spine",
+				"placement-aware ModeSim coordinator; per-decision latency is the event handler only (verification machinery excluded)",
+				flat,
+				"incremental ledger summaries + epoch-stamped score cache keep per-decision cost flat in cluster size",
+			}
+		},
 	}
-	completed := 0
-	for _, js := range res.Jobs {
-		if js.Completed {
-			completed++
-		}
+	for _, size := range [][2]int{{512, 50}, {512, 200}, {1024, 100}, {2048, 200}} {
+		devices, jobs := size[0], size[1]
+		e.Variants = append(e.Variants, Variant{
+			Key: fmt.Sprintf("%dx%d", devices, jobs), Labels: []string{fmt.Sprint(devices), fmt.Sprint(jobs)},
+			Scenario: func() (*cluster.Topology, []coordinator.JobSpec, []coordinator.FailureSpec) {
+				return DCScaleScenario(devices, jobs, DCScaleSeed)
+			},
+			Options: coordinator.Options{Placement: true, AuditStride: DCScaleAuditStride},
+		})
 	}
-	return DCScaleRow{
-		Devices:     devices,
-		Jobs:        jobs,
-		Events:      len(res.DecisionNs),
-		Completed:   completed,
-		Preemptions: res.Preemptions,
-		Plans:       res.PlansValidated,
-		MakespanMin: res.MakespanMin,
-		MovedGB:     float64(res.MovedBytesTotal) / 1e9,
-		P50us:       PercentileNs(res.DecisionNs, 0.50) / 1e3,
-		P90us:       PercentileNs(res.DecisionNs, 0.90) / 1e3,
-		P99us:       PercentileNs(res.DecisionNs, 0.99) / 1e3,
-	}
+	return e
 }
 
 // dcscaleFlatnessFactor bounds the dcscale headline: the p50
@@ -151,12 +113,13 @@ const (
 
 // DCScaleHeadline is the flatness bar asserted by TestDCScaleFull and
 // by tenplex-bench -check, on freshly measured p50s of the 512x200 and
-// 2048x200 cells (committed percentiles are machine-dependent and never
-// compared absolutely).
-func DCScaleHeadline(p50SmallUs, p50BigUs float64) error {
-	if p50BigUs > dcscaleFlatnessFactor*p50SmallUs+dcscaleFlatnessSlackUs {
+// 2048x200 variants (committed percentiles are machine-dependent and
+// never compared absolutely).
+func DCScaleHeadline(num func(key, cell string) float64) error {
+	small, big := num("512x200", "p50_us"), num("2048x200", "p50_us")
+	if big > dcscaleFlatnessFactor*small+dcscaleFlatnessSlackUs {
 		return fmt.Errorf("2048x200 p50_us: %.0f exceeds %.1fx the 512x200 p50 %.0f + %.0fus, latency is growing with cluster size",
-			p50BigUs, dcscaleFlatnessFactor, p50SmallUs, dcscaleFlatnessSlackUs)
+			big, dcscaleFlatnessFactor, small, dcscaleFlatnessSlackUs)
 	}
 	return nil
 }
@@ -171,46 +134,4 @@ func PercentileNs(samples []int64, q float64) float64 {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	idx := int(float64(len(s)-1)*q + 0.5)
 	return float64(s[idx])
-}
-
-// CompareDCScale sweeps the dcscale cells and tabulates per-decision
-// latency against cluster size.
-func CompareDCScale() ([]DCScaleRow, Table) {
-	var rows []DCScaleRow
-	for _, c := range DCScaleCells() {
-		rows = append(rows, RunDCScale(c.Devices, c.Jobs))
-	}
-	tab := Table{
-		ID:    "dcscale",
-		Title: "Datacenter-scale control plane: per-decision latency vs cluster size",
-		Columns: []string{"devices", "jobs", "events", "completed", "preempt",
-			"plans", "makespan-min", "moved-GB", "p50-us", "p90-us", "p99-us"},
-	}
-	for _, r := range rows {
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%d", r.Devices),
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%d", r.Completed),
-			fmt.Sprintf("%d", r.Preemptions),
-			fmt.Sprintf("%d", r.Plans),
-			fmt.Sprintf("%.1f", r.MakespanMin),
-			fmt.Sprintf("%.2f", r.MovedGB),
-			fmt.Sprintf("%.0f", r.P50us),
-			fmt.Sprintf("%.0f", r.P90us),
-			fmt.Sprintf("%.0f", r.P99us),
-		})
-	}
-	var flat string
-	if p512, p2048 := rows[1].P50us, rows[3].P50us; p512 > 0 {
-		flat = fmt.Sprintf("flatness: p50 %.0fus at 512 devices vs %.0fus at 2048 devices (%.2fx for a 4x cluster)",
-			p512, p2048, p2048/p512)
-	}
-	tab.Notes = append(tab.Notes,
-		"hierarchical Datacenter topology: 4-GPU NVLink islands, 8-GPU nodes, 4-node racks, 8-rack pods, oversubscribed spine",
-		"placement-aware ModeSim coordinator; per-decision latency is the event handler only (verification machinery excluded)",
-		flat,
-		"incremental ledger summaries + epoch-stamped score cache keep per-decision cost flat in cluster size",
-	)
-	return rows, tab
 }

@@ -1,30 +1,46 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"sync"
+	"testing"
+)
 
-// TestDCScaleSmoke runs the smallest dcscale cell end to end — the CI
+// dcscaleSweep runs the full dcscale table once for every test that
+// reads it.
+var dcscaleSweep = sync.OnceValues(func() (Runs, error) {
+	runs, _, err := DCScale().Run()
+	return runs, err
+})
+
+// TestDCScaleSmoke runs the smallest dcscale variant end to end — the CI
 // gate for the datacenter-scale path. The scheduling outcome is
 // deterministic (ModeSim), so the cell's structural numbers are pinned
 // exactly; latency percentiles are machine-dependent and only checked
 // for presence and ordering.
 func TestDCScaleSmoke(t *testing.T) {
-	row := RunDCScale(512, 50)
-	if row.Completed != 50 {
-		t.Fatalf("completed %d of 50 jobs", row.Completed)
+	e := DCScale()
+	e.Variants = e.Variants[:1]
+	runs, _, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if row.Events <= 0 || row.Plans <= 0 {
-		t.Fatalf("degenerate run: %d events, %d plans", row.Events, row.Plans)
+	c := runs[0]
+	if c.Key != "512x50" || c.Num("jobs_completed") != 50 {
+		t.Fatalf("%s completed %v of 50 jobs", c.Key, c.Num("jobs_completed"))
 	}
-	if row.MakespanMin <= 0 {
-		t.Fatalf("makespan %.2f min", row.MakespanMin)
+	if c.Num("events") <= 0 || c.Num("plans") <= 0 {
+		t.Fatalf("degenerate run: %v events, %v plans", c.Num("events"), c.Num("plans"))
 	}
-	if !(row.P50us > 0 && row.P50us <= row.P90us && row.P90us <= row.P99us) {
-		t.Fatalf("latency percentiles not ordered: p50=%.0f p90=%.0f p99=%.0f",
-			row.P50us, row.P90us, row.P99us)
+	if c.Num("makespan_min") <= 0 {
+		t.Fatalf("makespan %.2f min", c.Num("makespan_min"))
+	}
+	if p50, p90, p99 := c.Num("p50_us"), c.Num("p90_us"), c.Num("p99_us"); !(p50 > 0 && p50 <= p90 && p90 <= p99) {
+		t.Fatalf("latency percentiles not ordered: p50=%.0f p90=%.0f p99=%.0f", p50, p90, p99)
 	}
 }
 
-// TestDCScaleFull sweeps every cell including 2048 devices x 200 jobs
+// TestDCScaleFull sweeps every variant including 2048 devices x 200 jobs
 // and asserts DCScaleHeadline: p50 decision latency at 2048 devices
 // stays flat against the 512-device p50 (same 200-job trace). Skipped under
 // -short; CI runs the smoke above instead.
@@ -32,16 +48,23 @@ func TestDCScaleFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dcscale full sweep skipped in -short mode")
 	}
-	rows, _ := CompareDCScale()
-	if len(rows) != len(DCScaleCells()) {
-		t.Fatalf("%d rows for %d cells", len(rows), len(DCScaleCells()))
+	runs, err := dcscaleSweep()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.Completed != r.Jobs {
-			t.Fatalf("%dx%d: completed %d of %d jobs", r.Devices, r.Jobs, r.Completed, r.Jobs)
+	if len(runs) != len(DCScale().Variants) {
+		t.Fatalf("%d runs for %d variants", len(runs), len(DCScale().Variants))
+	}
+	for _, c := range runs {
+		var devices, jobs int
+		if _, err := fmt.Sscanf(c.Key, "%dx%d", &devices, &jobs); err != nil {
+			t.Fatalf("variant key %q: %v", c.Key, err)
+		}
+		if c.Num("jobs_completed") != float64(jobs) {
+			t.Fatalf("%s: completed %v of %d jobs", c.Key, c.Num("jobs_completed"), jobs)
 		}
 	}
-	if err := DCScaleHeadline(rows[1].P50us, rows[3].P50us); err != nil { // 512x200 vs 2048x200
+	if err := DCScaleHeadline(runs.Num); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,10 +26,10 @@ func TestGoldenTables(t *testing.T) {
 		table func() (Table, error)
 	}{
 		{"multijob", func() (Table, error) { _, tab := MultiJobCluster(); return tab, nil }},
-		{"policies", func() (Table, error) { _, tab, err := PolicyComparison(); return tab, err }},
-		{"placement", func() (Table, error) { _, tab, err := PlacementComparison(); return tab, err }},
-		{"hostile", func() (Table, error) { _, tab, err := HostileComparison(); return tab, err }},
-		{"dcscale", func() (Table, error) { _, tab := CompareDCScale(); return maskLatency(tab), nil }},
+		{"policies", func() (Table, error) { _, tab, err := Policies().Run(); return tab, err }},
+		{"placement", func() (Table, error) { _, tab, err := Placement().Run(); return tab, err }},
+		{"hostile", func() (Table, error) { _, tab, err := Hostile().Run(); return tab, err }},
+		{"dcscale", func() (Table, error) { runs, err := dcscaleSweep(); return maskLatency(DCScale().Table(runs)), err }},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			if tc.id == "dcscale" && testing.Short() {

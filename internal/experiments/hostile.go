@@ -66,136 +66,59 @@ func HostileRecovery(retry bool) coordinator.RecoveryPolicy {
 	return pol
 }
 
-// HostileRow is one (fault rate, recovery policy) cell.
-type HostileRow struct {
-	// FaultRate is the per-operation store fault probability during
-	// armed transform attempts.
-	FaultRate float64 `json:"store_fault_rate"`
-	// Policy is "retry-off" (single attempt) or "retry-on" (capped
-	// backoff budget).
-	Policy string `json:"policy"`
-	// Completed counts jobs that finished bit-verified.
-	Completed int `json:"jobs_completed"`
-	// Goodput is completed training minutes delivered per cluster
-	// minute: the sum of completed jobs' durations over the makespan.
-	Goodput     float64 `json:"goodput"`
-	MakespanMin float64 `json:"makespan_min"`
-	// Retries counts transform attempts beyond each change's first;
-	// Requeues counts aborted reconfigurations that fell back to the
-	// checkpoint and re-entered the admission queue.
-	Retries  int `json:"retries"`
-	Requeues int `json:"requeues"`
-	// Quarantined counts devices the suspicion detector refused to
-	// re-admit.
-	Quarantined int `json:"quarantined_devices"`
-	// MovedBytes is the total reconfiguration payload; RetryBytes the
-	// slice of it re-moved by attempts beyond the first — the waste the
-	// retry budget pays for survival.
-	MovedBytes int64 `json:"moved_bytes"`
-	RetryBytes int64 `json:"retry_bytes"`
-	// RecoverySec is downtime charged beyond first-attempt cost (repeat
-	// transforms, backoff waits, aborted work); MeanRecoverySec divides
-	// it over the retry/requeue incidents that caused it.
-	RecoverySec     float64 `json:"recovery_seconds"`
-	MeanRecoverySec float64 `json:"mean_recovery_latency_seconds"`
-}
-
-// CompareHostile sweeps HostileFaultRates x {retry-off, retry-on} over
-// the shared multi-job scenario under the canonical hostile plan.
-func CompareHostile(devices, jobs int, seed int64) ([]HostileRow, error) {
-	var rows []HostileRow
+// Hostile is the hostile table: HostileFaultRates x {retry-off,
+// retry-on} over the shared multi-job scenario under the canonical
+// hostile plan.
+func Hostile() Experiment {
+	e := Experiment{
+		ID:     "hostile",
+		Title:  "Hostile-cluster survival: fault-rate sweep x recovery policy (32 devices, 12 jobs)",
+		Labels: []string{"fault-rate", "policy"},
+		Columns: []Column{
+			{"completed", "jobs_completed", "%d", 0}, {"goodput", "goodput", "%.3f", 0},
+			{"retries", "retries", "%d", 0}, {"requeues", "requeues", "%d", 0},
+			{"quarantined", "quarantined_devices", "%d", 0},
+			// The payload re-moved by attempts beyond a change's first: the
+			// waste the retry budget pays for survival.
+			{"re-moved-MB", "retry_bytes", "%.1f", 1e6},
+			{"recovery-s", "recovery_seconds", "%.3f", 0}, {"mean-rec-s", "mean_recovery_latency_seconds", "%.3f", 0},
+		},
+		Extra: []string{"moved_bytes", "makespan_min"},
+		Notes: notes(
+			"same arrival trace, chaos schedule (flap, spot reclaim, link degrade) and chaos seed per row; only the store fault rate and the recovery policy change",
+			"retry-off aborts on the first injected fault: rollback to the last bit-verified checkpoint, requeue, redeploy; retry-on spends a capped backoff budget of attempts first",
+			"every completed job is bit-verified; non-completed jobs end explicitly lost or rejected (no silent loss)",
+		),
+	}
 	for _, rate := range HostileFaultRates {
 		for _, retry := range []bool{false, true} {
-			topo, specs, failures := MultiJobScenario(devices, jobs, seed)
-			res, err := coordinator.Run(topo, specs, failures, coordinator.Options{
-				Chaos:    HostilePlan(rate),
-				Recovery: HostileRecovery(retry),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: hostile rate=%v retry=%v: %w", rate, retry, err)
-			}
 			policy := "retry-off"
 			if retry {
 				policy = "retry-on"
 			}
-			row := HostileRow{
-				FaultRate:   rate,
-				Policy:      policy,
-				MakespanMin: res.MakespanMin,
-				Retries:     res.Retries,
-				Requeues:    res.Requeues,
-				Quarantined: res.QuarantinedDevices,
-				MovedBytes:  res.MovedBytesTotal,
-				RetryBytes:  res.RetryBytes,
-				RecoverySec: res.RecoverySec,
-			}
-			durations := map[string]float64{}
-			for _, sp := range specs {
-				durations[sp.Name] = sp.DurationMin
-			}
-			var doneMin float64
-			for _, js := range res.Jobs {
-				if js.Completed {
-					row.Completed++
-					doneMin += durations[js.Name]
-				}
-			}
-			if res.MakespanMin > 0 {
-				row.Goodput = doneMin / res.MakespanMin
-			}
-			if n := res.Retries + res.Requeues; n > 0 {
-				row.MeanRecoverySec = res.RecoverySec / float64(n)
-			}
-			rows = append(rows, row)
+			e.Variants = append(e.Variants, Variant{
+				Key: fmt.Sprintf("%g/%s", rate, policy), Labels: []string{fmt.Sprintf("%.3f", rate), policy},
+				Scenario: shared(MultiJobScenario),
+				Options:  coordinator.Options{Chaos: HostilePlan(rate), Recovery: HostileRecovery(retry)},
+			})
 		}
 	}
-	return rows, nil
+	return e
 }
 
 // HostileHeadline is the experiment's acceptance bar, asserted by
 // tenplex-bench -check on the retry-on cell at the highest fault rate
 // against its retry-off twin: the capped retry budget was exercised and
 // completes strictly more jobs than fail-fast.
-func HostileHeadline(offCompleted, onCompleted, onRetries float64) error {
-	if onCompleted <= offCompleted {
-		return fmt.Errorf("jobs_completed: %.0f not strictly above retry-off's %.0f", onCompleted, offCompleted)
+func HostileHeadline(num func(key, cell string) float64) error {
+	worst := HostileFaultRates[len(HostileFaultRates)-1]
+	off, on := fmt.Sprintf("%g/retry-off", worst), fmt.Sprintf("%g/retry-on", worst)
+	if num(on, "jobs_completed") <= num(off, "jobs_completed") {
+		return fmt.Errorf("%s jobs_completed: %.0f not strictly above retry-off's %.0f",
+			on, num(on, "jobs_completed"), num(off, "jobs_completed"))
 	}
-	if onRetries == 0 {
-		return fmt.Errorf("retries: 0, the retry budget was never exercised")
+	if num(on, "retries") == 0 {
+		return fmt.Errorf("%s retries: 0, the retry budget was never exercised", on)
 	}
 	return nil
-}
-
-// HostileComparison tabulates CompareHostile on the shared
-// 32-device/12-job scenario.
-func HostileComparison() ([]HostileRow, Table, error) {
-	rows, err := CompareHostile(32, 12, MultiJobSeed)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	tab := Table{
-		ID:    "hostile",
-		Title: "Hostile-cluster survival: fault-rate sweep x recovery policy (32 devices, 12 jobs)",
-		Columns: []string{"fault-rate", "policy", "completed", "goodput", "retries",
-			"requeues", "quarantined", "re-moved-MB", "recovery-s", "mean-rec-s"},
-	}
-	for _, r := range rows {
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%.3f", r.FaultRate), r.Policy,
-			fmt.Sprintf("%d", r.Completed),
-			fmt.Sprintf("%.3f", r.Goodput),
-			fmt.Sprintf("%d", r.Retries),
-			fmt.Sprintf("%d", r.Requeues),
-			fmt.Sprintf("%d", r.Quarantined),
-			fmt.Sprintf("%.1f", float64(r.RetryBytes)/1e6),
-			fmt.Sprintf("%.3f", r.RecoverySec),
-			fmt.Sprintf("%.3f", r.MeanRecoverySec),
-		})
-	}
-	tab.Notes = append(tab.Notes,
-		"same arrival trace, chaos schedule (flap, spot reclaim, link degrade) and chaos seed per row; only the store fault rate and the recovery policy change",
-		"retry-off aborts on the first injected fault: rollback to the last bit-verified checkpoint, requeue, redeploy; retry-on spends a capped backoff budget of attempts first",
-		"every completed job is bit-verified; non-completed jobs end explicitly lost or rejected (no silent loss)",
-	)
-	return rows, tab, nil
 }

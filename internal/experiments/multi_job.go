@@ -23,13 +23,19 @@ import (
 // is deterministic for it.
 const MultiJobSeed = 42
 
-// multiJobModels is the rotating model mix assigned to arrivals.
-func multiJobModels() []*model.Model {
-	return []*model.Model{
+// arrivalSpecs draws the arrival trace p describes for seed and assigns
+// the jobs a rotating GPT/MoE model mix.
+func arrivalSpecs(p sched.ArrivalParams, seed int64) []coordinator.JobSpec {
+	arrivals, err := sched.Arrivals(p, seed)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	models := []*model.Model{
 		model.GPTCustom(6, 32, 2, 64, 8),
 		model.MoECustom(3, 16, 4),
 		model.GPTCustom(4, 16, 2, 32, 8),
 	}
+	return coordinator.SpecsFromArrivals(arrivals, func(i int) *model.Model { return models[i%len(models)] })
 }
 
 // BurstyBurstiness is the sched.ArrivalParams.Burstiness the bursty
@@ -67,20 +73,11 @@ func multiJobScenario(devices, jobs int, seed int64, burstiness float64) (*clust
 	p.Sizes = []int{2, 4, 8, 16}
 	p.SizeWeights = []float64{0.25, 0.35, 0.25, 0.15}
 	p.Burstiness = burstiness
-	arrivals, err := sched.Arrivals(p, seed)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	models := multiJobModels()
-	specs := coordinator.SpecsFromArrivals(arrivals, func(i int) *model.Model {
-		return models[i%len(models)]
-	})
 	dev := cluster.DeviceID(7)
 	if devices <= int(dev) {
 		dev = cluster.DeviceID(devices - 1)
 	}
-	failures := []coordinator.FailureSpec{{TimeMin: 60, Device: dev}}
-	return cluster.Cloud(devices), specs, failures
+	return cluster.Cloud(devices), arrivalSpecs(p, seed), []coordinator.FailureSpec{{TimeMin: 60, Device: dev}}
 }
 
 // MultiJobCluster runs the 12-job coordinator simulation and tabulates
@@ -91,29 +88,23 @@ func MultiJobCluster() (coordinator.Result, Table) {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: multi-job run: %v", err))
 	}
-	tab := Table{
-		ID:    "multijob",
-		Title: fmt.Sprintf("Multi-job elastic cluster, %d jobs on %s", len(specs), topo.Name),
-		Columns: []string{"job", "model", "req-GPUs", "arrival-min", "admit-min",
-			"done-min", "resizes", "reconfig-s", "moved-MB", "completed"},
-	}
-	for _, js := range res.Jobs {
-		tab.Rows = append(tab.Rows, []string{
-			js.Name, js.Model, fmt.Sprintf("%d", js.GPUs),
-			fmt.Sprintf("%.1f", js.ArrivalMin),
-			fmt.Sprintf("%.1f", js.AdmitMin),
-			fmt.Sprintf("%.1f", js.DoneMin),
-			fmt.Sprintf("%d", js.Resizes),
-			fmt.Sprintf("%.3f", js.ReconfigSec),
-			fmt.Sprintf("%.1f", float64(js.MovedBytes)/1e6),
-			fmt.Sprintf("%v", js.Completed),
-		})
-	}
-	tab.Notes = append(tab.Notes,
+	tab := Experiment{
+		ID:     "multijob",
+		Title:  fmt.Sprintf("Multi-job elastic cluster, %d jobs on %s", len(specs), topo.Name),
+		Labels: []string{"job"},
+		Columns: []Column{
+			{"model", "model", "%s", 0}, {"req-GPUs", "requested_gpus", "%d", 0},
+			{"arrival-min", "arrival_min", "%.1f", 0}, {"admit-min", "admit_min", "%.1f", 0},
+			{"done-min", "done_min", "%.1f", 0}, {"resizes", "resizes", "%d", 0},
+			{"reconfig-s", "reconfig_seconds", "%.3f", 0}, {"moved-MB", "moved_bytes", "%.1f", 1e6},
+			{"completed", "completed", "%v", 0},
+		},
+	}.Table(JobCells(res))
+	tab.Notes = []string{
 		fmt.Sprintf("makespan %.1f min, mean cluster utilization %.2f", res.MakespanMin, res.MeanUtilization),
 		fmt.Sprintf("aggregate reconfiguration time %.3f s over %d validated plans", res.ReconfigSecTotal, res.PlansValidated),
 		fmt.Sprintf("%d timeline events, %d invariant sweeps, 1 injected device failure", len(res.Timeline), res.InvariantChecks),
 		"every job's reassembled state is bit-verified against its initial tensors at completion",
-	)
+	}
 	return res, tab
 }

@@ -11,52 +11,44 @@ import (
 // asserts against the committed BENCH_placement baseline),
 // reconfiguration time does not grow, and every job still completes.
 func TestPlacementComparisonAcceptance(t *testing.T) {
-	rows, tab, err := PlacementComparison()
+	runs, tab, err := Placement().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || len(tab.Rows) != 4 {
-		t.Fatalf("want 4 comparison cells, got %d", len(rows))
+	if len(runs) != 4 || len(tab.Rows) != 4 {
+		t.Fatalf("want 4 comparison cells, got %d", len(runs))
 	}
-	cell := map[string]PlacementRow{}
-	for _, r := range rows {
-		cell[r.Workload+"/"+r.Mode] = r
-	}
-	count, placed := cell["steady/count"], cell["steady/placement"]
-	if count.Workload == "" || placed.Workload == "" {
-		t.Fatalf("missing steady cells in %v", rows)
-	}
-	if err := PlacementHeadline(count.MeanUtilization, placed.MeanUtilization,
-		float64(count.MovedBytes), float64(placed.MovedBytes)); err != nil {
+	if err := PlacementHeadline(runs.Num); err != nil {
 		t.Fatal(err)
 	}
-	if placed.ReconfigSec > count.ReconfigSec+1e-9 {
-		t.Fatalf("placement reconfiguration time %.6f above count-based %.6f",
-			placed.ReconfigSec, count.ReconfigSec)
+	count, placed := runs.Num("steady/count", "aggregate_reconfig_seconds"), runs.Num("steady/placement", "aggregate_reconfig_seconds")
+	if !(placed <= count+1e-9) {
+		t.Fatalf("placement reconfiguration time %.6f above count-based %.6f", placed, count)
 	}
-	for k, r := range cell {
-		if r.Completed != 12 {
-			t.Fatalf("%s completed only %d of 12 jobs", k, r.Completed)
+	for _, c := range runs {
+		if c.Num("jobs_completed") != 12 {
+			t.Fatalf("%s completed only %v of 12 jobs", c.Key, c.Num("jobs_completed"))
 		}
 	}
 	// The bursty workload is a different trace (same offered load).
-	if cell["bursty/count"].MakespanMin == count.MakespanMin {
+	if runs.Num("bursty/count", "makespan_min") == runs.Num("steady/count", "makespan_min") {
 		t.Fatal("bursty workload reproduced the steady trace")
 	}
 }
 
 // TestPlacementComparisonDeterministic: the whole four-cell comparison
-// is reproducible run over run.
+// is reproducible run over run, in every cell its record files.
 func TestPlacementComparisonDeterministic(t *testing.T) {
-	a, _, err := PlacementComparison()
+	e := Placement()
+	a, _, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := PlacementComparison()
+	b, _, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("placement comparison not deterministic:\n%v\n%v", a, b)
+	if !reflect.DeepEqual(e.Record(a), e.Record(b)) {
+		t.Fatalf("placement comparison not deterministic:\n%v\n%v", e.Record(a), e.Record(b))
 	}
 }

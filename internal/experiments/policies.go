@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
+	"tenplex/internal/cluster"
 	"tenplex/internal/coordinator"
 )
 
@@ -13,18 +12,6 @@ import (
 // decisions changing. It extends the paper's single-policy scenario
 // (§2) the same way MultiJobCluster does, and is the evidence base for
 // choosing a policy per workload.
-
-// PolicyRow is one policy's aggregate outcome on the shared scenario.
-type PolicyRow struct {
-	Policy          string  `json:"policy"`
-	MakespanMin     float64 `json:"makespan_min"`
-	MeanUtilization float64 `json:"mean_cluster_utilization"`
-	Preemptions     int     `json:"preemptions"`
-	ReconfigSec     float64 `json:"aggregate_reconfig_seconds"`
-	Completed       int     `json:"jobs_completed"`
-	Rejected        int     `json:"jobs_rejected"`
-	MeanQueueMin    float64 `json:"mean_queue_min"`
-}
 
 // PolicyPriorities assigns the deterministic priority classes the
 // priority policy uses on generated workloads: jobs rotate through
@@ -39,84 +26,32 @@ func PolicyPriorities(specs []coordinator.JobSpec) []coordinator.JobSpec {
 	return out
 }
 
-// ComparePolicies runs the multi-job scenario once per policy and
-// returns one row per policy, FIFO first.
-func ComparePolicies(devices, jobs int, seed int64) ([]PolicyRow, error) {
-	policies := []coordinator.Policy{coordinator.FIFO{}, coordinator.DRF{}, coordinator.PriorityGang{}}
-	var rows []PolicyRow
-	for _, p := range policies {
-		topo, specs, failures := MultiJobScenario(devices, jobs, seed)
-		specs = PolicyPriorities(specs)
-		res, err := coordinator.Run(topo, specs, failures, coordinator.Options{Policy: p})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: policy %s: %w", p.Name(), err)
-		}
-		row := PolicyRow{
-			Policy:          res.Policy,
-			MakespanMin:     res.MakespanMin,
-			MeanUtilization: res.MeanUtilization,
-			Preemptions:     res.Preemptions,
-			ReconfigSec:     res.ReconfigSecTotal,
-		}
-		// Classify jobs from the timeline, not from AdmitMin sentinels:
-		// a job admitted at minute 0 and later lost would otherwise be
-		// indistinguishable from a never-admitted one.
-		admittedJobs := map[string]bool{}
-		for _, e := range res.Timeline {
-			switch e.Kind {
-			case coordinator.EvAdmit:
-				admittedJobs[e.Job] = true
-			case coordinator.EvReject:
-				row.Rejected++
-			}
-		}
-		queued, admitted := 0.0, 0
-		for _, js := range res.Jobs {
-			if js.Completed {
-				row.Completed++
-			}
-			if admittedJobs[js.Name] {
-				queued += js.AdmitMin - js.ArrivalMin
-				admitted++
-			}
-		}
-		if admitted > 0 {
-			row.MeanQueueMin = queued / float64(admitted)
-		}
-		rows = append(rows, row)
+// Policies is the policies table: one variant per policy, FIFO first.
+func Policies() Experiment {
+	e := Experiment{
+		ID:     "policies",
+		Title:  "Scheduling policies on the multi-job cluster (32 devices, 12 jobs)",
+		Labels: []string{"policy"},
+		Columns: []Column{
+			{"makespan-min", "makespan_min", "%.1f", 0}, {"mean-util", "mean_cluster_utilization", "%.2f", 0},
+			{"preemptions", "preemptions", "%d", 0}, {"reconfig-s", "aggregate_reconfig_seconds", "%.3f", 0},
+			{"completed", "jobs_completed", "%d", 0}, {"rejected", "jobs_rejected", "%d", 0},
+			{"mean-queue-min", "mean_queue_min", "%.1f", 0},
+		},
+		Notes: notes(
+			"same arrival trace, models and injected failure per row; only the Policy changes",
+			"priority classes rotate 0/1/2 in submission order (PriorityGang admits gangs whole)",
+			"fifo row matches the \"multijob\" experiment exactly (byte-identical traces)",
+		),
 	}
-	return rows, nil
-}
-
-// PolicyComparison tabulates ComparePolicies on the shared
-// 32-device/12-job scenario.
-func PolicyComparison() ([]PolicyRow, Table, error) {
-	rows, err := ComparePolicies(32, 12, MultiJobSeed)
-	if err != nil {
-		return nil, Table{}, err
+	prioritized := func() (*cluster.Topology, []coordinator.JobSpec, []coordinator.FailureSpec) {
+		topo, specs, failures := MultiJobScenario(32, 12, MultiJobSeed)
+		return topo, PolicyPriorities(specs), failures
 	}
-	tab := Table{
-		ID:    "policies",
-		Title: "Scheduling policies on the multi-job cluster (32 devices, 12 jobs)",
-		Columns: []string{"policy", "makespan-min", "mean-util", "preemptions",
-			"reconfig-s", "completed", "rejected", "mean-queue-min"},
-	}
-	for _, r := range rows {
-		tab.Rows = append(tab.Rows, []string{
-			r.Policy,
-			fmt.Sprintf("%.1f", r.MakespanMin),
-			fmt.Sprintf("%.2f", r.MeanUtilization),
-			fmt.Sprintf("%d", r.Preemptions),
-			fmt.Sprintf("%.3f", r.ReconfigSec),
-			fmt.Sprintf("%d", r.Completed),
-			fmt.Sprintf("%d", r.Rejected),
-			fmt.Sprintf("%.1f", r.MeanQueueMin),
+	for _, p := range []coordinator.Policy{coordinator.FIFO{}, coordinator.DRF{}, coordinator.PriorityGang{}} {
+		e.Variants = append(e.Variants, Variant{
+			Key: p.Name(), Labels: []string{p.Name()}, Scenario: prioritized, Options: coordinator.Options{Policy: p},
 		})
 	}
-	tab.Notes = append(tab.Notes,
-		"same arrival trace, models and injected failure per row; only the Policy changes",
-		"priority classes rotate 0/1/2 in submission order (PriorityGang admits gangs whole)",
-		"fifo row matches the \"multijob\" experiment exactly (byte-identical traces)",
-	)
-	return rows, tab, nil
+	return e
 }

@@ -7,40 +7,42 @@ import (
 )
 
 func TestPolicyComparison(t *testing.T) {
-	rows, tab, err := PolicyComparison()
+	runs, tab, err := Policies().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || len(tab.Rows) != 3 {
-		t.Fatalf("want 3 policy rows, got %d/%d", len(rows), len(tab.Rows))
+	if len(runs) != 3 || len(tab.Rows) != 3 {
+		t.Fatalf("want 3 policy rows, got %d/%d", len(runs), len(tab.Rows))
 	}
 	want := []string{"fifo", "drf", "priority"}
-	for i, r := range rows {
-		if r.Policy != want[i] {
-			t.Fatalf("row %d policy %q, want %q", i, r.Policy, want[i])
+	for i, c := range runs {
+		if c.Key != want[i] || c.Exact["policy"] != want[i] {
+			t.Fatalf("row %d policy %q (ran %v), want %q", i, c.Key, c.Exact["policy"], want[i])
 		}
-		if r.MakespanMin <= 0 || r.MeanUtilization <= 0 || r.MeanUtilization > 1 {
-			t.Fatalf("%s: implausible metrics %+v", r.Policy, r)
+		if u := c.Num("mean_cluster_utilization"); c.Num("makespan_min") <= 0 || u <= 0 || u > 1 {
+			t.Fatalf("%s: implausible metrics %+v", c.Key, c)
 		}
-		if r.Completed < 8 {
-			t.Fatalf("%s: only %d jobs completed", r.Policy, r.Completed)
+		if c.Num("jobs_completed") < 8 {
+			t.Fatalf("%s: only %v jobs completed", c.Key, c.Num("jobs_completed"))
 		}
 	}
 
 	// The FIFO row must match the single-policy multijob experiment
 	// exactly — the Policy extraction may not change the default path.
 	res, _ := MultiJobCluster()
-	if rows[0].MakespanMin != res.MakespanMin ||
-		rows[0].MeanUtilization != res.MeanUtilization ||
-		rows[0].ReconfigSec != res.ReconfigSecTotal {
+	if runs.Num("fifo", "makespan_min") != res.MakespanMin ||
+		runs.Num("fifo", "mean_cluster_utilization") != res.MeanUtilization ||
+		runs.Num("fifo", "aggregate_reconfig_seconds") != res.ReconfigSecTotal {
 		t.Fatalf("fifo row %+v diverges from the multijob experiment (makespan %.3f, util %.4f, reconfig %.4f)",
-			rows[0], res.MakespanMin, res.MeanUtilization, res.ReconfigSecTotal)
+			runs[0], res.MakespanMin, res.MeanUtilization, res.ReconfigSecTotal)
 	}
 
 	// The policies must actually behave differently on this contended
 	// scenario — otherwise the comparison is vacuous.
-	if rows[0].MakespanMin == rows[1].MakespanMin && rows[0].MakespanMin == rows[2].MakespanMin &&
-		rows[0].Preemptions == rows[1].Preemptions && rows[0].Preemptions == rows[2].Preemptions {
+	same := func(cell string) bool {
+		return runs[0].Num(cell) == runs[1].Num(cell) && runs[0].Num(cell) == runs[2].Num(cell)
+	}
+	if same("makespan_min") && same("preemptions") {
 		t.Fatalf("all policies produced identical outcomes:\n%s", tab.Render())
 	}
 }

@@ -135,7 +135,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// against exactly the snapshot being served.
 	v := t.FullView()
 	if rangeStr := r.URL.Query().Get("range"); rangeStr != "" {
-		reg, err := tensor.ParseRegion(rangeStr, t.Shape())
+		// A scalar's Shape() is nil, which ParseRegion takes for "no shape"
+		// and checks no rank against: hand it the rank-0 shape instead.
+		shape := t.Shape()
+		if shape == nil {
+			shape = []int{}
+		}
+		reg, err := tensor.ParseRegion(rangeStr, shape)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return

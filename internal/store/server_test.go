@@ -196,6 +196,104 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
+// TestQueryRangeRankMismatch: a range whose rank differs from the
+// tensor's is a 400, for a scalar too (whose Shape() is nil) — not a
+// handler panic the client sees as EOF.
+func TestQueryRangeRankMismatch(t *testing.T) {
+	srv := NewServer(NewMemFS())
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	if err := srv.FS.PutTensor("/s", seq()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.FS.PutTensor("/w", seq(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	get := func(path, rng string) int {
+		resp, err := http.Get(hs.URL + "/query?" + url.Values{"path": {path}, "range": {rng}}.Encode())
+		if err != nil {
+			t.Fatalf("%s range %s: %v", path, rng, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, rng := range []string{"[0:1]", "[7]", "[0:1,0:1]", "[-5:3]"} {
+		if got := get("/s", rng); got != http.StatusBadRequest {
+			t.Errorf("scalar range %s: %d, want 400", rng, got)
+		}
+	}
+	for _, rng := range []string{"[0:1]", "[0:1,0:1,0:1]"} {
+		if got := get("/w", rng); got != http.StatusBadRequest {
+			t.Errorf("rank-2 range %s: %d, want 400", rng, got)
+		}
+	}
+	if got := get("/s", "[]"); got != http.StatusOK {
+		t.Errorf("scalar range []: %d, want 200 (the whole tensor)", got)
+	}
+}
+
+// FuzzQueryRange drives GET /query's range= attribute through Server
+// over stored tensors of rank 0 to 3, whose shapes come from
+// Tensor.Shape() as in production. Whatever the range: no panic, and
+// either a 400 or a 200 carrying exactly the encoded view the range
+// names (the whole tensor for "[]" or no range); an accepted range
+// re-parses from its String to the same region.
+func FuzzQueryRange(f *testing.F) {
+	srv := NewServer(NewMemFS())
+	shapes := [][]int{{}, {5}, {3, 4}, {2, 3, 4}}
+	for i, shape := range shapes {
+		if err := srv.FS.PutTensor(fmt.Sprintf("/r%d", i), seq(shape...)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, rng := range []string{"", "[]", "[:]", "[0:1]", "[7]", "[0:1,0:1]", "[-5:3]", "[1:3,:]", "[:,2:4]",
+		"[0,1,2]", "[ 1 : 2 , 0 ]", "[3:1]", "[:,:,:]", "[0:99999999999999999999]", "[9223372036854775807]", "oops"} {
+		for rank := range shapes {
+			f.Add(uint8(rank), rng)
+		}
+	}
+	f.Fuzz(func(t *testing.T, rank uint8, rng string) {
+		path := fmt.Sprintf("/r%d", int(rank)%len(shapes))
+		x, err := srv.FS.GetTensor(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("GET", "/query?"+url.Values{"path": {path}, "range": {rng}}.Encode(), nil))
+		if w.Code == http.StatusBadRequest {
+			return
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s range %q: status %d", path, rng, w.Code)
+		}
+		shape := append([]int{}, x.Shape()...)
+		v := x.FullView()
+		if rng != "" {
+			reg, err := tensor.ParseRegion(rng, shape)
+			if err != nil {
+				t.Fatalf("%s range %q: served, but does not parse: %v", path, rng, err)
+			}
+			if len(reg) > 0 {
+				if len(reg) != len(shape) || !reg.Valid(shape) {
+					t.Fatalf("%s range %q: served region %v for shape %v", path, rng, reg, shape)
+				}
+				v = x.View(reg)
+			}
+			back, err := tensor.ParseRegion(reg.String(), shape)
+			if err != nil || !back.Equal(reg) {
+				t.Fatalf("%s range %q: region %v re-parses from %q to %v (%v)", path, rng, reg, reg.String(), back, err)
+			}
+		}
+		var want strings.Builder
+		if _, err := v.Encode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if w.Body.String() != want.String() {
+			t.Fatalf("%s range %q: served %d bytes, want the %d bytes of the view", path, rng, w.Body.Len(), want.Len())
+		}
+	})
+}
+
 func TestClientErrorsIncludeServerMessage(t *testing.T) {
 	_, c, done := newTestServer(t)
 	defer done()
