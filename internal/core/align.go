@@ -35,25 +35,32 @@ func AlignDevices(from, to *PTC) *PTC {
 		olap  int64
 	}
 
-	// One interval-indexed pass per group over the source's compiled
-	// index: look up the holders overlapping each wanted sub-tensor and
-	// add the overlap's bytes — computed, never materialized — to a
-	// dense per-source-rank accumulator, instead of re-scanning every
-	// device's holdings for every (group, device) pair.
+	// One interval-indexed pass per distinct list over the source's
+	// compiled index: look up the holders overlapping each wanted
+	// sub-tensor and add the overlap's bytes — computed, never
+	// materialized — to a dense per-source-rank accumulator, instead of
+	// re-scanning every device's holdings for every (group, device) pair.
+	// Groups sharing a list (the DP replicas of one rank) overlap the
+	// source alike and copy the first one's candidates.
 	idx := from.index()
-	wants := idx.resolve(to)
-	srcRank := make([]int32, len(to.Devices)) // of to.Devices[g] in the source; -1: not a source device
-	for g, d := range to.Devices {
-		srcRank[g] = idx.rank(d)
-	}
+	wants, first := idx.resolve(to)
 	olap := make([]int64, len(idx.devs))
+	start := make([]int, len(to.Devices)) // group g's candidates run from cands[start[g]] to g+1's
 	var cands []cand
 	var hits []int32
 	for g, d := range to.Devices {
+		start[g] = len(cands)
+		if f := first[g]; int(f) != g {
+			for _, c := range cands[start[f]:start[f+1]] {
+				c.group = g
+				cands = append(cands, c)
+			}
+			continue
+		}
 		clear(olap)
 		place := to.Place[d]
 		for i, pos := range wants[g] {
-			if pos < 0 || !idx.all[pos].known {
+			if pos < 0 || !idx.all[pos].meta.DType.Valid() { // not in the source, or never registered there
 				continue
 			}
 			ti, want := &idx.all[pos], place[i].Region
@@ -69,8 +76,8 @@ func AlignDevices(from, to *PTC) *PTC {
 				olap[h.rank] += bytes
 			}
 		}
-		for g2, d2 := range to.Devices {
-			if r := srcRank[g2]; r >= 0 && olap[r] > 0 {
+		for _, d2 := range to.Devices {
+			if r := idx.rank(d2); r >= 0 && olap[r] > 0 {
 				cands = append(cands, cand{group: g, dev: d2, olap: olap[r]})
 			}
 		}

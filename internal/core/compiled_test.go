@@ -177,16 +177,24 @@ func TestAlignDevicesMatchesReference(t *testing.T) {
 	}
 }
 
-// One build per PTC value: alignment and every plan against one source
-// read the index its first reader built.
+// The index is the source's alone: building and validating a PTC
+// compiles nothing, a plan's target is only walked, and alignment and
+// every plan against one source read the one index its first reader
+// built.
 func TestIndexBuiltOncePerPTC(t *testing.T) {
 	m := model.GPTCustom(4, 16, 2, 64, 8)
+	start := core.IndexBuilds()
 	from := buildPTC(t, m, parallel.Config{TP: 2, PP: 2, DP: 1}, alloc(4))
 	to := buildPTC(t, m, parallel.Config{TP: 2, PP: 2, DP: 2}, alloc(8))
 	other := buildPTC(t, m, parallel.Config{TP: 4, PP: 1, DP: 1}, alloc(4))
-	// BuildPTC validated, and so compiled, each of the three; from here
-	// on nothing may build: the targets are only walked.
-	start := core.IndexBuilds()
+	for _, p := range []*core.PTC{from, to, other} {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := core.IndexBuilds() - start; n != 0 {
+		t.Fatalf("%d index builds across BuildPTC and Validate of three PTCs, want 0", n)
+	}
 	aligned := core.AlignDevices(from, to)
 	for _, target := range []*core.PTC{aligned, other, aligned} {
 		plan, err := core.GeneratePlan(from, target, core.PlanOptions{})
@@ -200,8 +208,8 @@ func TestIndexBuiltOncePerPTC(t *testing.T) {
 	if _, err := core.DiffPlan(nil, from, aligned, core.PlanOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := core.IndexBuilds() - start; n != 0 {
-		t.Fatalf("%d index builds across AlignDevices and four plans against one compiled source, want 0", n)
+	if n := core.IndexBuilds() - start; n != 1 {
+		t.Fatalf("%d index builds across AlignDevices and four plans against one source, want 1 (the source's)", n)
 	}
 	// A source nobody has read yet is compiled by its first reader, once.
 	fresh := from.WithoutDevices(3)
@@ -211,8 +219,8 @@ func TestIndexBuiltOncePerPTC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := core.IndexBuilds() - start; n != 1 {
-		t.Fatalf("%d index builds for one fresh source read three times, want 1", n)
+	if n := core.IndexBuilds() - start; n != 2 {
+		t.Fatalf("%d index builds after one fresh source read three times, want 2", n)
 	}
 }
 
@@ -444,7 +452,13 @@ func TestPlanChangeAllocBudget128(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 128-device PTCs")
 	}
-	const budget = 12000
+	// While Validate still compiled an index, the costliest scenario
+	// (scale-out-128) measured 4,979, and 5,562 under the race detector;
+	// the budget is that plus 5 %.
+	budget := 5228.0
+	if raceEnabled {
+		budget = 5840
+	}
 	for _, sc := range experiments.PlannerScenarios() {
 		if sc.Devices != 128 {
 			continue
@@ -456,7 +470,7 @@ func TestPlanChangeAllocBudget128(t *testing.T) {
 		})
 		t.Logf("%s: %.0f allocations per plan change", sc.Name, allocs)
 		if allocs > budget {
-			t.Errorf("%s: %.0f allocations per plan change, budget %d", sc.Name, allocs, budget)
+			t.Errorf("%s: %.0f allocations per plan change, budget %.0f", sc.Name, allocs, budget)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -11,10 +12,10 @@ import (
 // This file implements the compiled form of a PTC: every holder of
 // every tensor, grouped by tensor in shared arenas and organized for
 // the lookups the metadata layers need — all holders of one tensor
-// (PTC.Validate, Slices, checkpointing), holders on one device (the
-// planner's tier 0, the one-region-per-tensor check), holders on one
-// worker (tier 1), and holders overlapping an interval along the
-// tensor's dominant split axis (tier 2, AlignDevices, Holders).
+// (Slices, checkpointing), holders on one device (the planner's tier 0,
+// the one-region-per-tensor check), holders on one worker (tier 1), and
+// holders overlapping an interval along the tensor's dominant split
+// axis (tier 2, AlignDevices, Holders).
 //
 // A PTC is compiled at most once, on first use (PTC.index), and the
 // result is immutable and shared by everything that reads the PTC
@@ -44,8 +45,7 @@ type srcHolder struct {
 // PTC registers but no device holds (every replica died) has no holders.
 type tensorIndex struct {
 	id      TensorID
-	meta    TensorMeta // zero when the PTC places a tensor it never registered
-	known   bool       // id is registered in PTC.Tensors
+	meta    TensorMeta // zero (an invalid dtype) when the PTC places a tensor it never registered
 	holders []srcHolder
 	devs    []cluster.DeviceID // ascending; devices holding the tensor
 	starts  []int32            // len(devs)+1; holders[starts[i]:starts[i+1]] sit on devs[i]
@@ -105,77 +105,79 @@ func (idx *ptcIndex) rank(d cluster.DeviceID) int32 {
 }
 
 // eachList calls position for every sub-tensor of every listed device's
-// placement list and returns the results list by list. Lists that share
-// storage — BuildPTC places one list on all replicas of a rank,
-// AlignDevices and WithoutDevices hand lists on as they are — are
-// resolved once: a placed list is immutable, so the same first element
-// and length mean the same sub-tensors. This is what keeps string
-// hashing (position is a map probe by TensorID) off the per-placement
-// path.
-func eachList(q *PTC, devs []cluster.DeviceID, position func(TensorID) int32) [][]int32 {
-	out := make([][]int32, len(devs))
-	memo := make(map[*SubTensor][]int32, len(devs))
+// placement list, with the device it is met on, and returns the results
+// list by list. Lists that share storage — BuildPTC places one list on
+// all replicas of a rank, AlignDevices and WithoutDevices hand lists on
+// as they are — are resolved once, at devs[first[g]], the first device
+// holding them: a placed list is immutable, so the same first element
+// and length mean the same sub-tensors. This keeps string hashing
+// (position is a map probe by TensorID) off the per-placement path.
+func eachList(q *PTC, devs []cluster.DeviceID, position func(cluster.DeviceID, *SubTensor) int32) (seqs [][]int32, first []int32) {
+	seqs, first = make([][]int32, len(devs)), make([]int32, len(devs))
+	memo := make(map[*SubTensor]int32, len(devs))
 	for g, d := range devs {
 		list := q.Place[d]
+		first[g] = int32(g)
 		if len(list) == 0 {
 			continue
 		}
-		seq, ok := memo[&list[0]]
-		if !ok || len(seq) != len(list) {
-			seq = make([]int32, len(list))
-			for i := range list {
-				seq[i] = position(list[i].Tensor)
-			}
-			memo[&list[0]] = seq
+		if f, ok := memo[&list[0]]; ok && len(seqs[f]) == len(list) {
+			seqs[g], first[g] = seqs[f], f
+			continue
 		}
-		out[g] = seq
+		seq := make([]int32, len(list))
+		for i := range list {
+			seq[i] = position(d, &list[i])
+		}
+		memo[&list[0]] = int32(g)
+		seqs[g] = seq
 	}
-	return out
+	return seqs, first
 }
 
 // resolve maps every placement of q, device by device in q.Devices
 // order, to the position of its tensor in idx (-1: idx has no such
 // tensor), so consumers walking q against idx index arrays instead of
-// hashing tensor IDs.
-func (idx *ptcIndex) resolve(q *PTC) [][]int32 {
-	return eachList(q, q.Devices, func(id TensorID) int32 {
-		if p, ok := idx.pos[id]; ok {
+// hashing tensor IDs. first is eachList's: devices sharing a list share
+// its row.
+func (idx *ptcIndex) resolve(q *PTC) (wants [][]int32, first []int32) {
+	return eachList(q, q.Devices, func(_ cluster.DeviceID, s *SubTensor) int32 {
+		if p, ok := idx.pos[s.Tensor]; ok {
 			return p
 		}
 		return -1
 	})
 }
 
-// compile builds the index of p.
+// distinctDevices returns devs ascending, each once: a device listed
+// twice still holds its state once.
+func distinctDevices(devs []cluster.DeviceID) []cluster.DeviceID {
+	out := slices.Clone(devs)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// compile builds the index of p for the readers that look holders up
+// across devices: AlignDevices and GeneratePlan on their source (never
+// the target), Slices, Holders, OneRegionPerTensor, Unique.
 func compile(p *PTC) *ptcIndex {
 	indexBuilds.Add(1)
-	devs := append([]cluster.DeviceID(nil), p.Devices...)
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	k := 0
-	for i, d := range devs {
-		if i == 0 || d != devs[k-1] { // a device listed twice still holds its state once
-			devs[k] = d
-			k++
-		}
-	}
-	devs = devs[:k]
-
+	devs := distinctDevices(p.Devices)
 	idx := &ptcIndex{pos: make(map[TensorID]int32, len(p.Tensors)), devs: devs}
 	idx.all = make([]tensorIndex, 0, len(p.Tensors))
-	idx.place = eachList(p, devs, func(id TensorID) int32 {
-		pos, ok := idx.pos[id]
+	idx.place, _ = eachList(p, devs, func(_ cluster.DeviceID, s *SubTensor) int32 {
+		pos, ok := idx.pos[s.Tensor]
 		if !ok {
 			pos = int32(len(idx.all))
-			meta, known := p.Tensors[id]
-			idx.all = append(idx.all, tensorIndex{id: id, meta: meta, known: known, axis: -1})
-			idx.pos[id] = pos
+			idx.all = append(idx.all, tensorIndex{id: s.Tensor, meta: p.Tensors[s.Tensor], axis: -1})
+			idx.pos[s.Tensor] = pos
 		}
 		return pos
 	})
 	for id, meta := range p.Tensors {
 		if _, ok := idx.pos[id]; !ok { // registered, but no device holds it (any more)
 			idx.pos[id] = int32(len(idx.all))
-			idx.all = append(idx.all, tensorIndex{id: id, meta: meta, known: true, axis: -1})
+			idx.all = append(idx.all, tensorIndex{id: id, meta: meta, axis: -1})
 		}
 	}
 

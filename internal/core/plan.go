@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,18 +83,23 @@ type PlanOptions struct {
 }
 
 // checkPlanMeta verifies that every target tensor exists in the source
-// PTC with identical metadata.
+// PTC with identical metadata, and names the first one by ID that does
+// not.
 func checkPlanMeta(from, to *PTC) error {
+	var bad []TensorID
 	for id, m := range to.Tensors {
-		fm, ok := from.Tensors[id]
-		if !ok {
-			return fmt.Errorf("core: plan: tensor %q exists only in target PTC", id)
-		}
-		if fm.DType != m.DType || !tensor.ShapeEqual(fm.Shape, m.Shape) {
-			return fmt.Errorf("core: plan: tensor %q metadata differs between PTCs", id)
+		if fm, ok := from.Tensors[id]; !ok || fm.DType != m.DType || !tensor.ShapeEqual(fm.Shape, m.Shape) {
+			bad = append(bad, id)
 		}
 	}
-	return nil
+	if len(bad) == 0 {
+		return nil
+	}
+	id := slices.Min(bad)
+	if _, ok := from.Tensors[id]; !ok {
+		return fmt.Errorf("core: plan: tensor %q exists only in target PTC", id)
+	}
+	return fmt.Errorf("core: plan: tensor %q metadata differs between PTCs", id)
 }
 
 // sendDelta records bytes a tier-1 fetch asks a source device to send,
@@ -124,9 +130,10 @@ type pendingAssignment struct {
 // subtraction live in the ranges arena for the plan's lifetime.
 type planWorker struct {
 	to    *PTC
-	topo  *cluster.Topology
 	idx   *ptcIndex
 	wants [][]int32 // idx.resolve(to)
+	// workersOf: by source rank and by to.Devices index; nil without a topology
+	srcWorker, dstWorker []int
 	// sendLoad, when set, takes the bytes a consumed remote holder is
 	// asked to send directly (the sequential pass owns the counters);
 	// the parallel phase leaves it nil and records deltas instead.
@@ -210,15 +217,17 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 				w.consume(&ti.holders[p], size, d)
 			}
 		}
-		if w.topo != nil && len(w.rem) > 0 {
+		if w.srcWorker != nil && len(w.rem) > 0 {
+			dw := w.dstWorker[di]
 			for k, sd := range ti.devs {
 				if len(w.rem) == 0 {
 					break
 				}
-				if sd == d || !w.topo.SameWorker(sd, d) {
+				start := ti.starts[k]
+				if sd == d || w.srcWorker[ti.holders[start].rank] != dw {
 					continue
 				}
-				for p := ti.starts[k]; p < ti.starts[k+1] && len(w.rem) > 0; p++ {
+				for p := start; p < ti.starts[k+1] && len(w.rem) > 0; p++ {
 					w.consume(&ti.holders[p], size, d)
 				}
 			}
@@ -252,19 +261,22 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 // Plan generation is pure metadata work and must stay cheap at
 // production scale, so the hot path is indexed and parallel: source
 // holders come from the source PTC's compiled index (index.go; built
-// once per PTC, so every plan against one source shares it), local and
+// once per PTC by its first reader, so every plan against one source
+// shares it; the target is only walked and never compiled), local and
 // same-worker source selection runs concurrently across destination
 // devices on a bounded worker pool, and only the send-load-balanced
 // remote replica choice runs as a cheap sequential pass — which keeps
 // the output byte-identical to the reference planner
-// (plan_reference_test.go). Assignment and fetch regions alias the PTCs'
+// (plan_reference_test.go). Both passes read the topology through one
+// worker table per plan. Assignment and fetch regions alias the PTCs'
 // placed regions wherever they coincide with them.
 func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 	if err := checkPlanMeta(from, to); err != nil {
 		return nil, err
 	}
 	idx := from.index()
-	wants := idx.resolve(to)
+	wants, _ := idx.resolve(to)
+	srcWorker, dstWorker := workersOf(opts.Topo, idx.devs, to.Devices)
 
 	bases := make([]int32, len(to.Devices)+1)
 	for i, d := range to.Devices {
@@ -281,7 +293,7 @@ func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 		workers = len(to.Devices)
 	}
 	if workers <= 1 {
-		w := &planWorker{to: to, topo: opts.Topo, idx: idx, wants: wants}
+		w := &planWorker{to: to, idx: idx, wants: wants, srcWorker: srcWorker, dstWorker: dstWorker}
 		for di := range to.Devices {
 			pending[di] = w.planDevice(di, assigns, bases[di])
 		}
@@ -292,7 +304,7 @@ func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w := &planWorker{to: to, topo: opts.Topo, idx: idx, wants: wants}
+				w := &planWorker{to: to, idx: idx, wants: wants, srcWorker: srcWorker, dstWorker: dstWorker}
 				for {
 					di := int(cursor.Add(1)) - 1
 					if di >= len(to.Devices) {
@@ -311,8 +323,8 @@ func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 	// the dense source-device rank, so sparse DeviceID spaces cost
 	// nothing.
 	sendLoad := make([]int64, len(idx.devs))
-	w := &planWorker{to: to, topo: opts.Topo, idx: idx, sendLoad: sendLoad}
-	var cands []int32
+	w := &planWorker{to: to, idx: idx, srcWorker: srcWorker, dstWorker: dstWorker, sendLoad: sendLoad}
+	cands, loads := make([]int32, 0, 64), make([]int64, 0, 64)
 
 	for di, d := range to.Devices {
 		for pi := range pending[di] {
@@ -327,34 +339,42 @@ func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 			ti := pa.ti
 			// Remote candidates: holders overlapping the remaining
 			// ranges' extent along the split axis, excluding tier-0/1
-			// devices already consumed.
+			// devices already consumed, each with its send load at
+			// assignment start — the reference planner's first key.
 			qlo, qhi := boundsAlong(ti.axis, pa.remaining)
 			cands = ti.lookup(qlo, qhi, cands[:0])
+			loads = loads[:0]
 			k := 0
 			for _, p := range cands {
-				sd := ti.holders[p].dev
-				if sd == d || (opts.Topo != nil && opts.Topo.SameWorker(sd, d)) {
+				h := &ti.holders[p]
+				if h.dev == d || (srcWorker != nil && srcWorker[h.rank] == dstWorker[di]) {
 					continue
 				}
 				cands[k] = p
+				loads = append(loads, sendLoad[h.rank])
 				k++
 			}
 			cands = cands[:k]
-			// The reference planner orders remote holders by (send load
-			// at assignment start, device, placement order); candidate
-			// positions already encode the last two keys.
-			sortCandidates(cands, ti, sendLoad)
 			for _, pd := range pa.delta {
 				sendLoad[pd.rank] += pd.bytes
 			}
 			size := int64(ti.meta.DType.Size())
 			w.fetchScratch = append(w.fetchScratch[:0], a.Fetch...)
 			w.rem = append(w.rem[:0], pa.remaining...)
-			for _, p := range cands {
-				if len(w.rem) == 0 {
-					break
+			// Consume the least (load, device, placement order) candidate
+			// — a canonical position encodes the last two keys — one at a
+			// time: the ranges are usually covered long before the last.
+			for len(w.rem) > 0 && len(cands) > 0 {
+				b := 0
+				for i := 1; i < len(cands); i++ {
+					if loads[i] < loads[b] || loads[i] == loads[b] && cands[i] < cands[b] {
+						b = i
+					}
 				}
-				w.consume(&ti.holders[p], size, d)
+				w.consume(&ti.holders[cands[b]], size, d)
+				last := len(cands) - 1
+				cands[b], loads[b] = cands[last], loads[last]
+				cands, loads = cands[:last], loads[:last]
 			}
 			if len(w.rem) > 0 {
 				if !opts.StorageFallback {
@@ -382,6 +402,22 @@ func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 	return &Plan{From: from, To: to, Assignments: assigns}, nil
 }
 
+// workersOf returns the worker hosting each of src and of dst, or nils
+// without a topology: source selection compares these instead of asking
+// the topology once per holder.
+func workersOf(topo *cluster.Topology, src, dst []cluster.DeviceID) ([]int, []int) {
+	if topo == nil {
+		return nil, nil
+	}
+	out := make([]int, 0, len(src)+len(dst))
+	for _, devs := range [2][]cluster.DeviceID{src, dst} {
+		for _, d := range devs {
+			out = append(out, topo.WorkerOf(d))
+		}
+	}
+	return out[:len(src)], out[len(src):]
+}
+
 // boundsAlong returns the extent of regs along axis; regs is non-empty.
 func boundsAlong(axis int, regs []tensor.Region) (int, int) {
 	if axis < 0 || axis >= len(regs[0]) {
@@ -399,29 +435,6 @@ func boundsAlong(axis int, regs []tensor.Region) (int, int) {
 	return lo, hi
 }
 
-// sortCandidates insertion-sorts holder positions by (send load,
-// device, canonical position) — a total order, so the result is
-// deterministic regardless of input order. Candidate lists are small;
-// insertion sort avoids sort.Slice's closure allocation.
-func sortCandidates(cands []int32, ti *tensorIndex, load []int64) {
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && candLess(ti, load, cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-}
-
-func candLess(ti *tensorIndex, load []int64, p, q int32) bool {
-	hp, hq := &ti.holders[p], &ti.holders[q]
-	if load[hp.rank] != load[hq.rank] {
-		return load[hp.rank] < load[hq.rank]
-	}
-	if hp.dev != hq.dev {
-		return hp.dev < hq.dev
-	}
-	return p < q
-}
-
 // sortFetches stable-sorts fetches by wanted region. Fetch lists are
 // small; insertion sort is stable and allocation-free.
 func sortFetches(fs []Fetch) {
@@ -430,18 +443,6 @@ func sortFetches(fs []Fetch) {
 			fs[j], fs[j-1] = fs[j-1], fs[j]
 		}
 	}
-}
-
-// sourceTier ranks a source device relative to the destination:
-// 0 = same device, 1 = same worker, 2 = remote.
-func sourceTier(topo *cluster.Topology, dst, src cluster.DeviceID) int {
-	if src == dst {
-		return 0
-	}
-	if topo != nil && topo.SameWorker(src, dst) {
-		return 1
-	}
-	return 2
 }
 
 // IsNoop reports whether the assignment requires no work: a single local

@@ -101,3 +101,15 @@ func generatePlanReference(from, to *PTC, opts PlanOptions) (*Plan, error) {
 	}
 	return plan, nil
 }
+
+// sourceTier ranks a source device relative to the destination:
+// 0 = same device, 1 = same worker, 2 = remote.
+func sourceTier(topo *cluster.Topology, dst, src cluster.DeviceID) int {
+	if src == dst {
+		return 0
+	}
+	if topo != nil && topo.SameWorker(src, dst) {
+		return 1
+	}
+	return 2
+}

@@ -64,10 +64,11 @@ func (s SubTensor) NumBytes(meta TensorMeta) int64 {
 //
 // A PTC is built with AddTensor and Assign/AssignAll and read-only from
 // then on; Tensors and Place are exported for reading. Everything that
-// asks a question across devices (Validate, Slices, Holders,
-// AlignDevices, GeneratePlan) reads the PTC's compiled form (index.go),
-// which is built on first use and dropped by the mutators. A PTC holds
-// that cache's lock, so it is passed by pointer, never copied.
+// looks holders up across devices (Slices, Holders, AlignDevices and
+// GeneratePlan on their source) reads the PTC's compiled form
+// (index.go), which is built on first use and dropped by the mutators;
+// Validate and a plan's target only walk the placement lists. A PTC
+// holds that cache's lock, so it is passed by pointer, never copied.
 type PTC struct {
 	// Name describes the parallelization, e.g. "gpt3-xl T2 P4 D2".
 	Name string
@@ -220,40 +221,78 @@ func (p *PTC) TotalPlacedBytes() int64 {
 	return n
 }
 
-// Validate checks structural invariants: every placed region is in
-// bounds, and every registered tensor is fully covered by the union of
-// its placed regions (otherwise state would be unrecoverable).
+// Validate checks structural invariants: every placed sub-tensor names
+// a registered tensor and lies in its bounds, and every registered
+// tensor is fully covered by the union of its placed regions (otherwise
+// state would be unrecoverable). It builds no index but walks each
+// distinct placement list once, devices ascending, so it costs distinct
+// sub-tensors, not devices. The error names the first bad tensor in the
+// order that walk meets them, then the first unplaced one by ID.
 func (p *PTC) Validate() error {
-	idx := p.index()
-	var regs []tensor.Region
+	type check struct {
+		meta   TensorMeta
+		err    error // the first bad placement
+		off, n int32 // regs[off:off+n] are the tensor's placed regions
+	}
+	ts := make([]check, 0, len(p.Tensors))
+	pos := make(map[TensorID]int32, len(p.Tensors))
+	devs := distinctDevices(p.Devices)
+	seqs, first := eachList(p, devs, func(d cluster.DeviceID, s *SubTensor) int32 {
+		t, ok := pos[s.Tensor]
+		if !ok {
+			t, pos[s.Tensor] = int32(len(ts)), int32(len(ts))
+			meta, known := p.Tensors[s.Tensor]
+			ts = append(ts, check{meta: meta})
+			if !known {
+				ts[t].err = fmt.Errorf("core: device %d holds unknown tensor %q", d, s.Tensor)
+			}
+		}
+		c := &ts[t]
+		if c.err == nil && !s.Region.Valid(c.meta.Shape) {
+			c.err = fmt.Errorf("core: device %d holds %q with invalid region %v (shape %v)",
+				d, s.Tensor, s.Region, c.meta.Shape)
+		}
+		c.n++ // sizes the tensor's window of regs; the fill pass recounts
+		return t
+	})
+	var placed int32
+	for t := range ts {
+		ts[t].off, placed, ts[t].n = placed, placed+ts[t].n, 0
+	}
+	regs := make([]tensor.Region, placed)
+	for g, seq := range seqs {
+		if int(first[g]) != g {
+			continue
+		}
+		list := p.Place[devs[g]]
+		for i, t := range seq {
+			c := &ts[t]
+			regs[c.off+c.n] = list[i].Region
+			c.n++
+		}
+	}
 	full := make(tensor.Region, 0, 8)
-	for i := range idx.all {
-		ti := &idx.all[i]
-		if !ti.known {
-			return fmt.Errorf("core: device %d holds unknown tensor %q", ti.holders[0].dev, ti.id)
-		}
-		if len(ti.holders) == 0 {
-			return fmt.Errorf("core: tensor %q has no placement", ti.id)
-		}
-		regs = regs[:0]
-		for k := range ti.holders {
-			h := &ti.holders[k]
-			if k > 0 && sameStorage(h.reg, regs[len(regs)-1]) {
-				continue // a replica placed from the region just checked
-			}
-			if !h.reg.Valid(ti.meta.Shape) {
-				return fmt.Errorf("core: device %d holds %q with invalid region %v (shape %v)",
-					h.dev, ti.id, h.reg, ti.meta.Shape)
-			}
-			regs = append(regs, h.reg)
+	for t := range ts {
+		c := &ts[t]
+		if c.err != nil {
+			return c.err
 		}
 		full = full[:0]
-		for _, n := range ti.meta.Shape {
+		for _, n := range c.meta.Shape {
 			full = append(full, tensor.Range{Lo: 0, Hi: n})
 		}
-		if !covers(full, regs) {
-			return fmt.Errorf("core: tensor %q not fully covered by placements", ti.id)
+		if !covers(full, regs[c.off:c.off+c.n]) {
+			return fmt.Errorf("core: tensor %q not fully covered by placements", c.meta.ID)
 		}
+	}
+	if len(ts) < len(p.Tensors) {
+		var unplaced []TensorID
+		for id := range p.Tensors {
+			if _, ok := pos[id]; !ok {
+				unplaced = append(unplaced, id)
+			}
+		}
+		return fmt.Errorf("core: tensor %q has no placement", slices.Min(unplaced))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"tenplex/internal/cluster"
@@ -50,6 +51,40 @@ func TestPTCValidateDetectsMissingPlacement(t *testing.T) {
 	p.AddTensor(core.TensorMeta{ID: "w", DType: tensor.Float32, Shape: []int{4}})
 	if err := p.Validate(); err == nil {
 		t.Fatal("tensor with no placement accepted")
+	}
+}
+
+// With several bad tensors, PTC.Validate and the planner's metadata
+// check name the same one whatever the map order: twenty fresh PTCs,
+// one error text each.
+func TestPTCValidateErrorsDeterministic(t *testing.T) {
+	ids := []core.TensorID{"e", "b", "w", "a", "c", "d"}
+	full := tensor.FullRegion([]int{4})
+	unplaced, meta := map[string]bool{}, map[string]bool{}
+	for i := 0; i < 20; i++ {
+		from := core.NewPTC("from", devs(0, 1))
+		to := core.NewPTC("to", devs(0, 1))
+		for k, id := range ids {
+			from.AddTensor(core.TensorMeta{ID: id, DType: tensor.Float32, Shape: []int{4}})
+			shape := []int{4 + k%2} // every other tensor differs
+			to.AddTensor(core.TensorMeta{ID: id + "'", DType: tensor.Float32, Shape: []int{4}})
+			to.AddTensor(core.TensorMeta{ID: id, DType: tensor.Float32, Shape: shape})
+		}
+		from.Assign(1, "w", full)
+		unplaced[fmt.Sprint(from.Validate())] = true
+		_, err := core.GeneratePlan(from, to, core.PlanOptions{})
+		meta[fmt.Sprint(err)] = true
+	}
+	for name, texts := range map[string]map[string]bool{"PTC.Validate": unplaced, "GeneratePlan": meta} {
+		if len(texts) != 1 {
+			t.Errorf("%s: %d error texts over 20 fresh PTCs, want 1: %v", name, len(texts), texts)
+		}
+	}
+	if !unplaced[`core: tensor "a" has no placement`] {
+		t.Errorf("PTC.Validate: %v, want the first unplaced tensor by ID", unplaced)
+	}
+	if !meta[`core: plan: tensor "a" metadata differs between PTCs`] {
+		t.Errorf("GeneratePlan: %v, want the first bad tensor by ID", meta)
 	}
 }
 
