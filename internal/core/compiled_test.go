@@ -435,6 +435,11 @@ func TestPlanValidateInvariants(t *testing.T) {
 			}, "do not cover"},
 		"no fetches": {
 			func(as []core.Assignment) []core.Assignment { as[0].Fetch = nil; return as }, "do not cover"},
+		"fetches overlap": {
+			func(as []core.Assignment) []core.Assignment {
+				as[merged].Fetch = append(as[merged].Fetch, as[merged].Fetch[1])
+				return as
+			}, "overlap"},
 	} {
 		err := handPlan(plan, tc.mutate(clone())).Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -580,10 +580,11 @@ func (p *Plan) Ops() []string {
 	return ops
 }
 
-// Validate checks plan invariants: every assignment's fetches exactly
-// tile its region with no gaps, every device fetch stays inside its
-// declared source region, and the assignments are exactly the target
-// PTC's sub-tensors, each once.
+// Validate checks plan invariants: every assignment's fetches tile its
+// region exactly, with no gaps and no overlaps (so every byte of a
+// destination buffer has one writer, whatever order its fetches land
+// in), every device fetch stays inside its declared source region, and
+// the assignments are exactly the target PTC's sub-tensors, each once.
 //
 // Assignments are matched against the target's placement lists with one
 // cursor per destination device: a plan in the order GeneratePlan emits
@@ -617,7 +618,7 @@ func (p *Plan) Validate() error {
 	cursor := make([]int, len(devs))
 	last, lastDev := -1, cluster.DeviceID(0)
 
-	regs := make([]tensor.Region, 0, 16)
+	regs, elems := make([]tensor.Region, 0, 16), 0
 	for _, a := range p.Assignments {
 		g := last
 		if g < 0 || a.Device != lastDev {
@@ -643,7 +644,7 @@ func (p *Plan) Validate() error {
 			cursor[g]++
 		}
 
-		regs = regs[:0]
+		regs, elems = regs[:0], 0
 		for _, f := range a.Fetch {
 			if !a.Region.Contains(f.Want) {
 				return fmt.Errorf("core: plan: fetch %v outside assignment %v of %q", f.Want, a.Region, a.Tensor)
@@ -652,9 +653,15 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("core: plan: fetch %v outside source region %v of %q", f.Want, f.Src.Region, a.Tensor)
 			}
 			regs = append(regs, f.Want)
+			elems += f.Want.NumElems()
 		}
 		if !covers(a.Region, regs) {
 			return fmt.Errorf("core: plan: fetches do not cover %v of %q on dev %d", a.Region, a.Tensor, a.Device)
+		}
+		// Contained and covering, the fetches are disjoint exactly when
+		// their sizes add up to the region's.
+		if elems != a.Region.NumElems() {
+			return fmt.Errorf("core: plan: fetches of %v of %q on dev %d overlap", a.Region, a.Tensor, a.Device)
 		}
 	}
 	for g, d := range devs {

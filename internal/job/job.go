@@ -16,6 +16,8 @@ package job
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -218,12 +220,16 @@ func (r *Runtime) Baseline(state map[core.TensorID]*tensor.Tensor) error {
 // Apply executes a planned change through the State Transformer and
 // advances the placement to its target. A plan around failed devices
 // reads the ranges no replica holds from the latest checkpoint; one that
-// cannot be opened surfaces as a failed storage fetch. A failed Apply
-// leaves the placement where it was and the stores for Rollback.
+// cannot be opened surfaces as a failed storage fetch, which wraps the
+// reason, and a plan that reads nothing from it applies all the same. A
+// failed Apply leaves the placement where it was and the stores for
+// Rollback.
 func (r *Runtime) Apply(ctx context.Context, ch *Change) (transform.Stats, error) {
 	tr := &transform.Transformer{Job: r.Name, Stores: r.Stores, Metrics: r.Metrics, Obs: r.Obs.Get()}
 	if len(ch.Failed) > 0 {
-		if rd, err := checkpoint.OpenLatest(r.Storage, r.Name); err == nil {
+		if rd, err := checkpoint.OpenLatest(r.Storage, r.Name); err != nil {
+			tr.Storage = unopened{err}
+		} else {
 			tr.Storage = rd
 		}
 	}
@@ -232,6 +238,14 @@ func (r *Runtime) Apply(ctx context.Context, ch *Change) (transform.Stats, error
 		r.adopt(ch.To, ch.Config, ch.Alloc)
 	}
 	return st, err
+}
+
+// unopened stands in for a checkpoint that could not be opened: every
+// range read fails with the reason.
+type unopened struct{ err error }
+
+func (u unopened) ReadRange(core.TensorID, tensor.Region) (*tensor.Tensor, error) {
+	return nil, fmt.Errorf("open latest checkpoint: %w", u.err)
 }
 
 // Checkpoint persists the current placement's state as the next step, so
@@ -276,18 +290,19 @@ func (r *Runtime) State(ctx context.Context) (map[core.TensorID]*tensor.Tensor, 
 }
 
 // Verify checks the job's state against want bit for bit: the end-to-end
-// correctness oracle.
+// correctness oracle. Tensors are checked in ID order, so the error
+// names the same one every time.
 func (r *Runtime) Verify(ctx context.Context, want map[core.TensorID]*tensor.Tensor) error {
 	got, err := r.State(ctx)
 	if err != nil {
 		return err
 	}
-	for id, w := range want {
+	for _, id := range slices.Sorted(maps.Keys(want)) {
 		t, ok := got[id]
 		if !ok {
 			return fmt.Errorf("lost tensor %s", id)
 		}
-		if !t.Equal(w) {
+		if !t.Equal(want[id]) {
 			return fmt.Errorf("corrupted tensor %s", id)
 		}
 	}

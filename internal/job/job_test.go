@@ -2,12 +2,16 @@ package job
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"tenplex/internal/cluster"
+	"tenplex/internal/core"
 	"tenplex/internal/model"
 	"tenplex/internal/parallel"
 	"tenplex/internal/store"
@@ -217,6 +221,129 @@ func TestInitStateParallelMatchesSerial(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// errManifestGone marks a checkpoint manifest that is no longer there.
+var errManifestGone = errors.New("manifest gone")
+
+// manifestGone is checkpoint storage whose failed blob reads wrap
+// errManifestGone around the store's own error.
+type manifestGone struct{ store.Local }
+
+func (m manifestGone) GetBlob(path string) ([]byte, error) {
+	b, err := m.Local.GetBlob(path)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errManifestGone, err)
+	}
+	return b, nil
+}
+
+// A fail-stop Apply whose checkpoint cannot be opened fails with the
+// reason the open failed, not with a missing storage reader, and leaves
+// the placement where it was; one whose surviving replicas hold every
+// range needs no checkpoint and applies.
+func TestApplyFailStopWithoutManifest(t *testing.T) {
+	ctx := context.Background()
+	topo := cluster.OnPrem16()
+	m := tinyGPT()
+	golden := InitState(2, m, 7)
+	for _, sc := range []struct {
+		name            string
+		cfg             parallel.Config
+		alloc, next     cluster.Allocation
+		readsCheckpoint bool
+	}{
+		{"only copy lost", parallel.Config{TP: 2, PP: 1, DP: 1}, cluster.Allocation{0, 1}, cluster.Allocation{1, 2}, true},
+		{"a replica survives", parallel.Config{TP: 2, PP: 1, DP: 2}, cluster.Allocation{0, 1, 2, 3}, cluster.Allocation{1, 2, 3, 4}, false},
+	} {
+		stores := map[cluster.DeviceID]store.Access{}
+		for _, d := range topo.Devices {
+			stores[d.ID] = store.Local{FS: store.NewMemFS()}
+		}
+		storage := manifestGone{store.Local{FS: store.NewMemFS()}}
+		rt := &Runtime{Name: "lost", Model: m, Topo: topo, Stores: stores, Storage: storage}
+		ptc, err := parallel.BuildPTC(m, sc.cfg, sc.alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Deploy(ptc, sc.cfg, sc.alloc, golden); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Baseline(golden); err != nil {
+			t.Fatal(err)
+		}
+		steps, err := storage.List("/ckpt/lost")
+		if err != nil {
+			t.Fatal(err)
+		}
+		deleted := 0
+		for _, s := range steps {
+			if strings.HasSuffix(s, "/") && storage.Delete("/ckpt/lost/"+s+"meta.json") == nil {
+				deleted++
+			}
+		}
+		if deleted == 0 {
+			t.Fatalf("%s: no manifest found under /ckpt/lost: %v", sc.name, steps)
+		}
+		if err := stores[0].Delete(transform.ModelRoot(rt.Name)); err != nil {
+			t.Fatal(err)
+		}
+		ch, err := Plan(m, topo, rt.PTC, sc.cfg, sc.next, []cluster.DeviceID{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ch.Stats.StorageBytes > 0; got != sc.readsCheckpoint {
+			t.Fatalf("%s: plan reads the checkpoint: %v, want %v", sc.name, got, sc.readsCheckpoint)
+		}
+		before := rt.PTC
+		_, err = rt.Apply(ctx, ch)
+		if !sc.readsCheckpoint {
+			if err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			if err := rt.Verify(ctx, golden); err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errManifestGone) || strings.Contains(fmt.Sprint(err), "no StorageReader") {
+			t.Fatalf("%s: Apply returned %v, want the failed checkpoint open", sc.name, err)
+		}
+		if rt.PTC != before {
+			t.Fatalf("%s: a failed apply advanced the placement", sc.name)
+		}
+	}
+}
+
+// With two tensors corrupted, Verify names the same one, the first by
+// ID, every time.
+func TestVerifyNamesTheFirstBadTensor(t *testing.T) {
+	ctx := context.Background()
+	m := tinyGPT()
+	golden := InitState(2, m, 7)
+	stores := map[cluster.DeviceID]store.Access{0: store.Local{FS: store.NewMemFS()}}
+	rt := &Runtime{Name: "bad", Model: m, Stores: stores}
+	cfg, alloc := parallel.Config{TP: 1, PP: 1, DP: 1}, cluster.Allocation{0}
+	ptc, err := parallel.BuildPTC(m, cfg, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Deploy(ptc, cfg, alloc, golden); err != nil {
+		t.Fatal(err)
+	}
+	ids := slices.Sorted(maps.Keys(golden))
+	want := maps.Clone(golden)
+	for _, id := range []core.TensorID{ids[len(ids)/2], ids[len(ids)-1]} {
+		bad := golden[id].Clone()
+		bad.FillSeq(1, 1)
+		want[id] = bad
+	}
+	first := fmt.Sprintf("corrupted tensor %s", ids[len(ids)/2])
+	for i := 0; i < 20; i++ {
+		if err := rt.Verify(ctx, want); err == nil || err.Error() != first {
+			t.Fatalf("run %d: Verify returned %v, want %q", i, err, first)
 		}
 	}
 }

@@ -92,10 +92,13 @@ type AssembleStats struct {
 }
 
 // Assembler is implemented by Access implementations whose store can
-// assemble tensors from its peers on its own. The transformer's apply
-// sends such a destination one request per apply and keeps fetching and
-// uploading from its own process for any other (Local stores, wrappers
-// that do not forward it).
+// assemble tensors from its peers on its own. In the transformer's
+// apply, every assignment such a destination can pull (each range on a
+// store with an Address) is one item of that destination's single
+// request, which its worker sends before building the destination's
+// other assignments in its own process; a destination without the
+// capability (a Local store, a wrapper that does not forward it) has
+// all of them built there.
 type Assembler interface {
 	Assemble(ctx context.Context, items []AssembleItem) (AssembleStats, error)
 }

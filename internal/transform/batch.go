@@ -18,221 +18,122 @@ import (
 	"tenplex/internal/tensor"
 )
 
-// Staging. One loop (stage) takes every assignment of a plan to the
-// staging tree of its destination store, whatever the stores are. What
-// differs between store sets is how a fetch is served, decided per
-// assignment and per fetch from what the code can observe about the
-// stores involved, never by a setting:
+// An apply is one program and one executor loop. The program
+// (newProgram) reads the plan and what the stores can do and touches no
+// store: for every destination device, in the target's device order, it
+// lists the items that device's store assembles itself and the
+// assignments this process builds for it, then which destinations
+// commit and which devices depart. The executor (stage, then commit)
+// gives each destination one worker, which stages all of its items and
+// nothing else, so no two workers ever write one buffer or one store's
+// staging tree. An item is served one of two ways, decided per
+// assignment from what the code can observe about the stores involved,
+// never by a setting:
 //
 //  1. Destination-pull. The destination store implements
 //     store.Assembler and every source of the assignment is a device
-//     store with a network address (store.Addressable): the transformer
-//     sends the destination ONE /assemble request listing all such
-//     assignments, and the store pulls the ranges from its peers itself,
-//     copies what it already holds, and links no-op assignments by
-//     pointer. No state byte enters this process. This is what happens
-//     between real tenplex-store daemons.
-//  2. Per-source batch. The source store implements store.BatchQuerier
-//     and the assignment's targets are pairwise disjoint: the fetch is
-//     deferred, grouped with every other such fetch from the same SOURCE
-//     store, and issued as one store.BatchQueryInto into buffers
-//     allocated here; the assignment uploads once its batches landed.
-//  3. Immediate range read. Anything else — a store.Local source, a
-//     checkpoint range, overlapping targets, a wrapper that hides the
-//     batch capability — is one QueryInto (or storage read) from the
-//     assignment's own worker.
+//     store with a network address (store.Addressable): the assignment
+//     is one item of the destination's single /assemble request, and the
+//     store pulls the ranges from its peers itself, copies what it
+//     already holds, and links no-op assignments by pointer. No state
+//     byte enters this process. This is what happens between real
+//     tenplex-store daemons.
+//  2. Built here. Anything else — a store.Local destination or source, a
+//     checkpoint range, a wrapper that hides the capability — is
+//     allocated in this process and every range fetched into its final
+//     offset: the ranges a batch-capable store (store.BatchQuerier)
+//     holds in one BatchQueryInto per source for the destination, the
+//     rest one QueryInto (or storage read) each. Then the buffer is
+//     uploaded. A no-op against a store that keeps uploads by reference
+//     moves the existing tensor by pointer instead.
 //
-// An assignment with nothing deferred uploads from its worker as soon as
-// its last range is in, so with no batch-capable or assembling store in
-// the plan — in-process setups, including the coordinator's
-// deterministic sims and their golden obs traces — the pull and batch
-// phases are empty and the loop is a plain worker pool over assignments.
+// With no batch-capable or assembling store in the plan — in-process
+// setups, including the coordinator's deterministic sims and their
+// golden obs traces — every item is built here, one after the other in
+// plan order on its destination's worker.
 
-// prep is one assignment moving through stage.
-type prep struct {
-	a core.Assignment
-	// out is the destination buffer built here, until it is uploaded.
-	out    *tensor.Tensor
-	st     Stats
-	start  time.Time
-	err    error
-	staged bool
-	// pulled marks an assignment handed to its destination store; the
-	// client-side passes skip it.
-	pulled bool
+// program is an apply with every routing decision taken.
+type program struct {
+	plan  *core.Plan
+	dests []destination
+	// commit lists the destinations with at least one item: each renames
+	// its staged tree over the live one. departing is From \ To: the
+	// devices that drop the job's state once every commit is in.
+	commit, departing []cluster.DeviceID
 }
 
-// assembleGroup is the destination-pull work of one destination device:
-// one store.Assemble request.
-type assembleGroup struct {
-	dev   cluster.DeviceID
-	preps []*prep
+// destination is what one destination device stages.
+type destination struct {
+	dev cluster.DeviceID
+	// pull are the assignments the device's store assembles itself, in
+	// plan order, and items their /assemble request, one each.
+	pull  []core.Assignment
 	items []store.AssembleItem
-	// st holds what the store reported having copied and allocated.
-	st Stats
+	// build are the assignments this process builds, in plan order.
+	build []core.Assignment
 }
 
-// batchFetch is one plan range deferred to a per-source batch: entry
-// scatter-writes into p's destination buffer, and bytes is attributed
-// to p's stats when the batch lands.
-type batchFetch struct {
-	src   cluster.DeviceID
-	p     *prep
-	entry store.BatchEntry
-	bytes int64
+// newProgram routes every assignment of a validated plan to its
+// destination. It is the only walk over plan.Assignments in an apply.
+func newProgram(job string, plan *core.Plan, stores map[cluster.DeviceID]store.Access) *program {
+	p := &program{plan: plan, dests: make([]destination, 0, len(plan.To.Devices))}
+	at := make(map[cluster.DeviceID]int, len(plan.To.Devices))
+	for _, d := range plan.To.Devices {
+		if _, dup := at[d]; !dup {
+			at[d] = len(p.dests)
+			p.dests = append(p.dests, destination{dev: d})
+		}
+	}
+	route := newPullRoute(job, plan)
+	for _, a := range plan.Assignments {
+		d := &p.dests[at[a.Device]]
+		if item, ok := assembleItem(stores, a, route); ok {
+			d.pull = append(d.pull, a)
+			d.items = append(d.items, item)
+		} else {
+			d.build = append(d.build, a)
+		}
+	}
+	for _, d := range p.dests {
+		if len(d.pull)+len(d.build) > 0 {
+			p.commit = append(p.commit, d.dev)
+		}
+	}
+	for _, d := range plan.From.Devices {
+		if _, in := at[d]; !in {
+			p.departing = append(p.departing, d)
+		}
+	}
+	return p
 }
 
-// stage builds every destination sub-tensor of the plan in the staging
-// tree of its device's store, on up to Parallelism workers. The first
-// fatal error cancels the rest: queued assignments are abandoned and
-// in-flight fetches through context-aware stores are interrupted. Only
-// fully staged assignments contribute to the returned Stats; the error
-// joins every assignment failure, sorted by message.
-func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error) {
+// stage runs the program's destinations on up to Parallelism workers,
+// one destination per worker, each staging its items into its store's
+// staging tree. The first fatal error cancels the rest: queued
+// destinations are abandoned and in-flight operations through
+// context-aware stores are interrupted. Only staged assignments
+// contribute to the returned Stats; the error joins every destination's
+// failure, sorted by message.
+func (tr *Transformer) stage(ctx context.Context, prog *program) (Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	par := tr.parallelism()
-	var (
-		mu       sync.Mutex
-		deferred []batchFetch
-		waiting  []*prep // assignments with deferred fetches
-		errs     []error
-	)
-	fail := func(err error) {
-		mu.Lock()
+	sts := make([]Stats, len(prog.dests))
+	errs := make([]error, len(prog.dests))
+	runBounded(ctx, tr.parallelism(), len(prog.dests), func(i int) {
+		err := tr.stageDestination(ctx, prog.plan, &prog.dests[i], &sts[i])
+		if err == nil {
+			return
+		}
 		if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
-			errs = append(errs, err)
+			errs[i] = err
 		}
-		mu.Unlock()
 		cancel()
-	}
-
-	// Route: what a destination store can assemble by itself goes to it,
-	// one request per destination device, in plan order.
-	preps := make([]prep, len(plan.Assignments))
-	var pulls []*assembleGroup
-	byDev := map[cluster.DeviceID]*assembleGroup{}
-	route := newPullRoute(tr.Job, plan)
-	for i, a := range plan.Assignments {
-		p := &preps[i]
-		p.a = a
-		item, ok := tr.assembleItem(plan, a, route)
-		if !ok {
-			continue
-		}
-		p.pulled = true
-		g := byDev[a.Device]
-		if g == nil {
-			g = &assembleGroup{dev: a.Device}
-			byDev[a.Device] = g
-			pulls = append(pulls, g)
-		}
-		g.preps = append(g.preps, p)
-		g.items = append(g.items, item)
-	}
-	runBounded(ctx, par, len(pulls), func(gi int) {
-		g := pulls[gi]
-		err := tr.stageAssembled(ctx, g)
-		if err != nil {
-			fail(err)
-		}
-		for _, p := range g.preps {
-			p.err = err
-			tr.recordSpan(ctx, p)
-		}
 	})
-
-	// Everything else is built here: each worker allocates an
-	// assignment's destination, serves its immediate fetches and, when
-	// nothing was deferred, uploads it.
-	runBounded(ctx, par, len(preps), func(i int) {
-		p := &preps[i]
-		if p.pulled {
-			return
-		}
-		p.start = time.Now()
-		later, err := tr.stageAssignment(ctx, plan, p)
-		if err != nil {
-			p.err = err
-			fail(err)
-		}
-		if len(later) > 0 {
-			mu.Lock()
-			deferred = append(deferred, later...)
-			waiting = append(waiting, p)
-			mu.Unlock()
-			return
-		}
-		tr.recordSpan(ctx, p)
-	})
-
-	groups := map[cluster.DeviceID][]batchFetch{}
-	for _, bf := range deferred {
-		groups[bf.src] = append(groups[bf.src], bf)
-	}
-	srcs := make([]cluster.DeviceID, 0, len(groups))
-	for d := range groups {
-		srcs = append(srcs, d)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	runBounded(ctx, par, len(srcs), func(gi int) {
-		src := srcs[gi]
-		group := groups[src]
-		// Order entries by path then source range: that is the sequence
-		// the server's coalescer sees, so adjacent ranges of one tensor
-		// end up in consecutive entries and merge into single frames. It
-		// also makes the request deterministic despite the concurrent
-		// prep phase.
-		sort.Slice(group, func(i, j int) bool {
-			if group[i].entry.Path != group[j].entry.Path {
-				return group[i].entry.Path < group[j].entry.Path
-			}
-			return regionLess(group[i].entry.Reg, group[j].entry.Reg)
-		})
-		entries := make([]store.BatchEntry, len(group))
-		for i, bf := range group {
-			entries[i] = bf.entry
-		}
-		bq := tr.Stores[src].(store.BatchQuerier)
-		if _, err := bq.BatchQueryInto(ctx, entries); err != nil {
-			fail(fmt.Errorf("transform: batch fetch from dev %d: %w", src, err))
-			return
-		}
-		mu.Lock()
-		for _, bf := range group {
-			bf.p.st.BytesCopied += bf.bytes
-			if src == bf.p.a.Device {
-				bf.p.st.LocalBytes += bf.bytes
-			} else {
-				bf.p.st.PeerBytes += bf.bytes
-			}
-		}
-		mu.Unlock()
-	})
-
-	runBounded(ctx, par, len(waiting), func(i int) {
-		p := waiting[i]
-		if p.err = tr.uploadStaged(ctx, p); p.err != nil {
-			fail(p.err)
-		}
-		tr.recordSpan(ctx, p)
-	})
-
 	var st Stats
-	for _, g := range pulls {
-		st.merge(g.st)
+	for _, s := range sts {
+		st.merge(s)
 	}
-	for i := range preps {
-		p := &preps[i]
-		if !p.staged {
-			continue
-		}
-		st.Assignments++
-		if p.a.IsNoop() {
-			st.Noops++
-		}
-		st.merge(p.st)
-	}
+	errs = slices.DeleteFunc(errs, func(err error) bool { return err == nil })
 	if len(errs) == 0 && ctx.Err() != nil {
 		errs = append(errs, ctx.Err())
 	}
@@ -241,6 +142,209 @@ func (tr *Transformer) stage(ctx context.Context, plan *core.Plan) (Stats, error
 		return st, fmt.Errorf("transform: %d assignments failed: %w", len(errs), errors.Join(errs...))
 	}
 	return st, nil
+}
+
+// stageDestination stages one destination: its store's assemble
+// request, then the items built here. st counts what was staged.
+func (tr *Transformer) stageDestination(ctx context.Context, plan *core.Plan, d *destination, st *Stats) error {
+	if len(d.items) > 0 {
+		if err := tr.assemble(ctx, d, st); err != nil {
+			return err
+		}
+	}
+	return tr.build(ctx, plan, d, st)
+}
+
+// assemble sends the destination store its assemble request and books
+// the outcome; an error is the outcome of every pulled assignment. Plan
+// bytes are attributed per assignment from the plan, as for built
+// items; bytes copied and allocated are the store's own count, and the
+// request fails unless the store accounts for exactly the bytes the plan
+// asked of it.
+func (tr *Transformer) assemble(ctx context.Context, d *destination, st *Stats) error {
+	start := time.Now()
+	as, err := tr.Stores[d.dev].(store.Assembler).Assemble(ctx, d.items)
+	var pulled Stats
+	for i, a := range d.pull {
+		pulled.add(a, pulledStats(a, d.items[i].DType))
+	}
+	if err != nil {
+		err = fmt.Errorf("transform: assemble on dev %d: %w", d.dev, err)
+	} else if got, want := as.BytesCopied+as.LinkedBytes, pulled.PlanBytes(); got != want {
+		err = fmt.Errorf("transform: assemble on dev %d: store accounts for %d bytes, plan asked for %d", d.dev, got, want)
+	}
+	for i, a := range d.pull {
+		tr.recordSpan(ctx, a, pulledStats(a, d.items[i].DType), start, err)
+	}
+	if err != nil {
+		return err
+	}
+	pulled.BytesCopied, pulled.AllocBytes = as.BytesCopied, as.AllocBytes
+	st.merge(pulled)
+	return nil
+}
+
+// pulledStats is where the plan bytes of a pulled assignment come from.
+func pulledStats(a core.Assignment, dt tensor.DType) (st Stats) {
+	for _, f := range a.Fetch {
+		st.fetched(a, f.Src.Device, f.Want.NumBytes(dt))
+	}
+	return st
+}
+
+// built is one assignment being built here: its destination buffer,
+// while it has one, and what it has cost so far.
+type built struct {
+	out *tensor.Tensor
+	st  Stats
+}
+
+// build stages the assignments this process builds for one destination.
+// The ranges that batch-capable stores hold come first, in one
+// BatchQueryInto per source, in the order the items first use them,
+// into buffers allocated for them; then each item, in plan order, is
+// finished and uploaded. Every buffer is allocated once.
+func (tr *Transformer) build(ctx context.Context, plan *core.Plan, d *destination, st *Stats) error {
+	items := make([]built, len(d.build))
+	var ranges []tensor.Range // every fetch's regions, cut from one arena
+	type batch struct {
+		src     cluster.DeviceID
+		bq      store.BatchQuerier
+		entries []store.BatchEntry
+	}
+	var batches []batch
+	link := !uploadCopies(tr.Stores[d.dev]) // a no-op moves by pointer
+	for i, a := range d.build {
+		if link && a.IsNoop() {
+			continue
+		}
+		b := &items[i]
+		dt := plan.To.Tensors[a.Tensor].DType
+		for _, f := range a.Fetch {
+			bq := tr.batchSource(f)
+			if bq == nil {
+				continue
+			}
+			if b.out == nil {
+				b.alloc(a, dt)
+			}
+			k := slices.IndexFunc(batches, func(b batch) bool { return b.src == f.Src.Device })
+			if k < 0 {
+				k = len(batches)
+				batches = append(batches, batch{src: f.Src.Device, bq: bq})
+			}
+			target, local := fetchRegions(&ranges, a, f)
+			batches[k].entries = append(batches[k].entries, store.BatchEntry{
+				Path: ModelPath(tr.Job, f.Src.Device, a.Tensor), Reg: local, Dst: b.out, At: target,
+			})
+			n := f.Want.NumBytes(dt)
+			b.st.BytesCopied += n
+			b.st.fetched(a, f.Src.Device, n)
+		}
+	}
+	for _, b := range batches {
+		if _, err := b.bq.BatchQueryInto(ctx, b.entries); err != nil {
+			return fmt.Errorf("transform: batch fetch from dev %d: %w", b.src, err)
+		}
+	}
+	for i, a := range d.build {
+		start := time.Now()
+		err := tr.buildItem(ctx, plan, a, &items[i], &ranges)
+		tr.recordSpan(ctx, a, items[i].st, start, err)
+		if err != nil {
+			return err
+		}
+		st.add(a, items[i].st)
+	}
+	return nil
+}
+
+// alloc gives b the destination buffer of assignment a.
+func (b *built) alloc(a core.Assignment, dt tensor.DType) {
+	b.out = tensor.NewFromRegion(dt, a.Region)
+	b.st.AllocBytes += int64(b.out.NumBytes())
+}
+
+// buildItem finishes assignment a on its destination and uploads it. An
+// item with no batched range either is a no-op against a store that
+// keeps uploads by reference, which moves the existing tensor by
+// pointer, no bytes copied or allocated, or gets its buffer now; then
+// every range its batches did not bring is fetched into the buffer.
+func (tr *Transformer) buildItem(ctx context.Context, plan *core.Plan, a core.Assignment, b *built, ranges *[]tensor.Range) error {
+	dst := tr.Stores[a.Device]
+	dt := plan.To.Tensors[a.Tensor].DType
+	batched := b.out != nil
+	if !batched && a.IsNoop() && !uploadCopies(dst) {
+		if t, err := dst.Query(ModelPath(tr.Job, a.Device, a.Tensor), nil); err == nil {
+			if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, a.Device, a.Tensor), t); err != nil {
+				return fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
+			}
+			b.st.LocalBytes += a.Region.NumBytes(dt)
+			return nil
+		}
+		// The sub-tensor is unexpectedly absent: build it like any other
+		// item, so that its fetch reports why.
+	}
+	if !batched {
+		b.alloc(a, dt)
+	}
+	for _, f := range a.Fetch {
+		if batched && tr.batchSource(f) != nil {
+			continue
+		}
+		if err := tr.fetchInto(ctx, a, f, dt, b.out, &b.st, ranges); err != nil {
+			return err
+		}
+	}
+	if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, a.Device, a.Tensor), b.out); err != nil {
+		return fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
+	}
+	if uploadCopies(dst) {
+		b.st.BytesCopied += int64(b.out.NumBytes())
+	}
+	b.out = nil
+	return nil
+}
+
+// batchSource is the store that serves fetch f in a batch, or nil when
+// f is read on its own.
+func (tr *Transformer) batchSource(f core.Fetch) store.BatchQuerier {
+	if f.Src.Kind != core.FromDevice {
+		return nil
+	}
+	bq, _ := tr.Stores[f.Src.Device].(store.BatchQuerier)
+	return bq
+}
+
+// recordSpan records one datapath span for an assignment that reached
+// its outcome — staged (err nil), or failed with its own error — when
+// the tracer is deep, running from start to now. Assignments abandoned
+// by cancellation get no span, as their errors are dropped: which
+// operations a doomed attempt reached is scheduling, not outcome.
+func (tr *Transformer) recordSpan(ctx context.Context, a core.Assignment, st Stats, start time.Time, err error) {
+	if !tr.Obs.Deep() {
+		return
+	}
+	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		return
+	}
+	attrs := map[string]any{
+		"tensor": string(a.Tensor),
+		"device": int(a.Device),
+	}
+	if a.IsNoop() {
+		attrs["noop"] = true
+	}
+	if b := st.PlanBytes(); b > 0 {
+		attrs["bytes"] = b
+	}
+	if st.AllocBytes > 0 {
+		attrs["alloc_bytes"] = st.AllocBytes
+	}
+	if err != nil {
+		attrs["err"] = err.Error()
+	}
+	tr.Obs.Record(obs.SpanAssignment, obs.CatDatapath, time.Since(start).Nanoseconds(), attrs)
 }
 
 // pullRoute is what the assemble items of one apply share, so that
@@ -300,21 +404,25 @@ func (r *pullRoute) shape(reg tensor.Region) []int {
 
 // assembleItem describes assignment a as a tensor for its destination
 // store to build, or reports that the store cannot: it lacks the
-// capability, a range comes from checkpoint storage or from a store
-// without a network address, or targets overlap (ranges from different
-// sources land concurrently on the store as they do here).
-func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment, route *pullRoute) (store.AssembleItem, bool) {
-	self, ok := tr.Stores[a.Device].(interface {
+// capability, or a range comes from checkpoint storage or from a store
+// without a network address.
+func assembleItem(stores map[cluster.DeviceID]store.Access, a core.Assignment, route *pullRoute) (store.AssembleItem, bool) {
+	self, ok := stores[a.Device].(interface {
 		store.Assembler
 		store.Addressable
 	})
-	if !ok || !a.IsNoop() && !tr.pullable(a) {
+	if !ok {
 		return store.AssembleItem{}, false
+	}
+	for _, f := range a.Fetch {
+		if _, ok := stores[f.Src.Device].(store.Addressable); !ok || f.Src.Kind != core.FromDevice {
+			return store.AssembleItem{}, false
+		}
 	}
 	route.reserve()
 	item := store.AssembleItem{
 		Path:  route.path(route.staging, a.Device, a.Tensor),
-		DType: plan.To.Tensors[a.Tensor].DType,
+		DType: route.plan.To.Tensors[a.Tensor].DType,
 		Shape: route.shape(a.Region),
 	}
 	if a.IsNoop() {
@@ -325,189 +433,13 @@ func (tr *Transformer) assembleItem(plan *core.Plan, a core.Assignment, route *p
 	for _, f := range a.Fetch {
 		target, local := fetchRegions(&route.ranges, a, f)
 		af := store.AssembleFetch{Path: route.path(route.model, f.Src.Device, a.Tensor), Reg: local, At: target}
-		if addr := tr.Stores[f.Src.Device].(store.Addressable).Address(); addr != self.Address() {
+		if addr := stores[f.Src.Device].(store.Addressable).Address(); addr != self.Address() {
 			af.Source = addr
 		}
 		route.fetches = append(route.fetches, af)
 	}
 	item.Fetch = route.fetches[start:len(route.fetches):len(route.fetches)]
 	return item, true
-}
-
-// pullable reports whether a store can pull all of a's ranges itself:
-// every one comes from a device store with a network address, and the
-// targets are disjoint.
-func (tr *Transformer) pullable(a core.Assignment) bool {
-	for _, f := range a.Fetch {
-		if f.Src.Kind != core.FromDevice {
-			return false
-		}
-		if _, ok := tr.Stores[f.Src.Device].(store.Addressable); !ok {
-			return false
-		}
-	}
-	return disjointTargets(a.Fetch)
-}
-
-// stageAssembled sends one destination store its assemble request and
-// books the outcome; an error is the outcome of every assignment of the
-// group. Plan bytes are attributed per assignment from the
-// plan, as on the client-side routes; bytes copied and allocated are the
-// store's own count, and the request fails unless the store accounts
-// for exactly the bytes the plan asked of it.
-func (tr *Transformer) stageAssembled(ctx context.Context, g *assembleGroup) error {
-	start := time.Now()
-	for _, p := range g.preps {
-		p.start = start
-	}
-	as, err := tr.Stores[g.dev].(store.Assembler).Assemble(ctx, g.items)
-	if err != nil {
-		return fmt.Errorf("transform: assemble on dev %d: %w", g.dev, err)
-	}
-	var want int64
-	for i, p := range g.preps {
-		for _, f := range p.a.Fetch {
-			n := f.Want.NumBytes(g.items[i].DType)
-			if f.Src.Device == p.a.Device {
-				p.st.LocalBytes += n
-			} else {
-				p.st.PeerBytes += n
-			}
-			want += n
-		}
-	}
-	if got := as.BytesCopied + as.LinkedBytes; got != want {
-		return fmt.Errorf("transform: assemble on dev %d: store accounts for %d bytes, plan asked for %d", g.dev, got, want)
-	}
-	for _, p := range g.preps {
-		p.staged = true
-	}
-	g.st = Stats{BytesCopied: as.BytesCopied, AllocBytes: as.AllocBytes}
-	return nil
-}
-
-// stageAssignment builds one destination sub-tensor: a noop against a
-// reference-retaining store moves the existing tensor by pointer — no
-// bytes copied or allocated at all; otherwise the destination is
-// allocated once and every plan range fetched into its final strided
-// offset. Ranges read from batch-capable device stores with
-// pairwise-disjoint targets are returned for the batch phase, the upload
-// following them there; everything else fetches immediately and, with
-// nothing deferred, the tensor is uploaded before returning.
-func (tr *Transformer) stageAssignment(ctx context.Context, plan *core.Plan, p *prep) ([]batchFetch, error) {
-	a := p.a
-	meta := plan.To.Tensors[a.Tensor]
-	dst := tr.Stores[a.Device]
-
-	if a.IsNoop() && !uploadCopies(dst) {
-		if t, err := dst.Query(ModelPath(tr.Job, a.Device, a.Tensor), nil); err == nil {
-			if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, a.Device, a.Tensor), t); err != nil {
-				return nil, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
-			}
-			p.st.LocalBytes += a.Region.NumBytes(meta.DType)
-			p.staged = true
-			return nil, nil
-		}
-		// The sub-tensor is unexpectedly absent; fall through so the
-		// general path reports the fetch error.
-	}
-
-	out := tensor.NewFromRegion(meta.DType, a.Region)
-	p.out = out
-	p.st.AllocBytes += int64(out.NumBytes())
-
-	covered := 0
-	for i := range a.Fetch {
-		covered += a.Fetch[i].Want.NumElems()
-	}
-	if covered < a.Region.NumElems() {
-		return nil, fmt.Errorf("transform: assemble %s%v: fetches cover %d of %d elements",
-			a.Tensor, a.Region, covered, a.Region.NumElems())
-	}
-
-	// Overlapping targets force the immediate sequential path: batches
-	// from different sources scatter concurrently, and two writers for
-	// one destination byte would race.
-	batchable := disjointTargets(a.Fetch)
-	var later []batchFetch
-	var ranges []tensor.Range // the deferred fetches' regions
-	for _, f := range a.Fetch {
-		if batchable && f.Src.Kind == core.FromDevice {
-			if _, ok := tr.Stores[f.Src.Device].(store.BatchQuerier); ok {
-				target, local := fetchRegions(&ranges, a, f)
-				later = append(later, batchFetch{
-					src: f.Src.Device,
-					p:   p,
-					entry: store.BatchEntry{
-						Path: ModelPath(tr.Job, f.Src.Device, a.Tensor),
-						Reg:  local,
-						Dst:  out,
-						At:   target,
-					},
-					bytes: f.Want.NumBytes(meta.DType),
-				})
-				continue
-			}
-		}
-		fs, err := tr.fetchInto(ctx, a, f, meta.DType, out)
-		if err != nil {
-			return nil, err
-		}
-		p.st.merge(fs)
-	}
-	if len(later) > 0 {
-		return later, nil
-	}
-	return nil, tr.uploadStaged(ctx, p)
-}
-
-// uploadStaged hands p's finished destination buffer to its store.
-func (tr *Transformer) uploadStaged(ctx context.Context, p *prep) error {
-	dst := tr.Stores[p.a.Device]
-	if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, p.a.Device, p.a.Tensor), p.out); err != nil {
-		return fmt.Errorf("transform: stage %s on dev %d: %w", p.a.Tensor, p.a.Device, err)
-	}
-	if uploadCopies(dst) {
-		p.st.BytesCopied += int64(p.out.NumBytes())
-	}
-	p.out = nil
-	p.staged = true
-	return nil
-}
-
-// recordSpan records one datapath span for an assignment that reached
-// its outcome — staged, or failed with its own error — when the tracer
-// is deep, running from the assignment's start to now (for a deferred
-// assignment that includes the shared batch wait). Assignments abandoned
-// by cancellation get no span, as their errors are dropped: which
-// operations a doomed attempt reached is scheduling, not outcome.
-func (tr *Transformer) recordSpan(ctx context.Context, p *prep) {
-	if !tr.Obs.Deep() {
-		return
-	}
-	if p.err != nil && ctx.Err() != nil && errors.Is(p.err, ctx.Err()) {
-		return
-	}
-	if p.err == nil && !p.staged {
-		return
-	}
-	attrs := map[string]any{
-		"tensor": string(p.a.Tensor),
-		"device": int(p.a.Device),
-	}
-	if p.a.IsNoop() {
-		attrs["noop"] = true
-	}
-	if b := p.st.PlanBytes(); b > 0 {
-		attrs["bytes"] = b
-	}
-	if p.st.AllocBytes > 0 {
-		attrs["alloc_bytes"] = p.st.AllocBytes
-	}
-	if p.err != nil {
-		attrs["err"] = p.err.Error()
-	}
-	tr.Obs.Record(obs.SpanAssignment, obs.CatDatapath, time.Since(p.start).Nanoseconds(), attrs)
 }
 
 // fetchRegions computes a fetch's destination region inside the
@@ -529,22 +461,6 @@ func fetchRegions(arena *[]tensor.Range, a core.Assignment, f core.Fetch) (targe
 		local = (*arena)[start+rank : start+2*rank : start+2*rank]
 	}
 	return (*arena)[start : start+rank : start+rank], local
-}
-
-// regionLess orders regions by their bounds, dimension-major.
-func regionLess(a, b tensor.Region) bool {
-	for k := range a {
-		if k >= len(b) {
-			return false
-		}
-		if a[k].Lo != b[k].Lo {
-			return a[k].Lo < b[k].Lo
-		}
-		if a[k].Hi != b[k].Hi {
-			return a[k].Hi < b[k].Hi
-		}
-	}
-	return len(a) < len(b)
 }
 
 // runBounded runs fn(0..n-1) on up to par goroutines, the caller's among

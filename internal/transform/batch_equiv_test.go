@@ -123,8 +123,9 @@ func fetchKinds(plan *core.Plan) (storage, device bool) {
 
 // TestApplyRoutesEquivalentOverREST: over randomized grow / shrink /
 // redeploy / fail-stop transitions, the three ways a fetch is served
-// against real wire stores — destination-pull, per-source batch, and
-// per-range reads behind a wrapper that hides every capability — the
+// against real wire stores — destination-pull, one batch per
+// destination and source, and per-range reads behind a wrapper that
+// hides every capability — the
 // materialized reference pipeline over wire stores, a mixed set with
 // in-process stores among the wire ones, and plain Local stores must
 // all land byte-identical state and report the same plan bytes. A plan

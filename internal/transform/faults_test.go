@@ -354,7 +354,9 @@ func (s pairFaultStore) QueryInto(path string, reg tensor.Region, dst *tensor.Te
 }
 
 // A failed plan reports every assignment error, sorted, joined, not the
-// first one only.
+// first one only. A destination's worker stops at its own first failure,
+// so the two faults meet the fixture's two destinations, which both read
+// the two tensors from device 0.
 func TestApplyReportsEveryAssignmentFailure(t *testing.T) {
 	const job = "twofail"
 	from, _, plan, golden := migrateFixture(t)

@@ -43,7 +43,7 @@ func (tr *Transformer) applyMaterialized(plan *core.Plan) (Stats, error) {
 		}
 		st.merge(as)
 	}
-	return st, tr.commit(ctx, plan)
+	return st, tr.commit(ctx, newProgram(tr.Job, plan, tr.Stores))
 }
 
 // applyAssignmentMaterialized is the retained reference pipeline: every

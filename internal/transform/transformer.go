@@ -1,29 +1,24 @@
 // Package transform implements the State Transformer (§5.1): the
 // component that executes a reconfiguration plan against the Tensor
-// Stores of the cluster. Fetches run in parallel, read exactly the
-// sub-tensor ranges the plan requires (splits are range-reads, merges
-// are local assembly), stage the new partitions next to the old ones,
-// and atomically commit when every assignment has landed: one rename of
-// the staged tree over the live one per device store that staged
-// anything, and no other request.
+// Stores of the cluster. Fetches read exactly the sub-tensor ranges the
+// plan requires (splits are range-reads, merges are local assembly),
+// stage the new partitions next to the old ones, and atomically commit
+// when every assignment has landed: one rename of the staged tree over
+// the live one per device store that staged anything, and no other
+// request.
 //
-// The production data path is streamed and zero-copy: each destination
-// sub-tensor is allocated exactly once and every plan range is fetched
-// *into* its final strided offset, so a byte moves from source holder
-// to destination buffer exactly once. One staging loop (stage, in
-// batch.go) serves every store set; where the destination buffer lives
-// and how a range reaches it depends on what the stores can do (batch.go
-// lists the three ways): between tenplex-store daemons the destination
-// store allocates the buffer and pulls the ranges from its peers itself,
-// as the paper's per-worker transformers do, and this process moves no
-// state at all; for in-process stores, or when a range has to come from
-// a checkpoint, the buffer is allocated here, filled by range reads
-// (local ranges are a pure copy, peer ranges scatter straight off the
-// wire) and handed to the destination store. The per-worker shape of
-// §5.1 is therefore destination-pull, not a second driver in this
-// package: there is one Apply. The fetch-then-assemble pipeline it
-// replaced lives on in reference_test.go, as the reference the
-// equivalence suites hold Apply byte-identical to.
+// An apply is one program and one executor (batch.go): the program says
+// what every destination device stages, and the executor gives each
+// destination one worker, as the paper's per-worker transformers do,
+// then commits. A destination sub-tensor is served one of two ways.
+// Between tenplex-store daemons the destination store pulls its ranges
+// from its peers itself, and this process moves no state at all.
+// Otherwise it is allocated here exactly once and every plan range is
+// fetched into its final strided offset before it is handed to the
+// store, so a byte moves from source holder to destination buffer
+// exactly once. The fetch-then-assemble pipeline this replaced lives on
+// in reference_test.go, as the reference the equivalence suites hold
+// Apply byte-identical to.
 package transform
 
 import (
@@ -94,7 +89,8 @@ type Transformer struct {
 	// Storage reads persisted checkpoints; may be nil if the plan has
 	// no storage fetches.
 	Storage StorageReader
-	// Parallelism bounds concurrent assignment execution; <= 0 means 8.
+	// Parallelism bounds how many destinations stage at once, and how
+	// many commit at once; <= 0 means 8.
 	Parallelism int
 	// Obs, when non-nil and datapath-deep, records one span per
 	// assignment (tensor, device, bytes by source, allocation) under
@@ -142,8 +138,28 @@ func (s Stats) CopyAmplification() float64 {
 	return 0
 }
 
-// merge folds the byte counters of o into s.
+// add counts the staged assignment a, whose own counters are o.
+func (s *Stats) add(a core.Assignment, o Stats) {
+	s.Assignments++
+	if a.IsNoop() {
+		s.Noops++
+	}
+	s.merge(o)
+}
+
+// fetched counts n plan bytes of assignment a read from device src.
+func (s *Stats) fetched(a core.Assignment, src cluster.DeviceID, n int64) {
+	if src == a.Device {
+		s.LocalBytes += n
+	} else {
+		s.PeerBytes += n
+	}
+}
+
+// merge folds the counters of o into s.
 func (s *Stats) merge(o Stats) {
+	s.Assignments += o.Assignments
+	s.Noops += o.Noops
 	s.LocalBytes += o.LocalBytes
 	s.PeerBytes += o.PeerBytes
 	s.StorageBytes += o.StorageBytes
@@ -162,7 +178,7 @@ func (tr *Transformer) Apply(plan *core.Plan) (Stats, error) {
 
 // ApplyContext is Apply under a caller-supplied context. The first
 // fatal assignment error cancels the whole apply: the worker pool
-// abandons queued assignments and in-flight fetches through
+// abandons queued destinations and in-flight fetches through
 // context-aware stores are interrupted, so a doomed reconfiguration
 // stops moving bytes as soon as its outcome is known. Canceling ctx
 // externally aborts the apply the same way (nothing is committed,
@@ -181,13 +197,13 @@ func (tr *Transformer) ApplyContext(ctx context.Context, plan *core.Plan) (Stats
 		}
 	}
 
-	st, err := tr.stage(ctx, plan)
+	prog := newProgram(tr.Job, plan, tr.Stores)
+	st, err := tr.stage(ctx, prog)
 	if err != nil {
 		tr.cleanupStaging(ctx, plan)
 		return st, err
 	}
-
-	if err := tr.commit(ctx, plan); err != nil {
+	if err := tr.commit(ctx, prog); err != nil {
 		return st, err
 	}
 	st.Duration = time.Since(start)
@@ -216,67 +232,49 @@ func (tr *Transformer) recordStats(st Stats) {
 }
 
 // fetchInto streams one plan range into its final offset inside out,
-// from the source store's range read or from checkpoint storage.
-func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.Fetch, dt tensor.DType, out *tensor.Tensor) (Stats, error) {
-	var fs Stats
+// from the source store's range read or from checkpoint storage, and
+// counts it in st. Its regions are cut from *arena.
+func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.Fetch, dt tensor.DType, out *tensor.Tensor,
+	st *Stats, arena *[]tensor.Range) error {
 	bytes := f.Want.NumBytes(dt)
-	var ranges []tensor.Range
-	target, local := fetchRegions(&ranges, a, f)
+	target, local := fetchRegions(arena, a, f)
 	switch f.Src.Kind {
 	case core.FromDevice:
 		src, ok := tr.Stores[f.Src.Device]
 		if !ok {
-			return fs, fmt.Errorf("transform: no store for source device %d", f.Src.Device)
+			return fmt.Errorf("transform: no store for source device %d", f.Src.Device)
 		}
 		n, err := store.WithContext(src).QueryIntoContext(ctx, ModelPath(tr.Job, f.Src.Device, a.Tensor), local, out, target)
 		if err != nil {
-			return fs, fmt.Errorf("transform: fetch %s%v from dev %d: %w", a.Tensor, f.Want, f.Src.Device, err)
+			return fmt.Errorf("transform: fetch %s%v from dev %d: %w", a.Tensor, f.Want, f.Src.Device, err)
 		}
-		fs.BytesCopied += n
-		if f.Src.Device == a.Device {
-			fs.LocalBytes += bytes
-		} else {
-			fs.PeerBytes += bytes
-		}
+		st.BytesCopied += n
+		st.fetched(a, f.Src.Device, bytes)
 	case core.FromStorage:
 		if tr.Storage == nil {
-			return fs, fmt.Errorf("transform: plan needs storage for %s%v but no StorageReader configured", a.Tensor, f.Want)
+			return fmt.Errorf("transform: plan needs storage for %s%v but no StorageReader configured", a.Tensor, f.Want)
 		}
 		if rw, ok := tr.Storage.(StorageRangeWriter); ok {
 			n, err := rw.ReadRangeInto(a.Tensor, f.Want, out, target)
 			if err != nil {
-				return fs, fmt.Errorf("transform: storage read %s%v: %w", a.Tensor, f.Want, err)
+				return fmt.Errorf("transform: storage read %s%v: %w", a.Tensor, f.Want, err)
 			}
-			fs.BytesCopied += n
+			st.BytesCopied += n
 		} else {
 			t, err := tr.Storage.ReadRange(a.Tensor, f.Want)
 			if err != nil {
-				return fs, fmt.Errorf("transform: storage read %s%v: %w", a.Tensor, f.Want, err)
+				return fmt.Errorf("transform: storage read %s%v: %w", a.Tensor, f.Want, err)
 			}
 			n, err := tensor.CopyRegion(out, target, t, tensor.FullRegion(t.Shape()))
 			if err != nil {
-				return fs, fmt.Errorf("transform: storage scatter %s%v: %w", a.Tensor, f.Want, err)
+				return fmt.Errorf("transform: storage scatter %s%v: %w", a.Tensor, f.Want, err)
 			}
-			fs.AllocBytes += int64(t.NumBytes())
-			fs.BytesCopied += int64(t.NumBytes()) + n
+			st.AllocBytes += int64(t.NumBytes())
+			st.BytesCopied += int64(t.NumBytes()) + n
 		}
-		fs.StorageBytes += bytes
+		st.StorageBytes += bytes
 	}
-	return fs, nil
-}
-
-// disjointTargets reports whether the fetched ranges are pairwise
-// non-overlapping, which makes concurrent scatter-writes into the
-// shared destination buffer safe.
-func disjointTargets(fetches []core.Fetch) bool {
-	for i := 0; i < len(fetches); i++ {
-		for j := i + 1; j < len(fetches); j++ {
-			if fetches[i].Want.Overlaps(fetches[j].Want) {
-				return false
-			}
-		}
-	}
-	return true
+	return nil
 }
 
 // uploadCopies reports whether uploading to acc copies the tensor's
@@ -302,38 +300,24 @@ func (tr *Transformer) cleanupStaging(ctx context.Context, plan *core.Plan) {
 	}
 }
 
-// commit swaps the staged tree into place on every destination device
-// and clears stale model state on devices that leave the job. A device
-// the plan assigned anything to has a staged tree, and its commit is one
-// Rename of it over the live tree, which store.Access.Rename replaces
-// whole and at once, so the device is never without a model tree; a
-// destination the plan assigned nothing has nothing staged and is sent
-// nothing. Once staging has fully succeeded the swap is the point of no
-// return, so it runs detached from the apply's cancellation: a ctx
-// canceled in the commit window must not strand a half-committed job.
-// Devices do not wait for each other: the renames run on the apply's
-// workers, every device is tried whatever happened to another, and the
-// error names each one that did not commit (joined, in the plan's device
-// order) instead of hiding the rest behind the first. The departing
-// devices give up their old state only after every destination has
-// committed, together: a failed commit leaves a migrating job's previous
-// copy where it was.
-func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
+// commit swaps the staged tree into place on every destination of the
+// program's commit list and clears stale model state on the departing
+// devices. A commit is one Rename of the staged tree over the live tree,
+// which store.Access.Rename replaces whole and at once, so the device is
+// never without a model tree; a destination the plan assigned nothing
+// has nothing staged and is sent nothing. Once staging has fully
+// succeeded the swap is the point of no return, so it runs detached from
+// the apply's cancellation: a ctx canceled in the commit window must not
+// strand a half-committed job. Devices do not wait for each other: the
+// renames run on the apply's workers, every device is tried whatever
+// happened to another, and the error names each one that did not commit
+// (joined, in the plan's device order) instead of hiding the rest behind
+// the first. The departing devices give up their old state only after
+// every destination has committed, together: a failed commit leaves a
+// migrating job's previous copy where it was.
+func (tr *Transformer) commit(ctx context.Context, prog *program) error {
 	ctx = context.WithoutCancel(ctx)
-	// In the new allocation: true where something was staged.
-	staged := make(map[cluster.DeviceID]bool, len(plan.To.Devices))
-	for _, d := range plan.To.Devices {
-		staged[d] = false
-	}
-	for _, a := range plan.Assignments {
-		staged[a.Device] = true
-	}
-	var swap []cluster.DeviceID
-	for _, d := range plan.To.Devices {
-		if staged[d] {
-			swap = append(swap, d)
-		}
-	}
+	swap := prog.commit
 	errs := make([]error, len(swap))
 	runBounded(ctx, tr.parallelism(), len(swap), func(i int) {
 		if err := store.WithContext(tr.Stores[swap[i]]).RenameContext(ctx, StagingRoot(tr.Job), ModelRoot(tr.Job)); err != nil {
@@ -346,11 +330,9 @@ func (tr *Transformer) commit(ctx context.Context, plan *core.Plan) error {
 	// Devices that held state before but are not in the new allocation
 	// release it so the scheduler can hand their memory to other jobs.
 	var leaving []store.Access
-	for _, d := range plan.From.Devices {
-		if _, in := staged[d]; !in {
-			if acc, ok := tr.Stores[d]; ok {
-				leaving = append(leaving, acc)
-			}
+	for _, d := range prog.departing {
+		if acc, ok := tr.Stores[d]; ok {
+			leaving = append(leaving, acc)
 		}
 	}
 	runBounded(ctx, tr.parallelism(), len(leaving), func(i int) {
