@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -398,6 +399,19 @@ func (a Allocation) Contains(id DeviceID) bool {
 		}
 	}
 	return false
+}
+
+// Repeated returns the least device the allocation lists more than
+// once, and whether there is one.
+func (a Allocation) Repeated() (DeviceID, bool) {
+	s := slices.Clone(a)
+	slices.Sort(s)
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return s[i], true
+		}
+	}
+	return 0, false
 }
 
 // Workers returns the sorted list of distinct workers used by the

@@ -52,7 +52,7 @@ func BenchmarkGeneratePlanScenarios(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(plan.Assignments) == 0 {
+				if len(plan.Assignments)+len(plan.Kept) == 0 {
 					b.Fatal("empty plan")
 				}
 			}

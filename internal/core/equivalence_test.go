@@ -21,11 +21,15 @@ import (
 
 func requireIdenticalPlans(t *testing.T, label string, got, want *core.Plan) {
 	t.Helper()
-	if len(got.Assignments) != len(want.Assignments) {
-		t.Fatalf("%s: %d assignments, reference has %d", label, len(got.Assignments), len(want.Assignments))
+	all := got.AllAssignments()
+	if len(all) != len(want.Assignments) {
+		t.Fatalf("%s: %d assignments, reference has %d", label, len(all), len(want.Assignments))
+	}
+	if gs, ws := got.Stats(nil), want.Stats(nil); gs != ws {
+		t.Fatalf("%s: stats %+v, reference has %+v", label, gs, ws)
 	}
 	for i := range want.Assignments {
-		ga, wa := got.Assignments[i], want.Assignments[i]
+		ga, wa := all[i], want.Assignments[i]
 		if ga.Device != wa.Device || ga.Tensor != wa.Tensor || !ga.Region.Equal(wa.Region) {
 			t.Fatalf("%s: assignment %d differs:\n got %d %s%v\nwant %d %s%v",
 				label, i, ga.Device, ga.Tensor, ga.Region, wa.Device, wa.Tensor, wa.Region)

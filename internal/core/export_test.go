@@ -7,3 +7,7 @@ var GeneratePlanReference = generatePlanReference
 
 // IndexBuilds reports how many PTCs have been compiled so far.
 func IndexBuilds() int64 { return indexBuilds.Load() }
+
+// AlignDevicesPerHolder exposes the per-holder alignment AlignDevices
+// is held to.
+var AlignDevicesPerHolder = alignDevicesPerHolder

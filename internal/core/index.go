@@ -52,6 +52,13 @@ type tensorIndex struct {
 	axis    int                // dominant split axis; -1 when every holder has the same region
 	byLo    []int32
 	n       int32 // holder count, used as a fill cursor during the build
+	// set names the tensor's holders when every holder holds one region,
+	// so that a wanted region overlaps all of them alike: it is the
+	// position in ptcIndex.all of a tensor whose holders sit on the same
+	// ranks in the same order (a device holding the tensor twice is in
+	// it twice), the first of the run of such tensors this one is in.
+	// -1 otherwise.
+	set int32
 }
 
 // ptcIndex is the compiled PTC. All per-tensor slices are windows into
@@ -62,6 +69,9 @@ type ptcIndex struct {
 	all   []tensorIndex      // placed tensors in first-placement order, then the unplaced
 	devs  []cluster.DeviceID // distinct devices, ascending: the dense rank space
 	place [][]int32          // by rank: the position in all of each sub-tensor on the device's list
+	// repeats reports, by rank, whether the device holds some tensor
+	// more than once.
+	repeats []bool
 }
 
 // indexBuilds counts compilations, for the test that pins one build per
@@ -112,12 +122,17 @@ func (idx *ptcIndex) rank(d cluster.DeviceID) int32 {
 // holding them: a placed list is immutable, so the same first element
 // and length mean the same sub-tensors. This keeps string hashing
 // (position is a map probe by TensorID) off the per-placement path.
-func eachList(q *PTC, devs []cluster.DeviceID, position func(cluster.DeviceID, *SubTensor) int32) (seqs [][]int32, first []int32) {
+// The devices in skip, a subsequence of devs, get no row.
+func eachList(q *PTC, devs, skip []cluster.DeviceID, position func(cluster.DeviceID, *SubTensor) int32) (seqs [][]int32, first []int32) {
 	seqs, first = make([][]int32, len(devs)), make([]int32, len(devs))
 	memo := make(map[*SubTensor]int32, len(devs))
 	for g, d := range devs {
 		list := q.Place[d]
 		first[g] = int32(g)
+		if len(skip) > 0 && skip[0] == d {
+			skip = skip[1:]
+			continue
+		}
 		if len(list) == 0 {
 			continue
 		}
@@ -140,8 +155,9 @@ func eachList(q *PTC, devs []cluster.DeviceID, position func(cluster.DeviceID, *
 // tensor), so consumers walking q against idx index arrays instead of
 // hashing tensor IDs. first is eachList's: devices sharing a list share
 // its row.
-func (idx *ptcIndex) resolve(q *PTC) (wants [][]int32, first []int32) {
-	return eachList(q, q.Devices, func(_ cluster.DeviceID, s *SubTensor) int32 {
+// The devices in skip, a subsequence of q.Devices, are left unresolved.
+func (idx *ptcIndex) resolve(q *PTC, skip []cluster.DeviceID) (wants [][]int32, first []int32) {
+	return eachList(q, q.Devices, skip, func(_ cluster.DeviceID, s *SubTensor) int32 {
 		if p, ok := idx.pos[s.Tensor]; ok {
 			return p
 		}
@@ -163,9 +179,9 @@ func distinctDevices(devs []cluster.DeviceID) []cluster.DeviceID {
 func compile(p *PTC) *ptcIndex {
 	indexBuilds.Add(1)
 	devs := distinctDevices(p.Devices)
-	idx := &ptcIndex{pos: make(map[TensorID]int32, len(p.Tensors)), devs: devs}
+	idx := &ptcIndex{pos: make(map[TensorID]int32, len(p.Tensors)), devs: devs, repeats: make([]bool, len(devs))}
 	idx.all = make([]tensorIndex, 0, len(p.Tensors))
-	idx.place, _ = eachList(p, devs, func(_ cluster.DeviceID, s *SubTensor) int32 {
+	idx.place, _ = eachList(p, devs, nil, func(_ cluster.DeviceID, s *SubTensor) int32 {
 		pos, ok := idx.pos[s.Tensor]
 		if !ok {
 			pos = int32(len(idx.all))
@@ -199,6 +215,9 @@ func compile(p *PTC) *ptcIndex {
 		list := p.Place[d]
 		for i, pos := range idx.place[r] {
 			ti := &idx.all[pos]
+			if n := len(ti.holders); n > 0 && ti.holders[n-1].dev == d {
+				idx.repeats[r] = true
+			}
 			ti.holders = append(ti.holders, srcHolder{dev: d, rank: int32(r), reg: list[i].Region})
 		}
 	}
@@ -206,18 +225,29 @@ func compile(p *PTC) *ptcIndex {
 	devArena := make([]cluster.DeviceID, 0, total)
 	startArena := make([]int32, 0, total+len(idx.all))
 	byLoArena := make([]int32, 0, total)
+	last := int32(-1) // the set of the last tensor that has one
 	for i := range idx.all {
-		if len(idx.all[i].holders) > 0 {
-			idx.all[i].finish(&devArena, &startArena, &byLoArena)
+		ti := &idx.all[i]
+		ti.set = -1
+		if len(ti.holders) == 0 || !ti.finish(&devArena, &startArena, &byLoArena) {
+			continue
 		}
+		// Tensors placed together (a sub-collection and its replicas)
+		// follow one another and share the first one's set.
+		ti.set = int32(i)
+		if last >= 0 && slices.EqualFunc(idx.all[last].holders, ti.holders,
+			func(a, b srcHolder) bool { return a.rank == b.rank }) {
+			ti.set = last
+		}
+		last = ti.set
 	}
 	return idx
 }
 
 // finish computes device spans, the dominant split axis, and the
 // interval-sorted position list, carving slices out of the shared
-// arenas.
-func (ti *tensorIndex) finish(devArena *[]cluster.DeviceID, startArena *[]int32, byLoArena *[]int32) {
+// arenas. It reports whether every holder holds one region.
+func (ti *tensorIndex) finish(devArena *[]cluster.DeviceID, startArena *[]int32, byLoArena *[]int32) bool {
 	ds, ss := len(*devArena), len(*startArena)
 	for p := 0; p < len(ti.holders); {
 		d := ti.holders[p].dev
@@ -239,7 +269,7 @@ func (ti *tensorIndex) finish(devArena *[]cluster.DeviceID, startArena *[]int32,
 	for _, h := range ti.holders[1:] {
 		if len(h.reg) != len(first) {
 			ti.axis = -1
-			return // mixed ranks: no usable axis, lookup returns all
+			return false // mixed ranks: no usable axis, lookup returns all
 		}
 		if sameStorage(h.reg, first) {
 			continue // a replica placed from the first holder's region
@@ -254,7 +284,7 @@ func (ti *tensorIndex) finish(devArena *[]cluster.DeviceID, startArena *[]int32,
 		}
 	}
 	if ti.axis < 0 {
-		return
+		return true
 	}
 	for p := range ti.holders {
 		h := &ti.holders[p]
@@ -272,6 +302,7 @@ func (ti *tensorIndex) finish(devArena *[]cluster.DeviceID, startArena *[]int32,
 			ti.byLo[j], ti.byLo[j-1] = ti.byLo[j-1], ti.byLo[j]
 		}
 	}
+	return false
 }
 
 // span returns the canonical-order position range of device d's

@@ -52,15 +52,25 @@ type Assignment struct {
 	Fetch  []Fetch
 }
 
-// Plan is an executable reconfiguration plan: the full set of
-// destination sub-tensors and where each of their ranges comes from.
-// Executing every assignment transforms the state placed as PTC into
-// the state required by PTC′ (Alg. 1's split ∥ move ∥ merge sequence:
-// splits are range-reads of source sub-tensors, moves are cross-device
-// fetches, merges are the assembly of multi-fetch assignments).
+// Plan is an executable reconfiguration plan: every destination
+// sub-tensor and where each of its ranges comes from. Executing every
+// assignment transforms the state placed as PTC into the state required
+// by PTC′ (Alg. 1's split ∥ move ∥ merge sequence: splits are
+// range-reads of source sub-tensors, moves are cross-device fetches,
+// merges are the assembly of multi-fetch assignments).
+//
+// A plan lists what moves. A target device whose placement list is its
+// source list keeps all of its state where it is: it is named once in
+// Kept instead of with one noop assignment per sub-tensor. Stats counts
+// those noops all the same, and AllAssignments spells them out for an
+// executor that walks every destination sub-tensor.
 type Plan struct {
 	From, To    *PTC
 	Assignments []Assignment
+	// Kept are the target devices, in To.Devices order, that keep their
+	// source placement list: each is listed once in To, From places an
+	// equal list on it, and Assignments has nothing for it.
+	Kept []cluster.DeviceID
 	// validated caches a successful Validate. Plans are immutable after
 	// generation (mutating Assignments afterwards is unsupported), so
 	// executors re-applying or re-checking the same plan (retry after a
@@ -192,7 +202,8 @@ func (w *planWorker) consume(h *srcHolder, size int64, dst cluster.DeviceID) {
 }
 
 // planDevice resolves tier-0 (local) and tier-1 (same-worker) sources
-// for every sub-tensor wanted by destination device di, writing
+// for every resolved sub-tensor wanted by destination device di (a kept
+// device has none), writing
 // finished assignments directly into assigns starting at slot base.
 // This is the embarrassingly parallel part of plan generation: nothing
 // here depends on other destinations, and slot ranges are disjoint
@@ -202,11 +213,11 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 	d := w.to.Devices[di]
 	place := w.to.Place[d]
 	var out []pendingAssignment
-	for i := range place {
+	for i, pos := range w.wants[di] {
 		want := &place[i]
 		// The source registers every target tensor (checkPlanMeta), so
 		// there is an index entry even when no device holds the tensor.
-		ti := &w.idx.all[w.wants[di][i]]
+		ti := &w.idx.all[pos]
 		size := int64(ti.meta.DType.Size())
 		a := Assignment{Device: d, Tensor: want.Tensor, Region: want.Region}
 		w.fetchScratch = w.fetchScratch[:0]
@@ -258,6 +269,10 @@ func (w *planWorker) planDevice(di int, assigns []Assignment, base int32) []pend
 // device are never re-sent (minimality), and remaining ranges are
 // fetched from the nearest holder.
 //
+// Planning costs what the change moves: a target device that keeps its
+// source list (keptDevices) is neither resolved nor walked and goes into
+// Plan.Kept whole; every sub-tensor on it would have been a noop.
+//
 // Plan generation is pure metadata work and must stay cheap at
 // production scale, so the hot path is indexed and parallel: source
 // holders come from the source PTC's compiled index (index.go; built
@@ -275,23 +290,21 @@ func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 		return nil, err
 	}
 	idx := from.index()
-	wants, _ := idx.resolve(to)
+	kept := keptDevices(from, to, idx)
+	wants, _ := idx.resolve(to, kept)
 	srcWorker, dstWorker := workersOf(opts.Topo, idx.devs, to.Devices)
 
 	bases := make([]int32, len(to.Devices)+1)
-	for i, d := range to.Devices {
-		bases[i+1] = bases[i] + int32(len(to.Place[d]))
+	for i := range to.Devices {
+		bases[i+1] = bases[i] + int32(len(wants[i]))
 	}
 	nAssign := int(bases[len(to.Devices)])
 	assigns := make([]Assignment, nAssign)
 
 	// Parallel tier-0/1 phase across destination devices. Workers write
-	// into disjoint slot ranges of assigns.
+	// into disjoint slot ranges of assigns; a kept device has none.
 	pending := make([][]pendingAssignment, len(to.Devices))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(to.Devices) {
-		workers = len(to.Devices)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(to.Devices)-len(kept))
 	if workers <= 1 {
 		w := &planWorker{to: to, idx: idx, wants: wants, srcWorker: srcWorker, dstWorker: dstWorker}
 		for di := range to.Devices {
@@ -399,7 +412,84 @@ func GeneratePlan(from, to *PTC, opts PlanOptions) (*Plan, error) {
 			sortFetches(a.Fetch)
 		}
 	}
-	return &Plan{From: from, To: to, Assignments: assigns}, nil
+	return &Plan{From: from, To: to, Assignments: assigns, Kept: kept}, nil
+}
+
+// keptDevices lists, in to.Devices order, the target devices whose
+// every sub-tensor would be planned as a noop: those with a placement
+// list equal to the source's — the same backing array, or the same
+// tensors and regions in the same order — that hold no tensor twice in
+// from (the planner would read a second holder's range first). A target
+// listing any device twice keeps none.
+func keptDevices(from, to *PTC, idx *ptcIndex) []cluster.DeviceID {
+	var kept []cluster.DeviceID
+	for _, d := range to.Devices {
+		r := idx.rank(d)
+		if r < 0 || idx.repeats[r] || len(to.Place[d]) == 0 || !sameList(to.Place[d], from.Place[d]) {
+			continue
+		}
+		if kept == nil {
+			if _, twice := cluster.Allocation(to.Devices).Repeated(); twice {
+				return nil
+			}
+			kept = make([]cluster.DeviceID, 0, len(to.Devices))
+		}
+		kept = append(kept, d)
+	}
+	return kept
+}
+
+// sameList reports whether two placement lists hold the same tensors
+// and regions in the same order.
+func sameList(a, b []SubTensor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i].Tensor != b[i].Tensor || !a[i].Region.Equal(b[i].Region) {
+			return false
+		}
+	}
+	return true
+}
+
+// AllAssignments returns every assignment the plan stands for, in the
+// order GeneratePlan walks the target: device by device in To.Devices
+// order, a kept device's sub-tensors as the noops they are (each
+// fetching its own source region whole). Without kept devices it is
+// Assignments itself; otherwise it allocates the list and one fetch per
+// kept sub-tensor, all from one slice.
+func (p *Plan) AllAssignments() []Assignment {
+	if len(p.Kept) == 0 {
+		return p.Assignments
+	}
+	n, nKept := len(p.Assignments), 0
+	for _, d := range p.Kept {
+		nKept += len(p.To.Place[d])
+	}
+	out := make([]Assignment, 0, n+nKept)
+	fetches := make([]Fetch, nKept)
+	rest, k := p.Assignments, 0
+	for _, d := range p.To.Devices {
+		list := p.To.Place[d]
+		if k < len(p.Kept) && p.Kept[k] == d {
+			k++
+			src := p.From.Place[d]
+			for i, s := range list {
+				f := fetches[:1:1]
+				fetches = fetches[1:]
+				f[0] = Fetch{Want: s.Region, Src: Source{Kind: FromDevice, Device: d, Region: src[i].Region}}
+				out = append(out, Assignment{Device: d, Tensor: s.Tensor, Region: s.Region, Fetch: f})
+			}
+			continue
+		}
+		m := min(len(list), len(rest))
+		out, rest = append(out, rest[:m]...), rest[m:]
+	}
+	return append(out, rest...)
 }
 
 // workersOf returns the worker hosting each of src and of dst, or nils
@@ -474,6 +564,10 @@ type Stats struct {
 // then count as cross-worker).
 func (p *Plan) Stats(topo *cluster.Topology) Stats {
 	var st Stats
+	for _, d := range p.Kept {
+		st.Assignments += len(p.To.Place[d])
+		st.Noops += len(p.To.Place[d])
+	}
 	for _, a := range p.Assignments {
 		st.Assignments++
 		if a.IsNoop() {
@@ -510,18 +604,23 @@ func (p *Plan) Stats(topo *cluster.Topology) Stats {
 	return st
 }
 
-// Flows converts the plan into netsim flows for the performance plane.
+// Flows converts the plan into netsim flows for the performance plane:
+// one flow per (From, To) endpoint pair, carrying the bytes of every
+// fetch between them, in the order each pair first occurs in the plan.
 // Split work (reading a strict sub-range out of a stored sub-tensor) and
 // merge work (assembling a destination from multiple pieces) are
-// accounted as host-memory copy bytes.
+// accounted as host-memory copy bytes. netsim's loads are integer sums,
+// so one flow per pair prices exactly what one flow per fetch would; the
+// first-occurrence order keeps which pair first reaches a worker's
+// interconnect, which is the pair whose bandwidth Simulate prices it at.
+// Kept devices move nothing and add no flow.
 func (p *Plan) Flows(topo *cluster.Topology) []netsim.Flow {
-	n := 0
-	for _, a := range p.Assignments {
-		if !a.IsNoop() {
-			n += len(a.Fetch)
-		}
-	}
-	flows := make([]netsim.Flow, 0, n)
+	// at finds a pair's flow by its key: the destination device in the
+	// high half, the source device — all ones for storage — in the low.
+	// Most destinations read from one or two sources.
+	flows := make([]netsim.Flow, 0, 2*len(p.To.Devices))
+	at := make(map[uint64]int, 2*len(p.To.Devices))
+	last, li := uint64(0), -1
 	for _, a := range p.Assignments {
 		if a.IsNoop() {
 			continue
@@ -529,25 +628,31 @@ func (p *Plan) Flows(topo *cluster.Topology) []netsim.Flow {
 		meta := p.To.Tensors[a.Tensor]
 		merge := len(a.Fetch) > 1
 		for _, f := range a.Fetch {
-			bytes := f.Want.NumBytes(meta.DType)
-			var fl netsim.Flow
-			if f.Src.Kind == FromStorage {
-				fl = netsim.Flow{From: netsim.StorageEP(), To: netsim.DevEP(a.Device), Bytes: bytes}
-			} else {
-				fl = netsim.Flow{From: netsim.DevEP(f.Src.Device), To: netsim.DevEP(a.Device), Bytes: bytes}
+			n := f.Want.NumBytes(meta.DType)
+			from, src, bytes, cp := netsim.StorageEP(), uint32(1<<32-1), n, int64(0)
+			if f.Src.Kind == FromDevice {
+				from, src = netsim.DevEP(f.Src.Device), uint32(f.Src.Device)
 				if f.Src.Device == a.Device {
-					fl.Bytes = 0 // local range reads do not cross a link
+					bytes = 0 // local range reads do not cross a link
+				}
+				if !f.Src.Region.Equal(f.Want) {
+					cp += n // split copy at the source
 				}
 			}
-			var cp int64
-			if f.Src.Kind == FromDevice && !f.Src.Region.Equal(f.Want) {
-				cp += bytes // split copy at the source
-			}
 			if merge {
-				cp += bytes // merge copy at the destination
+				cp += n // merge copy at the destination
 			}
-			fl.CopyBytes = cp
-			flows = append(flows, fl)
+			if k := uint64(a.Device)<<32 | uint64(src); li < 0 || k != last {
+				i, ok := at[k]
+				if !ok {
+					i = len(flows)
+					at[k] = i
+					flows = append(flows, netsim.Flow{From: from, To: netsim.DevEP(a.Device)})
+				}
+				last, li = k, i
+			}
+			flows[li].Bytes += bytes
+			flows[li].CopyBytes += cp
 		}
 	}
 	return flows
@@ -584,7 +689,10 @@ func (p *Plan) Ops() []string {
 // region exactly, with no gaps and no overlaps (so every byte of a
 // destination buffer has one writer, whatever order its fetches land
 // in), every device fetch stays inside its declared source region, and
-// the assignments are exactly the target PTC's sub-tensors, each once.
+// the assignments and kept devices together are exactly the target
+// PTC's sub-tensors, each once. A kept device must be listed once in
+// the target, in Kept in target order, hold an equal list in the
+// source, and have no assignment.
 //
 // Assignments are matched against the target's placement lists with one
 // cursor per destination device: a plan in the order GeneratePlan emits
@@ -601,12 +709,31 @@ func (p *Plan) Validate() error {
 	devs := p.To.Devices
 	slot := make(map[cluster.DeviceID]int, len(devs))
 	base := make([]int, len(devs)+1)
+	k := 0 // walks p.Kept; a kept device owes no assignment
 	for g, d := range devs {
 		base[g+1] = base[g]
-		if _, dup := slot[d]; !dup {
-			slot[d] = g
-			base[g+1] += len(p.To.Place[d])
+		isKept := k < len(p.Kept) && p.Kept[k] == d
+		if _, dup := slot[d]; dup {
+			if isKept || slices.Contains(p.Kept[:k], d) {
+				return fmt.Errorf("core: plan: kept device %d listed twice in target", d)
+			}
+			continue
 		}
+		slot[d] = g
+		if !isKept {
+			base[g+1] += len(p.To.Place[d])
+			continue
+		}
+		if !sameList(p.To.Place[d], p.From.Place[d]) {
+			return fmt.Errorf("core: plan: kept device %d holds a different list in the source", d)
+		}
+		k++
+	}
+	if k < len(p.Kept) {
+		if _, in := slot[p.Kept[k]]; in {
+			return fmt.Errorf("core: plan: kept device %d out of target order", p.Kept[k])
+		}
+		return fmt.Errorf("core: plan: kept device %d not in target", p.Kept[k])
 	}
 	need := make([]int32, base[len(devs)])
 	for _, d := range devs {
@@ -624,23 +751,24 @@ func (p *Plan) Validate() error {
 		if g < 0 || a.Device != lastDev {
 			var ok bool
 			if g, ok = slot[a.Device]; !ok {
-				return notInTarget(a)
+				return p.notInTarget(a)
 			}
 			last, lastDev = g, a.Device
 		}
+		// A kept device owes nothing, so its assignment is never found.
 		place, owed := p.To.Place[a.Device], need[base[g]:base[g+1]]
 		found := -1
-		for i := cursor[g]; i < len(place); i++ {
+		for i := cursor[g]; i < len(owed); i++ {
 			if owed[i] > 0 && place[i].Tensor == a.Tensor && place[i].Region.Equal(a.Region) {
 				found = i
 				break
 			}
 		}
 		if found < 0 {
-			return notInTarget(a)
+			return p.notInTarget(a)
 		}
 		owed[found]--
-		for cursor[g] < len(place) && owed[cursor[g]] == 0 {
+		for cursor[g] < len(owed) && owed[cursor[g]] == 0 {
 			cursor[g]++
 		}
 
@@ -675,7 +803,11 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-func notInTarget(a Assignment) error {
+func (p *Plan) notInTarget(a Assignment) error {
+	if slices.Contains(p.Kept, a.Device) {
+		return fmt.Errorf("core: plan: assignment %q on kept dev %d",
+			string(a.Tensor)+a.Region.String(), a.Device)
+	}
 	return fmt.Errorf("core: plan: assignment %q on dev %d not in target PTC",
 		string(a.Tensor)+a.Region.String(), a.Device)
 }

@@ -46,7 +46,7 @@ func execute(t *testing.T, plan *core.Plan,
 	for _, d := range plan.To.Devices {
 		out[d] = map[string]*tensor.Tensor{}
 	}
-	for _, a := range plan.Assignments {
+	for _, a := range plan.AllAssignments() {
 		meta := plan.To.Tensors[a.Tensor]
 		var pieces []tensor.Piece
 		for _, f := range a.Fetch {

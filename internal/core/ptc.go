@@ -237,7 +237,7 @@ func (p *PTC) Validate() error {
 	ts := make([]check, 0, len(p.Tensors))
 	pos := make(map[TensorID]int32, len(p.Tensors))
 	devs := distinctDevices(p.Devices)
-	seqs, first := eachList(p, devs, func(d cluster.DeviceID, s *SubTensor) int32 {
+	seqs, first := eachList(p, devs, nil, func(d cluster.DeviceID, s *SubTensor) int32 {
 		t, ok := pos[s.Tensor]
 		if !ok {
 			t, pos[s.Tensor] = int32(len(ts)), int32(len(ts))

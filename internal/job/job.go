@@ -58,6 +58,9 @@ type Change struct {
 // plan may fall back to checkpoint reads (fail-stop recovery).
 func Plan(m *model.Model, topo *cluster.Topology, from *core.PTC, cfg parallel.Config,
 	alloc cluster.Allocation, failed []cluster.DeviceID) (*Change, error) {
+	if err := checkAlloc(topo, alloc, failed); err != nil {
+		return nil, err
+	}
 	to, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
 		return nil, err
@@ -92,6 +95,30 @@ func PlanTo(topo *cluster.Topology, from, to *core.PTC, failed []cluster.DeviceI
 	return &Change{From: from, Failed: failed, To: to, Plan: plan}, nil
 }
 
+// checkAlloc rejects an allocation naming a device that topo does not
+// have or that has failed: marked failed in topo, or one of failed,
+// whose state a fail-stop change recovers. It reads topo's health, so it
+// runs where placements are decided, never beside a health mutation.
+func checkAlloc(topo *cluster.Topology, alloc cluster.Allocation, failed []cluster.DeviceID) error {
+	for _, d := range alloc {
+		if err := inTopology(topo, d); err != nil {
+			return err
+		}
+		if topo.FailedDevice(d) || slices.Contains(failed, d) {
+			return fmt.Errorf("job: allocation %v: device %d has failed", alloc, d)
+		}
+	}
+	return nil
+}
+
+// inTopology rejects a device that topo does not have.
+func inTopology(topo *cluster.Topology, d cluster.DeviceID) error {
+	if d < 0 || int(d) >= topo.NumDevices() {
+		return fmt.Errorf("job: device %d is not in topology %s (%d devices)", d, topo.Name, topo.NumDevices())
+	}
+	return nil
+}
+
 // Price fills in what the change's plan costs on topo.
 func (ch *Change) Price(topo *cluster.Topology) {
 	ch.Stats = ch.Plan.Stats(topo)
@@ -103,6 +130,9 @@ func (ch *Change) Price(topo *cluster.Topology) {
 // streams from checkpoint storage to its device, replicas included —
 // exactly what Restore, which carries the change out, moves.
 func PlanRestore(m *model.Model, topo *cluster.Topology, cfg parallel.Config, alloc cluster.Allocation) (*Change, error) {
+	if err := checkAlloc(topo, alloc, nil); err != nil {
+		return nil, err
+	}
 	to, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
 		return nil, err
@@ -198,9 +228,23 @@ func (r *Runtime) adopt(ptc *core.PTC, cfg parallel.Config, alloc cluster.Alloca
 }
 
 // Deploy writes state — whole logical tensors — into the stores under
-// ptc, built from (cfg, alloc), and makes that the job's placement.
+// ptc, built from (cfg, alloc), and makes that the job's placement. A
+// device the topology does not have, or that has no store, is an error.
+// Whether a device has failed is not checked here: a deploy may run
+// beside the decision plane that marks failures, and topology health is
+// read only there (Plan and PlanRestore check it).
 func (r *Runtime) Deploy(ptc *core.PTC, cfg parallel.Config, alloc cluster.Allocation,
 	state map[core.TensorID]*tensor.Tensor) error {
+	for _, d := range ptc.Devices {
+		if r.Topo != nil {
+			if err := inTopology(r.Topo, d); err != nil {
+				return err
+			}
+		}
+		if _, ok := r.Stores[d]; !ok {
+			return fmt.Errorf("job: device %d has no store", d)
+		}
+	}
 	if err := transform.LoadPTC(r.Name, ptc, r.Stores, state); err != nil {
 		return err
 	}

@@ -347,3 +347,51 @@ func TestVerifyNamesTheFirstBadTensor(t *testing.T) {
 		}
 	}
 }
+
+// A malformed allocation is refused before anything is built or
+// written: a device listed twice, one the topology does not have, one
+// marked failed, one whose state a fail-stop change recovers, and — for
+// a deploy — one without a store.
+func TestMalformedAllocationsRefused(t *testing.T) {
+	m := tinyGPT()
+	topo := cluster.OnPrem16()
+	topo.MarkFailed(9)
+	dp2 := parallel.Config{TP: 1, PP: 1, DP: 2}
+	from, err := parallel.BuildPTC(m, dp2, cluster.Allocation{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		alloc  cluster.Allocation
+		failed []cluster.DeviceID
+		want   string
+	}{
+		{cluster.Allocation{2, 2}, nil, "device 2 listed twice"},
+		{cluster.Allocation{2, 16}, nil, "device 16 is not in topology"},
+		{cluster.Allocation{-1, 2}, nil, "device -1 is not in topology"},
+		{cluster.Allocation{2, 9}, nil, "device 9 has failed"},
+		{cluster.Allocation{1, 2}, []cluster.DeviceID{1}, "device 1 has failed"},
+	} {
+		if _, err := Plan(m, topo, from, dp2, c.alloc, c.failed); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Plan onto %v, failed %v: %v, want %q", c.alloc, c.failed, err, c.want)
+		}
+		if c.failed == nil {
+			if _, err := PlanRestore(m, topo, dp2, c.alloc); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("PlanRestore onto %v: %v, want %q", c.alloc, err, c.want)
+			}
+		}
+	}
+
+	stores := map[cluster.DeviceID]store.Access{0: store.Local{FS: store.NewMemFS()}}
+	rt := &Runtime{Name: "bad", Model: m, Topo: topo, Stores: stores}
+	if err := rt.Deploy(from, dp2, cluster.Allocation{0, 1}, InitState(1, m, 1)); err == nil ||
+		!strings.Contains(err.Error(), "device 1 has no store") {
+		t.Errorf("Deploy onto a device without a store: %v", err)
+	}
+	stores[1] = store.Local{FS: store.NewMemFS()}
+	rt.Topo = cluster.New("one-device", 1, 1, cluster.LinkConfig{})
+	if err := rt.Deploy(from, dp2, cluster.Allocation{0, 1}, InitState(1, m, 1)); err == nil ||
+		!strings.Contains(err.Error(), "device 1 is not in topology") {
+		t.Errorf("Deploy onto a device outside the topology: %v", err)
+	}
+}

@@ -13,7 +13,7 @@
 package model
 
 import (
-	"fmt"
+	"strconv"
 
 	"tenplex/internal/tensor"
 )
@@ -145,13 +145,17 @@ func (m *Model) Layer(name string) (Layer, bool) {
 // "<param>.opt<k>" — as (layer index, Param) pairs in a deterministic
 // order. This is the tensor set T of the PTC.
 func (m *Model) StateParams() []LayerParam {
-	var out []LayerParam
+	n := 0
+	for _, l := range m.Layers {
+		n += len(l.Params)
+	}
+	out := make([]LayerParam, 0, n*(1+m.OptimizerStates))
 	for li, l := range m.Layers {
 		for _, p := range l.Params {
 			out = append(out, LayerParam{LayerIndex: li, LayerName: l.Name, Param: p})
 			for k := 0; k < m.OptimizerStates; k++ {
 				op := p
-				op.Name = fmt.Sprintf("%s.opt%d", p.Name, k)
+				op.Name = p.Name + ".opt" + strconv.Itoa(k)
 				op.DType = m.OptimizerDType
 				out = append(out, LayerParam{LayerIndex: li, LayerName: l.Name, Param: op})
 			}

@@ -28,6 +28,9 @@ func BuildPTC(m *model.Model, cfg Config, alloc cluster.Allocation) (*core.PTC, 
 	if err := cfg.Validate(len(alloc), m); err != nil {
 		return nil, err
 	}
+	if err := checkDistinct(alloc); err != nil {
+		return nil, err
+	}
 	stages := PartitionStages(m, cfg.PP)
 
 	ptc := core.NewPTC(fmt.Sprintf("%s %s", m.Name, cfg), alloc)
@@ -61,9 +64,21 @@ func BuildPTC(m *model.Model, cfg Config, alloc cluster.Allocation) (*core.PTC, 
 	return ptc, nil
 }
 
+// checkDistinct rejects an allocation that lists a device twice: a
+// device holds one rank's state.
+func checkDistinct(alloc cluster.Allocation) error {
+	if d, ok := alloc.Repeated(); ok {
+		return fmt.Errorf("parallel: device %d listed twice in allocation %v", d, alloc)
+	}
+	return nil
+}
+
 // addTensors registers every state tensor of the model and returns
 // their IDs, in params order.
 func addTensors(ptc *core.PTC, params []model.LayerParam) []core.TensorID {
+	if len(ptc.Tensors) == 0 {
+		ptc.Tensors = make(map[core.TensorID]core.TensorMeta, len(params))
+	}
 	ids := make([]core.TensorID, len(params))
 	for k, lp := range params {
 		ids[k] = core.TensorID(lp.Path())

@@ -39,6 +39,9 @@ func BuildMoEPTC(m *model.Model, cfg MoEConfig, alloc cluster.Allocation) (*core
 	if cfg.WorldSize() != len(alloc) {
 		return nil, fmt.Errorf("parallel: %v needs %d devices, allocation has %d", cfg, cfg.WorldSize(), len(alloc))
 	}
+	if err := checkDistinct(alloc); err != nil {
+		return nil, err
+	}
 	nExperts := m.NumExperts()
 	if nExperts == 0 {
 		return nil, fmt.Errorf("parallel: model %s has no experts", m.Name)
@@ -52,8 +55,20 @@ func BuildMoEPTC(m *model.Model, cfg MoEConfig, alloc cluster.Allocation) (*core
 	ids := addTensors(ptc, params)
 	regs := tpRegions(params, 1) // σ is the identity: one full region per tensor
 	// One pass over the parameters: an expert's tensors go to its group,
-	// everything else to every group.
+	// everything else to every group. Each group is sized first, so it is
+	// filled without regrowing.
+	shared, own := 0, make([]int, cfg.EP)
+	for k := range params {
+		if p := &params[k].Param; p.IsExpert {
+			own[p.Expert%cfg.EP]++
+		} else {
+			shared++
+		}
+	}
 	groups := make([][]core.SubTensor, cfg.EP)
+	for ep := range groups {
+		groups[ep] = make([]core.SubTensor, 0, shared+own[ep])
+	}
 	for k := range params {
 		sub := core.SubTensor{Tensor: ids[k], Region: regs[k]}
 		if p := &params[k].Param; p.IsExpert {
@@ -99,6 +114,9 @@ func BuildSequencePTC(name string, batch SequenceBatch, sp int, alloc cluster.Al
 	}
 	if sp != len(alloc) {
 		return nil, fmt.Errorf("parallel: SP=%d needs %d devices, allocation has %d", sp, sp, len(alloc))
+	}
+	if err := checkDistinct(alloc); err != nil {
+		return nil, err
 	}
 	ptc := core.NewPTC(fmt.Sprintf("%s SP=%d", name, sp), alloc)
 	shape := []int{batch.SeqLen, batch.Features}

@@ -74,7 +74,9 @@ type destination struct {
 }
 
 // newProgram routes every assignment of a validated plan to its
-// destination. It is the only walk over plan.Assignments in an apply.
+// destination, a kept device's noops included, so that an apply issues
+// the same store operations whether or not the plan lists them. It is
+// the only walk over the plan's assignments in an apply.
 func newProgram(job string, plan *core.Plan, stores map[cluster.DeviceID]store.Access) *program {
 	p := &program{plan: plan, dests: make([]destination, 0, len(plan.To.Devices))}
 	at := make(map[cluster.DeviceID]int, len(plan.To.Devices))
@@ -84,8 +86,9 @@ func newProgram(job string, plan *core.Plan, stores map[cluster.DeviceID]store.A
 			p.dests = append(p.dests, destination{dev: d})
 		}
 	}
-	route := newPullRoute(job, plan)
-	for _, a := range plan.Assignments {
+	all := plan.AllAssignments()
+	route := newPullRoute(job, plan, all)
+	for _, a := range all {
 		d := &p.dests[at[a.Device]]
 		if item, ok := assembleItem(stores, a, route); ok {
 			d.pull = append(d.pull, a)
@@ -354,7 +357,8 @@ func (tr *Transformer) recordSpan(ctx context.Context, a core.Assignment, st Sta
 // whole plan.
 type pullRoute struct {
 	plan           *core.Plan
-	model, staging string // the roots ModelPath and stagingPath build under
+	all            []core.Assignment // the plan's, AllAssignments
+	model, staging string            // the roots ModelPath and stagingPath build under
 	paths          tensor.StringArena
 	scratch        []byte // the path being built
 	dims           []int
@@ -362,8 +366,8 @@ type pullRoute struct {
 	ranges         []tensor.Range
 }
 
-func newPullRoute(job string, plan *core.Plan) *pullRoute {
-	return &pullRoute{plan: plan, model: ModelRoot(job), staging: StagingRoot(job)}
+func newPullRoute(job string, plan *core.Plan, all []core.Assignment) *pullRoute {
+	return &pullRoute{plan: plan, all: all, model: ModelRoot(job), staging: StagingRoot(job)}
 }
 
 // reserve sizes the slices for every item and fetch of the plan, once,
@@ -375,7 +379,7 @@ func (r *pullRoute) reserve() {
 		return
 	}
 	var fetches, dims, ranges int
-	for _, a := range r.plan.Assignments {
+	for _, a := range r.all {
 		fetches += len(a.Fetch)
 		dims += len(a.Region)
 		ranges += 2 * len(a.Fetch) * len(a.Region)

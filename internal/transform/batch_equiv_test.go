@@ -109,7 +109,7 @@ func hideBatch(stores map[cluster.DeviceID]store.Access) map[cluster.DeviceID]st
 // checkpoint (such assignments stay on the client-side routes) and
 // whether any comes from a device store.
 func fetchKinds(plan *core.Plan) (storage, device bool) {
-	for _, a := range plan.Assignments {
+	for _, a := range plan.AllAssignments() {
 		for _, f := range a.Fetch {
 			if f.Src.Kind == core.FromStorage {
 				storage = true
@@ -447,7 +447,7 @@ func TestApplyAssembleByteMismatchIsTraced(t *testing.T) {
 	}
 	// Whichever destination's request was answered first fails all of its
 	// assignments; the other may have been abandoned by the cancel.
-	perDev := len(plan.Assignments) / len(to.Devices)
+	perDev := len(plan.AllAssignments()) / len(to.Devices)
 	if failed != perDev && failed != 2*perDev {
 		t.Fatalf("%d failed assignment spans, want those of one or both destinations (%d each)", failed, perDev)
 	}

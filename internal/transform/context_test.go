@@ -79,9 +79,9 @@ func TestApplyContextAbandonsWorkOnFirstError(t *testing.T) {
 	for _, cf := range wrapped {
 		ops += cf.ops.Load()
 	}
-	if ops >= int64(len(plan.Assignments)) {
+	if all := plan.AllAssignments(); ops >= int64(len(all)) {
 		t.Fatalf("apply ran %d store ops across %d assignments; queued work was not abandoned after the first error",
-			ops, len(plan.Assignments))
+			ops, len(all))
 	}
 }
 

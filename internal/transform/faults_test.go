@@ -362,7 +362,7 @@ func TestApplyReportsEveryAssignmentFailure(t *testing.T) {
 	from, _, plan, golden := migrateFixture(t)
 	// Two tensors a destination reads from device 0.
 	var paths []string
-	for _, a := range plan.Assignments {
+	for _, a := range plan.AllAssignments() {
 		for _, f := range a.Fetch {
 			if p := ModelPath(job, 0, a.Tensor); len(paths) < 2 && a.Device == 2 &&
 				f.Src.Kind == core.FromDevice && f.Src.Device == 0 && (len(paths) == 0 || paths[0] != p) {

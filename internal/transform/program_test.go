@@ -131,8 +131,9 @@ func checkProgram(t *testing.T, label string, plan *core.Plan, stores map[cluste
 		dev cluster.DeviceID
 		id  core.TensorID
 	}
+	all := plan.AllAssignments()
 	index := map[key]int{}
-	for i, a := range plan.Assignments {
+	for i, a := range all {
 		index[key{a.Device, a.Tensor}] = i
 	}
 	pulls := func(a core.Assignment) bool {
@@ -149,7 +150,7 @@ func checkProgram(t *testing.T, label string, plan *core.Plan, stores map[cluste
 	if len(prog.dests) != len(plan.To.Devices) {
 		t.Fatalf("%s: %d destinations for target devices %v", label, len(prog.dests), plan.To.Devices)
 	}
-	seen := make([]int, len(plan.Assignments))
+	seen := make([]int, len(all))
 	var commit []cluster.DeviceID
 	for g, d := range prog.dests {
 		if d.dev != plan.To.Devices[g] {
@@ -201,7 +202,7 @@ func checkProgram(t *testing.T, label string, plan *core.Plan, stores map[cluste
 	}
 	for i, n := range seen {
 		if n != 1 {
-			a := plan.Assignments[i]
+			a := all[i]
 			t.Fatalf("%s: assignment %s on dev %d listed %d times", label, a.Tensor, a.Device, n)
 		}
 	}

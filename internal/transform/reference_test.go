@@ -31,7 +31,7 @@ func (tr *Transformer) applyMaterialized(plan *core.Plan) (Stats, error) {
 		return Stats{}, err
 	}
 	var st Stats
-	for _, a := range plan.Assignments {
+	for _, a := range plan.AllAssignments() {
 		as, err := tr.applyAssignmentMaterialized(ctx, plan, a)
 		if err != nil {
 			tr.cleanupStaging(ctx, plan)
