@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The golden-table test pins the rendered cluster tables to the fixtures
-// in testdata/, byte for byte: the same scenarios under the same
-// options must keep rendering the same numbers. dcscale's latency
+// The golden-table test pins every rendered table, the paper's and the
+// cluster ones, to the fixtures in testdata/, byte for byte: the same
+// experiments must keep rendering the same numbers. dcscale's latency
 // columns and its flatness note are machine-dependent, so its fixture
 // masks them. A PR that changes a table on purpose regenerates the
 // fixtures with
@@ -25,6 +25,19 @@ func TestGoldenTables(t *testing.T) {
 		id    string
 		table func() (Table, error)
 	}{
+		{"tab1", func() (Table, error) { _, tab := Tab1SystemComparison(); return tab, nil }},
+		{"fig2a", func() (Table, error) { _, tab := Fig2aDatasetConsistency(); return tab, nil }},
+		{"fig2b", func() (Table, error) { _, tab := Fig2bBatchConsistency(); return tab, nil }},
+		{"fig3", func() (Table, error) { _, tab := Fig3ParallelizationSweep(); return tab, nil }},
+		{"fig9", func() (Table, error) { _, tab := Fig9ElasticConvergence(1); return tab, nil }},
+		{"fig10", func() (Table, error) { _, tab := Fig10Redeployment(); return tab, nil }},
+		{"fig11", func() (Table, error) { _, tab := Fig11FailureRecovery(); return tab, nil }},
+		{"fig12", func() (Table, error) { _, tab := Fig12ReconfigOverhead(); return tab, nil }},
+		{"fig13", func() (Table, error) { _, tab := Fig13HorovodThroughput(); return tab, nil }},
+		{"fig14", func() (Table, error) { _, tab := Fig14ParallelizationType(); return tab, nil }},
+		{"fig15", func() (Table, error) { _, tab := Fig15ClusterSize(); return tab, nil }},
+		{"fig16", func() (Table, error) { _, tab := Fig16Convergence(); return tab, nil }},
+		{"ablations", func() (Table, error) { _, tab, err := Ablations(); return tab, err }},
 		{"multijob", func() (Table, error) { _, tab := MultiJobCluster(); return tab, nil }},
 		{"policies", func() (Table, error) { _, tab, err := Policies().Run(); return tab, err }},
 		{"placement", func() (Table, error) { _, tab, err := Placement().Run(); return tab, err }},
