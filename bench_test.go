@@ -15,10 +15,18 @@ import (
 	"tenplex/internal/experiments"
 )
 
+// run runs e and fails the benchmark on an error.
+func run(b *testing.B, e experiments.Experiment) experiments.Runs {
+	runs, _, err := e.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return runs
+}
+
 func BenchmarkTab01SystemComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Tab1SystemComparison()
-		if len(rows) != 11 {
+		if runs := run(b, experiments.Tab1SystemComparison()); len(runs) != 11 {
 			b.Fatal("bad table")
 		}
 	}
@@ -27,9 +35,9 @@ func BenchmarkTab01SystemComparison(b *testing.B) {
 func BenchmarkFig02aDatasetConsistency(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		res, _ := experiments.Fig2aDatasetConsistency()
-		last := res.Points[len(res.Points)-1]
-		gap = last.Static - last.Dynamic
+		runs := run(b, experiments.Fig2aDatasetConsistency())
+		last := runs[len(runs)-1].Key
+		gap = runs.Num(last, "static_loss") - runs.Num(last, "dynamic_loss")
 	}
 	b.ReportMetric(gap, "loss-overfit-gap")
 }
@@ -37,9 +45,9 @@ func BenchmarkFig02aDatasetConsistency(b *testing.B) {
 func BenchmarkFig02bBatchConsistency(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		res, _ := experiments.Fig2bBatchConsistency()
-		last := res.Points[len(res.Points)-1]
-		gap = last.Dynamic - last.Static
+		runs := run(b, experiments.Fig2bBatchConsistency())
+		last := runs[len(runs)-1].Key
+		gap = runs.Num(last, "dynamic_loss") - runs.Num(last, "static_loss")
 	}
 	b.ReportMetric(gap, "loss-divergence-gap")
 }
@@ -47,16 +55,15 @@ func BenchmarkFig02bBatchConsistency(b *testing.B) {
 func BenchmarkFig03ParallelizationThroughput(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig3ParallelizationSweep()
 		var best, worst float64
-		for _, r := range rows {
-			if r.Model != "gpt3-2.7b" || !r.Feasible {
+		for _, c := range run(b, experiments.Fig3ParallelizationSweep()) {
+			if c.Labels[0] != "gpt3-2.7b" || c.Exact["feasible"] != true {
 				continue
 			}
 			if best == 0 {
-				best = r.SamplesSec
+				best = c.Num("samples_sec")
 			}
-			worst = r.SamplesSec
+			worst = c.Num("samples_sec")
 		}
 		spread = best / worst
 	}
@@ -66,8 +73,8 @@ func BenchmarkFig03ParallelizationThroughput(b *testing.B) {
 func BenchmarkFig09ElasticConvergence(b *testing.B) {
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig9ElasticConvergence(1)
-		reduction = 1 - rows[0].MinToTarget/rows[1].MinToTarget
+		runs := run(b, experiments.Fig9ElasticConvergence(1))
+		reduction = 1 - runs.Num("Tenplex", "min_to_target")/runs.Num("Tenplex-DP", "min_to_target")
 	}
 	b.ReportMetric(reduction*100, "%time-saved-vs-DP")
 }
@@ -75,8 +82,7 @@ func BenchmarkFig09ElasticConvergence(b *testing.B) {
 func BenchmarkFig10Redeployment(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig10Redeployment()
-		ratio = rows[len(rows)-1].CentralOver
+		ratio = run(b, experiments.Fig10Redeployment()).Num("6.7B", "central_over")
 	}
 	b.ReportMetric(ratio, "central/tenplex-6.7B-x")
 }
@@ -84,8 +90,8 @@ func BenchmarkFig10Redeployment(b *testing.B) {
 func BenchmarkFig11FailureRecovery(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig11FailureRecovery()
-		frac = rows[1].TenplexSec / rows[1].BaselineSec
+		runs := run(b, experiments.Fig11FailureRecovery())
+		frac = runs.Num("8", "tenplex_s") / runs.Num("8", "baseline_s")
 	}
 	b.ReportMetric(frac*100, "%of-baseline-8fail")
 }
@@ -93,8 +99,8 @@ func BenchmarkFig11FailureRecovery(b *testing.B) {
 func BenchmarkFig12ReconfigOverhead(b *testing.B) {
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig12ReconfigOverhead()
-		saved = 1 - rows[1].TenplexSec/rows[1].DeepSpeed
+		runs := run(b, experiments.Fig12ReconfigOverhead())
+		saved = 1 - runs.Num("16 to 8", "tenplex_s")/runs.Num("16 to 8", "deepspeed_s")
 	}
 	b.ReportMetric(saved*100, "%saved-vs-deepspeed-16to8")
 }
@@ -102,8 +108,7 @@ func BenchmarkFig12ReconfigOverhead(b *testing.B) {
 func BenchmarkFig13HorovodThroughput(b *testing.B) {
 	var tenplex float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig13HorovodThroughput()
-		tenplex = rows[2].SamplesSec
+		tenplex = run(b, experiments.Fig13HorovodThroughput()).Num("Tenplex", "samples_sec")
 	}
 	b.ReportMetric(tenplex, "tenplex-samples/s")
 }
@@ -111,11 +116,11 @@ func BenchmarkFig13HorovodThroughput(b *testing.B) {
 func BenchmarkFig14ParallelizationType(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig14ParallelizationType()
+		runs := run(b, experiments.Fig14ParallelizationType())
 		worst = 0
-		for _, r := range rows {
-			if r.ModelSize == "6.7B" && r.CentralSec/r.TenplexSec > worst {
-				worst = r.CentralSec / r.TenplexSec
+		for _, dim := range []string{"data", "pipeline", "tensor"} {
+			if r := runs.Num(dim+"/6.7B", "central_s") / runs.Num(dim+"/6.7B", "tenplex_s"); r > worst {
+				worst = r
 			}
 		}
 	}
@@ -125,14 +130,8 @@ func BenchmarkFig14ParallelizationType(b *testing.B) {
 func BenchmarkFig15ClusterSize(b *testing.B) {
 	var dpGrowth float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiments.Fig15ClusterSize()
-		var dp []float64
-		for _, r := range rows {
-			if r.Dim == "data" {
-				dp = append(dp, r.TenplexSec)
-			}
-		}
-		dpGrowth = dp[len(dp)-1] / dp[0]
+		runs := run(b, experiments.Fig15ClusterSize())
+		dpGrowth = runs.Num("data/16 to 32", "tenplex_s") / runs.Num("data/4 to 8", "tenplex_s")
 	}
 	b.ReportMetric(dpGrowth, "dp-time-growth-x")
 }
@@ -140,13 +139,9 @@ func BenchmarkFig15ClusterSize(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	var worstSaving float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.Ablations()
-		if err != nil {
-			b.Fatal(err)
-		}
 		worstSaving = 1
-		for _, r := range rows {
-			if s := 1 - r.WithOpt/r.Without; s < worstSaving {
+		for _, c := range run(b, experiments.Ablations()) {
+			if s := 1 - c.Num("with")/c.Num("without"); s < worstSaving {
 				worstSaving = s
 			}
 		}
@@ -157,12 +152,9 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkFig16Convergence(b *testing.B) {
 	var maxDev float64
 	for i := 0; i < b.N; i++ {
-		series, _ := experiments.Fig16Convergence()
 		maxDev = 0
-		for _, s := range series {
-			if s.MaxDeviation > maxDev {
-				maxDev = s.MaxDeviation
-			}
+		for _, c := range run(b, experiments.Fig16Convergence()) {
+			maxDev = max(maxDev, c.Num("max_deviation"))
 		}
 	}
 	b.ReportMetric(maxDev, "max-loss-deviation")

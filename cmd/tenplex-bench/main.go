@@ -16,6 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"tenplex/internal/experiments"
@@ -27,41 +29,12 @@ func fatal(what string, err error) {
 	os.Exit(1)
 }
 
-// tableOrExit adapts an experiment that can fail to the registry: it
-// keeps the rendered table and exits on the error.
-func tableOrExit[R any](id string, run func() (R, experiments.Table, error)) func() experiments.Table {
-	return func() experiments.Table {
-		_, t, err := run()
-		if err != nil {
-			fatal(id, err)
-		}
-		return t
-	}
+// registry is every experiment -fig runs, in ID order.
+func registry() []experiments.Experiment {
+	exps := experiments.All()
+	slices.SortFunc(exps, func(a, b experiments.Experiment) int { return strings.Compare(a.ID, b.ID) })
+	return exps
 }
-
-var all = map[string]func() experiments.Table{
-	"tab1":     func() experiments.Table { _, t := experiments.Tab1SystemComparison(); return t },
-	"fig2a":    func() experiments.Table { _, t := experiments.Fig2aDatasetConsistency(); return t },
-	"fig2b":    func() experiments.Table { _, t := experiments.Fig2bBatchConsistency(); return t },
-	"fig3":     func() experiments.Table { _, t := experiments.Fig3ParallelizationSweep(); return t },
-	"fig9":     func() experiments.Table { _, t := experiments.Fig9ElasticConvergence(1); return t },
-	"fig10":    func() experiments.Table { _, t := experiments.Fig10Redeployment(); return t },
-	"fig11":    func() experiments.Table { _, t := experiments.Fig11FailureRecovery(); return t },
-	"fig12":    func() experiments.Table { _, t := experiments.Fig12ReconfigOverhead(); return t },
-	"fig13":    func() experiments.Table { _, t := experiments.Fig13HorovodThroughput(); return t },
-	"fig14":    func() experiments.Table { _, t := experiments.Fig14ParallelizationType(); return t },
-	"fig15":    func() experiments.Table { _, t := experiments.Fig15ClusterSize(); return t },
-	"fig16":    func() experiments.Table { _, t := experiments.Fig16Convergence(); return t },
-	"multijob": func() experiments.Table { _, t := experiments.MultiJobCluster(); return t },
-
-	"policies":  tableOrExit("policies", experiments.Policies().Run),
-	"placement": tableOrExit("placement", experiments.Placement().Run),
-	"hostile":   tableOrExit("hostile", experiments.Hostile().Run),
-	"dcscale":   tableOrExit("dcscale", experiments.DCScale().Run),
-	"ablations": tableOrExit("ablations", experiments.Ablations),
-}
-
-func ids() []string { return names(all, nil) }
 
 func main() {
 	fig := flag.String("fig", "", "experiment ID to run (default: all)")
@@ -105,21 +78,27 @@ func main() {
 		fatal("record", fmt.Errorf("unknown kind %q", *recordKind))
 	}
 	if *list {
-		for _, id := range ids() {
-			fmt.Println(id)
+		for _, e := range registry() {
+			fmt.Println(e.ID)
 		}
 		return
 	}
-	if *fig != "" {
-		run, ok := all[*fig]
-		if !ok {
-			fatal("fig", fmt.Errorf("unknown experiment %q (try -list)", *fig))
+	ran := false
+	for _, e := range registry() {
+		if *fig != "" && e.ID != *fig {
+			continue
 		}
-		fmt.Print(run().Render())
-		return
+		_, tab, err := e.Run()
+		if err != nil {
+			fatal(e.ID, err)
+		}
+		fmt.Print(tab.Render())
+		if *fig == "" {
+			fmt.Println()
+		}
+		ran = true
 	}
-	for _, id := range ids() {
-		fmt.Print(all[id]().Render())
-		fmt.Println()
+	if !ran {
+		fatal("fig", fmt.Errorf("unknown experiment %q (try -list)", *fig))
 	}
 }

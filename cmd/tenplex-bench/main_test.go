@@ -4,37 +4,35 @@ import "testing"
 
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{
-		"tab1", "fig2a", "fig2b", "fig3", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"ablations", "multijob", "policies", "placement", "hostile",
-		"dcscale",
+		"ablations", "dcscale", "fig10", "fig11", "fig12", "fig13",
+		"fig14", "fig15", "fig16", "fig2a", "fig2b", "fig3", "fig9",
+		"hostile", "multijob", "placement", "policies", "tab1",
 	}
-	for _, id := range want {
-		if _, ok := all[id]; !ok {
-			t.Errorf("experiment %q missing from registry", id)
-		}
+	got := registry()
+	if len(got) != len(want) {
+		t.Fatalf("registry has %d entries, want %d", len(got), len(want))
 	}
-	if len(all) != len(want) {
-		t.Errorf("registry has %d entries, want %d", len(all), len(want))
-	}
-	got := ids()
-	if len(got) != len(all) {
-		t.Fatalf("ids() returned %d of %d", len(got), len(all))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatal("ids() not sorted")
+	for i, e := range got {
+		if e.ID != want[i] {
+			t.Errorf("registry entry %d is %q, want %q (sorted, each ID once)", i, e.ID, want[i])
 		}
 	}
 }
 
-// TestQuickExperimentsRender smoke-tests the cheap generators through
-// the same closures the CLI uses.
+// TestQuickExperimentsRender smoke-tests the cheap experiments through
+// the registry the CLI runs.
 func TestQuickExperimentsRender(t *testing.T) {
-	for _, id := range []string{"tab1", "fig3", "fig13"} {
-		out := all[id]().Render()
-		if len(out) == 0 {
-			t.Errorf("%s rendered empty", id)
+	quick := map[string]bool{"tab1": true, "fig3": true, "fig13": true}
+	for _, e := range registry() {
+		if !quick[e.ID] {
+			continue
+		}
+		_, tab, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.Render()) == 0 {
+			t.Errorf("%s rendered empty", e.ID)
 		}
 	}
 }

@@ -13,18 +13,39 @@ import (
 // the injected failures.
 type Scenario func() (*cluster.Topology, []coordinator.JobSpec, []coordinator.FailureSpec)
 
-// Variant is one run of a cluster experiment: the scenario it replays
-// and the options it replays it under. Key names its BENCH record row,
-// Labels its leading table cells.
-type Variant struct {
-	Key      string
-	Labels   []string
-	Scenario Scenario
-	Options  coordinator.Options
+// Variant is one run of an experiment, reduced to the cell sets its
+// table shows: one for most runs, one per job, step or configuration for
+// a run that yields a series. The constructor keys and labels them.
+type Variant func() (Runs, error)
+
+// Replay is the Variant that replays a cluster scenario under opts and
+// reduces the run to its ResultCells, keyed key and labelled labels.
+func Replay(key string, labels []string, sc Scenario, opts coordinator.Options) Variant {
+	return variant(key, labels, func() (Cells, error) {
+		topo, specs, failures := sc()
+		res, err := coordinator.Run(topo, specs, failures, opts)
+		if err != nil {
+			return Cells{}, err
+		}
+		return ResultCells(res, specs), nil
+	})
 }
 
-// Cells is what one run, or one job of a run, becomes, and one row of a
-// BENCH record: every number filed under the class the record holds it
+// variant is the Variant of the one cell set run computes, keyed key and
+// labelled labels.
+func variant(key string, labels []string, run func() (Cells, error)) Variant {
+	return func() (Runs, error) {
+		c, err := run()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", key, err)
+		}
+		c.Key, c.Labels = key, labels
+		return Runs{c}, nil
+	}
+}
+
+// Cells is what one run, or one job, step or configuration of a run,
+// becomes, one table row, and one row of a BENCH record: every number filed under the class the record holds it
 // to (cmd/tenplex-bench/record.go). Exact cells are deterministic counts
 // and names, sim cells simulated floats, timing cells wall-clock
 // durations (none from a cluster run), info cells machine-dependent
@@ -77,7 +98,7 @@ func ResultCells(res coordinator.Result, specs []coordinator.JobSpec) Cells {
 			// One count under the two names the records file it by.
 			"plans_validated": res.PlansValidated, "plans": res.PlansValidated,
 			"retries": res.Retries, "requeues": res.Requeues, "retry_bytes": res.RetryBytes,
-			"quarantined_devices": res.QuarantinedDevices,
+			"quarantined_devices": res.QuarantinedDevices, "invariant_checks": res.InvariantChecks,
 		},
 		Sim: map[string]float64{
 			"makespan_min": res.MakespanMin, "mean_cluster_utilization": res.MeanUtilization,
@@ -123,11 +144,11 @@ func ratio(a, b float64) float64 {
 	return 0
 }
 
-// Experiment is one cluster table written as data: its variants, the
-// columns it shows of their cells, and the cells its BENCH record files.
+// Experiment is one table written as data: its variants, the columns it
+// shows of their cells, and the cells its BENCH record files.
 type Experiment struct {
 	ID, Title string
-	// Labels heads the label columns each Variant's Labels fill.
+	// Labels heads the label columns each cell set's Labels fill.
 	Labels   []string
 	Variants []Variant
 	Columns  []Column
@@ -137,43 +158,50 @@ type Experiment struct {
 }
 
 // Column is one table column: the cell it shows and the fmt verb it
-// shows it with, in Unit when set (1e6 shows bytes as MB).
+// shows it with, in Unit when set (1e6 shows bytes as MB). A cell set
+// without the cell shows "-".
 type Column struct {
 	Header, Cell, Format string
 	Unit                 float64
 }
 
-// Runs is one cell set per run (or job), in order.
+// Runs is one cell set per run (or job, or step), in order.
 type Runs []Cells
 
-// Run replays every variant, reduces each run to its cells and renders
-// the table.
+// Run runs every variant and renders the table of their cells.
 func (e Experiment) Run() (Runs, Table, error) {
 	var runs Runs
 	for _, v := range e.Variants {
-		topo, specs, failures := v.Scenario()
-		res, err := coordinator.Run(topo, specs, failures, v.Options)
+		cs, err := v()
 		if err != nil {
-			return nil, Table{}, fmt.Errorf("experiments: %s %s: %w", e.ID, v.Key, err)
+			return nil, Table{}, fmt.Errorf("experiments: %s %w", e.ID, err)
 		}
-		c := ResultCells(res, specs)
-		c.Key, c.Labels = v.Key, v.Labels
-		runs = append(runs, c)
+		runs = append(runs, cs...)
 	}
 	return runs, e.Table(runs), nil
 }
 
-// Table renders one row per cell set: its labels, then its columns.
+// Table renders one row per labelled cell set: its labels, then its
+// columns. A cell set without labels summarizes a run: the notes may
+// read it, no row shows it.
 func (e Experiment) Table(runs Runs) Table {
 	tab := Table{ID: e.ID, Title: e.Title, Columns: append([]string(nil), e.Labels...)}
 	for _, col := range e.Columns {
 		tab.Columns = append(tab.Columns, col.Header)
 	}
+	tab.Rows = make([][]string, 0, len(runs))
 	for _, c := range runs {
-		row := append([]string(nil), c.Labels...)
+		if c.Labels == nil {
+			continue
+		}
+		row := append(make([]string, 0, len(tab.Columns)), c.Labels...)
 		for _, col := range e.Columns {
 			v := c.value(col.Cell)
-			if col.Unit != 0 {
+			switch {
+			case v == nil:
+				row = append(row, "-")
+				continue
+			case col.Unit != 0:
 				v = c.Num(col.Cell) / col.Unit
 			}
 			row = append(row, fmt.Sprintf(col.Format, v))

@@ -87,13 +87,11 @@ func DCScale() Experiment {
 	}
 	for _, size := range [][2]int{{512, 50}, {512, 200}, {1024, 100}, {2048, 200}} {
 		devices, jobs := size[0], size[1]
-		e.Variants = append(e.Variants, Variant{
-			Key: fmt.Sprintf("%dx%d", devices, jobs), Labels: []string{fmt.Sprint(devices), fmt.Sprint(jobs)},
-			Scenario: func() (*cluster.Topology, []coordinator.JobSpec, []coordinator.FailureSpec) {
+		e.Variants = append(e.Variants, Replay(fmt.Sprintf("%dx%d", devices, jobs), []string{fmt.Sprint(devices), fmt.Sprint(jobs)},
+			func() (*cluster.Topology, []coordinator.JobSpec, []coordinator.FailureSpec) {
 				return DCScaleScenario(devices, jobs, DCScaleSeed)
 			},
-			Options: coordinator.Options{Placement: true, AuditStride: DCScaleAuditStride},
-		})
+			coordinator.Options{Placement: true, AuditStride: DCScaleAuditStride}))
 	}
 	return e
 }

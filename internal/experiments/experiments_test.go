@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,22 +15,35 @@ import (
 // numbers differ (our substrate is a simulator, not the authors'
 // testbed) and are recorded in EXPERIMENTS.md.
 
+// run runs e and fails the test on an error.
+func run(t *testing.T, e Experiment) (Runs, Table) {
+	t.Helper()
+	runs, table, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs, table
+}
+
 func TestTab1TenplexRow(t *testing.T) {
-	rows, table := Tab1SystemComparison()
-	last := rows[len(rows)-1]
-	if last.System != "Tenplex" || last.ReconfigOverhead != "minimal state" {
+	e := Tab1SystemComparison()
+	runs, table := run(t, e)
+	// col reads a system's fact under its column header.
+	col := func(c Cells, header string) string { return c.Labels[slices.Index(e.Labels, header)] }
+	last := runs[len(runs)-1]
+	if last.Key != "Tenplex" || col(last, "overhead") != "minimal state" {
 		t.Fatalf("tenplex row wrong: %+v", last)
 	}
-	if last.DynamicDP != "yes" || last.DynamicPP != "yes" || last.DynamicTP != "yes" {
+	if col(last, "dynDP") != "yes" || col(last, "dynPP") != "yes" || col(last, "dynTP") != "yes" {
 		t.Fatal("tenplex must support all dynamic dimensions")
 	}
 	if len(table.Rows) != 11 {
 		t.Fatalf("table has %d rows", len(table.Rows))
 	}
 	// Only Tenplex reaches minimal state.
-	for _, r := range rows[:len(rows)-1] {
-		if r.ReconfigOverhead == "minimal state" {
-			t.Fatalf("%s also claims minimal state", r.System)
+	for _, c := range runs[:len(runs)-1] {
+		if col(c, "overhead") == "minimal state" {
+			t.Fatalf("%s also claims minimal state", c.Key)
 		}
 	}
 	if !strings.Contains(table.Render(), "Tenplex") {
@@ -37,13 +52,13 @@ func TestTab1TenplexRow(t *testing.T) {
 }
 
 func TestFig2aOverfitAfterInconsistentAccess(t *testing.T) {
-	res, _ := Fig2aDatasetConsistency()
+	runs, _ := run(t, Fig2aDatasetConsistency())
 	var statAfter, dynAfter float64
 	n := 0
-	for _, p := range res.Points {
-		if p.Step >= res.EventStep {
-			statAfter += p.Static
-			dynAfter += p.Dynamic
+	for step, c := range runs {
+		if step >= fig2aEventStep {
+			statAfter += c.Num("static_loss")
+			dynAfter += c.Num("dynamic_loss")
 			n++
 		}
 	}
@@ -52,21 +67,21 @@ func TestFig2aOverfitAfterInconsistentAccess(t *testing.T) {
 			dynAfter/float64(n), statAfter/float64(n))
 	}
 	// Before the event both runs are identical.
-	for _, p := range res.Points[:res.EventStep] {
-		if math.Abs(p.Static-p.Dynamic) > 1e-12 {
+	for _, c := range runs[:fig2aEventStep] {
+		if math.Abs(c.Num("static_loss")-c.Num("dynamic_loss")) > 1e-12 {
 			t.Fatal("runs diverge before the event")
 		}
 	}
 }
 
 func TestFig2bDivergenceWithConstantDeviceBatch(t *testing.T) {
-	res, _ := Fig2bBatchConsistency()
+	runs, _ := run(t, Fig2bBatchConsistency())
 	var statAfter, dynAfter float64
 	n := 0
-	for _, p := range res.Points {
-		if p.Step >= res.EventStep+5 {
-			statAfter += p.Static
-			dynAfter += p.Dynamic
+	for step, c := range runs {
+		if step >= fig2bEventStep+5 {
+			statAfter += c.Num("static_loss")
+			dynAfter += c.Num("dynamic_loss")
 			n++
 		}
 	}
@@ -77,39 +92,40 @@ func TestFig2bDivergenceWithConstantDeviceBatch(t *testing.T) {
 }
 
 func TestFig3SweepShape(t *testing.T) {
-	rows, table := Fig3ParallelizationSweep()
+	runs, table := run(t, Fig3ParallelizationSweep())
 	if len(table.Rows) == 0 {
 		t.Fatal("empty sweep")
 	}
-	check := func(modelName string) {
-		var feas []Fig3Row
-		for _, r := range rows {
-			if r.Model == modelName && r.Feasible {
-				feas = append(feas, r)
+	// feasible is a model's feasible configurations, fastest first.
+	feasible := func(modelName string) Runs {
+		var out Runs
+		for _, c := range runs {
+			if c.Labels[0] == modelName && c.Exact["feasible"] == true {
+				out = append(out, c)
 			}
 		}
+		return out
+	}
+	check := func(modelName string) {
+		feas := feasible(modelName)
 		if len(feas) < 5 {
 			t.Fatalf("%s: only %d feasible configs", modelName, len(feas))
 		}
 		best, worst := feas[0], feas[len(feas)-1]
-		if best.SamplesSec < 10*worst.SamplesSec {
-			t.Fatalf("%s: spread %.1fx < 10x", modelName, best.SamplesSec/worst.SamplesSec)
+		if best.Num("samples_sec") < 10*worst.Num("samples_sec") {
+			t.Fatalf("%s: spread %.1fx < 10x", modelName, best.Num("samples_sec")/worst.Num("samples_sec"))
 		}
-		if worst.Config != "(T=16,P=1,D=1)" {
-			t.Fatalf("%s: worst = %s, want (T=16,P=1,D=1)", modelName, worst.Config)
+		if worst.Labels[1] != "(T=16,P=1,D=1)" {
+			t.Fatalf("%s: worst = %s, want (T=16,P=1,D=1)", modelName, worst.Labels[1])
 		}
 	}
 	check("gpt3-2.7b")
 	check("bert-large-340m")
 	// (2,4,2) in the GPT top 3.
 	rank := -1
-	i := 0
-	for _, r := range rows {
-		if r.Model == "gpt3-2.7b" && r.Feasible {
-			if r.Config == "(T=2,P=4,D=2)" {
-				rank = i
-			}
-			i++
+	for i, c := range feasible("gpt3-2.7b") {
+		if c.Labels[1] == "(T=2,P=4,D=2)" {
+			rank = i
 		}
 	}
 	if rank < 0 || rank > 2 {
@@ -118,36 +134,36 @@ func TestFig3SweepShape(t *testing.T) {
 }
 
 func TestFig9ElasticShape(t *testing.T) {
-	rows, table := Fig9ElasticConvergence(1)
-	if len(rows) != 3 {
-		t.Fatalf("%d systems", len(rows))
+	runs, table := run(t, Fig9ElasticConvergence(1))
+	if len(runs) != 3 {
+		t.Fatalf("%d systems", len(runs))
 	}
-	tenplex, dp, torch := rows[0], rows[1], rows[2]
-	if tenplex.System != "Tenplex" || dp.System != "Tenplex-DP" {
-		t.Fatalf("row order: %s, %s, %s", tenplex.System, dp.System, torch.System)
+	tenplex, dp, torch := runs[0], runs[1], runs[2]
+	if tenplex.Key != "Tenplex" || dp.Key != "Tenplex-DP" {
+		t.Fatalf("row order: %s, %s, %s", tenplex.Key, dp.Key, torch.Key)
 	}
 	// Tenplex makes the most progress; DP-only systems pause at 4 GPUs.
-	if tenplex.FinalSteps <= dp.FinalSteps || tenplex.FinalSteps <= torch.FinalSteps {
+	if tenplex.Num("final_steps") <= dp.Num("final_steps") || tenplex.Num("final_steps") <= torch.Num("final_steps") {
 		t.Fatalf("tenplex %0.f steps should lead (dp %0.f, torch %0.f)",
-			tenplex.FinalSteps, dp.FinalSteps, torch.FinalSteps)
+			tenplex.Num("final_steps"), dp.Num("final_steps"), torch.Num("final_steps"))
 	}
-	if tenplex.PausedMin != 0 {
-		t.Fatalf("tenplex paused %.0f min", tenplex.PausedMin)
+	if tenplex.Num("paused_min") != 0 {
+		t.Fatalf("tenplex paused %.0f min", tenplex.Num("paused_min"))
 	}
-	if dp.PausedMin <= 0 || torch.PausedMin <= 0 {
+	if dp.Num("paused_min") <= 0 || torch.Num("paused_min") <= 0 {
 		t.Fatal("DP-only systems must pause at 4 GPUs")
 	}
 	// Tenplex reaches the slowest system's final step substantially
 	// earlier (paper: 46% less time; accept 25–65%).
-	slowest := math.Max(dp.MinToTarget, torch.MinToTarget)
-	red := 1 - tenplex.MinToTarget/slowest
+	slowest := math.Max(dp.Num("min_to_target"), torch.Num("min_to_target"))
+	red := 1 - tenplex.Num("min_to_target")/slowest
 	if red < 0.25 || red > 0.65 {
 		t.Fatalf("time reduction %.0f%%, want 25–65%% (tenplex %.0f min, slowest %.0f min)",
-			red*100, tenplex.MinToTarget, slowest)
+			red*100, tenplex.Num("min_to_target"), slowest)
 	}
 	// Torch reconfigures slower than Tenplex overall.
-	if torch.ReconfigSec <= tenplex.ReconfigSec {
-		t.Fatalf("torch downtime %.0fs should exceed tenplex %.0fs", torch.ReconfigSec, tenplex.ReconfigSec)
+	if torch.Num("reconfig_s") <= tenplex.Num("reconfig_s") {
+		t.Fatalf("torch downtime %.0fs should exceed tenplex %.0fs", torch.Num("reconfig_s"), tenplex.Num("reconfig_s"))
 	}
 	if len(table.Rows) != 3 {
 		t.Fatal("table rows")
@@ -159,109 +175,108 @@ func TestFig9ElasticShape(t *testing.T) {
 }
 
 func TestFig10RedeploymentShape(t *testing.T) {
-	rows, _ := Fig10Redeployment()
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	runs, _ := run(t, Fig10Redeployment())
+	if len(runs) != 3 {
+		t.Fatalf("%d rows", len(runs))
 	}
-	for i, r := range rows {
+	for i, c := range runs {
 		// Paper: Central ≈ 1.9–2.1× slower; accept 1.5–5×.
-		if r.CentralOver < 1.5 || r.CentralOver > 5 {
-			t.Fatalf("%s: central overhead %.1fx outside [1.5,5]", r.ModelSize, r.CentralOver)
+		if over := c.Num("central_over"); over < 1.5 || over > 5 {
+			t.Fatalf("%s: central overhead %.1fx outside [1.5,5]", c.Key, over)
 		}
-		if i > 0 && r.TenplexSec <= rows[i-1].TenplexSec {
-			t.Fatalf("redeployment time must grow with model size: %+v", rows)
+		if i > 0 && c.Num("tenplex_s") <= runs[i-1].Num("tenplex_s") {
+			t.Fatalf("redeployment time must grow with model size: %+v", runs)
 		}
 	}
 }
 
 func TestFig11FailureRecoveryShape(t *testing.T) {
-	rows, _ := Fig11FailureRecovery()
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	runs, _ := run(t, Fig11FailureRecovery())
+	if len(runs) != 3 {
+		t.Fatalf("%d rows", len(runs))
 	}
-	for _, r := range rows[:2] { // 4 and 8 failures: replica survives
-		if !r.UsedReplica {
-			t.Fatalf("%d failures should recover from a replica", r.FailedGPUs)
+	for _, c := range runs[:2] { // 4 and 8 failures: replica survives
+		if c.Exact["via"] != "replica" {
+			t.Fatalf("%s failures should recover from a replica", c.Key)
 		}
 		// Paper: ≈ 5% of baseline; accept < 15%.
-		if r.TenplexSec > 0.15*r.BaselineSec {
-			t.Fatalf("%d failures: tenplex %.1fs not << baseline %.1fs", r.FailedGPUs, r.TenplexSec, r.BaselineSec)
+		if c.Num("tenplex_s") > 0.15*c.Num("baseline_s") {
+			t.Fatalf("%s failures: tenplex %.1fs not << baseline %.1fs", c.Key, c.Num("tenplex_s"), c.Num("baseline_s"))
 		}
 	}
-	last := rows[2] // 12 failures: no replica
-	if last.UsedReplica {
+	last := runs[2] // 12 failures: no replica
+	if last.Exact["via"] == "replica" {
 		t.Fatal("12 failures should exhaust replicas")
 	}
-	if last.TenplexSec >= last.BaselineSec {
+	if last.Num("tenplex_s") >= last.Num("baseline_s") {
 		t.Fatal("tenplex should keep a small edge even via checkpoint")
 	}
-	if last.TenplexSec < 0.5*last.BaselineSec {
+	if last.Num("tenplex_s") < 0.5*last.Num("baseline_s") {
 		t.Fatalf("checkpoint-path recovery should be the same order as baseline: %.1f vs %.1f",
-			last.TenplexSec, last.BaselineSec)
+			last.Num("tenplex_s"), last.Num("baseline_s"))
 	}
 }
 
 func TestFig12ReconfigShape(t *testing.T) {
-	rows, _ := Fig12ReconfigOverhead()
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	runs, _ := run(t, Fig12ReconfigOverhead())
+	if len(runs) != 2 {
+		t.Fatalf("%d rows", len(runs))
 	}
-	for _, r := range rows {
-		if r.TenplexSec >= r.DeepSpeed || r.TenplexSec >= r.Singularity {
+	for _, c := range runs {
+		if c.Num("tenplex_s") >= c.Num("deepspeed_s") || c.Num("tenplex_s") >= c.Num("singularity_s") {
 			t.Fatalf("%s: tenplex %.1fs must beat deepspeed %.1fs and singularity %.1fs",
-				r.Direction, r.TenplexSec, r.DeepSpeed, r.Singularity)
+				c.Key, c.Num("tenplex_s"), c.Num("deepspeed_s"), c.Num("singularity_s"))
 		}
 	}
 	// Scale-in saves more than scale-out vs DeepSpeed (paper: 64% vs
 	// 24% reduction), because a replica already exists at the target.
-	out, in := rows[0], rows[1]
-	redOut := 1 - out.TenplexSec/out.DeepSpeed
-	redIn := 1 - in.TenplexSec/in.DeepSpeed
+	redOut := 1 - runs.Num("8 to 16", "tenplex_s")/runs.Num("8 to 16", "deepspeed_s")
+	redIn := 1 - runs.Num("16 to 8", "tenplex_s")/runs.Num("16 to 8", "deepspeed_s")
 	if redIn <= redOut {
 		t.Fatalf("scale-in reduction %.0f%% should exceed scale-out %.0f%%", redIn*100, redOut*100)
 	}
 }
 
 func TestFig13ThroughputShape(t *testing.T) {
-	rows, _ := Fig13HorovodThroughput()
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	runs, _ := run(t, Fig13HorovodThroughput())
+	if len(runs) != 3 {
+		t.Fatalf("%d rows", len(runs))
 	}
-	horovod, elastic, tenplex := rows[0], rows[1], rows[2]
+	horovod, elastic, tenplex := runs[0].Num("samples_sec"), runs[1].Num("samples_sec"), runs[2].Num("samples_sec")
 	// Tenplex ≈ Horovod (within 3%), Elastic below both.
-	if tenplex.SamplesSec < 0.97*horovod.SamplesSec {
-		t.Fatalf("tenplex %.0f should be within 3%% of horovod %.0f", tenplex.SamplesSec, horovod.SamplesSec)
+	if tenplex < 0.97*horovod {
+		t.Fatalf("tenplex %.0f should be within 3%% of horovod %.0f", tenplex, horovod)
 	}
-	if elastic.SamplesSec >= tenplex.SamplesSec {
+	if elastic >= tenplex {
 		t.Fatal("horovod-elastic should pay more overhead than tenplex")
 	}
 	// Magnitude sanity: hundreds of samples/s like the paper's 417–437.
-	if horovod.SamplesSec < 200 || horovod.SamplesSec > 900 {
-		t.Fatalf("horovod %.0f samples/s outside plausible range", horovod.SamplesSec)
+	if horovod < 200 || horovod > 900 {
+		t.Fatalf("horovod %.0f samples/s outside plausible range", horovod)
 	}
 }
 
 func TestFig14ParallelizationTypeShape(t *testing.T) {
-	rows, _ := Fig14ParallelizationType()
-	if len(rows) != 9 {
-		t.Fatalf("%d rows", len(rows))
+	runs, _ := run(t, Fig14ParallelizationType())
+	if len(runs) != 9 {
+		t.Fatalf("%d rows", len(runs))
 	}
-	byDim := map[string][]Fig14Row{}
-	for _, r := range rows {
-		byDim[r.Dim] = append(byDim[r.Dim], r)
+	byDim := map[string]Runs{}
+	for _, c := range runs {
+		byDim[c.Labels[0]] = append(byDim[c.Labels[0]], c)
 	}
 	for dim, rs := range byDim {
-		for i, r := range rs {
-			if r.CentralSec <= r.TenplexSec {
-				t.Fatalf("%s %s: central %.1f not slower than tenplex %.1f", dim, r.ModelSize, r.CentralSec, r.TenplexSec)
+		for i, c := range rs {
+			if c.Num("central_s") <= c.Num("tenplex_s") {
+				t.Fatalf("%s %s: central %.1f not slower than tenplex %.1f", dim, c.Labels[1], c.Num("central_s"), c.Num("tenplex_s"))
 			}
-			if i > 0 && r.TenplexSec <= rs[i-1].TenplexSec {
+			if i > 0 && c.Num("tenplex_s") <= rs[i-1].Num("tenplex_s") {
 				t.Fatalf("%s: time must grow with model size", dim)
 			}
 		}
 		// Paper: at 6.7B Central is 3.5–4× slower; accept 2–6×.
 		big := rs[2]
-		ratio := big.CentralSec / big.TenplexSec
+		ratio := big.Num("central_s") / big.Num("tenplex_s")
 		if ratio < 2 || ratio > 6 {
 			t.Fatalf("%s 6.7B: central/tenplex = %.1fx outside [2,6]", dim, ratio)
 		}
@@ -269,64 +284,69 @@ func TestFig14ParallelizationTypeShape(t *testing.T) {
 }
 
 func TestFig15ClusterSizeShape(t *testing.T) {
-	rows, _ := Fig15ClusterSize()
-	if len(rows) != 9 {
-		t.Fatalf("%d rows", len(rows))
+	runs, _ := run(t, Fig15ClusterSize())
+	if len(runs) != 9 {
+		t.Fatalf("%d rows", len(runs))
 	}
-	byDim := map[string][]Fig15Row{}
-	for _, r := range rows {
-		byDim[r.Dim] = append(byDim[r.Dim], r)
+	// secs and gb read one dimension's cells at 4 to 8, 8 to 16, 16 to 32.
+	series := func(dim, cell string) [3]float64 {
+		var out [3]float64
+		for i, n := range []int{4, 8, 16} {
+			out[i] = runs.Num(fmt.Sprintf("%s/%d to %d", dim, n, 2*n), cell)
+		}
+		return out
 	}
-	dp, pp, tp := byDim["data"], byDim["pipeline"], byDim["tensor"]
+	dpGB, dp, pp, tp := series("data", "moved_gb"), series("data", "tenplex_s"), series("pipeline", "tenplex_s"), series("tensor", "tenplex_s")
 	// DP: moved bytes grow linearly with the degree (the paper's
 	// underlying effect), and time never shrinks.
-	if !(dp[0].MovedGB < dp[1].MovedGB && dp[1].MovedGB < dp[2].MovedGB) {
-		t.Fatalf("DP moved bytes should grow: %+v", dp)
+	if !(dpGB[0] < dpGB[1] && dpGB[1] < dpGB[2]) {
+		t.Fatalf("DP moved bytes should grow: %v", dpGB)
 	}
-	if dp[2].MovedGB < 3.5*dp[0].MovedGB {
-		t.Fatalf("DP bytes should grow ~linearly: %+v", dp)
+	if dpGB[2] < 3.5*dpGB[0] {
+		t.Fatalf("DP bytes should grow ~linearly: %v", dpGB)
 	}
-	if dp[1].TenplexSec < 0.95*dp[0].TenplexSec || dp[2].TenplexSec < 0.95*dp[1].TenplexSec {
-		t.Fatalf("DP times should not shrink: %+v", dp)
+	if dp[1] < 0.95*dp[0] || dp[2] < 0.95*dp[1] {
+		t.Fatalf("DP times should not shrink: %v", dp)
 	}
 	// PP and TP: time decreases with device count.
-	if !(pp[0].TenplexSec > pp[1].TenplexSec && pp[1].TenplexSec > pp[2].TenplexSec) {
-		t.Fatalf("PP times should shrink: %+v", pp)
+	if !(pp[0] > pp[1] && pp[1] > pp[2]) {
+		t.Fatalf("PP times should shrink: %v", pp)
 	}
-	if !(tp[0].TenplexSec > tp[1].TenplexSec && tp[1].TenplexSec > tp[2].TenplexSec) {
-		t.Fatalf("TP times should shrink: %+v", tp)
+	if !(tp[0] > tp[1] && tp[1] > tp[2]) {
+		t.Fatalf("TP times should shrink: %v", tp)
 	}
 	// TP costs more than PP at the same scale (split/merge work).
 	for i := range tp {
-		if tp[i].TenplexSec <= pp[i].TenplexSec {
-			t.Fatalf("TP (%.1fs) should exceed PP (%.1fs) at %s", tp[i].TenplexSec, pp[i].TenplexSec, tp[i].Transition)
+		if tp[i] <= pp[i] {
+			t.Fatalf("TP (%.1fs) should exceed PP (%.1fs) at step %d", tp[i], pp[i], i)
 		}
 	}
 }
 
 func TestFig16ConvergenceUnaffected(t *testing.T) {
-	series, _ := Fig16Convergence()
-	if len(series) != 3 {
-		t.Fatalf("%d series", len(series))
+	runs, _ := run(t, Fig16Convergence())
+	if len(runs) != 3 {
+		t.Fatalf("%d series", len(runs))
 	}
-	for _, s := range series {
+	for _, dim := range fig16Dims {
+		s := dim.series()
 		if len(s.NoChange) != fig16Steps || len(s.Increase) != fig16Steps || len(s.Decrease) != fig16Steps {
-			t.Fatalf("%s: wrong series length", s.Dim)
+			t.Fatalf("%s: wrong series length", dim.name)
 		}
 		// Before the event all runs are identical.
-		for i := 0; i < s.EventStep; i++ {
+		for i := 0; i < fig16EventStep; i++ {
 			if s.NoChange[i] != s.Increase[i] || s.NoChange[i] != s.Decrease[i] {
-				t.Fatalf("%s: runs diverge before the event at step %d", s.Dim, i)
+				t.Fatalf("%s: runs diverge before the event at step %d", dim.name, i)
 			}
 		}
 		// After the event, convergence is unaffected: deviations stay
 		// at floating-point-reassociation scale, far below the loss.
-		if s.MaxDeviation > 1e-6 {
-			t.Fatalf("%s: max deviation %.2e too large", s.Dim, s.MaxDeviation)
+		if dev := runs.Num(dim.name, "max_deviation"); dev > 1e-6 || dev != s.maxDeviation() {
+			t.Fatalf("%s: max deviation %.2e too large (series %.2e)", dim.name, dev, s.maxDeviation())
 		}
 		// And training actually converges.
 		if s.NoChange[fig16Steps-1] >= s.NoChange[0] {
-			t.Fatalf("%s: no convergence", s.Dim)
+			t.Fatalf("%s: no convergence", dim.name)
 		}
 	}
 }

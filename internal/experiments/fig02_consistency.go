@@ -6,19 +6,11 @@ import (
 	"tenplex/internal/train"
 )
 
-// Fig2Point is one step of a convergence comparison: the loss of the
-// static-GPU run against the dynamic run.
-type Fig2Point struct {
-	Step    int
-	Static  float64
-	Dynamic float64
-}
-
-// Fig2Result carries the series and the step at which GPUs changed.
-type Fig2Result struct {
-	EventStep int
-	Points    []Fig2Point
-}
+// The steps at which the Fig. 2 runs change from 2 to 4 GPUs.
+const (
+	fig2aEventStep = 24
+	fig2bEventStep = 10
+)
 
 // fig2Task builds the shared workload: a memorizable noisy
 // classification task (over-parameterized, like the paper's GPT-3 on
@@ -34,40 +26,21 @@ func fig2Task() *train.Task {
 // already trained on; the training loss drops unreasonably (overfit)
 // compared to the static run. Tenplex's consistent re-partitioning
 // (ResumePosition) instead tracks the static curve exactly.
-func Fig2aDatasetConsistency() (Fig2Result, Table) {
-	const preSteps, postSteps = 24, 16
-	run := func(dynamic bool) []float64 {
-		tr := train.NewTrainer(fig2Task(), 64, 0.3, 0.9, 64, 2, 7)
-		if dynamic {
-			tr.DataPolicy = train.RestartEpoch
-		}
-		tr.Run(preSteps)
-		if dynamic {
-			tr.Rescale(4)
-		}
-		tr.Run(postSteps)
-		return tr.Losses
-	}
-	static := run(false)
-	dynamic := run(true)
-
-	res := Fig2Result{EventStep: preSteps}
-	table := Table{
-		ID:      "fig2a",
-		Title:   "Impact of inconsistent dataset access on convergence (2 -> 4 GPUs)",
-		Columns: []string{"step", "static-loss", "dynamic-loss"},
-		Notes: []string{
-			"paper: re-reading the first half of the epoch overfits; loss drops unreasonably",
-		},
-	}
-	for i := range static {
-		p := Fig2Point{Step: i, Static: static[i], Dynamic: dynamic[i]}
-		res.Points = append(res.Points, p)
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprint(i), fmt.Sprintf("%.4f", p.Static), fmt.Sprintf("%.4f", p.Dynamic),
+func Fig2aDatasetConsistency() Experiment {
+	return fig2("fig2a", "Impact of inconsistent dataset access on convergence (2 -> 4 GPUs)",
+		"paper: re-reading the first half of the epoch overfits; loss drops unreasonably",
+		func(dynamic bool) []float64 {
+			tr := train.NewTrainer(fig2Task(), 64, 0.3, 0.9, 64, 2, 7)
+			if dynamic {
+				tr.DataPolicy = train.RestartEpoch
+			}
+			tr.Run(fig2aEventStep)
+			if dynamic {
+				tr.Rescale(4)
+			}
+			tr.Run(16)
+			return tr.Losses
 		})
-	}
-	return res, table
 }
 
 // Fig2bBatchConsistency reproduces Fig. 2b: scaling from 2 to 4 GPUs
@@ -75,43 +48,43 @@ func Fig2aDatasetConsistency() (Fig2Result, Table) {
 // batch, and with the naive linear learning-rate scaling rule the run
 // diverges from the static curve. Keeping the global batch constant
 // (Tenplex's policy) is unaffected.
-func Fig2bBatchConsistency() (Fig2Result, Table) {
-	const preSteps, postSteps = 10, 40
+func Fig2bBatchConsistency() Experiment {
 	lr := 1.05 // near the stability edge, as large-batch LMs are
-	run := func(dynamic bool) []float64 {
-		tk := train.NewTask(8, 4, 4096, 11)
-		tr := train.NewTrainer(tk, 32, lr, 0.9, 32, 2, 7)
-		if dynamic {
-			tr.BatchPolicy = train.KeepDeviceBatch
-			tr.DeviceBatch = 16
-		}
-		tr.Run(preSteps)
-		if dynamic {
-			tr.Rescale(4) // device batch kept, LR scaled linearly
-		} else {
-			tr.Rescale(4) // global batch kept: nothing changes
-		}
-		tr.Run(postSteps)
-		return tr.Losses
-	}
-	static := run(false)
-	dynamic := run(true)
-
-	res := Fig2Result{EventStep: preSteps}
-	table := Table{
-		ID:      "fig2b",
-		Title:   "Impact of inconsistent batch size on convergence (2 -> 4 GPUs)",
-		Columns: []string{"step", "static-loss", "dynamic-loss"},
-		Notes: []string{
-			"paper: constant device batch (growing global batch) diverges after the change",
-		},
-	}
-	for i := range static {
-		p := Fig2Point{Step: i, Static: static[i], Dynamic: dynamic[i]}
-		res.Points = append(res.Points, p)
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprint(i), fmt.Sprintf("%.4f", p.Static), fmt.Sprintf("%.4f", p.Dynamic),
+	return fig2("fig2b", "Impact of inconsistent batch size on convergence (2 -> 4 GPUs)",
+		"paper: constant device batch (growing global batch) diverges after the change",
+		func(dynamic bool) []float64 {
+			tk := train.NewTask(8, 4, 4096, 11)
+			tr := train.NewTrainer(tk, 32, lr, 0.9, 32, 2, 7)
+			if dynamic {
+				tr.BatchPolicy = train.KeepDeviceBatch
+				tr.DeviceBatch = 16
+			}
+			tr.Run(fig2bEventStep)
+			// The dynamic run keeps its device batch and scales the LR
+			// linearly; the static run keeps its global batch, so nothing
+			// changes.
+			tr.Rescale(4)
+			tr.Run(40)
+			return tr.Losses
 		})
+}
+
+// fig2 is a Fig. 2 panel: the static and the dynamic run of losses, one
+// cell set per step.
+func fig2(id, title, note string, losses func(dynamic bool) []float64) Experiment {
+	return Experiment{
+		ID: id, Title: title, Labels: []string{"step"},
+		Columns: []Column{{"static-loss", "static_loss", "%.4f", 0}, {"dynamic-loss", "dynamic_loss", "%.4f", 0}},
+		Notes:   notes(note),
+		Variants: []Variant{func() (Runs, error) {
+			static, dynamic := losses(false), losses(true)
+			runs := make(Runs, len(static))
+			for i := range static {
+				step := fmt.Sprint(i)
+				runs[i] = Cells{Key: step, Labels: []string{step},
+					Sim: map[string]float64{"static_loss": static[i], "dynamic_loss": dynamic[i]}}
+			}
+			return runs, nil
+		}},
 	}
-	return res, table
 }

@@ -11,39 +11,23 @@ import (
 	"tenplex/internal/sched"
 )
 
-// Fig9Row summarizes one system's elastic run.
-type Fig9Row struct {
-	System string
-	// FinalSteps after the 538-minute Philly-derived trace.
-	FinalSteps float64
-	// MinToTarget is when the system reaches the reference step count
-	// (the slowest system's final progress); +Inf if never.
-	MinToTarget float64
-	// PausedMin counts time spent with no runnable configuration.
-	PausedMin float64
-	// ReconfigSec accumulates reconfiguration downtime.
-	ReconfigSec float64
-	Timeline    []sched.TimePoint
-}
-
 // elasticSystem models one of Fig. 9's contenders as a sched.Job.
 type elasticSystem struct {
 	name string
 	topo *cluster.Topology
-	p    perfmodel.Params
 
-	// configFor picks the parallelization for n GPUs; ok=false means
-	// the system cannot run with n GPUs and pauses.
-	configFor func(n int) (parallel.Config, bool)
-	// reconfig computes the reconfiguration downtime in seconds.
-	reconfig func(from, to *core.PTC) float64
+	// configs is the parallelization for each GPU count the system can
+	// run on; with any other count it pauses.
+	configs map[int]parallel.Config
+	// strategy is how the system moves state on a change, priced by
+	// transition.price.
+	strategy string
 	// restartSec is fixed process-restart overhead per event.
 	restartSec float64
 
-	cur     *core.PTC
-	curCfg  parallel.Config
-	curOK   bool
-	modelID string
+	cur    *core.PTC
+	curCfg parallel.Config
+	curOK  bool
 }
 
 func (s *elasticSystem) ptcFor(cfg parallel.Config, n int) *core.PTC {
@@ -51,19 +35,14 @@ func (s *elasticSystem) ptcFor(cfg parallel.Config, n int) *core.PTC {
 }
 
 func (s *elasticSystem) Reconfigure(e sched.Event) (float64, error) {
-	cfg, ok := s.configFor(e.GPUs)
+	cfg, ok := s.configs[e.GPUs]
 	if !ok {
 		s.curOK = false
 		return s.restartSec, nil
 	}
+	// After a pause the state still lives on the old devices.
 	to := s.ptcFor(cfg, e.GPUs)
-	var sec float64
-	if s.cur != nil && s.curOK {
-		sec = s.reconfig(s.cur, to)
-	} else if s.cur != nil {
-		// Resuming from a pause: state still lives on the old devices.
-		sec = s.reconfig(s.cur, to)
-	}
+	sec := transition{topo: s.topo, from: s.cur, to: to}.price(s.strategy).Sim[s.strategy]
 	s.cur, s.curCfg, s.curOK = to, cfg, true
 	return sec + s.restartSec, nil
 }
@@ -72,7 +51,7 @@ func (s *elasticSystem) StepRate() float64 {
 	if !s.curOK {
 		return 0
 	}
-	est := perfmodel.Throughput(gptWithOpt("1.3B"), s.curCfg, s.topo, s.topo.FirstN(s.curCfg.WorldSize()), s.p)
+	est := perfmodel.Throughput(gptWithOpt("1.3B"), s.curCfg, s.topo, s.topo.FirstN(s.curCfg.WorldSize()), perfmodel.DefaultParams())
 	if !est.Feasible {
 		return 0
 	}
@@ -85,109 +64,70 @@ func (s *elasticSystem) StepRate() float64 {
 // best configuration; Tenplex-DP and Torch Distributed Elastic only
 // change data parallelism over a fixed (T,P) = (2,4) plan, so they
 // cannot run on 4 GPUs at all and pause. The paper reports Tenplex
-// reaching the DP baseline's final step count in 46% less time.
-func Fig9ElasticConvergence(seed int64) ([]Fig9Row, Table) {
-	topo := cluster.OnPrem16()
-	p := perfmodel.DefaultParams()
+// reaching the DP baseline's final step count in 46% less time. Its one
+// variant runs every system over the trace, since when each reaches the
+// slowest system's final step count depends on all of them.
+func Fig9ElasticConvergence(seed int64) Experiment {
 	trace := sched.PhillyDerived(seed)
+	return Experiment{
+		ID:     "fig9",
+		Title:  fmt.Sprintf("Elastic convergence over a %0.0f-min Philly-derived trace (GPT-3 XL)", trace.DurationMin),
+		Labels: []string{"system"},
+		Columns: []Column{
+			{"final-steps", "final_steps", "%.0f", 0}, {"min-to-slowest-final", "min_to_target", "%.0f", 0},
+			{"paused(min)", "paused_min", "%.0f", 0}, {"reconfig(s)", "reconfig_s", "%.0f", 0},
+		},
+		Variants: []Variant{func() (Runs, error) { return fig9Systems(trace) }},
+		Notes: func(runs Runs) []string {
+			red := 1 - runs.Num("Tenplex", "min_to_target")/runs.Num("Tenplex-DP", "min_to_target")
+			return []string{
+				"paper: Tenplex reaches the DP baseline's final step in 46% less time",
+				"Tenplex-DP/Torch pause at 4 GPUs: (T=2,P=4) needs 8 devices",
+				fmt.Sprintf("measured: Tenplex reaches Tenplex-DP's final step in %.0f%% less time", red*100),
+			}
+		},
+	}
+}
 
-	// Tenplex: best feasible configuration per GPU count (the paper's
-	// choices: (2,4,2) -> (2,4,1) -> (2,2,1)).
-	tenplexCfg := func(n int) (parallel.Config, bool) {
-		switch n {
-		case 16:
-			return parallel.Config{TP: 2, PP: 4, DP: 2}, true
-		case 8:
-			return parallel.Config{TP: 2, PP: 4, DP: 1}, true
-		case 4:
-			return parallel.Config{TP: 2, PP: 2, DP: 1}, true
-		}
-		best, err := perfmodel.Best(gptWithOpt("1.3B"), topo, n, p)
-		if err != nil {
-			return parallel.Config{}, false
-		}
-		return best.Config, true
-	}
-	// DP-only systems: (T,P) pinned at (2,4); n must be a multiple of 8.
-	dpOnlyCfg := func(n int) (parallel.Config, bool) {
-		if n%8 != 0 {
-			return parallel.Config{}, false
-		}
-		return parallel.Config{TP: 2, PP: 4, DP: n / 8}, true
-	}
-
-	planReconfig := func(from, to *core.PTC) float64 {
-		sec, _ := reconfigSeconds(topo, from, to, nil)
-		return sec
-	}
-	storageReconfig := func(from, to *core.PTC) float64 {
-		return fullStateViaStorageSeconds(topo, from, to)
-	}
-
+// fig9Systems runs Fig. 9's three systems over trace: final_steps,
+// reconfig_s, paused_min, and min_to_target, when the system reaches
+// the slowest system's final step count (+Inf if never).
+func fig9Systems(trace sched.Trace) (Runs, error) {
+	topo := cluster.OnPrem16()
+	// Tenplex: the best configuration per GPU count the trace moves
+	// between (the paper's choices: (2,4,2) -> (2,4,1) -> (2,2,1)).
+	// DP-only systems pin (T,P) at (2,4), so they need a multiple of 8.
+	tenplex := map[int]parallel.Config{16: {TP: 2, PP: 4, DP: 2}, 8: {TP: 2, PP: 4, DP: 1}, 4: {TP: 2, PP: 2, DP: 1}}
+	dpOnly := map[int]parallel.Config{16: {TP: 2, PP: 4, DP: 2}, 8: {TP: 2, PP: 4, DP: 1}}
 	systems := []*elasticSystem{
-		{name: "Tenplex", topo: topo, p: p, configFor: tenplexCfg, reconfig: planReconfig, restartSec: 10},
-		{name: "Tenplex-DP", topo: topo, p: p, configFor: dpOnlyCfg, reconfig: planReconfig, restartSec: 10},
-		{name: "Torch Distributed Elastic", topo: topo, p: p, configFor: dpOnlyCfg, reconfig: storageReconfig, restartSec: 60},
+		{name: "Tenplex", topo: topo, configs: tenplex, strategy: "tenplex_s", restartSec: 10},
+		{name: "Tenplex-DP", topo: topo, configs: dpOnly, strategy: "tenplex_s", restartSec: 10},
+		{name: "Torch Distributed Elastic", topo: topo, configs: dpOnly, strategy: "via_storage_s", restartSec: 60},
 	}
 
-	var rows []Fig9Row
-	var results []sched.RunResult
+	var runs Runs
+	var timelines [][]sched.TimePoint
+	target := math.Inf(1)
 	for _, s := range systems {
-		cfg, ok := s.configFor(trace.InitialGPUs)
+		cfg, ok := s.configs[trace.InitialGPUs]
 		if !ok {
 			panic("experiments: initial config infeasible")
 		}
 		s.cur, s.curCfg, s.curOK = s.ptcFor(cfg, trace.InitialGPUs), cfg, true
 		res, err := sched.Run(trace, s)
 		if err != nil {
-			panic(err)
+			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
-		results = append(results, res)
-		rows = append(rows, Fig9Row{
-			System:      s.name,
-			FinalSteps:  res.Steps,
-			ReconfigSec: res.ReconfigSec,
-			Timeline:    res.Timeline,
-		})
+		runs = append(runs, Cells{Key: s.name, Labels: []string{s.name}, Sim: map[string]float64{
+			"final_steps": res.Steps, "reconfig_s": res.ReconfigSec, "paused_min": pausedMinutes(res.Timeline),
+		}})
+		timelines = append(timelines, res.Timeline)
+		target = math.Min(target, res.Steps)
 	}
-
-	// Reference: the slowest system's final step count; when does each
-	// system reach it?
-	target := math.Inf(1)
-	for _, r := range rows {
-		if r.FinalSteps < target {
-			target = r.FinalSteps
-		}
+	for i, tl := range timelines {
+		runs[i].Sim["min_to_target"] = timeToReach(tl, target)
 	}
-	for i := range rows {
-		rows[i].MinToTarget = timeToReach(results[i].Timeline, target)
-		rows[i].PausedMin = pausedMinutes(results[i].Timeline)
-	}
-
-	table := Table{
-		ID:      "fig9",
-		Title:   fmt.Sprintf("Elastic convergence over a %0.0f-min Philly-derived trace (GPT-3 XL)", trace.DurationMin),
-		Columns: []string{"system", "final-steps", "min-to-slowest-final", "paused(min)", "reconfig(s)"},
-		Notes: []string{
-			"paper: Tenplex reaches the DP baseline's final step in 46% less time",
-			"Tenplex-DP/Torch pause at 4 GPUs: (T=2,P=4) needs 8 devices",
-		},
-	}
-	for _, r := range rows {
-		table.Rows = append(table.Rows, []string{
-			r.System,
-			fmt.Sprintf("%.0f", r.FinalSteps),
-			fmt.Sprintf("%.0f", r.MinToTarget),
-			fmt.Sprintf("%.0f", r.PausedMin),
-			fmt.Sprintf("%.0f", r.ReconfigSec),
-		})
-	}
-	if len(rows) == 3 {
-		red := 1 - rows[0].MinToTarget/rows[1].MinToTarget
-		table.Notes = append(table.Notes,
-			fmt.Sprintf("measured: Tenplex reaches Tenplex-DP's final step in %.0f%% less time", red*100))
-	}
-	return rows, table
+	return runs, nil
 }
 
 // timeToReach interpolates when a timeline first crosses `steps`.

@@ -2,19 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"tenplex/internal/cluster"
+	"tenplex/internal/core"
 	"tenplex/internal/parallel"
 )
-
-// Fig12Row is one group of Fig. 12: reconfiguration time for one
-// direction of scaling, per system.
-type Fig12Row struct {
-	Direction   string // "8 to 16" or "16 to 8"
-	TenplexSec  float64
-	DeepSpeed   float64
-	Singularity float64
-}
 
 // Modeling constants for the Fig. 12 baselines, documented in
 // EXPERIMENTS.md:
@@ -45,50 +38,46 @@ const (
 // between 8 and 16 GPUs on the on-prem cluster, comparing Tenplex
 // against DeepSpeed (full state through storage after failure-detection)
 // and Singularity (full GPU state migration; the paper itself quotes
-// numbers from the Singularity paper on similar hardware).
+// numbers from the Singularity paper on similar hardware). Each system's
+// cell is its strategy's price plus its fixed costs.
 //
 // Paper: 8->16, Tenplex needs 24% less time than DeepSpeed and 10% less
 // than Singularity; 16->8, 64% less than DeepSpeed and 43% less than
 // Singularity.
-func Fig12ReconfigOverhead() ([]Fig12Row, Table) {
-	topo := cluster.OnPrem16()
-	m := gptWithOpt("1.3B")
-	cfg16 := parallel.Config{TP: 2, PP: 4, DP: 2} // the paper's best 16-GPU config
-	cfg8 := parallel.Config{TP: 2, PP: 4, DP: 1}
-
-	ptc16 := buildPTC(m, cfg16, topo.FirstN(16))
-	ptc8 := buildPTC(m, cfg8, topo.FirstN(8))
-
-	var rows []Fig12Row
-	// Scale out: 8 -> 16.
-	tenplexOut, _ := reconfigSeconds(topo, ptc8, ptc16, nil)
-	tenplexOut += tenplexRestartSec
-	dsOut := deepSpeedDetectSecOut + fullStateViaStorageSeconds(topo, ptc8, ptc16)
-	sgOut := singularityCheckpointSec + fullGPUStateSeconds(topo, ptc8, ptc16, singularityGPUStateFactor)
-	rows = append(rows, Fig12Row{Direction: "8 to 16", TenplexSec: tenplexOut, DeepSpeed: dsOut, Singularity: sgOut})
-
-	// Scale in: 16 -> 8.
-	tenplexIn, _ := reconfigSeconds(topo, ptc16, ptc8, nil)
-	tenplexIn += tenplexRestartSec
-	dsIn := deepSpeedDetectSecIn + fullStateViaStorageSeconds(topo, ptc16, ptc8)
-	sgIn := singularityCheckpointSec + fullGPUStateSeconds(topo, ptc16, ptc8, singularityGPUStateFactor)
-	rows = append(rows, Fig12Row{Direction: "16 to 8", TenplexSec: tenplexIn, DeepSpeed: dsIn, Singularity: sgIn})
-
-	table := Table{
-		ID:      "fig12",
-		Title:   "Reconfiguration time, GPT-3 XL (Tenplex vs DeepSpeed vs Singularity)",
-		Columns: []string{"devices", "tenplex(s)", "deepspeed(s)", "singularity(s)"},
-		Notes: []string{
+func Fig12ReconfigOverhead() Experiment {
+	e := Experiment{
+		ID:     "fig12",
+		Title:  "Reconfiguration time, GPT-3 XL (Tenplex vs DeepSpeed vs Singularity)",
+		Labels: []string{"devices"},
+		Columns: []Column{
+			{"tenplex(s)", "tenplex_s", "%.1f", 0}, {"deepspeed(s)", "deepspeed_s", "%.1f", 0},
+			{"singularity(s)", "singularity_s", "%.1f", 0},
+		},
+		Notes: notes(
 			"paper: 8->16 Tenplex -24% vs DeepSpeed, -10% vs Singularity",
 			"paper: 16->8 Tenplex -64% vs DeepSpeed, -43% vs Singularity",
 			fmt.Sprintf("baseline model: DeepSpeed = %.0f/%.0fs detect (out/in) + full state via storage; Singularity = %.0fs ckpt/restore + %.1fx GPU state p2p; Tenplex adds %.0fs restart",
 				deepSpeedDetectSecOut, deepSpeedDetectSecIn, singularityCheckpointSec, singularityGPUStateFactor, tenplexRestartSec),
-		},
+		),
 	}
-	for _, r := range rows {
-		table.Rows = append(table.Rows, []string{
-			r.Direction, secs(r.TenplexSec), secs(r.DeepSpeed), secs(r.Singularity),
-		})
+	topo := cluster.OnPrem16()
+	ptc := func(cfg parallel.Config) func() *core.PTC {
+		return sync.OnceValue(func() *core.PTC { return buildPTC(gptWithOpt("1.3B"), cfg, topo.FirstN(cfg.WorldSize())) })
 	}
-	return rows, table
+	ptc16 := ptc(parallel.Config{TP: 2, PP: 4, DP: 2}) // the paper's best 16-GPU config
+	ptc8 := ptc(parallel.Config{TP: 2, PP: 4, DP: 1})
+	for _, d := range []struct {
+		key       string
+		from, to  func() *core.PTC
+		detectSec float64
+	}{{"8 to 16", ptc8, ptc16, deepSpeedDetectSecOut}, {"16 to 8", ptc16, ptc8, deepSpeedDetectSecIn}} {
+		e.Variants = append(e.Variants, variant(d.key, []string{d.key}, func() (Cells, error) {
+			c := transition{topo: topo, from: d.from(), to: d.to()}.price("tenplex_s", "via_storage_s", "gpu_state_s")
+			c.Sim["tenplex_s"] += tenplexRestartSec
+			c.Sim["deepspeed_s"] = d.detectSec + c.Sim["via_storage_s"]
+			c.Sim["singularity_s"] = singularityCheckpointSec + c.Sim["gpu_state_s"]
+			return c, nil
+		}))
+	}
+	return e
 }

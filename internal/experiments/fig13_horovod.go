@@ -9,13 +9,6 @@ import (
 	"tenplex/internal/perfmodel"
 )
 
-// Fig13Row is one bar of Fig. 13: steady-state training throughput of
-// ResNet-50 on 2 GPUs for one system.
-type Fig13Row struct {
-	System     string
-	SamplesSec float64
-}
-
 // Modeling constants for Fig. 13, documented in EXPERIMENTS.md.
 const (
 	// resnetDevFLOPS is the effective per-device compute rate for
@@ -35,36 +28,37 @@ const (
 // training on 2 GPUs. The paper measures Horovod 437, Horovod-Elastic
 // 417 and Tenplex 429 samples/s — i.e. Tenplex matches plain Horovod
 // despite supporting dynamic reconfiguration, while Horovod-Elastic
-// pays for blocking state synchronization.
-func Fig13HorovodThroughput() ([]Fig13Row, Table) {
-	topo := cluster.OnPrem16()
-	p := perfmodel.DefaultParams()
-	p.DevFLOPS = resnetDevFLOPS
-	p.GlobalBatch = 64
-	m := model.ResNet50()
-	est := perfmodel.Throughput(m, parallel.Config{TP: 1, PP: 1, DP: 2}, topo, topo.FirstN(2), p)
-	if !est.Feasible {
-		panic("experiments: fig13 base config infeasible: " + est.Reason)
-	}
-	base := est.SamplesSec
-
-	rows := []Fig13Row{
-		{System: "Horovod", SamplesSec: base},
-		{System: "Horovod Elastic", SamplesSec: base * (1 - horovodElasticOverhead)},
-		{System: "Tenplex", SamplesSec: base * (1 - tenplexOverhead)},
-	}
-	table := Table{
+// pays for blocking state synchronization. Its one variant prices the
+// shared base throughput once and derives each system's cell set.
+func Fig13HorovodThroughput() Experiment {
+	return Experiment{
 		ID:      "fig13",
 		Title:   "Training throughput vs Horovod (ResNet-50, 2 GPUs)",
-		Columns: []string{"system", "samples/s"},
-		Notes: []string{
+		Labels:  []string{"system"},
+		Columns: []Column{{"samples/s", "samples_sec", "%.0f", 0}},
+		Notes: notes(
 			"paper: Horovod 437, Horovod-Elastic 417, Tenplex 429 samples/s",
 			fmt.Sprintf("overhead model: elastic sync %.1f%%, tenplex streaming %.1f%%",
 				horovodElasticOverhead*100, tenplexOverhead*100),
-		},
+		),
+		Variants: []Variant{func() (Runs, error) {
+			topo := cluster.OnPrem16()
+			p := perfmodel.DefaultParams()
+			p.DevFLOPS = resnetDevFLOPS
+			p.GlobalBatch = 64
+			est := perfmodel.Throughput(model.ResNet50(), parallel.Config{TP: 1, PP: 1, DP: 2}, topo, topo.FirstN(2), p)
+			if !est.Feasible {
+				return nil, fmt.Errorf("base config infeasible: %s", est.Reason)
+			}
+			systems := []struct {
+				name     string
+				overhead float64
+			}{{"Horovod", 0}, {"Horovod Elastic", horovodElasticOverhead}, {"Tenplex", tenplexOverhead}}
+			runs := make(Runs, len(systems))
+			for i, s := range systems {
+				runs[i] = Cells{Key: s.name, Labels: []string{s.name}, Sim: map[string]float64{"samples_sec": est.SamplesSec * (1 - s.overhead)}}
+			}
+			return runs, nil
+		}},
 	}
-	for _, r := range rows {
-		table.Rows = append(table.Rows, []string{r.System, fmt.Sprintf("%.0f", r.SamplesSec)})
-	}
-	return rows, table
 }

@@ -8,6 +8,7 @@ import (
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/job"
+	"tenplex/internal/model"
 	"tenplex/internal/parallel"
 	"tenplex/internal/store"
 	"tenplex/internal/tensor"
@@ -15,17 +16,24 @@ import (
 	"tenplex/internal/transform"
 )
 
-// Fig16Series is one panel of Fig. 16: loss curves with and without a
-// resource change at the event step, for one parallelism dimension.
-type Fig16Series struct {
-	Dim       string // "data" | "pipeline" | "tensor"
-	EventStep int
-	NoChange  []float64
-	Increase  []float64
-	Decrease  []float64
-	// MaxDeviation is the largest |loss difference| between the
-	// reconfigured runs and the static run.
-	MaxDeviation float64
+// fig16Series is one panel of Fig. 16: loss curves with and without a
+// resource change at fig16EventStep, for one parallelism dimension. It
+// is the one typed payload a figure keeps: TestFig16ConvergenceUnaffected
+// walks the three curves step by step, which no cell holds.
+type fig16Series struct {
+	NoChange []float64
+	Increase []float64
+	Decrease []float64
+}
+
+// maxDeviation is the largest |loss difference| between the
+// reconfigured runs and the static run.
+func (s fig16Series) maxDeviation() float64 {
+	var m float64
+	for i, loss := range s.NoChange {
+		m = max(m, math.Abs(loss-s.Increase[i]), math.Abs(loss-s.Decrease[i]))
+	}
+	return m
 }
 
 const (
@@ -43,82 +51,71 @@ const (
 // through the State Transformer — converges identically whether
 // resources increase, decrease, or stay constant, for each of the data,
 // pipeline and tensor parallelism dimensions.
-func Fig16Convergence() ([]Fig16Series, Table) {
-	series := []Fig16Series{
-		fig16Data(),
-		fig16Pipeline(),
-		fig16Tensor(),
-	}
-	table := Table{
-		ID:      "fig16",
-		Title:   "Model convergence with reconfiguration at step 100",
-		Columns: []string{"dim", "final-static", "final-increase", "final-decrease", "max-deviation"},
-		Notes: []string{
+func Fig16Convergence() Experiment {
+	e := Experiment{
+		ID:     "fig16",
+		Title:  "Model convergence with reconfiguration at step 100",
+		Labels: []string{"dim"},
+		Columns: []Column{
+			{"final-static", "final_static", "%.4f", 0}, {"final-increase", "final_increase", "%.4f", 0},
+			{"final-decrease", "final_decrease", "%.4f", 0}, {"max-deviation", "max_deviation", "%.2e", 0},
+		},
+		Notes: notes(
 			"paper: loss does not diverge when resources change under any dimension",
 			"runs use the real Tensor Store + State Transformer reconfiguration path",
-		},
+		),
 	}
-	for _, s := range series {
-		table.Rows = append(table.Rows, []string{
-			s.Dim,
-			fmt.Sprintf("%.4f", s.NoChange[len(s.NoChange)-1]),
-			fmt.Sprintf("%.4f", s.Increase[len(s.Increase)-1]),
-			fmt.Sprintf("%.4f", s.Decrease[len(s.Decrease)-1]),
-			fmt.Sprintf("%.2e", s.MaxDeviation),
-		})
+	for _, dim := range fig16Dims {
+		e.Variants = append(e.Variants, variant(dim.name, []string{dim.name}, func() (Cells, error) {
+			s := dim.series()
+			last := fig16Steps - 1
+			return Cells{Sim: map[string]float64{
+				"final_static": s.NoChange[last], "final_increase": s.Increase[last], "final_decrease": s.Decrease[last],
+				"max_deviation": s.maxDeviation(),
+			}}, nil
+		}))
 	}
-	return series, table
+	return e
 }
 
 func fig16Task() *train.Task { return train.NewTask(8, 4, 4096, 21) }
 
-func maxDev(a, b []float64) float64 {
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
+// fig16Trainer trains with from's data-parallel degree and, at the event
+// step, moves the state from from to to through the store path and
+// rescales to to's degree, with consistent hyper-parameters and dataset
+// position; from == to trains straight through. A pipeline change moves
+// whole layer tensors between devices, so training must continue
+// bit-identically after it.
+func fig16Trainer(from, to parallel.Config) []float64 {
+	tr := train.NewTrainer(fig16Task(), fig16Hidden, fig16LR, fig16Mom, fig16Batch, from.DP, 3)
+	tr.Run(fig16EventStep)
+	if from != to {
+		roundTripState(tr, from, to)
+		if to.DP != from.DP {
+			tr.Rescale(to.DP)
 		}
 	}
-	return m
+	tr.Run(fig16Steps - fig16EventStep)
+	return tr.Losses
 }
 
-// fig16Data changes the data-parallel degree 4 -> 8 / 4 -> 2 with
-// consistent hyper-parameters and dataset position, re-partitioning the
-// (replicated) state through the store path.
-func fig16Data() Fig16Series {
-	run := func(newDP int) []float64 {
-		tr := train.NewTrainer(fig16Task(), fig16Hidden, fig16LR, fig16Mom, fig16Batch, 4, 3)
-		tr.Run(fig16EventStep)
-		if newDP != 4 {
-			roundTripState(tr, parallel.Config{TP: 1, PP: 1, DP: 4}, parallel.Config{TP: 1, PP: 1, DP: newDP})
-			tr.Rescale(newDP)
-		}
-		tr.Run(fig16Steps - fig16EventStep)
-		return tr.Losses
-	}
-	s := Fig16Series{Dim: "data", EventStep: fig16EventStep,
-		NoChange: run(4), Increase: run(8), Decrease: run(2)}
-	s.MaxDeviation = math.Max(maxDev(s.NoChange, s.Increase), maxDev(s.NoChange, s.Decrease))
-	return s
-}
-
-// fig16Pipeline changes the pipeline degree 1 -> 2 / 2 -> 1; pipeline
-// repartitioning moves whole layer tensors between devices, so after
-// the store round trip training must continue bit-identically.
-func fig16Pipeline() Fig16Series {
-	run := func(fromPP, toPP int) []float64 {
-		tr := train.NewTrainer(fig16Task(), fig16Hidden, fig16LR, fig16Mom, fig16Batch, 1, 3)
-		tr.Run(fig16EventStep)
-		if fromPP != toPP {
-			roundTripState(tr, parallel.Config{TP: 1, PP: fromPP, DP: 1}, parallel.Config{TP: 1, PP: toPP, DP: 1})
-		}
-		tr.Run(fig16Steps - fig16EventStep)
-		return tr.Losses
-	}
-	s := Fig16Series{Dim: "pipeline", EventStep: fig16EventStep,
-		NoChange: run(2, 2), Increase: run(1, 2), Decrease: run(2, 1)}
-	s.MaxDeviation = math.Max(maxDev(s.NoChange, s.Increase), maxDev(s.NoChange, s.Decrease))
-	return s
+// fig16Dims is Fig. 16's panels, the series of each dimension's change.
+var fig16Dims = []struct {
+	name   string
+	series func() fig16Series
+}{
+	// The data-parallel degree 4 -> 8 / 4 -> 2, re-partitioning the
+	// (replicated) state.
+	{"data", func() fig16Series {
+		dp := func(n int) parallel.Config { return parallel.Config{TP: 1, PP: 1, DP: n} }
+		return fig16Series{NoChange: fig16Trainer(dp(4), dp(4)), Increase: fig16Trainer(dp(4), dp(8)), Decrease: fig16Trainer(dp(4), dp(2))}
+	}},
+	// The pipeline degree 1 -> 2 / 2 -> 1.
+	{"pipeline", func() fig16Series {
+		pp := func(n int) parallel.Config { return parallel.Config{TP: 1, PP: n, DP: 1} }
+		return fig16Series{NoChange: fig16Trainer(pp(2), pp(2)), Increase: fig16Trainer(pp(1), pp(2)), Decrease: fig16Trainer(pp(2), pp(1))}
+	}},
+	{"tensor", fig16Tensor},
 }
 
 // roundTripState pushes the trainer's full state into per-device Tensor
@@ -128,10 +125,7 @@ func fig16Pipeline() Fig16Series {
 func roundTripState(tr *train.Trainer, fromCfg, toCfg parallel.Config) {
 	cat := train.MLPCatalog(tr.Task.In, fig16Hidden, tr.Task.Classes)
 	topo := cluster.OnPrem16()
-	rt := &job.Runtime{Name: "fig16", Model: cat, Topo: topo, Stores: map[cluster.DeviceID]store.Access{}}
-	for _, d := range topo.Devices {
-		rt.Stores[d.ID] = store.Local{FS: store.NewMemFS()}
-	}
+	rt := &job.Runtime{Name: "fig16", Model: cat, Topo: topo, Stores: memStores(topo)}
 	full := map[core.TensorID]*tensor.Tensor{}
 	for name, t := range tr.State {
 		full[core.TensorID(name)] = t
@@ -140,26 +134,28 @@ func roundTripState(tr *train.Trainer, fromCfg, toCfg parallel.Config) {
 	if err := rt.Deploy(buildPTC(cat, fromCfg, alloc), fromCfg, alloc, full); err != nil {
 		panic(err)
 	}
-	ch, err := job.Plan(cat, topo, rt.PTC, toCfg, topo.FirstN(toCfg.WorldSize()), nil)
-	if err != nil {
-		panic(err)
-	}
+	ch := must(job.Plan(cat, topo, rt.PTC, toCfg, topo.FirstN(toCfg.WorldSize()), nil))
 	if _, err := rt.Apply(context.TODO(), ch); err != nil {
 		panic(err)
 	}
-	back, err := rt.State(context.TODO())
-	if err != nil {
-		panic(err)
-	}
-	for id, t := range back {
+	for id, t := range must(rt.State(context.TODO())) {
 		tr.State[string(id)] = t
 	}
+}
+
+// memStores is one in-memory Tensor Store per device of topo.
+func memStores(topo *cluster.Topology) map[cluster.DeviceID]store.Access {
+	stores := map[cluster.DeviceID]store.Access{}
+	for _, d := range topo.Devices {
+		stores[d.ID] = store.Local{FS: store.NewMemFS()}
+	}
+	return stores
 }
 
 // fig16Tensor changes the tensor-parallel degree 4 -> 8 / 4 -> 2: the
 // trainer really executes Megatron-style sharded steps, and the change
 // re-shards parameters and momentum through the plan + transformer.
-func fig16Tensor() Fig16Series {
+func fig16Tensor() fig16Series {
 	tk := fig16Task()
 	cat := train.MLPCatalog(tk.In, fig16Hidden, tk.Classes)
 	topo := cluster.OnPrem16()
@@ -181,33 +177,25 @@ func fig16Tensor() Fig16Series {
 			step()
 		}
 		if newTP != 4 {
-			shards = reshardTP(topo, shards, 4, newTP)
+			shards = reshardTP(topo, cat, shards, 4, newTP)
 		}
 		for i := fig16EventStep; i < fig16Steps; i++ {
 			step()
 		}
 		return losses
 	}
-	s := Fig16Series{Dim: "tensor", EventStep: fig16EventStep,
-		NoChange: run(4), Increase: run(8), Decrease: run(2)}
-	s.MaxDeviation = math.Max(maxDev(s.NoChange, s.Increase), maxDev(s.NoChange, s.Decrease))
-	return s
+	return fig16Series{NoChange: run(4), Increase: run(8), Decrease: run(2)}
 }
 
 // reshardTP moves live TP shard state (parameters and momentum) through
 // the real store + plan + State Transformer path from tp-way to
 // newTP-way sharding, and rebuilds the shard structs from the new
 // per-device Tensor Stores.
-func reshardTP(topo *cluster.Topology, shards []*train.TPShard, tp, newTP int) []*train.TPShard {
-	tk := fig16Task()
-	cat := train.MLPCatalog(tk.In, fig16Hidden, tk.Classes)
+func reshardTP(topo *cluster.Topology, cat *model.Model, shards []*train.TPShard, tp, newTP int) []*train.TPShard {
 	from := buildPTC(cat, parallel.Config{TP: tp, PP: 1, DP: 1}, topo.FirstN(tp))
 	to := buildPTC(cat, parallel.Config{TP: newTP, PP: 1, DP: 1}, topo.FirstN(newTP))
 
-	stores := map[cluster.DeviceID]store.Access{}
-	for _, d := range topo.Devices {
-		stores[d.ID] = store.Local{FS: store.NewMemFS()}
-	}
+	stores := memStores(topo)
 	const job = "fig16-tp"
 	// Each TP rank uploads its live shard tensors as the from-PTC's
 	// sub-tensors.
@@ -222,10 +210,7 @@ func reshardTP(topo *cluster.Topology, shards []*train.TPShard, tp, newTP int) [
 			}
 		}
 	}
-	plan, err := core.GeneratePlan(from, to, core.PlanOptions{Topo: topo})
-	if err != nil {
-		panic(err)
-	}
+	plan := must(core.GeneratePlan(from, to, core.PlanOptions{Topo: topo}))
 	trx := &transform.Transformer{Job: job, Stores: stores}
 	if _, err := trx.Apply(plan); err != nil {
 		panic(err)
@@ -236,11 +221,7 @@ func reshardTP(topo *cluster.Topology, shards []*train.TPShard, tp, newTP int) [
 		st := map[string]*tensor.Tensor{}
 		var lo, hi int
 		for _, sub := range to.Place[d] {
-			t, err := stores[d].Query(transform.ModelPath(job, d, sub.Tensor), nil)
-			if err != nil {
-				panic(err)
-			}
-			st[string(sub.Tensor)] = t
+			st[string(sub.Tensor)] = must(stores[d].Query(transform.ModelPath(job, d, sub.Tensor), nil))
 			if sub.Tensor == "fc1/weight" {
 				lo, hi = sub.Region[0].Lo, sub.Region[0].Hi
 			}

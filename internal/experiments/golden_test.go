@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// The golden-table test pins every rendered table, the paper's and the
-// cluster ones, to the fixtures in testdata/, byte for byte: the same
-// experiments must keep rendering the same numbers. dcscale's latency
-// columns and its flatness note are machine-dependent, so its fixture
-// masks them. A PR that changes a table on purpose regenerates the
-// fixtures with
+// The golden-table test pins the table of every experiment in All, the
+// paper's and the cluster ones, to testdata/<id>.golden, byte for byte:
+// the same experiments must keep rendering the same numbers. An
+// experiment without a fixture fails, and so does a fixture no
+// experiment renders. dcscale's latency columns and its flatness note
+// are machine-dependent, so its fixture masks them. A change that moves
+// a table on purpose regenerates the fixtures with
 //
 //	UPDATE_GOLDEN=1 go test ./internal/experiments -run TestGoldenTables
 //
@@ -21,38 +22,26 @@ import (
 var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
 func TestGoldenTables(t *testing.T) {
-	for _, tc := range []struct {
-		id    string
-		table func() (Table, error)
-	}{
-		{"tab1", func() (Table, error) { _, tab := Tab1SystemComparison(); return tab, nil }},
-		{"fig2a", func() (Table, error) { _, tab := Fig2aDatasetConsistency(); return tab, nil }},
-		{"fig2b", func() (Table, error) { _, tab := Fig2bBatchConsistency(); return tab, nil }},
-		{"fig3", func() (Table, error) { _, tab := Fig3ParallelizationSweep(); return tab, nil }},
-		{"fig9", func() (Table, error) { _, tab := Fig9ElasticConvergence(1); return tab, nil }},
-		{"fig10", func() (Table, error) { _, tab := Fig10Redeployment(); return tab, nil }},
-		{"fig11", func() (Table, error) { _, tab := Fig11FailureRecovery(); return tab, nil }},
-		{"fig12", func() (Table, error) { _, tab := Fig12ReconfigOverhead(); return tab, nil }},
-		{"fig13", func() (Table, error) { _, tab := Fig13HorovodThroughput(); return tab, nil }},
-		{"fig14", func() (Table, error) { _, tab := Fig14ParallelizationType(); return tab, nil }},
-		{"fig15", func() (Table, error) { _, tab := Fig15ClusterSize(); return tab, nil }},
-		{"fig16", func() (Table, error) { _, tab := Fig16Convergence(); return tab, nil }},
-		{"ablations", func() (Table, error) { _, tab, err := Ablations(); return tab, err }},
-		{"multijob", func() (Table, error) { _, tab := MultiJobCluster(); return tab, nil }},
-		{"policies", func() (Table, error) { _, tab, err := Policies().Run(); return tab, err }},
-		{"placement", func() (Table, error) { _, tab, err := Placement().Run(); return tab, err }},
-		{"hostile", func() (Table, error) { _, tab, err := Hostile().Run(); return tab, err }},
-		{"dcscale", func() (Table, error) { runs, err := dcscaleSweep(); return maskLatency(DCScale().Table(runs)), err }},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			if tc.id == "dcscale" && testing.Short() {
-				t.Skip("dcscale full sweep skipped in -short mode")
+	pinned := map[string]bool{}
+	for _, e := range All() {
+		path := filepath.Join("testdata", e.ID+".golden")
+		pinned[path] = true
+		t.Run(e.ID, func(t *testing.T) {
+			var tab Table
+			var err error
+			if e.ID == "dcscale" {
+				if testing.Short() {
+					t.Skip("dcscale full sweep skipped in -short mode")
+				}
+				var runs Runs
+				runs, err = dcscaleSweep()
+				tab = maskLatency(e.Table(runs))
+			} else {
+				_, tab, err = e.Run()
 			}
-			tab, err := tc.table()
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", tc.id+".golden")
 			got := tab.Render()
 			if updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -65,9 +54,18 @@ func TestGoldenTables(t *testing.T) {
 				t.Fatalf("missing golden fixture (set UPDATE_GOLDEN=1 to create): %v", err)
 			}
 			if got != string(want) {
-				t.Fatalf("%s table drifted from %s.\n--- got ---\n%s--- want ---\n%s", tc.id, path, got, want)
+				t.Fatalf("%s table drifted from %s.\n--- got ---\n%s--- want ---\n%s", e.ID, path, got, want)
 			}
 		})
+	}
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fixtures {
+		if !pinned[f] {
+			t.Errorf("%s pins a table no experiment renders", f)
+		}
 	}
 }
 

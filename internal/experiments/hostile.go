@@ -96,11 +96,8 @@ func Hostile() Experiment {
 			if retry {
 				policy = "retry-on"
 			}
-			e.Variants = append(e.Variants, Variant{
-				Key: fmt.Sprintf("%g/%s", rate, policy), Labels: []string{fmt.Sprintf("%.3f", rate), policy},
-				Scenario: shared(MultiJobScenario),
-				Options:  coordinator.Options{Chaos: HostilePlan(rate), Recovery: HostileRecovery(retry)},
-			})
+			e.Variants = append(e.Variants, Replay(fmt.Sprintf("%g/%s", rate, policy), []string{fmt.Sprintf("%.3f", rate), policy},
+				shared(MultiJobScenario), coordinator.Options{Chaos: HostilePlan(rate), Recovery: HostileRecovery(retry)}))
 		}
 	}
 	return e

@@ -80,18 +80,25 @@ func multiJobScenario(devices, jobs int, seed int64, burstiness float64) (*clust
 	return cluster.Cloud(devices), arrivalSpecs(p, seed), []coordinator.FailureSpec{{TimeMin: 60, Device: dev}}
 }
 
-// MultiJobCluster runs the 12-job coordinator simulation and tabulates
-// the per-job outcome.
-func MultiJobCluster() (coordinator.Result, Table) {
-	topo, specs, failures := MultiJobScenario(32, 12, MultiJobSeed)
-	res, err := coordinator.Run(topo, specs, failures, coordinator.Options{})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: multi-job run: %v", err))
-	}
-	tab := Experiment{
+// MultiJobCluster is the multijob table: the 12-job coordinator
+// simulation, one row per job. Its run's summary is the unlabelled
+// "cluster" cell set the notes read.
+func MultiJobCluster() Experiment {
+	topo, specs, _ := MultiJobScenario(32, 12, MultiJobSeed)
+	return Experiment{
 		ID:     "multijob",
 		Title:  fmt.Sprintf("Multi-job elastic cluster, %d jobs on %s", len(specs), topo.Name),
 		Labels: []string{"job"},
+		Variants: []Variant{func() (Runs, error) {
+			topo, specs, failures := MultiJobScenario(32, 12, MultiJobSeed)
+			res, err := coordinator.Run(topo, specs, failures, coordinator.Options{})
+			if err != nil {
+				return nil, err
+			}
+			sum := ResultCells(res, specs)
+			sum.Key = "cluster"
+			return append(Runs{sum}, JobCells(res)...), nil
+		}},
 		Columns: []Column{
 			{"model", "model", "%s", 0}, {"req-GPUs", "requested_gpus", "%d", 0},
 			{"arrival-min", "arrival_min", "%.1f", 0}, {"admit-min", "admit_min", "%.1f", 0},
@@ -99,12 +106,14 @@ func MultiJobCluster() (coordinator.Result, Table) {
 			{"reconfig-s", "reconfig_seconds", "%.3f", 0}, {"moved-MB", "moved_bytes", "%.1f", 1e6},
 			{"completed", "completed", "%v", 0},
 		},
-	}.Table(JobCells(res))
-	tab.Notes = []string{
-		fmt.Sprintf("makespan %.1f min, mean cluster utilization %.2f", res.MakespanMin, res.MeanUtilization),
-		fmt.Sprintf("aggregate reconfiguration time %.3f s over %d validated plans", res.ReconfigSecTotal, res.PlansValidated),
-		fmt.Sprintf("%d timeline events, %d invariant sweeps, 1 injected device failure", len(res.Timeline), res.InvariantChecks),
-		"every job's reassembled state is bit-verified against its initial tensors at completion",
+		Notes: func(runs Runs) []string {
+			num := func(cell string) float64 { return runs.Num("cluster", cell) }
+			return []string{
+				fmt.Sprintf("makespan %.1f min, mean cluster utilization %.2f", num("makespan_min"), num("mean_cluster_utilization")),
+				fmt.Sprintf("aggregate reconfiguration time %.3f s over %.0f validated plans", num("aggregate_reconfig_seconds"), num("plans_validated")),
+				fmt.Sprintf("%.0f timeline events, %.0f invariant sweeps, 1 injected device failure", num("timeline_events"), num("invariant_checks")),
+				"every job's reassembled state is bit-verified against its initial tensors at completion",
+			}
+		},
 	}
-	return res, tab
 }

@@ -12,8 +12,21 @@ import (
 // >= 8 concurrent jobs sees arrivals, elastic resizes, one fail-stop
 // failure and completions, with the no-double-lease and valid-plan
 // invariants checked after every event inside coordinator.Run.
+// multiJobRun replays the multijob table's run, for the assertions on
+// its timeline that no cell holds.
+func multiJobRun(t *testing.T, seed int64) coordinator.Result {
+	t.Helper()
+	topo, specs, failures := MultiJobScenario(32, 12, seed)
+	res, err := coordinator.Run(topo, specs, failures, coordinator.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestMultiJobClusterAcceptance(t *testing.T) {
-	res, tab := MultiJobCluster()
+	res := multiJobRun(t, MultiJobSeed)
+	runs, tab := run(t, MultiJobCluster())
 	if len(res.Jobs) < 8 {
 		t.Fatalf("only %d jobs in the scenario, want >= 8", len(res.Jobs))
 	}
@@ -54,13 +67,15 @@ func TestMultiJobClusterAcceptance(t *testing.T) {
 	if len(tab.Rows) != len(res.Jobs) || len(tab.Notes) == 0 {
 		t.Fatalf("table shape: %d rows, %d notes", len(tab.Rows), len(tab.Notes))
 	}
+	if runs.Num("cluster", "makespan_min") != res.MakespanMin || runs.Num("cluster", "plans_validated") != float64(res.PlansValidated) {
+		t.Fatalf("cluster cells %+v diverge from the replayed run", runs[0])
+	}
 }
 
 // TestMultiJobClusterDeterministic: repeated runs with the same seed
 // yield identical timelines.
 func TestMultiJobClusterDeterministic(t *testing.T) {
-	r1, _ := MultiJobCluster()
-	r2, _ := MultiJobCluster()
+	r1, r2 := multiJobRun(t, MultiJobSeed), multiJobRun(t, MultiJobSeed)
 	if !reflect.DeepEqual(r1.Timeline, r2.Timeline) {
 		t.Fatal("same-seed runs produced different timelines")
 	}
@@ -68,12 +83,7 @@ func TestMultiJobClusterDeterministic(t *testing.T) {
 		t.Fatal("same-seed runs produced different job summaries")
 	}
 
-	topo, specs, failures := MultiJobScenario(32, 12, MultiJobSeed+1)
-	r3, err := coordinator.Run(topo, specs, failures, coordinator.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(r1.Timeline, r3.Timeline) {
+	if r3 := multiJobRun(t, MultiJobSeed+1); reflect.DeepEqual(r1.Timeline, r3.Timeline) {
 		t.Fatal("different seeds produced identical timelines")
 	}
 }

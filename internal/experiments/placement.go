@@ -44,10 +44,8 @@ func Placement() Experiment {
 		scenario Scenario
 	}{{"steady", shared(MultiJobScenario)}, {"bursty", shared(MultiJobScenarioBursty)}} {
 		for _, mode := range []string{"count", "placement"} {
-			e.Variants = append(e.Variants, Variant{
-				Key: w.name + "/" + mode, Labels: []string{w.name, mode},
-				Scenario: w.scenario, Options: coordinator.Options{Placement: mode == "placement"},
-			})
+			e.Variants = append(e.Variants, Replay(w.name+"/"+mode, []string{w.name, mode},
+				w.scenario, coordinator.Options{Placement: mode == "placement"}))
 		}
 	}
 	return e

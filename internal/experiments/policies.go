@@ -49,9 +49,7 @@ func Policies() Experiment {
 		return topo, PolicyPriorities(specs), failures
 	}
 	for _, p := range []coordinator.Policy{coordinator.FIFO{}, coordinator.DRF{}, coordinator.PriorityGang{}} {
-		e.Variants = append(e.Variants, Variant{
-			Key: p.Name(), Labels: []string{p.Name()}, Scenario: prioritized, Options: coordinator.Options{Policy: p},
-		})
+		e.Variants = append(e.Variants, Replay(p.Name(), []string{p.Name()}, prioritized, coordinator.Options{Policy: p}))
 	}
 	return e
 }

@@ -29,12 +29,11 @@ func TestPolicyComparison(t *testing.T) {
 
 	// The FIFO row must match the single-policy multijob experiment
 	// exactly — the Policy extraction may not change the default path.
-	res, _ := MultiJobCluster()
-	if runs.Num("fifo", "makespan_min") != res.MakespanMin ||
-		runs.Num("fifo", "mean_cluster_utilization") != res.MeanUtilization ||
-		runs.Num("fifo", "aggregate_reconfig_seconds") != res.ReconfigSecTotal {
-		t.Fatalf("fifo row %+v diverges from the multijob experiment (makespan %.3f, util %.4f, reconfig %.4f)",
-			runs[0], res.MakespanMin, res.MeanUtilization, res.ReconfigSecTotal)
+	multijob, _ := run(t, MultiJobCluster())
+	for _, cell := range []string{"makespan_min", "mean_cluster_utilization", "aggregate_reconfig_seconds"} {
+		if runs.Num("fifo", cell) != multijob.Num("cluster", cell) {
+			t.Fatalf("fifo row %+v diverges from the multijob experiment's %s %v", runs[0], cell, multijob.Num("cluster", cell))
+		}
 	}
 
 	// The policies must actually behave differently on this contended

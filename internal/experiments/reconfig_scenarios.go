@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/job"
@@ -44,15 +42,6 @@ func (sc PlannerScenario) PlanChange() error {
 	}
 	ch.Price(sc.Topo)
 	return nil
-}
-
-// buildMoEPTC is the panic-on-error MoE sibling of buildPTC.
-func buildMoEPTC(m *model.Model, cfg parallel.MoEConfig, alloc cluster.Allocation) *core.PTC {
-	ptc, err := parallel.BuildMoEPTC(m, cfg, alloc)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return ptc
 }
 
 // PlannerScenarios builds the scenario set. Construction is pure
@@ -126,8 +115,8 @@ func PlannerScenarios() []PlannerScenario {
 	for i := range rotated {
 		rotated[i] = cluster.DeviceID((i + 16) % 64)
 	}
-	moeFrom := buildMoEPTC(moe, parallel.MoEConfig{EP: 32, DP: 2}, c64.FirstN(64))
-	moeTo := func() *core.PTC { return buildMoEPTC(moe, parallel.MoEConfig{EP: 64, DP: 1}, rotated) }
+	moeFrom := must(parallel.BuildMoEPTC(moe, parallel.MoEConfig{EP: 32, DP: 2}, c64.FirstN(64)))
+	moeTo := func() *core.PTC { return must(parallel.BuildMoEPTC(moe, parallel.MoEConfig{EP: 64, DP: 1}, rotated)) }
 	out = append(out, PlannerScenario{
 		Name: "moe-expert-64", Devices: 64, Topo: c64,
 		From: moeFrom, To: moeTo(), Opts: core.PlanOptions{Topo: c64},

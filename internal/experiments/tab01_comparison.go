@@ -1,74 +1,38 @@
 package experiments
 
-// Tab1Row is one system of Tab. 1: which consistency and parallelism
-// features it supports and its reconfiguration overhead class.
-type Tab1Row struct {
-	Approach string
-	System   string
-
-	DatasetConsistency bool
-	HyperParamConsist  bool
-
-	StaticDP, StaticPP, StaticTP    string // "yes" | "no" | "user"
-	DynamicDP, DynamicPP, DynamicTP string
-
-	ReconfigOverhead string // "full state" | "GPU state" | "minimal state"
+// Tab1SystemComparison reproduces Tab. 1, the qualitative comparison of
+// proposals for dynamic GPU changes: which consistency and dynamic
+// parallelism features each system supports, and its reconfiguration
+// overhead class. It is a fixed fact table (the paper's own survey); this
+// reproduction implements the bottom row.
+func Tab1SystemComparison() Experiment {
+	e := Experiment{
+		ID:    "tab1",
+		Title: "Comparison of proposals for dynamic GPU changes in DL jobs",
+		// A fact table: every column is a label.
+		Labels: []string{"approach", "system", "dataset", "hyper", "dynDP", "dynPP", "dynTP", "overhead"},
+	}
+	e.Variants = []Variant{func() (Runs, error) {
+		runs := make(Runs, len(tab1Systems))
+		for i, r := range tab1Systems {
+			runs[i] = Cells{Key: r[1], Labels: r}
+		}
+		return runs, nil
+	}}
+	return e
 }
 
-// Tab1SystemComparison reproduces Tab. 1, the qualitative comparison of
-// proposals for dynamic GPU changes. It is a fixed fact table (the
-// paper's own survey); this reproduction implements the bottom row.
-func Tab1SystemComparison() ([]Tab1Row, Table) {
-	yes, no, user := "yes", "no", "user"
-	rows := []Tab1Row{
-		{Approach: "model libraries", System: "Alpa", StaticDP: yes, StaticPP: yes, StaticTP: yes,
-			DynamicDP: no, DynamicPP: no, DynamicTP: no, ReconfigOverhead: "-"},
-		{Approach: "model libraries", System: "Megatron-LM", StaticDP: yes, StaticPP: yes, StaticTP: yes,
-			DynamicDP: yes, DynamicPP: no, DynamicTP: no, ReconfigOverhead: "full state"},
-		{Approach: "model libraries", System: "DeepSpeed", DatasetConsistency: true, HyperParamConsist: true,
-			StaticDP: yes, StaticPP: yes, StaticTP: no, DynamicDP: yes, DynamicPP: no, DynamicTP: no,
-			ReconfigOverhead: "full state"},
-		{Approach: "elastic DL systems", System: "Elastic Horovod", StaticDP: yes,
-			DynamicDP: yes, DynamicPP: "-", DynamicTP: "-", StaticPP: "-", StaticTP: "-",
-			ReconfigOverhead: "full state"},
-		{Approach: "elastic DL systems", System: "Torch Distributed", DatasetConsistency: true,
-			StaticDP: yes, StaticPP: yes, StaticTP: user, DynamicDP: yes, DynamicPP: user, DynamicTP: user,
-			ReconfigOverhead: "full state"},
-		{Approach: "elastic DL systems", System: "Varuna", DatasetConsistency: true, HyperParamConsist: true,
-			StaticDP: yes, StaticPP: yes, StaticTP: "-", DynamicDP: yes, DynamicPP: yes, DynamicTP: "-",
-			ReconfigOverhead: "full state"},
-		{Approach: "elastic DL systems", System: "KungFu", DatasetConsistency: true, HyperParamConsist: true,
-			StaticDP: yes, StaticPP: "-", StaticTP: "-", DynamicDP: yes, DynamicPP: "-", DynamicTP: "-",
-			ReconfigOverhead: "full state"},
-		{Approach: "virtual devices", System: "VirtualFlow", DatasetConsistency: true, HyperParamConsist: true,
-			StaticDP: yes, StaticPP: "-", StaticTP: "-", DynamicDP: yes, DynamicPP: "-", DynamicTP: "-",
-			ReconfigOverhead: "full state"},
-		{Approach: "virtual devices", System: "EasyScale", DatasetConsistency: true, HyperParamConsist: true,
-			StaticDP: yes, StaticPP: "-", StaticTP: "-", DynamicDP: yes, DynamicPP: "-", DynamicTP: "-",
-			ReconfigOverhead: "full state"},
-		{Approach: "virtual devices", System: "Singularity", DatasetConsistency: true, HyperParamConsist: true,
-			StaticDP: yes, StaticPP: yes, StaticTP: yes, DynamicDP: yes, DynamicPP: no, DynamicTP: no,
-			ReconfigOverhead: "GPU state"},
-		{Approach: "state management", System: "Tenplex", DatasetConsistency: true, HyperParamConsist: true,
-			StaticDP: yes, StaticPP: yes, StaticTP: yes, DynamicDP: yes, DynamicPP: yes, DynamicTP: yes,
-			ReconfigOverhead: "minimal state"},
-	}
-	table := Table{
-		ID:      "tab1",
-		Title:   "Comparison of proposals for dynamic GPU changes in DL jobs",
-		Columns: []string{"approach", "system", "dataset", "hyper", "dynDP", "dynPP", "dynTP", "overhead"},
-	}
-	b := func(v bool) string {
-		if v {
-			return "yes"
-		}
-		return "no"
-	}
-	for _, r := range rows {
-		table.Rows = append(table.Rows, []string{
-			r.Approach, r.System, b(r.DatasetConsistency), b(r.HyperParamConsist),
-			r.DynamicDP, r.DynamicPP, r.DynamicTP, r.ReconfigOverhead,
-		})
-	}
-	return rows, table
+// tab1Systems is Tab. 1, one system a row, in tab1's label order.
+var tab1Systems = [][]string{
+	{"model libraries", "Alpa", "no", "no", "no", "no", "no", "-"},
+	{"model libraries", "Megatron-LM", "no", "no", "yes", "no", "no", "full state"},
+	{"model libraries", "DeepSpeed", "yes", "yes", "yes", "no", "no", "full state"},
+	{"elastic DL systems", "Elastic Horovod", "no", "no", "yes", "-", "-", "full state"},
+	{"elastic DL systems", "Torch Distributed", "yes", "no", "yes", "user", "user", "full state"},
+	{"elastic DL systems", "Varuna", "yes", "yes", "yes", "yes", "-", "full state"},
+	{"elastic DL systems", "KungFu", "yes", "yes", "yes", "-", "-", "full state"},
+	{"virtual devices", "VirtualFlow", "yes", "yes", "yes", "-", "-", "full state"},
+	{"virtual devices", "EasyScale", "yes", "yes", "yes", "-", "-", "full state"},
+	{"virtual devices", "Singularity", "yes", "yes", "yes", "no", "no", "GPU state"},
+	{"state management", "Tenplex", "yes", "yes", "yes", "yes", "yes", "minimal state"},
 }

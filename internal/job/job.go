@@ -137,14 +137,10 @@ func PlanRestore(m *model.Model, topo *cluster.Topology, cfg parallel.Config, al
 	if err != nil {
 		return nil, err
 	}
-	var flows []netsim.Flow
+	flows := RestoreFlows(to)
 	var bytes int64
-	for _, d := range to.Devices {
-		for _, s := range to.Place[d] {
-			n := s.NumBytes(to.Tensors[s.Tensor])
-			flows = append(flows, netsim.Flow{From: netsim.StorageEP(), To: netsim.DevEP(d), Bytes: n})
-			bytes += n
-		}
+	for _, f := range flows {
+		bytes += f.Bytes
 	}
 	return &Change{
 		Config: cfg,
@@ -153,6 +149,19 @@ func PlanRestore(m *model.Model, topo *cluster.Topology, cfg parallel.Config, al
 		Stats:  core.Stats{StorageBytes: bytes, MovedBytes: bytes},
 		SimSec: netsim.Simulate(topo, flows).Seconds,
 	}, nil
+}
+
+// RestoreFlows is what restoring to from checkpoint storage moves: every
+// sub-tensor, replicas included, from storage to its device, in
+// to.Devices order, then Place order.
+func RestoreFlows(to *core.PTC) []netsim.Flow {
+	var flows []netsim.Flow
+	for _, d := range to.Devices {
+		for _, s := range to.Place[d] {
+			flows = append(flows, netsim.Flow{From: netsim.StorageEP(), To: netsim.DevEP(d), Bytes: s.NumBytes(to.Tensors[s.Tensor])})
+		}
+	}
+	return flows
 }
 
 // InitState builds a job's deterministic initial tensors from seed on at
