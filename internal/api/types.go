@@ -25,10 +25,10 @@ type ModelSpec struct {
 }
 
 // Limits on a custom catalog. The dimensions arrive from the network and
-// become tensor shapes; the coordinator materializes every admitted
-// job's whole state in its own memory (the initial tensors, and the
-// stores' copy when they are in-process), so the state a request may ask
-// for is capped like its body is. The per-dimension bounds keep the
+// become tensor shapes, and every admitted job's whole state is
+// materialized on the stores (in the coordinator's own memory when they
+// are in-process), so the state a request may ask for is capped like its
+// body is. The per-dimension bounds keep the
 // catalog itself small and the size arithmetic far from overflow.
 const (
 	maxLayers     = 128

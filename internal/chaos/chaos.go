@@ -176,7 +176,7 @@ func (in *Injector) BeginAttempt(job string, key uint64) {
 
 // EndAttempt disarms job's fault injection; wrapped stores pass through
 // untouched until the next BeginAttempt. Recovery actions — checkpoint
-// restores, baseline saves, state verification — run disarmed so the
+// restores and saves, state verification — run disarmed so the
 // rollback path itself is reliable (bounded degradation, no livelock).
 func (in *Injector) EndAttempt(job string) {
 	st := in.stream(job)

@@ -1,20 +1,26 @@
-// Package checkpoint persists partitioned model state from the Tensor
-// Stores to remote blob storage and reads it back — including arbitrary
-// sub-tensor ranges that may span partition boundaries, which is what
-// failure recovery needs when it rebuilds lost state for a *different*
-// parallelization than the checkpoint was written under. It keeps the
-// pieces, manifest and latest marker; transform's device walk reaches the
-// device stores.
+// Package checkpoint persists partitioned model state and reads it back
+// — including arbitrary sub-tensor ranges that may span partition
+// boundaries, which is what failure recovery needs when it rebuilds lost
+// state for a *different* parallelization than the checkpoint was
+// written under. A checkpoint's pieces live in one of three places: in
+// the blob storage that also keeps the manifest and the latest marker
+// (Save), on the Tensor Store of a device that does not hold the piece
+// (SaveToPeers), or nowhere, when the manifest says the piece is a
+// seeded fill it can generate again (SaveSeed). transform's device walk
+// reaches the device stores.
 package checkpoint
 
 import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
@@ -33,13 +39,23 @@ type Meta struct {
 	Pieces map[string][]Piece `json:"pieces"`
 }
 
-// Piece records where one sub-tensor of a checkpointed tensor lives.
+// Piece records where one sub-tensor of a checkpointed tensor lives: at
+// Path in the checkpoint storage, at Path on the store of Device, or, when
+// Gen is set, nowhere — the piece is that region of the seeded fill Gen
+// describes, generated when it is read.
 type Piece struct {
-	Path  string `json:"path"`
-	Range string `json:"range"` // region in base coordinates
+	Path   string            `json:"path,omitempty"`
+	Range  string            `json:"range"` // region in base coordinates
+	Device *cluster.DeviceID `json:"device,omitempty"`
+	Gen    *tensor.RandDense `json:"gen,omitempty"`
 }
 
 func ckptRoot(job string, step int) string { return fmt.Sprintf("/ckpt/%s/step%08d", job, step) }
+
+// peerRoot is where a device store keeps its pieces of a step: inside
+// the job's tree, so deleting the job's state deletes them, and outside
+// its model and staging trees, so a reload keeps them.
+func peerRoot(job string, step int) string { return fmt.Sprintf("/job/%s/ckpt/step%08d", job, step) }
 func metaPath(job string, step int) string { return ckptRoot(job, step) + "/meta.json" }
 func latestPath(job string) string         { return fmt.Sprintf("/ckpt/%s/latest", job) }
 
@@ -76,40 +92,17 @@ func Save(storage store.Access, job string, step int, ptc *core.PTC,
 	})
 }
 
-// SaveTensors writes state — whole logical tensors the caller already
-// holds, such as the initial state a deploy has just sent to the device
-// stores — as the checkpoint for the given step: one piece per tensor,
-// covering all of it, handed to storage as it is (an in-process store
-// keeps the pointer, so nothing is copied and nothing is read back from
-// any device). name is the manifest's human-readable config. Readers do
-// not care how a checkpoint is cut: Restore and ReadRangeInto serve any
-// parallelization from it. Publication and the fate of the previous step
-// are Save's, to the letter.
-func SaveTensors(storage store.Access, job string, step int, name string,
-	state map[core.TensorID]*tensor.Tensor) error {
-	return save(storage, job, step, name, len(state), func(write writePiece) error {
-		for id, t := range state {
-			if err := write(core.SubTensor{Tensor: id, Region: tensor.FullRegion(t.Shape())}, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // writePiece stores one sub-tensor of the checkpoint being saved and
 // enters it in the manifest; it is never run concurrently.
 type writePiece func(core.SubTensor, *tensor.Tensor) error
 
-// save is the frame both ways of writing a checkpoint share: pieces
-// writes the step's sub-tensors through the function it is handed, then
-// the manifest, then the latest marker go to storage, and only then is
-// the step the marker named before removed.
+// save is Save's frame: pieces writes the step's sub-tensors into
+// storage through the function it is handed, then the manifest, then the
+// latest marker go to storage, and only then is the step the marker
+// named before removed.
 func save(storage store.Access, job string, step int, name string, tensors int,
 	pieces func(writePiece) error) error {
-	blobs, ok := storage.(interface {
-		PutBlob(string, []byte) error
-	})
+	blobs, ok := storage.(blobStore)
 	if !ok {
 		return fmt.Errorf("checkpoint: storage does not support blobs")
 	}
@@ -117,10 +110,6 @@ func save(storage store.Access, job string, step int, name string, tensors int,
 	root := ckptRoot(job, step)
 	// Piece paths are cut from one string arena, and the manifest's piece
 	// lists from one slice once every piece is in.
-	type written struct {
-		tensor string
-		piece  Piece
-	}
 	var (
 		paths tensor.StringArena
 		buf   []byte // the path being built
@@ -141,6 +130,32 @@ func save(storage store.Access, job string, step int, name string, tensors int,
 	if err != nil {
 		return err
 	}
+	if err := publish(blobs, job, step, name, tensors, all); err != nil {
+		return err
+	}
+	if prevErr == nil && prev != step {
+		// The new checkpoint stands whether or not the old tree goes; what
+		// a failed delete leaves is garbage, not an inconsistency.
+		_ = storage.Delete(ckptRoot(job, prev))
+	}
+	return nil
+}
+
+// written is one piece of a checkpoint being saved, with its tensor.
+type written struct {
+	tensor string
+	piece  Piece
+}
+
+// blobStore is what checkpoint storage must offer: the manifest and the
+// latest marker are blobs.
+type blobStore interface {
+	PutBlob(string, []byte) error
+}
+
+// publish writes the manifest of step, built from its pieces, and then
+// the latest marker naming it: from then on the step is the checkpoint.
+func publish(blobs blobStore, job string, step int, name string, tensors int, all []written) error {
 	slices.SortFunc(all, func(a, b written) int {
 		return cmp.Or(strings.Compare(a.tensor, b.tensor), strings.Compare(a.piece.Range, b.piece.Range))
 	})
@@ -162,15 +177,241 @@ func save(storage store.Access, job string, step int, name string, tensors int,
 		return err
 	}
 	latest, _ := json.Marshal(step)
-	if err := blobs.PutBlob(latestPath(job), latest); err != nil {
+	return blobs.PutBlob(latestPath(job), latest)
+}
+
+// SaveToPeers writes the state described by ptc as the checkpoint for
+// the given step, leaving every piece on a device store: each distinct
+// sub-tensor (ptc.Unique, replicas once) is copied from the device that
+// holds it to the store of the device peerDevices names for it, one that holds
+// no part of it, under the job's tree. A store that assembles from its
+// peers (store.Assembler) is sent one request that pulls all of its
+// pieces store to store, provided every holder it pulls from is
+// Addressable; any other store is handed each piece as the holder's store
+// answers a Query, which an in-process store does by reference. No piece
+// passes through storage, which receives the manifest — naming each
+// piece's device — and the latest marker, in that order and only once
+// every piece is in; then the previous step's pieces are deleted on
+// their stores. A save that fails deletes what it wrote of this step and
+// leaves the previous one and the marker as they were.
+func SaveToPeers(ctx context.Context, storage store.Access, job string, step int, ptc *core.PTC, topo *cluster.Topology,
+	stores map[cluster.DeviceID]store.Access) error {
+	blobs, ok := storage.(blobStore)
+	if !ok {
+		return fmt.Errorf("checkpoint: storage does not support blobs")
+	}
+	peers, err := peerDevices(topo, ptc)
+	if err != nil {
+		return err
+	}
+	prev, prevErr := Latest(storage, job)
+	unique := ptc.Unique()
+	root := peerRoot(job, step)
+	var (
+		targets []cluster.DeviceID // the peer stores, in the order they first appear
+		byPeer  = map[cluster.DeviceID][]copied{}
+		devs    = map[cluster.DeviceID]*cluster.DeviceID{} // one pointer per device for the manifest
+		all     = make([]written, 0, len(ptc.Tensors))
+		paths   tensor.StringArena
+		buf     []byte
+	)
+	for g, subs := range unique {
+		for i, s := range subs {
+			to := peers[g][i]
+			if _, ok := stores[to]; !ok {
+				return fmt.Errorf("checkpoint: no store for peer device %d", to)
+			}
+			if devs[to] == nil {
+				devs[to] = &to
+				targets = append(targets, to)
+			}
+			buf = append(append(buf[:0], root...), '/')
+			buf = append(append(buf, s.Tensor...), '@')
+			at := len(buf)
+			buf = s.Region.Append(buf)
+			path := paths.Cut(buf)
+			byPeer[to] = append(byPeer[to], copied{ptc.Devices[g], s, path})
+			all = append(all, written{string(s.Tensor), Piece{Path: path, Range: path[at:], Device: devs[to]}})
+		}
+	}
+	// A store that assembles takes its pieces in one request, and the
+	// stores then work at once; in-process stores go one after another
+	// on a single core, in the order of an in-process run.
+	width := runtime.GOMAXPROCS(0)
+	if slices.ContainsFunc(targets, func(d cluster.DeviceID) bool { _, ok := stores[d].(store.Assembler); return ok }) {
+		width = len(targets)
+	}
+	errs := make([]error, len(targets))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(width, len(targets)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < len(targets); k = int(next.Add(1)) - 1 {
+				errs[k] = copyPieces(ctx, job, ptc, stores, targets[k], byPeer[targets[k]])
+			}
+		}()
+	}
+	wg.Wait()
+	err = errors.Join(errs...)
+	if err == nil {
+		err = publish(blobs, job, step, ptc.Name, len(ptc.Tensors), all)
+	}
+	if err != nil {
+		for _, to := range targets {
+			_ = stores[to].Delete(root) // what this step wrote, if anything
+		}
 		return err
 	}
 	if prevErr == nil && prev != step {
-		// The new checkpoint stands whether or not the old tree goes; what
-		// a failed delete leaves is garbage, not an inconsistency.
-		_ = storage.Delete(ckptRoot(job, prev))
+		drop(storage, stores, job, prev)
 	}
 	return nil
+}
+
+// copied is one piece of a checkpoint being saved to peers: sub-tensor s
+// of device from, to be kept at path.
+type copied struct {
+	from cluster.DeviceID
+	s    core.SubTensor
+	path string
+}
+
+// copyPieces puts pieces on the store of device to: in one /assemble that
+// pulls them from their holders when the store assembles and every
+// holder is Addressable, else each as its holder's store answers a Query.
+func copyPieces(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
+	to cluster.DeviceID, pieces []copied) error {
+	acc := stores[to]
+	if asm, ok := acc.(store.Assembler); ok {
+		pull := make([]store.AssembleItem, 0, len(pieces))
+		for _, c := range pieces {
+			src, ok := stores[c.from].(store.Addressable)
+			if !ok {
+				break
+			}
+			pull = append(pull, store.AssembleItem{Path: c.path, DType: ptc.Tensors[c.s.Tensor].DType,
+				Shape: c.s.Region.Shape(), Fetch: []store.AssembleFetch{{Source: src.Address(),
+					Path: transform.ModelPath(job, c.from, c.s.Tensor)}}})
+		}
+		if len(pull) == len(pieces) {
+			if _, err := asm.Assemble(ctx, pull); err != nil {
+				return fmt.Errorf("checkpoint: pieces to dev %d: %w", to, err)
+			}
+			return nil
+		}
+	}
+	for _, c := range pieces {
+		t, err := store.WithContext(stores[c.from]).QueryContext(ctx, transform.ModelPath(job, c.from, c.s.Tensor), nil)
+		if err == nil {
+			err = store.WithContext(acc).UploadContext(ctx, c.path, t)
+		}
+		if err != nil {
+			return fmt.Errorf("checkpoint: piece %q from dev %d to dev %d: %w", c.path, c.from, to, err)
+		}
+	}
+	return nil
+}
+
+// SaveSeed files step as a checkpoint that holds no bytes: tensor id of
+// the state is the seeded fill gens[id] describes, and the manifest
+// says so with one piece per tensor, which a Reader generates when it is
+// read. Publication and the fate of the previous step are SaveToPeers'.
+func SaveSeed(storage store.Access, job string, step int, name string, gens map[core.TensorID]tensor.RandDense,
+	stores map[cluster.DeviceID]store.Access) error {
+	blobs, ok := storage.(blobStore)
+	if !ok {
+		return fmt.Errorf("checkpoint: storage does not support blobs")
+	}
+	prev, prevErr := Latest(storage, job)
+	all := make([]written, 0, len(gens))
+	for id, g := range gens {
+		all = append(all, written{string(id), Piece{Range: tensor.FullRegion(g.Shape).String(), Gen: &g}})
+	}
+	if err := publish(blobs, job, step, name, len(gens), all); err != nil {
+		return err
+	}
+	if prevErr == nil && prev != step {
+		drop(storage, stores, job, prev)
+	}
+	return nil
+}
+
+// drop removes checkpoint step prev, which the latest marker no longer
+// names: its pieces on the device stores its manifest lists, then its
+// tree in storage, manifest included. What a failed delete leaves is
+// garbage, not an inconsistency.
+func drop(storage store.Access, stores map[cluster.DeviceID]store.Access, job string, prev int) {
+	if r, err := Open(storage, job, prev); err == nil {
+		done := map[cluster.DeviceID]bool{}
+		for _, pieces := range r.Meta.Pieces {
+			for _, p := range pieces {
+				if p.Device == nil || done[*p.Device] {
+					continue
+				}
+				done[*p.Device] = true
+				if acc, ok := stores[*p.Device]; ok {
+					_ = acc.Delete(peerRoot(job, prev))
+				}
+			}
+		}
+	}
+	_ = storage.Delete(ckptRoot(job, prev))
+}
+
+// peerDevices says where each distinct sub-tensor of ptc keeps its checkpoint
+// copy: peers[g][i] is the device for ptc.Unique()[g][i], one that holds
+// no part of that sub-tensor. Counting from the holder, in rank order and
+// wrapping around, it is the next such device of the allocation on
+// another worker when the allocation spans more than one; else the next
+// such device of the allocation; and when every device of the allocation
+// holds the sub-tensor (a one-device job, or a pure replica), the next
+// such device of the topology. Only a sub-tensor every device of the
+// topology holds is kept by a holder, the next device of the topology.
+// The rule reads the placement and which worker a device sits on,
+// nothing of the topology's health, so a checkpoint may run beside the
+// decision plane that marks failures.
+func peerDevices(topo *cluster.Topology, ptc *core.PTC) ([][]cluster.DeviceID, error) {
+	if topo == nil {
+		return nil, fmt.Errorf("checkpoint: no topology to place pieces on")
+	}
+	devs := ptc.Devices
+	spans := false
+	for _, d := range devs {
+		spans = spans || topo.WorkerOf(d) != topo.WorkerOf(devs[0])
+	}
+	unique := ptc.Unique()
+	out := make([][]cluster.DeviceID, len(unique))
+	for g, subs := range unique {
+		from := devs[g]
+		out[g] = make([]cluster.DeviceID, len(subs))
+		for i, s := range subs {
+			holders := ptc.Holders(s.Tensor, s.Region)
+			free := func(d cluster.DeviceID) bool { return !slices.Contains(holders, d) }
+			to, found := cluster.DeviceID(0), false
+			for pass := 0; pass < 2 && !found; pass++ {
+				for k := 1; k < len(devs) && !found; k++ {
+					d := devs[(g+k)%len(devs)]
+					if free(d) && (pass == 1 || spans && topo.WorkerOf(d) != topo.WorkerOf(from)) {
+						to, found = d, true
+					}
+				}
+			}
+			for k := 1; k < topo.NumDevices() && !found; k++ {
+				if d := cluster.DeviceID((int(from) + k) % topo.NumDevices()); free(d) {
+					to, found = d, true
+				}
+			}
+			if !found { // every device holds it: any copy is as safe as any other
+				to = cluster.DeviceID((int(from) + 1) % topo.NumDevices())
+			}
+			out[g][i] = to
+		}
+	}
+	return out, nil
 }
 
 // Latest returns the step of the most recent checkpoint for job.
@@ -200,10 +441,14 @@ func getBlob(storage store.Access, path string) ([]byte, error) {
 // Reader serves sub-tensor ranges out of one checkpoint. It implements
 // transform.StorageReader: ranges that span partition boundaries are
 // assembled from every intersecting piece, fetching only the
-// intersections (range reads against storage).
+// intersections — range reads against storage, or against the store of
+// the device a peer piece lives on, or generated for a seeded piece.
 type Reader struct {
 	Storage store.Access
-	Meta    Meta
+	// Stores are the device stores peer pieces are read from (see
+	// SaveToPeers); a checkpoint without peer pieces needs none.
+	Stores map[cluster.DeviceID]store.Access
+	Meta   Meta
 	// dtypes caches element types discovered by probing pieces; guarded
 	// by mu because the transformer reads ranges concurrently.
 	mu     sync.Mutex
@@ -266,7 +511,19 @@ func (r *Reader) ReadRangeInto(id core.TensorID, want tensor.Region, dst *tensor
 		// inter in the piece's local coordinates, and its destination
 		// inside dst: re-based against want, then shifted to at.
 		target := inter.Translate(want.Offset()).Shift(at.Offset())
-		n, err := r.Storage.QueryInto(p.Path, inter.Translate(reg.Offset()), dst, target)
+		if p.Gen != nil {
+			if err := p.Gen.FillRegion(inter, dst, target); err != nil {
+				return written, fmt.Errorf("checkpoint: generate %q%v: %w", id, inter, err)
+			}
+			written += inter.NumBytes(dst.DType())
+			covered += inter.NumElems()
+			continue
+		}
+		src, err := r.source(p)
+		if err != nil {
+			return written, err
+		}
+		n, err := src.QueryInto(p.Path, inter.Translate(reg.Offset()), dst, target)
 		if err != nil {
 			return written, fmt.Errorf("checkpoint: read %q: %w", p.Path, err)
 		}
@@ -278,6 +535,19 @@ func (r *Reader) ReadRangeInto(id core.TensorID, want tensor.Region, dst *tensor
 			want, id, covered, want.NumElems())
 	}
 	return written, nil
+}
+
+// source is the store that holds piece p: the device store it names, or
+// storage.
+func (r *Reader) source(p Piece) (store.Access, error) {
+	if p.Device == nil {
+		return r.Storage, nil
+	}
+	acc, ok := r.Stores[*p.Device]
+	if !ok {
+		return nil, fmt.Errorf("checkpoint: no store for dev %d, which holds %q", *p.Device, p.Path)
+	}
+	return acc, nil
 }
 
 // ReadRange implements transform.StorageReader by allocating the range
@@ -309,6 +579,9 @@ func (r *Reader) dtypeOf(id core.TensorID) (tensor.DType, error) {
 	if !ok || len(pieces) == 0 {
 		return tensor.Invalid, fmt.Errorf("checkpoint: tensor %q not in checkpoint (step %d)", id, r.Meta.Step)
 	}
+	if g := pieces[0].Gen; g != nil {
+		return g.DType, nil
+	}
 	reg, err := tensor.ParseRegion(pieces[0].Range, nil)
 	if err != nil {
 		return tensor.Invalid, fmt.Errorf("checkpoint: corrupt range %q: %w", pieces[0].Range, err)
@@ -317,7 +590,11 @@ func (r *Reader) dtypeOf(id core.TensorID) (tensor.DType, error) {
 	for i := range reg {
 		corner[i] = tensor.Range{Lo: 0, Hi: 1}
 	}
-	probe, err := r.Storage.Query(pieces[0].Path, corner)
+	src, err := r.source(pieces[0])
+	if err != nil {
+		return tensor.Invalid, err
+	}
+	probe, err := src.Query(pieces[0].Path, corner)
 	if err != nil {
 		return tensor.Invalid, fmt.Errorf("checkpoint: probe %q: %w", pieces[0].Path, err)
 	}

@@ -444,19 +444,50 @@ func (s refusingStorage) Upload(path string, t *tensor.Tensor) error {
 	return s.Local.Upload(path, t)
 }
 
-// A baseline written from whole tensors the caller holds — what a deploy
-// saves, in place of reading back the state it has just sent out — is a
-// checkpoint like any other: one piece per tensor, kept by reference;
-// it restores bit for bit under a parallelization it was never cut for,
-// serves the ranges a fail-stop recovery has lost, is replaced by the
-// next Save, and when it fails half-way leaves the step before it alone.
-func TestSaveTensorsBaseline(t *testing.T) {
+// seeded describes the state of ptc as seeded fills, tensor i in ID order
+// from seed+i, and materializes it.
+func seeded(ptc *core.PTC, seed int64) (map[core.TensorID]tensor.RandDense, map[core.TensorID]*tensor.Tensor) {
+	gens := map[core.TensorID]tensor.RandDense{}
+	golden := map[core.TensorID]*tensor.Tensor{}
+	ids := make([]core.TensorID, 0, len(ptc.Tensors))
+	for id := range ptc.Tensors {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for i, id := range ids {
+		meta := ptc.Tensors[id]
+		gens[id] = tensor.RandDense{DType: meta.DType, Shape: meta.Shape, Seed: seed + int64(i), Scale: 0.05}
+		golden[id] = tensor.New(meta.DType, meta.Shape...)
+		golden[id].FillRandDense(seed+int64(i), 0.05)
+	}
+	return gens, golden
+}
+
+// A seed baseline — what a deploy files in place of reading back the
+// state it has just generated and sent out — is a checkpoint like any
+// other that holds no bytes: one generated piece per tensor; it restores
+// bit for bit under a parallelization it was never cut for, serves the
+// ranges a fail-stop recovery has lost, and is replaced by the next save,
+// unless that save fails half-way, which leaves it, and the marker
+// naming it, in place.
+func TestSaveSeedBaseline(t *testing.T) {
 	m := model.GPTCustom(2, 16, 2, 64, 8)
-	ptc, stores, golden := setup(t, parallel.Config{TP: 2, PP: 1, DP: 1}, 2)
+	ptc, err := parallel.BuildPTC(m, parallel.Config{TP: 2, PP: 1, DP: 1}, alloc(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens, golden := seeded(ptc, 11)
+	stores := localStores(2)
+	if err := transform.LoadPTC("job0", ptc, stores, golden); err != nil {
+		t.Fatal(err)
+	}
 	fs := store.NewMemFS()
 	storage := store.Local{FS: fs}
-	if err := SaveTensors(storage, "job0", 0, ptc.Name, golden); err != nil {
+	if err := SaveSeed(storage, "job0", 0, ptc.Name, gens, stores); err != nil {
 		t.Fatal(err)
+	}
+	if n := fs.TotalBytes(); n > 64<<10 {
+		t.Fatalf("a seed baseline of %d tensors takes %d bytes of storage", len(gens), n)
 	}
 	r, err := Open(storage, "job0", 0)
 	if err != nil {
@@ -465,13 +496,14 @@ func TestSaveTensorsBaseline(t *testing.T) {
 	if r.Meta.Config != ptc.Name || len(r.Meta.Pieces) != len(golden) {
 		t.Fatalf("manifest names %q with %d tensors, want %q with %d", r.Meta.Config, len(r.Meta.Pieces), ptc.Name, len(golden))
 	}
-	for id, want := range golden {
+	for id, g := range gens {
 		ps := r.Meta.Pieces[string(id)]
-		if len(ps) != 1 {
-			t.Fatalf("tensor %s is cut into %d pieces, want one", id, len(ps))
+		if len(ps) != 1 || ps[0].Gen == nil || !reflect.DeepEqual(*ps[0].Gen, g) || ps[0].Path != "" {
+			t.Fatalf("tensor %s: pieces %+v, want one naming its seed", id, ps)
 		}
-		if got, err := storage.Query(ps[0].Path, nil); err != nil || got != want {
-			t.Fatalf("tensor %s: storage does not hold the caller's tensor itself (err %v)", id, err)
+		got, err := r.ReadRange(id, tensor.FullRegion(g.Shape))
+		if err != nil || !got.Equal(golden[id]) {
+			t.Fatalf("tensor %s: read back differs (err %v)", id, err)
 		}
 	}
 
@@ -499,7 +531,7 @@ func TestSaveTensorsBaseline(t *testing.T) {
 	sameState("restored under TP=4", toPTC, fresh)
 
 	// Device 1 is lost with no replica: its half of every TP-split tensor
-	// comes out of the whole-tensor pieces.
+	// is generated.
 	onePTC, err := parallel.BuildPTC(m, parallel.Config{TP: 1, PP: 1, DP: 1}, alloc(1))
 	if err != nil {
 		t.Fatal(err)
@@ -517,17 +549,21 @@ func TestSaveTensorsBaseline(t *testing.T) {
 	}
 	sameState("recovered onto device 0", onePTC, stores)
 
-	// The next Save replaces it; a SaveTensors that fails half-way leaves
-	// that one, and the marker naming it, in place.
-	if err := Save(storage, "job0", 1, onePTC, stores); err != nil {
+	// A save to peers that fails half-way leaves the baseline, and the
+	// marker naming it, in place, and nothing of itself on the stores.
+	refusing := map[cluster.DeviceID]store.Access{0: stores[0], 1: refusingDevice{Local: stores[1].(store.Local)}}
+	if err := SaveToPeers(context.Background(), storage, "job0", 1, onePTC, cluster.Cloud(4), refusing); err == nil {
+		t.Fatal("SaveToPeers onto a store that refuses every piece succeeded")
+	}
+	if step, err := Latest(storage, "job0"); err != nil || step != 0 {
+		t.Fatalf("latest marker names step %d (err %v), want 0", step, err)
+	}
+	if names, _ := stores[1].List(peerRoot("job0", 1)); len(names) != 0 {
+		t.Fatalf("the failed save left %d pieces behind", len(names))
+	}
+	// The next save that succeeds replaces it.
+	if err := SaveToPeers(context.Background(), storage, "job0", 1, onePTC, cluster.Cloud(4), stores); err != nil {
 		t.Fatal(err)
-	}
-	left := len(golden) / 2
-	if err := SaveTensors(refusingStorage{Local: storage, n: &left}, "job0", 2, "x", golden); err == nil {
-		t.Fatal("SaveTensors into storage that refuses half the tensors succeeded")
-	}
-	if step, err := Latest(storage, "job0"); err != nil || step != 1 {
-		t.Fatalf("latest marker names step %d (err %v), want 1", step, err)
 	}
 	if _, err := Open(storage, "job0", 0); err == nil {
 		t.Fatal("the baseline outlived the save after it")
@@ -535,11 +571,20 @@ func TestSaveTensorsBaseline(t *testing.T) {
 	if r, err = Open(storage, "job0", 1); err != nil {
 		t.Fatal(err)
 	}
+	r.Stores = stores
 	fresh = localStores(4)
 	if err := Restore(context.Background(), r, "job0", toPTC, fresh); err != nil {
 		t.Fatal(err)
 	}
-	sameState("restored from the step before the failed save", toPTC, fresh)
+	sameState("restored from the save after the baseline", toPTC, fresh)
+}
+
+// refusingDevice is an in-process device store that refuses every
+// upload.
+type refusingDevice struct{ store.Local }
+
+func (refusingDevice) Upload(path string, _ *tensor.Tensor) error {
+	return fmt.Errorf("%s: store full", path)
 }
 
 // handedOver is an in-process device store that records every tensor it

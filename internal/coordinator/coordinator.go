@@ -174,10 +174,10 @@ type Options struct {
 	// device at the head of the job's deploy, on the job's chain). The
 	// coordd daemon points it at real tenplex-store servers (one
 	// store.Client per device), so every transform/verify moves bytes
-	// over the wire. Checkpoint blob storage stays in-process either way: it is
-	// the durability anchor rollback and restore depend on. nil (the
-	// default) keeps the original in-memory stores and leaves sim
-	// traces byte-identical.
+	// over the wire. The checkpoints' pieces live on these stores too,
+	// each on a device that does not hold it; only their manifests stay
+	// in-process. nil (the default) keeps the original in-memory stores
+	// and leaves sim traces byte-identical.
 	Stores func(job string, dev cluster.DeviceID) store.Access
 	// Metrics, when non-nil and Obs is nil, mirrors the coordinator's
 	// accounting into this registry without recording any trace — what

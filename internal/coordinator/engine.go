@@ -251,9 +251,9 @@ func (s *sim) admitQueued() error {
 		s.push(event{time: j.complAt, kind: evComplete, job: name, ver: j.ver})
 		s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvAdmit,
 			GPUs: n, Config: cfg.String()})
-		// First placement: the deploy command materializes the initial
-		// tensors, loads them into the Tensor Stores and persists the
-		// baseline checkpoint, all on the job's chain. The PTC they are
+		// First placement: the deploy command generates the initial
+		// state into the Tensor Stores and files the seed it came from as
+		// the baseline checkpoint, all on the job's chain. The PTC they are
 		// placed under is built here, metadata only, because it is also the
 		// job's first decided PTC: the scale-out that usually follows in
 		// this same event is planned against it while the deploy is still

@@ -3,7 +3,6 @@ package coordinator
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"tenplex/internal/chaos"
@@ -37,7 +36,7 @@ type executor interface {
 type cmdKind int
 
 const (
-	cmdDeploy  cmdKind = iota // first placement: materialize, load, baseline checkpoint
+	cmdDeploy  cmdKind = iota // first placement: generate into the stores, seed checkpoint
 	cmdRestore                // re-admission: redeploy from the latest checkpoint
 	cmdCommit                 // one decided change, transactionally
 	cmdVerify                 // completion: bit-verify, audit, let go of the state
@@ -131,11 +130,9 @@ func (x *dataPlane) do(c command) error {
 		switch c.kind {
 		case cmdDeploy:
 			rt.openStores(x.opts.Stores, x.inj, x.tr.Deep())
-			rt.init = job.InitState(runtime.GOMAXPROCS(0), c.model, c.seed)
+			rt.seed = c.seed
 			start = time.Now()
-			if out.err = rt.Deploy(c.ptc, c.cfg, c.alloc, rt.init); out.err == nil {
-				out.err = rt.Baseline(rt.init)
-			}
+			out.err = rt.DeploySeed(context.TODO(), c.ptc, c.cfg, c.alloc, c.seed)
 			x.traceTask(c, obs.SpanDeploy, start, out.err)
 		case cmdRestore:
 			// Disarmed, so re-admitting a degraded job always lands; the new
@@ -155,13 +152,13 @@ func (x *dataPlane) do(c command) error {
 			// a completed job — here because the release takes away what
 			// settle's audit would look at. Nothing calls a verify off yet:
 			// the context is here for the day jobs carry one.
-			if out.err = rt.Verify(context.TODO(), rt.init); out.err == nil {
+			if out.err = rt.Verify(context.TODO(), rt.seed); out.err == nil {
 				out.err = rt.audit(c.alloc)
 			}
-			rt.release()
+			rt.Release()
 			x.traceTask(c, obs.SpanVerify, start, out.err)
 		case cmdRelease:
-			rt.release()
+			rt.Release()
 			return nil
 		}
 		if c.p != nil {

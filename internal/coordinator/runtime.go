@@ -10,7 +10,6 @@ import (
 	"tenplex/internal/job"
 	"tenplex/internal/parallel"
 	"tenplex/internal/store"
-	"tenplex/internal/tensor"
 )
 
 // jobRuntime is one managed job's state-management stack inside the
@@ -20,10 +19,10 @@ import (
 // around it what is the coordinator's alone.
 type jobRuntime struct {
 	job.Runtime
-	// init holds the job's deterministic initial tensors: written by the
-	// deploy task, read by the verify task, dropped by release — all on
-	// the job's chain.
-	init map[core.TensorID]*tensor.Tensor
+	// seed names the job's initial state, job.InitState(Model, seed): the
+	// deploy task generates it into the stores, the verify task generates
+	// it again to compare, and nothing in between holds it.
+	seed int64
 }
 
 // openStores gives the runtime its per-device Tensor Stores, one for
@@ -35,9 +34,9 @@ type jobRuntime struct {
 // datapath spans OUTSIDE it, so injected faults appear in the trace as
 // the failed store operations they manifest as. Both are hooks of one
 // store.Wrap each, which keeps whatever the store offers beyond Access
-// (store.Remote on a wire store) through the stack. The checkpoint blob
-// store stays in-process and unwrapped either way — it is the durability
-// anchor rollback and restore depend on.
+// (store.Remote on a wire store) through the stack. The device stores
+// also keep the checkpoints' pieces; the checkpoint storage beside them
+// holds only manifests and the latest marker, in-process and unwrapped.
 func (r *jobRuntime) openStores(mk func(job string, dev cluster.DeviceID) store.Access, inj *chaos.Injector, deep bool) {
 	r.Storage = store.Local{FS: store.NewMemFS()}
 	r.Stores = make(map[cluster.DeviceID]store.Access, len(r.Topo.Devices))
@@ -99,12 +98,11 @@ type commitOutcome struct {
 	applyNs int64 // wall-clock cost of the commit on its chain, for trace attribution
 }
 
-// attempt is one transform attempt of a change and the checkpoint of
-// the new placement behind it. With an injector the armed window covers
-// exactly the transform: the checkpoint save that follows — and every
-// rollback and restore — runs disarmed, so the recovery path itself is
-// reliable and degradation stays bounded.
-func (r *jobRuntime) attempt(ch *job.Change, inj *chaos.Injector, key uint64) error {
+// apply is one transform attempt of a change. With an injector the
+// armed window covers exactly the transform: the checkpoint that follows
+// — and every rollback and restore — runs disarmed, so the recovery path
+// itself is reliable and degradation stays bounded.
+func (r *jobRuntime) apply(ch *job.Change, inj *chaos.Injector, key uint64) error {
 	if inj != nil {
 		inj.BeginAttempt(r.Name, key)
 	}
@@ -112,38 +110,53 @@ func (r *jobRuntime) attempt(ch *job.Change, inj *chaos.Injector, key uint64) er
 	if inj != nil {
 		inj.EndAttempt(r.Name)
 	}
-	if err != nil {
-		return err
-	}
-	return r.Checkpoint()
+	return err
 }
 
-// commitRetry is the transactional commit: up to MaxAttempts attempts,
-// each armed as its own chaos attempt keyed off decision-plane state
-// (keyBase), with a rollback to the last checkpoint between attempts.
-// The placement only advances on success, so a failed attempt leaves the
-// runtime exactly at its pre-change state. Exhausting the budget yields
+// commitRetry is the transactional commit: up to MaxAttempts transform
+// attempts, each armed as its own chaos attempt keyed off decision-plane
+// state (keyBase), with a rollback to the last checkpoint between
+// attempts, and then the checkpoint of the new placement. The placement
+// only advances on a successful apply, so a failed attempt leaves the
+// runtime exactly at its pre-change state; exhausting the budget yields
 // an aborted outcome — graceful degradation the event loop turns into a
-// requeue — rather than a chain error.
+// requeue — rather than a chain error. Once an apply has succeeded the
+// change is in and is never applied again: a failed checkpoint is
+// retried on its own, up to MaxAttempts times, and one that never lands
+// is a chain error, since the stores already hold the new placement.
 func (r *jobRuntime) commitRetry(ch *job.Change, inj *chaos.Injector, pol RecoveryPolicy, keyBase uint64) commitOutcome {
 	if err := r.rebase(ch); err != nil {
 		return commitOutcome{err: err}
 	}
-	if inj == nil && pol.MaxAttempts <= 1 {
-		// Legacy fail-fast: no chaos, no retry budget.
-		return commitOutcome{attempts: 1, err: r.attempt(ch, nil, 0)}
-	}
 	attempts := max(pol.MaxAttempts, 1)
-	var err error
-	for i := 1; i <= attempts; i++ {
-		if err = r.attempt(ch, inj, keyBase+uint64(i)); err == nil {
-			return commitOutcome{attempts: i}
+	failFast := inj == nil && pol.MaxAttempts <= 1 // legacy: no chaos, no retry budget
+	for i := 1; ; i++ {
+		err := r.apply(ch, inj, keyBase+uint64(i))
+		if err == nil {
+			return r.checkpoint(i, attempts)
+		}
+		if failFast {
+			return commitOutcome{attempts: 1, err: err}
 		}
 		if rbErr := r.Rollback(); rbErr != nil {
 			return commitOutcome{attempts: i, err: fmt.Errorf("rollback failed: %v (after %v)", rbErr, err)}
 		}
+		if i == attempts {
+			return commitOutcome{attempts: attempts, aborted: true, err: err}
+		}
 	}
-	return commitOutcome{attempts: attempts, aborted: true, err: err}
+}
+
+// checkpoint files the placement a change's applied-th attempt left, up
+// to tries times, and never by applying the change again.
+func (r *jobRuntime) checkpoint(applied, tries int) commitOutcome {
+	var err error
+	for range tries {
+		if err = r.Checkpoint(); err == nil {
+			return commitOutcome{attempts: applied}
+		}
+	}
+	return commitOutcome{attempts: applied, err: fmt.Errorf("checkpoint after the change: %w", err)}
 }
 
 // audit asserts that the runtime caught up with the decision plane
@@ -161,7 +174,3 @@ func (r *jobRuntime) audit(decided cluster.Allocation) error {
 	}
 	return r.PTC.Validate()
 }
-
-// release lets go of the golden tensors and all the Runtime holds, so a
-// long-running service does not grow with every job it has finished.
-func (r *jobRuntime) release() { r.init = nil; r.Release() }

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -369,3 +370,49 @@ func TestWallModeLateAbortWithNoEvent(t *testing.T) { lateAbortAlone(t, 300e3) }
 // can abort holds the completion until that job's outcomes are in
 // (sim.awaits); the abort then requeues v and the completion is stale.
 func TestWallModeCompletionDueBeforeLateAbort(t *testing.T) { lateAbortAlone(t, 1) }
+
+// TestFailedCheckpointIsRetriedAlone: a commit whose apply has landed
+// and whose checkpoint then fails retries the checkpoint, not the
+// change. The stores of job v fail the first operation after the
+// scale-out's commit swapped its staged trees in, which is the first
+// read of the checkpoint behind it. Re-running the apply would plan
+// from the old layout against stores already in the new one; instead
+// the change is applied exactly once, nothing is requeued, and v
+// completes bit-verified.
+func TestFailedCheckpointIsRetriedAlone(t *testing.T) {
+	var committed, injected atomic.Bool
+	hook := func(ctx context.Context, op store.Op) (store.Op, error) {
+		if op.Name == "query" && committed.Load() && !injected.Swap(true) {
+			return op, fmt.Errorf("injected: first checkpoint read after the commit")
+		}
+		err := op.Call(ctx)
+		if op.Name == "rename" && op.Path == transform.StagingRoot("v") && err == nil {
+			committed.Store(true)
+		}
+		return op, err
+	}
+	reg := obs.NewRegistry()
+	res, err := Run(cluster.Cloud(4), []JobSpec{
+		{Name: "v", Model: tinyGPT(), ArrivalMin: 0, DurationMin: 10, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, Seed: 1},
+	}, nil, Options{
+		Recovery: RecoveryPolicy{MaxAttempts: 2}, Metrics: reg,
+		Stores: func(job string, dev cluster.DeviceID) store.Access {
+			return store.Wrap(store.Local{FS: store.NewMemFS()}, hook)
+		},
+	})
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, res.Render())
+	}
+	if !injected.Load() {
+		t.Fatalf("no checkpoint read followed the commit\n%s", res.Render())
+	}
+	if want := []string{EvSubmit, EvAdmit, EvScaleOut, EvComplete}; !reflect.DeepEqual(kindsOf(res.Timeline, "v"), want) || res.Requeues != 0 {
+		t.Fatalf("v's timeline: %v with %d requeues, want %v and none\n%s", kindsOf(res.Timeline, "v"), res.Requeues, want, res.Render())
+	}
+	if n := reg.Counter("transform.applies").Value(); n != 1 || res.Retries != 0 {
+		t.Fatalf("%d applies and %d retries for one change whose apply succeeded, want 1 and 0", n, res.Retries)
+	}
+	if !res.Jobs[0].Completed {
+		t.Fatalf("v did not complete\n%s", res.Render())
+	}
+}

@@ -20,8 +20,8 @@ import (
 // moves means a span name, an attr, a fate or the order of store
 // operations moved with it.
 const (
-	fifoDatapathTraceSHA256    = "2544a8cc77b27aee4d09b95a4a8647ae5e74984404501d0a51aa359f3f192eeb"
-	hostileDatapathTraceSHA256 = "219a4b7ed02f9c6fd5e5363cf2a2d75519716bbb285795ff13cc1d5e4591a762"
+	fifoDatapathTraceSHA256    = "7244f2248857d2f6e43887d59d6836b92ae9a40e60e102ebc5217d6b74472856"
+	hostileDatapathTraceSHA256 = "00344f1e9e1d8c061005c38eb4c66d78c1420c3f77b1a088ce90b9ee4c332dee"
 )
 
 func datapathTraceDigest(t *testing.T, opts coordinator.Options) string {

@@ -18,7 +18,7 @@ import (
 // failed. No input may panic. Each is refused with an error, or planned
 // into a change whose plan validates, whose target lists each device
 // once, and whose apply over in-process stores — the failed devices'
-// state wiped, the lost ranges read back from the job's checkpoint —
+// state wiped, the lost ranges generated from the job's seed checkpoint —
 // leaves the state bit-identical to what was deployed.
 func FuzzPlanChange(f *testing.F) {
 	// A device listed twice: the first panicked in AlignDevices, the
@@ -32,7 +32,7 @@ func FuzzPlanChange(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), []byte{0, 0xff}, []byte{})
 	f.Add(uint8(0), uint8(0), uint8(1), []byte{0, 1}, []byte{1})
 	m := tinyGPT()
-	golden := InitState(1, m, 3)
+	const seed = 3
 	f.Fuzz(func(t *testing.T, tp, pp, dp uint8, allocBytes, failedBytes []byte) {
 		if len(allocBytes) > 16 || len(failedBytes) > 4 {
 			return
@@ -59,10 +59,7 @@ func FuzzPlanChange(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Deploy(src, srcCfg, srcAlloc, golden); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Baseline(golden); err != nil {
+		if err := rt.DeploySeed(ctx, src, srcCfg, srcAlloc, seed); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range failed {
@@ -84,7 +81,7 @@ func FuzzPlanChange(f *testing.F) {
 		if _, err := rt.Apply(ctx, ch); err != nil {
 			t.Fatalf("%v on %v, failed %v: apply: %v", cfg, alloc, failed, err)
 		}
-		if err := rt.Verify(ctx, golden); err != nil {
+		if err := rt.Verify(ctx, seed); err != nil {
 			t.Fatalf("%v on %v, failed %v: %v", cfg, alloc, failed, err)
 		}
 	})

@@ -16,7 +16,6 @@ package job
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -165,11 +164,11 @@ func RestoreFlows(to *core.PTC) []netsim.Flow {
 }
 
 // InitState builds a job's deterministic initial tensors from seed on at
-// most workers goroutines. Tensor i is filled from its own seed, seed+i,
-// so the state is the same bit for bit however the tensors are shared
-// out; the fill is compute-bound (about 1.4 GB/s a core, FillRandDense
-// keeps the per-tensor RNG setup off it) and sits on the deploy of every
-// job.
+// most workers goroutines. Tensor i of m.StateParams() is filled by
+// FillRandDense from its own seed, seed+i, so the state is the same bit
+// for bit however the tensors are shared out. It is the definition of the
+// state DeploySeed deploys and Verify checks, which generate it region by
+// region and never whole, and the oracle their kernel is held to.
 func InitState(workers int, m *model.Model, seed int64) map[core.TensorID]*tensor.Tensor {
 	params := m.StateParams()
 	tensors := make([]*tensor.Tensor, len(params))
@@ -177,7 +176,7 @@ func InitState(workers int, m *model.Model, seed int64) map[core.TensorID]*tenso
 	fill := func() {
 		for i := int(next.Add(1)) - 1; i < len(params); i = int(next.Add(1)) - 1 {
 			t := tensor.New(params[i].Param.DType, params[i].Param.Shape...)
-			t.FillRandDense(seed+int64(i), 0.05)
+			t.FillRandDense(seed+int64(i), initScale)
 			tensors[i] = t
 		}
 	}
@@ -198,6 +197,21 @@ func InitState(workers int, m *model.Model, seed int64) map[core.TensorID]*tenso
 	return init
 }
 
+// initScale bounds the values of a job's initial tensors.
+const initScale = 0.05
+
+// initFills describes InitState(m, seed) tensor by tensor, without
+// materializing any of it.
+func initFills(m *model.Model, seed int64) map[core.TensorID]tensor.RandDense {
+	params := m.StateParams()
+	fills := make(map[core.TensorID]tensor.RandDense, len(params))
+	for i, lp := range params {
+		fills[core.TensorID(lp.Path())] = tensor.RandDense{DType: lp.Param.DType, Shape: lp.Param.Shape,
+			Seed: seed + int64(i), Scale: initScale}
+	}
+	return fills
+}
+
 // Runtime is one job's state on its stores. Its owner fills in the first
 // block and calls the phases one at a time (a Runtime is not safe for
 // concurrent use); the second block is the job's current placement,
@@ -209,8 +223,11 @@ type Runtime struct {
 	Model *model.Model
 	Topo  *cluster.Topology
 	// Stores are the per-device Tensor Stores, one for every device a
-	// placement may name. Storage holds the checkpoints: the durability
-	// anchor Rollback, Restore and a fail-stop Apply read from.
+	// placement may name; they also keep the checkpoints' pieces, each on
+	// a device that does not hold it (checkpoint.SaveToPeers). Storage
+	// holds the checkpoints' manifests and latest marker, metadata only:
+	// together they are the durability anchor Rollback, Restore and a
+	// fail-stop Apply read from.
 	Stores  map[cluster.DeviceID]store.Access
 	Storage store.Access
 	// Metrics (nil when off) takes the transformer's counters; Obs is the
@@ -225,7 +242,7 @@ type Runtime struct {
 	PTC    *core.PTC
 	Config parallel.Config
 	Alloc  cluster.Allocation
-	// Step numbers the checkpoints: Baseline files the current one,
+	// Step numbers the checkpoints: DeploySeed files the current one,
 	// Checkpoint the next.
 	Step int
 }
@@ -244,6 +261,19 @@ func (r *Runtime) adopt(ptc *core.PTC, cfg parallel.Config, alloc cluster.Alloca
 // read only there (Plan and PlanRestore check it).
 func (r *Runtime) Deploy(ptc *core.PTC, cfg parallel.Config, alloc cluster.Allocation,
 	state map[core.TensorID]*tensor.Tensor) error {
+	if err := r.checkDevices(ptc); err != nil {
+		return err
+	}
+	if err := transform.LoadPTC(r.Name, ptc, r.Stores, state); err != nil {
+		return err
+	}
+	r.adopt(ptc, cfg, alloc)
+	return nil
+}
+
+// checkDevices refuses a placement naming a device the topology does not
+// have, or one without a store.
+func (r *Runtime) checkDevices(ptc *core.PTC) error {
 	for _, d := range ptc.Devices {
 		if r.Topo != nil {
 			if err := inTopology(r.Topo, d); err != nil {
@@ -254,20 +284,7 @@ func (r *Runtime) Deploy(ptc *core.PTC, cfg parallel.Config, alloc cluster.Alloc
 			return fmt.Errorf("job: device %d has no store", d)
 		}
 	}
-	if err := transform.LoadPTC(r.Name, ptc, r.Stores, state); err != nil {
-		return err
-	}
-	r.adopt(ptc, cfg, alloc)
 	return nil
-}
-
-// Baseline persists state, which the caller has just deployed and still
-// holds, as the job's first checkpoint, so that a fail-stop recovery
-// always has a storage fallback for ranges whose replicas are all lost.
-// The tensors are kept by reference: reading them back from the stores
-// to write them down again would move the whole state a second time.
-func (r *Runtime) Baseline(state map[core.TensorID]*tensor.Tensor) error {
-	return checkpoint.SaveTensors(r.Storage, r.Name, r.Step, r.PTC.Name, state)
 }
 
 // Apply executes a planned change through the State Transformer and
@@ -280,7 +297,7 @@ func (r *Runtime) Baseline(state map[core.TensorID]*tensor.Tensor) error {
 func (r *Runtime) Apply(ctx context.Context, ch *Change) (transform.Stats, error) {
 	tr := &transform.Transformer{Job: r.Name, Stores: r.Stores, Metrics: r.Metrics, Obs: r.Obs.Get()}
 	if len(ch.Failed) > 0 {
-		if rd, err := checkpoint.OpenLatest(r.Storage, r.Name); err != nil {
+		if rd, err := r.openLatest(); err != nil {
 			tr.Storage = unopened{err}
 		} else {
 			tr.Storage = rd
@@ -293,6 +310,17 @@ func (r *Runtime) Apply(ctx context.Context, ch *Change) (transform.Stats, error
 	return st, err
 }
 
+// openLatest opens the job's latest checkpoint, reading peer pieces from
+// the job's stores.
+func (r *Runtime) openLatest() (*checkpoint.Reader, error) {
+	rd, err := checkpoint.OpenLatest(r.Storage, r.Name)
+	if err != nil {
+		return nil, err
+	}
+	rd.Stores = r.Stores
+	return rd, nil
+}
+
 // unopened stands in for a checkpoint that could not be opened: every
 // range read fails with the reason.
 type unopened struct{ err error }
@@ -301,21 +329,29 @@ func (u unopened) ReadRange(core.TensorID, tensor.Region) (*tensor.Tensor, error
 	return nil, fmt.Errorf("open latest checkpoint: %w", u.err)
 }
 
-// Checkpoint persists the current placement's state as the next step, so
-// that the next failure recovers against the current layout.
+// Checkpoint persists the current placement's state as the next step,
+// so that the next failure recovers against the current layout. Every
+// piece stays on a device store, on a device that does not hold it
+// (checkpoint.SaveToPeers); Storage receives the manifest. A checkpoint
+// that fails leaves the step, and the latest checkpoint, where they were,
+// so it may simply be tried again.
 func (r *Runtime) Checkpoint() error {
+	if err := checkpoint.SaveToPeers(context.TODO(), r.Storage, r.Name, r.Step+1, r.PTC, r.Topo, r.Stores); err != nil {
+		return err
+	}
 	r.Step++
-	return checkpoint.Save(r.Storage, r.Name, r.Step, r.PTC, r.Stores)
+	return nil
 }
 
 // reload wipes the job's (possibly half-destroyed) store state and
-// streams the latest checkpoint in under ptc.
+// streams the latest checkpoint in under ptc. The checkpoint's pieces on
+// the stores are outside the trees it wipes.
 func (r *Runtime) reload(ptc *core.PTC) error {
 	for _, acc := range r.Stores {
 		_ = acc.Delete(transform.ModelRoot(r.Name))   // may not exist
 		_ = acc.Delete(transform.StagingRoot(r.Name)) // may not exist
 	}
-	rd, err := checkpoint.OpenLatest(r.Storage, r.Name)
+	rd, err := r.openLatest()
 	if err != nil {
 		return err
 	}
@@ -342,29 +378,9 @@ func (r *Runtime) State(ctx context.Context) (map[core.TensorID]*tensor.Tensor, 
 	return transform.ReadPTCContext(ctx, r.Name, r.PTC, r.Stores)
 }
 
-// Verify checks the job's state against want bit for bit: the end-to-end
-// correctness oracle. Tensors are checked in ID order, so the error
-// names the same one every time.
-func (r *Runtime) Verify(ctx context.Context, want map[core.TensorID]*tensor.Tensor) error {
-	got, err := r.State(ctx)
-	if err != nil {
-		return err
-	}
-	for _, id := range slices.Sorted(maps.Keys(want)) {
-		t, ok := got[id]
-		if !ok {
-			return fmt.Errorf("lost tensor %s", id)
-		}
-		if !t.Equal(want[id]) {
-			return fmt.Errorf("corrupted tensor %s", id)
-		}
-	}
-	return nil
-}
-
-// Release drops what only a live job needs: its stores and checkpoints
-// (several times the job's state size), its PTC with the compiled index
-// hanging off it, and its model.
+// Release drops what only a live job needs: its stores, its checkpoint
+// storage (manifests: the pieces are on the stores), its PTC with the
+// compiled index hanging off it, and its model.
 func (r *Runtime) Release() {
 	r.Model, r.PTC, r.Stores, r.Storage = nil, nil, nil, nil
 }

@@ -51,12 +51,12 @@ func lifecycle(t *testing.T, topo *cluster.Topology, stores map[cluster.DeviceID
 	ctx := context.Background()
 	m := tinyGPT()
 	rt := &Runtime{Name: "life", Model: m, Topo: topo, Stores: stores, Storage: store.Local{FS: store.NewMemFS()}}
-	golden := InitState(2, m, 7)
+	const seed = 7
 
 	var snaps []map[string]*tensor.Tensor
 	check := func(phase string, cfg parallel.Config, alloc cluster.Allocation) {
 		t.Helper()
-		if err := rt.Verify(ctx, golden); err != nil {
+		if err := rt.Verify(ctx, seed); err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}
 		if rt.Config != cfg || fmt.Sprint(rt.Alloc) != fmt.Sprint(alloc) {
@@ -88,20 +88,17 @@ func lifecycle(t *testing.T, topo *cluster.Topology, stores map[cluster.DeviceID
 		return ch
 	}
 
-	// Deploy and baseline. The caller's slice stays the caller's.
+	// Deploy, and the seed baseline. The caller's slice stays the caller's.
 	cfg, alloc := parallel.Config{TP: 2, PP: 1, DP: 1}, cluster.Allocation{0, 1}
 	ptc, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mine := append(cluster.Allocation(nil), alloc...)
-	if err := rt.Deploy(ptc, cfg, mine, golden); err != nil {
+	if err := rt.DeploySeed(ctx, ptc, cfg, mine, seed); err != nil {
 		t.Fatal(err)
 	}
 	mine[0] = 15
-	if err := rt.Baseline(golden); err != nil {
-		t.Fatal(err)
-	}
 	check("deploy", cfg, alloc)
 
 	// Two ordinary changes: pipeline split onto four devices, then a
@@ -110,9 +107,9 @@ func lifecycle(t *testing.T, topo *cluster.Topology, stores map[cluster.DeviceID
 	dp2 := parallel.Config{TP: 2, PP: 1, DP: 2}
 	change("replicate", dp2, cluster.Allocation{0, 1, 2, 3}, nil)
 
-	// Fail-stop: both holders of TP rank 0 die and take their stores'
-	// content with them. Rank 1 survives on a device, rank 0 only in the
-	// checkpoint.
+	// Fail-stop: both holders of TP rank 0 die and take their model
+	// trees with them. Rank 1 survives on a device, rank 0 only in the
+	// checkpoint, whose copy of it is on a device that did not hold it.
 	failed := []cluster.DeviceID{0, 2}
 	for _, d := range failed {
 		if err := stores[d].Delete(transform.ModelRoot(rt.Name)); err != nil {
@@ -141,7 +138,7 @@ func lifecycle(t *testing.T, topo *cluster.Topology, stores map[cluster.DeviceID
 	if rt.PTC != before {
 		t.Fatal("a failed apply advanced the placement")
 	}
-	if err := rt.Verify(ctx, golden); err == nil {
+	if err := rt.Verify(ctx, seed); err == nil {
 		t.Fatal("state verified with a device's tensors gone")
 	}
 	if err := rt.Rollback(); err != nil {
@@ -248,7 +245,7 @@ func TestApplyFailStopWithoutManifest(t *testing.T) {
 	ctx := context.Background()
 	topo := cluster.OnPrem16()
 	m := tinyGPT()
-	golden := InitState(2, m, 7)
+	const seed = 7
 	for _, sc := range []struct {
 		name            string
 		cfg             parallel.Config
@@ -268,10 +265,7 @@ func TestApplyFailStopWithoutManifest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Deploy(ptc, sc.cfg, sc.alloc, golden); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Baseline(golden); err != nil {
+		if err := rt.DeploySeed(ctx, ptc, sc.cfg, sc.alloc, seed); err != nil {
 			t.Fatal(err)
 		}
 		steps, err := storage.List("/ckpt/lost")
@@ -303,7 +297,7 @@ func TestApplyFailStopWithoutManifest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
-			if err := rt.Verify(ctx, golden); err != nil {
+			if err := rt.Verify(ctx, seed); err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
 			continue
@@ -317,32 +311,33 @@ func TestApplyFailStopWithoutManifest(t *testing.T) {
 	}
 }
 
-// With two tensors corrupted, Verify names the same one, the first by
-// ID, every time.
+// With two tensors corrupted on their store, Verify names the same one,
+// the first by ID, every time.
 func TestVerifyNamesTheFirstBadTensor(t *testing.T) {
 	ctx := context.Background()
 	m := tinyGPT()
-	golden := InitState(2, m, 7)
 	stores := map[cluster.DeviceID]store.Access{0: store.Local{FS: store.NewMemFS()}}
-	rt := &Runtime{Name: "bad", Model: m, Stores: stores}
+	rt := &Runtime{Name: "bad", Model: m, Stores: stores, Storage: store.Local{FS: store.NewMemFS()}}
 	cfg, alloc := parallel.Config{TP: 1, PP: 1, DP: 1}, cluster.Allocation{0}
 	ptc, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Deploy(ptc, cfg, alloc, golden); err != nil {
+	if err := rt.DeploySeed(ctx, ptc, cfg, alloc, 7); err != nil {
 		t.Fatal(err)
 	}
+	golden := InitState(2, m, 7)
 	ids := slices.Sorted(maps.Keys(golden))
-	want := maps.Clone(golden)
-	for _, id := range []core.TensorID{ids[len(ids)/2], ids[len(ids)-1]} {
+	for _, id := range []core.TensorID{ids[len(ids)-1], ids[len(ids)/2]} {
 		bad := golden[id].Clone()
 		bad.FillSeq(1, 1)
-		want[id] = bad
+		if err := stores[0].Upload(transform.ModelPath(rt.Name, 0, id), bad); err != nil {
+			t.Fatal(err)
+		}
 	}
 	first := fmt.Sprintf("corrupted tensor %s", ids[len(ids)/2])
 	for i := 0; i < 20; i++ {
-		if err := rt.Verify(ctx, want); err == nil || err.Error() != first {
+		if err := rt.Verify(ctx, 7); err == nil || err.Error() != first {
 			t.Fatalf("run %d: Verify returned %v, want %q", i, err, first)
 		}
 	}
@@ -393,5 +388,145 @@ func TestMalformedAllocationsRefused(t *testing.T) {
 	if err := rt.Deploy(from, dp2, cluster.Allocation{0, 1}, InitState(1, m, 1)); err == nil ||
 		!strings.Contains(err.Error(), "device 1 is not in topology") {
 		t.Errorf("Deploy onto a device outside the topology: %v", err)
+	}
+}
+
+// TestFailStopWithStoreGone: a device fails and its store goes with it —
+// its model tree, the checkpoint pieces it kept for other devices,
+// everything; every operation on it fails, checkpoint reads included.
+// The job recovers bit-identically from what the other stores keep:
+// once from a checkpoint taken after a reconfiguration onto two
+// workers, whose pieces of the lost device sit on the other worker, and
+// once from the seed baseline, before any checkpoint. Then it
+// checkpoints its new placement and verifies again. Over in-process
+// stores and over tenplex-store servers.
+func TestFailStopWithStoreGone(t *testing.T) {
+	ctx := context.Background()
+	m := tinyGPT()
+	const seed = 11
+	gone := func(ctx context.Context, op store.Op) (store.Op, error) {
+		return op, fmt.Errorf("device failed: %s %s", op.Name, op.Path)
+	}
+	for _, wire := range []bool{false, true} {
+		for _, reconfigure := range []bool{true, false} {
+			name := fmt.Sprintf("wire=%v reconfigure=%v", wire, reconfigure)
+			topo := cluster.OnPrem16()
+			stores := map[cluster.DeviceID]store.Access{}
+			for _, d := range topo.Devices {
+				stores[d.ID] = store.Local{FS: store.NewMemFS()}
+				if wire {
+					hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
+					t.Cleanup(hs.Close)
+					stores[d.ID] = &store.Client{Base: hs.URL, HTTP: hs.Client()}
+				}
+			}
+			rt := &Runtime{Name: "gone", Model: m, Topo: topo, Stores: stores, Storage: store.Local{FS: store.NewMemFS()}}
+			cfg, alloc := parallel.Config{TP: 2, PP: 1, DP: 1}, cluster.Allocation{0, 1}
+			ptc, err := parallel.BuildPTC(m, cfg, alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.DeploySeed(ctx, ptc, cfg, alloc, seed); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if reconfigure {
+				cfg, alloc = parallel.Config{TP: 2, PP: 2, DP: 1}, cluster.Allocation{0, 1, 4, 5}
+				ch, err := Plan(m, topo, rt.PTC, cfg, alloc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rt.Apply(ctx, ch); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := rt.Checkpoint(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+
+			failed := rt.PTC.Devices[0]
+			stores[failed] = store.Wrap(stores[failed], gone)
+			var next cluster.Allocation
+			for _, d := range append(slices.Clone(alloc), 8, 9) {
+				if d != failed && len(next) < len(alloc) {
+					next = append(next, d)
+				}
+			}
+			ch, err := Plan(m, topo, rt.PTC, cfg, next, []cluster.DeviceID{failed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ch.Stats.StorageBytes == 0 {
+				t.Fatalf("%s: the recovery reads nothing from the checkpoint", name)
+			}
+			if _, err := rt.Apply(ctx, ch); err != nil {
+				t.Fatalf("%s: recovery: %v", name, err)
+			}
+			if err := rt.Verify(ctx, seed); err != nil {
+				t.Fatalf("%s: after recovery: %v", name, err)
+			}
+			if err := rt.Checkpoint(); err != nil {
+				t.Fatalf("%s: checkpoint after recovery: %v", name, err)
+			}
+			if err := rt.Rollback(); err != nil {
+				t.Fatalf("%s: rollback to the checkpoint after recovery: %v", name, err)
+			}
+			if err := rt.Verify(ctx, seed); err != nil {
+				t.Fatalf("%s: after rollback: %v", name, err)
+			}
+		}
+	}
+}
+
+// A state several chunks large, replicated, deployed over
+// tenplex-store servers and over in-process stores, lands as
+// InitState placed by LoadPTC would put it; Verify passes it and names
+// a tensor corrupted in its last chunk.
+func TestDeploySeedInChunks(t *testing.T) {
+	ctx := context.Background()
+	m := model.GPTCustom(4, 128, 4, 512, 32)
+	if m.StateBytes() < 3*chunkBytes {
+		t.Fatalf("%d bytes of state: the test wants several chunks a device", m.StateBytes())
+	}
+	golden := InitState(2, m, 5)
+	cfg, alloc := parallel.Config{TP: 1, PP: 2, DP: 2}, cluster.Allocation{0, 1, 2, 3}
+	ptc, err := parallel.BuildPTC(m, cfg, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wire := range []bool{false, true} {
+		stores := map[cluster.DeviceID]store.Access{}
+		for _, d := range alloc {
+			stores[d] = store.Local{FS: store.NewMemFS()}
+			if wire {
+				hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
+				t.Cleanup(hs.Close)
+				stores[d] = &store.Client{Base: hs.URL, HTTP: hs.Client()}
+			}
+		}
+		rt := &Runtime{Name: "big", Model: m, Stores: stores, Storage: store.Local{FS: store.NewMemFS()}}
+		if err := rt.DeploySeed(ctx, ptc, cfg, alloc, 5); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range alloc {
+			for _, s := range ptc.Place[d] {
+				got, err := stores[d].Query(transform.ModelPath("big", d, s.Tensor), nil)
+				if err != nil || !got.Equal(golden[s.Tensor].Slice(s.Region)) {
+					t.Fatalf("wire=%v: dev %d holds %s%v wrong (err %v)", wire, d, s.Tensor, s.Region, err)
+				}
+			}
+		}
+		if err := rt.Verify(ctx, 5); err != nil {
+			t.Fatalf("wire=%v: %v", wire, err)
+		}
+		last := ptc.Unique()[1]
+		s := last[len(last)-1]
+		bad := golden[s.Tensor].Slice(s.Region)
+		bad.FillSeq(0, 1)
+		if err := stores[ptc.Devices[1]].Upload(transform.ModelPath("big", ptc.Devices[1], s.Tensor), bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Verify(ctx, 5); err == nil || err.Error() != fmt.Sprintf("corrupted tensor %s", s.Tensor) {
+			t.Fatalf("wire=%v: Verify of a corrupted %s returned %v", wire, s.Tensor, err)
+		}
 	}
 }

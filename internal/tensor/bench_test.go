@@ -165,6 +165,32 @@ func kernels() []kernel {
 			t := New(Float32, rows, cols)
 			return func() { t.FillRandDense(1, 0.05) }
 		}},
+		{"RandDense.Fill/strided", false, func() func() {
+			// What a deploy generates for a last-dimension split: the middle
+			// columns of a tensor that is never materialized.
+			r := RandDense{DType: Float32, Shape: []int{sRows, sCols}, Seed: 1, Scale: 0.05}
+			dst := NewFromRegion(Float32, mid)
+			return func() {
+				if err := r.FillRegion(mid, dst, nil); err != nil {
+					panic(err)
+				}
+			}
+		}},
+		{"RandDense.Equal", false, func() func() {
+			// What a verify does per sub-tensor read back: generate and
+			// compare in one pass.
+			r := RandDense{DType: Float32, Shape: []int{2 * rows, cols}, Seed: 1, Scale: 0.05}
+			reg := Region{{rows / 2, rows/2 + rows}, {0, cols}}
+			got := NewFromRegion(Float32, reg)
+			if err := r.FillRegion(reg, got, nil); err != nil {
+				panic(err)
+			}
+			return func() {
+				if !r.EqualRegion(reg, got) {
+					panic("generated region differs")
+				}
+			}
+		}},
 		{"New", false, func() func() {
 			// Allocate, zero, and touch each page once: a span fresh from
 			// the OS is zeroed by the page fault, a recycled one by the
@@ -235,5 +261,7 @@ func BenchmarkWriteRegionContiguous(b *testing.B) { benchKernel(b, "WriteRegion/
 func BenchmarkWriteRegionStrided(b *testing.B)    { benchKernel(b, "WriteRegion/strided") }
 func BenchmarkViewWriteToStrided(b *testing.B)    { benchKernel(b, "View.WriteTo/strided") }
 func BenchmarkFillRandDense(b *testing.B)         { benchKernel(b, "FillRandDense") }
+func BenchmarkRandDenseFillStrided(b *testing.B)  { benchKernel(b, "RandDense.Fill/strided") }
+func BenchmarkRandDenseEqual(b *testing.B)        { benchKernel(b, "RandDense.Equal") }
 func BenchmarkNew(b *testing.B)                   { benchKernel(b, "New") }
 func BenchmarkCRC32C(b *testing.B)                { benchKernel(b, "CRC32C") }

@@ -388,3 +388,37 @@ func (g Region) Shift(origin []int) Region {
 	}
 	return out
 }
+
+// Slab is memory that tensors are cut from, round after round: a caller
+// that holds a bounded window of tensors at a time — the reads of one
+// round, or the state it generates for one — takes fresh memory only
+// until the slab has grown to a round's size. Tensors cut from a slab
+// alias its memory, which the next round reuses, so every one of them
+// must be dropped before Reset.
+type Slab struct {
+	buf  []byte
+	used int
+}
+
+// New cuts a tensor shaped like reg from the slab. Its bytes are not
+// zeroed: they are what the slab held last round, for a caller about to
+// overwrite every one of them. Past the round's size (see Reset) it
+// allocates a fresh tensor.
+func (s *Slab) New(dt DType, reg Region) *Tensor {
+	n := reg.NumElems() * dt.Size()
+	if s.used+n > len(s.buf) {
+		return NewFromRegion(dt, reg)
+	}
+	t := &Tensor{dtype: dt, shape: reg.Shape(), data: s.buf[s.used : s.used+n : s.used+n]}
+	s.used += n
+	return t
+}
+
+// Reset starts the next round, of n bytes: the slab's memory is reused
+// from its start, or replaced by n bytes when it has fewer.
+func (s *Slab) Reset(n int) {
+	if len(s.buf) < n {
+		s.buf = make([]byte, n)
+	}
+	s.used = 0
+}

@@ -189,20 +189,24 @@ func (t *Tensor) SetFloat64(v float64, idx ...int) {
 }
 
 func (t *Tensor) setFloat64Flat(flat int, v float64) {
-	off := flat * t.dtype.Size()
-	switch t.dtype {
+	putFloat64(t.dtype, t.data[flat*t.dtype.Size():], v)
+}
+
+// putFloat64 encodes v, converted to dt, at the head of b.
+func putFloat64(dt DType, b []byte, v float64) {
+	switch dt {
 	case Float32:
-		binary.LittleEndian.PutUint32(t.data[off:], math.Float32bits(float32(v)))
+		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(v)))
 	case Float64:
-		binary.LittleEndian.PutUint64(t.data[off:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
 	case Float16:
-		binary.LittleEndian.PutUint16(t.data[off:], f32ToF16(float32(v)))
+		binary.LittleEndian.PutUint16(b, f32ToF16(float32(v)))
 	case Int64:
-		binary.LittleEndian.PutUint64(t.data[off:], uint64(int64(v)))
+		binary.LittleEndian.PutUint64(b, uint64(int64(v)))
 	case Int32:
-		binary.LittleEndian.PutUint32(t.data[off:], uint32(int32(v)))
+		binary.LittleEndian.PutUint32(b, uint32(int32(v)))
 	case Uint8:
-		t.data[off] = uint8(v)
+		b[0] = uint8(v)
 	default:
 		panic("tensor: SetFloat64 on invalid dtype")
 	}
@@ -261,8 +265,12 @@ func (t *Tensor) FillRandDense(seed int64, scale float64) {
 	}
 }
 
-// splitmixGamma is the increment of the splitmix64 state.
-const splitmixGamma = 0x9e3779b97f4a7c15
+// splitmixGamma is the increment of the splitmix64 state, and
+// splitmixGamma2 twice that, modulo 2^64.
+const (
+	splitmixGamma  = 0x9e3779b97f4a7c15
+	splitmixGamma2 = 0x3c6ef372fe94f82a
+)
 
 // splitmixUnit mixes the splitmix64 state x into a value in [-1, 1): 53
 // random bits to [0, 1), doubled and shifted. A leaf small enough to
@@ -273,7 +281,9 @@ func splitmixUnit(x uint64) float64 {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return float64(x>>11)/(1<<53)*2 - 1
+	// x>>11 fits in 53 bits, so the signed conversion is exact and
+	// spares the unsigned one's branch.
+	return float64(int64(x>>11))/(1<<53)*2 - 1
 }
 
 // Float64s returns all elements converted to float64 in row-major order.

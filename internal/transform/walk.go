@@ -33,7 +33,7 @@ func ReadDevices(ctx context.Context, par int, job string, ptc *core.PTC, stores
 		if len(subs[g]) == 0 {
 			return nil
 		}
-		ts, err := readDevice(ctx, job, ptc, ptc.Devices[g], subs[g], acc)
+		ts, err := ReadDevice(ctx, job, ptc, ptc.Devices[g], subs[g], nil, acc)
 		if err != nil {
 			return err
 		}
@@ -43,9 +43,13 @@ func ReadDevices(ctx context.Context, par int, job string, ptc *core.PTC, stores
 	})
 }
 
-// readDevice reads the sub-tensors subs of device d from its store acc.
-func readDevice(ctx context.Context, job string, ptc *core.PTC, d cluster.DeviceID, subs []core.SubTensor,
-	acc store.Access) ([]*tensor.Tensor, error) {
+// ReadDevice reads the sub-tensors subs of device d's model state from
+// its store acc: a store that takes batches in one BatchQueryInto, into
+// the tensors into (shaped like subs) or, when into is nil, into fresh
+// ones; any other store with one Query per sub-tensor, which an
+// in-process store answers with the tensor it holds.
+func ReadDevice(ctx context.Context, job string, ptc *core.PTC, d cluster.DeviceID, subs []core.SubTensor,
+	into []*tensor.Tensor, acc store.Access) ([]*tensor.Tensor, error) {
 	ts := make([]*tensor.Tensor, len(subs))
 	bq, batch := acc.(store.BatchQuerier)
 	if !batch {
@@ -70,7 +74,11 @@ func readDevice(ctx context.Context, job string, ptc *core.PTC, d cluster.Device
 			return nil, fmt.Errorf("transform: no metadata for %q", s.Tensor)
 		}
 		buf = append(append(buf[:0], prefix...), s.Tensor...)
-		ts[i] = tensor.NewFromRegion(meta.DType, s.Region)
+		if into != nil {
+			ts[i] = into[i]
+		} else {
+			ts[i] = tensor.NewFromRegion(meta.DType, s.Region)
+		}
 		entries[i] = store.BatchEntry{Path: paths.Cut(buf), Dst: ts[i]}
 	}
 	if _, err := bq.BatchQueryInto(ctx, entries); err != nil {
