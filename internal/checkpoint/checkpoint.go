@@ -6,21 +6,19 @@
 // the blob storage that also keeps the manifest and the latest marker
 // (Save), on the Tensor Store of a device that does not hold the piece
 // (SaveToPeers), or nowhere, when the manifest says the piece is a
-// seeded fill it can generate again (SaveSeed). transform's device walk
-// reaches the device stores.
+// seeded fill it can generate again (Seed). Restore is the one way a
+// checkpoint's state goes onto the device stores, which transform's
+// device walk reaches.
 package checkpoint
 
 import (
 	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
@@ -59,9 +57,9 @@ func peerRoot(job string, step int) string { return fmt.Sprintf("/job/%s/ckpt/st
 func metaPath(job string, step int) string { return ckptRoot(job, step) + "/meta.json" }
 func latestPath(job string) string         { return fmt.Sprintf("/ckpt/%s/latest", job) }
 
-// saveDevicesInFlight bounds how many device stores Save reads, and
-// Restore writes, at once, and with it how much state either holds: that
-// many devices' sub-tensors, not the whole job's.
+// saveDevicesInFlight bounds how many device stores Save reads at once,
+// and with it how much state it holds: that many devices' sub-tensors,
+// not the whole job's.
 const saveDevicesInFlight = 2
 
 // Save writes the state described by ptc — read from the per-device
@@ -130,7 +128,7 @@ func save(storage store.Access, job string, step int, name string, tensors int,
 	if err != nil {
 		return err
 	}
-	if err := publish(blobs, job, step, name, tensors, all); err != nil {
+	if err := publish(blobs, manifest(job, step, name, tensors, all)); err != nil {
 		return err
 	}
 	if prevErr == nil && prev != step {
@@ -153,9 +151,8 @@ type blobStore interface {
 	PutBlob(string, []byte) error
 }
 
-// publish writes the manifest of step, built from its pieces, and then
-// the latest marker naming it: from then on the step is the checkpoint.
-func publish(blobs blobStore, job string, step int, name string, tensors int, all []written) error {
+// manifest is the manifest of step, built from its pieces.
+func manifest(job string, step int, name string, tensors int, all []written) Meta {
 	slices.SortFunc(all, func(a, b written) int {
 		return cmp.Or(strings.Compare(a.tensor, b.tensor), strings.Compare(a.piece.Range, b.piece.Range))
 	})
@@ -169,15 +166,46 @@ func publish(blobs blobStore, job string, step int, name string, tensors int, al
 		meta.Pieces[all[i].tensor] = list[i:j:j]
 		i = j
 	}
+	return meta
+}
+
+// publish writes meta and then the latest marker naming its step: from
+// then on the step is the checkpoint.
+func publish(blobs blobStore, meta Meta) error {
 	blob, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode meta: %w", err)
 	}
-	if err := blobs.PutBlob(metaPath(job, step), blob); err != nil {
+	if err := blobs.PutBlob(metaPath(meta.Job, meta.Step), blob); err != nil {
 		return err
 	}
-	latest, _ := json.Marshal(step)
-	return blobs.PutBlob(latestPath(job), latest)
+	latest, _ := json.Marshal(meta.Step)
+	return blobs.PutBlob(latestPath(meta.Job), latest)
+}
+
+// file is the frame of SaveToPeers and SaveSeed: once write (nil for a
+// checkpoint whose pieces are in place) has put the pieces of meta's
+// step on the stores, meta and the latest marker go to storage, and
+// only then is the step the marker named until then dropped. A write or
+// publication that fails leaves that step and the marker as they were.
+func file(storage store.Access, stores map[cluster.DeviceID]store.Access, meta Meta, write func() error) error {
+	blobs, ok := storage.(blobStore)
+	if !ok {
+		return fmt.Errorf("checkpoint: storage does not support blobs")
+	}
+	prev, prevErr := Latest(storage, meta.Job)
+	if write != nil {
+		if err := write(); err != nil {
+			return err
+		}
+	}
+	if err := publish(blobs, meta); err != nil {
+		return err
+	}
+	if prevErr == nil && prev != meta.Step {
+		drop(storage, stores, meta.Job, prev)
+	}
+	return nil
 }
 
 // SaveToPeers writes the state described by ptc as the checkpoint for
@@ -188,23 +216,19 @@ func publish(blobs blobStore, job string, step int, name string, tensors int, al
 // peers (store.Assembler) is sent one request that pulls all of its
 // pieces store to store, provided every holder it pulls from is
 // Addressable; any other store is handed each piece as the holder's store
-// answers a Query, which an in-process store does by reference. No piece
-// passes through storage, which receives the manifest — naming each
-// piece's device — and the latest marker, in that order and only once
-// every piece is in; then the previous step's pieces are deleted on
-// their stores. A save that fails deletes what it wrote of this step and
-// leaves the previous one and the marker as they were.
+// answers a Query, which an in-process store does by reference; the
+// peer stores work at once as transform.FanOut allows. No piece passes
+// through storage, which receives the manifest — naming each piece's
+// device — and the latest marker, in that order and only once every
+// piece is in; then the previous step's pieces are deleted on their
+// stores (file). A save that fails deletes what it wrote of this step
+// and leaves the previous one and the marker as they were.
 func SaveToPeers(ctx context.Context, storage store.Access, job string, step int, ptc *core.PTC, topo *cluster.Topology,
 	stores map[cluster.DeviceID]store.Access) error {
-	blobs, ok := storage.(blobStore)
-	if !ok {
-		return fmt.Errorf("checkpoint: storage does not support blobs")
-	}
 	peers, err := peerDevices(topo, ptc)
 	if err != nil {
 		return err
 	}
-	prev, prevErr := Latest(storage, job)
 	unique := ptc.Unique()
 	root := peerRoot(job, step)
 	var (
@@ -234,42 +258,17 @@ func SaveToPeers(ctx context.Context, storage store.Access, job string, step int
 			all = append(all, written{string(s.Tensor), Piece{Path: path, Range: path[at:], Device: devs[to]}})
 		}
 	}
-	// A store that assembles takes its pieces in one request, and the
-	// stores then work at once; in-process stores go one after another
-	// on a single core, in the order of an in-process run.
-	width := runtime.GOMAXPROCS(0)
-	if slices.ContainsFunc(targets, func(d cluster.DeviceID) bool { _, ok := stores[d].(store.Assembler); return ok }) {
-		width = len(targets)
-	}
-	errs := make([]error, len(targets))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for range min(width, len(targets)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := int(next.Add(1)) - 1; k < len(targets); k = int(next.Add(1)) - 1 {
-				errs[k] = copyPieces(ctx, job, ptc, stores, targets[k], byPeer[targets[k]])
-			}
-		}()
-	}
-	wg.Wait()
-	err = errors.Join(errs...)
-	if err == nil {
-		err = publish(blobs, job, step, ptc.Name, len(ptc.Tensors), all)
-	}
+	err = file(storage, stores, manifest(job, step, ptc.Name, len(ptc.Tensors), all), func() error {
+		return transform.FanOut[store.Assembler](ctx, len(targets), targets, stores, func(k int, _ store.Access) error {
+			return copyPieces(ctx, job, ptc, stores, targets[k], byPeer[targets[k]])
+		})
+	})
 	if err != nil {
 		for _, to := range targets {
 			_ = stores[to].Delete(root) // what this step wrote, if anything
 		}
-		return err
 	}
-	if prevErr == nil && prev != step {
-		drop(storage, stores, job, prev)
-	}
-	return nil
+	return err
 }
 
 // copied is one piece of a checkpoint being saved to peers: sub-tensor s
@@ -316,48 +315,52 @@ func copyPieces(ctx context.Context, job string, ptc *core.PTC, stores map[clust
 	return nil
 }
 
-// SaveSeed files step as a checkpoint that holds no bytes: tensor id of
-// the state is the seeded fill gens[id] describes, and the manifest
-// says so with one piece per tensor, which a Reader generates when it is
-// read. Publication and the fate of the previous step are SaveToPeers'.
-func SaveSeed(storage store.Access, job string, step int, name string, gens map[core.TensorID]tensor.RandDense,
-	stores map[cluster.DeviceID]store.Access) error {
-	blobs, ok := storage.(blobStore)
-	if !ok {
-		return fmt.Errorf("checkpoint: storage does not support blobs")
-	}
-	prev, prevErr := Latest(storage, job)
+// Seed is checkpoint step of job, holding no bytes: tensor id of the
+// state is the seeded fill gens[id] describes, and the manifest says so
+// with one piece per tensor, which the Reader generates when it is read.
+// It is in memory only until SaveSeed files it.
+func Seed(job string, step int, name string, gens map[core.TensorID]tensor.RandDense) *Reader {
 	all := make([]written, 0, len(gens))
 	for id, g := range gens {
 		all = append(all, written{string(id), Piece{Range: tensor.FullRegion(g.Shape).String(), Gen: &g}})
 	}
-	if err := publish(blobs, job, step, name, len(gens), all); err != nil {
-		return err
+	return &Reader{Meta: manifest(job, step, name, len(gens), all)}
+}
+
+// SaveSeed files seed (see Seed) as its job's checkpoint, through the
+// frame SaveToPeers files its pieces through (file).
+func SaveSeed(storage store.Access, seed *Reader, stores map[cluster.DeviceID]store.Access) error {
+	return file(storage, stores, seed.Meta, nil)
+}
+
+// Drop deletes job's latest checkpoint as a later save would: its
+// pieces on the device stores its manifest lists, then its tree in
+// storage. The latest marker is left, naming nothing.
+func Drop(storage store.Access, stores map[cluster.DeviceID]store.Access, job string) {
+	if step, err := Latest(storage, job); err == nil {
+		drop(storage, stores, job, step)
 	}
-	if prevErr == nil && prev != step {
-		drop(storage, stores, job, prev)
-	}
-	return nil
 }
 
 // drop removes checkpoint step prev, which the latest marker no longer
-// names: its pieces on the device stores its manifest lists, then its
-// tree in storage, manifest included. What a failed delete leaves is
-// garbage, not an inconsistency.
+// names: its pieces on the device stores its manifest lists, the stores
+// at once as transform.FanOut allows, then its tree in storage, manifest
+// included. What a failed delete leaves is garbage, not an
+// inconsistency.
 func drop(storage store.Access, stores map[cluster.DeviceID]store.Access, job string, prev int) {
 	if r, err := Open(storage, job, prev); err == nil {
-		done := map[cluster.DeviceID]bool{}
+		var devs []cluster.DeviceID
 		for _, pieces := range r.Meta.Pieces {
 			for _, p := range pieces {
-				if p.Device == nil || done[*p.Device] {
-					continue
-				}
-				done[*p.Device] = true
-				if acc, ok := stores[*p.Device]; ok {
-					_ = acc.Delete(peerRoot(job, prev))
+				if p.Device != nil && stores[*p.Device] != nil && !slices.Contains(devs, *p.Device) {
+					devs = append(devs, *p.Device)
 				}
 			}
 		}
+		slices.Sort(devs)
+		_ = transform.FanOut[store.Remote](context.Background(), len(devs), devs, stores, func(_ int, acc store.Access) error {
+			return acc.Delete(peerRoot(job, prev))
+		})
 	}
 	_ = storage.Delete(ckptRoot(job, prev))
 }
@@ -607,27 +610,89 @@ func (r *Reader) dtypeOf(id core.TensorID) (tensor.DType, error) {
 	return probe.DType(), nil
 }
 
-// Restore loads a full checkpoint into the stores of a (possibly
-// different) PTC — the "load partitioned checkpoints under a new
-// parallelization" path: every destination sub-tensor is allocated once,
-// streamed in from the checkpoint pieces and handed over to its store by
-// transform.WriteDevices, which reads saveDevicesInFlight devices at a
-// time, so Restore holds that many devices' sub-tensors, not the job's.
+// Restore writes the checkpoint r onto the stores of ptc, a placement
+// it may never have been cut for: the one way a checkpoint's state goes
+// onto the stores, a deploy's seed included. Every distinct sub-tensor
+// (ptc.Unique) is read out of r once, by ReadRangeInto, and sent to
+// every device that holds exactly that region. Each device's distinct
+// sub-tensors go in chunks (transform.Chunks), the devices at once as
+// transform.FanOut allows, so one chunk is read while another is on its
+// way, and one restore holds at most transform.ChunksInFlight chunks.
+// As in every walk, a device store is written by one worker at a time.
+// An in-process store is handed the tensors read for it by reference,
+// replicas included: nothing else refers to them.
 func Restore(ctx context.Context, r *Reader, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access) error {
-	return transform.WriteDevices(ctx, saveDevicesInFlight, ptc.Devices, stores, false, func(g int) ([]store.UploadItem, error) {
-		d := ptc.Devices[g]
-		items := make([]store.UploadItem, len(ptc.Place[d]))
-		for i, s := range ptc.Place[d] {
-			meta, ok := ptc.Tensors[s.Tensor]
-			if !ok {
-				return nil, fmt.Errorf("checkpoint: no metadata for %q", s.Tensor)
+	unique := ptc.Unique()
+	pool := transform.NewChunkPool()
+	defer pool.Close()
+	turns := make(map[cluster.DeviceID]*sync.Mutex, len(ptc.Devices))
+	for _, d := range ptc.Devices {
+		turns[d] = new(sync.Mutex)
+	}
+	return transform.FanOut[store.BatchUploader](ctx, len(ptc.Devices), ptc.Devices, stores, func(g int, _ store.Access) error {
+		for _, c := range transform.Chunks(ptc, unique[g]) {
+			if err := restoreChunk(ctx, r, job, ptc, stores, turns, c, pool); err != nil {
+				return err
 			}
-			t := tensor.NewFromRegion(meta.DType, s.Region)
-			if _, err := r.ReadRangeInto(s.Tensor, s.Region, t, nil); err != nil {
-				return nil, err
-			}
-			items[i] = store.UploadItem{Path: transform.ModelPath(job, d, s.Tensor), View: t.FullView()}
 		}
-		return items, nil
+		return nil
+	})
+}
+
+// restoreChunk reads the sub-tensors c out of r, into a chunk buffer
+// when every store they go to copies what it is sent, and sends each to
+// every device that holds it, once it has the turns of all of them,
+// taken in device order.
+func restoreChunk(ctx context.Context, r *Reader, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
+	turns map[cluster.DeviceID]*sync.Mutex, c []core.SubTensor, pool transform.ChunkPool) error {
+	var (
+		devs  []cluster.DeviceID
+		to    = make([][]int, len(c)) // the indices into devs each sub-tensor goes to
+		bytes int
+	)
+	for i, s := range c {
+		bytes += int(s.NumBytes(ptc.Tensors[s.Tensor]))
+		for _, d := range ptc.Holders(s.Tensor, s.Region) {
+			if !slices.ContainsFunc(ptc.Place[d], func(h core.SubTensor) bool { return h.Tensor == s.Tensor && h.Region.Equal(s.Region) }) {
+				continue // d holds only a region overlapping s
+			}
+			k := slices.Index(devs, d)
+			if k < 0 {
+				k = len(devs)
+				devs = append(devs, d)
+			}
+			to[i] = append(to[i], k)
+		}
+	}
+	// A chunk buffer is reused, so it can only take what is copied out
+	// of it, and only up to ChunkBytes: it is kept between restores.
+	reuse := bytes <= transform.ChunkBytes && !slices.ContainsFunc(devs, func(d cluster.DeviceID) bool {
+		ru, ok := stores[d].(store.RefUploader)
+		return ok && ru.UploadsByReference()
+	})
+	buf := <-pool
+	defer func() { pool <- buf }()
+	alloc := tensor.NewFromRegion
+	if reuse {
+		buf.Reset(bytes)
+		alloc = buf.New
+	}
+	items := make([][]store.UploadItem, len(devs))
+	for i, s := range c {
+		t := alloc(ptc.Tensors[s.Tensor].DType, s.Region)
+		if _, err := r.ReadRangeInto(s.Tensor, s.Region, t, nil); err != nil {
+			return err
+		}
+		for _, k := range to[i] {
+			items[k] = append(items[k], store.UploadItem{Path: transform.ModelPath(job, devs[k], s.Tensor), View: t.FullView()})
+		}
+	}
+	held := slices.Sorted(slices.Values(devs))
+	for _, d := range held {
+		turns[d].Lock()
+		defer turns[d].Unlock()
+	}
+	return transform.WriteDevices(ctx, len(devs), devs, stores, reuse, func(k int) ([]store.UploadItem, error) {
+		return items[k], nil
 	})
 }

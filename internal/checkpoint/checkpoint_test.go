@@ -483,7 +483,7 @@ func TestSaveSeedBaseline(t *testing.T) {
 	}
 	fs := store.NewMemFS()
 	storage := store.Local{FS: fs}
-	if err := SaveSeed(storage, "job0", 0, ptc.Name, gens, stores); err != nil {
+	if err := SaveSeed(storage, Seed("job0", 0, ptc.Name, gens), stores); err != nil {
 		t.Fatal(err)
 	}
 	if n := fs.TotalBytes(); n > 64<<10 {

@@ -39,8 +39,8 @@ const (
 	cmdDeploy  cmdKind = iota // first placement: generate into the stores, seed checkpoint
 	cmdRestore                // re-admission: redeploy from the latest checkpoint
 	cmdCommit                 // one decided change, transactionally
-	cmdVerify                 // completion: bit-verify, audit, let go of the state
-	cmdRelease                // any other terminal state: let go of the state
+	cmdVerify                 // completion: bit-verify, audit, delete and let go of the state
+	cmdRelease                // any other terminal state: delete and let go of the state
 )
 
 // command is one unit of work for a job's chain. span and tMin are the
@@ -152,10 +152,10 @@ func (x *dataPlane) do(c command) error {
 			// a completed job — here because the release takes away what
 			// settle's audit would look at. Nothing calls a verify off yet:
 			// the context is here for the day jobs carry one.
+			defer rt.Release() // once the outcome is posted: a turnaround does not wait for the deletes
 			if out.err = rt.Verify(context.TODO(), rt.seed); out.err == nil {
 				out.err = rt.audit(c.alloc)
 			}
-			rt.Release()
 			x.traceTask(c, obs.SpanVerify, start, out.err)
 		case cmdRelease:
 			rt.Release()

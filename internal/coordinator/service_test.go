@@ -3,6 +3,7 @@ package coordinator
 import (
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sync"
@@ -319,6 +320,64 @@ func TestServiceReleasesTerminalJobState(t *testing.T) {
 		st, err := svc.Job(name)
 		if err != nil || st.State != "completed" || !st.Verified {
 			t.Fatalf("job %s after release: %+v (err %v)", name, st, err)
+		}
+	}
+}
+
+// TestServiceDeletesFinishedJobState: over wire stores shared by every
+// job, as tenplex-store daemons are, a verified job and a job canceled
+// while it runs leave no model tree and no checkpoint piece behind on
+// any store once their chains are idle.
+func TestServiceDeletesFinishedJobState(t *testing.T) {
+	topo := cluster.Cloud(4)
+	urls := map[cluster.DeviceID]string{}
+	for _, d := range topo.Devices {
+		hs := httptest.NewServer(store.NewServer(store.NewMemFS()))
+		t.Cleanup(hs.Close)
+		urls[d.ID] = hs.URL
+	}
+	svc, err := StartService(topo, Options{
+		WallScale: time.Millisecond,
+		Stores: func(_ string, dev cluster.DeviceID) store.Access {
+			return &store.Client{Base: urls[dev]}
+		},
+	})
+	if err != nil {
+		t.Fatalf("StartService: %v", err)
+	}
+	defer svc.Stop()
+	m := model.GPTCustom(4, 16, 2, 32, 8)
+	if err := svc.Submit(JobSpec{Name: "done", Model: m, GPUs: 2, MinGPUs: 2, MaxGPUs: 4, DurationMin: 20}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitVerified(t, svc, "done")
+	if err := svc.Submit(JobSpec{Name: "gone", Model: m, GPUs: 4, DurationMin: 1e6}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for {
+		st := waitJobState(t, svc, "gone", "running", 15*time.Second)
+		if st.Deployed {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := svc.Cancel("gone"); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if err := svc.exec(func(s *sim) error { return s.exec.join() }); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"done", "gone"} {
+		for d, u := range urls {
+			cl := &store.Client{Base: u}
+			for _, tree := range []string{"model", "ckpt"} {
+				if names, _ := cl.List("/job/" + id + "/" + tree); len(names) != 0 {
+					t.Errorf("store of dev %d still holds %v under /job/%s/%s", d, names, id, tree)
+				}
+			}
+			if err := cl.Delete("/job/" + id); err != nil {
+				t.Errorf("store of dev %d: delete /job/%s: %v", d, id, err)
+			}
 		}
 	}
 }

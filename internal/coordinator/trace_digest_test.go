@@ -20,8 +20,8 @@ import (
 // moves means a span name, an attr, a fate or the order of store
 // operations moved with it.
 const (
-	fifoDatapathTraceSHA256    = "7244f2248857d2f6e43887d59d6836b92ae9a40e60e102ebc5217d6b74472856"
-	hostileDatapathTraceSHA256 = "00344f1e9e1d8c061005c38eb4c66d78c1420c3f77b1a088ce90b9ee4c332dee"
+	fifoDatapathTraceSHA256    = "c506d23964e521eb4bc96a009a2246034867c3dae56b608714ebec1b4f3f7bc7"
+	hostileDatapathTraceSHA256 = "0359c1864c1e747ceb47a72a46e56e6a031d72f2ca4ca07dec5b0ec709f69a54"
 )
 
 func datapathTraceDigest(t *testing.T, opts coordinator.Options) string {

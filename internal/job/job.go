@@ -17,8 +17,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"tenplex/internal/checkpoint"
 	"tenplex/internal/cluster"
@@ -163,36 +161,18 @@ func RestoreFlows(to *core.PTC) []netsim.Flow {
 	return flows
 }
 
-// InitState builds a job's deterministic initial tensors from seed on at
-// most workers goroutines. Tensor i of m.StateParams() is filled by
-// FillRandDense from its own seed, seed+i, so the state is the same bit
-// for bit however the tensors are shared out. It is the definition of the
-// state DeploySeed deploys and Verify checks, which generate it region by
-// region and never whole, and the oracle their kernel is held to.
-func InitState(workers int, m *model.Model, seed int64) map[core.TensorID]*tensor.Tensor {
+// InitState builds a job's deterministic initial tensors from seed:
+// tensor i of m.StateParams() is filled by FillRandDense from its own
+// seed, seed+i. It is the definition of the state DeploySeed deploys and
+// Verify checks, which generate it region by region and never whole, and
+// the oracle their kernel is held to.
+func InitState(m *model.Model, seed int64) map[core.TensorID]*tensor.Tensor {
 	params := m.StateParams()
-	tensors := make([]*tensor.Tensor, len(params))
-	var next atomic.Int64
-	fill := func() {
-		for i := int(next.Add(1)) - 1; i < len(params); i = int(next.Add(1)) - 1 {
-			t := tensor.New(params[i].Param.DType, params[i].Param.Shape...)
-			t.FillRandDense(seed+int64(i), initScale)
-			tensors[i] = t
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, len(params)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill()
-		}()
-	}
-	fill()
-	wg.Wait()
 	init := make(map[core.TensorID]*tensor.Tensor, len(params))
 	for i, lp := range params {
-		init[core.TensorID(lp.Path())] = tensors[i]
+		t := tensor.New(lp.Param.DType, lp.Param.Shape...)
+		t.FillRandDense(seed+int64(i), initScale)
+		init[core.TensorID(lp.Path())] = t
 	}
 	return init
 }
@@ -378,9 +358,22 @@ func (r *Runtime) State(ctx context.Context) (map[core.TensorID]*tensor.Tensor, 
 	return transform.ReadPTCContext(ctx, r.Name, r.PTC, r.Stores)
 }
 
-// Release drops what only a live job needs: its stores, its checkpoint
-// storage (manifests: the pieces are on the stores), its PTC with the
-// compiled index hanging off it, and its model.
+// Release deletes the job's state on its stores — the model tree on the
+// devices of its placement, and its latest checkpoint as a later save
+// would drop it (checkpoint.Drop), the stores at once as
+// transform.FanOut allows, so that the deletes are soon over — and then
+// drops what only a live job needs: its stores, its checkpoint storage,
+// its PTC with the compiled index hanging off it, and its model. What a
+// failed delete leaves is garbage, not an inconsistency; the job's own
+// directory on a store stays, empty.
 func (r *Runtime) Release() {
+	if r.PTC != nil {
+		_ = transform.FanOut[store.Remote](context.Background(), len(r.PTC.Devices), r.PTC.Devices, r.Stores, func(_ int, acc store.Access) error {
+			return acc.Delete(transform.ModelRoot(r.Name))
+		})
+	}
+	if r.Storage != nil {
+		checkpoint.Drop(r.Storage, r.Stores, r.Name)
+	}
 	r.Model, r.PTC, r.Stores, r.Storage = nil, nil, nil, nil
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"tenplex/internal/cluster"
@@ -196,32 +198,6 @@ func TestLifecycleLocalAndWire(t *testing.T) {
 	}
 }
 
-// TestInitStateParallelMatchesSerial: a job's golden tensors are the
-// same bit for bit on one goroutine and on many (every tensor is filled
-// from its own seed), including more workers than tensors; with
-// optimizer states, so float32 and the companions' dtype both appear.
-func TestInitStateParallelMatchesSerial(t *testing.T) {
-	for _, m := range []*model.Model{tinyGPT(), model.MoECustom(3, 16, 4), model.GPTCustom(2, 16, 2, 32, 8)} {
-		for _, seed := range []int64{0, 7, -1} {
-			serial := InitState(1, m, seed)
-			if len(serial) != len(m.StateParams()) {
-				t.Fatalf("%s: %d tensors for %d state parameters", m.Name, len(serial), len(m.StateParams()))
-			}
-			for _, workers := range []int{2, 8, 1000} {
-				par := InitState(workers, m, seed)
-				if len(par) != len(serial) {
-					t.Fatalf("%s seed %d: %d tensors on %d workers, %d on one", m.Name, seed, len(par), workers, len(serial))
-				}
-				for id, want := range serial {
-					if got := par[id]; got == nil || !got.Equal(want) {
-						t.Fatalf("%s seed %d, %d workers: tensor %s differs from the serial fill", m.Name, seed, workers, id)
-					}
-				}
-			}
-		}
-	}
-}
-
 // errManifestGone marks a checkpoint manifest that is no longer there.
 var errManifestGone = errors.New("manifest gone")
 
@@ -326,7 +302,7 @@ func TestVerifyNamesTheFirstBadTensor(t *testing.T) {
 	if err := rt.DeploySeed(ctx, ptc, cfg, alloc, 7); err != nil {
 		t.Fatal(err)
 	}
-	golden := InitState(2, m, 7)
+	golden := InitState(m, 7)
 	ids := slices.Sorted(maps.Keys(golden))
 	for _, id := range []core.TensorID{ids[len(ids)-1], ids[len(ids)/2]} {
 		bad := golden[id].Clone()
@@ -379,13 +355,13 @@ func TestMalformedAllocationsRefused(t *testing.T) {
 
 	stores := map[cluster.DeviceID]store.Access{0: store.Local{FS: store.NewMemFS()}}
 	rt := &Runtime{Name: "bad", Model: m, Topo: topo, Stores: stores}
-	if err := rt.Deploy(from, dp2, cluster.Allocation{0, 1}, InitState(1, m, 1)); err == nil ||
+	if err := rt.Deploy(from, dp2, cluster.Allocation{0, 1}, InitState(m, 1)); err == nil ||
 		!strings.Contains(err.Error(), "device 1 has no store") {
 		t.Errorf("Deploy onto a device without a store: %v", err)
 	}
 	stores[1] = store.Local{FS: store.NewMemFS()}
 	rt.Topo = cluster.New("one-device", 1, 1, cluster.LinkConfig{})
-	if err := rt.Deploy(from, dp2, cluster.Allocation{0, 1}, InitState(1, m, 1)); err == nil ||
+	if err := rt.Deploy(from, dp2, cluster.Allocation{0, 1}, InitState(m, 1)); err == nil ||
 		!strings.Contains(err.Error(), "device 1 is not in topology") {
 		t.Errorf("Deploy onto a device outside the topology: %v", err)
 	}
@@ -484,10 +460,10 @@ func TestFailStopWithStoreGone(t *testing.T) {
 func TestDeploySeedInChunks(t *testing.T) {
 	ctx := context.Background()
 	m := model.GPTCustom(4, 128, 4, 512, 32)
-	if m.StateBytes() < 3*chunkBytes {
+	if m.StateBytes() < 3*transform.ChunkBytes {
 		t.Fatalf("%d bytes of state: the test wants several chunks a device", m.StateBytes())
 	}
-	golden := InitState(2, m, 5)
+	golden := InitState(m, 5)
 	cfg, alloc := parallel.Config{TP: 1, PP: 2, DP: 2}, cluster.Allocation{0, 1, 2, 3}
 	ptc, err := parallel.BuildPTC(m, cfg, alloc)
 	if err != nil {
@@ -529,4 +505,66 @@ func TestDeploySeedInChunks(t *testing.T) {
 			t.Fatalf("wire=%v: Verify of a corrupted %s returned %v", wire, s.Tensor, err)
 		}
 	}
+}
+
+// The store requests of the lifecycle tenplex-coordd runs for every job
+// (gpt 4/128/4/512/32: T1·P2 on two devices of a Cloud(4), scaled out to
+// T1·P4 on four) are pinned, phase by phase: DeploySeed sends one
+// /upload-batch per chunk of a device's distinct state and device that
+// holds it, Checkpoint one /assemble per peer store, Verify one /batch
+// per chunk read back.
+func TestLifecycleStoreRequests(t *testing.T) {
+	ctx := context.Background()
+	topo := cluster.Cloud(4)
+	var (
+		mu   sync.Mutex
+		reqs = map[string]int{}
+	)
+	stores := map[cluster.DeviceID]store.Access{}
+	for _, d := range topo.Devices {
+		srv := store.NewServer(store.NewMemFS())
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			reqs[r.URL.Path]++
+			mu.Unlock()
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(hs.Close)
+		stores[d.ID] = &store.Client{Base: hs.URL, HTTP: hs.Client()}
+	}
+	phase := func(name string, want map[string]int, run func() error) {
+		t.Helper()
+		mu.Lock()
+		clear(reqs)
+		mu.Unlock()
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for path, n := range want {
+			if reqs[path] != n {
+				t.Errorf("%s: %d %s requests, want %d (all: %v)", name, reqs[path], path, n, reqs)
+			}
+		}
+	}
+	m := model.GPTCustom(4, 128, 4, 512, 32)
+	rt := &Runtime{Name: "life", Model: m, Topo: topo, Stores: stores, Storage: store.Local{FS: store.NewMemFS()}}
+	cfg, alloc := parallel.Config{TP: 1, PP: 2, DP: 1}, cluster.Allocation{0, 1}
+	ptc, err := parallel.BuildPTC(m, cfg, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase("deploy", map[string]int{"/upload-batch": 5, "/upload": 0}, func() error {
+		return rt.DeploySeed(ctx, ptc, cfg, alloc, 3)
+	})
+	ch, err := Plan(m, topo, rt.PTC, parallel.Config{TP: 1, PP: 4, DP: 1}, cluster.Allocation{0, 1, 2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Apply(ctx, ch); err != nil {
+		t.Fatal(err)
+	}
+	phase("checkpoint", map[string]int{"/assemble": 4}, rt.Checkpoint)
+	phase("verify", map[string]int{"/batch": 5, "/query": 0}, func() error { return rt.Verify(ctx, 3) })
 }

@@ -14,13 +14,14 @@ import (
 
 // The device walk. Every move of a job's state between its device stores
 // and this process — a deploy (LoadPTC), a checkpoint's save and restore
-// (package checkpoint), replication (Replicate) — follows one rule per
-// device: a store that takes batches is sent one request, any other store
-// one call per tensor, and the devices run on one bounded fan-out. The
-// callers say what moves; ReadDevices and WriteDevices move it.
+// (package checkpoint), replication (Replicate), a job's verify — follows
+// one rule per device: a store that takes batches is sent one request,
+// any other store one call per tensor, and the devices run on one
+// bounded fan-out, FanOut. The callers say what moves; ReadDevices and
+// WriteDevices move it.
 
 // ReadDevices reads, for every device ptc.Devices[g], the sub-tensors
-// subs[g] of its model state (see fanOut for how many at once). A store
+// subs[g] of its model state (see FanOut for how many at once). A store
 // that takes batches (store.BatchQuerier) is read in one BatchQueryInto
 // into fresh buffers; any other store gets one Query per sub-tensor,
 // which an in-process store answers with the tensor it holds. got
@@ -29,7 +30,7 @@ import (
 func ReadDevices(ctx context.Context, par int, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	subs [][]core.SubTensor, got func(g int, ts []*tensor.Tensor) error) error {
 	var mu sync.Mutex
-	return fanOut[store.BatchQuerier](ctx, par, ptc.Devices, stores, func(g int, acc store.Access) error {
+	return FanOut[store.BatchQuerier](ctx, par, ptc.Devices, stores, func(g int, acc store.Access) error {
 		if len(subs[g]) == 0 {
 			return nil
 		}
@@ -88,7 +89,7 @@ func ReadDevice(ctx context.Context, job string, ptc *core.PTC, d cluster.Device
 }
 
 // WriteDevices sends every device devs[k] the items that items(k)
-// returns (see fanOut for how many at once). items runs on the device's
+// returns (see FanOut for how many at once). items runs on the device's
 // worker, so what it allocates is held for that many devices at a time.
 // A store that takes batches (store.BatchUploader) is sent one
 // UploadBatch; any other store one call per item. If keep is set, the
@@ -97,7 +98,7 @@ func ReadDevice(ctx context.Context, job string, ptc *core.PTC, d cluster.Device
 // over, which is uploaded by reference (Upload).
 func WriteDevices(ctx context.Context, par int, devs []cluster.DeviceID, stores map[cluster.DeviceID]store.Access,
 	keep bool, items func(k int) ([]store.UploadItem, error)) error {
-	return fanOut[store.BatchUploader](ctx, par, devs, stores, func(k int, acc store.Access) error {
+	return FanOut[store.BatchUploader](ctx, par, devs, stores, func(k int, acc store.Access) error {
 		its, err := items(k)
 		if err != nil || len(its) == 0 {
 			return err
@@ -129,12 +130,14 @@ func writeDevice(ctx context.Context, acc store.Access, keep bool, its []store.U
 	return nil
 }
 
-// fanOut runs move(k, its store) for every device devs[k] on up to par
+// FanOut runs move(k, its store) for every device devs[k] on up to par
 // workers, one device a worker, and no more workers than cores when no
-// store implements C (the capability that makes a move one round trip).
-// Every device is attempted; the error is the first failed one's, in
-// devs order.
-func fanOut[C any](ctx context.Context, par int, devs []cluster.DeviceID, stores map[cluster.DeviceID]store.Access,
+// store implements C (the capability that makes a move one round trip):
+// the one rule for how many devices move at once. With one worker the
+// devices go in devs order, which is the order of an in-process run,
+// store operation by store operation. Every device is attempted; the
+// error is the first failed one's, in devs order.
+func FanOut[C any](ctx context.Context, par int, devs []cluster.DeviceID, stores map[cluster.DeviceID]store.Access,
 	move func(k int, acc store.Access) error) error {
 	width := min(par, runtime.GOMAXPROCS(0))
 	for _, d := range devs {
@@ -160,4 +163,72 @@ func firstError(ctx context.Context, errs []error) error {
 		}
 	}
 	return ctx.Err()
+}
+
+// The chunk rule. A walk that streams a job's state through this
+// process without holding it whole — checkpoint.Restore writing it, a
+// job's verify reading it back — cuts each device's distinct sub-tensors
+// into chunks of at most ChunkBytes (Chunks) and holds at most
+// ChunksInFlight chunks at a time, one buffer of a ChunkPool each,
+// whatever the size of the job.
+const (
+	ChunkBytes     = 1 << 20
+	ChunksInFlight = 3
+)
+
+// Chunks cuts list, in its order, into runs of at most ChunkBytes; a
+// larger sub-tensor is a run of its own.
+func Chunks(ptc *core.PTC, list []core.SubTensor) [][]core.SubTensor {
+	var (
+		out   [][]core.SubTensor
+		start int
+		bytes int64
+	)
+	for i, s := range list {
+		n := s.NumBytes(ptc.Tensors[s.Tensor])
+		if i > start && bytes+n > ChunkBytes {
+			out, start, bytes = append(out, list[start:i]), i, 0
+		}
+		bytes += n
+	}
+	if start < len(list) {
+		out = append(out, list[start:])
+	}
+	return out
+}
+
+// ChunkPool is the chunk buffers one walk may hold: taking one waits
+// while all of them are in flight, which is what bounds the bytes in
+// flight.
+type ChunkPool chan *tensor.Slab
+
+// spare keeps the chunk buffers of finished walks for the next one:
+// fresh memory is faulted in page by page, which costs about as much as
+// filling it, and the runtime hands memory back to the system between
+// jobs.
+var spare = make(chan *tensor.Slab, ChunksInFlight)
+
+// NewChunkPool returns ChunksInFlight buffers, spare ones first.
+func NewChunkPool() ChunkPool {
+	p := make(ChunkPool, ChunksInFlight)
+	for range ChunksInFlight {
+		select {
+		case s := <-spare:
+			p <- s
+		default:
+			p <- new(tensor.Slab)
+		}
+	}
+	return p
+}
+
+// Close waits for every buffer to be back and keeps them spare.
+func (p ChunkPool) Close() {
+	for range ChunksInFlight {
+		s := <-p
+		select {
+		case spare <- s:
+		default:
+		}
+	}
 }

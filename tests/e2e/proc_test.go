@@ -65,11 +65,11 @@ func TestE2ESubprocess(t *testing.T) {
 	waitHealthy(t, base, 15*time.Second)
 
 	c := &client{base: base, token: "e2e-token", t: t}
-	ids, canceled := driveWorkload(t, c, clients)
+	ids, canceled, failed := driveWorkload(t, c, clients)
 	checkEvents(t, c, ids, canceled)
 	lat := checkMetrics(t, c, 4, true)
 	t.Logf("subprocess e2e: %s", fmtLatency(lat))
-	checkStoreState(t, clients, ids, canceled)
+	checkStoreState(t, clients, ids, failed)
 
 	// Graceful shutdown: SIGINT, wait for the exit summary.
 	if err := coordd.cmd.Process.Signal(os.Interrupt); err != nil {
@@ -106,8 +106,9 @@ func buildBinary(t *testing.T, dir, name string) {
 	}
 }
 
-// daemon is a child process whose first stdout line announced its
-// bound address ("... serving on http://<addr> ...").
+// daemon is a child process that announced its bound address on a
+// stdout line ("... serving on http://<addr> ..."); a pprof listener
+// announced before it is not that address.
 type daemon struct {
 	cmd   *exec.Cmd
 	bound string
@@ -140,8 +141,8 @@ func startDaemon(t *testing.T, path string, args ...string) *daemon {
 		}
 	})
 
-	// First line announces the bound address; keep draining after that
-	// so the child never blocks on a full pipe.
+	// The "serving on" line announces the bound address; keep draining
+	// after that so the child never blocks on a full pipe.
 	sc := bufio.NewScanner(stdout)
 	boundCh := make(chan string, 1)
 	go func() {
@@ -152,8 +153,8 @@ func startDaemon(t *testing.T, path string, args ...string) *daemon {
 			d.buf.WriteString(line + "\n")
 			d.mu.Unlock()
 			if first {
-				if i := strings.Index(line, "http://"); i >= 0 {
-					addr := strings.Fields(line[i+len("http://"):])[0]
+				if i := strings.Index(line, servingOn); i >= 0 {
+					addr := strings.Fields(line[i+len(servingOn):])[0]
 					boundCh <- addr
 					first = false
 				}
@@ -171,6 +172,31 @@ func startDaemon(t *testing.T, path string, args ...string) *daemon {
 		t.Fatalf("%s did not announce its address in time", path)
 	}
 	return d
+}
+
+// servingOn precedes the address a daemon serves its API on.
+const servingOn = "serving on http://"
+
+// TestE2EStoreWithPprof: a store daemon started with a pprof listener of
+// its own announces both; the harness takes the store's address, not
+// the profiler's, and reaches the store there.
+func TestE2EStoreWithPprof(t *testing.T) {
+	if os.Getenv("TENPLEX_E2E_SUBPROCESS") != "1" {
+		t.Skip("set TENPLEX_E2E_SUBPROCESS=1 to run the subprocess e2e pipeline")
+	}
+	bin := t.TempDir()
+	buildBinary(t, bin, "tenplex-store")
+	proc := startDaemon(t, filepath.Join(bin, "tenplex-store"), "-addr", "127.0.0.1:0", "-pprof", "127.0.0.1:0")
+	if !strings.Contains(proc.output(), "pprof on http://") {
+		t.Fatalf("the store did not announce its pprof listener first:\n%s", proc.output())
+	}
+	cl := &store.Client{Base: "http://" + proc.bound}
+	if err := cl.PutBlob("/probe", []byte("x")); err != nil {
+		t.Fatalf("store at %s: %v\n%s", proc.bound, err, proc.output())
+	}
+	if b, err := cl.GetBlob("/probe"); err != nil || string(b) != "x" {
+		t.Fatalf("store at %s read back %q, %v", proc.bound, b, err)
+	}
 }
 
 func waitHealthy(t *testing.T, base string, timeout time.Duration) {
