@@ -66,21 +66,9 @@ func main() {
 	}
 	topo := cluster.Cloud(*devices)
 
-	opts := coordinator.Options{
-		Placement: *placement,
-		WallScale: *wallScale,
-		Workers:   *workers,
-		Metrics:   obs.NewRegistry(),
-	}
-	switch *policy {
-	case "fifo":
-		opts.Policy = coordinator.FIFO{}
-	case "drf":
-		opts.Policy = coordinator.DRF{}
-	case "priority":
-		opts.Policy = coordinator.PriorityGang{}
-	default:
-		log.Fatalf("tenplex-coordd: unknown policy %q", *policy)
+	opts, err := options(*policy, *placement, *wallScale, *workers)
+	if err != nil {
+		log.Fatalf("tenplex-coordd: %v", err)
 	}
 
 	if *stores != "" {
@@ -165,6 +153,35 @@ func main() {
 	}
 	fmt.Printf("tenplex-coordd: stopped after %.1f simulated min: %d jobs seen, %d completed, %d plans validated\n",
 		res.MakespanMin, len(res.Jobs), completed, res.PlansValidated)
+}
+
+// options builds the coordinator's Options from the flags; main adds
+// the store clients of -stores. The recovery policy is how the service
+// rides out a failed reconfiguration: the job rolls back to its last
+// checkpoint and the change is applied once more, and a job whose
+// changes keep aborting goes back to the queue at most three times
+// before it is declared lost. Under the zero policy the first failed
+// apply is an error of the whole service, which then refuses every
+// later request.
+func options(policy string, placement bool, wallScale time.Duration, workers int) (coordinator.Options, error) {
+	opts := coordinator.Options{
+		Placement: placement,
+		WallScale: wallScale,
+		Workers:   workers,
+		Metrics:   obs.NewRegistry(),
+		Recovery:  coordinator.RecoveryPolicy{MaxAttempts: 2, MaxRequeues: 3},
+	}
+	switch policy {
+	case "fifo":
+		opts.Policy = coordinator.FIFO{}
+	case "drf":
+		opts.Policy = coordinator.DRF{}
+	case "priority":
+		opts.Policy = coordinator.PriorityGang{}
+	default:
+		return opts, fmt.Errorf("unknown policy %q", policy)
+	}
+	return opts, nil
 }
 
 // waitForStore blocks until the store answers a listing (servers boot

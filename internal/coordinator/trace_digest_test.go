@@ -18,9 +18,11 @@ import (
 // operation is a span, and the hostile run, where chaos sits inside
 // tracing and an injected fault shows up as a failed span. A digest that
 // moves means a span name, an attr, a fate or the order of store
-// operations moved with it.
+// operations moved with it. (The FIFO digest last moved by exactly one
+// span: the release of job-04 deleting the model tree it had held on
+// dev7, the device a fail-stop took from it, which had been left there.)
 const (
-	fifoDatapathTraceSHA256    = "c506d23964e521eb4bc96a009a2246034867c3dae56b608714ebec1b4f3f7bc7"
+	fifoDatapathTraceSHA256    = "4cc1ac448a450632843bcf0b09d18883f902ee5e2f71ab74df4c2516537628b4"
 	hostileDatapathTraceSHA256 = "0359c1864c1e747ceb47a72a46e56e6a031d72f2ca4ca07dec5b0ec709f69a54"
 )
 

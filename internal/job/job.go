@@ -225,6 +225,12 @@ type Runtime struct {
 	// Step numbers the checkpoints: DeploySeed files the current one,
 	// Checkpoint the next.
 	Step int
+
+	// left lists the devices a fail-stop Apply took from the job. The
+	// apply touches no failed device, so each keeps the model tree it
+	// held until Release deletes it; a device a change leaves otherwise
+	// is emptied by the change's commit.
+	left []cluster.DeviceID
 }
 
 // adopt makes (ptc, cfg, alloc) the job's placement. The allocation is
@@ -285,6 +291,11 @@ func (r *Runtime) Apply(ctx context.Context, ch *Change) (transform.Stats, error
 	}
 	st, err := tr.ApplyContext(ctx, ch.Plan)
 	if err == nil {
+		for _, d := range ch.Failed {
+			if slices.Contains(r.PTC.Devices, d) && !slices.Contains(r.left, d) {
+				r.left = append(r.left, d)
+			}
+		}
 		r.adopt(ch.To, ch.Config, ch.Alloc)
 	}
 	return st, err
@@ -323,14 +334,16 @@ func (r *Runtime) Checkpoint() error {
 	return nil
 }
 
-// reload wipes the job's (possibly half-destroyed) store state and
-// streams the latest checkpoint in under ptc. The checkpoint's pieces on
-// the stores are outside the trees it wipes.
+// reload wipes the job's (possibly half-destroyed) store state, on the
+// devices a fail-stop took from it too, and streams the latest
+// checkpoint in under ptc. The checkpoint's pieces on the stores are
+// outside the trees it wipes.
 func (r *Runtime) reload(ptc *core.PTC) error {
 	for _, acc := range r.Stores {
 		_ = acc.Delete(transform.ModelRoot(r.Name))   // may not exist
 		_ = acc.Delete(transform.StagingRoot(r.Name)) // may not exist
 	}
+	r.left = nil
 	rd, err := r.openLatest()
 	if err != nil {
 		return err
@@ -359,21 +372,28 @@ func (r *Runtime) State(ctx context.Context) (map[core.TensorID]*tensor.Tensor, 
 }
 
 // Release deletes the job's state on its stores — the model tree on the
-// devices of its placement, and its latest checkpoint as a later save
-// would drop it (checkpoint.Drop), the stores at once as
-// transform.FanOut allows, so that the deletes are soon over — and then
-// drops what only a live job needs: its stores, its checkpoint storage,
-// its PTC with the compiled index hanging off it, and its model. What a
-// failed delete leaves is garbage, not an inconsistency; the job's own
-// directory on a store stays, empty.
+// devices of its placement and on those a fail-stop took from it, and
+// its latest checkpoint as a later save would drop it (checkpoint.Drop),
+// the stores at once as transform.FanOut allows, so that the deletes are
+// soon over — and then drops what only a live job needs: its stores, its
+// checkpoint storage, its PTC with the compiled index hanging off it,
+// and its model. What a failed delete leaves is garbage, not an
+// inconsistency; the job's own directory on a store stays, empty.
 func (r *Runtime) Release() {
+	var devs []cluster.DeviceID
 	if r.PTC != nil {
-		_ = transform.FanOut[store.Remote](context.Background(), len(r.PTC.Devices), r.PTC.Devices, r.Stores, func(_ int, acc store.Access) error {
-			return acc.Delete(transform.ModelRoot(r.Name))
-		})
+		devs = slices.Clone(r.PTC.Devices)
 	}
+	for _, d := range r.left {
+		if !slices.Contains(devs, d) {
+			devs = append(devs, d)
+		}
+	}
+	_ = transform.FanOut[store.Remote](context.Background(), len(devs), devs, r.Stores, func(_ int, acc store.Access) error {
+		return acc.Delete(transform.ModelRoot(r.Name))
+	})
 	if r.Storage != nil {
 		checkpoint.Drop(r.Storage, r.Stores, r.Name)
 	}
-	r.Model, r.PTC, r.Stores, r.Storage = nil, nil, nil, nil
+	r.Model, r.PTC, r.Stores, r.Storage, r.left = nil, nil, nil, nil, nil
 }

@@ -453,6 +453,44 @@ func TestFailStopWithStoreGone(t *testing.T) {
 	}
 }
 
+// TestReleaseAfterFailStop: a device a fail-stop took away may keep its
+// store — the device failed, not the store daemon — and the model tree
+// the job held there when it failed; once the job is released, that
+// store holds nothing under the job's model root either.
+func TestReleaseAfterFailStop(t *testing.T) {
+	ctx := context.Background()
+	m, topo := tinyGPT(), cluster.OnPrem16()
+	stores := map[cluster.DeviceID]store.Access{}
+	for _, d := range topo.Devices {
+		stores[d.ID] = store.Local{FS: store.NewMemFS()}
+	}
+	rt := &Runtime{Name: "left", Model: m, Topo: topo, Stores: stores, Storage: store.Local{FS: store.NewMemFS()}}
+	cfg, alloc := parallel.Config{TP: 2, PP: 1, DP: 1}, cluster.Allocation{0, 1}
+	ptc, err := parallel.BuildPTC(m, cfg, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.DeploySeed(ctx, ptc, cfg, alloc, 3); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := Plan(m, topo, rt.PTC, cfg, cluster.Allocation{1, 8}, []cluster.DeviceID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Apply(ctx, ch); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := stores[0].List(transform.ModelRoot(rt.Name)); len(names) == 0 {
+		t.Fatal("the failed device's store holds no model tree: nothing for Release to delete")
+	}
+	rt.Release()
+	for _, d := range topo.Devices {
+		if names, _ := stores[d.ID].List(transform.ModelRoot("left")); len(names) != 0 {
+			t.Errorf("device %d still holds %v under the model root after Release", d.ID, names)
+		}
+	}
+}
+
 // A state several chunks large, replicated, deployed over
 // tenplex-store servers and over in-process stores, lands as
 // InitState placed by LoadPTC would put it; Verify passes it and names

@@ -87,8 +87,8 @@ type placementEntry struct {
 	job   string  // owning job for DropJob; "" = untagged
 }
 
-// NewCache returns an empty memoizing wrapper around Best and
-// BestPlacement, capped at DefaultCap entries.
+// NewCache returns an empty memoizing wrapper around Best,
+// ScorePlacement and CheapestPlacement, capped at DefaultCap entries.
 func NewCache() *Cache {
 	return &Cache{
 		m:   map[cacheKey]cacheEntry{},

@@ -211,7 +211,8 @@ const cheapestRateFloor = 0.5
 // configuration. It is the reshape a preempted or failure-struck job
 // should take: the job gains nothing from a forced change, so minimal
 // disruption — not maximal steady-state rate — is the objective.
-// (Voluntary growth is the opposite case; see BestPlacement.)
+// (Voluntary growth is the opposite case: there the rate is the
+// objective.)
 func CheapestPlacement(m *model.Model, topo *cluster.Topology, alloc cluster.Allocation,
 	cur Placement, p Params) (PlacementScore, error) {
 	n := len(alloc)
@@ -243,34 +244,6 @@ func CheapestPlacement(m *model.Model, topo *cluster.Topology, alloc cluster.All
 			(ps.MigrationBytes == best.MigrationBytes && ps.SamplesSec > best.SamplesSec) {
 			best, found = ps, true
 		}
-	}
-	return best, nil
-}
-
-// BestPlacement evaluates every configuration for the concrete
-// allocation and returns the highest-scoring feasible one — the
-// allocation-aware counterpart of Best, answering "what would the
-// parallelizer pick if it saw the real device set". Ties keep the
-// earlier enumerated configuration so the choice is deterministic.
-func BestPlacement(m *model.Model, topo *cluster.Topology, alloc cluster.Allocation,
-	cur Placement, p Params) (PlacementScore, error) {
-	n := len(alloc)
-	if n == 0 {
-		return PlacementScore{}, fmt.Errorf("perfmodel: empty candidate allocation")
-	}
-	var best PlacementScore
-	found := false
-	for _, cfg := range parallel.Enumerate(n, n, 8) {
-		ps := ScorePlacement(m, cfg, topo, alloc, cur, p)
-		if !ps.Feasible {
-			continue
-		}
-		if !found || ps.Score > best.Score {
-			best, found = ps, true
-		}
-	}
-	if !found {
-		return PlacementScore{}, fmt.Errorf("perfmodel: no feasible configuration for allocation %v", alloc)
 	}
 	return best, nil
 }

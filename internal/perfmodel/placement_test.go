@@ -313,16 +313,6 @@ func TestCheapestPlacement(t *testing.T) {
 	if got.Config != (parallel.Config{TP: 1, PP: 4, DP: 1}) {
 		t.Fatalf("cheapest shrink picked %v, want the replica shed (T=1,P=4,D=1)", got.Config)
 	}
-	// And it never returns a configuration dearer than ScorePlacement
-	// says another in-floor configuration would be.
-	best, err := BestPlacement(m, topo, four, cur, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MigrationBytes > best.MigrationBytes {
-		t.Fatalf("cheapest (%d B) moved more than the best-scoring configuration (%d B)",
-			got.MigrationBytes, best.MigrationBytes)
-	}
 }
 
 // TestScorePlacementRejectsFailedDevices: a candidate containing a

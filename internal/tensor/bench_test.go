@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"hash/crc32"
+	"io"
 	"testing"
 )
 
@@ -161,6 +162,23 @@ func kernels() []kernel {
 				mustCopy(v.WriteTo(w))
 			}
 		}},
+		{"View.Reader/strided", true, func() func() {
+			// What net/http does with an upload body: sequential 32 KiB
+			// Reads of the same view.
+			v := filled(sRows, sCols).View(mid)
+			buf := make([]byte, 32<<10)
+			return func() {
+				r, total := v.Reader(), 0
+				for {
+					n, err := r.Read(buf)
+					total += n
+					if err == io.EOF {
+						break
+					}
+				}
+				mustCopy(int64(total), nil)
+			}
+		}},
 		{"FillRandDense", false, func() func() {
 			t := New(Float32, rows, cols)
 			return func() { t.FillRandDense(1, 0.05) }
@@ -260,6 +278,7 @@ func BenchmarkCopyRegionStrided(b *testing.B)     { benchKernel(b, "CopyRegion/s
 func BenchmarkWriteRegionContiguous(b *testing.B) { benchKernel(b, "WriteRegion/contiguous") }
 func BenchmarkWriteRegionStrided(b *testing.B)    { benchKernel(b, "WriteRegion/strided") }
 func BenchmarkViewWriteToStrided(b *testing.B)    { benchKernel(b, "View.WriteTo/strided") }
+func BenchmarkViewReadStrided(b *testing.B)       { benchKernel(b, "View.Reader/strided") }
 func BenchmarkFillRandDense(b *testing.B)         { benchKernel(b, "FillRandDense") }
 func BenchmarkRandDenseFillStrided(b *testing.B)  { benchKernel(b, "RandDense.Fill/strided") }
 func BenchmarkRandDenseEqual(b *testing.B)        { benchKernel(b, "RandDense.Equal") }

@@ -21,49 +21,55 @@ func randShapeRegion(rng *rand.Rand, rank int) ([]int, Region) {
 
 // TestRandDenseRegionMatchesFill: a region of the virtual tensor is
 // FillRandDense of the whole tensor sliced to it, byte for byte, for
-// every dtype at ranks 0 to 3, written into a buffer of its own and into
-// a region of a larger one, and EqualRegion accepts exactly that.
+// every dtype over the walker's table and at random ranks 0 to 3,
+// written into a buffer of its own and into a region of a larger one,
+// and EqualRegion accepts exactly that.
 func TestRandDenseRegionMatchesFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	check := func(dt DType, shape []int, reg Region, scale float64) {
+		t.Helper()
+		r := RandDense{DType: dt, Shape: shape, Seed: rng.Int63() - 1<<62, Scale: scale}
+		full := New(dt, shape...)
+		full.FillRandDense(r.Seed, r.Scale)
+		want := NewFromRegion(dt, reg)
+		copy(want.data, regionBytes(full, reg))
+
+		got := NewFromRegion(dt, reg)
+		if err := r.FillRegion(reg, got, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%v shape %v region %v: FillRegion differs from FillRandDense sliced", dt, shape, reg)
+		}
+		if !r.EqualRegion(reg, want) {
+			t.Fatalf("%v shape %v region %v: EqualRegion refuses FillRandDense sliced", dt, shape, reg)
+		}
+
+		// The same region written at an offset of a larger tensor, and
+		// nowhere else.
+		big, at := padded(rng, reg)
+		dst := New(dt, big...)
+		if err := r.FillRegion(reg, dst, at); err != nil {
+			t.Fatal(err)
+		}
+		back := New(dt, big...)
+		es := dt.Size()
+		for i, off := range elemOffsets(big, at, es) {
+			copy(back.data[off:off+es], want.data[i*es:])
+		}
+		if !dst.Equal(back) {
+			t.Fatalf("%v shape %v region %v at %v: FillRegion into a region differs", dt, shape, reg, at)
+		}
+	}
+	scales := []float64{0.05, 1, 300}
 	for _, dt := range allDTypes {
+		for i, c := range walkCases {
+			check(dt, c.shape, c.reg, scales[i%3])
+		}
 		for rank := 0; rank <= 3; rank++ {
 			for trial := 0; trial < 40; trial++ {
 				shape, reg := randShapeRegion(rng, rank)
-				r := RandDense{DType: dt, Shape: shape, Seed: rng.Int63() - 1<<62, Scale: []float64{0.05, 1, 300}[trial%3]}
-				full := New(dt, shape...)
-				full.FillRandDense(r.Seed, r.Scale)
-				want := full.Slice(reg)
-
-				got := NewFromRegion(dt, reg)
-				if err := r.FillRegion(reg, got, nil); err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%v shape %v region %v: FillRegion differs from FillRandDense sliced", dt, shape, reg)
-				}
-				if !r.EqualRegion(reg, want) {
-					t.Fatalf("%v shape %v region %v: EqualRegion refuses FillRandDense sliced", dt, shape, reg)
-				}
-
-				// The same region written at an offset of a larger tensor.
-				big, at := make([]int, rank), make(Region, rank)
-				for d := range big {
-					off := rng.Intn(3)
-					big[d] = reg[d].Len() + off + rng.Intn(3)
-					at[d] = Range{Lo: off, Hi: off + reg[d].Len()}
-				}
-				dst := New(dt, big...)
-				if err := r.FillRegion(reg, dst, at); err != nil {
-					t.Fatal(err)
-				}
-				if !dst.Slice(at).Equal(want) {
-					t.Fatalf("%v shape %v region %v at %v: FillRegion into a region differs", dt, shape, reg, at)
-				}
-				back := New(dt, big...)
-				back.SetSlice(at, want)
-				if !dst.Equal(back) {
-					t.Fatalf("%v shape %v region %v at %v: FillRegion wrote outside its region", dt, shape, reg, at)
-				}
+				check(dt, shape, reg, scales[trial%3])
 			}
 		}
 	}
@@ -96,33 +102,30 @@ func TestRandDenseRegionRefusesMisfits(t *testing.T) {
 }
 
 // TestRandDenseEqualFindsFlips holds the fused compare to a byte
-// compare: one flipped bit at the first byte, the last, and every
-// offset mod 64 is found, and the compare is of bits — a NaN with
-// another payload, or a zero of the other sign, is a difference.
+// compare: one flipped bit at every byte of a strided region and of one
+// a run longer than the compare's buffer is found, and the compare is
+// of bits — a NaN with another payload, or a zero of the other sign, is
+// a difference.
 func TestRandDenseEqualFindsFlips(t *testing.T) {
 	for _, dt := range allDTypes {
-		r := RandDense{DType: dt, Shape: []int{5, 41}, Seed: 9, Scale: 100}
-		reg := Region{{1, 4}, {3, 40}}
-		got := NewFromRegion(dt, reg)
-		if err := r.FillRegion(reg, got, nil); err != nil {
-			t.Fatal(err)
-		}
-		n := len(got.data)
-		positions := []int{0, n - 1}
-		for p := 0; p < 64 && p < n; p++ {
-			positions = append(positions, n/2-32+p)
-		}
-		for _, p := range positions {
-			for _, bit := range []byte{0x01, 0x80} {
-				got.data[p] ^= bit
-				if r.EqualRegion(reg, got) {
-					t.Fatalf("%v: bit %#x of byte %d flipped, EqualRegion still matches", dt, bit, p)
-				}
-				got.data[p] ^= bit
+		r := RandDense{DType: dt, Shape: []int{5, 301}, Seed: 9, Scale: 100}
+		for _, reg := range []Region{{{1, 4}, {3, 40}}, {{1, 4}, {0, 301}}} {
+			got := NewFromRegion(dt, reg)
+			if err := r.FillRegion(reg, got, nil); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !r.EqualRegion(reg, got) {
-			t.Fatalf("%v: EqualRegion refuses the restored region", dt)
+			for p := range got.data {
+				for _, bit := range []byte{0x01, 0x80} {
+					got.data[p] ^= bit
+					if r.EqualRegion(reg, got) {
+						t.Fatalf("%v region %v: bit %#x of byte %d flipped, EqualRegion still matches", dt, reg, bit, p)
+					}
+					got.data[p] ^= bit
+				}
+			}
+			if !r.EqualRegion(reg, got) {
+				t.Fatalf("%v region %v: EqualRegion refuses the restored region", dt, reg)
+			}
 		}
 	}
 

@@ -64,6 +64,20 @@ func (g Region) Shape() []int {
 	return s
 }
 
+// hasShape reports whether the region's shape is shape, without building
+// it.
+func (g Region) hasShape(shape []int) bool {
+	if len(g) != len(shape) {
+		return false
+	}
+	for i, r := range g {
+		if r.Len() != shape[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // NumElems returns the number of elements the region covers.
 func (g Region) NumElems() int {
 	n := 1

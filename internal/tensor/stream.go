@@ -13,104 +13,105 @@ import (
 // from the source holder's buffer to its final destination offset
 // exactly once, whether the hop is an in-process copy or an HTTP body.
 
-// runs describes the contiguous byte runs a region occupies inside a
-// tensor's row-major backing buffer: `count` runs of `size` bytes each,
-// the first starting at byte offset `first`, successive run offsets
-// produced by an odometer over the outer dimensions.
-type runs struct {
-	t     *Tensor
-	reg   Region
-	size  int // bytes per contiguous run
-	count int // number of runs
-}
-
-func regionRuns(t *Tensor, reg Region) runs {
-	rank := len(reg)
-	if rank == 0 { // scalar
-		return runs{t: t, reg: reg, size: len(t.data), count: 1}
-	}
-	es := t.dtype.Size()
-	size := reg[rank-1].Len() * es
-	count := 1
-	for d := 0; d < rank-1; d++ {
-		count *= reg[d].Len()
-	}
-	return runs{t: t, reg: reg, size: size, count: count}
-}
-
-// maxStreamRank bounds the stack scratch of the run iterators; it
-// matches the rank cap the wire codec enforces.
+// maxStreamRank bounds the stack scratch of the run walker; it matches
+// the rank cap the wire codec enforces.
 const maxStreamRank = 16
 
-// forEach calls fn with the byte offset of every run, in row-major
-// order. fn returning false stops the iteration. The iterator keeps its
-// odometer and strides on the stack, so iterating allocates nothing.
-func (rs runs) forEach(fn func(off int) bool) {
-	rank := len(rs.reg)
-	if rank == 0 {
-		fn(0)
-		return
-	}
-	if rank > maxStreamRank {
-		panic(fmt.Sprintf("tensor: rank %d exceeds streaming cap %d", rank, maxStreamRank))
-	}
-	es := rs.t.dtype.Size()
-	var strides, idx [maxStreamRank]int
-	acc := 1
-	for d := rank - 1; d >= 0; d-- {
-		strides[d] = acc
-		acc *= rs.t.shape[d]
-	}
-	for {
-		off := rs.reg[rank-1].Lo * strides[rank-1]
-		for d := 0; d < rank-1; d++ {
-			off += (rs.reg[d].Lo + idx[d]) * strides[d]
-		}
-		if !fn(off * es) {
-			return
-		}
-		d := rank - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < rs.reg[d].Len() {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			return
-		}
-	}
+// walk steps through the row-major runs of region src of a tensor
+// shaped srcShape, each paired with the same run of the same-shaped
+// region dst of a tensor shaped dstShape, or with dst nil of src's runs
+// laid end to end. A run is the longest span gapless on both sides:
+// trailing dimensions that src and dst cover whole are one run, so a
+// gapless region is one run. Offsets and lengths are in bytes. A walk
+// is a value on its caller's stack, so walking allocates nothing:
+//
+//	w := newWalk(es, srcShape, src, dstShape, dst, 0)
+//	for w.next() {
+//		copy(to[w.dst:w.dst+w.n], from[w.src:w.src+w.n])
+//	}
+//
+// (Declared in a for statement, the walk would be copied every turn.)
+type walk struct {
+	src, dst, n int  // the current run: its offsets and length
+	size, left  int  // bytes per run, and runs next has still to visit
+	inner       int  // the dimensions from inner on lie within a run
+	started     bool // next has visited the first run
+
+	// Per dimension outer to a run: its length, strides and index.
+	lens, srcStride, dstStride, idx [maxStreamRank]int
 }
 
-// contiguous reports whether the region occupies one gapless byte span
-// of the backing buffer and, if so, returns its start offset in bytes.
-// A region is gapless iff every dimension before the last partially-
-// covered one selects a single index.
-func (rs runs) contiguous() (int, bool) {
-	rank := len(rs.reg)
-	if rank == 0 {
-		return 0, true
-	}
-	last := -1 // last dimension not covering its full extent
-	for d := 0; d < rank; d++ {
-		if rs.reg[d].Len() != rs.t.shape[d] {
-			last = d
+// newWalk starts a walk of elements of es bytes at byte at of the
+// stream the runs make end to end.
+func newWalk(es int, srcShape []int, src Region, dstShape []int, dst Region, at int) walk {
+	w := walk{size: es, left: 1, inner: len(src)}
+	for w.inner > 0 {
+		w.inner--
+		d := w.inner
+		w.size *= src[d].Len()
+		if src[d].Len() != srcShape[d] || dst != nil && dst[d].Len() != dstShape[d] {
+			break
 		}
 	}
-	for d := 0; d < last; d++ {
-		if rs.reg[d].Len() != 1 {
-			return 0, false
+	if w.inner > maxStreamRank {
+		panic(fmt.Sprintf("tensor: rank %d exceeds streaming cap %d", len(src), maxStreamRank))
+	}
+	sAcc, dAcc := es, es
+	for d := len(src) - 1; d >= 0; d-- {
+		lo, ext := 0, src[d].Len() // dst's start and extent in dimension d
+		if dst != nil {
+			lo, ext = dst[d].Lo, dstShape[d]
 		}
+		w.src += src[d].Lo * sAcc
+		w.dst += lo * dAcc
+		if d < w.inner {
+			w.lens[d], w.srcStride[d], w.dstStride[d] = src[d].Len(), sAcc, dAcc
+			w.left *= src[d].Len()
+		}
+		sAcc *= srcShape[d]
+		dAcc *= ext
 	}
-	// The start offset, accumulated innermost dimension first so the
-	// strides need no slice of their own.
-	off, stride := 0, 1
-	for d := rank - 1; d >= 0; d-- {
-		off += rs.reg[d].Lo * stride
-		stride *= rs.t.shape[d]
+	// Seek: the run holding byte at, and the bytes of it before at.
+	run, skip := at/w.size, at%w.size
+	w.left -= run
+	for d := w.inner - 1; d >= 0 && run > 0; d-- {
+		w.idx[d] = run % w.lens[d]
+		run /= w.lens[d]
+		w.src += w.idx[d] * w.srcStride[d]
+		w.dst += w.idx[d] * w.dstStride[d]
 	}
-	return off * rs.t.dtype.Size(), true
+	w.src += skip
+	w.dst += skip
+	w.n = w.size - skip
+	return w
+}
+
+// next moves to the next run, the first on its first call, and reports
+// whether there is one. It steps an odometer over the dimensions outer
+// to a run, carrying the offsets rather than recomputing them.
+func (w *walk) next() bool {
+	if w.left == 0 {
+		return false
+	}
+	w.left--
+	if !w.started {
+		w.started = true
+		return true
+	}
+	w.src += w.n - w.size // back to the start of a run the seek cut
+	w.dst += w.n - w.size
+	w.n = w.size
+	for d := w.inner - 1; d >= 0; d-- {
+		w.src += w.srcStride[d]
+		w.dst += w.dstStride[d]
+		if w.idx[d]++; w.idx[d] < w.lens[d] {
+			break
+		}
+		w.src -= w.lens[d] * w.srcStride[d]
+		w.dst -= w.lens[d] * w.dstStride[d]
+		w.idx[d] = 0
+	}
+	return true
 }
 
 // View is a read-only window over the region reg of a tensor. It
@@ -154,42 +155,41 @@ func (v View) Rank() int { return len(v.reg) }
 // NumBytes returns the payload size of the view.
 func (v View) NumBytes() int { return v.reg.NumElems() * v.t.dtype.Size() }
 
+// walk starts a walk of the view's runs at byte at of its payload.
+func (v View) walk(at int) walk {
+	return newWalk(v.t.dtype.Size(), v.t.shape, v.reg, nil, nil, at)
+}
+
 // Contiguous returns the aliased byte range when the region occupies
 // one gapless span of the backing buffer (always true for full views
 // and for leading-dimension slices), and ok=false otherwise.
 func (v View) Contiguous() ([]byte, bool) {
-	rs := regionRuns(v.t, v.reg)
-	start, ok := rs.contiguous()
-	if !ok {
+	w := v.walk(0)
+	if w.left != 1 {
 		return nil, false
 	}
-	return v.t.data[start : start+rs.size*rs.count], true
+	return v.t.data[w.src : w.src+w.n], true
 }
 
 // WriteTo streams the view's payload (raw row-major element bytes) to
-// w, reading straight out of the backing buffer.
-func (v View) WriteTo(w io.Writer) (int64, error) {
-	if b, ok := v.Contiguous(); ok {
-		n, err := w.Write(b)
-		return int64(n), err
-	}
-	rs := regionRuns(v.t, v.reg)
+// out, reading straight out of the backing buffer: one Write per run.
+func (v View) WriteTo(out io.Writer) (int64, error) {
 	var total int64
-	var werr error
-	rs.forEach(func(off int) bool {
-		n, err := w.Write(v.t.data[off : off+rs.size])
+	w := v.walk(0)
+	for w.next() {
+		n, err := out.Write(v.t.data[w.src : w.src+w.n])
 		total += int64(n)
 		if err != nil {
-			werr = err
-			return false
+			return total, err
 		}
-		return true
-	})
-	return total, werr
+	}
+	return total, nil
 }
 
 // ReadAt implements io.ReaderAt over the view's payload: off indexes
-// the row-major byte stream of the region, not the backing buffer.
+// the row-major byte stream of the region, not the backing buffer. The
+// walk starts at the run holding off, so a sequential Reader does not
+// re-walk what it has read.
 func (v View) ReadAt(p []byte, off int64) (int, error) {
 	total := int64(v.NumBytes())
 	if off < 0 {
@@ -198,25 +198,12 @@ func (v View) ReadAt(p []byte, off int64) (int, error) {
 	if off >= total {
 		return 0, io.EOF
 	}
-	rs := regionRuns(v.t, v.reg)
 	read := 0
-	pos := int64(0)
-	rs.forEach(func(runOff int) bool {
-		runEnd := pos + int64(rs.size)
-		if runEnd <= off {
-			pos = runEnd
-			return true
-		}
-		skip := int64(0)
-		if off > pos {
-			skip = off - pos
-		}
-		n := copy(p[read:], v.t.data[runOff+int(skip):runOff+rs.size])
-		read += n
-		pos = runEnd
-		return read < len(p)
-	})
-	if read < len(p) && off+int64(read) >= total {
+	w := v.walk(int(off))
+	for read < len(p) && w.next() {
+		read += copy(p[read:], v.t.data[w.src:w.src+w.n])
+	}
+	if read < len(p) {
 		return read, io.EOF
 	}
 	return read, nil
@@ -262,39 +249,23 @@ func (t *Tensor) WriteRegion(reg Region, r io.Reader) (int64, error) {
 	if !reg.Valid(t.shape) {
 		return 0, fmt.Errorf("tensor: WriteRegion region %v invalid for shape %v", reg, t.shape)
 	}
-	rs := regionRuns(t, reg)
-	if b, ok := func() ([]byte, bool) {
-		start, ok := rs.contiguous()
-		if !ok {
-			return nil, false
-		}
-		return t.data[start : start+rs.size*rs.count], true
-	}(); ok {
-		n, err := io.ReadFull(r, b)
-		if err != nil {
-			return int64(n), fmt.Errorf("tensor: WriteRegion: %w", err)
-		}
-		return int64(n), nil
-	}
 	var total int64
-	var rerr error
-	rs.forEach(func(off int) bool {
-		n, err := io.ReadFull(r, t.data[off:off+rs.size])
+	w := newWalk(t.dtype.Size(), t.shape, reg, nil, nil, 0)
+	for w.next() {
+		n, err := io.ReadFull(r, t.data[w.src:w.src+w.n])
 		total += int64(n)
 		if err != nil {
-			rerr = fmt.Errorf("tensor: WriteRegion: %w", err)
-			return false
+			return total, fmt.Errorf("tensor: WriteRegion: %w", err)
 		}
-		return true
-	})
-	return total, rerr
+	}
+	return total, nil
 }
 
 // CopyRegion copies srcReg of src directly into dstReg of dst — the
 // pure-copy fast path for local range fetches. Region shapes and dtypes
 // must match. It returns the number of bytes copied (every byte moves
 // exactly once). It allocates nothing: validation reads the shapes in
-// place and the copy odometer lives on the stack. Slice and SetSlice
+// place and the walk lives on the stack. Slice and SetSlice
 // copy through it.
 func CopyRegion(dst *Tensor, dstReg Region, src *Tensor, srcReg Region) (int64, error) {
 	if !dstReg.Valid(dst.shape) {
@@ -314,45 +285,12 @@ func CopyRegion(dst *Tensor, dstReg Region, src *Tensor, srcReg Region) (int64, 
 			return 0, fmt.Errorf("tensor: CopyRegion shape mismatch %v vs %v", dstReg, srcReg)
 		}
 	}
-	rank := len(srcReg)
-	if rank == 0 {
-		return int64(copy(dst.data, src.data)), nil
+	if len(srcReg) > maxStreamRank {
+		return 0, fmt.Errorf("tensor: CopyRegion rank %d exceeds streaming cap %d", len(srcReg), maxStreamRank)
 	}
-	if rank > maxStreamRank {
-		return 0, fmt.Errorf("tensor: CopyRegion rank %d exceeds streaming cap %d", rank, maxStreamRank)
-	}
-	es := src.dtype.Size()
-	var srcStrides, dstStrides, idx [maxStreamRank]int
-	acc := 1
-	for d := rank - 1; d >= 0; d-- {
-		srcStrides[d] = acc
-		acc *= src.shape[d]
-	}
-	acc = 1
-	for d := rank - 1; d >= 0; d-- {
-		dstStrides[d] = acc
-		acc *= dst.shape[d]
-	}
-	rowLen := srcReg[rank-1].Len() * es
-	for {
-		srcOff := srcReg[rank-1].Lo * srcStrides[rank-1]
-		dstOff := dstReg[rank-1].Lo * dstStrides[rank-1]
-		for d := 0; d < rank-1; d++ {
-			srcOff += (srcReg[d].Lo + idx[d]) * srcStrides[d]
-			dstOff += (dstReg[d].Lo + idx[d]) * dstStrides[d]
-		}
-		copy(dst.data[dstOff*es:dstOff*es+rowLen], src.data[srcOff*es:srcOff*es+rowLen])
-		d := rank - 2
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < srcReg[d].Len() {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			break
-		}
+	w := newWalk(src.dtype.Size(), src.shape, srcReg, dst.shape, dstReg, 0)
+	for w.next() {
+		copy(dst.data[w.dst:w.dst+w.n], src.data[w.src:w.src+w.n])
 	}
 	return srcReg.NumBytes(src.dtype), nil
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -18,23 +19,89 @@ func randRegion(rng *rand.Rand, shape []int) Region {
 	return reg
 }
 
+// walkCases are the regions every test of the walker's users runs over
+// besides its random ones: ranks 0 to 6, size-1 dimensions, and trailing
+// dimensions covered whole (one run, or runs merged across dimensions)
+// or not.
+var walkCases = []struct {
+	shape []int
+	reg   Region
+}{
+	{nil, Region{}},
+	{[]int{1}, Region{{0, 1}}},
+	{[]int{5}, Region{{1, 4}}},
+	{[]int{1, 1, 1}, Region{{0, 1}, {0, 1}, {0, 1}}},
+	{[]int{3, 1, 4}, Region{{1, 3}, {0, 1}, {0, 4}}},
+	{[]int{4, 3, 5}, Region{{1, 3}, {0, 3}, {0, 5}}},
+	{[]int{4, 3, 5}, Region{{0, 4}, {1, 2}, {0, 5}}},
+	{[]int{4, 3, 5}, Region{{0, 4}, {0, 3}, {2, 4}}},
+	{[]int{2, 3, 1, 4}, Region{{0, 2}, {1, 3}, {0, 1}, {1, 3}}},
+	{[]int{2, 1, 3, 2, 2}, Region{{1, 2}, {0, 1}, {0, 3}, {0, 2}, {1, 2}}},
+	{[]int{2, 2, 1, 3, 1, 2}, Region{{0, 2}, {1, 2}, {0, 1}, {0, 2}, {0, 1}, {0, 2}}},
+	{[]int{1, 2, 3, 1, 2, 3}, Region{{0, 1}, {0, 2}, {0, 3}, {0, 1}, {0, 2}, {0, 3}}},
+}
+
+// elemOffsets lists the byte offset, in a tensor shaped shape, of every
+// element of reg in row-major order: the reference the walker's users
+// are held to, worked out an element at a time from its coordinates.
+func elemOffsets(shape []int, reg Region, es int) []int {
+	offs := make([]int, reg.NumElems())
+	for i := range offs {
+		rest, stride := i, es
+		for d := len(reg) - 1; d >= 0; d-- {
+			offs[i] += (reg[d].Lo + rest%reg[d].Len()) * stride
+			rest /= reg[d].Len()
+			stride *= shape[d]
+		}
+	}
+	return offs
+}
+
+// regionBytes gathers reg's payload out of t an element at a time.
+func regionBytes(t *Tensor, reg Region) []byte {
+	es := t.dtype.Size()
+	var out []byte
+	for _, off := range elemOffsets(t.shape, reg, es) {
+		out = append(out, t.data[off:off+es]...)
+	}
+	return out
+}
+
+// padded returns a shape that holds reg's shape with room around it in
+// every dimension, and where reg lands in it.
+func padded(rng *rand.Rand, reg Region) ([]int, Region) {
+	shape, at := make([]int, len(reg)), make(Region, len(reg))
+	for d := range reg {
+		lo := rng.Intn(3)
+		shape[d] = lo + reg[d].Len() + rng.Intn(3)
+		at[d] = Range{lo, lo + reg[d].Len()}
+	}
+	return shape, at
+}
+
 func TestViewWriteToMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	shapes := [][]int{{16}, {4, 8}, {3, 5, 7}, {2, 3, 4, 5}, {1, 9}}
-	for _, shape := range shapes {
+	check := func(shape []int, reg Region) {
+		t.Helper()
 		src := New(Float32, shape...)
 		src.FillSeq(0, 1)
+		var buf bytes.Buffer
+		n, err := src.View(reg).WriteTo(&buf)
+		if err != nil {
+			t.Fatalf("shape %v reg %v: %v", shape, reg, err)
+		}
+		want := regionBytes(src, reg)
+		if n != int64(len(want)) || !bytes.Equal(buf.Bytes(), want) || !bytes.Equal(want, src.Slice(reg).Data()) {
+			t.Fatalf("shape %v reg %v: streamed %d bytes != sliced payload", shape, reg, n)
+		}
+	}
+	for _, c := range walkCases {
+		check(c.shape, c.reg)
+	}
+	shapes := [][]int{{16}, {4, 8}, {3, 5, 7}, {2, 3, 4, 5}, {1, 9}}
+	for _, shape := range shapes {
 		for trial := 0; trial < 50; trial++ {
-			reg := randRegion(rng, shape)
-			var buf bytes.Buffer
-			n, err := src.View(reg).WriteTo(&buf)
-			if err != nil {
-				t.Fatalf("shape %v reg %v: %v", shape, reg, err)
-			}
-			want := src.Slice(reg)
-			if n != int64(want.NumBytes()) || !bytes.Equal(buf.Bytes(), want.Data()) {
-				t.Fatalf("shape %v reg %v: streamed %d bytes != sliced payload", shape, reg, n)
-			}
+			check(shape, randRegion(rng, shape))
 		}
 	}
 }
@@ -61,6 +128,15 @@ func TestViewContiguous(t *testing.T) {
 			t.Fatalf("reg %v: contiguous bytes differ from slice", c.reg)
 		}
 	}
+	// A view is one span exactly when its elements' offsets are.
+	for _, c := range walkCases {
+		v := New(Float32, c.shape...).View(c.reg)
+		offs := elemOffsets(c.shape, c.reg, 4)
+		gapless := offs[len(offs)-1]-offs[0] == 4*(len(offs)-1)
+		if b, ok := v.Contiguous(); ok != gapless || ok && (len(b) != 4*len(offs) || &b[0] != &v.t.data[offs[0]]) {
+			t.Fatalf("shape %v reg %v: contiguous=%v, want %v", c.shape, c.reg, ok, gapless)
+		}
+	}
 	// Contiguous views alias the backing buffer: no copy.
 	b, _ := src.View(Region{{1, 3}, {0, 6}}).Contiguous()
 	b[0] ^= 0xff
@@ -70,13 +146,35 @@ func TestViewContiguous(t *testing.T) {
 }
 
 func TestViewReadAt(t *testing.T) {
+	// Every offset of the table's views, so every run boundary, every
+	// point inside a run and inside an element, read to the end, a byte,
+	// and across the next boundary.
+	for _, c := range walkCases {
+		src := New(Float32, c.shape...)
+		src.FillSeq(0, 1)
+		v, want := src.View(c.reg), regionBytes(src, c.reg)
+		for off := range want {
+			for _, ln := range []int{len(want) - off, 1, min(7, len(want)-off)} {
+				p := make([]byte, ln)
+				if n, err := v.ReadAt(p, int64(off)); n != ln || (err != nil && err != io.EOF) || !bytes.Equal(p, want[off:off+ln]) {
+					t.Fatalf("shape %v reg %v ReadAt(%d,%d) = %d, %v: mismatch", c.shape, c.reg, off, ln, n, err)
+				}
+			}
+		}
+		if n, err := v.ReadAt(make([]byte, 1), int64(len(want))); n != 0 || err != io.EOF {
+			t.Fatalf("shape %v reg %v: ReadAt past the end = %d, %v", c.shape, c.reg, n, err)
+		}
+		if n, err := v.ReadAt(make([]byte, len(want)+1), 0); n != len(want) || err != io.EOF {
+			t.Fatalf("shape %v reg %v: ReadAt over the end = %d, %v", c.shape, c.reg, n, err)
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
 	src := New(Uint8, 7, 9, 5)
 	src.FillSeq(0, 1)
 	for trial := 0; trial < 60; trial++ {
 		reg := randRegion(rng, []int{7, 9, 5})
 		v := src.View(reg)
-		want := src.Slice(reg).Data()
+		want := regionBytes(src, reg)
 		// Random offset/length probes.
 		for probe := 0; probe < 8; probe++ {
 			off := rng.Intn(len(want))
@@ -103,33 +201,40 @@ func TestViewReadAt(t *testing.T) {
 
 func TestWriteRegionScatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	check := func(shape []int, reg Region) {
+		t.Helper()
+		payload := make([]byte, reg.NumBytes(Float32))
+		rng.Read(payload)
+
+		// Reference: the payload put an element at a time at the offsets
+		// of the region's elements.
+		want := New(Float32, shape...)
+		want.FillSeq(100, 1)
+		for i, off := range elemOffsets(shape, reg, 4) {
+			copy(want.data[off:off+4], payload[4*i:])
+		}
+
+		got := New(Float32, shape...)
+		got.FillSeq(100, 1)
+		// Feed the payload in awkward small chunks to exercise ReadFull.
+		n, err := got.WriteRegion(reg, iotest(payload, 3))
+		if err != nil {
+			t.Fatalf("shape %v reg %v: %v", shape, reg, err)
+		}
+		if n != int64(len(payload)) {
+			t.Fatalf("shape %v reg %v: consumed %d of %d bytes", shape, reg, n, len(payload))
+		}
+		if !got.Equal(want) {
+			t.Fatalf("shape %v reg %v: scatter-write mismatch", shape, reg)
+		}
+	}
+	for _, c := range walkCases {
+		check(c.shape, c.reg)
+	}
 	shapes := [][]int{{12}, {5, 7}, {3, 4, 6}}
 	for _, shape := range shapes {
 		for trial := 0; trial < 60; trial++ {
-			reg := randRegion(rng, shape)
-			payload := make([]byte, reg.NumBytes(Float32))
-			rng.Read(payload)
-
-			// Reference: decode payload into a sub-tensor and SetSlice it.
-			want := New(Float32, shape...)
-			want.FillSeq(100, 1)
-			sub := New(Float32, reg.Shape()...)
-			copy(sub.Data(), payload)
-			want.SetSlice(reg, sub)
-
-			got := New(Float32, shape...)
-			got.FillSeq(100, 1)
-			// Feed the payload in awkward small chunks to exercise ReadFull.
-			n, err := got.WriteRegion(reg, iotest(payload, 3))
-			if err != nil {
-				t.Fatalf("shape %v reg %v: %v", shape, reg, err)
-			}
-			if n != int64(len(payload)) {
-				t.Fatalf("shape %v reg %v: consumed %d of %d bytes", shape, reg, n, len(payload))
-			}
-			if !got.Equal(want) {
-				t.Fatalf("shape %v reg %v: scatter-write mismatch", shape, reg)
-			}
+			check(shape, randRegion(rng, shape))
 		}
 	}
 }
@@ -169,14 +274,16 @@ func TestWriteRegionShortStream(t *testing.T) {
 
 func TestCopyRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	src := New(Float32, 6, 8)
-	src.FillSeq(0, 1)
-	for trial := 0; trial < 50; trial++ {
-		reg := randRegion(rng, []int{6, 8})
-		dst := New(Float32, 10, 12)
-		at := Region{
-			{1, 1 + reg[0].Len()},
-			{2, 2 + reg[1].Len()},
+	// check copies reg of a tensor shaped shape to at of one shaped
+	// dstShape and holds the result to an element-at-a-time copy.
+	check := func(shape []int, reg Region, dstShape []int, at Region) {
+		t.Helper()
+		src := New(Float32, shape...)
+		src.FillSeq(1, 1)
+		dst, want := New(Float32, dstShape...), New(Float32, dstShape...)
+		dstOffs := elemOffsets(dstShape, at, 4)
+		for i, off := range elemOffsets(shape, reg, 4) {
+			copy(want.data[dstOffs[i]:dstOffs[i]+4], src.data[off:off+4])
 		}
 		n, err := CopyRegion(dst, at, src, reg)
 		if err != nil {
@@ -185,10 +292,27 @@ func TestCopyRegion(t *testing.T) {
 		if n != reg.NumBytes(Float32) {
 			t.Fatalf("copied %d bytes, want %d", n, reg.NumBytes(Float32))
 		}
-		if !dst.Slice(at).Equal(src.Slice(reg)) {
-			t.Fatalf("reg %v: CopyRegion mismatch", reg)
+		if !dst.Equal(want) {
+			t.Fatalf("reg %v of %v to %v of %v: CopyRegion mismatch", reg, shape, at, dstShape)
 		}
 	}
+	for _, c := range walkCases {
+		// Into a padded tensor, into one it fills whole, and from one it
+		// fills whole: runs merge on one side only, or on neither.
+		dstShape, at := padded(rng, c.reg)
+		check(c.shape, c.reg, dstShape, at)
+		check(c.shape, c.reg, c.reg.Shape(), FullRegion(c.reg.Shape()))
+		check(c.reg.Shape(), FullRegion(c.reg.Shape()), dstShape, at)
+	}
+	for trial := 0; trial < 50; trial++ {
+		reg := randRegion(rng, []int{6, 8})
+		at := Region{
+			{1, 1 + reg[0].Len()},
+			{2, 2 + reg[1].Len()},
+		}
+		check([]int{6, 8}, reg, []int{10, 12}, at)
+	}
+	src := New(Float32, 6, 8)
 	// Mismatched shapes and dtypes are rejected.
 	if _, err := CopyRegion(New(Float32, 2, 2), FullRegion([]int{2, 2}), src, Region{{0, 1}, {0, 1}}); err == nil {
 		t.Fatal("shape mismatch accepted")
@@ -273,5 +397,38 @@ func TestRegionShift(t *testing.T) {
 	}
 	if !shifted.Translate([]int{10, 5}).Equal(g) {
 		t.Fatal("Shift is not the inverse of Translate")
+	}
+}
+
+// TestWalkUsersAllocateNothing: every user of the run walker walks a
+// strided region without a heap allocation.
+func TestWalkUsersAllocateNothing(t *testing.T) {
+	src := New(Float32, 8, 6, 5)
+	src.FillSeq(0, 1)
+	reg := Region{{1, 7}, {2, 5}, {1, 4}}
+	dst, payload := NewFromRegion(Float32, reg), regionBytes(src, reg)
+	whole, v, p := FullRegion(dst.shape), src.View(reg), make([]byte, 17)
+	rd, w := bytes.NewReader(nil), &sliceWriter{buf: make([]byte, len(payload))}
+	r := RandDense{DType: Float32, Shape: src.shape, Seed: 1, Scale: 1}
+	filled := NewFromRegion(Float32, reg)
+	if err := r.FillRegion(reg, filled, nil); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	for name, op := range map[string]func(){
+		"CopyRegion":   func() { _, err = CopyRegion(dst, whole, src, reg) },
+		"View.WriteTo": func() { w.n = 0; _, err = v.WriteTo(w) },
+		"View.ReadAt":  func() { _, err = v.ReadAt(p, 23) },
+		"WriteRegion":  func() { rd.Reset(payload); _, err = src.WriteRegion(reg, rd) },
+		"FillRegion":   func() { err = r.FillRegion(reg, dst, nil) },
+		"EqualRegion": func() {
+			if !r.EqualRegion(reg, filled) {
+				err = errors.New("EqualRegion refuses what FillRegion wrote")
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(100, op); n != 0 || err != nil {
+			t.Errorf("%s allocates %.1f times a call (err %v)", name, n, err)
+		}
 	}
 }

@@ -243,24 +243,41 @@ func (t *Tensor) FillRand(seed int64, scale float64) {
 // that materialize whole model states (many tensors per job) stay off
 // the RNG setup cost. The two generators produce different streams.
 func (t *Tensor) FillRandDense(seed int64, scale float64) {
-	x := uint64(seed)
-	switch t.dtype {
+	fillRand(t.data, t.dtype, uint64(seed)+splitmixGamma, scale)
+}
+
+// fillRand writes the elements drawn from splitmix64 states x, x+gamma,
+// x+2·gamma, ... into d as dt: the one element kernel FillRandDense,
+// RandDense.FillRegion and RandDense.EqualRegion share.
+func fillRand(d []byte, dt DType, x uint64, scale float64) {
+	switch dt {
 	case Float32:
-		// Walking the slice instead of indexing it lets the compiler drop
-		// the bounds check per element.
-		for d := t.data; len(d) >= 4; d = d[4:] {
-			x += splitmixGamma
+		// Two elements a turn: their mixes are independent, so the core
+		// overlaps them. Walking the slice instead of indexing it lets
+		// the compiler drop the bounds check per element.
+		for ; len(d) >= 8; d = d[8:] {
+			u, v := splitmixUnit(x), splitmixUnit(x+splitmixGamma)
+			binary.LittleEndian.PutUint32(d, math.Float32bits(float32(u*scale)))
+			binary.LittleEndian.PutUint32(d[4:], math.Float32bits(float32(v*scale)))
+			x += splitmixGamma2
+		}
+		if len(d) >= 4 {
 			binary.LittleEndian.PutUint32(d, math.Float32bits(float32(splitmixUnit(x)*scale)))
 		}
 	case Float64:
-		for d := t.data; len(d) >= 8; d = d[8:] {
-			x += splitmixGamma
+		for ; len(d) >= 16; d = d[16:] {
+			u, v := splitmixUnit(x), splitmixUnit(x+splitmixGamma)
+			binary.LittleEndian.PutUint64(d, math.Float64bits(u*scale))
+			binary.LittleEndian.PutUint64(d[8:], math.Float64bits(v*scale))
+			x += splitmixGamma2
+		}
+		if len(d) >= 8 {
 			binary.LittleEndian.PutUint64(d, math.Float64bits(splitmixUnit(x)*scale))
 		}
 	default:
-		for i, n := 0, t.NumElems(); i < n; i++ {
+		for es := dt.Size(); len(d) >= es; d = d[es:] {
+			putFloat64(dt, d, splitmixUnit(x)*scale)
 			x += splitmixGamma
-			t.setFloat64Flat(i, splitmixUnit(x)*scale)
 		}
 	}
 }

@@ -61,11 +61,11 @@ func TestE2EInProcess(t *testing.T) {
 	t.Cleanup(func() { _ = closeFn() })
 
 	c := &client{base: "http://" + bound, token: "e2e-token", t: t}
-	ids, canceled, failed := driveWorkload(t, c, clients)
+	ids, canceled := driveWorkload(t, c, clients)
 	checkEvents(t, c, ids, canceled)
 	lat := checkMetrics(t, c, 4, true)
 	t.Logf("in-process e2e: %s", fmtLatency(lat))
-	checkStoreState(t, clients, ids, failed)
+	checkStoreState(t, clients, ids)
 
 	res, err := svc.Stop()
 	if err != nil {

@@ -129,7 +129,7 @@ func (c *client) waitDeployed(id string, timeout time.Duration) jobStatus {
 // families so the survivors contend for the 3 healthy devices, scale
 // one up and one down, cancel a long-runner, and assert terminal
 // states. Returns all job IDs and the canceled job's ID.
-func driveWorkload(t *testing.T, c *client, stores []*store.Client) (ids []string, canceled string, failed int) {
+func driveWorkload(t *testing.T, c *client, stores []*store.Client) (ids []string, canceled string) {
 	a := c.submit(api.SubmitRequest{Name: "a", Model: api.ModelSpec{Preset: "gpt-small"},
 		GPUs: 2, MinGPUs: 1, MaxGPUs: 4, DurationMin: 1000})
 	stA := c.waitRunning(a, 20*time.Second)
@@ -156,7 +156,7 @@ func driveWorkload(t *testing.T, c *client, stores []*store.Client) (ids []strin
 	// Fail one of a's devices while survivors exist: the coordinator
 	// must replan onto the remaining healthy devices, and the restored
 	// state must still pass bit-verification at completion.
-	failed = stA.Alloc[0]
+	failed := stA.Alloc[0]
 	if code, raw := c.do("POST", "/v1/cluster/fail", api.FailRequest{Device: failed}, nil); code != http.StatusOK {
 		t.Fatalf("fail device %d: %d %s", stA.Alloc[0], code, raw)
 	}
@@ -212,7 +212,7 @@ func driveWorkload(t *testing.T, c *client, stores []*store.Client) (ids []strin
 	if cs.Completed < 3 || cs.Canceled != 1 {
 		t.Fatalf("cluster counts: %+v", cs)
 	}
-	return ids, cc, failed
+	return ids, cc
 }
 
 // checkEvents reads the NDJSON stream and requires the workload's
@@ -288,21 +288,16 @@ func committedShards(stores []*store.Client, id string) (int, error) {
 
 // checkStoreState asserts that the finished jobs, completed or
 // canceled, left neither a model tree nor a checkpoint step on the store
-// servers: the coordinator deletes both on the job's chain once the job
-// is over, shortly after its outcome, so it polls for them to go. A
-// model tree is deleted on the devices the job holds at the end, so
-// the store of the device that failed (servers are indexed by device)
-// keeps what it held when it failed.
-func checkStoreState(t *testing.T, stores []*store.Client, finished []string, failed int) {
+// servers — the store of a device that failed under a job included: the
+// coordinator deletes both on the job's chain once the job is over,
+// shortly after its outcome, so it polls for them to go.
+func checkStoreState(t *testing.T, stores []*store.Client, finished []string) {
 	t.Helper()
 	for _, id := range finished {
 		for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 			var left []string
-			for d, sc := range stores {
+			for _, sc := range stores {
 				for _, tree := range []string{"/model", "/ckpt"} {
-					if tree == "/model" && d == failed {
-						continue
-					}
 					names, _ := sc.List("/job/" + id + tree)
 					left = append(left, names...)
 				}

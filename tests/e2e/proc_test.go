@@ -65,11 +65,11 @@ func TestE2ESubprocess(t *testing.T) {
 	waitHealthy(t, base, 15*time.Second)
 
 	c := &client{base: base, token: "e2e-token", t: t}
-	ids, canceled, failed := driveWorkload(t, c, clients)
+	ids, canceled := driveWorkload(t, c, clients)
 	checkEvents(t, c, ids, canceled)
 	lat := checkMetrics(t, c, 4, true)
 	t.Logf("subprocess e2e: %s", fmtLatency(lat))
-	checkStoreState(t, clients, ids, failed)
+	checkStoreState(t, clients, ids)
 
 	// Graceful shutdown: SIGINT, wait for the exit summary.
 	if err := coordd.cmd.Process.Signal(os.Interrupt); err != nil {
