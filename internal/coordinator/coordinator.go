@@ -125,15 +125,14 @@ type Options struct {
 	// order. nil means FIFO{} — the original behavior, with sim traces
 	// byte-identical to the pre-Policy coordinator.
 	Policy Policy
-	// Placement enables allocation-aware placement scoring: instead of
-	// the single count-based compact pick, the coordinator enumerates
-	// up to four lease-feasible device sets per admission and
-	// expansion (Ledger.CandidateSets), scores each
-	// concrete set with perfmodel.ScorePlacement (TP-group locality,
-	// worst-link bandwidth, netsim-priced migration of the job's state
-	// from its current allocation), and lets the Policy rank them;
-	// preemption victims are scored by the netsim cost of evicting
-	// them, not just largest surplus. Disabled (the default), sim
+	// Placement enables allocation-aware placement scoring: the
+	// coordinator enumerates up to four lease-feasible device sets per
+	// admission and expansion (Ledger.CandidateSets), scores each with
+	// perfmodel.ScorePlacement (throughput on exactly those devices, less
+	// the migration priced by the change it would commit there), lets the
+	// Policy rank them and commits the pick's change as scored; forced
+	// shrinks take the reshape whose plan moves the fewest bytes, and
+	// victims are ranked by those bytes. Disabled (the default), sim
 	// traces are byte-identical to the count-based coordinator.
 	Placement bool
 	// Mode selects the driver: deterministic simulated time (default) or

@@ -26,7 +26,9 @@ package coordinator
 //     back after a later one was planned on top of it. That commit notices
 //     on its chain and plans the same (cfg, alloc) again from what the
 //     runtime holds (jobRuntime.rebase); the price charged stands, and its
-//     outcome brings decided back (converge).
+//     outcome brings decided back (converge). Placement prices a candidate
+//     with the change it would commit there (sim.pricer) and commits the
+//     one it picks as scored: one plan, one price, placed and charged.
 //
 //   - Where each driver waits. The sim driver (ModeSim) joins every chain
 //     after a step, attaches what they reported and books, until an
@@ -74,12 +76,12 @@ package coordinator
 //     packCompact reference are test code (ledger_scratch_test.go), held
 //     byte-identical by seeded property suites.
 //
-//   - perfmodel.Cache: entries are stamped with the sum of the per-worker
-//     health epochs of the workers their inputs touch, so an event
-//     invalidates only the entries whose allocations intersect its
-//     worker. Finished jobs' scores and dead models' entries are shed as
-//     they go (DropJob, DropModel); the size cap is a backstop no run
-//     reaches, and an insert past it clears the cache.
+//   - perfmodel.Cache: entries, placement scores with the change their
+//     price planned, are stamped with the sum of the per-worker health
+//     epochs of the workers they touch (candidate and source), so an event
+//     invalidates only the entries whose devices share its worker.
+//     Finished jobs' entries and dead models' are shed as they go
+//     (DropJob, DropModel); the size cap is a backstop no run reaches.
 //
 // The dcscale experiments (tenplex-bench -record dcscale) measure the
 // result: per-decision latency at 512/1024/2048 devices with 50–200 jobs,

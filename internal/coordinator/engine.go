@@ -3,9 +3,10 @@ package coordinator
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"tenplex/internal/cluster"
+	"tenplex/internal/core"
 	"tenplex/internal/job"
 	"tenplex/internal/model"
 	"tenplex/internal/parallel"
@@ -56,30 +57,32 @@ const placementCandidates = 4
 // (T, P, D), so placement-aware runs stay comparable to count-based
 // ones decision for decision. cur is the job's current allocation (nil
 // at admission); candidates always contain it, so a grow never moves
-// the job off devices it holds. nil means no candidate could be scored
-// — the caller falls back to the count-based pick.
+// the job off devices it holds. Each candidate carries the change its
+// score priced, committed if it is picked. nil means placement is off or
+// no candidate could be scored: the caller picks by count.
 func (s *sim) choosePlacement(j *simJob, cfg parallel.Config, n int, cur cluster.Allocation) *PlacementCandidate {
 	extra := n - len(cur)
-	if extra < 1 {
+	if !s.opts.Placement || extra < 1 {
 		return nil
 	}
-	curPl := perfmodel.Placement{Alloc: cur, Config: j.cfg}
-	sets := s.ledger.CandidateSets(extra, placementCandidates, cur)
+	pr := s.pricer(j, nil)
 	var cands []*PlacementCandidate
-	for _, set := range sets {
+	for _, set := range s.ledger.CandidateSets(extra, placementCandidates, cur) {
 		full := append(append(cluster.Allocation(nil), cur...), set...)
-		ps := s.cache.ScorePlacementFor(j.spec.Name, j.spec.Model, cfg, s.topo, full, curPl, s.opts.Perf)
+		ps := s.cache.ScorePlacementFor(j.spec.Name, j.spec.Model, cfg, s.topo, full, pr, s.opts.Perf)
 		if !ps.Feasible {
 			continue
 		}
+		ch, _ := ps.Migration.Plan.(*job.Change)
 		cands = append(cands, &PlacementCandidate{
 			Devices:        full,
 			Config:         ps.Config,
 			Spread:         len(full.Workers(s.topo)),
 			SamplesSec:     ps.SamplesSec,
-			MigrationSec:   ps.MigrationSec,
-			MigrationBytes: ps.MigrationBytes,
+			MigrationSec:   ps.Migration.Sec,
+			MigrationBytes: ps.Migration.Bytes,
 			Score:          ps.Score,
+			ch:             ch,
 		})
 	}
 	if len(cands) == 0 {
@@ -92,54 +95,88 @@ func (s *sim) choosePlacement(j *simJob, cfg parallel.Config, n int, cur cluster
 	return pick
 }
 
-// evictCostFor prices exactly the shrink reclaimFor would commit if it
-// picked this victim next — shrink by min(surplus, need), down to the
-// largest feasible size, under the cheapest feasible reshape — so the
-// prediction and the act agree (victims keep their leading devices;
-// the shrink truncates the allocation, matching applyChange). It
-// returns the netsim-priced cost and the devices that shrink frees; a
-// victim with no feasible shrink right now prices as +Inf.
-func (s *sim) evictCostFor(r *simJob, floor, need int) (float64, int) {
-	give := len(r.alloc) - floor
-	if give > need {
-		give = need
-	}
-	n, _, ok := s.bestAtMost(r.spec.Model, len(r.alloc)-give, floor)
-	if !ok || n >= len(r.alloc) {
-		return math.Inf(1), 0
-	}
-	cps, err := s.cache.CheapestPlacementFor(r.spec.Name, r.spec.Model, s.topo, r.alloc[:n],
-		perfmodel.Placement{Alloc: r.alloc, Config: r.cfg}, s.opts.Perf)
-	if err != nil {
-		return math.Inf(1), 0
-	}
-	return cps.MigrationSec, len(r.alloc) - n
+// priceSource keys a memoized price so that no change is committed twice:
+// a restore by its requeue, a plan by its decided PTC and failed devices.
+type priceSource struct {
+	job     string
+	requeue int
+	decided *core.PTC
+	failed  string
 }
 
-// shrinkConfig picks the configuration a forced shrink (preemption or
-// recovery) of job j onto alloc should take. Count-based runs keep the
-// parallelizer's throughput-best pick; placement-aware runs take the
-// cheapest feasible reshape instead — a forced change earns the job
-// nothing, so minimal state movement is the objective.
-func (s *sim) shrinkConfig(j *simJob, est perfmodel.Estimate, alloc cluster.Allocation) parallel.Config {
-	if !s.opts.Placement {
-		return est.Config
+// pricer prices moving j's state onto a candidate with the change the
+// loop would commit for it: nothing for a first deploy, whose state is
+// generated in place; the restore from its checkpoint for a re-admission;
+// and for a running job the plan from its decided PTC, with the failed
+// devices a recovery reads from storage instead.
+func (s *sim) pricer(j *simJob, failed []cluster.DeviceID) perfmodel.Pricer {
+	if !j.admitted {
+		return perfmodel.Pricer{}
 	}
-	cps, err := s.cache.CheapestPlacementFor(j.spec.Name, j.spec.Model, s.topo, alloc,
-		perfmodel.Placement{Alloc: j.alloc, Config: j.cfg}, s.opts.Perf)
+	if j.state != jobRunning {
+		return perfmodel.Pricer{Source: priceSource{job: j.spec.Name, requeue: j.requeues},
+			Price: func(cfg parallel.Config, alloc cluster.Allocation) (perfmodel.Migration, error) {
+				return migration(job.PlanRestore(j.spec.Model, s.topo, cfg, alloc))
+			}}
+	}
+	return perfmodel.Pricer{
+		Source: priceSource{job: j.spec.Name, decided: j.decided, failed: cluster.Allocation(failed).Signature()},
+		From:   j.decided.Devices,
+		Price: func(cfg parallel.Config, alloc cluster.Allocation) (perfmodel.Migration, error) {
+			return migration(s.planOnLoop(j, cfg, alloc, failed))
+		},
+	}
+}
+
+// migration is a change planned on the loop, as perfmodel prices it.
+func migration(ch *job.Change, err error) (perfmodel.Migration, error) {
 	if err != nil {
-		return est.Config
+		return perfmodel.Migration{}, err
 	}
-	return cps.Config
+	return perfmodel.Migration{Sec: ch.SimSec, Bytes: ch.Stats.MovedBytes, Plan: ch}, nil
+}
+
+// evictBytesFor plans exactly the shrink reclaimFor would commit if it
+// picked this victim next — shrink by min(surplus, need), down to the
+// largest feasible size, under the cheapest feasible reshape — so the
+// prediction and the act agree: both are the one memoized plan (victims
+// keep their leading devices; the shrink truncates the allocation). It
+// returns the bytes that plan moves and the devices it frees; a victim
+// with no feasible shrink right now moves math.MaxInt64.
+func (s *sim) evictBytesFor(r *simJob, floor, need int) (int64, int) {
+	n, _, ok := s.bestAtMost(r.spec.Model, len(r.alloc)-min(len(r.alloc)-floor, need), floor)
+	if !ok || n >= len(r.alloc) {
+		return math.MaxInt64, 0
+	}
+	cps, err := s.cache.CheapestPlacementFor(r.spec.Name, r.spec.Model, s.topo, r.alloc[:n], s.pricer(r, nil), s.opts.Perf)
+	if err != nil {
+		return math.MaxInt64, 0
+	}
+	return cps.Migration.Bytes, len(r.alloc) - n
+}
+
+// shrink commits a forced shrink (preemption, a scale request, recovery
+// from the failed devices, or a spot migration) of job j onto alloc.
+// Count-based runs plan the parallelizer's throughput-best pick;
+// placement-aware runs commit the cheapest feasible reshape instead — a
+// forced change earns the job nothing, so minimal state movement is the
+// objective.
+func (s *sim) shrink(j *simJob, est perfmodel.Estimate, alloc cluster.Allocation,
+	failed []cluster.DeviceID, kind, note string) error {
+	if s.opts.Placement {
+		cps, err := s.cache.CheapestPlacementFor(j.spec.Name, j.spec.Model, s.topo, alloc, s.pricer(j, failed), s.opts.Perf)
+		if err == nil {
+			s.countPlan()
+			return s.applyPlanned(j, cps.Migration.Plan.(*job.Change), kind, note)
+		}
+	}
+	return s.applyChange(j, est.Config, alloc, failed, kind, note)
 }
 
 // bestAtMost returns the largest feasible lease size n in [low, high]
 // with its configuration.
 func (s *sim) bestAtMost(m *model.Model, high, low int) (int, perfmodel.Estimate, bool) {
-	if low < 1 {
-		low = 1
-	}
-	for n := high; n >= low; n-- {
+	for n := high; n >= max(low, 1); n-- {
 		if est, err := s.cache.Best(m, s.topo, n, s.opts.Perf); err == nil {
 			return n, est, true
 		}
@@ -179,9 +216,7 @@ func (s *sim) admitQueued() error {
 			s.releaseTerminal(j)
 			continue
 		}
-		if free := s.ledger.FreeCount(); free < high {
-			high = free
-		}
+		high = min(high, s.ledger.FreeCount())
 		n, est, ok := s.bestAtMost(j.spec.Model, high, low)
 		if !ok {
 			if !reclaimTried[name] {
@@ -199,10 +234,9 @@ func (s *sim) admitQueued() error {
 		}
 		cfg := est.Config
 		var devs []cluster.DeviceID
-		if s.opts.Placement {
-			if pc := s.choosePlacement(j, cfg, n, nil); pc != nil {
-				devs = pc.Devices
-			}
+		var restore *job.Change // a re-admission's, when placement priced it
+		if pc := s.choosePlacement(j, cfg, n, nil); pc != nil {
+			devs, restore = pc.Devices, pc.ch
 		}
 		if devs == nil {
 			picked, got := s.ledger.Pick(n, nil)
@@ -225,19 +259,18 @@ func (s *sim) admitQueued() error {
 			// state onto the new placement and resume the remaining
 			// duration. The restore is priced like any other change, so
 			// the completion push waits for its booking.
-			rem := j.spec.DurationMin - j.servedMin
-			if rem < 0 {
-				rem = 0
-			}
+			rem := max(j.spec.DurationMin-j.servedMin, 0)
 			j.complAt = s.now + rem
 			s.countPlan()
 			p := s.newPending(j)
 			s.record(TimelineEvent{TimeMin: s.now, Job: name, Kind: EvAdmit,
 				GPUs: n, Config: cfg.String(),
 				Note: fmt.Sprintf("re-admitted from checkpoint, %.1f min remaining", rem)})
-			var err error
-			if p.ch, err = job.PlanRestore(j.spec.Model, s.topo, cfg, j.alloc); err != nil {
-				return fmt.Errorf("coordinator: restore plan %s: %w", name, err)
+			if p.ch = restore; p.ch == nil {
+				var err error
+				if p.ch, err = job.PlanRestore(j.spec.Model, s.topo, cfg, j.alloc); err != nil {
+					return fmt.Errorf("coordinator: restore plan %s: %w", name, err)
+				}
 			}
 			j.decided = p.ch.To
 			if err := s.exec.do(command{kind: cmdRestore, job: name, p: p}); err != nil {
@@ -317,7 +350,7 @@ func (s *sim) reclaimFor(j *simJob, target int) (bool, error) {
 			if sp := len(r.alloc) - floor; sp > 0 {
 				rv.Surplus = sp
 				if s.opts.Placement {
-					rv.EvictCostSec, rv.EvictFreed = s.evictCostFor(r, floor, target-s.ledger.FreeCount())
+					rv.EvictBytes, rv.EvictFreed = s.evictBytesFor(r, floor, target-s.ledger.FreeCount())
 				}
 				floors[r.spec.Name] = floor
 				cands = append(cands, rv)
@@ -331,11 +364,7 @@ func (s *sim) reclaimFor(j *simJob, target int) (bool, error) {
 		if victim == nil || victim.state != jobRunning || excluded[pick.Name] {
 			return false, fmt.Errorf("coordinator: policy %s picked invalid victim %q", s.policy.Name(), pick.Name)
 		}
-		need := target - s.ledger.FreeCount()
-		give := len(victim.alloc) - floors[pick.Name]
-		if give > need {
-			give = need
-		}
+		give := min(len(victim.alloc)-floors[pick.Name], target-s.ledger.FreeCount())
 		cur := len(victim.alloc)
 		n, est, ok := s.bestAtMost(victim.spec.Model, cur-give, floors[pick.Name])
 		if !ok || n >= cur {
@@ -346,7 +375,7 @@ func (s *sim) reclaimFor(j *simJob, target int) (bool, error) {
 		note := fmt.Sprintf("preempted for %s", j.spec.Name)
 		s.preemptions++
 		s.reg.Add("coord.preemptions", 1)
-		if err := s.applyChange(victim, s.shrinkConfig(victim, est, alloc), alloc, nil, EvScaleIn, note); err != nil {
+		if err := s.shrink(victim, est, alloc, nil, EvScaleIn, note); err != nil {
 			return false, err
 		}
 	}
@@ -355,10 +384,7 @@ func (s *sim) reclaimFor(j *simJob, target int) (bool, error) {
 
 // minFeasible returns the smallest feasible lease size in [low, high].
 func (s *sim) minFeasible(m *model.Model, low, high int) (int, bool) {
-	if low < 1 {
-		low = 1
-	}
-	for n := low; n <= high; n++ {
+	for n := max(low, 1); n <= high; n++ {
 		if _, err := s.cache.Best(m, s.topo, n, s.opts.Perf); err == nil {
 			return n, true
 		}
@@ -399,30 +425,22 @@ func (s *sim) expandJobs() error {
 			return fmt.Errorf("coordinator: policy %s picked invalid expansion %q", s.policy.Name(), pickView.Name)
 		}
 		cur := len(pick.alloc)
-		high := cur + free
-		if limit := limitOf(pick); high > limit {
-			high = limit
-		}
+		high := min(cur+free, limitOf(pick))
 		n, est, ok := s.bestAtMost(pick.spec.Model, high, cur+1)
 		if !ok || n <= cur {
 			stuck[pick.spec.Name] = true
 			continue
 		}
-		cfg := est.Config
-		var alloc cluster.Allocation
-		if s.opts.Placement {
-			if pc := s.choosePlacement(pick, cfg, n, pick.alloc); pc != nil {
-				alloc = pc.Devices
-			}
+		var err error
+		if pc := s.choosePlacement(pick, est.Config, n, pick.alloc); pc != nil {
+			s.countPlan()
+			err = s.applyPlanned(pick, pc.ch, EvScaleOut, "")
+		} else if extra, got := s.ledger.Pick(n-cur, pick.alloc); got {
+			err = s.applyChange(pick, est.Config, append(append(cluster.Allocation(nil), pick.alloc...), extra...), nil, EvScaleOut, "")
+		} else {
+			return nil
 		}
-		if alloc == nil {
-			extra, got := s.ledger.Pick(n-cur, pick.alloc)
-			if !got {
-				return nil
-			}
-			alloc = append(append(cluster.Allocation(nil), pick.alloc...), extra...)
-		}
-		if err := s.applyChange(pick, cfg, alloc, nil, EvScaleOut, ""); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -450,24 +468,24 @@ func (s *sim) defrag() error {
 		if !ok || workers >= curWorkers {
 			continue
 		}
-		// In placement mode the worker count alone does not justify a
-		// move: compaction must win on the same migration-amortized
-		// score that placed the job — otherwise defrag would undo a
-		// spread the policy deliberately chose and pay back the
-		// migration that choice avoided.
+		// Same device count, so the job keeps its current (T, P, D); price
+		// the move before committing it. A change decided over an abort
+		// that has not been stepped yet re-plans on the chain. In placement
+		// mode the worker count alone does not justify a move: compaction
+		// must win on the same migration-amortized score that placed the
+		// job, with the plan it commits as the migration — otherwise defrag
+		// would undo a spread the policy deliberately chose and pay back
+		// the migration that choice avoided.
+		var ch *job.Change
+		var err error
 		if s.opts.Placement {
-			curPl := perfmodel.Placement{Alloc: cur, Config: j.cfg}
-			have := s.cache.ScorePlacementFor(j.spec.Name, j.spec.Model, j.cfg, s.topo, cur, curPl, s.opts.Perf)
-			want := s.cache.ScorePlacementFor(j.spec.Name, j.spec.Model, j.cfg, s.topo, candidate, curPl, s.opts.Perf)
+			have := s.cache.ScorePlacementFor(j.spec.Name, j.spec.Model, j.cfg, s.topo, cur, perfmodel.Pricer{}, s.opts.Perf)
+			want := s.cache.ScorePlacementFor(j.spec.Name, j.spec.Model, j.cfg, s.topo, candidate, s.pricer(j, nil), s.opts.Perf)
 			if !want.Feasible || !have.Feasible || want.Score <= have.Score {
 				continue
 			}
-		}
-		// Same device count, so the job keeps its current (T, P, D); price
-		// the move before committing it. A change decided over an abort
-		// that has not been stepped yet re-plans on the chain.
-		ch, err := s.planOnLoop(j, j.cfg, candidate, nil)
-		if err != nil {
+			ch = want.Migration.Plan.(*job.Change)
+		} else if ch, err = s.planOnLoop(j, j.cfg, candidate, nil); err != nil {
 			return err
 		}
 		s.countPlan()
@@ -531,25 +549,19 @@ func (s *sim) applyPlanned(j *simJob, ch *job.Change, kind, note string) error {
 // number and appends the timeline placeholder book will finalize.
 func (s *sim) decideChange(j *simJob, cfg parallel.Config, alloc cluster.Allocation, kind, note string) (*pendingChange, error) {
 	name := j.spec.Name
-	held := map[cluster.DeviceID]bool{}
-	for _, d := range s.ledger.Allocation(name) {
-		held[d] = true
-	}
-	var fresh []cluster.DeviceID
-	inNew := map[cluster.DeviceID]bool{}
+	held := s.ledger.Allocation(name)
+	var fresh, vacate []cluster.DeviceID
 	for _, d := range alloc {
-		inNew[d] = true
-		if !held[d] {
+		if !held.Contains(d) {
 			fresh = append(fresh, d)
 		}
 	}
-	var vacate []cluster.DeviceID
-	for d := range held {
-		if !inNew[d] {
+	for _, d := range held {
+		if !alloc.Contains(d) {
 			vacate = append(vacate, d)
 		}
 	}
-	sort.Slice(vacate, func(i, j int) bool { return vacate[i] < vacate[j] })
+	slices.Sort(vacate)
 	if len(fresh) > 0 {
 		if err := s.ledger.Lease(name, fresh...); err != nil {
 			return nil, err

@@ -133,8 +133,7 @@ func (s *sim) onScale(name string, gpus int) error {
 	j.spec.MinGPUs = min(j.spec.MinGPUs, gpus)
 	j.spec.MaxGPUs = max(j.spec.MaxGPUs, gpus)
 	if alloc != nil {
-		if err := s.applyChange(j, s.shrinkConfig(j, est, alloc), alloc, nil,
-			EvScaleIn, "scale request"); err != nil {
+		if err := s.shrink(j, est, alloc, nil, EvScaleIn, "scale request"); err != nil {
 			return err
 		}
 	}
@@ -218,7 +217,7 @@ func (s *sim) deviceDown(dev cluster.DeviceID, note string) error {
 	if len(repl) > 0 && alloc.Contains(repl[0]) {
 		recNote += fmt.Sprintf(", replacement device %d", repl[0])
 	}
-	if err := s.applyChange(j, s.shrinkConfig(j, est, alloc), alloc, []cluster.DeviceID{dev}, EvRecover, recNote); err != nil {
+	if err := s.shrink(j, est, alloc, []cluster.DeviceID{dev}, EvRecover, recNote); err != nil {
 		return err
 	}
 	// A size-constrained recovery may have released healthy devices;
@@ -281,7 +280,7 @@ func (s *sim) onSpotNotice(dev cluster.DeviceID, windowMin float64) error {
 		return nil // nowhere to migrate; the deadline will handle it
 	}
 	note := fmt.Sprintf("migrated off draining device %d", dev)
-	return s.applyChange(j, s.shrinkConfig(j, est, alloc), alloc, nil, EvRedeploy, note)
+	return s.shrink(j, est, alloc, nil, EvRedeploy, note)
 }
 
 // onSpotDeadline fires when the reclamation window closes: a device
@@ -297,9 +296,9 @@ func (s *sim) onSpotDeadline(dev cluster.DeviceID) error {
 
 // onLinkChange reprices one worker's NIC: factor < 1 opens a
 // degradation window, factor == 1 closes it. Reconfigurations priced
-// while the window is open run against the degraded bandwidth (netsim
-// reads Topology.WorkerNetBW); the perfmodel's placement estimates
-// deliberately stay on nominal bandwidth.
+// while the window is open, placement's migration prices among them, run
+// against the degraded bandwidth (netsim reads Topology.WorkerNetBW); the
+// perfmodel's throughput estimates deliberately stay on nominal bandwidth.
 func (s *sim) onLinkChange(worker int, factor float64) error {
 	s.topo.SetNetScale(worker, factor)
 	kind, note := EvLinkDegrade, fmt.Sprintf("worker %d NIC at %.0f%% bandwidth", worker, factor*100)

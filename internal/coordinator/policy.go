@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tenplex/internal/cluster"
+	"tenplex/internal/job"
 	"tenplex/internal/parallel"
 )
 
@@ -68,6 +69,7 @@ type PlacementCandidate struct {
 	// Score is the migration-amortized throughput score; higher is
 	// better.
 	Score float64
+	ch    *job.Change // the priced change, committed if picked
 }
 
 // JobView is the read-only per-job state a Policy sees.
@@ -85,14 +87,14 @@ type JobView struct {
 	// Surplus is the preemptible slack above the policy's floor; only
 	// set on PickVictim candidates.
 	Surplus int
-	// EvictCostSec is the netsim-priced cost of exactly the shrink the
-	// coordinator would commit if this victim were picked next — how
-	// much reconfiguration time (and, correlated, moved bytes) the
-	// eviction would charge the cluster — and EvictFreed the number of
-	// devices that shrink frees. Only set on PickVictim candidates,
+	// EvictBytes is what exactly the shrink the coordinator would commit
+	// if this victim were picked next moves off its devices, the same
+	// planned bytes the forced reshape was chosen to minimize (math.MaxInt64
+	// when the victim has no feasible shrink), and EvictFreed the number
+	// of devices that shrink frees. Only set on PickVictim candidates,
 	// and only in placement-aware mode; zero otherwise.
-	EvictCostSec float64
-	EvictFreed   int
+	EvictBytes int64
+	EvictFreed int
 }
 
 // ClusterView is the read-only cluster state a Policy sees.
@@ -101,7 +103,7 @@ type ClusterView struct {
 	Free, Healthy    int
 	// PlacementAware reports whether the coordinator scores candidate
 	// device sets (Options.Placement): PickVictim candidates then carry
-	// EvictCostSec and RankPlacement is consulted.
+	// EvictBytes and RankPlacement is consulted.
 	PlacementAware bool
 	// Queued is the admission queue in arrival order; Running the
 	// placed jobs in submission order.
@@ -117,10 +119,7 @@ func (j *JobView) DominantShare(v *ClusterView) float64 {
 	if v.Workers > 0 {
 		ws = float64(j.Spread) / float64(v.Workers)
 	}
-	if ws > ds {
-		return ws
-	}
-	return ds
+	return max(ds, ws)
 }
 
 // PolicyByName resolves a policy from its CLI name: "fifo" (default),
@@ -192,10 +191,20 @@ func bestScore(cands []*PlacementCandidate) *PlacementCandidate {
 	return pick
 }
 
-// cheapestVictim picks the victim whose eviction moves the least
-// netsim-priced state per device it actually frees (EvictFreed — the
-// priced shrink, not the whole surplus) — the cost-aware counterpart
-// of largest-surplus. Ties fall back to the larger surplus, then
+// evictsBetter breaks a tie between victims c and pick: in
+// placement-aware mode towards the eviction that moves fewer bytes,
+// otherwise towards the larger surplus.
+func evictsBetter(v *ClusterView, c, pick *JobView) bool {
+	if v.PlacementAware {
+		return c.EvictBytes < pick.EvictBytes
+	}
+	return c.Surplus > pick.Surplus
+}
+
+// cheapestVictim picks the victim whose eviction moves the fewest
+// planned bytes per device it actually frees (EvictFreed — the planned
+// shrink, not the whole surplus) — the cost-aware counterpart of
+// largest-surplus. Ties fall back to the larger surplus, then
 // earlier submission.
 func cheapestVictim(cands []*JobView) *JobView {
 	var pick *JobView
@@ -205,7 +214,7 @@ func cheapestVictim(cands []*JobView) *JobView {
 		if freed < 1 {
 			freed = c.Surplus
 		}
-		per := c.EvictCostSec / float64(freed)
+		per := float64(c.EvictBytes) / float64(freed)
 		if pick == nil || per < cost ||
 			(per == cost && (c.Surplus > pick.Surplus ||
 				(c.Surplus == pick.Surplus && c.SubmitIdx < pick.SubmitIdx))) {
@@ -253,9 +262,7 @@ func (DRF) NextQueued(v *ClusterView, attempted map[string]bool) string {
 		if v.Workers > 0 && v.Devices >= v.Workers {
 			perWorker := v.Devices / v.Workers
 			spread := (q.GPUs + perWorker - 1) / perWorker
-			if ws := float64(spread) / float64(v.Workers); ws > s {
-				s = ws
-			}
+			s = max(s, float64(spread)/float64(v.Workers))
 		}
 		if pick == nil || s < share || (s == share && q.SubmitIdx < pick.SubmitIdx) {
 			pick, share = q, s
@@ -276,18 +283,8 @@ func (DRF) PickVictim(v *ClusterView, req *JobView, cands []*JobView) *JobView {
 	var share float64
 	for _, c := range cands {
 		s := c.DominantShare(v)
-		better := pick == nil || s > share
-		if !better && s == share {
-			// Fairness stays the primary axis; in placement-aware mode
-			// ties prefer the cheaper eviction, otherwise the larger
-			// surplus.
-			if v.PlacementAware {
-				better = c.EvictCostSec < pick.EvictCostSec
-			} else {
-				better = c.Surplus > pick.Surplus
-			}
-		}
-		if better {
+		// Fairness stays the primary axis.
+		if pick == nil || s > share || (s == share && evictsBetter(v, c, pick)) {
 			pick, share = c, s
 		}
 	}
@@ -365,17 +362,8 @@ func (PriorityGang) PreemptFloor(req, victim *JobView) int {
 func (PriorityGang) PickVictim(v *ClusterView, req *JobView, cands []*JobView) *JobView {
 	var pick *JobView
 	for _, c := range cands {
-		better := pick == nil || c.Priority < pick.Priority
-		if !better && c.Priority == pick.Priority {
-			// Within a class, placement-aware mode evicts the cheapest
-			// state move first; otherwise the largest surplus.
-			if v.PlacementAware {
-				better = c.EvictCostSec < pick.EvictCostSec
-			} else {
-				better = c.Surplus > pick.Surplus
-			}
-		}
-		if better {
+		if pick == nil || c.Priority < pick.Priority ||
+			(c.Priority == pick.Priority && evictsBetter(v, c, pick)) {
 			pick = c
 		}
 	}

@@ -13,8 +13,9 @@ import (
 // failure — twice per workload: once with the count-based coordinator
 // (lease sizes only, compact pick) and once placement-aware
 // (Options.Placement: candidate device sets scored by
-// perfmodel.ScorePlacement, victims scored by netsim eviction cost,
-// forced shrinks taking the cheapest feasible reshape). Both the
+// perfmodel.ScorePlacement on the change each would commit, victims
+// ranked by the bytes their planned shrink moves, forced shrinks taking
+// the reshape that moves the fewest). Both the
 // steady Poisson trace and its bursty variant (same offered load,
 // clumped submissions) are measured.
 
@@ -35,7 +36,7 @@ func Placement() Experiment {
 		},
 		Notes: notes(
 			"same arrival trace, models and injected failure per workload; only Options.Placement changes",
-			"placement mode scores candidate device sets (perfmodel.ScorePlacement), evicts by netsim cost, and takes the cheapest feasible reshape on forced shrinks",
+			"placement mode scores candidate device sets (perfmodel.ScorePlacement) on the plan each would commit, evicts by planned bytes, and takes the least-moving feasible reshape on forced shrinks",
 			"bursty rows use the same offered load with clumped submissions (sched.ArrivalParams.Burstiness)",
 		),
 	}

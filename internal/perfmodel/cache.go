@@ -10,14 +10,15 @@ import (
 )
 
 // Cache memoizes the best-configuration search per (model, topology,
-// device count, params) and the allocation-aware placement search per
-// (model, topology, allocation signature, current-allocation signature,
-// params). The multi-job coordinator asks for the best (T, P, D) of the
+// device count, params) and the allocation-aware placement scores per
+// (model, topology, allocation signature, Pricer source, params), each
+// with the migration its Pricer planned and priced. The multi-job coordinator asks for the best (T, P, D) of the
 // same handful of models at every admission, resize and recovery
 // decision — and, in placement-aware mode, scores several candidate
 // device sets per decision; a full sweep enumerates and prices every
-// configuration each time, which is wasteful for queries that repeat
-// thousands of times per simulation. Keys use pointer identity for the
+// configuration each time, and a migration price plans a whole change,
+// which is wasteful for queries that repeat thousands of times per
+// simulation. Keys use pointer identity for the
 // model and topology, so callers must reuse their catalog and topology
 // values — which Tenplex jobs do by construction.
 //
@@ -34,15 +35,16 @@ import (
 // of a new key into a full cache clears both maps first. The cap is a
 // backstop, not a working set — a 2048-device, 200-job simulation peaks
 // at a few hundred entries — so no eviction order is kept. What keeps
-// a long-running service flat is shedding: placement entries are tagged
-// with the querying job so DropJob sheds a finished job's scores, and
-// DropModel sheds a model no job will present again. Neither changes a
-// result: the sweeps are pure, so a dropped entry is recomputed on the
-// next query.
+// a long-running service flat is shedding: placement entries, which hold
+// their Pricer's planned change, are tagged with the querying job so
+// DropJob sheds a finished job's scores and plans, and DropModel sheds a
+// model no job will present again. Neither changes a result: the sweeps
+// and, by the Pricer contract, the prices are pure, so a dropped entry
+// is recomputed equal on the next query.
 //
 // Cache is safe for concurrent use. Concurrent misses for the same key
-// may both compute the sweep; the result is identical (the sweeps are
-// pure), so last-write-wins is harmless.
+// may both compute the sweep; the results are equal, so last-write-wins
+// is harmless.
 type Cache struct {
 	mu     sync.Mutex
 	m      map[cacheKey]cacheEntry
@@ -76,14 +78,14 @@ type placementKey struct {
 	topo  *cluster.Topology
 	cfg   string // configuration under evaluation
 	alloc string // Allocation.Signature of the candidate set
-	cur   string // current allocation signature plus its configuration
+	src   any    // Pricer.Source: the state migrated from
 	p     Params
 }
 
 type placementEntry struct {
 	ps    PlacementScore
 	stamp uint64
-	ws    []int32 // workers of alloc ∪ cur
+	ws    []int32 // workers of alloc ∪ Pricer.From
 	job   string  // owning job for DropJob; "" = untagged
 }
 
@@ -147,21 +149,16 @@ func (c *Cache) Best(m *model.Model, topo *cluster.Topology, n int, p Params) (E
 	return est, err
 }
 
-// ScorePlacementFor returns ScorePlacement(m, cfg, topo, alloc, cur, p),
-// memoized per allocation signature — the placement-aware coordinator
-// scores the same candidate sets repeatedly as the cluster's free pool
-// cycles through a handful of shapes. Infeasible scores are cached like
-// feasible ones. The entry is tagged as owned by job, so DropJob(job)
-// sheds it when the job leaves the cluster; "" leaves it untagged.
+// ScorePlacementFor returns ScorePlacement(m, cfg, topo, alloc, pr, p),
+// memoized per allocation signature and pr.Source — the placement-aware
+// coordinator scores the same candidate sets repeatedly as the cluster's
+// free pool cycles through a handful of shapes. Infeasible scores are
+// cached like feasible ones. The entry is tagged as owned by job, so
+// DropJob(job) sheds it when the job leaves the cluster; "" leaves it
+// untagged.
 func (c *Cache) ScorePlacementFor(job string, m *model.Model, cfg parallel.Config, topo *cluster.Topology,
-	alloc cluster.Allocation, cur Placement, p Params) PlacementScore {
-	k := placementKey{
-		model: m, topo: topo,
-		cfg:   cfg.String(),
-		alloc: alloc.Signature(),
-		cur:   cur.Alloc.Signature() + "|" + cur.Config.String(),
-		p:     p,
-	}
+	alloc cluster.Allocation, pr Pricer, p Params) PlacementScore {
+	k := placementKey{model: m, topo: topo, cfg: cfg.String(), alloc: alloc.Signature(), src: pr.Source, p: p}
 	c.mu.Lock()
 	e, ok := c.pm[k]
 	if ok && stampOf(topo, e.ws) == e.stamp {
@@ -170,8 +167,8 @@ func (c *Cache) ScorePlacementFor(job string, m *model.Model, cfg parallel.Confi
 		return e.ps
 	}
 	c.mu.Unlock()
-	ps := ScorePlacement(m, cfg, topo, alloc, cur, p)
-	ws := workersOf(topo, cur.Alloc, workersOf(topo, alloc, nil))
+	ps := ScorePlacement(m, cfg, topo, alloc, pr, p)
+	ws := workersOf(topo, pr.From, workersOf(topo, alloc, nil))
 	c.mu.Lock()
 	c.misses++
 	if _, ok := c.pm[k]; !ok {
@@ -186,19 +183,13 @@ func (c *Cache) ScorePlacementFor(job string, m *model.Model, cfg parallel.Confi
 // CheapestPlacement sweeps; it cannot collide with a Config.String().
 const cheapestKeyCfg = "<cheapest>"
 
-// CheapestPlacementFor returns CheapestPlacement(m, topo, alloc, cur, p),
-// memoized per allocation signature and tagged as owned by job like
-// ScorePlacementFor. A failed sweep (no feasible configuration) is
-// cached as an infeasible score.
+// CheapestPlacementFor returns CheapestPlacement(m, topo, alloc, pr, p),
+// memoized per allocation signature and pr.Source and tagged as owned by
+// job like ScorePlacementFor. A failed sweep (no feasible configuration)
+// is cached as an infeasible score.
 func (c *Cache) CheapestPlacementFor(job string, m *model.Model, topo *cluster.Topology,
-	alloc cluster.Allocation, cur Placement, p Params) (PlacementScore, error) {
-	k := placementKey{
-		model: m, topo: topo,
-		cfg:   cheapestKeyCfg,
-		alloc: alloc.Signature(),
-		cur:   cur.Alloc.Signature() + "|" + cur.Config.String(),
-		p:     p,
-	}
+	alloc cluster.Allocation, pr Pricer, p Params) (PlacementScore, error) {
+	k := placementKey{model: m, topo: topo, cfg: cheapestKeyCfg, alloc: alloc.Signature(), src: pr.Source, p: p}
 	c.mu.Lock()
 	e, ok := c.pm[k]
 	if ok && stampOf(topo, e.ws) == e.stamp {
@@ -206,11 +197,11 @@ func (c *Cache) CheapestPlacementFor(job string, m *model.Model, topo *cluster.T
 		c.mu.Unlock()
 	} else {
 		c.mu.Unlock()
-		ps, err := CheapestPlacement(m, topo, alloc, cur, p)
+		ps, err := CheapestPlacement(m, topo, alloc, pr, p)
 		if err != nil {
 			ps = PlacementScore{Reason: err.Error()}
 		}
-		ws := workersOf(topo, cur.Alloc, workersOf(topo, alloc, nil))
+		ws := workersOf(topo, pr.From, workersOf(topo, alloc, nil))
 		e = placementEntry{ps: ps, stamp: stampOf(topo, ws), ws: ws, job: job}
 		c.mu.Lock()
 		c.misses++

@@ -26,17 +26,17 @@ func TestCacheSurvivesUnrelatedFailure(t *testing.T) {
 	if topo.WorkerOf(w1[0]) != 1 || topo.WorkerOf(w1[3]) != 1 { // layout guard
 		t.Fatalf("expected devices 4-7 on worker 1")
 	}
-	c.ScorePlacementFor("", m, cfg, topo, w0, Placement{}, p)
-	c.ScorePlacementFor("", m, cfg, topo, w1, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w0, Pricer{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w1, Pricer{}, p)
 
 	topo.MarkFailed(w0[0]) // bumps only worker 0's epoch
 
 	hitsBefore, missesBefore := c.Stats()
-	c.ScorePlacementFor("", m, cfg, topo, w1, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w1, Pricer{}, p)
 	if hits, _ := c.Stats(); hits != hitsBefore+1 {
 		t.Fatal("failure on worker 0 evicted worker 1's placement score")
 	}
-	c.ScorePlacementFor("", m, cfg, topo, w0, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w0, Pricer{}, p)
 	if _, misses := c.Stats(); misses != missesBefore+1 {
 		t.Fatal("failure on worker 0 did not invalidate worker 0's placement score")
 	}
@@ -53,11 +53,11 @@ func TestCacheDropJob(t *testing.T) {
 	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
 	allocA := topo.FirstN(4)
 	allocB := cluster.Allocation{4, 5, 6, 7}
-	c.ScorePlacementFor("job-a", m, cfg, topo, allocA, Placement{}, p)
-	if _, err := c.CheapestPlacementFor("job-a", m, topo, allocA, Placement{Alloc: allocA, Config: cfg}, p); err != nil {
+	c.ScorePlacementFor("job-a", m, cfg, topo, allocA, Pricer{}, p)
+	if _, err := c.CheapestPlacementFor("job-a", m, topo, allocA, planPricer(m, topo, cfg, allocA), p); err != nil {
 		t.Fatal(err)
 	}
-	c.ScorePlacementFor("job-b", m, cfg, topo, allocB, Placement{}, p)
+	c.ScorePlacementFor("job-b", m, cfg, topo, allocB, Pricer{}, p)
 	before := c.Len()
 
 	if n := c.DropJob("job-a"); n != 2 {
@@ -67,12 +67,12 @@ func TestCacheDropJob(t *testing.T) {
 		t.Fatalf("Len() = %d after DropJob, want %d", got, before-2)
 	}
 	hitsBefore, _ := c.Stats()
-	c.ScorePlacementFor("job-b", m, cfg, topo, allocB, Placement{}, p)
+	c.ScorePlacementFor("job-b", m, cfg, topo, allocB, Pricer{}, p)
 	if hits, _ := c.Stats(); hits != hitsBefore+1 {
 		t.Fatal("DropJob(job-a) evicted job-b's entry")
 	}
 	_, missesBefore := c.Stats()
-	c.ScorePlacementFor("job-a", m, cfg, topo, allocA, Placement{}, p)
+	c.ScorePlacementFor("job-a", m, cfg, topo, allocA, Pricer{}, p)
 	if _, misses := c.Stats(); misses != missesBefore+1 {
 		t.Fatal("job-a's entry survived DropJob")
 	}
@@ -95,7 +95,7 @@ func TestCacheDropModel(t *testing.T) {
 		for n := 1; n <= 4; n++ {
 			c.Best(m, topo, n, p) //nolint:errcheck // infeasible counts are cached like feasible ones
 		}
-		c.ScorePlacementFor("job", m, cfg, topo, alloc, Placement{}, p)
+		c.ScorePlacementFor("job", m, cfg, topo, alloc, Pricer{}, p)
 	}
 	c.DropModel(gone)
 	if got := c.Len(); got != 5 {
@@ -103,7 +103,7 @@ func TestCacheDropModel(t *testing.T) {
 	}
 	hitsBefore, missesBefore := c.Stats()
 	c.Best(kept, topo, 4, p) //nolint:errcheck
-	c.ScorePlacementFor("job", kept, cfg, topo, alloc, Placement{}, p)
+	c.ScorePlacementFor("job", kept, cfg, topo, alloc, Pricer{}, p)
 	c.Best(gone, topo, 4, p) //nolint:errcheck
 	if hits, misses := c.Stats(); hits != hitsBefore+2 || misses != missesBefore+1 {
 		t.Fatalf("after DropModel: %d hits and %d misses, want 2 and 1", hits-hitsBefore, misses-missesBefore)
@@ -120,10 +120,10 @@ func TestCacheCapBoundsGrowth(t *testing.T) {
 	c := NewCache()
 	c.cap = 8
 	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
-	// Distinct keys via distinct current placements of the same alloc.
+	// Distinct keys via distinct sources migrated onto the same alloc.
 	alloc := cluster.Allocation{4, 5, 6, 7}
 	for i := 0; i < 40; i++ {
-		cur := Placement{Alloc: cluster.Allocation{cluster.DeviceID(i % topo.NumDevices())}, Config: cfg}
+		cur := Pricer{Source: i, From: cluster.Allocation{cluster.DeviceID(i % topo.NumDevices())}}
 		c.ScorePlacementFor(fmt.Sprintf("job-%d", i), m, cfg, topo, alloc, cur, p)
 		if got := c.Len(); got > 8 {
 			t.Fatalf("insert %d: Len() = %d exceeds cap 8", i, got)
@@ -137,12 +137,12 @@ func TestCacheCapBoundsGrowth(t *testing.T) {
 	c2.cap = 4
 	topo2 := cluster.OnPrem16()
 	w0 := topo2.FirstN(4)
-	c2.ScorePlacementFor("stale", m, cfg, topo2, w0, Placement{}, p)
+	c2.ScorePlacementFor("stale", m, cfg, topo2, w0, Pricer{}, p)
 	topo2.MarkFailed(w0[0])
 	fresh := cluster.Allocation{4, 5, 6, 7}
-	var lastCur Placement
+	var lastCur Pricer
 	for i := 0; i < 6; i++ {
-		lastCur = Placement{Alloc: cluster.Allocation{cluster.DeviceID(8 + i)}, Config: cfg}
+		lastCur = Pricer{Source: i, From: cluster.Allocation{cluster.DeviceID(8 + i)}}
 		c2.ScorePlacementFor("filler", m, cfg, topo2, fresh, lastCur, p)
 	}
 	if got := c2.Len(); got > 4 {
@@ -154,7 +154,7 @@ func TestCacheCapBoundsGrowth(t *testing.T) {
 		t.Fatal("newest entry did not survive eviction")
 	}
 	_, missesBefore := c2.Stats()
-	c2.ScorePlacementFor("stale", m, cfg, topo2, w0, Placement{}, p)
+	c2.ScorePlacementFor("stale", m, cfg, topo2, w0, Pricer{}, p)
 	if _, misses := c2.Stats(); misses != missesBefore+1 {
 		t.Fatal("stale entry served after its worker's epoch moved")
 	}
@@ -181,12 +181,12 @@ func TestCacheClearsPastCap(t *testing.T) {
 			t.Fatalf("%s: hit %v, want %v", what, got == hits+1, want)
 		}
 	}
-	stale := func() { c.ScorePlacementFor("", m, cfg, topo, w0, Placement{}, p) }
+	stale := func() { c.ScorePlacementFor("", m, cfg, topo, w0, Pricer{}, p) }
 	stale()
 	for n := 1; n <= 2; n++ {
 		c.Best(m, topo, n, p) //nolint:errcheck // infeasible counts are cached like feasible ones
 	}
-	c.ScorePlacementFor("", m, cfg, topo, w1, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, w1, Pricer{}, p)
 	if got := c.Len(); got != 4 {
 		t.Fatalf("Len() = %d, want a full cache of 4", got)
 	}

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestCacheInvalidatedByTopologyGeneration(t *testing.T) {
 	c := NewCache()
 	alloc := topo.FirstN(4)
 	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
-	before := c.ScorePlacementFor("", m, cfg, topo, alloc, Placement{}, p)
+	before := c.ScorePlacementFor("", m, cfg, topo, alloc, Pricer{}, p)
 	if !before.Feasible {
 		t.Fatalf("healthy placement infeasible: %s", before.Reason)
 	}
@@ -152,7 +153,7 @@ func TestCacheInvalidatedByTopologyGeneration(t *testing.T) {
 
 	topo.MarkFailed(alloc[0])
 
-	after := c.ScorePlacementFor("", m, cfg, topo, alloc, Placement{}, p)
+	after := c.ScorePlacementFor("", m, cfg, topo, alloc, Pricer{}, p)
 	if after.Feasible {
 		t.Fatal("cache served the pre-failure placement score after the device was marked failed")
 	}
@@ -164,33 +165,52 @@ func TestCacheInvalidatedByTopologyGeneration(t *testing.T) {
 	}
 	// The post-failure entries are cached under the new generation.
 	hitsBefore, _ := c.Stats()
-	c.ScorePlacementFor("", m, cfg, topo, alloc, Placement{}, p)
+	c.ScorePlacementFor("", m, cfg, topo, alloc, Pricer{}, p)
 	if hits, _ := c.Stats(); hits != hitsBefore+1 {
 		t.Fatal("post-failure score not served from cache")
 	}
 }
 
-// TestCacheCheapestPlacement: the forced-reshape sweep is memoized and
-// infeasible sweeps cache their error.
+// TestCacheCheapestPlacement: the forced-reshape sweep is memoized with
+// the plan it priced, so a hit plans nothing, and an infeasible sweep
+// caches its error.
 func TestCacheCheapestPlacement(t *testing.T) {
 	m := model.GPTCustom(4, 16, 2, 32, 8)
 	topo := cluster.OnPrem16()
 	p := DefaultParams()
 	p.DeviceMemGB = 0
 	c := NewCache()
-	cur := Placement{Alloc: topo.FirstN(8), Config: parallel.Config{TP: 1, PP: 4, DP: 2}}
-	a, err := c.CheapestPlacementFor("", m, topo, topo.FirstN(4), cur, p)
+	pr := planPricer(m, topo, parallel.Config{TP: 1, PP: 4, DP: 2}, topo.FirstN(8))
+	plan := pr.Price
+	priced := 0
+	pr.Price = func(cfg parallel.Config, alloc cluster.Allocation) (Migration, error) {
+		priced++
+		return plan(cfg, alloc)
+	}
+	a, err := c.CheapestPlacementFor("", m, topo, topo.FirstN(4), pr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.CheapestPlacementFor("", m, topo, topo.FirstN(4), cur, p)
+	first := priced
+	b, err := c.CheapestPlacementFor("", m, topo, topo.FirstN(4), pr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatalf("memoized cheapest placement differs: %+v vs %+v", a, b)
+	if a != b || a.Migration.Plan == nil || priced != first {
+		t.Fatalf("memoized cheapest placement differs or planned again (%d plans, then %d): %+v vs %+v", first, priced, a, b)
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
+	}
+	refuse := Pricer{Source: "refuse", Price: func(parallel.Config, cluster.Allocation) (Migration, error) {
+		return Migration{}, fmt.Errorf("no plan")
+	}}
+	for i := 0; i < 2; i++ {
+		if _, err := c.CheapestPlacementFor("", m, topo, topo.FirstN(4), refuse, p); err == nil {
+			t.Fatal("a sweep with no priceable configuration succeeded")
+		}
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d after the refused sweep twice, want 2/2", hits, misses)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"tenplex/internal/cluster"
 	"tenplex/internal/model"
-	"tenplex/internal/netsim"
 	"tenplex/internal/parallel"
 )
 
@@ -22,21 +21,13 @@ import (
 //     concrete allocation (Throughput already prices TP-group locality,
 //     pipeline boundary links and DP-ring worst links on the actual
 //     topology links between the actual devices);
-//   - a migration cost: the netsim-priced transfers that moving the
-//     job's resident state from its current placement onto the
-//     candidate would require. The model is layout-aware: under
-//     (T, P, D) every device holds a 1/(T·P) shard of the state (data
-//     parallelism replicates it), so growing DP means hauling full
-//     shard copies to the new replicas while growing PP only re-shards
-//     — exactly why the paper finds pipeline reconfiguration cheaper
-//     than replication (Fig. 15).
+//   - the migration price of getting the job's state there. perfmodel
+//     does not model it: the caller's Pricer plans the change it would
+//     commit for the candidate and prices that plan, so a placement is
+//     chosen on exactly what the reconfiguration will move.
 //
 // The combined Score amortizes the one-time migration over the
-// placement horizon: Score = SamplesSec · H / (H + MigrationSec).
-// Multiplying every link bandwidth by k > 0 leaves MigrationBytes
-// untouched, scales MigrationSec by exactly 1/k, and never flips the
-// SamplesSec ranking of two candidates sharing a configuration — the
-// scale-invariance the property tests pin down.
+// placement horizon: Score = SamplesSec · H / (H + Migration.Sec).
 
 // DefaultPlacementHorizonSec amortizes migration cost into a placement
 // score when Params.PlacementHorizonSec is zero: a placement is assumed
@@ -44,12 +35,27 @@ import (
 // median inter-arrival regime the coordinator simulates).
 const DefaultPlacementHorizonSec = 600
 
-// Placement names a concrete layout: which devices a job holds and the
-// configuration laid out on them. The zero Config means the layout is
-// unknown and the state is assumed evenly sharded over the devices.
-type Placement struct {
-	Alloc  cluster.Allocation
-	Config parallel.Config
+// Migration is what moving a job's state onto a candidate costs, as its
+// Pricer priced it: the seconds and the bytes moved off their device by
+// the change the caller would commit, and that change itself, which
+// perfmodel hands back with the score without looking inside.
+type Migration struct {
+	Sec   float64
+	Bytes int64
+	Plan  any
+}
+
+// Pricer prices moving one job's state from one source onto candidate
+// placements. Source identifies that state and keys the Cache's memo of
+// the price, so it must be comparable, and Pricers with equal Sources
+// must price alike; From lists the devices the state is read from, whose
+// workers stamp the memo. A nil Price prices every candidate as free: an
+// initial placement, whose state is generated in place. A Price error
+// makes the candidate infeasible.
+type Pricer struct {
+	Source any
+	From   cluster.Allocation
+	Price  func(cfg parallel.Config, alloc cluster.Allocation) (Migration, error)
 }
 
 // PlacementScore is the evaluation of one concrete candidate device
@@ -63,114 +69,15 @@ type PlacementScore struct {
 	// concrete allocation (not the compact default).
 	SamplesSec float64
 	IterSec    float64
-	// MigrationSec is the netsim-priced time to move the resident state
-	// from the current placement onto the candidate; MigrationBytes is
-	// the payload that crosses a device boundary doing so.
-	MigrationSec   float64
-	MigrationBytes int64
+	Migration  Migration
 	// Score is SamplesSec discounted by migration amortized over the
 	// placement horizon. Higher is better.
 	Score float64
 }
 
-// shardBytes returns the per-device resident state bytes under a
-// placement: a 1/(TP·PP) shard of the full state when the layout is
-// known (every DP replica holds a full copy of its shard; a degraded
-// allocation — fewer devices than the configuration's world size after
-// a failure — keeps the surviving shards' size), an even 1/n split
-// when it is not.
-func shardBytes(total int64, p Placement) int64 {
-	c := p.Config
-	if c.TP >= 1 && c.PP >= 1 && c.DP >= 1 && c.WorldSize() >= len(p.Alloc) {
-		return total / int64(c.TP*c.PP)
-	}
-	if len(p.Alloc) == 0 {
-		return 0
-	}
-	return total / int64(len(p.Alloc))
-}
-
-// MigrationCost prices moving a job's resident training state from one
-// placement to another on the topology. Every destination device needs
-// its target shard; bytes it already holds (it was part of the source
-// placement) are free, the rest stream in from the source devices,
-// round-robin in device order, and the resulting transfers are priced
-// as concurrent netsim flows. An empty source (initial placement:
-// state materializes in place) costs zero; shrinking data parallelism
-// costs zero too (surviving replicas already hold everything), while
-// growing it hauls full shard copies to the new replicas.
-func MigrationCost(m *model.Model, topo *cluster.Topology, from, to Placement, p Params) (float64, int64) {
-	if len(from.Alloc) == 0 || len(to.Alloc) == 0 {
-		return 0, 0
-	}
-	bpp := p.StateBytesPerParam
-	if bpp == 0 {
-		bpp = 16
-	}
-	total := m.NumParams() * int64(bpp)
-	perFrom := shardBytes(total, from)
-	perTo := shardBytes(total, to)
-	// Under an unchanged configuration the planner identity-maps every
-	// surviving device's shard (core.AlignDevices), so only devices new
-	// to the allocation pay; a same-size shard under a DIFFERENT
-	// configuration is different bytes and still re-shards.
-	sameCfg := from.Config == to.Config && from.Config.TP >= 1
-
-	held := map[cluster.DeviceID]bool{}
-	for _, d := range from.Alloc {
-		held[d] = true
-	}
-	var flows []netsim.Flow
-	var moved int64
-	src := 0
-	for _, d := range to.Alloc {
-		need := perTo
-		if held[d] {
-			if sameCfg {
-				need = 0
-			} else if perFrom > 0 {
-				need -= perFrom
-			}
-		}
-		if need <= 0 {
-			continue
-		}
-		// Stream the missing bytes from the source devices, skipping
-		// the receiver itself (local bytes are free).
-		for need > 0 {
-			s := from.Alloc[src%len(from.Alloc)]
-			src++
-			if s == d && len(from.Alloc) > 1 {
-				s = from.Alloc[src%len(from.Alloc)]
-				src++
-			}
-			if s == d {
-				break // single-device source == receiver: nothing to move
-			}
-			b := need
-			if b > perFrom && perFrom > 0 {
-				b = perFrom
-			}
-			flows = append(flows, netsim.Flow{From: netsim.DevEP(s), To: netsim.DevEP(d), Bytes: b})
-			moved += b
-			need -= b
-		}
-	}
-	if len(flows) == 0 {
-		return 0, 0
-	}
-	return netsim.Simulate(topo, flows).Seconds, moved
-}
-
-// ScorePlacement evaluates one concrete candidate device set for a job:
-// the throughput of cfg laid out on exactly those devices (TP-group
-// locality, worst pipeline and DP links between the actual GPUs), plus
-// the netsim-priced cost of migrating the job's state from its current
-// placement onto the candidate. cur may be the zero Placement for an
-// initial placement. Candidates containing a failed device are
-// infeasible.
-func ScorePlacement(m *model.Model, cfg parallel.Config, topo *cluster.Topology,
-	alloc cluster.Allocation, cur Placement, p Params) PlacementScore {
+// rate is the throughput half of a score: cfg on exactly alloc, which
+// must hold no failed device.
+func rate(m *model.Model, cfg parallel.Config, topo *cluster.Topology, alloc cluster.Allocation, p Params) PlacementScore {
 	for _, d := range alloc {
 		if topo.FailedDevice(d) {
 			return PlacementScore{Config: cfg, Reason: fmt.Sprintf("device %d is failed", d)}
@@ -180,70 +87,83 @@ func ScorePlacement(m *model.Model, cfg parallel.Config, topo *cluster.Topology,
 	if !est.Feasible {
 		return PlacementScore{Config: cfg, Reason: est.Reason}
 	}
-	migSec, migBytes := MigrationCost(m, topo, cur, Placement{Alloc: alloc, Config: cfg}, p)
+	return PlacementScore{Config: cfg, Feasible: true, SamplesSec: est.SamplesSec, IterSec: est.IterSec}
+}
+
+// price completes a feasible rated score with pr's migration onto alloc.
+func (ps PlacementScore) price(pr Pricer, alloc cluster.Allocation, p Params) PlacementScore {
+	if pr.Price != nil {
+		mig, err := pr.Price(ps.Config, alloc)
+		if err != nil {
+			return PlacementScore{Config: ps.Config, Reason: err.Error()}
+		}
+		ps.Migration = mig
+	}
 	horizon := p.PlacementHorizonSec
 	if horizon <= 0 {
 		horizon = DefaultPlacementHorizonSec
 	}
-	return PlacementScore{
-		Config:         cfg,
-		Feasible:       true,
-		SamplesSec:     est.SamplesSec,
-		IterSec:        est.IterSec,
-		MigrationSec:   migSec,
-		MigrationBytes: migBytes,
-		Score:          est.SamplesSec * horizon / (horizon + migSec),
+	ps.Score = ps.SamplesSec * horizon / (horizon + ps.Migration.Sec)
+	return ps
+}
+
+// ScorePlacement evaluates one concrete candidate device set for a job:
+// the throughput of cfg laid out on exactly those devices (TP-group
+// locality, worst pipeline and DP links between the actual GPUs), plus
+// pr's price for migrating the job's state onto them. Candidates
+// containing a failed device are infeasible, and are not priced.
+func ScorePlacement(m *model.Model, cfg parallel.Config, topo *cluster.Topology,
+	alloc cluster.Allocation, pr Pricer, p Params) PlacementScore {
+	ps := rate(m, cfg, topo, alloc, p)
+	if !ps.Feasible {
+		return ps
 	}
+	return ps.price(pr, alloc, p)
 }
 
 // cheapestRateFloor bounds how much steady-state throughput a forced
 // reshape may sacrifice for a cheaper move: CheapestPlacement only
 // considers configurations at least this fraction as fast as the best
-// one on the same device set. Without the floor, the size-only shard
-// model can rate a pathological layout (tensor parallelism across
-// NICs) as "free" and strand the job on it.
+// one on the same device set, and prices only those. Without the floor,
+// a pathological layout (tensor parallelism across NICs) that happens
+// to move little could strand the job on it.
 const cheapestRateFloor = 0.5
 
-// CheapestPlacement returns the feasible configuration that moves the
-// least state from cur onto alloc, considering only configurations
-// within cheapestRateFloor of the set's best modeled throughput; ties
-// break towards the higher throughput and then the earlier enumerated
-// configuration. It is the reshape a preempted or failure-struck job
-// should take: the job gains nothing from a forced change, so minimal
-// disruption — not maximal steady-state rate — is the objective.
-// (Voluntary growth is the opposite case: there the rate is the
-// objective.)
+// CheapestPlacement returns the feasible configuration whose migration
+// onto alloc, as pr prices it, moves the fewest bytes, considering only
+// configurations within cheapestRateFloor of the set's best modeled
+// throughput; ties break towards the higher throughput and then the
+// earlier enumerated configuration. It is the reshape a preempted or
+// failure-struck job should take: the job gains nothing from a forced
+// change, so minimal disruption — not maximal steady-state rate — is the
+// objective. (Voluntary growth is the opposite case: there the rate is
+// the objective.)
 func CheapestPlacement(m *model.Model, topo *cluster.Topology, alloc cluster.Allocation,
-	cur Placement, p Params) (PlacementScore, error) {
+	pr Pricer, p Params) (PlacementScore, error) {
 	n := len(alloc)
 	if n == 0 {
 		return PlacementScore{}, fmt.Errorf("perfmodel: empty candidate allocation")
 	}
-	var scored []PlacementScore
+	var rated []PlacementScore
 	bestRate := 0.0
 	for _, cfg := range parallel.Enumerate(n, n, 8) {
-		ps := ScorePlacement(m, cfg, topo, alloc, cur, p)
-		if !ps.Feasible {
-			continue
+		if ps := rate(m, cfg, topo, alloc, p); ps.Feasible {
+			rated = append(rated, ps)
+			bestRate = max(bestRate, ps.SamplesSec)
 		}
-		scored = append(scored, ps)
-		if ps.SamplesSec > bestRate {
-			bestRate = ps.SamplesSec
-		}
-	}
-	if len(scored) == 0 {
-		return PlacementScore{}, fmt.Errorf("perfmodel: no feasible configuration for allocation %v", alloc)
 	}
 	var best PlacementScore
-	found := false
-	for _, ps := range scored {
+	for _, ps := range rated {
 		if ps.SamplesSec < cheapestRateFloor*bestRate {
 			continue
 		}
-		if !found || ps.MigrationBytes < best.MigrationBytes ||
-			(ps.MigrationBytes == best.MigrationBytes && ps.SamplesSec > best.SamplesSec) {
-			best, found = ps, true
+		if ps = ps.price(pr, alloc, p); ps.Feasible && (!best.Feasible || ps.Migration.Bytes < best.Migration.Bytes ||
+			(ps.Migration.Bytes == best.Migration.Bytes && ps.SamplesSec > best.SamplesSec)) {
+			best = ps
 		}
+	}
+	if !best.Feasible {
+		return PlacementScore{}, fmt.Errorf("perfmodel: no feasible configuration for allocation %v", alloc)
 	}
 	return best, nil
 }

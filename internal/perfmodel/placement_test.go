@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tenplex/internal/cluster"
+	"tenplex/internal/job"
 	"tenplex/internal/model"
 	"tenplex/internal/parallel"
 )
@@ -15,7 +16,40 @@ import (
 // planner's TestPlanEquivalence*: randomized topologies, allocations
 // and configurations pinning down the invariants the coordinator
 // depends on — determinism, bandwidth scale-invariance, and that
-// strictly-better-connected device sets never score worse.
+// strictly-better-connected device sets never score worse — with the
+// migration priced as the coordinator prices it, by the plan it would
+// commit.
+
+// planPricer prices a migration from the PTC of (cfg, alloc) by the
+// change job.Plan plans for the candidate, on topo; a source the model
+// cannot take prices every candidate as infeasible.
+func planPricer(m *model.Model, topo *cluster.Topology, cfg parallel.Config, alloc cluster.Allocation) Pricer {
+	from, buildErr := parallel.BuildPTC(m, cfg, alloc)
+	return Pricer{Source: from, From: alloc, Price: func(c parallel.Config, a cluster.Allocation) (Migration, error) {
+		if buildErr != nil {
+			return Migration{}, buildErr
+		}
+		ch, err := job.Plan(m, topo, from, c, a, nil)
+		if err != nil {
+			return Migration{}, err
+		}
+		return Migration{Sec: ch.SimSec, Bytes: ch.Stats.MovedBytes, Plan: ch}, nil
+	}}
+}
+
+// randSource is a random current placement of n devices on topo, as a
+// plan pricer.
+func randSource(rng *rand.Rand, m *model.Model, topo *cluster.Topology, n int) Pricer {
+	cfgs := parallel.Enumerate(n, n, 8)
+	return planPricer(m, topo, cfgs[rng.Intn(len(cfgs))], randAlloc(rng, topo, n))
+}
+
+// unplanned is s without the opaque plan, which is a fresh pointer per
+// pricing.
+func unplanned(s PlacementScore) PlacementScore {
+	s.Migration.Plan = nil
+	return s
+}
 
 // randTopo builds a random topology with physically-ordered link
 // speeds (NVLink >= PCIe >= Net — every generated cluster satisfies
@@ -70,9 +104,10 @@ func placementParams() Params {
 	return p
 }
 
-// TestScorePlacementDeterministic: the scorer is a pure function —
-// byte-identical results across repeated calls, for 240 randomized
-// (topology, allocation, configuration, current-placement) cases.
+// TestScorePlacementDeterministic: the scorer with the plan price is a
+// pure function — identical results across repeated calls, for 240
+// randomized (topology, allocation, configuration, current-placement)
+// cases.
 func TestScorePlacementDeterministic(t *testing.T) {
 	m := model.GPTCustom(4, 16, 2, 32, 8)
 	cases := 0
@@ -84,17 +119,13 @@ func TestScorePlacementDeterministic(t *testing.T) {
 			alloc := randAlloc(rng, topo, n)
 			cfgs := parallel.Enumerate(n, n, 8)
 			cfg := cfgs[rng.Intn(len(cfgs))]
-			var cur Placement
-			if rng.Intn(2) == 0 && topo.NumDevices() > n {
-				curCfgs := parallel.Enumerate(n, n, 8)
-				cur = Placement{
-					Alloc:  randAlloc(rng, topo, n),
-					Config: curCfgs[rng.Intn(len(curCfgs))],
-				}
+			var pr Pricer
+			if rng.Intn(2) == 0 {
+				pr = randSource(rng, m, topo, 1+rng.Intn(topo.NumDevices()))
 			}
-			a := ScorePlacement(m, cfg, topo, alloc, cur, placementParams())
-			b := ScorePlacement(m, cfg, topo, alloc, cur, placementParams())
-			if a != b {
+			a := ScorePlacement(m, cfg, topo, alloc, pr, placementParams())
+			b := ScorePlacement(m, cfg, topo, alloc, pr, placementParams())
+			if unplanned(a) != unplanned(b) {
 				t.Fatalf("seed %d trial %d: scorer not deterministic:\n%+v\n%+v", seed, trial, a, b)
 			}
 			cases++
@@ -106,12 +137,12 @@ func TestScorePlacementDeterministic(t *testing.T) {
 }
 
 // TestScorePlacementScaleInvariance: multiplying every link bandwidth
-// by k leaves MigrationBytes untouched, scales MigrationSec by exactly
-// 1/k, and never flips which of two same-configuration candidates has
-// the higher throughput — 200 randomized cases.
+// by k leaves the planned migration bytes untouched, scales its seconds
+// by exactly 1/k, and never flips which of two same-configuration
+// candidates has the higher throughput — 200 randomized cases.
 func TestScorePlacementScaleInvariance(t *testing.T) {
 	m := model.GPTCustom(4, 16, 2, 32, 8)
-	cases := 0
+	cases, moved := 0, 0
 	for seed := int64(10); seed < 14; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 140; trial++ {
@@ -124,22 +155,23 @@ func TestScorePlacementScaleInvariance(t *testing.T) {
 			allocB := randAlloc(rng, topo, n)
 			cfgs := parallel.Enumerate(n, n, 8)
 			cfg := cfgs[rng.Intn(len(cfgs))]
-			cur := Placement{Alloc: randAlloc(rng, topo, n), Config: cfg}
+			src := randAlloc(rng, topo, n)
 
-			sA := ScorePlacement(m, cfg, slow, allocA, cur, placementParams())
-			fA := ScorePlacement(m, cfg, fast, allocA, cur, placementParams())
+			sA := ScorePlacement(m, cfg, slow, allocA, planPricer(m, slow, cfg, src), placementParams())
+			fA := ScorePlacement(m, cfg, fast, allocA, planPricer(m, fast, cfg, src), placementParams())
 			if sA.Feasible != fA.Feasible {
 				t.Fatalf("seed %d trial %d: feasibility changed under scaling", seed, trial)
 			}
 			if !sA.Feasible {
 				continue
 			}
-			if sA.MigrationBytes != fA.MigrationBytes {
+			if sA.Migration.Bytes != fA.Migration.Bytes {
 				t.Fatalf("seed %d trial %d: migration bytes %d -> %d under pure bandwidth scaling",
-					seed, trial, sA.MigrationBytes, fA.MigrationBytes)
+					seed, trial, sA.Migration.Bytes, fA.Migration.Bytes)
 			}
-			if sA.MigrationSec > 0 {
-				ratio := sA.MigrationSec / fA.MigrationSec
+			if sA.Migration.Sec > 0 {
+				moved++
+				ratio := sA.Migration.Sec / fA.Migration.Sec
 				if math.Abs(ratio-k) > 1e-6*k {
 					t.Fatalf("seed %d trial %d: migration time scaled by %g, want %g", seed, trial, ratio, k)
 				}
@@ -147,8 +179,8 @@ func TestScorePlacementScaleInvariance(t *testing.T) {
 			// Throughput ranking between two candidates under the same
 			// configuration is scale-free: compute is unchanged and every
 			// communication term scales by 1/k.
-			sB := ScorePlacement(m, cfg, slow, allocB, cur, placementParams())
-			fB := ScorePlacement(m, cfg, fast, allocB, cur, placementParams())
+			sB := ScorePlacement(m, cfg, slow, allocB, Pricer{}, placementParams())
+			fB := ScorePlacement(m, cfg, fast, allocB, Pricer{}, placementParams())
 			if sB.Feasible && (sA.SamplesSec > sB.SamplesSec) != (fA.SamplesSec > fB.SamplesSec) &&
 				sA.SamplesSec != sB.SamplesSec {
 				t.Fatalf("seed %d trial %d: throughput ranking flipped under bandwidth scaling:\nslow %g vs %g\nfast %g vs %g",
@@ -157,17 +189,17 @@ func TestScorePlacementScaleInvariance(t *testing.T) {
 			cases++
 		}
 	}
-	if cases < 150 {
-		t.Fatalf("only %d feasible cases, want >= 150", cases)
+	if cases < 150 || moved < 100 {
+		t.Fatalf("only %d feasible cases, %d of them moving state, want >= 150 and >= 100", cases, moved)
 	}
 }
 
 // TestBetterConnectedNeverWorse covers the headline monotonicity
 // property from two angles, 240 randomized cases total:
 //
-//  1. same allocation on a uniformly faster topology never scores
-//     worse (every communication and migration term is non-increasing
-//     in every bandwidth);
+//  1. same allocation on a faster topology never scores worse (every
+//     communication term, and the planned migration's netsim time, is
+//     non-increasing in every bandwidth);
 //  2. for communication-bound configurations (DP-only and TP-only,
 //     where one group spans the whole allocation), a single-worker
 //     device set never scores worse than one spanning workers — the
@@ -184,7 +216,7 @@ func TestBetterConnectedNeverWorse(t *testing.T) {
 			alloc := randAlloc(rng, topo, n)
 			cfgs := parallel.Enumerate(n, n, 8)
 			cfg := cfgs[rng.Intn(len(cfgs))]
-			cur := Placement{Alloc: randAlloc(rng, topo, n), Config: cfg}
+			src := randAlloc(rng, topo, n)
 
 			// Angle 1: uplift a random subset of bandwidths.
 			up := *topo
@@ -195,8 +227,8 @@ func TestBetterConnectedNeverWorse(t *testing.T) {
 				up.PCIeBW *= 1 + 4*rng.Float64()
 			}
 			up.NetBW *= 1 + 4*rng.Float64()
-			base := ScorePlacement(m, cfg, topo, alloc, cur, placementParams())
-			better := ScorePlacement(m, cfg, &up, alloc, cur, placementParams())
+			base := ScorePlacement(m, cfg, topo, alloc, planPricer(m, topo, cfg, src), placementParams())
+			better := ScorePlacement(m, cfg, &up, alloc, planPricer(m, &up, cfg, src), placementParams())
 			if base.Feasible {
 				if !better.Feasible {
 					t.Fatalf("seed %d trial %d: faster links made placement infeasible", seed, trial)
@@ -230,8 +262,8 @@ func TestBetterConnectedNeverWorse(t *testing.T) {
 				{TP: 1, PP: 1, DP: n},
 				{TP: n, PP: 1, DP: 1},
 			} {
-				sc := ScorePlacement(m, cfg, topo, compact, Placement{}, placementParams())
-				sp := ScorePlacement(m, cfg, topo, spanning, Placement{}, placementParams())
+				sc := ScorePlacement(m, cfg, topo, compact, Pricer{}, placementParams())
+				sp := ScorePlacement(m, cfg, topo, spanning, Pricer{}, placementParams())
 				if !sc.Feasible || !sp.Feasible {
 					continue
 				}
@@ -248,70 +280,50 @@ func TestBetterConnectedNeverWorse(t *testing.T) {
 	}
 }
 
-// TestMigrationCostModel pins the layout model's qualitative shape on
-// a concrete topology: no source or unchanged placement is free,
-// shedding data-parallel replicas is free, growing them hauls full
-// shard copies (dearer than pipeline re-sharding), and a device new to
-// the allocation pays for its shard.
-func TestMigrationCostModel(t *testing.T) {
-	topo := cluster.OnPrem16()
-	m := model.GPTCustom(4, 16, 2, 32, 8)
-	p := placementParams()
-	eight := topo.FirstN(8)
-	four := topo.FirstN(4)
-	p42 := Placement{Alloc: eight, Config: parallel.Config{TP: 1, PP: 4, DP: 2}}
-	p41 := Placement{Alloc: four, Config: parallel.Config{TP: 1, PP: 4, DP: 1}}
-
-	if sec, b := MigrationCost(m, topo, Placement{}, p42, p); sec != 0 || b != 0 {
-		t.Fatalf("initial placement priced %g s / %d B, want free", sec, b)
-	}
-	if sec, b := MigrationCost(m, topo, p42, p42, p); sec != 0 || b != 0 {
-		t.Fatalf("unchanged placement priced %g s / %d B, want free", sec, b)
-	}
-	// DP shed: the surviving replica already holds every shard.
-	if sec, b := MigrationCost(m, topo, p42, p41, p); sec != 0 || b != 0 {
-		t.Fatalf("replica shed priced %g s / %d B, want free", sec, b)
-	}
-	// DP growth replicates the full shard set; PP growth only
-	// re-shards. Both from the same 4-device (P4,D1) start.
-	_, dpGrow := MigrationCost(m, topo, p41, Placement{Alloc: eight, Config: parallel.Config{TP: 1, PP: 4, DP: 2}}, p)
-	_, ppGrow := MigrationCost(m, topo, p41, Placement{Alloc: eight, Config: parallel.Config{TP: 1, PP: 8, DP: 1}}, p)
-	if dpGrow <= ppGrow {
-		t.Fatalf("DP growth (%d B) should move more state than PP growth (%d B)", dpGrow, ppGrow)
-	}
-	// Same configuration onto a set with one new device: only the new
-	// device's shard moves.
-	swapped := append(cluster.Allocation(nil), four[:3]...)
-	swapped = append(swapped, topo.Devices[10].ID)
-	sec, b := MigrationCost(m, topo, p41, Placement{Alloc: swapped, Config: p41.Config}, p)
-	if sec <= 0 || b <= 0 {
-		t.Fatal("replacing a device should cost a shard move")
-	}
-	bpp := int64(p.StateBytesPerParam)
-	if want := m.NumParams() * bpp / 4; b != want {
-		t.Fatalf("replacement moved %d B, want one shard = %d B", b, want)
-	}
-}
-
-// TestCheapestPlacement: the forced-reshape pick moves no more state
-// than any other feasible configuration within the rate floor, and a
-// pure replica shed prices as free.
+// TestCheapestPlacement: the forced-reshape pick moves no more planned
+// state than any other configuration within the rate floor, is priced
+// only over those, and shedding a data-parallel replica onto the
+// devices that hold it moves nothing.
 func TestCheapestPlacement(t *testing.T) {
 	topo := cluster.OnPrem16()
 	m := model.GPTCustom(4, 16, 2, 32, 8)
 	p := placementParams()
-	cur := Placement{Alloc: topo.FirstN(8), Config: parallel.Config{TP: 1, PP: 4, DP: 2}}
+	pr := planPricer(m, topo, parallel.Config{TP: 1, PP: 4, DP: 2}, topo.FirstN(8))
 	four := topo.FirstN(4)
-	got, err := CheapestPlacement(m, topo, four, cur, p)
+	got, err := CheapestPlacement(m, topo, four, pr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MigrationBytes != 0 {
-		t.Fatalf("shrinking (P4,D2)@8 onto its leading replica should be free, got %d B as %v",
-			got.MigrationBytes, got.Config)
+	if got.Config != (parallel.Config{TP: 1, PP: 4, DP: 1}) || got.Migration.Bytes != 0 {
+		t.Fatalf("cheapest shrink of (P4,D2)@8 onto its leading replica: %v moving %d B, want the free replica shed (T=1,P=4,D=1)",
+			got.Config, got.Migration.Bytes)
 	}
-	if got.Config != (parallel.Config{TP: 1, PP: 4, DP: 1}) {
-		t.Fatalf("cheapest shrink picked %v, want the replica shed (T=1,P=4,D=1)", got.Config)
+	best := 0.0
+	for _, cfg := range parallel.Enumerate(4, 4, 8) {
+		best = max(best, ScorePlacement(m, cfg, topo, four, Pricer{}, p).SamplesSec)
+	}
+	priced := 0
+	counting := pr
+	counting.Price = func(c parallel.Config, a cluster.Allocation) (Migration, error) {
+		priced++
+		return pr.Price(c, a)
+	}
+	if _, err := CheapestPlacement(m, topo, four, counting, p); err != nil {
+		t.Fatal(err)
+	}
+	within := 0
+	for _, cfg := range parallel.Enumerate(4, 4, 8) {
+		ps := ScorePlacement(m, cfg, topo, four, pr, p)
+		if !ps.Feasible || ps.SamplesSec < cheapestRateFloor*best {
+			continue
+		}
+		within++
+		if ps.Migration.Bytes < got.Migration.Bytes {
+			t.Fatalf("%v moves %d B, below the pick's %d B", cfg, ps.Migration.Bytes, got.Migration.Bytes)
+		}
+	}
+	if priced != within {
+		t.Fatalf("CheapestPlacement priced %d configurations, want the %d within the rate floor", priced, within)
 	}
 }
 
@@ -323,7 +335,7 @@ func TestScorePlacementRejectsFailedDevices(t *testing.T) {
 	m := model.GPTCustom(4, 16, 2, 32, 8)
 	alloc := topo.FirstN(4)
 	cfg := parallel.Config{TP: 1, PP: 2, DP: 2}
-	before := ScorePlacement(m, cfg, topo, alloc, Placement{}, placementParams())
+	before := ScorePlacement(m, cfg, topo, alloc, Pricer{}, placementParams())
 	if !before.Feasible {
 		t.Fatalf("healthy placement infeasible: %s", before.Reason)
 	}
@@ -332,8 +344,12 @@ func TestScorePlacementRejectsFailedDevices(t *testing.T) {
 	if topo.Generation() == gen {
 		t.Fatal("MarkFailed did not bump the topology generation")
 	}
-	after := ScorePlacement(m, cfg, topo, alloc, Placement{}, placementParams())
-	if after.Feasible {
-		t.Fatal("placement on a failed device still feasible")
+	priced := false
+	after := ScorePlacement(m, cfg, topo, alloc, Pricer{Price: func(parallel.Config, cluster.Allocation) (Migration, error) {
+		priced = true
+		return Migration{}, nil
+	}}, placementParams())
+	if after.Feasible || priced {
+		t.Fatalf("placement on a failed device: feasible %v, priced %v; want neither", after.Feasible, priced)
 	}
 }

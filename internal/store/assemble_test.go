@@ -192,6 +192,7 @@ var malformedAssemble = []struct {
 	{"range past MaxInt64", rawAssemble(nil, fetching(2, rawFetch{path: "/a", reg: rawRegion(0, 1<<63)})), 400},
 	{"at out of bounds", rawAssemble(nil, fetching(2, rawFetch{path: "/a", at: rawRegion(0, 3)})), 400},
 	{"at rank", rawAssemble(nil, fetching(2, rawFetch{path: "/a", at: rawRegion(0, 1, 0, 1)})), 400},
+	{"at on a scalar", rawAssemble(nil, rawItem{path: "/x", dtype: tensor.Float32, fetch: []rawFetch{{path: "/a", at: rawRegion(0, 1)}}}), 400},
 	{"range does not fill at", rawAssemble(nil, fetching(4, rawFetch{path: "/a", reg: rawRegion(0, 3), at: rawRegion(0, 4)})), 400},
 	{"range does not fill the tensor", rawAssemble(nil, fetching(4, rawFetch{path: "/a", reg: rawRegion(0, 2, 0, 2)})), 400},
 	{"hole", rawAssemble(nil, fetching(4, rawFetch{path: "/a", at: rawRegion(0, 2)})), 400},
@@ -348,6 +349,38 @@ func TestAssembleDeadAndRefusingPeers(t *testing.T) {
 	}
 }
 
+// scalarAtRank is an assemble of a scalar (no shape) with one fetch from
+// a peer that names a rank-1 target region.
+func scalarAtRank(peer string) []AssembleItem {
+	return []AssembleItem{{Path: "/n", DType: tensor.Float32,
+		Fetch: []AssembleFetch{{Source: peer, Path: "/t", At: tensor.Region{{Lo: 0, Hi: 1}}}}}}
+}
+
+// A target region whose rank is not its tensor's is refused with a 400
+// before anything is pulled — a scalar's included, whose nil shape once
+// let any region through to a walk past its shape, in the goroutine
+// pulling from the peer, where the panic took the whole store down.
+func TestAssembleRefusesTargetOfAnotherRank(t *testing.T) {
+	d, peer := newAssembleNode(t, nil), newAssembleNode(t, nil)
+	peer.put(t, "/t", tensor.New(tensor.Float32))
+	var se *statusError
+	if _, err := d.client(nil).Assemble(context.Background(), scalarAtRank(peer.hs.URL)); !errors.As(err, &se) || se.code != http.StatusBadRequest {
+		t.Fatalf("scalar with a rank-1 target: error %v, want a 400", err)
+	}
+	if _, err := d.srv.FS.GetTensor("/n"); err == nil {
+		t.Fatal("a refused assemble stored its tensor")
+	}
+	// The store is still up and serves the same pull with a scalar target.
+	item := scalarAtRank(peer.hs.URL)
+	item[0].Fetch[0].At = nil
+	if _, err := d.client(nil).Assemble(context.Background(), item); err != nil {
+		t.Fatalf("store stopped serving after the refused request: %v", err)
+	}
+	if _, err := d.srv.FS.GetTensor("/n"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A frame damaged between peer and destination fails its CRC on the
 // destination, which asks the peer for it again; the caller sees one
 // successful request.
@@ -415,6 +448,11 @@ func FuzzAssembleRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(whole)
+	scalar, err := encodeAssembleRequest(scalarAtRank("http://127.0.0.1:1"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(scalar)
 	srv := NewServer(NewMemFS())
 	if err := srv.FS.PutTensor("/t", seqTensor(4, 4)); err != nil {
 		f.Fatal(err)
@@ -457,6 +495,11 @@ func FuzzAssembleRequest(f *testing.F) {
 				local = local && fe.Source == ""
 				if fe.At != nil && !fe.At.Valid(it.Shape) {
 					t.Fatalf("decoder let target %v through for shape %v", fe.At, it.Shape)
+				}
+				for _, r := range []tensor.Region{fe.Reg, fe.At} {
+					if r != nil && len(r) != len(it.Shape) {
+						t.Fatalf("decoder let region %v of rank %d through for a rank-%d item", r, len(r), len(it.Shape))
+					}
 				}
 			}
 			// Keep the fuzzer's own allocations small.

@@ -92,17 +92,15 @@ func (g Region) NumBytes(dt DType) int64 {
 	return int64(g.NumElems()) * int64(dt.Size())
 }
 
-// Valid reports whether every range is well-formed and, when shape is
-// non-nil, within bounds.
+// Valid reports whether the region has shape's rank and every range is
+// well-formed and within shape's bounds. A nil shape is a scalar's, whose
+// one region is the empty one.
 func (g Region) Valid(shape []int) bool {
-	if shape != nil && len(g) != len(shape) {
+	if len(g) != len(shape) {
 		return false
 	}
 	for i, r := range g {
-		if !r.Valid() {
-			return false
-		}
-		if shape != nil && r.Hi > shape[i] {
+		if !r.Valid() || r.Hi > shape[i] {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,33 @@ func TestRegionBasics(t *testing.T) {
 	if sub[0].Lo != 1 {
 		t.Fatal("Clone aliases")
 	}
+}
+
+// TestScalarRegionRank: a rank-0 tensor's one region is the empty one.
+// A region of another rank is out of bounds, and WriteRegion and View
+// refuse it instead of walking past the scalar's shape.
+func TestScalarRegionRank(t *testing.T) {
+	s := New(Float32)
+	bad := Region{{0, 1}}
+	if s.InBounds(bad) || !s.InBounds(nil) || !s.InBounds(Region{}) {
+		t.Fatalf("scalar InBounds: %v for %v, %v for nil, %v for {}, want false, true, true",
+			s.InBounds(bad), bad, s.InBounds(nil), s.InBounds(Region{}))
+	}
+	if New(Float32, 4, 4).InBounds(Region{{0, 1}}) {
+		t.Fatal("a rank-1 region is in bounds of a rank-2 tensor")
+	}
+	if _, err := s.WriteRegion(bad, bytes.NewReader(make([]byte, 4))); err == nil {
+		t.Fatal("WriteRegion took a rank-1 region into a scalar")
+	}
+	if n, err := s.WriteRegion(nil, bytes.NewReader([]byte{1, 2, 3, 4})); err != nil || n != 4 {
+		t.Fatalf("WriteRegion of the scalar's region: %d bytes, %v", n, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("View of a rank-1 region over a scalar did not panic")
+		}
+	}()
+	s.View(bad)
 }
 
 func TestRegionIntersect(t *testing.T) {
