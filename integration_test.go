@@ -104,7 +104,28 @@ func TestTrainingThroughJobLifecycle(t *testing.T) {
 			t.Fatalf("loss diverges at step %d: %v vs %v", i, tr.Losses[i], ref.Losses[i])
 		}
 	}
-	if !train.StateClose(tr.State, ref.State, 1e-12) {
+	if !stateClose(tr.State, ref.State, 1e-12) {
 		t.Fatal("final parameters diverge from the uninterrupted run")
 	}
+}
+
+// stateClose reports whether two state maps hold the same tensors, of
+// the same shapes, within tol element by element.
+func stateClose(a, b map[string]*tensor.Tensor, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, av := range a {
+		bv, ok := b[k]
+		if !ok || !tensor.ShapeEqual(av.Shape(), bv.Shape()) {
+			return false
+		}
+		x, y := av.Float64s(), bv.Float64s()
+		for i := range x {
+			if math.Abs(x[i]-y[i]) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

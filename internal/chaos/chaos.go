@@ -1,7 +1,6 @@
 // Package chaos is a deterministic, seeded fault injector for hostile-
 // cluster simulation: store I/O errors and stragglers on the Tensor
-// Store datapath, dropped responses and injected latency on the REST
-// transport, and cluster-level hostility — flapping devices that fail
+// Store datapath, and cluster-level hostility — flapping devices that fail
 // AND recover, spot-reclamation notices with a deadline, and degraded
 // inter-worker links — consumed by the coordinator's event loop.
 //
@@ -20,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -84,8 +82,7 @@ type Plan struct {
 	// zero — the simulation default — keeps deterministic runs instant.
 	StoreLatency time.Duration
 	// StragglerRate picks operations that stall for StragglerLatency
-	// instead of StoreLatency, for straggler-mitigation testing on the
-	// REST transport.
+	// instead of StoreLatency.
 	StragglerRate    float64
 	StragglerLatency time.Duration
 
@@ -138,26 +135,19 @@ func (p *Plan) Validate(devices, workers int) error {
 }
 
 // Injector executes a Plan's datapath side: it wraps Tensor Store
-// accesses (and, for REST deployments, the HTTP transport and server)
-// with deterministic fault decisions. One Injector serves all jobs of a
-// run; each job's faults come from its own streams.
+// accesses with deterministic fault decisions. One Injector serves all
+// jobs of a run; each job's faults come from its own streams.
 type Injector struct {
 	plan Plan
 
 	mu   sync.Mutex
 	jobs map[string]*faultStream
-	http *faultStream // transport/server stream, always armed
 }
 
 // NewInjector builds an injector for the plan.
 func NewInjector(p Plan) *Injector {
-	in := &Injector{plan: p, jobs: map[string]*faultStream{}}
-	in.http = &faultStream{armed: true, state: seedState(p.Seed, "http", 0)}
-	return in
+	return &Injector{plan: p, jobs: map[string]*faultStream{}}
 }
-
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // BeginAttempt arms fault injection on job's wrapped stores for one
 // transform attempt, seeding a FRESH decision stream from (seed, job,
@@ -253,33 +243,6 @@ func identity(tag string, op *store.Op) []string {
 	return id
 }
 
-// Transport wraps an http.RoundTripper with injected request failures
-// (dropped responses surface as transport errors, which the store
-// client treats as retryable) and straggler latency. base nil means
-// http.DefaultTransport.
-func (in *Injector) Transport(base http.RoundTripper) http.RoundTripper {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	return &transport{base: base, in: in}
-}
-
-// ServerMiddleware wraps a Tensor Store server handler with injected
-// 500 responses and latency, for hostile REST integration tests.
-func (in *Injector) ServerMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fail, delay := in.http.decide(in.plan)
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if fail {
-			http.Error(w, "chaos: injected server fault", http.StatusInternalServerError)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
 // --- deterministic decision streams ---
 
 // faultStream is one deterministic decision stream. For store ops the
@@ -289,24 +252,11 @@ func (in *Injector) ServerMiddleware(next http.Handler) http.Handler {
 // in. This matters because transform ops are not equally fatal — a
 // fault landing on a read with a checkpoint fallback is absorbed while
 // one landing on an upload aborts the attempt — so order-assigned
-// outcomes would make attempt results schedule-dependent. The HTTP
-// stream still draws sequentially (decide), which is fine for the REST
-// datapath tests it serves.
+// outcomes would make attempt results schedule-dependent.
 type faultStream struct {
 	mu    sync.Mutex
 	armed bool
 	state uint64
-}
-
-// decide draws one sequential fault decision. Used by the always-armed
-// HTTP stream.
-func (st *faultStream) decide(p Plan) (fail bool, delay time.Duration) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.armed {
-		return false, 0
-	}
-	return st.fate(p)
 }
 
 // decideOp decides one store operation's fate from the attempt seed and
@@ -369,26 +319,4 @@ func opHash(parts ...string) uint64 {
 	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 	return h ^ (h >> 31)
-}
-
-// --- HTTP transport wrapper ---
-
-type transport struct {
-	base http.RoundTripper
-	in   *Injector
-}
-
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	fail, delay := t.in.http.decide(t.in.plan)
-	if delay > 0 {
-		select {
-		case <-time.After(delay):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	}
-	if fail {
-		return nil, fmt.Errorf("%w: dropped %s %s", Err, req.Method, req.URL.Path)
-	}
-	return t.base.RoundTrip(req)
 }

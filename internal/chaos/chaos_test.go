@@ -179,38 +179,6 @@ func TestChaosPlanValidate(t *testing.T) {
 	}
 }
 
-// The HTTP transport wrapper drops requests deterministically and the
-// server middleware injects 500s; both reach the store client as
-// retryable failures.
-func TestChaosTransportAndMiddleware(t *testing.T) {
-	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	in := NewInjector(Plan{Seed: 5, StoreFaultRate: 0.5})
-	srv := httptest.NewServer(in.ServerMiddleware(backend))
-	defer srv.Close()
-
-	client := &http.Client{Transport: in.Transport(nil)}
-	var transportErrs, serverErrs, oks int
-	for i := 0; i < 100; i++ {
-		resp, err := client.Get(srv.URL)
-		if err != nil {
-			transportErrs++
-			continue
-		}
-		if resp.StatusCode == http.StatusInternalServerError {
-			serverErrs++
-		} else {
-			oks++
-		}
-		resp.Body.Close()
-	}
-	if transportErrs == 0 || serverErrs == 0 || oks == 0 {
-		t.Fatalf("want a mix of outcomes, got transport=%d server=%d ok=%d",
-			transportErrs, serverErrs, oks)
-	}
-}
-
 // batchOnly is a store that takes batch reads and offers nothing else of
 // what a wire store does.
 type batchOnly struct{ store.Local }

@@ -298,14 +298,6 @@ func (t *Topology) NumRacks() int {
 	return (len(t.Workers) + t.Hier.NodesPerRack - 1) / t.Hier.NodesPerRack
 }
 
-// NumPods returns the pod count (1 for flat topologies).
-func (t *Topology) NumPods() int {
-	if t.Hier == nil || t.Hier.RacksPerPod < 1 {
-		return 1
-	}
-	return (t.NumRacks() + t.Hier.RacksPerPod - 1) / t.Hier.RacksPerPod
-}
-
 // SameIsland reports whether two devices share an NVLink island: the
 // same worker, and — in a hierarchical topology with islands — the same
 // IslandSize-aligned group of local ranks.

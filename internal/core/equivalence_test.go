@@ -154,28 +154,63 @@ func TestPlanEquivalenceMoE(t *testing.T) {
 	}
 }
 
+// sequenceBatch describes a batch of data sample tensors for sequence
+// parallelism: each sample is a [seqLen, features] tensor.
+type sequenceBatch struct {
+	samples          []string
+	seqLen, features int
+	dtype            tensor.DType
+}
+
+// buildSequencePTC expresses sequence parallelism with the PTC
+// functions: like tensor parallelism, σ slices tensors — but it slices
+// the data sample tensors along the sequence dimension instead of the
+// model tensors (§4.3). Rank r of len(alloc) holds rows
+// SplitRanges(seqLen, len(alloc))[r] of every sample.
+func buildSequencePTC(t *testing.T, batch sequenceBatch, alloc cluster.Allocation) *core.PTC {
+	t.Helper()
+	ptc := core.NewPTC(fmt.Sprintf("SP=%d", len(alloc)), alloc)
+	for _, s := range batch.samples {
+		ptc.AddTensor(core.TensorMeta{ID: core.TensorID(s), DType: batch.dtype, Shape: []int{batch.seqLen, batch.features}})
+	}
+	ranges := tensor.SplitRanges(batch.seqLen, len(alloc))
+	for r, dev := range alloc {
+		for _, s := range batch.samples {
+			ptc.Assign(dev, core.TensorID(s), tensor.Region{ranges[r], {Lo: 0, Hi: batch.features}})
+		}
+	}
+	if err := ptc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return ptc
+}
+
 // TestPlanEquivalenceSequence covers sequence-parallel sample tensors,
-// which slice along the sequence (first) dimension.
+// which slice along the sequence (first) dimension; a shrink merges
+// sequence slices.
 func TestPlanEquivalenceSequence(t *testing.T) {
-	batch := parallel.SequenceBatch{
-		Samples: []string{"sample.0", "sample.1", "sample.2"},
-		SeqLen:  24, Features: 4, DType: tensor.Float32,
+	batch := sequenceBatch{
+		samples: []string{"sample.0", "sample.1", "sample.2"},
+		seqLen:  24, features: 4, dtype: tensor.Float32,
 	}
 	degrees := []int{1, 2, 3, 4, 6}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		sf := degrees[rng.Intn(len(degrees))]
 		st := degrees[rng.Intn(len(degrees))]
-		from, err := parallel.BuildSequencePTC("batch", batch, sf, alloc(sf))
-		if err != nil {
-			t.Fatal(err)
+		from := buildSequencePTC(t, batch, alloc(sf))
+		to := buildSequencePTC(t, batch, alloc(st))
+		label := fmt.Sprintf("seq trial %d SP%d -> SP%d", trial, sf, st)
+		comparePlanners(t, label, from, to, core.PlanOptions{})
+		if st < sf {
+			plan, err := core.GeneratePlan(from, to, core.PlanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Stats(nil).Merges == 0 {
+				t.Fatalf("%s: a shrink should merge sequence slices", label)
+			}
 		}
-		to, err := parallel.BuildSequencePTC("batch", batch, st, alloc(st))
-		if err != nil {
-			t.Fatal(err)
-		}
-		comparePlanners(t, fmt.Sprintf("seq trial %d SP%d -> SP%d", trial, sf, st),
-			from, to, core.PlanOptions{})
 	}
 }
 

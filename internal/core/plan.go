@@ -658,33 +658,6 @@ func (p *Plan) Flows(topo *cluster.Topology) []netsim.Flow {
 	return flows
 }
 
-// Ops renders the plan as the paper's split / move / merge operation
-// sequence, for logging and inspection.
-func (p *Plan) Ops() []string {
-	var ops []string
-	for _, a := range p.Assignments {
-		if a.IsNoop() {
-			continue
-		}
-		for _, f := range a.Fetch {
-			if f.Src.Kind == FromStorage {
-				ops = append(ops, fmt.Sprintf("load(%s%v, storage -> dev%d)", a.Tensor, f.Want, a.Device))
-				continue
-			}
-			if !f.Src.Region.Equal(f.Want) {
-				ops = append(ops, fmt.Sprintf("split(%s%v -> %v, dev%d)", a.Tensor, f.Src.Region, f.Want, f.Src.Device))
-			}
-			if f.Src.Device != a.Device {
-				ops = append(ops, fmt.Sprintf("move(%s%v, dev%d -> dev%d)", a.Tensor, f.Want, f.Src.Device, a.Device))
-			}
-		}
-		if len(a.Fetch) > 1 {
-			ops = append(ops, fmt.Sprintf("merge(%s%v, %d pieces, dev%d)", a.Tensor, a.Region, len(a.Fetch), a.Device))
-		}
-	}
-	return ops
-}
-
 // Validate checks plan invariants: every assignment's fetches tile its
 // region exactly, with no gaps and no overlaps (so every byte of a
 // destination buffer has one writer, whatever order its fetches land

@@ -48,7 +48,8 @@ func execute(t *testing.T, plan *core.Plan,
 	}
 	for _, a := range plan.AllAssignments() {
 		meta := plan.To.Tensors[a.Tensor]
-		var pieces []tensor.Piece
+		merged := tensor.New(meta.DType, a.Region.Shape()...)
+		covered := 0
 		for _, f := range a.Fetch {
 			var data *tensor.Tensor
 			switch f.Src.Kind {
@@ -61,11 +62,13 @@ func execute(t *testing.T, plan *core.Plan,
 			case core.FromStorage:
 				data = golden[a.Tensor].Slice(f.Want)
 			}
-			pieces = append(pieces, tensor.Piece{Region: f.Want.Translate(a.Region.Offset()), Data: data})
+			if _, err := tensor.CopyRegion(merged, f.Want.Translate(a.Region.Offset()), data, tensor.FullRegion(data.Shape())); err != nil {
+				t.Fatalf("assemble %s%v: %v", a.Tensor, a.Region, err)
+			}
+			covered += f.Want.NumElems()
 		}
-		merged, err := tensor.Assemble(meta.DType, a.Region.Shape(), pieces)
-		if err != nil {
-			t.Fatalf("assemble %s%v: %v", a.Tensor, a.Region, err)
+		if covered < merged.NumElems() {
+			t.Fatalf("assemble %s%v: fetches cover %d of %d elements", a.Tensor, a.Region, covered, merged.NumElems())
 		}
 		out[a.Device][string(a.Tensor)+a.Region.String()] = merged
 	}
@@ -136,9 +139,6 @@ func TestPlanIdentityIsAllNoops(t *testing.T) {
 	}
 	if st.Noops != st.Assignments {
 		t.Fatalf("identity: %d noops of %d assignments", st.Noops, st.Assignments)
-	}
-	if len(plan.Ops()) != 0 {
-		t.Fatalf("identity plan has ops: %v", plan.Ops())
 	}
 }
 
@@ -407,29 +407,6 @@ func TestPlanRandomReconfigurations(t *testing.T) {
 		}
 		golden, placed := materialize(from)
 		verify(t, to, golden, execute(t, plan, golden, placed))
-	}
-}
-
-func TestPlanOpsRendering(t *testing.T) {
-	m := model.GPTCustom(2, 16, 2, 64, 8)
-	from := buildPTC(t, m, parallel.Config{TP: 1, PP: 1, DP: 1}, alloc(1))
-	to := buildPTC(t, m, parallel.Config{TP: 2, PP: 1, DP: 1}, alloc(2))
-	plan, err := core.GeneratePlan(from, to, core.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := plan.Ops()
-	var hasSplit, hasMove bool
-	for _, op := range ops {
-		if len(op) >= 5 && op[:5] == "split" {
-			hasSplit = true
-		}
-		if len(op) >= 4 && op[:4] == "move" {
-			hasMove = true
-		}
-	}
-	if !hasSplit || !hasMove {
-		t.Fatalf("ops missing split/move: %v", ops)
 	}
 }
 

@@ -43,9 +43,6 @@ type TensorMeta struct {
 	Shape []int
 }
 
-// NumBytes returns the full tensor's byte size.
-func (m TensorMeta) NumBytes() int64 { return tensor.ShapeNumBytes(m.DType, m.Shape) }
-
 // SubTensor is one placed fragment: a region of a base tensor, in base
 // coordinates.
 type SubTensor struct {

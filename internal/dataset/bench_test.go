@@ -16,15 +16,3 @@ func BenchmarkNextBatch(b *testing.B) {
 		_ = c.NextBatch(n, gb, dp)
 	}
 }
-
-func BenchmarkLoaderSample(b *testing.B) {
-	ix, chunks := Synthetic(4096, 1024, 256, 3)
-	l := NewLoader(ix, MemChunks(chunks))
-	b.SetBytes(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Sample(i % 4096); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,8 +1,7 @@
-// Package dataset manages the dataset state of the PTC (§5.2): the
-// training samples, the index that locates each sample inside binary
-// chunk files by byte range, the deterministic per-epoch order, and the
-// re-partitioning that keeps data access consistent when the degree of
-// data parallelism changes mid-epoch.
+// Package dataset holds the dataset state of the PTC (§5.2) that a job
+// carries across reconfigurations: a Cursor (seed, epoch, samples
+// consumed) and the deterministic per-epoch sample order it cuts global
+// batches from.
 //
 // Consistency model (§2.3): the per-epoch sample order is a pure
 // function of (seed, epoch). Rank r of a DP-d job consumes, from global
@@ -14,105 +13,9 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 )
-
-// SampleLoc locates one sample inside a chunk file: 64-bit byte offset
-// and length, as the paper's dataset index prescribes.
-type SampleLoc struct {
-	Chunk  int
-	Offset int64
-	Length int64
-}
-
-// Index is the dataset index: chunk file names plus one location per
-// sample. Sample IDs are positions in Samples.
-type Index struct {
-	// ChunkPaths names the binary files, e.g. in remote storage.
-	ChunkPaths []string
-	// Samples holds the byte range of every sample.
-	Samples []SampleLoc
-}
-
-// NumSamples returns the dataset size.
-func (ix *Index) NumSamples() int { return len(ix.Samples) }
-
-// TotalBytes sums all sample lengths.
-func (ix *Index) TotalBytes() int64 {
-	var n int64
-	for _, s := range ix.Samples {
-		n += s.Length
-	}
-	return n
-}
-
-// Validate checks that locations are in bounds and non-overlapping per
-// chunk given chunk sizes.
-func (ix *Index) Validate(chunkSizes []int64) error {
-	if len(chunkSizes) != len(ix.ChunkPaths) {
-		return fmt.Errorf("dataset: %d chunk sizes for %d chunks", len(chunkSizes), len(ix.ChunkPaths))
-	}
-	for i, s := range ix.Samples {
-		if s.Chunk < 0 || s.Chunk >= len(ix.ChunkPaths) {
-			return fmt.Errorf("dataset: sample %d references chunk %d of %d", i, s.Chunk, len(ix.ChunkPaths))
-		}
-		if s.Offset < 0 || s.Length <= 0 || s.Offset+s.Length > chunkSizes[s.Chunk] {
-			return fmt.Errorf("dataset: sample %d range [%d,%d) exceeds chunk %d size %d",
-				i, s.Offset, s.Offset+s.Length, s.Chunk, chunkSizes[s.Chunk])
-		}
-	}
-	return nil
-}
-
-// Synthetic builds an in-memory dataset of n samples of sampleBytes
-// each, packed samplesPerChunk to a chunk. Sample i's payload is a pure
-// function of (seed, i), so tests can verify exactly-once consumption by
-// decoding what they read. It returns the index and the chunk contents.
-func Synthetic(n, sampleBytes, samplesPerChunk int, seed int64) (*Index, [][]byte) {
-	if n <= 0 || sampleBytes < 8 || samplesPerChunk <= 0 {
-		panic(fmt.Sprintf("dataset: bad Synthetic args n=%d bytes=%d perChunk=%d", n, sampleBytes, samplesPerChunk))
-	}
-	ix := &Index{}
-	var chunks [][]byte
-	var cur []byte
-	for i := 0; i < n; i++ {
-		if i%samplesPerChunk == 0 {
-			if cur != nil {
-				chunks = append(chunks, cur)
-			}
-			cur = nil
-			ix.ChunkPaths = append(ix.ChunkPaths, fmt.Sprintf("chunk-%05d.bin", len(chunks)))
-		}
-		ix.Samples = append(ix.Samples, SampleLoc{
-			Chunk:  len(chunks),
-			Offset: int64(len(cur)),
-			Length: int64(sampleBytes),
-		})
-		cur = append(cur, SampleBytes(seed, i, sampleBytes)...)
-	}
-	chunks = append(chunks, cur)
-	return ix, chunks
-}
-
-// SampleBytes generates sample i's payload: an 8-byte little-endian
-// sample ID followed by deterministic pseudo-random bytes.
-func SampleBytes(seed int64, i, sampleBytes int) []byte {
-	buf := make([]byte, sampleBytes)
-	binary.LittleEndian.PutUint64(buf, uint64(i))
-	rng := rand.New(rand.NewSource(seed ^ int64(i)*0x9e3779b9))
-	rng.Read(buf[8:]) //nolint:errcheck // never fails
-	return buf
-}
-
-// DecodeSampleID reads back the sample ID from a payload.
-func DecodeSampleID(payload []byte) int {
-	if len(payload) < 8 {
-		panic("dataset: payload too short for sample ID")
-	}
-	return int(binary.LittleEndian.Uint64(payload))
-}
 
 // EpochOrder returns the deterministic sample order for an epoch: a
 // Fisher–Yates shuffle keyed by (seed, epoch). Identical inputs produce
@@ -172,25 +75,4 @@ func (c *Cursor) NextBatch(n, globalBatch, dp int) []Shard {
 	}
 	c.Consumed += globalBatch
 	return shards
-}
-
-// Remaining returns how many samples of the current epoch are left.
-func (c *Cursor) Remaining(n int) int { return n - c.Consumed }
-
-// Partition lists the sample IDs rank r will consume for the rest of
-// the current epoch under (globalBatch, dp) — the contents of the
-// rank's virtual dataset directory after a (re-)partitioning. The
-// cursor is not advanced.
-func (c *Cursor) Partition(n, globalBatch, dp, rank int) []int {
-	if globalBatch%dp != 0 {
-		panic(fmt.Sprintf("dataset: global batch %d not divisible by dp %d", globalBatch, dp))
-	}
-	order := EpochOrder(c.Seed, c.Epoch, n)
-	local := globalBatch / dp
-	var out []int
-	for pos := c.Consumed; pos+globalBatch <= n; pos += globalBatch {
-		lo := pos + rank*local
-		out = append(out, order[lo:lo+local]...)
-	}
-	return out
 }

@@ -5,61 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestSyntheticIndex(t *testing.T) {
-	ix, chunks := Synthetic(100, 64, 16, 7)
-	if ix.NumSamples() != 100 {
-		t.Fatalf("samples = %d", ix.NumSamples())
-	}
-	if len(chunks) != 7 { // ceil(100/16)
-		t.Fatalf("chunks = %d", len(chunks))
-	}
-	if ix.TotalBytes() != 6400 {
-		t.Fatalf("total bytes = %d", ix.TotalBytes())
-	}
-	sizes := make([]int64, len(chunks))
-	for i, c := range chunks {
-		sizes[i] = int64(len(c))
-	}
-	if err := ix.Validate(sizes); err != nil {
-		t.Fatal(err)
-	}
-	// Sample payloads decode to their IDs.
-	l := NewLoader(ix, MemChunks(chunks))
-	for _, id := range []int{0, 15, 16, 99} {
-		p, err := l.Sample(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if DecodeSampleID(p) != id {
-			t.Fatalf("sample %d decodes to %d", id, DecodeSampleID(p))
-		}
-	}
-	if _, err := l.Sample(100); err == nil {
-		t.Fatal("out-of-range sample read")
-	}
-	if l.BytesRead != 4*64 {
-		t.Fatalf("BytesRead = %d", l.BytesRead)
-	}
-}
-
-func TestIndexValidateCatchesCorruption(t *testing.T) {
-	ix, chunks := Synthetic(10, 16, 4, 1)
-	sizes := make([]int64, len(chunks))
-	for i, c := range chunks {
-		sizes[i] = int64(len(c))
-	}
-	bad := *ix
-	bad.Samples = append([]SampleLoc(nil), ix.Samples...)
-	bad.Samples[3] = SampleLoc{Chunk: 0, Offset: 60, Length: 16}
-	if err := bad.Validate(sizes); err == nil {
-		t.Fatal("overflowing sample accepted")
-	}
-	bad.Samples[3] = SampleLoc{Chunk: 9, Offset: 0, Length: 16}
-	if err := bad.Validate(sizes); err == nil {
-		t.Fatal("bad chunk reference accepted")
-	}
-}
-
 func TestEpochOrderDeterministicAndComplete(t *testing.T) {
 	a := EpochOrder(42, 3, 1000)
 	b := EpochOrder(42, 3, 1000)
@@ -173,34 +118,6 @@ func TestNextBatchPanics(t *testing.T) {
 	}
 }
 
-func TestPartitionMatchesNextBatch(t *testing.T) {
-	const n, gb, dp = 96, 8, 4
-	c := Cursor{Seed: 3, Consumed: 2 * gb}
-	parts := make([][]int, dp)
-	for r := 0; r < dp; r++ {
-		parts[r] = c.Partition(n, gb, dp, r)
-	}
-	// Walking NextBatch from the same cursor must yield the same
-	// per-rank streams.
-	w := c // copy
-	got := make([][]int, dp)
-	for w.Remaining(n) >= gb && w.Epoch == c.Epoch {
-		for _, s := range w.NextBatch(n, gb, dp) {
-			got[s.Rank] = append(got[s.Rank], s.Samples...)
-		}
-	}
-	for r := 0; r < dp; r++ {
-		if len(got[r]) != len(parts[r]) {
-			t.Fatalf("rank %d: %d vs %d samples", r, len(got[r]), len(parts[r]))
-		}
-		for i := range got[r] {
-			if got[r][i] != parts[r][i] {
-				t.Fatalf("rank %d diverges at %d", r, i)
-			}
-		}
-	}
-}
-
 func TestExactlyOnceQuick(t *testing.T) {
 	// Property: any DP schedule consumes each sample at most once per
 	// epoch and the union over one full epoch is complete.
@@ -229,60 +146,4 @@ func TestExactlyOnceQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFetchOrder(t *testing.T) {
-	ix, _ := Synthetic(40, 16, 10, 1) // 4 chunks of 10
-	// Partition touching chunks 3, 0, 3, 1 in that order of first use.
-	partition := []int{35, 2, 35, 35, 12}
-	got := FetchOrder(ix, partition)
-	want := []int{3, 0, 1}
-	if len(got) != len(want) {
-		t.Fatalf("FetchOrder = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FetchOrder = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestStreamStatsOverlap(t *testing.T) {
-	ix, _ := Synthetic(100, 1000, 10, 2) // 10 chunks of 10 KB
-	c := Cursor{Seed: 1}
-	part := c.Partition(100, 10, 1, 0)
-
-	// Fast network: only the first chunk gates the start; no stalls.
-	start, stall := StreamStats(ix, part, 1e9, 1.0)
-	if start <= 0 {
-		t.Fatal("start delay must be positive")
-	}
-	if stall != 0 {
-		t.Fatalf("fast fetch should not stall, got %g", stall)
-	}
-	// Slow network: training stalls waiting for chunks.
-	_, stallSlow := StreamStats(ix, part, 2000, 0.0001)
-	if stallSlow <= 0 {
-		t.Fatal("slow fetch must stall")
-	}
-	// No partition: zeros.
-	if s, st := StreamStats(ix, nil, 1e9, 1); s != 0 || st != 0 {
-		t.Fatal("empty partition should be free")
-	}
-}
-
-func TestMemChunksErrors(t *testing.T) {
-	m := MemChunks{[]byte{1}}
-	if _, err := m.Chunk(1); err == nil {
-		t.Fatal("out-of-range chunk read")
-	}
-}
-
-func TestSyntheticPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Synthetic(0, 16, 4, 1)
 }

@@ -161,10 +161,3 @@ func pausedMinutes(tl []sched.TimePoint) float64 {
 	}
 	return paused
 }
-
-// PerplexityAt maps step progress onto the perplexity curve shown in
-// Fig. 9 (a fitted LM learning curve: ppl = 8 + 92·exp(−steps/τ)).
-func PerplexityAt(steps float64) float64 {
-	const tau = 4000.0
-	return 8 + 92*math.Exp(-steps/tau)
-}

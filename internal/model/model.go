@@ -130,16 +130,6 @@ func (m *Model) FLOPsPerSample() float64 {
 	return f
 }
 
-// Layer returns the layer with the given name.
-func (m *Model) Layer(name string) (Layer, bool) {
-	for _, l := range m.Layers {
-		if l.Name == name {
-			return l, true
-		}
-	}
-	return Layer{}, false
-}
-
 // StateParams enumerates every state tensor of the model — parameters
 // and, when OptimizerStates > 0, their optimizer companions named
 // "<param>.opt<k>" — as (layer index, Param) pairs in a deterministic

@@ -7,6 +7,16 @@ import (
 	"tenplex/internal/tensor"
 )
 
+// layer returns m's layer of the given name.
+func layer(m *Model, name string) (Layer, bool) {
+	for _, l := range m.Layers {
+		if l.Name == name {
+			return l, true
+		}
+	}
+	return Layer{}, false
+}
+
 // paramCountNear asserts a catalog is within tol (relative) of the
 // published parameter count.
 func paramCountNear(t *testing.T, m *Model, want float64, tol float64) {
@@ -50,7 +60,7 @@ func TestGPTLayerStructure(t *testing.T) {
 	if m.Layers[0].Name != "embedding" || m.Layers[5].Name != "final" {
 		t.Fatalf("layer names: %s ... %s", m.Layers[0].Name, m.Layers[5].Name)
 	}
-	blk, ok := m.Layer("block.2")
+	blk, ok := layer(m, "block.2")
 	if !ok {
 		t.Fatal("block.2 missing")
 	}
@@ -154,7 +164,7 @@ func TestFLOPsPositiveAndBalanced(t *testing.T) {
 	}
 	// Transformer blocks dominate compute.
 	m := GPT3XL()
-	blk, _ := m.Layer("block.0")
+	blk, _ := layer(m, "block.0")
 	if blk.FLOPsPerSample*float64(24) < 0.8*m.FLOPsPerSample() {
 		t.Fatal("blocks should dominate GPT compute")
 	}

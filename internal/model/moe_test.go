@@ -14,7 +14,7 @@ func TestMoECatalogShape(t *testing.T) {
 	if len(m.Layers) != 5 { // embedding + 3 blocks + final
 		t.Fatalf("layers = %d", len(m.Layers))
 	}
-	blk, ok := m.Layer("block.1")
+	blk, ok := layer(m, "block.1")
 	if !ok {
 		t.Fatal("block.1 missing")
 	}
@@ -77,7 +77,7 @@ func TestBERTCustomShape(t *testing.T) {
 	if m.SeqLen != 8 || m.ActElemsPerSample != 8*16 {
 		t.Fatalf("seq/act: %d/%d", m.SeqLen, m.ActElemsPerSample)
 	}
-	if _, ok := m.Layer("pooler"); !ok {
+	if _, ok := layer(m, "pooler"); !ok {
 		t.Fatal("pooler missing")
 	}
 	for _, lp := range m.StateParams() {

@@ -79,8 +79,8 @@ func TestSimulateUplinkSaturation(t *testing.T) {
 	}
 	r := Simulate(topo, flows)
 	if !strings.HasPrefix(r.BottleneckResource, "rack-out") && !strings.HasPrefix(r.BottleneckResource, "pod-") {
-		t.Fatalf("16-way cross-pod fan-out bottleneck = %s, want an oversubscribed fabric resource (top: %v)",
-			r.BottleneckResource, r.TopResources(4))
+		t.Fatalf("16-way cross-pod fan-out bottleneck = %s, want an oversubscribed fabric resource (per resource: %v)",
+			r.BottleneckResource, r.PerResourceSeconds)
 	}
 }
 

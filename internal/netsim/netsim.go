@@ -20,7 +20,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"tenplex/internal/cluster"
 )
@@ -193,33 +192,6 @@ func Simulate(topo *cluster.Topology, flows []Flow) Result {
 	}
 	if anyNet {
 		out.Seconds += topo.NetLatency
-	}
-	return out
-}
-
-// TopResources returns the n most-loaded resources, most loaded first;
-// useful for explaining where a reconfiguration spends its time.
-func (r Result) TopResources(n int) []string {
-	type kv struct {
-		name string
-		sec  float64
-	}
-	var all []kv
-	for name, sec := range r.PerResourceSeconds {
-		all = append(all, kv{name, sec})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].sec != all[j].sec {
-			return all[i].sec > all[j].sec
-		}
-		return all[i].name < all[j].name
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = fmt.Sprintf("%s=%.3fs", all[i].name, all[i].sec)
 	}
 	return out
 }

@@ -136,21 +136,6 @@ func TestSimulatePanicsOnBadFlow(t *testing.T) {
 	}
 }
 
-func TestTopResources(t *testing.T) {
-	topo := cluster.OnPrem16()
-	r := Simulate(topo, []Flow{
-		{From: DevEP(0), To: DevEP(4), Bytes: 1e9},
-		{From: DevEP(4), To: DevEP(8), Bytes: 2e9},
-	})
-	top := r.TopResources(2)
-	if len(top) != 2 {
-		t.Fatalf("TopResources = %v", top)
-	}
-	if top[0] < top[1] && r.PerResourceSeconds == nil {
-		t.Fatal("unsorted or missing breakdown")
-	}
-}
-
 func TestAllReduceTime(t *testing.T) {
 	topo := cluster.OnPrem16()
 	if AllReduceTime(topo, []cluster.DeviceID{3}, 1e9) != 0 {

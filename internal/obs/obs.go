@@ -124,9 +124,6 @@ func New(o Options) *Tracer {
 // nothing.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Det reports whether the tracer is in deterministic (sim) mode.
-func (t *Tracer) Det() bool { return t != nil && t.det }
-
 // Deep reports whether per-assignment and per-store-op datapath spans
 // should be recorded.
 func (t *Tracer) Deep() bool { return t != nil && t.level >= LevelDatapath }
@@ -175,16 +172,6 @@ func (t *Tracer) Record(s Span) {
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
 	t.flight.Add(s)
-}
-
-// SpanCount returns the number of spans recorded so far.
-func (t *Tracer) SpanCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
 }
 
 // Export snapshots the tracer into a canonical Trace: spans sorted by

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"tenplex/internal/cluster"
@@ -122,61 +121,4 @@ func tpRegions(params []model.LayerParam, tpDegree int) []tensor.Region {
 		}
 	}
 	return out
-}
-
-// RankSpec is the JSON interchange structure the State Transformer
-// exchanges with model parallelizers (§5.1): one object per rank,
-// following the structure of the model hosted by that rank, with tensor
-// shapes (and their sub-tensor ranges) as leaves.
-type RankSpec struct {
-	Rank    int                   `json:"rank"`
-	Device  int                   `json:"device"`
-	DP      int                   `json:"dp"`
-	PP      int                   `json:"pp"`
-	TP      int                   `json:"tp"`
-	Tensors map[string]RankTensor `json:"tensors"`
-}
-
-// RankTensor is one leaf of a RankSpec.
-type RankTensor struct {
-	DType string `json:"dtype"`
-	Shape []int  `json:"shape"`
-	Range string `json:"range"`
-}
-
-// ConfigJSON renders the full parallelization configuration — a list of
-// per-rank model structures — as JSON.
-func ConfigJSON(m *model.Model, cfg Config, alloc cluster.Allocation) ([]byte, error) {
-	ptc, err := BuildPTC(m, cfg, alloc)
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]RankSpec, 0, cfg.WorldSize())
-	for i, r := range cfg.Ranks() {
-		dev := cfg.DeviceFor(alloc, r)
-		spec := RankSpec{
-			Rank: i, Device: int(dev), DP: r.DP, PP: r.PP, TP: r.TP,
-			Tensors: map[string]RankTensor{},
-		}
-		for _, s := range ptc.Place[dev] {
-			meta := ptc.Tensors[s.Tensor]
-			spec.Tensors[string(s.Tensor)] = RankTensor{
-				DType: meta.DType.String(),
-				Shape: s.Region.Shape(),
-				Range: s.Region.String(),
-			}
-		}
-		specs = append(specs, spec)
-	}
-	return json.MarshalIndent(specs, "", "  ")
-}
-
-// ParseConfigJSON decodes a ConfigJSON document back into rank specs,
-// letting external parallelizers hand Tenplex a configuration.
-func ParseConfigJSON(data []byte) ([]RankSpec, error) {
-	var specs []RankSpec
-	if err := json.Unmarshal(data, &specs); err != nil {
-		return nil, fmt.Errorf("parallel: bad configuration JSON: %w", err)
-	}
-	return specs, nil
 }

@@ -170,38 +170,6 @@ func TestBuildPTCWithOptimizerState(t *testing.T) {
 	}
 }
 
-func TestConfigJSONRoundTrip(t *testing.T) {
-	m := testModel()
-	cfg := Config{TP: 2, PP: 2, DP: 1}
-	data, err := ConfigJSON(m, cfg, firstN(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := ParseConfigJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 4 {
-		t.Fatalf("%d rank specs", len(specs))
-	}
-	for i, s := range specs {
-		if s.Rank != i {
-			t.Fatalf("rank %d out of order", s.Rank)
-		}
-		if len(s.Tensors) == 0 {
-			t.Fatalf("rank %d has no tensors", i)
-		}
-		for name, rt := range s.Tensors {
-			if rt.Range == "" || len(rt.Shape) == 0 || rt.DType == "" {
-				t.Fatalf("rank %d tensor %s incomplete: %+v", i, name, rt)
-			}
-		}
-	}
-	if _, err := ParseConfigJSON([]byte("not json")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-}
-
 func TestSmallTensorReplicatedUnderWideTP(t *testing.T) {
 	// A model with a dimension smaller than TP must replicate rather
 	// than produce empty slices.

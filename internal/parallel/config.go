@@ -56,30 +56,9 @@ func (c Config) RankIndex(r Rank) int {
 	return (r.DP*c.PP+r.PP)*c.TP + r.TP
 }
 
-// RankOf inverts RankIndex.
-func (c Config) RankOf(i int) Rank {
-	if i < 0 || i >= c.WorldSize() {
-		panic(fmt.Sprintf("parallel: rank index %d out of range for %v", i, c))
-	}
-	return Rank{
-		DP: i / (c.PP * c.TP),
-		PP: (i / c.TP) % c.PP,
-		TP: i % c.TP,
-	}
-}
-
 // DeviceFor maps a rank to a device of the allocation.
 func (c Config) DeviceFor(alloc cluster.Allocation, r Rank) cluster.DeviceID {
 	return alloc[c.RankIndex(r)]
-}
-
-// Ranks enumerates all ranks in linear order.
-func (c Config) Ranks() []Rank {
-	out := make([]Rank, 0, c.WorldSize())
-	for i := 0; i < c.WorldSize(); i++ {
-		out = append(out, c.RankOf(i))
-	}
-	return out
 }
 
 // TPGroup returns the devices of one tensor-parallel group (fixed dp,

@@ -6,13 +6,10 @@ import (
 	"tenplex/internal/cluster"
 	"tenplex/internal/core"
 	"tenplex/internal/model"
-	"tenplex/internal/tensor"
 )
 
 // The PTC's three functions generalize beyond (T, P, D) — §4.3. This
-// file implements the two strategies the paper calls out: expert
-// parallelism for mixture-of-experts models, and sequence parallelism
-// for data sample tensors.
+// file implements expert parallelism for mixture-of-experts models.
 
 // MoEConfig is an expert-parallel configuration: EP expert groups
 // replicated DP ways. Experts are distributed round-robin over the EP
@@ -88,50 +85,6 @@ func BuildMoEPTC(m *model.Model, cfg MoEConfig, alloc cluster.Allocation) (*core
 	}
 	if err := ptc.Validate(); err != nil {
 		return nil, fmt.Errorf("parallel: built MoE PTC invalid: %w", err)
-	}
-	return ptc, nil
-}
-
-// SequenceBatch describes a batch of data sample tensors for sequence
-// parallelism: each sample is a [SeqLen, Features] tensor that σ slices
-// along the sequence dimension.
-type SequenceBatch struct {
-	// Samples names the per-sample tensors (e.g. "sample.0").
-	Samples []string
-	// SeqLen and Features are the sample tensor shape.
-	SeqLen, Features int
-	DType            tensor.DType
-}
-
-// BuildSequencePTC expresses sequence parallelism with the PTC
-// functions: like tensor parallelism, σ slices tensors — but it slices
-// the *data sample* tensors along the sequence dimension instead of the
-// model tensors (§4.3). Rank r of sp holds rows
-// SplitRanges(SeqLen, sp)[r] of every sample.
-func BuildSequencePTC(name string, batch SequenceBatch, sp int, alloc cluster.Allocation) (*core.PTC, error) {
-	if sp < 1 || sp > batch.SeqLen {
-		return nil, fmt.Errorf("parallel: SP=%d for sequence length %d", sp, batch.SeqLen)
-	}
-	if sp != len(alloc) {
-		return nil, fmt.Errorf("parallel: SP=%d needs %d devices, allocation has %d", sp, sp, len(alloc))
-	}
-	if err := checkDistinct(alloc); err != nil {
-		return nil, err
-	}
-	ptc := core.NewPTC(fmt.Sprintf("%s SP=%d", name, sp), alloc)
-	shape := []int{batch.SeqLen, batch.Features}
-	for _, s := range batch.Samples {
-		ptc.AddTensor(core.TensorMeta{ID: core.TensorID(s), DType: batch.DType, Shape: shape})
-	}
-	ranges := tensor.SplitRanges(batch.SeqLen, sp)
-	for r, dev := range alloc {
-		reg := tensor.Region{ranges[r], {Lo: 0, Hi: batch.Features}}
-		for _, s := range batch.Samples {
-			ptc.Assign(dev, core.TensorID(s), reg.Clone())
-		}
-	}
-	if err := ptc.Validate(); err != nil {
-		return nil, fmt.Errorf("parallel: built SP PTC invalid: %w", err)
 	}
 	return ptc, nil
 }

@@ -20,9 +20,9 @@ func TestMoECatalog(t *testing.T) {
 		t.Fatal("dense model reports experts")
 	}
 	// Expert params are flagged; router is not.
-	blk, ok := m.Layer("block.0")
-	if !ok {
-		t.Fatal("block.0 missing")
+	blk := m.Layers[1]
+	if blk.Name != "block.0" {
+		t.Fatalf("layer 1 is %q, want block.0", blk.Name)
 	}
 	var expertParams, routers int
 	for _, p := range blk.Params {
@@ -127,50 +127,5 @@ func TestMoEReconfiguration(t *testing.T) {
 	// attention to 2 new devices; must be well below full state.
 	if st.MovedBytes >= m.ParamBytes() {
 		t.Fatalf("EP reconfig moved %d >= model %d", st.MovedBytes, m.ParamBytes())
-	}
-}
-
-func TestBuildSequencePTC(t *testing.T) {
-	batch := SequenceBatch{
-		Samples: []string{"sample.0", "sample.1", "sample.2"},
-		SeqLen:  16, Features: 8, DType: tensor.Float32,
-	}
-	ptc, err := BuildSequencePTC("batch0", batch, 4, firstN(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ptc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Rank 2 holds rows 8..12 of every sample.
-	for _, s := range ptc.Place[2] {
-		if !s.Region.Equal(tensor.Region{{Lo: 8, Hi: 12}, {Lo: 0, Hi: 8}}) {
-			t.Fatalf("rank 2 region = %v", s.Region)
-		}
-	}
-	// Re-slicing SP 4 -> 2 merges halves.
-	to, err := BuildSequencePTC("batch0", batch, 2, firstN(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := core.GeneratePlan(ptc, to, core.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if st := plan.Stats(nil); st.Merges == 0 {
-		t.Fatal("SP shrink should merge sequence slices")
-	}
-}
-
-func TestBuildSequencePTCErrors(t *testing.T) {
-	batch := SequenceBatch{Samples: []string{"s"}, SeqLen: 8, Features: 2, DType: tensor.Float32}
-	if _, err := BuildSequencePTC("b", batch, 16, firstN(16)); err == nil {
-		t.Fatal("SP > seqlen accepted")
-	}
-	if _, err := BuildSequencePTC("b", batch, 2, firstN(3)); err == nil {
-		t.Fatal("allocation mismatch accepted")
 	}
 }

@@ -30,9 +30,6 @@ type JobArrival struct {
 	MinGPUs, MaxGPUs int
 }
 
-// Elastic reports whether the scheduler may resize the job.
-func (a JobArrival) Elastic() bool { return a.MinGPUs != a.GPUs || a.MaxGPUs != a.GPUs }
-
 // ArrivalParams tunes the multi-job generator. The defaults follow the
 // Philly cluster's published shape: Poisson submissions, job sizes
 // heavily skewed towards few GPUs with a thin tail of large jobs, and

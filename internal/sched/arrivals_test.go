@@ -40,7 +40,7 @@ func TestArrivalsShape(t *testing.T) {
 		if a.MinGPUs < 1 || a.MinGPUs > a.GPUs || a.MaxGPUs < a.GPUs {
 			t.Fatalf("job %s bounds [%d, %d] around %d", a.Name, a.MinGPUs, a.MaxGPUs, a.GPUs)
 		}
-		if a.Elastic() && (a.MinGPUs != max(1, a.GPUs/2) || a.MaxGPUs != 2*a.GPUs) {
+		if (a.MinGPUs != a.GPUs || a.MaxGPUs != a.GPUs) && (a.MinGPUs != max(1, a.GPUs/2) || a.MaxGPUs != 2*a.GPUs) {
 			t.Fatalf("job %s elastic bounds [%d, %d] for size %d", a.Name, a.MinGPUs, a.MaxGPUs, a.GPUs)
 		}
 	}
@@ -68,7 +68,7 @@ func TestArrivalsShape(t *testing.T) {
 	// Elastic fraction is respected.
 	elastic := 0
 	for _, a := range arr {
-		if a.Elastic() {
+		if a.MinGPUs != a.GPUs || a.MaxGPUs != a.GPUs {
 			elastic++
 		}
 	}

@@ -93,18 +93,6 @@ func (tr Trace) Validate() error {
 	return nil
 }
 
-// GPUsAt returns the allocation size at time t.
-func (tr Trace) GPUsAt(t float64) int {
-	gpus := tr.InitialGPUs
-	for _, e := range tr.Events {
-		if e.TimeMin > t {
-			break
-		}
-		gpus = e.GPUs
-	}
-	return gpus
-}
-
 // PhillyDerived generates the elastic trace of the paper's §6.2
 // experiment: a 538-minute job whose allocation moves between 16, 8 and
 // 4 GPUs with a scaling event on average every 35 minutes. The sequence
@@ -152,16 +140,6 @@ func PhillyDerived(seed int64) Trace {
 		t += dwell * (0.7 + 0.6*rng.Float64())
 	}
 	return tr
-}
-
-// FailureTrace builds a trace that fails the job down to `after` GPUs at
-// failAtMin, as the §6.4 experiments do.
-func FailureTrace(initial, after int, failAtMin, duration float64) Trace {
-	return Trace{
-		InitialGPUs: initial,
-		DurationMin: duration,
-		Events:      []Event{{TimeMin: failAtMin, Kind: Failure, GPUs: after}},
-	}
 }
 
 // Job is what the scheduler drives: the Tenplex runtime implements it.

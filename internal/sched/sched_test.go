@@ -73,31 +73,6 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
-func TestGPUsAt(t *testing.T) {
-	tr := Trace{InitialGPUs: 16, DurationMin: 100, Events: []Event{
-		{TimeMin: 10, Kind: ScaleIn, GPUs: 8},
-		{TimeMin: 50, Kind: ScaleIn, GPUs: 4},
-	}}
-	for _, c := range []struct {
-		t    float64
-		want int
-	}{{0, 16}, {9.9, 16}, {10, 8}, {49, 8}, {50, 4}, {99, 4}} {
-		if got := tr.GPUsAt(c.t); got != c.want {
-			t.Errorf("GPUsAt(%.1f) = %d, want %d", c.t, got, c.want)
-		}
-	}
-}
-
-func TestFailureTrace(t *testing.T) {
-	tr := FailureTrace(16, 8, 30, 100)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.GPUsAt(31) != 8 {
-		t.Fatal("failure did not shrink allocation")
-	}
-}
-
 // fakeJob trains at a rate proportional to its GPU count and charges a
 // fixed reconfiguration cost.
 type fakeJob struct {

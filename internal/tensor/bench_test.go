@@ -27,24 +27,13 @@ func BenchmarkSliceStrided(b *testing.B) {
 	}
 }
 
-func BenchmarkSetSlice(b *testing.B) {
-	x := New(Float32, 1024, 1024)
-	reg := Region{{Lo: 0, Hi: 512}, {Lo: 0, Hi: 1024}}
-	src := New(Float32, 512, 1024)
-	b.SetBytes(reg.NumBytes(Float32))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.SetSlice(reg, src)
-	}
-}
-
 func BenchmarkEncodeDecode(b *testing.B) {
 	x := New(Float32, 512, 512)
 	b.SetBytes(int64(x.EncodedSize()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := x.Encode()
-		if _, err := ReadFrom(bytes.NewReader(buf)); err != nil {
+		if _, err := DecodeFrom(bytes.NewReader(buf)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,15 +47,6 @@ func BenchmarkMatMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = MatMul(x, y)
-	}
-}
-
-func BenchmarkConcat(b *testing.B) {
-	parts := New(Float32, 1024, 1024).Split(0, 8)
-	b.SetBytes(4 * 1024 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Concat(0, parts...)
 	}
 }
 

@@ -162,18 +162,3 @@ func DecodeFrom(r io.Reader) (*Tensor, error) {
 		data = grown
 	}
 }
-
-// ReadFrom decodes one tensor from r, which must contain exactly one
-// encoded tensor (trailing bytes are an error). Wrap a []byte in a
-// bytes.Reader to decode a buffer.
-func ReadFrom(r io.Reader) (*Tensor, error) {
-	t, err := DecodeFrom(r)
-	if err != nil {
-		return nil, fmt.Errorf("tensor: read: %w", err)
-	}
-	var extra [1]byte
-	if n, _ := io.ReadFull(r, extra[:]); n != 0 {
-		return nil, fmt.Errorf("tensor: read: trailing bytes after encoded tensor")
-	}
-	return t, nil
-}

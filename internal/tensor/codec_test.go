@@ -11,8 +11,16 @@ import (
 	"testing/quick"
 )
 
-// decode reads exactly one encoded tensor from buf.
-func decode(buf []byte) (*Tensor, error) { return ReadFrom(bytes.NewReader(buf)) }
+// decode reads exactly one encoded tensor from buf: trailing bytes are
+// an error.
+func decode(buf []byte) (*Tensor, error) {
+	r := bytes.NewReader(buf)
+	t, err := DecodeFrom(r)
+	if err == nil && r.Len() != 0 {
+		return nil, errors.New("trailing bytes after encoded tensor")
+	}
+	return t, err
+}
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, dt := range []DType{Float32, Float64, Float16, Int64, Int32, Uint8} {
@@ -48,9 +56,9 @@ func TestWriteToReadFrom(t *testing.T) {
 	if err != nil || n != int64(x.EncodedSize()) {
 		t.Fatalf("WriteTo: n=%d err=%v", n, err)
 	}
-	y, err := ReadFrom(&buf)
+	y, err := decode(buf.Bytes())
 	if err != nil || !y.Equal(x) {
-		t.Fatalf("ReadFrom mismatch: %v", err)
+		t.Fatalf("decode mismatch: %v", err)
 	}
 }
 

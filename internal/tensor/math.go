@@ -120,21 +120,6 @@ func MatMulABT(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	m, n := a.check2D()
-	av := a.f64()
-	out := New(Float64, n, m)
-	ov := make([]float64, n*m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			ov[j*m+i] = av[i*n+j]
-		}
-	}
-	out.storeF64(ov)
-	return out
-}
-
 func sameShapeF64(a, b *Tensor, op string) {
 	if !ShapeEqual(a.shape, b.shape) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.shape, b.shape))
@@ -148,18 +133,6 @@ func Add(a, b *Tensor) *Tensor {
 	out := New(Float64, a.shape...)
 	for i := range av {
 		av[i] += bv[i]
-	}
-	out.storeF64(av)
-	return out
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	sameShapeF64(a, b, "Sub")
-	av, bv := a.f64(), b.f64()
-	out := New(Float64, a.shape...)
-	for i := range av {
-		av[i] -= bv[i]
 	}
 	out.storeF64(av)
 	return out
@@ -252,33 +225,4 @@ func SumRows(a *Tensor) *Tensor {
 	}
 	out.storeF64(ov)
 	return out
-}
-
-// Sum returns the sum of all elements.
-func Sum(a *Tensor) float64 {
-	var s float64
-	for _, v := range a.f64() {
-		s += v
-	}
-	return s
-}
-
-// Dot returns the inner product of two tensors of identical shape.
-func Dot(a, b *Tensor) float64 {
-	sameShapeF64(a, b, "Dot")
-	av, bv := a.f64(), b.f64()
-	var s float64
-	for i := range av {
-		s += av[i] * bv[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of all elements.
-func Norm2(a *Tensor) float64 {
-	var s float64
-	for _, v := range a.f64() {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

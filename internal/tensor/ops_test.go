@@ -3,7 +3,6 @@ package tensor
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func seqTensor(dt DType, shape ...int) *Tensor {
@@ -40,30 +39,10 @@ func TestSliceFullIsClone(t *testing.T) {
 	}
 }
 
-func TestSetSliceRoundTrip(t *testing.T) {
-	x := New(Float64, 4, 4)
-	x.Fill(-1)
-	sub := seqTensor(Float64, 2, 2)
-	reg := Region{{1, 3}, {1, 3}}
-	x.SetSlice(reg, sub)
-	if !x.Slice(reg).Equal(sub) {
-		t.Fatal("SetSlice/Slice roundtrip failed")
-	}
-	if x.Float64At(0, 0) != -1 || x.Float64At(3, 3) != -1 {
-		t.Fatal("SetSlice touched bytes outside the region")
-	}
-}
-
 func TestSlicePanics(t *testing.T) {
 	x := New(Float64, 2, 2)
 	mustPanic(t, "oob region", func() { x.Slice(Region{{0, 3}, {0, 2}}) })
 	mustPanic(t, "rank", func() { x.Slice(Region{{0, 1}}) })
-	mustPanic(t, "setslice dtype", func() {
-		x.SetSlice(FullRegion(x.Shape()), New(Float32, 2, 2))
-	})
-	mustPanic(t, "setslice shape", func() {
-		x.SetSlice(Region{{0, 1}, {0, 1}}, New(Float64, 2, 2))
-	})
 }
 
 func TestSplitPoints(t *testing.T) {
@@ -122,96 +101,6 @@ func TestSplitRangesCoverAndBalance(t *testing.T) {
 				t.Fatalf("SplitRanges(%d,%d): unbalanced %d..%d", n, parts, minL, maxL)
 			}
 		}
-	}
-}
-
-func TestSplitConcatRoundTrip(t *testing.T) {
-	x := seqTensor(Float64, 6, 4)
-	for dim := 0; dim < 2; dim++ {
-		for parts := 1; parts <= x.Dim(dim); parts++ {
-			ps := x.Split(dim, parts)
-			back := Concat(dim, ps...)
-			if !back.Equal(x) {
-				t.Fatalf("split(%d,%d)+concat != original", dim, parts)
-			}
-		}
-	}
-}
-
-func TestSplitConcatQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rank := 1 + r.Intn(3)
-		shape := make([]int, rank)
-		for i := range shape {
-			shape[i] = 1 + r.Intn(8)
-		}
-		x := New(Float64, shape...)
-		x.FillRand(seed, 10)
-		dim := r.Intn(rank)
-		parts := 1 + r.Intn(shape[dim])
-		back := Concat(dim, x.Split(dim, parts)...)
-		return back.Equal(x)
-	}
-	cfg := &quick.Config{MaxCount: 300, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcatValidation(t *testing.T) {
-	mustPanic(t, "empty", func() { Concat(0) })
-	mustPanic(t, "dtype", func() { Concat(0, New(Float64, 2), New(Float32, 2)) })
-	mustPanic(t, "rank", func() { Concat(0, New(Float64, 2), New(Float64, 2, 2)) })
-	mustPanic(t, "shape", func() { Concat(0, New(Float64, 2, 3), New(Float64, 2, 4)) })
-	mustPanic(t, "dim", func() { Concat(2, New(Float64, 2, 3)) })
-}
-
-func TestAssemble(t *testing.T) {
-	x := seqTensor(Float64, 4, 4)
-	// Tile the tensor with 4 quadrants.
-	var pieces []Piece
-	for _, ri := range SplitRanges(4, 2) {
-		for _, rj := range SplitRanges(4, 2) {
-			reg := Region{ri, rj}
-			pieces = append(pieces, Piece{Region: reg, Data: x.Slice(reg)})
-		}
-	}
-	back, err := Assemble(Float64, []int{4, 4}, pieces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(x) {
-		t.Fatal("assembled tensor differs")
-	}
-}
-
-func TestAssembleErrors(t *testing.T) {
-	full := seqTensor(Float64, 2, 2)
-	// Under-coverage.
-	if _, err := Assemble(Float64, []int{2, 2}, []Piece{
-		{Region: Region{{0, 1}, {0, 2}}, Data: full.Slice(Region{{0, 1}, {0, 2}})},
-	}); err == nil {
-		t.Error("Assemble accepted a gap")
-	}
-	// Region out of bounds.
-	if _, err := Assemble(Float64, []int{2, 2}, []Piece{
-		{Region: Region{{0, 3}, {0, 2}}, Data: New(Float64, 3, 2)},
-	}); err == nil {
-		t.Error("Assemble accepted out-of-bounds region")
-	}
-	// Shape mismatch.
-	if _, err := Assemble(Float64, []int{2, 2}, []Piece{
-		{Region: Region{{0, 2}, {0, 2}}, Data: New(Float64, 2, 1)},
-	}); err == nil {
-		t.Error("Assemble accepted piece/region shape mismatch")
-	}
-	// DType mismatch.
-	if _, err := Assemble(Float64, []int{2, 2}, []Piece{
-		{Region: Region{{0, 2}, {0, 2}}, Data: New(Float32, 2, 2)},
-	}); err == nil {
-		t.Error("Assemble accepted dtype mismatch")
 	}
 }
 

@@ -96,7 +96,7 @@ func TestRandDenseRegionRefusesMisfits(t *testing.T) {
 	if err := r.FillRegion(reg, good, nil); err != nil {
 		t.Fatal(err)
 	}
-	if r.EqualRegion(reg, good.Reshape(12)) || r.EqualRegion(Region{{1, 3}}, good) || (RandDense{Float64, r.Shape, 3, 1}).EqualRegion(reg, good) {
+	if r.EqualRegion(reg, &Tensor{dtype: good.dtype, shape: []int{12}, data: good.data}) || r.EqualRegion(Region{{1, 3}}, good) || (RandDense{Float64, r.Shape, 3, 1}).EqualRegion(reg, good) {
 		t.Fatal("EqualRegion matched a tensor of another shape, rank or dtype")
 	}
 }
@@ -177,8 +177,8 @@ func TestSlabRounds(t *testing.T) {
 	if !a.HasShape([]int{2, 4}) || !b.HasShape([]int{1, 4}) || a.dtype != Float32 {
 		t.Fatalf("cut %v and %v", a.shape, b.shape)
 	}
-	a.Fill(1)
-	b.Fill(2)
+	a.FillSeq(1, 0)
+	b.FillSeq(2, 0)
 	if a.Float64At(1, 3) != 1 || b.Float64At(0, 0) != 2 {
 		t.Fatal("tensors cut from one slab overlap")
 	}

@@ -143,9 +143,6 @@ func (v View) Whole() (*Tensor, bool) { return v.t, v.NumBytes() == v.t.NumBytes
 // DType returns the element type of the viewed tensor.
 func (v View) DType() DType { return v.t.dtype }
 
-// Region returns the viewed region.
-func (v View) Region() Region { return v.reg.Clone() }
-
 // Shape returns the per-dimension lengths of the view.
 func (v View) Shape() []int { return v.reg.Shape() }
 
@@ -158,17 +155,6 @@ func (v View) NumBytes() int { return v.reg.NumElems() * v.t.dtype.Size() }
 // walk starts a walk of the view's runs at byte at of its payload.
 func (v View) walk(at int) walk {
 	return newWalk(v.t.dtype.Size(), v.t.shape, v.reg, nil, nil, at)
-}
-
-// Contiguous returns the aliased byte range when the region occupies
-// one gapless span of the backing buffer (always true for full views
-// and for leading-dimension slices), and ok=false otherwise.
-func (v View) Contiguous() ([]byte, bool) {
-	w := v.walk(0)
-	if w.left != 1 {
-		return nil, false
-	}
-	return v.t.data[w.src : w.src+w.n], true
 }
 
 // WriteTo streams the view's payload (raw row-major element bytes) to
@@ -235,10 +221,6 @@ func (r *viewReader) WriteTo(w io.Writer) (int64, error) {
 	r.pos += n
 	return n, err
 }
-
-// Materialize copies the view out into an independent tensor; it is
-// equivalent to Slice and exists for callers that must own the bytes.
-func (v View) Materialize() *Tensor { return v.t.Slice(v.reg) }
 
 // WriteRegion scatter-writes exactly reg.NumBytes(t.DType()) bytes from
 // r into the sub-region reg of t: each contiguous run of the region is

@@ -106,45 +106,6 @@ func TestViewWriteToMatchesSlice(t *testing.T) {
 	}
 }
 
-func TestViewContiguous(t *testing.T) {
-	src := New(Float32, 4, 6)
-	src.FillSeq(0, 1)
-	cases := []struct {
-		reg  Region
-		want bool
-	}{
-		{Region{{0, 4}, {0, 6}}, true},  // full
-		{Region{{1, 3}, {0, 6}}, true},  // leading-dim slice
-		{Region{{2, 3}, {1, 4}}, true},  // single row segment
-		{Region{{0, 4}, {1, 4}}, false}, // strided columns
-		{Region{{1, 3}, {2, 6}}, false},
-	}
-	for _, c := range cases {
-		b, ok := src.View(c.reg).Contiguous()
-		if ok != c.want {
-			t.Fatalf("reg %v: contiguous=%v, want %v", c.reg, ok, c.want)
-		}
-		if ok && !bytes.Equal(b, src.Slice(c.reg).Data()) {
-			t.Fatalf("reg %v: contiguous bytes differ from slice", c.reg)
-		}
-	}
-	// A view is one span exactly when its elements' offsets are.
-	for _, c := range walkCases {
-		v := New(Float32, c.shape...).View(c.reg)
-		offs := elemOffsets(c.shape, c.reg, 4)
-		gapless := offs[len(offs)-1]-offs[0] == 4*(len(offs)-1)
-		if b, ok := v.Contiguous(); ok != gapless || ok && (len(b) != 4*len(offs) || &b[0] != &v.t.data[offs[0]]) {
-			t.Fatalf("shape %v reg %v: contiguous=%v, want %v", c.shape, c.reg, ok, gapless)
-		}
-	}
-	// Contiguous views alias the backing buffer: no copy.
-	b, _ := src.View(Region{{1, 3}, {0, 6}}).Contiguous()
-	b[0] ^= 0xff
-	if src.Data()[6*4] != b[0] {
-		t.Fatal("contiguous view does not alias the backing buffer")
-	}
-}
-
 func TestViewReadAt(t *testing.T) {
 	// Every offset of the table's views, so every run boundary, every
 	// point inside a run and inside an element, read to the end, a byte,
@@ -342,7 +303,7 @@ func TestViewEncodeRoundTrip(t *testing.T) {
 			t.Fatalf("reg %v: streamed encoding differs from Encode", reg)
 		}
 		// And decodes back, both ways.
-		got, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+		got, err := decode(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,9 @@ import (
 )
 
 // Tensor is a dense, row-major n-dimensional array. The zero value is not
-// usable; construct tensors with New, FromFloat32 or FromFloat64.
+// usable; construct tensors with New.
 //
-// A Tensor owns its backing storage. Slicing and splitting copy data; the
+// A Tensor owns its backing storage. Slicing copies data; the
 // package never aliases two tensors to the same bytes, which keeps the
 // Tensor Store free of hidden sharing across HTTP and goroutine
 // boundaries.
@@ -40,44 +40,6 @@ func New(dt DType, shape ...int) *Tensor {
 		shape: append([]int(nil), shape...),
 		data:  make([]byte, n*dt.Size()),
 	}
-}
-
-// FromFloat32 builds a Float32 tensor from vals; len(vals) must equal the
-// product of shape.
-func FromFloat32(vals []float32, shape ...int) *Tensor {
-	t := New(Float32, shape...)
-	if len(vals) != t.NumElems() {
-		panic(fmt.Sprintf("tensor: FromFloat32 got %d values for shape %v", len(vals), shape))
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(t.data[i*4:], math.Float32bits(v))
-	}
-	return t
-}
-
-// FromFloat64 builds a Float64 tensor from vals; len(vals) must equal the
-// product of shape.
-func FromFloat64(vals []float64, shape ...int) *Tensor {
-	t := New(Float64, shape...)
-	if len(vals) != t.NumElems() {
-		panic(fmt.Sprintf("tensor: FromFloat64 got %d values for shape %v", len(vals), shape))
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(t.data[i*8:], math.Float64bits(v))
-	}
-	return t
-}
-
-// FromInt64 builds an Int64 tensor from vals.
-func FromInt64(vals []int64, shape ...int) *Tensor {
-	t := New(Int64, shape...)
-	if len(vals) != t.NumElems() {
-		panic(fmt.Sprintf("tensor: FromInt64 got %d values for shape %v", len(vals), shape))
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(t.data[i*8:], uint64(v))
-	}
-	return t
 }
 
 // DType returns the element type.
@@ -124,21 +86,6 @@ func (t *Tensor) Clone() *Tensor {
 		data:  make([]byte, len(t.data)),
 	}
 	copy(c.data, t.data)
-	return c
-}
-
-// Reshape returns a copy of t with a new shape holding the same number of
-// elements in the same order.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != t.NumElems() {
-		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes element count", t.shape, shape))
-	}
-	c := t.Clone()
-	c.shape = append([]int(nil), shape...)
 	return c
 }
 
@@ -209,13 +156,6 @@ func putFloat64(dt DType, b []byte, v float64) {
 		b[0] = uint8(v)
 	default:
 		panic("tensor: SetFloat64 on invalid dtype")
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i, n := 0, t.NumElems(); i < n; i++ {
-		t.setFloat64Flat(i, v)
 	}
 }
 
@@ -317,25 +257,6 @@ func (t *Tensor) Float64s() []float64 {
 // equal, +0 and -0 are not.
 func (t *Tensor) Equal(u *Tensor) bool {
 	return t.dtype == u.dtype && ShapeEqual(t.shape, u.shape) && bytes.Equal(t.data, u.data)
-}
-
-// AllClose reports whether every element of t and u differs by at most
-// tol. Shapes must match; dtypes may differ.
-func (t *Tensor) AllClose(u *Tensor, tol float64) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	for i, n := 0, t.NumElems(); i < n; i++ {
-		if math.Abs(t.float64AtFlat(i)-u.float64AtFlat(i)) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 func (t *Tensor) String() string {

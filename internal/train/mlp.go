@@ -70,13 +70,6 @@ func Backward(state map[string]*tensor.Tensor, x, h, dLogits *tensor.Tensor) Gra
 	return g
 }
 
-// Loss runs a full forward pass and returns the batch loss only.
-func Loss(state map[string]*tensor.Tensor, x *tensor.Tensor, labels []int) float64 {
-	_, logits := Forward(state, x)
-	l, _ := SoftmaxCE(logits, labels)
-	return l
-}
-
 // SGDUpdate applies one SGD-with-momentum step in place:
 // v ← μ·v + g; w ← w − η·v. Momentum buffers are the ".opt0" tensors of
 // the state map — real optimizer state that reconfigurations must carry.
@@ -132,26 +125,6 @@ func ShardState(full map[string]*tensor.Tensor, tp int) []*TPShard {
 		shards[s] = &TPShard{Lo: r.Lo, Hi: r.Hi, State: st}
 	}
 	return shards
-}
-
-// MergeShards reassembles full state from TP shards — the inverse of
-// ShardState, used to compare sharded training against the unsharded
-// reference.
-func MergeShards(shards []*TPShard) map[string]*tensor.Tensor {
-	out := map[string]*tensor.Tensor{}
-	for _, suffix := range []string{"", ".opt0"} {
-		var w1, b1, w2 []*tensor.Tensor
-		for _, s := range shards {
-			w1 = append(w1, s.State["fc1/weight"+suffix])
-			b1 = append(b1, s.State["fc1/bias"+suffix])
-			w2 = append(w2, s.State["fc2/weight"+suffix])
-		}
-		out["fc1/weight"+suffix] = tensor.Concat(0, w1...)
-		out["fc1/bias"+suffix] = tensor.Concat(0, b1...)
-		out["fc2/weight"+suffix] = tensor.Concat(1, w2...)
-		out["fc2/bias"+suffix] = shards[0].State["fc2/bias"+suffix].Clone()
-	}
-	return out
 }
 
 // TPStep executes one training step across tensor-parallel shards:

@@ -145,34 +145,3 @@ func (tr *Trainer) Rescale(newDP int) {
 	}
 	tr.DP = newDP
 }
-
-// EvalLoss computes the loss on a fixed probe batch without advancing
-// any state; convergence plots use it for comparability across runs.
-func (tr *Trainer) EvalLoss(probe []int) float64 {
-	x := tr.Task.Features(probe)
-	labels := tr.Task.Labels(probe)
-	return Loss(tr.State, x, labels)
-}
-
-// CloneState deep-copies the trainer's state map.
-func CloneState(state map[string]*tensor.Tensor) map[string]*tensor.Tensor {
-	out := make(map[string]*tensor.Tensor, len(state))
-	for k, v := range state {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
-// StateClose reports whether two state maps agree within tol.
-func StateClose(a, b map[string]*tensor.Tensor, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || !av.AllClose(bv, tol) {
-			return false
-		}
-	}
-	return true
-}

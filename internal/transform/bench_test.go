@@ -27,7 +27,7 @@ func BenchmarkApplyTPReshard(b *testing.B) {
 		}
 		last = st
 	}
-	b.ReportMetric(last.CopyAmplification(), "copy-amp")
+	b.ReportMetric(float64(last.BytesCopied)/float64(last.PlanBytes()), "copy-amp")
 	b.ReportMetric(float64(last.AllocBytes), "alloc-B/op")
 }
 

@@ -96,6 +96,22 @@ var loadLayouts = []struct {
 	}},
 }
 
+// isStrided reports whether reg is more than one gapless span of a
+// row-major tensor of shape: past the last dimension it cuts short, it
+// must take one index of every dimension.
+func isStrided(shape []int, reg tensor.Region) bool {
+	i := len(shape) - 1
+	for i > 0 && reg[i].Lo == 0 && reg[i].Hi == shape[i] {
+		i--
+	}
+	for i--; i >= 0; i-- {
+		if reg[i].Len() != 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // LoadPTC sends a batch-capable store one request for everything its
 // device holds, and what the stores then hold — every path, every bit —
 // and what their servers count as received is what the per-tensor route
@@ -109,7 +125,7 @@ func TestLoadPTCBatchedMatchesPerTensor(t *testing.T) {
 		for _, d := range ptc.Devices {
 			for _, s := range ptc.Place[d] {
 				placed++
-				if _, flat := golden[s.Tensor].View(s.Region).Contiguous(); !flat {
+				if isStrided(ptc.Tensors[s.Tensor].Shape, s.Region) {
 					strided++
 				}
 			}
@@ -514,70 +530,6 @@ func storeTrees(t *testing.T, dir string, devs []cluster.DeviceID, stores map[cl
 	return out
 }
 
-// Over wire stores Replicate reads each home device once and writes each
-// replica store once, and the replicas are those the tensor-by-tensor
-// loop writes — over in-process stores, and over wire stores behind a
-// wrapper that hides both batch capabilities.
-func TestReplicateOverWireStores(t *testing.T) {
-	const job = "job0"
-	topo := cluster.OnPrem16()
-	devs := cluster.Allocation{0, 4, 8, 12} // one device a worker: replicas land on distinct machines
-	ptc := buildPTC(t, model.GPTCustom(2, 16, 2, 64, 8), parallel.Config{TP: 2, PP: 2, DP: 1}, devs)
-	golden := goldenState(ptc)
-	placed := 0
-	for _, d := range ptc.Devices {
-		placed += len(ptc.Place[d])
-	}
-	for _, n := range []int{1, 2} {
-		local := localStores(devs)
-		wire, hidden := newRestCluster(t, devs, nil), newRestCluster(t, devs, nil)
-		for _, stores := range []map[cluster.DeviceID]store.Access{local, wire.stores, hidden.stores} {
-			if err := LoadPTC(job, ptc, stores, golden); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := Replicate(context.Background(), job, ptc, topo, local, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uploads := hidden.requests("/upload")
-		got, err := Replicate(context.Background(), job, ptc, topo, wire.stores, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := Replicate(context.Background(), job, ptc, topo, hideBatch(hidden.stores), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want || slow != want || want != int64(n)*ptc.TotalPlacedBytes() {
-			t.Fatalf("n=%d: replicated %d bytes batched, %d tensor by tensor over the wire, %d in process; want %d",
-				n, got, slow, want, int64(n)*ptc.TotalPlacedBytes())
-		}
-		// One /upload-batch a device is the load's.
-		if b, ub, q, u := wire.requests("/batch"), wire.requests("/upload-batch")-len(devs), wire.requests("/query"), wire.requests("/upload"); b != len(devs) || ub != len(devs) || q != 0 || u != 0 {
-			t.Fatalf("n=%d: batched replicate made %d /batch, %d /upload-batch, %d /query, %d /upload requests; want %d, %d, 0, 0",
-				n, b, ub, q, u, len(devs), len(devs))
-		}
-		if q, u := hidden.requests("/query"), hidden.requests("/upload")-uploads; q != placed || u != n*placed {
-			t.Fatalf("n=%d: tensor-by-tensor replicate made %d /query and %d /upload requests, want %d and %d", n, q, u, placed, n*placed)
-		}
-		ref := storeTrees(t, "/job/"+job+"/replica", devs, local)
-		for name, stores := range map[string]map[cluster.DeviceID]store.Access{"batched": wire.stores, "tensor by tensor": hidden.stores} {
-			trees := storeTrees(t, "/job/"+job+"/replica", devs, stores)
-			for _, d := range devs {
-				if len(trees[d]) != len(ref[d]) || len(ref[d]) == 0 {
-					t.Fatalf("n=%d, %s: store %d holds %d replicas, want %d (> 0)", n, name, d, len(trees[d]), len(ref[d]))
-				}
-				for p, x := range ref[d] {
-					if y, ok := trees[d][p]; !ok || !x.Equal(y) {
-						t.Fatalf("n=%d, %s: store %d: replica %s differs from the in-process loop's (present %v)", n, name, d, p, ok)
-					}
-				}
-			}
-		}
-	}
-}
-
 // LoadPTC never hands an in-process store a tensor the caller keeps:
 // state the caller changes after a deploy, whole tensors included, is
 // not what the stores hold.
@@ -605,7 +557,7 @@ func TestLoadPTCDoesNotAliasCallerTensors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range golden {
-		x.Fill(-1)
+		x.FillSeq(-1, 0)
 	}
 	verifyAgainstGolden(t, job, ptc, stores, kept)
 }

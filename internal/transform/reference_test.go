@@ -55,7 +55,8 @@ func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *co
 	meta := plan.To.Tensors[a.Tensor]
 	dst := tr.Stores[a.Device]
 
-	var pieces []tensor.Piece
+	merged := tensor.New(meta.DType, a.Region.Shape()...)
+	covered := 0
 	for _, f := range a.Fetch {
 		if err := ctx.Err(); err != nil {
 			return st, err
@@ -91,19 +92,18 @@ func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *co
 		}
 		st.BytesCopied += bytes // materializing the sub-tensor
 		st.AllocBytes += bytes
-		pieces = append(pieces, tensor.Piece{
-			Region: f.Want.Translate(a.Region.Offset()),
-			Data:   data,
-		})
+		// Assemble the destination from the pieces: one more copy.
+		at := f.Want.Translate(a.Region.Offset())
+		if _, err := tensor.CopyRegion(merged, at, data, tensor.FullRegion(data.Shape())); err != nil {
+			return st, fmt.Errorf("transform: assemble %s%v: %w", a.Tensor, a.Region, err)
+		}
+		covered += at.NumElems()
+		st.BytesCopied += int64(data.NumBytes())
 	}
-	merged, err := tensor.Assemble(meta.DType, a.Region.Shape(), pieces)
-	if err != nil {
-		return st, fmt.Errorf("transform: assemble %s%v: %w", a.Tensor, a.Region, err)
+	if covered < merged.NumElems() {
+		return st, fmt.Errorf("transform: assemble %s%v: covered %d of %d elements", a.Tensor, a.Region, covered, merged.NumElems())
 	}
 	st.AllocBytes += int64(merged.NumBytes())
-	for _, p := range pieces {
-		st.BytesCopied += int64(p.Data.NumBytes()) // assembly copy
-	}
 	if err := store.WithContext(dst).UploadContext(ctx, stagingPath(tr.Job, a.Device, a.Tensor), merged); err != nil {
 		return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
 	}

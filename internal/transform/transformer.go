@@ -129,15 +129,6 @@ type Stats struct {
 // range counted once, whatever its source.
 func (s Stats) PlanBytes() int64 { return s.LocalBytes + s.PeerBytes + s.StorageBytes }
 
-// CopyAmplification returns BytesCopied per plan byte (0 when the plan
-// moved nothing).
-func (s Stats) CopyAmplification() float64 {
-	if pb := s.PlanBytes(); pb > 0 {
-		return float64(s.BytesCopied) / float64(pb)
-	}
-	return 0
-}
-
 // add counts the staged assignment a, whose own counters are o.
 func (s *Stats) add(a core.Assignment, o Stats) {
 	s.Assignments++

@@ -14,7 +14,7 @@ import (
 
 // The device walk. Every move of a job's state between its device stores
 // and this process — a deploy (LoadPTC), a checkpoint's save and restore
-// (package checkpoint), replication (Replicate), a job's verify — follows
+// (package checkpoint), a job's verify — follows
 // one rule per device: a store that takes batches is sent one request,
 // any other store one call per tensor, and the devices run on one
 // bounded fan-out, FanOut. The callers say what moves; ReadDevices and

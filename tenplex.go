@@ -41,7 +41,6 @@ import (
 	"tenplex/internal/sched"
 	"tenplex/internal/store"
 	"tenplex/internal/tensor"
-	"tenplex/internal/transform"
 )
 
 // JobConfig describes a training job to manage.
@@ -213,17 +212,6 @@ func (j *Job) change(what string, cfg parallel.Config, alloc cluster.Allocation,
 	return rep, nil
 }
 
-// Replicate mirrors every device's model partition to the Tensor Stores
-// of its next n workers, round-robin (§5.3), adding state redundancy so
-// that worker loss can be repaired without stale checkpoints. It
-// returns the bytes written.
-func (j *Job) Replicate(n int) (int64, error) {
-	if j.rt.PTC == nil {
-		return 0, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
-	}
-	return transform.Replicate(context.Background(), j.cfg.Name, j.rt.PTC, j.cfg.Topology, j.rt.Stores, n)
-}
-
 // Checkpoint persists the current partitioned state to remote storage.
 func (j *Job) Checkpoint() error {
 	if j.rt.PTC == nil {
@@ -253,8 +241,16 @@ func (j *Job) WriteState(full map[core.TensorID]*tensor.Tensor) error {
 
 // HandleEvent adapts the job to a scheduler event, returning the
 // simulated reconfiguration time; it lets a Job drive sched.Run.
+// A Failure event keeps the first e.GPUs devices of the allocation and
+// fails the rest, so it must leave between 1 and len(Allocation())-1.
 func (j *Job) HandleEvent(e sched.Event) (ReconfigReport, error) {
 	if e.Kind == sched.Failure {
+		if j.rt.PTC == nil {
+			return ReconfigReport{}, fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
+		}
+		if e.GPUs < 1 || e.GPUs >= len(j.rt.Alloc) {
+			return ReconfigReport{}, fmt.Errorf("tenplex: failure event leaves %d of %d devices", e.GPUs, len(j.rt.Alloc))
+		}
 		return j.Recover(j.rt.Alloc[e.GPUs:], e.GPUs)
 	}
 	return j.Reconfigure(e.GPUs)

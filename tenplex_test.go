@@ -220,7 +220,7 @@ func TestJobWriteStateRoundTrip(t *testing.T) {
 		anyID = id
 		break
 	}
-	updated[anyID].Fill(3.25)
+	updated[anyID].FillSeq(3.25, 0)
 	if err := j.WriteState(updated); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestJobWriteStateRoundTrip(t *testing.T) {
 }
 
 func TestJobErrorsBeforeDeploy(t *testing.T) {
-	j, _ := newTestJob(t)
+	j, init := newTestJob(t)
 	if _, err := j.Reconfigure(4); err == nil {
 		t.Fatal("reconfigure before deploy succeeded")
 	}
@@ -249,24 +249,19 @@ func TestJobErrorsBeforeDeploy(t *testing.T) {
 	if _, err := j.State(); err == nil {
 		t.Fatal("state before deploy succeeded")
 	}
-	if _, err := j.Replicate(1); err == nil {
-		t.Fatal("replicate before deploy succeeded")
+	if _, err := j.HandleEvent(sched.Event{Kind: sched.Failure, GPUs: 4}); err == nil {
+		t.Fatal("failure event before deploy succeeded")
 	}
-}
-
-func TestJobReplicate(t *testing.T) {
-	j, init := newTestJob(t)
-	if err := j.DeployWith(parallel.Config{TP: 2, PP: 2, DP: 1}, j.cfg.Topology.FirstN(4), init); err != nil {
+	if _, err := j.HandleEvent(sched.Event{Kind: sched.ScaleOut, GPUs: 4}); err == nil {
+		t.Fatal("scale-out event before deploy succeeded")
+	}
+	if err := j.Deploy(4, init); err != nil {
 		t.Fatal(err)
 	}
-	written, err := j.Replicate(1)
-	if err != nil {
-		t.Fatal(err)
+	for _, gpus := range []int{8, 4, 0, -1} {
+		if _, err := j.HandleEvent(sched.Event{Kind: sched.Failure, GPUs: gpus}); err == nil {
+			t.Fatalf("failure event leaving %d of 4 devices succeeded", gpus)
+		}
 	}
-	if written != j.PTC().TotalPlacedBytes() {
-		t.Fatalf("replicated %d bytes, want %d", written, j.PTC().TotalPlacedBytes())
-	}
-	if _, err := j.Replicate(99); err == nil {
-		t.Fatal("absurd replication factor accepted")
-	}
+	verifyState(t, j, init)
 }

@@ -69,8 +69,8 @@ func TestE2ECoorddMemorySlope(t *testing.T) {
 
 // coorddPeakAfter boots four store daemons and a coordd, runs jobs jobs
 // of model spec one after another, each until it is bit-verified and
-// then deleted from the stores, and returns coordd's VmHWM in MiB. The
-// daemons are stopped before it returns.
+// coordd has released its state from the stores, and returns coordd's
+// VmHWM in MiB. The daemons are stopped before it returns.
 func coorddPeakAfter(t *testing.T, bin string, spec api.ModelSpec, jobs int) float64 {
 	t.Helper()
 	var urls []string
@@ -107,11 +107,7 @@ func coorddPeakAfter(t *testing.T, bin string, spec api.ModelSpec, jobs int) flo
 				t.Fatalf("job %s ended %q unverified", id, st.State)
 			}
 		}
-		for _, cl := range clients {
-			if err := cl.Delete("/job/" + id); err != nil {
-				t.Fatalf("clean up %s: %v", id, err)
-			}
-		}
+		checkStoreState(t, clients, []string{id})
 	}
 	return vmHWMMiB(t, coordd.cmd.Process.Pid)
 }
