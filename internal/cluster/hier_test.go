@@ -88,11 +88,11 @@ func TestPairBWSymmetryAndTriangle(t *testing.T) {
 
 	// One representative pair per level; each hop down the hierarchy is
 	// strictly slower.
-	island := topo.PairBW(0, 1)     // same NVLink island
-	node := topo.PairBW(0, 5)       // same worker, across islands (PCIe)
-	rack := topo.PairBW(0, 9)       // same rack, across workers
-	pod := topo.PairBW(0, 33)       // same pod, across racks (device 33 → worker 4, rack 1)
-	spine := topo.PairBW(0, 257)    // across pods (device 257 → worker 32, pod 1)
+	island := topo.PairBW(0, 1)  // same NVLink island
+	node := topo.PairBW(0, 5)    // same worker, across islands (PCIe)
+	rack := topo.PairBW(0, 9)    // same rack, across workers
+	pod := topo.PairBW(0, 33)    // same pod, across racks (device 33 → worker 4, rack 1)
+	spine := topo.PairBW(0, 257) // across pods (device 257 → worker 32, pod 1)
 	ladder := []struct {
 		name string
 		bw   float64

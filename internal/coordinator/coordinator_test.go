@@ -181,7 +181,7 @@ func TestRunValidatesSpecs(t *testing.T) {
 	ok := JobSpec{Name: "a", Model: tinyGPT(), DurationMin: 10, GPUs: 2}
 	bad := []JobSpec{
 		{},
-		{Name: "x", DurationMin: 10, GPUs: 2},                                   // no model
+		{Name: "x", DurationMin: 10, GPUs: 2}, // no model
 		{Name: "x", Model: tinyGPT(), DurationMin: 0, GPUs: 2},                  // no duration
 		{Name: "x", Model: tinyGPT(), DurationMin: 10, GPUs: 0},                 // no gpus
 		{Name: "x", Model: tinyGPT(), DurationMin: 10, GPUs: 2, MinGPUs: 4},     // min > gpus

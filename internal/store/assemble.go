@@ -70,8 +70,9 @@ type AssembleFetch struct {
 // tensor the store already holds, which is then stored at Path by
 // reference (no bytes move), or Fetch lists the ranges that fill a
 // fresh tensor of the given dtype and shape. The targets of an item's
-// fetches must be disjoint, as for the entries of a batch: ranges from
-// different sources land concurrently.
+// fetches must tile the tensor: disjoint, as for the entries of a batch
+// (ranges from different sources land concurrently), and together all
+// of it. The store refuses targets that overlap or leave a hole.
 type AssembleItem struct {
 	Path  string
 	DType tensor.DType
@@ -400,10 +401,16 @@ func decodeAssembleRequest(d *tensor.RequestReader) ([]AssembleItem, *requestErr
 			covered += n
 			fetches = append(fetches, f)
 		}
+		it.Fetch = fetches[first:len(fetches):len(fetches)]
 		if covered < total {
 			return nil, badRequest("item %d (%s): fetches cover %d of %d bytes", i, it.Path, covered, total)
 		}
-		it.Fetch = fetches[first:len(fetches):len(fetches)]
+		if covered > total {
+			return nil, badRequest("item %d (%s): fetches write %d bytes into %d: targets overlap", i, it.Path, covered, total)
+		}
+		if overlap, _ := tiles(it); overlap {
+			return nil, badRequest("item %d (%s): fetch targets overlap", i, it.Path)
+		}
 		items = append(items, it)
 	}
 	if d.End(); d.Err() != nil {
@@ -431,6 +438,90 @@ func fills(reg, at tensor.Region, shape []int) bool {
 		}
 	}
 	return true
+}
+
+// pairsPerTarget bounds the work tiles does on an item: the target
+// pairs it compares, per target and per dimension it sweeps. A plan's
+// targets cut a tensor into a grid, which a sweep along a dimension the
+// grid cuts many times settles in a few pairs per target; the bound
+// keeps a request that names thousands of targets in one slab from
+// costing the square of that.
+const pairsPerTarget = 32
+
+// tiles tells whether the fetch targets of item it are pairwise
+// disjoint: overlap when two of them share an element, proven when none
+// do. Both false means the bounded sweep could not tell. Targets that
+// are disjoint and add up to the tensor's bytes cover all of it, which
+// is what lets a recycled buffer be filled without being cleared.
+//
+// It sweeps one dimension at a time: targets in order of where they
+// start along it, each compared with the earlier ones that have not
+// ended by then. A dimension whose sweep runs out of its budget of
+// comparisons leaves the question to the next; the answer does not
+// depend on which dimension gives it.
+func tiles(it AssembleItem) (overlap, proven bool) {
+	n := len(it.Fetch)
+	if n < 2 {
+		return false, true
+	}
+	// Small items, which are nearly all, sort on the stack.
+	var stack [2 * 32]int32
+	order, active := stack[:0:32], stack[32:32]
+	if n > 32 {
+		order, active = make([]int32, 0, n), make([]int32, 0, n)
+	}
+	bounds := func(k int32, d int) (lo, hi int) {
+		if at := it.Fetch[k].At; at != nil {
+			return at[d].Lo, at[d].Hi
+		}
+		return 0, it.Shape[d]
+	}
+	meet := func(a, b int32) bool {
+		for d := range it.Shape {
+			alo, ahi := bounds(a, d)
+			blo, bhi := bounds(b, d)
+			if max(alo, blo) >= min(ahi, bhi) {
+				return false
+			}
+		}
+		return true
+	}
+	for d := range it.Shape {
+		order = order[:0]
+		for k := range int32(n) {
+			order = append(order, k)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			alo, _ := bounds(a, d)
+			blo, _ := bounds(b, d)
+			return alo - blo
+		})
+		budget := pairsPerTarget * n
+		active = active[:0]
+		for _, k := range order {
+			lo, _ := bounds(k, d)
+			if budget -= len(active); budget < 0 {
+				break
+			}
+			kept := active[:0]
+			for _, j := range active {
+				if _, hi := bounds(j, d); hi > lo {
+					kept = append(kept, j)
+				}
+			}
+			active = kept
+			for _, j := range active {
+				if meet(j, k) {
+					return true, false
+				}
+			}
+			active = append(active, k)
+		}
+		if budget >= 0 {
+			return false, true
+		}
+	}
+	return false, false
 }
 
 func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
@@ -464,10 +555,18 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 // assemble builds the requested tensors and, only when every one of
 // them is complete, stores them. The pulls are bound to ctx — the
 // request's context — so a caller that gives up stops them, and nothing
-// is stored.
+// is stored: the buffers that were to hold them go back to the store.
 func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleStats, error) {
 	var st AssembleStats
-	staged := make([]*tensor.Tensor, len(items))
+	staged := make([]entry, len(items))
+	stored := 0 // staged[:stored] are in the tree
+	defer func() {
+		for _, e := range staged[stored:] {
+			if e.own != nil {
+				s.FS.release(e.own)
+			}
+		}
+	}()
 	pulls := map[string][]BatchEntry{} // by source address
 	for i, it := range items {
 		if it.Link != "" {
@@ -479,12 +578,21 @@ func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 				return st, &requestError{code: http.StatusConflict, msg: fmt.Sprintf("item %d (%s): link %s holds %v, want %s %v",
 					i, it.Path, it.Link, t, it.DType, it.Shape)}
 			}
-			staged[i] = t
+			staged[i] = entry{t: t}
 			st.LinkedBytes += int64(t.NumBytes())
 			continue
 		}
-		t := tensor.New(it.DType, it.Shape...)
-		staged[i] = t
+		// The fetches overwrite every byte of the tensor when their
+		// targets are shown to tile it; a recycled buffer they might not
+		// fill is cleared, so no byte of what it held before shows.
+		o, recycled := s.FS.alloc(it.DType, it.Shape)
+		if recycled {
+			if _, proven := tiles(it); !proven {
+				clear(o.t.Data())
+			}
+		}
+		t := o.t
+		staged[i] = entry{t: t, own: o}
 		st.AllocBytes += int64(t.NumBytes())
 		for _, f := range it.Fetch {
 			if f.Source != "" {
@@ -534,9 +642,10 @@ func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 	}
 	st.BytesCopied += pulled
 	for i, it := range items {
-		if err := s.FS.PutTensor(it.Path, staged[i]); err != nil {
+		if err := s.FS.put(it.Path, staged[i]); err != nil {
 			return st, badRequest("item %d: %v", i, err)
 		}
+		stored++
 	}
 	return st, nil
 }

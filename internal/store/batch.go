@@ -468,11 +468,34 @@ func decodeFailure(what string, err error) *requestError {
 }
 
 // batchRequestEntry is one decoded entry of a /batch request; the
-// handler resolves t.
+// handler resolves t, and pins own when the store owns t.
 type batchRequestEntry struct {
 	path string
 	reg  tensor.Region
 	t    *tensor.Tensor
+	own  *owned
+}
+
+// pinEntries resolves the tensor of every entry under one hold of the
+// tree lock, pinning those the store owns, and stops at the first entry
+// that names none; unpinEntries releases whatever it pinned.
+func (fs *MemFS) pinEntries(entries []batchRequestEntry) (int, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	for i := range entries {
+		e, err := fs.pinned(entries[i].path)
+		if err != nil {
+			return i, err
+		}
+		entries[i].t, entries[i].own = e.t, e.own
+	}
+	return len(entries), nil
+}
+
+func (fs *MemFS) unpinEntries(entries []batchRequestEntry) {
+	for _, e := range entries {
+		fs.unpin(e.own)
+	}
 }
 
 // decodeBatchRequest reads the body of POST /batch. The declared count
@@ -578,22 +601,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve and validate every entry before the first response byte:
 	// the frame stream has no error frames, so failures must surface as
-	// plain HTTP statuses, which is only possible up front.
+	// plain HTTP statuses, which is only possible up front. The tensors
+	// stay pinned until the response is out.
+	defer s.FS.unpinEntries(entries)
+	if i, err := s.FS.pinEntries(entries); err != nil {
+		httpError(w, http.StatusNotFound, "batch entry %d: %v", i, err)
+		return
+	}
 	var full []tensor.Range // the regions of entries that name none
 	for i := range entries {
 		e := &entries[i]
-		t, err := s.FS.GetTensor(e.path)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "batch entry %d: %v", i, err)
-			return
-		}
 		if e.reg == nil {
-			e.reg = fullRegion(&full, t)
-		} else if !t.InBounds(e.reg) {
-			httpError(w, http.StatusBadRequest, "batch entry %d: region %v out of bounds for %v", i, e.reg, t)
+			e.reg = fullRegion(&full, e.t)
+		} else if !e.t.InBounds(e.reg) {
+			httpError(w, http.StatusBadRequest, "batch entry %d: region %v out of bounds for %v", i, e.reg, e.t)
 			return
 		}
-		e.t = t
 	}
 	// Coalesce runs of adjacent ranges over the same stored tensor into
 	// single frames, so a plan that slices a tensor into consecutive

@@ -230,3 +230,45 @@ func BenchmarkSingleVsOneEntryBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAssemble builds an 8 MiB tensor out of one the store holds,
+// as /assemble does with a range of its own: into a fresh buffer, which
+// the runtime must zero and the kernel fault in before the copy, and
+// into the buffer the previous build freed. The fresh rows keep the
+// store from reusing a buffer by taking each build out by reference.
+func BenchmarkAssemble(b *testing.B) {
+	for _, recycled := range []bool{false, true} {
+		name := "fresh"
+		if recycled {
+			name = "recycled"
+		}
+		b.Run(name, func(b *testing.B) {
+			srv := NewServer(NewMemFS())
+			src := tensor.New(tensor.Float32, 2048, 1024)
+			src.FillRandDense(1, 1)
+			if err := srv.FS.PutTensor("/src", src); err != nil {
+				b.Fatal(err)
+			}
+			items := []AssembleItem{{Path: "/dst", DType: tensor.Float32, Shape: []int{2048, 1024},
+				Fetch: []AssembleFetch{{Path: "/src"}}}}
+			build := func() {
+				if !recycled {
+					_, _ = srv.FS.GetTensor("/dst")
+				}
+				if _, err := srv.assemble(context.Background(), items); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Each build frees the one before it once it is stored, so the
+			// third is the first that finds a buffer to reuse.
+			build()
+			build()
+			b.SetBytes(int64(src.NumBytes()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+		})
+	}
+}

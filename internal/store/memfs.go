@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tenplex/internal/tensor"
 )
@@ -24,6 +25,10 @@ import (
 type MemFS struct {
 	mu   sync.RWMutex
 	root *node
+	// owned counts the files whose tensor the store allocated itself
+	// (see owned); while it is 0, removing a tree walks nothing.
+	owned int
+	free  freeList
 }
 
 // node maps are created lazily on first insert (reads of nil maps are
@@ -37,6 +42,136 @@ type node struct {
 type entry struct {
 	t    *tensor.Tensor
 	blob []byte
+	// own is set when the store allocated t itself: the server's
+	// /upload, /upload-batch and /assemble build the tensors they store
+	// in buffers of their own, which the store takes back once they
+	// leave the tree. A tensor a caller put is never the store's.
+	own *owned
+}
+
+// owned is a tensor buffer the store allocated, with what decides when
+// it may be handed out again. The pin rule:
+//
+//   - whoever reads its bytes after letting go of the tree lock (/query,
+//     /batch, ReadRegionInto, GetSlice) pins it under the lock and
+//     unpins it once done, and its bytes stay as they were until then;
+//   - a reference that escapes (GetTensor, and so an /assemble link,
+//     Local.Query of a whole tensor, checkpoint.Restore's by-pointer
+//     uploads) marks it shared, for good;
+//   - leaving the tree (Delete, a Rename or a Put over it) marks it
+//     freed.
+//
+// A freed buffer that is not shared goes to the free list from
+// whichever lets go of it last: the remover when no pin is held, else
+// the last unpin. Pins are taken under the lock and freeing needs the
+// write lock, so a freed buffer gains no pin, and one atomic word
+// decides who recycles it: a pin costs an add, no allocation.
+type owned struct {
+	t     *tensor.Tensor
+	state atomic.Int32 // pins, plus freedBit and sharedBit
+}
+
+const (
+	freedBit  = 1 << 30
+	sharedBit = 1 << 29
+)
+
+// freeListCap bounds the bytes a store holds in its free list. A
+// reconfiguration frees about what it builds (the previous step's
+// checkpoint pieces, the model tree a commit renames over, a finished
+// job's state), so the list needs to hold one device's share of a job's
+// state to serve the next of the same shapes; beyond the cap a freed
+// buffer goes to the garbage collector, so an idle store keeps no more
+// than this held back. 256 MiB is a few times the state per device of
+// every job the benchmark and the end-to-end tests run.
+const freeListCap = 256 << 20
+
+// freeList holds freed buffers by byte size, for alloc to hand out.
+type freeList struct {
+	mu    sync.Mutex
+	bytes int64
+	bufs  map[int][]*owned
+}
+
+func (l *freeList) put(o *owned) {
+	n := o.t.NumBytes()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.bytes+int64(n) > freeListCap {
+		return
+	}
+	if l.bufs == nil {
+		l.bufs = map[int][]*owned{}
+	}
+	l.bufs[n] = append(l.bufs[n], o)
+	l.bytes += int64(n)
+}
+
+func (l *freeList) take(n int) *owned {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	bufs := l.bufs[n]
+	if len(bufs) == 0 {
+		return nil
+	}
+	o := bufs[len(bufs)-1]
+	bufs[len(bufs)-1] = nil
+	l.bufs[n] = bufs[:len(bufs)-1]
+	l.bytes -= int64(n)
+	return o
+}
+
+// alloc returns a buffer of the store's own for a tensor of the given
+// dtype and shape: a freed one of the same size when the free list has
+// one, with recycled set, else a new one. A recycled buffer holds what
+// the tensor before it left there, so the caller overwrites every byte
+// before anyone can read it, or clears it. The buffer is stored with
+// putOwned, or handed back with release.
+func (fs *MemFS) alloc(dt tensor.DType, shape []int) (o *owned, recycled bool) {
+	o = fs.free.take(int(tensor.ShapeNumBytes(dt, shape)))
+	if o == nil {
+		return &owned{t: tensor.New(dt, shape...)}, false
+	}
+	o.state.Store(0)
+	if o.t.DType() != dt || !o.t.HasShape(shape) {
+		o.t = tensor.FromBytes(dt, o.t.Data(), shape...)
+	}
+	return o, true
+}
+
+// release hands back a buffer from alloc that was never stored.
+func (fs *MemFS) release(o *owned) { fs.free.put(o) }
+
+// unpin drops a pin pin took; o may be nil (nothing was pinned).
+func (fs *MemFS) unpin(o *owned) {
+	if o != nil && o.state.Add(-1) == freedBit {
+		fs.free.put(o)
+	}
+}
+
+// drop frees what a file held as it leaves the tree; fs.mu is held for
+// writing.
+func (fs *MemFS) drop(e entry) {
+	if e.own == nil {
+		return
+	}
+	fs.owned--
+	if e.own.state.Or(freedBit) == 0 {
+		fs.free.put(e.own)
+	}
+}
+
+// dropTree frees every file of a tree that has left the tree.
+func (fs *MemFS) dropTree(n *node) {
+	if fs.owned == 0 {
+		return
+	}
+	for _, e := range n.files {
+		fs.drop(e)
+	}
+	for _, d := range n.dirs {
+		fs.dropTree(d)
+	}
 }
 
 func newNode() *node { return &node{} }
@@ -106,8 +241,16 @@ func (fs *MemFS) lookupPath(path string, create bool) (*node, string, error) {
 	return n, prev, nil
 }
 
-// PutTensor stores t at path, overwriting any existing file.
-func (fs *MemFS) PutTensor(path string, t *tensor.Tensor) error {
+// PutTensor stores t at path, overwriting any existing file. The store
+// keeps t by reference and never reuses its bytes.
+func (fs *MemFS) PutTensor(path string, t *tensor.Tensor) error { return fs.put(path, entry{t: t}) }
+
+// putOwned stores a buffer from alloc at path, for the store to take
+// back once it leaves the tree.
+func (fs *MemFS) putOwned(path string, o *owned) error { return fs.put(path, entry{t: o.t, own: o}) }
+
+// put stores e at path, overwriting any existing file.
+func (fs *MemFS) put(path string, e entry) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	dir, name, err := fs.lookupPath(path, true)
@@ -117,7 +260,13 @@ func (fs *MemFS) PutTensor(path string, t *tensor.Tensor) error {
 	if _, isDir := dir.dirs[name]; isDir {
 		return fmt.Errorf("store: %q is a directory", path)
 	}
-	dir.putFile(name, entry{t: t})
+	if old, ok := dir.files[name]; ok {
+		fs.drop(old)
+	}
+	if e.own != nil {
+		fs.owned++
+	}
+	dir.putFile(name, e)
 	return nil
 }
 
@@ -135,41 +284,73 @@ func (fs *MemFS) PutBlob(path string, data []byte) error {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
+	if old, ok := dir.files[name]; ok {
+		fs.drop(old)
+	}
 	dir.putFile(name, entry{blob: cp})
 	return nil
 }
 
-// GetTensor returns the tensor stored at path.
+// GetTensor returns the tensor stored at path, by reference: the store
+// never reuses its bytes.
 func (fs *MemFS) GetTensor(path string) (*tensor.Tensor, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
+	e, err := fs.tensorAt(path)
+	if e.own != nil {
+		e.own.state.Or(sharedBit)
+	}
+	return e.t, err
+}
+
+// pin returns the tensor stored at path for a read that outlives the
+// lock, with its buffer pinned if the store owns it; the caller passes
+// o to unpin once done with the bytes.
+func (fs *MemFS) pin(path string) (t *tensor.Tensor, o *owned, err error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	e, err := fs.pinned(path)
+	return e.t, e.own, err
+}
+
+// pinned is the tensor file at path, pinned if the store owns it; fs.mu
+// is held.
+func (fs *MemFS) pinned(path string) (entry, error) {
+	e, err := fs.tensorAt(path)
+	if e.own != nil {
+		e.own.state.Add(1)
+	}
+	return e, err
+}
+
+// tensorAt is the tensor file at path; fs.mu is held.
+func (fs *MemFS) tensorAt(path string) (entry, error) {
 	dir, name, err := fs.lookupPath(path, false)
 	if err != nil {
-		return nil, err
+		return entry{}, err
 	}
 	e, ok := dir.files[name]
 	if !ok {
-		return nil, fmt.Errorf("store: %q not found", path)
+		return entry{}, fmt.Errorf("store: %q not found", path)
 	}
 	if e.t == nil {
-		return nil, fmt.Errorf("store: %q is a blob, not a tensor", path)
+		return entry{}, fmt.Errorf("store: %q is a blob, not a tensor", path)
 	}
-	return e.t, nil
+	return e, nil
 }
 
 // GetSlice returns a copy of the sub-tensor reg of the tensor at path.
 // This is the range-query primitive: only the requested bytes are
 // copied, so remote callers move minimal data.
 func (fs *MemFS) GetSlice(path string, reg tensor.Region) (*tensor.Tensor, error) {
-	t, err := fs.GetTensor(path)
+	t, o, err := fs.pin(path)
 	if err != nil {
 		return nil, err
 	}
-	if !reg.Valid(t.Shape()) {
+	defer fs.unpin(o)
+	if !t.InBounds(reg) {
 		return nil, fmt.Errorf("store: range %v invalid for %q (shape %v)", reg, path, t.Shape())
 	}
-	// Tensors in the store are replaced, never mutated, so slicing the
-	// snapshot without the lock is safe.
 	return t.Slice(reg), nil
 }
 
@@ -178,10 +359,11 @@ func (fs *MemFS) GetSlice(path string, reg tensor.Region) (*tensor.Tensor, error
 // dst) — the single-copy read path: bytes move from the stored buffer
 // to their final strided destination offsets exactly once.
 func (fs *MemFS) ReadRegionInto(path string, reg tensor.Region, dst *tensor.Tensor, at tensor.Region) (int64, error) {
-	t, err := fs.GetTensor(path)
+	t, o, err := fs.pin(path)
 	if err != nil {
 		return 0, err
 	}
+	defer fs.unpin(o)
 	if reg == nil {
 		reg = tensor.FullRegion(t.Shape())
 	}
@@ -293,12 +475,14 @@ func (fs *MemFS) Delete(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := dir.files[name]; ok {
+	if e, ok := dir.files[name]; ok {
 		delete(dir.files, name)
+		fs.drop(e)
 		return nil
 	}
-	if _, ok := dir.dirs[name]; ok {
+	if d, ok := dir.dirs[name]; ok {
 		delete(dir.dirs, name)
+		fs.dropTree(d)
 		return nil
 	}
 	return fmt.Errorf("store: %q not found", path)
@@ -336,8 +520,17 @@ func (fs *MemFS) Rename(src, dst string) error {
 	}
 	delete(sDir.dirs, sName)
 	delete(sDir.files, sName)
-	delete(dDir.dirs, dName)
-	delete(dDir.files, dName)
+	// What dst held is looked up only now: a file renamed to itself is
+	// not replaced, and a tree renamed over one of its ancestors has
+	// already left it.
+	if d, ok := dDir.dirs[dName]; ok {
+		delete(dDir.dirs, dName)
+		fs.dropTree(d)
+	}
+	if e, ok := dDir.files[dName]; ok {
+		delete(dDir.files, dName)
+		fs.drop(e)
+	}
 	if !isFile {
 		dDir.putDir(dName, moveDir)
 	} else {

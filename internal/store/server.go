@@ -123,13 +123,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	t, err := s.FS.GetTensor(path)
+	t, o, err := s.FS.pin(path)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	// The response streams straight out of the stored tensor's buffer:
-	// no sub-tensor is materialized for range reads, and whole-tensor
+	defer s.FS.unpin(o)
+	// The response streams straight out of the stored tensor's buffer,
+	// which the pin keeps from being reused until it is out: no
+	// sub-tensor is materialized for range reads, and whole-tensor
 	// reads write the backing bytes after a small header. The view is
 	// built from the tensor already in hand, so the range validates
 	// against exactly the snapshot being served.
@@ -190,8 +192,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "upload body %d bytes, header declares %d", r.ContentLength, want)
 		return
 	}
-	t := tensor.New(dt, shape...)
-	if _, err := io.ReadFull(cr, t.Data()); err != nil {
+	// The payload overwrites every byte of the buffer, so a recycled one
+	// needs no clearing; one that is not stored goes back.
+	o, _ := s.FS.alloc(dt, shape)
+	if _, err := io.ReadFull(cr, o.t.Data()); err != nil {
+		s.FS.release(o)
 		httpError(w, http.StatusBadRequest, "upload payload: %v", err)
 		return
 	}
@@ -199,10 +204,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// storing, mirroring the strictness of the old whole-body decode.
 	var extra [1]byte
 	if n, _ := io.ReadFull(cr, extra[:]); n != 0 {
+		s.FS.release(o)
 		httpError(w, http.StatusBadRequest, "trailing bytes after encoded tensor")
 		return
 	}
-	if err := s.FS.PutTensor(path, t); err != nil {
+	if err := s.FS.putOwned(path, o); err != nil {
+		s.FS.release(o)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -218,10 +218,11 @@ func singleUpload(header []byte, payload func() io.Reader, replays bool) *upload
 	}}
 }
 
-// uploadedTensor is one decoded item of an /upload-batch request.
+// uploadedTensor is one decoded item of an /upload-batch request, in a
+// buffer of the store's own.
 type uploadedTensor struct {
 	path string
-	t    *tensor.Tensor
+	*owned
 }
 
 // decodeUploadBatch reads the body of POST /upload-batch, of which the
@@ -230,8 +231,18 @@ type uploadedTensor struct {
 // allocated only if the announced length still has room for its payload:
 // what the decoder holds grows with the bytes that arrive, never with a
 // count or a shape declared. It returns the tensors only when every
-// frame's checksum verified and the body ends after the last.
-func decodeUploadBatch(d *tensor.RequestReader, announced int64) ([]uploadedTensor, *requestError) {
+// frame's checksum verified and the body ends after the last. Every
+// tensor is built in a buffer from fs.alloc, which its payload fills
+// whole; when the body is refused they all go back to fs.
+func decodeUploadBatch(d *tensor.RequestReader, announced int64, fs *MemFS) (items []uploadedTensor, re *requestError) {
+	defer func() {
+		if re != nil {
+			for _, it := range items {
+				fs.release(it.owned)
+			}
+			items = nil
+		}
+	}()
 	d.Header(tensor.RequestUpload)
 	n := int(d.Uint32())
 	if err := d.Err(); err != nil {
@@ -243,18 +254,18 @@ func decodeUploadBatch(d *tensor.RequestReader, announced int64) ([]uploadedTens
 	if n > maxUploadBatchItems {
 		return nil, tooLarge("upload batch of %d items exceeds limit %d", n, maxUploadBatchItems)
 	}
+	items = make([]uploadedTensor, 0, min(n, decodeChunk))
 	var (
-		items = make([]uploadedTensor, 0, min(n, decodeChunk))
-		seen  = make(map[string]struct{}, min(n, decodeChunk))
-		dims  [maxTensorRank]int
-		fr    = crcReader{r: d}
-		need  = int64(uploadBatchHeadSize) // body bytes the items so far account for
+		seen = make(map[string]struct{}, min(n, decodeChunk))
+		dims [maxTensorRank]int
+		fr   = crcReader{r: d}
+		need = int64(uploadBatchHeadSize) // body bytes the items so far account for
 	)
 	for i := 0; i < n; i++ {
 		path, dt := d.String(maxPathBytes), tensor.DType(d.Uint8())
 		rank := int(d.Uint8())
 		if rank > maxTensorRank && d.Err() == nil {
-			return nil, badRequest("item %d (%s): rank %d exceeds limit %d", i, path, rank, maxTensorRank)
+			return items, badRequest("item %d (%s): rank %d exceeds limit %d", i, path, rank, maxTensorRank)
 		}
 		shape := dims[:rank]
 		for j := range shape {
@@ -262,50 +273,50 @@ func decodeUploadBatch(d *tensor.RequestReader, announced int64) ([]uploadedTens
 		}
 		h := tensor.FrameHeader{Index: d.Uint32(), Count: d.Uint32(), Length: d.Uint64()}
 		if err := d.Err(); err != nil {
-			return nil, decodeFailure("upload-batch", fmt.Errorf("item %d: %w", i, err))
+			return items, decodeFailure("upload-batch", fmt.Errorf("item %d: %w", i, err))
 		}
 		if path == "" {
-			return nil, badRequest("item %d: missing path", i)
+			return items, badRequest("item %d: missing path", i)
 		}
 		if !dt.Valid() {
-			return nil, badRequest("item %d (%s): invalid dtype %d", i, path, dt)
+			return items, badRequest("item %d (%s): invalid dtype %d", i, path, dt)
 		}
 		payload, re := checkedTensorBytes(dt, shape)
 		if re != nil {
 			re.msg = fmt.Sprintf("item %d (%s): %s", i, path, re.msg)
-			return nil, re
+			return items, re
 		}
 		if h.Index != uint32(i) || h.Count != 1 || h.Length != uint64(payload) {
-			return nil, badRequest("item %d (%s): frame header {index %d, count %d, length %d}, want {%d, 1, %d}",
+			return items, badRequest("item %d (%s): frame header {index %d, count %d, length %d}, want {%d, 1, %d}",
 				i, path, h.Index, h.Count, h.Length, i, payload)
 		}
 		if _, twice := seen[path]; twice {
-			return nil, badRequest("item %d: path %s named twice", i, path)
+			return items, badRequest("item %d: path %s named twice", i, path)
 		}
 		if need += uploadItemSize(len(path), rank) + payload; need > announced {
-			return nil, badRequest("item %d (%s): request declares %d bytes so far, announced %d", i, path, need, announced)
+			return items, badRequest("item %d (%s): request declares %d bytes so far, announced %d", i, path, need, announced)
 		}
-		t := tensor.New(dt, shape...)
+		o, _ := fs.alloc(dt, shape)
+		items = append(items, uploadedTensor{path: path, owned: o})
 		fr.sum = 0
-		if _, err := io.ReadFull(&fr, t.Data()); err != nil {
+		if _, err := io.ReadFull(&fr, o.t.Data()); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, decodeFailure("upload-batch", fmt.Errorf("item %d (%s): payload: %w", i, path, err))
+			return items, decodeFailure("upload-batch", fmt.Errorf("item %d (%s): payload: %w", i, path, err))
 		}
 		declared := d.Uint32()
 		if err := d.Err(); err != nil {
-			return nil, decodeFailure("upload-batch", fmt.Errorf("item %d (%s): crc trailer: %w", i, path, err))
+			return items, decodeFailure("upload-batch", fmt.Errorf("item %d (%s): crc trailer: %w", i, path, err))
 		}
 		if declared != fr.sum {
-			return nil, &requestError{code: statusCorruptFrame, msg: fmt.Sprintf(
+			return items, &requestError{code: statusCorruptFrame, msg: fmt.Sprintf(
 				"item %d (%s): checksum mismatch (declared %#x, computed %#x)", i, path, declared, fr.sum)}
 		}
 		seen[path] = struct{}{}
-		items = append(items, uploadedTensor{path: path, t: t})
 	}
 	if d.End(); d.Err() != nil {
-		return nil, decodeFailure("upload-batch", d.Err())
+		return items, decodeFailure("upload-batch", d.Err())
 	}
 	return items, nil
 }
@@ -337,14 +348,17 @@ func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, release := boundedBody(w, r, maxUploadBatchBytes)
-	items, re := decodeUploadBatch(body, r.ContentLength)
+	items, re := decodeUploadBatch(body, r.ContentLength, s.FS)
 	release()
 	if re != nil {
 		httpError(w, re.code, "%s", re.msg)
 		return
 	}
 	for i, it := range items {
-		if err := s.FS.PutTensor(it.path, it.t); err != nil {
+		if err := s.FS.putOwned(it.path, it.owned); err != nil {
+			for _, rest := range items[i:] {
+				s.FS.release(rest.owned)
+			}
 			httpError(w, http.StatusBadRequest, "item %d: %v", i, err)
 			return
 		}

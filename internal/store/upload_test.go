@@ -124,7 +124,7 @@ func postUpload(srv http.Handler, body []byte) *httptest.ResponseRecorder {
 func decodeUploadBytes(body []byte) ([]uploadedTensor, *requestError) {
 	d := tensor.NewRequestReader()
 	d.Reset(bytes.NewReader(body))
-	return decodeUploadBatch(d, int64(len(body)))
+	return decodeUploadBatch(d, int64(len(body)), NewMemFS())
 }
 
 // encodeUploaded runs decoded tensors back through the client's encoder.

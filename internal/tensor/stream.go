@@ -117,9 +117,10 @@ func (w *walk) next() bool {
 // View is a read-only window over the region reg of a tensor. It
 // aliases the tensor's backing buffer — no bytes are copied — and
 // streams or random-accesses the region's payload in row-major order.
-// The underlying tensor must not be mutated while views of it are live;
-// tensors held by the store are replaced, never mutated, so store reads
-// may hand out views freely.
+// The underlying tensor must not be mutated while views of it are live.
+// A store reuses the buffer of a tensor it allocated once the tensor has
+// left its tree, so a store read holds a pin on the tensor for as long
+// as its views are live (store.MemFS's pin rule).
 type View struct {
 	t   *Tensor
 	reg Region

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense, row-major n-dimensional array. The zero value is not
-// usable; construct tensors with New.
+// usable; construct tensors with New, or FromBytes over bytes handed
+// over.
 //
 // A Tensor owns its backing storage. Slicing copies data; the
 // package never aliases two tensors to the same bytes, which keeps the
@@ -40,6 +42,20 @@ func New(dt DType, shape ...int) *Tensor {
 		shape: append([]int(nil), shape...),
 		data:  make([]byte, n*dt.Size()),
 	}
+}
+
+// FromBytes builds a tensor of the given element type and shape over
+// data, which must be exactly its size; the bytes are used as they are,
+// not zeroed or copied. The tensor takes data over: the caller keeps no
+// other use of it. This is how a store reuses a buffer it freed.
+func FromBytes(dt DType, data []byte, shape ...int) *Tensor {
+	if !dt.Valid() || slices.ContainsFunc(shape, func(d int) bool { return d <= 0 }) {
+		panic(fmt.Sprintf("tensor: FromBytes with dtype %d, shape %v", dt, shape))
+	}
+	if n := ShapeNumBytes(dt, shape); n != int64(len(data)) {
+		panic(fmt.Sprintf("tensor: FromBytes of %d bytes for %s %v (%d bytes)", len(data), dt, shape, n))
+	}
+	return &Tensor{dtype: dt, shape: append([]int(nil), shape...), data: data}
 }
 
 // DType returns the element type.

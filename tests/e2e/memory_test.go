@@ -29,7 +29,10 @@ const maxCoorddSlope = 3.0
 // checkpointed and bit-verified at completion, one at a time, as
 // bench/'s coordd-lifecycle workload drives them. The peak may grow by at
 // most maxCoorddSlope MiB per MiB of state between the two sizes. Both
-// readings go to the log and, under CI, to the job summary.
+// readings go to the log and, under CI, to the job summary, next to each
+// tenplex-store's VmHWM after the same jobs: a store keeps the buffers
+// its jobs freed for the next job's tensors, up to a cap, so its peak is
+// reported beside coordd's.
 //
 // Gated by TENPLEX_E2E_SUBPROCESS=1, like TestE2ESubprocess.
 func TestE2ECoorddMemorySlope(t *testing.T) {
@@ -47,19 +50,29 @@ func TestE2ECoorddMemorySlope(t *testing.T) {
 		{Kind: "gpt", Layers: 8, Hidden: 128, Heads: 4, Vocab: 512, SeqLen: 32},
 	}
 	var stateMiB, peakMiB [2]float64
+	var storesMiB [2][]float64
 	for i, spec := range sizes {
 		m := model.GPTCustom(spec.Layers, spec.Hidden, spec.Heads, spec.Vocab, spec.SeqLen)
 		stateMiB[i] = float64(m.StateBytes()) / (1 << 20)
-		peakMiB[i] = coorddPeakAfter(t, bin, spec, jobs)
+		peakMiB[i], storesMiB[i] = peaksAfter(t, bin, spec, jobs)
 	}
 	slope := (peakMiB[1] - peakMiB[0]) / (stateMiB[1] - stateMiB[0])
-	line := fmt.Sprintf("tenplex-coordd VmHWM after %d jobs: %.1f MiB at %.2f MiB of job state, %.1f MiB at %.2f MiB: %.2f MiB per MiB of state (limit %.1f)",
-		jobs, peakMiB[0], stateMiB[0], peakMiB[1], stateMiB[1], slope, maxCoorddSlope)
-	t.Log(line)
+	lines := []string{fmt.Sprintf("tenplex-coordd VmHWM after %d jobs: %.1f MiB at %.2f MiB of job state, %.1f MiB at %.2f MiB: %.2f MiB per MiB of state (limit %.1f)",
+		jobs, peakMiB[0], stateMiB[0], peakMiB[1], stateMiB[1], slope, maxCoorddSlope)}
+	for i := range sizes {
+		lines = append(lines, fmt.Sprintf("tenplex-store VmHWM after %d jobs at %.2f MiB of job state: %.1f MiB", jobs, stateMiB[i], storesMiB[i]))
+	}
+	var summary *os.File
 	if path := os.Getenv("GITHUB_STEP_SUMMARY"); path != "" {
 		if f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY|os.O_CREATE, 0o644); err == nil {
-			fmt.Fprintln(f, line)
-			f.Close()
+			summary = f
+			defer f.Close()
+		}
+	}
+	for _, line := range lines {
+		t.Log(line)
+		if summary != nil {
+			fmt.Fprintln(summary, line)
 		}
 	}
 	if slope > maxCoorddSlope {
@@ -67,11 +80,12 @@ func TestE2ECoorddMemorySlope(t *testing.T) {
 	}
 }
 
-// coorddPeakAfter boots four store daemons and a coordd, runs jobs jobs
-// of model spec one after another, each until it is bit-verified and
+// peaksAfter boots four store daemons and a coordd, runs jobs jobs of
+// model spec one after another, each until it is bit-verified and
 // coordd has released its state from the stores, and returns coordd's
-// VmHWM in MiB. The daemons are stopped before it returns.
-func coorddPeakAfter(t *testing.T, bin string, spec api.ModelSpec, jobs int) float64 {
+// VmHWM and each store's, in MiB. The daemons are stopped before it
+// returns.
+func peaksAfter(t *testing.T, bin string, spec api.ModelSpec, jobs int) (coorddMiB float64, storesMiB []float64) {
 	t.Helper()
 	var urls []string
 	var clients []*store.Client
@@ -109,7 +123,10 @@ func coorddPeakAfter(t *testing.T, bin string, spec api.ModelSpec, jobs int) flo
 		}
 		checkStoreState(t, clients, []string{id})
 	}
-	return vmHWMMiB(t, coordd.cmd.Process.Pid)
+	for _, d := range procs[:len(urls)] {
+		storesMiB = append(storesMiB, vmHWMMiB(t, d.cmd.Process.Pid))
+	}
+	return vmHWMMiB(t, coordd.cmd.Process.Pid), storesMiB
 }
 
 // vmHWMMiB reads a process's peak resident set size from /proc.
@@ -117,7 +134,7 @@ func vmHWMMiB(t *testing.T, pid int) float64 {
 	t.Helper()
 	f, err := os.Open(fmt.Sprintf("/proc/%d/status", pid))
 	if err != nil {
-		t.Skipf("no /proc to read coordd's peak RSS from: %v", err)
+		t.Skipf("no /proc to read a daemon's peak RSS from: %v", err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
