@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"sort"
 
 	"tenplex/internal/cluster"
@@ -152,7 +151,7 @@ func AlignDevices(from, to *PTC) *PTC {
 	}
 
 	out := NewPTC(to.Name, to.Devices)
-	out.Tensors = maps.Clone(to.Tensors)
+	out.Tensors = to.Tensors
 	for g, oldDev := range to.Devices {
 		out.Place[assign[g]] = shareList(to.Place[oldDev])
 	}

@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -69,7 +68,9 @@ func (s SubTensor) NumBytes(meta TensorMeta) int64 {
 type PTC struct {
 	// Name describes the parallelization, e.g. "gpt3-xl T2 P4 D2".
 	Name string
-	// Tensors is T: every state tensor's metadata, keyed by ID.
+	// Tensors is T: every state tensor's metadata, keyed by ID. Only
+	// AddTensor writes it, while the PTC is built; from then on the map
+	// is immutable, and PTCs derived from this one share it.
 	Tensors map[TensorID]TensorMeta
 	// Devices is the job's allocation in rank order (α's codomain).
 	Devices []cluster.DeviceID
@@ -366,7 +367,7 @@ func (p *PTC) WithoutDevices(failed ...cluster.DeviceID) *PTC {
 		}
 	}
 	out := NewPTC(p.Name+" (degraded)", alive)
-	out.Tensors = maps.Clone(p.Tensors)
+	out.Tensors = p.Tensors
 	for _, d := range alive {
 		out.Place[d] = shareList(p.Place[d])
 	}

@@ -23,6 +23,10 @@ import (
 //
 // Optimizer-state tensors follow their parameter's slicing, as Megatron
 // checkpoints do.
+//
+// The layout is built once per (m, cfg) and relabelled onto alloc
+// (template.go), so PTCs built from one pair share their tensors, lists
+// and regions; none of them may be modified.
 func BuildPTC(m *model.Model, cfg Config, alloc cluster.Allocation) (*core.PTC, error) {
 	if err := cfg.Validate(len(alloc), m); err != nil {
 		return nil, err
@@ -30,6 +34,16 @@ func BuildPTC(m *model.Model, cfg Config, alloc cluster.Allocation) (*core.PTC, 
 	if err := checkDistinct(alloc); err != nil {
 		return nil, err
 	}
+	t, err := gptTemplates.get(m, cfg, layOut)
+	if err != nil {
+		return nil, err
+	}
+	return relabel(t, alloc), nil
+}
+
+// layOut builds the template of (m, cfg): its PTC on ranks 0..n-1.
+func layOut(m *model.Model, cfg Config) (*core.PTC, error) {
+	alloc := ranks(cfg.WorldSize())
 	stages := PartitionStages(m, cfg.PP)
 
 	ptc := core.NewPTC(fmt.Sprintf("%s %s", m.Name, cfg), alloc)

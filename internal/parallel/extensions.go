@@ -28,7 +28,8 @@ func (c MoEConfig) String() string { return fmt.Sprintf("(E=%d,D=%d)", c.EP, c.D
 // slicing function σ is the identity (experts are whole tensors), the
 // partitioning function φ groups tensors by expert — analogous to
 // pipeline stages, with expert groups in place of stage groups — and α
-// assigns group (dp, ep) to alloc[dp·EP + ep].
+// assigns group (dp, ep) to alloc[dp·EP + ep]. Like BuildPTC, it
+// relabels one layout per (m, cfg).
 func BuildMoEPTC(m *model.Model, cfg MoEConfig, alloc cluster.Allocation) (*core.PTC, error) {
 	if cfg.EP < 1 || cfg.DP < 1 {
 		return nil, fmt.Errorf("parallel: bad MoE config %v", cfg)
@@ -39,6 +40,15 @@ func BuildMoEPTC(m *model.Model, cfg MoEConfig, alloc cluster.Allocation) (*core
 	if err := checkDistinct(alloc); err != nil {
 		return nil, err
 	}
+	t, err := moeTemplates.get(m, cfg, layOutMoE)
+	if err != nil {
+		return nil, err
+	}
+	return relabel(t, alloc), nil
+}
+
+// layOutMoE builds the template of (m, cfg): its PTC on ranks 0..n-1.
+func layOutMoE(m *model.Model, cfg MoEConfig) (*core.PTC, error) {
 	nExperts := m.NumExperts()
 	if nExperts == 0 {
 		return nil, fmt.Errorf("parallel: model %s has no experts", m.Name)
@@ -47,6 +57,7 @@ func BuildMoEPTC(m *model.Model, cfg MoEConfig, alloc cluster.Allocation) (*core
 		return nil, fmt.Errorf("parallel: EP=%d exceeds %d experts", cfg.EP, nExperts)
 	}
 
+	alloc := ranks(cfg.WorldSize())
 	ptc := core.NewPTC(fmt.Sprintf("%s %s", m.Name, cfg), alloc)
 	params := m.StateParams()
 	ids := addTensors(ptc, params)

@@ -558,12 +558,15 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 // is stored: the buffers that were to hold them go back to the store.
 func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleStats, error) {
 	var st AssembleStats
-	staged := make([]entry, len(items))
-	stored := 0 // staged[:stored] are in the tree
+	files := make([]fileAt, len(items))
+	handed := false // putAll has the buffers: stored, or released
 	defer func() {
-		for _, e := range staged[stored:] {
-			if e.own != nil {
-				s.FS.release(e.own)
+		if handed {
+			return
+		}
+		for _, f := range files {
+			if f.e.own != nil {
+				s.FS.release(f.e.own)
 			}
 		}
 	}()
@@ -578,7 +581,7 @@ func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 				return st, &requestError{code: http.StatusConflict, msg: fmt.Sprintf("item %d (%s): link %s holds %v, want %s %v",
 					i, it.Path, it.Link, t, it.DType, it.Shape)}
 			}
-			staged[i] = entry{t: t}
+			files[i] = fileAt{path: it.Path, e: entry{t: t}}
 			st.LinkedBytes += int64(t.NumBytes())
 			continue
 		}
@@ -592,7 +595,7 @@ func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 			}
 		}
 		t := o.t
-		staged[i] = entry{t: t, own: o}
+		files[i] = fileAt{path: it.Path, e: entry{t: t, own: o}}
 		st.AllocBytes += int64(t.NumBytes())
 		for _, f := range it.Fetch {
 			if f.Source != "" {
@@ -641,11 +644,9 @@ func (s *Server) assemble(ctx context.Context, items []AssembleItem) (AssembleSt
 		return st, err
 	}
 	st.BytesCopied += pulled
-	for i, it := range items {
-		if err := s.FS.put(it.Path, staged[i]); err != nil {
-			return st, badRequest("item %d: %v", i, err)
-		}
-		stored++
+	handed = true
+	if err := s.FS.putAll(files); err != nil {
+		return st, badRequest("%v", err)
 	}
 	return st, nil
 }

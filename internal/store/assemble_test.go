@@ -284,6 +284,25 @@ func TestAssembleDecoderDoesNotAllocateFromDeclaredSizes(t *testing.T) {
 	}
 }
 
+// An /assemble is stored whole or not at all: a request whose later item
+// cannot be stored answers 400, keeps none of its items, and hands every
+// buffer it built back to the store.
+func TestAssembleAllOrNone(t *testing.T) {
+	for name, paths := range conflicting {
+		d := newAssembleNode(t, nil)
+		placeHeld(t, d.srv.FS)
+		_, err := d.client(testRetryPolicy()).Assemble(context.Background(), []AssembleItem{
+			{Path: paths[0], DType: tensor.Float32, Shape: []int{2}, Fetch: []AssembleFetch{{Path: "/held"}}},
+			{Path: paths[1], DType: tensor.Float32, Shape: []int{2}, Fetch: []AssembleFetch{{Path: "/dir/x"}}},
+		})
+		var se *statusError
+		if !errors.As(err, &se) || se.code != http.StatusBadRequest {
+			t.Fatalf("%s: error %v, want a 400", name, err)
+		}
+		holdsOnlyPlaced(t, d.srv.FS, name, 2*2*4)
+	}
+}
+
 // What the store finds wrong only when it looks at its own tensors is
 // the caller's fault too, and final.
 func TestAssembleSelfAndLinkErrorsAreNotRetried(t *testing.T) {

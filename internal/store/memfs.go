@@ -126,7 +126,7 @@ func (l *freeList) take(n int) *owned {
 // one, with recycled set, else a new one. A recycled buffer holds what
 // the tensor before it left there, so the caller overwrites every byte
 // before anyone can read it, or clears it. The buffer is stored with
-// putOwned, or handed back with release.
+// putOwned or putAll, or handed back with release.
 func (fs *MemFS) alloc(dt tensor.DType, shape []int) (o *owned, recycled bool) {
 	o = fs.free.take(int(tensor.ShapeNumBytes(dt, shape)))
 	if o == nil {
@@ -193,13 +193,13 @@ func (n *node) putFile(name string, e entry) {
 // NewMemFS returns an empty file system.
 func NewMemFS() *MemFS { return &MemFS{root: newNode()} }
 
-// lookupPath walks to the parent directory of path without allocating
-// (components are substrings of path; no intermediate slice is built).
+// lookupPath walks from n to the parent directory of path without
+// allocating (components are substrings of path; no intermediate slice
+// is built).
 // If create is set, missing directories are created. Returns the parent
 // node and the leaf name. The store sits on the transformer's per-fetch
 // hot path, so the walk being allocation-free matters.
-func (fs *MemFS) lookupPath(path string, create bool) (*node, string, error) {
-	n := fs.root
+func (n *node) lookupPath(path string, create bool) (*node, string, error) {
 	var prev string
 	seen := false
 	for i := 0; i < len(path); {
@@ -253,7 +253,7 @@ func (fs *MemFS) putOwned(path string, o *owned) error { return fs.put(path, ent
 func (fs *MemFS) put(path string, e entry) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, name, err := fs.lookupPath(path, true)
+	dir, name, err := fs.root.lookupPath(path, true)
 	if err != nil {
 		return err
 	}
@@ -270,12 +270,105 @@ func (fs *MemFS) put(path string, e entry) error {
 	return nil
 }
 
+// fileAt is one file of a putAll.
+type fileAt struct {
+	path string
+	e    entry
+}
+
+// putAll stores every file, or none of them when one cannot be stored:
+// a path that names a directory or runs through a file, of the tree or
+// of another file of the batch, or a path named twice. Every buffer the
+// files hold is the store's from then on: in the tree, or back on the
+// free list when nothing was stored.
+//
+// The files are laid out in a tree of their own first, off the lock;
+// under one hold of the write lock that tree is checked against the
+// store's and grafted onto it, its new directories by pointer.
+func (fs *MemFS) putAll(files []fileAt) (err error) {
+	defer func() {
+		if err != nil {
+			for _, f := range files {
+				if f.e.own != nil {
+					fs.release(f.e.own)
+				}
+			}
+		}
+	}()
+	staged, owned := newNode(), 0
+	for i, f := range files {
+		dir, name, err := staged.lookupPath(f.path, true)
+		if err != nil {
+			return fmt.Errorf("item %d: %w", i, err)
+		}
+		if _, isDir := dir.dirs[name]; isDir {
+			return fmt.Errorf("item %d: store: %q is a directory", i, f.path)
+		}
+		if _, twice := dir.files[name]; twice {
+			return fmt.Errorf("item %d: store: path %q named twice", i, f.path)
+		}
+		dir.putFile(name, f.e)
+		if f.e.own != nil {
+			owned++
+		}
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if path, what := clash(fs.root, staged); what != "" {
+		return fmt.Errorf("store: %q is %s", path, what)
+	}
+	fs.owned += owned
+	fs.graft(fs.root, staged)
+	return nil
+}
+
+// clash returns the path below n at which staged puts a file on a
+// directory of n or runs a directory through a file of n, and what is
+// there, or "" when it fits.
+func clash(n, staged *node) (path, what string) {
+	for name := range staged.files {
+		if _, isDir := n.dirs[name]; isDir {
+			return "/" + name, "a directory"
+		}
+	}
+	for name, d := range staged.dirs {
+		if _, isFile := n.files[name]; isFile {
+			return "/" + name, "a file, not a directory"
+		}
+		if have, ok := n.dirs[name]; ok {
+			if path, what := clash(have, d); what != "" {
+				return "/" + name + path, what
+			}
+		}
+	}
+	return "", ""
+}
+
+// graft moves staged's files and directories into n, dropping the files
+// they replace; clash(n, staged) found nothing, and fs.mu is held for
+// writing.
+func (fs *MemFS) graft(n, staged *node) {
+	for name, e := range staged.files {
+		if old, ok := n.files[name]; ok {
+			fs.drop(old)
+		}
+		n.putFile(name, e)
+	}
+	for name, d := range staged.dirs {
+		if have, ok := n.dirs[name]; ok {
+			fs.graft(have, d)
+		} else {
+			n.putDir(name, d)
+		}
+	}
+}
+
 // PutBlob stores raw bytes (e.g. checkpoint metadata, dataset chunks) at
 // path.
 func (fs *MemFS) PutBlob(path string, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, name, err := fs.lookupPath(path, true)
+	dir, name, err := fs.root.lookupPath(path, true)
 	if err != nil {
 		return err
 	}
@@ -325,7 +418,7 @@ func (fs *MemFS) pinned(path string) (entry, error) {
 
 // tensorAt is the tensor file at path; fs.mu is held.
 func (fs *MemFS) tensorAt(path string) (entry, error) {
-	dir, name, err := fs.lookupPath(path, false)
+	dir, name, err := fs.root.lookupPath(path, false)
 	if err != nil {
 		return entry{}, err
 	}
@@ -397,7 +490,7 @@ func (fs *MemFS) PutTensorFrom(path string, dt tensor.DType, shape []int, r io.R
 func (fs *MemFS) GetBlob(path string) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	dir, name, err := fs.lookupPath(path, false)
+	dir, name, err := fs.root.lookupPath(path, false)
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +519,7 @@ type Stat struct {
 func (fs *MemFS) Stat(path string) (Stat, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	dir, name, err := fs.lookupPath(path, false)
+	dir, name, err := fs.root.lookupPath(path, false)
 	if err != nil {
 		return Stat{}, err
 	}
@@ -471,7 +564,7 @@ func (fs *MemFS) List(path string) ([]string, error) {
 func (fs *MemFS) Delete(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, name, err := fs.lookupPath(path, false)
+	dir, name, err := fs.root.lookupPath(path, false)
 	if err != nil {
 		return err
 	}
@@ -497,7 +590,7 @@ func (fs *MemFS) Delete(path string) error {
 func (fs *MemFS) Rename(src, dst string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	sDir, sName, err := fs.lookupPath(src, false)
+	sDir, sName, err := fs.root.lookupPath(src, false)
 	if err != nil {
 		return err
 	}
@@ -514,7 +607,7 @@ func (fs *MemFS) Rename(src, dst string) error {
 	if !isFile && within(dst, src) {
 		return fmt.Errorf("store: rename %q to %q: %w", src, dst, errRenameIntoItself)
 	}
-	dDir, dName, err := fs.lookupPath(dst, true)
+	dDir, dName, err := fs.root.lookupPath(dst, true)
 	if err != nil {
 		return err
 	}

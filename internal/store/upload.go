@@ -354,17 +354,18 @@ func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, re.code, "%s", re.msg)
 		return
 	}
+	files := make([]fileAt, len(items))
+	var in int64
 	for i, it := range items {
-		if err := s.FS.putOwned(it.path, it.owned); err != nil {
-			for _, rest := range items[i:] {
-				s.FS.release(rest.owned)
-			}
-			httpError(w, http.StatusBadRequest, "item %d: %v", i, err)
-			return
-		}
+		files[i] = fileAt{path: it.path, e: entry{t: it.t, own: it.owned}}
 		// What /upload counts for the same tensor: its encoding, wire
 		// header and payload.
-		s.bytesIn.Add(int64(tensor.HeaderSize(it.t.Rank()) + it.t.NumBytes()))
+		in += int64(tensor.HeaderSize(it.t.Rank()) + it.t.NumBytes())
 	}
+	if err := s.FS.putAll(files); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	s.bytesIn.Add(in)
 	w.WriteHeader(http.StatusNoContent)
 }

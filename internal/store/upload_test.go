@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,6 +151,63 @@ func storedNothing(t testing.TB, fs *MemFS, what string) {
 	t.Helper()
 	if names, err := fs.List("/"); err != nil || len(names) != 0 {
 		t.Fatalf("%s: store holds %v (err %v), want nothing", what, names, err)
+	}
+}
+
+// conflicting lists pairs of paths that cannot both be stored, and the
+// path a store holds already that makes a batch fail against its tree.
+var conflicting = map[string][]string{
+	"under a file the batch stores":     {"/a", "/a/b"},
+	"over a directory the batch makes":  {"/a/b/c", "/a/b"},
+	"under a file the store holds":      {"/ok", "/held/b"},
+	"over a directory the store holds":  {"/ok", "/dir"},
+	"deep under a file the batch holds": {"/a/b", "/a/b/c/d"},
+}
+
+// placeHeld stores what the conflicting batches meet in the tree: a file
+// at /held and a directory at /dir.
+func placeHeld(t *testing.T, fs *MemFS) {
+	t.Helper()
+	if err := fs.PutTensor("/held", seqTensor(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.PutTensor("/dir/x", seqTensor(2)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// holdsOnlyPlaced fails the test unless the store holds what placeHeld
+// put there and nothing else, and its free list every buffer of a
+// refused request.
+func holdsOnlyPlaced(t *testing.T, fs *MemFS, what string, freed int64) {
+	t.Helper()
+	names, err := fs.List("/")
+	if err != nil || !slices.Equal(names, []string{"dir/", "held"}) {
+		t.Fatalf("%s: store holds %v (err %v), want [dir/ held]", what, names, err)
+	}
+	if sub, err := fs.List("/dir"); err != nil || !slices.Equal(sub, []string{"x"}) {
+		t.Fatalf("%s: /dir holds %v (err %v), want [x]", what, sub, err)
+	}
+	if fs.free.bytes != freed {
+		t.Fatalf("%s: free list holds %d bytes, want the request's %d", what, fs.free.bytes, freed)
+	}
+}
+
+// An /upload-batch is stored whole or not at all: a batch whose later
+// item cannot be stored answers 400, keeps none of its items, and hands
+// every buffer it decoded back to the store.
+func TestUploadBatchAllOrNone(t *testing.T) {
+	for name, paths := range conflicting {
+		srv := NewServer(NewMemFS())
+		placeHeld(t, srv.FS)
+		body := rawUploadBody(rawItemOf(paths[0], seqTensor(2)), rawItemOf(paths[1], seqTensor(3)))
+		if rec := postUpload(srv, body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", name, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+		holdsOnlyPlaced(t, srv.FS, name, 5*4)
+		if n := srv.BytesReceived(); n != 0 {
+			t.Fatalf("%s: %d bytes counted as received for a refused batch", name, n)
+		}
 	}
 }
 
